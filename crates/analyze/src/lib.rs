@@ -14,7 +14,7 @@
 //! | D01  | `HashMap`/`HashSet` in simulation crates (iteration order) |
 //! | D02  | ambient entropy (`Instant::now`, `SystemTime`, `RandomState`, `env::var`) outside serve/bench/cli |
 //! | S01  | snapshot-coverage drift: a field missing from `save_state`/`load_state` |
-//! | S02  | snapshot layout changed without a `SCHEMA_VERSION` bump (`snap.fingerprint`) |
+//! | S02  | snapshot layout changed without a `SCHEMA_VERSION` bump (`snap.fingerprint`); a field `save_state` never writes leaves the layout with `melreq-allow(S02)` |
 //! | A01  | narrowing `as` casts / unchecked cycle arithmetic in dram/memctrl timing modules |
 //!
 //! Findings carry a stable rule ID and a `file:line` span and are
@@ -232,12 +232,9 @@ pub fn analyze(root: &Path, fix_fingerprint: bool) -> Result<Report, String> {
         rules::s01(&rel, &lexed, &items, &mut all);
         rules::a01(&rel, &lexed, &items, &mut all);
         for s in &items.structs {
-            let has_both = items
-                .snaps
-                .get(&s.name)
-                .is_some_and(|snap| snap.save.is_some() && snap.load.is_some());
-            if has_both {
-                layouts.add(&rel, s);
+            let Some(snap) = items.snaps.get(&s.name) else { continue };
+            if let (Some(save), Some(_)) = (&snap.save, &snap.load) {
+                layouts.add(&rel, &rules::persisted_layout(&rel, &lexed, s, save, &mut all));
             }
         }
     }

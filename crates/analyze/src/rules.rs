@@ -3,7 +3,7 @@
 //! `// melreq-allow(RULE): reason` comment (same line or the line
 //! above). See DESIGN.md "Static analysis" for the contract.
 
-use crate::items::FileItems;
+use crate::items::{FileItems, SnapMethod, StructDecl};
 use crate::lexer::{Lexed, TokenKind};
 
 /// Crates whose simulation state must be iteration-order deterministic
@@ -189,6 +189,48 @@ pub fn s01(rel_path: &str, lexed: &Lexed, items: &FileItems, out: &mut Vec<Findi
             );
         }
     }
+}
+
+/// S02, per field — the persisted layout of snapshot'd struct `s`: its
+/// declaration minus the fields that carry `melreq-allow(S02)`. Such a
+/// field is derived run-time state (a wake-up bound, a host counter) that
+/// `save_state` never writes, so adding one changes no checkpoint byte and
+/// must not force a `SCHEMA_VERSION` bump; each is listed among the
+/// suppressed findings. An allow on a field `save_state` *does* write is
+/// refused — that field is layout. (S01 separately demands the reason the
+/// field is not serialized.)
+pub fn persisted_layout(
+    rel_path: &str,
+    lexed: &Lexed,
+    s: &StructDecl,
+    save: &SnapMethod,
+    out: &mut Vec<Finding>,
+) -> StructDecl {
+    let mut layout = s.clone();
+    layout.fields.retain(|f| {
+        let Some(allow) = lexed.allow_for("S02", f.line) else { return true };
+        let written = save.idents.contains(&f.name);
+        out.push(Finding {
+            rule: "S02",
+            file: rel_path.to_string(),
+            line: f.line,
+            message: if written {
+                format!(
+                    "field `{}.{}` carries melreq-allow(S02) but save_state writes it: \
+                     a serialized field is part of the snapshot layout",
+                    s.name, f.name
+                )
+            } else {
+                format!(
+                    "field `{}.{}` is excluded from the snapshot-layout fingerprint",
+                    s.name, f.name
+                )
+            },
+            suppressed: (!written).then(|| allow.reason.clone()),
+        });
+        written
+    });
+    layout
 }
 
 /// Integer types a cast *to* is considered narrowing for A01.

@@ -113,3 +113,68 @@ fn seeded_drift_gates_until_version_bump_and_refresh() {
 
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// `Bank` plus a derived field nobody serializes, justified for both
+/// rules — or, to show the refusal, with the S02 allow on a serialized field.
+fn model_with_derived(s02_on_serialized_field: bool) -> String {
+    let (on_row, on_wake) = if s02_on_serialized_field {
+        (" // melreq-allow(S02): fixture claims this is derived", "")
+    } else {
+        ("", "    // melreq-allow(S02): derived wake-up bound, never written\n")
+    };
+    format!(
+        r#"pub struct Bank {{
+{on_wake}    wake: u64, // melreq-allow(S01): derived, reset by load_state
+    ready_at: u64,
+    row: u64,{on_row}
+}}
+
+impl Bank {{
+    pub fn save_state(&self, out: &mut Vec<u64>) {{
+        out.push(self.ready_at);
+        out.push(self.row);
+    }}
+
+    pub fn load_state(&mut self, src: &[u64]) {{
+        self.ready_at = src[0];
+        self.row = src[1];
+        self.wake = 0;
+    }}
+}}
+"#
+    )
+}
+
+#[test]
+fn derived_field_with_an_s02_allow_leaves_the_layout_alone() {
+    let root = temp_tree("derived");
+    write(&root, "crates/dram/src/model.rs", MODEL_COVERED);
+    let baseline = analyze(&root, true).expect("baseline analyzes").layout_hash;
+
+    // A field save_state never writes, carrying both justifications: no
+    // drift, no version bump, and the exclusion is on the record.
+    write(&root, "crates/dram/src/model.rs", &model_with_derived(false));
+    let r = analyze(&root, false).expect("derived-field tree analyzes");
+    assert_eq!(r.fingerprint, FingerprintStatus::Ok);
+    assert_eq!(r.layout_hash, baseline, "a derived field is no part of the layout");
+    assert!(r.clean(), "got: {:?}", r.findings);
+    assert!(
+        r.suppressed.iter().any(|f| f.rule == "S02"
+            && f.message.contains("`Bank.wake`")
+            && f.suppressed.as_deref() == Some("derived wake-up bound, never written")),
+        "the excluded field is listed with its reason: {:?}",
+        r.suppressed
+    );
+
+    // The same allow on a field save_state writes is refused.
+    write(&root, "crates/dram/src/model.rs", &model_with_derived(true));
+    let r = analyze(&root, false).expect("mis-allowed tree analyzes");
+    assert!(
+        r.findings.iter().any(|f| f.rule == "S02" && f.message.contains("save_state writes it")),
+        "an S02 allow on a serialized field must fail the gate: {:?}",
+        r.findings
+    );
+    assert_eq!(r.fingerprint, FingerprintStatus::Drift, "the unexcused `wake` field is drift");
+
+    let _ = std::fs::remove_dir_all(&root);
+}

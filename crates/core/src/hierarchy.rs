@@ -167,6 +167,12 @@ impl Hierarchy {
         self.ctrl.update_profile(me);
     }
 
+    /// Forward the `tick_exact` oracle switch to the controller's grant
+    /// scan (see [`MemoryController::set_tick_exact`]).
+    pub fn set_tick_exact(&mut self, exact: bool) {
+        self.ctrl.set_tick_exact(exact);
+    }
+
     /// Attach audit instrumentation to the controller (and the DRAM
     /// device beneath it) — see [`melreq_audit`].
     pub fn attach_audit(&mut self, audit: melreq_audit::AuditHandle) {
@@ -390,20 +396,6 @@ impl Hierarchy {
     fn schedule(&mut self, at: Cycle, kind: EventKind) {
         self.event_seq += 1;
         self.events.push(Reverse(Event { at, seq: self.event_seq, kind }));
-    }
-
-    /// O(1) pre-filter for [`Hierarchy::next_event_at`]: `true` when the
-    /// hierarchy certainly has work at `now` (a stalled submission can
-    /// retry, an event is due, or a read completion is ready). `false`
-    /// still requires the full bound — a DRAM grant may be possible.
-    pub fn can_act_now(&self, now: Cycle) -> bool {
-        if (!self.pending_wb.is_empty() || !self.pending_mem.is_empty()) && self.ctrl.can_accept() {
-            return true;
-        }
-        if matches!(self.events.peek(), Some(&Reverse(ev)) if ev.at <= now) {
-            return true;
-        }
-        matches!(self.ctrl.next_completion_at(), Some(at) if at <= now)
     }
 
     /// Conservative lower bound on the next cycle at which this hierarchy

@@ -41,4 +41,4 @@ pub use experiment::{
 pub use hierarchy::Hierarchy;
 pub use profile::{profile_app, profile_mix_apps, AppProfile};
 pub use store::{CheckpointStore, StoreStats};
-pub use system::{CancelToken, RunOutcome, System};
+pub use system::{CancelToken, KernelCounters, RunOutcome, System};

@@ -86,14 +86,34 @@ pub struct System {
     /// Latched once an attached [`CancelToken`] fires; reported through
     /// [`RunOutcome::cancelled`].
     cancelled: bool,
-    /// Memoized [`System::next_event_at`] bound, valid until the next
-    /// state mutation (tick, snapshot restore, policy swap). Component
-    /// event horizons are absolute cycles that only a tick can move, so a
-    /// strictly-future bound computed once stays exact while the
-    /// fast-forward loop merely advances the clock toward it — the
-    /// post-jump iteration reuses it instead of rescanning every core and
-    /// queue entry.
-    next_event_cache: Option<Cycle>, // melreq-allow(S01): derived cache, invalidated on every mutation
+    /// Per-core wake cycle (DESIGN.md, "Simulation kernel"): core `i` is
+    /// asleep — charged [`Core::sleep_cycle`] instead of being ticked —
+    /// while `now < core_wake[i]`. Set from [`Core::next_event_at`] after
+    /// a tick that made no progress (`Cycle::MAX` when only a memory
+    /// completion can wake the core), cleared to 0 when the hierarchy
+    /// delivers the core a completion and by [`System::wake_all`].
+    core_wake: Vec<Cycle>, // melreq-allow(S01): derived from core state, cleared on restore
+    counters: KernelCounters, // melreq-allow(S01): host-side work counters, not simulation state
+}
+
+/// How much work the kernel did and avoided, since construction
+/// ([`System::kernel_counters`]). Host-side bookkeeping: never serialized,
+/// in no report, and — unlike simulated statistics — different between
+/// the fast-forward and `tick_exact` kernels by design.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Cycles simulated by [`System::tick`].
+    pub ticks: u64,
+    /// Cycles jumped over because no component could act.
+    pub skipped_cycles: u64,
+    /// [`Core::tick`] calls (core-cycles a core was awake in a ticked cycle).
+    pub core_ticks: u64,
+    /// Core-cycles a core slept through inside ticked cycles.
+    pub core_sleep_cycles: u64,
+    /// Per-channel grant-candidate scans the controller ran.
+    pub channel_scans: u64,
+    /// Scans skipped because the channel's wake bound lay ahead.
+    pub channel_scans_skipped: u64,
 }
 
 /// An attached [`CancelToken`] plus the next cycle it is polled at.
@@ -231,6 +251,7 @@ impl System {
         // `PolicyKind::build`); every other build programs `me` directly.
         let me_profile = Some(if online.is_some() { vec![1.0; cfg.cores] } else { me.to_vec() });
         System {
+            core_wake: vec![0; cfg.cores],
             cfg,
             cores,
             hier,
@@ -243,7 +264,7 @@ impl System {
             sampler: None,
             cancel: None,
             cancelled: false,
-            next_event_cache: None,
+            counters: KernelCounters::default(),
         }
     }
 
@@ -273,6 +294,7 @@ impl System {
             .map(|(i, s)| Core::new(CoreId::from(i), cfg.core, s))
             .collect();
         System {
+            core_wake: vec![0; cfg.cores],
             cfg,
             cores,
             hier,
@@ -285,7 +307,7 @@ impl System {
             sampler: None,
             cancel: None,
             cancelled: false,
-            next_event_cache: None,
+            counters: KernelCounters::default(),
         }
     }
 
@@ -294,8 +316,27 @@ impl System {
     /// kernel only skips cycles that are provably no-ops — so this exists
     /// as a debug/regression knob and as the perf harness's baseline mode,
     /// not as a fidelity switch.
+    ///
+    /// With it set no core sleeps and the controller scans every channel
+    /// every cycle, which keeps this loop an independent oracle for the
+    /// wake-up bounds the default kernel relies on.
     pub fn set_tick_exact(&mut self, tick_exact: bool) {
         self.tick_exact = tick_exact;
+        self.hier.set_tick_exact(tick_exact);
+        self.wake_all();
+    }
+
+    /// Forget every core's wake cycle: each core is ticked next cycle and
+    /// goes back to sleep only on a freshly computed bound. Called wherever
+    /// core or policy state is replaced from outside the cycle loop.
+    fn wake_all(&mut self) {
+        self.core_wake.fill(0);
+    }
+
+    /// Work the kernel did and avoided so far (see [`KernelCounters`]).
+    pub fn kernel_counters(&self) -> KernelCounters {
+        let (channel_scans, channel_scans_skipped) = self.hier.controller().scan_counters();
+        KernelCounters { channel_scans, channel_scans_skipped, ..self.counters }
     }
 
     /// Attach audit instrumentation to the whole machine: the memory
@@ -371,19 +412,30 @@ impl System {
 
     /// Advance the whole machine by one CPU cycle.
     pub fn tick(&mut self) {
-        // Any tick can move component event horizons.
-        self.next_event_cache = None;
         let now = self.now;
         // Memory side first: deliver data that becomes ready this cycle...
         self.scratch.clear();
         self.hier.advance(now, &mut self.scratch);
         for &(core, token) in &self.scratch {
             self.cores[core.index()].finish(token, now);
+            self.core_wake[core.index()] = 0;
         }
-        // ...then let every core commit/issue/dispatch.
-        for core in &mut self.cores {
-            core.tick(now, &mut self.hier);
+        // ...then let every core that can act commit/issue/dispatch. A
+        // core goes to sleep only after a tick that made no progress, so
+        // a busy core never pays for the bound. Under `tick_exact` no wake
+        // cycle is ever set and every core is ticked.
+        let mut slept = 0;
+        for (core, wake) in self.cores.iter_mut().zip(&mut self.core_wake) {
+            if now < *wake {
+                core.sleep_cycle(now);
+                slept += 1;
+            } else if !core.tick(now, &mut self.hier) && !self.tick_exact {
+                *wake = core.next_event_at(now + 1).unwrap_or(Cycle::MAX);
+            }
         }
+        self.counters.ticks += 1;
+        self.counters.core_sleep_cycles += slept;
+        self.counters.core_ticks += self.cores.len() as u64 - slept;
         self.now += 1;
         if self.online.is_some() {
             self.refresh_online_profile();
@@ -426,29 +478,19 @@ impl System {
     }
 
     /// Conservative lower bound on the next cycle at which any component
-    /// can make progress (see DESIGN.md, "Simulation kernel"). `Some(now)`
+    /// can make progress (see DESIGN.md, "Simulation kernel"): the minimum
+    /// of the per-core wake cycles and the hierarchy's bound. `Some(now)`
     /// means this cycle must be simulated; `Some(t > now)` means every
     /// cycle strictly before `t` is provably a no-op; `None` means the
     /// machine is fully quiescent with nothing in flight.
     fn next_event_at(&self) -> Option<Cycle> {
         let now = self.now;
-        // Cheap O(1) pre-filters first: in active phases some component
-        // can almost always act immediately, and the per-op scans below
-        // would be pure overhead on top of the tick that follows.
-        if self.cores.iter().any(|c| c.can_act_now(now)) || self.hier.can_act_now(now) {
+        let cores = self.core_wake.iter().copied().min().unwrap_or(Cycle::MAX);
+        if cores <= now {
             return Some(now);
         }
-        let mut bound: Option<Cycle> = None;
-        for t in std::iter::once(self.hier.next_event_at(now))
-            .chain(self.cores.iter().map(|c| c.next_event_at(now)))
-        {
-            match t {
-                Some(at) if at <= now => return Some(now),
-                Some(at) => bound = Some(bound.map_or(at, |b| b.min(at))),
-                None => {}
-            }
-        }
-        bound
+        let bound = self.hier.next_event_at(now).map_or(cores, |at| at.min(cores));
+        (bound != Cycle::MAX).then_some(bound)
     }
 
     /// Jump the clock from `now` to `target` without simulating the
@@ -462,6 +504,7 @@ impl System {
         for core in &mut self.cores {
             core.note_skip(delta);
         }
+        self.counters.skipped_cycles += delta;
         self.now = target;
     }
 
@@ -537,7 +580,7 @@ impl System {
     /// [`System::run_window`].
     pub fn prepare_window(&mut self, warmup: u64, target: u64) {
         assert!(self.now == 0, "measured runs must start from reset");
-        self.next_event_cache = None;
+        self.wake_all();
         for core in &mut self.cores {
             core.set_window(warmup, target);
         }
@@ -566,24 +609,7 @@ impl System {
             // straight to the timeout, as ticking would) and to the
             // cycle before the next online-ME epoch boundary, whose
             // profile refresh must fire on schedule.
-            //
-            // A bound memoized by an earlier iteration is still exact
-            // here: only [`System::tick`] (and snapshot/policy mutation,
-            // each of which clears the cache) can move an event horizon,
-            // and a clock that merely advanced toward the bound cannot
-            // pass it — jumps are clamped to at most the bound itself.
-            let bound = match self.next_event_cache {
-                Some(b) => Some(b),
-                None => {
-                    let b = self.next_event_at();
-                    if let Some(at) = b {
-                        if at > self.now {
-                            self.next_event_cache = Some(at);
-                        }
-                    }
-                    b
-                }
-            };
+            let bound = self.next_event_at();
             let mut jump_to = bound.unwrap_or(Cycle::MAX).min(max_cycles);
             if let Some(st) = &self.online {
                 jump_to = jump_to.min(st.next_at - 1);
@@ -681,7 +707,7 @@ impl System {
     /// mirroring what [`System::attach_audit`] announces at reset.
     pub fn swap_policy(&mut self, kind: &melreq_memctrl::policy::PolicyKind, me: &[f64]) {
         assert_eq!(me.len(), self.cfg.cores, "one ME value per core required");
-        self.next_event_cache = None;
+        self.wake_all();
         let policy = kind.build(me, self.cfg.cores, self.cfg.seed);
         self.hier.set_policy(policy, kind.read_first());
         self.online = match kind {
@@ -720,7 +746,7 @@ impl System {
         policy: Box<dyn melreq_memctrl::SchedulerPolicy>,
         read_first: bool,
     ) {
-        self.next_event_cache = None;
+        self.wake_all();
         self.hier.set_policy(policy, read_first);
         self.online = None;
         self.me_profile = None;
@@ -806,7 +832,7 @@ impl System {
         // deltas straddle the discontinuity; re-attach after restoring
         // to observe the resumed run.
         self.sampler = None;
-        self.next_event_cache = None;
+        self.wake_all();
         Ok(())
     }
 }

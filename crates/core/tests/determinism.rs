@@ -10,11 +10,48 @@
 //! per-core IPC, and the cycle count. A fast-forward kernel that ever
 //! skips a cycle in which some component could have acted would perturb
 //! at least one grant time and fail the hash comparison.
+//!
+//! The per-component wake-up state (a core asleep until its wake cycle, a
+//! channel's grant scan skipped until its earliest candidate) is what the
+//! wider cases below pin: on `8MEM-1` most core-cycles are slept through,
+//! so they compare the *final machine state* — the `System::snapshot()`
+//! bytes, which carry every core's `cycles` / `commit_stall_cycles` — for
+//! every registered policy, with both epoch clamps active, and across a
+//! snapshot taken while cores are asleep. `tick_exact` bypasses all of it
+//! (no core sleeps, every channel is scanned every cycle), which is what
+//! makes it an independent oracle.
 
+use melreq_audit::{Auditor, AuditorConfig};
 use melreq_core::experiment::ProfileCache;
-use melreq_core::{run_mix_audited, ExperimentOptions};
+use melreq_core::{run_mix_audited, ExperimentOptions, KernelCounters, System, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
-use melreq_workloads::mix_by_name;
+use melreq_memctrl::registry::registry;
+use melreq_obs::{Collector, ObsConfig};
+use melreq_trace::InstrStream;
+use melreq_workloads::{app_by_code, mix_by_name, SliceKind};
+use proptest::prelude::*;
+
+const WARMUP: u64 = 1_500;
+const TARGET: u64 = 2_500;
+const MAX_CYCLES: u64 = 1 << 26;
+
+/// A system running one evaluation-slice stream per app code, armed for
+/// a short measured window.
+fn build(codes: &str, kind: &PolicyKind, tick_exact: bool) -> System {
+    let streams: Vec<Box<dyn InstrStream + Send>> = codes
+        .chars()
+        .enumerate()
+        .map(|(i, c)| {
+            Box::new(app_by_code(c).build_stream(i, SliceKind::Evaluation(0)))
+                as Box<dyn InstrStream + Send>
+        })
+        .collect();
+    let me: Vec<f64> = (0..codes.len()).map(|i| 1.0 + 3.0 * i as f64).collect();
+    let mut sys = System::new(SystemConfig::paper(codes.len(), kind.clone()), streams, &me);
+    sys.set_tick_exact(tick_exact);
+    sys.prepare_window(WARMUP, TARGET);
+    sys
+}
 
 #[test]
 fn fast_forward_matches_tick_exact_for_every_policy() {
@@ -51,4 +88,115 @@ fn fast_forward_matches_tick_exact_for_every_policy() {
         assert_eq!(fast.unfairness, exact.unfairness, "[{name}] unfairness diverged");
         assert!(!fast.timed_out && !exact.timed_out, "[{name}] runs must complete");
     }
+}
+
+/// Every registered policy, on the paper's headline mix (the two 4-core
+/// fixed-priority orders excepted) and a 4-core MIX mix: the two kernels
+/// must end in byte-identical machine state having emitted the same audit
+/// stream.
+#[test]
+fn final_machine_state_matches_tick_exact_for_every_registered_policy() {
+    for mix_name in ["8MEM-1", "4MIX-1"] {
+        let codes = mix_by_name(mix_name).codes;
+        for desc in registry() {
+            let kind = desc.default_kind();
+            // The registry's fixed-priority orders name four cores.
+            if codes.len() != 4 && matches!(kind, PolicyKind::Fixed { .. }) {
+                continue;
+            }
+            let run = |tick_exact: bool| {
+                let mut sys = build(codes, &kind, tick_exact);
+                let (handle, auditor) = Auditor::shared(AuditorConfig::default(), true);
+                sys.attach_audit(handle);
+                let out = sys.run_window(MAX_CYCLES);
+                assert!(!out.timed_out, "[{mix_name} {}] must finish", desc.id);
+                let report = auditor.lock().expect("auditor poisoned").report();
+                (sys.snapshot(), (report.stream_hash, report.events), sys.kernel_counters())
+            };
+            let (fast_state, fast_audit, _) = run(false);
+            let (exact_state, exact_audit, exact) = run(true);
+            assert!(fast_audit.1 > 0, "[{mix_name} {}] instrumentation must emit events", desc.id);
+            assert_eq!(fast_audit, exact_audit, "[{mix_name} {}] audit streams differ", desc.id);
+            assert!(fast_state == exact_state, "[{mix_name} {}] final snapshots differ", desc.id);
+            assert_eq!(
+                (exact.skipped_cycles, exact.core_sleep_cycles, exact.channel_scans_skipped),
+                (0, 0, 0),
+                "[{mix_name} {}] tick_exact must bypass every wake-up bound",
+                desc.id
+            );
+        }
+    }
+}
+
+/// The online-ME estimator and the epoch sampler both clamp fast-forward
+/// jumps; with both attached (different periods) the sampled series and
+/// the final state must still be kernel-independent.
+#[test]
+fn both_epoch_clamps_leave_the_kernels_indistinguishable() {
+    let kind = PolicyKind::MeLreqOnline { epoch_cycles: 1_700 };
+    let run = |tick_exact: bool| {
+        let mut sys = build(mix_by_name("8MEM-1").codes, &kind, tick_exact);
+        let (handle, collector) = Collector::shared(ObsConfig::default());
+        sys.attach_audit(handle);
+        sys.attach_sampler(collector.clone(), 1_300);
+        assert!(!sys.run_window(MAX_CYCLES).timed_out);
+        let series = collector.lock().expect("collector poisoned").series().to_vec();
+        (sys.snapshot(), series)
+    };
+    let (fast_state, fast_series) = run(false);
+    let (exact_state, exact_series) = run(true);
+    assert!(fast_series.len() > 4, "sampler must fire repeatedly");
+    assert_eq!(fast_series, exact_series, "epoch series diverged between kernels");
+    assert!(fast_state == exact_state, "final snapshots differ");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Wake-up state is derived, never serialized: a snapshot taken at an
+    /// arbitrary cycle of the event-driven loop — cores asleep, channel
+    /// scans pending — restored into a fresh system (everything awake)
+    /// must finish byte-identical to the run that was never interrupted.
+    #[test]
+    fn snapshot_taken_while_cores_sleep_resumes_identically(
+        pause_at in 300u64..9_000,
+        policy_pick in 0usize..5,
+    ) {
+        let codes = mix_by_name("8MEM-1").codes;
+        let kind = PolicyKind::figure2_set()[policy_pick].clone();
+        let mut straight = build(codes, &kind, false);
+        let out = straight.run_window(MAX_CYCLES);
+        prop_assert!(!out.timed_out);
+
+        let mut paused = build(codes, &kind, false);
+        let _ = paused.run_window(pause_at);
+        prop_assert!(paused.kernel_counters().core_sleep_cycles > 0, "cores must have slept");
+        let mut resumed = build(codes, &kind, false);
+        resumed.load_snapshot(&paused.snapshot()).expect("mid-window snapshot restores");
+        let resumed_out = resumed.run_window(MAX_CYCLES);
+        prop_assert_eq!(out.cycles, resumed_out.cycles);
+        prop_assert_eq!(out.ipc, resumed_out.ipc);
+        prop_assert!(straight.snapshot() == resumed.snapshot(), "final snapshots differ");
+    }
+}
+
+/// The always-on kernel counters are deterministic, and they show the
+/// split the wake-up design rests on: memory-bound cores sleep most of
+/// the time, compute-bound cores rarely.
+#[test]
+fn kernel_counters_repeat_and_split_by_workload_class() {
+    let counters = |codes: &str| -> KernelCounters {
+        let mut sys = build(codes, &PolicyKind::MeLreq, false);
+        assert!(!sys.run_window(MAX_CYCLES).timed_out);
+        sys.kernel_counters()
+    };
+    let mem = counters(mix_by_name("8MEM-1").codes);
+    assert_eq!(mem, counters(mix_by_name("8MEM-1").codes), "counters must repeat exactly");
+    assert_eq!(mem.core_ticks + mem.core_sleep_cycles, 8 * mem.ticks);
+    assert!(mem.core_sleep_cycles > mem.core_ticks, "8MEM-1 cores mostly sleep: {mem:?}");
+    assert!(mem.skipped_cycles > 0 && mem.channel_scans_skipped > 0, "{mem:?}");
+
+    let ilp = counters("armo");
+    assert_eq!(ilp, counters("armo"), "counters must repeat exactly");
+    assert!(ilp.core_sleep_cycles < ilp.core_ticks, "ILP cores mostly run: {ilp:?}");
 }

@@ -1,7 +1,7 @@
 //! The out-of-order core pipeline model.
 
 use crate::config::CoreConfig;
-use crate::port::{CoreMemory, CoreToken, MemResponse};
+use crate::port::{AsleepMemory, CoreMemory, CoreToken, MemResponse};
 use melreq_stats::types::{line_addr, Addr, CoreId, Cycle};
 use melreq_stats::Counter;
 use melreq_trace::{InstrStream, MicroOp, OpKind};
@@ -336,12 +336,57 @@ impl Core {
         }
     }
 
-    /// Advance the core by one cycle.
-    pub fn tick(&mut self, now: Cycle, mem: &mut dyn CoreMemory) {
+    /// Advance the core by one cycle. Returns whether the pipeline made
+    /// progress (retired, issued or dispatched an op). `false` does not
+    /// mean the core is stuck — a blocked store or load retries every
+    /// cycle — only that it is worth asking [`Core::next_event_at`]
+    /// whether the core can sleep.
+    pub fn tick(&mut self, now: Cycle, mem: &mut dyn CoreMemory) -> bool {
+        let before = self.progress_marks();
         self.stats.cycles.inc();
         self.commit(now, mem);
         self.issue(now, mem);
         self.dispatch(now, mem);
+        before != self.progress_marks()
+    }
+
+    /// Retire, dispatch and issue positions: any op moving through the
+    /// pipeline changes at least one of them.
+    fn progress_marks(&self) -> (u64, u64, usize) {
+        (self.head_seq, self.next_seq, self.waiting.len())
+    }
+
+    /// Charge one cycle this core sleeps through: its wake cycle (see
+    /// [`Core::next_event_at`]) lies ahead and no memory completion has
+    /// arrived since it was computed, so a tick would be a no-op —
+    /// exactly [`Core::note_skip`]`(1)`.
+    ///
+    /// Debug builds run the tick anyway, against a memory that panics on
+    /// any call, and assert that nothing but the two cycle counters moved:
+    /// every debug run checks the sleep bound on every slept cycle.
+    pub fn sleep_cycle(&mut self, now: Cycle) {
+        if cfg!(debug_assertions) {
+            let latches = |c: &Core| {
+                (
+                    c.stats.committed.get(),
+                    c.rob.len(),
+                    c.fetch_line,
+                    c.fetch_pending,
+                    c.staged.is_some(),
+                    c.fetch_stall_until,
+                    c.halted_by_branch,
+                )
+            };
+            let before = latches(self);
+            let progressed = self.tick(now, &mut AsleepMemory);
+            assert!(
+                !progressed && before == latches(self),
+                "core {} acted at cycle {now} while asleep",
+                self.id.0
+            );
+        } else {
+            self.note_skip(1);
+        }
     }
 
     /// Account for `cycles` skipped cycles during which this core was
@@ -355,39 +400,6 @@ impl Core {
         self.stats.commit_stall_cycles.add(cycles);
     }
 
-    /// O(1) pre-filter for [`Core::next_event_at`]: `true` when the core
-    /// can certainly act this cycle (a resolved head can retire or retry
-    /// a blocked store, or the front end can dispatch). `false` is *not*
-    /// "quiescent" — issue may still be possible — it only means the
-    /// per-op scan in `next_event_at` is needed to decide. The system loop
-    /// calls this for every core before paying for any full bound.
-    pub fn can_act_now(&self, now: Cycle) -> bool {
-        if let Some(head) = self.rob.front() {
-            if matches!(Self::resolved_at(head), Some(at) if at <= now) {
-                return true;
-            }
-        }
-        if !self.fetch_pending
-            && self.halted_by_branch.is_none()
-            && self.rob.len() < self.cfg.rob
-            && self.waiting.len() < self.cfg.iq
-            && now >= self.fetch_stall_until
-        {
-            let staged_blocked = match &self.staged {
-                Some(op) => match op.kind {
-                    OpKind::Load { .. } => self.loads_in_rob >= self.cfg.lq,
-                    OpKind::Store { .. } => self.stores_in_rob >= self.cfg.sq,
-                    _ => false,
-                },
-                None => false,
-            };
-            if !staged_blocked {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Conservative lower bound on the next cycle at which a
     /// [`Core::tick`] could change any state (commit, issue, dispatch, or
     /// a statistic other than the cycle counters).
@@ -396,9 +408,15 @@ impl Core {
     ///   the caller must tick normally.
     /// * `Some(t)` with `t > now` — the core provably cannot act before
     ///   `t` *unless* an outstanding memory access completes first; the
-    ///   caller covers that case with the hierarchy's own bound.
+    ///   caller covers that case by waking the core on [`Core::finish`].
     /// * `None` — the core is blocked purely on memory (or fully drained)
     ///   and has no internally known wake-up time.
+    ///
+    /// Nothing but this core's own state enters the bound, and a core that
+    /// is retrying against the hierarchy (blocked store, refused load or
+    /// fetch) reports `now` — so between completions only the core's own
+    /// tick can invalidate it, which is what lets the system keep it as
+    /// the core's wake cycle.
     ///
     /// The bound is intentionally conservative: returning `now` when
     /// nothing would actually happen only costs a probe tick, while

@@ -61,6 +61,26 @@ impl CoreMemory for PerfectMemory {
     }
 }
 
+/// The memory a sleeping core is ticked against in debug builds (see
+/// [`crate::Core::sleep_cycle`]): a core that reaches for memory while
+/// the kernel holds it asleep has outrun its wake bound.
+#[derive(Debug)]
+pub(crate) struct AsleepMemory;
+
+impl CoreMemory for AsleepMemory {
+    fn load(&mut self, core: CoreId, _token: CoreToken, addr: Addr, now: Cycle) -> MemResponse {
+        panic!("core {} issued a load of {addr:#x} at cycle {now} while asleep", core.0)
+    }
+
+    fn ifetch(&mut self, core: CoreId, _token: CoreToken, addr: Addr, now: Cycle) -> MemResponse {
+        panic!("core {} fetched {addr:#x} at cycle {now} while asleep", core.0)
+    }
+
+    fn store(&mut self, core: CoreId, addr: Addr, now: Cycle) -> bool {
+        panic!("core {} retired a store to {addr:#x} at cycle {now} while asleep", core.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -202,6 +202,23 @@ struct Completion {
     addr: Addr,
 }
 
+/// Per-channel wake-up state of the grant scan (DESIGN.md, "Simulation
+/// kernel"): derived from the queue and the DRAM bank timers, rebuilt
+/// conservatively by [`MemoryController::load_state`], never serialized.
+#[derive(Debug)]
+struct ScanGate {
+    /// Per channel, a lower bound on the first cycle one of its queued
+    /// requests can be a grant candidate (pipeline overhead cleared and
+    /// bank ready); `Cycle::MAX` while the channel has nothing queued.
+    /// [`MemoryController::try_grant`] skips the scan before it.
+    wake: Vec<Cycle>,
+    /// The `tick_exact` oracle: scan every channel every cycle.
+    exact: bool,
+    /// Candidate scans run / skipped on a non-empty channel.
+    scans: u64,
+    skipped: u64,
+}
+
 /// The memory controller of Figure 1.
 ///
 /// Driven by the system cycle loop:
@@ -237,6 +254,8 @@ pub struct MemoryController {
     /// Audit instrumentation (no-op unless a sink is attached; debug
     /// builds attach a panicking watchdog automatically).
     audit: AuditHandle, // melreq-allow(S01): instrumentation handle re-attached by the host
+    // melreq-allow(S02): derived wake-up bounds and host counters, no part of the persisted layout
+    gate: ScanGate, // melreq-allow(S01): derived, reset to "rescan" by load_state
 }
 
 impl MemoryController {
@@ -266,6 +285,7 @@ impl MemoryController {
             cand_pos: Vec::with_capacity(cfg.buffer_entries),
             cand_ids: Vec::with_capacity(cfg.buffer_entries),
             audit: AuditHandle::disabled(),
+            gate: ScanGate { wake: vec![Cycle::MAX; channels], exact: false, scans: 0, skipped: 0 },
         };
         // Debug builds run with an always-on protocol watchdog: any
         // timing or scheduling violation panics at the offending grant.
@@ -403,6 +423,9 @@ impl MemoryController {
         // violations. Audited runs always simulate fresh.
         self.audit = AuditHandle::disabled();
         self.dram.set_audit(AuditHandle::disabled());
+        for (ch, wake) in self.gate.wake.iter_mut().enumerate() {
+            *wake = if self.queue.channel_positions(ch).is_empty() { Cycle::MAX } else { 0 };
+        }
         Ok(())
     }
 
@@ -478,7 +501,31 @@ impl MemoryController {
             at: now,
         });
         self.queue.push(MemRequest { id, core, addr, loc, kind, arrival: now });
+        let eligible_at = self.eligible_at(now, &loc);
+        let wake = &mut self.gate.wake[loc.channel];
+        *wake = (*wake).min(eligible_at);
         id
+    }
+
+    /// First cycle a request that arrived at `arrival` can be a grant
+    /// candidate as the bank timers stand: pipeline overhead cleared and
+    /// its bank ready. Refresh only moves bank-ready later, so a bound
+    /// taken from this stays a lower bound.
+    fn eligible_at(&self, arrival: Cycle, loc: &melreq_dram::Location) -> Cycle {
+        (arrival + self.cfg.overhead).max(self.dram.bank_ready_slice(loc.channel)[loc.bank])
+    }
+
+    /// Force the grant scan of every channel on every tick (the
+    /// `tick_exact` oracle, see `System::set_tick_exact`). Results are
+    /// identical either way; a run-time switch, not state.
+    pub fn set_tick_exact(&mut self, exact: bool) {
+        self.gate.exact = exact;
+    }
+
+    /// Candidate scans run and scans skipped by the per-channel wake
+    /// bound since construction (host-side counters, not state).
+    pub fn scan_counters(&self) -> (u64, u64) {
+        (self.gate.scans, self.gate.skipped)
     }
 
     /// One scheduler cycle: update drain state, then grant at most one
@@ -517,15 +564,15 @@ impl MemoryController {
     /// and found its bank ready), or cross an all-bank refresh boundary.
     /// `None` when the controller is fully idle and refresh is disabled.
     ///
-    /// The bound never overshoots: bank ready times only move later
-    /// (refresh), never earlier, and `try_grant` always grants when a
-    /// candidate passes both filters — so no grant can occur strictly
-    /// before the returned cycle. It may undershoot (e.g. bus or drain
-    /// effects), which merely costs the caller an extra probe tick.
+    /// The grant part is the minimum of the per-channel wake bounds the
+    /// scan itself maintains. It never overshoots: bank ready times only
+    /// move later (refresh), never earlier, and `try_grant` always grants
+    /// when a candidate passes both filters — so no grant can occur
+    /// strictly before the returned cycle. It may undershoot (a channel
+    /// that granted last tick reads "rescan now"), which merely costs the
+    /// caller a probe tick.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        let grant = self
-            .queue
-            .next_candidate_at(now, self.cfg.overhead, |ch| self.dram.bank_ready_slice(ch));
+        let grant = self.gate.wake.iter().copied().min().filter(|&at| at != Cycle::MAX);
         let mut bound = self.next_completion_at();
         for t in [grant, self.dram.next_refresh_at()] {
             bound = match (bound, t) {
@@ -556,6 +603,19 @@ impl MemoryController {
         if self.queue.channel_positions(ch).is_empty() {
             return;
         }
+        if now < self.gate.wake[ch] && !self.gate.exact {
+            self.gate.skipped += 1;
+            debug_assert!(
+                self.queue.channel_positions(ch).iter().all(|&pos| {
+                    let r = self.queue.at(pos);
+                    self.eligible_at(r.arrival, &r.loc) > now
+                }),
+                "channel {ch} has a grant candidate at cycle {now}, before its wake bound {}",
+                self.gate.wake[ch]
+            );
+            return;
+        }
+        self.gate.scans += 1;
         // Snapshot per-bank ready cycles once per channel: one dense copy
         // from the DRAM model's struct-of-arrays state instead of a probe
         // per bank (a grant below mutates the DRAM, so the scan cannot
@@ -567,13 +627,18 @@ impl MemoryController {
         // position list (buffer order, so policies see the same candidate
         // sequence a full buffer scan would produce).
         self.cand_ids.clear();
+        let mut earliest = Cycle::MAX;
         for &pos in self.queue.channel_positions(ch) {
             let r = self.queue.at(pos);
-            if r.arrival + self.cfg.overhead <= now && self.bank_ready[r.loc.bank] <= now {
+            let eligible_at = (r.arrival + self.cfg.overhead).max(self.bank_ready[r.loc.bank]);
+            if eligible_at <= now {
                 self.cand_ids.push((pos, r.id, r.kind));
+            } else {
+                earliest = earliest.min(eligible_at);
             }
         }
         if self.cand_ids.is_empty() {
+            self.gate.wake[ch] = earliest;
             return;
         }
         // Statistics are sampled per scheduling decision, not per cycle —
@@ -604,6 +669,10 @@ impl MemoryController {
             self.emit_decision(ch, now, chosen);
         }
         self.issue(chosen_pos, now);
+        // The grant moved a bank timer and may have left candidates
+        // behind: rescan next tick.
+        self.gate.wake[ch] =
+            if self.queue.channel_positions(ch).is_empty() { Cycle::MAX } else { 0 };
     }
 
     /// Report one scheduling decision — the full candidate set plus the
@@ -948,6 +1017,43 @@ mod tests {
         let _ = run_until_complete(&mut c, id, 1000);
         let loc = c.dram().decode(0x0000);
         assert!(!c.dram().is_row_hit(&loc), "close-page must auto-precharge");
+    }
+
+    #[test]
+    fn channel_wake_bound_skips_scans_until_a_request_is_eligible() {
+        let mut c = controller(PolicyKind::HfRf, 1);
+        assert_eq!(c.next_event_at(0), None, "idle controller has no event");
+        c.submit(CoreId(0), 0x40, AccessKind::Read, 10);
+        // The bound is arrival + overhead; a younger request on the same
+        // channel cannot lower it.
+        assert_eq!(c.next_event_at(10), Some(58));
+        c.submit(CoreId(0), 0x140, AccessKind::Read, 14);
+        assert_eq!(c.next_event_at(14), Some(58));
+        for now in 14..58 {
+            c.tick(now);
+        }
+        assert_eq!(c.scan_counters(), (0, 44), "no scan before the bound");
+        c.tick(58);
+        assert_eq!(c.scan_counters(), (1, 44));
+        assert_eq!(c.stats().reads_served.get(), 1);
+        // A grant leaves the channel at "rescan": the next tick scans,
+        // finds the second request still in the pipeline (until 62), and
+        // the channel sleeps again.
+        assert_eq!(c.next_event_at(59), Some(59));
+        c.tick(59);
+        assert_eq!(c.scan_counters(), (2, 44));
+        c.tick(60);
+        assert_eq!(c.scan_counters(), (2, 45));
+
+        // The tick-exact oracle scans a non-empty channel every cycle.
+        let mut exact = controller(PolicyKind::HfRf, 1);
+        exact.set_tick_exact(true);
+        exact.submit(CoreId(0), 0x40, AccessKind::Read, 10);
+        for now in 10..=58 {
+            exact.tick(now);
+        }
+        assert_eq!(exact.scan_counters(), (49, 0));
+        assert_eq!(exact.stats().reads_served.get(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::request::{MemRequest, ReqId};
 use melreq_dram::Location;
-use melreq_stats::types::{CoreId, Cycle};
+use melreq_stats::types::CoreId;
 
 /// Shared request buffer with per-core occupancy counters and per-channel
 /// position indices.
@@ -165,43 +165,6 @@ impl RequestQueue {
     /// Iterate over queued requests (unordered; ids give arrival order).
     pub fn iter(&self) -> impl Iterator<Item = &MemRequest> {
         self.entries.iter()
-    }
-
-    /// Earliest cycle any queued request could clear the controller
-    /// pipeline (`arrival + overhead`) *and* find its bank ready, or
-    /// `None` when the queue is empty. A conservative lower bound on the
-    /// next grant cycle: `ready_at` can move later (refresh), never
-    /// earlier, and a request passing both filters is always granted.
-    /// Short-circuits to `now` — once some request is already eligible
-    /// the exact minimum is irrelevant to the caller, and returning `now`
-    /// itself keeps the result independent of scan order.
-    ///
-    /// `bank_ready` maps a channel index to that channel's dense per-bank
-    /// ready-horizon slice (index = bank), fetched once per channel so the
-    /// inner scan is flat slice indexing rather than a per-request
-    /// callback into the DRAM model.
-    pub fn next_candidate_at<'a>(
-        &self,
-        now: Cycle,
-        overhead: Cycle,
-        bank_ready: impl Fn(usize) -> &'a [Cycle],
-    ) -> Option<Cycle> {
-        let mut bound: Option<Cycle> = None;
-        for (ch, positions) in self.by_channel.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let ready = bank_ready(ch);
-            for &p in positions {
-                let r = &self.entries[p];
-                let t = (r.arrival + overhead).max(ready[r.loc.bank]);
-                if t <= now {
-                    return Some(now);
-                }
-                bound = Some(bound.map_or(t, |b| b.min(t)));
-            }
-        }
-        bound
     }
 
     /// Serialize the queued requests. Per-core counters and per-channel
@@ -399,25 +362,5 @@ mod tests {
                 assert_eq!(listed(&q, ch), brute(&q, ch), "channel {ch} order diverged");
             }
         }
-    }
-
-    #[test]
-    fn next_candidate_lower_bound() {
-        let ready_now = [0u64; 8];
-        let ready_late = [400u64; 8];
-        let mut q = RequestQueue::new(8, 1, 2);
-        assert_eq!(q.next_candidate_at(0, 48, |_| &ready_now[..]), None);
-        q.push(req(0, 0, 0x00, AccessKind::Read, 10));
-        q.push(req(1, 0, 0x40, AccessKind::Read, 2));
-        // Banks always ready: bound is the earliest arrival + overhead.
-        assert_eq!(q.next_candidate_at(0, 48, |_| &ready_now[..]), Some(50));
-        // A late channel pushes its requests' bounds later.
-        assert_eq!(
-            q.next_candidate_at(0, 48, |ch| if ch == 1 { &ready_late[..] } else { &ready_now[..] }),
-            Some(58)
-        );
-        // Once a request is eligible the scan short-circuits to `now`
-        // itself, independent of which request it found first.
-        assert_eq!(q.next_candidate_at(60, 48, |_| &ready_now[..]), Some(60));
     }
 }

@@ -422,6 +422,43 @@ fn response_cache_serves_repeats_and_evicts_lru_at_tiny_cap() {
     handle.join();
 }
 
+#[test]
+fn sequential_cached_hits_on_one_client_connection_do_not_wait_for_delayed_acks() {
+    let handle = start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_cap: 4,
+        store_dir: None,
+        response_cache: 4,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let addr = handle.addr().to_string();
+    let body = run_body("2MEM-1", ExperimentOptions::quick());
+    let mut conn = http::ClientConn::connect(&addr, EXCHANGE_TIMEOUT).expect("connect");
+    let (status, cold) = conn.request("POST", "/run", Some(&body), false).expect("cold run");
+    assert_eq!(status, 200, "cold run: {cold}");
+
+    // A request sent as head then body on a socket with Nagle on costs
+    // one delayed ACK (~40 ms) on every exchange: 20 hits took ~880 ms.
+    // Judged at the median pace, so a test thread that loses the CPU to
+    // its neighbours for a few exchanges does not fail the test.
+    let mut times = Vec::new();
+    for _ in 0..20 {
+        let started = std::time::Instant::now();
+        let (status, hit) = conn.request("POST", "/run", Some(&body), false).expect("cached run");
+        times.push(started.elapsed());
+        assert_eq!(status, 200);
+        assert!(hit.contains("\"cache\":\"response\""), "repeat hits the cache: {hit}");
+    }
+    times.sort();
+    let at_median_pace = times[times.len() / 2] * 20;
+    assert!(at_median_pace < Duration::from_millis(200), "20 cached hits take {at_median_pace:?}");
+
+    handle.shutdown();
+    handle.join();
+}
+
 /// Assert one histogram family's text rendering is well-formed for the
 /// sample lines matching `label_filter`: `le` bounds strictly increase,
 /// bucket counts are cumulative (non-decreasing), and the `+Inf` bucket
