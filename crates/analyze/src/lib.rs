@@ -12,7 +12,7 @@
 //! | rule | hazard |
 //! |------|--------|
 //! | D01  | `HashMap`/`HashSet` in simulation crates (iteration order) |
-//! | D02  | ambient entropy (`Instant::now`, `SystemTime`, `RandomState`, `env::var`) outside serve/bench/cli |
+//! | D02  | ambient entropy (`Instant::now`, `SystemTime`, `RandomState`, `env::var`) outside serve/cli |
 //! | S01  | snapshot-coverage drift: a field missing from `save_state`/`load_state` |
 //! | S02  | snapshot layout changed without a `SCHEMA_VERSION` bump (`snap.fingerprint`); a field `save_state` never writes leaves the layout with `melreq-allow(S02)` |
 //! | A01  | narrowing `as` casts / unchecked cycle arithmetic in dram/memctrl timing modules |
@@ -28,6 +28,7 @@ pub mod lexer;
 pub mod rules;
 
 use fingerprint::{LayoutSet, FINGERPRINT_FILE};
+use melreq_snap::json_esc as esc;
 use rules::Finding;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -123,21 +124,6 @@ impl Report {
     /// other machine output in the workspace (the stamp is the *snap*
     /// schema version: the report describes snapshot-governed state).
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut o = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => o.push_str("\\\""),
-                    '\\' => o.push_str("\\\\"),
-                    '\n' => o.push_str("\\n"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(o, "\\u{:04x}", c as u32);
-                    }
-                    c => o.push(c),
-                }
-            }
-            o
-        }
         fn finding(f: &Finding) -> String {
             let mut s = format!(
                 "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"",

@@ -13,9 +13,9 @@ pub const D01_CRATES: &[&str] =
     &["cpu", "dram", "memctrl", "cache", "core", "trace", "stats", "snap"];
 
 /// Crates allowed to touch ambient entropy (wall clocks, environment):
-/// the service, the bench harness, the CLI and the analyzer itself.
+/// the service, the CLI and the analyzer itself.
 /// Everything else is simulation code where rule D02 applies.
-pub const D02_EXEMPT_CRATES: &[&str] = &["serve", "bench", "cli", "analyze"];
+pub const D02_EXEMPT_CRATES: &[&str] = &["serve", "cli", "analyze"];
 
 /// The dram/memctrl timing modules where rule A01 additionally flags
 /// bare `+`/`-`/`*` arithmetic: these files compute the cycle horizons
@@ -130,7 +130,7 @@ pub fn d02(rel_path: &str, lexed: &Lexed, items: &FileItems, out: &mut Vec<Findi
                 line,
                 format!(
                     "ambient entropy in simulation crate `{krate}`: {why}; move it \
-                     behind serve/bench/cli or justify with melreq-allow(D02)"
+                     behind serve/cli or justify with melreq-allow(D02)"
                 ),
             );
         }
@@ -358,7 +358,7 @@ mod tests {
             run_all("crates/core/src/x.rs", env).iter().filter(|f| f.rule == "D02").count(),
             1
         );
-        assert!(run_all("crates/bench/src/x.rs", env).is_empty());
+        assert!(run_all("crates/cli/src/x.rs", env).is_empty());
     }
 
     #[test]

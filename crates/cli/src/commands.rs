@@ -11,13 +11,15 @@
 //! the facade: they need the collector tap, which is deliberately not
 //! part of the service API.
 
+use crate::figures;
 use crate::parse::{Command, ObsArgs, PolicySpec, USAGE};
+use melreq_core::api::json::Json;
 use melreq_core::api::{MelreqError, PolicyReport, Session, SimRequest};
 use melreq_core::experiment::{
     run_mix, run_mix_audited_observed, run_mix_group, run_mix_observed, worker_count,
     ExperimentOptions, MixResult, ObserveOptions, ProfileCache, RunControl, SweepStage,
 };
-use melreq_core::profile::profile_app;
+use melreq_core::profile::{profile_app, AppProfile};
 use melreq_core::report::{format_table, pct_over};
 use melreq_core::{CheckpointStore, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
@@ -26,9 +28,10 @@ use melreq_obs::{
     export_chrome_json, export_host_profile, series, Collector, ObsConfig, RuleTotals,
 };
 use melreq_serve::{http, ServeConfig};
+use melreq_snap::json_esc;
 use melreq_workloads::{mix_by_name, mixes_for_cores, spec2000, Mix, MixKind, SliceKind};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -585,20 +588,17 @@ fn cmd_sweep(
         for cores in [2usize, 4, 8] {
             let mixes = mixes_for_cores(cores, Some(k));
             let mut row = vec![format!("{cores}-core")];
-            // Geometric mean of per-mix ratios vs the first policy.
-            let mut log_sums = vec![0.0f64; specs.len()];
+            // Per-mix ratios vs the first policy, averaged geometrically.
+            let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
             for mix in &mixes {
                 let req = with_threads(sim_request(mix, specs, opts, false), threads);
                 let report = session.run(&req, &RunControl::default())?;
                 let base = report.policies[0].smt_speedup;
-                for (pi, p) in report.policies.iter().enumerate() {
-                    log_sums[pi] += (p.smt_speedup / base).ln();
+                for (series, p) in ratios.iter_mut().zip(&report.policies) {
+                    series.push(p.smt_speedup / base);
                 }
             }
-            for log_sum in &log_sums {
-                let g = (log_sum / mixes.len() as f64).exp();
-                row.push(pct_over(g, 1.0));
-            }
+            row.extend(ratios.into_iter().map(|series| pct_over(figures::geomean(series), 1.0)));
             rows.push(row);
         }
         let headers: Vec<&str> =
@@ -616,10 +616,6 @@ fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Cycles this result actually simulated: the measured window alone when
@@ -666,24 +662,15 @@ struct Stage {
     results_hash: Option<u64>,
 }
 
-/// Scrape one numeric field out of a flat JSON artifact (the bench
-/// files are written by this binary, so a full parser is overkill).
-fn read_json_number(text: &str, key: &str) -> Option<f64> {
-    let start = text.find(&format!("\"{key}\""))?;
-    let rest = &text[start..];
-    let colon = rest.find(':')?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// `melreq reproduce`: the full paper — Table 2 profiles, the Figure
 /// 2/4/5 grid, the Figure 3 fixed-priority study and the offline-vs-
 /// online ablation — with one shared warm-up per mix, persisted across
 /// invocations through the checkpoint store. Writes the sweep artifact
 /// (`BENCH_sweep.json`) as a side effect and returns the human summary.
+/// A full run also renders the paper artifacts ([`figures`]) into
+/// `results/` beside the sweep artifact; a smoke run leaves `results/`
+/// alone and shows the Figure 2 table of its one grid stage in the
+/// summary instead.
 ///
 /// The warm-up-sharing benchmark stage always runs the 5-policy `4MEM-1`
 /// group twice — snapshot-forked and per-policy fresh — and hard-fails
@@ -731,27 +718,29 @@ fn cmd_reproduce(
     let mut stages: Vec<Stage> = Vec::new();
 
     // Table 2: single-core profiles of the full application roster.
-    {
+    let table2_profiles: Vec<AppProfile> = {
         let t0 = Instant::now();
         let apps = spec2000();
         let mut simulated = 0usize;
-        for a in &apps {
-            let key = CheckpointStore::profile_key(
-                a.code,
-                SliceKind::Profiling,
-                opts.profile_instructions,
-            );
-            if let Some(st) = &store {
-                if st.load_profile(key).is_some() {
-                    continue;
+        let profiles = apps
+            .iter()
+            .map(|a| {
+                let key = CheckpointStore::profile_key(
+                    a.code,
+                    SliceKind::Profiling,
+                    opts.profile_instructions,
+                );
+                if let Some(p) = store.as_ref().and_then(|st| st.load_profile(key)) {
+                    return p;
                 }
-            }
-            let p = profile_app(a, SliceKind::Profiling, opts.profile_instructions);
-            simulated += 1;
-            if let Some(st) = &store {
-                st.store_profile(key, &p);
-            }
-        }
+                let p = profile_app(a, SliceKind::Profiling, opts.profile_instructions);
+                simulated += 1;
+                if let Some(st) = &store {
+                    st.store_profile(key, &p);
+                }
+                p
+            })
+            .collect();
         stages.push(Stage {
             name: "table2".to_string(),
             detail: format!("{} applications, {simulated} profiled here", apps.len()),
@@ -759,14 +748,18 @@ fn cmd_reproduce(
             sim_cycles: 0,
             results_hash: None,
         });
-    }
+        profiles
+    };
 
     // The multiprogrammed grid: every stage's jobs into one global pool.
     let f2 = PolicyKind::figure2_set();
     let mut grid_stages: Vec<(String, Vec<Mix>, Vec<PolicyKind>)> = Vec::new();
+    // The Figure 2 stages come first; in full mode Figure 3's follows them.
+    let n_fig2;
     if smoke {
         let mixes: Vec<Mix> = mixes_for_cores(2, Some(MixKind::Mem)).into_iter().take(3).collect();
         grid_stages.push(("fig2 (2-core MEM subset)".to_string(), mixes, f2.clone()));
+        n_fig2 = grid_stages.len();
     } else {
         for (kind, kn) in [(MixKind::Mem, "MEM"), (MixKind::Mixed, "MIX")] {
             for cores in [2usize, 4, 8] {
@@ -777,6 +770,7 @@ fn cmd_reproduce(
                 grid_stages.push((format!("fig2/4/5 {cores}-core {kn}"), mixes, f2.clone()));
             }
         }
+        n_fig2 = grid_stages.len();
         grid_stages.push((
             "fig3 4-core fixed priority".to_string(),
             mixes_for_cores(4, None),
@@ -961,7 +955,7 @@ fn cmd_reproduce(
                 "  \"store\": {{\"dir\": \"{}\", \"warmup_hits\": {}, \
                  \"warmup_misses\": {}, \"profile_hits\": {}, \"profile_misses\": {}, \
                  \"hit_rate\": {:.4}}},",
-                json_escape(&st.dir().display().to_string()),
+                json_esc(&st.dir().display().to_string()),
                 s.warmup_hits,
                 s.warmup_misses,
                 s.profile_hits,
@@ -977,8 +971,8 @@ fn cmd_reproduce(
             json,
             "    {{\"name\": \"{}\", \"detail\": \"{}\", \"wall_s\": {:.6}, \
              \"sim_cycles\": {}, \"results_hash\": {}}}",
-            json_escape(&s.name),
-            json_escape(&s.detail),
+            json_esc(&s.name),
+            json_esc(&s.detail),
             s.wall_s,
             s.sim_cycles,
             s.results_hash.map_or_else(|| "null".to_string(), |h| format!("\"{h:016x}\"")),
@@ -995,7 +989,7 @@ fn cmd_reproduce(
          \"instructions\": {}, \"reps\": {reps}, \"group_forked_wall_s\": {:.6}, \
          \"per_policy_fresh_wall_s\": {:.6}, \"fork_speedup\": {:.3}, \
          \"forked_hash\": \"{:016x}\", \"fresh_hash\": \"{:016x}\", \"bit_exact\": true}},",
-        json_escape(bmix.name),
+        json_esc(bmix.name),
         f2.len(),
         bench_opts.warmup,
         bench_opts.instructions,
@@ -1014,15 +1008,46 @@ fn cmd_reproduce(
     json.push_str("}\n");
     std::fs::write(out_path, &json).map_err(|e| io_err(format!("cannot write {out_path}: {e}")))?;
 
+    // The paper artifacts. The 4-core MEM Figure 2 stage is also the grid
+    // of Figures 4 and 5.
+    let fig2_results = &stage_results[..n_fig2];
+    let mut results_line = String::new();
+    if !smoke {
+        let mem4 = fig2_results
+            .iter()
+            .find(|r| r[0].mix.cores() == 4 && r[0].mix.kind == MixKind::Mem)
+            .expect("the full grid has a 4-core MEM stage");
+        let (_, _, f3) = &grid_stages[n_fig2];
+        let dir = Path::new(out_path).with_file_name("results");
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| io_err(format!("cannot create {}: {e}", dir.display())))?;
+        for (file, text) in [
+            ("table2.txt", figures::table2(&table2_profiles, opts.profile_instructions)),
+            ("fig2.txt", figures::fig2(&opts, &f2, fig2_results)),
+            ("fig3.txt", figures::fig3(&opts, f3, &stage_results[n_fig2])),
+            ("fig4.txt", figures::fig4(&opts, &f2, mem4)),
+            ("fig5.txt", figures::fig5(&opts, &f2, mem4)),
+        ] {
+            let path = dir.join(file);
+            std::fs::write(&path, text)
+                .map_err(|e| io_err(format!("cannot write {}: {e}", path.display())))?;
+        }
+        results_line =
+            format!("paper tables -> {}/{{table2,fig2,fig3,fig4,fig5}}.txt\n", dir.display());
+    }
+
     // Wall-clock guard against a baseline artifact: the artifact above
     // is written first so a failing run still leaves its evidence.
     let mut guard_line = String::new();
     if let Some(gpath) = guard {
         let base = std::fs::read_to_string(gpath)
             .map_err(|e| io_err(format!("cannot read guard baseline {gpath}: {e}")))?;
-        let base_wall = read_json_number(&base, "total_wall_s").ok_or_else(|| {
-            usage(format!("guard baseline {gpath} has no \"total_wall_s\" field"))
-        })?;
+        let base_wall = Json::parse(&base)
+            .ok()
+            .and_then(|artifact| artifact.get("total_wall_s")?.as_f64())
+            .ok_or_else(|| {
+                usage(format!("guard baseline {gpath} has no \"total_wall_s\" field"))
+            })?;
         let ceiling = base_wall / guard_ratio;
         if total_wall_s > ceiling {
             return Err(MelreqError::Timeout(format!(
@@ -1062,6 +1087,9 @@ fn cmd_reproduce(
         })
         .collect();
     out.push_str(&format_table(&["stage", "work", "wall", "Mcyc/s"], &rows));
+    if smoke {
+        let _ = writeln!(out, "\n{}", figures::fig2_block(&f2, &fig2_results[0]).trim_end());
+    }
     let _ = writeln!(
         out,
         "\nwarm-up sharing on {} x {} policies: forked {:.3} s vs fresh {:.3} s \
@@ -1095,6 +1123,7 @@ fn cmd_reproduce(
     if let (Some(s), Some(ppath)) = (&host_profile, prof_out) {
         let _ = writeln!(out, "\n{}\nhost profile written to {ppath}", s.render_text());
     }
+    out.push_str(&results_line);
     out.push_str(&guard_line);
     Ok(out)
 }
@@ -1502,6 +1531,37 @@ mod tests {
         assert!(s.contains("pass 2"));
     }
 
+    fn tiny() -> ExperimentOptions {
+        ExperimentOptions {
+            instructions: 3000,
+            warmup: 1500,
+            profile_instructions: 1500,
+            ..ExperimentOptions::default()
+        }
+    }
+
+    /// `reproduce --smoke --threads 2` with its store (`dir/<store>`) and
+    /// its artifact (`dir/sweep.json`) under `dir`.
+    fn smoke_reproduce(
+        dir: &Path,
+        store: &str,
+        opts: &ExperimentOptions,
+        guard: Option<&Path>,
+        prof: Option<&Path>,
+    ) -> Result<String, MelreqError> {
+        cmd_reproduce(
+            true,
+            false,
+            dir.join(store).to_str(),
+            dir.join("sweep.json").to_str().unwrap(),
+            opts,
+            Some(2),
+            guard.and_then(Path::to_str),
+            0.25,
+            prof.and_then(Path::to_str),
+        )
+    }
+
     #[test]
     fn reproduce_smoke_writes_artifact_and_verifies_fork() {
         let dir =
@@ -1509,27 +1569,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("sweep.json");
-        let tiny = ExperimentOptions {
-            instructions: 3000,
-            warmup: 1500,
-            profile_instructions: 1500,
-            ..ExperimentOptions::default()
-        };
-        let store = dir.join("store");
-        let s = cmd_reproduce(
-            true,
-            false,
-            Some(store.to_str().unwrap()),
-            out.to_str().unwrap(),
-            &tiny,
-            Some(2),
-            None,
-            0.25,
-            None,
-        )
-        .unwrap();
+        // A store path no shell would thank you for: the artifact must
+        // still be valid JSON with every control character escaped.
+        const STORE: &str = "st\"o\\re\t\u{1}";
+        let s = smoke_reproduce(&dir, STORE, &tiny(), None, None).unwrap();
         assert!(s.contains("bit-exact"), "summary must confirm the fork gate:\n{s}");
+        assert!(!dir.join("results").exists(), "--smoke must not write paper tables");
         let json = std::fs::read_to_string(&out).unwrap();
+        assert!(!json.contains(['\t', '\u{1}']), "raw control character in the artifact:\n{json}");
+        let parsed = Json::parse(&json).expect("artifact parses as JSON");
+        let recorded = parsed.get("store").and_then(|st| st.get("dir")).and_then(|d| d.as_str());
+        assert_eq!(recorded, dir.join(STORE).to_str(), "store path must round-trip");
         assert!(json.contains(&format!("\"schema_version\": {}", melreq_core::api::SCHEMA_VERSION)));
         assert!(json.contains("\"mode\": \"smoke\""));
         assert!(json.contains("\"threads\": 2"));
@@ -1540,34 +1590,12 @@ mod tests {
 
         // Guard against its own artifact: a warm re-run is far inside
         // any sane ceiling, so this must pass and say so.
-        let s2 = cmd_reproduce(
-            true,
-            false,
-            Some(store.to_str().unwrap()),
-            out.to_str().unwrap(),
-            &tiny,
-            Some(2),
-            Some(out.to_str().unwrap()),
-            0.25,
-            None,
-        )
-        .unwrap();
+        let s2 = smoke_reproduce(&dir, STORE, &tiny(), Some(&out), None).unwrap();
         assert!(s2.contains("wall guard OK"), "guard line missing:\n{s2}");
         // An impossibly fast baseline must trip the guard with exit 6.
         let fake = dir.join("fake-baseline.json");
         std::fs::write(&fake, "{\"total_wall_s\": 0.000001}\n").unwrap();
-        let e = cmd_reproduce(
-            true,
-            false,
-            Some(store.to_str().unwrap()),
-            out.to_str().unwrap(),
-            &tiny,
-            Some(2),
-            Some(fake.to_str().unwrap()),
-            0.25,
-            None,
-        )
-        .unwrap_err();
+        let e = smoke_reproduce(&dir, STORE, &tiny(), Some(&fake), None).unwrap_err();
         assert_eq!(e.exit_code(), 6, "wall-guard failure is a timeout-class error: {e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1583,18 +1611,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("sweep.json");
-        cmd_reproduce(
-            true,
-            false,
-            Some(dir.join("store").to_str().unwrap()),
-            out.to_str().unwrap(),
-            &ExperimentOptions::default(),
-            Some(2),
-            None,
-            0.25,
-            None,
-        )
-        .unwrap();
+        let summary =
+            smoke_reproduce(&dir, "store", &ExperimentOptions::default(), None, None).unwrap();
+        assert!(
+            summary.contains(
+                "
+-- 2-core MEM workloads --
+    workload  HF-RF     ME     RR   LREQ  ME-LREQ
+-------------------------------------------------
+      2MEM-1  1.669  1.727  1.656  1.695    1.727
+      2MEM-2  1.608  1.576  1.618  1.597    1.597
+      2MEM-3  1.632  1.642  1.612  1.623    1.648
+avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
+"
+            ),
+            "the smoke summary must carry its stage's Figure 2 table:\n{summary}"
+        );
         let json = std::fs::read_to_string(&out).unwrap();
         assert!(
             json.contains("\"results_hash\": \"e1796b05cb5a4d40\""),
@@ -1617,24 +1649,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("sweep.json");
         let prof = dir.join("prof.json");
-        let tiny = ExperimentOptions {
-            instructions: 3000,
-            warmup: 1500,
-            profile_instructions: 1500,
-            ..ExperimentOptions::default()
-        };
-        let s = cmd_reproduce(
-            true,
-            false,
-            Some(dir.join("store").to_str().unwrap()),
-            out.to_str().unwrap(),
-            &tiny,
-            Some(2),
-            None,
-            0.25,
-            Some(prof.to_str().unwrap()),
-        )
-        .unwrap();
+        let s = smoke_reproduce(&dir, "store", &tiny(), None, Some(&prof)).unwrap();
         assert!(s.contains("host profile written to"), "summary must name the trace:\n{s}");
         let artifact = std::fs::read_to_string(&out).unwrap();
         assert!(

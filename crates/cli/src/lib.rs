@@ -13,6 +13,7 @@
 //! ```
 
 pub mod commands;
+mod figures;
 pub mod parse;
 
 pub use commands::run_command;

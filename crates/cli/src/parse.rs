@@ -1,5 +1,5 @@
 //! Argument parsing (hand-rolled — the workspace's only dependencies are
-//! the simulation crates plus rand/proptest/criterion).
+//! the simulation crates plus rand/proptest).
 
 use melreq_core::experiment::ExperimentOptions;
 
@@ -427,12 +427,16 @@ REPRODUCING:
   Figure 2/4/5 grid on 2/4/8 cores, the Figure 3 fixed-priority study
   and the offline-vs-online ablation — sharing each mix's warm-up
   across all policies via system snapshots, and writes BENCH_sweep.json
-  (wall time, sim-cycles/s, checkpoint hit rate, peak RSS). Warm-up
+  (wall time, sim-cycles/s, checkpoint hit rate, peak RSS). A full run
+  also writes the paper's tables, results/{table2,fig2,fig3,fig4,fig5}.txt,
+  into a results/ directory beside --out. Warm-up
   checkpoints and profiles persist in the store directory (--store,
   MELREQ_STORE, default .melreq-store), so a second invocation skips
   all warm-up and profiling simulation. --no-checkpoint disables both
-  the store and in-group sharing; --smoke runs a reduced CI grid and
-  exits nonzero if forked results diverge from fresh runs.
+  the store and in-group sharing; --smoke runs a reduced CI grid, leaves
+  results/ untouched (its summary shows the Figure 2 table of the one
+  stage it ran) and exits nonzero if forked results diverge from fresh
+  runs.
 
 AUDITING:
   --audit attaches an independent checker that re-validates every DRAM
@@ -445,7 +449,7 @@ STATIC ANALYSIS:
   `melreq analyze` lexes the workspace's own sources and enforces the
   determinism invariants the snapshot/reproduce machinery depends on:
   D01 no HashMap/HashSet in simulation crates; D02 no wall clocks or
-  environment reads outside serve/bench/cli; S01 every field of a
+  environment reads outside serve/cli; S01 every field of a
   snapshot'd struct referenced in both save_state and load_state; S02
   snapshot layouts match the committed snap.fingerprint unless
   SCHEMA_VERSION was bumped (refresh with --fix-fingerprint); A01 no

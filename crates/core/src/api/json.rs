@@ -93,24 +93,9 @@ impl Json {
     }
 }
 
-/// Escape `s` as the body of a JSON string literal (no quotes added).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escape a string as the body of a JSON string literal — the
+/// workspace's one escaper, defined in `melreq-snap`.
+pub use melreq_snap::json_esc as esc;
 
 /// Render `x` deterministically: shortest round-trip form for finite
 /// values (Rust's `{:?}` for `f64`), `null` for NaN/infinity (which JSON

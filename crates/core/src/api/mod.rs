@@ -717,18 +717,8 @@ impl Session {
     }
 
     /// Run the full (mix × policy) grid through this session's cache and
-    /// store — the sweep entry point.
-    pub fn run_grid(
-        &self,
-        mixes: &[Mix],
-        policies: &[PolicyKind],
-        opts: &ExperimentOptions,
-    ) -> Vec<MixResult> {
-        self.run_grid_ctl(mixes, policies, opts, &RunControl::default())
-    }
-
-    /// [`Session::run_grid`] with a [`RunControl`] (cancellation,
-    /// cycle budget, worker-thread count).
+    /// store under a [`RunControl`] (cancellation, cycle budget,
+    /// worker-thread count).
     pub fn run_grid_ctl(
         &self,
         mixes: &[Mix],

@@ -12,7 +12,7 @@
 //!
 //! [`ProfileCache`] memoizes steps 1–2 per application so sweeping 36
 //! mixes × 5 policies does not re-profile the same programs; the cache is
-//! `Sync` and shared across the worker threads of [`run_grid`].
+//! `Sync` and shared across the worker threads of [`run_grid_ctl`].
 //!
 //! # Warm-up sharing
 //!
@@ -22,12 +22,12 @@
 //! measurement boundary ([`System::swap_policy`]) — in **every** path:
 //! [`run_mix`], [`run_mix_audited`], and the grid. The boundary state is
 //! therefore identical across all policies of a (mix, options) group, so
-//! [`run_grid`] simulates it once per group, snapshots it, and forks the
-//! bytes into one fresh system per policy; [`run_mix`] on the same inputs
-//! reaches the same state by direct simulation, which is what makes the
-//! two bit-exactly comparable. With a [`CheckpointStore`] attached
-//! (`*_with_store` variants), boundary snapshots and single-core profiles
-//! also persist across process invocations.
+//! [`run_grid_ctl`] simulates it once per group, snapshots it, and forks
+//! the bytes into one fresh system per policy; [`run_mix`] on the same
+//! inputs reaches the same state by direct simulation, which is what makes
+//! the two bit-exactly comparable. With a [`CheckpointStore`] attached
+//! (the `store` argument of the `*_ctl` entry points), boundary snapshots
+//! and single-core profiles also persist across process invocations.
 
 use crate::profile::{profile_app, AppProfile};
 use crate::store::CheckpointStore;
@@ -404,28 +404,14 @@ pub fn run_mix(
     opts: &ExperimentOptions,
     cache: &ProfileCache,
 ) -> MixResult {
-    run_mix_with_store(mix, policy, opts, cache, None)
-}
-
-/// [`run_mix`] with an optional persistent checkpoint store: the warm-up
-/// boundary is restored from the store when present, and persisted after
-/// simulation otherwise.
-pub fn run_mix_with_store(
-    mix: &Mix,
-    policy: &PolicyKind,
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-    store: Option<&CheckpointStore>,
-) -> MixResult {
     let policy = policy.clone();
-    run_mix_custom_with_store(
+    run_mix_custom(
         mix,
         policy.name(),
         |_, _, _| unreachable!("paper policies are built by swap_policy"),
         Some(policy),
         opts,
         cache,
-        store,
     )
 }
 
@@ -445,24 +431,13 @@ pub fn run_mix_custom(
     opts: &ExperimentOptions,
     cache: &ProfileCache,
 ) -> MixResult {
-    run_mix_custom_with_store(mix, name, factory, kind, opts, cache, None)
+    run_mix_custom_ctl(mix, name, factory, kind, opts, cache, None, &RunControl::default())
 }
 
-/// [`run_mix_custom`] with an optional persistent checkpoint store.
-pub fn run_mix_custom_with_store(
-    mix: &Mix,
-    name: &'static str,
-    factory: impl Fn(&[f64], usize, u64) -> (Box<dyn melreq_memctrl::SchedulerPolicy>, bool),
-    kind: Option<PolicyKind>,
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-    store: Option<&CheckpointStore>,
-) -> MixResult {
-    run_mix_custom_ctl(mix, name, factory, kind, opts, cache, store, &RunControl::default())
-}
-
-/// The fully general single-mix entry point: [`run_mix_custom_with_store`]
-/// plus a [`RunControl`] (cancellation token, simulated-cycle budget).
+/// The fully general single-mix entry point: [`run_mix_custom`] plus an
+/// optional persistent checkpoint store (the warm-up boundary is restored
+/// from it when present, and persisted after simulation otherwise) and a
+/// [`RunControl`] (cancellation token, simulated-cycle budget).
 /// Every other `run_mix*` variant funnels here.
 #[allow(clippy::too_many_arguments)]
 pub fn run_mix_custom_ctl(
@@ -745,7 +720,9 @@ pub fn worker_count(jobs: usize, explicit: Option<usize>) -> usize {
 }
 
 /// Run the full (mix × policy) grid in parallel across OS threads,
-/// returning results in `(mix-major, policy-minor)` order.
+/// returning results in `(mix-major, policy-minor)` order, with an
+/// optional persistent checkpoint store shared by every group and a
+/// [`RunControl`] (cancellation token, cycle budget, worker-thread count).
 ///
 /// The schedulable units are job-DAG nodes (see [`run_sweep_stages`]):
 /// one warm-up job per mix that publishes its boundary snapshot, then
@@ -756,29 +733,6 @@ pub fn worker_count(jobs: usize, explicit: Option<usize>) -> usize {
 /// before the cheap 2-core ones and the schedule's tail stays short.
 /// Thread count comes from [`worker_count`] (`MELREQ_THREADS` overrides
 /// host parallelism).
-pub fn run_grid(
-    mixes: &[Mix],
-    policies: &[PolicyKind],
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-) -> Vec<MixResult> {
-    run_grid_with_store(mixes, policies, opts, cache, None)
-}
-
-/// [`run_grid`] with an optional persistent checkpoint store shared by
-/// every group.
-pub fn run_grid_with_store(
-    mixes: &[Mix],
-    policies: &[PolicyKind],
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-    store: Option<&CheckpointStore>,
-) -> Vec<MixResult> {
-    run_grid_ctl(mixes, policies, opts, cache, store, &RunControl::default())
-}
-
-/// [`run_grid_with_store`] with a [`RunControl`] (cancellation token,
-/// cycle budget, worker-thread count).
 pub fn run_grid_ctl(
     mixes: &[Mix],
     policies: &[PolicyKind],
@@ -1074,7 +1028,13 @@ mod tests {
 
         let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
         let cache = ProfileCache::with_store(store.clone());
-        let cold = run_mix_with_store(&mix, &PolicyKind::MeLreq, &opts, &cache, Some(&store));
+        let run = |cache: &ProfileCache, store: &CheckpointStore| {
+            let policies = [PolicyKind::MeLreq];
+            run_grid_ctl(&[mix], &policies, &opts, cache, Some(store), &RunControl::default())
+                .pop()
+                .expect("one run")
+        };
+        let cold = run(&cache, &store);
         assert!(!cold.warmup_from_checkpoint);
         let s = store.stats();
         assert_eq!(s.warmup_hits, 0);
@@ -1083,7 +1043,7 @@ mod tests {
         // Second invocation: fresh in-memory state, same directory.
         let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
         let cache = ProfileCache::with_store(store.clone());
-        let warm = run_mix_with_store(&mix, &PolicyKind::MeLreq, &opts, &cache, Some(&store));
+        let warm = run(&cache, &store);
         assert!(warm.warmup_from_checkpoint, "warm store must restore the boundary");
         let s = store.stats();
         assert_eq!(s.warmup_misses, 0, "no warm-up simulated on a warm store");
@@ -1102,7 +1062,7 @@ mod tests {
         let opts = ExperimentOptions::quick();
         let mixes = [mix_by_name("2MEM-1"), mix_by_name("2MEM-2")];
         let policies = [PolicyKind::HfRf, PolicyKind::MeLreq];
-        let grid = run_grid(&mixes, &policies, &opts, &cache);
+        let grid = run_grid_ctl(&mixes, &policies, &opts, &cache, None, &RunControl::default());
         assert_eq!(grid.len(), 4);
         assert_eq!(grid[0].mix.name, "2MEM-1");
         assert_eq!(grid[0].policy, "HF-RF");

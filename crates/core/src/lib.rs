@@ -16,8 +16,8 @@
 //! * [`experiment`] — the multiprogrammed evaluation harness: runs a
 //!   Table 3 mix under a policy and reports SMT speedup, per-core read
 //!   latency and unfairness (Figures 2–5);
-//! * [`report`] — plain-text table formatting shared by the bench
-//!   binaries;
+//! * [`report`] — plain-text table formatting shared by the CLI's
+//!   summaries and paper artifacts;
 //! * [`api`] — the typed public facade ([`api::SimRequest`] →
 //!   [`api::SimReport`]) shared by the CLI, the HTTP service and the
 //!   benchmark harness, with the typed error taxonomy

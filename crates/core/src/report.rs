@@ -1,4 +1,5 @@
-//! Plain-text table rendering shared by the bench binaries.
+//! Plain-text table rendering shared by the CLI's summaries and the
+//! paper-artifact renderer.
 
 /// Render an aligned text table. `headers.len()` must equal the width of
 /// every row.
@@ -41,11 +42,6 @@ pub fn pct_over(value: f64, baseline: f64) -> String {
     assert!(baseline != 0.0, "baseline must be non-zero");
     let pct = (value / baseline - 1.0) * 100.0;
     format!("{pct:+.1}%")
-}
-
-/// Format a float with three significant decimals for table cells.
-pub fn f3(v: f64) -> String {
-    format!("{v:.3}")
 }
 
 #[cfg(test)]

@@ -314,7 +314,7 @@ impl System {
     /// Force the cycle-exact loop (disable fast-forwarding over quiescent
     /// cycles). Results are bit-identical either way — the fast-forward
     /// kernel only skips cycles that are provably no-ops — so this exists
-    /// as a debug/regression knob and as the perf harness's baseline mode,
+    /// as a debug/regression knob and as the repo benchmark's oracle mode,
     /// not as a fidelity switch.
     ///
     /// With it set no core sleeps and the controller scans every channel

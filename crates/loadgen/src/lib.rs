@@ -24,6 +24,7 @@
 //! the artifact (`stream_hash`), so two runs with the same flags offer
 //! byte-identical load.
 
+use melreq_core::api::json::Json;
 use melreq_core::api::{resolve_mix, MelreqError, PolicyKind, SimRequest, SCHEMA_VERSION};
 use melreq_core::experiment::ExperimentOptions;
 use melreq_serve::http::ClientConn;
@@ -505,15 +506,9 @@ pub fn render_json(cfg: &LoadConfig, report: &BenchReport) -> String {
     )
 }
 
-/// Extract a numeric field from a (flat-keyed) JSON artifact.
+/// A top-level numeric field of a JSON artifact.
 pub fn read_json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    Json::parse(json).ok()?.get(key)?.as_f64()
 }
 
 /// Guard this run's cached throughput against a committed baseline

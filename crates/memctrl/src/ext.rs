@@ -6,8 +6,7 @@
 //! Scheduling* (MICRO'07) — and distinguishes ME-LREQ as performance-
 //! oriented rather than fairness-oriented. This module implements
 //! simplified versions of both so the comparison can actually be run
-//! (`examples/` and the bench binaries accept any
-//! [`SchedulerPolicy`]):
+//! (`examples/` accept any [`SchedulerPolicy`]):
 //!
 //! * [`FairQueueing`] — start-time fair queueing over memory service: each
 //!   core owns a virtual clock that advances by `chunk / share` per

@@ -16,6 +16,7 @@
 
 use crate::perfetto::push_event;
 use melreq_prof::{Profile, Span};
+use melreq_snap::json_esc as esc;
 
 /// The synthetic host process id.
 const HOST_PID: usize = 1;
@@ -97,20 +98,6 @@ pub fn export_host_profile(
     }
 
     out.push_str("\n  ]\n}\n");
-    out
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

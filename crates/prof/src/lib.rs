@@ -1,6 +1,7 @@
 //! # melreq-prof — host-side wall-clock span profiler
 //!
-//! A dependency-free instrumentation layer for attributing *host* time
+//! A light instrumentation layer (its one dependency is the `melreq-snap`
+//! leaf, for the shared JSON escaper) for attributing *host* time
 //! (as opposed to the deterministic *simulated* time melreq-obs
 //! traces): where the wall-clock goes inside the work-stealing sweep
 //! executor, the HTTP service event loop, and the experiment kernel.
@@ -28,6 +29,7 @@
 //! wall-clock reads; each carries its `melreq-allow(D02)` justification
 //! for `melreq analyze`.
 
+use melreq_snap::json_esc;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -532,20 +534,6 @@ pub fn summarize(profile: &Profile, top_n: usize) -> Summary {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
@@ -567,7 +555,7 @@ impl Summary {
             }
             out.push_str(&format!(
                 "{{\"track\":\"{}\",\"spans\":{},\"busy_ms\":{:.3},\"busy_pct\":{:.2},\"steals\":{},\"dropped\":{}}}",
-                json_escape(&t.label),
+                json_esc(&t.label),
                 t.spans,
                 ms(t.busy_ns),
                 t.busy_pct,
@@ -582,7 +570,7 @@ impl Summary {
             }
             out.push_str(&format!(
                 "{{\"stage\":\"{}\",\"count\":{},\"busy_ms\":{:.3},\"critical_path_ms\":{:.3}}}",
-                json_escape(&g.cat),
+                json_esc(&g.cat),
                 g.count,
                 ms(g.busy_ns),
                 ms(g.critical_path_ns)
@@ -595,8 +583,8 @@ impl Summary {
             }
             out.push_str(&format!(
                 "{{\"cat\":\"{}\",\"name\":\"{}\",\"count\":{},\"total_ms\":{:.3}}}",
-                json_escape(&t.cat),
-                json_escape(&t.name),
+                json_esc(&t.cat),
+                json_esc(&t.name),
                 t.count,
                 ms(t.total_ns)
             ));

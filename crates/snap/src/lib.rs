@@ -289,6 +289,28 @@ pub fn keyed(domain: &str, canonical: &str) -> u64 {
     fnv1a(format!("v{SCHEMA_VERSION}|{domain}|{canonical}").as_bytes())
 }
 
+/// Escape `s` as the body of a JSON string literal (no quotes added).
+/// The one escaper behind every machine-readable artifact the workspace
+/// writes; it lives in this dependency-free leaf so each emitter can
+/// reach it.
+pub fn json_esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Wrap `payload` in a self-checking container:
 /// `MAGIC · SCHEMA_VERSION · payload-len · FNV-1a(payload) · payload`.
 pub fn seal(payload: &[u8]) -> Vec<u8> {

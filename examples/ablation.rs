@@ -15,10 +15,9 @@
 //!    (`ME-LREQ-ON`), which needs no profiling pass at all.
 //!
 //! ```text
-//! cargo run -p melreq-bench --release --bin ablation [-- --instructions N]
+//! cargo run --release --example ablation > results/ablation.txt
 //! ```
 
-use melreq_bench::parse_opts;
 use melreq_core::experiment::{run_mix, ExperimentOptions, ProfileCache};
 use melreq_core::profile::profile_app;
 use melreq_core::{System, SystemConfig};
@@ -85,7 +84,7 @@ fn speedup_with_policy(
 }
 
 fn main() {
-    let (opts, _) = parse_opts(ExperimentOptions::default());
+    let opts = ExperimentOptions::default();
     let cache = ProfileCache::new();
     let mix = mix_by_name("4MEM-4");
     println!("Ablation studies on {} ({} instructions/core)\n", mix.name, opts.instructions);

@@ -35,8 +35,9 @@
 //! ```
 //!
 //! For the paper's full methodology (profiling, single-core references,
-//! SMT speedup, unfairness) use [`experiment::run_mix`]; the binaries in
-//! `melreq-bench` regenerate every table and figure.
+//! SMT speedup, unfairness) use [`experiment::run_mix`]; `melreq
+//! reproduce` (the `melreq-cli` crate) regenerates every table and figure
+//! into `results/`, and `examples/ablation.rs` the design-choice studies.
 //!
 //! ## Crate map
 //!

@@ -11,7 +11,7 @@ use melreq_core::experiment::{
 use melreq_core::Session;
 use melreq_memctrl::policy::PolicyKind;
 use melreq_workloads::mix_by_name;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -82,10 +82,13 @@ fn sweep_results_and_audit_hashes_are_identical_at_any_worker_count() {
     );
 }
 
-/// Every deterministic token of the artifact: per-stage result hashes and
-/// simulated-cycle counts (wall fields are the only other numbers and are
-/// legitimately run-dependent).
-fn det_tokens(artifact: &str) -> Vec<String> {
+/// Every deterministic token of a smoke run: the artifact's per-stage
+/// result hashes and simulated-cycle counts (wall fields are the only
+/// other numbers and are legitimately run-dependent), plus the Figure 2
+/// table the summary renders from the stage's results.
+fn det_tokens(artifact: &str, summary: &str) -> Vec<String> {
+    let table_start = summary.find("-- 2-core MEM workloads --").expect("Figure 2 table");
+    let table_len = summary[table_start..].find("\n\n").expect("blank line after the table");
     artifact
         .lines()
         .flat_map(|line| {
@@ -96,6 +99,7 @@ fn det_tokens(artifact: &str) -> Vec<String> {
                 Some(format!("{key}{}", &rest[..end]))
             })
         })
+        .chain([summary[table_start..table_start + table_len].to_string()])
         .collect()
 }
 
@@ -103,6 +107,22 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("melreq-thrinv-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// `melreq reproduce --smoke --threads N`, returning the human summary.
+fn smoke_reproduce(store: &Path, out: &Path, threads: usize) -> String {
+    run_command(&Command::Reproduce {
+        smoke: true,
+        no_checkpoint: false,
+        store: Some(store.to_string_lossy().into_owned()),
+        out: out.to_string_lossy().into_owned(),
+        opts: ExperimentOptions::default(),
+        threads: Some(threads),
+        guard: None,
+        guard_ratio: 0.25,
+        prof_out: None,
+    })
+    .expect("reproduce --smoke")
 }
 
 #[test]
@@ -115,41 +135,22 @@ fn reproduce_artifact_is_deterministic_across_worker_counts() {
     // simulated cycles only, so a cold-store run (which simulates its
     // warm-ups) legitimately reports more than a warm one. The comparison
     // below must only vary the worker count.
-    run_command(&Command::Reproduce {
-        smoke: true,
-        no_checkpoint: false,
-        store: Some(store.to_string_lossy().into_owned()),
-        out: out_dir.join("prime.json").to_string_lossy().into_owned(),
-        opts: ExperimentOptions::default(),
-        threads: Some(2),
-        guard: None,
-        guard_ratio: 0.25,
-        prof_out: None,
-    })
-    .expect("priming reproduce --smoke");
+    smoke_reproduce(&store, &out_dir.join("prime.json"), 2);
 
     let mut token_sets: Vec<Vec<String>> = Vec::new();
     for threads in THREAD_COUNTS {
         let out = out_dir.join(format!("sweep-{threads}.json"));
-        run_command(&Command::Reproduce {
-            smoke: true,
-            no_checkpoint: false,
-            store: Some(store.to_string_lossy().into_owned()),
-            out: out.to_string_lossy().into_owned(),
-            opts: ExperimentOptions::default(),
-            threads: Some(threads),
-            guard: None,
-            guard_ratio: 0.25,
-            prof_out: None,
-        })
-        .expect("reproduce --smoke");
+        let summary = smoke_reproduce(&store, &out, threads);
         let artifact = std::fs::read_to_string(&out).expect("read artifact");
         assert!(
             artifact.contains(&format!("\"threads\": {threads}")),
             "artifact must record its worker count"
         );
-        let tokens = det_tokens(&artifact);
-        assert!(tokens.len() >= 6, "expected per-stage hashes and cycle counts: {tokens:?}");
+        let tokens = det_tokens(&artifact, &summary);
+        assert!(
+            tokens.len() >= 7,
+            "expected per-stage hashes, cycle counts and the table: {tokens:?}"
+        );
         assert!(
             tokens.iter().any(|t| t.contains("results_hash") && !t.contains("null")),
             "at least one grid stage must report a results hash: {tokens:?}"
