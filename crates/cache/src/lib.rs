@@ -22,4 +22,4 @@ pub mod mshr;
 
 pub use array::{CacheArray, Evicted};
 pub use config::CacheConfig;
-pub use mshr::{AllocOutcome, MshrFile};
+pub use mshr::{AllocOutcome, MshrFile, Waiters};

@@ -21,10 +21,36 @@ pub enum AllocOutcome {
     Full,
 }
 
+/// The accesses waiting on one outstanding line, in arrival order. The
+/// first — every entry has one, the primary miss — is held inline, so
+/// only a merged miss allocates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Waiters<W> {
+    first: W,
+    rest: Vec<W>,
+}
+
+impl<W> Waiters<W> {
+    /// The waiters in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = &W> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+}
+
+impl<W> IntoIterator for Waiters<W> {
+    type Item = W;
+    type IntoIter = std::iter::Chain<std::iter::Once<W>, std::vec::IntoIter<W>>;
+
+    /// The waiters in arrival order.
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.first).chain(self.rest)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Entry<W> {
     line: Addr,
-    waiters: Vec<W>,
+    waiters: Waiters<W>,
 }
 
 /// MSHR file generic over the waiter handle type `W` (the hierarchy
@@ -69,14 +95,14 @@ impl<W> MshrFile<W> {
     pub fn allocate(&mut self, addr: Addr, waiter: W) -> AllocOutcome {
         let line = line_addr(addr);
         if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
-            e.waiters.push(waiter);
+            e.waiters.rest.push(waiter);
             self.merges.inc();
             return AllocOutcome::Merged;
         }
         if self.is_full() {
             return AllocOutcome::Full;
         }
-        self.entries.push(Entry { line, waiters: vec![waiter] });
+        self.entries.push(Entry { line, waiters: Waiters { first: waiter, rest: Vec::new() } });
         AllocOutcome::Primary
     }
 
@@ -90,8 +116,8 @@ impl<W> MshrFile<W> {
         enc.usize(self.entries.len());
         for e in &self.entries {
             enc.u64(e.line);
-            enc.usize(e.waiters.len());
-            for w in &e.waiters {
+            enc.usize(1 + e.waiters.rest.len());
+            for w in e.waiters.iter() {
                 save_w(w, enc);
             }
         }
@@ -113,21 +139,22 @@ impl<W> MshrFile<W> {
         for _ in 0..n {
             let line = dec.u64()?;
             let wn = dec.usize()?;
-            let mut waiters = Vec::with_capacity(wn);
-            for _ in 0..wn {
-                waiters.push(load_w(dec)?);
+            if wn == 0 {
+                return Err(melreq_snap::SnapError::Invalid("MSHR entry without a waiter"));
             }
-            self.entries.push(Entry { line, waiters });
+            let first = load_w(dec)?;
+            let rest = (1..wn).map(|_| load_w(dec)).collect::<Result<_, _>>()?;
+            self.entries.push(Entry { line, waiters: Waiters { first, rest } });
         }
         self.merges.load_state(dec)
     }
 
-    /// Complete the miss for `addr`'s line, returning all merged waiters.
+    /// Complete the miss for `addr`'s line, returning its waiters.
     ///
     /// # Panics
     /// Panics if the line has no outstanding entry — a completion for a
     /// line nobody asked for indicates a plumbing bug.
-    pub fn complete(&mut self, addr: Addr) -> Vec<W> {
+    pub fn complete(&mut self, addr: Addr) -> Waiters<W> {
         let line = line_addr(addr);
         let pos = self
             .entries
@@ -150,7 +177,8 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m.merges.get(), 1);
         let w = m.complete(0x1000);
-        assert_eq!(w, vec![1, 2]);
+        assert_eq!(w.iter().copied().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(w.into_iter().collect::<Vec<_>>(), [1, 2]);
         assert!(m.is_empty());
     }
 
@@ -187,8 +215,41 @@ mod tests {
             assert_eq!(m.allocate(i * 0x40, i as u32), AllocOutcome::Primary);
         }
         assert!(m.is_full());
-        assert_eq!(m.complete(0x40), vec![1]);
+        assert_eq!(m.complete(0x40).into_iter().collect::<Vec<_>>(), [1]);
         assert_eq!(m.len(), 2);
         assert_eq!(m.allocate(0x1000, 9), AllocOutcome::Primary);
+    }
+
+    fn load_u32(dec: &mut melreq_snap::Dec<'_>) -> Result<u32, melreq_snap::SnapError> {
+        dec.u32()
+    }
+
+    #[test]
+    fn state_round_trips_in_arrival_order() {
+        let mut m: MshrFile<u32> = MshrFile::new(4);
+        for (addr, w) in [(0x1000, 7), (0x2000, 8), (0x1008, 9), (0x1010, 10)] {
+            m.allocate(addr, w);
+        }
+        let mut enc = melreq_snap::Enc::new();
+        m.save_state(&mut enc, |w, enc| enc.u32(*w));
+        let bytes = enc.into_bytes();
+        let mut back: MshrFile<u32> = MshrFile::new(4);
+        back.load_state(&mut melreq_snap::Dec::new(&bytes), load_u32).unwrap();
+        assert_eq!(back.merges.get(), 2);
+        assert_eq!(back.complete(0x1000).into_iter().collect::<Vec<_>>(), [7, 9, 10]);
+        assert_eq!(back.complete(0x2000).into_iter().collect::<Vec<_>>(), [8]);
+    }
+
+    #[test]
+    fn load_rejects_an_entry_without_waiters() {
+        let mut enc = melreq_snap::Enc::new();
+        enc.usize(1); // one entry...
+        enc.u64(0x1000);
+        enc.usize(0); // ...that nobody waits for
+        melreq_stats::Counter::new().save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut m: MshrFile<u32> = MshrFile::new(4);
+        let err = m.load_state(&mut melreq_snap::Dec::new(&bytes), load_u32);
+        assert!(matches!(err, Err(melreq_snap::SnapError::Invalid(_))), "{err:?}");
     }
 }

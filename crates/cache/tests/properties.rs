@@ -112,7 +112,7 @@ proptest! {
         }
         let mut returned = 0;
         for (l, want) in &expected {
-            let got = m.complete(l * 64);
+            let got: Vec<usize> = m.complete(l * 64).into_iter().collect();
             prop_assert_eq!(&got, want, "waiter set mismatch for line {}", l);
             returned += got.len();
         }

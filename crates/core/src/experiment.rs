@@ -301,6 +301,25 @@ fn canonical_system(mix: &Mix, opts: &ExperimentOptions) -> System {
     sys
 }
 
+/// Run `run` on `sys` inside a `cat` span that carries, as args, the
+/// kernel work ([`crate::KernelCounters`]) the call did — what a
+/// `--profile` artifact needs to say why a warm-up or a policy window
+/// took the host time it did.
+fn kernel_span<T>(
+    cat: &'static str,
+    name: impl FnOnce() -> String,
+    sys: &mut System,
+    run: impl FnOnce(&mut System) -> T,
+) -> T {
+    let mut sp = melreq_prof::span(cat, name);
+    let before = sys.kernel_counters().fields();
+    let out = run(sys);
+    for ((key, after), (_, before)) in sys.kernel_counters().fields().into_iter().zip(before) {
+        sp.arg(key, after - before);
+    }
+    out
+}
+
 /// A canonical system for `mix` at the measurement boundary, ready to
 /// receive the measured policy. Returns the system plus whether the
 /// boundary state came from a checkpoint (`true`) or was simulated here
@@ -344,10 +363,12 @@ fn boundary_system(
         }
     }
     sys.prepare_window(opts.warmup, opts.instructions);
-    let reached = {
-        let _sp = melreq_prof::span("warmup", || mix.name.to_string());
-        sys.run_to_boundary(ctl.limit(opts))
-    };
+    let reached = kernel_span(
+        "warmup",
+        || mix.name.to_string(),
+        &mut sys,
+        |sys| sys.run_to_boundary(ctl.limit(opts)),
+    );
     if reached && opts.warmup > 0 {
         if let (Some(st), Some(key)) = (store, key) {
             let _sp = melreq_prof::span("snapshot.encode", || format!("warmup {}", mix.name));
@@ -467,10 +488,12 @@ pub fn run_mix_custom_ctl(
             sys.swap_policy_boxed(policy, read_first);
         }
     }
-    let out = {
-        let _sp = melreq_prof::span("policy", || format!("{name} {}", mix.name));
-        sys.run_window(ctl.limit(opts))
-    };
+    let out = kernel_span(
+        "policy",
+        || format!("{name} {}", mix.name),
+        &mut sys,
+        |sys| sys.run_window(ctl.limit(opts)),
+    );
     let wall = started.elapsed();
     finish_result(mix, name, me, ipc_single, out, sys.now(), wall, warm_wall, from_checkpoint)
 }
@@ -520,18 +543,22 @@ pub fn run_mix_audited_ctl(
     // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
     let warm_started = std::time::Instant::now();
     sys.prepare_window(opts.warmup, opts.instructions);
-    {
-        let _sp = melreq_prof::span("warmup", || mix.name.to_string());
-        let _ = sys.run_to_boundary(ctl.limit(opts));
-    }
+    let _ = kernel_span(
+        "warmup",
+        || mix.name.to_string(),
+        &mut sys,
+        |sys| sys.run_to_boundary(ctl.limit(opts)),
+    );
     let warm_wall = warm_started.elapsed();
     // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
     let started = std::time::Instant::now();
     sys.swap_policy(policy, &me);
-    let out = {
-        let _sp = melreq_prof::span("policy", || format!("{} {}", policy.name(), mix.name));
-        sys.run_window(ctl.limit(opts))
-    };
+    let out = kernel_span(
+        "policy",
+        || format!("{} {}", policy.name(), mix.name),
+        &mut sys,
+        |sys| sys.run_window(ctl.limit(opts)),
+    );
     let wall = started.elapsed();
     let report = auditor.lock().expect("auditor poisoned").report();
     let result =
@@ -622,18 +649,22 @@ fn observed_run(
     // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
     let warm_started = std::time::Instant::now();
     sys.prepare_window(opts.warmup, opts.instructions);
-    {
-        let _sp = melreq_prof::span("warmup", || mix.name.to_string());
-        let _ = sys.run_to_boundary(opts.max_cycles());
-    }
+    let _ = kernel_span(
+        "warmup",
+        || mix.name.to_string(),
+        &mut sys,
+        |sys| sys.run_to_boundary(opts.max_cycles()),
+    );
     let warm_wall = warm_started.elapsed();
     // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
     let started = std::time::Instant::now();
     sys.swap_policy(policy, &me);
-    let out = {
-        let _sp = melreq_prof::span("policy", || format!("{} {}", policy.name(), mix.name));
-        sys.run_window(opts.max_cycles())
-    };
+    let out = kernel_span(
+        "policy",
+        || format!("{} {}", policy.name(), mix.name),
+        &mut sys,
+        |sys| sys.run_window(opts.max_cycles()),
+    );
     let wall = started.elapsed();
     collector.lock().expect("obs collector poisoned").finish();
     let report = auditor.map(|a| a.lock().expect("auditor poisoned").report());
@@ -885,11 +916,12 @@ fn warm_up_and_fork<'env>(
                 }
                 ctl.arm(&mut sys);
                 sys.swap_policy(kind, &me);
-                let out = {
-                    let _sp =
-                        melreq_prof::span("policy", || format!("{} {}", kind.name(), mix.name));
-                    sys.run_window(ctl.limit(opts))
-                };
+                let out = kernel_span(
+                    "policy",
+                    || format!("{} {}", kind.name(), mix.name),
+                    &mut sys,
+                    |sys| sys.run_window(ctl.limit(opts)),
+                );
                 let wall = started.elapsed();
                 *slot.lock().expect("result slot poisoned") = Some(finish_result(
                     &mix,
@@ -910,10 +942,12 @@ fn warm_up_and_fork<'env>(
     let started = std::time::Instant::now();
     let mut sys = base;
     sys.swap_policy(kind, &me);
-    let out = {
-        let _sp = melreq_prof::span("policy", || format!("{} {}", kind.name(), mix.name));
-        sys.run_window(ctl.limit(opts))
-    };
+    let out = kernel_span(
+        "policy",
+        || format!("{} {}", kind.name(), mix.name),
+        &mut sys,
+        |sys| sys.run_window(ctl.limit(opts)),
+    );
     let wall = started.elapsed();
     *slot.lock().expect("result slot poisoned") = Some(finish_result(
         &mix,

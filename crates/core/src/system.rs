@@ -114,6 +114,26 @@ pub struct KernelCounters {
     pub channel_scans: u64,
     /// Scans skipped because the channel's wake bound lay ahead.
     pub channel_scans_skipped: u64,
+    /// Worklist entries the cores' issue stages visited, summed over cores.
+    pub issue_examined: u64,
+    /// Ops the cores issued, summed over cores.
+    pub ops_issued: u64,
+}
+
+impl KernelCounters {
+    /// Every counter by name, for span args and metric tables.
+    pub fn fields(&self) -> [(&'static str, u64); 8] {
+        [
+            ("ticks", self.ticks),
+            ("skipped_cycles", self.skipped_cycles),
+            ("core_ticks", self.core_ticks),
+            ("core_sleep_cycles", self.core_sleep_cycles),
+            ("channel_scans", self.channel_scans),
+            ("channel_scans_skipped", self.channel_scans_skipped),
+            ("issue_examined", self.issue_examined),
+            ("ops_issued", self.ops_issued),
+        ]
+    }
 }
 
 /// An attached [`CancelToken`] plus the next cycle it is polled at.
@@ -336,7 +356,14 @@ impl System {
     /// Work the kernel did and avoided so far (see [`KernelCounters`]).
     pub fn kernel_counters(&self) -> KernelCounters {
         let (channel_scans, channel_scans_skipped) = self.hier.controller().scan_counters();
-        KernelCounters { channel_scans, channel_scans_skipped, ..self.counters }
+        let issue = self.cores.iter().map(Core::issue_work);
+        KernelCounters {
+            channel_scans,
+            channel_scans_skipped,
+            issue_examined: issue.clone().map(|w| w.examined).sum(),
+            ops_issued: issue.map(|w| w.issued).sum(),
+            ..self.counters
+        }
     }
 
     /// Attach audit instrumentation to the whole machine: the memory

@@ -22,7 +22,7 @@
 //! makes it an independent oracle.
 
 use melreq_audit::{Auditor, AuditorConfig};
-use melreq_core::experiment::ProfileCache;
+use melreq_core::experiment::{ProfileCache, CANONICAL_WARMUP_POLICY};
 use melreq_core::{run_mix_audited, ExperimentOptions, KernelCounters, System, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_memctrl::registry::registry;
@@ -35,19 +35,23 @@ const WARMUP: u64 = 1_500;
 const TARGET: u64 = 2_500;
 const MAX_CYCLES: u64 = 1 << 26;
 
-/// A system running one evaluation-slice stream per app code, armed for
-/// a short measured window.
-fn build(codes: &str, kind: &PolicyKind, tick_exact: bool) -> System {
-    let streams: Vec<Box<dyn InstrStream + Send>> = codes
+/// One evaluation-slice-0 stream per app code.
+fn streams(codes: &str) -> Vec<Box<dyn InstrStream + Send>> {
+    codes
         .chars()
         .enumerate()
         .map(|(i, c)| {
             Box::new(app_by_code(c).build_stream(i, SliceKind::Evaluation(0)))
                 as Box<dyn InstrStream + Send>
         })
-        .collect();
+        .collect()
+}
+
+/// A system running one evaluation-slice stream per app code, armed for
+/// a short measured window.
+fn build(codes: &str, kind: &PolicyKind, tick_exact: bool) -> System {
     let me: Vec<f64> = (0..codes.len()).map(|i| 1.0 + 3.0 * i as f64).collect();
-    let mut sys = System::new(SystemConfig::paper(codes.len(), kind.clone()), streams, &me);
+    let mut sys = System::new(SystemConfig::paper(codes.len(), kind.clone()), streams(codes), &me);
     sys.set_tick_exact(tick_exact);
     sys.prepare_window(WARMUP, TARGET);
     sys
@@ -199,4 +203,35 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
     let ilp = counters("armo");
     assert_eq!(ilp, counters("armo"), "counters must repeat exactly");
     assert!(ilp.core_sleep_cycles < ilp.core_ticks, "ILP cores mostly run: {ilp:?}");
+
+    // Issue work follows the ops that move, not the ops that wait: the
+    // full-scan select this replaced examined ~9.8 worklist entries per
+    // issued op on `armo` (27.8 per core-tick for 2.84 issued).
+    for c in [mem, ilp] {
+        assert!(c.ops_issued > 0 && c.issue_examined <= 3 * c.ops_issued, "{c:?}");
+    }
+}
+
+/// The 4MEM-1 warm-up boundary under the smoke options, byte for byte:
+/// size and FNV-1a of `System::snapshot()`, captured before PR 17 rebuilt
+/// the core's ROB and issue bookkeeping. Stored checkpoints are these
+/// bytes, so a kernel or generator rewrite that keeps `SCHEMA_VERSION`
+/// must keep this hash — it is what lets `snap.fingerprint` follow a
+/// change of declared field types without a version bump.
+#[test]
+fn warmup_boundary_snapshot_bytes_are_pinned() {
+    let opts = ExperimentOptions::quick();
+    let mix = mix_by_name("4MEM-1");
+    let cfg = SystemConfig::paper(mix.cores(), CANONICAL_WARMUP_POLICY);
+    let mut sys = System::new(cfg, streams(mix.codes), &vec![1.0; mix.cores()]);
+    sys.prepare_window(opts.warmup, opts.instructions);
+    assert!(sys.run_to_boundary(MAX_CYCLES), "warm-up must reach the boundary");
+    let snap = sys.snapshot();
+    assert_eq!(
+        (snap.len(), melreq_snap::fnv1a(&snap)),
+        (1_349_242, 0xa5c0_1fcf_0074_445c),
+        "4MEM-1 boundary snapshot moved (len, fnv1a = {}, {:#018x})",
+        snap.len(),
+        melreq_snap::fnv1a(&snap)
+    );
 }

@@ -43,4 +43,21 @@ fn profiling_is_bit_inert_across_all_paper_policies() {
         profile.tracks.iter().any(|t| t.spans.iter().any(|s| s.cat == "session")),
         "the facade session span must be present"
     );
+    // Every kernel span says what the kernel did inside it: all of
+    // `KernelCounters`, as the work of that call alone.
+    let kernel: Vec<_> = profile
+        .tracks
+        .iter()
+        .flat_map(|t| &t.spans)
+        .filter(|s| s.cat == "warmup" || s.cat == "policy")
+        .collect();
+    assert_eq!(kernel.len(), 10, "one warm-up and one window per audited policy");
+    for span in kernel {
+        let keys: Vec<_> = span.args().iter().map(|(k, _)| *k).collect();
+        let want: Vec<_> =
+            melreq_core::KernelCounters::default().fields().iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, want, "{} {}", span.cat, span.name);
+        let issued = span.arg("ops_issued").expect("checked above");
+        assert!(issued > 0 && span.arg("issue_examined") >= Some(issued), "{span:?}");
+    }
 }

@@ -18,5 +18,5 @@ pub mod core;
 pub mod port;
 
 pub use config::CoreConfig;
-pub use core::{Core, CoreStats};
+pub use core::{Core, CoreStats, IssueWork};
 pub use port::{CoreMemory, CoreToken, MemResponse, PerfectMemory};

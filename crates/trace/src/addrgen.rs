@@ -8,7 +8,23 @@
 
 use melreq_stats::types::{Addr, CACHE_LINE_BYTES};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+
+/// `Rng::gen_bool(p)` with the float work done once: the stand-in's draw
+/// is `(bits >> 11) as f64 * 2^-53 < p`, both sides scale by 2^53 exactly,
+/// and an integer is below a real exactly when it is below its ceiling —
+/// so [`draw`] against `threshold(p)` takes the same 64 bits from the
+/// generator and returns the same answer, for every `p` in `[0, 1]`.
+pub(crate) fn threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli draw against a [`threshold`].
+#[inline]
+pub(crate) fn draw(rng: &mut SmallRng, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
+}
 
 /// Statistical description of a program's data-address behaviour.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,6 +79,10 @@ impl AddressPattern {
 pub struct AddressStream {
     pattern: AddressPattern, // melreq-allow(S01): construction-time config, identical across snapshot peers
     base: Addr, // melreq-allow(S01): construction-time config, identical across snapshot peers
+    // melreq-allow(S02): derived from `pattern`, no part of the persisted layout
+    seq_below: u64, // melreq-allow(S01): threshold(pattern.seq_prob), fixed at construction
+    // melreq-allow(S02): derived from `pattern`, no part of the persisted layout
+    chase_below: u64, // melreq-allow(S01): threshold(pattern.chase_prob), fixed at construction
     cursor: Addr,
     rng: SmallRng,
 }
@@ -82,7 +102,14 @@ impl AddressStream {
     /// A stream over `[base, base + pattern.working_set)`.
     pub fn new(pattern: AddressPattern, base: Addr, seed: u64) -> Self {
         pattern.validate();
-        AddressStream { pattern, base, cursor: base, rng: SmallRng::seed_from_u64(seed) }
+        AddressStream {
+            seq_below: threshold(pattern.seq_prob),
+            chase_below: threshold(pattern.chase_prob),
+            pattern,
+            base,
+            cursor: base,
+            rng: SmallRng::seed_from_u64(seed),
+        }
     }
 
     /// The pattern in use.
@@ -115,7 +142,7 @@ impl AddressStream {
     /// Sample the next data address.
     pub fn next_sample(&mut self) -> AddrSample {
         let ws = self.pattern.working_set;
-        if self.rng.gen_bool(self.pattern.seq_prob) {
+        if draw(&mut self.rng, self.seq_below) {
             // Continue the sequential run.
             let next = self.cursor + self.pattern.stride;
             self.cursor = if next >= self.base + ws { self.base } else { next };
@@ -124,7 +151,7 @@ impl AddressStream {
             // Jump somewhere in the working set.
             let offset = self.rng.gen_range(0..ws / CACHE_LINE_BYTES) * CACHE_LINE_BYTES;
             self.cursor = self.base + offset;
-            let chased = self.rng.gen_bool(self.pattern.chase_prob);
+            let chased = draw(&mut self.rng, self.chase_below);
             AddrSample { addr: self.cursor, chased }
         }
     }
@@ -133,6 +160,44 @@ impl AddressStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PROBABILITIES: [f64; 7] =
+        [0.0, 1.0, 0.3, 1.0 / 3.5, 0.02, 1e-12, 1.0 - 1.0 / (1u64 << 53) as f64];
+
+    #[test]
+    fn threshold_draws_what_gen_bool_draws() {
+        for p in PROBABILITIES {
+            let below = threshold(p);
+            let mut ours = SmallRng::seed_from_u64(0x5eed);
+            let mut theirs = ours.clone();
+            for i in 0..1_000_000 {
+                assert_eq!(draw(&mut ours, below), theirs.gen_bool(p), "p = {p}, draw {i}");
+            }
+            assert_eq!(ours.state(), theirs.state(), "p = {p}: same bits consumed");
+        }
+    }
+
+    #[test]
+    fn threshold_is_exact_at_the_boundary() {
+        // Random draws never land on the one value where a rounding slip
+        // would show; ask about it, and its neighbours, directly.
+        let unit = 1.0 / (1u64 << 53) as f64;
+        for p in PROBABILITIES {
+            let below = threshold(p);
+            for x in [below.saturating_sub(1), below, below + 1, 0, (1 << 53) - 1] {
+                if x < 1 << 53 {
+                    assert_eq!(x < below, (x as f64 * unit) < p, "p = {p}, x = {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_rejects_what_gen_bool_rejects() {
+        for p in [-f64::MIN_POSITIVE, 1.0 + f64::EPSILON, f64::NAN, f64::INFINITY] {
+            assert!(std::panic::catch_unwind(|| threshold(p)).is_err(), "accepted {p}");
+        }
+    }
 
     #[test]
     fn stays_in_working_set() {

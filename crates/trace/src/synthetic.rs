@@ -7,7 +7,7 @@
 //! depends on — IPC under a given memory latency, bandwidth demand, and
 //! row-buffer friendliness — without the original SPEC binaries.
 
-use crate::addrgen::{AddressPattern, AddressStream};
+use crate::addrgen::{draw, threshold, AddressPattern, AddressStream};
 use crate::op::{InstrStream, MicroOp, OpKind, WarmHints};
 use melreq_stats::types::Addr;
 use rand::rngs::SmallRng;
@@ -83,11 +83,56 @@ impl StreamParams {
     }
 }
 
+/// Probability that a branch is a taken jump into the code footprint.
+const TAKEN_JUMP_PROB: f64 = 0.3;
+
+/// What every op would otherwise recompute from [`StreamParams`]: the
+/// Bernoulli draws as integer [`threshold`]s and the op-mix partition as
+/// cumulative bounds (the float additions `next_op` used to repeat).
+#[derive(Debug, Clone)]
+struct Draws {
+    mem_below: u64,
+    load_below: u64,
+    chase_below: u64,
+    mispredict_below: u64,
+    taken_below: u64,
+    /// Success threshold of the geometric dependency distance; `None`
+    /// when dependencies are disabled (nothing is drawn then).
+    dep_below: Option<u64>,
+    mix_total: f64,
+    /// Upper bounds of the IntAlu, IntMult, FpAlu and FpMult bands of
+    /// `0.0..mix_total`; what lies above is a branch.
+    mix_bounds: [f64; 4],
+}
+
+impl Draws {
+    fn of(p: &StreamParams) -> Self {
+        let m = &p.mix;
+        Draws {
+            mem_below: threshold(p.mem_frac),
+            load_below: threshold(p.load_frac),
+            chase_below: threshold(p.chase_dep_frac),
+            mispredict_below: threshold(p.mispredict_rate),
+            taken_below: threshold(TAKEN_JUMP_PROB),
+            dep_below: (p.mean_dep_dist > 0.0).then(|| threshold(1.0 / (1.0 + p.mean_dep_dist))),
+            mix_total: m.total(),
+            mix_bounds: [
+                m.int_alu,
+                m.int_alu + m.int_mult,
+                m.int_alu + m.int_mult + m.fp_alu,
+                m.int_alu + m.int_mult + m.fp_alu + m.fp_mult,
+            ],
+        }
+    }
+}
+
 /// The generator implementing [`InstrStream`].
 #[derive(Debug, Clone)]
 pub struct SyntheticStream {
     label: String, // melreq-allow(S01): construction-time config, identical across snapshot peers
     params: StreamParams, // melreq-allow(S01): construction-time config, identical across snapshot peers
+    // melreq-allow(S02): derived from `params`, no part of the persisted layout
+    draws: Draws, // melreq-allow(S01): derived from `params` at construction
     addrs: AddressStream,
     rng: SmallRng,
     pc: Addr,
@@ -113,6 +158,7 @@ impl SyntheticStream {
         SyntheticStream {
             label: label.into(),
             addrs: AddressStream::new(params.pattern.clone(), data_base, addr_seed),
+            draws: Draws::of(&params),
             params,
             rng: SmallRng::seed_from_u64(seed),
             pc: code_base,
@@ -144,14 +190,13 @@ impl SyntheticStream {
     }
 
     fn sample_dep(&mut self) -> u16 {
-        if self.params.mean_dep_dist <= 0.0 {
+        let Some(success_below) = self.draws.dep_below else {
             return 0;
-        }
+        };
         // Geometric with the requested mean; clamp into the ROB-visible
         // window. Distance 0 means "independent".
-        let p = 1.0 / (1.0 + self.params.mean_dep_dist);
         let mut d = 0u16;
-        while d < 64 && !self.rng.gen_bool(p) {
+        while d < 64 && !draw(&mut self.rng, success_below) {
             d += 1;
         }
         d
@@ -160,13 +205,13 @@ impl SyntheticStream {
 
 impl InstrStream for SyntheticStream {
     fn next_op(&mut self) -> MicroOp {
-        let is_mem = self.rng.gen_bool(self.params.mem_frac);
+        let is_mem = draw(&mut self.rng, self.draws.mem_below);
         if is_mem {
             let sample = self.addrs.next_sample();
-            let is_load = self.rng.gen_bool(self.params.load_frac);
+            let is_load = draw(&mut self.rng, self.draws.load_below);
             let pc = self.advance_pc(false);
             let dep_dist = if is_load
-                && (sample.chased || self.rng.gen_bool(self.params.chase_dep_frac))
+                && (sample.chased || draw(&mut self.rng, self.draws.chase_below))
                 && self.ops_since_load > 0
             {
                 // Serialize on the previous load: pointer chasing. Clamp
@@ -185,21 +230,21 @@ impl InstrStream for SyntheticStream {
             self.ops_since_load = self.ops_since_load.saturating_add(1);
             MicroOp { pc, kind, dep_dist }
         } else {
-            let m = &self.params.mix;
-            let total = m.total();
-            let x = self.rng.gen_range(0.0..total);
-            let kind = if x < m.int_alu {
+            let x = self.rng.gen_range(0.0..self.draws.mix_total);
+            let [int_alu, int_mult, fp_alu, fp_mult] = self.draws.mix_bounds;
+            let kind = if x < int_alu {
                 OpKind::IntAlu
-            } else if x < m.int_alu + m.int_mult {
+            } else if x < int_mult {
                 OpKind::IntMult
-            } else if x < m.int_alu + m.int_mult + m.fp_alu {
+            } else if x < fp_alu {
                 OpKind::FpAlu
-            } else if x < m.int_alu + m.int_mult + m.fp_alu + m.fp_mult {
+            } else if x < fp_mult {
                 OpKind::FpMult
             } else {
-                OpKind::Branch { mispredict: self.rng.gen_bool(self.params.mispredict_rate) }
+                OpKind::Branch { mispredict: draw(&mut self.rng, self.draws.mispredict_below) }
             };
-            let taken_jump = matches!(kind, OpKind::Branch { .. }) && self.rng.gen_bool(0.3);
+            let taken_jump = matches!(kind, OpKind::Branch { .. })
+                && draw(&mut self.rng, self.draws.taken_below);
             let pc = self.advance_pc(taken_jump);
             let dep_dist = self.sample_dep();
             self.ops_since_load = self.ops_since_load.saturating_add(1);
