@@ -122,7 +122,15 @@ fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
             h.usize(*bank);
             h.u64(*at);
         }
-        AuditEvent::Decision { channel, at, draining, chosen, candidates, pending_reads } => {
+        AuditEvent::Decision {
+            channel,
+            at,
+            draining,
+            chosen,
+            candidates,
+            pending_reads,
+            why: _,
+        } => {
             h.byte(7);
             h.usize(*channel);
             h.u64(*at);
@@ -326,7 +334,15 @@ impl AuditSink for Auditor {
             AuditEvent::Precharge { channel, bank, at } => {
                 self.oracle.on_precharge(*channel, *bank, *at, &mut self.scratch);
             }
-            AuditEvent::Decision { channel, at, draining, chosen, candidates, pending_reads } => {
+            AuditEvent::Decision {
+                channel,
+                at,
+                draining,
+                chosen,
+                candidates,
+                pending_reads,
+                why: _,
+            } => {
                 let facts = DecisionFacts {
                     channel: *channel,
                     at: *at,
@@ -406,6 +422,7 @@ mod tests {
                     arrival: 0,
                 }],
                 pending_reads: vec![1],
+                why: (crate::event::Rule::OnlyCandidate, None),
             },
             AuditEvent::Grant {
                 id: 0,

@@ -76,6 +76,95 @@ pub struct CandidateInfo {
     pub arrival: Cycle,
 }
 
+/// The link of the scheduling chain that decided a grant: the controller
+/// labels the class-level outcomes, the policy's `explain` the rest (see
+/// DESIGN.md "Scheduling policies"). Plain data on
+/// [`AuditEvent::Decision`]; the auditor neither hashes nor checks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// Only one schedulable request existed: no arbitration happened.
+    OnlyCandidate,
+    /// The sole schedulable read bypassed pending writes.
+    ReadFirst,
+    /// Equal core standing: the open-row buffer decided (hit vs. miss).
+    RowHitFirst,
+    /// Same class, same standing: arrival order broke the tie.
+    FcfsTiebreak,
+    /// Round-Robin's rotation pointer picked the winning core.
+    RoundRobin,
+    /// A fixed core ranking (ME or FIX-*) — or, for ME-LREQ, the ME
+    /// term with pending counts equal — picked the winning core.
+    MeRank,
+    /// The pending-read count (LREQ, or ME-LREQ with equal ME) picked
+    /// the winning core.
+    LreqCount,
+    /// ME-LREQ's full `ME/PendingRead` ratio decided (both terms
+    /// differed between the contending cores).
+    MeLreqRatio,
+    /// ME-LREQ's quantized priorities tied; the seeded RNG picked.
+    RandomTie,
+    /// BLISS's blacklist bit demoted the beaten core's requests.
+    BlissBlacklist,
+    /// TCM's cluster ranking picked the winning core.
+    TcmCluster,
+    /// Fair queueing's virtual start tag picked the winning core.
+    FqStartTag,
+    /// Stall-time fairness's queueing-delay debt picked the winning core.
+    StfDebt,
+    /// The core key of a policy that names no rule of its own (the
+    /// `SchedulerPolicy::core_rule` default) picked the winning core.
+    CoreKey,
+    /// Write-drain mode: writes were being flushed ahead of reads.
+    WriteDrain,
+    /// A write went out with no read ahead of it: none was schedulable,
+    /// or (plain FCFS) the write was the oldest request.
+    WriteFallback,
+}
+
+impl Rule {
+    /// Every rule, in report order.
+    pub const ALL: [Rule; 16] = [
+        Rule::OnlyCandidate,
+        Rule::ReadFirst,
+        Rule::RowHitFirst,
+        Rule::FcfsTiebreak,
+        Rule::RoundRobin,
+        Rule::MeRank,
+        Rule::LreqCount,
+        Rule::MeLreqRatio,
+        Rule::RandomTie,
+        Rule::BlissBlacklist,
+        Rule::TcmCluster,
+        Rule::FqStartTag,
+        Rule::StfDebt,
+        Rule::CoreKey,
+        Rule::WriteDrain,
+        Rule::WriteFallback,
+    ];
+
+    /// Display name used in reports and trace args.
+    pub fn name(self) -> &'static str {
+        match self {
+            Rule::OnlyCandidate => "only-candidate",
+            Rule::ReadFirst => "read-first",
+            Rule::RowHitFirst => "row-hit-first",
+            Rule::FcfsTiebreak => "fcfs-tiebreak",
+            Rule::RoundRobin => "round-robin",
+            Rule::MeRank => "me-rank",
+            Rule::LreqCount => "lreq-count",
+            Rule::MeLreqRatio => "me-lreq-ratio",
+            Rule::RandomTie => "random-tie",
+            Rule::BlissBlacklist => "bliss-blacklist",
+            Rule::TcmCluster => "tcm-cluster",
+            Rule::FqStartTag => "fq-start-tag",
+            Rule::StfDebt => "stf-debt",
+            Rule::CoreKey => "core-key",
+            Rule::WriteDrain => "write-drain",
+            Rule::WriteFallback => "write-fallback",
+        }
+    }
+}
+
 /// One event of the instrumented simulator's audit stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AuditEvent {
@@ -165,6 +254,9 @@ pub enum AuditEvent {
         candidates: Vec<CandidateInfo>,
         /// Per-core pending read counts the policy saw.
         pending_reads: Vec<u32>,
+        /// Provenance, outside the stream hash: the rule that decided
+        /// and the id of the best request the winner beat.
+        why: (Rule, Option<u64>),
     },
     /// A transaction was granted to the DRAM device.
     Grant {
@@ -298,6 +390,14 @@ mod tests {
         assert!(!h.is_enabled());
         assert!(!h.wants_decisions());
         h.emit(|| unreachable!("disabled handle must not build events"));
+    }
+
+    #[test]
+    fn rules_are_listed_in_declaration_order() {
+        // Consumers index per-rule tables by discriminant.
+        for (i, rule) in Rule::ALL.into_iter().enumerate() {
+            assert_eq!(rule as usize, i, "{} is out of place in Rule::ALL", rule.name());
+        }
     }
 
     #[test]

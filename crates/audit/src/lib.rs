@@ -29,7 +29,7 @@ pub mod policy;
 
 pub use auditor::{AuditReport, Auditor, AuditorConfig};
 pub use event::{
-    AuditEvent, AuditHandle, AuditSink, CandidateInfo, GrantOutcome, Recorder, TimingParams,
+    AuditEvent, AuditHandle, AuditSink, CandidateInfo, GrantOutcome, Recorder, Rule, TimingParams,
 };
 pub use oracle::{GrantFacts, TimingOracle, Violation, ViolationKind};
 pub use policy::{DecisionFacts, PolicyAuditor};

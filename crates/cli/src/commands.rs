@@ -364,9 +364,7 @@ fn cmd_run(
     if obs.any() {
         // Observability paths sit below the facade: they need the
         // collector tap on the audit stream. Every registered policy
-        // runs through the instrumented controller, so they all trace;
-        // schemes without dedicated provenance rules attribute their
-        // grants to the `external` rule.
+        // runs through the instrumented controller, so they all trace.
         let kind = spec;
         let cache = ProfileCache::new();
         let observe = observe_options(obs, false);
@@ -506,8 +504,11 @@ fn cmd_compare(
         for kind in specs {
             let (r, c) = run_mix_observed(&mix, kind, opts, &ObserveOptions::default(), &cache);
             let c = c.lock().expect("obs collector poisoned");
-            if let Some((name, t)) = c.active_rule_totals() {
-                totals.push((name.to_string(), t.clone()));
+            // Labelled with the run's display name: the collector keys its
+            // buckets on the audit identity, which FCFS and FCFS-RF (and
+            // ME-LREQ and its online variant) share.
+            if let Some((_, t)) = c.active_rule_totals() {
+                totals.push((r.policy.to_string(), t.clone()));
             }
             rs.push((
                 r.policy.to_string(),
@@ -774,7 +775,7 @@ fn cmd_reproduce(
         grid_stages.push((
             "fig3 4-core fixed priority".to_string(),
             mixes_for_cores(4, None),
-            PolicyKind::figure3_set(4),
+            PolicyKind::figure3_set(),
         ));
         grid_stages.push((
             "ablation offline vs online ME".to_string(),
@@ -1725,6 +1726,25 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
     }
 
     #[test]
+    fn fixed_priorities_run_at_any_core_count() {
+        let opts = ExperimentOptions {
+            instructions: 4_000,
+            warmup: 1_000,
+            profile_instructions: 4_000,
+            ..ExperimentOptions::default()
+        };
+        for mix in ["2MEM-1", "8MEM-1"] {
+            for policy in ["fix-0123", "fix-3210"] {
+                let spec = PolicySpec::parse(policy).unwrap();
+                let s = cmd_run(mix, &spec, &opts, false, &ObsArgs::default(), false, None)
+                    .unwrap_or_else(|e| panic!("{policy} on {mix}: {e}"));
+                assert!(s.contains(&policy.to_uppercase()), "{policy} on {mix}:\n{s}");
+                assert!(s.contains("SMT speedup"), "{policy} on {mix}:\n{s}");
+            }
+        }
+    }
+
+    #[test]
     fn run_json_is_versioned_and_deterministic() {
         let run = || {
             cmd_run(
@@ -1827,11 +1847,10 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
 
     #[test]
     fn trace_covers_zoo_policies() {
-        // FQ has no dedicated provenance rule: its grants attribute to
-        // the `external` rule, but the trace itself is complete.
         let s = cmd_trace("2MEM-1", &PolicySpec::Fq, "/dev/null", &ObsArgs::default(), &quick())
             .unwrap();
         assert!(s.contains("scheduler decisions"), "trace summary missing:\n{s}");
+        assert!(s.contains("fq-start-tag"), "FQ must attribute to its own rule:\n{s}");
         let s = cmd_trace(
             "2MEM-1",
             &PolicySpec::parse("bliss(threshold=2)").unwrap(),
@@ -1878,5 +1897,14 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         assert!(s.contains("ME-LREQ"), "both policies must appear:\n{s}");
         let s = cmd_compare("2MEM-1", &[PolicySpec::Fq], &quick(), true, false, None).unwrap();
         assert!(s.contains("decision provenance"), "FQ provenance must render:\n{s}");
+        // Policies sharing an audit identity keep their own display names.
+        let twins =
+            ["fcfs", "fcfs-rf", "me-lreq", "me-lreq-on"].map(|p| PolicySpec::parse(p).unwrap());
+        let s = cmd_compare("2MEM-1", &twins, &quick(), true, false, None).unwrap();
+        let provenance = s.split("decision provenance").nth(1).expect("provenance table");
+        let mut labels: Vec<&str> =
+            provenance.lines().skip(3).filter_map(|l| l.split_whitespace().next()).collect();
+        labels.dedup();
+        assert_eq!(labels, ["FCFS", "FCFS-RF", "ME-LREQ", "ME-LREQ-ON"], "{s}");
     }
 }

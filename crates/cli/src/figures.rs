@@ -343,7 +343,7 @@ improvements grow with the number of cores.
 
     #[test]
     fn fig3_renders_relative_cells_and_swing_block() {
-        let fix = PolicyKind::figure3_set(4).remove(2);
+        let fix = PolicyKind::figure3_set().remove(2);
         let (policies, results) = two_mix_stage(&fix);
         assert_eq!(
             fig3(&opts(), &policies, &results),

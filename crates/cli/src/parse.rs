@@ -640,7 +640,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
 
     // With no explicit set, `compare`/`sweep` enumerate the registry's
     // paper-figure policies (the Figure 2 set, in figure order).
-    let default_policies = melreq_memctrl::registry::paper_figure_set;
+    let default_policies = PolicySpec::figure2_set;
 
     match cmd.as_str() {
         "profile" => Ok(Command::Profile { apps, opts }),

@@ -60,9 +60,6 @@ impl SystemConfig {
         self.l1d.validate();
         self.l2.validate();
         assert!(self.freq_hz > 0.0, "core frequency must be positive");
-        if let PolicyKind::Fixed { order, .. } = &self.policy {
-            assert_eq!(order.len(), self.cores, "fixed priority order must cover all cores");
-        }
     }
 
     /// Render the Table 1 parameter dump (used by the quickstart example).
@@ -114,12 +111,5 @@ mod tests {
         let c = SystemConfig::paper(4, PolicyKind::MeLreq);
         assert!(c.describe().contains("ME-LREQ"));
         assert!(c.describe().contains("64-entry"));
-    }
-
-    #[test]
-    #[should_panic(expected = "cover all cores")]
-    fn fixed_policy_must_match_core_count() {
-        let c = SystemConfig::paper(4, PolicyKind::Fixed { name: "FIX-10", order: vec![1, 0] });
-        c.validate();
     }
 }

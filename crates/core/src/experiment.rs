@@ -439,7 +439,7 @@ pub fn run_mix(
 /// Run one mix under an arbitrary policy built by `factory` (receives the
 /// profiled ME values, core count and seed; returns the policy and its
 /// read-first setting). This is the harness entry point for extension
-/// policies such as [`melreq_memctrl::ext::FairQueueing`].
+/// policies such as [`melreq_memctrl::FairQueueing`].
 ///
 /// `kind` threads the original [`PolicyKind`] through when there is one,
 /// so `PolicyKind::MeLreqOnline`'s system-side estimator still engages;
@@ -583,7 +583,7 @@ impl Default for ObserveOptions {
 
 /// Run one mix under one policy with the [`melreq_obs`] collector
 /// attached: the audit tap feeds the trace ring and decision-provenance
-/// classifier, and (when `observe.sample_epoch` is set) the system
+/// totals, and (when `observe.sample_epoch` is set) the system
 /// pushes one epoch row per boundary into the collector's time series.
 ///
 /// Observed runs simulate fresh (no checkpoint restore), exactly like

@@ -94,8 +94,8 @@ fn fast_forward_matches_tick_exact_for_every_policy() {
     }
 }
 
-/// Every registered policy, on the paper's headline mix (the two 4-core
-/// fixed-priority orders excepted) and a 4-core MIX mix: the two kernels
+/// Every registered policy, on the paper's headline mix and a 4-core MIX
+/// mix: the two kernels
 /// must end in byte-identical machine state having emitted the same audit
 /// stream.
 #[test]
@@ -104,10 +104,6 @@ fn final_machine_state_matches_tick_exact_for_every_registered_policy() {
         let codes = mix_by_name(mix_name).codes;
         for desc in registry() {
             let kind = desc.default_kind();
-            // The registry's fixed-priority orders name four cores.
-            if codes.len() != 4 && matches!(kind, PolicyKind::Fixed { .. }) {
-                continue;
-            }
             let run = |tick_exact: bool| {
                 let mut sys = build(codes, &kind, tick_exact);
                 let (handle, auditor) = Auditor::shared(AuditorConfig::default(), true);

@@ -61,6 +61,45 @@ fn grown_set_audits_clean_with_deterministic_streams() {
     }
 }
 
+/// `melreq audit 4MEM-1 --instructions 20000 --warmup 2000 --profile 20000`
+/// for every registry entry, captured at f3b694c with each scheduler's
+/// order still hand-written in its own `select`. FQ and STF have no
+/// auditor model and no results pin: this hash is their oracle.
+#[test]
+fn audit_stream_hashes_are_pinned_for_the_whole_registry() {
+    const PINNED: [(&str, u64); 14] = [
+        ("hf-rf", 0xae69309b6d5c542a),
+        ("me", 0x12aea0bc4b1cbdec),
+        ("rr", 0x24a041109389c063),
+        ("lreq", 0xa54e6088bcb3c0d2),
+        ("me-lreq", 0x6a7cb9a2883e38ad),
+        ("fcfs", 0xdf70e36fe8182add),
+        ("fcfs-rf", 0xa8dd89c2ca57df5c),
+        ("me-lreq-on", 0xaa2b1a146fa40fef),
+        ("fix-0123", 0x39418174126772e6),
+        ("fix-3210", 0x736a4891f7259479),
+        ("fq", 0x27866c05c73cf487),
+        ("stf", 0x85a5bf6e0d9dc4c7),
+        ("bliss", 0x4a025dedd6c0c43c),
+        ("tcm", 0xdd266adecd638a3a),
+    ];
+    let cache = ProfileCache::new();
+    let opts = ExperimentOptions {
+        instructions: 20_000,
+        warmup: 2_000,
+        profile_instructions: 20_000,
+        ..ExperimentOptions::default()
+    };
+    let mix = mix_by_name("4MEM-1");
+    let ids: Vec<&str> = registry().iter().map(|d| d.id).collect();
+    assert_eq!(ids, PINNED.map(|(id, _)| id), "a registry entry without a pinned stream");
+    for (id, hash) in PINNED {
+        let (_, report) = run_mix_audited(&mix, &PolicyKind::parse(id).unwrap(), &opts, &cache);
+        assert!(report.is_clean(), "[{id}] audit must pass:\n{}", report.render());
+        assert_eq!(report.stream_hash, hash, "[{id}] audit stream {:016x}", report.stream_hash);
+    }
+}
+
 #[test]
 fn zoo_forks_match_fresh_runs_bit_exactly() {
     let cache = ProfileCache::new();

@@ -1,9 +1,9 @@
 //! The transaction engine: queues + policy + DRAM + write-drain machinery.
 
-use crate::policy::{Candidate, SchedulerPolicy};
+use crate::policy::{Candidate, Fcfs, HitFirst, SchedulerPolicy};
 use crate::queue::RequestQueue;
 use crate::request::{MemRequest, ReqId};
-use melreq_audit::{AuditEvent, AuditHandle, CandidateInfo};
+use melreq_audit::{AuditEvent, AuditHandle, CandidateInfo, Rule};
 use melreq_dram::{DramSystem, RowPolicy};
 use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle};
 use melreq_stats::{Counter, LatencyTracker};
@@ -191,6 +191,55 @@ impl ControllerStats {
         }
         Ok(())
     }
+}
+
+/// Why the controller granted `chosen`: the deciding rule and the id of
+/// the best request it beat. The controller labels the outcomes its own
+/// class machinery decides (a lone candidate, a read bypassing writes, a
+/// write drained or going out for want of a read, plain FCFS's mixed
+/// class); anything else is the link the class's chain names.
+fn explain_grant(
+    policy: &dyn SchedulerPolicy,
+    read_first: bool,
+    draining: bool,
+    cands: &[CandidateInfo],
+    pending_reads: &[u32],
+    chosen: u64,
+) -> (Rule, Option<u64>) {
+    if cands.len() == 1 {
+        return (Rule::OnlyCandidate, None);
+    }
+    let class = |write: Option<bool>| -> Vec<Candidate> {
+        cands
+            .iter()
+            .filter(|c| write.is_none_or(|w| c.write == w))
+            .map(|c| Candidate { id: ReqId(c.id), core: CoreId(c.core), row_hit: c.row_hit })
+            .collect()
+    };
+    let explain = |chain: &dyn SchedulerPolicy, class: &[Candidate]| {
+        let at = class.iter().position(|c| c.id.0 == chosen).expect("chosen is a candidate");
+        let (rule, beaten) = chain.explain(class, pending_reads, at);
+        (rule, beaten.map(|i| class[i].id.0))
+    };
+    let wrote = cands.iter().any(|c| c.id == chosen && c.write);
+    if !read_first {
+        let (rule, beaten) = explain(&Fcfs, &class(None));
+        return (if wrote { Rule::WriteFallback } else { rule }, beaten);
+    }
+    let chain: &dyn SchedulerPolicy = if wrote { &HitFirst } else { policy };
+    let (rule, beaten) = explain(chain, &class(Some(wrote)));
+    let rule = match (wrote, beaten) {
+        (true, _) if draining => Rule::WriteDrain,
+        (true, _) => Rule::WriteFallback,
+        (false, None) => Rule::ReadFirst,
+        (false, Some(_)) => rule,
+    };
+    // Unopposed in its own class, the winner beat the other class's best.
+    let beaten = beaten.or_else(|| {
+        let other = class(Some(!wrote));
+        Some(other[HitFirst.select(&other, pending_reads)].id.0)
+    });
+    (rule, beaten)
 }
 
 /// A completed read waiting to be delivered back to the cache hierarchy.
@@ -646,29 +695,30 @@ impl MemoryController {
         self.stats.queue_occupancy.push(self.queue.len() as f64);
         self.stats.grant_candidates.push(self.cand_ids.len() as f64);
 
-        let (chosen_pos, chosen) = if !self.read_first {
-            // Plain FCFS: single class, strict arrival order.
-            self.cand_ids
-                .iter()
-                .map(|&(pos, id, _)| (pos, id))
-                .min_by_key(|&(_, id)| id)
-                .expect("non-empty")
-        } else {
+        // Pick the class, then run its chain: plain FCFS keeps one mixed
+        // class in strict arrival order, writes go hit-first-then-oldest
+        // under every policy, reads are the policy's.
+        let want_reads = self.read_first.then(|| {
             let has_read = self.cand_ids.iter().any(|(_, _, k)| k.is_read());
             let has_write = self.cand_ids.iter().any(|(_, _, k)| k.is_write());
             let use_writes = if self.draining { has_write } else { !has_read && has_write };
-            let idx = if use_writes {
-                // Writes drain hit-first-then-oldest for every policy.
-                self.pick_write(ch)
-            } else {
-                self.pick_read_via_policy(ch)
-            };
-            (self.cand_pos[idx], self.cand_buf[idx].id)
+            !use_writes
+        });
+        self.build_candidates(want_reads);
+        let pending = self.queue.pending_reads_all();
+        let idx = match want_reads {
+            None => Fcfs.select(&self.cand_buf, pending),
+            Some(false) => HitFirst.select(&self.cand_buf, pending),
+            Some(true) => self.policy.select(&self.cand_buf, pending),
         };
+        let chosen = self.cand_buf[idx];
         if self.audit.wants_decisions() {
-            self.emit_decision(ch, now, chosen);
+            self.emit_decision(ch, now, chosen.id);
         }
-        self.issue(chosen_pos, now);
+        if want_reads == Some(true) {
+            self.policy.note_grant(&chosen);
+        }
+        self.issue(self.cand_pos[idx], now);
         // The grant moved a bank timer and may have left candidates
         // behind: rescan next tick.
         self.gate.wake[ch] =
@@ -695,6 +745,14 @@ impl MemoryController {
             })
             .collect();
         let pending_reads = self.queue.pending_reads_all().to_vec();
+        let why = explain_grant(
+            &*self.policy,
+            self.read_first,
+            self.draining,
+            &candidates,
+            &pending_reads,
+            chosen.0,
+        );
         self.audit.emit(|| AuditEvent::Decision {
             channel: ch,
             at: now,
@@ -702,14 +760,17 @@ impl MemoryController {
             chosen: chosen.0,
             candidates,
             pending_reads,
+            why,
         });
     }
 
-    fn build_candidates(&mut self, want_reads: bool) {
+    /// Fill `cand_buf`/`cand_pos` with this channel's issuable reads
+    /// (`Some(true)`), writes (`Some(false)`) or both (`None`).
+    fn build_candidates(&mut self, want_reads: Option<bool>) {
         self.cand_buf.clear();
         self.cand_pos.clear();
         for &(pos, id, kind) in &self.cand_ids {
-            if kind.is_read() != want_reads {
+            if want_reads.is_some_and(|r| kind.is_read() != r) {
                 continue;
             }
             let req = self.queue.at(pos);
@@ -720,25 +781,6 @@ impl MemoryController {
             });
             self.cand_pos.push(pos);
         }
-    }
-
-    /// Returns an index into `cand_buf`/`cand_pos`.
-    fn pick_write(&mut self, _ch: usize) -> usize {
-        self.build_candidates(false);
-        self.cand_buf
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (!c.row_hit, c.id))
-            .map(|(i, _)| i)
-            .expect("write candidate set empty")
-    }
-
-    /// Returns an index into `cand_buf`/`cand_pos`.
-    fn pick_read_via_policy(&mut self, _ch: usize) -> usize {
-        self.build_candidates(true);
-        let idx = self.policy.select(&self.cand_buf, self.queue.pending_reads_all());
-        self.policy.note_grant(&self.cand_buf[idx]);
-        idx
     }
 
     fn issue(&mut self, pos: usize, now: Cycle) {
@@ -986,6 +1028,75 @@ mod tests {
             }
         }
         assert_eq!(first, Some(eff), "high-ME core should be served first");
+    }
+
+    fn info(id: u64, core: u16, write: bool, hit: bool) -> CandidateInfo {
+        CandidateInfo { id, core, bank: 0, row: id, write, row_hit: hit, arrival: id }
+    }
+
+    #[test]
+    fn class_outcomes_are_labelled_by_the_controller() {
+        // A lone candidate: no arbitration happened.
+        let cands = [info(3, 0, false, true)];
+        let why = explain_grant(&HitFirst, true, false, &cands, &[1, 0], 3);
+        assert_eq!(why, (Rule::OnlyCandidate, None));
+        // The only schedulable read bypassed the pending write.
+        let cands = [info(7, 0, false, false), info(2, 1, true, true)];
+        let why = explain_grant(&HitFirst, true, false, &cands, &[1, 0], 7);
+        assert_eq!(why, (Rule::ReadFirst, Some(2)));
+        // Draining: the write went out ahead of the read.
+        let cands = [info(2, 0, true, true), info(1, 1, false, true)];
+        let why = explain_grant(&HitFirst, true, true, &cands, &[0, 1], 2);
+        assert_eq!(why, (Rule::WriteDrain, Some(1)));
+        // No read schedulable: writes go hit-first under any policy, and
+        // the label is the class's, not the chain's.
+        let cands = [info(2, 0, true, false), info(5, 1, true, true), info(9, 1, true, false)];
+        let why = explain_grant(&Fcfs, true, false, &cands, &[0, 0], 5);
+        assert_eq!(why, (Rule::WriteFallback, Some(2)));
+    }
+
+    #[test]
+    fn plain_fcfs_is_one_mixed_class_in_arrival_order() {
+        let cands = [info(4, 0, true, false), info(6, 1, false, true)];
+        let why = explain_grant(&Fcfs, false, false, &cands, &[0, 1], 4);
+        assert_eq!(why, (Rule::WriteFallback, Some(6)));
+        let cands = [info(4, 0, false, false), info(6, 1, true, true), info(5, 1, false, true)];
+        let why = explain_grant(&Fcfs, false, true, &cands, &[1, 1], 4);
+        assert_eq!(why, (Rule::FcfsTiebreak, Some(5)));
+    }
+
+    #[test]
+    fn contested_reads_are_explained_by_the_policy_chain() {
+        use crate::policy::LeastRequest;
+        // Core 0's miss wins on the pending count; the schedulable write
+        // plays no part.
+        let cands = [info(9, 0, false, false), info(1, 1, false, true), info(0, 1, true, true)];
+        let why = explain_grant(&LeastRequest, true, false, &cands, &[1, 6], 9);
+        assert_eq!(why, (Rule::LreqCount, Some(1)));
+    }
+
+    #[test]
+    fn decisions_carry_their_rule_on_the_audit_stream() {
+        use std::sync::{Arc, Mutex};
+        let mut c = controller(PolicyKind::Lreq, 2);
+        let recorder = Arc::new(Mutex::new(melreq_audit::Recorder::default()));
+        c.attach_audit(AuditHandle::from_shared(recorder.clone(), true));
+        // Same channel, different banks: all three compete at cycle 48.
+        let a = c.submit(CoreId(0), 0x000, AccessKind::Read, 0);
+        let _ = c.submit(CoreId(0), 0x100, AccessKind::Read, 0);
+        let b = c.submit(CoreId(1), 0x200, AccessKind::Read, 0);
+        for now in 0..=48 {
+            c.tick(now);
+        }
+        let events = &recorder.lock().expect("recorder").events;
+        let first = events.iter().find_map(|e| match e {
+            AuditEvent::Decision { chosen, candidates, why, .. } => {
+                Some((*chosen, candidates.len(), *why))
+            }
+            _ => None,
+        });
+        // Core 1 has one read pending to core 0's two.
+        assert_eq!(first, Some((b.0, 3, (Rule::LreqCount, Some(a.0)))));
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!   Figure 1: per core, one pre-computed, 10-bit quantized
 //!   `ME[i]/PendingRead[i]` value for every possible pending-read count,
 //!   initialized "by OS at the time of program loading";
-//! * [`policy`] — every scheduling scheme the paper evaluates: FCFS,
-//!   FCFS+Read-First, Hit-First+Read-First (the baseline), Round-Robin,
-//!   Least-Request, Memory-Efficiency (fixed priority), arbitrary fixed
-//!   priorities (FIX-0123 / FIX-3210 of Figure 3), and **ME-LREQ**;
+//! * [`policy`] — the comparator chain of Figure 1 and every scheduler
+//!   as its first link: FCFS, FCFS+Read-First, Hit-First+Read-First (the
+//!   baseline), Round-Robin, Least-Request, Memory-Efficiency (fixed
+//!   priority), the FIX-0123 / FIX-3210 straw-men of Figure 3 and
+//!   **ME-LREQ**, plus fair queueing, stall-time fairness, BLISS and TCM;
+//! * [`registry`] — the one table naming, parameterizing and flagging
+//!   each of them;
 //! * [`controller::MemoryController`] — the transaction engine binding a
 //!   policy to the DRAM device: read-first with write-drain hysteresis
 //!   (drain starts at ½ buffer, stops at ¼ — Section 4.1), close-page row
@@ -22,19 +25,15 @@
 //!   bandwidth accounting.
 
 pub mod controller;
-pub mod ext;
 pub mod policy;
 pub mod queue;
 pub mod registry;
 pub mod request;
 pub mod table;
-pub mod zoo;
 
 pub use controller::{ChannelTraffic, ControllerConfig, ControllerStats, MemoryController};
-pub use ext::{FairQueueing, StallTimeFair};
-pub use policy::{PolicyKind, SchedulerPolicy};
+pub use policy::{Bliss, FairQueueing, PolicyKind, SchedulerPolicy, StallTimeFair, TcmCluster};
 pub use queue::RequestQueue;
 pub use registry::{canonical_name, registry, suggest, ParamSpec, PolicyDescriptor};
 pub use request::{MemRequest, ReqId};
 pub use table::PriorityTable;
-pub use zoo::{Bliss, TcmCluster};

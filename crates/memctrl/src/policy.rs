@@ -1,4 +1,4 @@
-//! The scheduling policies evaluated in the paper (Sections 2, 3 and 5).
+//! Every scheduling policy in the registry, as one comparator chain.
 //!
 //! A policy ranks the *candidate* requests — those already filtered by the
 //! controller to be issuable this cycle and belonging to the class chosen
@@ -6,19 +6,36 @@
 //! therefore never see a request the DRAM could not start immediately, so
 //! a high-priority request blocked on a busy bank never idles the channel.
 //!
-//! All core-aware policies order *cores* first (per Figure 1: "a set of
-//! comparators is used to select the thread with the highest priority,
-//! and then the first read request of the selected thread is scheduled")
-//! and fall back to hit-first-then-oldest within the selected core, since
-//! row-buffer hits are handled at the command level for every scheme
-//! (Section 4.1). Writes, when the controller drains them, use plain
-//! hit-first-then-oldest for every policy — the paper treats write order
-//! as performance-neutral ("write requests usually have small performance
-//! impact").
+//! Figure 1 is a comparator network: "a set of comparators is used to
+//! select the thread with the highest priority, and then the first read
+//! request of the selected thread is scheduled". Every scheme here is
+//! that same three-link order, smallest first:
+//!
+//! 1. a per-core key ([`SchedulerPolicy::core_key`]) — the only link a
+//!    policy states;
+//! 2. row-buffer hit before miss, since hits are handled at the command
+//!    level for every scheme (Section 4.1; only FCFS drops the link);
+//! 3. oldest first (request ids are monotone in arrival order).
+//!
+//! The provided [`SchedulerPolicy::select`] executes the chain and the
+//! provided [`SchedulerPolicy::explain`] reads the deciding link off the
+//! same comparators, so a scheduler's order is written once. Writes, when
+//! the controller drains them, run the [`HitFirst`] chain under every
+//! policy — the paper treats write order as performance-neutral ("write
+//! requests usually have small performance impact").
+//!
+//! Beyond the paper's schemes the module carries the fair schedulers its
+//! related-work section points at ([`FairQueueing`], [`StallTimeFair`])
+//! and two from its successor work ([`Bliss`], [`TcmCluster`]). Those
+//! four keep their books in *grants*, the only time base the trait
+//! observes, which keeps them deterministic across kernels and
+//! snapshot/restore boundaries; they are faithful to the *objective* of
+//! the original proposals, not to their full mechanisms.
 
 use crate::request::ReqId;
 use crate::table::PriorityTable;
-use melreq_stats::types::CoreId;
+use melreq_audit::Rule;
+use melreq_stats::types::{CoreId, Cycle};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,40 +51,92 @@ pub struct Candidate {
     pub row_hit: bool,
 }
 
-impl Candidate {
-    /// Hit-first-then-oldest sort key (smaller = preferred).
-    #[inline]
-    fn hf_age_key(&self) -> (bool, ReqId) {
-        (!self.row_hit, self.id)
+/// Index of the chain's smallest candidate, `skip` excepted (`usize::MAX`
+/// skips none). Links two and three share one word: a miss sets the top
+/// bit of the id.
+fn chain_min<P: SchedulerPolicy + ?Sized>(
+    policy: &P,
+    cands: &[Candidate],
+    pending_reads: &[u32],
+    skip: usize,
+) -> Option<usize> {
+    let hit_first = policy.hit_first();
+    let mut best = None;
+    for (i, c) in cands.iter().enumerate() {
+        if i == skip {
+            continue;
+        }
+        debug_assert!(c.id.0 < 1 << 63, "request id collides with the miss bit");
+        let miss = u64::from(hit_first && !c.row_hit) << 63;
+        let key = (policy.core_key(c.core, pending_reads), miss | c.id.0);
+        if best.is_none_or(|(_, b)| key < b) {
+            best = Some((i, key));
+        }
     }
+    best.map(|(i, _)| i)
 }
 
-/// Pick the hit-first-then-oldest candidate among `cands`, optionally
-/// restricted to one core. Returns an index into `cands`.
-fn pick_hf_oldest(cands: &[Candidate], core: Option<CoreId>) -> usize {
-    cands
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| core.is_none_or(|k| c.core == k))
-        .min_by_key(|(_, c)| c.hf_age_key())
-        .map(|(i, _)| i)
-        .expect("pick called with no eligible candidate")
-}
-
-/// A memory-access scheduling policy.
-///
-/// `select` receives at least one candidate and the per-core pending read
-/// counts (the controller's outstanding-read counters of Figure 1) and
-/// returns the index of the chosen candidate.
+/// A memory-access scheduling policy: the first link of the chain (see
+/// the module docs), stated as data the provided methods execute.
 pub trait SchedulerPolicy: std::fmt::Debug + Send {
-    /// Display name used in reports (matches the paper's shorthand).
+    /// The policy's identity on the audit stream and in snapshots — what
+    /// the auditor keys its model on (reports use `PolicyKind::name`).
     fn name(&self) -> &'static str;
 
-    /// Choose one candidate. `pending_reads[i]` is core *i*'s queued read
-    /// count (≥ 1 for any core with a read candidate).
-    fn select(&mut self, cands: &[Candidate], pending_reads: &[u32]) -> usize;
+    /// `core`'s standing in this decision; the smallest key wins.
+    /// `pending_reads[i]` is core *i*'s queued read count (the
+    /// outstanding-read counters of Figure 1, ≥ 1 for any core with a
+    /// read candidate). The `u16` breaks ties between cores — the core id
+    /// where the lower id wins, 0 where equal cores compete request
+    /// against request.
+    fn core_key(&self, core: CoreId, pending_reads: &[u32]) -> (u64, u16);
 
-    /// Observe a grant (used by Round-Robin to advance its pointer).
+    /// Whether row-buffer hits go before misses among equal cores.
+    fn hit_first(&self) -> bool {
+        true
+    }
+
+    /// Settle whatever this decision's keys depend on before they are
+    /// read: [`SchedulerPolicy::select`] calls it once, first.
+    fn prepare(&mut self, _cands: &[Candidate], _pending_reads: &[u32]) {}
+
+    /// The rule credited when the core key set `winner` above `beaten`.
+    fn core_rule(&self, _winner: CoreId, _beaten: CoreId, _pending_reads: &[u32]) -> Rule {
+        Rule::CoreKey
+    }
+
+    /// Choose one of `cands` (at least one): the index of the chain's
+    /// smallest.
+    fn select(&mut self, cands: &[Candidate], pending_reads: &[u32]) -> usize {
+        self.prepare(cands, pending_reads);
+        chain_min(self, cands, pending_reads, usize::MAX).expect("select called with no candidates")
+    }
+
+    /// Why `cands[chosen]` went first: the index of the best request it
+    /// beat and the first link on which the two differ (`OnlyCandidate`
+    /// when nothing competed). Valid between `select` and `note_grant`;
+    /// `&self`, so explaining a decision cannot change the next one.
+    fn explain(
+        &self,
+        cands: &[Candidate],
+        pending_reads: &[u32],
+        chosen: usize,
+    ) -> (Rule, Option<usize>) {
+        let Some(beaten) = chain_min(self, cands, pending_reads, chosen) else {
+            return (Rule::OnlyCandidate, None);
+        };
+        let (w, b) = (&cands[chosen], &cands[beaten]);
+        let rule = if self.core_key(w.core, pending_reads) != self.core_key(b.core, pending_reads) {
+            self.core_rule(w.core, b.core, pending_reads)
+        } else if self.hit_first() && w.row_hit != b.row_hit {
+            Rule::RowHitFirst
+        } else {
+            Rule::FcfsTiebreak
+        };
+        (rule, Some(beaten))
+    }
+
+    /// Observe a grant of a request this policy selected.
     fn note_grant(&mut self, _granted: &Candidate) {}
 
     /// Construction parameters as `(key, value)` pairs. Parameterized
@@ -115,8 +184,12 @@ impl SchedulerPolicy for Fcfs {
         "FCFS"
     }
 
-    fn select(&mut self, cands: &[Candidate], _pending: &[u32]) -> usize {
-        cands.iter().enumerate().min_by_key(|(_, c)| c.id).map(|(i, _)| i).expect("no candidates")
+    fn core_key(&self, _core: CoreId, _pending: &[u32]) -> (u64, u16) {
+        (0, 0)
+    }
+
+    fn hit_first(&self) -> bool {
+        false
     }
 }
 
@@ -131,13 +204,13 @@ impl SchedulerPolicy for HitFirst {
         "HF-RF"
     }
 
-    fn select(&mut self, cands: &[Candidate], _pending: &[u32]) -> usize {
-        pick_hf_oldest(cands, None)
+    fn core_key(&self, _core: CoreId, _pending: &[u32]) -> (u64, u16) {
+        (0, 0)
     }
 }
 
 /// Round-Robin over cores (Section 2, "RR"): serve the next core in
-/// rotation that has an issuable request; hit-first-then-oldest within it.
+/// rotation that has an issuable request.
 #[derive(Debug, Clone)]
 pub struct RoundRobin {
     cores: usize, // melreq-allow(S01): construction topology, identical across snapshot peers
@@ -157,14 +230,13 @@ impl SchedulerPolicy for RoundRobin {
         "RR"
     }
 
-    fn select(&mut self, cands: &[Candidate], _pending: &[u32]) -> usize {
-        for off in 0..self.cores {
-            let core = CoreId::from((self.next + off) % self.cores);
-            if cands.iter().any(|c| c.core == core) {
-                return pick_hf_oldest(cands, Some(core));
-            }
-        }
-        unreachable!("select called with no candidates")
+    /// Distance from the rotation pointer.
+    fn core_key(&self, core: CoreId, _pending: &[u32]) -> (u64, u16) {
+        (((core.index() + self.cores - self.next) % self.cores) as u64, 0)
+    }
+
+    fn core_rule(&self, _winner: CoreId, _beaten: CoreId, _pending: &[u32]) -> Rule {
+        Rule::RoundRobin
     }
 
     fn note_grant(&mut self, granted: &Candidate) {
@@ -186,7 +258,7 @@ impl SchedulerPolicy for RoundRobin {
 }
 
 /// Least-Request (Zhu & Zhang, HPCA'05): the core with the fewest pending
-/// read requests wins; hit-first-then-oldest within it.
+/// read requests wins.
 #[derive(Debug, Default, Clone)]
 pub struct LeastRequest;
 
@@ -195,13 +267,12 @@ impl SchedulerPolicy for LeastRequest {
         "LREQ"
     }
 
-    fn select(&mut self, cands: &[Candidate], pending: &[u32]) -> usize {
-        let best_core = cands
-            .iter()
-            .map(|c| c.core)
-            .min_by_key(|c| (pending[c.index()], c.index()))
-            .expect("no candidates");
-        pick_hf_oldest(cands, Some(best_core))
+    fn core_key(&self, core: CoreId, pending: &[u32]) -> (u64, u16) {
+        (u64::from(pending[core.index()]), core.0)
+    }
+
+    fn core_rule(&self, _winner: CoreId, _beaten: CoreId, _pending: &[u32]) -> Rule {
+        Rule::LreqCount
     }
 }
 
@@ -238,9 +309,7 @@ impl FixedPriority {
         order.sort_by(|&a, &b| {
             me[b].partial_cmp(&me[a]).expect("ME values must be comparable").then(a.cmp(&b))
         });
-        let mut p = Self::from_order("ME", &order);
-        p.name = "ME";
-        p
+        Self::from_order("ME", &order)
     }
 
     /// The rank vector (`rank[core]`, 0 = highest).
@@ -254,13 +323,12 @@ impl SchedulerPolicy for FixedPriority {
         self.name
     }
 
-    fn select(&mut self, cands: &[Candidate], _pending: &[u32]) -> usize {
-        let best_core = cands
-            .iter()
-            .map(|c| c.core)
-            .min_by_key(|c| self.rank[c.index()])
-            .expect("no candidates");
-        pick_hf_oldest(cands, Some(best_core))
+    fn core_key(&self, core: CoreId, _pending: &[u32]) -> (u64, u16) {
+        (u64::from(self.rank[core.index()]), core.0)
+    }
+
+    fn core_rule(&self, _winner: CoreId, _beaten: CoreId, _pending: &[u32]) -> Rule {
+        Rule::MeRank
     }
 }
 
@@ -268,13 +336,15 @@ impl SchedulerPolicy for FixedPriority {
 ///
 /// Each scheduling decision reads the per-core hardware table entry
 /// `P[i] = quantize(ME[i] / PendingRead[i])` for every core with a
-/// candidate, in parallel; the highest value wins, ties are broken by a
-/// (seeded) random pick among the tied cores, and the selected core's
-/// requests are served hit-first-then-oldest.
+/// candidate, in parallel; the highest value wins, and ties are broken by
+/// a (seeded) random pick among the tied cores.
 #[derive(Debug)]
 pub struct MeLreq {
     table: PriorityTable,
     rng: SmallRng,
+    /// The core this decision's tie-break favours.
+    // melreq-allow(S02): settled by `prepare` within each decision, dead between decisions
+    pick: Option<CoreId>, // melreq-allow(S01): settled by `prepare` within each decision, dead between decisions
 }
 
 impl MeLreq {
@@ -286,12 +356,17 @@ impl MeLreq {
     /// Build around an explicit priority table (used by the quantization
     /// ablation, which substitutes [`PriorityTable::new_linear`]).
     pub fn with_table(table: PriorityTable, seed: u64) -> Self {
-        MeLreq { table, rng: SmallRng::seed_from_u64(seed) }
+        MeLreq { table, rng: SmallRng::seed_from_u64(seed), pick: None }
     }
 
     /// The underlying hardware table (for inspection/tests).
     pub fn table(&self) -> &PriorityTable {
         &self.table
+    }
+
+    /// The parallel table read for `core`.
+    fn priority(&self, core: CoreId, pending: &[u32]) -> u16 {
+        self.table.lookup(core, pending[core.index()].max(1)).raw()
     }
 }
 
@@ -300,39 +375,59 @@ impl SchedulerPolicy for MeLreq {
         "ME-LREQ"
     }
 
-    fn select(&mut self, cands: &[Candidate], pending: &[u32]) -> usize {
-        // Parallel table read for every core that has a candidate.
-        let mut best = None; // (priority, count_of_tied_cores)
+    /// The inverted table value; among equals the tie-break's pick goes
+    /// first, the rest by core id.
+    fn core_key(&self, core: CoreId, pending: &[u32]) -> (u64, u16) {
+        let tie = if self.pick == Some(core) { 0 } else { 1 + core.0 };
+        (u64::from(!self.priority(core, pending)), tie)
+    }
+
+    /// "A tie of equal priority may be broken by a random selection":
+    /// one draw among the cores tied at the best table value, in
+    /// candidate order, and none when the best is unique.
+    fn prepare(&mut self, cands: &[Candidate], pending: &[u32]) {
+        let mut best = 0;
         let mut tied: [u16; 64] = [0; 64];
         let mut tied_len = 0usize;
+        let mut seen = 0u64;
         for c in cands {
-            let already_seen = tied[..tied_len].contains(&c.core.0);
-            if already_seen {
+            // One table read per core, however many requests it has.
+            let bit = 1u64 << c.core.0;
+            if seen & bit != 0 {
                 continue;
             }
-            let p = self.table.lookup(c.core, pending[c.core.index()].max(1));
-            match best {
-                None => {
-                    best = Some(p);
-                    tied[0] = c.core.0;
-                    tied_len = 1;
-                }
-                Some(b) if p > b => {
-                    best = Some(p);
-                    tied[0] = c.core.0;
-                    tied_len = 1;
-                }
-                Some(b) if p == b => {
-                    tied[tied_len] = c.core.0;
-                    tied_len += 1;
-                }
-                _ => {}
+            seen |= bit;
+            let p = self.priority(c.core, pending);
+            if tied_len == 0 || p > best {
+                best = p;
+                tied_len = 0;
+            }
+            if p == best {
+                tied[tied_len] = c.core.0;
+                tied_len += 1;
             }
         }
-        debug_assert!(tied_len > 0, "select called with no candidates");
-        // "A tie of equal priority may be broken by a random selection."
-        let chosen = if tied_len == 1 { tied[0] } else { tied[self.rng.gen_range(0..tied_len)] };
-        pick_hf_oldest(cands, Some(CoreId(chosen)))
+        self.pick = match tied_len {
+            0 => None,
+            1 => Some(CoreId(tied[0])),
+            n => Some(CoreId(tied[self.rng.gen_range(0..n)])),
+        };
+    }
+
+    /// Equal table values: the draw decided. Otherwise the win is split
+    /// between the two terms of `ME/PendingRead` by which of them differ.
+    fn core_rule(&self, winner: CoreId, beaten: CoreId, pending: &[u32]) -> Rule {
+        let me = |c: CoreId| self.table.me()[c.index()];
+        let reads = |c: CoreId| pending[c.index()].max(1);
+        if self.priority(winner, pending) == self.priority(beaten, pending) {
+            Rule::RandomTie
+        } else if me(winner) == me(beaten) {
+            Rule::LreqCount
+        } else if reads(winner) == reads(beaten) {
+            Rule::MeRank
+        } else {
+            Rule::MeLreqRatio
+        }
     }
 
     fn update_profile(&mut self, me: &[f64]) {
@@ -361,8 +456,435 @@ impl SchedulerPolicy for MeLreq {
     }
 }
 
+/// Start-time fair queueing over memory service (Nesbit et al., MICRO'06
+/// style).
+///
+/// Classic SFQ bookkeeping: each core has a per-flow virtual finish time
+/// `vt[i]`; a request's *start tag* is `max(vt[i], V)` where `V` is the
+/// global virtual clock (the start tag of the last grant). The core with
+/// the smallest start tag wins, and the winner's flow clock advances by
+/// `QUANTUM / share`, so long-term every core receives its share of
+/// memory service regardless of demand. The `max(·, V)` is what prevents
+/// a long-idle core from monopolizing the bus with its stale clock when
+/// it returns.
+#[derive(Debug, Clone)]
+pub struct FairQueueing {
+    /// Per-core virtual finish times (in service quanta).
+    virtual_time: Vec<u64>,
+    /// Global virtual clock: start tag of the most recent grant.
+    global_vt: u64,
+    /// Per-core service shares (relative weights; equal by default).
+    share: Vec<u32>, // melreq-allow(S01): construction weights, identical across snapshot peers
+}
+
+impl FairQueueing {
+    /// Equal-share fair queueing over `cores` cores.
+    pub fn new(cores: usize) -> Self {
+        assert!(cores > 0, "need at least one core");
+        Self::with_shares(vec![1; cores])
+    }
+
+    /// Weighted shares (e.g. QoS classes). `share[i] = 2` gives core `i`
+    /// twice the memory service of a `share = 1` core under contention.
+    pub fn with_shares(shares: Vec<u32>) -> Self {
+        assert!(!shares.is_empty(), "need at least one core");
+        assert!(shares.iter().all(|&s| s > 0), "shares must be positive");
+        FairQueueing { virtual_time: vec![0; shares.len()], global_vt: 0, share: shares }
+    }
+
+    /// A core's virtual clock (test/diagnostic access).
+    pub fn virtual_time(&self, core: CoreId) -> u64 {
+        self.virtual_time[core.index()]
+    }
+
+    #[inline]
+    fn start_tag(&self, core: CoreId) -> u64 {
+        self.virtual_time[core.index()].max(self.global_vt)
+    }
+}
+
+/// Service quantum charged per granted request, scaled by 1/share.
+const QUANTUM: u64 = 64;
+
+impl SchedulerPolicy for FairQueueing {
+    fn name(&self) -> &'static str {
+        "FQ"
+    }
+
+    fn core_key(&self, core: CoreId, _pending: &[u32]) -> (u64, u16) {
+        (self.start_tag(core), core.0)
+    }
+
+    fn core_rule(&self, _winner: CoreId, _beaten: CoreId, _pending: &[u32]) -> Rule {
+        Rule::FqStartTag
+    }
+
+    fn note_grant(&mut self, granted: &Candidate) {
+        let i = granted.core.index();
+        let start = self.start_tag(granted.core);
+        self.global_vt = start;
+        self.virtual_time[i] = start + QUANTUM / self.share[i] as u64;
+    }
+
+    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+        enc.u64s(&self.virtual_time);
+        enc.u64(self.global_vt);
+    }
+
+    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
+        let vt = dec.u64s()?;
+        if vt.len() != self.virtual_time.len() {
+            return Err(melreq_snap::SnapError::Invalid("fair-queueing core count mismatch"));
+        }
+        self.virtual_time = vt;
+        self.global_vt = dec.u64()?;
+        Ok(())
+    }
+}
+
+/// Stall-time-fairness heuristic (Mutlu & Moscibroda, MICRO'07 style).
+///
+/// The controller cannot see core stall cycles directly, but a request's
+/// queueing delay is the memory-side component of the extra stall its
+/// core suffers from sharing. This policy serves the core whose
+/// *accumulated queueing-delay debt* is largest, decaying the debt on
+/// service so the measure tracks the recent past.
+#[derive(Debug, Clone)]
+pub struct StallTimeFair {
+    debt: Vec<f64>,
+    last_now: Cycle,
+}
+
+impl StallTimeFair {
+    /// A balancer over `cores` cores.
+    pub fn new(cores: usize) -> Self {
+        assert!(cores > 0, "need at least one core");
+        StallTimeFair { debt: vec![0.0; cores], last_now: 0 }
+    }
+
+    /// A core's current delay debt (test/diagnostic access).
+    pub fn debt(&self, core: CoreId) -> f64 {
+        self.debt[core.index()]
+    }
+
+    /// Accrue queueing delay: each core's debt grows with its pending
+    /// read count per cycle (total waiting ≈ Σ queue residence).
+    pub fn accrue(&mut self, pending: &[u32], now: Cycle) {
+        let dt = now.saturating_sub(self.last_now) as f64;
+        self.last_now = now;
+        for (d, &p) in self.debt.iter_mut().zip(pending) {
+            *d += dt * p as f64;
+        }
+    }
+}
+
+impl SchedulerPolicy for StallTimeFair {
+    fn name(&self) -> &'static str {
+        "STF"
+    }
+
+    /// Largest debt first: debts are finite and never negative, so their
+    /// bit patterns order as the values do.
+    fn core_key(&self, core: CoreId, _pending: &[u32]) -> (u64, u16) {
+        (!self.debt[core.index()].to_bits(), core.0)
+    }
+
+    /// A decision is the accrual tick too (dt = 1 grant epoch).
+    fn prepare(&mut self, _cands: &[Candidate], pending: &[u32]) {
+        self.accrue(pending, self.last_now + 1);
+    }
+
+    fn core_rule(&self, _winner: CoreId, _beaten: CoreId, _pending: &[u32]) -> Rule {
+        Rule::StfDebt
+    }
+
+    fn note_grant(&mut self, granted: &Candidate) {
+        // Serving a request repays part of the core's debt.
+        let i = granted.core.index();
+        self.debt[i] = (self.debt[i] - QUANTUM as f64).max(0.0);
+    }
+
+    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+        enc.f64s(&self.debt);
+        enc.u64(self.last_now);
+    }
+
+    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
+        let debt = dec.f64s()?;
+        if debt.len() != self.debt.len() {
+            return Err(melreq_snap::SnapError::Invalid("stall-time-fair core count mismatch"));
+        }
+        self.debt = debt;
+        self.last_now = dec.u64()?;
+        Ok(())
+    }
+}
+
+/// BLISS-style blacklisting scheduler (Subramanian et al., see PAPERS.md).
+///
+/// A core granted too many *consecutive* requests is blacklisted, and the
+/// blacklist is cleared every `clear_interval` grants so no core is
+/// penalized forever. The core key is the single blacklist bit, so equal
+/// cores compete request against request — application awareness reduced
+/// to one bit is the point of BLISS (simple interference control without
+/// per-core ranking hardware).
+#[derive(Debug, Clone)]
+pub struct Bliss {
+    /// Per-core blacklist bit.
+    blacklisted: Vec<bool>,
+    /// Core granted most recently (the streak owner).
+    last_core: Option<CoreId>,
+    /// Length of the current consecutive-grant streak.
+    streak: u32,
+    /// Grants since the blacklist was last cleared.
+    grants_since_clear: u64,
+    threshold: u32, // melreq-allow(S01): construction parameter, identical across snapshot peers
+    clear_interval: u64, // melreq-allow(S01): construction parameter, identical across snapshot peers
+}
+
+impl Bliss {
+    /// Blacklisting threshold used when none is given (the BLISS paper's
+    /// "blacklisting threshold" of 4 consecutive requests).
+    pub const DEFAULT_THRESHOLD: u32 = 4;
+    /// Default clearing interval, in grants.
+    pub const DEFAULT_CLEAR_INTERVAL: u64 = 10_000;
+
+    /// A blacklisting scheduler over `cores` cores.
+    ///
+    /// # Panics
+    /// Panics when `cores` is zero, `threshold` is zero, or
+    /// `clear_interval` is zero.
+    pub fn new(cores: usize, threshold: u32, clear_interval: u64) -> Self {
+        assert!(cores > 0, "need at least one core");
+        assert!(threshold > 0, "blacklist threshold must be positive");
+        assert!(clear_interval > 0, "clear interval must be positive");
+        Bliss {
+            blacklisted: vec![false; cores],
+            last_core: None,
+            streak: 0,
+            grants_since_clear: 0,
+            threshold,
+            clear_interval,
+        }
+    }
+
+    /// Whether `core` is currently blacklisted (test/diagnostic access).
+    pub fn is_blacklisted(&self, core: CoreId) -> bool {
+        self.blacklisted[core.index()]
+    }
+}
+
+impl SchedulerPolicy for Bliss {
+    fn name(&self) -> &'static str {
+        "BLISS"
+    }
+
+    fn core_key(&self, core: CoreId, _pending: &[u32]) -> (u64, u16) {
+        (u64::from(self.blacklisted[core.index()]), 0)
+    }
+
+    fn core_rule(&self, _winner: CoreId, _beaten: CoreId, _pending: &[u32]) -> Rule {
+        Rule::BlissBlacklist
+    }
+
+    fn note_grant(&mut self, granted: &Candidate) {
+        if self.last_core == Some(granted.core) {
+            self.streak += 1;
+        } else {
+            self.last_core = Some(granted.core);
+            self.streak = 1;
+        }
+        if self.streak >= self.threshold {
+            self.blacklisted[granted.core.index()] = true;
+        }
+        self.grants_since_clear += 1;
+        if self.grants_since_clear >= self.clear_interval {
+            self.blacklisted.iter_mut().for_each(|b| *b = false);
+            self.grants_since_clear = 0;
+        }
+    }
+
+    fn params(&self) -> Vec<(&'static str, u64)> {
+        vec![("threshold", u64::from(self.threshold)), ("clear", self.clear_interval)]
+    }
+
+    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+        enc.usize(self.blacklisted.len());
+        for &b in &self.blacklisted {
+            enc.bool(b);
+        }
+        enc.opt_u64(self.last_core.map(|c| u64::from(c.0)));
+        enc.u32(self.streak);
+        enc.u64(self.grants_since_clear);
+    }
+
+    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
+        let n = dec.usize()?;
+        if n != self.blacklisted.len() {
+            return Err(melreq_snap::SnapError::Invalid("bliss core count mismatch"));
+        }
+        for b in &mut self.blacklisted {
+            *b = dec.bool()?;
+        }
+        self.last_core = match dec.opt_u64()? {
+            Some(raw) => {
+                let core = u16::try_from(raw)
+                    .map_err(|_| melreq_snap::SnapError::Invalid("bliss last core out of range"))?;
+                if usize::from(core) >= self.blacklisted.len() {
+                    return Err(melreq_snap::SnapError::Invalid("bliss last core out of range"));
+                }
+                Some(CoreId(core))
+            }
+            None => None,
+        };
+        self.streak = dec.u32()?;
+        self.grants_since_clear = dec.u64()?;
+        Ok(())
+    }
+}
+
+/// TCM-style two-cluster scheduler (Kim et al., thread cluster memory
+/// scheduling).
+///
+/// Every `quantum` grants the cores are re-clustered by their read counts
+/// over the elapsed quantum: cores at or below the mean form the
+/// latency-sensitive cluster and outrank the bandwidth-sensitive rest,
+/// whose internal order rotates each quantum (TCM's "niceness shuffle")
+/// so no heavy core is permanently last. The core key is the resulting
+/// rank, ties to the lower core id.
+#[derive(Debug, Clone)]
+pub struct TcmCluster {
+    /// Reads granted per core during the current quantum.
+    interval_reads: Vec<u64>,
+    /// Grants observed in the current quantum.
+    grants_in_quantum: u64,
+    /// `rank[core]` — 0 is the highest priority.
+    rank: Vec<u32>,
+    /// Monotone shuffle counter rotating the bandwidth cluster's order.
+    shuffle: u64,
+    quantum: u64, // melreq-allow(S01): construction parameter, identical across snapshot peers
+}
+
+impl TcmCluster {
+    /// Clustering quantum used when none is given, in grants.
+    pub const DEFAULT_QUANTUM: u64 = 2_000;
+
+    /// A two-cluster scheduler over `cores` cores.
+    ///
+    /// # Panics
+    /// Panics when `cores` is zero or `quantum` is zero.
+    pub fn new(cores: usize, quantum: u64) -> Self {
+        assert!(cores > 0, "need at least one core");
+        assert!(quantum > 0, "clustering quantum must be positive");
+        TcmCluster {
+            interval_reads: vec![0; cores],
+            grants_in_quantum: 0,
+            rank: vec![0; cores],
+            shuffle: 0,
+            quantum,
+        }
+    }
+
+    /// The current rank vector (`rank[core]`, 0 = highest; test access).
+    pub fn ranks(&self) -> &[u32] {
+        &self.rank
+    }
+
+    /// Recompute the clustering from this quantum's read counts.
+    fn recluster(&mut self) {
+        self.rank = Self::rank_from_interval(&self.interval_reads, self.shuffle);
+        self.shuffle += 1;
+        self.interval_reads.iter_mut().for_each(|r| *r = 0);
+        self.grants_in_quantum = 0;
+    }
+
+    /// The pure clustering function: cores at or below the mean read
+    /// count form the latency cluster (ranked by ascending reads, ties
+    /// to the lower id); the bandwidth cluster follows, its ascending
+    /// order rotated by `shuffle` positions.
+    fn rank_from_interval(interval_reads: &[u64], shuffle: u64) -> Vec<u32> {
+        let cores = interval_reads.len();
+        let total: u64 = interval_reads.iter().sum();
+        let mean = total / cores as u64;
+        let mut latency: Vec<usize> = (0..cores).filter(|&c| interval_reads[c] <= mean).collect();
+        let mut bandwidth: Vec<usize> = (0..cores).filter(|&c| interval_reads[c] > mean).collect();
+        latency.sort_by_key(|&c| (interval_reads[c], c));
+        bandwidth.sort_by_key(|&c| (interval_reads[c], c));
+        if !bandwidth.is_empty() {
+            let by = usize::try_from(shuffle % bandwidth.len() as u64).expect("rotation < len");
+            bandwidth.rotate_left(by);
+        }
+        let mut rank = vec![0u32; cores];
+        for (pos, &core) in latency.iter().chain(bandwidth.iter()).enumerate() {
+            rank[core] = u32::try_from(pos).expect("core count fits u32");
+        }
+        rank
+    }
+}
+
+impl SchedulerPolicy for TcmCluster {
+    fn name(&self) -> &'static str {
+        "TCM"
+    }
+
+    fn core_key(&self, core: CoreId, _pending: &[u32]) -> (u64, u16) {
+        (u64::from(self.rank[core.index()]), core.0)
+    }
+
+    fn core_rule(&self, _winner: CoreId, _beaten: CoreId, _pending: &[u32]) -> Rule {
+        Rule::TcmCluster
+    }
+
+    fn note_grant(&mut self, granted: &Candidate) {
+        self.interval_reads[granted.core.index()] += 1;
+        self.grants_in_quantum += 1;
+        if self.grants_in_quantum >= self.quantum {
+            self.recluster();
+        }
+    }
+
+    fn params(&self) -> Vec<(&'static str, u64)> {
+        vec![("quantum", self.quantum)]
+    }
+
+    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+        enc.u64s(&self.interval_reads);
+        enc.u64(self.grants_in_quantum);
+        enc.usize(self.rank.len());
+        for &r in &self.rank {
+            enc.u32(r);
+        }
+        enc.u64(self.shuffle);
+    }
+
+    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
+        let reads = dec.u64s()?;
+        if reads.len() != self.interval_reads.len() {
+            return Err(melreq_snap::SnapError::Invalid("tcm core count mismatch"));
+        }
+        self.interval_reads = reads;
+        self.grants_in_quantum = dec.u64()?;
+        let n = dec.usize()?;
+        if n != self.rank.len() {
+            return Err(melreq_snap::SnapError::Invalid("tcm rank count mismatch"));
+        }
+        let cores = u32::try_from(self.rank.len())
+            .map_err(|_| melreq_snap::SnapError::Invalid("tcm core count out of range"))?;
+        for r in &mut self.rank {
+            let v = dec.u32()?;
+            if v >= cores {
+                return Err(melreq_snap::SnapError::Invalid("tcm rank out of range"));
+            }
+            *r = v;
+        }
+        self.shuffle = dec.u64()?;
+        Ok(())
+    }
+}
+
 /// Configuration-level identification of a policy; builds the boxed
-/// implementation for a concrete workload.
+/// implementation for a concrete workload. Every variant is one row of
+/// [`crate::registry`], which holds its names and flags.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicyKind {
     /// First-come first-serve, no read bypass.
@@ -388,32 +910,30 @@ pub enum PolicyKind {
         /// Re-estimation period in CPU cycles.
         epoch_cycles: u64,
     },
-    /// Arbitrary fixed core priority (Figure 3's FIX-0123 / FIX-3210).
+    /// Figure 3's straw-man fixed priorities, sized to the system at
+    /// [`PolicyKind::build`]: ascending core id (FIX-0123) or descending
+    /// (FIX-3210).
     Fixed {
-        /// Report name (e.g. "FIX-3210").
-        name: &'static str,
-        /// Priority order; element 0 is the most favoured core.
-        order: Vec<usize>,
+        /// Whether the highest core id is the most favoured.
+        descending: bool,
     },
-    /// Start-time fair queueing over memory service
-    /// ([`crate::ext::FairQueueing`], Nesbit et al., MICRO'06-style).
+    /// Start-time fair queueing over memory service ([`FairQueueing`]).
     Fq,
-    /// Stall-time-fairness heuristic ([`crate::ext::StallTimeFair`],
-    /// Mutlu & Moscibroda, MICRO'07-style).
+    /// Stall-time-fairness heuristic ([`StallTimeFair`]).
     Stf,
-    /// BLISS blacklisting ([`crate::zoo::Bliss`], Subramanian et al.):
-    /// cores granted too many consecutive requests are blacklisted until
-    /// the next periodic clearing.
+    /// BLISS blacklisting ([`Bliss`]): cores granted too many
+    /// consecutive requests are blacklisted until the next periodic
+    /// clearing.
     Bliss {
         /// Consecutive grants at which a core is blacklisted.
         threshold: u32,
         /// Grants between blacklist clearings.
         clear_interval: u64,
     },
-    /// TCM-style two-cluster scheduling ([`crate::zoo::TcmCluster`],
-    /// Kim et al.-style): latency-sensitive cores (few reads per
-    /// quantum) outrank bandwidth-sensitive ones, whose intra-cluster
-    /// order is periodically shuffled.
+    /// TCM-style two-cluster scheduling ([`TcmCluster`]):
+    /// latency-sensitive cores (few reads per quantum) outrank
+    /// bandwidth-sensitive ones, whose intra-cluster order is
+    /// periodically shuffled.
     TcmCluster {
         /// Grants per clustering quantum.
         quantum: u64,
@@ -425,26 +945,12 @@ impl PolicyKind {
     /// FCFS disables the bypass; every evaluated scheme keeps it
     /// (Section 4.1).
     pub fn read_first(&self) -> bool {
-        !matches!(self, PolicyKind::Fcfs)
+        crate::registry::descriptor_of(self).read_first
     }
 
     /// Display name matching the paper's shorthand.
     pub fn name(&self) -> &'static str {
-        match self {
-            PolicyKind::Fcfs => "FCFS",
-            PolicyKind::FcfsRf => "FCFS-RF",
-            PolicyKind::HfRf => "HF-RF",
-            PolicyKind::RoundRobin => "RR",
-            PolicyKind::Lreq => "LREQ",
-            PolicyKind::Me => "ME",
-            PolicyKind::MeLreq => "ME-LREQ",
-            PolicyKind::MeLreqOnline { .. } => "ME-LREQ-ON",
-            PolicyKind::Fixed { name, .. } => name,
-            PolicyKind::Fq => "FQ",
-            PolicyKind::Stf => "STF",
-            PolicyKind::Bliss { .. } => "BLISS",
-            PolicyKind::TcmCluster { .. } => "TCM",
-        }
+        crate::registry::descriptor_of(self).display
     }
 
     /// Instantiate for a system of `cores` cores whose profiled
@@ -462,40 +968,39 @@ impl PolicyKind {
             // The online variant starts from a flat (uninformative)
             // profile; the system refreshes it at run time.
             PolicyKind::MeLreqOnline { .. } => Box::new(MeLreq::new(&vec![1.0; cores], seed)),
-            PolicyKind::Fixed { name, order } => {
-                assert_eq!(order.len(), cores, "priority order must cover all cores");
-                Box::new(FixedPriority::from_order(name, order))
+            PolicyKind::Fixed { descending } => {
+                let mut order: Vec<usize> = (0..cores).collect();
+                if *descending {
+                    order.reverse();
+                }
+                Box::new(FixedPriority::from_order(self.name(), &order))
             }
-            PolicyKind::Fq => Box::new(crate::ext::FairQueueing::new(cores)),
-            PolicyKind::Stf => Box::new(crate::ext::StallTimeFair::new(cores)),
+            PolicyKind::Fq => Box::new(FairQueueing::new(cores)),
+            PolicyKind::Stf => Box::new(StallTimeFair::new(cores)),
             PolicyKind::Bliss { threshold, clear_interval } => {
-                Box::new(crate::zoo::Bliss::new(cores, *threshold, *clear_interval))
+                Box::new(Bliss::new(cores, *threshold, *clear_interval))
             }
-            PolicyKind::TcmCluster { quantum } => {
-                Box::new(crate::zoo::TcmCluster::new(cores, *quantum))
-            }
+            PolicyKind::TcmCluster { quantum } => Box::new(TcmCluster::new(cores, *quantum)),
         }
     }
 
-    /// The five schemes compared in Figure 2, in the paper's order.
+    /// The five schemes compared in Figure 2, in the paper's order — what
+    /// `compare` runs when no explicit policy set is given.
     pub fn figure2_set() -> Vec<PolicyKind> {
-        vec![
-            PolicyKind::HfRf,
-            PolicyKind::Me,
-            PolicyKind::RoundRobin,
-            PolicyKind::Lreq,
-            PolicyKind::MeLreq,
-        ]
+        let mut figured: Vec<_> =
+            crate::registry::registry().iter().filter(|d| d.paper_figure.is_some()).collect();
+        figured.sort_by_key(|d| d.paper_figure);
+        figured.iter().map(|d| d.default_kind()).collect()
     }
 
-    /// The four schemes compared in Figure 3 for `cores` cores: HF-RF, ME
-    /// and the two straw-man fixed priorities.
-    pub fn figure3_set(cores: usize) -> Vec<PolicyKind> {
+    /// The four schemes compared in Figure 3: HF-RF, ME and the two
+    /// straw-man fixed priorities.
+    pub fn figure3_set() -> Vec<PolicyKind> {
         vec![
             PolicyKind::HfRf,
             PolicyKind::Me,
-            PolicyKind::Fixed { name: "FIX-3210", order: (0..cores).rev().collect() },
-            PolicyKind::Fixed { name: "FIX-0123", order: (0..cores).collect() },
+            PolicyKind::Fixed { descending: true },
+            PolicyKind::Fixed { descending: false },
         ]
     }
 }
@@ -508,11 +1013,26 @@ mod tests {
         Candidate { id: ReqId(id), core: CoreId(core), row_hit: hit }
     }
 
+    /// `explain` for the candidate with id `chosen`, the runner-up as a
+    /// candidate rather than an index.
+    fn why(
+        p: &dyn SchedulerPolicy,
+        cands: &[Candidate],
+        pending: &[u32],
+        chosen: u64,
+    ) -> (Rule, Option<Candidate>) {
+        let at = cands.iter().position(|c| c.id.0 == chosen).expect("chosen is a candidate");
+        let (rule, beaten) = p.explain(cands, pending, at);
+        (rule, beaten.map(|i| cands[i]))
+    }
+
     #[test]
     fn fcfs_picks_oldest_regardless_of_hits() {
         let mut p = Fcfs;
         let cands = [cand(5, 0, true), cand(2, 1, false), cand(9, 0, true)];
         assert_eq!(p.select(&cands, &[2, 1]), 1);
+        let (rule, ru) = why(&p, &cands, &[2, 1], 2);
+        assert_eq!((rule, ru.map(|c| c.id.0)), (Rule::FcfsTiebreak, Some(5)));
     }
 
     #[test]
@@ -522,6 +1042,24 @@ mod tests {
         assert_eq!(p.select(&cands, &[1, 2]), 2);
         let cands = [cand(3, 0, false), cand(8, 1, false)];
         assert_eq!(p.select(&cands, &[1, 1]), 0);
+    }
+
+    #[test]
+    fn hit_first_attributes_hit_vs_age() {
+        // Hit id 5 beats miss id 2 → row-hit-first.
+        let cands = [cand(5, 0, true), cand(2, 1, false)];
+        let (rule, ru) = why(&HitFirst, &cands, &[1, 1], 5);
+        assert_eq!((rule, ru.map(|c| c.id.0)), (Rule::RowHitFirst, Some(2)));
+        // Both hits: age decided.
+        let cands = [cand(1, 0, true), cand(4, 1, true)];
+        assert_eq!(why(&HitFirst, &cands, &[1, 1], 1).0, Rule::FcfsTiebreak);
+    }
+
+    #[test]
+    fn explain_on_a_lone_candidate_names_no_contest() {
+        let cands = [cand(3, 0, true)];
+        assert_eq!(HitFirst.explain(&cands, &[1, 0], 0), (Rule::OnlyCandidate, None));
+        assert_eq!(MeLreq::new(&[4.0, 2.0], 1).explain(&cands, &[1, 0], 0).0, Rule::OnlyCandidate);
     }
 
     #[test]
@@ -543,6 +1081,15 @@ mod tests {
     }
 
     #[test]
+    fn round_robin_attributes_rotation() {
+        let mut p = RoundRobin::new(4);
+        p.note_grant(&cand(9, 1, false)); // pointer now at core 2
+        let cands = [cand(0, 2, false), cand(1, 0, false)];
+        let (rule, ru) = why(&p, &cands, &[1, 0, 1, 0], 0);
+        assert_eq!((rule, ru.map(|c| c.core)), (Rule::RoundRobin, Some(CoreId(0))));
+    }
+
+    #[test]
     fn lreq_prefers_fewest_pending_reads() {
         let mut p = LeastRequest;
         let cands = [cand(0, 0, true), cand(1, 1, false)];
@@ -556,6 +1103,21 @@ mod tests {
         let cands = [cand(0, 0, false), cand(3, 0, true), cand(9, 1, true)];
         let i = p.select(&cands, &[2, 5]);
         assert_eq!(i, 1); // core 0 wins, its hit beats its older miss
+    }
+
+    #[test]
+    fn lreq_attributes_pending_counts() {
+        let cands = [cand(9, 0, false), cand(1, 1, true)];
+        // Core 0 wins with fewer pending reads despite older hit on 1.
+        let (rule, ru) = why(&LeastRequest, &cands, &[1, 6], 9);
+        assert_eq!((rule, ru.map(|c| c.core)), (Rule::LreqCount, Some(CoreId(1))));
+    }
+
+    #[test]
+    fn same_core_contests_ignore_the_core_key() {
+        let cands = [cand(5, 0, true), cand(2, 0, false)];
+        let (rule, ru) = why(&LeastRequest, &cands, &[2, 0], 5);
+        assert_eq!((rule, ru.map(|c| c.id.0)), (Rule::RowHitFirst, Some(2)));
     }
 
     #[test]
@@ -576,9 +1138,32 @@ mod tests {
     }
 
     #[test]
+    fn me_scheme_attributes_rank() {
+        let p = FixedPriority::from_memory_efficiency(&[2.0, 40.0]);
+        let cands = [cand(8, 1, false), cand(1, 0, true)];
+        let (rule, ru) = why(&p, &cands, &[1, 1], 8);
+        assert_eq!((rule, ru.map(|c| c.core)), (Rule::MeRank, Some(CoreId(0))));
+    }
+
+    #[test]
     #[should_panic(expected = "listed twice")]
     fn fixed_priority_rejects_duplicates() {
         let _ = FixedPriority::from_order("bad", &[0, 0]);
+    }
+
+    #[test]
+    fn fixed_kinds_size_to_the_system_at_build() {
+        for cores in [2usize, 4, 8] {
+            let me = vec![1.0; cores];
+            let pending = vec![1; cores];
+            let cands: Vec<Candidate> =
+                (0..cores).map(|c| cand(c as u64, c as u16, false)).collect();
+            let mut up = PolicyKind::Fixed { descending: false }.build(&me, cores, 1);
+            let mut down = PolicyKind::Fixed { descending: true }.build(&me, cores, 1);
+            assert_eq!((up.name(), down.name()), ("FIX-0123", "FIX-3210"));
+            assert_eq!(up.select(&cands, &pending), 0, "{cores} cores: core 0 first");
+            assert_eq!(down.select(&cands, &pending), cores - 1, "{cores} cores: last core first");
+        }
     }
 
     #[test]
@@ -590,6 +1175,23 @@ mod tests {
         assert_eq!(cands[p.select(&cands, &[8, 1])].core, CoreId(1));
         // At equal pending, higher ME wins.
         assert_eq!(cands[p.select(&cands, &[2, 2])].core, CoreId(0));
+    }
+
+    #[test]
+    fn me_lreq_splits_attribution_between_terms() {
+        let p = MeLreq::new(&[16.0, 4.0], 42);
+        let cands = [cand(0, 0, true), cand(1, 1, false)];
+        // Equal pending → the ME term decided.
+        assert_eq!(why(&p, &cands, &[2, 2], 0).0, Rule::MeRank);
+        // Core 0's ratio 16/8 loses to core 1's 4/1 → ratio attribution
+        // for core 1's win (both terms differ).
+        let (rule, ru) = why(&p, &cands, &[8, 1], 1);
+        assert_eq!((rule, ru.map(|c| c.core)), (Rule::MeLreqRatio, Some(CoreId(0))));
+        // Equal ME collapses to least-request.
+        let p = MeLreq::new(&[8.0, 8.0], 42);
+        assert_eq!(why(&p, &cands, &[5, 1], 1).0, Rule::LreqCount);
+        // Identical quantized priority → the RNG must have picked.
+        assert_eq!(why(&p, &cands, &[3, 3], 0).0, Rule::RandomTie);
     }
 
     #[test]
@@ -608,14 +1210,34 @@ mod tests {
     }
 
     #[test]
-    fn policy_kind_names_and_read_first() {
-        assert_eq!(PolicyKind::HfRf.name(), "HF-RF");
-        assert_eq!(PolicyKind::MeLreq.name(), "ME-LREQ");
-        assert_eq!(PolicyKind::MeLreqOnline { epoch_cycles: 100 }.name(), "ME-LREQ-ON");
-        assert!(!PolicyKind::Fcfs.read_first());
-        assert!(PolicyKind::FcfsRf.read_first());
-        assert!(PolicyKind::MeLreq.read_first());
-        assert!(PolicyKind::MeLreqOnline { epoch_cycles: 100 }.read_first());
+    fn me_lreq_draws_once_per_tie_and_never_otherwise() {
+        let seed = 7;
+        let mut p = MeLreq::new(&[8.0, 8.0, 8.0, 1.0], seed);
+        let mut reference = SmallRng::seed_from_u64(seed);
+        // Several requests per core must not multiply the draws.
+        let cands = [
+            cand(0, 2, false),
+            cand(1, 0, true),
+            cand(2, 1, false),
+            cand(3, 2, true),
+            cand(4, 3, false),
+        ];
+        // A unique best (core 1 has the fewest pending reads): no draw.
+        let i = p.select(&cands, &[3, 1, 3, 1]);
+        assert_eq!(cands[i].core, CoreId(1));
+        assert_eq!(p.rng.state(), reference.state(), "a unique best must not consume the RNG");
+        // Three cores tied at the best value: exactly one draw, over the
+        // tied cores in candidate order (2, 0, 1).
+        let i = p.select(&cands, &[3, 3, 3, 1]);
+        let tied = [2u16, 0, 1];
+        let expect = tied[reference.gen_range(0..tied.len())];
+        assert_eq!(cands[i].core.0, expect);
+        assert_eq!(p.rng.state(), reference.state(), "a tie consumes exactly one draw");
+        // `explain` reads the pick `select` settled and draws nothing:
+        // core 2's hit beat its own older miss, any other winner a tied core.
+        let (rule, _) = p.explain(&cands, &[3, 3, 3, 1], i);
+        assert_eq!(rule, if expect == 2 { Rule::RowHitFirst } else { Rule::RandomTie });
+        assert_eq!(p.rng.state(), reference.state(), "explain must not touch the RNG");
     }
 
     #[test]
@@ -657,18 +1279,21 @@ mod tests {
     }
 
     #[test]
+    fn policy_kind_names_and_read_first() {
+        assert_eq!(PolicyKind::HfRf.name(), "HF-RF");
+        assert_eq!(PolicyKind::MeLreq.name(), "ME-LREQ");
+        assert_eq!(PolicyKind::MeLreqOnline { epoch_cycles: 100 }.name(), "ME-LREQ-ON");
+        assert!(!PolicyKind::Fcfs.read_first());
+        assert!(PolicyKind::FcfsRf.read_first());
+        assert!(PolicyKind::MeLreq.read_first());
+        assert!(PolicyKind::MeLreqOnline { epoch_cycles: 100 }.read_first());
+    }
+
+    #[test]
     fn figure_sets_have_papers_schemes() {
-        let f2 = PolicyKind::figure2_set();
-        assert_eq!(f2.len(), 5);
-        assert_eq!(f2[0].name(), "HF-RF");
-        assert_eq!(f2[4].name(), "ME-LREQ");
-        let f3 = PolicyKind::figure3_set(4);
-        assert_eq!(f3[2].name(), "FIX-3210");
-        if let PolicyKind::Fixed { order, .. } = &f3[2] {
-            assert_eq!(order, &[3, 2, 1, 0]);
-        } else {
-            panic!("expected fixed policy");
-        }
+        let names = |set: Vec<PolicyKind>| set.iter().map(PolicyKind::name).collect::<Vec<_>>();
+        assert_eq!(names(PolicyKind::figure2_set()), ["HF-RF", "ME", "RR", "LREQ", "ME-LREQ"]);
+        assert_eq!(names(PolicyKind::figure3_set()), ["HF-RF", "ME", "FIX-3210", "FIX-0123"]);
     }
 
     #[test]
@@ -678,5 +1303,304 @@ mod tests {
             let p = kind.build(&me, 2, 7);
             assert_eq!(p.name(), kind.name());
         }
+    }
+
+    /// Run `n` decisions over `cands`, counting grants per core.
+    fn serve(p: &mut dyn SchedulerPolicy, cands: &[Candidate], n: usize) -> [u32; 2] {
+        let mut grants = [0u32; 2];
+        for _ in 0..n {
+            let i = p.select(cands, &[1, 1]);
+            grants[cands[i].core.index()] += 1;
+            p.note_grant(&cands[i]);
+        }
+        grants
+    }
+
+    #[test]
+    fn fq_alternates_between_equal_cores() {
+        let cands = [cand(0, 0, false), cand(1, 1, false)];
+        let grants = serve(&mut FairQueueing::new(2), &cands, 10);
+        assert_eq!(grants, [5, 5], "equal shares must split service evenly");
+    }
+
+    #[test]
+    fn fq_respects_weighted_shares() {
+        let cands = [cand(0, 0, false), cand(1, 1, false)];
+        let grants = serve(&mut FairQueueing::with_shares(vec![2, 1]), &cands, 12);
+        assert_eq!(grants, [8, 4], "2:1 shares must yield 2:1 service");
+    }
+
+    #[test]
+    fn fq_idle_core_cannot_monopolize_on_return() {
+        let mut p = FairQueueing::new(2);
+        // Core 0 runs alone for a while.
+        let solo = [cand(0, 0, false)];
+        for _ in 0..100 {
+            let i = p.select(&solo, &[1, 0]);
+            p.note_grant(&solo[i]);
+        }
+        // Core 1 returns: it must not win 100 grants in a row; the
+        // fast-forward clamps its deficit.
+        let both = [cand(0, 0, false), cand(1, 1, false)];
+        let mut core1_streak = 0;
+        loop {
+            let i = p.select(&both, &[1, 1]);
+            if both[i].core == CoreId(1) {
+                core1_streak += 1;
+                p.note_grant(&both[i]);
+            } else {
+                break;
+            }
+            assert!(core1_streak < 5, "returning core monopolized the bus");
+        }
+    }
+
+    #[test]
+    fn fq_uses_hit_first_within_core() {
+        let mut p = FairQueueing::new(1);
+        let cands = [cand(0, 0, false), cand(3, 0, true)];
+        assert_eq!(p.select(&cands, &[2]), 1);
+    }
+
+    #[test]
+    fn fq_attributes_start_tag() {
+        let mut p = FairQueueing::new(2);
+        p.note_grant(&cand(0, 0, false)); // core 0's clock runs ahead
+        let cands = [cand(1, 0, true), cand(2, 1, false)];
+        assert_eq!(p.select(&cands, &[1, 1]), 1);
+        let (rule, ru) = why(&p, &cands, &[1, 1], 2);
+        assert_eq!((rule, ru.map(|c| c.core)), (Rule::FqStartTag, Some(CoreId(0))));
+        // Equal tags: the lower core id goes first, still the core key.
+        let q = FairQueueing::new(2);
+        assert_eq!(why(&q, &cands, &[1, 1], 1).0, Rule::FqStartTag);
+    }
+
+    #[test]
+    fn stf_prefers_the_most_delayed_core() {
+        let mut p = StallTimeFair::new(2);
+        // Core 1 has had 10 pending reads queued for 100 cycles.
+        p.accrue(&[1, 10], 100);
+        let cands = [cand(0, 0, false), cand(1, 1, false)];
+        assert_eq!(cands[p.select(&cands, &[1, 10])].core, CoreId(1));
+        assert!(p.debt(CoreId(1)) > p.debt(CoreId(0)));
+        let (rule, ru) = why(&p, &cands, &[1, 10], 1);
+        assert_eq!((rule, ru.map(|c| c.core)), (Rule::StfDebt, Some(CoreId(0))));
+    }
+
+    #[test]
+    fn stf_debt_decays_with_service() {
+        let mut p = StallTimeFair::new(2);
+        p.accrue(&[0, 2], 100);
+        let before = p.debt(CoreId(1));
+        p.note_grant(&cand(0, 1, false));
+        assert!(p.debt(CoreId(1)) < before);
+        assert!(p.debt(CoreId(1)) >= 0.0);
+    }
+
+    #[test]
+    fn fq_snapshot_round_trips() {
+        let mut p = FairQueueing::with_shares(vec![2, 1]);
+        let cands = [cand(0, 0, false), cand(1, 1, false)];
+        serve(&mut p, &cands, 7);
+        let mut enc = melreq_snap::Enc::new();
+        p.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut q = FairQueueing::with_shares(vec![2, 1]);
+        let mut dec = melreq_snap::Dec::new(&bytes);
+        q.load_state(&mut dec).expect("load");
+        assert!(dec.is_exhausted(), "trailing bytes after fq state");
+        assert_eq!(p.virtual_time(CoreId(0)), q.virtual_time(CoreId(0)));
+        assert_eq!(p.select(&cands, &[1, 1]), q.select(&cands, &[1, 1]));
+    }
+
+    #[test]
+    fn stf_snapshot_round_trips() {
+        let mut p = StallTimeFair::new(2);
+        p.accrue(&[3, 1], 250);
+        p.note_grant(&cand(0, 0, false));
+        let mut enc = melreq_snap::Enc::new();
+        p.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut q = StallTimeFair::new(2);
+        q.load_state(&mut melreq_snap::Dec::new(&bytes)).expect("load");
+        assert_eq!(p.debt(CoreId(0)).to_bits(), q.debt(CoreId(0)).to_bits());
+        assert_eq!(p.debt(CoreId(1)).to_bits(), q.debt(CoreId(1)).to_bits());
+        let cands = [cand(5, 0, false), cand(6, 1, false)];
+        assert_eq!(p.select(&cands, &[1, 1]), q.select(&cands, &[1, 1]));
+    }
+
+    #[test]
+    fn bliss_blacklists_after_consecutive_grants() {
+        let mut p = Bliss::new(2, 3, 1000);
+        let hog = cand(0, 0, false);
+        for _ in 0..3 {
+            p.note_grant(&hog);
+        }
+        assert!(p.is_blacklisted(CoreId(0)));
+        assert!(!p.is_blacklisted(CoreId(1)));
+        // A blacklisted core's hit loses to a clean core's miss.
+        let cands = [cand(1, 0, true), cand(5, 1, false)];
+        assert_eq!(cands[p.select(&cands, &[2, 1])].core, CoreId(1));
+    }
+
+    #[test]
+    fn bliss_attributes_blacklist_and_falls_back_to_hit_order() {
+        let mut p = Bliss::new(2, 1, 1000);
+        let cands = [cand(0, 0, true), cand(1, 1, false)];
+        // Nobody blacklisted: the row buffer decided.
+        assert_eq!(why(&p, &cands, &[1, 1], 0).0, Rule::RowHitFirst);
+        // Core 1's miss beats blacklisted core 0's older hit.
+        p.note_grant(&cand(9, 0, false));
+        let (rule, ru) = why(&p, &cands, &[1, 1], 1);
+        assert_eq!((rule, ru.map(|c| c.core)), (Rule::BlissBlacklist, Some(CoreId(0))));
+    }
+
+    #[test]
+    fn bliss_streak_resets_on_interleaved_grants() {
+        let mut p = Bliss::new(2, 3, 1000);
+        p.note_grant(&cand(0, 0, false));
+        p.note_grant(&cand(1, 0, false));
+        p.note_grant(&cand(2, 1, false)); // breaks core 0's streak
+        p.note_grant(&cand(3, 0, false));
+        p.note_grant(&cand(4, 0, false));
+        assert!(!p.is_blacklisted(CoreId(0)), "streak must reset on interleave");
+        p.note_grant(&cand(5, 0, false));
+        assert!(p.is_blacklisted(CoreId(0)));
+    }
+
+    #[test]
+    fn bliss_clears_blacklist_periodically() {
+        let mut p = Bliss::new(2, 2, 4);
+        p.note_grant(&cand(0, 0, false));
+        p.note_grant(&cand(1, 0, false));
+        assert!(p.is_blacklisted(CoreId(0)));
+        p.note_grant(&cand(2, 0, false));
+        p.note_grant(&cand(3, 0, false)); // 4th grant: clearing boundary
+        assert!(!p.is_blacklisted(CoreId(0)), "blacklist must clear at the interval");
+    }
+
+    #[test]
+    fn bliss_falls_back_to_hit_first_oldest() {
+        let mut p = Bliss::new(2, 4, 1000);
+        let cands = [cand(4, 0, false), cand(7, 1, true), cand(2, 1, true)];
+        // Nobody blacklisted: hit-first-then-oldest across all cores.
+        assert_eq!(p.select(&cands, &[1, 2]), 2);
+    }
+
+    #[test]
+    fn bliss_snapshot_round_trips() {
+        let mut p = Bliss::new(2, 2, 100);
+        for i in 0..5 {
+            p.note_grant(&cand(i, 0, false));
+        }
+        let mut enc = melreq_snap::Enc::new();
+        p.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut q = Bliss::new(2, 2, 100);
+        let mut dec = melreq_snap::Dec::new(&bytes);
+        q.load_state(&mut dec).expect("load");
+        assert!(dec.is_exhausted(), "trailing bytes after bliss state");
+        let cands = [cand(10, 0, true), cand(11, 1, false)];
+        assert_eq!(p.select(&cands, &[1, 1]), q.select(&cands, &[1, 1]));
+        assert_eq!(p.is_blacklisted(CoreId(0)), q.is_blacklisted(CoreId(0)));
+    }
+
+    #[test]
+    fn bliss_load_rejects_wrong_core_count() {
+        let p = Bliss::new(4, 4, 100);
+        let mut enc = melreq_snap::Enc::new();
+        p.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut q = Bliss::new(2, 4, 100);
+        assert!(q.load_state(&mut melreq_snap::Dec::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn tcm_starts_flat_and_prefers_lower_core_id() {
+        let mut p = TcmCluster::new(2, 100);
+        let cands = [cand(3, 1, false), cand(5, 0, false)];
+        assert_eq!(cands[p.select(&cands, &[1, 1])].core, CoreId(0));
+    }
+
+    #[test]
+    fn tcm_ranks_light_cores_above_heavy_ones() {
+        let mut p = TcmCluster::new(2, 10);
+        // Core 0 takes 9 of the 10 grants in the quantum.
+        for i in 0..9 {
+            p.note_grant(&cand(i, 0, false));
+        }
+        p.note_grant(&cand(9, 1, false)); // quantum boundary: recluster
+        assert_eq!(p.ranks(), &[1, 0], "light core must outrank the heavy one");
+        let cands = [cand(20, 0, true), cand(21, 1, false)];
+        assert_eq!(cands[p.select(&cands, &[2, 1])].core, CoreId(1));
+        let (rule, ru) = why(&p, &cands, &[2, 1], 21);
+        assert_eq!((rule, ru.map(|c| c.core)), (Rule::TcmCluster, Some(CoreId(0))));
+    }
+
+    #[test]
+    fn tcm_shuffles_the_bandwidth_cluster() {
+        // Three heavy cores (above the mean) and one idle: the heavy
+        // cluster's order rotates between quanta.
+        let reads = [0u64, 10, 10, 10];
+        let r0 = TcmCluster::rank_from_interval(&reads, 0);
+        let r1 = TcmCluster::rank_from_interval(&reads, 1);
+        let r2 = TcmCluster::rank_from_interval(&reads, 2);
+        let r3 = TcmCluster::rank_from_interval(&reads, 3);
+        assert_eq!(r0[0], 0, "idle core always leads");
+        assert_ne!(r0, r1, "shuffle must rotate the bandwidth cluster");
+        assert_eq!(r0, r3, "rotation has period = cluster size");
+        assert_ne!(r1, r2);
+    }
+
+    #[test]
+    fn tcm_snapshot_round_trips() {
+        let mut p = TcmCluster::new(3, 7);
+        for i in 0..17 {
+            p.note_grant(&cand(i, u16::try_from(i % 2).expect("small"), false));
+        }
+        let mut enc = melreq_snap::Enc::new();
+        p.save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut q = TcmCluster::new(3, 7);
+        q.load_state(&mut melreq_snap::Dec::new(&bytes)).expect("load");
+        assert_eq!(p.ranks(), q.ranks());
+        let cands = [cand(30, 0, false), cand(31, 1, false), cand(32, 2, true)];
+        assert_eq!(p.select(&cands, &[1, 1, 1]), q.select(&cands, &[1, 1, 1]));
+    }
+
+    #[test]
+    fn grown_policies_report_names_and_params() {
+        assert_eq!(FairQueueing::new(1).name(), "FQ");
+        assert_eq!(StallTimeFair::new(1).name(), "STF");
+        let b = Bliss::new(2, 4, 10_000);
+        assert_eq!(b.name(), "BLISS");
+        assert_eq!(b.params(), vec![("threshold", 4), ("clear", 10_000)]);
+        let t = TcmCluster::new(2, 2_000);
+        assert_eq!(t.name(), "TCM");
+        assert_eq!(t.params(), vec![("quantum", 2_000)]);
+    }
+
+    /// A policy that states only its key gets the generic rule.
+    #[derive(Debug)]
+    struct HighestCoreFirst;
+
+    impl SchedulerPolicy for HighestCoreFirst {
+        fn name(&self) -> &'static str {
+            "HIGHEST"
+        }
+        fn core_key(&self, core: CoreId, _pending: &[u32]) -> (u64, u16) {
+            (u64::from(u16::MAX - core.0), 0)
+        }
+    }
+
+    #[test]
+    fn unnamed_core_keys_attribute_to_core_key() {
+        let mut p = HighestCoreFirst;
+        let cands = [cand(0, 0, true), cand(1, 1, false), cand(2, 1, true)];
+        assert_eq!(p.select(&cands, &[1, 2]), 2);
+        assert_eq!(why(&p, &cands, &[1, 2], 2).0, Rule::RowHitFirst);
+        let cands = [cand(0, 0, true), cand(1, 1, false)];
+        let (rule, ru) = why(&p, &cands, &[1, 1], 1);
+        assert_eq!((rule, ru.map(|c| c.id.0)), (Rule::CoreKey, Some(0)));
     }
 }

@@ -15,8 +15,7 @@
 //! the defaults, so `parse → canonical_name → parse` is the identity
 //! for every registered id and alias.
 
-use crate::policy::PolicyKind;
-use crate::zoo::{Bliss, TcmCluster};
+use crate::policy::{Bliss, PolicyKind, TcmCluster};
 use std::fmt::Write as _;
 
 /// One typed policy parameter with its default.
@@ -87,52 +86,6 @@ impl PolicyDescriptor {
     }
 }
 
-fn mk_fcfs(_: &[u64]) -> PolicyKind {
-    PolicyKind::Fcfs
-}
-fn mk_fcfs_rf(_: &[u64]) -> PolicyKind {
-    PolicyKind::FcfsRf
-}
-fn mk_hf_rf(_: &[u64]) -> PolicyKind {
-    PolicyKind::HfRf
-}
-fn mk_rr(_: &[u64]) -> PolicyKind {
-    PolicyKind::RoundRobin
-}
-fn mk_lreq(_: &[u64]) -> PolicyKind {
-    PolicyKind::Lreq
-}
-fn mk_me(_: &[u64]) -> PolicyKind {
-    PolicyKind::Me
-}
-fn mk_me_lreq(_: &[u64]) -> PolicyKind {
-    PolicyKind::MeLreq
-}
-fn mk_me_lreq_on(v: &[u64]) -> PolicyKind {
-    PolicyKind::MeLreqOnline { epoch_cycles: v[0] }
-}
-fn mk_fix_0123(_: &[u64]) -> PolicyKind {
-    PolicyKind::Fixed { name: "FIX-0123", order: vec![0, 1, 2, 3] }
-}
-fn mk_fix_3210(_: &[u64]) -> PolicyKind {
-    PolicyKind::Fixed { name: "FIX-3210", order: vec![3, 2, 1, 0] }
-}
-fn mk_fq(_: &[u64]) -> PolicyKind {
-    PolicyKind::Fq
-}
-fn mk_stf(_: &[u64]) -> PolicyKind {
-    PolicyKind::Stf
-}
-fn mk_bliss(v: &[u64]) -> PolicyKind {
-    PolicyKind::Bliss {
-        threshold: u32::try_from(v[0].clamp(1, u64::from(u32::MAX))).expect("clamped"),
-        clear_interval: v[1].max(1),
-    }
-}
-fn mk_tcm(v: &[u64]) -> PolicyKind {
-    PolicyKind::TcmCluster { quantum: v[0].max(1) }
-}
-
 /// The registry itself: every policy resolvable by name, paper schemes
 /// first in Figure 2 order, then the straw-men and extensions.
 static REGISTRY: &[PolicyDescriptor] = &[
@@ -145,7 +98,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: true,
         paper_figure: Some(0),
-        make: mk_hf_rf,
+        make: |_| PolicyKind::HfRf,
     },
     PolicyDescriptor {
         id: "me",
@@ -156,7 +109,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: true,
         read_first: true,
         paper_figure: Some(1),
-        make: mk_me,
+        make: |_| PolicyKind::Me,
     },
     PolicyDescriptor {
         id: "rr",
@@ -167,7 +120,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: true,
         paper_figure: Some(2),
-        make: mk_rr,
+        make: |_| PolicyKind::RoundRobin,
     },
     PolicyDescriptor {
         id: "lreq",
@@ -178,7 +131,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: true,
         paper_figure: Some(3),
-        make: mk_lreq,
+        make: |_| PolicyKind::Lreq,
     },
     PolicyDescriptor {
         id: "me-lreq",
@@ -189,7 +142,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: true,
         read_first: true,
         paper_figure: Some(4),
-        make: mk_me_lreq,
+        make: |_| PolicyKind::MeLreq,
     },
     PolicyDescriptor {
         id: "fcfs",
@@ -200,7 +153,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: false,
         paper_figure: None,
-        make: mk_fcfs,
+        make: |_| PolicyKind::Fcfs,
     },
     PolicyDescriptor {
         id: "fcfs-rf",
@@ -211,7 +164,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: true,
         paper_figure: None,
-        make: mk_fcfs_rf,
+        make: |_| PolicyKind::FcfsRf,
     },
     PolicyDescriptor {
         id: "me-lreq-on",
@@ -226,29 +179,29 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: true,
         paper_figure: None,
-        make: mk_me_lreq_on,
+        make: |v| PolicyKind::MeLreqOnline { epoch_cycles: v[0] },
     },
     PolicyDescriptor {
         id: "fix-0123",
         display: "FIX-0123",
         aliases: &[],
         params: &[],
-        doc: "straw-man fixed priority, core 0 first (Figure 3)",
+        doc: "straw-man fixed priority, lowest core id first (Figure 3)",
         needs_me_profile: false,
         read_first: true,
         paper_figure: None,
-        make: mk_fix_0123,
+        make: |_| PolicyKind::Fixed { descending: false },
     },
     PolicyDescriptor {
         id: "fix-3210",
         display: "FIX-3210",
         aliases: &[],
         params: &[],
-        doc: "straw-man fixed priority, core 3 first (Figure 3)",
+        doc: "straw-man fixed priority, highest core id first (Figure 3)",
         needs_me_profile: false,
         read_first: true,
         paper_figure: None,
-        make: mk_fix_3210,
+        make: |_| PolicyKind::Fixed { descending: true },
     },
     PolicyDescriptor {
         id: "fq",
@@ -259,7 +212,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: true,
         paper_figure: None,
-        make: mk_fq,
+        make: |_| PolicyKind::Fq,
     },
     PolicyDescriptor {
         id: "stf",
@@ -270,7 +223,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: true,
         paper_figure: None,
-        make: mk_stf,
+        make: |_| PolicyKind::Stf,
     },
     PolicyDescriptor {
         id: "bliss",
@@ -292,7 +245,10 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: true,
         paper_figure: None,
-        make: mk_bliss,
+        make: |v| PolicyKind::Bliss {
+            threshold: u32::try_from(v[0].clamp(1, u64::from(u32::MAX))).expect("clamped"),
+            clear_interval: v[1].max(1),
+        },
     },
     PolicyDescriptor {
         id: "tcm",
@@ -307,7 +263,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         needs_me_profile: false,
         read_first: true,
         paper_figure: None,
-        make: mk_tcm,
+        make: |v| PolicyKind::TcmCluster { quantum: v[0].max(1) },
     },
 ];
 
@@ -321,8 +277,9 @@ pub fn find(token: &str) -> Option<&'static PolicyDescriptor> {
     REGISTRY.iter().find(|d| d.id == token || d.aliases.contains(&token))
 }
 
-/// The descriptor a built [`PolicyKind`] belongs to, when registered.
-pub fn descriptor_of(kind: &PolicyKind) -> Option<&'static PolicyDescriptor> {
+/// The descriptor a [`PolicyKind`] belongs to — where its display name
+/// and flags are written down.
+pub fn descriptor_of(kind: &PolicyKind) -> &'static PolicyDescriptor {
     let id = match kind {
         PolicyKind::Fcfs => "fcfs",
         PolicyKind::FcfsRf => "fcfs-rf",
@@ -332,15 +289,14 @@ pub fn descriptor_of(kind: &PolicyKind) -> Option<&'static PolicyDescriptor> {
         PolicyKind::Me => "me",
         PolicyKind::MeLreq => "me-lreq",
         PolicyKind::MeLreqOnline { .. } => "me-lreq-on",
-        PolicyKind::Fixed { name: "FIX-0123", .. } => "fix-0123",
-        PolicyKind::Fixed { name: "FIX-3210", .. } => "fix-3210",
-        PolicyKind::Fixed { .. } => return None,
+        PolicyKind::Fixed { descending: false } => "fix-0123",
+        PolicyKind::Fixed { descending: true } => "fix-3210",
         PolicyKind::Fq => "fq",
         PolicyKind::Stf => "stf",
         PolicyKind::Bliss { .. } => "bliss",
         PolicyKind::TcmCluster { .. } => "tcm",
     };
-    find(id)
+    find(id).expect("every policy kind is registered")
 }
 
 /// Current parameter values of `kind`, in its descriptor's `params`
@@ -358,12 +314,9 @@ fn param_values(kind: &PolicyKind) -> Vec<u64> {
 
 /// The canonical parse token of `kind`: the registry id, with
 /// `(key=val,...)` appended only for parameters that differ from their
-/// defaults. Unregistered kinds (ad-hoc `Fixed` orders) fall back to
-/// the lowercased display name.
+/// defaults.
 pub fn canonical_name(kind: &PolicyKind) -> String {
-    let Some(desc) = descriptor_of(kind) else {
-        return kind.name().to_ascii_lowercase();
-    };
+    let desc = descriptor_of(kind);
     let values = param_values(kind);
     let overrides: Vec<String> = desc
         .params
@@ -377,15 +330,6 @@ pub fn canonical_name(kind: &PolicyKind) -> String {
     } else {
         format!("{}({})", desc.id, overrides.join(","))
     }
-}
-
-/// The registry's paper-figure compare set (Figure 2 order) — what
-/// `compare` runs when no explicit policy set is given.
-pub fn paper_figure_set() -> Vec<PolicyKind> {
-    let mut figured: Vec<&PolicyDescriptor> =
-        REGISTRY.iter().filter(|d| d.paper_figure.is_some()).collect();
-    figured.sort_by_key(|d| d.paper_figure);
-    figured.iter().map(|d| d.default_kind()).collect()
 }
 
 /// Single-line JSON array of every descriptor (`GET /policies` body).
@@ -546,13 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_figure_set_matches_figure2() {
-        let reg = paper_figure_set();
-        let fig2 = PolicyKind::figure2_set();
-        assert_eq!(reg, fig2, "registry must enumerate the paper's Figure 2 set in order");
-    }
-
-    #[test]
     fn ids_and_aliases_are_unique_and_lowercase() {
         let mut seen = Vec::new();
         for d in registry() {
@@ -561,15 +498,6 @@ mod tests {
                 assert!(!seen.contains(&token), "token '{token}' registered twice");
                 seen.push(token);
             }
-        }
-    }
-
-    #[test]
-    fn descriptor_flags_mirror_policy_kind() {
-        for d in registry() {
-            let kind = d.default_kind();
-            assert_eq!(d.read_first, kind.read_first(), "{}: read_first drift", d.id);
-            assert_eq!(d.display, kind.name(), "{}: display drift", d.id);
         }
     }
 

@@ -27,6 +27,10 @@ pub struct PriorityTable {
     tables: Vec<[PriorityFixed; MAX_PENDING as usize]>,
     /// The log-domain scale factor applied before rounding.
     scale: f64,
+    /// The ME vector the tables were programmed from: what
+    /// `MeLreq::core_rule` splits a win by. No decision reads it.
+    // melreq-allow(S02): provenance input, never serialized
+    me: Vec<f64>, // melreq-allow(S01): provenance input; a restored table keeps its receiver's construction profile
 }
 
 impl PriorityTable {
@@ -81,7 +85,7 @@ impl PriorityTable {
                 t
             })
             .collect();
-        PriorityTable { tables, scale }
+        PriorityTable { tables, scale, me: me.to_vec() }
     }
 
     /// Build the tables with **linear** quantization instead of the
@@ -106,7 +110,7 @@ impl PriorityTable {
                 t
             })
             .collect();
-        PriorityTable { tables, scale }
+        PriorityTable { tables, scale, me: me.to_vec() }
     }
 
     /// Number of per-core tables.
@@ -117,6 +121,11 @@ impl PriorityTable {
     /// The scale factor in use.
     pub fn scale(&self) -> f64 {
         self.scale
+    }
+
+    /// The ME vector the tables were programmed from.
+    pub fn me(&self) -> &[f64] {
+        &self.me
     }
 
     /// The hardware table read: the quantized priority of `core` given its

@@ -104,7 +104,7 @@ proptest! {
         let me: Vec<f64> = (0..8).map(|i| 1.0 + i as f64 * 3.0).collect();
         let mut policies = PolicyKind::figure2_set();
         policies.push(PolicyKind::Fcfs);
-        policies.push(PolicyKind::Fixed { name: "FIX", order: (0..8).rev().collect() });
+        policies.push(PolicyKind::Fixed { descending: true });
         for kind in policies {
             let mut p = kind.build(&me, 8, seed);
             let idx = p.select(&cands, &pending);

@@ -6,19 +6,18 @@
 //! `melreq_audit::AuditHandle` tap the protocol checker uses, so the
 //! instrumented crates need no new hooks and the disabled path stays a
 //! single `Option` check. Everything here is read-only observation:
-//! the collector never calls back into the simulator and never re-runs
-//! a policy (see `provenance`), which is what makes tracing provably
-//! inert.
+//! the collector never calls back into the simulator and holds no model
+//! of any policy — each `Decision` arrives with its rule already named
+//! (see `provenance`) — which is what makes tracing provably inert.
 
 use melreq_audit::{AuditEvent, AuditHandle, AuditSink, GrantOutcome, TimingParams};
-use melreq_memctrl::{Bliss, PriorityTable, TcmCluster};
 use melreq_stats::types::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 use crate::event::{CmdKind, TraceEvent, TraceRing};
-use crate::provenance::{classify, fix_rank, me_rank, PolicyView, Rule, RuleTotals, RunnerUp};
+use crate::provenance::{Rule, RuleTotals, RunnerUp};
 use crate::series::EpochRow;
 
 /// Collector configuration.
@@ -81,23 +80,7 @@ pub struct Collector {
     channels: usize,
     cores: usize,
     policy: String,
-    read_first: bool,
     me: Vec<f64>,
-    table: Option<PriorityTable>,
-    fixed_rank: Option<Vec<u32>>,
-    rr_next: usize,
-    /// Tunable parameters announced via `PolicyParams`.
-    params: Vec<(&'static str, u64)>,
-    /// BLISS replica: blacklist bits, streak owner/length, grant count.
-    bliss_blacklisted: Vec<bool>,
-    bliss_last_core: Option<u16>,
-    bliss_streak: u64,
-    bliss_grants: u64,
-    /// TCM replica: per-quantum read counts, grant count, ranks, shuffle.
-    tcm_reads: Vec<u64>,
-    tcm_grants: u64,
-    tcm_rank: Vec<u32>,
-    tcm_shuffle: u64,
     // --- provenance ---
     pending_rule: Option<(u64, Rule, Option<RunnerUp>)>,
     totals: Vec<(String, RuleTotals)>,
@@ -121,20 +104,7 @@ impl Collector {
             channels: 0,
             cores: 0,
             policy: String::new(),
-            read_first: true,
             me: Vec::new(),
-            table: None,
-            fixed_rank: None,
-            rr_next: 0,
-            params: Vec::new(),
-            bliss_blacklisted: Vec::new(),
-            bliss_last_core: None,
-            bliss_streak: 0,
-            bliss_grants: 0,
-            tcm_reads: Vec::new(),
-            tcm_grants: 0,
-            tcm_rank: Vec::new(),
-            tcm_shuffle: 0,
             pending_rule: None,
             totals: Vec::new(),
             decisions_seen: 0,
@@ -301,78 +271,12 @@ impl Collector {
         }
     }
 
-    /// The announced value of parameter `key`, or `default` when the
-    /// stream never announced one.
-    fn param(&self, key: &str, default: u64) -> u64 {
-        self.params.iter().find(|(k, _)| *k == key).map_or(default, |(_, v)| *v)
-    }
-
-    /// Advance the replica of the active policy's grant-history state
-    /// for one policy-selected (read) grant, mirroring `note_grant`.
-    fn replay_note_grant(&mut self, core: u16) {
-        match self.policy.as_str() {
-            "RR" if self.cores > 0 => {
-                self.rr_next = (usize::from(core) + 1) % self.cores;
-            }
-            "BLISS" => {
-                if self.bliss_last_core == Some(core) {
-                    self.bliss_streak += 1;
-                } else {
-                    self.bliss_last_core = Some(core);
-                    self.bliss_streak = 1;
-                }
-                let threshold = self.param("threshold", u64::from(Bliss::DEFAULT_THRESHOLD));
-                if self.bliss_streak >= threshold {
-                    if let Some(b) = self.bliss_blacklisted.get_mut(usize::from(core)) {
-                        *b = true;
-                    }
-                }
-                self.bliss_grants += 1;
-                if self.bliss_grants >= self.param("clear", Bliss::DEFAULT_CLEAR_INTERVAL) {
-                    self.bliss_blacklisted.iter_mut().for_each(|b| *b = false);
-                    self.bliss_grants = 0;
-                }
-            }
-            "TCM" => {
-                if let Some(r) = self.tcm_reads.get_mut(usize::from(core)) {
-                    *r += 1;
-                }
-                self.tcm_grants += 1;
-                if self.tcm_grants >= self.param("quantum", TcmCluster::DEFAULT_QUANTUM) {
-                    self.tcm_rank =
-                        TcmCluster::rank_from_interval(&self.tcm_reads, self.tcm_shuffle);
-                    self.tcm_shuffle += 1;
-                    self.tcm_reads.iter_mut().for_each(|r| *r = 0);
-                    self.tcm_grants = 0;
-                }
-            }
-            _ => {}
-        }
-    }
-
     fn current_totals(&mut self) -> &mut RuleTotals {
         if let Some(i) = self.totals.iter().position(|(name, _)| *name == self.policy) {
             &mut self.totals[i].1
         } else {
             self.totals.push((self.policy.clone(), RuleTotals::default()));
             &mut self.totals.last_mut().expect("just pushed").1
-        }
-    }
-
-    /// Rebuild the replica policy state after a `CtrlConfig` or
-    /// `ProfileUpdate` (both cheap and rare: attach, policy swap,
-    /// online-ME epoch).
-    fn rebuild_policy_caches(&mut self) {
-        self.fixed_rank = None;
-        self.table = None;
-        if self.me.is_empty() {
-            return;
-        }
-        match self.policy.as_str() {
-            "ME" => self.fixed_rank = Some(me_rank(&self.me)),
-            name if name.starts_with("FIX-") => self.fixed_rank = fix_rank(name, self.cores),
-            "ME-LREQ" => self.table = Some(PriorityTable::new(&self.me)),
-            _ => {}
         }
     }
 
@@ -445,37 +349,17 @@ impl AuditSink for Collector {
                 self.chan_accum.resize(*channels, ChanAccum::default());
                 self.prev_busy.resize(*channels, 0);
             }
-            AuditEvent::CtrlConfig { cores, policy, read_first, .. } => {
+            AuditEvent::CtrlConfig { cores, policy, .. } => {
                 self.cores = *cores;
                 self.policy = (*policy).to_string();
-                self.read_first = *read_first;
-                // A (re-)announced policy is freshly constructed: its
-                // rotation pointer, blacklist, and clustering all start
-                // from their initial state.
-                self.rr_next = 0;
-                self.params = Vec::new();
-                self.bliss_blacklisted = vec![false; *cores];
-                self.bliss_last_core = None;
-                self.bliss_streak = 0;
-                self.bliss_grants = 0;
-                self.tcm_reads = vec![0; *cores];
-                self.tcm_grants = 0;
-                self.tcm_rank = vec![0; *cores];
-                self.tcm_shuffle = 0;
                 self.pending_rule = None;
                 while self.tracks.len() < *cores {
                     self.tracks.push(CoreTrack::default());
                 }
                 self.prev_committed.resize(*cores, 0);
-                self.rebuild_policy_caches();
             }
-            AuditEvent::PolicyParams { params } => {
-                self.params = params.clone();
-            }
-            AuditEvent::ProfileUpdate { me } => {
-                self.me = me.clone();
-                self.rebuild_policy_caches();
-            }
+            AuditEvent::PolicyParams { .. } => {}
+            AuditEvent::ProfileUpdate { me } => self.me = me.clone(),
             AuditEvent::Submit { id, core, channel, bank, row, write, at } => {
                 self.ring.push(TraceEvent::Arrival {
                     id: *id,
@@ -513,23 +397,12 @@ impl AuditSink for Collector {
                     dur: self.timing.t_rp.max(1),
                 });
             }
-            AuditEvent::Decision { draining, chosen, candidates, pending_reads, .. } => {
+            AuditEvent::Decision { chosen, candidates, why: (rule, beaten), .. } => {
                 self.decisions_seen += 1;
-                let view = PolicyView {
-                    name: &self.policy,
-                    read_first: self.read_first,
-                    table: self.table.as_ref(),
-                    fixed_rank: self.fixed_rank.as_deref(),
-                    me: &self.me,
-                    rr_next: self.rr_next,
-                    blacklisted: &self.bliss_blacklisted,
-                    tcm_rank: &self.tcm_rank,
-                    cores: self.cores,
-                };
-                let (rule, runner_up) =
-                    classify(&view, *draining, *chosen, candidates, pending_reads);
-                self.current_totals().add(rule);
-                self.pending_rule = Some((*chosen, rule, runner_up));
+                let runner_up =
+                    beaten.and_then(|id| candidates.iter().find(|c| c.id == id)).map(RunnerUp::of);
+                self.current_totals().add(*rule);
+                self.pending_rule = Some((*chosen, *rule, runner_up));
             }
             AuditEvent::Grant {
                 id,
@@ -583,9 +456,6 @@ impl AuditSink for Collector {
                     }
                 }
                 if !*write {
-                    // Replay the grant-history policy state: `note_grant`
-                    // fires exactly on policy-selected (read) grants.
-                    self.replay_note_grant(*core);
                     let core = *core as usize;
                     if core < self.tracks.len() {
                         self.tracks[core].completions.push(Reverse(*data_ready));
@@ -702,6 +572,7 @@ mod tests {
                 },
             ],
             pending_reads: vec![1, 1],
+            why: (Rule::RowHitFirst, Some(0)),
         });
         c.record(&grant(1, 0, false, 5, GrantOutcome::Hit));
         let (name, totals) = c.active_rule_totals().expect("totals");
@@ -736,6 +607,7 @@ mod tests {
                     arrival: 0,
                 }],
                 pending_reads: vec![1, 0],
+                why: (Rule::OnlyCandidate, None),
             });
         };
         one_decision(&mut c);

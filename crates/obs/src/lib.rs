@@ -21,10 +21,11 @@
 //!    beaten runner-up, with per-policy totals.
 //!
 //! Tracing is *provably inert*: the collector only observes the event
-//! stream — it never re-runs a policy (which would advance ME-LREQ's
-//! tie-break RNG) and never calls back into the simulator, so enabling
-//! it cannot change `RunOutcome`s or audit hashes. The determinism
-//! test in `melreq-core` pins this for all five paper policies.
+//! stream — the rule behind each grant arrives on it, named by the
+//! controller through `SchedulerPolicy::explain(&self)` — and never
+//! calls back into the simulator, so enabling it cannot change
+//! `RunOutcome`s or audit hashes. The determinism test in `melreq-core`
+//! pins this for every registered policy.
 
 pub mod collector;
 pub mod event;

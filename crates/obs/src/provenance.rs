@@ -1,104 +1,14 @@
 //! Scheduler decision provenance: which rule won each grant.
 //!
-//! The collector re-derives, for every `Decision` event in the audit tap
-//! stream, *why* the chosen request beat the others — purely from the
-//! candidate set, the per-core pending-read counts, and a replica of the
-//! policy's public state (ME vector / priority table / rotation
-//! pointer). The real policy object is never consulted and never
-//! re-run, so classification cannot advance ME-LREQ's tie-break RNG or
-//! otherwise perturb the simulation.
-//!
-//! Classification is attribution, not arbitration: the observed
-//! `chosen` id is always taken as ground truth. When the replica cannot
-//! explain the choice (an external policy such as FQ/STF, or an
-//! ablation table the tap stream does not describe), the grant is
-//! attributed to [`Rule::External`] rather than guessed.
+//! The controller states, on every `Decision` event of the audit tap, the
+//! [`Rule`] that decided and the id of the best request the winner beat —
+//! read off the same comparator chain that made the choice
+//! (`SchedulerPolicy::explain`, which takes `&self` and so cannot perturb
+//! the simulation). This module only keeps the books: per-policy totals
+//! and the runner-up as the trace shows it.
 
 use melreq_audit::CandidateInfo;
-use melreq_memctrl::PriorityTable;
-use melreq_stats::types::CoreId;
-
-/// The rule that decided a grant (see DESIGN.md "Observability" for the
-/// full decision tree).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rule {
-    /// Only one schedulable request existed: no arbitration happened.
-    OnlyCandidate,
-    /// The sole schedulable read bypassed pending writes.
-    ReadFirst,
-    /// Same-core contest settled by the open-row buffer (hit vs. miss).
-    RowHitFirst,
-    /// Same class, same standing: arrival order broke the tie.
-    FcfsTiebreak,
-    /// Round-Robin's rotation pointer picked the winning core.
-    RoundRobin,
-    /// A fixed core ranking (ME or FIX-*) — or, for ME-LREQ, the ME
-    /// term with pending counts equal — picked the winning core.
-    MeRank,
-    /// The pending-read count (LREQ, or ME-LREQ with equal ME) picked
-    /// the winning core.
-    LreqCount,
-    /// ME-LREQ's full `ME/PendingRead` ratio decided (both terms
-    /// differed between the contending cores).
-    MeLreqRatio,
-    /// ME-LREQ's quantized priorities tied; the seeded RNG picked.
-    RandomTie,
-    /// BLISS's blacklist bit demoted the beaten core's requests.
-    BlissBlacklist,
-    /// TCM's cluster ranking picked the winning core.
-    TcmCluster,
-    /// Write-drain mode: writes were being flushed ahead of reads.
-    WriteDrain,
-    /// No read was schedulable, so a write went out opportunistically.
-    WriteFallback,
-    /// An external or unreplicable policy made the call (FQ, STF,
-    /// ablation tables).
-    External,
-}
-
-impl Rule {
-    /// Every rule, in report order.
-    pub const ALL: [Rule; 14] = [
-        Rule::OnlyCandidate,
-        Rule::ReadFirst,
-        Rule::RowHitFirst,
-        Rule::FcfsTiebreak,
-        Rule::RoundRobin,
-        Rule::MeRank,
-        Rule::LreqCount,
-        Rule::MeLreqRatio,
-        Rule::RandomTie,
-        Rule::BlissBlacklist,
-        Rule::TcmCluster,
-        Rule::WriteDrain,
-        Rule::WriteFallback,
-        Rule::External,
-    ];
-
-    /// Display name used in reports and trace args.
-    pub fn name(self) -> &'static str {
-        match self {
-            Rule::OnlyCandidate => "only-candidate",
-            Rule::ReadFirst => "read-first",
-            Rule::RowHitFirst => "row-hit-first",
-            Rule::FcfsTiebreak => "fcfs-tiebreak",
-            Rule::RoundRobin => "round-robin",
-            Rule::MeRank => "me-rank",
-            Rule::LreqCount => "lreq-count",
-            Rule::MeLreqRatio => "me-lreq-ratio",
-            Rule::RandomTie => "random-tie",
-            Rule::BlissBlacklist => "bliss-blacklist",
-            Rule::TcmCluster => "tcm-cluster",
-            Rule::WriteDrain => "write-drain",
-            Rule::WriteFallback => "write-fallback",
-            Rule::External => "external",
-        }
-    }
-
-    fn index(self) -> usize {
-        Rule::ALL.iter().position(|&r| r == self).expect("rule listed in ALL")
-    }
-}
+pub use melreq_audit::Rule;
 
 /// The best candidate the winner beat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +24,7 @@ pub struct RunnerUp {
 }
 
 impl RunnerUp {
-    fn of(c: &CandidateInfo) -> Self {
+    pub(crate) fn of(c: &CandidateInfo) -> Self {
         RunnerUp { id: c.id, core: c.core, write: c.write, row_hit: c.row_hit }
     }
 }
@@ -128,12 +38,12 @@ pub struct RuleTotals {
 impl RuleTotals {
     /// Count one decision under `rule`.
     pub fn add(&mut self, rule: Rule) {
-        self.counts[rule.index()] += 1;
+        self.counts[rule as usize] += 1;
     }
 
     /// Decisions attributed to `rule`.
     pub fn get(&self, rule: Rule) -> u64 {
-        self.counts[rule.index()]
+        self.counts[rule as usize]
     }
 
     /// Total decisions counted.
@@ -150,437 +60,9 @@ impl RuleTotals {
     }
 }
 
-/// The collector's replica of the active policy's decision inputs.
-#[derive(Debug)]
-pub(crate) struct PolicyView<'a> {
-    /// Active policy display name (from `CtrlConfig`).
-    pub name: &'a str,
-    /// Whether reads bypass writes.
-    pub read_first: bool,
-    /// ME-LREQ's priority table, rebuilt from the last `ProfileUpdate`.
-    pub table: Option<&'a PriorityTable>,
-    /// Per-core rank (0 = best) for ME / FIX-* policies.
-    pub fixed_rank: Option<&'a [u32]>,
-    /// Live ME vector (last `ProfileUpdate`).
-    pub me: &'a [f64],
-    /// Replica of Round-Robin's rotation pointer.
-    pub rr_next: usize,
-    /// Replica of BLISS's per-core blacklist bits (empty otherwise).
-    pub blacklisted: &'a [bool],
-    /// Replica of TCM's per-core cluster ranks (empty otherwise).
-    pub tcm_rank: &'a [u32],
-    /// Core count.
-    pub cores: usize,
-}
-
-/// Hit-first-then-oldest sort key, mirroring the policies' in-core
-/// tiebreak (smaller = preferred).
-fn hf_key(c: &CandidateInfo) -> (bool, u64) {
-    (!c.row_hit, c.id)
-}
-
-/// Same-core contest: the row buffer decided iff hit status differs.
-fn same_core_rule(chosen: &CandidateInfo, beaten: &CandidateInfo) -> Rule {
-    if chosen.row_hit != beaten.row_hit {
-        Rule::RowHitFirst
-    } else {
-        Rule::FcfsTiebreak
-    }
-}
-
-/// Attribute one scheduling decision. Returns the winning rule and the
-/// beaten runner-up (`None` when nothing contested the choice).
-pub(crate) fn classify(
-    view: &PolicyView<'_>,
-    draining: bool,
-    chosen: u64,
-    cands: &[CandidateInfo],
-    pending: &[u32],
-) -> (Rule, Option<RunnerUp>) {
-    let Some(ci) = cands.iter().find(|c| c.id == chosen) else {
-        return (Rule::External, None);
-    };
-    if cands.len() == 1 {
-        return (Rule::OnlyCandidate, None);
-    }
-
-    if ci.write {
-        // Writes only go out while draining or when no read is
-        // schedulable; either way the in-class order is hit-first.
-        let rule = if draining && view.read_first { Rule::WriteDrain } else { Rule::WriteFallback };
-        let beaten = cands
-            .iter()
-            .filter(|c| c.write && c.id != chosen)
-            .min_by_key(|c| hf_key(c))
-            .or_else(|| cands.iter().filter(|c| !c.write).min_by_key(|c| hf_key(c)));
-        return (rule, beaten.map(RunnerUp::of));
-    }
-
-    if !view.read_first {
-        // Plain FCFS: one mixed class, strictly by arrival order.
-        let beaten = cands.iter().filter(|c| c.id != chosen).min_by_key(|c| c.id);
-        return (Rule::FcfsTiebreak, beaten.map(RunnerUp::of));
-    }
-
-    let other_reads: Vec<&CandidateInfo> =
-        cands.iter().filter(|c| !c.write && c.id != chosen).collect();
-    if other_reads.is_empty() {
-        // The only schedulable read; it bypassed the pending writes.
-        let beaten = cands.iter().filter(|c| c.write).min_by_key(|c| hf_key(c));
-        return match beaten {
-            Some(w) => (Rule::ReadFirst, Some(RunnerUp::of(w))),
-            None => (Rule::OnlyCandidate, None),
-        };
-    }
-
-    // Same-core reads exist → the core-selection layer was not decisive;
-    // the in-core hit-first-then-oldest order was. This holds for every
-    // core-aware policy (they all finish with `pick_hf_oldest`).
-    let same_core =
-        other_reads.iter().filter(|c| c.core == ci.core).min_by_key(|c| hf_key(c)).copied();
-    let cross_core = |core: u16| {
-        other_reads.iter().filter(move |c| c.core == core).min_by_key(|c| hf_key(c)).copied()
-    };
-
-    match view.name {
-        "FCFS" | "FCFS-RF" => {
-            let beaten = other_reads.iter().min_by_key(|c| c.id).copied();
-            (Rule::FcfsTiebreak, beaten.map(RunnerUp::of))
-        }
-        "HF-RF" => {
-            let beaten = other_reads.iter().min_by_key(|c| hf_key(c)).copied().expect("non-empty");
-            (same_core_rule(ci, beaten), Some(RunnerUp::of(beaten)))
-        }
-        "RR" => {
-            if let Some(b) = same_core {
-                return (same_core_rule(ci, b), Some(RunnerUp::of(b)));
-            }
-            // The rotation beat the *next* core after the winner's slot
-            // that also had a read schedulable.
-            if view.cores > 0 {
-                for off in 0..view.cores {
-                    let core = ((view.rr_next + off) % view.cores) as u16;
-                    if core == ci.core {
-                        continue;
-                    }
-                    if let Some(b) = cross_core(core) {
-                        return (Rule::RoundRobin, Some(RunnerUp::of(b)));
-                    }
-                }
-            }
-            (Rule::External, None)
-        }
-        "LREQ" => {
-            if let Some(b) = same_core {
-                return (same_core_rule(ci, b), Some(RunnerUp::of(b)));
-            }
-            // LeastRequest keys cores by (pending, core id), ascending.
-            let beaten_core = other_reads
-                .iter()
-                .map(|c| c.core)
-                .min_by_key(|&c| (pending.get(c as usize).copied().unwrap_or(0), c))
-                .expect("non-empty");
-            let b = cross_core(beaten_core).expect("core has a read");
-            (Rule::LreqCount, Some(RunnerUp::of(b)))
-        }
-        name if view.fixed_rank.is_some() && (name == "ME" || name.starts_with("FIX-")) => {
-            if let Some(b) = same_core {
-                return (same_core_rule(ci, b), Some(RunnerUp::of(b)));
-            }
-            let rank = view.fixed_rank.expect("guarded");
-            let beaten_core = other_reads
-                .iter()
-                .map(|c| c.core)
-                .min_by_key(|&c| rank.get(c as usize).copied().unwrap_or(u32::MAX))
-                .expect("non-empty");
-            let b = cross_core(beaten_core).expect("core has a read");
-            (Rule::MeRank, Some(RunnerUp::of(b)))
-        }
-        "ME-LREQ" => {
-            if let Some(b) = same_core {
-                return (same_core_rule(ci, b), Some(RunnerUp::of(b)));
-            }
-            let Some(table) = view.table else {
-                return (Rule::External, None);
-            };
-            let prio = |core: u16| {
-                let p = pending.get(core as usize).copied().unwrap_or(0).max(1);
-                table.lookup(CoreId(core), p)
-            };
-            // Highest priority among the other cores, ties to the lower
-            // core id (deterministic runner-up even when the real
-            // policy's RNG would have picked among ties).
-            let beaten_core = other_reads
-                .iter()
-                .map(|c| c.core)
-                .min_by_key(|&c| (std::cmp::Reverse(prio(c)), c))
-                .expect("non-empty");
-            let b = cross_core(beaten_core).expect("core has a read");
-            let (pc, po) = (prio(ci.core), prio(beaten_core));
-            if pc == po {
-                return (Rule::RandomTie, Some(RunnerUp::of(b)));
-            }
-            if pc < po {
-                // The replica disagrees with the observed winner: the
-                // controller must be running a table we cannot see
-                // (e.g. the linear-quantization ablation). Attribute
-                // conservatively instead of guessing.
-                return (Rule::External, Some(RunnerUp::of(b)));
-            }
-            // pc > po — split the win between the ME and LREQ terms.
-            let me_of = |core: u16| view.me.get(core as usize).copied().unwrap_or(1.0);
-            let pend_of = |core: u16| pending.get(core as usize).copied().unwrap_or(0).max(1);
-            let rule = if me_of(ci.core) == me_of(beaten_core) {
-                Rule::LreqCount
-            } else if pend_of(ci.core) == pend_of(beaten_core) {
-                Rule::MeRank
-            } else {
-                Rule::MeLreqRatio
-            };
-            (rule, Some(RunnerUp::of(b)))
-        }
-        "BLISS" => {
-            // Request-level rule: minimize (blacklisted, !row_hit, id).
-            let bl = |c: &CandidateInfo| {
-                view.blacklisted.get(usize::from(c.core)).copied().unwrap_or(false)
-            };
-            let beaten =
-                other_reads.iter().min_by_key(|c| (bl(c), hf_key(c))).copied().expect("non-empty");
-            let rule = if bl(ci) != bl(beaten) {
-                Rule::BlissBlacklist
-            } else {
-                same_core_rule(ci, beaten)
-            };
-            (rule, Some(RunnerUp::of(beaten)))
-        }
-        "TCM" => {
-            if let Some(b) = same_core {
-                return (same_core_rule(ci, b), Some(RunnerUp::of(b)));
-            }
-            let rank_of =
-                |core: u16| view.tcm_rank.get(usize::from(core)).copied().unwrap_or(u32::MAX);
-            let beaten_core = other_reads
-                .iter()
-                .map(|c| c.core)
-                .min_by_key(|&c| (rank_of(c), c))
-                .expect("non-empty");
-            let b = cross_core(beaten_core).expect("core has a read");
-            (Rule::TcmCluster, Some(RunnerUp::of(b)))
-        }
-        _ => (Rule::External, None),
-    }
-}
-
-/// Per-core rank (0 = best) of the ME scheme: descending profiled
-/// memory efficiency, ties to the lower core id — mirrors
-/// `FixedPriority::from_memory_efficiency`.
-pub(crate) fn me_rank(me: &[f64]) -> Vec<u32> {
-    let mut order: Vec<usize> = (0..me.len()).collect();
-    order.sort_by(|&a, &b| {
-        me[b].partial_cmp(&me[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
-    let mut rank = vec![0u32; me.len()];
-    for (pos, &core) in order.iter().enumerate() {
-        rank[core] = pos as u32;
-    }
-    rank
-}
-
-/// Parse a FIX-* policy name ("FIX-3210") into its per-core rank
-/// vector, if the digits cover `cores` cores exactly.
-pub(crate) fn fix_rank(name: &str, cores: usize) -> Option<Vec<u32>> {
-    let digits = name.strip_prefix("FIX-")?;
-    let order: Option<Vec<usize>> =
-        digits.chars().map(|c| c.to_digit(10).map(|d| d as usize)).collect();
-    let order = order?;
-    if order.len() != cores {
-        return None;
-    }
-    let mut rank = vec![u32::MAX; cores];
-    for (pos, &core) in order.iter().enumerate() {
-        if core >= cores || rank[core] != u32::MAX {
-            return None;
-        }
-        rank[core] = pos as u32;
-    }
-    Some(rank)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cand(id: u64, core: u16, write: bool, hit: bool) -> CandidateInfo {
-        CandidateInfo { id, core, bank: 0, row: id, write, row_hit: hit, arrival: id }
-    }
-
-    fn view<'a>(name: &'a str, me: &'a [f64], cores: usize) -> PolicyView<'a> {
-        PolicyView {
-            name,
-            read_first: name != "FCFS",
-            table: None,
-            fixed_rank: None,
-            me,
-            rr_next: 0,
-            blacklisted: &[],
-            tcm_rank: &[],
-            cores,
-        }
-    }
-
-    #[test]
-    fn single_candidate_is_uncontested() {
-        let v = view("HF-RF", &[], 2);
-        let cands = [cand(3, 0, false, true)];
-        assert_eq!(classify(&v, false, 3, &cands, &[1, 0]), (Rule::OnlyCandidate, None));
-    }
-
-    #[test]
-    fn hf_rf_attributes_hit_vs_age() {
-        let v = view("HF-RF", &[], 2);
-        // Hit id 5 beats miss id 2 → row-hit-first.
-        let cands = [cand(5, 0, false, true), cand(2, 1, false, false)];
-        let (rule, ru) = classify(&v, false, 5, &cands, &[1, 1]);
-        assert_eq!(rule, Rule::RowHitFirst);
-        assert_eq!(ru.map(|r| r.id), Some(2));
-        // Both hits: age decided.
-        let cands = [cand(1, 0, false, true), cand(4, 1, false, true)];
-        let (rule, _) = classify(&v, false, 1, &cands, &[1, 1]);
-        assert_eq!(rule, Rule::FcfsTiebreak);
-    }
-
-    #[test]
-    fn lone_read_beats_writes_by_read_first() {
-        let v = view("HF-RF", &[], 2);
-        let cands = [cand(7, 0, false, false), cand(2, 1, true, true)];
-        let (rule, ru) = classify(&v, false, 7, &cands, &[1, 0]);
-        assert_eq!(rule, Rule::ReadFirst);
-        assert_eq!(ru.map(|r| r.id), Some(2));
-    }
-
-    #[test]
-    fn drain_mode_attributes_write_drain() {
-        let v = view("HF-RF", &[], 2);
-        let cands = [cand(2, 0, true, true), cand(1, 1, false, true)];
-        let (rule, ru) = classify(&v, true, 2, &cands, &[0, 1]);
-        assert_eq!(rule, Rule::WriteDrain);
-        assert_eq!(ru.map(|r| r.id), Some(1));
-    }
-
-    #[test]
-    fn lreq_attributes_pending_counts() {
-        let v = view("LREQ", &[], 2);
-        let cands = [cand(9, 0, false, false), cand(1, 1, false, true)];
-        // Core 0 wins with fewer pending reads despite older hit on 1.
-        let (rule, ru) = classify(&v, false, 9, &cands, &[1, 6]);
-        assert_eq!(rule, Rule::LreqCount);
-        assert_eq!(ru.map(|r| r.core), Some(1));
-    }
-
-    #[test]
-    fn round_robin_attributes_rotation() {
-        let mut v = view("RR", &[], 4);
-        v.rr_next = 2;
-        let cands = [cand(0, 2, false, false), cand(1, 0, false, false)];
-        let (rule, ru) = classify(&v, false, 0, &cands, &[1, 0, 1, 0]);
-        assert_eq!(rule, Rule::RoundRobin);
-        assert_eq!(ru.map(|r| r.core), Some(0));
-    }
-
-    #[test]
-    fn me_rank_mirrors_fixed_priority() {
-        assert_eq!(me_rank(&[2.0, 40.0, 1.0, 15.0]), vec![2, 0, 3, 1]);
-    }
-
-    #[test]
-    fn fix_rank_parses_paper_orders() {
-        assert_eq!(fix_rank("FIX-3210", 4), Some(vec![3, 2, 1, 0]));
-        assert_eq!(fix_rank("FIX-0123", 4), Some(vec![0, 1, 2, 3]));
-        assert_eq!(fix_rank("FIX-33", 2), None);
-        assert_eq!(fix_rank("ME", 2), None);
-    }
-
-    #[test]
-    fn me_scheme_attributes_rank() {
-        let me = [2.0, 40.0];
-        let rank = me_rank(&me);
-        let mut v = view("ME", &me, 2);
-        v.fixed_rank = Some(&rank);
-        let cands = [cand(8, 1, false, false), cand(1, 0, false, true)];
-        let (rule, ru) = classify(&v, false, 8, &cands, &[1, 1]);
-        assert_eq!(rule, Rule::MeRank);
-        assert_eq!(ru.map(|r| r.core), Some(0));
-    }
-
-    #[test]
-    fn me_lreq_splits_attribution_between_terms() {
-        let me = [16.0, 4.0];
-        let table = PriorityTable::new(&me);
-        let mut v = view("ME-LREQ", &me, 2);
-        v.table = Some(&table);
-        let cands = [cand(0, 0, false, true), cand(1, 1, false, false)];
-        // Equal pending → the ME term decided.
-        let (rule, _) = classify(&v, false, 0, &cands, &[2, 2]);
-        assert_eq!(rule, Rule::MeRank);
-        // Core 0's ratio 16/8 loses to core 1's 4/1 → ratio attribution
-        // for core 1's win (both terms differ).
-        let (rule, ru) = classify(&v, false, 1, &cands, &[8, 1]);
-        assert_eq!(rule, Rule::MeLreqRatio);
-        assert_eq!(ru.map(|r| r.core), Some(0));
-        // Equal ME collapses to least-request.
-        let me_eq = [8.0, 8.0];
-        let table_eq = PriorityTable::new(&me_eq);
-        let mut v = view("ME-LREQ", &me_eq, 2);
-        v.table = Some(&table_eq);
-        let (rule, _) = classify(&v, false, 1, &cands, &[5, 1]);
-        assert_eq!(rule, Rule::LreqCount);
-        // Identical quantized priority → the RNG must have picked.
-        let (rule, _) = classify(&v, false, 0, &cands, &[3, 3]);
-        assert_eq!(rule, Rule::RandomTie);
-    }
-
-    #[test]
-    fn same_core_contests_ignore_the_policy() {
-        let v = view("LREQ", &[], 2);
-        let cands = [cand(5, 0, false, true), cand(2, 0, false, false)];
-        let (rule, ru) = classify(&v, false, 5, &cands, &[2, 0]);
-        assert_eq!(rule, Rule::RowHitFirst);
-        assert_eq!(ru.map(|r| r.id), Some(2));
-    }
-
-    #[test]
-    fn bliss_attributes_blacklist_and_falls_back_to_hit_order() {
-        let mut v = view("BLISS", &[], 2);
-        let black = [true, false];
-        v.blacklisted = &black;
-        // Core 1's miss beats blacklisted core 0's older hit.
-        let cands = [cand(0, 0, false, true), cand(1, 1, false, false)];
-        let (rule, ru) = classify(&v, false, 1, &cands, &[1, 1]);
-        assert_eq!(rule, Rule::BlissBlacklist);
-        assert_eq!(ru.map(|r| r.core), Some(0));
-        // Nobody blacklisted: the row buffer decided.
-        v.blacklisted = &[];
-        let (rule, _) = classify(&v, false, 0, &cands, &[1, 1]);
-        assert_eq!(rule, Rule::RowHitFirst);
-    }
-
-    #[test]
-    fn tcm_attributes_cluster_rank() {
-        let mut v = view("TCM", &[], 2);
-        let rank = [1, 0];
-        v.tcm_rank = &rank;
-        let cands = [cand(0, 0, false, true), cand(1, 1, false, false)];
-        let (rule, ru) = classify(&v, false, 1, &cands, &[1, 1]);
-        assert_eq!(rule, Rule::TcmCluster);
-        assert_eq!(ru.map(|r| r.core), Some(0));
-    }
-
-    #[test]
-    fn unknown_policy_is_external() {
-        let v = view("FQ", &[], 2);
-        let cands = [cand(0, 0, false, false), cand(1, 1, false, false)];
-        assert_eq!(classify(&v, false, 0, &cands, &[1, 1]).0, Rule::External);
-    }
 
     #[test]
     fn totals_accumulate_and_enumerate() {

@@ -119,6 +119,32 @@ fn queue_overflow_sheds_429_and_the_server_recovers() {
     handle.join();
 }
 
+/// The registry's fixed priorities size themselves to the mix: a
+/// well-formed request for one at a non-4-core width used to panic the
+/// worker that took it, hanging that client and every later one.
+#[test]
+fn fixed_priority_on_a_two_core_mix_answers_and_the_worker_survives() {
+    let handle = serve(1, 4);
+    let addr = handle.addr().to_string();
+    for policy in ["fix-0123", "fix-3210"] {
+        let body = SimRequest::new("2MEM-1")
+            .policy(PolicyKind::parse(policy).expect("policy token"))
+            .opts(ExperimentOptions::quick())
+            .to_json();
+        let (status, text) = post_run(&addr, &body);
+        assert_eq!(status, 200, "{policy} on 2MEM-1: {text}");
+        assert!(text.contains(&policy.to_uppercase()), "{policy} report: {text}");
+    }
+    // The only worker is still there for the next client.
+    let (status, body) =
+        http::exchange(&addr, "GET", "/healthz", None, EXCHANGE_TIMEOUT).expect("healthz");
+    assert_eq!(status, 200, "healthz after the fixed-priority runs: {body}");
+    let (status, _) = post_run(&addr, &run_body("2MEM-1", ExperimentOptions::quick()));
+    assert_eq!(status, 200, "the worker serves a following /run");
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn expired_wall_clock_budget_returns_504() {
     let handle = serve(1, 4);

@@ -21,7 +21,7 @@
 use melreq_core::experiment::{run_mix, ExperimentOptions, ProfileCache};
 use melreq_core::profile::profile_app;
 use melreq_core::{System, SystemConfig};
-use melreq_memctrl::policy::{Candidate, MeLreq, PolicyKind, SchedulerPolicy};
+use melreq_memctrl::policy::{MeLreq, PolicyKind, SchedulerPolicy};
 use melreq_memctrl::PriorityTable;
 use melreq_stats::types::CoreId;
 use melreq_trace::InstrStream;
@@ -40,24 +40,11 @@ impl SchedulerPolicy for ExactMeLreq {
         "ME-LREQ-exact"
     }
 
-    fn select(&mut self, cands: &[Candidate], pending: &[u32]) -> usize {
-        let best_core: CoreId = cands
-            .iter()
-            .map(|c| c.core)
-            .max_by(|a, b| {
-                let pa = self.me[a.index()] / pending[a.index()].max(1) as f64;
-                let pb = self.me[b.index()] / pending[b.index()].max(1) as f64;
-                pa.partial_cmp(&pb).expect("finite priorities").then(b.index().cmp(&a.index()))
-                // tie: lowest core id
-            })
-            .expect("non-empty");
-        cands
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.core == best_core)
-            .min_by_key(|(_, c)| (!c.row_hit, c.id))
-            .map(|(i, _)| i)
-            .expect("selected core has a candidate")
+    /// Largest `ME/PendingRead` first — finite and positive, so the bit
+    /// patterns order as the values do — ties to the lowest core id.
+    fn core_key(&self, core: CoreId, pending: &[u32]) -> (u64, u16) {
+        let priority = self.me[core.index()] / pending[core.index()].max(1) as f64;
+        (!priority.to_bits(), core.0)
     }
 }
 

@@ -14,7 +14,7 @@
 
 use melreq::core::profile::profile_app;
 use melreq::experiment::{run_mix, ExperimentOptions, ProfileCache};
-use melreq::memctrl::policy::{Candidate, PolicyKind};
+use melreq::memctrl::policy::PolicyKind;
 use melreq::memctrl::PriorityTable;
 use melreq::stats::CoreId;
 use melreq::trace::InstrStream;
@@ -40,21 +40,11 @@ impl SchedulerPolicy for BwLreq {
         "BW-LREQ"
     }
 
-    fn select(&mut self, cands: &[Candidate], pending: &[u32]) -> usize {
-        let best_core: CoreId = cands
-            .iter()
-            .map(|c| c.core)
-            .max_by_key(|c| {
-                (self.table.lookup(*c, pending[c.index()].max(1)), std::cmp::Reverse(c.index()))
-            })
-            .expect("non-empty");
-        cands
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.core == best_core)
-            .min_by_key(|(_, c)| (!c.row_hit, c.id))
-            .map(|(i, _)| i)
-            .expect("core has a candidate")
+    /// Highest table value first, ties to the lowest core id. The chain
+    /// the trait provides does the rest: hit-first, then oldest.
+    fn core_key(&self, core: CoreId, pending: &[u32]) -> (u64, u16) {
+        let priority = self.table.lookup(core, pending[core.index()].max(1));
+        (u64::from(!priority.raw()), core.0)
     }
 }
 

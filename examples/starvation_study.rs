@@ -30,7 +30,7 @@ fn main() {
     };
     let cache = ProfileCache::new();
 
-    let mut policies = PolicyKind::figure3_set(mix.cores());
+    let mut policies = PolicyKind::figure3_set();
     policies.push(PolicyKind::MeLreq);
 
     println!("{:10} {:>8} {:>8}   per-core slowdown (x)", "scheme", "speedup", "unfair");

@@ -38,7 +38,7 @@ fn every_policy_completes_a_mem_mix() {
 
 #[test]
 fn fixed_priority_policies_complete() {
-    for policy in PolicyKind::figure3_set(2) {
+    for policy in PolicyKind::figure3_set() {
         if matches!(policy, PolicyKind::Fixed { .. } | PolicyKind::Me) {
             let mut sys = build("2MEM-1", policy.clone());
             let out = sys.run_measured(5_000, 10_000, 1 << 27);

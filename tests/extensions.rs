@@ -3,7 +3,7 @@
 //! and the optional DRAM timing constraints.
 
 use melreq::experiment::{run_mix, run_mix_custom, ExperimentOptions, ProfileCache};
-use melreq::memctrl::ext::{FairQueueing, StallTimeFair};
+use melreq::memctrl::{FairQueueing, StallTimeFair};
 use melreq::trace::{InstrStream, PhasedStream};
 use melreq::workloads::{app_by_code, mix_by_name, SliceKind};
 use melreq::{PolicyKind, System, SystemConfig};

@@ -74,7 +74,7 @@ fn figure3_fixed_priorities_swing_wildly() {
     // outcomes on an asymmetric workload (the paper's Figure 3 point).
     let cache = ProfileCache::new();
     let mix = mix_by_name("4MEM-4");
-    let cmp = compare_policies(&mix, &PolicyKind::figure3_set(4), &opts(), &cache);
+    let cmp = compare_policies(&mix, &PolicyKind::figure3_set(), &opts(), &cache);
     let f3210 = &cmp.results[2];
     let f0123 = &cmp.results[3];
     // The favoured core differs, so the per-core slowdown patterns differ.
