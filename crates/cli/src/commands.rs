@@ -619,6 +619,24 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
+/// The `host` object of a timing artifact: what its wall-clock numbers
+/// were measured on (`nproc` is what the process may use, 0 if unknown).
+fn host_json() -> String {
+    let read = |path| std::fs::read_to_string(path).unwrap_or_default();
+    let cpuinfo = read("/proc/cpuinfo");
+    let cpu = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split_once(':'))
+        .map_or("unknown", |(_, model)| model.trim());
+    format!(
+        "{{\"nproc\": {}, \"cpu\": \"{}\", \"kernel\": \"{}\"}}",
+        std::thread::available_parallelism().map_or(0, std::num::NonZero::get),
+        json_esc(cpu),
+        json_esc(read("/proc/sys/kernel/osrelease").trim()),
+    )
+}
+
 /// Cycles this result actually simulated: the measured window alone when
 /// the warm-up boundary was restored, the whole run otherwise.
 fn simulated_cycles(r: &MixResult) -> u64 {
@@ -939,6 +957,7 @@ fn cmd_reproduce(
     let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
     let _ = writeln!(json, "  \"kernel\": \"{kernel}\",");
     let _ = writeln!(json, "  \"threads\": {workers},");
+    let _ = writeln!(json, "  \"host\": {},", host_json());
     if let Some(s) = &host_profile {
         let _ = writeln!(json, "  \"host_profile\": {},", s.render_json());
     }

@@ -28,6 +28,12 @@
 //! the two bit-exactly comparable. With a [`CheckpointStore`] attached
 //! (the `store` argument of the `*_ctl` entry points), boundary snapshots
 //! and single-core profiles also persist across process invocations.
+//!
+//! The runs of a group share one more thing: the instruction streams of
+//! their measured windows. From the boundary on, every run of a group of
+//! more than one reads its ops from one [`OpTape`] per core, so each op
+//! is generated once per group; a run on its own ([`run_mix`] and the
+//! audited and observed variants) generates its own.
 
 use crate::profile::{profile_app, AppProfile};
 use crate::store::CheckpointStore;
@@ -35,9 +41,10 @@ use crate::system::{CancelToken, RunOutcome, System};
 use crate::SystemConfig;
 use melreq_memctrl::policy::PolicyKind;
 use melreq_obs::{Collector, Fanout, ObsConfig};
+use melreq_snap::Sealed;
 use melreq_stats::fairness::FairnessReport;
 use melreq_stats::types::Cycle;
-use melreq_trace::InstrStream;
+use melreq_trace::{InstrStream, OpTape, TapedStream};
 use melreq_workloads::{Mix, SliceKind};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -283,20 +290,23 @@ fn canonical_config(cores: usize) -> SystemConfig {
     SystemConfig::paper(cores, CANONICAL_WARMUP_POLICY)
 }
 
-/// A freshly constructed canonical system for `mix` (evaluation-slice
-/// streams, flat ME profile, canonical warm-up policy).
-fn canonical_system(mix: &Mix, opts: &ExperimentOptions) -> System {
-    let streams: Vec<Box<dyn InstrStream + Send>> = mix
-        .apps()
+/// `mix`'s evaluation-slice streams at their first op, in core order.
+fn eval_streams(mix: &Mix, opts: &ExperimentOptions) -> Vec<Box<dyn InstrStream + Send>> {
+    mix.apps()
         .iter()
         .enumerate()
         .map(|(i, a)| {
             Box::new(a.build_stream(i, SliceKind::Evaluation(opts.eval_slice)))
                 as Box<dyn InstrStream + Send>
         })
-        .collect();
+        .collect()
+}
+
+/// A freshly constructed canonical system for `mix` (evaluation-slice
+/// streams, flat ME profile, canonical warm-up policy).
+fn canonical_system(mix: &Mix, opts: &ExperimentOptions) -> System {
     let cores = mix.cores();
-    let mut sys = System::new(canonical_config(cores), streams, &vec![1.0; cores]);
+    let mut sys = System::new(canonical_config(cores), eval_streams(mix, opts), &vec![1.0; cores]);
     sys.set_tick_exact(opts.tick_exact);
     sys
 }
@@ -321,10 +331,21 @@ fn kernel_span<T>(
 }
 
 /// A canonical system for `mix` at the measurement boundary, ready to
-/// receive the measured policy. Returns the system plus whether the
-/// boundary state came from a checkpoint (`true`) or was simulated here
-/// (`false`). With a store attached, a simulated boundary is persisted
-/// unless the warm-up hit the cycle safety net (the subsequent
+/// receive the measured policy.
+struct Boundary {
+    sys: System,
+    /// Whether the state came from a checkpoint rather than being
+    /// simulated here.
+    from_checkpoint: bool,
+    /// `sys.snapshot()`, when reaching the boundary produced it anyway:
+    /// the stored container `sys` was restored from, or the one persisted
+    /// after simulating.
+    snapshot: Option<Sealed>,
+}
+
+/// Reach the measurement boundary of `mix`: restore it from `store` or
+/// simulate the warm-up. With a store attached, a simulated boundary is
+/// persisted unless the warm-up hit the cycle safety net (the subsequent
 /// [`System::run_window`] then reports `timed_out` immediately) or
 /// `warmup == 0` (nothing worth caching).
 fn boundary_system(
@@ -332,34 +353,32 @@ fn boundary_system(
     opts: &ExperimentOptions,
     store: Option<&CheckpointStore>,
     ctl: &RunControl,
-) -> (System, bool) {
+) -> Boundary {
     let mut sys = canonical_system(mix, opts);
     ctl.arm(&mut sys);
-    let key = store.map(|_| {
-        CheckpointStore::warmup_key(
+    let keyed_store = store.filter(|_| opts.warmup > 0).map(|st| {
+        let key = CheckpointStore::warmup_key(
             &canonical_config(mix.cores()),
             mix.codes,
             opts.eval_slice,
             opts.warmup,
             opts.instructions,
-        )
+        );
+        (st, key)
     });
-    if opts.warmup > 0 {
-        if let (Some(st), Some(key)) = (store, key) {
-            if let Some(bytes) = st.load_warmup(key) {
-                let restored = {
-                    let _sp =
-                        melreq_prof::span("snapshot.decode", || format!("warmup {}", mix.name));
-                    sys.load_snapshot(&bytes).is_ok()
-                };
-                if restored {
-                    return (sys, true);
-                }
-                // Checksummed but structurally incompatible (should be
-                // unreachable given the versioned keys): re-simulate.
-                sys = canonical_system(mix, opts);
-                ctl.arm(&mut sys);
+    if let Some((st, key)) = keyed_store {
+        if let Some(stored) = st.load_warmup_sealed(key) {
+            let restored = {
+                let _sp = melreq_prof::span("snapshot.decode", || format!("warmup {}", mix.name));
+                sys.restore(&stored).is_ok()
+            };
+            if restored {
+                return Boundary { sys, from_checkpoint: true, snapshot: Some(stored) };
             }
+            // Checksummed but structurally incompatible (should be
+            // unreachable given the versioned keys): re-simulate.
+            sys = canonical_system(mix, opts);
+            ctl.arm(&mut sys);
         }
     }
     sys.prepare_window(opts.warmup, opts.instructions);
@@ -369,13 +388,83 @@ fn boundary_system(
         &mut sys,
         |sys| sys.run_to_boundary(ctl.limit(opts)),
     );
-    if reached && opts.warmup > 0 {
-        if let (Some(st), Some(key)) = (store, key) {
-            let _sp = melreq_prof::span("snapshot.encode", || format!("warmup {}", mix.name));
-            st.store_warmup(key, &sys.snapshot());
-        }
+    let snapshot = keyed_store.filter(|_| reached).map(|(st, key)| {
+        let _sp = melreq_prof::span("snapshot.encode", || format!("warmup {}", mix.name));
+        let snapshot = sys.snapshot_sealed();
+        st.store_warmup(key, snapshot.as_bytes());
+        snapshot
+    });
+    Boundary { sys, from_checkpoint: false, snapshot }
+}
+
+/// What the runs of one (mix, options) group share instead of each
+/// making its own: the boundary snapshot every fork restores, and one op
+/// tape per core, starting at the boundary, that every run reads its
+/// instructions from — so each op of the measured windows is generated
+/// once per group, by whichever run needs it first.
+struct GroupShare {
+    mix: Mix,
+    snapshot: Sealed,
+    tapes: Vec<Arc<OpTape>>,
+    /// Profiler clock at the boundary, for the `tape` span.
+    since_ns: u64,
+}
+
+impl GroupShare {
+    /// Share the boundary `base` stands at among the runs of its group:
+    /// `base`'s warmed streams become the tapes' generators and `base` a
+    /// reader of the tapes, like every fork. `snapshot` is
+    /// `base.snapshot()`, where reaching the boundary left one.
+    fn new(
+        mix: Mix,
+        opts: &ExperimentOptions,
+        base: &mut System,
+        snapshot: Option<Sealed>,
+    ) -> Self {
+        let snapshot = snapshot.unwrap_or_else(|| {
+            let _sp = melreq_prof::span("snapshot.encode", || format!("fork {}", mix.name));
+            base.snapshot_sealed()
+        });
+        debug_assert!(snapshot.as_bytes() == base.snapshot(), "stale boundary container");
+        let warmed = base.replace_streams(eval_streams(&mix, opts));
+        let tapes = warmed.into_iter().map(OpTape::new).collect();
+        let share = GroupShare { mix, snapshot, tapes, since_ns: melreq_prof::now_ns() };
+        share.attach(base, opts);
+        share
     }
-    (sys, false)
+
+    /// Point `sys`, which stands at the boundary, at the group's tapes.
+    fn attach(&self, sys: &mut System, opts: &ExperimentOptions) {
+        let readers = self
+            .tapes
+            .iter()
+            .zip(eval_streams(&self.mix, opts))
+            .map(|(tape, own)| {
+                Box::new(TapedStream::new(Arc::clone(tape), own)) as Box<dyn InstrStream + Send>
+            })
+            .collect();
+        sys.replace_streams(readers);
+    }
+}
+
+impl Drop for GroupShare {
+    /// The group's last run is over: say what its windows made the
+    /// generators produce (against the `ops_fetched` of its `policy`
+    /// spans) and what keeping it cost.
+    fn drop(&mut self) {
+        let sizes: Vec<(u64, usize)> = self.tapes.iter().map(|t| t.size()).collect();
+        melreq_prof::record(
+            "tape",
+            || self.mix.name.to_string(),
+            self.since_ns,
+            melreq_prof::now_ns(),
+            &[
+                ("ops_generated", sizes.iter().map(|s| s.0).sum()),
+                ("bytes", sizes.iter().map(|s| s.1 as u64).sum()),
+                ("longest_bytes", sizes.iter().map(|s| s.1 as u64).max().unwrap_or(0)),
+            ],
+        );
+    }
 }
 
 /// Fold one measured-window outcome into a [`MixResult`].
@@ -477,7 +566,7 @@ pub fn run_mix_custom_ctl(
 
     // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
     let warm_started = std::time::Instant::now();
-    let (mut sys, from_checkpoint) = boundary_system(mix, opts, store, ctl);
+    let Boundary { mut sys, from_checkpoint, .. } = boundary_system(mix, opts, store, ctl);
     let warm_wall = warm_started.elapsed();
     // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
     let started = std::time::Instant::now();
@@ -885,12 +974,10 @@ fn warm_up_and_fork<'env>(
 
     // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
     let warm_started = std::time::Instant::now();
-    let (base, from_checkpoint) = boundary_system(&mix, opts, store, ctl);
+    let Boundary { sys: mut base, from_checkpoint, snapshot } =
+        boundary_system(&mix, opts, store, ctl);
     let total_runs: usize = consumers.iter().map(|c| c.policies.len()).sum();
-    let snap = (total_runs > 1).then(|| {
-        let _sp = melreq_prof::span("snapshot.encode", || format!("fork {}", mix.name));
-        Arc::new(base.snapshot())
-    });
+    let share = (total_runs > 1).then(|| Arc::new(GroupShare::new(mix, opts, &mut base, snapshot)));
     let warm_wall = warm_started.elapsed();
 
     // Fork every run but the first, then run the first on the warmed
@@ -902,7 +989,7 @@ fn warm_up_and_fork<'env>(
                 first = Some((slot, kind));
                 continue;
             }
-            let snap = Arc::clone(snap.as_ref().expect("snapshot published for >1 run"));
+            let share = Arc::clone(share.as_ref().expect("a group of >1 runs shares"));
             let me = me.clone();
             let ipc_single = ipc_single.clone();
             ctx.fork(move |_ctx| {
@@ -911,9 +998,10 @@ fn warm_up_and_fork<'env>(
                 let mut sys = canonical_system(&mix, opts);
                 {
                     let _sp = melreq_prof::span("snapshot.decode", || format!("fork {}", mix.name));
-                    sys.load_snapshot(&snap)
+                    sys.restore(&share.snapshot)
                         .expect("boundary snapshot must restore into an identical fresh system");
                 }
+                share.attach(&mut sys, opts);
                 ctl.arm(&mut sys);
                 sys.swap_policy(kind, &me);
                 let out = kernel_span(
@@ -1087,6 +1175,52 @@ mod tests {
         assert_eq!(cold.sim_cycles, warm.sim_cycles);
         assert_eq!(cold.smt_speedup, warm.smt_speedup);
         assert_eq!(cold.me, warm.me);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_hit_group_forks_the_stored_container_and_matches_fresh_runs() {
+        let dir =
+            std::env::temp_dir().join(format!("melreq-exp-share-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = ExperimentOptions::quick();
+        let mix = mix_by_name("2MEM-1");
+        let policies = [PolicyKind::HfRf, PolicyKind::MeLreq, PolicyKind::Lreq];
+        let ctl = RunControl::default();
+        let open = || {
+            let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
+            (ProfileCache::with_store(store.clone()), store)
+        };
+        let (cache, store) = open();
+        let cold = run_mix_group(&mix, &policies, &opts, &cache, Some(&store));
+        assert!(!cold[0].warmup_from_checkpoint && store.stats().warmup_hits == 0);
+
+        // What a store-hit group hands its forks is the stored container
+        // itself, and that is the restored machine's own snapshot — with
+        // plain streams and again once it reads the group's tapes.
+        let Boundary { mut sys, from_checkpoint, snapshot } =
+            boundary_system(&mix, &opts, Some(&store), &ctl);
+        assert!(from_checkpoint);
+        let stored = snapshot.clone().expect("a store hit hands its container back");
+        assert!(stored.as_bytes() == sys.snapshot());
+        let share = GroupShare::new(mix, &opts, &mut sys, snapshot);
+        assert!(share.snapshot == stored && stored.as_bytes() == sys.snapshot());
+        drop(share);
+
+        let (cache, store) = open();
+        let warm = run_mix_group(&mix, &policies, &opts, &cache, Some(&store));
+        let st = store.stats();
+        assert_eq!((st.warmup_hits, st.warmup_misses, st.profile_misses), (1, 0, 0));
+        for ((p, warm), cold) in policies.iter().zip(&warm).zip(&cold) {
+            assert!(warm.warmup_from_checkpoint, "{}", p.name());
+            let fresh = run_mix(&mix, p, &opts, &cache);
+            for (how, r) in [("cold group", cold), ("fresh run", &fresh)] {
+                assert_eq!(warm.ipc_multi, r.ipc_multi, "{} vs {how}", p.name());
+                assert_eq!(warm.read_latency, r.read_latency, "{} vs {how}", p.name());
+                assert_eq!(warm.sim_cycles, r.sim_cycles, "{} vs {how}", p.name());
+                assert_eq!(warm.smt_speedup, r.smt_speedup, "{} vs {how}", p.name());
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

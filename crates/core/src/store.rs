@@ -36,6 +36,7 @@
 use crate::config::SystemConfig;
 use crate::profile::AppProfile;
 use melreq_memctrl::policy::PolicyKind;
+use melreq_snap::Sealed;
 use melreq_workloads::{spec2000, SliceKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,16 +134,16 @@ impl CheckpointStore {
         self.dir.join(format!("{kind}-{key:016x}.bin"))
     }
 
-    /// Read and checksum-validate one record; corrupt or stale files are
-    /// removed and reported as a miss.
-    fn read_valid(&self, kind: &str, key: u64) -> Option<Vec<u8>> {
+    /// Read and checksum-validate one record — the one check its bytes
+    /// get in this process; corrupt or stale files are removed and
+    /// reported as a miss.
+    fn read_valid(&self, kind: &str, key: u64) -> Option<Sealed> {
         let path = self.path(kind, key);
-        let bytes = std::fs::read(&path).ok()?;
-        if melreq_snap::open(&bytes).is_err() {
+        let sealed = Sealed::open(std::fs::read(&path).ok()?);
+        if sealed.is_err() {
             let _ = std::fs::remove_file(&path);
-            return None;
         }
-        Some(bytes)
+        sealed.ok()
     }
 
     /// Atomically publish one record (temp file + rename).
@@ -161,6 +162,14 @@ impl CheckpointStore {
     /// [`System::snapshot`]: crate::system::System::snapshot
     /// [`System::load_snapshot`]: crate::system::System::load_snapshot
     pub fn load_warmup(&self, key: u64) -> Option<Vec<u8>> {
+        self.load_warmup_sealed(key).map(Sealed::into_bytes)
+    }
+
+    /// [`CheckpointStore::load_warmup`] as the verified container the
+    /// read produced, for [`System::restore`].
+    ///
+    /// [`System::restore`]: crate::system::System::restore
+    pub(crate) fn load_warmup_sealed(&self, key: u64) -> Option<Sealed> {
         let r = self.read_valid("warmup", key);
         let ctr = if r.is_some() { &self.warmup_hits } else { &self.warmup_misses };
         ctr.fetch_add(1, Ordering::Relaxed);
@@ -174,9 +183,8 @@ impl CheckpointStore {
 
     /// Fetch an application profile.
     pub fn load_profile(&self, key: u64) -> Option<AppProfile> {
-        let r = self.read_valid("profile", key).and_then(|bytes| {
-            let payload = melreq_snap::open(&bytes).ok()?;
-            let mut dec = melreq_snap::Dec::new(payload);
+        let r = self.read_valid("profile", key).and_then(|sealed| {
+            let mut dec = melreq_snap::Dec::new(sealed.payload());
             let code = char::from_u32(dec.u32().ok()?)?;
             let ipc = dec.f64().ok()?;
             let bw_gbs = dec.f64().ok()?;
@@ -258,16 +266,34 @@ mod tests {
     fn corrupt_record_is_a_miss_and_removed() {
         let s = tmp_store("corrupt");
         let key = 0xbad;
-        let mut bytes = melreq_snap::seal(b"checkpoint");
-        s.store_warmup(key, &bytes);
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(s.dir().join(format!("warmup-{key:016x}.bin")), &bytes).unwrap();
+        let good = melreq_snap::seal(b"checkpoint");
+        let flipped = {
+            let mut bytes = good.clone();
+            *bytes.last_mut().unwrap() ^= 0xff;
+            bytes
+        };
+        // A flipped bit, a torn tail, less than a header, nothing at all.
+        let damaged = [&flipped[..], &good[..good.len() - 1], &good[..10], &[]];
+        for kind in ["warmup", "profile"] {
+            let path = s.dir().join(format!("{kind}-{key:016x}.bin"));
+            for bytes in damaged {
+                std::fs::write(&path, bytes).unwrap();
+                let missed = match kind {
+                    "warmup" => s.load_warmup_sealed(key).is_none(),
+                    _ => s.load_profile(key).is_none(),
+                };
+                assert!(missed, "{kind}: {} damaged bytes must miss", bytes.len());
+                assert!(!path.exists(), "{kind}: damaged record must be evicted");
+            }
+        }
+        let st = s.stats();
+        assert_eq!((st.warmup_hits, st.warmup_misses), (0, damaged.len() as u64));
+        assert_eq!((st.profile_hits, st.profile_misses), (0, damaged.len() as u64));
+        // The public read is the same read.
+        std::fs::write(s.dir().join(format!("warmup-{key:016x}.bin")), &flipped).unwrap();
         assert!(s.load_warmup(key).is_none(), "corrupt record must miss");
-        assert!(
-            !s.dir().join(format!("warmup-{key:016x}.bin")).exists(),
-            "corrupt record must be evicted"
-        );
+        s.store_warmup(key, &good);
+        assert_eq!(s.load_warmup_sealed(key).map(Sealed::into_bytes), Some(good));
         let _ = std::fs::remove_dir_all(s.dir());
     }
 

@@ -118,11 +118,16 @@ pub struct KernelCounters {
     pub issue_examined: u64,
     /// Ops the cores issued, summed over cores.
     pub ops_issued: u64,
+    /// Ops the cores took from their instruction streams, summed over
+    /// cores. A stream generates each op it hands out unless it reads a
+    /// shared [`melreq_trace::OpTape`], whose size says what its readers
+    /// together made it generate.
+    pub ops_fetched: u64,
 }
 
 impl KernelCounters {
     /// Every counter by name, for span args and metric tables.
-    pub fn fields(&self) -> [(&'static str, u64); 8] {
+    pub fn fields(&self) -> [(&'static str, u64); 9] {
         [
             ("ticks", self.ticks),
             ("skipped_cycles", self.skipped_cycles),
@@ -132,6 +137,7 @@ impl KernelCounters {
             ("channel_scans_skipped", self.channel_scans_skipped),
             ("issue_examined", self.issue_examined),
             ("ops_issued", self.ops_issued),
+            ("ops_fetched", self.ops_fetched),
         ]
     }
 }
@@ -353,6 +359,19 @@ impl System {
         self.core_wake.fill(0);
     }
 
+    /// Hand every core another instruction stream, in core order, and
+    /// take the ones they had — how the runs forked from one boundary come
+    /// to read one [`melreq_trace::OpTape`] per core. Each core fetches on
+    /// from its new stream's next op ([`Core::replace_stream`]).
+    pub fn replace_streams(
+        &mut self,
+        streams: Vec<Box<dyn InstrStream + Send>>,
+    ) -> Vec<Box<dyn InstrStream + Send>> {
+        assert_eq!(streams.len(), self.cores.len(), "one stream per core");
+        self.wake_all();
+        self.cores.iter_mut().zip(streams).map(|(core, s)| core.replace_stream(s)).collect()
+    }
+
     /// Work the kernel did and avoided so far (see [`KernelCounters`]).
     pub fn kernel_counters(&self) -> KernelCounters {
         let (channel_scans, channel_scans_skipped) = self.hier.controller().scan_counters();
@@ -362,6 +381,7 @@ impl System {
             channel_scans_skipped,
             issue_examined: issue.clone().map(|w| w.examined).sum(),
             ops_issued: issue.map(|w| w.issued).sum(),
+            ops_fetched: self.cores.iter().map(Core::ops_fetched).sum(),
             ..self.counters
         }
     }
@@ -787,6 +807,12 @@ impl System {
     /// constructed identical system resumes the run bit-exactly; see
     /// [`System::load_snapshot`].
     pub fn snapshot(&self) -> Vec<u8> {
+        self.snapshot_sealed().into_bytes()
+    }
+
+    /// [`System::snapshot`] as the verified container it is, for
+    /// [`System::restore`] to take without checking it again.
+    pub(crate) fn snapshot_sealed(&self) -> melreq_snap::Sealed {
         let mut enc = melreq_snap::Enc::new();
         enc.u64(self.now);
         enc.usize(self.cores.len());
@@ -806,7 +832,7 @@ impl System {
             None => enc.bool(false),
         }
         enc.opt_u64(self.stats_reset_at);
-        melreq_snap::seal(&enc.into_bytes())
+        melreq_snap::Sealed::seal(&enc.into_bytes())
     }
 
     /// Restore a [`System::snapshot`] into this system. The receiver must
@@ -821,7 +847,19 @@ impl System {
     /// [`MemoryController::load_state`]) and any attached epoch sampler
     /// is dropped likewise.
     pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<(), melreq_snap::SnapError> {
-        let payload = melreq_snap::open(bytes)?;
+        self.restore_payload(melreq_snap::open(bytes)?)
+    }
+
+    /// [`System::load_snapshot`] of a container already verified where it
+    /// entered the process (or sealed in it): no second checksum pass.
+    pub(crate) fn restore(
+        &mut self,
+        snapshot: &melreq_snap::Sealed,
+    ) -> Result<(), melreq_snap::SnapError> {
+        self.restore_payload(snapshot.payload())
+    }
+
+    fn restore_payload(&mut self, payload: &[u8]) -> Result<(), melreq_snap::SnapError> {
         let mut dec = melreq_snap::Dec::new(payload);
         let now = dec.u64()?;
         let n = dec.usize()?;

@@ -203,8 +203,12 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
     // Issue work follows the ops that move, not the ops that wait: the
     // full-scan select this replaced examined ~9.8 worklist entries per
     // issued op on `armo` (27.8 per core-tick for 2.84 issued).
-    for c in [mem, ilp] {
+    // Every issued op was fetched first; what was fetched and not issued
+    // is still in a ROB (196 entries a core) or staged before it.
+    for (cores, c) in [(8, mem), (4, ilp)] {
         assert!(c.ops_issued > 0 && c.issue_examined <= 3 * c.ops_issued, "{c:?}");
+        let in_flight = c.ops_fetched.checked_sub(c.ops_issued).expect("issued before fetched");
+        assert!(in_flight <= cores * 197, "{c:?}");
     }
 }
 

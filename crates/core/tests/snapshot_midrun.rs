@@ -18,29 +18,38 @@
 //! (see `MemoryController::load_state`). End-state snapshot hashes are
 //! the stronger check anyway — they fingerprint every serialized
 //! component, not just the command stream.
+//!
+//! The runs of a sweep read their ops from tapes shared per group
+//! (`melreq_trace::OpTape`); the second case pauses such a run, whose
+//! snapshot must be the untaped run's snapshot and restore into an
+//! untaped system.
 
 use melreq_core::{System, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_snap::fnv1a;
-use melreq_trace::InstrStream;
+use melreq_trace::{InstrStream, OpTape, TapedStream};
 use melreq_workloads::{mix_by_name, SliceKind};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const WARMUP: u64 = 4_000;
 const TARGET: u64 = 6_000;
 const MAX_CYCLES: u64 = 1 << 26;
 
-fn build(mix_name: &str, kind: &PolicyKind, me: &[f64]) -> System {
-    let mix = mix_by_name(mix_name);
-    let streams: Vec<Box<dyn InstrStream + Send>> = mix
+fn streams(mix_name: &str) -> Vec<Box<dyn InstrStream + Send>> {
+    mix_by_name(mix_name)
         .apps()
         .iter()
         .enumerate()
         .map(|(i, a)| {
             Box::new(a.build_stream(i, SliceKind::Evaluation(0))) as Box<dyn InstrStream + Send>
         })
-        .collect();
-    System::new(SystemConfig::paper(mix.cores(), kind.clone()), streams, me)
+        .collect()
+}
+
+fn build(mix_name: &str, kind: &PolicyKind, me: &[f64]) -> System {
+    let cores = mix_by_name(mix_name).cores();
+    System::new(SystemConfig::paper(cores, kind.clone()), streams(mix_name), me)
 }
 
 proptest! {
@@ -95,6 +104,84 @@ proptest! {
                     name
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Two runs read one set of tapes from the boundary, as the forks of
+    /// a group do; one has finished its window (so the other replays what
+    /// it generated) when the other is paused mid-chunk, snapshotted, and
+    /// restored into a system that never saw a tape. All of them, and a
+    /// run that was never taped, end in the same bytes.
+    #[test]
+    fn taped_window_snapshot_restores_into_an_untaped_system(
+        pause in 0u64..8_000,
+        policy_pick in 0usize..5,
+    ) {
+        let mix_name = "4MEM-1";
+        let kind = &PolicyKind::figure2_set()[policy_pick];
+        let me = [0.5, 1.5, 2.5, 3.5];
+
+        let mut plain = build(mix_name, kind, &me);
+        plain.prepare_window(WARMUP, TARGET);
+        prop_assert!(plain.run_to_boundary(MAX_CYCLES), "warm-up must complete");
+        let boundary = plain.snapshot();
+        let at_boundary = || {
+            let mut sys = build(mix_name, kind, &me);
+            sys.load_snapshot(&boundary).expect("boundary snapshot restores");
+            sys
+        };
+
+        let mut taped = at_boundary();
+        let tapes: Vec<Arc<OpTape>> =
+            taped.replace_streams(streams(mix_name)).into_iter().map(OpTape::new).collect();
+        let read_tapes = |sys: &mut System| {
+            let readers = tapes
+                .iter()
+                .zip(streams(mix_name))
+                .map(|(tape, own)| {
+                    Box::new(TapedStream::new(Arc::clone(tape), own)) as Box<dyn InstrStream + Send>
+                })
+                .collect();
+            sys.replace_streams(readers);
+        };
+        read_tapes(&mut taped);
+        let mut ahead = at_boundary();
+        read_tapes(&mut ahead);
+        let out_ahead = ahead.run_window(MAX_CYCLES);
+        prop_assert!(tapes.iter().all(|t| t.size().0 > 0), "the window must read every tape");
+
+        let mut untaped = at_boundary();
+        for _ in 0..pause {
+            taped.tick();
+            untaped.tick();
+        }
+        let snap = taped.snapshot();
+        prop_assert!(snap == untaped.snapshot(), "a taped run snapshots to other bytes");
+        let mut restored = build(mix_name, kind, &me);
+        restored.load_snapshot(&snap).expect("a taped run's snapshot restores into an untaped system");
+
+        let out_plain = plain.run_window(MAX_CYCLES);
+        prop_assert!(!out_plain.timed_out, "[{}] must finish", kind.name());
+        let end = plain.snapshot();
+        for (how, sys, out) in [
+            ("read ahead", &mut ahead, Some(out_ahead)),
+            ("paused", &mut taped, None),
+            ("restored", &mut restored, None),
+        ] {
+            let out = out.unwrap_or_else(|| sys.run_window(MAX_CYCLES));
+            prop_assert_eq!(&out.ipc, &out_plain.ipc, "[{} {}] IPC", kind.name(), how);
+            prop_assert_eq!(out.cycles, out_plain.cycles, "[{} {}] cycles", kind.name(), how);
+            prop_assert_eq!(
+                &out.read_latency, &out_plain.read_latency, "[{} {}] latency", kind.name(), how
+            );
+            prop_assert_eq!(
+                &out.bytes_by_core, &out_plain.bytes_by_core, "[{} {}] bytes", kind.name(), how
+            );
+            prop_assert!(sys.snapshot() == end, "[{} {}] final machine state", kind.name(), how);
         }
     }
 }

@@ -132,6 +132,8 @@ pub struct Core {
     stats: CoreStats,
     // melreq-allow(S02): host-side work counters, no part of the persisted layout
     issue_work: IssueWork, // melreq-allow(S01): host-side work counters, not simulation state
+    // melreq-allow(S02): host-side work counter, no part of the persisted layout
+    fetched: u64, // melreq-allow(S01): host-side work counter, not simulation state
 }
 
 impl std::fmt::Debug for Core {
@@ -179,6 +181,7 @@ impl Core {
             window_end: None,
             stats: CoreStats::default(),
             issue_work: IssueWork::default(),
+            fetched: 0,
         }
     }
 
@@ -195,6 +198,22 @@ impl Core {
     /// Issue-stage work so far (see [`IssueWork`]).
     pub fn issue_work(&self) -> IssueWork {
         self.issue_work
+    }
+
+    /// Ops taken from the instruction stream since construction
+    /// (host-side bookkeeping, like [`Core::issue_work`]).
+    pub fn ops_fetched(&self) -> u64 {
+        self.fetched
+    }
+
+    /// Hand the core another instruction stream and take the one it had.
+    /// The core fetches on from `stream`'s next op; to keep the program
+    /// the same, `stream` must stand where the old one stood.
+    pub fn replace_stream(
+        &mut self,
+        stream: Box<dyn InstrStream + Send>,
+    ) -> Box<dyn InstrStream + Send> {
+        std::mem::replace(&mut self.stream, stream)
     }
 
     /// Committed micro-op count.
@@ -851,7 +870,10 @@ impl Core {
             }
             let op = match self.staged.take() {
                 Some(op) => op,
-                None => self.stream.next_op(),
+                None => {
+                    self.fetched += 1;
+                    self.stream.next_op()
+                }
             };
             // Structural queue checks.
             let blocked = match op.kind {

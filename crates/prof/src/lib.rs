@@ -36,9 +36,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Maximum `u64` args carried per span (a kernel span carries all eight
+/// Maximum `u64` args carried per span (a kernel span carries all nine
 /// of `melreq_core::KernelCounters`).
-pub const MAX_ARGS: usize = 8;
+pub const MAX_ARGS: usize = 9;
 
 /// Default per-thread ring capacity in spans.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;

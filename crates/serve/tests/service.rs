@@ -11,7 +11,7 @@
 use melreq_core::api::{PolicyKind, SimRequest, SCHEMA_VERSION};
 use melreq_core::experiment::ExperimentOptions;
 use melreq_serve::{http, split_envelope, start, ServeConfig, ServerHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const EXCHANGE_TIMEOUT: Duration = Duration::from_secs(300);
 
@@ -44,13 +44,25 @@ fn run_body(mix: &str, opts: ExperimentOptions) -> String {
         .to_json()
 }
 
-/// A request heavy enough to hold a worker for a while on any host.
+/// A request heavy enough that, once it is in flight, it still is when
+/// a handful of later connections have been accepted and parsed — in a
+/// release build too: 0.2 s of simulation there, against milliseconds
+/// of connecting. Do not lighten it as the kernel gets faster.
 fn slow_opts() -> ExperimentOptions {
     ExperimentOptions {
         instructions: 120_000,
         warmup: 30_000,
         profile_instructions: 10_000,
         ..ExperimentOptions::default()
+    }
+}
+
+/// Block until the server holds a `/run` request, queued or executing.
+fn await_in_flight(addr: &str) {
+    let deadline = Instant::now() + EXCHANGE_TIMEOUT;
+    while metric_value(addr, "melreq_inflight_requests") < 1.0 {
+        assert!(Instant::now() < deadline, "no request came in flight");
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -68,7 +80,7 @@ fn queue_overflow_sheds_429_and_the_server_recovers() {
         let addr = addr.clone();
         std::thread::spawn(move || post_run(&addr, &run_body("2MEM-1", slow_opts())))
     };
-    std::thread::sleep(Duration::from_millis(400));
+    await_in_flight(&addr);
 
     // …then burst past the 1-slot queue with four DISTINCT requests
     // (distinct cycle budgets — identical ones would coalesce instead
@@ -374,7 +386,7 @@ fn coalesced_identical_requests_run_one_simulation_with_identical_bytes() {
         let body = body.clone();
         std::thread::spawn(move || post_run(&addr, &body))
     };
-    std::thread::sleep(Duration::from_millis(300));
+    await_in_flight(&addr);
     let followers: Vec<_> = (0..5)
         .map(|_| {
             let addr = addr.clone();

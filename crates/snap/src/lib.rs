@@ -11,7 +11,9 @@
 //!
 //! [`seal`]/[`open`] wrap a payload in a container with a magic number,
 //! the schema version and an FNV-1a checksum, so a truncated or corrupted
-//! file on disk is rejected up front instead of mis-decoding.
+//! file on disk is rejected up front instead of mis-decoding. A
+//! [`Sealed`] is a container that has passed (or was built by) them, so
+//! in-process hand-offs do not pay the checksum again.
 
 /// Bump on ANY change to any crate's `save_state` encoding. Persisted
 /// checkpoints and profiles from other versions are ignored, never
@@ -311,10 +313,13 @@ pub fn json_esc(s: &str) -> String {
     out
 }
 
+/// Bytes of a container before its payload.
+const HEADER: usize = 28;
+
 /// Wrap `payload` in a self-checking container:
 /// `MAGIC · SCHEMA_VERSION · payload-len · FNV-1a(payload) · payload`.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 28);
+    let mut out = Vec::with_capacity(payload.len() + HEADER);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -326,7 +331,7 @@ pub fn seal(payload: &[u8]) -> Vec<u8> {
 /// Validate a sealed container and return its payload slice. Rejects
 /// wrong magic, version skew, truncation and checksum mismatches.
 pub fn open(container: &[u8]) -> Result<&[u8], SnapError> {
-    if container.len() < 28 {
+    if container.len() < HEADER {
         return Err(SnapError::BadContainer("too short"));
     }
     if container[..8] != MAGIC {
@@ -338,7 +343,7 @@ pub fn open(container: &[u8]) -> Result<&[u8], SnapError> {
     }
     let len = u64::from_le_bytes(container[12..20].try_into().unwrap());
     let sum = u64::from_le_bytes(container[20..28].try_into().unwrap());
-    let payload = &container[28..];
+    let payload = &container[HEADER..];
     if payload.len() as u64 != len {
         return Err(SnapError::BadContainer("length mismatch"));
     }
@@ -346,6 +351,42 @@ pub fn open(container: &[u8]) -> Result<&[u8], SnapError> {
         return Err(SnapError::BadContainer("checksum mismatch"));
     }
     Ok(payload)
+}
+
+/// A container known to be whole: only [`seal`]ing a payload or
+/// [`open`]ing bytes successfully makes one, so code that is handed a
+/// `Sealed` reads its payload without running the checksum again. Bytes
+/// from outside the process (a store file, a request body) become one at
+/// the point they enter, and are checked there exactly once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sealed(Vec<u8>);
+
+impl Sealed {
+    /// [`seal`] `payload`.
+    pub fn seal(payload: &[u8]) -> Self {
+        Sealed(seal(payload))
+    }
+
+    /// [`open`] `container` and keep it.
+    pub fn open(container: Vec<u8>) -> Result<Self, SnapError> {
+        open(&container)?;
+        Ok(Sealed(container))
+    }
+
+    /// The payload, as [`open`] returns it.
+    pub fn payload(&self) -> &[u8] {
+        &self.0[HEADER..]
+    }
+
+    /// The whole container.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// The whole container, given up.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -442,6 +483,18 @@ mod tests {
         let mut skew = seal(b"x");
         skew[8] = skew[8].wrapping_add(1);
         assert!(matches!(open(&skew), Err(SnapError::BadContainer("schema version mismatch"))));
+    }
+
+    #[test]
+    fn sealed_is_what_seal_and_open_agree_on() {
+        let sealed = Sealed::seal(b"state bytes");
+        assert_eq!(sealed.as_bytes(), seal(b"state bytes"));
+        assert_eq!(sealed.payload(), b"state bytes");
+        assert_eq!(Sealed::open(sealed.clone().into_bytes()), Ok(sealed.clone()));
+        let mut torn = sealed.into_bytes();
+        torn.pop();
+        assert_eq!(Sealed::open(torn), Err(SnapError::BadContainer("length mismatch")));
+        assert!(Sealed::open(Vec::new()).is_err());
     }
 
     #[test]

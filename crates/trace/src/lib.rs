@@ -18,14 +18,18 @@
 //!   chains;
 //! * [`synthetic`] — the statistical program model combining an op mix,
 //!   an address generator, dependency-distance sampling, and a code
-//!   footprint for the instruction-fetch stream.
+//!   footprint for the instruction-fetch stream;
+//! * [`tape`] — one stream's output recorded once and read by every run
+//!   forked from the same state.
 
 pub mod addrgen;
 pub mod op;
 pub mod phased;
 pub mod synthetic;
+pub mod tape;
 
 pub use addrgen::{AddressPattern, AddressStream};
 pub use op::{InstrStream, MicroOp, OpKind, WarmHints};
 pub use phased::PhasedStream;
 pub use synthetic::{OpMix, StreamParams, SyntheticStream};
+pub use tape::{OpTape, TapedStream};

@@ -6,9 +6,11 @@
 //! parent commit): FNV-1a over the first 100 000 `MicroOp`s of each
 //! application's profiling slice and evaluation slice 0 on core 0. A
 //! generator change that alters one draw of one stream fails here, by
-//! name, before it shows up as a moved results hash.
+//! name, before it shows up as a moved results hash. Each stream is
+//! hashed twice, on its own and read through a [`TapedStream`] (24 chunks
+//! of its tape): the forked runs of a sweep see their ops that way.
 
-use melreq_trace::{InstrStream, MicroOp, OpKind};
+use melreq_trace::{InstrStream, MicroOp, OpKind, OpTape, TapedStream};
 use melreq_workloads::{spec2000, SliceKind};
 
 const OPS: usize = 100_000;
@@ -75,17 +77,27 @@ fn first_100k_ops_of_every_stream_are_pinned() {
     assert_eq!(apps.len(), PINS.len(), "one pin per application");
     for (app, (code, profiling, evaluation)) in apps.iter().zip(PINS) {
         assert_eq!(app.code, code, "pins follow the roster order");
-        let got = (
-            hash_ops(&mut app.build_stream(0, SliceKind::Profiling)),
-            hash_ops(&mut app.build_stream(0, SliceKind::Evaluation(0))),
-        );
-        assert_eq!(
-            got,
-            (profiling, evaluation),
-            "{} ({code}): generated ops moved — ('{code}', {:#018x}, {:#018x})",
-            app.name,
-            got.0,
-            got.1
-        );
+        let stream = |taped: bool, slice: SliceKind| -> Box<dyn InstrStream> {
+            let plain = || Box::new(app.build_stream(0, slice));
+            if taped {
+                Box::new(TapedStream::new(OpTape::new(plain()), plain()))
+            } else {
+                plain()
+            }
+        };
+        for taped in [false, true] {
+            let got = (
+                hash_ops(&mut *stream(taped, SliceKind::Profiling)),
+                hash_ops(&mut *stream(taped, SliceKind::Evaluation(0))),
+            );
+            assert_eq!(
+                got,
+                (profiling, evaluation),
+                "{} ({code}, taped: {taped}): ops moved — ('{code}', {:#018x}, {:#018x})",
+                app.name,
+                got.0,
+                got.1
+            );
+        }
     }
 }
