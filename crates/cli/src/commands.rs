@@ -7,23 +7,23 @@
 //! `SimRequest → Session::run → SimReport` path the HTTP service and the
 //! bench harness use — so `melreq run --json` is byte-identical to the
 //! service's `/run` report body. Only the observability paths
-//! (`--trace`/`--series`/`--provenance` and `melreq trace`) drop below
-//! the facade: they need the collector tap, which is deliberately not
-//! part of the service API.
+//! (`--trace`/`--series`/`--provenance` and `melreq trace`) call the
+//! harness's `run_tapped` themselves: they need the collector tap, which
+//! is deliberately not part of the service API. Either way a run is
+//! rendered from its [`PolicyReport`].
 
 use crate::figures;
 use crate::parse::{Command, ObsArgs, PolicySpec, USAGE};
 use melreq_core::api::json::Json;
-use melreq_core::api::{MelreqError, PolicyReport, Session, SimRequest};
+use melreq_core::api::{AuditSummary, MelreqError, PolicyReport, Session, SimRequest};
 use melreq_core::experiment::{
-    run_mix, run_mix_audited_observed, run_mix_group, run_mix_observed, worker_count,
-    ExperimentOptions, MixResult, ObserveOptions, ProfileCache, RunControl, SweepStage,
+    run_mix, run_mix_group, run_mix_observed, run_tapped, worker_count, ExperimentOptions,
+    Measured, MixResult, ObserveOptions, ProfileCache, RunControl, SweepStage, Taps,
 };
 use melreq_core::profile::{profile_app, AppProfile};
 use melreq_core::report::{format_table, pct_over};
 use melreq_core::{CheckpointStore, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
-use melreq_memctrl::ChannelTraffic;
 use melreq_obs::{
     export_chrome_json, export_host_profile, series, Collector, ObsConfig, RuleTotals,
 };
@@ -41,68 +41,6 @@ fn usage(msg: impl Into<String>) -> MelreqError {
 
 fn io_err(msg: impl Into<String>) -> MelreqError {
     MelreqError::Io(msg.into())
-}
-
-/// The per-policy fields the human `run` rendering needs, borrowable
-/// from either a facade [`PolicyReport`] or a raw [`MixResult`] (the
-/// observability paths still produce the latter).
-struct RunView<'a> {
-    policy: &'a str,
-    smt_speedup: f64,
-    unfairness: f64,
-    mean_read_latency: f64,
-    me: &'a [f64],
-    ipc_single: &'a [f64],
-    ipc_multi: &'a [f64],
-    read_latency: &'a [f64],
-    queue_occupancy_mean: f64,
-    grant_candidates_mean: f64,
-    channels: &'a [ChannelTraffic],
-    sim_cycles: u64,
-    timed_out: bool,
-    cancelled: bool,
-}
-
-impl<'a> From<&'a MixResult> for RunView<'a> {
-    fn from(r: &'a MixResult) -> Self {
-        RunView {
-            policy: r.policy,
-            smt_speedup: r.smt_speedup,
-            unfairness: r.unfairness,
-            mean_read_latency: r.mean_read_latency,
-            me: &r.me,
-            ipc_single: &r.ipc_single,
-            ipc_multi: &r.ipc_multi,
-            read_latency: &r.read_latency,
-            queue_occupancy_mean: r.queue_occupancy_mean,
-            grant_candidates_mean: r.grant_candidates_mean,
-            channels: &r.channel_traffic,
-            sim_cycles: r.sim_cycles,
-            timed_out: r.timed_out,
-            cancelled: r.cancelled,
-        }
-    }
-}
-
-impl<'a> From<&'a PolicyReport> for RunView<'a> {
-    fn from(r: &'a PolicyReport) -> Self {
-        RunView {
-            policy: &r.policy,
-            smt_speedup: r.smt_speedup,
-            unfairness: r.unfairness,
-            mean_read_latency: r.mean_read_latency,
-            me: &r.me,
-            ipc_single: &r.ipc_single,
-            ipc_multi: &r.ipc_multi,
-            read_latency: &r.read_latency,
-            queue_occupancy_mean: r.queue_occupancy_mean,
-            grant_candidates_mean: r.grant_candidates_mean,
-            channels: &r.channels,
-            sim_cycles: r.sim_cycles,
-            timed_out: r.timed_out,
-            cancelled: r.cancelled,
-        }
-    }
 }
 
 fn cmd_profile(apps: &[String], opts: &ExperimentOptions) -> Result<String, MelreqError> {
@@ -204,7 +142,7 @@ fn render_provenance(totals: &[(String, RuleTotals)]) -> String {
 /// host throughput, the controller view and any safety-net warnings.
 fn render_run_human(
     mix: &Mix,
-    r: &RunView<'_>,
+    r: &PolicyReport,
     wall: Duration,
     opts: &ExperimentOptions,
 ) -> String {
@@ -275,6 +213,13 @@ fn render_run_human(
     }
     if r.cancelled {
         out.push_str("\nWARNING: run was cancelled at an epoch boundary by its deadline\n");
+    }
+    if let Some(a) = &r.audit {
+        let _ = writeln!(
+            out,
+            "\naudit: {} events checked, {} violations, stream hash {:016x}",
+            a.events, a.violations, a.stream_hash
+        );
     }
     out
 }
@@ -349,42 +294,26 @@ fn cmd_run(
     threads: Option<usize>,
 ) -> Result<String, MelreqError> {
     let mix = try_mix(mix_name)?;
-    if json {
-        if obs.any() {
-            return Err(usage(
-                "--json emits the versioned machine-readable report; drop the \
-                 --trace/--series/--sample-epoch/--provenance flags (use `melreq trace` \
-                 for observability artifacts)",
-            ));
-        }
-        let req = with_threads(sim_request(&mix, std::slice::from_ref(spec), opts, audit), threads);
-        let report = Session::new().run(&req, &RunControl::default())?;
-        return Ok(report.to_json());
+    if json && obs.any() {
+        return Err(usage(
+            "--json emits the versioned machine-readable report; drop the \
+             --trace/--series/--sample-epoch/--provenance flags (use `melreq trace` \
+             for observability artifacts)",
+        ));
     }
     if obs.any() {
-        // Observability paths sit below the facade: they need the
-        // collector tap on the audit stream. Every registered policy
-        // runs through the instrumented controller, so they all trace.
-        let kind = spec;
-        let cache = ProfileCache::new();
-        let observe = observe_options(obs, false);
-        let (r, report, collector) = if audit {
-            let (r, report, c) = run_mix_audited_observed(&mix, kind, opts, &observe, &cache);
-            (r, Some(report), c)
-        } else {
-            let (r, c) = run_mix_observed(&mix, kind, opts, &observe, &cache);
-            (r, None, c)
-        };
-        let mut out = render_run_human(&mix, &RunView::from(&r), r.wall, opts);
-        if let Some(report) = report {
-            if !report.is_clean() {
-                return Err(MelreqError::Divergence(format!("{out}\n{}", report.render())));
-            }
-            out.push_str(&format!(
-                "\naudit: {} events checked, 0 violations, stream hash {:016x}\n",
-                report.events, report.stream_hash
-            ));
+        // The collector tap is not part of the facade. Every registered
+        // policy runs through the instrumented controller, so they all
+        // trace.
+        let taps = Taps { audit, observe: Some(observe_options(obs, false)) };
+        let (cache, ctl) = (ProfileCache::new(), RunControl::default());
+        let (r, heard) = run_tapped(&mix, Measured::Kind(spec), opts, &cache, None, &ctl, taps);
+        let p = PolicyReport::from_result(&r, heard.audit.as_ref().map(AuditSummary::of));
+        let mut out = render_run_human(&mix, &p, r.wall, opts);
+        if let Some(report) = heard.audit.filter(|a| !a.is_clean()) {
+            return Err(MelreqError::Divergence(format!("{out}\n{}", report.render())));
         }
+        let collector = heard.collector.expect("an observed run keeps its collector");
         let c = collector.lock().expect("obs collector poisoned");
         out.push_str(&obs_outputs(&c, obs)?);
         if obs.provenance {
@@ -393,18 +322,13 @@ fn cmd_run(
         return Ok(out);
     }
     // The plain run goes through the facade — identical machinery to
-    // `--json`, the service and the bench harness.
+    // the service and the bench harness — and `--json` prints its report.
     let req = with_threads(sim_request(&mix, std::slice::from_ref(spec), opts, audit), threads);
     let report = Session::new().run(&req, &RunControl::default())?;
-    let p = &report.policies[0];
-    let mut out = render_run_human(&mix, &RunView::from(p), report.wall, opts);
-    if let Some(a) = &p.audit {
-        out.push_str(&format!(
-            "\naudit: {} events checked, {} violations, stream hash {:016x}\n",
-            a.events, a.violations, a.stream_hash
-        ));
+    if json {
+        return Ok(report.to_json());
     }
-    Ok(out)
+    Ok(render_run_human(&mix, &report.policies[0], report.wall, opts))
 }
 
 /// `melreq trace`: run one mix under any registered policy with the
@@ -485,23 +409,13 @@ fn cmd_compare(
     threads: Option<usize>,
 ) -> Result<String, MelreqError> {
     let mix = try_mix(mix_name)?;
-    if json {
-        if provenance {
-            return Err(usage(
-                "--json emits the versioned machine-readable report; drop --provenance",
-            ));
-        }
-        let req = with_threads(sim_request(&mix, specs, opts, false), threads);
-        let report = Session::new().run(&req, &RunControl::default())?;
-        return Ok(report.to_json());
+    if json && provenance {
+        return Err(usage("--json emits the versioned machine-readable report; drop --provenance"));
     }
-    // (policy, speedup, harmonic speedup, read latency, unfairness,
-    // max slowdown) per row.
     let mut totals: Vec<(String, RuleTotals)> = Vec::new();
-    let rows_data: Vec<(String, f64, f64, f64, f64, f64)> = if provenance {
+    let reports: Vec<PolicyReport> = if provenance {
         let cache = ProfileCache::new();
-        let mut rs = Vec::new();
-        for kind in specs {
+        let observed = |kind| {
             let (r, c) = run_mix_observed(&mix, kind, opts, &ObserveOptions::default(), &cache);
             let c = c.lock().expect("obs collector poisoned");
             // Labelled with the run's display name: the collector keys its
@@ -510,46 +424,29 @@ fn cmd_compare(
             if let Some((_, t)) = c.active_rule_totals() {
                 totals.push((r.policy.to_string(), t.clone()));
             }
-            rs.push((
-                r.policy.to_string(),
-                r.smt_speedup,
-                r.harmonic_speedup,
-                r.mean_read_latency,
-                r.unfairness,
-                r.max_slowdown,
-            ));
-        }
-        rs
+            PolicyReport::from_result(&r, None)
+        };
+        specs.iter().map(observed).collect()
     } else {
         let req = with_threads(sim_request(&mix, specs, opts, false), threads);
         let report = Session::new().run(&req, &RunControl::default())?;
-        report
-            .policies
-            .iter()
-            .map(|p| {
-                (
-                    p.policy.clone(),
-                    p.smt_speedup,
-                    p.harmonic_speedup,
-                    p.mean_read_latency,
-                    p.unfairness,
-                    p.max_slowdown,
-                )
-            })
-            .collect()
+        if json {
+            return Ok(report.to_json());
+        }
+        report.policies
     };
-    let base = rows_data[0].1;
-    let rows: Vec<Vec<String>> = rows_data
+    let base = reports[0].smt_speedup;
+    let rows: Vec<Vec<String>> = reports
         .iter()
-        .map(|(policy, speedup, hmean, read_lat, unfairness, max_slow)| {
+        .map(|p| {
             vec![
-                policy.clone(),
-                format!("{speedup:.3}"),
-                pct_over(*speedup, base),
-                format!("{hmean:.3}"),
-                format!("{read_lat:.0}"),
-                format!("{unfairness:.3}"),
-                format!("{max_slow:.3}"),
+                p.policy.clone(),
+                format!("{:.3}", p.smt_speedup),
+                pct_over(p.smt_speedup, base),
+                format!("{:.3}", p.harmonic_speedup),
+                format!("{:.0}", p.mean_read_latency),
+                format!("{:.3}", p.unfairness),
+                format!("{:.3}", p.max_slowdown),
             ]
         })
         .collect();
@@ -731,12 +628,11 @@ fn cmd_reproduce(
         Some(st) => Session::with_store(st.clone()),
         None => Session::new(),
     };
-    let kernel = if opts.tick_exact { "tick-exact" } else { "fast-forward" };
-
     let total_start = Instant::now();
     let mut stages: Vec<Stage> = Vec::new();
 
-    // Table 2: single-core profiles of the full application roster.
+    // Table 2: single-core profiles of the full application roster,
+    // through the session's cache so the grid below finds them in memory.
     let table2_profiles: Vec<AppProfile> = {
         let t0 = Instant::now();
         let apps = spec2000();
@@ -744,19 +640,9 @@ fn cmd_reproduce(
         let profiles = apps
             .iter()
             .map(|a| {
-                let key = CheckpointStore::profile_key(
-                    a.code,
-                    SliceKind::Profiling,
-                    opts.profile_instructions,
-                );
-                if let Some(p) = store.as_ref().and_then(|st| st.load_profile(key)) {
-                    return p;
-                }
-                let p = profile_app(a, SliceKind::Profiling, opts.profile_instructions);
-                simulated += 1;
-                if let Some(st) = &store {
-                    st.store_profile(key, &p);
-                }
+                let (p, here) =
+                    session.cache().lookup(a, SliceKind::Profiling, opts.profile_instructions);
+                simulated += usize::from(here);
                 p
             })
             .collect();
@@ -810,7 +696,7 @@ fn cmd_reproduce(
     let ctl = RunControl { threads: Some(workers), ..RunControl::default() };
     let grid_t0 = Instant::now();
     let stage_results: Vec<Vec<MixResult>> = if no_checkpoint {
-        // --no-checkpoint: one single-policy grid per policy, so every
+        // --no-checkpoint: one single-policy sweep per policy, so every
         // (mix, policy) cell warms up from scratch — the baseline the
         // sharing speedup is quoted against. Results are reordered to
         // the pooled path's (mix-major, policy-minor) layout so the
@@ -821,9 +707,9 @@ fn cmd_reproduce(
                 let mut per_policy: Vec<std::vec::IntoIter<MixResult>> = policies
                     .iter()
                     .map(|p| {
-                        session
-                            .run_grid_ctl(mixes, std::slice::from_ref(p), &opts, &ctl)
-                            .into_iter()
+                        let stage = SweepStage { mixes: mixes.clone(), policies: vec![p.clone()] };
+                        let mut runs = session.run_sweep_stages(&[stage], &opts, &ctl);
+                        runs.pop().expect("one stage submitted").into_iter()
                     })
                     .collect();
                 let mut results = Vec::with_capacity(mixes.len() * policies.len());
@@ -893,7 +779,7 @@ fn cmd_reproduce(
     let mut fresh_hash = 0u64;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let forked = run_mix_group(&bmix, &f2, &bench_opts, cache, None);
+        let forked = run_mix_group(&bmix, &f2, &bench_opts, cache, None, &RunControl::default());
         let fw = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         let fresh: Vec<MixResult> =
@@ -955,7 +841,7 @@ fn cmd_reproduce(
     let mut json = String::new();
     let _ = writeln!(json, "{{\n  \"schema_version\": {},", melreq_core::api::SCHEMA_VERSION);
     let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    let _ = writeln!(json, "  \"kernel\": \"{kernel}\",");
+    json.push_str("  \"kernel\": \"fast-forward\",\n");
     let _ = writeln!(json, "  \"threads\": {workers},");
     let _ = writeln!(json, "  \"host\": {},", host_json());
     if let Some(s) = &host_profile {
@@ -1084,7 +970,7 @@ fn cmd_reproduce(
 
     // The human summary.
     let mut out = format!(
-        "reproduce ({} grid, {}; kernel {kernel}; {workers} worker threads): \
+        "reproduce ({} grid, {}; kernel fast-forward; {workers} worker threads): \
          {} instr/core, warm-up {}\n\n",
         if smoke { "smoke" } else { "full" },
         if no_checkpoint { "checkpointing disabled" } else { "warm-up sharing on" },

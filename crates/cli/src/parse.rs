@@ -263,7 +263,8 @@ USAGE:
   melreq serve [--addr H:P] [--workers N] [--queue-cap M] [--store DIR]
                [--no-store] [--timeout-ms N] [--response-cache N]
                [--idle-timeout-ms N] [--access-log PATH] [--profile PATH]
-  melreq client VERB... [--addr H:P] [--timeout-ms N] [common options]
+  melreq client VERB... [--policy NAME | --policies n1,n2,...] [--audit]
+               [--addr H:P] [--timeout-ms N] [common options]
                where VERB is run <MIX> | compare <MIX> | health | metrics
                | buildinfo | policies | shutdown; several verbs share one
                keep-alive connection (at most one of run|compare per
@@ -274,6 +275,8 @@ USAGE:
   melreq analyze [--json] [--fix-fingerprint] [--root DIR] [--out PATH]
   melreq config [--cores N]
   melreq help
+  A flag its verb does not read is a usage error, as is a surplus
+  positional argument: nothing on a command line is silently ignored.
 
 POLICIES:
   fcfs fcfs-rf hf-rf rr lreq me me-lreq me-lreq-on fix-0123 fix-3210
@@ -287,7 +290,8 @@ POLICIES:
   /policies on a server) lists every descriptor as JSON; compare/sweep
   with no --policies default to the registry's paper-figure set.
 
-COMMON OPTIONS:
+COMMON OPTIONS (profile, run, trace, audit, compare, sweep, reproduce,
+client):
   --instructions N   measured instructions per core   (default 150000)
   --warmup N         warm-up instructions per core    (default 60000)
   --profile N|PATH   a number sets the profiling-run instruction count
@@ -295,11 +299,9 @@ COMMON OPTIONS:
                      profiler and writes a Perfetto trace there (run,
                      compare, reproduce, serve — see HOST PROFILING)
   --slice K          evaluation slice index           (default 0)
-  --tick-exact       disable the fast-forward kernel and simulate every
-                     cycle (debug/baseline knob; results are identical)
-  --threads N        worker threads for pooled runs (default MELREQ_THREADS,
-                     else host parallelism); results are bit-identical at
-                     any value
+  --threads N        (run, compare, sweep, reproduce) worker threads for
+                     pooled runs (default MELREQ_THREADS, else host
+                     parallelism); results are bit-identical at any value
 
 COMMAND FLAGS:
   profile   --apps a,b,...      subset of SPEC2000 names (default all 26)
@@ -335,6 +337,9 @@ COMMAND FLAGS:
                                 (Perfetto JSON) at drain
   client    --addr H:P          server address      (default 127.0.0.1:7700)
             --timeout-ms N      request wall-clock budget (forwarded)
+            --policy NAME       policy of the run/compare request
+            --policies n1,...   its policy list, first = baseline
+            --audit             attach the auditor server-side
   loadbench --addr H:P          server address      (default 127.0.0.1:7700)
             --rps R             offered open-loop arrival rate (default 200)
             --conns N           client connections/workers     (default 16)
@@ -352,8 +357,8 @@ COMMAND FLAGS:
   config    --cores N           core count to describe  (default 4)
 
 TRACE OPTIONS (run and trace):
-  --trace PATH       write a Chrome/Perfetto trace_event JSON of the run
-                     (`trace` writes one always; its path is --out,
+  --trace PATH       (run) write a Chrome/Perfetto trace_event JSON of the
+                     run (`trace` writes one always; its path is --out,
                      default trace.json)
   --series PATH      write the epoch time-series (CSV, or JSON when the
                      path ends in .json); implies sampling
@@ -361,8 +366,8 @@ TRACE OPTIONS (run and trace):
                      series is requested or under `trace`)
   --trace-cap N      trace-ring capacity in events (default 1048576,
                      oldest events drop beyond it)
-  --provenance       print which scheduler rule won each grant,
-                     aggregated per policy
+  --provenance       (run; `trace` always does) print which scheduler
+                     rule won each grant, aggregated per policy
 
 SERVICE:
   `melreq serve` exposes the simulator over HTTP/1.1 (std-only, no
@@ -462,6 +467,76 @@ EXIT CODES:
   5 overload · 6 timeout/cancelled · 7 static-analysis findings
 ";
 
+/// What one verb reads from its command line. Anything else is a usage
+/// error: a flag the verb would ignore silently does not do what it says.
+struct Verb {
+    name: &'static str,
+    /// The most positional arguments it takes.
+    positionals: usize,
+    /// Whether it simulates at a scale the caller sets ([`SCALE_FLAGS`]).
+    scale: bool,
+    /// Whether `--profile PATH` attaches the host profiler to it.
+    host_profile: bool,
+    /// The flags its [`Command`] variant is built from.
+    flags: &'static [&'static str],
+}
+
+/// `--profile` here is its numeric form, the profiling-run length.
+const SCALE_FLAGS: &[&str] = &["--instructions", "--warmup", "--profile", "--slice"];
+
+const fn verb(
+    name: &'static str,
+    positionals: usize,
+    scale: bool,
+    host_profile: bool,
+    flags: &'static [&'static str],
+) -> Verb {
+    Verb { name, positionals, scale, host_profile, flags }
+}
+
+/// The flag roster, verb by verb: what `parse_args` accepts and what the
+/// USAGE test requires the text above to document.
+#[rustfmt::skip]
+const VERBS: &[Verb] = &[
+    //   name         args scale  profiler  own flags
+    verb("profile",   0, true,  false, &["--apps"]),
+    verb("run",       1, true,  true,  &["--policy", "--audit", "--json", "--threads", "--trace",
+                                         "--series", "--sample-epoch", "--trace-cap", "--provenance"]),
+    verb("trace",     1, true,  false, &["--policy", "--out", "--series", "--sample-epoch", "--trace-cap"]),
+    verb("audit",     1, true,  false, &["--policy"]),
+    verb("compare",   1, true,  true,  &["--policies", "--provenance", "--json", "--threads"]),
+    verb("sweep",     0, true,  false, &["--kind", "--policies", "--threads"]),
+    verb("reproduce", 0, true,  true,  &["--smoke", "--no-checkpoint", "--store", "--out", "--threads",
+                                         "--guard", "--guard-ratio"]),
+    verb("serve",     0, false, true,  &["--addr", "--workers", "--queue-cap", "--store", "--no-store",
+                                         "--timeout-ms", "--response-cache", "--idle-timeout-ms",
+                                         "--access-log"]),
+    verb("client", usize::MAX, true, false, &["--policy", "--policies", "--audit", "--addr", "--timeout-ms"]),
+    verb("loadbench", 1, false, false, &["--addr", "--rps", "--conns", "--duration", "--seed", "--out",
+                                         "--guard", "--guard-ratio"]),
+    verb("analyze",   0, false, false, &["--json", "--fix-fingerprint", "--root", "--out"]),
+    verb("config",    0, false, false, &["--cores"]),
+    verb("help",      0, false, false, &[]),
+];
+
+impl Verb {
+    fn reads(&self, flag: &str) -> bool {
+        self.flags.contains(&flag)
+            || (self.scale && SCALE_FLAGS.contains(&flag))
+            || (self.host_profile && flag == "--profile")
+    }
+
+    /// The error for `flag` (as the user would write it), which this verb
+    /// does not read: it names the verbs that `reads` it, if any does.
+    fn rejects(&self, flag: &str, reads: impl Fn(&Verb) -> bool) -> String {
+        let readers: Vec<&str> = VERBS.iter().filter(|v| reads(v)).map(|v| v.name).collect();
+        if readers.is_empty() {
+            return format!("unknown flag '{flag}'");
+        }
+        format!("`melreq {}` does not read {flag} (read by: {})", self.name, readers.join(", "))
+    }
+}
+
 fn split_list(s: &str) -> Vec<String> {
     s.split(',').map(|x| x.trim().to_string()).filter(|x| !x.is_empty()).collect()
 }
@@ -473,6 +548,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let Some(cmd) = it.next() else {
         return Ok(Command::Help);
     };
+    let name = if matches!(cmd.as_str(), "--help" | "-h") { "help" } else { cmd.as_str() };
+    let verb = VERBS
+        .iter()
+        .find(|v| v.name == name)
+        .ok_or_else(|| format!("unknown command '{cmd}' (try `melreq help`)"))?;
 
     // Collect the remaining flags generically first.
     let mut opts = ExperimentOptions::default();
@@ -509,6 +589,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut access_log: Option<String> = None;
 
     while let Some(a) = it.next() {
+        if a.starts_with("--") && !verb.reads(a) {
+            return Err(verb.rejects(a, |v| v.reads(a)));
+        }
         let mut val = |name: &str| -> Result<&String, String> {
             it.next().ok_or_else(|| format!("{name} requires a value"))
         };
@@ -525,8 +608,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 // count; anything else is the host-profile output path.
                 let v = val("--profile")?;
                 match v.parse::<u64>() {
-                    Ok(n) => opts.profile_instructions = n,
-                    Err(_) => prof_out = Some(v.clone()),
+                    Ok(n) if verb.scale => opts.profile_instructions = n,
+                    Ok(_) => return Err(verb.rejects("--profile N", |v| v.scale)),
+                    Err(_) if verb.host_profile => prof_out = Some(v.clone()),
+                    Err(_) => return Err(verb.rejects("--profile PATH", |v| v.host_profile)),
                 }
             }
             "--access-log" => access_log = Some(val("--access-log")?.clone()),
@@ -542,7 +627,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     .collect::<Result<_, _>>()?;
             }
             "--audit" => audit = true,
-            "--tick-exact" => opts.tick_exact = true,
             "--smoke" => smoke = true,
             "--no-checkpoint" => no_checkpoint = true,
             "--store" => store = Some(val("--store")?.clone()),
@@ -633,16 +717,25 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--seed" => {
                 seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
             }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            flag if flag.starts_with("--") => unreachable!("{flag} is in no verb's row"),
             pos => positional.push(pos.to_string()),
         }
+    }
+    if positional.len() > verb.positionals {
+        return Err(format!(
+            "`melreq {}` takes at most {} positional argument(s), got {}: {}",
+            verb.name,
+            verb.positionals,
+            positional.len(),
+            positional.join(" ")
+        ));
     }
 
     // With no explicit set, `compare`/`sweep` enumerate the registry's
     // paper-figure policies (the Figure 2 set, in figure order).
     let default_policies = PolicySpec::figure2_set;
 
-    match cmd.as_str() {
+    match verb.name {
         "profile" => Ok(Command::Profile { apps, opts }),
         "run" => {
             let mix =
@@ -785,8 +878,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "analyze" => Ok(Command::Analyze { json, fix_fingerprint, root, out }),
         "config" => Ok(Command::Config { cores }),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown command '{other}' (try `melreq help`)")),
+        "help" => Ok(Command::Help),
+        other => unreachable!("{other} has a row but no arm"),
     }
 }
 
@@ -1217,49 +1310,79 @@ mod tests {
         assert!(e.contains("--timeout-ms"), "error must name the flag: {e}");
     }
 
+    /// Every flag of the roster, once.
+    fn roster() -> std::collections::BTreeSet<&'static str> {
+        VERBS.iter().flat_map(|v| v.flags).chain(SCALE_FLAGS).copied().collect()
+    }
+
     #[test]
     fn usage_documents_every_flag() {
-        for flag in [
-            "--instructions",
-            "--warmup",
-            "--profile",
-            "--slice",
-            "--tick-exact",
-            "--apps",
-            "--policy",
-            "--policies",
-            "--audit",
-            "--smoke",
-            "--no-checkpoint",
-            "--store",
-            "--out",
-            "--kind",
-            "--cores",
-            "--trace",
-            "--series",
-            "--sample-epoch",
-            "--trace-cap",
-            "--provenance",
-            "--json",
-            "--addr",
-            "--workers",
-            "--queue-cap",
-            "--no-store",
-            "--timeout-ms",
-            "--response-cache",
-            "--fix-fingerprint",
-            "--root",
-            "--threads",
-            "--guard",
-            "--guard-ratio",
-            "--idle-timeout-ms",
-            "--rps",
-            "--conns",
-            "--duration",
-            "--seed",
-            "--access-log",
-        ] {
+        for flag in roster() {
             assert!(USAGE.contains(flag), "USAGE must document {flag}");
+        }
+        assert_eq!(roster().len(), 37, "a flag came or went: {:?}", roster());
+        for verb in VERBS {
+            assert!(USAGE.contains(&format!("melreq {}", verb.name)), "no synopsis: {}", verb.name);
+        }
+    }
+
+    #[test]
+    fn every_verb_parses_every_flag_of_its_own_row() {
+        let value = |flag: &str| match flag {
+            "--audit" | "--json" | "--provenance" | "--smoke" | "--no-checkpoint"
+            | "--no-store" | "--fix-fingerprint" => None,
+            "--policy" => Some("lreq"),
+            "--policies" => Some("hf-rf,lreq"),
+            "--kind" => Some("mix"),
+            "--apps" => Some("swim"),
+            _ => Some("1"),
+        };
+        for verb in VERBS {
+            // `client` needs a verb of its own; the rest take a mix where
+            // they take anything.
+            let head = match verb.name {
+                "client" => vec!["client", "run", "2MEM-1"],
+                name if verb.positionals > 0 => vec![name, "2MEM-1"],
+                name => vec![name],
+            };
+            let parses = |tail: &[&str]| {
+                let args = v(&[&head[..], tail].concat());
+                assert!(parse_args(&args).is_ok(), "{args:?}: {:?}", parse_args(&args));
+            };
+            for &flag in verb.flags.iter().chain(SCALE_FLAGS.iter().filter(|_| verb.scale)) {
+                parses(&[&[flag][..], value(flag).as_slice()].concat());
+            }
+            if verb.host_profile {
+                parses(&["--profile", "p.json"]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_flag_its_verb_does_not_read_is_a_usage_error() {
+        let parse = |line: &str| parse_args(&v(&line.split(' ').collect::<Vec<_>>()));
+        // On the parent binary this exited 0 having audited nothing and
+        // run the default five policies instead of `fcfs`.
+        let e = parse(
+            "compare 2MEM-1 --audit --smoke --workers 9 --policy fcfs --instructions 2000 \
+             --warmup 1000 --profile 1000 extra positional",
+        )
+        .unwrap_err();
+        assert!(e.contains("--audit") && e.contains("`melreq compare`"), "{e}");
+        assert!(e.contains("run, client"), "the error must say who reads it: {e}");
+        for (line, needle) in [
+            ("run X Y", "at most 1 positional"),
+            ("sweep mem", "at most 0 positional"),
+            ("serve --profile 123", "--profile N"),
+            ("trace X --profile p.json", "--profile PATH"),
+            ("trace X --trace t.json", "--trace"),
+            ("trace X --provenance", "--provenance"),
+            ("config --rps 5", "--rps"),
+            ("audit --threads 2", "--threads"),
+            ("help --json", "--json"),
+        ] {
+            let e = parse(line).unwrap_err();
+            assert!(e.contains(needle), "{line}: {e}");
         }
     }
 

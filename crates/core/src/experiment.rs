@@ -1,53 +1,64 @@
 //! The multiprogrammed evaluation harness (Figures 2–5).
 //!
-//! [`run_mix`] reproduces the paper's per-workload methodology:
+//! Every number in those figures is one measurement, and [`run_tapped`]
+//! is the one place it is taken:
 //!
 //! 1. profile each application alone (profiling slice) → `ME[i]`;
 //! 2. run each application alone on the *evaluation* slice →
 //!    `IPC_single[i]` (the SMT-speedup denominator);
-//! 3. run the mix on the multi-core machine under the policy until every
-//!    core commits its target instruction count (early finishers keep
-//!    running — "reload their applications and keep running");
-//! 4. report SMT speedup, unfairness and read latencies.
+//! 3. bring the mix to its measurement *boundary*: warm the multi-core
+//!    machine up under the canonical policy, or restore that state from
+//!    a [`CheckpointStore`];
+//! 4. swap the [`Measured`] policy in and run until every core commits
+//!    its target instruction count (early finishers keep running —
+//!    "reload their applications and keep running");
+//! 5. report SMT speedup, unfairness and read latencies.
 //!
 //! [`ProfileCache`] memoizes steps 1–2 per application so sweeping 36
 //! mixes × 5 policies does not re-profile the same programs; the cache is
-//! `Sync` and shared across the worker threads of [`run_grid_ctl`].
+//! `Sync` and shared across the worker threads of [`run_sweep_stages`].
+//! [`Taps`] says who listens to steps 3–4 (the auditor, the trace
+//! collector, both or nobody) and a [`RunControl`] bounds them.
+//! [`run_mix`], [`run_mix_custom`], [`run_mix_audited`] and
+//! [`run_mix_observed`] are that call with the store, the control and the
+//! taps filled in.
 //!
 //! # Warm-up sharing
 //!
 //! Warm-up always runs under the *canonical* policy
 //! ([`CANONICAL_WARMUP_POLICY`], the paper's HF-RF baseline, programmed
 //! with a flat ME profile) and the measured policy is swapped in at the
-//! measurement boundary ([`System::swap_policy`]) — in **every** path:
-//! [`run_mix`], [`run_mix_audited`], and the grid. The boundary state is
-//! therefore identical across all policies of a (mix, options) group, so
-//! [`run_grid_ctl`] simulates it once per group, snapshots it, and forks
-//! the bytes into one fresh system per policy; [`run_mix`] on the same
+//! boundary ([`System::swap_policy`]), tapped or not. The boundary state
+//! is therefore identical across all policies of a (mix, options) group,
+//! so [`run_sweep_stages`] reaches it once per group, snapshots it, and
+//! forks the bytes into one fresh system per policy, each of which takes
+//! steps 4–5 exactly as a run on its own does; [`run_mix`] on the same
 //! inputs reaches the same state by direct simulation, which is what makes
-//! the two bit-exactly comparable. With a [`CheckpointStore`] attached
-//! (the `store` argument of the `*_ctl` entry points), boundary snapshots
-//! and single-core profiles also persist across process invocations.
+//! the two bit-exactly comparable. With a [`CheckpointStore`] attached,
+//! boundary snapshots and single-core profiles also persist across
+//! process invocations.
 //!
 //! The runs of a group share one more thing: the instruction streams of
 //! their measured windows. From the boundary on, every run of a group of
 //! more than one reads its ops from one [`OpTape`] per core, so each op
-//! is generated once per group; a run on its own ([`run_mix`] and the
-//! audited and observed variants) generates its own.
+//! is generated once per group; a run on its own generates its own.
 
 use crate::profile::{profile_app, AppProfile};
 use crate::store::CheckpointStore;
-use crate::system::{CancelToken, RunOutcome, System};
+use crate::system::{CancelToken, System};
 use crate::SystemConfig;
+use melreq_audit::{AuditHandle, AuditReport, AuditSink, Auditor, AuditorConfig};
 use melreq_memctrl::policy::PolicyKind;
+use melreq_memctrl::SchedulerPolicy;
 use melreq_obs::{Collector, Fanout, ObsConfig};
 use melreq_snap::Sealed;
 use melreq_stats::fairness::FairnessReport;
 use melreq_stats::types::Cycle;
 use melreq_trace::{InstrStream, OpTape, TapedStream};
-use melreq_workloads::{Mix, SliceKind};
+use melreq_workloads::{AppSpec, Mix, SliceKind};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// The policy every warm-up runs under, regardless of the measured
 /// policy: the paper's baseline, which ignores ME values, so warm-up
@@ -71,11 +82,6 @@ pub struct ExperimentOptions {
     /// Safety net: abort a run after `instructions * max_cycles_factor`
     /// cycles.
     pub max_cycles_factor: u64,
-    /// Debug knob: run the multiprogrammed system cycle-exactly instead of
-    /// fast-forwarding over quiescent cycles (see
-    /// [`System::set_tick_exact`]). Results are identical either way; this
-    /// exists for kernel-equivalence regression tests and perf baselines.
-    pub tick_exact: bool,
 }
 
 impl Default for ExperimentOptions {
@@ -86,7 +92,6 @@ impl Default for ExperimentOptions {
             profile_instructions: 60_000,
             eval_slice: 0,
             max_cycles_factor: 4000,
-            tick_exact: false,
         }
     }
 }
@@ -110,8 +115,8 @@ impl ExperimentOptions {
 /// Per-run controls threaded from the caller (CLI or service layer) into
 /// the harness: a cooperative [`CancelToken`] (wall-clock timeouts,
 /// server shutdown) and an optional simulated-cycle budget that tightens
-/// the options' safety net. The default control is inert — every
-/// convenience entry point (`run_mix`, `run_mix_group`, …) uses it.
+/// the options' safety net. The default control is inert — the
+/// [`run_mix`] family uses it.
 #[derive(Debug, Clone, Default)]
 pub struct RunControl {
     /// Cooperative cancellation, polled at epoch boundaries
@@ -143,16 +148,19 @@ impl RunControl {
     }
 }
 
+/// What a single-core profile depends on: application code, slice, and
+/// committed instruction count.
+type ProfileId = (char, SliceKind, u64);
+
 /// Memoized single-core profiles: `ME` (profiling slice) and
-/// `IPC_single` (evaluation slice) per application code. With a
+/// `IPC_single` (evaluation slice) per application. With a
 /// [`CheckpointStore`] attached ([`ProfileCache::with_store`]), profiles
 /// missing from memory are looked up on disk before being simulated, and
 /// freshly simulated ones are persisted — a warm store answers every
 /// profiling request of a sweep without running a single profiling cycle.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
-    me: Mutex<BTreeMap<char, AppProfile>>,
-    ipc_single: Mutex<BTreeMap<(char, u32), f64>>,
+    profiles: Mutex<BTreeMap<ProfileId, Arc<OnceLock<AppProfile>>>>,
     store: Option<Arc<CheckpointStore>>,
 }
 
@@ -167,53 +175,47 @@ impl ProfileCache {
         ProfileCache { store: Some(store), ..Self::default() }
     }
 
-    /// The profiling-slice profile of `code` (memoized).
-    pub fn profile(&self, mix: &Mix, core: usize, opts: &ExperimentOptions) -> AppProfile {
-        let app = &mix.apps()[core];
-        let mut g = self.me.lock().expect("profile cache poisoned");
-        g.entry(app.code)
-            .or_insert_with(|| {
-                let key = CheckpointStore::profile_key(
-                    app.code,
-                    SliceKind::Profiling,
-                    opts.profile_instructions,
-                );
-                if let Some(st) = &self.store {
-                    if let Some(p) = st.load_profile(key) {
-                        return p;
-                    }
-                }
-                let _sp = melreq_prof::span("profile", || format!("app {} (ME)", app.code));
-                let p = profile_app(app, SliceKind::Profiling, opts.profile_instructions);
-                if let Some(st) = &self.store {
-                    st.store_profile(key, &p);
-                }
-                p
-            })
-            .clone()
+    /// The profile of `app` alone over `instructions` committed ops of
+    /// `slice`, and whether this call simulated it: from memory, else from
+    /// the store, else simulated here and persisted. Every profile the
+    /// harness uses comes through this lookup. Each profile has a cell of
+    /// its own, so callers wait only for the one they asked for.
+    pub fn lookup(&self, app: &AppSpec, slice: SliceKind, instructions: u64) -> (AppProfile, bool) {
+        let cell = {
+            let mut memo = self.profiles.lock().expect("profile cache poisoned");
+            Arc::clone(memo.entry((app.code, slice, instructions)).or_default())
+        };
+        let mut simulated = false;
+        let profile = cell.get_or_init(|| {
+            let key = CheckpointStore::profile_key(app.code, slice, instructions);
+            if let Some(p) = self.store.as_ref().and_then(|st| st.load_profile(key)) {
+                return p;
+            }
+            simulated = true;
+            let role = match slice {
+                SliceKind::Profiling => "ME",
+                SliceKind::Evaluation(_) => "IPC_single",
+            };
+            let _sp = melreq_prof::span("profile", || format!("app {} ({role})", app.code));
+            let p = profile_app(app, slice, instructions);
+            if let Some(st) = &self.store {
+                st.store_profile(key, &p);
+            }
+            p
+        });
+        (profile.clone(), simulated)
     }
 
-    /// Single-core IPC of `code` on the evaluation slice (memoized). The
+    /// The profiling-slice profile of the application on `core` of `mix`.
+    pub fn profile(&self, mix: &Mix, core: usize, opts: &ExperimentOptions) -> AppProfile {
+        self.lookup(&mix.apps()[core], SliceKind::Profiling, opts.profile_instructions).0
+    }
+
+    /// Single-core IPC of that application on the evaluation slice. The
     /// persistent record is the full evaluation-slice [`AppProfile`].
     pub fn ipc_single(&self, mix: &Mix, core: usize, opts: &ExperimentOptions) -> f64 {
-        let app = &mix.apps()[core];
-        let key = (app.code, opts.eval_slice);
-        let mut g = self.ipc_single.lock().expect("profile cache poisoned");
-        *g.entry(key).or_insert_with(|| {
-            let slice = SliceKind::Evaluation(opts.eval_slice);
-            let skey = CheckpointStore::profile_key(app.code, slice, opts.instructions);
-            if let Some(st) = &self.store {
-                if let Some(p) = st.load_profile(skey) {
-                    return p.ipc;
-                }
-            }
-            let _sp = melreq_prof::span("profile", || format!("app {} (IPC_single)", app.code));
-            let p = profile_app(app, slice, opts.instructions);
-            if let Some(st) = &self.store {
-                st.store_profile(skey, &p);
-            }
-            p.ipc
-        })
+        let slice = SliceKind::Evaluation(opts.eval_slice);
+        self.lookup(&mix.apps()[core], slice, opts.instructions).0.ipc
     }
 }
 
@@ -290,25 +292,17 @@ fn canonical_config(cores: usize) -> SystemConfig {
     SystemConfig::paper(cores, CANONICAL_WARMUP_POLICY)
 }
 
-/// `mix`'s evaluation-slice streams at their first op, in core order.
-fn eval_streams(mix: &Mix, opts: &ExperimentOptions) -> Vec<Box<dyn InstrStream + Send>> {
-    mix.apps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            Box::new(a.build_stream(i, SliceKind::Evaluation(opts.eval_slice)))
-                as Box<dyn InstrStream + Send>
-        })
-        .collect()
-}
-
 /// A freshly constructed canonical system for `mix` (evaluation-slice
 /// streams, flat ME profile, canonical warm-up policy).
 fn canonical_system(mix: &Mix, opts: &ExperimentOptions) -> System {
     let cores = mix.cores();
-    let mut sys = System::new(canonical_config(cores), eval_streams(mix, opts), &vec![1.0; cores]);
-    sys.set_tick_exact(opts.tick_exact);
-    sys
+    System::new(canonical_config(cores), mix.eval_streams(opts.eval_slice), &vec![1.0; cores])
+}
+
+/// The host clock, for the `wall` / `warm_wall` a [`MixResult`] reports.
+fn host_clock() -> Instant {
+    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
+    Instant::now()
 }
 
 /// Run `run` on `sys` inside a `cat` span that carries, as args, the
@@ -344,7 +338,8 @@ struct Boundary {
 }
 
 /// Reach the measurement boundary of `mix`: restore it from `store` or
-/// simulate the warm-up. With a store attached, a simulated boundary is
+/// simulate the warm-up, after `attach` has run on the system that will
+/// simulate it from reset. With a store attached, a simulated boundary is
 /// persisted unless the warm-up hit the cycle safety net (the subsequent
 /// [`System::run_window`] then reports `timed_out` immediately) or
 /// `warmup == 0` (nothing worth caching).
@@ -353,6 +348,7 @@ fn boundary_system(
     opts: &ExperimentOptions,
     store: Option<&CheckpointStore>,
     ctl: &RunControl,
+    attach: impl FnOnce(&mut System),
 ) -> Boundary {
     let mut sys = canonical_system(mix, opts);
     ctl.arm(&mut sys);
@@ -381,6 +377,7 @@ fn boundary_system(
             ctl.arm(&mut sys);
         }
     }
+    attach(&mut sys);
     sys.prepare_window(opts.warmup, opts.instructions);
     let reached = kernel_span(
         "warmup",
@@ -426,7 +423,7 @@ impl GroupShare {
             base.snapshot_sealed()
         });
         debug_assert!(snapshot.as_bytes() == base.snapshot(), "stale boundary container");
-        let warmed = base.replace_streams(eval_streams(&mix, opts));
+        let warmed = base.replace_streams(mix.eval_streams(opts.eval_slice));
         let tapes = warmed.into_iter().map(OpTape::new).collect();
         let share = GroupShare { mix, snapshot, tapes, since_ns: melreq_prof::now_ns() };
         share.attach(base, opts);
@@ -438,7 +435,7 @@ impl GroupShare {
         let readers = self
             .tapes
             .iter()
-            .zip(eval_streams(&self.mix, opts))
+            .zip(self.mix.eval_streams(opts.eval_slice))
             .map(|(tape, own)| {
                 Box::new(TapedStream::new(Arc::clone(tape), own)) as Box<dyn InstrStream + Send>
             })
@@ -467,23 +464,94 @@ impl Drop for GroupShare {
     }
 }
 
-/// Fold one measured-window outcome into a [`MixResult`].
-#[allow(clippy::too_many_arguments)]
-fn finish_result(
-    mix: &Mix,
-    name: &'static str,
+/// Builds a policy from outside the registry: receives the profiled ME
+/// values, the core count and the machine's seed; returns the policy and
+/// its read-first setting.
+pub type PolicyBuilder<'a> = dyn Fn(&[f64], usize, u64) -> (Box<dyn SchedulerPolicy>, bool) + 'a;
+
+/// The policy a run measures: what the boundary system is handed before
+/// its window opens.
+#[derive(Clone, Copy)]
+pub enum Measured<'a> {
+    /// A registered policy, built by [`System::swap_policy`] — which also
+    /// engages `PolicyKind::MeLreqOnline`'s system-side estimator.
+    Kind(&'a PolicyKind),
+    /// A policy from outside the registry, such as a re-weighted
+    /// [`melreq_memctrl::FairQueueing`].
+    Custom {
+        /// Its name in the [`MixResult`].
+        name: &'static str,
+        /// Its constructor, called once at the boundary.
+        build: &'a PolicyBuilder<'a>,
+    },
+}
+
+impl Measured<'_> {
+    /// The policy's shorthand name ("HF-RF", "ME-LREQ", ...).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Measured::Kind(kind) => kind.name(),
+            Measured::Custom { name, .. } => name,
+        }
+    }
+}
+
+/// What the single-core profiles say about a mix, in core order: `ME`
+/// programs the priority tables, `IPC_single` is the speedup denominator.
+#[derive(Debug, Clone)]
+struct Inputs {
     me: Vec<f64>,
     ipc_single: Vec<f64>,
-    out: RunOutcome,
-    sim_cycles: Cycle,
-    wall: std::time::Duration,
-    warm_wall: std::time::Duration,
+}
+
+impl Inputs {
+    fn of(mix: &Mix, opts: &ExperimentOptions, cache: &ProfileCache) -> Self {
+        let cores = 0..mix.cores();
+        Inputs {
+            me: cores.clone().map(|i| cache.profile(mix, i, opts).me).collect(),
+            ipc_single: cores.map(|i| cache.ipc_single(mix, i, opts)).collect(),
+        }
+    }
+}
+
+/// The measurement itself, from a system standing at the boundary: swap
+/// the measured policy in, run the window, score it. `started` is when the
+/// host began working on this window (before a fork's restore; after the
+/// warm-up otherwise) and `warm_wall` what reaching the boundary cost this
+/// run, so [`MixResult::wall`] and [`MixResult::warm_wall`] keep their
+/// meaning on every path.
+#[allow(clippy::too_many_arguments)]
+fn measure(
+    sys: &mut System,
+    mix: &Mix,
+    measured: Measured<'_>,
+    inputs: Inputs,
+    opts: &ExperimentOptions,
+    ctl: &RunControl,
+    started: Instant,
+    warm_wall: Duration,
     warmup_from_checkpoint: bool,
 ) -> MixResult {
+    let Inputs { me, ipc_single } = inputs;
+    match measured {
+        Measured::Kind(kind) => sys.swap_policy(kind, &me),
+        Measured::Custom { build, .. } => {
+            let (policy, read_first) = build(&me, mix.cores(), sys.config().seed);
+            sys.swap_policy_boxed(policy, read_first);
+        }
+    }
+    let policy = measured.name();
+    let out = kernel_span(
+        "policy",
+        || format!("{policy} {}", mix.name),
+        sys,
+        |sys| sys.run_window(ctl.limit(opts)),
+    );
+    let wall = started.elapsed();
     let fairness = FairnessReport::compute(&out.ipc, &ipc_single);
     MixResult {
         mix: *mix,
-        policy: name,
+        policy,
         smt_speedup: fairness.smt_speedup,
         weighted_speedup: fairness.weighted_speedup,
         harmonic_speedup: fairness.harmonic_speedup,
@@ -499,7 +567,7 @@ fn finish_result(
         me,
         timed_out: out.timed_out,
         cancelled: out.cancelled,
-        sim_cycles,
+        sim_cycles: sys.now(),
         measured_cycles: out.cycles,
         wall,
         warm_wall,
@@ -507,155 +575,7 @@ fn finish_result(
     }
 }
 
-/// Run one Table 3 mix under one of the paper's policies.
-pub fn run_mix(
-    mix: &Mix,
-    policy: &PolicyKind,
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-) -> MixResult {
-    let policy = policy.clone();
-    run_mix_custom(
-        mix,
-        policy.name(),
-        |_, _, _| unreachable!("paper policies are built by swap_policy"),
-        Some(policy),
-        opts,
-        cache,
-    )
-}
-
-/// Run one mix under an arbitrary policy built by `factory` (receives the
-/// profiled ME values, core count and seed; returns the policy and its
-/// read-first setting). This is the harness entry point for extension
-/// policies such as [`melreq_memctrl::FairQueueing`].
-///
-/// `kind` threads the original [`PolicyKind`] through when there is one,
-/// so `PolicyKind::MeLreqOnline`'s system-side estimator still engages;
-/// `factory` is only consulted when `kind` is `None`.
-pub fn run_mix_custom(
-    mix: &Mix,
-    name: &'static str,
-    factory: impl Fn(&[f64], usize, u64) -> (Box<dyn melreq_memctrl::SchedulerPolicy>, bool),
-    kind: Option<PolicyKind>,
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-) -> MixResult {
-    run_mix_custom_ctl(mix, name, factory, kind, opts, cache, None, &RunControl::default())
-}
-
-/// The fully general single-mix entry point: [`run_mix_custom`] plus an
-/// optional persistent checkpoint store (the warm-up boundary is restored
-/// from it when present, and persisted after simulation otherwise) and a
-/// [`RunControl`] (cancellation token, simulated-cycle budget).
-/// Every other `run_mix*` variant funnels here.
-#[allow(clippy::too_many_arguments)]
-pub fn run_mix_custom_ctl(
-    mix: &Mix,
-    name: &'static str,
-    factory: impl Fn(&[f64], usize, u64) -> (Box<dyn melreq_memctrl::SchedulerPolicy>, bool),
-    kind: Option<PolicyKind>,
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-    store: Option<&CheckpointStore>,
-    ctl: &RunControl,
-) -> MixResult {
-    let cores = mix.cores();
-    let me: Vec<f64> = (0..cores).map(|i| cache.profile(mix, i, opts).me).collect();
-    let ipc_single: Vec<f64> = (0..cores).map(|i| cache.ipc_single(mix, i, opts)).collect();
-
-    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
-    let warm_started = std::time::Instant::now();
-    let Boundary { mut sys, from_checkpoint, .. } = boundary_system(mix, opts, store, ctl);
-    let warm_wall = warm_started.elapsed();
-    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
-    let started = std::time::Instant::now();
-    match &kind {
-        Some(k) => sys.swap_policy(k, &me),
-        None => {
-            let (policy, read_first) = factory(&me, cores, canonical_config(cores).seed);
-            sys.swap_policy_boxed(policy, read_first);
-        }
-    }
-    let out = kernel_span(
-        "policy",
-        || format!("{name} {}", mix.name),
-        &mut sys,
-        |sys| sys.run_window(ctl.limit(opts)),
-    );
-    let wall = started.elapsed();
-    finish_result(mix, name, me, ipc_single, out, sys.now(), wall, warm_wall, from_checkpoint)
-}
-
-/// Run one mix under one policy with the independent protocol/invariant
-/// checker attached ([`melreq_audit`]): every DRAM grant is re-validated
-/// against the DDR2 timing constraints and every scheduling decision
-/// against the policy's published invariants, while a running hash of the
-/// event stream fingerprints the run for determinism comparisons.
-///
-/// Audited runs never restore checkpoints: the oracle's device replicas
-/// arm at attach time, so they must observe the machine from reset. The
-/// run still warms up under the canonical policy and swaps at the
-/// boundary — the swap is audit-visible (a repeat `CtrlConfig` plus a
-/// `ProfileUpdate`) — so a clean audited run certifies the exact command
-/// stream that checkpoint-forked runs of the same (mix, policy, options)
-/// replay, and its [`MixResult`] must match theirs bit for bit.
-///
-/// Returns the normal [`MixResult`] plus the [`melreq_audit::AuditReport`]
-/// (violation counts, samples, and the stream hash).
-pub fn run_mix_audited(
-    mix: &Mix,
-    policy: &PolicyKind,
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-) -> (MixResult, melreq_audit::AuditReport) {
-    run_mix_audited_ctl(mix, policy, opts, cache, &RunControl::default())
-}
-
-/// [`run_mix_audited`] with a [`RunControl`] (cancellation token,
-/// simulated-cycle budget).
-pub fn run_mix_audited_ctl(
-    mix: &Mix,
-    policy: &PolicyKind,
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-    ctl: &RunControl,
-) -> (MixResult, melreq_audit::AuditReport) {
-    let cores = mix.cores();
-    let me: Vec<f64> = (0..cores).map(|i| cache.profile(mix, i, opts).me).collect();
-    let ipc_single: Vec<f64> = (0..cores).map(|i| cache.ipc_single(mix, i, opts)).collect();
-    let mut sys = canonical_system(mix, opts);
-    ctl.arm(&mut sys);
-    let (handle, auditor) =
-        melreq_audit::Auditor::shared(melreq_audit::AuditorConfig::default(), true);
-    sys.attach_audit(handle);
-    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
-    let warm_started = std::time::Instant::now();
-    sys.prepare_window(opts.warmup, opts.instructions);
-    let _ = kernel_span(
-        "warmup",
-        || mix.name.to_string(),
-        &mut sys,
-        |sys| sys.run_to_boundary(ctl.limit(opts)),
-    );
-    let warm_wall = warm_started.elapsed();
-    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
-    let started = std::time::Instant::now();
-    sys.swap_policy(policy, &me);
-    let out = kernel_span(
-        "policy",
-        || format!("{} {}", policy.name(), mix.name),
-        &mut sys,
-        |sys| sys.run_window(ctl.limit(opts)),
-    );
-    let wall = started.elapsed();
-    let report = auditor.lock().expect("auditor poisoned").report();
-    let result =
-        finish_result(mix, policy.name(), me, ipc_single, out, sys.now(), wall, warm_wall, false);
-    (result, report)
-}
-
-/// Observability knobs of an observed run ([`run_mix_observed`]).
+/// Observability knobs of an observed run ([`Taps::observe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObserveOptions {
     /// Trace-ring capacity in events (drop-oldest beyond it).
@@ -670,15 +590,126 @@ impl Default for ObserveOptions {
     }
 }
 
-/// Run one mix under one policy with the [`melreq_obs`] collector
-/// attached: the audit tap feeds the trace ring and decision-provenance
-/// totals, and (when `observe.sample_epoch` is set) the system
-/// pushes one epoch row per boundary into the collector's time series.
-///
-/// Observed runs simulate fresh (no checkpoint restore), exactly like
-/// [`run_mix_audited`], and the observers are inert — the returned
-/// [`MixResult`] is bit-identical to [`run_mix`] on the same inputs,
-/// which the determinism tests pin for every paper policy.
+/// Who listens to a run. Listeners are inert — the [`MixResult`] of a
+/// tapped run is bit-identical to the untapped one, which the tests here
+/// and the determinism tests pin — but they arm at attach time: the
+/// auditor's device replicas and the collector's rule totals must observe
+/// the machine from reset. **A tapped run therefore never restores a
+/// checkpoint and leaves none behind**; it simulates its own warm-up,
+/// whatever store it is offered. It still warms up under the canonical
+/// policy and swaps at the boundary — the swap is audit-visible (a repeat
+/// `CtrlConfig` plus a `ProfileUpdate`) — so a clean audited run certifies
+/// the exact command stream that checkpoint-forked runs of the same (mix,
+/// policy, options) replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Taps {
+    /// Attach the independent protocol/invariant checker
+    /// ([`melreq_audit`]): every DRAM grant is re-validated against the
+    /// DDR2 timing constraints and every scheduling decision against the
+    /// policy's published invariants, while a running hash of the event
+    /// stream fingerprints the run for determinism comparisons.
+    pub audit: bool,
+    /// Attach a [`melreq_obs`] collector: the audit tap feeds its trace
+    /// ring and decision-provenance totals and, when
+    /// [`ObserveOptions::sample_epoch`] is set, the system pushes one epoch
+    /// row per boundary into its time series.
+    pub observe: Option<ObserveOptions>,
+}
+
+/// What the [`Taps`] of a finished run heard.
+#[derive(Debug, Default)]
+pub struct Tapped {
+    /// Violation counts, samples and the stream hash ([`Taps::audit`]).
+    pub audit: Option<AuditReport>,
+    /// The finished collector ([`Taps::observe`]).
+    pub collector: Option<Arc<Mutex<Collector>>>,
+}
+
+/// Run one mix under one policy: the measurement every other entry point
+/// of this module is made of. The boundary is restored from `store` when
+/// it holds it and persisted there after simulation otherwise — unless
+/// `taps` names a listener ([`Taps`] says why); `ctl` arms the cancel
+/// token and the cycle budget on warm-up and window alike.
+pub fn run_tapped(
+    mix: &Mix,
+    measured: Measured<'_>,
+    opts: &ExperimentOptions,
+    cache: &ProfileCache,
+    store: Option<&CheckpointStore>,
+    ctl: &RunControl,
+    taps: Taps,
+) -> (MixResult, Tapped) {
+    let inputs = Inputs::of(mix, opts, cache);
+    let auditor = taps.audit.then(|| Arc::new(Mutex::new(Auditor::new(AuditorConfig::default()))));
+    let collector = taps.observe.map(|o| {
+        Arc::new(Mutex::new(Collector::new(ObsConfig { ring_capacity: o.ring_capacity })))
+    });
+    // One emission on the audit tap, fanned out when both sinks listen,
+    // plus the epoch sampler.
+    let attach = |sys: &mut System| {
+        let mut sinks: Vec<Arc<Mutex<dyn AuditSink>>> = Vec::new();
+        sinks.extend(auditor.clone().map(|a| a as _));
+        sinks.extend(collector.clone().map(|c| c as _));
+        match sinks.len() {
+            0 => {}
+            1 => sys.attach_audit(AuditHandle::from_shared(sinks.remove(0), true)),
+            _ => sys.attach_audit(Fanout::handle(sinks, true)),
+        }
+        if let (Some(c), Some(epoch)) = (&collector, taps.observe.and_then(|o| o.sample_epoch)) {
+            sys.attach_sampler(c.clone(), epoch);
+        }
+    };
+    // Only a run nobody listens to may use a checkpoint (see `Taps`).
+    let store = store.filter(|_| taps == Taps::default());
+    let warm_started = host_clock();
+    let Boundary { mut sys, from_checkpoint, .. } = boundary_system(mix, opts, store, ctl, attach);
+    let (warm_wall, started) = (warm_started.elapsed(), host_clock());
+    let result =
+        measure(&mut sys, mix, measured, inputs, opts, ctl, started, warm_wall, from_checkpoint);
+    if let Some(c) = &collector {
+        c.lock().expect("obs collector poisoned").finish();
+    }
+    let audit = auditor.map(|a| a.lock().expect("auditor poisoned").report());
+    (result, Tapped { audit, collector })
+}
+
+/// Run one Table 3 mix under one registered policy.
+pub fn run_mix(
+    mix: &Mix,
+    policy: &PolicyKind,
+    opts: &ExperimentOptions,
+    cache: &ProfileCache,
+) -> MixResult {
+    let ctl = RunControl::default();
+    run_tapped(mix, Measured::Kind(policy), opts, cache, None, &ctl, Taps::default()).0
+}
+
+/// Run one mix under a policy from outside the registry, built by `build`
+/// ([`Measured::Custom`]).
+pub fn run_mix_custom(
+    mix: &Mix,
+    name: &'static str,
+    build: impl Fn(&[f64], usize, u64) -> (Box<dyn SchedulerPolicy>, bool),
+    opts: &ExperimentOptions,
+    cache: &ProfileCache,
+) -> MixResult {
+    let (measured, ctl) = (Measured::Custom { name, build: &build }, RunControl::default());
+    run_tapped(mix, measured, opts, cache, None, &ctl, Taps::default()).0
+}
+
+/// [`run_mix`] with the auditor listening ([`Taps::audit`]).
+pub fn run_mix_audited(
+    mix: &Mix,
+    policy: &PolicyKind,
+    opts: &ExperimentOptions,
+    cache: &ProfileCache,
+) -> (MixResult, AuditReport) {
+    let (ctl, taps) = (RunControl::default(), Taps { audit: true, observe: None });
+    let (result, heard) = run_tapped(mix, Measured::Kind(policy), opts, cache, None, &ctl, taps);
+    (result, heard.audit.expect("an audited run reports"))
+}
+
+/// [`run_mix`] with a collector listening ([`Taps::observe`]).
 pub fn run_mix_observed(
     mix: &Mix,
     policy: &PolicyKind,
@@ -686,80 +717,9 @@ pub fn run_mix_observed(
     observe: &ObserveOptions,
     cache: &ProfileCache,
 ) -> (MixResult, Arc<Mutex<Collector>>) {
-    let (result, _, collector) = observed_run(mix, policy, opts, observe, cache, false);
-    (result, collector)
-}
-
-/// [`run_mix_observed`] with the protocol/invariant auditor listening on
-/// the same tap (one emission, fanned out to both sinks): returns the
-/// result, the audit report, and the collector.
-pub fn run_mix_audited_observed(
-    mix: &Mix,
-    policy: &PolicyKind,
-    opts: &ExperimentOptions,
-    observe: &ObserveOptions,
-    cache: &ProfileCache,
-) -> (MixResult, melreq_audit::AuditReport, Arc<Mutex<Collector>>) {
-    let (result, report, collector) = observed_run(mix, policy, opts, observe, cache, true);
-    (result, report.expect("audited run produces a report"), collector)
-}
-
-fn observed_run(
-    mix: &Mix,
-    policy: &PolicyKind,
-    opts: &ExperimentOptions,
-    observe: &ObserveOptions,
-    cache: &ProfileCache,
-    audited: bool,
-) -> (MixResult, Option<melreq_audit::AuditReport>, Arc<Mutex<Collector>>) {
-    let cores = mix.cores();
-    let me: Vec<f64> = (0..cores).map(|i| cache.profile(mix, i, opts).me).collect();
-    let ipc_single: Vec<f64> = (0..cores).map(|i| cache.ipc_single(mix, i, opts)).collect();
-    let mut sys = canonical_system(mix, opts);
-
-    let collector =
-        Arc::new(Mutex::new(Collector::new(ObsConfig { ring_capacity: observe.ring_capacity })));
-    let obs_sink: Arc<Mutex<dyn melreq_audit::AuditSink>> = collector.clone();
-    let auditor = audited.then(|| {
-        Arc::new(Mutex::new(melreq_audit::Auditor::new(melreq_audit::AuditorConfig::default())))
-    });
-    let handle = match &auditor {
-        Some(a) => {
-            let audit_sink: Arc<Mutex<dyn melreq_audit::AuditSink>> = a.clone();
-            Fanout::handle(vec![audit_sink, obs_sink], true)
-        }
-        None => melreq_audit::AuditHandle::from_shared(obs_sink, true),
-    };
-    sys.attach_audit(handle);
-    if let Some(epoch) = observe.sample_epoch {
-        sys.attach_sampler(collector.clone(), epoch);
-    }
-
-    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
-    let warm_started = std::time::Instant::now();
-    sys.prepare_window(opts.warmup, opts.instructions);
-    let _ = kernel_span(
-        "warmup",
-        || mix.name.to_string(),
-        &mut sys,
-        |sys| sys.run_to_boundary(opts.max_cycles()),
-    );
-    let warm_wall = warm_started.elapsed();
-    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
-    let started = std::time::Instant::now();
-    sys.swap_policy(policy, &me);
-    let out = kernel_span(
-        "policy",
-        || format!("{} {}", policy.name(), mix.name),
-        &mut sys,
-        |sys| sys.run_window(opts.max_cycles()),
-    );
-    let wall = started.elapsed();
-    collector.lock().expect("obs collector poisoned").finish();
-    let report = auditor.map(|a| a.lock().expect("auditor poisoned").report());
-    let result =
-        finish_result(mix, policy.name(), me, ipc_single, out, sys.now(), wall, warm_wall, false);
-    (result, report, collector)
+    let (ctl, taps) = (RunControl::default(), Taps { audit: false, observe: Some(*observe) });
+    let (result, heard) = run_tapped(mix, Measured::Kind(policy), opts, cache, None, &ctl, taps);
+    (result, heard.collector.expect("an observed run keeps its collector"))
 }
 
 /// Results of one mix across several policies, with the first policy
@@ -777,14 +737,16 @@ impl PolicyComparison {
     }
 }
 
-/// Run one mix under every policy in `policies` (policy 0 = baseline).
+/// Run one mix under every policy in `policies` (policy 0 = baseline),
+/// as one [`run_mix_group`].
 pub fn compare_policies(
     mix: &Mix,
     policies: &[PolicyKind],
     opts: &ExperimentOptions,
     cache: &ProfileCache,
 ) -> PolicyComparison {
-    PolicyComparison { results: policies.iter().map(|p| run_mix(mix, p, opts, cache)).collect() }
+    let results = run_mix_group(mix, policies, opts, cache, None, &RunControl::default());
+    PolicyComparison { results }
 }
 
 /// Run one mix under every policy in `policies` with a single shared
@@ -793,22 +755,12 @@ pub fn compare_policies(
 /// policy. The first policy consumes the warmed system directly; every
 /// other policy restores the snapshot bytes — bit-exactly the same state,
 /// as [`System::load_snapshot`] guarantees and the harness tests enforce.
+/// `ctl` (cancellation token, simulated-cycle budget, worker-thread count)
+/// is armed on the warm-up and every forked run. The forked policy runs
+/// execute concurrently on the pool; results land in policy-indexed slots
+/// so the output order (and every byte of every result) is independent of
+/// the interleaving.
 pub fn run_mix_group(
-    mix: &Mix,
-    policies: &[PolicyKind],
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-    store: Option<&CheckpointStore>,
-) -> Vec<MixResult> {
-    run_mix_group_ctl(mix, policies, opts, cache, store, &RunControl::default())
-}
-
-/// [`run_mix_group`] with a [`RunControl`] (cancellation token,
-/// simulated-cycle budget, worker-thread count) armed on the warm-up and
-/// every forked run. The forked policy runs execute concurrently on the
-/// pool; results land in policy-indexed slots so the output order (and
-/// every byte of every result) is independent of the interleaving.
-pub fn run_mix_group_ctl(
     mix: &Mix,
     policies: &[PolicyKind],
     opts: &ExperimentOptions,
@@ -837,32 +789,6 @@ pub fn worker_count(jobs: usize, explicit: Option<usize>) -> usize {
         })
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, std::num::NonZero::get))
         .min(jobs.max(1))
-}
-
-/// Run the full (mix × policy) grid in parallel across OS threads,
-/// returning results in `(mix-major, policy-minor)` order, with an
-/// optional persistent checkpoint store shared by every group and a
-/// [`RunControl`] (cancellation token, cycle budget, worker-thread count).
-///
-/// The schedulable units are job-DAG nodes (see [`run_sweep_stages`]):
-/// one warm-up job per mix that publishes its boundary snapshot, then
-/// one forked policy-run job per (mix, policy) — a five-policy sweep
-/// pays one warm-up per mix and runs the five windows concurrently.
-/// Warm-up jobs are prioritised widest-mix first (cores descending,
-/// input order within a width) so the expensive 8-core warm-ups start
-/// before the cheap 2-core ones and the schedule's tail stays short.
-/// Thread count comes from [`worker_count`] (`MELREQ_THREADS` overrides
-/// host parallelism).
-pub fn run_grid_ctl(
-    mixes: &[Mix],
-    policies: &[PolicyKind],
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-    store: Option<&CheckpointStore>,
-    ctl: &RunControl,
-) -> Vec<MixResult> {
-    let stages = [SweepStage { mixes: mixes.to_vec(), policies: policies.to_vec() }];
-    run_sweep_stages(&stages, opts, cache, store, ctl).pop().expect("one stage submitted")
 }
 
 /// One grid stage of a sweep: a set of mixes, each run under every
@@ -968,14 +894,10 @@ fn warm_up_and_fork<'env>(
     store: Option<&'env CheckpointStore>,
     ctl: &'env RunControl,
 ) {
-    let cores = mix.cores();
-    let me: Vec<f64> = (0..cores).map(|i| cache.profile(&mix, i, opts).me).collect();
-    let ipc_single: Vec<f64> = (0..cores).map(|i| cache.ipc_single(&mix, i, opts)).collect();
-
-    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
-    let warm_started = std::time::Instant::now();
+    let inputs = Inputs::of(&mix, opts, cache);
+    let warm_started = host_clock();
     let Boundary { sys: mut base, from_checkpoint, snapshot } =
-        boundary_system(&mix, opts, store, ctl);
+        boundary_system(&mix, opts, store, ctl, |_| {});
     let total_runs: usize = consumers.iter().map(|c| c.policies.len()).sum();
     let share = (total_runs > 1).then(|| Arc::new(GroupShare::new(mix, opts, &mut base, snapshot)));
     let warm_wall = warm_started.elapsed();
@@ -990,11 +912,9 @@ fn warm_up_and_fork<'env>(
                 continue;
             }
             let share = Arc::clone(share.as_ref().expect("a group of >1 runs shares"));
-            let me = me.clone();
-            let ipc_single = ipc_single.clone();
+            let inputs = inputs.clone();
             ctx.fork(move |_ctx| {
-                // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
-                let started = std::time::Instant::now();
+                let started = host_clock();
                 let mut sys = canonical_system(&mix, opts);
                 {
                     let _sp = melreq_prof::span("snapshot.decode", || format!("fork {}", mix.name));
@@ -1003,51 +923,18 @@ fn warm_up_and_fork<'env>(
                 }
                 share.attach(&mut sys, opts);
                 ctl.arm(&mut sys);
-                sys.swap_policy(kind, &me);
-                let out = kernel_span(
-                    "policy",
-                    || format!("{} {}", kind.name(), mix.name),
-                    &mut sys,
-                    |sys| sys.run_window(ctl.limit(opts)),
-                );
-                let wall = started.elapsed();
-                *slot.lock().expect("result slot poisoned") = Some(finish_result(
-                    &mix,
-                    kind.name(),
-                    me,
-                    ipc_single,
-                    out,
-                    sys.now(),
-                    wall,
-                    std::time::Duration::ZERO,
-                    true,
-                ));
+                let kind = Measured::Kind(kind);
+                let result =
+                    measure(&mut sys, &mix, kind, inputs, opts, ctl, started, Duration::ZERO, true);
+                *slot.lock().expect("result slot poisoned") = Some(result);
             });
         }
     }
     let (slot, kind) = first.expect("a group has at least one policy run");
-    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
-    let started = std::time::Instant::now();
-    let mut sys = base;
-    sys.swap_policy(kind, &me);
-    let out = kernel_span(
-        "policy",
-        || format!("{} {}", kind.name(), mix.name),
-        &mut sys,
-        |sys| sys.run_window(ctl.limit(opts)),
-    );
-    let wall = started.elapsed();
-    *slot.lock().expect("result slot poisoned") = Some(finish_result(
-        &mix,
-        kind.name(),
-        me,
-        ipc_single,
-        out,
-        sys.now(),
-        wall,
-        warm_wall,
-        from_checkpoint,
-    ));
+    let (kind, started) = (Measured::Kind(kind), host_clock());
+    let result =
+        measure(&mut base, &mix, kind, inputs, opts, ctl, started, warm_wall, from_checkpoint);
+    *slot.lock().expect("result slot poisoned") = Some(result);
 }
 
 #[cfg(test)]
@@ -1082,6 +969,14 @@ mod tests {
         let a = cache.profile(&mix, 0, &opts);
         let b = cache.profile(&mix, 0, &opts);
         assert_eq!(a.me, b.me);
+        // The one lookup behind both accessors says who simulated, and
+        // keys on everything the profile depends on.
+        let app = &mix.apps()[0];
+        let n = opts.profile_instructions;
+        assert!(!cache.lookup(app, SliceKind::Profiling, n).1, "memoized by `profile` above");
+        assert!(cache.lookup(app, SliceKind::Profiling, n / 2).1, "another length, another run");
+        assert!(cache.lookup(app, SliceKind::Evaluation(0), n).1, "another slice, another run");
+        assert!(!cache.lookup(app, SliceKind::Evaluation(0), n).1);
     }
 
     #[test]
@@ -1095,25 +990,12 @@ mod tests {
     }
 
     #[test]
-    fn audited_run_is_clean_and_reproducible() {
-        let cache = ProfileCache::new();
-        let opts = ExperimentOptions::quick();
-        let mix = mix_by_name("2MEM-1");
-        let (ra, a) = run_mix_audited(&mix, &PolicyKind::MeLreq, &opts, &cache);
-        let (rb, b) = run_mix_audited(&mix, &PolicyKind::MeLreq, &opts, &cache);
-        assert!(a.is_clean(), "audit must pass:\n{}", a.render());
-        assert!(a.events > 0, "instrumentation must emit events");
-        assert_eq!(a.stream_hash, b.stream_hash, "same seed must replay identically");
-        assert_eq!(ra.smt_speedup, rb.smt_speedup);
-    }
-
-    #[test]
     fn forked_policies_match_fresh_runs_bit_exactly() {
         let cache = ProfileCache::new();
         let opts = ExperimentOptions::quick();
         let mix = mix_by_name("2MEM-1");
         let policies = [PolicyKind::HfRf, PolicyKind::MeLreq, PolicyKind::Lreq];
-        let group = run_mix_group(&mix, &policies, &opts, &cache, None);
+        let group = run_mix_group(&mix, &policies, &opts, &cache, None, &RunControl::default());
         assert!(!group[0].warmup_from_checkpoint, "first policy owns the warm-up");
         assert!(group[1].warmup_from_checkpoint && group[2].warmup_from_checkpoint);
         for (p, forked) in policies.iter().zip(&group) {
@@ -1125,17 +1007,85 @@ mod tests {
         }
     }
 
+    /// Everything a result says about the simulation, host times aside.
+    fn simulated(r: &MixResult) -> String {
+        format!("{:?}", MixResult { wall: Duration::ZERO, warm_wall: Duration::ZERO, ..r.clone() })
+    }
+
+    /// Swap-through-warm-up audits clean, and neither listener is heard by
+    /// the machine: on a MEM and a MIX mix, every combination of taps
+    /// gives the untapped result, and two audits of it one event stream.
     #[test]
-    fn audited_run_matches_unaudited_run_bit_exactly() {
+    fn taps_are_inert_in_every_combination() {
         let cache = ProfileCache::new();
         let opts = ExperimentOptions::quick();
-        let mix = mix_by_name("2MIX-1");
-        let (ra, report) = run_mix_audited(&mix, &PolicyKind::MeLreq, &opts, &cache);
-        assert!(report.is_clean(), "swap-through-warmup must audit clean:\n{}", report.render());
-        let rb = run_mix(&mix, &PolicyKind::MeLreq, &opts, &cache);
-        assert_eq!(ra.ipc_multi, rb.ipc_multi);
-        assert_eq!(ra.sim_cycles, rb.sim_cycles);
-        assert_eq!(ra.smt_speedup, rb.smt_speedup);
+        for mix in [mix_by_name("2MEM-1"), mix_by_name("2MIX-1")] {
+            let run = |audit: bool, observe: bool| {
+                let taps = Taps { audit, observe: observe.then(ObserveOptions::default) };
+                let (kind, ctl) = (Measured::Kind(&PolicyKind::MeLreq), RunControl::default());
+                run_tapped(&mix, kind, &opts, &cache, None, &ctl, taps)
+            };
+            let (plain, nothing) = run(false, false);
+            assert!(nothing.audit.is_none() && nothing.collector.is_none());
+            let (audited, a) = run(true, false);
+            let (observed, o) = run(false, true);
+            let (both, ao) = run(true, true);
+            for (taps, tapped) in [("audit", &audited), ("observe", &observed), ("both", &both)] {
+                assert_eq!(simulated(tapped), simulated(&plain), "{taps} changed {}", mix.name);
+            }
+            let (a, ao_audit) = (a.audit.expect("audited"), ao.audit.expect("audited"));
+            assert!(a.is_clean() && a.events > 0, "audit must pass:\n{}", a.render());
+            assert_eq!((a.stream_hash, a.events), (ao_audit.stream_hash, ao_audit.events));
+            assert!(o.audit.is_none(), "nobody asked for an audit");
+            for collector in [o.collector, ao.collector] {
+                let c = collector.expect("observed");
+                assert!(!c.lock().expect("collector").ring().is_empty(), "the ring must fill");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tapped_run_obeys_its_run_control() {
+        let cache = ProfileCache::new();
+        let opts = ExperimentOptions::quick();
+        let mix = mix_by_name("2MEM-1");
+        let run = |ctl: RunControl| {
+            let taps = Taps { audit: false, observe: Some(ObserveOptions::default()) };
+            run_tapped(&mix, Measured::Kind(&PolicyKind::HfRf), &opts, &cache, None, &ctl, taps).0
+        };
+        let budgeted = run(RunControl { max_cycles: Some(50_000), ..RunControl::default() });
+        assert!(budgeted.timed_out && !budgeted.cancelled, "a 50 k-cycle budget must run out");
+        assert!(budgeted.sim_cycles <= 50_000, "{} cycles", budgeted.sim_cycles);
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = run(RunControl { cancel: Some(token), ..RunControl::default() });
+        assert!(cancelled.cancelled, "an expired token must stop the run");
+    }
+
+    #[test]
+    fn a_tapped_run_leaves_the_warmup_store_alone() {
+        let dir = std::env::temp_dir().join(format!("melreq-exp-taps-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
+        let cache = ProfileCache::with_store(store.clone());
+        let opts = ExperimentOptions::quick();
+        let mix = mix_by_name("2MEM-1");
+        let run = |taps: Taps| {
+            let (kind, ctl) = (Measured::Kind(&PolicyKind::Lreq), RunControl::default());
+            run_tapped(&mix, kind, &opts, &cache, Some(&store), &ctl, taps).0
+        };
+        let tapped = run(Taps { audit: true, observe: None });
+        let st = store.stats();
+        assert_eq!((st.warmup_hits, st.warmup_misses), (0, 0), "a tapped run never looks");
+        // Nor did it store: the same run untapped misses, then stores.
+        let cold = run(Taps::default());
+        let st = store.stats();
+        assert_eq!((st.warmup_hits, st.warmup_misses), (0, 1));
+        let warm = run(Taps::default());
+        assert!(warm.warmup_from_checkpoint && store.stats().warmup_hits == 1);
+        assert!(!tapped.warmup_from_checkpoint && !cold.warmup_from_checkpoint);
+        assert_eq!(simulated(&tapped), simulated(&cold));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1151,10 +1101,8 @@ mod tests {
         let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
         let cache = ProfileCache::with_store(store.clone());
         let run = |cache: &ProfileCache, store: &CheckpointStore| {
-            let policies = [PolicyKind::MeLreq];
-            run_grid_ctl(&[mix], &policies, &opts, cache, Some(store), &RunControl::default())
-                .pop()
-                .expect("one run")
+            let (policies, ctl) = ([PolicyKind::MeLreq], RunControl::default());
+            run_mix_group(&mix, &policies, &opts, cache, Some(store), &ctl).pop().expect("one run")
         };
         let cold = run(&cache, &store);
         assert!(!cold.warmup_from_checkpoint);
@@ -1192,14 +1140,14 @@ mod tests {
             (ProfileCache::with_store(store.clone()), store)
         };
         let (cache, store) = open();
-        let cold = run_mix_group(&mix, &policies, &opts, &cache, Some(&store));
+        let cold = run_mix_group(&mix, &policies, &opts, &cache, Some(&store), &ctl);
         assert!(!cold[0].warmup_from_checkpoint && store.stats().warmup_hits == 0);
 
         // What a store-hit group hands its forks is the stored container
         // itself, and that is the restored machine's own snapshot — with
         // plain streams and again once it reads the group's tapes.
         let Boundary { mut sys, from_checkpoint, snapshot } =
-            boundary_system(&mix, &opts, Some(&store), &ctl);
+            boundary_system(&mix, &opts, Some(&store), &ctl, |_| {});
         assert!(from_checkpoint);
         let stored = snapshot.clone().expect("a store hit hands its container back");
         assert!(stored.as_bytes() == sys.snapshot());
@@ -1208,7 +1156,7 @@ mod tests {
         drop(share);
 
         let (cache, store) = open();
-        let warm = run_mix_group(&mix, &policies, &opts, &cache, Some(&store));
+        let warm = run_mix_group(&mix, &policies, &opts, &cache, Some(&store), &ctl);
         let st = store.stats();
         assert_eq!((st.warmup_hits, st.warmup_misses, st.profile_misses), (1, 0, 0));
         for ((p, warm), cold) in policies.iter().zip(&warm).zip(&cold) {
@@ -1230,7 +1178,10 @@ mod tests {
         let opts = ExperimentOptions::quick();
         let mixes = [mix_by_name("2MEM-1"), mix_by_name("2MEM-2")];
         let policies = [PolicyKind::HfRf, PolicyKind::MeLreq];
-        let grid = run_grid_ctl(&mixes, &policies, &opts, &cache, None, &RunControl::default());
+        let stage = SweepStage { mixes: mixes.to_vec(), policies: policies.to_vec() };
+        let grid = run_sweep_stages(&[stage], &opts, &cache, None, &RunControl::default())
+            .pop()
+            .expect("one stage submitted");
         assert_eq!(grid.len(), 4);
         assert_eq!(grid[0].mix.name, "2MEM-1");
         assert_eq!(grid[0].policy, "HF-RF");

@@ -35,8 +35,8 @@ pub mod system;
 pub use api::{MelreqError, PolicyKind, Session, SimReport, SimRequest};
 pub use config::SystemConfig;
 pub use experiment::{
-    run_mix, run_mix_audited, run_mix_audited_observed, run_mix_observed, ExperimentOptions,
-    MixResult, ObserveOptions, PolicyComparison, RunControl,
+    run_mix, run_mix_audited, run_mix_observed, run_tapped, ExperimentOptions, Measured, MixResult,
+    ObserveOptions, PolicyComparison, RunControl, Tapped, Taps,
 };
 pub use hierarchy::Hierarchy;
 pub use profile::{profile_app, profile_mix_apps, AppProfile};

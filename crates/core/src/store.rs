@@ -24,8 +24,9 @@
 //! ([`crate::experiment::CANONICAL_WARMUP_POLICY`], which ignores the
 //! profiled ME values), so warm-up checkpoints are *policy- and
 //! ME-independent*: one checkpoint serves all measured policies of a
-//! (mix, window) group. The kernel mode (`tick_exact`) is likewise
-//! excluded — both kernels produce bit-identical machine states.
+//! (mix, window) group. The kernel mode (the cycle-exact test oracle,
+//! [`crate::system::System::set_tick_exact`]) is likewise excluded — both
+//! kernels produce bit-identical machine states.
 //!
 //! Records are self-validating [`melreq_snap::seal`] containers; a file
 //! that fails its checksum (torn write, stale schema) is deleted and

@@ -61,9 +61,10 @@ pub struct System {
     hier: Hierarchy,
     now: Cycle,
     online: Option<OnlineMe>,
-    /// Debug knob: force the cycle-exact loop, disabling the fast-forward
-    /// kernel. Used by the determinism regression tests and the perf
-    /// harness's `--tick-exact` baseline mode.
+    /// The test oracle: force the cycle-exact loop, disabling the
+    /// fast-forward kernel ([`System::set_tick_exact`]). No request, option
+    /// or flag reaches it — only the kernel-equivalence tests and the repo
+    /// benchmark's own check.
     tick_exact: bool,
     /// Reusable completion buffer for [`Hierarchy::advance`] (keeps the
     /// per-cycle hot path allocation-free).
@@ -906,20 +907,11 @@ impl System {
 mod tests {
     use super::*;
     use melreq_memctrl::policy::PolicyKind;
-    use melreq_workloads::{app_by_code, SliceKind};
+    use melreq_workloads::{app_by_code, Mix, MixKind, SliceKind};
 
-    fn small_system(cores: usize, codes: &str, policy: PolicyKind) -> System {
-        let cfg = SystemConfig::paper(cores, policy);
-        let streams: Vec<Box<dyn InstrStream + Send>> = codes
-            .chars()
-            .enumerate()
-            .map(|(i, c)| {
-                Box::new(app_by_code(c).build_stream(i, SliceKind::Evaluation(0)))
-                    as Box<dyn InstrStream + Send>
-            })
-            .collect();
-        let me = vec![1.0; cores];
-        System::new(cfg, streams, &me)
+    fn small_system(cores: usize, codes: &'static str, policy: PolicyKind) -> System {
+        let mix = Mix { name: "ad hoc", codes, kind: MixKind::Mixed };
+        System::new(SystemConfig::paper(cores, policy), mix.eval_streams(0), &vec![1.0; cores])
     }
 
     #[test]
@@ -975,16 +967,7 @@ mod tests {
         // ME-LREQ-ON needs no offline profile: ME values passed to
         // System::new are ignored by the online build, and the estimator
         // refreshes the tables as the run progresses.
-        let cfg = SystemConfig::paper(2, PolicyKind::MeLreqOnline { epoch_cycles: 5_000 });
-        let streams: Vec<Box<dyn InstrStream + Send>> = "bc"
-            .chars()
-            .enumerate()
-            .map(|(i, c)| {
-                Box::new(app_by_code(c).build_stream(i, SliceKind::Evaluation(0)))
-                    as Box<dyn InstrStream + Send>
-            })
-            .collect();
-        let mut sys = System::new(cfg, streams, &[1.0, 1.0]);
+        let mut sys = small_system(2, "bc", PolicyKind::MeLreqOnline { epoch_cycles: 5_000 });
         let out = sys.run_measured(10_000, 20_000, 1 << 27);
         assert!(!out.timed_out);
         assert!(out.ipc.iter().all(|&i| i > 0.0));
@@ -993,16 +976,7 @@ mod tests {
     #[test]
     fn online_estimator_is_deterministic() {
         let run = || {
-            let cfg = SystemConfig::paper(2, PolicyKind::MeLreqOnline { epoch_cycles: 3_000 });
-            let streams: Vec<Box<dyn InstrStream + Send>> = "kc"
-                .chars()
-                .enumerate()
-                .map(|(i, c)| {
-                    Box::new(app_by_code(c).build_stream(i, SliceKind::Evaluation(0)))
-                        as Box<dyn InstrStream + Send>
-                })
-                .collect();
-            let mut sys = System::new(cfg, streams, &[1.0, 1.0]);
+            let mut sys = small_system(2, "kc", PolicyKind::MeLreqOnline { epoch_cycles: 3_000 });
             sys.run_measured(5_000, 10_000, 1 << 27)
         };
         let (a, b) = (run(), run());

@@ -3,8 +3,10 @@
 //!
 //! `System::set_tick_exact(true)` forces the pre-optimization behaviour of
 //! ticking every cycle. For each of the paper's five policies the same
-//! (mix, options) run is executed under both kernels with the audit
-//! instrumentation attached, and the results must agree *bit for bit*:
+//! run, shaped as the harness shapes it (warm up under the canonical
+//! policy, swap at the boundary, run the window), is executed under both
+//! kernels with the audit instrumentation attached, and the results must
+//! agree *bit for bit*:
 //! the FNV-1a hash over the full audit event stream (every submission,
 //! scheduling decision, grant, refresh, and precharge, in order), every
 //! per-core IPC, and the cycle count. A fast-forward kernel that ever
@@ -22,13 +24,13 @@
 //! makes it an independent oracle.
 
 use melreq_audit::{Auditor, AuditorConfig};
-use melreq_core::experiment::{ProfileCache, CANONICAL_WARMUP_POLICY};
-use melreq_core::{run_mix_audited, ExperimentOptions, KernelCounters, System, SystemConfig};
+use melreq_core::experiment::CANONICAL_WARMUP_POLICY;
+use melreq_core::{ExperimentOptions, KernelCounters, System, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_memctrl::registry::registry;
 use melreq_obs::{Collector, ObsConfig};
 use melreq_trace::InstrStream;
-use melreq_workloads::{app_by_code, mix_by_name, SliceKind};
+use melreq_workloads::{mix_by_name, Mix, MixKind};
 use proptest::prelude::*;
 
 const WARMUP: u64 = 1_500;
@@ -36,20 +38,13 @@ const TARGET: u64 = 2_500;
 const MAX_CYCLES: u64 = 1 << 26;
 
 /// One evaluation-slice-0 stream per app code.
-fn streams(codes: &str) -> Vec<Box<dyn InstrStream + Send>> {
-    codes
-        .chars()
-        .enumerate()
-        .map(|(i, c)| {
-            Box::new(app_by_code(c).build_stream(i, SliceKind::Evaluation(0)))
-                as Box<dyn InstrStream + Send>
-        })
-        .collect()
+fn streams(codes: &'static str) -> Vec<Box<dyn InstrStream + Send>> {
+    Mix { name: "ad hoc", codes, kind: MixKind::Mixed }.eval_streams(0)
 }
 
 /// A system running one evaluation-slice stream per app code, armed for
 /// a short measured window.
-fn build(codes: &str, kind: &PolicyKind, tick_exact: bool) -> System {
+fn build(codes: &'static str, kind: &PolicyKind, tick_exact: bool) -> System {
     let me: Vec<f64> = (0..codes.len()).map(|i| 1.0 + 3.0 * i as f64).collect();
     let mut sys = System::new(SystemConfig::paper(codes.len(), kind.clone()), streams(codes), &me);
     sys.set_tick_exact(tick_exact);
@@ -67,13 +62,18 @@ fn fast_forward_matches_tick_exact_for_every_policy() {
         PolicyKind::MeLreq,
         PolicyKind::MeLreqOnline { epoch_cycles: 3_000 },
     ];
+    let opts = ExperimentOptions::quick();
     for policy in &policies {
-        // Fresh caches per mode: profiling runs are kernel-independent
-        // inputs, and separate caches prove that rather than assume it.
         let run = |tick_exact: bool| {
-            let cache = ProfileCache::new();
-            let opts = ExperimentOptions { tick_exact, ..ExperimentOptions::quick() };
-            run_mix_audited(&mix, policy, &opts, &cache)
+            let mut sys = build(mix.codes, &CANONICAL_WARMUP_POLICY, tick_exact);
+            sys.prepare_window(opts.warmup, opts.instructions);
+            let (handle, auditor) = Auditor::shared(AuditorConfig::default(), true);
+            sys.attach_audit(handle);
+            assert!(sys.run_to_boundary(MAX_CYCLES), "warm-up must reach the boundary");
+            sys.swap_policy(policy, &[0.4, 0.1]);
+            let out = sys.run_window(MAX_CYCLES);
+            let report = auditor.lock().expect("auditor poisoned").report();
+            (out, report)
         };
         let (fast, fast_audit) = run(false);
         let (exact, exact_audit) = run(true);
@@ -86,10 +86,10 @@ fn fast_forward_matches_tick_exact_for_every_policy() {
             "[{name}] audit event streams diverged between kernels"
         );
         assert_eq!(fast_audit.events, exact_audit.events, "[{name}] event counts diverged");
-        assert_eq!(fast.ipc_multi, exact.ipc_multi, "[{name}] per-core IPC diverged");
+        assert_eq!(fast.ipc, exact.ipc, "[{name}] per-core IPC diverged");
         assert_eq!(fast.read_latency, exact.read_latency, "[{name}] read latency diverged");
-        assert_eq!(fast.smt_speedup, exact.smt_speedup, "[{name}] SMT speedup diverged");
-        assert_eq!(fast.unfairness, exact.unfairness, "[{name}] unfairness diverged");
+        assert_eq!(fast.cycles, exact.cycles, "[{name}] window length diverged");
+        assert_eq!(fast.bytes_by_core, exact.bytes_by_core, "[{name}] DRAM traffic diverged");
         assert!(!fast.timed_out && !exact.timed_out, "[{name}] runs must complete");
     }
 }
@@ -185,7 +185,7 @@ proptest! {
 /// the time, compute-bound cores rarely.
 #[test]
 fn kernel_counters_repeat_and_split_by_workload_class() {
-    let counters = |codes: &str| -> KernelCounters {
+    let counters = |codes: &'static str| -> KernelCounters {
         let mut sys = build(codes, &PolicyKind::MeLreq, false);
         assert!(!sys.run_window(MAX_CYCLES).timed_out);
         sys.kernel_counters()

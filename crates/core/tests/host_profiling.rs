@@ -10,7 +10,7 @@
 //! the group's shared op tapes generate.
 
 use melreq_core::api::{Session, SimRequest};
-use melreq_core::experiment::{run_mix_group_ctl, ExperimentOptions, ProfileCache, RunControl};
+use melreq_core::experiment::{run_mix_group, ExperimentOptions, ProfileCache, RunControl};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_workloads::{mix_by_name, Mix, MixKind};
 use std::sync::Mutex;
@@ -116,7 +116,7 @@ fn a_group_generates_its_window_once_whatever_the_thread_count() {
             let cache = ProfileCache::new();
             let ctl = RunControl { threads: Some(threads), ..RunControl::default() };
             let (_, profile) =
-                profiled(|| run_mix_group_ctl(&mix, policies, &opts, &cache, None, &ctl));
+                profiled(|| run_mix_group(&mix, policies, &opts, &cache, None, &ctl));
             window_ops(&profile, &mix)
         };
         let five = PolicyKind::figure2_set();

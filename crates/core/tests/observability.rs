@@ -10,14 +10,13 @@
 //! RNG) would shift at least one grant and fail the hash comparison.
 
 use melreq_core::experiment::{ObserveOptions, ProfileCache};
-use melreq_core::{run_mix_audited, run_mix_audited_observed, run_mix_observed, ExperimentOptions};
-use melreq_core::{System, SystemConfig};
+use melreq_core::{run_mix_audited, run_mix_observed, run_tapped, Measured, Taps};
+use melreq_core::{ExperimentOptions, RunControl, System, SystemConfig};
 use melreq_memctrl::policy::{PolicyKind, SchedulerPolicy};
 use melreq_memctrl::registry;
 use melreq_obs::{Collector, ObsConfig, Rule, RuleTotals};
 use melreq_stats::types::CoreId;
-use melreq_trace::InstrStream;
-use melreq_workloads::{mix_by_name, SliceKind};
+use melreq_workloads::mix_by_name;
 use proptest::prelude::*;
 
 /// The rules a registry entry's own core key may be credited with; the
@@ -51,8 +50,11 @@ fn tracing_and_sampling_are_inert_for_every_policy() {
         let plain_cache = ProfileCache::new();
         let (plain, plain_audit) = run_mix_audited(&mix, policy, &opts, &plain_cache);
         let obs_cache = ProfileCache::new();
-        let (observed, obs_audit, collector) =
-            run_mix_audited_observed(&mix, policy, &opts, &observe, &obs_cache);
+        let (kind, ctl) = (Measured::Kind(policy), RunControl::default());
+        let taps = Taps { audit: true, observe: Some(observe) };
+        let (observed, heard) = run_tapped(&mix, kind, &opts, &obs_cache, None, &ctl, taps);
+        let obs_audit = heard.audit.expect("audited");
+        let collector = heard.collector.expect("observed");
 
         assert!(plain_audit.is_clean(), "[{name}] plain audit:\n{}", plain_audit.render());
         assert!(obs_audit.is_clean(), "[{name}] observed audit:\n{}", obs_audit.render());
@@ -145,16 +147,8 @@ fn rule_totals_match_the_replica_they_replaced() {
 
 fn build(mix_name: &str, kind: &PolicyKind) -> System {
     let mix = mix_by_name(mix_name);
-    let streams: Vec<Box<dyn InstrStream + Send>> = mix
-        .apps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            Box::new(a.build_stream(i, SliceKind::Evaluation(0))) as Box<dyn InstrStream + Send>
-        })
-        .collect();
     let me: Vec<f64> = (0..mix.cores()).map(|i| 1.0 + i as f64).collect();
-    System::new(SystemConfig::paper(mix.cores(), kind.clone()), streams, &me)
+    System::new(SystemConfig::paper(mix.cores(), kind.clone()), mix.eval_streams(0), &me)
 }
 
 /// Attach a fresh collector to `sys`, tick it `ticks` cycles, run it to
@@ -210,15 +204,23 @@ impl SchedulerPolicy for FewestFirstDescending {
 
 #[test]
 fn out_of_tree_policies_are_explained_by_the_generic_core_rule() {
-    let mut sys = build("4MEM-1", &PolicyKind::HfRf);
-    sys.swap_policy_boxed(Box::new(FewestFirstDescending), true);
-    sys.prepare_window(0, 4_000);
-    let totals = observe(&mut sys, 0, true);
-    assert!(totals.get(Rule::CoreKey) > 0, "no grant credited to core-key: {totals:?}");
+    let (mix, opts, cache) =
+        (mix_by_name("4MEM-1"), ExperimentOptions::quick(), ProfileCache::new());
+    let totals = |measured: Measured<'_>| {
+        let taps = Taps { audit: false, observe: Some(ObserveOptions::default()) };
+        let ctl = RunControl::default();
+        let (_, heard) = run_tapped(&mix, measured, &opts, &cache, None, &ctl, taps);
+        let c = heard.collector.expect("observed");
+        let c = c.lock().expect("collector");
+        c.active_rule_totals().map(|(_, t)| t.clone()).expect("the measured policy granted")
+    };
+    let build = |_: &[f64], _: usize, _: u64| -> (Box<dyn SchedulerPolicy>, bool) {
+        (Box::new(FewestFirstDescending), true)
+    };
+    let custom = totals(Measured::Custom { name: "FEWEST-DESC", build: &build });
+    assert!(custom.get(Rule::CoreKey) > 0, "no grant credited to core-key: {custom:?}");
     // Much the same order under its registered name is credited to that name.
-    let mut sys = build("4MEM-1", &PolicyKind::Lreq);
-    sys.prepare_window(0, 4_000);
-    let lreq = observe(&mut sys, 0, true);
+    let lreq = totals(Measured::Kind(&PolicyKind::Lreq));
     assert_eq!(lreq.get(Rule::CoreKey), 0, "{lreq:?}");
     assert!(lreq.get(Rule::LreqCount) > 0, "{lreq:?}");
 }
@@ -237,25 +239,26 @@ proptest! {
         epoch in 500u64..6_000,
         policy_pick in 0usize..5,
     ) {
-        let mix = mix_by_name("2MEM-1");
         let policy = PolicyKind::figure2_set()[policy_pick].clone();
-        let observe = ObserveOptions { sample_epoch: Some(epoch), ..ObserveOptions::default() };
+        let opts = ExperimentOptions::quick();
+        // The shape of an observed harness run, under each kernel.
         let run = |tick_exact: bool| {
-            let cache = ProfileCache::new();
-            let opts = ExperimentOptions { tick_exact, ..ExperimentOptions::quick() };
-            run_mix_observed(&mix, &policy, &opts, &observe, &cache)
+            let mut sys = build("2MEM-1", &PolicyKind::HfRf);
+            sys.set_tick_exact(tick_exact);
+            let (handle, collector) = Collector::shared(ObsConfig::default());
+            sys.attach_audit(handle);
+            sys.attach_sampler(collector.clone(), epoch);
+            sys.prepare_window(opts.warmup, opts.instructions);
+            assert!(sys.run_to_boundary(1 << 26), "warm-up must reach the boundary");
+            sys.swap_policy(&policy, &[0.4, 0.1]);
+            assert!(!sys.run_window(1 << 26).timed_out, "window must finish");
+            let series = collector.lock().expect("collector").series().to_vec();
+            (sys.now(), series)
         };
-        let (fast, fast_c) = run(false);
-        let (exact, exact_c) = run(true);
-        prop_assert_eq!(fast.sim_cycles, exact.sim_cycles, "cycle counts diverged");
-        let fast_c = fast_c.lock().expect("collector");
-        let exact_c = exact_c.lock().expect("collector");
-        prop_assert!(!fast_c.series().is_empty(), "sampler produced no rows");
-        prop_assert_eq!(
-            fast_c.series(),
-            exact_c.series(),
-            "epoch series diverged between kernels (epoch {})",
-            epoch
-        );
+        let (fast_cycles, fast) = run(false);
+        let (exact_cycles, exact) = run(true);
+        prop_assert_eq!(fast_cycles, exact_cycles, "cycle counts diverged");
+        prop_assert!(!fast.is_empty(), "sampler produced no rows");
+        prop_assert_eq!(fast, exact, "epoch series diverged between kernels (epoch {})", epoch);
     }
 }

@@ -5,11 +5,10 @@
 //! streams, shared-warm-up forking, and mid-run pause/restore.
 
 use melreq_core::experiment::{run_mix, run_mix_audited, run_mix_group, ProfileCache};
-use melreq_core::{ExperimentOptions, PolicyKind, System, SystemConfig};
+use melreq_core::{ExperimentOptions, PolicyKind, RunControl, System, SystemConfig};
 use melreq_memctrl::{canonical_name, registry};
 use melreq_snap::fnv1a;
-use melreq_trace::InstrStream;
-use melreq_workloads::{mix_by_name, SliceKind};
+use melreq_workloads::mix_by_name;
 
 /// The grown set: every non-paper policy the registry resolves,
 /// including parameterized variants off their defaults.
@@ -112,7 +111,7 @@ fn zoo_forks_match_fresh_runs_bit_exactly() {
         PolicyKind::Fq,
         PolicyKind::Stf,
     ];
-    let group = run_mix_group(&mix, &policies, &opts, &cache, None);
+    let group = run_mix_group(&mix, &policies, &opts, &cache, None, &RunControl::default());
     assert!(!group[0].warmup_from_checkpoint, "first policy owns the warm-up");
     for r in &group[1..] {
         assert!(r.warmup_from_checkpoint, "{} must fork the shared warm-up", r.policy);
@@ -130,15 +129,7 @@ fn zoo_forks_match_fresh_runs_bit_exactly() {
 
 fn build(mix_name: &str, kind: &PolicyKind, me: &[f64]) -> System {
     let mix = mix_by_name(mix_name);
-    let streams: Vec<Box<dyn InstrStream + Send>> = mix
-        .apps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            Box::new(a.build_stream(i, SliceKind::Evaluation(0))) as Box<dyn InstrStream + Send>
-        })
-        .collect();
-    System::new(SystemConfig::paper(mix.cores(), kind.clone()), streams, me)
+    System::new(SystemConfig::paper(mix.cores(), kind.clone()), mix.eval_streams(0), me)
 }
 
 /// Pause each zoo policy mid-window — with blacklist bits, cluster

@@ -28,7 +28,7 @@ use melreq_core::{System, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_snap::fnv1a;
 use melreq_trace::{InstrStream, OpTape, TapedStream};
-use melreq_workloads::{mix_by_name, SliceKind};
+use melreq_workloads::mix_by_name;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -37,14 +37,7 @@ const TARGET: u64 = 6_000;
 const MAX_CYCLES: u64 = 1 << 26;
 
 fn streams(mix_name: &str) -> Vec<Box<dyn InstrStream + Send>> {
-    mix_by_name(mix_name)
-        .apps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            Box::new(a.build_stream(i, SliceKind::Evaluation(0))) as Box<dyn InstrStream + Send>
-        })
-        .collect()
+    mix_by_name(mix_name).eval_streams(0)
 }
 
 fn build(mix_name: &str, kind: &PolicyKind, me: &[f64]) -> System {

@@ -13,23 +13,15 @@
 use melreq_core::experiment::CANONICAL_WARMUP_POLICY;
 use melreq_core::{ExperimentOptions, System, SystemConfig};
 use melreq_snap::{Dec, Enc};
-use melreq_trace::{InstrStream, MicroOp, OpKind};
-use melreq_workloads::{mix_by_name, SliceKind};
+use melreq_trace::{MicroOp, OpKind};
+use melreq_workloads::mix_by_name;
 
 const MIX: &str = "4MEM-1";
 
 fn fresh_system() -> System {
     let mix = mix_by_name(MIX);
-    let streams: Vec<Box<dyn InstrStream + Send>> = mix
-        .apps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            Box::new(a.build_stream(i, SliceKind::Evaluation(0))) as Box<dyn InstrStream + Send>
-        })
-        .collect();
     let cfg = SystemConfig::paper(mix.cores(), CANONICAL_WARMUP_POLICY);
-    System::new(cfg, streams, &vec![1.0; mix.cores()])
+    System::new(cfg, mix.eval_streams(0), &vec![1.0; mix.cores()])
 }
 
 /// One serialized ROB entry, field for field.

@@ -26,7 +26,7 @@ impl std::fmt::Display for AppClass {
 /// 10 M-instruction slice for profiling and different 100 M-instruction
 /// slices for evaluation. For a statistical model this maps to disjoint
 /// RNG seeds of the same parameterization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SliceKind {
     /// The off-line profiling slice used to measure memory efficiency.
     Profiling,

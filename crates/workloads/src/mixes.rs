@@ -1,6 +1,7 @@
 //! The workload mixes of Table 3.
 
-use crate::apps::{app_by_code, AppSpec};
+use crate::apps::{app_by_code, AppSpec, SliceKind};
+use melreq_trace::InstrStream;
 
 /// MEM-only or MEM+ILP mix, per the paper's naming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,6 +32,19 @@ impl Mix {
     /// Resolve the application specs, in core order.
     pub fn apps(&self) -> Vec<AppSpec> {
         self.codes.chars().map(app_by_code).collect()
+    }
+
+    /// Evaluation slice `slice` of every application at its first op, in
+    /// core order: the streams a machine running this mix is built on.
+    pub fn eval_streams(&self, slice: u32) -> Vec<Box<dyn InstrStream + Send>> {
+        self.apps()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                Box::new(a.build_stream(i, SliceKind::Evaluation(slice)))
+                    as Box<dyn InstrStream + Send>
+            })
+            .collect()
     }
 }
 

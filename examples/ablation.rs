@@ -24,7 +24,6 @@ use melreq_core::{System, SystemConfig};
 use melreq_memctrl::policy::{MeLreq, PolicyKind, SchedulerPolicy};
 use melreq_memctrl::PriorityTable;
 use melreq_stats::types::CoreId;
-use melreq_trace::InstrStream;
 use melreq_workloads::{mix_by_name, Mix, SliceKind};
 
 /// ME-LREQ with exact floating-point priorities (no 10-bit table) and
@@ -55,16 +54,7 @@ fn speedup_with_policy(
     opts: &ExperimentOptions,
 ) -> f64 {
     let cfg = SystemConfig::paper(mix.cores(), PolicyKind::HfRf);
-    let streams: Vec<Box<dyn InstrStream + Send>> = mix
-        .apps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            Box::new(a.build_stream(i, SliceKind::Evaluation(opts.eval_slice)))
-                as Box<dyn InstrStream + Send>
-        })
-        .collect();
-    let mut sys = System::with_policy(cfg, streams, policy, true);
+    let mut sys = System::with_policy(cfg, mix.eval_streams(opts.eval_slice), policy, true);
     let out = sys.run_measured(opts.warmup, opts.instructions, 1 << 34);
     assert!(!out.timed_out, "ablation run timed out");
     out.ipc.iter().zip(ipc_single).map(|(m, s)| m / s).sum()
@@ -126,16 +116,7 @@ fn main() {
         let mut cfg = SystemConfig::paper(mix.cores(), PolicyKind::MeLreq);
         cfg.ctrl.drain_start = start;
         cfg.ctrl.drain_stop = stop;
-        let streams: Vec<Box<dyn InstrStream + Send>> = mix
-            .apps()
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                Box::new(a.build_stream(i, SliceKind::Evaluation(opts.eval_slice)))
-                    as Box<dyn InstrStream + Send>
-            })
-            .collect();
-        let mut sys = System::new(cfg, streams, &me);
+        let mut sys = System::new(cfg, mix.eval_streams(opts.eval_slice), &me);
         let out = sys.run_measured(opts.warmup, opts.instructions, 1 << 34);
         let speedup: f64 = out.ipc.iter().zip(&ipc_single).map(|(m, s)| m / s).sum();
         let marker = if (start, stop) == (32, 16) { " (paper)" } else { "" };
@@ -160,16 +141,7 @@ fn main() {
         let mut cfg = SystemConfig::paper(mix.cores(), PolicyKind::HfRf);
         cfg.geometry = geometry;
         cfg.ctrl = ctrl;
-        let streams: Vec<Box<dyn InstrStream + Send>> = mix
-            .apps()
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                Box::new(a.build_stream(i, SliceKind::Evaluation(opts.eval_slice)))
-                    as Box<dyn InstrStream + Send>
-            })
-            .collect();
-        let mut sys = System::new(cfg, streams, &me);
+        let mut sys = System::new(cfg, mix.eval_streams(opts.eval_slice), &me);
         let out = sys.run_measured(opts.warmup, opts.instructions, 1 << 34);
         let speedup: f64 = out.ipc.iter().zip(&ipc_single).map(|(m, s)| m / s).sum();
         let hit_rate = sys.hierarchy().controller().dram().stats().hit_rate();

@@ -17,7 +17,6 @@ use melreq::experiment::{run_mix, ExperimentOptions, ProfileCache};
 use melreq::memctrl::policy::PolicyKind;
 use melreq::memctrl::PriorityTable;
 use melreq::stats::CoreId;
-use melreq::trace::InstrStream;
 use melreq::workloads::{mix_by_name, SliceKind};
 use melreq::{SchedulerPolicy, System, SystemConfig};
 
@@ -81,16 +80,12 @@ fn main() {
 
     let mut cfg = SystemConfig::paper(mix.cores(), PolicyKind::HfRf);
     cfg.policy = PolicyKind::HfRf; // placeholder; we inject the policy below
-    let streams: Vec<Box<dyn InstrStream + Send>> = mix
-        .apps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            Box::new(a.build_stream(i, SliceKind::Evaluation(0))) as Box<dyn InstrStream + Send>
-        })
-        .collect();
-    let mut sys =
-        System::with_policy(cfg, streams, Box::new(BwLreq::new(&bw)), /* read_first */ true);
+    let mut sys = System::with_policy(
+        cfg,
+        mix.eval_streams(0),
+        Box::new(BwLreq::new(&bw)),
+        /* read_first */ true,
+    );
     let out = sys.run_measured(opts.warmup, opts.instructions, 1 << 30);
     let speedup: f64 = out.ipc.iter().zip(&ipc_single).map(|(m, s)| m / s).sum();
     println!("  {:8} speedup={:.3} (custom policy via SchedulerPolicy trait)", "BW-LREQ", speedup);

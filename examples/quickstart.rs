@@ -6,7 +6,6 @@
 //! ```
 
 use melreq::core::profile::profile_app;
-use melreq::trace::InstrStream;
 use melreq::workloads::{mix_by_name, SliceKind};
 use melreq::{PolicyKind, System, SystemConfig};
 
@@ -36,15 +35,7 @@ fn main() {
     //    the profiled ME values loaded into the priority tables.
     let cfg = SystemConfig::paper(mix.cores(), PolicyKind::MeLreq);
     println!("\n{}\n", cfg.describe());
-    let streams: Vec<Box<dyn InstrStream + Send>> = mix
-        .apps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            Box::new(a.build_stream(i, SliceKind::Evaluation(0))) as Box<dyn InstrStream + Send>
-        })
-        .collect();
-    let mut sys = System::new(cfg, streams, &me);
+    let mut sys = System::new(cfg, mix.eval_streams(0), &me);
 
     // 4. Run until each core commits 50k instructions (20k warm-up).
     let out = sys.run_measured(20_000, 50_000, 1 << 28);

@@ -11,33 +11,26 @@
 //! ## Quick start
 //!
 //! ```
-//! use melreq::{PolicyKind, SliceKind, System, SystemConfig};
+//! use melreq::{PolicyKind, System, SystemConfig};
 //! use melreq::workloads::mix_by_name;
-//! use melreq::trace::InstrStream;
 //!
 //! // The paper's 2-core machine running workload 2MEM-1 (wupwise+swim)
-//! // under the ME-LREQ policy.
+//! // under the ME-LREQ policy, on evaluation slice 0 of both programs.
 //! let mix = mix_by_name("2MEM-1");
 //! let cfg = SystemConfig::paper(mix.cores(), PolicyKind::MeLreq);
-//! let streams: Vec<Box<dyn InstrStream + Send>> = mix
-//!     .apps()
-//!     .iter()
-//!     .enumerate()
-//!     .map(|(i, a)| {
-//!         Box::new(a.build_stream(i, SliceKind::Evaluation(0)))
-//!             as Box<dyn InstrStream + Send>
-//!     })
-//!     .collect();
 //! let me = vec![0.5, 0.1]; // profiled memory efficiency per core
-//! let mut sys = System::new(cfg, streams, &me);
+//! let mut sys = System::new(cfg, mix.eval_streams(0), &me);
 //! let out = sys.run_until_targets(5_000, 10_000_000);
 //! assert!(out.ipc.iter().all(|&ipc| ipc > 0.0));
 //! ```
 //!
 //! For the paper's full methodology (profiling, single-core references,
-//! SMT speedup, unfairness) use [`experiment::run_mix`]; `melreq
-//! reproduce` (the `melreq-cli` crate) regenerates every table and figure
-//! into `results/`, and `examples/ablation.rs` the design-choice studies.
+//! SMT speedup, unfairness) use [`experiment::run_mix`] — one call of
+//! [`experiment::run_tapped`], the single place a measurement is taken,
+//! which also takes an out-of-registry policy, a checkpoint store, the
+//! auditor and the trace collector; `melreq reproduce` (the `melreq-cli`
+//! crate) regenerates every table and figure into `results/`, and
+//! `examples/ablation.rs` the design-choice studies.
 //!
 //! ## Crate map
 //!

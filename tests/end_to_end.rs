@@ -2,23 +2,14 @@
 //! `melreq` API, checking the invariants a downstream user relies on.
 
 use melreq::experiment::{run_mix, ExperimentOptions, ProfileCache};
-use melreq::trace::InstrStream;
-use melreq::workloads::{mix_by_name, SliceKind};
+use melreq::workloads::mix_by_name;
 use melreq::{PolicyKind, System, SystemConfig};
 
 fn build(mix_name: &str, policy: PolicyKind) -> System {
     let mix = mix_by_name(mix_name);
     let cfg = SystemConfig::paper(mix.cores(), policy);
-    let streams: Vec<Box<dyn InstrStream + Send>> = mix
-        .apps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            Box::new(a.build_stream(i, SliceKind::Evaluation(0))) as Box<dyn InstrStream + Send>
-        })
-        .collect();
     let me: Vec<f64> = (0..mix.cores()).map(|i| 1.0 + i as f64).collect();
-    System::new(cfg, streams, &me)
+    System::new(cfg, mix.eval_streams(0), &me)
 }
 
 #[test]

@@ -25,7 +25,6 @@ fn fair_schedulers_run_end_to_end() {
         &mix,
         "FQ",
         |_me, cores, _seed| (Box::new(FairQueueing::new(cores)), true),
-        None,
         &opts(),
         &cache,
     );
@@ -33,7 +32,6 @@ fn fair_schedulers_run_end_to_end() {
         &mix,
         "STF",
         |_me, cores, _seed| (Box::new(StallTimeFair::new(cores)), true),
-        None,
         &opts(),
         &cache,
     );
@@ -54,7 +52,6 @@ fn weighted_fq_shifts_service_toward_the_favoured_core() {
         &mix,
         "FQ",
         |_me, cores, _seed| (Box::new(FairQueueing::new(cores)), true),
-        None,
         &opts(),
         &cache,
     );
@@ -62,7 +59,6 @@ fn weighted_fq_shifts_service_toward_the_favoured_core() {
         &mix,
         "FQ",
         |_me, _cores, _seed| (Box::new(FairQueueing::with_shares(vec![8, 1])), true),
-        None,
         &opts(),
         &cache,
     );

@@ -5,8 +5,8 @@
 
 use melreq_cli::{run_command, Command};
 use melreq_core::experiment::{
-    run_mix_audited_observed, ExperimentOptions, MixResult, ObserveOptions, ProfileCache,
-    RunControl, SweepStage,
+    run_tapped, ExperimentOptions, Measured, MixResult, ObserveOptions, ProfileCache, RunControl,
+    SweepStage, Taps,
 };
 use melreq_core::Session;
 use melreq_memctrl::policy::PolicyKind;
@@ -58,13 +58,10 @@ fn sweep_results_and_audit_hashes_are_identical_at_any_worker_count() {
         // An audited single run alongside the pool: the event-stream
         // hash is the finest-grained determinism witness we have.
         let cache = ProfileCache::new();
-        let (_, report, _) = run_mix_audited_observed(
-            &mix_by_name("2MEM-1"),
-            &PolicyKind::MeLreq,
-            &opts,
-            &ObserveOptions::default(),
-            &cache,
-        );
+        let taps = Taps { audit: true, observe: Some(ObserveOptions::default()) };
+        let (mix, kind) = (mix_by_name("2MEM-1"), Measured::Kind(&PolicyKind::MeLreq));
+        let (_, heard) = run_tapped(&mix, kind, &opts, &cache, None, &RunControl::default(), taps);
+        let report = heard.audit.expect("audited");
         assert_eq!(report.total_violations, 0, "audited run must be clean");
         audit_hashes.push(report.stream_hash);
     }
