@@ -13,9 +13,9 @@
 //! rendered from its [`PolicyReport`].
 
 use crate::figures;
-use crate::parse::{Command, ObsArgs, PolicySpec, USAGE};
+use crate::parse::{Args, Invocation, ObsArgs, PolicySpec, CLIENT_VERBS};
 use melreq_core::api::json::Json;
-use melreq_core::api::{AuditSummary, MelreqError, PolicyReport, Session, SimRequest};
+use melreq_core::api::{resolve_mix, AuditSummary, MelreqError, PolicyReport, Session, SimRequest};
 use melreq_core::experiment::{
     run_mix, run_mix_group, run_mix_observed, run_tapped, worker_count, ExperimentOptions,
     Measured, MixResult, ObserveOptions, ProfileCache, RunControl, SweepStage, Taps,
@@ -43,12 +43,16 @@ fn io_err(msg: impl Into<String>) -> MelreqError {
     MelreqError::Io(msg.into())
 }
 
-fn cmd_profile(apps: &[String], opts: &ExperimentOptions) -> Result<String, MelreqError> {
+pub(crate) fn cmd_config(args: &Args) -> Result<String, MelreqError> {
+    Ok(SystemConfig::paper(args.cores, PolicyKind::MeLreq).describe())
+}
+
+pub(crate) fn cmd_profile(args: &Args) -> Result<String, MelreqError> {
     let roster = spec2000();
-    let selected: Vec<_> = if apps.is_empty() {
+    let selected: Vec<_> = if args.apps.is_empty() {
         roster
     } else {
-        let wanted: Vec<&str> = apps.iter().map(std::string::String::as_str).collect();
+        let wanted: Vec<&str> = args.apps.iter().map(std::string::String::as_str).collect();
         let picked: Vec<_> = roster.into_iter().filter(|a| wanted.contains(&a.name)).collect();
         if picked.len() != wanted.len() {
             return Err(usage(format!(
@@ -60,7 +64,7 @@ fn cmd_profile(apps: &[String], opts: &ExperimentOptions) -> Result<String, Melr
     let rows: Vec<Vec<String>> = selected
         .iter()
         .map(|a| {
-            let p = profile_app(a, SliceKind::Profiling, opts.profile_instructions);
+            let p = profile_app(a, SliceKind::Profiling, args.opts.profile_instructions);
             vec![
                 a.name.to_string(),
                 a.class.to_string(),
@@ -225,22 +229,11 @@ fn render_run_human(
 }
 
 /// Build the typed request the facade, the service and `melreq client`
-/// all share.
-fn sim_request(
-    mix: &Mix,
-    specs: &[PolicySpec],
-    opts: &ExperimentOptions,
-    audit: bool,
-) -> SimRequest {
-    SimRequest::new(mix.name).policies(specs.to_vec()).opts(*opts).audit(audit)
-}
-
-/// Apply an optional `--threads` worker count to a request.
-fn with_threads(req: SimRequest, threads: Option<usize>) -> SimRequest {
-    match threads {
-        Some(n) => req.threads(n),
-        None => req,
-    }
+/// all share, from what the command line said.
+fn sim_request(mix: &Mix, specs: Vec<PolicySpec>, args: &Args) -> SimRequest {
+    let mut req = SimRequest::new(mix.name).policies(specs).opts(args.opts).audit(args.audit);
+    req.threads = args.threads;
+    req
 }
 
 /// The CLI's buildinfo block, embedded in host-profile artifacts so a
@@ -259,17 +252,16 @@ fn cli_buildinfo(threads: Option<usize>) -> String {
 /// failed run never leaks spans into a later one), write the Perfetto
 /// trace with the summary and buildinfo blocks embedded, and append the
 /// text summary to the command's output.
-fn with_host_profile(
-    prof_out: Option<&str>,
+pub(crate) fn with_host_profile(
+    args: &Args,
     process_name: &str,
-    threads: Option<usize>,
-    body: impl FnOnce() -> Result<String, MelreqError>,
+    body: fn(&Args) -> Result<String, MelreqError>,
 ) -> Result<String, MelreqError> {
-    let Some(path) = prof_out else {
-        return body();
+    let Some(path) = &args.prof_out else {
+        return body(args);
     };
     melreq_prof::enable();
-    let result = body();
+    let result = body(args);
     melreq_prof::disable();
     let profile = melreq_prof::drain();
     let mut out = result?;
@@ -277,24 +269,17 @@ fn with_host_profile(
     let trace = export_host_profile(
         &profile,
         process_name,
-        &[("summary", summary.render_json()), ("buildinfo", cli_buildinfo(threads))],
+        &[("summary", summary.render_json()), ("buildinfo", cli_buildinfo(args.threads))],
     );
     std::fs::write(path, &trace).map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
     let _ = write!(out, "\n{}\nhost profile written to {path}\n", summary.render_text());
     Ok(out)
 }
 
-fn cmd_run(
-    mix_name: &str,
-    spec: &PolicySpec,
-    opts: &ExperimentOptions,
-    audit: bool,
-    obs: &ObsArgs,
-    json: bool,
-    threads: Option<usize>,
-) -> Result<String, MelreqError> {
-    let mix = try_mix(mix_name)?;
-    if json && obs.any() {
+pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
+    let Args { opts, obs, .. } = args;
+    let (mix, spec) = (resolve_mix(&args.mix)?, args.policy());
+    if args.json && obs.any() {
         return Err(usage(
             "--json emits the versioned machine-readable report; drop the \
              --trace/--series/--sample-epoch/--provenance flags (use `melreq trace` \
@@ -305,9 +290,9 @@ fn cmd_run(
         // The collector tap is not part of the facade. Every registered
         // policy runs through the instrumented controller, so they all
         // trace.
-        let taps = Taps { audit, observe: Some(observe_options(obs, false)) };
+        let taps = Taps { audit: args.audit, observe: Some(observe_options(obs, false)) };
         let (cache, ctl) = (ProfileCache::new(), RunControl::default());
-        let (r, heard) = run_tapped(&mix, Measured::Kind(spec), opts, &cache, None, &ctl, taps);
+        let (r, heard) = run_tapped(&mix, Measured::Kind(&spec), opts, &cache, None, &ctl, taps);
         let p = PolicyReport::from_result(&r, heard.audit.as_ref().map(AuditSummary::of));
         let mut out = render_run_human(&mix, &p, r.wall, opts);
         if let Some(report) = heard.audit.filter(|a| !a.is_clean()) {
@@ -323,9 +308,9 @@ fn cmd_run(
     }
     // The plain run goes through the facade — identical machinery to
     // the service and the bench harness — and `--json` prints its report.
-    let req = with_threads(sim_request(&mix, std::slice::from_ref(spec), opts, audit), threads);
-    let report = Session::new().run(&req, &RunControl::default())?;
-    if json {
+    let report =
+        Session::new().run(&sim_request(&mix, vec![spec], args), &RunControl::default())?;
+    if args.json {
         return Ok(report.to_json());
     }
     Ok(render_run_human(&mix, &report.policies[0], report.wall, opts))
@@ -334,21 +319,14 @@ fn cmd_run(
 /// `melreq trace`: run one mix under any registered policy with the
 /// full observability stack on, write the Chrome/Perfetto trace (plus
 /// the optional epoch series), and summarize what was captured.
-fn cmd_trace(
-    mix_name: &str,
-    spec: &PolicySpec,
-    out_path: &str,
-    obs: &ObsArgs,
-    opts: &ExperimentOptions,
-) -> Result<String, MelreqError> {
-    let kind = spec;
-    let mix = try_mix(mix_name)?;
+pub(crate) fn cmd_trace(args: &Args) -> Result<String, MelreqError> {
+    let mix = resolve_mix(&args.mix)?;
     let cache = ProfileCache::new();
-    let observe = observe_options(obs, true);
-    let (r, collector) = run_mix_observed(&mix, kind, opts, &observe, &cache);
+    let observe = observe_options(&args.obs, true);
+    let (r, collector) = run_mix_observed(&mix, &args.policy(), &args.opts, &observe, &cache);
     let c = collector.lock().expect("obs collector poisoned");
-    let mut effective = obs.clone();
-    effective.trace_out = Some(out_path.to_string());
+    let mut effective = args.obs.clone();
+    effective.trace_out = Some(args.out.clone().unwrap_or_else(|| "trace.json".to_string()));
     let mut out = format!(
         "{} under {}: {} sim cycles observed, {} scheduler decisions\n",
         mix.name,
@@ -364,14 +342,10 @@ fn cmd_trace(
     Ok(out)
 }
 
-fn cmd_audit(
-    mix_name: &str,
-    spec: &PolicySpec,
-    opts: &ExperimentOptions,
-) -> Result<String, MelreqError> {
-    let mix = try_mix(mix_name)?;
+pub(crate) fn cmd_audit(args: &Args) -> Result<String, MelreqError> {
+    let (mix, spec) = (resolve_mix(&args.mix)?, args.policy());
     let session = Session::new();
-    let req = sim_request(&mix, std::slice::from_ref(spec), opts, true);
+    let req = sim_request(&mix, vec![spec.clone()], args).audit(true);
     // Two audited passes through the facade; `Session::run` already
     // fails with `Divergence` on any violation, so reaching the hash
     // comparison implies both passes were clean.
@@ -400,23 +374,18 @@ fn cmd_audit(
     Ok(out)
 }
 
-fn cmd_compare(
-    mix_name: &str,
-    specs: &[PolicySpec],
-    opts: &ExperimentOptions,
-    provenance: bool,
-    json: bool,
-    threads: Option<usize>,
-) -> Result<String, MelreqError> {
-    let mix = try_mix(mix_name)?;
-    if json && provenance {
+pub(crate) fn cmd_compare(args: &Args) -> Result<String, MelreqError> {
+    let (mix, specs, provenance) =
+        (resolve_mix(&args.mix)?, args.policy_set(), args.obs.provenance);
+    if args.json && provenance {
         return Err(usage("--json emits the versioned machine-readable report; drop --provenance"));
     }
     let mut totals: Vec<(String, RuleTotals)> = Vec::new();
     let reports: Vec<PolicyReport> = if provenance {
         let cache = ProfileCache::new();
         let observed = |kind| {
-            let (r, c) = run_mix_observed(&mix, kind, opts, &ObserveOptions::default(), &cache);
+            let (r, c) =
+                run_mix_observed(&mix, kind, &args.opts, &ObserveOptions::default(), &cache);
             let c = c.lock().expect("obs collector poisoned");
             // Labelled with the run's display name: the collector keys its
             // buckets on the audit identity, which FCFS and FCFS-RF (and
@@ -428,9 +397,8 @@ fn cmd_compare(
         };
         specs.iter().map(observed).collect()
     } else {
-        let req = with_threads(sim_request(&mix, specs, opts, false), threads);
-        let report = Session::new().run(&req, &RunControl::default())?;
-        if json {
+        let report = Session::new().run(&sim_request(&mix, specs, args), &RunControl::default())?;
+        if args.json {
             return Ok(report.to_json());
         }
         report.policies
@@ -465,13 +433,9 @@ fn cmd_compare(
     Ok(out)
 }
 
-fn cmd_sweep(
-    kind: &str,
-    specs: &[PolicySpec],
-    opts: &ExperimentOptions,
-    threads: Option<usize>,
-) -> Result<String, MelreqError> {
-    let kinds: Vec<MixKind> = match kind {
+pub(crate) fn cmd_sweep(args: &Args) -> Result<String, MelreqError> {
+    let specs = args.policy_set();
+    let kinds: Vec<MixKind> = match args.kind.as_str() {
         "mem" => vec![MixKind::Mem],
         "mix" => vec![MixKind::Mixed],
         _ => vec![MixKind::Mem, MixKind::Mixed],
@@ -489,7 +453,7 @@ fn cmd_sweep(
             // Per-mix ratios vs the first policy, averaged geometrically.
             let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
             for mix in &mixes {
-                let req = with_threads(sim_request(mix, specs, opts, false), threads);
+                let req = sim_request(mix, specs.clone(), args);
                 let report = session.run(&req, &RunControl::default())?;
                 let base = report.policies[0].smt_speedup;
                 for (series, p) in ratios.iter_mut().zip(&report.policies) {
@@ -592,23 +556,16 @@ struct Stage {
 /// group twice — snapshot-forked and per-policy fresh — and hard-fails
 /// if the two result sets are not bit-identical, in smoke and full mode
 /// alike.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn cmd_reproduce(
-    smoke: bool,
-    no_checkpoint: bool,
-    store_dir: Option<&str>,
-    out_path: &str,
-    opts: &ExperimentOptions,
-    threads: Option<usize>,
-    guard: Option<&str>,
-    guard_ratio: f64,
-    prof_out: Option<&str>,
-) -> Result<String, MelreqError> {
+#[allow(clippy::too_many_lines)]
+pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
+    let Args { smoke, no_checkpoint, threads, guard_ratio, .. } = *args;
+    let out_path = args.out.as_deref().unwrap_or("BENCH_sweep.json");
+    let prof_out = args.prof_out.as_deref();
     // Smoke defaults to the quick scale; explicit scale flags still win.
-    let opts = if smoke && *opts == ExperimentOptions::default() {
+    let opts = if smoke && args.opts == ExperimentOptions::default() {
         ExperimentOptions::quick()
     } else {
-        *opts
+        args.opts
     };
     if prof_out.is_some() {
         melreq_prof::enable();
@@ -617,7 +574,7 @@ fn cmd_reproduce(
         if no_checkpoint {
             None
         } else {
-            let dir = store_dir.map_or_else(CheckpointStore::default_dir, PathBuf::from);
+            let dir = store_dir(args);
             Some(Arc::new(CheckpointStore::open(&dir).map_err(|e| {
                 io_err(format!("cannot open checkpoint store {}: {e}", dir.display()))
             })?))
@@ -945,15 +902,8 @@ fn cmd_reproduce(
     // Wall-clock guard against a baseline artifact: the artifact above
     // is written first so a failing run still leaves its evidence.
     let mut guard_line = String::new();
-    if let Some(gpath) = guard {
-        let base = std::fs::read_to_string(gpath)
-            .map_err(|e| io_err(format!("cannot read guard baseline {gpath}: {e}")))?;
-        let base_wall = Json::parse(&base)
-            .ok()
-            .and_then(|artifact| artifact.get("total_wall_s")?.as_f64())
-            .ok_or_else(|| {
-                usage(format!("guard baseline {gpath} has no \"total_wall_s\" field"))
-            })?;
+    if let Some(gpath) = &args.guard {
+        let base_wall = guard_baseline(gpath, "total_wall_s")?;
         let ceiling = base_wall / guard_ratio;
         if total_wall_s > ceiling {
             return Err(MelreqError::Timeout(format!(
@@ -1034,79 +984,59 @@ fn cmd_reproduce(
     Ok(out)
 }
 
+/// The checkpoint store of `reproduce` and `serve`: `--store`, else
+/// `MELREQ_STORE`, else `.melreq-store`.
+fn store_dir(args: &Args) -> PathBuf {
+    args.store.as_ref().map_or_else(CheckpointStore::default_dir, PathBuf::from)
+}
+
+/// The number under `field` of a `--guard` baseline artifact.
+fn guard_baseline(path: &str, field: &str) -> Result<f64, MelreqError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| io_err(format!("cannot read guard baseline {path}: {e}")))?;
+    Json::parse(&text)
+        .ok()
+        .and_then(|artifact| artifact.get(field)?.as_f64())
+        .ok_or_else(|| usage(format!("guard baseline {path} has no \"{field}\" field")))
+}
+
 /// `melreq serve`: run the HTTP service in the foreground until SIGTERM
 /// (or POST /shutdown) drains it.
-#[allow(clippy::too_many_arguments)]
-fn cmd_serve(
-    addr: &str,
-    workers: usize,
-    queue_cap: usize,
-    store: Option<&str>,
-    no_store: bool,
-    timeout_ms: Option<u64>,
-    response_cache: usize,
-    idle_timeout_ms: u64,
-    access_log: Option<&str>,
-    prof_out: Option<&str>,
-) -> Result<String, MelreqError> {
-    let store_dir = if no_store {
-        None
-    } else {
-        Some(store.map_or_else(CheckpointStore::default_dir, PathBuf::from))
-    };
-    let cfg = ServeConfig {
-        addr: addr.to_string(),
-        workers,
-        queue_cap,
-        store_dir,
-        default_timeout_ms: timeout_ms,
-        response_cache,
-        idle_timeout_ms,
-        access_log: access_log.map(PathBuf::from),
-        prof_out: prof_out.map(PathBuf::from),
-    };
-    melreq_serve::serve_forever(cfg)
+pub(crate) fn cmd_serve(args: &Args) -> Result<String, MelreqError> {
+    melreq_serve::serve_forever(ServeConfig {
+        store_dir: (!args.no_store).then(|| store_dir(args)),
+        prof_out: args.prof_out.as_ref().map(PathBuf::from),
+        ..args.serve.clone()
+    })
 }
 
 /// `melreq client`: build the same typed requests the local commands use
 /// and send them to a running server — all verbs of one invocation over
 /// one keep-alive connection, `Connection: close` only on the last.
-fn cmd_client(
-    verbs: &[String],
-    mix: Option<&str>,
-    specs: &[PolicySpec],
-    opts: &ExperimentOptions,
-    audit: bool,
-    addr: &str,
-    timeout_ms: Option<u64>,
-) -> Result<String, MelreqError> {
+pub(crate) fn cmd_client(args: &Args) -> Result<String, MelreqError> {
+    let (addr, timeout_ms) = (&args.serve.addr, args.timeout_ms);
     // Build every request up front so a usage error costs no traffic.
     let mut requests: Vec<(&str, &str, Option<String>)> = Vec::new();
-    for verb in verbs {
-        requests.push(match verb.as_str() {
-            "health" => ("GET", "/healthz", None),
-            "metrics" => ("GET", "/metrics", None),
-            "buildinfo" => ("GET", "/buildinfo", None),
-            "policies" => ("GET", "/policies", None),
-            "shutdown" => ("POST", "/shutdown", None),
-            "run" | "compare" => {
-                if verb == "run" && specs.len() != 1 {
-                    return Err(usage(format!(
-                        "client run takes exactly one policy (got {}); use client compare \
-                         for policy sets",
-                        specs.len()
-                    )));
-                }
-                let mix = try_mix(mix.expect("parser guarantees a mix for run/compare"))?;
-                let mut req = sim_request(&mix, specs, opts, audit);
-                if let Some(ms) = timeout_ms {
-                    req = req.timeout_ms(ms);
-                }
-                let path = if verb == "run" { "/run" } else { "/compare" };
-                ("POST", path, Some(req.to_json()))
+    for verb in &args.client_verbs {
+        let &(_, method, path) =
+            CLIENT_VERBS.iter().find(|v| v.0 == verb).expect("the parser checked the verb");
+        let body = match verb.as_str() {
+            "run" if args.policies.len() > 1 => {
+                return Err(usage(format!(
+                    "client run takes exactly one policy (got {}); use client compare \
+                     for policy sets",
+                    args.policies.len()
+                )));
             }
-            other => return Err(usage(format!("unknown client verb '{other}'"))),
-        });
+            "run" | "compare" => {
+                let specs = if verb == "run" { vec![args.policy()] } else { args.policy_set() };
+                let mut req = sim_request(&resolve_mix(&args.mix)?, specs, args);
+                req.timeout_ms = timeout_ms;
+                Some(req.to_json())
+            }
+            _ => None,
+        };
+        requests.push((method, path, body));
     }
     // Generous socket timeout: the request's own wall-clock budget (if
     // any) plus slack, else long enough for a full-scale run.
@@ -1141,26 +1071,10 @@ fn cmd_client(
 /// `melreq loadbench`: drive a running server with the deterministic
 /// open-loop generator, write the artifact, and optionally guard cached
 /// throughput against a committed baseline.
-#[allow(clippy::too_many_arguments)]
-fn cmd_loadbench(
-    addr: &str,
-    rps: f64,
-    conns: usize,
-    duration_s: f64,
-    seed: u64,
-    mix: &str,
-    out_path: &str,
-    guard: Option<&str>,
-    guard_ratio: f64,
-) -> Result<String, MelreqError> {
-    let cfg = melreq_loadgen::LoadConfig {
-        addr: addr.to_string(),
-        rps,
-        conns,
-        duration_s,
-        seed,
-        mix: mix.to_string(),
-    };
+pub(crate) fn cmd_loadbench(args: &Args) -> Result<String, MelreqError> {
+    let cfg = melreq_loadgen::LoadConfig { mix: args.mix.clone(), ..args.load.clone() };
+    let melreq_loadgen::LoadConfig { addr, rps, conns, duration_s, seed, mix } = &cfg;
+    let out_path = args.out.as_deref().unwrap_or("BENCH_serve.json");
     let report = melreq_loadgen::run(&cfg)?;
     let artifact = melreq_loadgen::render_json(&cfg, &report);
     std::fs::write(out_path, &artifact)
@@ -1169,10 +1083,10 @@ fn cmd_loadbench(
     // The artifact is written first so a failing guard still leaves its
     // evidence; guard after (same contract as reproduce --guard).
     let mut guard_line = String::new();
-    if let Some(gpath) = guard {
-        let base = std::fs::read_to_string(gpath)
-            .map_err(|e| io_err(format!("cannot read guard baseline {gpath}: {e}")))?;
-        guard_line = melreq_loadgen::guard_check(&artifact, &base, gpath, guard_ratio)?;
+    if let Some(gpath) = &args.guard {
+        let base = guard_baseline(gpath, "cached_throughput_rps")?;
+        guard_line =
+            melreq_loadgen::guard_check(report.cached_throughput_rps, base, args.guard_ratio)?;
         guard_line.push('\n');
     }
 
@@ -1213,100 +1127,9 @@ fn cmd_loadbench(
     Ok(out)
 }
 
-fn try_mix(name: &str) -> Result<Mix, MelreqError> {
-    melreq_workloads::all_mixes()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            usage(format!("unknown workload '{name}'; names follow Table 3 (2MEM-1 … 8MIX-6)"))
-        })
-}
-
-/// Execute a parsed command, returning its rendered output.
-pub fn run_command(cmd: &Command) -> Result<String, MelreqError> {
-    match cmd {
-        Command::Help => Ok(USAGE.to_string()),
-        Command::Config { cores } => Ok(SystemConfig::paper(*cores, PolicyKind::MeLreq).describe()),
-        Command::Profile { apps, opts } => cmd_profile(apps, opts),
-        Command::Run { mix, policy, opts, audit, obs, json, threads, prof_out } => {
-            with_host_profile(prof_out.as_deref(), "melreq run", *threads, || {
-                cmd_run(mix, policy, opts, *audit, obs, *json, *threads)
-            })
-        }
-        Command::Trace { mix, policy, out, obs, opts } => cmd_trace(mix, policy, out, obs, opts),
-        Command::Audit { mix, policy, opts } => cmd_audit(mix, policy, opts),
-        Command::Compare { mix, policies, opts, provenance, json, threads, prof_out } => {
-            with_host_profile(prof_out.as_deref(), "melreq compare", *threads, || {
-                cmd_compare(mix, policies, opts, *provenance, *json, *threads)
-            })
-        }
-        Command::Sweep { kind, policies, opts, threads } => {
-            cmd_sweep(kind, policies, opts, *threads)
-        }
-        Command::Reproduce {
-            smoke,
-            no_checkpoint,
-            store,
-            out,
-            opts,
-            threads,
-            guard,
-            guard_ratio,
-            prof_out,
-        } => cmd_reproduce(
-            *smoke,
-            *no_checkpoint,
-            store.as_deref(),
-            out,
-            opts,
-            *threads,
-            guard.as_deref(),
-            *guard_ratio,
-            prof_out.as_deref(),
-        ),
-        Command::Serve {
-            addr,
-            workers,
-            queue_cap,
-            store,
-            no_store,
-            timeout_ms,
-            response_cache,
-            idle_timeout_ms,
-            access_log,
-            prof_out,
-        } => cmd_serve(
-            addr,
-            *workers,
-            *queue_cap,
-            store.as_deref(),
-            *no_store,
-            *timeout_ms,
-            *response_cache,
-            *idle_timeout_ms,
-            access_log.as_deref(),
-            prof_out.as_deref(),
-        ),
-        Command::Client { verbs, mix, policies, opts, audit, addr, timeout_ms } => {
-            cmd_client(verbs, mix.as_deref(), policies, opts, *audit, addr, *timeout_ms)
-        }
-        Command::Loadbench { addr, rps, conns, duration_s, seed, mix, out, guard, guard_ratio } => {
-            cmd_loadbench(
-                addr,
-                *rps,
-                *conns,
-                *duration_s,
-                *seed,
-                mix,
-                out,
-                guard.as_deref(),
-                *guard_ratio,
-            )
-        }
-        Command::Analyze { json, fix_fingerprint, root, out } => {
-            cmd_analyze(*json, *fix_fingerprint, root.as_deref(), out.as_deref())
-        }
-    }
+/// Execute a parsed command line, returning its rendered output.
+pub fn run_command(inv: &Invocation) -> Result<String, MelreqError> {
+    (inv.verb.run)(&inv.args)
 }
 
 /// The workspace root the analyzer should scan: an explicit `--root`,
@@ -1335,16 +1158,11 @@ fn analyze_root(explicit: Option<&str>) -> Result<PathBuf, MelreqError> {
     }
 }
 
-fn cmd_analyze(
-    json: bool,
-    fix_fingerprint: bool,
-    root: Option<&str>,
-    out: Option<&str>,
-) -> Result<String, MelreqError> {
-    let root = analyze_root(root)?;
-    let report = melreq_analyze::analyze(&root, fix_fingerprint).map_err(io_err)?;
-    let rendered = if json { report.render_json() } else { report.render_text() };
-    if let Some(path) = out {
+pub(crate) fn cmd_analyze(args: &Args) -> Result<String, MelreqError> {
+    let root = analyze_root(args.root.as_deref())?;
+    let report = melreq_analyze::analyze(&root, args.fix_fingerprint).map_err(io_err)?;
+    let rendered = if args.json { report.render_json() } else { report.render_text() };
+    if let Some(path) = &args.out {
         // The artifact is written before the gate decision so CI keeps
         // the findings report even when the command exits nonzero.
         std::fs::write(path, &rendered).map_err(|e| io_err(format!("{path}: {e}")))?;
@@ -1359,52 +1177,64 @@ fn cmd_analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::parse_args;
 
-    fn quick() -> ExperimentOptions {
-        ExperimentOptions::quick()
+    /// Parse and run one command line; words are split on spaces.
+    fn melreq(line: &str) -> Result<String, MelreqError> {
+        let argv: Vec<&str> = line.split(' ').collect();
+        run_command(&parse_args(&argv).map_err(MelreqError::Usage)?)
+    }
+
+    /// `ExperimentOptions::quick()`, as flags.
+    const QUICK: &str = "--instructions 20000 --warmup 10000 --profile 10000";
+    const TINY: &str = "--instructions 3000 --warmup 1500 --profile 1500";
+
+    fn quick(line: &str) -> Result<String, MelreqError> {
+        melreq(&format!("{line} {QUICK}"))
     }
 
     /// The profiler's enable/drain state is process-global; tests that
     /// turn it on serialize here so one drain can't steal another's spans.
     static PROF_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    #[test]
-    fn config_renders() {
-        let s = run_command(&Command::Config { cores: 4 }).unwrap();
-        assert!(s.contains("4 x 4-issue"));
-        assert!(s.contains("ME-LREQ"));
+    /// A fresh scratch directory for one test.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("melreq-{tag}-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
-    fn help_renders_usage() {
-        let s = run_command(&Command::Help).unwrap();
-        assert!(s.contains("USAGE"));
+    fn config_and_help_render() {
+        let s = melreq("config --cores 4").unwrap();
+        assert!(s.contains("4 x 4-issue"));
+        assert!(s.contains("ME-LREQ"));
+        assert!(melreq("help").unwrap().contains("USAGE"));
     }
 
     #[test]
     fn unknown_mix_is_an_error() {
-        let e =
-            cmd_run("9MEM-9", &PolicySpec::HfRf, &quick(), false, &ObsArgs::default(), false, None);
-        assert!(e.is_err());
-        let e = e.unwrap_err();
+        let e = quick("run 9MEM-9 --policy hf-rf").unwrap_err();
         assert_eq!(e.exit_code(), 2, "unknown mix is a usage error");
         assert!(e.to_string().contains("Table 3"));
     }
 
     #[test]
-    fn mix_lookup_is_case_insensitive() {
-        assert!(try_mix("2mem-1").is_ok());
+    fn zero_instructions_is_a_usage_error_not_a_panic() {
+        for line in ["run 2MEM-1 --instructions 0", "run 2MEM-1 --profile 0"] {
+            let e = melreq(line).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{line}: {e}");
+        }
+        let e = melreq("run 2MEM-1 --policy me-lreq-on(epoch=0)").unwrap_err();
+        assert_eq!(e.exit_code(), 2);
+        assert!(e.to_string().contains("epoch"), "the error names the parameter: {e}");
     }
 
     #[test]
-    fn profile_rejects_unknown_apps() {
-        let e = cmd_profile(&["notanapp".to_string()], &quick());
-        assert!(e.is_err());
-    }
-
-    #[test]
-    fn profile_subset_renders_rows() {
-        let s = cmd_profile(&["eon".to_string()], &quick()).unwrap();
+    fn profile_subset_renders_rows_and_rejects_unknown_apps() {
+        assert!(quick("profile --apps notanapp").is_err());
+        let s = quick("profile --apps eon").unwrap();
         assert!(s.contains("eon"));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3); // header + rule + one row
@@ -1412,73 +1242,47 @@ mod tests {
 
     #[test]
     fn audited_run_reports_clean() {
-        let s = cmd_run(
-            "2MEM-1",
-            &PolicySpec::MeLreq,
-            &quick(),
-            true,
-            &ObsArgs::default(),
-            false,
-            None,
-        )
-        .unwrap();
+        let s = quick("run 2MEM-1 --audit").unwrap();
         assert!(s.contains("0 violations"));
         assert!(s.contains("stream hash"));
-        let s =
-            cmd_run("2MEM-1", &PolicySpec::Fq, &quick(), true, &ObsArgs::default(), false, None)
-                .unwrap();
+        let s = quick("run 2MEM-1 --policy fq --audit").unwrap();
         assert!(s.contains("0 violations"), "FQ audits through the registry path:\n{s}");
     }
 
     #[test]
     fn audit_subcommand_verifies_determinism() {
-        let s = cmd_audit("2MEM-1", &PolicySpec::HfRf, &quick()).unwrap();
+        let s = quick("audit 2MEM-1 --policy hf-rf").unwrap();
         assert!(s.contains("audit OK"));
         assert!(s.contains("pass 2"));
     }
 
-    fn tiny() -> ExperimentOptions {
-        ExperimentOptions {
-            instructions: 3000,
-            warmup: 1500,
-            profile_instructions: 1500,
-            ..ExperimentOptions::default()
-        }
-    }
-
     /// `reproduce --smoke --threads 2` with its store (`dir/<store>`) and
-    /// its artifact (`dir/sweep.json`) under `dir`.
+    /// its artifact (`dir/sweep.json`) under `dir`; `scale` is a string
+    /// of scale flags, `extra` further (flag, path) pairs.
     fn smoke_reproduce(
         dir: &Path,
         store: &str,
-        opts: &ExperimentOptions,
-        guard: Option<&Path>,
-        prof: Option<&Path>,
+        scale: &str,
+        extra: &[(&str, &Path)],
     ) -> Result<String, MelreqError> {
-        cmd_reproduce(
-            true,
-            false,
-            dir.join(store).to_str(),
-            dir.join("sweep.json").to_str().unwrap(),
-            opts,
-            Some(2),
-            guard.and_then(Path::to_str),
-            0.25,
-            prof.and_then(Path::to_str),
-        )
+        let mut argv: Vec<String> =
+            "reproduce --smoke --threads 2".split(' ').map(String::from).collect();
+        argv.extend(scale.split(' ').filter(|w| !w.is_empty()).map(String::from));
+        let (store, out) = (dir.join(store), dir.join("sweep.json"));
+        for (flag, path) in [("--store", &*store), ("--out", &*out)].iter().chain(extra) {
+            argv.extend([(*flag).to_string(), path.to_str().unwrap().to_string()]);
+        }
+        run_command(&parse_args(&argv).map_err(MelreqError::Usage)?)
     }
 
     #[test]
     fn reproduce_smoke_writes_artifact_and_verifies_fork() {
-        let dir =
-            std::env::temp_dir().join(format!("melreq-reproduce-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("reproduce");
         let out = dir.join("sweep.json");
         // A store path no shell would thank you for: the artifact must
         // still be valid JSON with every control character escaped.
         const STORE: &str = "st\"o\\re\t\u{1}";
-        let s = smoke_reproduce(&dir, STORE, &tiny(), None, None).unwrap();
+        let s = smoke_reproduce(&dir, STORE, TINY, &[]).unwrap();
         assert!(s.contains("bit-exact"), "summary must confirm the fork gate:\n{s}");
         assert!(!dir.join("results").exists(), "--smoke must not write paper tables");
         let json = std::fs::read_to_string(&out).unwrap();
@@ -1496,12 +1300,12 @@ mod tests {
 
         // Guard against its own artifact: a warm re-run is far inside
         // any sane ceiling, so this must pass and say so.
-        let s2 = smoke_reproduce(&dir, STORE, &tiny(), Some(&out), None).unwrap();
+        let s2 = smoke_reproduce(&dir, STORE, TINY, &[("--guard", &out)]).unwrap();
         assert!(s2.contains("wall guard OK"), "guard line missing:\n{s2}");
         // An impossibly fast baseline must trip the guard with exit 6.
         let fake = dir.join("fake-baseline.json");
         std::fs::write(&fake, "{\"total_wall_s\": 0.000001}\n").unwrap();
-        let e = smoke_reproduce(&dir, STORE, &tiny(), Some(&fake), None).unwrap_err();
+        let e = smoke_reproduce(&dir, STORE, TINY, &[("--guard", &fake)]).unwrap_err();
         assert_eq!(e.exit_code(), 6, "wall-guard failure is a timeout-class error: {e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1513,12 +1317,9 @@ mod tests {
     /// path changed behavior — not just its plumbing.
     #[test]
     fn reproduce_smoke_hashes_are_pinned() {
-        let dir = std::env::temp_dir().join(format!("melreq-pinned-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("pinned");
         let out = dir.join("sweep.json");
-        let summary =
-            smoke_reproduce(&dir, "store", &ExperimentOptions::default(), None, None).unwrap();
+        let summary = smoke_reproduce(&dir, "store", "", &[]).unwrap();
         assert!(
             summary.contains(
                 "
@@ -1549,13 +1350,10 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
     #[test]
     fn reproduce_with_profile_embeds_summary_and_writes_trace() {
         let _guard = PROF_LOCK.lock().unwrap();
-        let dir =
-            std::env::temp_dir().join(format!("melreq-repro-prof-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("repro-prof");
         let out = dir.join("sweep.json");
         let prof = dir.join("prof.json");
-        let s = smoke_reproduce(&dir, "store", &tiny(), None, Some(&prof)).unwrap();
+        let s = smoke_reproduce(&dir, "store", TINY, &[("--profile", &prof)]).unwrap();
         assert!(s.contains("host profile written to"), "summary must name the trace:\n{s}");
         let artifact = std::fs::read_to_string(&out).unwrap();
         assert!(
@@ -1574,24 +1372,11 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
     fn host_profile_wrapper_writes_trace_and_passes_through_on_none() {
         let _guard = PROF_LOCK.lock().unwrap();
         // Without --profile the wrapper is a pure pass-through.
-        let s = with_host_profile(None, "melreq run", None, || Ok("plain".to_string())).unwrap();
-        assert_eq!(s, "plain");
-        let dir = std::env::temp_dir().join(format!("melreq-runprof-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let plain = |_: &Args| Ok("plain".to_string());
+        assert_eq!(with_host_profile(&Args::default(), "melreq run", plain).unwrap(), "plain");
+        let dir = temp_dir("runprof");
         let path = dir.join("prof.json");
-        let s = with_host_profile(Some(path.to_str().unwrap()), "melreq run", Some(2), || {
-            cmd_run(
-                "2MEM-1",
-                &PolicySpec::MeLreq,
-                &quick(),
-                false,
-                &ObsArgs::default(),
-                false,
-                Some(2),
-            )
-        })
-        .unwrap();
+        let s = quick(&format!("run 2MEM-1 --threads 2 --profile {}", path.display())).unwrap();
         assert!(s.contains("SMT speedup"), "the run output must survive the wrapper:\n{s}");
         assert!(s.contains("host profile written to"), "summary line missing:\n{s}");
         let trace = std::fs::read_to_string(&path).unwrap();
@@ -1603,46 +1388,24 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
 
     #[test]
     fn run_and_compare_work_end_to_end() {
-        let s = cmd_run(
-            "2MEM-1",
-            &PolicySpec::MeLreq,
-            &quick(),
-            false,
-            &ObsArgs::default(),
-            false,
-            None,
-        )
-        .unwrap();
+        let s = quick("run 2MEM-1").unwrap();
         assert!(s.contains("wupwise"));
         assert!(s.contains("SMT speedup"));
         assert!(s.contains("mean queue occupancy"), "controller stats missing:\n{s}");
         assert!(s.contains("hit rate"), "per-channel traffic table missing:\n{s}");
-        let s = cmd_compare(
-            "2MEM-1",
-            &[PolicySpec::HfRf, PolicySpec::Fq],
-            &quick(),
-            false,
-            false,
-            None,
-        )
-        .unwrap();
+        let s = quick("compare 2MEM-1 --policies hf-rf,fq").unwrap();
         assert!(s.contains("FQ"));
         assert!(s.contains("+0.0%")); // baseline row
     }
 
     #[test]
     fn fixed_priorities_run_at_any_core_count() {
-        let opts = ExperimentOptions {
-            instructions: 4_000,
-            warmup: 1_000,
-            profile_instructions: 4_000,
-            ..ExperimentOptions::default()
-        };
         for mix in ["2MEM-1", "8MEM-1"] {
             for policy in ["fix-0123", "fix-3210"] {
-                let spec = PolicySpec::parse(policy).unwrap();
-                let s = cmd_run(mix, &spec, &opts, false, &ObsArgs::default(), false, None)
-                    .unwrap_or_else(|e| panic!("{policy} on {mix}: {e}"));
+                let line = format!(
+                    "run {mix} --policy {policy} --instructions 4000 --warmup 1000 --profile 4000"
+                );
+                let s = melreq(&line).unwrap_or_else(|e| panic!("{policy} on {mix}: {e}"));
                 assert!(s.contains(&policy.to_uppercase()), "{policy} on {mix}:\n{s}");
                 assert!(s.contains("SMT speedup"), "{policy} on {mix}:\n{s}");
             }
@@ -1651,18 +1414,8 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
 
     #[test]
     fn run_json_is_versioned_and_deterministic() {
-        let run = || {
-            cmd_run(
-                "2mem-1", // case-insensitive lookup feeds the canonical name
-                &PolicySpec::MeLreq,
-                &quick(),
-                false,
-                &ObsArgs::default(),
-                true,
-                None,
-            )
-            .unwrap()
-        };
+        // Case-insensitive lookup feeds the canonical name.
+        let run = || quick("run 2mem-1 --json").unwrap();
         let a = run();
         let b = run();
         assert_eq!(a, b, "--json output must be byte-deterministic");
@@ -1674,26 +1427,23 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         assert!(!a.contains('\n'), "the report is a single line");
         // And it must match the facade's own rendering for the same
         // request — the CLI adds nothing on top.
-        let req = SimRequest::new("2MEM-1").policy(PolicySpec::MeLreq).opts(quick());
+        let req =
+            SimRequest::new("2MEM-1").policy(PolicySpec::MeLreq).opts(ExperimentOptions::quick());
         let direct = Session::new().run(&req, &RunControl::default()).unwrap().to_json();
         assert_eq!(a, direct);
     }
 
     #[test]
     fn json_rejects_obs_flags_and_provenance() {
-        let obs = ObsArgs { provenance: true, ..ObsArgs::default() };
-        let e =
-            cmd_run("2MEM-1", &PolicySpec::MeLreq, &quick(), false, &obs, true, None).unwrap_err();
+        let e = quick("run 2MEM-1 --json --provenance").unwrap_err();
         assert_eq!(e.exit_code(), 2);
-        let e = cmd_compare("2MEM-1", &[PolicySpec::HfRf], &quick(), true, true, None).unwrap_err();
+        let e = quick("compare 2MEM-1 --policies hf-rf --json --provenance").unwrap_err();
         assert_eq!(e.exit_code(), 2);
     }
 
     #[test]
     fn compare_json_reports_every_policy() {
-        let s =
-            cmd_compare("2MEM-1", &[PolicySpec::HfRf, PolicySpec::Fq], &quick(), false, true, None)
-                .unwrap();
+        let s = quick("compare 2MEM-1 --policies hf-rf,fq --json").unwrap();
         assert!(s.contains("\"policy\":\"HF-RF\""));
         assert!(s.contains("\"policy\":\"FQ\""));
         assert!(s.starts_with("{\"schema_version\":"));
@@ -1702,37 +1452,28 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
     #[test]
     fn client_errors_without_a_server() {
         // Port 1 on localhost: connection refused, reported as I/O.
-        let e =
-            cmd_client(&["health".to_string()], None, &[], &quick(), false, "127.0.0.1:1", None)
-                .unwrap_err();
+        let e = melreq("client health --addr 127.0.0.1:1").unwrap_err();
         assert_eq!(e.exit_code(), 3, "unreachable server is an I/O error: {e}");
-        let e = cmd_client(
-            &["run".to_string()],
-            Some("2MEM-1"),
-            &[PolicySpec::HfRf, PolicySpec::Fq],
-            &quick(),
-            false,
-            "127.0.0.1:1",
-            None,
-        )
-        .unwrap_err();
+        let e = quick("client run 2MEM-1 --policies hf-rf,fq --addr 127.0.0.1:1").unwrap_err();
         assert_eq!(e.exit_code(), 2, "client run rejects policy sets before connecting");
+        // So is a request the server would refuse.
+        for bad in ["--instructions 0", "--policy me-lreq-on(epoch=0)"] {
+            let e = melreq(&format!("client run 2MEM-1 {bad} --addr 127.0.0.1:1")).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{bad}: {e}");
+        }
     }
 
     #[test]
     fn trace_writes_valid_chrome_json_and_series() {
-        let dir = std::env::temp_dir().join(format!("melreq-trace-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("trace");
         let trace = dir.join("trace.json");
         let series = dir.join("series.csv");
-        let obs = ObsArgs {
-            series_out: Some(series.to_str().unwrap().to_string()),
-            sample_epoch: Some(2_000),
-            ..ObsArgs::default()
-        };
-        let s = cmd_trace("2MEM-1", &PolicySpec::MeLreq, trace.to_str().unwrap(), &obs, &quick())
-            .unwrap();
+        let s = quick(&format!(
+            "trace 2MEM-1 --out {} --series {} --sample-epoch 2000",
+            trace.display(),
+            series.display()
+        ))
+        .unwrap();
         assert!(s.contains("ui.perfetto.dev"), "summary must point at the viewer:\n{s}");
         assert!(s.contains("decision provenance"), "provenance table missing:\n{s}");
         let json = std::fs::read_to_string(&trace).unwrap();
@@ -1752,60 +1493,37 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
 
     #[test]
     fn trace_covers_zoo_policies() {
-        let s = cmd_trace("2MEM-1", &PolicySpec::Fq, "/dev/null", &ObsArgs::default(), &quick())
-            .unwrap();
+        let s = quick("trace 2MEM-1 --policy fq --out /dev/null").unwrap();
         assert!(s.contains("scheduler decisions"), "trace summary missing:\n{s}");
         assert!(s.contains("fq-start-tag"), "FQ must attribute to its own rule:\n{s}");
-        let s = cmd_trace(
-            "2MEM-1",
-            &PolicySpec::parse("bliss(threshold=2)").unwrap(),
-            "/dev/null",
-            &ObsArgs::default(),
-            &quick(),
-        )
-        .unwrap();
+        let s = quick("trace 2MEM-1 --policy bliss(threshold=2) --out /dev/null").unwrap();
         assert!(s.contains("BLISS"), "parameterized policy must trace:\n{s}");
     }
 
     #[test]
     fn run_with_obs_flags_writes_trace_and_reports_provenance() {
-        let dir = std::env::temp_dir().join(format!("melreq-runobs-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("runobs");
         let trace = dir.join("run-trace.json");
-        let obs = ObsArgs {
-            trace_out: Some(trace.to_str().unwrap().to_string()),
-            provenance: true,
-            ..ObsArgs::default()
-        };
-        let s = cmd_run("2MEM-1", &PolicySpec::HfRf, &quick(), true, &obs, false, None).unwrap();
+        let obs = format!("--trace {} --provenance", trace.display());
+        let s = quick(&format!("run 2MEM-1 --policy hf-rf --audit {obs}")).unwrap();
         assert!(s.contains("0 violations"), "audit and tracing must coexist:\n{s}");
         assert!(s.contains("decision provenance"), "provenance missing:\n{s}");
         assert!(trace.exists());
-        let s = cmd_run("2MEM-1", &PolicySpec::Fq, &quick(), false, &obs, false, None).unwrap();
+        let s = quick(&format!("run 2MEM-1 --policy fq {obs}")).unwrap();
         assert!(s.contains("decision provenance"), "FQ provenance must render:\n{s}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn compare_provenance_renders_rule_totals() {
-        let s = cmd_compare(
-            "2MEM-1",
-            &[PolicySpec::HfRf, PolicySpec::MeLreq],
-            &quick(),
-            true,
-            false,
-            None,
-        )
-        .unwrap();
+        let s = quick("compare 2MEM-1 --policies hf-rf,me-lreq --provenance").unwrap();
         assert!(s.contains("decision provenance"), "provenance table missing:\n{s}");
         assert!(s.contains("ME-LREQ"), "both policies must appear:\n{s}");
-        let s = cmd_compare("2MEM-1", &[PolicySpec::Fq], &quick(), true, false, None).unwrap();
+        let s = quick("compare 2MEM-1 --policies fq --provenance").unwrap();
         assert!(s.contains("decision provenance"), "FQ provenance must render:\n{s}");
         // Policies sharing an audit identity keep their own display names.
-        let twins =
-            ["fcfs", "fcfs-rf", "me-lreq", "me-lreq-on"].map(|p| PolicySpec::parse(p).unwrap());
-        let s = cmd_compare("2MEM-1", &twins, &quick(), true, false, None).unwrap();
+        let s = quick("compare 2MEM-1 --policies fcfs,fcfs-rf,me-lreq,me-lreq-on --provenance")
+            .unwrap();
         let provenance = s.split("decision provenance").nth(1).expect("provenance table");
         let mut labels: Vec<&str> =
             provenance.lines().skip(3).filter_map(|l| l.split_whitespace().next()).collect();

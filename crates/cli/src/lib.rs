@@ -1,20 +1,14 @@
 //! Command parsing and command implementations for the `melreq` CLI.
 //!
 //! The binary (`src/main.rs`) is a thin shell over this library so the
-//! parsing and the command logic are unit-testable.
-//!
-//! ```text
-//! melreq profile [--apps swim,mcf] [--instructions N]
-//! melreq run <MIX> [--policy me-lreq] [--instructions N] [--warmup N]
-//! melreq trace <MIX> [--policy me-lreq] [--out trace.json] [--series s.csv]
-//! melreq compare <MIX> [--policies hf-rf,rr,lreq,me,me-lreq,fq,stf]
-//! melreq sweep [--kind mem|mix] [--policies ...]
-//! melreq config [--cores N]
-//! ```
+//! parsing and the command logic are unit-testable: [`parse_args`] turns
+//! an argument vector into an [`Invocation`] over the verb table in
+//! [`parse`], [`run_command`] runs it. The synopsis of every verb and
+//! flag is `melreq help` ([`usage`]), rendered from that table.
 
 pub mod commands;
 mod figures;
 pub mod parse;
 
 pub use commands::run_command;
-pub use parse::{parse_args, Command, ObsArgs, PolicySpec};
+pub use parse::{parse_args, usage, Args, Invocation, ObsArgs, PolicySpec};

@@ -5,7 +5,7 @@ use melreq_core::api::MelreqError;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = parse_args(&args).map_err(MelreqError::Usage).and_then(|cmd| run_command(&cmd));
+    let result = parse_args(&args).map_err(MelreqError::Usage).and_then(|inv| run_command(&inv));
     match result {
         Ok(out) => println!("{out}"),
         Err(e) => {

@@ -2,7 +2,7 @@
 //! snapshot-coverage hole, and that the `--out` artifact is written
 //! before the gate decision (so CI keeps the report on failure).
 
-use melreq_cli::{run_command, Command};
+use melreq_cli::{parse_args, run_command};
 use melreq_core::api::MelreqError;
 use std::path::{Path, PathBuf};
 
@@ -42,12 +42,9 @@ fn unserialized_field_fails_the_gate_with_exit_7() {
     write(&root, "crates/dram/src/model.rs", DRIFTED);
     let out_path = root.join("analyze.json");
 
-    let cmd = Command::Analyze {
-        json: true,
-        fix_fingerprint: false,
-        root: Some(root.display().to_string()),
-        out: Some(out_path.display().to_string()),
-    };
+    let (root_arg, out_arg) = (root.display().to_string(), out_path.display().to_string());
+    let cmd = parse_args(&["analyze", "--json", "--root", &root_arg, "--out", &out_arg])
+        .expect("analyze command line");
     let err = run_command(&cmd).expect_err("a dropped field must fail the gate");
     assert_eq!(err.exit_code(), 7, "static-analysis findings map to exit code 7");
     match &err {
@@ -69,12 +66,8 @@ fn unserialized_field_fails_the_gate_with_exit_7() {
 #[test]
 fn clean_tree_passes_after_fix_fingerprint() {
     let root = temp_tree("gate-clean");
-    let cmd = Command::Analyze {
-        json: false,
-        fix_fingerprint: true,
-        root: Some(root.display().to_string()),
-        out: None,
-    };
+    let cmd = parse_args(&["analyze", "--fix-fingerprint", "--root", &root.display().to_string()])
+        .expect("analyze command line");
     let rendered = run_command(&cmd).expect("empty tree with fixed fingerprint is clean");
     assert!(rendered.contains("0 finding(s)"));
 

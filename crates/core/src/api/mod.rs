@@ -352,9 +352,11 @@ impl SimRequest {
     pub fn canonical_string(&self) -> String {
         let policies: Vec<String> = self.policies.iter().map(canonical_kind).collect();
         let o = &self.opts;
+        // The roster's spelling, so `2mem-1` and `2MEM-1` share one cache
+        // and coalescing entry; a name the run will reject stays as sent.
+        let mix = resolve_mix(&self.mix).map_or(self.mix.as_str(), |m| m.name);
         format!(
-            "mix={};policies=[{}];audit={};instr={};warmup={};profile={};slice={};factor={};budget={:?}",
-            self.mix,
+            "mix={mix};policies=[{}];audit={};instr={};warmup={};profile={};slice={};factor={};budget={:?}",
             policies.join(","),
             self.audit,
             o.instructions,
@@ -633,6 +635,16 @@ impl Session {
         if req.policies.is_empty() {
             return Err(MelreqError::Usage("request must name at least one policy".into()));
         }
+        // The core model asserts both are nonzero: a request is refused
+        // here, where the CLI, the service and the benchmark all enter.
+        let o = &req.opts;
+        for (field, n) in
+            [("instructions", o.instructions), ("profile_instructions", o.profile_instructions)]
+        {
+            if n == 0 {
+                return Err(MelreqError::Usage(format!("{field} must be positive")));
+            }
+        }
         let mix = resolve_mix(&req.mix)?;
         let ctl = self.effective_control(req, ctl);
         let store = self.store.as_deref();
@@ -717,11 +729,13 @@ impl Session {
     }
 }
 
-/// Look up a Table 3 mix by name, as a typed error.
+/// Look up a Table 3 mix by name (case-insensitive), as a typed error.
+/// The one resolver: the CLI, request bodies and the load generator all
+/// name mixes through it.
 pub fn resolve_mix(name: &str) -> Result<Mix, MelreqError> {
-    all_mixes().into_iter().find(|m| m.name == name).ok_or_else(|| {
+    all_mixes().into_iter().find(|m| m.name.eq_ignore_ascii_case(name)).ok_or_else(|| {
         MelreqError::Usage(format!(
-            "unknown workload mix '{name}' (see `melreq config` for the roster)"
+            "unknown workload '{name}'; names follow Table 3 (2MEM-1 … 8MIX-6)"
         ))
     })
 }
@@ -837,7 +851,35 @@ mod tests {
         let req = SimRequest::new("MIX9-9").policy(PolicyKind::Fq);
         let err = session.run(&req, &RunControl::default()).unwrap_err();
         assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("MIX9-9"));
+        assert!(err.to_string().contains("MIX9-9") && err.to_string().contains("Table 3"));
+    }
+
+    #[test]
+    fn mix_names_are_case_insensitive_and_one_request_either_way() {
+        assert_eq!(resolve_mix("2mem-1").unwrap().name, "2MEM-1");
+        let upper = quick_request("me-lreq");
+        let lower = SimRequest { mix: "2mem-1".to_string(), ..upper.clone() };
+        assert_eq!(lower.canonical_bytes(), upper.canonical_bytes());
+        assert_eq!(lower.request_key(), upper.request_key());
+        let report = Session::new().run(&lower, &RunControl::default()).unwrap();
+        assert_eq!(report.mix, "2MEM-1", "the report carries the roster's spelling");
+    }
+
+    #[test]
+    fn zero_length_runs_are_refused_not_simulated() {
+        let session = Session::new();
+        for (field, zeroed) in [
+            ("instructions", ExperimentOptions { instructions: 0, ..ExperimentOptions::quick() }),
+            (
+                "profile_instructions",
+                ExperimentOptions { profile_instructions: 0, ..ExperimentOptions::quick() },
+            ),
+        ] {
+            let req = quick_request("hf-rf").opts(zeroed);
+            let err = session.run(&req, &RunControl::default()).unwrap_err();
+            assert_eq!(err.http_status(), 400, "{field}: {err}");
+            assert!(err.to_string().starts_with(field), "the error names the field: {err}");
+        }
     }
 
     #[test]

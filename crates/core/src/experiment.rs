@@ -537,7 +537,7 @@ fn measure(
         Measured::Kind(kind) => sys.swap_policy(kind, &me),
         Measured::Custom { build, .. } => {
             let (policy, read_first) = build(&me, mix.cores(), sys.config().seed);
-            sys.swap_policy_boxed(policy, read_first);
+            sys.swap_policy_boxed(policy, read_first, &me);
         }
     }
     let policy = measured.name();

@@ -70,9 +70,9 @@ pub struct System {
     /// per-cycle hot path allocation-free).
     scratch: Vec<(CoreId, CoreToken)>,
     /// The ME profile the scheduling policy was initialized from, when
-    /// known (`None` for externally built policies whose internal state
-    /// is opaque). Reported on [`System::attach_audit`] so the policy
-    /// auditor can reconstruct the priority tables.
+    /// known (`None` for a policy handed to [`System::with_policy`], whose
+    /// internal state is opaque). Reported on [`System::attach_audit`] so
+    /// the policy auditor can reconstruct the priority tables.
     me_profile: Option<Vec<f64>>,
     /// Cycle at which the memory-side statistics were reset (the
     /// measurement boundary): `Some(0)` when no warm-up was requested,
@@ -786,18 +786,22 @@ impl System {
     }
 
     /// Like [`System::swap_policy`] but for an externally constructed
-    /// policy (the [`System::with_policy`] extension point). The policy's
-    /// internal state is opaque, so no profile is announced to an
-    /// attached audit and the online-ME estimator is dropped.
+    /// policy (the [`System::with_policy`] extension point), without the
+    /// online-ME estimator. `me` is the profile its builder was handed:
+    /// an attached audit is told it, as for a registered kind, so a
+    /// policy that answers to a modelled name ("ME", "ME-LREQ") is held
+    /// to that model's ranking instead of passing for want of a profile.
     pub fn swap_policy_boxed(
         &mut self,
         policy: Box<dyn melreq_memctrl::SchedulerPolicy>,
         read_first: bool,
+        me: &[f64],
     ) {
         self.wake_all();
         self.hier.set_policy(policy, read_first);
         self.online = None;
-        self.me_profile = None;
+        self.me_profile = Some(me.to_vec());
+        self.hier.announce_profile(me);
     }
 
     /// Serialize the entire machine — every core pipeline (including its

@@ -4,10 +4,15 @@
 //! enjoy — name resolution, audited runs with deterministic event
 //! streams, shared-warm-up forking, and mid-run pause/restore.
 
-use melreq_core::experiment::{run_mix, run_mix_audited, run_mix_group, ProfileCache};
+use melreq_audit::Rule;
+use melreq_core::experiment::{
+    run_mix, run_mix_audited, run_mix_group, run_tapped, Measured, ProfileCache, Taps,
+};
 use melreq_core::{ExperimentOptions, PolicyKind, RunControl, System, SystemConfig};
-use melreq_memctrl::{canonical_name, registry};
-use melreq_snap::fnv1a;
+use melreq_memctrl::policy::Candidate;
+use melreq_memctrl::{canonical_name, registry, SchedulerPolicy};
+use melreq_snap::{fnv1a, Dec, Enc, SnapError};
+use melreq_stats::CoreId;
 use melreq_workloads::mix_by_name;
 
 /// The grown set: every non-paper policy the registry resolves,
@@ -96,6 +101,140 @@ fn audit_stream_hashes_are_pinned_for_the_whole_registry() {
         let (_, report) = run_mix_audited(&mix, &PolicyKind::parse(id).unwrap(), &opts, &cache);
         assert!(report.is_clean(), "[{id}] audit must pass:\n{}", report.render());
         assert_eq!(report.stream_hash, hash, "[{id}] audit stream {:016x}", report.stream_hash);
+    }
+}
+
+/// Which link of its inner policy's chain a [`Mutant`] inverts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Flip {
+    /// None: the control, which must behave exactly like the policy.
+    Nothing,
+    /// The core link: the largest key wins.
+    CoreKey,
+    /// The age link (youngest first), for policies whose core key is a
+    /// constant. Their row-hit link cannot stand in: under the paper's
+    /// close-page DRAM a hit never competes with an older miss, so
+    /// inverting it changes no grant (HF-RF and FCFS-RF are one schedule).
+    Age,
+}
+
+/// A registered policy with one comparator of its rule chain inverted and
+/// everything else — its name and parameters on the audit stream, its
+/// `prepare`, its grant history, its state — delegated.
+#[derive(Debug)]
+struct Mutant {
+    inner: Box<dyn SchedulerPolicy>,
+    flip: Flip,
+}
+
+impl SchedulerPolicy for Mutant {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn core_key(&self, core: CoreId, pending: &[u32]) -> (u64, u16) {
+        let (key, tie) = self.inner.core_key(core, pending);
+        if self.flip == Flip::CoreKey {
+            (u64::MAX - key, u16::MAX - tie)
+        } else {
+            (key, tie)
+        }
+    }
+    fn hit_first(&self) -> bool {
+        self.inner.hit_first()
+    }
+    fn prepare(&mut self, cands: &[Candidate], pending: &[u32]) {
+        self.inner.prepare(cands, pending);
+    }
+    /// The chain as `SchedulerPolicy` documents it — core key, then hits,
+    /// then age — with this mutant's links (the control pins it to the
+    /// real one).
+    fn select(&mut self, cands: &[Candidate], pending: &[u32]) -> usize {
+        self.prepare(cands, pending);
+        let age = |c: &Candidate| if self.flip == Flip::Age { u64::MAX - c.id.0 } else { c.id.0 };
+        let link = |c: &Candidate| {
+            (self.core_key(c.core, pending), self.hit_first() && !c.row_hit, age(c))
+        };
+        (0..cands.len()).min_by_key(|&i| link(&cands[i])).expect("select called with no candidates")
+    }
+    fn core_rule(&self, winner: CoreId, beaten: CoreId, pending: &[u32]) -> Rule {
+        self.inner.core_rule(winner, beaten, pending)
+    }
+    fn note_grant(&mut self, granted: &Candidate) {
+        self.inner.note_grant(granted);
+    }
+    fn params(&self) -> Vec<(&'static str, u64)> {
+        self.inner.params()
+    }
+    fn update_profile(&mut self, me: &[f64]) {
+        self.inner.update_profile(me);
+    }
+    fn save_state(&self, enc: &mut Enc) {
+        self.inner.save_state(enc);
+    }
+    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
+        self.inner.load_state(dec)
+    }
+}
+
+/// Is the auditor's model of each policy still reached? A scheduler that
+/// grants in the wrong order under a registered name must fail `melreq
+/// audit`; a model that lets it through proves nothing about the real one.
+#[test]
+fn a_flipped_comparator_fails_the_audit_of_every_modelled_policy() {
+    // Their core key is a constant, so the flip goes to the age link.
+    const CONSTANT_KEY: [&str; 2] = ["fcfs-rf", "hf-rf"];
+    // No audit model: `audit_stream_hashes_are_pinned_for_the_whole_registry`
+    // is their oracle. The day either gets a model this test says so.
+    const UNMODELLED: [&str; 2] = ["fq", "stf"];
+    // Where reads do not bypass writes the controller orders the one mixed
+    // class itself and never asks the policy: there is nothing to mutate.
+    const NEVER_CONSULTED: [&str; 1] = ["fcfs"];
+    let cache = ProfileCache::new();
+    let opts = ExperimentOptions {
+        instructions: 20_000,
+        warmup: 2_000,
+        profile_instructions: 20_000,
+        ..ExperimentOptions::default()
+    };
+    let mix = mix_by_name("4MEM-1");
+    let audit = |kind: &PolicyKind, flip: Flip| {
+        let build = |me: &[f64], cores: usize, seed: u64| -> (Box<dyn SchedulerPolicy>, bool) {
+            let mut inner = kind.build(me, cores, seed);
+            // The audit is told `me`. The online variant is built flat for
+            // the system's estimator to refresh, which a custom policy
+            // does not get: program its tables here (a no-op for the rest).
+            inner.update_profile(me);
+            (Box::new(Mutant { inner, flip }), kind.read_first())
+        };
+        let measured = Measured::Custom { name: kind.name(), build: &build };
+        let taps = Taps { audit: true, observe: None };
+        let ctl = RunControl::default();
+        let (result, heard) = run_tapped(&mix, measured, &opts, &cache, None, &ctl, taps);
+        (result, heard.audit.expect("an audited run reports"))
+    };
+    for d in registry() {
+        let (id, kind) = (d.id, d.default_kind());
+        let (as_itself, control) = audit(&kind, Flip::Nothing);
+        assert!(control.is_clean(), "[{id}] the wrapper alone must pass:\n{}", control.render());
+        if !matches!(kind, PolicyKind::MeLreqOnline { .. }) {
+            // (The online variant's estimator is the system's, engaged
+            // for a registered kind only.)
+            let real = run_mix(&mix, &kind, &opts, &cache);
+            assert_eq!(as_itself.ipc_multi, real.ipc_multi, "[{id}] the wrapper is not the policy");
+        }
+        let flip = if CONSTANT_KEY.contains(&id) { Flip::Age } else { Flip::CoreKey };
+        let (_, mutated) = audit(&kind, flip);
+        if NEVER_CONSULTED.contains(&id) {
+            assert_eq!(mutated.stream_hash, control.stream_hash, "[{id}] is consulted after all");
+            continue;
+        }
+        assert_ne!(mutated.stream_hash, control.stream_hash, "[{id}] the flip changed no grant");
+        assert_eq!(
+            mutated.is_clean(),
+            UNMODELLED.contains(&id),
+            "[{id}] {flip:?} flipped, {} violation(s)",
+            mutated.total_violations
+        );
     }
 }
 

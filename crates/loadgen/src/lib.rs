@@ -24,7 +24,6 @@
 //! the artifact (`stream_hash`), so two runs with the same flags offer
 //! byte-identical load.
 
-use melreq_core::api::json::Json;
 use melreq_core::api::{resolve_mix, MelreqError, PolicyKind, SimRequest, SCHEMA_VERSION};
 use melreq_core::experiment::ExperimentOptions;
 use melreq_serve::http::ClientConn;
@@ -51,7 +50,7 @@ const MIXTURE: [&str; 4] = ["2MEM-1", "2MEM-2", "2MIX-1", "2MIX-2"];
 const SALT_BASE: u64 = 1 << 40;
 
 /// Load-generator configuration (`melreq loadbench` flags map onto it).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadConfig {
     /// Server address (`host:port`).
     pub addr: String,
@@ -506,27 +505,11 @@ pub fn render_json(cfg: &LoadConfig, report: &BenchReport) -> String {
     )
 }
 
-/// A top-level numeric field of a JSON artifact.
-pub fn read_json_number(json: &str, key: &str) -> Option<f64> {
-    Json::parse(json).ok()?.get(key)?.as_f64()
-}
-
-/// Guard this run's cached throughput against a committed baseline
-/// artifact: fail when it drops below `ratio` of the baseline's
-/// `cached_throughput_rps`. Returns the OK line to print.
-pub fn guard_check(
-    artifact: &str,
-    baseline: &str,
-    baseline_path: &str,
-    ratio: f64,
-) -> Result<String, MelreqError> {
-    let current = read_json_number(artifact, "cached_throughput_rps")
-        .ok_or_else(|| MelreqError::Io("artifact has no cached_throughput_rps".into()))?;
-    let base = read_json_number(baseline, "cached_throughput_rps").ok_or_else(|| {
-        MelreqError::Usage(format!(
-            "guard baseline {baseline_path} has no \"cached_throughput_rps\" field"
-        ))
-    })?;
+/// Guard this run's cached throughput (`current`, requests per second)
+/// against a committed baseline artifact's `cached_throughput_rps`
+/// (`base`): fail when it drops below `ratio` of it. Returns the OK line
+/// to print.
+pub fn guard_check(current: f64, base: f64, ratio: f64) -> Result<String, MelreqError> {
     let floor = base * ratio;
     if current < floor {
         return Err(MelreqError::Timeout(format!(
@@ -543,6 +526,7 @@ pub fn guard_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use melreq_core::api::json::Json;
 
     fn cfg() -> LoadConfig {
         LoadConfig { rps: 100.0, duration_s: 1.0, seed: 7, ..LoadConfig::default() }
@@ -604,21 +588,15 @@ mod tests {
             speedup_cached_vs_baseline: 8.0,
         };
         let json = render_json(&cfg(), &report);
-        assert_eq!(read_json_number(&json, "cached_throughput_rps"), Some(80.0));
-        assert_eq!(read_json_number(&json, "speedup_cached_vs_baseline"), Some(8.0));
+        let field = |key| Json::parse(&json).ok()?.get(key)?.as_f64();
+        assert_eq!(field("cached_throughput_rps"), Some(80.0));
+        assert_eq!(field("speedup_cached_vs_baseline"), Some(8.0));
 
-        let ok = guard_check(&json, &json, "BENCH_serve.json", 0.25).expect("guard passes");
+        // What a later `--guard` reads back is what this run measured.
+        let base = field("cached_throughput_rps").expect("baseline field");
+        let ok = guard_check(report.cached_throughput_rps, base, 0.25).expect("guard passes");
         assert!(ok.contains("load guard OK"), "{ok}");
-        let fail = render_json(
-            &cfg(),
-            &BenchReport {
-                phases: vec![],
-                baseline_throughput_rps: 10.0,
-                cached_throughput_rps: 1.0,
-                speedup_cached_vs_baseline: 0.1,
-            },
-        );
-        let err = guard_check(&fail, &json, "BENCH_serve.json", 0.25).unwrap_err();
+        let err = guard_check(1.0, base, 0.25).unwrap_err();
         assert_eq!(err.exit_code(), 6, "guard failure is timeout-class: {err}");
     }
 }

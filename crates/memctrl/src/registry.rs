@@ -25,6 +25,9 @@ pub struct ParamSpec {
     pub key: &'static str,
     /// Value used when the key is omitted.
     pub default: u64,
+    /// Smallest value [`PolicyKind::parse`] accepts (input validation:
+    /// below it the scheduler would assert, not schedule).
+    pub min: u64,
     /// One-line description.
     pub doc: &'static str,
 }
@@ -173,6 +176,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[ParamSpec {
             key: "epoch",
             default: 50_000,
+            min: 1,
             doc: "online ME re-estimation period in CPU cycles",
         }],
         doc: "ME-LREQ with online memory-efficiency estimation",
@@ -233,11 +237,13 @@ static REGISTRY: &[PolicyDescriptor] = &[
             ParamSpec {
                 key: "threshold",
                 default: Bliss::DEFAULT_THRESHOLD as u64,
+                min: 0,
                 doc: "consecutive grants before a core is blacklisted",
             },
             ParamSpec {
                 key: "clear",
                 default: Bliss::DEFAULT_CLEAR_INTERVAL,
+                min: 0,
                 doc: "grants between blacklist clearings",
             },
         ],
@@ -257,6 +263,7 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[ParamSpec {
             key: "quantum",
             default: TcmCluster::DEFAULT_QUANTUM,
+            min: 0,
             doc: "grants per re-clustering quantum",
         }],
         doc: "TCM-style two-cluster scheduling with bandwidth-cluster shuffle",
@@ -415,6 +422,13 @@ impl PolicyKind {
                 values[idx] = val.trim().parse::<u64>().map_err(|_| {
                     format!("policy '{}': parameter '{key}' wants an unsigned integer", desc.id)
                 })?;
+                let min = desc.params[idx].min;
+                if values[idx] < min {
+                    return Err(format!(
+                        "policy '{}': parameter '{key}' must be at least {min}",
+                        desc.id
+                    ));
+                }
             }
         }
         Ok((desc.make)(&values))
@@ -476,6 +490,11 @@ mod tests {
         assert!(PolicyKind::parse("bliss(limit=2)").is_err(), "unknown key");
         assert!(PolicyKind::parse("bliss(threshold=abc)").is_err(), "non-numeric");
         assert!(PolicyKind::parse("hf-rf(x=1)").is_err(), "params on a param-less policy");
+        let err = PolicyKind::parse("me-lreq-on(epoch=0)").expect_err("below its minimum");
+        assert!(err.contains("me-lreq-on") && err.contains("'epoch'"), "{err}");
+        assert!(err.contains("at least 1"), "{err}");
+        assert!(PolicyKind::parse("bliss(threshold=0)").is_ok(), "clamped by its factory");
+        assert!(PolicyKind::parse("tcm(quantum=0)").is_ok(), "clamped by its factory");
         let err = PolicyKind::parse("hf-rf(x=1)").expect_err("rejected");
         assert!(err.contains("takes no parameters"), "{err}");
     }

@@ -45,7 +45,7 @@ pub mod http;
 pub mod poll;
 
 use melreq_core::api::json::esc;
-use melreq_core::api::{MelreqError, Session, SimRequest, SCHEMA_VERSION};
+use melreq_core::api::{MelreqError, Session, SimReport, SimRequest, SCHEMA_VERSION};
 use melreq_core::experiment::RunControl;
 use melreq_core::store::CheckpointStore;
 use melreq_core::system::CancelToken;
@@ -54,6 +54,7 @@ use poll::{Interest, Poller, WakeHandle, Waker};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -98,8 +99,9 @@ fn raw_fd<T>(_: &T) -> i32 {
     -1
 }
 
-/// Server configuration (`melreq serve` flags map 1:1 onto this).
-#[derive(Debug, Clone)]
+/// Server configuration. The `melreq serve` flag rows write straight into
+/// it, so [`ServeConfig::default`] is the only statement of the defaults.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (tests).
     pub addr: String,
@@ -206,6 +208,7 @@ struct Metrics {
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
     coalesced: Arc<Counter>,
+    worker_panics: Arc<Counter>,
     request_duration: Arc<Histogram>,
     stage_durations: Vec<(&'static str, Arc<Histogram>)>,
 }
@@ -268,6 +271,10 @@ impl Metrics {
             "melreq_serve_coalesced_total",
             "Requests coalesced onto an identical in-flight simulation.",
         );
+        let worker_panics = registry.counter(
+            "melreq_serve_worker_panics_total",
+            "Simulations that panicked; each answered 500 and the worker carried on.",
+        );
         let request_duration = registry.histogram(
             "melreq_serve_request_duration_seconds",
             "End-to-end simulation request latency: parse start to final flush.",
@@ -300,6 +307,7 @@ impl Metrics {
             cache_misses,
             cache_evictions,
             coalesced,
+            worker_panics,
             request_duration,
             stage_durations,
         }
@@ -391,6 +399,25 @@ struct Shared {
     waker: WakeHandle,
 }
 
+impl Shared {
+    fn new(cfg: ServeConfig, session: Session, metrics: Metrics, waker: WakeHandle) -> Self {
+        Shared {
+            response_cache: Mutex::new(ResponseCache::new(cfg.response_cache)),
+            cfg,
+            session,
+            queue: Mutex::new(VecDeque::new()),
+            cond: Condvar::new(),
+            draining: AtomicBool::new(false),
+            metrics,
+            coalesce: Mutex::new(BTreeMap::new()),
+            completions: Mutex::new(VecDeque::new()),
+            jobs_outstanding: AtomicUsize::new(0),
+            next_request_id: AtomicU64::new(0),
+            waker,
+        }
+    }
+}
+
 /// A running server: bound address plus the thread handles needed to
 /// drain it. Dropping the handle without [`ServerHandle::join`] leaves
 /// the threads running for the life of the process.
@@ -471,20 +498,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
         .add(waker.fd(), WAKER_TOKEN, Interest::Read)
         .map_err(|e| MelreqError::Io(format!("register waker: {e}")))?;
 
-    let shared = Arc::new(Shared {
-        cfg: cfg.clone(),
-        session,
-        queue: Mutex::new(VecDeque::new()),
-        cond: Condvar::new(),
-        draining: AtomicBool::new(false),
-        metrics,
-        response_cache: Mutex::new(ResponseCache::new(cfg.response_cache)),
-        coalesce: Mutex::new(BTreeMap::new()),
-        completions: Mutex::new(VecDeque::new()),
-        jobs_outstanding: AtomicUsize::new(0),
-        next_request_id: AtomicU64::new(0),
-        waker: wake_handle,
-    });
+    let shared = Arc::new(Shared::new(cfg.clone(), session, metrics, wake_handle));
 
     let access_log =
         match &cfg.access_log {
@@ -1282,16 +1296,24 @@ fn worker_loop(shared: &Arc<Shared>, idx: usize) {
             }
         };
         let Some(job) = job else { break };
-        execute_job(job, shared);
+        execute_job(job, shared, |req, ctl| shared.session.run(req, ctl));
     }
     // Thread join does not wait for TLS destructors; flush the span
     // recorder explicitly so a post-join drain sees this worker.
     melreq_prof::flush_thread();
 }
 
-/// Run one job, resolve its coalescing entry, and publish a completion
-/// for the leader plus every coalesced follower.
-fn execute_job(job: Job, shared: &Arc<Shared>) {
+/// Run one job (`run` is [`Session::run`]; the containment test passes a
+/// closure that panics), resolve its coalescing entry, and publish a
+/// completion for the leader plus every coalesced follower. A run that
+/// panics is answered like any other failed run — a 500 naming the
+/// request — so no request can take its worker, its followers or the
+/// drain barrier down with it. No lock is held across `run`.
+fn execute_job(
+    job: Job,
+    shared: &Shared,
+    run: impl FnOnce(&SimRequest, &RunControl) -> Result<SimReport, MelreqError>,
+) {
     let Job { token, id, key, req, deadline, queued_at } = job;
     let picked = Instant::now();
     let queue_wait = picked.duration_since(queued_at);
@@ -1318,13 +1340,21 @@ fn execute_job(job: Job, shared: &Arc<Shared>) {
                 threads: None,
             };
             let exec_started = Instant::now();
-            let run = {
+            let ran = {
                 let mut sp = melreq_prof::span("serve.execute", || format!("execute #{id}"));
                 sp.arg("id", id);
-                shared.session.run(&req, &ctl)
+                catch_unwind(AssertUnwindSafe(|| run(&req, &ctl))).unwrap_or_else(|payload| {
+                    shared.metrics.worker_panics.inc();
+                    let what = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| payload.downcast_ref::<&str>().copied())
+                        .unwrap_or("a non-string panic payload");
+                    Err(MelreqError::Divergence(format!("request #{id} panicked: {what}")))
+                })
             };
             execute = exec_started.elapsed();
-            run.map(|report| {
+            ran.map(|report| {
                 let mut cycles = 0u64;
                 for p in &report.policies {
                     cycles = cycles.saturating_add(p.sim_cycles);
@@ -1504,4 +1534,50 @@ pub fn split_envelope(body: &str) -> Option<(&str, &str)> {
     let report = &body[at + marker.len()..];
     let report = report.strip_suffix('}')?;
     Some((&body[..at], report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use melreq_core::api::PolicyKind;
+    use melreq_core::experiment::ExperimentOptions;
+
+    #[test]
+    fn a_panicking_run_answers_500_to_everyone_waiting_and_the_worker_serves_the_next_job() {
+        let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
+        let shared =
+            Shared::new(ServeConfig::default(), Session::new(), Metrics::new(), wake_handle);
+        let req =
+            SimRequest::new("2MEM-1").policy(PolicyKind::MeLreq).opts(ExperimentOptions::quick());
+        let key = req.canonical_bytes();
+        // What `admit` leaves behind for a leader (token 10) that two
+        // identical requests (tokens 11, 12) coalesced onto.
+        let admit = |id: u64, followers: Vec<u64>| {
+            shared.coalesce.lock().unwrap().insert(key.clone(), followers);
+            shared.jobs_outstanding.fetch_add(1, Ordering::SeqCst);
+            let (key, req) = (key.clone(), req.clone());
+            Job { token: 10, id, key, req, deadline: None, queued_at: Instant::now() }
+        };
+        let published =
+            || -> Vec<Completion> { shared.completions.lock().unwrap().drain(..).collect() };
+
+        execute_job(admit(7, vec![11, 12]), &shared, |_, _| panic!("boom at decision 3"));
+        let answers = published();
+        assert_eq!(answers.iter().map(|c| c.token).collect::<Vec<_>>(), [10, 11, 12]);
+        for c in &answers {
+            assert_eq!(c.status, 500, "{}", c.body);
+            assert!(c.body.contains("request #7 panicked: boom at decision 3"), "{}", c.body);
+        }
+        assert_eq!(shared.metrics.worker_panics.get(), 1);
+        assert!(shared.coalesce.lock().unwrap().is_empty(), "the entry must be resolved");
+        assert_eq!(shared.jobs_outstanding.load(Ordering::SeqCst), 0, "or a drain never ends");
+
+        // Same thread, same shared state, next job: a real run.
+        execute_job(admit(8, vec![]), &shared, |req, ctl| shared.session.run(req, ctl));
+        let answers = published();
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0].status, 200, "{}", answers[0].body);
+        assert_eq!(shared.metrics.worker_panics.get(), 1);
+        assert_eq!(shared.jobs_outstanding.load(Ordering::SeqCst), 0);
+    }
 }

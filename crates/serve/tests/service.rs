@@ -253,6 +253,33 @@ fn invalid_requests_are_rejected_up_front() {
 }
 
 #[test]
+fn bodies_the_kernel_would_assert_on_answer_400_and_the_only_worker_survives() {
+    let handle = serve(1, 4);
+    let addr = handle.addr().to_string();
+    // Each of these once panicked the worker that picked it up, for good.
+    for (body, field) in [
+        (r#"{"mix":"2MEM-1","policy":"me-lreq-on(epoch=0)"}"#, "'epoch'"),
+        (r#"{"mix":"2MEM-1","policy":"me-lreq","instructions":0}"#, "instructions"),
+        (r#"{"mix":"2MEM-1","policy":"me-lreq","profile_instructions":0}"#, "profile_instructions"),
+    ] {
+        let (status, text) = post_run(&addr, body);
+        assert_eq!(status, 400, "{body}: {text}");
+        assert!(text.contains("\"kind\":\"usage\""), "{body}: {text}");
+        assert!(text.contains(field), "the 400 must name {field}: {text}");
+    }
+    // The worker is still there, and a mix is one mix however it is
+    // spelled.
+    let (status, text) = post_run(&addr, &run_body("2mem-1", ExperimentOptions::quick()));
+    assert_eq!(status, 200, "a valid /run after the three: {text}");
+    assert!(text.contains("\"mix\":\"2MEM-1\""), "roster spelling in the report: {text}");
+    assert!(metric_value(&addr, "melreq_serve_worker_panics_total") < 0.5);
+    let (status, _) =
+        http::exchange(&addr, "POST", "/shutdown", None, EXCHANGE_TIMEOUT).expect("shutdown");
+    assert_eq!(status, 200);
+    handle.join();
+}
+
+#[test]
 fn policies_endpoint_lists_the_registry_and_unknown_names_suggest() {
     let handle = serve(1, 4);
     let addr = handle.addr().to_string();

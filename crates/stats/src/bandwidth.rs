@@ -1,59 +1,5 @@
-//! Memory bandwidth accounting.
-//!
-//! The paper's memory-efficiency metric (Equation 1) divides IPC by the
-//! program's bandwidth usage *in GB/s*, so bandwidth must be reported in
-//! wall-clock units. The simulator runs in CPU cycles; [`BandwidthMeter`]
-//! converts cycle counts to seconds using the configured core frequency.
-
-use crate::types::Cycle;
-
-/// Accumulates bytes transferred and converts to GB/s at a given core clock.
-#[derive(Debug, Clone, Copy)]
-pub struct BandwidthMeter {
-    bytes: u64,
-    /// Core clock frequency in Hz (3.2 GHz in the paper's configuration).
-    freq_hz: f64,
-}
-
-impl BandwidthMeter {
-    /// A meter for a machine whose cycle counter ticks at `freq_hz`.
-    pub fn new(freq_hz: f64) -> Self {
-        assert!(freq_hz > 0.0, "frequency must be positive");
-        BandwidthMeter { bytes: 0, freq_hz }
-    }
-
-    /// Record `n` bytes moved across the measured interface.
-    #[inline]
-    pub fn add_bytes(&mut self, n: u64) {
-        self.bytes += n;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Average bandwidth over `elapsed` cycles, in bytes per second.
-    /// Returns 0.0 for an empty interval.
-    pub fn bytes_per_second(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            return 0.0;
-        }
-        let seconds = elapsed as f64 / self.freq_hz;
-        self.bytes as f64 / seconds
-    }
-
-    /// Average bandwidth over `elapsed` cycles, in GB/s (10⁹ bytes per
-    /// second, the unit of Equation 1).
-    pub fn gb_per_second(&self, elapsed: Cycle) -> f64 {
-        self.bytes_per_second(elapsed) / 1e9
-    }
-
-    /// Reset the byte count (e.g. at the end of warm-up).
-    pub fn reset(&mut self) {
-        self.bytes = 0;
-    }
-}
+//! The paper's memory-efficiency metric (Equation 1): IPC divided by the
+//! program's bandwidth usage *in GB/s*.
 
 /// Compute the paper's memory-efficiency metric (Equation 1):
 /// `ME = IPC_single / BW_single`, with bandwidth in GB/s.
@@ -75,29 +21,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_interval_is_zero_bandwidth() {
-        let m = BandwidthMeter::new(3.2e9);
-        assert_eq!(m.bytes_per_second(0), 0.0);
-    }
-
-    #[test]
-    fn converts_cycles_to_seconds() {
-        let mut m = BandwidthMeter::new(3.2e9);
-        // 12.8 GB/s for one second = 12.8e9 bytes over 3.2e9 cycles.
-        m.add_bytes(12_800_000_000);
-        let gbs = m.gb_per_second(3_200_000_000);
-        assert!((gbs - 12.8).abs() < 1e-9, "got {gbs}");
-    }
-
-    #[test]
-    fn reset_zeroes_bytes() {
-        let mut m = BandwidthMeter::new(1e9);
-        m.add_bytes(100);
-        m.reset();
-        assert_eq!(m.bytes(), 0);
-    }
-
-    #[test]
     fn memory_efficiency_matches_equation_one() {
         // gzip-like: IPC 1.5 at 0.0078 GB/s -> ME ~192.
         let me = memory_efficiency(1.5, 0.0078125);
@@ -109,11 +32,5 @@ mod tests {
         let me = memory_efficiency(2.0, 0.0);
         assert!(me.is_finite());
         assert!(me > 1e100);
-    }
-
-    #[test]
-    #[should_panic(expected = "frequency must be positive")]
-    fn rejects_nonpositive_frequency() {
-        let _ = BandwidthMeter::new(0.0);
     }
 }

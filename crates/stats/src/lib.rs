@@ -26,13 +26,12 @@ pub mod latency;
 pub mod mean;
 pub mod types;
 
-pub use bandwidth::BandwidthMeter;
 pub use counter::Counter;
 pub use fairness::{smt_speedup, unfairness, FairnessReport};
 pub use fixedpoint::PriorityFixed;
 pub use histogram::Histogram;
 pub use latency::LatencyTracker;
-pub use mean::{StreamingMean, StreamingMinMax};
+pub use mean::StreamingMean;
 pub use types::{
     line_addr, line_index, AccessKind, Addr, CoreId, Cycle, CACHE_LINE_BYTES, CACHE_LINE_SHIFT,
 };

@@ -8,7 +8,7 @@
 //! store (`"cache":"warm"` in the envelope) without changing a byte of
 //! the report.
 
-use melreq_cli::{run_command, Command, ObsArgs, PolicySpec};
+use melreq_cli::{parse_args, run_command, PolicySpec};
 use melreq_core::api::{Session, SimRequest};
 use melreq_core::experiment::{ExperimentOptions, RunControl};
 use melreq_serve::{http, split_envelope, start, ServeConfig};
@@ -33,20 +33,10 @@ fn temp_store(tag: &str) -> PathBuf {
 
 #[test]
 fn cli_facade_and_service_reports_are_byte_identical() {
-    let opts = ExperimentOptions::quick();
-
     // 1. The CLI's machine-readable report.
-    let cli_json = run_command(&Command::Run {
-        mix: MIX.to_string(),
-        policy: PolicySpec::parse(POLICY).expect("policy token"),
-        opts,
-        audit: false,
-        obs: ObsArgs::default(),
-        json: true,
-        threads: None,
-        prof_out: None,
-    })
-    .expect("melreq run --json");
+    let mut cli = parse_args(&["run", MIX, "--policy", POLICY, "--json"]).expect("command line");
+    cli.args.opts = ExperimentOptions::quick();
+    let cli_json = run_command(&cli).expect("melreq run --json");
 
     // 2. The typed facade, called directly.
     let req = quick_request();

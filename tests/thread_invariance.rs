@@ -3,7 +3,7 @@
 //! deterministic portion of the `reproduce` artifact are asserted
 //! bit-identical for worker counts 1, 2, and 8.
 
-use melreq_cli::{run_command, Command};
+use melreq_cli::{parse_args, run_command};
 use melreq_core::experiment::{
     run_tapped, ExperimentOptions, Measured, MixResult, ObserveOptions, ProfileCache, RunControl,
     SweepStage, Taps,
@@ -108,18 +108,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// `melreq reproduce --smoke --threads N`, returning the human summary.
 fn smoke_reproduce(store: &Path, out: &Path, threads: usize) -> String {
-    run_command(&Command::Reproduce {
-        smoke: true,
-        no_checkpoint: false,
-        store: Some(store.to_string_lossy().into_owned()),
-        out: out.to_string_lossy().into_owned(),
-        opts: ExperimentOptions::default(),
-        threads: Some(threads),
-        guard: None,
-        guard_ratio: 0.25,
-        prof_out: None,
-    })
-    .expect("reproduce --smoke")
+    let (store, out) = (store.to_string_lossy(), out.to_string_lossy());
+    let threads = threads.to_string();
+    let argv = ["reproduce", "--smoke", "--store", &store, "--out", &out, "--threads", &threads];
+    run_command(&parse_args(&argv).expect("reproduce command line")).expect("reproduce --smoke")
 }
 
 #[test]
