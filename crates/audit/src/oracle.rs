@@ -161,11 +161,6 @@ impl TimingOracle {
         Self::default()
     }
 
-    /// Whether `on_config` has been seen.
-    pub fn is_configured(&self) -> bool {
-        self.configured
-    }
-
     /// The timing parameters the stream declared.
     pub fn timing(&self) -> &TimingParams {
         &self.timing

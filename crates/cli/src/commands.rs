@@ -25,7 +25,7 @@ use melreq_core::report::{format_table, pct_over};
 use melreq_core::{CheckpointStore, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_obs::{
-    export_chrome_json, export_host_profile, series, Collector, ObsConfig, RuleTotals,
+    export_chrome_json, finish_host_profile, series, Collector, ObsConfig, RuleTotals,
 };
 use melreq_serve::{http, ServeConfig};
 use melreq_snap::json_esc;
@@ -144,12 +144,8 @@ fn render_provenance(totals: &[(String, RuleTotals)]) -> String {
 
 /// The human single-run rendering: the headline, the per-core table,
 /// host throughput, the controller view and any safety-net warnings.
-fn render_run_human(
-    mix: &Mix,
-    r: &PolicyReport,
-    wall: Duration,
-    opts: &ExperimentOptions,
-) -> String {
+fn render_run_human(mix: &Mix, report: &PolicyReport, opts: &ExperimentOptions) -> String {
+    let r = &report.result;
     let mut out = format!(
         "{} under {}: SMT speedup {:.3}, unfairness {:.3}, mean read latency {:.0} cycles\n\n",
         mix.name, r.policy, r.smt_speedup, r.unfairness, r.mean_read_latency
@@ -177,7 +173,7 @@ fn render_run_human(
     // Host throughput of the multiprogrammed run (profiling excluded).
     // Instructions are approximated by the per-core targets; early
     // finishers keep committing, so the true rate is slightly higher.
-    let secs = wall.as_secs_f64().max(1e-9);
+    let secs = r.wall.as_secs_f64().max(1e-9);
     let instr = (opts.warmup + opts.instructions).saturating_mul(mix.cores() as u64);
     out.push_str(&format!(
         "\nhost throughput: {:.2} M sim-cycles/s, ~{:.2} M instr/s \
@@ -195,9 +191,9 @@ fn render_run_human(
         "\ncontroller: mean queue occupancy {:.2}, mean grant candidates {:.2}",
         r.queue_occupancy_mean, r.grant_candidates_mean
     );
-    if !r.channels.is_empty() {
+    if !r.channel_traffic.is_empty() {
         let rows: Vec<Vec<String>> = r
-            .channels
+            .channel_traffic
             .iter()
             .enumerate()
             .map(|(ch, t)| {
@@ -218,7 +214,7 @@ fn render_run_human(
     if r.cancelled {
         out.push_str("\nWARNING: run was cancelled at an epoch boundary by its deadline\n");
     }
-    if let Some(a) = &r.audit {
+    if let Some(a) = &report.audit {
         let _ = writeln!(
             out,
             "\naudit: {} events checked, {} violations, stream hash {:016x}",
@@ -248,10 +244,9 @@ fn cli_buildinfo(threads: Option<usize>) -> String {
 }
 
 /// Run `body` with the host-side span profiler attached when `--profile
-/// PATH` was given: enable before, drain after (success or failure, so a
-/// failed run never leaks spans into a later one), write the Perfetto
-/// trace with the summary and buildinfo blocks embedded, and append the
-/// text summary to the command's output.
+/// PATH` was given: enable before, [`finish_host_profile`] after (success
+/// or failure, so a failed run never leaks spans into a later one), and
+/// append the text summary to the command's output.
 pub(crate) fn with_host_profile(
     args: &Args,
     process_name: &str,
@@ -262,16 +257,9 @@ pub(crate) fn with_host_profile(
     };
     melreq_prof::enable();
     let result = body(args);
-    melreq_prof::disable();
-    let profile = melreq_prof::drain();
+    let summary = finish_host_profile(Path::new(path), process_name, cli_buildinfo(args.threads));
     let mut out = result?;
-    let summary = melreq_prof::summarize(&profile, 10);
-    let trace = export_host_profile(
-        &profile,
-        process_name,
-        &[("summary", summary.render_json()), ("buildinfo", cli_buildinfo(args.threads))],
-    );
-    std::fs::write(path, &trace).map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
+    let summary = summary.map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
     let _ = write!(out, "\n{}\nhost profile written to {path}\n", summary.render_text());
     Ok(out)
 }
@@ -293,8 +281,8 @@ pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
         let taps = Taps { audit: args.audit, observe: Some(observe_options(obs, false)) };
         let (cache, ctl) = (ProfileCache::new(), RunControl::default());
         let (r, heard) = run_tapped(&mix, Measured::Kind(&spec), opts, &cache, None, &ctl, taps);
-        let p = PolicyReport::from_result(&r, heard.audit.as_ref().map(AuditSummary::of));
-        let mut out = render_run_human(&mix, &p, r.wall, opts);
+        let audit = heard.audit.as_ref().map(AuditSummary::of);
+        let mut out = render_run_human(&mix, &PolicyReport { result: r, audit }, opts);
         if let Some(report) = heard.audit.filter(|a| !a.is_clean()) {
             return Err(MelreqError::Divergence(format!("{out}\n{}", report.render())));
         }
@@ -313,7 +301,7 @@ pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
     if args.json {
         return Ok(report.to_json());
     }
-    Ok(render_run_human(&mix, &report.policies[0], report.wall, opts))
+    Ok(render_run_human(&mix, &report.policies[0], opts))
 }
 
 /// `melreq trace`: run one mix under any registered policy with the
@@ -381,7 +369,7 @@ pub(crate) fn cmd_compare(args: &Args) -> Result<String, MelreqError> {
         return Err(usage("--json emits the versioned machine-readable report; drop --provenance"));
     }
     let mut totals: Vec<(String, RuleTotals)> = Vec::new();
-    let reports: Vec<PolicyReport> = if provenance {
+    let results: Vec<MixResult> = if provenance {
         let cache = ProfileCache::new();
         let observed = |kind| {
             let (r, c) =
@@ -393,7 +381,7 @@ pub(crate) fn cmd_compare(args: &Args) -> Result<String, MelreqError> {
             if let Some((_, t)) = c.active_rule_totals() {
                 totals.push((r.policy.to_string(), t.clone()));
             }
-            PolicyReport::from_result(&r, None)
+            r
         };
         specs.iter().map(observed).collect()
     } else {
@@ -401,14 +389,14 @@ pub(crate) fn cmd_compare(args: &Args) -> Result<String, MelreqError> {
         if args.json {
             return Ok(report.to_json());
         }
-        report.policies
+        report.policies.into_iter().map(|p| p.result).collect()
     };
-    let base = reports[0].smt_speedup;
-    let rows: Vec<Vec<String>> = reports
+    let base = results[0].smt_speedup;
+    let rows: Vec<Vec<String>> = results
         .iter()
         .map(|p| {
             vec![
-                p.policy.clone(),
+                p.policy.to_string(),
                 format!("{:.3}", p.smt_speedup),
                 pct_over(p.smt_speedup, base),
                 format!("{:.3}", p.harmonic_speedup),
@@ -455,9 +443,9 @@ pub(crate) fn cmd_sweep(args: &Args) -> Result<String, MelreqError> {
             for mix in &mixes {
                 let req = sim_request(mix, specs.clone(), args);
                 let report = session.run(&req, &RunControl::default())?;
-                let base = report.policies[0].smt_speedup;
+                let base = report.policies[0].result.smt_speedup;
                 for (series, p) in ratios.iter_mut().zip(&report.policies) {
-                    series.push(p.smt_speedup / base);
+                    series.push(p.result.smt_speedup / base);
                 }
             }
             row.extend(ratios.into_iter().map(|series| pct_over(figures::geomean(series), 1.0)));
@@ -558,7 +546,7 @@ struct Stage {
 /// alike.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
-    let Args { smoke, no_checkpoint, threads, guard_ratio, .. } = *args;
+    let Args { smoke, threads, guard_ratio, .. } = *args;
     let out_path = args.out.as_deref().unwrap_or("BENCH_sweep.json");
     let prof_out = args.prof_out.as_deref();
     // Smoke defaults to the quick scale; explicit scale flags still win.
@@ -570,21 +558,14 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
     if prof_out.is_some() {
         melreq_prof::enable();
     }
-    let store =
-        if no_checkpoint {
-            None
-        } else {
-            let dir = store_dir(args);
-            Some(Arc::new(CheckpointStore::open(&dir).map_err(|e| {
-                io_err(format!("cannot open checkpoint store {}: {e}", dir.display()))
-            })?))
-        };
-    // The session owns the profile cache and (optionally) the store;
-    // every grid below runs through it.
-    let session = match &store {
-        Some(st) => Session::with_store(st.clone()),
-        None => Session::new(),
-    };
+    let dir = store_dir(args);
+    let store = Arc::new(
+        CheckpointStore::open(&dir)
+            .map_err(|e| io_err(format!("cannot open checkpoint store {}: {e}", dir.display())))?,
+    );
+    // The session owns the profile cache and the store; every grid below
+    // runs through it.
+    let session = Session::with_store(store.clone());
     let total_start = Instant::now();
     let mut stages: Vec<Stage> = Vec::new();
 
@@ -652,42 +633,11 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
     let workers = worker_count(total_grid_runs, threads);
     let ctl = RunControl { threads: Some(workers), ..RunControl::default() };
     let grid_t0 = Instant::now();
-    let stage_results: Vec<Vec<MixResult>> = if no_checkpoint {
-        // --no-checkpoint: one single-policy sweep per policy, so every
-        // (mix, policy) cell warms up from scratch — the baseline the
-        // sharing speedup is quoted against. Results are reordered to
-        // the pooled path's (mix-major, policy-minor) layout so the
-        // per-stage hashes are comparable across modes.
-        grid_stages
-            .iter()
-            .map(|(_, mixes, policies)| {
-                let mut per_policy: Vec<std::vec::IntoIter<MixResult>> = policies
-                    .iter()
-                    .map(|p| {
-                        let stage = SweepStage { mixes: mixes.clone(), policies: vec![p.clone()] };
-                        let mut runs = session.run_sweep_stages(&[stage], &opts, &ctl);
-                        runs.pop().expect("one stage submitted").into_iter()
-                    })
-                    .collect();
-                let mut results = Vec::with_capacity(mixes.len() * policies.len());
-                for _ in 0..mixes.len() {
-                    for it in &mut per_policy {
-                        results.push(it.next().expect("one result per (mix, policy)"));
-                    }
-                }
-                results
-            })
-            .collect()
-    } else {
-        let sweep: Vec<SweepStage> = grid_stages
-            .iter()
-            .map(|(_, mixes, policies)| SweepStage {
-                mixes: mixes.clone(),
-                policies: policies.clone(),
-            })
-            .collect();
-        session.run_sweep_stages(&sweep, &opts, &ctl)
-    };
+    let sweep: Vec<SweepStage> = grid_stages
+        .iter()
+        .map(|(_, mixes, policies)| SweepStage { mixes: mixes.clone(), policies: policies.clone() })
+        .collect();
+    let stage_results = session.run_sweep_stages(&sweep, &opts, &ctl);
     let grid_elapsed = grid_t0.elapsed().as_secs_f64();
     let mut timed_out = 0usize;
     for ((name, mixes, policies), results) in grid_stages.iter().zip(&stage_results) {
@@ -778,20 +728,12 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
     // Drain the host profiler before the artifact is rendered so its
     // aggregated summary can be embedded; the Perfetto trace goes to its
     // own file (wall-clock domain — never merged with sim-time traces).
-    let host_profile = if let Some(ppath) = prof_out {
-        melreq_prof::disable();
-        let profile = melreq_prof::drain();
-        let summary = melreq_prof::summarize(&profile, 10);
-        let trace = export_host_profile(
-            &profile,
-            "melreq reproduce",
-            &[("summary", summary.render_json()), ("buildinfo", cli_buildinfo(Some(workers)))],
-        );
-        std::fs::write(ppath, &trace).map_err(|e| io_err(format!("cannot write {ppath}: {e}")))?;
-        Some(summary)
-    } else {
-        None
-    };
+    let host_profile = prof_out
+        .map(|ppath| {
+            finish_host_profile(Path::new(ppath), "melreq reproduce", cli_buildinfo(Some(workers)))
+                .map_err(|e| io_err(format!("cannot write {ppath}: {e}")))
+        })
+        .transpose()?;
 
     // The machine-readable artifact, stamped with the workspace-wide
     // schema version shared by every machine-readable output.
@@ -810,24 +752,19 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
          \"profile_instructions\": {}, \"eval_slice\": {}}},",
         opts.instructions, opts.warmup, opts.profile_instructions, opts.eval_slice
     );
-    match &store {
-        Some(st) => {
-            let s = st.stats();
-            let _ = writeln!(
-                json,
-                "  \"store\": {{\"dir\": \"{}\", \"warmup_hits\": {}, \
-                 \"warmup_misses\": {}, \"profile_hits\": {}, \"profile_misses\": {}, \
-                 \"hit_rate\": {:.4}}},",
-                json_esc(&st.dir().display().to_string()),
-                s.warmup_hits,
-                s.warmup_misses,
-                s.profile_hits,
-                s.profile_misses,
-                s.hit_rate()
-            );
-        }
-        None => json.push_str("  \"store\": null,\n"),
-    }
+    let st = store.stats();
+    let _ = writeln!(
+        json,
+        "  \"store\": {{\"dir\": \"{}\", \"warmup_hits\": {}, \
+         \"warmup_misses\": {}, \"profile_hits\": {}, \"profile_misses\": {}, \
+         \"hit_rate\": {:.4}}},",
+        json_esc(&store.dir().display().to_string()),
+        st.warmup_hits,
+        st.warmup_misses,
+        st.profile_hits,
+        st.profile_misses,
+        st.hit_rate()
+    );
     json.push_str("  \"stages\": [\n");
     for (i, s) in stages.iter().enumerate() {
         let _ = write!(
@@ -920,10 +857,9 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
 
     // The human summary.
     let mut out = format!(
-        "reproduce ({} grid, {}; kernel fast-forward; {workers} worker threads): \
+        "reproduce ({} grid, warm-up sharing on; kernel fast-forward; {workers} worker threads): \
          {} instr/core, warm-up {}\n\n",
         if smoke { "smoke" } else { "full" },
-        if no_checkpoint { "checkpointing disabled" } else { "warm-up sharing on" },
         opts.instructions,
         opts.warmup
     );
@@ -957,19 +893,16 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
         fork_speedup,
         forked_hash
     );
-    if let Some(st) = &store {
-        let s = st.stats();
-        let _ = writeln!(
-            out,
-            "store {}: warm-up {}/{} hit, profiles {}/{} hit ({:.0}% overall)",
-            st.dir().display(),
-            s.warmup_hits,
-            s.warmup_hits + s.warmup_misses,
-            s.profile_hits,
-            s.profile_hits + s.profile_misses,
-            s.hit_rate() * 100.0
-        );
-    }
+    let _ = writeln!(
+        out,
+        "store {}: warm-up {}/{} hit, profiles {}/{} hit ({:.0}% overall)",
+        store.dir().display(),
+        st.warmup_hits,
+        st.warmup_hits + st.warmup_misses,
+        st.profile_hits,
+        st.profile_hits + st.profile_misses,
+        st.hit_rate() * 100.0
+    );
     let _ = writeln!(
         out,
         "total {total_wall_s:.3} s, {:.2} M sim-cycles/s aggregate, peak RSS {} -> {out_path}",
@@ -985,9 +918,9 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
 }
 
 /// The checkpoint store of `reproduce` and `serve`: `--store`, else
-/// `MELREQ_STORE`, else `.melreq-store`.
+/// `.melreq-store` under the current directory.
 fn store_dir(args: &Args) -> PathBuf {
-    args.store.as_ref().map_or_else(CheckpointStore::default_dir, PathBuf::from)
+    PathBuf::from(args.store.as_deref().unwrap_or(".melreq-store"))
 }
 
 /// The number under `field` of a `--guard` baseline artifact.

@@ -89,13 +89,11 @@ pub struct Args {
     pub json: bool,
     /// `reproduce --smoke`: reduced CI grid + fork-vs-fresh gate.
     pub smoke: bool,
-    /// `reproduce --no-checkpoint`: no store, one warm-up per run.
-    pub no_checkpoint: bool,
     /// `serve --no-store`: every request warms up from scratch.
     pub no_store: bool,
     /// `analyze --fix-fingerprint`.
     pub fix_fingerprint: bool,
-    /// `--store DIR` (default `MELREQ_STORE`, else `.melreq-store`).
+    /// `--store DIR` (default `.melreq-store`).
     pub store: Option<String>,
     /// `--out PATH`; each verb that writes an artifact names its default.
     pub out: Option<String>,
@@ -107,8 +105,7 @@ pub struct Args {
     pub guard_ratio: f64,
     /// `--profile PATH`: host-profile (wall-clock span trace) output.
     pub prof_out: Option<String>,
-    /// `--threads N` (falls back to `MELREQ_THREADS`, then host
-    /// parallelism).
+    /// `--threads N` (default: host parallelism).
     pub threads: Option<usize>,
     /// `client --timeout-ms`: the request's wall-clock budget.
     pub timeout_ms: Option<u64>,
@@ -130,7 +127,6 @@ impl Default for Args {
             audit: false,
             json: false,
             smoke: false,
-            no_checkpoint: false,
             no_store: false,
             fix_fingerprint: false,
             store: None,
@@ -297,8 +293,8 @@ const SCALE: Group = Group { title: "COMMON OPTIONS", flags: &[
 
 #[rustfmt::skip]
 const THREADS: Group = Group { title: "THREAD OPTIONS", flags: &[
-    flag("--threads", "N", "worker threads for pooled runs (default MELREQ_THREADS, else host \
-         parallelism); results are bit-identical at any value",
+    flag("--threads", "N", "worker threads for pooled runs (default host parallelism); \
+         results are bit-identical at any value",
         |a, v| put(&mut a.threads, positive(v).map(Some))),
 ]};
 
@@ -383,10 +379,7 @@ pub static VERBS: &[Verb] = &[
         host_profile: true, run: cmd_reproduce, flags: &[
         flag("--smoke", "", "reduced CI grid + fork-vs-fresh gate",
             |a, _| put(&mut a.smoke, Ok(true))),
-        flag("--no-checkpoint", "", "no store, no in-group warm-up sharing",
-            |a, _| put(&mut a.no_checkpoint, Ok(true))),
-        flag("--store", "DIR", "checkpoint-store directory (default MELREQ_STORE, else \
-             .melreq-store)",
+        flag("--store", "DIR", "checkpoint-store directory (default .melreq-store)",
             |a, v| put(&mut a.store, Ok(Some(v.into())))),
         flag("--out", "PATH", "sweep artifact (default BENCH_sweep.json)",
             |a, v| put(&mut a.out, Ok(Some(v.into())))),
@@ -764,12 +757,10 @@ REPRODUCING:
   also writes the paper's tables, results/{table2,fig2,fig3,fig4,fig5}.txt,
   into a results/ directory beside --out. Warm-up
   checkpoints and profiles persist in the store directory (--store,
-  MELREQ_STORE, default .melreq-store), so a second invocation skips
-  all warm-up and profiling simulation. --no-checkpoint disables both
-  the store and in-group sharing; --smoke runs a reduced CI grid, leaves
-  results/ untouched (its summary shows the Figure 2 table of the one
-  stage it ran) and exits nonzero if forked results diverge from fresh
-  runs.
+  default .melreq-store), so a second invocation skips all warm-up and
+  profiling simulation. --smoke runs a reduced CI grid, leaves results/
+  untouched (its summary shows the Figure 2 table of the one stage it
+  ran) and exits nonzero if forked results diverge from fresh runs.
 
 AUDITING:
   --audit attaches an independent checker that re-validates every DRAM
@@ -885,14 +876,14 @@ mod tests {
             "reproduce --smoke --store /tmp/s --out x.json --threads 4 --guard base.json \
              --guard-ratio 0.5",
         );
-        assert!(a.smoke && !a.no_checkpoint);
+        assert!(a.smoke);
         assert_eq!(a.store.as_deref(), Some("/tmp/s"));
         assert_eq!(a.out.as_deref(), Some("x.json"));
         assert_eq!(a.threads, Some(4));
         assert_eq!(a.guard.as_deref(), Some("base.json"));
         assert!((a.guard_ratio - 0.5).abs() < 1e-12);
-        let a = args("reproduce --no-checkpoint");
-        assert!(!a.smoke && a.no_checkpoint && a.store.is_none() && a.out.is_none());
+        let a = args("reproduce");
+        assert!(!a.smoke && a.store.is_none() && a.out.is_none());
         assert!(a.threads.is_none() && a.guard.is_none());
         assert!((a.guard_ratio - 0.25).abs() < 1e-12);
     }
@@ -1102,7 +1093,7 @@ mod tests {
             );
             assert!(verb.own().next().is_none() || text.contains(&own), "{own:?} missing");
         }
-        assert_eq!(rows, 93, "a (verb, flag) row came or went");
+        assert_eq!(rows, 92, "a (verb, flag) row came or went");
         for section in
             ["COMMON OPTIONS (profile,", "THREAD OPTIONS (run,", "TRACE OPTIONS (run, trace):"]
         {

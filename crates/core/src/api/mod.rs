@@ -64,26 +64,32 @@ pub enum MelreqError {
 }
 
 impl MelreqError {
+    /// The one table of error classes: the `kind` a service error body
+    /// names, the process exit code and the HTTP status.
+    fn class(&self) -> (&'static str, i32, u16) {
+        match self {
+            MelreqError::Usage(_) => ("usage", 2, 400),
+            MelreqError::Io(_) => ("io", 3, 500),
+            MelreqError::Divergence(_) => ("divergence", 4, 500),
+            MelreqError::Overload { .. } => ("overload", 5, 429),
+            MelreqError::Timeout(_) => ("timeout", 6, 504),
+            MelreqError::Analysis(_) => ("analysis", 7, 500),
+        }
+    }
+
+    /// The `"kind"` of the service's error body.
+    pub fn kind(&self) -> &'static str {
+        self.class().0
+    }
+
     /// The process exit code the CLI maps this error to.
     pub fn exit_code(&self) -> i32 {
-        match self {
-            MelreqError::Usage(_) => 2,
-            MelreqError::Io(_) => 3,
-            MelreqError::Divergence(_) => 4,
-            MelreqError::Overload { .. } => 5,
-            MelreqError::Timeout(_) => 6,
-            MelreqError::Analysis(_) => 7,
-        }
+        self.class().1
     }
 
     /// The HTTP status the service maps this error to.
     pub fn http_status(&self) -> u16 {
-        match self {
-            MelreqError::Usage(_) => 400,
-            MelreqError::Io(_) | MelreqError::Divergence(_) | MelreqError::Analysis(_) => 500,
-            MelreqError::Overload { .. } => 429,
-            MelreqError::Timeout(_) => 504,
-        }
+        self.class().2
     }
 }
 
@@ -409,82 +415,21 @@ impl AuditSummary {
     }
 }
 
-/// One policy's results within a [`SimReport`].
+/// One policy's results within a [`SimReport`]: the harness's own record
+/// of the run plus what its auditor said. The serialised fields are a
+/// fixed subset of [`MixResult`] ([`SimReport::to_json`]); wall-clock time
+/// and checkpoint provenance ride along unserialised.
 #[derive(Debug, Clone)]
 pub struct PolicyReport {
-    /// Policy display name.
-    pub policy: String,
-    /// SMT speedup (Equation 2).
-    pub smt_speedup: f64,
-    /// Weighted speedup (Σ IPC_multi/IPC_single; equals
-    /// [`PolicyReport::smt_speedup`] under the paper's definitions).
-    pub weighted_speedup: f64,
-    /// Harmonic mean of per-core speedups (0.0 when a core starved).
-    pub harmonic_speedup: f64,
-    /// Unfairness metric (Equation 3).
-    pub unfairness: f64,
-    /// Largest per-core slowdown.
-    pub max_slowdown: f64,
-    /// Mean read latency across cores, in cycles.
-    pub mean_read_latency: f64,
-    /// Per-core IPC in the multiprogrammed run.
-    pub ipc_multi: Vec<f64>,
-    /// Per-core IPC running alone (the speedup denominator).
-    pub ipc_single: Vec<f64>,
-    /// Per-core mean read latency, in cycles.
-    pub read_latency: Vec<f64>,
-    /// Profiled ME values programmed into the priority table.
-    pub me: Vec<f64>,
-    /// Mean controller queue occupancy over the measured window.
-    pub queue_occupancy_mean: f64,
-    /// Mean number of grant candidates per scheduling decision.
-    pub grant_candidates_mean: f64,
-    /// Per-channel traffic counters.
-    pub channels: Vec<melreq_memctrl::ChannelTraffic>,
-    /// Final cycle count, warm-up included.
-    pub sim_cycles: u64,
-    /// Cycles in the measured window.
-    pub measured_cycles: u64,
-    /// Whether the run aborted on the simulated-cycle safety net.
-    pub timed_out: bool,
-    /// Whether the run was cancelled by a wall-clock deadline.
-    pub cancelled: bool,
+    /// The run, as the harness measured it.
+    pub result: MixResult,
     /// Audit summary, present on audited runs.
     pub audit: Option<AuditSummary>,
-    /// Whether this policy's warm-up was restored from a checkpoint
-    /// (provenance — deliberately not serialised).
-    pub warm: bool,
 }
 
 impl PolicyReport {
-    /// The report of one harness result, with the summary of its audit
-    /// when it had one.
-    pub fn from_result(r: &MixResult, audit: Option<AuditSummary>) -> Self {
-        PolicyReport {
-            policy: r.policy.to_string(),
-            smt_speedup: r.smt_speedup,
-            weighted_speedup: r.weighted_speedup,
-            harmonic_speedup: r.harmonic_speedup,
-            unfairness: r.unfairness,
-            max_slowdown: r.max_slowdown,
-            mean_read_latency: r.mean_read_latency,
-            ipc_multi: r.ipc_multi.clone(),
-            ipc_single: r.ipc_single.clone(),
-            read_latency: r.read_latency.clone(),
-            me: r.me.clone(),
-            queue_occupancy_mean: r.queue_occupancy_mean,
-            grant_candidates_mean: r.grant_candidates_mean,
-            channels: r.channel_traffic.clone(),
-            sim_cycles: r.sim_cycles,
-            measured_cycles: r.measured_cycles,
-            timed_out: r.timed_out,
-            cancelled: r.cancelled,
-            audit,
-            warm: r.warmup_from_checkpoint,
-        }
-    }
-
     fn write_json(&self, s: &mut String) {
+        let r = &self.result;
         let vec_json = |v: &[f64]| {
             let items: Vec<String> = v.iter().map(|x| fmt_f64(*x)).collect();
             format!("[{}]", items.join(","))
@@ -492,33 +437,33 @@ impl PolicyReport {
         write!(
             s,
             "{{\"policy\":\"{}\",\"smt_speedup\":{},\"weighted_speedup\":{},\"harmonic_speedup\":{},\"unfairness\":{},\"max_slowdown\":{},\"mean_read_latency\":{}",
-            esc(&self.policy),
-            fmt_f64(self.smt_speedup),
-            fmt_f64(self.weighted_speedup),
-            fmt_f64(self.harmonic_speedup),
-            fmt_f64(self.unfairness),
-            fmt_f64(self.max_slowdown),
-            fmt_f64(self.mean_read_latency),
+            esc(r.policy),
+            fmt_f64(r.smt_speedup),
+            fmt_f64(r.weighted_speedup),
+            fmt_f64(r.harmonic_speedup),
+            fmt_f64(r.unfairness),
+            fmt_f64(r.max_slowdown),
+            fmt_f64(r.mean_read_latency),
         )
         .unwrap();
         write!(
             s,
             ",\"ipc_multi\":{},\"ipc_single\":{},\"read_latency\":{},\"me\":{}",
-            vec_json(&self.ipc_multi),
-            vec_json(&self.ipc_single),
-            vec_json(&self.read_latency),
-            vec_json(&self.me),
+            vec_json(&r.ipc_multi),
+            vec_json(&r.ipc_single),
+            vec_json(&r.read_latency),
+            vec_json(&r.me),
         )
         .unwrap();
         write!(
             s,
             ",\"queue_occupancy_mean\":{},\"grant_candidates_mean\":{}",
-            fmt_f64(self.queue_occupancy_mean),
-            fmt_f64(self.grant_candidates_mean),
+            fmt_f64(r.queue_occupancy_mean),
+            fmt_f64(r.grant_candidates_mean),
         )
         .unwrap();
-        let channels: Vec<String> = self
-            .channels
+        let channels: Vec<String> = r
+            .channel_traffic
             .iter()
             .map(|c| {
                 format!(
@@ -531,10 +476,10 @@ impl PolicyReport {
             s,
             ",\"channels\":[{}],\"sim_cycles\":{},\"measured_cycles\":{},\"timed_out\":{},\"cancelled\":{}",
             channels.join(","),
-            self.sim_cycles,
-            self.measured_cycles,
-            self.timed_out,
-            self.cancelled,
+            r.sim_cycles,
+            r.measured_cycles,
+            r.timed_out,
+            r.cancelled,
         )
         .unwrap();
         if let Some(a) = &self.audit {
@@ -549,33 +494,37 @@ impl PolicyReport {
     }
 }
 
-/// A versioned, deterministic simulation report.
+/// A versioned, deterministic simulation report: one [`PolicyReport`] per
+/// requested policy, in request order, never empty. Everything else it
+/// says — the mix, the wall-clock time, whether a checkpoint was used —
+/// is read off those records.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    /// The mix that ran.
-    pub mix: String,
     /// One report per requested policy, in request order.
     pub policies: Vec<PolicyReport>,
-    /// Wall-clock time spent simulating measured windows, summed across
-    /// policies (not serialised — it would break byte-determinism).
-    pub wall: Duration,
-    /// Wall-clock time spent simulating (or restoring) warm-up
-    /// boundaries, summed across policies — reported separately from
-    /// [`SimReport::wall`] so per-policy timing stays meaningful when a
-    /// shared warm-up and its forked policy runs execute on different
-    /// worker threads (not serialised).
-    pub warm_wall: Duration,
 }
 
 impl SimReport {
+    /// The mix that ran, in the roster's spelling.
+    pub fn mix(&self) -> &'static str {
+        self.policies[0].result.mix.name
+    }
+
+    /// Wall-clock time spent simulating measured windows, summed across
+    /// policies (not serialised — it would break byte-determinism; warm-up
+    /// time is each result's `warm_wall`).
+    pub fn wall(&self) -> Duration {
+        self.policies.iter().map(|p| p.result.wall).sum()
+    }
+
     /// Whether any policy's warm-up came from a checkpoint.
     pub fn any_warm(&self) -> bool {
-        self.policies.iter().any(|p| p.warm)
+        self.policies.iter().any(|p| p.result.warmup_from_checkpoint)
     }
 
     /// Whether every policy's warm-up came from a checkpoint.
     pub fn all_warm(&self) -> bool {
-        !self.policies.is_empty() && self.policies.iter().all(|p| p.warm)
+        self.policies.iter().all(|p| p.result.warmup_from_checkpoint)
     }
 
     /// The canonical single-line JSON rendering. Byte-deterministic for
@@ -583,7 +532,7 @@ impl SimReport {
     /// or cold checkpoint stores (pinned by the golden service test).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
-        write!(s, "{{\"schema_version\":{SCHEMA_VERSION},\"mix\":\"{}\"", esc(&self.mix)).unwrap();
+        write!(s, "{{\"schema_version\":{SCHEMA_VERSION},\"mix\":\"{}\"", esc(self.mix())).unwrap();
         s.push_str(",\"policies\":[");
         for (i, p) in self.policies.iter().enumerate() {
             if i > 0 {
@@ -656,13 +605,13 @@ impl Session {
         phase_span.arg("policies", req.policies.len() as u64);
         phase_span.arg("audit", u64::from(req.audit));
 
-        let mut runs: Vec<(MixResult, Option<AuditSummary>)> = Vec::new();
+        let mut policies: Vec<PolicyReport> = Vec::new();
         if !req.audit && req.policies.len() > 1 {
             // Comparisons share one warm-up and fork it per policy —
             // registry factories make this uniform across the zoo.
             let group =
                 experiment::run_mix_group(&mix, &req.policies, &req.opts, &self.cache, store, &ctl);
-            runs.extend(group.into_iter().map(|r| (r, None)));
+            policies.extend(group.into_iter().map(|result| PolicyReport { result, audit: None }));
         } else {
             // One run at a time on the calling thread. Every registered
             // policy is auditable: the paper's schemes and BLISS/TCM get
@@ -683,22 +632,17 @@ impl Session {
                     Some(a) if !a.is_clean() => return Err(MelreqError::Divergence(a.render())),
                     a => a.as_ref().map(AuditSummary::of),
                 };
-                runs.push((result, audit));
+                policies.push(PolicyReport { result, audit });
             }
         }
-        let wall = runs.iter().map(|(r, _)| r.wall).sum();
-        let warm_wall = runs.iter().map(|(r, _)| r.warm_wall).sum();
-        let reports: Vec<PolicyReport> =
-            runs.into_iter().map(|(r, audit)| PolicyReport::from_result(&r, audit)).collect();
-
-        if let Some(p) = reports.iter().find(|p| p.cancelled) {
+        if let Some(p) = policies.iter().find(|p| p.result.cancelled) {
             return Err(MelreqError::Timeout(format!(
                 "run cancelled at a {}-cycle epoch boundary after {} simulated cycles (wall-clock deadline)",
                 crate::system::System::CANCEL_EPOCH,
-                p.sim_cycles
+                p.result.sim_cycles
             )));
         }
-        Ok(SimReport { mix: mix.name.to_string(), policies: reports, wall, warm_wall })
+        Ok(SimReport { policies })
     }
 
     /// Merge the caller's control with the request's own limits.
@@ -813,7 +757,7 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.to_json().starts_with(&format!("{{\"schema_version\":{SCHEMA_VERSION},")));
         assert_eq!(a.policies.len(), 1);
-        assert!(!a.policies[0].timed_out);
+        assert!(!a.policies[0].result.timed_out);
     }
 
     #[test]
@@ -841,8 +785,35 @@ mod tests {
         let st = store.stats();
         assert_eq!((st.warmup_hits, st.warmup_misses), (1, 1));
         // Same bytes however the boundary was reached, audited or not.
-        assert_eq!(warm.policies[0].ipc_multi, report.policies[1].ipc_multi);
+        assert_eq!(warm.policies[0].result.ipc_multi, report.policies[1].result.ipc_multi);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The report's bytes are a contract: an unaudited and an audited run
+    /// of one request against the bytes `melreq run 2MEM-1 --json [--audit]`
+    /// printed at quick scale while `PolicyReport` still copied its fields
+    /// out of the `MixResult` it now embeds.
+    #[test]
+    fn policy_report_json_is_byte_stable() {
+        const PLAIN: &str = concat!(
+            "{\"schema_version\":4,\"mix\":\"2MEM-1\",\"policies\":[{\"policy\":\"ME-LREQ\",",
+            "\"smt_speedup\":1.7268925094976528,\"weighted_speedup\":1.7268925094976528,",
+            "\"harmonic_speedup\":0.8634370545879058,\"unfairness\":1.006549829668036,",
+            "\"max_slowdown\":1.1619425173439049,\"mean_read_latency\":180.78533231474407,",
+            "\"ipc_multi\":[1.1372682815876265,0.5359056806002144],",
+            "\"ipc_single\":[1.3214403700033035,0.618639611494324],",
+            "\"read_latency\":[175.0891719745223,183.98687350835323],\"me\":[0.42465015897663405,",
+            "0.09230800553564],\"queue_occupancy_mean\":6.610117211597779,",
+            "\"grant_candidates_mean\":1.2541640962368907,\"channels\":[{\"reads\":636,\"writes\":312,",
+            "\"row_hits\":11},{\"reads\":673,\"writes\":0,\"row_hits\":0}],\"sim_cycles\":55910,",
+            "\"measured_cycles\":37321,\"timed_out\":false,\"cancelled\":false}]}",
+        );
+        const AUDIT: &str =
+            "\"audit\":{\"events\":7274,\"stream_hash\":\"c4866678c327c9d0\",\"violations\":0}";
+        let run = |req| Session::new().run(&req, &RunControl::default()).unwrap().to_json();
+        assert_eq!(run(quick_request("me-lreq")), PLAIN);
+        let audited = format!("{},{AUDIT}}}]}}", PLAIN.strip_suffix("}]}").unwrap());
+        assert_eq!(run(quick_request("me-lreq").audit(true)), audited);
     }
 
     #[test]
@@ -862,7 +833,7 @@ mod tests {
         assert_eq!(lower.canonical_bytes(), upper.canonical_bytes());
         assert_eq!(lower.request_key(), upper.request_key());
         let report = Session::new().run(&lower, &RunControl::default()).unwrap();
-        assert_eq!(report.mix, "2MEM-1", "the report carries the roster's spelling");
+        assert_eq!(report.mix(), "2MEM-1", "the report carries the roster's spelling");
     }
 
     #[test]
@@ -898,22 +869,22 @@ mod tests {
         let session = Session::new();
         let req = quick_request("hf-rf").max_cycles(10_000);
         let report = session.run(&req, &RunControl::default()).unwrap();
-        assert!(report.policies[0].timed_out);
-        assert!(!report.policies[0].cancelled);
+        assert!(report.policies[0].result.timed_out);
+        assert!(!report.policies[0].result.cancelled);
     }
 
     #[test]
     fn error_mappings_are_stable() {
         let cases = [
-            (MelreqError::Usage(String::new()), 2, 400),
-            (MelreqError::Io(String::new()), 3, 500),
-            (MelreqError::Divergence(String::new()), 4, 500),
-            (MelreqError::Overload { retry_after_s: 1 }, 5, 429),
-            (MelreqError::Timeout(String::new()), 6, 504),
+            (MelreqError::Usage(String::new()), "usage", 2, 400),
+            (MelreqError::Io(String::new()), "io", 3, 500),
+            (MelreqError::Divergence(String::new()), "divergence", 4, 500),
+            (MelreqError::Overload { retry_after_s: 1 }, "overload", 5, 429),
+            (MelreqError::Timeout(String::new()), "timeout", 6, 504),
+            (MelreqError::Analysis(String::new()), "analysis", 7, 500),
         ];
-        for (err, exit, status) in cases {
-            assert_eq!(err.exit_code(), exit);
-            assert_eq!(err.http_status(), status);
+        for (err, kind, exit, status) in cases {
+            assert_eq!((err.kind(), err.exit_code(), err.http_status()), (kind, exit, status));
         }
     }
 }

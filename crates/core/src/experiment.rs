@@ -126,10 +126,9 @@ pub struct RunControl {
     /// effective limit is the minimum of this and the options' safety
     /// net. A run that exhausts it reports `timed_out`.
     pub max_cycles: Option<Cycle>,
-    /// Worker-thread count for pooled runs (`--threads`); `None` falls
-    /// back to the `MELREQ_THREADS` environment variable, then to the
-    /// host's available parallelism (see [`worker_count`]). Results are
-    /// bit-identical at any value.
+    /// Worker-thread count for pooled runs (`--threads`); `None` means
+    /// the host's available parallelism (see [`worker_count`]). Results
+    /// are bit-identical at any value.
     pub threads: Option<usize>,
 }
 
@@ -722,33 +721,6 @@ pub fn run_mix_observed(
     (result, heard.collector.expect("an observed run keeps its collector"))
 }
 
-/// Results of one mix across several policies, with the first policy
-/// treated as the baseline.
-#[derive(Debug, Clone)]
-pub struct PolicyComparison {
-    /// One result per policy, in input order.
-    pub results: Vec<MixResult>,
-}
-
-impl PolicyComparison {
-    /// Speedup of policy `i` over the baseline (policy 0), as a ratio.
-    pub fn speedup_over_baseline(&self, i: usize) -> f64 {
-        self.results[i].smt_speedup / self.results[0].smt_speedup
-    }
-}
-
-/// Run one mix under every policy in `policies` (policy 0 = baseline),
-/// as one [`run_mix_group`].
-pub fn compare_policies(
-    mix: &Mix,
-    policies: &[PolicyKind],
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-) -> PolicyComparison {
-    let results = run_mix_group(mix, policies, opts, cache, None, &RunControl::default());
-    PolicyComparison { results }
-}
-
 /// Run one mix under every policy in `policies` with a single shared
 /// warm-up: the canonical boundary state is simulated (or loaded from
 /// `store`) once, snapshotted, and forked into one fresh system per
@@ -773,20 +745,12 @@ pub fn run_mix_group(
 }
 
 /// Worker-thread count for the pooled entry points: an explicit request
-/// (`--threads` via [`RunControl::threads`]) wins, then the
-/// `MELREQ_THREADS` environment variable, then the host's available
-/// parallelism (falling back to 4 when that is unknowable) — capped at
-/// the number of schedulable jobs.
+/// (`--threads` via [`RunControl::threads`]) wins, then the host's
+/// available parallelism (falling back to 4 when that is unknowable) —
+/// capped at the number of schedulable jobs.
 pub fn worker_count(jobs: usize, explicit: Option<usize>) -> usize {
     explicit
         .filter(|&n| n > 0)
-        .or_else(|| {
-            // melreq-allow(D02): --threads / MELREQ_THREADS pick the worker-thread count only; the slot-indexed merge keeps results bit-identical at any parallelism
-            std::env::var("MELREQ_THREADS")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-        })
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, std::num::NonZero::get))
         .min(jobs.max(1))
 }
@@ -977,16 +941,6 @@ mod tests {
         assert!(cache.lookup(app, SliceKind::Profiling, n / 2).1, "another length, another run");
         assert!(cache.lookup(app, SliceKind::Evaluation(0), n).1, "another slice, another run");
         assert!(!cache.lookup(app, SliceKind::Evaluation(0), n).1);
-    }
-
-    #[test]
-    fn compare_policies_baseline_ratio_is_one() {
-        let cache = ProfileCache::new();
-        let opts = ExperimentOptions::quick();
-        let mix = mix_by_name("2MEM-4");
-        let cmp = compare_policies(&mix, &[PolicyKind::HfRf, PolicyKind::Lreq], &opts, &cache);
-        assert!((cmp.speedup_over_baseline(0) - 1.0).abs() < 1e-12);
-        assert!(cmp.speedup_over_baseline(1) > 0.5);
     }
 
     #[test]

@@ -36,9 +36,9 @@ pub use api::{MelreqError, PolicyKind, Session, SimReport, SimRequest};
 pub use config::SystemConfig;
 pub use experiment::{
     run_mix, run_mix_audited, run_mix_observed, run_tapped, ExperimentOptions, Measured, MixResult,
-    ObserveOptions, PolicyComparison, RunControl, Tapped, Taps,
+    ObserveOptions, RunControl, Tapped, Taps,
 };
 pub use hierarchy::Hierarchy;
-pub use profile::{profile_app, profile_mix_apps, AppProfile};
+pub use profile::{profile_app, AppProfile};
 pub use store::{CheckpointStore, StoreStats};
 pub use system::{CancelToken, KernelCounters, RunOutcome, System};

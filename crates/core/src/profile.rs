@@ -12,7 +12,7 @@ use crate::system::System;
 use melreq_memctrl::policy::PolicyKind;
 use melreq_stats::bandwidth::memory_efficiency;
 use melreq_trace::InstrStream;
-use melreq_workloads::{AppSpec, Mix, SliceKind};
+use melreq_workloads::{AppSpec, SliceKind};
 
 /// The profile of one application on the single-core reference machine.
 #[derive(Debug, Clone)]
@@ -55,11 +55,6 @@ pub fn profile_app(app: &AppSpec, slice: SliceKind, instructions: u64) -> AppPro
     // eon rather than infinity).
     let me = memory_efficiency(ipc, bw_gbs.max(1e-3));
     AppProfile { name: app.name, code: app.code, ipc, bw_gbs, me }
-}
-
-/// Profile every application of a mix (profiling slice), in core order.
-pub fn profile_mix_apps(mix: &Mix, instructions: u64) -> Vec<AppProfile> {
-    mix.apps().iter().map(|a| profile_app(a, SliceKind::Profiling, instructions)).collect()
 }
 
 #[cfg(test)]

@@ -94,15 +94,6 @@ impl CheckpointStore {
         })
     }
 
-    /// The store directory an invocation should use: the `MELREQ_STORE`
-    /// environment variable when set, else `.melreq-store` under the
-    /// current directory.
-    pub fn default_dir() -> PathBuf {
-        // melreq-allow(D02): MELREQ_STORE only picks where checkpoints live; content-addressed, never changes results
-        std::env::var_os("MELREQ_STORE")
-            .map_or_else(|| PathBuf::from(".melreq-store"), PathBuf::from)
-    }
-
     /// The directory this store reads and writes.
     pub fn dir(&self) -> &Path {
         &self.dir

@@ -186,17 +186,6 @@ struct OnlineMe {
 impl OnlineMe {
     /// EWMA weight of the newest epoch sample.
     const ALPHA: f64 = 0.5;
-
-    fn new(epoch: Cycle, cores: usize) -> Self {
-        assert!(epoch > 0, "online epoch must be positive");
-        OnlineMe {
-            epoch,
-            next_at: epoch,
-            prev_instr: vec![0; cores],
-            prev_bytes: vec![0; cores],
-            estimate: vec![1.0; cores],
-        }
-    }
 }
 
 /// Results of a measured run (the paper's methodology: each core's
@@ -247,52 +236,13 @@ impl System {
     /// policies, but always required so every policy sees an identically
     /// configured machine).
     pub fn new(cfg: SystemConfig, streams: Vec<Box<dyn InstrStream + Send>>, me: &[f64]) -> Self {
-        cfg.validate();
-        assert_eq!(streams.len(), cfg.cores, "one stream per core");
         assert_eq!(me.len(), cfg.cores, "one ME value per core");
-        let dram = DramSystem::new(cfg.geometry, cfg.timing);
         let policy = cfg.policy.build(me, cfg.cores, cfg.seed);
-        let ctrl =
-            MemoryController::new(cfg.ctrl, dram, policy, cfg.policy.read_first(), cfg.cores);
-        let mut hier = Hierarchy::new(cfg.cores, cfg.l1i, cfg.l1d, cfg.l2, ctrl);
-        // Functional warm-up: pre-load each program's cacheable regions so
-        // short measured slices are not dominated by compulsory misses
-        // (SimPoint checkpoints carry warm architectural state likewise).
-        for (i, s) in streams.iter().enumerate() {
-            if let Some(h) = s.warm_hints() {
-                hier.prewarm(CoreId::from(i), &h);
-            }
-        }
-        let cores = streams
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| Core::new(CoreId::from(i), cfg.core, s))
-            .collect();
-        let online = match cfg.policy {
-            melreq_memctrl::policy::PolicyKind::MeLreqOnline { epoch_cycles } => {
-                Some(OnlineMe::new(epoch_cycles, cfg.cores))
-            }
-            _ => None,
-        };
-        // The online build starts from a flat profile (see
-        // `PolicyKind::build`); every other build programs `me` directly.
-        let me_profile = Some(if online.is_some() { vec![1.0; cfg.cores] } else { me.to_vec() });
-        System {
-            core_wake: vec![0; cfg.cores],
-            cfg,
-            cores,
-            hier,
-            now: 0,
-            online,
-            me_profile,
-            tick_exact: false,
-            scratch: Vec::new(),
-            stats_reset_at: None,
-            sampler: None,
-            cancel: None,
-            cancelled: false,
-            counters: KernelCounters::default(),
-        }
+        let read_first = cfg.policy.read_first();
+        let mut sys = Self::with_policy(cfg, streams, policy, read_first);
+        sys.online = sys.online_estimator(&sys.cfg.policy);
+        sys.me_profile = Some(sys.programmed_profile(me));
+        sys
     }
 
     /// Build a system with an externally constructed scheduling policy —
@@ -310,6 +260,9 @@ impl System {
         let dram = DramSystem::new(cfg.geometry, cfg.timing);
         let ctrl = MemoryController::new(cfg.ctrl, dram, policy, read_first, cfg.cores);
         let mut hier = Hierarchy::new(cfg.cores, cfg.l1i, cfg.l1d, cfg.l2, ctrl);
+        // Functional warm-up: pre-load each program's cacheable regions so
+        // short measured slices are not dominated by compulsory misses
+        // (SimPoint checkpoints carry warm architectural state likewise).
         for (i, s) in streams.iter().enumerate() {
             if let Some(h) = s.warm_hints() {
                 hier.prewarm(CoreId::from(i), &h);
@@ -755,33 +708,38 @@ impl System {
     /// mirroring what [`System::attach_audit`] announces at reset.
     pub fn swap_policy(&mut self, kind: &melreq_memctrl::policy::PolicyKind, me: &[f64]) {
         assert_eq!(me.len(), self.cfg.cores, "one ME value per core required");
-        self.wake_all();
         let policy = kind.build(me, self.cfg.cores, self.cfg.seed);
-        self.hier.set_policy(policy, kind.read_first());
-        self.online = match kind {
-            melreq_memctrl::policy::PolicyKind::MeLreqOnline { epoch_cycles } => {
-                let mut st = OnlineMe::new(*epoch_cycles, self.cfg.cores);
-                st.next_at = self.now + st.epoch;
-                // Baseline the deltas at the swap point so the first
-                // epoch samples only post-swap execution.
-                st.prev_instr = self.cores.iter().map(melreq_cpu::Core::committed).collect();
-                st.prev_bytes = self
-                    .hier
-                    .controller()
-                    .stats()
-                    .bytes_by_core
-                    .iter()
-                    .map(melreq_stats::Counter::get)
-                    .collect();
-                Some(st)
-            }
-            _ => None,
-        };
-        self.me_profile =
-            Some(if self.online.is_some() { vec![1.0; self.cfg.cores] } else { me.to_vec() });
+        let online = self.online_estimator(kind);
         self.cfg.policy = kind.clone();
-        if let Some(me) = &self.me_profile {
-            self.hier.announce_profile(me);
+        self.swap_policy_boxed(policy, kind.read_first(), &self.programmed_profile(me));
+        self.online = online;
+    }
+
+    /// The online-ME estimator `kind` needs, if it is the online variant:
+    /// its first epoch starts now and its deltas are baselined here, so it
+    /// samples only execution under the policy being installed.
+    fn online_estimator(&self, kind: &melreq_memctrl::policy::PolicyKind) -> Option<OnlineMe> {
+        let melreq_memctrl::policy::PolicyKind::MeLreqOnline { epoch_cycles } = *kind else {
+            return None;
+        };
+        assert!(epoch_cycles > 0, "online epoch must be positive");
+        let bytes = &self.hier.controller().stats().bytes_by_core;
+        Some(OnlineMe {
+            epoch: epoch_cycles,
+            next_at: self.now + epoch_cycles,
+            prev_instr: self.cores.iter().map(melreq_cpu::Core::committed).collect(),
+            prev_bytes: bytes.iter().map(melreq_stats::Counter::get).collect(),
+            estimate: vec![1.0; self.cfg.cores],
+        })
+    }
+
+    /// The profile `cfg.policy`'s tables were programmed from: the online
+    /// build starts flat (see `PolicyKind::build`), every other build
+    /// programs `me` directly.
+    fn programmed_profile(&self, me: &[f64]) -> Vec<f64> {
+        match self.cfg.policy {
+            melreq_memctrl::policy::PolicyKind::MeLreqOnline { .. } => vec![1.0; self.cfg.cores],
+            _ => me.to_vec(),
         }
     }
 

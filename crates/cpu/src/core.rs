@@ -221,11 +221,6 @@ impl Core {
         self.stats.committed.get()
     }
 
-    /// The program label this core runs.
-    pub fn program_label(&self) -> &str {
-        self.stream.label()
-    }
-
     /// Ops in flight.
     #[inline]
     fn rob_len(&self) -> usize {

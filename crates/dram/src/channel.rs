@@ -127,11 +127,6 @@ impl Channel {
         self.acts_seen += 1; // melreq-allow(A01): event counter, not a deadline
     }
 
-    /// Number of banks on this channel.
-    pub fn bank_count(&self) -> usize {
-        self.open_row.len()
-    }
-
     /// Whether a request for (`bank`, `row`) would be a row-buffer hit
     /// right now.
     pub fn is_row_hit(&self, bank: usize, row: u64) -> bool {

@@ -101,6 +101,23 @@ pub fn export_host_profile(
     out
 }
 
+/// The end of a profiled command: stop recording, drain every thread's
+/// spans and write them to `path` as the Perfetto trace of `process_name`,
+/// with the aggregated summary and the caller's `buildinfo` block
+/// embedded. Returns the summary for the caller to print.
+pub fn finish_host_profile(
+    path: &std::path::Path,
+    process_name: &str,
+    buildinfo: String,
+) -> std::io::Result<melreq_prof::Summary> {
+    melreq_prof::disable();
+    let profile = melreq_prof::drain();
+    let summary = melreq_prof::summarize(&profile, 10);
+    let blocks = [("summary", summary.render_json()), ("buildinfo", buildinfo)];
+    std::fs::write(path, export_host_profile(&profile, process_name, &blocks))?;
+    Ok(summary)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,7 +37,7 @@ pub mod series;
 
 pub use collector::{ChannelSample, Collector, CoreSample, Fanout, ObsConfig};
 pub use event::{CmdKind, TraceEvent, TraceRing};
-pub use hostprof::export_host_profile;
+pub use hostprof::{export_host_profile, finish_host_profile};
 pub use metrics::{Counter, Gauge, Histogram, MetricKind, Registry};
 pub use perfetto::export_chrome_json;
 pub use provenance::{Rule, RuleTotals, RunnerUp};

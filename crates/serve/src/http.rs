@@ -82,25 +82,6 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Result<Option<(HttpRequest,
     Ok(Some((HttpRequest { method, path, body, close }, total)))
 }
 
-/// Read one request from `stream` (blocking). `max_body` bounds the
-/// declared `Content-Length`; oversized or malformed requests are
-/// errors. Bytes past the first request are discarded — callers that
-/// need pipelining use [`parse_request`] on their own buffer.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpRequest, String> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 2048];
-    loop {
-        if let Some((req, _)) = parse_request(&buf, max_body)? {
-            return Ok(req);
-        }
-        let n = stream.read(&mut chunk).map_err(|e| format!("read: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-request".into());
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
@@ -143,21 +124,6 @@ pub fn response_bytes(
     let mut out = head.into_bytes();
     out.extend_from_slice(body.as_bytes());
     out
-}
-
-/// Write one complete response (blocking helper over
-/// [`response_bytes`]). Errors are returned (the caller usually just
-/// counts them — the client is gone).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &str,
-    close: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&response_bytes(status, content_type, extra_headers, body, close))?;
-    stream.flush()
 }
 
 /// A blocking keep-alive HTTP/1.1 client connection. Requests are
@@ -268,19 +234,37 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    /// The fake server's read: block until one whole request has arrived.
+    fn read_request(stream: &mut TcpStream) -> HttpRequest {
+        let mut buf: Vec<u8> = Vec::new();
+        let mut chunk = [0u8; 2048];
+        loop {
+            if let Some((req, _)) = parse_request(&buf, 1024).unwrap() {
+                return req;
+            }
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "connection closed mid-request");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    /// The fake server's answer: 200 with `body`.
+    fn write_response(stream: &mut TcpStream, body: &str, close: bool) {
+        stream.write_all(&response_bytes(200, "application/json", &[], body, close)).unwrap();
+    }
+
     #[test]
     fn request_round_trips_over_a_socket() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream, 1024).unwrap();
+            let req = read_request(&mut stream);
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/run");
             assert_eq!(req.body, "{\"x\":1}");
             assert!(req.close, "exchange sends Connection: close");
-            write_response(&mut stream, 200, "application/json", &[], "{\"ok\":true}", true)
-                .unwrap();
+            write_response(&mut stream, "{\"ok\":true}", true);
         });
         let (status, body) =
             exchange(&addr.to_string(), "POST", "/run", Some("{\"x\":1}"), Duration::from_secs(5))
@@ -297,12 +281,12 @@ mod tests {
         let server = std::thread::spawn(move || {
             // Exactly one accept: both requests must arrive on it.
             let (mut stream, _) = listener.accept().unwrap();
-            let first = read_request(&mut stream, 1024).unwrap();
+            let first = read_request(&mut stream);
             assert!(!first.close);
-            write_response(&mut stream, 200, "application/json", &[], "1", false).unwrap();
-            let second = read_request(&mut stream, 1024).unwrap();
+            write_response(&mut stream, "1", false);
+            let second = read_request(&mut stream);
             assert!(second.close);
-            write_response(&mut stream, 200, "application/json", &[], "22", true).unwrap();
+            write_response(&mut stream, "22", true);
         });
         let mut conn = ClientConn::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();
         assert_eq!(conn.request("GET", "/a", None, false).unwrap(), (200, "1".to_string()));
@@ -332,24 +316,6 @@ mod tests {
         assert!(parse_request(b"POST /run HTTP/1.1\r\nContent-Length: 99\r\n\r\n", 4)
             .unwrap_err()
             .contains("cap"));
-    }
-
-    #[test]
-    fn oversized_bodies_are_rejected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            assert!(read_request(&mut stream, 4).unwrap_err().contains("cap"));
-        });
-        let _ = exchange(
-            &addr.to_string(),
-            "POST",
-            "/run",
-            Some("too large for the cap"),
-            Duration::from_secs(5),
-        );
-        server.join().unwrap();
     }
 
     #[test]

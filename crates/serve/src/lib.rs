@@ -52,6 +52,7 @@ use melreq_core::system::CancelToken;
 use melreq_obs::metrics::{Counter, Gauge, Histogram, MetricKind, Registry};
 use poll::{Interest, Poller, WakeHandle, Waker};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,9 +83,53 @@ const LATENCY_BUCKETS: [f64; 16] = [
     60.0,
 ];
 
-/// Request lifecycle stages, in order, as the `stage` label values of
-/// `melreq_serve_request_stage_duration_seconds`.
-const STAGES: [&str; 5] = ["parse", "queue", "execute", "render", "flush"];
+/// Request lifecycle stages, in order, under their profiler span
+/// categories; what follows `serve.` ([`stage_label`]) is the `stage` label
+/// of `melreq_serve_request_stage_duration_seconds` and the `<stage>_us`
+/// key of an access-log line. A request's stage durations are one
+/// [`StageTimes`] indexed like this list, in [`ReqTrace`] and
+/// [`Completion`] alike.
+const STAGES: [&str; 5] =
+    ["serve.parse", "serve.queue", "serve.execute", "serve.render", "serve.flush"];
+const PARSE: usize = 0;
+const QUEUE: usize = 1;
+const EXECUTE: usize = 2;
+const RENDER: usize = 3;
+const FLUSH: usize = 4;
+type StageTimes = [Duration; STAGES.len()];
+
+fn stage_label(stage: usize) -> &'static str {
+    &STAGES[stage]["serve.".len()..]
+}
+
+/// A live profiler span of `stage` for request `id`.
+fn stage_span(stage: usize, id: u64) -> melreq_prof::SpanGuard {
+    let mut sp = melreq_prof::span(STAGES[stage], || format!("{} #{id}", stage_label(stage)));
+    sp.arg("id", id);
+    sp
+}
+
+/// A finished profiler span of `stage` for request `id`, `took` long.
+fn stage_record(stage: usize, id: u64, from: Instant, took: Duration) {
+    let start_ns = melreq_prof::ns_of(from);
+    let end_ns = start_ns.saturating_add(u64::try_from(took.as_nanos()).unwrap_or(u64::MAX));
+    let name = || format!("{} #{id}", stage_label(stage));
+    melreq_prof::record(STAGES[stage], name, start_ns, end_ns, &[("id", id)]);
+}
+
+/// Every endpoint: its method, its path and its `endpoint` label in
+/// `melreq_requests_total` (registered, so rendered, in this order).
+/// `dispatch` routes by it; a path listed here under another method is a
+/// 405, a path not listed a 404.
+const ENDPOINTS: [(&str, &str, &str); 7] = [
+    ("POST", "/run", "run"),
+    ("POST", "/compare", "compare"),
+    ("GET", "/healthz", "healthz"),
+    ("GET", "/metrics", "metrics"),
+    ("POST", "/shutdown", "shutdown"),
+    ("GET", "/buildinfo", "buildinfo"),
+    ("GET", "/policies", "policies"),
+];
 
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
@@ -144,22 +189,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Which endpoint a queued job came from (metrics label).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Endpoint {
-    Run,
-    Compare,
-}
-
-impl Endpoint {
-    fn as_str(self) -> &'static str {
-        match self {
-            Endpoint::Run => "run",
-            Endpoint::Compare => "compare",
-        }
-    }
-}
-
 /// One admitted simulation, owned by the worker pool. The connection is
 /// referenced by token only — the event loop keeps the socket.
 struct Job {
@@ -177,9 +206,10 @@ struct Job {
 }
 
 /// A finished job (or error), handed from a worker back to the event
-/// loop for delivery. Stage durations ride along so the loop can merge
-/// them into the connection's request trace; coalesced followers carry
-/// zeros (they did no work of their own).
+/// loop for delivery. The worker's stage durations ride along so the loop
+/// can add them to the connection's request trace; followers coalesced
+/// onto a successful run carry zeros (they did no work of their own).
+#[derive(Clone)]
 struct Completion {
     token: u64,
     status: u16,
@@ -187,14 +217,13 @@ struct Completion {
     /// Cache disposition for the access log ("cold"/"warm"/"partial",
     /// "coalesced", or "none" on errors).
     cache: &'static str,
-    queue: Duration,
-    execute: Duration,
-    render: Duration,
+    stages: StageTimes,
 }
 
 struct Metrics {
     registry: Registry,
-    requests: Vec<(&'static str, Arc<Counter>)>,
+    /// Indexed like [`ENDPOINTS`].
+    requests: Vec<Arc<Counter>>,
     responses: Vec<(u16, Arc<Counter>)>,
     rejected: Arc<Counter>,
     timeouts: Arc<Counter>,
@@ -210,23 +239,22 @@ struct Metrics {
     coalesced: Arc<Counter>,
     worker_panics: Arc<Counter>,
     request_duration: Arc<Histogram>,
-    stage_durations: Vec<(&'static str, Arc<Histogram>)>,
+    /// Indexed like [`STAGES`].
+    stage_durations: Vec<Arc<Histogram>>,
 }
 
 impl Metrics {
     fn new() -> Self {
         let registry = Registry::new();
-        let requests =
-            ["run", "compare", "healthz", "metrics", "shutdown", "buildinfo", "policies"]
-                .into_iter()
-                .map(|ep| {
-                    let c = registry.counter(
-                        &format!("melreq_requests_total{{endpoint=\"{ep}\"}}"),
-                        "Requests received, by endpoint.",
-                    );
-                    (ep, c)
-                })
-                .collect();
+        let requests = ENDPOINTS
+            .iter()
+            .map(|(_, _, ep)| {
+                registry.counter(
+                    &format!("melreq_requests_total{{endpoint=\"{ep}\"}}"),
+                    "Requests received, by endpoint.",
+                )
+            })
+            .collect();
         let responses = [200u16, 400, 404, 405, 429, 500, 504]
             .into_iter()
             .map(|code| {
@@ -280,15 +308,14 @@ impl Metrics {
             "End-to-end simulation request latency: parse start to final flush.",
             &LATENCY_BUCKETS,
         );
-        let stage_durations = STAGES
-            .into_iter()
-            .map(|stage| {
-                let h = registry.histogram(
+        let stage_durations = (0..STAGES.len())
+            .map(|i| {
+                let stage = stage_label(i);
+                registry.histogram(
                     &format!("melreq_serve_request_stage_duration_seconds{{stage=\"{stage}\"}}"),
                     "Simulation request latency by lifecycle stage.",
                     &LATENCY_BUCKETS,
-                );
-                (stage, h)
+                )
             })
             .collect();
         Metrics {
@@ -310,18 +337,6 @@ impl Metrics {
             worker_panics,
             request_duration,
             stage_durations,
-        }
-    }
-
-    fn observe_stage(&self, stage: &str, d: Duration) {
-        if let Some((_, h)) = self.stage_durations.iter().find(|(s, _)| *s == stage) {
-            h.observe(d.as_secs_f64());
-        }
-    }
-
-    fn count_request(&self, endpoint: &str) {
-        if let Some((_, c)) = self.requests.iter().find(|(ep, _)| *ep == endpoint) {
-            c.inc();
         }
     }
 
@@ -560,16 +575,9 @@ pub fn serve_forever(cfg: ServeConfig) -> Result<String, MelreqError> {
     );
     handle.join();
     if let Some(path) = &cfg.prof_out {
-        melreq_prof::disable();
-        let profile = melreq_prof::drain();
-        let summary = melreq_prof::summarize(&profile, 10);
-        let trace = melreq_obs::export_host_profile(
-            &profile,
-            "melreq serve",
-            &[("summary", summary.render_json()), ("buildinfo", buildinfo_json(&cfg))],
-        );
-        std::fs::write(path, trace)
-            .map_err(|e| MelreqError::Io(format!("write profile {}: {e}", path.display())))?;
+        let summary =
+            melreq_obs::finish_host_profile(path, "melreq serve", buildinfo_json(&cfg))
+                .map_err(|e| MelreqError::Io(format!("write profile {}: {e}", path.display())))?;
         return Ok(format!(
             "{}\nhost profile written to {}\nmelreq-serve drained cleanly",
             summary.render_text(),
@@ -653,10 +661,7 @@ struct ReqTrace {
     endpoint: &'static str,
     /// When parsing of this request began (the request's time zero).
     start: Instant,
-    parse: Duration,
-    queue: Duration,
-    execute: Duration,
-    render: Duration,
+    stages: StageTimes,
     /// Cache disposition ("response" for cache hits, worker-reported
     /// otherwise; "none" until known).
     cache: &'static str,
@@ -667,18 +672,9 @@ struct ReqTrace {
 
 impl ReqTrace {
     fn new(id: u64, endpoint: &'static str, start: Instant, parse: Duration) -> Self {
-        ReqTrace {
-            id,
-            endpoint,
-            start,
-            parse,
-            queue: Duration::ZERO,
-            execute: Duration::ZERO,
-            render: Duration::ZERO,
-            cache: "none",
-            status: 0,
-            sent_at: None,
-        }
+        let mut stages = StageTimes::default();
+        stages[PARSE] = parse;
+        ReqTrace { id, endpoint, start, stages, cache: "none", status: 0, sent_at: None }
     }
 }
 
@@ -888,73 +884,59 @@ impl EventLoop {
         parse: Duration,
     ) {
         let shared = self.shared.clone();
-        match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => {
-                shared.metrics.count_request("healthz");
+        let Some(at) = ENDPOINTS.iter().position(|(_, path, _)| *path == request.path) else {
+            let body = error_body(404, "usage", &format!("unknown endpoint '{}'", request.path));
+            return self.send(token, 404, "application/json", &[], &body);
+        };
+        let (method, _, endpoint) = ENDPOINTS[at];
+        if request.method != method {
+            let body = error_body(405, "usage", "method not allowed");
+            return self.send(token, 405, "application/json", &[], &body);
+        }
+        shared.metrics.requests[at].inc();
+        match endpoint {
+            "healthz" => {
                 let body = format!(
                     "{{\"status\":\"ok\",\"schema_version\":{SCHEMA_VERSION},\"queue_depth\":{}}}",
                     shared.queue.lock().expect("queue poisoned").len()
                 );
                 self.send(token, 200, "application/json", &[], &body);
             }
-            ("GET", "/metrics") => {
-                shared.metrics.count_request("metrics");
+            "metrics" => {
                 let body = shared.metrics.registry.render();
                 self.send(token, 200, "text/plain; version=0.0.4", &[], &body);
             }
-            ("POST", "/shutdown") => {
-                shared.metrics.count_request("shutdown");
+            "shutdown" => {
                 shared.draining.store(true, Ordering::SeqCst);
                 self.send(token, 200, "application/json", &[], "{\"status\":\"draining\"}");
                 self.begin_drain();
             }
-            ("GET", "/buildinfo") => {
-                shared.metrics.count_request("buildinfo");
+            "buildinfo" => {
                 let body = buildinfo_json(&shared.cfg);
                 self.send(token, 200, "application/json", &[], &body);
             }
-            ("GET", "/policies") => {
-                shared.metrics.count_request("policies");
+            "policies" => {
                 let body = format!(
                     "{{\"schema_version\":{SCHEMA_VERSION},\"policies\":{}}}",
                     melreq_core::api::registry_json()
                 );
                 self.send(token, 200, "application/json", &[], &body);
             }
-            ("POST", path @ ("/run" | "/compare")) => {
-                let endpoint = if path == "/run" { Endpoint::Run } else { Endpoint::Compare };
-                shared.metrics.count_request(endpoint.as_str());
+            _ => {
                 let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
                 // Replacing a not-yet-finalized trace (possible only
                 // when a pipelined response is still flushing) settles
                 // the old one now rather than losing it.
-                let prev = match self.conns.get_mut(&token) {
-                    Some(conn) => {
-                        conn.trace.replace(ReqTrace::new(id, endpoint.as_str(), started, parse))
-                    }
-                    None => None,
-                };
-                if let Some(t) = prev {
-                    if t.sent_at.is_some() {
-                        self.finalize_request(t);
-                    }
+                let prev = self.conns.get_mut(&token).and_then(|conn| {
+                    conn.trace.replace(ReqTrace::new(id, endpoint, started, parse))
+                });
+                if let Some(t) = prev.filter(|t| t.sent_at.is_some()) {
+                    self.finalize_request(t);
                 }
                 match parse_sim_request(&request.body, endpoint) {
                     Ok(req) => self.admit(token, id, req),
                     Err(e) => self.send_error(token, &e),
                 }
-            }
-            (
-                _,
-                "/healthz" | "/metrics" | "/buildinfo" | "/policies" | "/shutdown" | "/run"
-                | "/compare",
-            ) => {
-                let body = error_body(405, "usage", "method not allowed");
-                self.send(token, 405, "application/json", &[], &body);
-            }
-            (_, path) => {
-                let body = error_body(404, "usage", &format!("unknown endpoint '{path}'"));
-                self.send(token, 404, "application/json", &[], &body);
             }
         }
     }
@@ -1000,16 +982,7 @@ impl EventLoop {
         let mut queue = shared.queue.lock().expect("queue poisoned");
         if queue.len() >= shared.cfg.queue_cap || shared.draining.load(Ordering::SeqCst) {
             drop(queue);
-            shared.metrics.rejected.inc();
-            let err = MelreqError::Overload { retry_after_s: RETRY_AFTER_S };
-            let body = error_body(err.http_status(), kind(&err), &err.to_string());
-            self.send(
-                token,
-                err.http_status(),
-                "application/json",
-                &[("Retry-After", RETRY_AFTER_S.to_string())],
-                &body,
-            );
+            self.send_error(token, &MelreqError::Overload { retry_after_s: RETRY_AFTER_S });
             return;
         }
         // Publish the coalescing entry before the job becomes visible:
@@ -1040,9 +1013,9 @@ impl EventLoop {
                     conn.busy = false;
                     if let Some(t) = conn.trace.as_mut() {
                         t.cache = c.cache;
-                        t.queue = c.queue;
-                        t.execute = c.execute;
-                        t.render = c.render;
+                        for (mine, workers) in t.stages.iter_mut().zip(c.stages) {
+                            *mine += workers;
+                        }
                     }
                 }
                 self.send(c.token, c.status, "application/json", &[], &c.body);
@@ -1071,12 +1044,14 @@ impl EventLoop {
     }
 
     fn send_error(&mut self, token: u64, err: &MelreqError) {
-        if matches!(err, MelreqError::Timeout(_)) {
-            self.shared.metrics.timeouts.inc();
-        }
-        let status = err.http_status();
-        let body = error_body(status, kind(err), &err.to_string());
-        self.send(token, status, "application/json", &[], &body);
+        let (status, body) = error_response(err, &self.shared.metrics);
+        let retry_after = match err {
+            MelreqError::Overload { retry_after_s } => {
+                vec![("Retry-After", retry_after_s.to_string())]
+            }
+            _ => Vec::new(),
+        };
+        self.send(token, status, "application/json", &retry_after, &body);
     }
 
     /// Queue a response on the connection and flush what the socket
@@ -1184,59 +1159,38 @@ impl EventLoop {
     /// A traced request's response bytes are on the wire: observe the
     /// request and per-stage latency histograms, emit the profiler's
     /// lifecycle spans, and write the access-log line.
-    fn finalize_request(&mut self, t: ReqTrace) {
+    fn finalize_request(&mut self, mut t: ReqTrace) {
         let now = Instant::now();
         let sent_at = t.sent_at.unwrap_or(now);
-        let flush = now.duration_since(sent_at);
+        t.stages[FLUSH] = now.duration_since(sent_at);
         let total = now.duration_since(t.start);
         let m = &self.shared.metrics;
         m.request_duration.observe(total.as_secs_f64());
-        m.observe_stage("parse", t.parse);
-        m.observe_stage("queue", t.queue);
-        m.observe_stage("execute", t.execute);
-        m.observe_stage("render", t.render);
-        m.observe_stage("flush", flush);
+        for (histogram, took) in m.stage_durations.iter().zip(t.stages) {
+            histogram.observe(took.as_secs_f64());
+        }
         if melreq_prof::enabled() {
-            let start_ns = melreq_prof::ns_of(t.start);
-            let end_ns = melreq_prof::ns_of(now);
-            melreq_prof::record(
-                "serve.parse",
-                || format!("parse #{}", t.id),
-                start_ns,
-                start_ns.saturating_add(dur_ns(t.parse)),
-                &[("id", t.id)],
-            );
-            melreq_prof::record(
-                "serve.flush",
-                || format!("flush #{}", t.id),
-                melreq_prof::ns_of(sent_at),
-                end_ns,
-                &[("id", t.id)],
-            );
+            // The two stages this thread timed itself; a worker recorded
+            // the other three on its own track.
+            stage_record(PARSE, t.id, t.start, t.stages[PARSE]);
+            stage_record(FLUSH, t.id, sent_at, t.stages[FLUSH]);
             melreq_prof::record(
                 "serve.request",
                 || format!("{} #{}", t.endpoint, t.id),
-                start_ns,
-                end_ns,
+                melreq_prof::ns_of(t.start),
+                melreq_prof::ns_of(now),
                 &[("id", t.id), ("status", u64::from(t.status))],
             );
         }
         if let Some(log) = self.access_log.as_mut() {
-            let line = format!(
-                "{{\"id\":{},\"endpoint\":\"{}\",\"status\":{},\"cache\":\"{}\",\
-                 \"parse_us\":{},\"queue_us\":{},\"execute_us\":{},\"render_us\":{},\
-                 \"flush_us\":{},\"total_us\":{}}}\n",
-                t.id,
-                t.endpoint,
-                t.status,
-                t.cache,
-                t.parse.as_micros(),
-                t.queue.as_micros(),
-                t.execute.as_micros(),
-                t.render.as_micros(),
-                flush.as_micros(),
-                total.as_micros(),
+            let mut line = format!(
+                "{{\"id\":{},\"endpoint\":\"{}\",\"status\":{},\"cache\":\"{}\"",
+                t.id, t.endpoint, t.status, t.cache
             );
+            for (stage, took) in t.stages.into_iter().enumerate() {
+                let _ = write!(line, ",\"{}_us\":{}", stage_label(stage), took.as_micros());
+            }
+            let _ = writeln!(line, ",\"total_us\":{}}}", total.as_micros());
             let _ = log.write_all(line.as_bytes());
         }
     }
@@ -1259,20 +1213,15 @@ impl EventLoop {
     }
 }
 
-fn parse_sim_request(body: &str, endpoint: Endpoint) -> Result<SimRequest, MelreqError> {
+fn parse_sim_request(body: &str, endpoint: &str) -> Result<SimRequest, MelreqError> {
     let req = SimRequest::from_json(body)?;
-    if endpoint == Endpoint::Run && req.policies.len() != 1 {
+    if endpoint == "run" && req.policies.len() != 1 {
         return Err(MelreqError::Usage(format!(
             "/run takes exactly one policy (got {}); POST policy sets to /compare",
             req.policies.len()
         )));
     }
     Ok(req)
-}
-
-/// Nanoseconds in `d`, saturating (a span arg / duration cast helper).
-fn dur_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn worker_loop(shared: &Arc<Shared>, idx: usize) {
@@ -1315,17 +1264,9 @@ fn execute_job(
     run: impl FnOnce(&SimRequest, &RunControl) -> Result<SimReport, MelreqError>,
 ) {
     let Job { token, id, key, req, deadline, queued_at } = job;
-    let picked = Instant::now();
-    let queue_wait = picked.duration_since(queued_at);
-    melreq_prof::record(
-        "serve.queue",
-        || format!("queue #{id}"),
-        melreq_prof::ns_of(queued_at),
-        melreq_prof::ns_of(picked),
-        &[("id", id)],
-    );
-    let mut execute = Duration::ZERO;
-    let mut render = Duration::ZERO;
+    let mut stages = StageTimes::default();
+    stages[QUEUE] = queued_at.elapsed();
+    stage_record(QUEUE, id, queued_at, stages[QUEUE]);
     // A deadline that expired while the job sat in the queue is still a
     // timeout — the simulation is simply never started.
     let outcome: Result<(Arc<String>, &'static str), MelreqError> =
@@ -1341,8 +1282,7 @@ fn execute_job(
             };
             let exec_started = Instant::now();
             let ran = {
-                let mut sp = melreq_prof::span("serve.execute", || format!("execute #{id}"));
-                sp.arg("id", id);
+                let _sp = stage_span(EXECUTE, id);
                 catch_unwind(AssertUnwindSafe(|| run(&req, &ctl))).unwrap_or_else(|payload| {
                     shared.metrics.worker_panics.inc();
                     let what = payload
@@ -1353,13 +1293,10 @@ fn execute_job(
                     Err(MelreqError::Divergence(format!("request #{id} panicked: {what}")))
                 })
             };
-            execute = exec_started.elapsed();
+            stages[EXECUTE] = exec_started.elapsed();
             ran.map(|report| {
-                let mut cycles = 0u64;
-                for p in &report.policies {
-                    cycles = cycles.saturating_add(p.sim_cycles);
-                }
-                shared.metrics.sim_cycles.add(cycles);
+                let cycles = report.policies.iter().map(|p| p.result.sim_cycles);
+                shared.metrics.sim_cycles.add(cycles.fold(0, u64::saturating_add));
                 shared.metrics.simulations.inc();
                 let cache_status = if report.all_warm() {
                     "warm"
@@ -1370,11 +1307,10 @@ fn execute_job(
                 };
                 let render_started = Instant::now();
                 let report_json = {
-                    let mut sp = melreq_prof::span("serve.render", || format!("render #{id}"));
-                    sp.arg("id", id);
+                    let _sp = stage_span(RENDER, id);
                     Arc::new(report.to_json())
                 };
-                render = render_started.elapsed();
+                stages[RENDER] = render_started.elapsed();
                 if shared.cfg.response_cache > 0 {
                     let evicted = shared
                         .response_cache
@@ -1395,52 +1331,28 @@ fn execute_job(
     let waiters =
         shared.coalesce.lock().expect("coalesce poisoned").remove(&key).unwrap_or_default();
 
-    let mut batch = Vec::with_capacity(1 + waiters.len());
-    match &outcome {
+    let (status, body, cache) = match &outcome {
         Ok((report_json, cache_status)) => {
-            batch.push(Completion {
-                token,
-                status: 200,
-                body: envelope(report_json, cache_status, shared),
-                cache: cache_status,
-                queue: queue_wait,
-                execute,
-                render,
-            });
-            if !waiters.is_empty() {
-                shared.metrics.coalesced.add(waiters.len() as u64);
-                let body = envelope(report_json, "coalesced", shared);
-                for w in waiters {
-                    batch.push(Completion {
-                        token: w,
-                        status: 200,
-                        body: body.clone(),
-                        cache: "coalesced",
-                        queue: Duration::ZERO,
-                        execute: Duration::ZERO,
-                        render: Duration::ZERO,
-                    });
-                }
-            }
+            (200, envelope(report_json, cache_status, shared), *cache_status)
         }
         Err(err) => {
-            if matches!(err, MelreqError::Timeout(_)) {
-                shared.metrics.timeouts.inc();
-            }
-            let status = err.http_status();
-            let body = error_body(status, kind(err), &err.to_string());
-            for t in std::iter::once(token).chain(waiters) {
-                batch.push(Completion {
-                    token: t,
-                    status,
-                    body: body.clone(),
-                    cache: "none",
-                    queue: queue_wait,
-                    execute,
-                    render: Duration::ZERO,
-                });
-            }
+            let (status, body) = error_response(err, &shared.metrics);
+            (status, body, "none")
         }
+    };
+    let mut batch = vec![Completion { token, status, body, cache, stages }];
+    if !waiters.is_empty() {
+        // A follower of a failed run is told what its leader is told; a
+        // follower of a successful one gets the same report bytes, marked
+        // coalesced, with no stage time of its own.
+        let mut follower = batch[0].clone();
+        if let Ok((report_json, _)) = &outcome {
+            shared.metrics.coalesced.add(waiters.len() as u64);
+            follower.body = envelope(report_json, "coalesced", shared);
+            follower.cache = "coalesced";
+            follower.stages = StageTimes::default();
+        }
+        batch.extend(waiters.into_iter().map(|token| Completion { token, ..follower.clone() }));
     }
     shared.completions.lock().expect("completions poisoned").extend(batch);
     shared.jobs_outstanding.fetch_sub(1, Ordering::SeqCst);
@@ -1464,15 +1376,17 @@ fn envelope(report_json: &str, cache: &str, shared: &Shared) -> String {
     format!("{{\"cache\":\"{cache}\",\"store\":{store},\"report\":{report_json}}}")
 }
 
-fn kind(err: &MelreqError) -> &'static str {
+/// The status and body that answer a failed request, and the only place
+/// such a failure is counted: `melreq_timeouts_total`,
+/// `melreq_rejected_total`.
+fn error_response(err: &MelreqError, metrics: &Metrics) -> (u16, String) {
     match err {
-        MelreqError::Usage(_) => "usage",
-        MelreqError::Io(_) => "io",
-        MelreqError::Divergence(_) => "divergence",
-        MelreqError::Overload { .. } => "overload",
-        MelreqError::Timeout(_) => "timeout",
-        MelreqError::Analysis(_) => "analysis",
+        MelreqError::Timeout(_) => metrics.timeouts.inc(),
+        MelreqError::Overload { .. } => metrics.rejected.inc(),
+        _ => {}
     }
+    let status = err.http_status();
+    (status, error_body(status, err.kind(), &err.to_string()))
 }
 
 fn error_body(status: u16, kind: &str, message: &str) -> String {

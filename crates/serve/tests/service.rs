@@ -8,6 +8,7 @@
 //! (`/shutdown`, `ServerHandle::shutdown`) cover the same code the
 //! signal handler flips.
 
+use melreq_core::api::json::Json;
 use melreq_core::api::{PolicyKind, SimRequest, SCHEMA_VERSION};
 use melreq_core::experiment::ExperimentOptions;
 use melreq_serve::{http, split_envelope, start, ServeConfig, ServerHandle};
@@ -612,6 +613,31 @@ fn metrics_text_format_is_prometheus_conformant() {
         }
     }
 
+    // The families, and what each says it counts, are the scrape
+    // contract: exactly these names with exactly this help text.
+    let mut help: Vec<&str> = text.lines().filter_map(|l| l.strip_prefix("# HELP ")).collect();
+    help.sort_unstable();
+    let expected = [
+        "melreq_connections_total Connections accepted since start.",
+        "melreq_inflight_requests Simulation requests admitted (queued, running, or coalesced) and not yet answered.",
+        "melreq_open_connections Connections currently held by the event loop.",
+        "melreq_queue_depth Jobs waiting in the bounded queue.",
+        "melreq_rejected_total Requests rejected by queue backpressure (429).",
+        "melreq_requests_total Requests received, by endpoint.",
+        "melreq_responses_total Responses sent, by status code.",
+        "melreq_serve_cache_evictions_total Entries evicted from the response cache (LRU, bounded capacity).",
+        "melreq_serve_cache_hits_total Requests answered from the response cache.",
+        "melreq_serve_cache_misses_total Cache-enabled requests that missed the response cache.",
+        "melreq_serve_coalesced_total Requests coalesced onto an identical in-flight simulation.",
+        "melreq_serve_request_duration_seconds End-to-end simulation request latency: parse start to final flush.",
+        "melreq_serve_request_stage_duration_seconds Simulation request latency by lifecycle stage.",
+        "melreq_serve_worker_panics_total Simulations that panicked; each answered 500 and the worker carried on.",
+        "melreq_sim_cycles_total Simulated cycles executed on behalf of requests.",
+        "melreq_simulations_total Simulations actually executed by the worker pool (cached and coalesced requests excluded).",
+        "melreq_timeouts_total Requests that exceeded their wall-clock deadline.",
+    ];
+    assert_eq!(help, expected, "a storeless server's `# HELP` lines, sorted");
+
     // The request-latency histograms exist and are well-formed: the
     // total and one series per lifecycle stage.
     assert!(
@@ -699,21 +725,22 @@ fn access_log_appends_one_structured_line_per_request() {
     let text = std::fs::read_to_string(&log).expect("access log written");
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 2, "one line per simulation request:\n{text}");
-    for line in &lines {
-        for needle in [
-            "\"id\":",
-            "\"endpoint\":\"run\"",
-            "\"status\":200",
-            "\"cache\":\"",
-            "\"parse_us\":",
-            "\"queue_us\":",
-            "\"execute_us\":",
-            "\"render_us\":",
-            "\"flush_us\":",
-            "\"total_us\":",
-        ] {
-            assert!(line.contains(needle), "access-log line must carry {needle}: {line}");
-        }
+    for (line, id) in lines.iter().zip(1u64..) {
+        // Exactly these ten keys, in this order: consumers cut columns.
+        let parsed = Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let keys: Vec<&str> =
+            parsed.as_obj().expect("an object").iter().map(|(k, _)| &**k).collect();
+        assert_eq!(
+            keys.join(" "),
+            "id endpoint status cache parse_us queue_us execute_us render_us flush_us total_us",
+            "{line}"
+        );
+        let field = |key| parsed.get(key).unwrap_or_else(|| panic!("{key}: {line}"));
+        assert_eq!(field("id").as_u64(), Some(id), "{line}");
+        assert_eq!(field("endpoint").as_str(), Some("run"), "{line}");
+        assert_eq!(field("status").as_u64(), Some(200), "{line}");
+        assert_eq!(field("cache").as_str(), Some("cold"), "{line}");
+        assert!(field("execute_us").as_u64() > Some(0), "a simulation takes time: {line}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -37,11 +37,6 @@ impl PhasedStream {
     pub fn current_phase(&self) -> usize {
         self.current
     }
-
-    /// Number of phases.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
 }
 
 impl InstrStream for PhasedStream {

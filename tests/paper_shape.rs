@@ -6,9 +6,9 @@
 //! flakiness — only a fixed answer that must not silently change).
 
 use melreq::core::profile::profile_app;
-use melreq::experiment::{compare_policies, ExperimentOptions, ProfileCache};
+use melreq::experiment::{run_mix_group, ExperimentOptions, MixResult, ProfileCache, RunControl};
 use melreq::workloads::{app_by_code, mix_by_name, spec2000, AppClass, SliceKind};
-use melreq::PolicyKind;
+use melreq::{Mix, PolicyKind};
 
 fn opts() -> ExperimentOptions {
     ExperimentOptions {
@@ -17,6 +17,17 @@ fn opts() -> ExperimentOptions {
         profile_instructions: 40_000,
         ..Default::default()
     }
+}
+
+/// `mix` under every policy of `policies` from one shared warm-up, in
+/// input order (policy 0 is the baseline).
+fn compare(
+    mix: &Mix,
+    policies: &[PolicyKind],
+    opts: &ExperimentOptions,
+    cache: &ProfileCache,
+) -> Vec<MixResult> {
+    run_mix_group(mix, policies, opts, cache, None, &RunControl::default())
 }
 
 #[test]
@@ -55,14 +66,14 @@ fn figure2_me_lreq_beats_baseline_on_4mem() {
     let o = ExperimentOptions { instructions: 100_000, warmup: 40_000, ..opts() };
     let (mut lreq, mut melreq) = (1.0, 1.0);
     for name in ["4MEM-1", "4MEM-6"] {
-        let cmp = compare_policies(
+        let cmp = compare(
             &mix_by_name(name),
             &[PolicyKind::HfRf, PolicyKind::Lreq, PolicyKind::MeLreq],
             &o,
             &cache,
         );
-        lreq *= cmp.speedup_over_baseline(1);
-        melreq *= cmp.speedup_over_baseline(2);
+        lreq *= cmp[1].smt_speedup / cmp[0].smt_speedup;
+        melreq *= cmp[2].smt_speedup / cmp[0].smt_speedup;
     }
     assert!(lreq.sqrt() > 1.0, "LREQ should beat HF-RF on average, got {}", lreq.sqrt());
     assert!(melreq.sqrt() > 1.0, "ME-LREQ should beat HF-RF on average, got {}", melreq.sqrt());
@@ -74,11 +85,11 @@ fn figure3_fixed_priorities_swing_wildly() {
     // outcomes on an asymmetric workload (the paper's Figure 3 point).
     let cache = ProfileCache::new();
     let mix = mix_by_name("4MEM-4");
-    let cmp = compare_policies(&mix, &PolicyKind::figure3_set(), &opts(), &cache);
-    let f3210 = &cmp.results[2];
-    let f0123 = &cmp.results[3];
+    let cmp = compare(&mix, &PolicyKind::figure3_set(), &opts(), &cache);
+    let f3210 = &cmp[2];
+    let f0123 = &cmp[3];
     // The favoured core differs, so the per-core slowdown patterns differ.
-    let sd = |r: &melreq::experiment::MixResult, i: usize| r.ipc_single[i] / r.ipc_multi[i];
+    let sd = |r: &MixResult, i: usize| r.ipc_single[i] / r.ipc_multi[i];
     assert!(
         sd(f3210, 0) > sd(f0123, 0),
         "core 0 must suffer more under FIX-3210: {} vs {}",
@@ -97,31 +108,27 @@ fn figure3_fixed_priorities_swing_wildly() {
 fn figure4_scheduling_affects_read_latency() {
     let cache = ProfileCache::new();
     let mix = mix_by_name("4MEM-5");
-    let cmp = compare_policies(
-        &mix,
-        &[PolicyKind::HfRf, PolicyKind::Me, PolicyKind::MeLreq],
-        &opts(),
-        &cache,
-    );
+    let cmp =
+        compare(&mix, &[PolicyKind::HfRf, PolicyKind::Me, PolicyKind::MeLreq], &opts(), &cache);
     // The fixed-priority ME scheme must produce a wider per-core latency
     // spread than the baseline (the starvation signature of Fig. 4 right).
-    let spread = |r: &melreq::experiment::MixResult| {
+    let spread = |r: &MixResult| {
         let max = r.read_latency.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let min = r.read_latency.iter().copied().fold(f64::INFINITY, f64::min);
         max / min
     };
     assert!(
-        spread(&cmp.results[1]) > spread(&cmp.results[0]),
+        spread(&cmp[1]) > spread(&cmp[0]),
         "ME must starve someone: spread {} vs baseline {}",
-        spread(&cmp.results[1]),
-        spread(&cmp.results[0])
+        spread(&cmp[1]),
+        spread(&cmp[0])
     );
     // And ME-LREQ must keep the spread below the fixed-priority scheme.
     assert!(
-        spread(&cmp.results[2]) < spread(&cmp.results[1]),
+        spread(&cmp[2]) < spread(&cmp[1]),
         "ME-LREQ must balance better than ME: {} vs {}",
-        spread(&cmp.results[2]),
-        spread(&cmp.results[1])
+        spread(&cmp[2]),
+        spread(&cmp[1])
     );
 }
 
@@ -129,11 +136,11 @@ fn figure4_scheduling_affects_read_latency() {
 fn figure5_me_is_less_fair_than_me_lreq() {
     let cache = ProfileCache::new();
     let mix = mix_by_name("4MEM-4");
-    let cmp = compare_policies(&mix, &[PolicyKind::Me, PolicyKind::MeLreq], &opts(), &cache);
+    let cmp = compare(&mix, &[PolicyKind::Me, PolicyKind::MeLreq], &opts(), &cache);
     assert!(
-        cmp.results[0].unfairness > cmp.results[1].unfairness,
+        cmp[0].unfairness > cmp[1].unfairness,
         "fixed ME priority must be less fair than ME-LREQ: {} vs {}",
-        cmp.results[0].unfairness,
-        cmp.results[1].unfairness
+        cmp[0].unfairness,
+        cmp[1].unfairness
     );
 }
