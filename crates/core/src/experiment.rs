@@ -41,7 +41,11 @@
 //! The runs of a group share one more thing: the instruction streams of
 //! their measured windows. From the boundary on, every run of a group of
 //! more than one reads its ops from one [`OpTape`] per core, so each op
-//! is generated once per group; a run on its own generates its own.
+//! is generated once per group; a run on its own generates its own —
+//! unless its store keeps boundaries resident
+//! ([`CheckpointStore::open_resident`], a server's) and this process has
+//! used the boundary before: then the group is every run of the process
+//! on that boundary, the second of which records what the rest replay.
 
 use crate::profile::{profile_app, AppProfile};
 use crate::store::CheckpointStore;
@@ -292,10 +296,32 @@ fn canonical_config(cores: usize) -> SystemConfig {
 }
 
 /// A freshly constructed canonical system for `mix` (evaluation-slice
-/// streams, flat ME profile, canonical warm-up policy).
+/// streams, flat ME profile, canonical warm-up policy), to simulate the
+/// warm-up from reset.
 fn canonical_system(mix: &Mix, opts: &ExperimentOptions) -> System {
     let cores = mix.cores();
     System::new(canonical_config(cores), mix.eval_streams(opts.eval_slice), &vec![1.0; cores])
+}
+
+/// `share`'s boundary restored into a canonical system built to receive
+/// it ([`System::for_restore`]) and armed with `ctl`, inside a
+/// `snapshot.decode` span named `what` that says whether the container
+/// was already in memory.
+fn restored_system(
+    share: &GroupShare,
+    ctl: &RunControl,
+    what: &str,
+    resident: bool,
+) -> Result<System, melreq_snap::SnapError> {
+    let (mix, cores) = (&share.mix, share.mix.cores());
+    let mut sp = melreq_prof::span("snapshot.decode", || format!("{what} {}", mix.name));
+    sp.arg("resident", u64::from(resident));
+    let streams = mix.eval_streams(share.eval_slice);
+    let mut sys = System::for_restore(canonical_config(cores), streams, &vec![1.0; cores]);
+    // Armed at cycle 0: the token is polled at the window's first step.
+    ctl.arm(&mut sys);
+    sys.restore(&share.snapshot)?;
+    Ok(sys)
 }
 
 /// The host clock, for the `wall` / `warm_wall` a [`MixResult`] reports.
@@ -307,18 +333,23 @@ fn host_clock() -> Instant {
 /// Run `run` on `sys` inside a `cat` span that carries, as args, the
 /// kernel work ([`crate::KernelCounters`]) the call did — what a
 /// `--profile` artifact needs to say why a warm-up or a policy window
-/// took the host time it did.
+/// took the host time it did — and `taped`, when its ops came off shared
+/// [`OpTape`]s, where `ops_fetched` counts ops nobody had to generate.
 fn kernel_span<T>(
     cat: &'static str,
     name: impl FnOnce() -> String,
     sys: &mut System,
     run: impl FnOnce(&mut System) -> T,
+    taped: bool,
 ) -> T {
     let mut sp = melreq_prof::span(cat, name);
     let before = sys.kernel_counters().fields();
     let out = run(sys);
     for ((key, after), (_, before)) in sys.kernel_counters().fields().into_iter().zip(before) {
         sp.arg(key, after - before);
+    }
+    if taped {
+        sp.arg("taped", 1);
     }
     out
 }
@@ -330,10 +361,13 @@ struct Boundary {
     /// Whether the state came from a checkpoint rather than being
     /// simulated here.
     from_checkpoint: bool,
-    /// `sys.snapshot()`, when reaching the boundary produced it anyway:
-    /// the stored container `sys` was restored from, or the one persisted
-    /// after simulating.
-    snapshot: Option<Sealed>,
+    /// `sys.snapshot()` as what the runs from this boundary can share,
+    /// when reaching the boundary produced it anyway: the stored container
+    /// `sys` was restored from, or the one persisted after simulating.
+    share: Option<Arc<GroupShare>>,
+    /// Whether `share` was resident in the store: this process has used
+    /// this boundary before.
+    reused: bool,
 }
 
 /// Reach the measurement boundary of `mix`: restore it from `store` or
@@ -349,8 +383,6 @@ fn boundary_system(
     ctl: &RunControl,
     attach: impl FnOnce(&mut System),
 ) -> Boundary {
-    let mut sys = canonical_system(mix, opts);
-    ctl.arm(&mut sys);
     let keyed_store = store.filter(|_| opts.warmup > 0).map(|st| {
         let key = CheckpointStore::warmup_key(
             &canonical_config(mix.cores()),
@@ -361,21 +393,18 @@ fn boundary_system(
         );
         (st, key)
     });
-    if let Some((st, key)) = keyed_store {
-        if let Some(stored) = st.load_warmup_sealed(key) {
-            let restored = {
-                let _sp = melreq_prof::span("snapshot.decode", || format!("warmup {}", mix.name));
-                sys.restore(&stored).is_ok()
-            };
-            if restored {
-                return Boundary { sys, from_checkpoint: true, snapshot: Some(stored) };
-            }
-            // Checksummed but structurally incompatible (should be
-            // unreachable given the versioned keys): re-simulate.
-            sys = canonical_system(mix, opts);
-            ctl.arm(&mut sys);
+    let stored = keyed_store
+        .and_then(|(st, key)| st.boundary(key, |stored| GroupShare::over(*mix, opts, stored)));
+    if let Some((share, reused)) = stored {
+        // A failure is a record that is checksummed but structurally
+        // incompatible (should be unreachable given the versioned keys):
+        // re-simulate, and replace it.
+        if let Ok(sys) = restored_system(&share, ctl, "warmup", reused) {
+            return Boundary { sys, from_checkpoint: true, share: Some(share), reused };
         }
     }
+    let mut sys = canonical_system(mix, opts);
+    ctl.arm(&mut sys);
     attach(&mut sys);
     sys.prepare_window(opts.warmup, opts.instructions);
     let reached = kernel_span(
@@ -383,76 +412,118 @@ fn boundary_system(
         || mix.name.to_string(),
         &mut sys,
         |sys| sys.run_to_boundary(ctl.limit(opts)),
+        false,
     );
-    let snapshot = keyed_store.filter(|_| reached).map(|(st, key)| {
+    let share = keyed_store.filter(|_| reached).map(|(st, key)| {
         let _sp = melreq_prof::span("snapshot.encode", || format!("warmup {}", mix.name));
         let snapshot = sys.snapshot_sealed();
         st.store_warmup(key, snapshot.as_bytes());
-        snapshot
+        let share = Arc::new(GroupShare::over(*mix, opts, snapshot));
+        st.retain(key, &share);
+        share
     });
-    Boundary { sys, from_checkpoint: false, snapshot }
+    Boundary { sys, from_checkpoint: false, share, reused: false }
 }
 
-/// What the runs of one (mix, options) group share instead of each
+impl Boundary {
+    /// Point `sys` at the op tapes of its boundary's share, if `runs` runs
+    /// from it are to read tapes: a group of more than one always, and
+    /// any run from the second use of a boundary a store keeps resident —
+    /// which records what the third and later replay, while a boundary
+    /// used once never pays for a recording.
+    fn taped(
+        &mut self,
+        mix: &Mix,
+        opts: &ExperimentOptions,
+        runs: usize,
+    ) -> Option<Arc<GroupShare>> {
+        if runs < 2 && !self.reused {
+            return None;
+        }
+        let share = self.share.take().unwrap_or_else(|| {
+            let _sp = melreq_prof::span("snapshot.encode", || format!("fork {}", mix.name));
+            Arc::new(GroupShare::over(*mix, opts, self.sys.snapshot_sealed()))
+        });
+        share.tape(&mut self.sys);
+        Some(share)
+    }
+}
+
+/// What the runs from one (mix, options) boundary share instead of each
 /// making its own: the boundary snapshot every fork restores, and one op
 /// tape per core, starting at the boundary, that every run reads its
 /// instructions from — so each op of the measured windows is generated
-/// once per group, by whichever run needs it first.
-struct GroupShare {
+/// once, by whichever run needs it first. The runs are those of one group,
+/// or, as an entry of a resident [`CheckpointStore`], every run of the
+/// process until the entry is evicted.
+#[derive(Debug)]
+pub(crate) struct GroupShare {
     mix: Mix,
-    snapshot: Sealed,
-    tapes: Vec<Arc<OpTape>>,
-    /// Profiler clock at the boundary, for the `tape` span.
+    eval_slice: u32,
+    pub(crate) snapshot: Sealed,
+    /// Made by the first run that reads tapes ([`GroupShare::tape`]).
+    tapes: OnceLock<Tapes>,
+}
+
+#[derive(Debug)]
+struct Tapes {
+    per_core: Vec<Arc<OpTape>>,
+    /// Profiler clock when they were made, for the `tape` span.
     since_ns: u64,
 }
 
 impl GroupShare {
-    /// Share the boundary `base` stands at among the runs of its group:
-    /// `base`'s warmed streams become the tapes' generators and `base` a
-    /// reader of the tapes, like every fork. `snapshot` is
-    /// `base.snapshot()`, where reaching the boundary left one.
-    fn new(
-        mix: Mix,
-        opts: &ExperimentOptions,
-        base: &mut System,
-        snapshot: Option<Sealed>,
-    ) -> Self {
-        let snapshot = snapshot.unwrap_or_else(|| {
-            let _sp = melreq_prof::span("snapshot.encode", || format!("fork {}", mix.name));
-            base.snapshot_sealed()
-        });
-        debug_assert!(snapshot.as_bytes() == base.snapshot(), "stale boundary container");
-        let warmed = base.replace_streams(mix.eval_streams(opts.eval_slice));
-        let tapes = warmed.into_iter().map(OpTape::new).collect();
-        let share = GroupShare { mix, snapshot, tapes, since_ns: melreq_prof::now_ns() };
-        share.attach(base, opts);
-        share
+    /// A share of the boundary `snapshot` holds, with no tapes yet.
+    pub(crate) fn over(mix: Mix, opts: &ExperimentOptions, snapshot: Sealed) -> Self {
+        GroupShare { mix, eval_slice: opts.eval_slice, snapshot, tapes: OnceLock::new() }
     }
 
-    /// Point `sys`, which stands at the boundary, at the group's tapes.
-    fn attach(&self, sys: &mut System, opts: &ExperimentOptions) {
-        let readers = self
-            .tapes
+    /// Make `sys`, which stands at the boundary, a reader of the share's
+    /// tapes. The first caller's warmed streams become the tapes'
+    /// generators; every later caller's are dropped unread.
+    fn tape(&self, sys: &mut System) {
+        let streams = || self.mix.eval_streams(self.eval_slice);
+        let tapes = self.tapes.get_or_init(|| {
+            debug_assert!(self.snapshot.as_bytes() == sys.snapshot(), "stale boundary container");
+            let per_core = sys.replace_streams(streams()).into_iter().map(OpTape::new).collect();
+            Tapes { per_core, since_ns: melreq_prof::now_ns() }
+        });
+        let readers = tapes
+            .per_core
             .iter()
-            .zip(self.mix.eval_streams(opts.eval_slice))
+            .zip(streams())
             .map(|(tape, own)| {
                 Box::new(TapedStream::new(Arc::clone(tape), own)) as Box<dyn InstrStream + Send>
             })
             .collect();
         sys.replace_streams(readers);
     }
+
+    /// Container bytes plus what the tapes hold so far.
+    pub(crate) fn bytes(&self) -> usize {
+        let tapes = self.tapes.get().map_or(0, |t| t.per_core.iter().map(|t| t.size().1).sum());
+        self.snapshot.as_bytes().len() + tapes
+    }
+
+    /// Whether a run panicked while extending one of the tapes: reading
+    /// that tape again would panic again.
+    pub(crate) fn poisoned(&self) -> bool {
+        self.tapes.get().is_some_and(|t| t.per_core.iter().any(|t| t.is_poisoned()))
+    }
 }
 
 impl Drop for GroupShare {
-    /// The group's last run is over: say what its windows made the
-    /// generators produce (against the `ops_fetched` of its `policy`
-    /// spans) and what keeping it cost.
+    /// The last run that could read the tapes is over (the group's last, or
+    /// the store evicted the entry): say what the windows made the
+    /// generators produce (against the `ops_fetched` of the `policy` spans)
+    /// and what keeping it cost.
     fn drop(&mut self) {
-        let sizes: Vec<(u64, usize)> = self.tapes.iter().map(|t| t.size()).collect();
+        let Some(tapes) = self.tapes.get() else { return };
+        let sizes: Vec<(u64, usize)> = tapes.per_core.iter().map(|t| t.size()).collect();
         melreq_prof::record(
             "tape",
             || self.mix.name.to_string(),
-            self.since_ns,
+            tapes.since_ns,
             melreq_prof::now_ns(),
             &[
                 ("ops_generated", sizes.iter().map(|s| s.0).sum()),
@@ -518,7 +589,7 @@ impl Inputs {
 /// host began working on this window (before a fork's restore; after the
 /// warm-up otherwise) and `warm_wall` what reaching the boundary cost this
 /// run, so [`MixResult::wall`] and [`MixResult::warm_wall`] keep their
-/// meaning on every path.
+/// meaning on every path; `taped` says `sys` reads shared tapes.
 #[allow(clippy::too_many_arguments)]
 fn measure(
     sys: &mut System,
@@ -530,6 +601,7 @@ fn measure(
     started: Instant,
     warm_wall: Duration,
     warmup_from_checkpoint: bool,
+    taped: bool,
 ) -> MixResult {
     let Inputs { me, ipc_single } = inputs;
     match measured {
@@ -545,6 +617,7 @@ fn measure(
         || format!("{policy} {}", mix.name),
         sys,
         |sys| sys.run_window(ctl.limit(opts)),
+        taped,
     );
     let wall = started.elapsed();
     let fairness = FairnessReport::compute(&out.ipc, &ipc_single);
@@ -661,10 +734,22 @@ pub fn run_tapped(
     // Only a run nobody listens to may use a checkpoint (see `Taps`).
     let store = store.filter(|_| taps == Taps::default());
     let warm_started = host_clock();
-    let Boundary { mut sys, from_checkpoint, .. } = boundary_system(mix, opts, store, ctl, attach);
+    let mut boundary = boundary_system(mix, opts, store, ctl, attach);
+    let taped = boundary.taped(mix, opts, 1).is_some();
+    let Boundary { mut sys, from_checkpoint, .. } = boundary;
     let (warm_wall, started) = (warm_started.elapsed(), host_clock());
-    let result =
-        measure(&mut sys, mix, measured, inputs, opts, ctl, started, warm_wall, from_checkpoint);
+    let result = measure(
+        &mut sys,
+        mix,
+        measured,
+        inputs,
+        opts,
+        ctl,
+        started,
+        warm_wall,
+        from_checkpoint,
+        taped,
+    );
     if let Some(c) = &collector {
         c.lock().expect("obs collector poisoned").finish();
     }
@@ -860,10 +945,11 @@ fn warm_up_and_fork<'env>(
 ) {
     let inputs = Inputs::of(&mix, opts, cache);
     let warm_started = host_clock();
-    let Boundary { sys: mut base, from_checkpoint, snapshot } =
-        boundary_system(&mix, opts, store, ctl, |_| {});
+    let mut boundary = boundary_system(&mix, opts, store, ctl, |_| {});
     let total_runs: usize = consumers.iter().map(|c| c.policies.len()).sum();
-    let share = (total_runs > 1).then(|| Arc::new(GroupShare::new(mix, opts, &mut base, snapshot)));
+    let share = boundary.taped(&mix, opts, total_runs);
+    let Boundary { sys: mut base, from_checkpoint, .. } = boundary;
+    let taped = share.is_some();
     let warm_wall = warm_started.elapsed();
 
     // Fork every run but the first, then run the first on the warmed
@@ -879,25 +965,30 @@ fn warm_up_and_fork<'env>(
             let inputs = inputs.clone();
             ctx.fork(move |_ctx| {
                 let started = host_clock();
-                let mut sys = canonical_system(&mix, opts);
-                {
-                    let _sp = melreq_prof::span("snapshot.decode", || format!("fork {}", mix.name));
-                    sys.restore(&share.snapshot)
-                        .expect("boundary snapshot must restore into an identical fresh system");
-                }
-                share.attach(&mut sys, opts);
-                ctl.arm(&mut sys);
-                let kind = Measured::Kind(kind);
+                let mut sys = restored_system(&share, ctl, "fork", true)
+                    .expect("boundary snapshot must restore into an identical fresh system");
+                share.tape(&mut sys);
+                let (kind, zero) = (Measured::Kind(kind), Duration::ZERO);
                 let result =
-                    measure(&mut sys, &mix, kind, inputs, opts, ctl, started, Duration::ZERO, true);
+                    measure(&mut sys, &mix, kind, inputs, opts, ctl, started, zero, true, true);
                 *slot.lock().expect("result slot poisoned") = Some(result);
             });
         }
     }
     let (slot, kind) = first.expect("a group has at least one policy run");
     let (kind, started) = (Measured::Kind(kind), host_clock());
-    let result =
-        measure(&mut base, &mix, kind, inputs, opts, ctl, started, warm_wall, from_checkpoint);
+    let result = measure(
+        &mut base,
+        &mix,
+        kind,
+        inputs,
+        opts,
+        ctl,
+        started,
+        warm_wall,
+        from_checkpoint,
+        taped,
+    );
     *slot.lock().expect("result slot poisoned") = Some(result);
 }
 
@@ -961,9 +1052,147 @@ mod tests {
         }
     }
 
-    /// Everything a result says about the simulation, host times aside.
+    /// Everything a result says about the simulation: host times and how
+    /// the boundary was reached aside.
     fn simulated(r: &MixResult) -> String {
-        format!("{:?}", MixResult { wall: Duration::ZERO, warm_wall: Duration::ZERO, ..r.clone() })
+        let (wall, warm_wall) = (Duration::ZERO, Duration::ZERO);
+        format!("{:?}", MixResult { wall, warm_wall, warmup_from_checkpoint: false, ..r.clone() })
+    }
+
+    /// A store that keeps boundaries resident, as a server's does, over a
+    /// fresh directory, with the key of `mix`'s boundary in it.
+    fn resident_store(
+        tag: &str,
+        mix: &Mix,
+        opts: &ExperimentOptions,
+    ) -> (Arc<CheckpointStore>, u64) {
+        let dir =
+            std::env::temp_dir().join(format!("melreq-exp-{tag}-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let budget = Some(crate::store::RESIDENT_BYTE_BUDGET);
+        let store = Arc::new(CheckpointStore::with_budget(dir, budget).expect("store"));
+        let cfg = canonical_config(mix.cores());
+        let key = CheckpointStore::warmup_key(
+            &cfg,
+            mix.codes,
+            opts.eval_slice,
+            opts.warmup,
+            opts.instructions,
+        );
+        (store, key)
+    }
+
+    /// The share resident under `key`, which must be there.
+    fn resident_share(store: &CheckpointStore, key: u64) -> Arc<GroupShare> {
+        let (share, reused) = store.boundary(key, |_| unreachable!("resident")).expect("kept");
+        assert!(reused);
+        share
+    }
+
+    #[test]
+    fn runs_racing_the_first_reuse_of_a_boundary_share_one_set_of_tapes() {
+        let opts = ExperimentOptions::quick();
+        let mix = mix_by_name("2MIX-1");
+        let (store, key) = resident_store("race", &mix, &opts);
+        let cache = ProfileCache::with_store(store.clone());
+        let run = |kind: &PolicyKind| {
+            let (kind, ctl) = (Measured::Kind(kind), RunControl::default());
+            run_tapped(&mix, kind, &opts, &cache, Some(&store), &ctl, Taps::default()).0
+        };
+        // First use: simulated, stored and kept — untaped.
+        let first = run(&PolicyKind::HfRf);
+        assert!(!first.warmup_from_checkpoint);
+        assert!(resident_share(&store, key).tapes.get().is_none(), "one use records nothing");
+        // Second use, twice at once: whichever restores first makes the
+        // tapes, from its own warmed streams, and both read them.
+        let together = std::sync::Barrier::new(2);
+        let racer = |kind: &PolicyKind| {
+            together.wait();
+            run(kind)
+        };
+        let (me_lreq, lreq) = std::thread::scope(|s| {
+            let other = s.spawn(|| racer(&PolicyKind::MeLreq));
+            let lreq = racer(&PolicyKind::Lreq);
+            (other.join().expect("racing run"), lreq)
+        });
+        let fresh = ProfileCache::new();
+        for (raced, kind) in [(&me_lreq, PolicyKind::MeLreq), (&lreq, PolicyKind::Lreq)] {
+            assert!(raced.warmup_from_checkpoint);
+            let alone = run_mix(&mix, &kind, &opts, &fresh);
+            assert_eq!(simulated(raced), simulated(&alone), "{}", kind.name());
+        }
+        // One set of tapes, holding one window: a third use generates
+        // nothing the two have not.
+        let share = resident_share(&store, key);
+        let generated = |share: &GroupShare| -> u64 {
+            share.tapes.get().expect("taped").per_core.iter().map(|t| t.size().0).sum()
+        };
+        let before = generated(&share);
+        assert!(before > 0);
+        assert_eq!(simulated(&run(&PolicyKind::Lreq)), simulated(&lreq));
+        assert_eq!(generated(&share), before, "a replay generates nothing");
+        let st = store.stats();
+        assert_eq!((st.warmup_hits, st.warmup_misses, st.resident_hits), (5, 1, 5));
+        assert_eq!(st.resident_bytes as usize, share.bytes());
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// A generator that panics when asked for an op: what poisons a tape.
+    struct Broken;
+
+    impl InstrStream for Broken {
+        fn next_op(&mut self) -> melreq_trace::MicroOp {
+            panic!("generator bug")
+        }
+        fn label(&self) -> &str {
+            "broken"
+        }
+        fn save_state(&self, _: &mut melreq_snap::Enc) {}
+        fn load_state(
+            &mut self,
+            _: &mut melreq_snap::Dec<'_>,
+        ) -> Result<(), melreq_snap::SnapError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_boundary_whose_tape_a_panic_poisoned_is_dropped_for_the_disk_record() {
+        let opts = ExperimentOptions::quick();
+        let mix = mix_by_name("2MEM-2");
+        let (store, key) = resident_store("poison", &mix, &opts);
+        let cache = ProfileCache::with_store(store.clone());
+        let run = || {
+            let (kind, ctl) = (Measured::Kind(&PolicyKind::MeLreq), RunControl::default());
+            run_tapped(&mix, kind, &opts, &cache, Some(&store), &ctl, Taps::default()).0
+        };
+        let first = run();
+        // The entry as a run leaves it that panicked inside a tape's
+        // generator, under the tape's lock.
+        let container = resident_share(&store, key).snapshot.clone();
+        let share = GroupShare::over(mix, &opts, container);
+        let per_core: Vec<_> = (0..2).map(|_| OpTape::new(Box::new(Broken))).collect();
+        let reader = TapedStream::new(Arc::clone(&per_core[1]), Box::new(Broken));
+        let died = std::thread::spawn(move || {
+            let mut reader = reader;
+            reader.next_op()
+        });
+        assert!(died.join().is_err() && per_core[1].is_poisoned());
+        share.tapes.set(Tapes { per_core, since_ns: 0 }).expect("no tapes yet");
+        assert!(share.poisoned());
+        store.retain(key, &Arc::new(share));
+
+        let hits = store.stats();
+        let after = run();
+        assert_eq!(simulated(&after), simulated(&first));
+        assert!(after.warmup_from_checkpoint, "the disk record answered");
+        let st = store.stats();
+        assert_eq!(st.warmup_hits, hits.warmup_hits + 1);
+        assert_eq!(st.resident_hits, hits.resident_hits, "memory did not");
+        // And what it read is resident again, and healthy.
+        assert!(!resident_share(&store, key).poisoned());
+        assert_eq!(simulated(&run()), simulated(&first));
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     /// Swap-through-warm-up audits clean, and neither listener is heard by
@@ -1100,14 +1329,15 @@ mod tests {
         // What a store-hit group hands its forks is the stored container
         // itself, and that is the restored machine's own snapshot — with
         // plain streams and again once it reads the group's tapes.
-        let Boundary { mut sys, from_checkpoint, snapshot } =
-            boundary_system(&mix, &opts, Some(&store), &ctl, |_| {});
-        assert!(from_checkpoint);
-        let stored = snapshot.clone().expect("a store hit hands its container back");
-        assert!(stored.as_bytes() == sys.snapshot());
-        let share = GroupShare::new(mix, &opts, &mut sys, snapshot);
-        assert!(share.snapshot == stored && stored.as_bytes() == sys.snapshot());
-        drop(share);
+        let mut boundary = boundary_system(&mix, &opts, Some(&store), &ctl, |_| {});
+        assert!(boundary.from_checkpoint && !boundary.reused, "a plain store keeps nothing");
+        let stored = boundary.share.clone().expect("a store hit hands its container back");
+        assert!(stored.snapshot.as_bytes() == boundary.sys.snapshot());
+        assert!(boundary.taped(&mix, &opts, 1).is_none(), "a run on its own reads no tape");
+        let share = boundary.taped(&mix, &opts, 2).expect("a group shares");
+        assert!(Arc::ptr_eq(&share, &stored) && stored.tapes.get().is_some());
+        assert!(stored.snapshot.as_bytes() == boundary.sys.snapshot());
+        drop((share, stored));
 
         let (cache, store) = open();
         let warm = run_mix_group(&mix, &policies, &opts, &cache, Some(&store), &ctl);

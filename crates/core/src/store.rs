@@ -30,17 +30,39 @@
 //!
 //! Records are self-validating [`melreq_snap::seal`] containers; a file
 //! that fails its checksum (torn write, stale schema) is deleted and
-//! treated as a miss. Writes go through a process-unique temporary file
-//! plus `rename`, so concurrent invocations sharing a store directory
-//! never observe partial records.
+//! treated as a miss. Each write goes through a temporary file of its own
+//! plus `rename`, so concurrent writers — threads of one process or
+//! invocations sharing a store directory — never publish or observe a
+//! partial record.
+//!
+//! # Residency
+//!
+//! A store that outlives the requests it serves
+//! ([`CheckpointStore::open_resident`], the server's) also keeps the
+//! warm-up boundaries it has read or written in memory: the verified
+//! container, so its bytes are read and checksummed once per process, and
+//! — from a boundary's second use on — the op tapes its runs read their
+//! windows from, so the window is generated once per process too. The
+//! tier is an LRU over [`RESIDENT_BYTE_BUDGET`] bytes of containers and
+//! tapes. [`CheckpointStore::open`] has no such tier: a process that runs
+//! once and exits would only pay for filling it.
 
 use crate::config::SystemConfig;
+use crate::experiment::GroupShare;
 use crate::profile::AppProfile;
 use melreq_memctrl::policy::PolicyKind;
 use melreq_snap::Sealed;
 use melreq_workloads::{spec2000, SliceKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Bytes of containers and op tapes a resident store keeps: twice the
+/// largest share of a default-options `reproduce` (`8MIX-2`: 30.7 MB of
+/// tapes over a 1.5 MB container, 32.2 MB), so the widest boundary stays
+/// while another comes in, and some forty 2-core ones do (1.2 MB of
+/// container and 0.3 MB of tapes each under the quick options).
+pub const RESIDENT_BYTE_BUDGET: usize = 64 << 20;
 
 /// Hit/miss counters of one [`CheckpointStore`], split by record kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,6 +75,13 @@ pub struct StoreStats {
     pub profile_hits: u64,
     /// Application profiles that had to be simulated.
     pub profile_misses: u64,
+    /// Warm-up hits answered from memory (counted in `warmup_hits` too);
+    /// always 0 for a store without a resident tier.
+    pub resident_hits: u64,
+    /// Boundaries the resident tier dropped to stay within its budget.
+    pub resident_evictions: u64,
+    /// Container and tape bytes resident when the tier was last used.
+    pub resident_bytes: u64,
 }
 
 impl StoreStats {
@@ -78,11 +107,41 @@ pub struct CheckpointStore {
     warmup_misses: AtomicU64,
     profile_hits: AtomicU64,
     profile_misses: AtomicU64,
+    /// The memory tier of a store opened resident (module docs).
+    resident: Option<Mutex<Resident>>,
+    resident_hits: AtomicU64,
+    resident_evictions: AtomicU64,
+    resident_bytes: AtomicU64,
 }
 
+/// Boundaries kept in memory, least recently used first.
+#[derive(Debug)]
+struct Resident {
+    budget: usize,
+    entries: Vec<(u64, Arc<GroupShare>)>,
+}
+
+/// Distinguishes the temporary files of one process's writes.
+static WRITES: AtomicU64 = AtomicU64::new(0);
+
 impl CheckpointStore {
-    /// Open (creating if needed) a store rooted at `dir`.
+    /// Open (creating if needed) a store rooted at `dir`, for a process
+    /// that reaches each boundary in one call: nothing stays in memory.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+        Self::with_budget(dir, None)
+    }
+
+    /// [`CheckpointStore::open`] for a process that outlives its requests:
+    /// boundaries read or written stay resident (module docs).
+    pub fn open_resident(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+        Self::with_budget(dir, Some(RESIDENT_BYTE_BUDGET))
+    }
+
+    /// A store with a resident tier of `budget` bytes, or none.
+    pub(crate) fn with_budget(
+        dir: impl Into<PathBuf>,
+        budget: Option<usize>,
+    ) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(CheckpointStore {
@@ -91,6 +150,10 @@ impl CheckpointStore {
             warmup_misses: AtomicU64::new(0),
             profile_hits: AtomicU64::new(0),
             profile_misses: AtomicU64::new(0),
+            resident: budget.map(|budget| Mutex::new(Resident { budget, entries: Vec::new() })),
+            resident_hits: AtomicU64::new(0),
+            resident_evictions: AtomicU64::new(0),
+            resident_bytes: AtomicU64::new(0),
         })
     }
 
@@ -138,9 +201,11 @@ impl CheckpointStore {
         sealed.ok()
     }
 
-    /// Atomically publish one record (temp file + rename).
+    /// Atomically publish one record: a temp file no other write shares,
+    /// then `rename`.
     fn write_atomic(&self, kind: &str, key: u64, bytes: &[u8]) {
-        let tmp = self.dir.join(format!(".tmp-{}-{kind}-{key:016x}", std::process::id()));
+        let (pid, nth) = (std::process::id(), WRITES.fetch_add(1, Ordering::Relaxed));
+        let tmp = self.dir.join(format!(".tmp-{pid}-{nth}-{kind}-{key:016x}"));
         if std::fs::write(&tmp, bytes).is_ok()
             && std::fs::rename(&tmp, self.path(kind, key)).is_err()
         {
@@ -171,6 +236,87 @@ impl CheckpointStore {
     /// Persist a warm-up checkpoint.
     pub fn store_warmup(&self, key: u64, snapshot: &[u8]) {
         self.write_atomic("warmup", key, snapshot);
+    }
+
+    /// The boundary stored under `key`, as what its runs share, and
+    /// whether memory answered: a resident share, else the disk record
+    /// wrapped by `share` (and kept, by a resident store). Either way a
+    /// warm-up hit; `None` is a miss.
+    pub(crate) fn boundary(
+        &self,
+        key: u64,
+        share: impl FnOnce(Sealed) -> GroupShare,
+    ) -> Option<(Arc<GroupShare>, bool)> {
+        if let Some(kept) = self.resident_share(key) {
+            self.warmup_hits.fetch_add(1, Ordering::Relaxed);
+            self.resident_hits.fetch_add(1, Ordering::Relaxed);
+            return Some((kept, true));
+        }
+        let read = Arc::new(share(self.load_warmup_sealed(key)?));
+        self.retain(key, &read);
+        Some((read, false))
+    }
+
+    /// Keep `share` under `key`, in place of what was there, if this store
+    /// keeps anything.
+    pub(crate) fn retain(&self, key: u64, share: &Arc<GroupShare>) {
+        let Some(mut tier) = self.tier() else { return };
+        tier.entries.retain(|(k, _)| *k != key);
+        tier.entries.push((key, Arc::clone(share)));
+        self.settle(&mut tier);
+    }
+
+    /// The tier's lock. A thread that panicked under it may have left the
+    /// list half-updated: what it held is dropped and the disk answers.
+    fn tier(&self) -> Option<MutexGuard<'_, Resident>> {
+        let tier = self.resident.as_ref()?;
+        Some(tier.lock().unwrap_or_else(|poisoned| {
+            tier.clear_poison();
+            let mut guard = poisoned.into_inner();
+            guard.entries.clear();
+            guard
+        }))
+    }
+
+    /// The share resident under `key`, now the most recently used. One
+    /// whose tapes a panicking run poisoned is dropped instead: its
+    /// readers would panic in turn, and the disk record still answers.
+    fn resident_share(&self, key: u64) -> Option<Arc<GroupShare>> {
+        let mut tier = self.tier()?;
+        let at = tier.entries.iter().position(|(k, _)| *k == key)?;
+        let (_, share) = tier.entries.remove(at);
+        let usable = !share.poisoned();
+        if usable {
+            tier.entries.push((key, Arc::clone(&share)));
+        }
+        self.settle(&mut tier);
+        usable.then_some(share)
+    }
+
+    /// Drop what could never fit — a container over the budget, or an
+    /// entry whose tapes have outgrown it while it sat here — then evict
+    /// least recently used first down to the budget, and publish what stays.
+    fn settle(&self, tier: &mut Resident) {
+        let (budget, held) = (tier.budget, tier.entries.len());
+        let mut sizes = Vec::with_capacity(held);
+        tier.entries.retain(|(_, share)| {
+            let bytes = share.bytes();
+            let fits = bytes <= budget;
+            if fits {
+                sizes.push(bytes);
+            }
+            fits
+        });
+        let mut total: usize = sizes.iter().sum();
+        let mut lru = 0;
+        while total > budget {
+            total -= sizes[lru];
+            lru += 1;
+        }
+        tier.entries.drain(..lru);
+        let evicted = held - tier.entries.len();
+        self.resident_evictions.fetch_add(evicted as u64, Ordering::Relaxed);
+        self.resident_bytes.store(total as u64, Ordering::Relaxed);
     }
 
     /// Fetch an application profile.
@@ -212,6 +358,9 @@ impl CheckpointStore {
             warmup_misses: self.warmup_misses.load(Ordering::Relaxed),
             profile_hits: self.profile_hits.load(Ordering::Relaxed),
             profile_misses: self.profile_misses.load(Ordering::Relaxed),
+            resident_hits: self.resident_hits.load(Ordering::Relaxed),
+            resident_evictions: self.resident_evictions.load(Ordering::Relaxed),
+            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -220,11 +369,36 @@ impl CheckpointStore {
 mod tests {
     use super::*;
 
-    fn tmp_store(tag: &str) -> CheckpointStore {
+    fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("melreq-store-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        CheckpointStore::open(dir).expect("store dir")
+        dir
+    }
+
+    fn tmp_store(tag: &str) -> CheckpointStore {
+        CheckpointStore::open(tmp_dir(tag)).expect("store dir")
+    }
+
+    /// A plain store and one that keeps `budget` bytes resident.
+    fn both_forms(tag: &str, budget: usize) -> [CheckpointStore; 2] {
+        let plain = tmp_store(&format!("{tag}-plain"));
+        let dir = tmp_dir(&format!("{tag}-resident"));
+        [plain, CheckpointStore::with_budget(dir, Some(budget)).expect("store dir")]
+    }
+
+    /// What a run wraps a container it read in.
+    fn share(stored: Sealed) -> GroupShare {
+        let mix = melreq_workloads::mix_by_name("2MEM-1");
+        GroupShare::over(mix, &crate::experiment::ExperimentOptions::quick(), stored)
+    }
+
+    /// `store.boundary(key)`: the container's bytes and whether memory
+    /// answered.
+    fn boundary(store: &CheckpointStore, key: u64) -> Option<(Vec<u8>, bool)> {
+        store
+            .boundary(key, share)
+            .map(|(share, reused)| (share.snapshot.as_bytes().to_vec(), reused))
     }
 
     #[test]
@@ -256,7 +430,6 @@ mod tests {
 
     #[test]
     fn corrupt_record_is_a_miss_and_removed() {
-        let s = tmp_store("corrupt");
         let key = 0xbad;
         let good = melreq_snap::seal(b"checkpoint");
         let flipped = {
@@ -266,26 +439,129 @@ mod tests {
         };
         // A flipped bit, a torn tail, less than a header, nothing at all.
         let damaged = [&flipped[..], &good[..good.len() - 1], &good[..10], &[]];
-        for kind in ["warmup", "profile"] {
-            let path = s.dir().join(format!("{kind}-{key:016x}.bin"));
-            for bytes in damaged {
-                std::fs::write(&path, bytes).unwrap();
-                let missed = match kind {
-                    "warmup" => s.load_warmup_sealed(key).is_none(),
-                    _ => s.load_profile(key).is_none(),
-                };
-                assert!(missed, "{kind}: {} damaged bytes must miss", bytes.len());
-                assert!(!path.exists(), "{kind}: damaged record must be evicted");
+        for s in both_forms("corrupt", 1 << 20) {
+            let resident = s.resident.is_some();
+            for kind in ["warmup", "profile"] {
+                let path = s.dir().join(format!("{kind}-{key:016x}.bin"));
+                for bytes in damaged {
+                    std::fs::write(&path, bytes).unwrap();
+                    let missed = match kind {
+                        "warmup" => boundary(&s, key).is_none(),
+                        _ => s.load_profile(key).is_none(),
+                    };
+                    assert!(missed, "{kind}: {} damaged bytes must miss", bytes.len());
+                    assert!(!path.exists(), "{kind}: damaged record must be evicted");
+                }
             }
+            let st = s.stats();
+            assert_eq!((st.warmup_hits, st.warmup_misses), (0, damaged.len() as u64));
+            assert_eq!((st.profile_hits, st.profile_misses), (0, damaged.len() as u64));
+            assert_eq!((st.resident_hits, st.resident_bytes), (0, 0), "a miss keeps nothing");
+            // The public read is the same read.
+            let path = s.dir().join(format!("warmup-{key:016x}.bin"));
+            std::fs::write(&path, &flipped).unwrap();
+            assert!(s.load_warmup(key).is_none(), "corrupt record must miss");
+            s.store_warmup(key, &good);
+            assert_eq!(boundary(&s, key), Some((good.clone(), false)), "read and verified");
+            // After that first use a resident store no longer needs the
+            // file; a plain one reads it every time.
+            for after in [Some(&flipped), None] {
+                match after {
+                    Some(bytes) => std::fs::write(&path, bytes).unwrap(),
+                    None => assert!(!path.exists() || std::fs::remove_file(&path).is_ok()),
+                }
+                let want = resident.then(|| (good.clone(), true));
+                assert_eq!(boundary(&s, key), want, "resident: {resident}");
+            }
+            let st = s.stats();
+            let hits = if resident { 2 } else { 0 };
+            assert_eq!((st.warmup_hits, st.resident_hits), (1 + hits, hits));
+            assert_eq!(st.resident_bytes, if resident { good.len() as u64 } else { 0 });
+            let _ = std::fs::remove_dir_all(s.dir());
         }
+    }
+
+    #[test]
+    fn the_resident_tier_keeps_to_its_budget_and_rereads_what_it_evicted() {
+        let record = |fill: u8, len: usize| melreq_snap::seal(&vec![fill; len]);
+        let (a, b, wide) = (record(1, 600), record(2, 600), record(3, 2000));
+        let budget = a.len() + b.len() + 100;
+        let [plain, s] = both_forms("budget", budget);
+        let _ = std::fs::remove_dir_all(plain.dir());
+        for (key, bytes) in [(1, &a), (2, &b), (3, &wide)] {
+            s.store_warmup(key, bytes);
+            assert_eq!(boundary(&s, key), Some((bytes.clone(), false)), "first use reads {key}");
+        }
+        // `wide` alone is over budget: it was never kept, and took nothing
+        // with it. Reading it again verifies it again.
+        assert_eq!(s.stats().resident_evictions, 1);
+        assert_eq!(s.stats().resident_bytes, (a.len() + b.len()) as u64);
+        assert_eq!(boundary(&s, 3), Some((wide.clone(), false)));
+        let wide_path = s.dir().join(format!("warmup-{:016x}.bin", 3));
+        std::fs::write(&wide_path, &wide[..wide.len() - 1]).unwrap();
+        assert_eq!(boundary(&s, 3), None, "a record not kept is checked where it is read");
+        // Least recently used goes first: touch `a`, bring in a third
+        // 600-byte record, and `b` is the one re-read from disk.
+        assert_eq!(boundary(&s, 1), Some((a.clone(), true)));
+        let c = record(4, 600);
+        s.store_warmup(4, &c);
+        assert_eq!(boundary(&s, 4), Some((c.clone(), false)));
+        assert_eq!(boundary(&s, 1), Some((a.clone(), true)));
+        let b_path = s.dir().join(format!("warmup-{:016x}.bin", 2));
+        std::fs::write(&b_path, &b[..10]).unwrap();
+        assert_eq!(boundary(&s, 2), None, "an evicted record is re-read and re-verified");
+        assert!(!b_path.exists());
         let st = s.stats();
-        assert_eq!((st.warmup_hits, st.warmup_misses), (0, damaged.len() as u64));
-        assert_eq!((st.profile_hits, st.profile_misses), (0, damaged.len() as u64));
-        // The public read is the same read.
-        std::fs::write(s.dir().join(format!("warmup-{key:016x}.bin")), &flipped).unwrap();
-        assert!(s.load_warmup(key).is_none(), "corrupt record must miss");
-        s.store_warmup(key, &good);
-        assert_eq!(s.load_warmup_sealed(key).map(Sealed::into_bytes), Some(good));
+        assert_eq!((st.resident_hits, st.resident_evictions), (2, 3));
+        assert!(st.resident_bytes <= budget as u64);
+        let _ = std::fs::remove_dir_all(s.dir());
+    }
+
+    #[test]
+    fn a_panic_under_the_tier_lock_costs_the_resident_entries_not_the_store() {
+        let [plain, s] = both_forms("poison", 1 << 20);
+        let _ = std::fs::remove_dir_all(plain.dir());
+        let good = melreq_snap::seal(b"boundary");
+        s.store_warmup(7, &good);
+        assert_eq!(boundary(&s, 7), Some((good.clone(), false)));
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = s.resident.as_ref().expect("resident form").lock();
+                    panic!("mid-update");
+                })
+                .join()
+        });
+        assert!(panicked.is_err() && s.resident.as_ref().is_some_and(Mutex::is_poisoned));
+        assert_eq!(boundary(&s, 7), Some((good.clone(), false)), "the disk record answers");
+        assert_eq!(boundary(&s, 7), Some((good, true)), "and is resident again");
+        let _ = std::fs::remove_dir_all(s.dir());
+    }
+
+    /// Satellite bug: the temp file of a write was named by process, kind
+    /// and key alone, so two threads storing one key wrote one temp file.
+    #[test]
+    fn concurrent_writers_of_one_key_publish_whole_records_only() {
+        let s = tmp_store("race");
+        let key = 0xace;
+        let payloads = [melreq_snap::seal(&[5u8; 3_000]), melreq_snap::seal(&[9u8; 700_000])];
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (s, payloads) = (&s, &payloads);
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        s.store_warmup(key, &payloads[(t + i) % 2]);
+                        // A rename replaces a whole record with a whole
+                        // record: once stored, the key never misses.
+                        let read = s.load_warmup(key).expect("a torn record was published");
+                        assert!(payloads.contains(&read), "{} foreign bytes", read.len());
+                    }
+                });
+            }
+        });
+        assert!(s.load_warmup(key).is_some_and(|read| payloads.contains(&read)));
+        let left: Vec<_> = std::fs::read_dir(s.dir()).unwrap().flatten().collect();
+        assert_eq!(left.len(), 1, "only the record stays: {left:?}");
         let _ = std::fs::remove_dir_all(s.dir());
     }
 

@@ -236,10 +236,32 @@ impl System {
     /// policies, but always required so every policy sees an identically
     /// configured machine).
     pub fn new(cfg: SystemConfig, streams: Vec<Box<dyn InstrStream + Send>>, me: &[f64]) -> Self {
+        Self::build(cfg, streams, me, true)
+    }
+
+    /// [`System::new`] for a machine whose next call is
+    /// [`System::restore`]: built without the functional pre-warm, since a
+    /// restore overwrites every cache way, stamp and counter the pre-warm
+    /// writes (0.3–0.9 ms of a 65 536-way L2). Run from reset instead, it
+    /// would be a machine with cold caches — another simulation.
+    pub(crate) fn for_restore(
+        cfg: SystemConfig,
+        streams: Vec<Box<dyn InstrStream + Send>>,
+        me: &[f64],
+    ) -> Self {
+        Self::build(cfg, streams, me, false)
+    }
+
+    fn build(
+        cfg: SystemConfig,
+        streams: Vec<Box<dyn InstrStream + Send>>,
+        me: &[f64],
+        from_reset: bool,
+    ) -> Self {
         assert_eq!(me.len(), cfg.cores, "one ME value per core");
         let policy = cfg.policy.build(me, cfg.cores, cfg.seed);
         let read_first = cfg.policy.read_first();
-        let mut sys = Self::with_policy(cfg, streams, policy, read_first);
+        let mut sys = Self::assemble(cfg, streams, policy, read_first, from_reset);
         sys.online = sys.online_estimator(&sys.cfg.policy);
         sys.me_profile = Some(sys.programmed_profile(me));
         sys
@@ -255,6 +277,18 @@ impl System {
         policy: Box<dyn melreq_memctrl::SchedulerPolicy>,
         read_first: bool,
     ) -> Self {
+        Self::assemble(cfg, streams, policy, read_first, true)
+    }
+
+    /// Put the machine together; `from_reset` says it will run from here
+    /// rather than receive a snapshot, and so wants the functional warm-up.
+    fn assemble(
+        cfg: SystemConfig,
+        streams: Vec<Box<dyn InstrStream + Send>>,
+        policy: Box<dyn melreq_memctrl::SchedulerPolicy>,
+        read_first: bool,
+        from_reset: bool,
+    ) -> Self {
         cfg.validate();
         assert_eq!(streams.len(), cfg.cores, "one stream per core");
         let dram = DramSystem::new(cfg.geometry, cfg.timing);
@@ -263,9 +297,11 @@ impl System {
         // Functional warm-up: pre-load each program's cacheable regions so
         // short measured slices are not dominated by compulsory misses
         // (SimPoint checkpoints carry warm architectural state likewise).
-        for (i, s) in streams.iter().enumerate() {
-            if let Some(h) = s.warm_hints() {
-                hier.prewarm(CoreId::from(i), &h);
+        if from_reset {
+            for (i, s) in streams.iter().enumerate() {
+                if let Some(h) = s.warm_hints() {
+                    hier.prewarm(CoreId::from(i), &h);
+                }
             }
         }
         let cores = streams
@@ -944,6 +980,32 @@ mod tests {
         let (a, b) = (run(), run());
         assert_eq!(a.ipc, b.ipc);
         assert_eq!(a.cycles, b.cycles);
+    }
+
+    /// A restore overwrites everything the functional pre-warm writes: the
+    /// pinned 4MEM-1 boundary container (`tests/determinism.rs`) restored
+    /// into a machine built without it is the machine built with it.
+    #[test]
+    fn a_machine_built_for_restore_restores_to_the_one_built_warm() {
+        let opts = crate::ExperimentOptions::quick();
+        let mix = melreq_workloads::mix_by_name("4MEM-1");
+        let (cfg, me) =
+            (SystemConfig::paper(4, crate::experiment::CANONICAL_WARMUP_POLICY), [1.0; 4]);
+        let mut warmed = System::new(cfg.clone(), mix.eval_streams(0), &me);
+        warmed.prepare_window(opts.warmup, opts.instructions);
+        assert!(warmed.run_to_boundary(1 << 26), "warm-up must reach the boundary");
+        let container = warmed.snapshot_sealed();
+        assert_eq!(melreq_snap::fnv1a(container.as_bytes()), 0xa5c0_1fcf_0074_445c);
+
+        let mut warm = System::new(cfg.clone(), mix.eval_streams(0), &me);
+        let mut cold = System::for_restore(cfg, mix.eval_streams(0), &me);
+        assert!(warm.hierarchy().l2().occupancy() > 0 && cold.hierarchy().l2().occupancy() == 0);
+        for sys in [&mut warm, &mut cold] {
+            sys.restore(&container).expect("the boundary restores");
+            assert!(sys.snapshot() == container.as_bytes(), "restored state moved");
+        }
+        let (warm, cold) = (warm.run_window(1 << 26), cold.run_window(1 << 26));
+        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
     }
 
     #[test]

@@ -37,8 +37,8 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Maximum `u64` args carried per span (a kernel span carries all nine
-/// of `melreq_core::KernelCounters`).
-pub const MAX_ARGS: usize = 9;
+/// of `melreq_core::KernelCounters`, and `taped` when it read op tapes).
+pub const MAX_ARGS: usize = 10;
 
 /// Default per-thread ring capacity in spans.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;

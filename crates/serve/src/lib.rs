@@ -471,7 +471,9 @@ impl ServerHandle {
 pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
     let session = match &cfg.store_dir {
         Some(dir) => {
-            let store = CheckpointStore::open(dir)
+            // The one process that outlives its requests: boundaries stay
+            // resident between them.
+            let store = CheckpointStore::open_resident(dir)
                 .map_err(|e| MelreqError::Io(format!("open store {}: {e}", dir.display())))?;
             Session::with_store(Arc::new(store))
         }
@@ -485,19 +487,23 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
     type StatProbe = fn(&melreq_core::StoreStats) -> u64;
     let metrics = Metrics::new();
     if let Some(store) = session.store() {
-        let probes: [(&str, StatProbe); 4] = [
-            ("melreq_store_warmup_hits_total", |s| s.warmup_hits),
-            ("melreq_store_warmup_misses_total", |s| s.warmup_misses),
-            ("melreq_store_profile_hits_total", |s| s.profile_hits),
-            ("melreq_store_profile_misses_total", |s| s.profile_misses),
+        use MetricKind::{Counter, Gauge};
+        let probes: [(&str, MetricKind, StatProbe); 7] = [
+            ("melreq_store_warmup_hits_total", Counter, |s| s.warmup_hits),
+            ("melreq_store_warmup_misses_total", Counter, |s| s.warmup_misses),
+            ("melreq_store_profile_hits_total", Counter, |s| s.profile_hits),
+            ("melreq_store_profile_misses_total", Counter, |s| s.profile_misses),
+            ("melreq_store_resident_hits_total", Counter, |s| s.resident_hits),
+            ("melreq_store_resident_evictions_total", Counter, |s| s.resident_evictions),
+            ("melreq_store_resident_bytes", Gauge, |s| s.resident_bytes),
         ];
-        for (name, probe) in probes {
+        for (name, kind, probe) in probes {
             let store = store.clone();
             #[allow(clippy::cast_precision_loss)]
             metrics.registry.func(
                 name,
                 "Checkpoint-store activity since server start.",
-                MetricKind::Counter,
+                kind,
                 move || probe(&store.stats()) as f64,
             );
         }
@@ -1456,27 +1462,34 @@ mod tests {
     use melreq_core::api::PolicyKind;
     use melreq_core::experiment::ExperimentOptions;
 
+    /// What the event loop leaves behind when it admits request `id` as the
+    /// leader (token 10) of `followers`: the coalescing entry and the job.
+    fn admit(shared: &Shared, req: &SimRequest, id: u64, followers: Vec<u64>) -> Job {
+        let key = req.canonical_bytes();
+        shared.coalesce.lock().unwrap().insert(key.clone(), followers);
+        shared.jobs_outstanding.fetch_add(1, Ordering::SeqCst);
+        Job { token: 10, id, key, req: req.clone(), deadline: None, queued_at: Instant::now() }
+    }
+
+    fn published(shared: &Shared) -> Vec<Completion> {
+        shared.completions.lock().unwrap().drain(..).collect()
+    }
+
+    fn quick_request() -> SimRequest {
+        SimRequest::new("2MEM-1").policy(PolicyKind::MeLreq).opts(ExperimentOptions::quick())
+    }
+
     #[test]
     fn a_panicking_run_answers_500_to_everyone_waiting_and_the_worker_serves_the_next_job() {
         let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
         let shared =
             Shared::new(ServeConfig::default(), Session::new(), Metrics::new(), wake_handle);
-        let req =
-            SimRequest::new("2MEM-1").policy(PolicyKind::MeLreq).opts(ExperimentOptions::quick());
-        let key = req.canonical_bytes();
-        // What `admit` leaves behind for a leader (token 10) that two
-        // identical requests (tokens 11, 12) coalesced onto.
-        let admit = |id: u64, followers: Vec<u64>| {
-            shared.coalesce.lock().unwrap().insert(key.clone(), followers);
-            shared.jobs_outstanding.fetch_add(1, Ordering::SeqCst);
-            let (key, req) = (key.clone(), req.clone());
-            Job { token: 10, id, key, req, deadline: None, queued_at: Instant::now() }
-        };
-        let published =
-            || -> Vec<Completion> { shared.completions.lock().unwrap().drain(..).collect() };
+        let req = quick_request();
 
-        execute_job(admit(7, vec![11, 12]), &shared, |_, _| panic!("boom at decision 3"));
-        let answers = published();
+        execute_job(admit(&shared, &req, 7, vec![11, 12]), &shared, |_, _| {
+            panic!("boom at decision 3")
+        });
+        let answers = published(&shared);
         assert_eq!(answers.iter().map(|c| c.token).collect::<Vec<_>>(), [10, 11, 12]);
         for c in &answers {
             assert_eq!(c.status, 500, "{}", c.body);
@@ -1487,11 +1500,67 @@ mod tests {
         assert_eq!(shared.jobs_outstanding.load(Ordering::SeqCst), 0, "or a drain never ends");
 
         // Same thread, same shared state, next job: a real run.
-        execute_job(admit(8, vec![]), &shared, |req, ctl| shared.session.run(req, ctl));
-        let answers = published();
+        execute_job(admit(&shared, &req, 8, vec![]), &shared, |req, ctl| {
+            shared.session.run(req, ctl)
+        });
+        let answers = published(&shared);
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].status, 200, "{}", answers[0].body);
         assert_eq!(shared.metrics.worker_panics.get(), 1);
         assert_eq!(shared.jobs_outstanding.load(Ordering::SeqCst), 0);
+    }
+
+    /// The server's store keeps a boundary and its op tapes between
+    /// requests, so a run can now die with state in hand that the next
+    /// request on that mix will use: it must find it usable, and answer
+    /// with the bytes a storeless run gives. (A run that dies *inside* a
+    /// tape's generator poisons the tape; `melreq_core`'s experiment tests
+    /// cover the store dropping such an entry for the disk record. Here,
+    /// not in `tests/service.rs`: only `execute_job` can be handed a run
+    /// that panics — no request body makes one.)
+    #[test]
+    fn a_run_that_panics_on_a_resident_boundary_leaves_it_usable_for_the_next_request() {
+        use melreq_core::experiment::{run_tapped, Measured, Taps};
+        let dir = std::env::temp_dir().join(format!("melreq-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(CheckpointStore::open_resident(&dir).expect("store"));
+        let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
+        let session = Session::with_store(store.clone());
+        let shared = Shared::new(ServeConfig::default(), session, Metrics::new(), wake_handle);
+        let req = quick_request();
+        let want = Session::new().run(&req, &RunControl::default()).expect("storeless").to_json();
+        let serve = |id: u64| {
+            execute_job(admit(&shared, &req, id, vec![]), &shared, |req, ctl| {
+                shared.session.run(req, ctl)
+            });
+            published(&shared).pop().expect("one answer")
+        };
+        // First use simulates and keeps the boundary, the second records
+        // its tapes; the third has restored it and reads them when its
+        // policy blows up.
+        assert_eq!((serve(1).status, serve(2).status), (200, 200));
+        execute_job(admit(&shared, &req, 3, vec![]), &shared, |req, ctl| {
+            let mix = melreq_core::api::resolve_mix(&req.mix)?;
+            let build = |_: &[f64], _: usize, _: u64| panic!("policy bug on {}", mix.name);
+            let doomed = Measured::Custom { name: "DOOMED", build: &build };
+            let (cache, taps) = (shared.session.cache(), Taps::default());
+            run_tapped(&mix, doomed, &req.opts, cache, Some(&store), ctl, taps);
+            unreachable!("the policy's constructor panics")
+        });
+        let answer = published(&shared).pop().expect("one answer");
+        assert_eq!(answer.status, 500, "{}", answer.body);
+        assert!(
+            answer.body.contains("request #3 panicked: policy bug on 2MEM-1"),
+            "{}",
+            answer.body
+        );
+
+        let next = serve(4);
+        assert_eq!(next.status, 200, "{}", next.body);
+        assert_eq!(split_envelope(&next.body).expect("an envelope").1, want);
+        assert_eq!(shared.metrics.worker_panics.get(), 1);
+        let st = store.stats();
+        assert_eq!((st.warmup_misses, st.resident_hits), (1, 3), "memory answered 2, 3 and 4");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

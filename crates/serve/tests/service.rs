@@ -280,6 +280,60 @@ fn bodies_the_kernel_would_assert_on_answer_400_and_the_only_worker_survives() {
     handle.join();
 }
 
+/// The server's store keeps what it read or wrote: of three requests on
+/// one mix that differ only in a budget none of them reaches, the first
+/// simulates the boundary and the other two are answered from memory —
+/// the third off the op tapes the second recorded — with the first's
+/// report, byte for byte, and the envelope's `store` still counting.
+#[test]
+fn three_requests_on_one_mix_reach_its_boundary_once_and_report_the_same_bytes() {
+    let dir = std::env::temp_dir().join(format!("melreq-service-resident-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_cap: 4,
+        store_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let addr = handle.addr().to_string();
+    let answers: Vec<String> = (0..3u64)
+        .map(|salt| {
+            let body = SimRequest::new("2MIX-1")
+                .policy(PolicyKind::parse("me-lreq").expect("policy token"))
+                .opts(ExperimentOptions::quick())
+                .max_cycles((1 << 40) + salt)
+                .to_json();
+            let (status, text) = post_run(&addr, &body);
+            assert_eq!(status, 200, "request {salt}: {text}");
+            text
+        })
+        .collect();
+    let split: Vec<_> = answers.iter().map(|a| split_envelope(a).expect("an envelope")).collect();
+    for (nth, (envelope, report)) in split.iter().enumerate() {
+        assert_eq!(*report, split[0].1, "request {nth} reports otherwise");
+        let (cache, hits) = if nth == 0 { ("cold", 0) } else { ("warm", nth) };
+        let want = format!(
+            "\"cache\":\"{cache}\",\"store\":{{\"warmup_hits\":{hits},\"warmup_misses\":1,"
+        );
+        assert!(envelope.contains(&want), "request {nth}: {envelope}");
+    }
+    for (series, want) in [
+        ("melreq_store_warmup_hits_total", 2.0),
+        ("melreq_store_warmup_misses_total", 1.0),
+        ("melreq_store_resident_hits_total", 2.0),
+        ("melreq_store_resident_evictions_total", 0.0),
+    ] {
+        assert_eq!(metric_value(&addr, series), want, "{series}");
+    }
+    let resident = metric_value(&addr, "melreq_store_resident_bytes");
+    assert!(resident > 500_000.0 && resident < 4_000_000.0, "one 2-core boundary: {resident}");
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn policies_endpoint_lists_the_registry_and_unknown_names_suggest() {
     let handle = serve(1, 4);

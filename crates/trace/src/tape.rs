@@ -215,6 +215,12 @@ impl OpTape {
         self.state.lock().map_or((0, 0), |st| ((st.chunks.len() * CHUNK_OPS) as u64, st.bytes))
     }
 
+    /// Whether a reader panicked while extending the tape: every later
+    /// read of it panics too, so whoever keeps tapes drops this one.
+    pub fn is_poisoned(&self) -> bool {
+        self.state.is_poisoned()
+    }
+
     /// Chunk `n`, generated now if no reader needed it before.
     fn chunk(&self, n: usize) -> Next {
         let mut st = self.state.lock().expect("a reader panicked while extending the tape");
