@@ -46,10 +46,18 @@
 //! ([`CheckpointStore::open_resident`], a server's) and this process has
 //! used the boundary before: then the group is every run of the process
 //! on that boundary, the second of which records what the rest replay.
+//!
+//! And the runs of a group share whole windows where the policies cannot
+//! differ: every policy ranks cores, so a window whose read decisions
+//! never had two cores' requests to choose between is the same window
+//! under every policy of its rule class (`read_first`, `hit_first`). The
+//! first run to simulate one publishes it and the rest of its class score
+//! it without simulating; a `--profile` artifact shows them as `policy`
+//! spans with `shared: 1`.
 
 use crate::profile::{profile_app, AppProfile};
 use crate::store::CheckpointStore;
-use crate::system::{CancelToken, System};
+use crate::system::{CancelToken, RunOutcome, System};
 use crate::SystemConfig;
 use melreq_audit::{AuditHandle, AuditReport, AuditSink, Auditor, AuditorConfig};
 use melreq_memctrl::policy::PolicyKind;
@@ -584,43 +592,64 @@ impl Inputs {
     }
 }
 
+/// What a measured window says about the simulation: its outcome and the
+/// clock at its end. Who ran it is not in it — [`score`] adds that.
+#[derive(Debug, Clone)]
+struct Window {
+    outcome: RunOutcome,
+    sim_cycles: Cycle,
+}
+
 /// The measurement itself, from a system standing at the boundary: swap
-/// the measured policy in, run the window, score it. `started` is when the
-/// host began working on this window (before a fork's restore; after the
-/// warm-up otherwise) and `warm_wall` what reaching the boundary cost this
-/// run, so [`MixResult::wall`] and [`MixResult::warm_wall`] keep their
-/// meaning on every path; `taped` says `sys` reads shared tapes.
-#[allow(clippy::too_many_arguments)]
-fn measure(
+/// the measured policy in and run the window. Returns the window and how
+/// many of its read decisions were contested (among two or more cores'
+/// requests); `taped` says `sys` reads shared tapes.
+fn run_window(
     sys: &mut System,
     mix: &Mix,
     measured: Measured<'_>,
-    inputs: Inputs,
+    me: &[f64],
     opts: &ExperimentOptions,
     ctl: &RunControl,
-    started: Instant,
-    warm_wall: Duration,
-    warmup_from_checkpoint: bool,
     taped: bool,
-) -> MixResult {
-    let Inputs { me, ipc_single } = inputs;
+) -> (Window, u64) {
     match measured {
-        Measured::Kind(kind) => sys.swap_policy(kind, &me),
+        Measured::Kind(kind) => sys.swap_policy(kind, me),
         Measured::Custom { build, .. } => {
-            let (policy, read_first) = build(&me, mix.cores(), sys.config().seed);
-            sys.swap_policy_boxed(policy, read_first, &me);
+            let (policy, read_first) = build(me, mix.cores(), sys.config().seed);
+            sys.swap_policy_boxed(policy, read_first, me);
         }
     }
     let policy = measured.name();
-    let out = kernel_span(
+    let contested = |sys: &System| sys.hierarchy().controller().contested_decisions();
+    let before = contested(sys);
+    let outcome = kernel_span(
         "policy",
         || format!("{policy} {}", mix.name),
         sys,
         |sys| sys.run_window(ctl.limit(opts)),
         taped,
     );
-    let wall = started.elapsed();
-    let fairness = FairnessReport::compute(&out.ipc, &ipc_single);
+    (Window { outcome, sim_cycles: sys.now() }, contested(sys) - before)
+}
+
+/// `window` as `policy`'s result on `mix`, scored against `inputs`.
+/// `wall` is what the host spent on this run from the moment it began
+/// working on the window (before a fork's restore; after the warm-up
+/// otherwise) and `warm_wall` what reaching the boundary cost it, so
+/// [`MixResult::wall`] and [`MixResult::warm_wall`] keep their meaning on
+/// every path.
+fn score(
+    mix: &Mix,
+    policy: &'static str,
+    inputs: &Inputs,
+    window: Window,
+    wall: Duration,
+    warm_wall: Duration,
+    warmup_from_checkpoint: bool,
+) -> MixResult {
+    let Window { outcome: out, sim_cycles } = window;
+    let fairness = FairnessReport::compute(&out.ipc, &inputs.ipc_single);
     MixResult {
         mix: *mix,
         policy,
@@ -630,16 +659,16 @@ fn measure(
         unfairness: fairness.unfairness,
         max_slowdown: fairness.max_slowdown,
         ipc_multi: out.ipc,
-        ipc_single,
+        ipc_single: inputs.ipc_single.clone(),
         read_latency: out.read_latency,
         mean_read_latency: out.mean_read_latency,
         queue_occupancy_mean: out.queue_occupancy_mean,
         grant_candidates_mean: out.grant_candidates_mean,
         channel_traffic: out.channel_traffic,
-        me,
+        me: inputs.me.clone(),
         timed_out: out.timed_out,
         cancelled: out.cancelled,
-        sim_cycles: sys.now(),
+        sim_cycles,
         measured_cycles: out.cycles,
         wall,
         warm_wall,
@@ -738,18 +767,9 @@ pub fn run_tapped(
     let taped = boundary.taped(mix, opts, 1).is_some();
     let Boundary { mut sys, from_checkpoint, .. } = boundary;
     let (warm_wall, started) = (warm_started.elapsed(), host_clock());
-    let result = measure(
-        &mut sys,
-        mix,
-        measured,
-        inputs,
-        opts,
-        ctl,
-        started,
-        warm_wall,
-        from_checkpoint,
-        taped,
-    );
+    let (window, _) = run_window(&mut sys, mix, measured, &inputs.me, opts, ctl, taped);
+    let wall = started.elapsed();
+    let result = score(mix, measured.name(), &inputs, window, wall, warm_wall, from_checkpoint);
     if let Some(c) = &collector {
         c.lock().expect("obs collector poisoned").finish();
     }
@@ -948,9 +968,10 @@ fn warm_up_and_fork<'env>(
     let mut boundary = boundary_system(&mix, opts, store, ctl, |_| {});
     let total_runs: usize = consumers.iter().map(|c| c.policies.len()).sum();
     let share = boundary.taped(&mix, opts, total_runs);
-    let Boundary { sys: mut base, from_checkpoint, .. } = boundary;
+    let Boundary { sys: base, from_checkpoint, .. } = boundary;
     let taped = share.is_some();
     let warm_wall = warm_started.elapsed();
+    let group = Arc::new(GroupRuns { mix, inputs, opts, ctl, certified: Default::default() });
 
     // Fork every run but the first, then run the first on the warmed
     // system while the forks are stolen by idle workers.
@@ -962,34 +983,82 @@ fn warm_up_and_fork<'env>(
                 continue;
             }
             let share = Arc::clone(share.as_ref().expect("a group of >1 runs shares"));
-            let inputs = inputs.clone();
+            let group = Arc::clone(&group);
             ctx.fork(move |_ctx| {
-                let started = host_clock();
-                let mut sys = restored_system(&share, ctl, "fork", true)
-                    .expect("boundary snapshot must restore into an identical fresh system");
-                share.tape(&mut sys);
-                let (kind, zero) = (Measured::Kind(kind), Duration::ZERO);
-                let result =
-                    measure(&mut sys, &mix, kind, inputs, opts, ctl, started, zero, true, true);
+                let fork = || {
+                    let mut sys = restored_system(&share, ctl, "fork", true)
+                        .expect("boundary snapshot must restore into an identical fresh system");
+                    share.tape(&mut sys);
+                    sys
+                };
+                let result = group.run(kind, fork, true, Duration::ZERO, true);
                 *slot.lock().expect("result slot poisoned") = Some(result);
             });
         }
     }
     let (slot, kind) = first.expect("a group has at least one policy run");
-    let (kind, started) = (Measured::Kind(kind), host_clock());
-    let result = measure(
-        &mut base,
-        &mix,
-        kind,
-        inputs,
-        opts,
-        ctl,
-        started,
-        warm_wall,
-        from_checkpoint,
-        taped,
-    );
+    let result = group.run(kind, || base, taped, warm_wall, from_checkpoint);
     *slot.lock().expect("result slot poisoned") = Some(result);
+}
+
+/// What the policy runs of one group share besides their boundary: the
+/// mix's profiles, the run's options and controls, and the windows
+/// certified so far.
+///
+/// Every policy ranks *cores* ([`SchedulerPolicy::core_key`] is a
+/// function of the core): among one core's requests two policies pick
+/// alike when they agree on `read_first` and `hit_first`, their *rule
+/// class* — `melreq-memctrl`'s
+/// `one_cores_requests_are_ordered_by_the_rule_class_alone` holds every
+/// registered policy to that. So a window that ran to its end with no
+/// contested read decision (two or more cores among the candidates) is
+/// the window every policy of its class would have simulated, and the
+/// first run to finish one, uncancelled, publishes it in its class's
+/// cell. A run that finds its cell filled scores that window instead of
+/// restoring and simulating its own. The cells die with the group.
+struct GroupRuns<'env> {
+    mix: Mix,
+    inputs: Inputs,
+    opts: &'env ExperimentOptions,
+    ctl: &'env RunControl,
+    /// One cell per rule class, indexed `read_first << 1 | hit_first`.
+    certified: [OnceLock<Window>; 4],
+}
+
+impl GroupRuns<'_> {
+    /// `kind`'s result: scored from the window its rule class certified,
+    /// or measured on the system `boundary` yields (`taped` if it reads
+    /// the group's tapes) and certified if nothing in it was contested.
+    /// `warm_wall` and `from_checkpoint` are what [`score`] reports.
+    fn run(
+        &self,
+        kind: &PolicyKind,
+        boundary: impl FnOnce() -> System,
+        taped: bool,
+        warm_wall: Duration,
+        from_checkpoint: bool,
+    ) -> MixResult {
+        let started = host_clock();
+        let (mix, me) = (&self.mix, &self.inputs.me);
+        let hit_first = kind.build(me, mix.cores(), 0).hit_first();
+        let cell = &self.certified[usize::from(kind.read_first()) << 1 | usize::from(hit_first)];
+        let window = if let Some(window) = cell.get() {
+            let mut sp = melreq_prof::span("policy", || format!("{} {}", kind.name(), mix.name));
+            sp.arg("shared", 1);
+            window.clone()
+        } else {
+            let mut sys = boundary();
+            let measured = Measured::Kind(kind);
+            let (window, contested) =
+                run_window(&mut sys, mix, measured, me, self.opts, self.ctl, taped);
+            if contested == 0 && !window.outcome.cancelled {
+                let _ = cell.set(window.clone());
+            }
+            window
+        };
+        let wall = started.elapsed();
+        score(mix, kind.name(), &self.inputs, window, wall, warm_wall, from_checkpoint)
+    }
 }
 
 #[cfg(test)]

@@ -107,10 +107,13 @@ pub struct KernelCounters {
     pub ticks: u64,
     /// Cycles jumped over because no component could act.
     pub skipped_cycles: u64,
-    /// [`Core::tick`] calls (core-cycles a core was awake in a ticked cycle).
+    /// [`Core::tick`] calls (core-cycles a core was awake in a ticked
+    /// cycle); the cores slept through the rest of `cores × ticks`.
     pub core_ticks: u64,
-    /// Core-cycles a core slept through inside ticked cycles.
-    pub core_sleep_cycles: u64,
+    /// Read decisions among two or more cores' requests
+    /// ([`MemoryController::contested_decisions`]): the only decisions
+    /// two policies of one rule class can take differently.
+    pub contested_decisions: u64,
     /// Per-channel grant-candidate scans the controller ran.
     pub channel_scans: u64,
     /// Scans skipped because the channel's wake bound lay ahead.
@@ -133,7 +136,7 @@ impl KernelCounters {
             ("ticks", self.ticks),
             ("skipped_cycles", self.skipped_cycles),
             ("core_ticks", self.core_ticks),
-            ("core_sleep_cycles", self.core_sleep_cycles),
+            ("contested_decisions", self.contested_decisions),
             ("channel_scans", self.channel_scans),
             ("channel_scans_skipped", self.channel_scans_skipped),
             ("issue_examined", self.issue_examined),
@@ -364,9 +367,11 @@ impl System {
 
     /// Work the kernel did and avoided so far (see [`KernelCounters`]).
     pub fn kernel_counters(&self) -> KernelCounters {
-        let (channel_scans, channel_scans_skipped) = self.hier.controller().scan_counters();
+        let ctrl = self.hier.controller();
+        let (channel_scans, channel_scans_skipped) = ctrl.scan_counters();
         let issue = self.cores.iter().map(Core::issue_work);
         KernelCounters {
+            contested_decisions: ctrl.contested_decisions(),
             channel_scans,
             channel_scans_skipped,
             issue_examined: issue.clone().map(|w| w.examined).sum(),
@@ -471,7 +476,6 @@ impl System {
             }
         }
         self.counters.ticks += 1;
-        self.counters.core_sleep_cycles += slept;
         self.counters.core_ticks += self.cores.len() as u64 - slept;
         self.now += 1;
         if self.online.is_some() {

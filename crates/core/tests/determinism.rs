@@ -118,8 +118,9 @@ fn final_machine_state_matches_tick_exact_for_every_registered_policy() {
             assert!(fast_audit.1 > 0, "[{mix_name} {}] instrumentation must emit events", desc.id);
             assert_eq!(fast_audit, exact_audit, "[{mix_name} {}] audit streams differ", desc.id);
             assert!(fast_state == exact_state, "[{mix_name} {}] final snapshots differ", desc.id);
+            let slept = codes.len() as u64 * exact.ticks - exact.core_ticks;
             assert_eq!(
-                (exact.skipped_cycles, exact.core_sleep_cycles, exact.channel_scans_skipped),
+                (exact.skipped_cycles, slept, exact.channel_scans_skipped),
                 (0, 0, 0),
                 "[{mix_name} {}] tick_exact must bypass every wake-up bound",
                 desc.id
@@ -170,7 +171,8 @@ proptest! {
 
         let mut paused = build(codes, &kind, false);
         let _ = paused.run_window(pause_at);
-        prop_assert!(paused.kernel_counters().core_sleep_cycles > 0, "cores must have slept");
+        let paused_counters = paused.kernel_counters();
+        prop_assert!(paused_counters.core_ticks < 8 * paused_counters.ticks, "cores must have slept");
         let mut resumed = build(codes, &kind, false);
         resumed.load_snapshot(&paused.snapshot()).expect("mid-window snapshot restores");
         let resumed_out = resumed.run_window(MAX_CYCLES);
@@ -192,13 +194,13 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
     };
     let mem = counters(mix_by_name("8MEM-1").codes);
     assert_eq!(mem, counters(mix_by_name("8MEM-1").codes), "counters must repeat exactly");
-    assert_eq!(mem.core_ticks + mem.core_sleep_cycles, 8 * mem.ticks);
-    assert!(mem.core_sleep_cycles > mem.core_ticks, "8MEM-1 cores mostly sleep: {mem:?}");
+    let slept = |c: &KernelCounters, cores: u64| cores * c.ticks - c.core_ticks;
+    assert!(slept(&mem, 8) > mem.core_ticks, "8MEM-1 cores mostly sleep: {mem:?}");
     assert!(mem.skipped_cycles > 0 && mem.channel_scans_skipped > 0, "{mem:?}");
 
     let ilp = counters("armo");
     assert_eq!(ilp, counters("armo"), "counters must repeat exactly");
-    assert!(ilp.core_sleep_cycles < ilp.core_ticks, "ILP cores mostly run: {ilp:?}");
+    assert!(slept(&ilp, 4) < ilp.core_ticks, "ILP cores mostly run: {ilp:?}");
 
     // Issue work follows the ops that move, not the ops that wait: the
     // full-scan select this replaced examined ~9.8 worklist entries per

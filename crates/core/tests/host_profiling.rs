@@ -6,13 +6,17 @@
 //! outcomes and of the full audited event streams.
 //!
 //! The spans are also where the kernel's work counts surface, so the
-//! second test reads them: what the windows of a group fetch against what
-//! the group's shared op tapes generate.
+//! other tests read them: what the windows of a group fetch against what
+//! the group's shared op tapes generate, and which windows a group
+//! simulated at all.
 
 use melreq_core::api::{Session, SimRequest};
-use melreq_core::experiment::{run_mix_group, ExperimentOptions, ProfileCache, RunControl};
+use melreq_core::experiment::{
+    run_mix_group, ExperimentOptions, MixResult, ProfileCache, RunControl,
+};
+use melreq_core::CancelToken;
 use melreq_memctrl::policy::PolicyKind;
-use melreq_workloads::{mix_by_name, Mix, MixKind};
+use melreq_workloads::{mix_by_name, Mix};
 use std::sync::Mutex;
 
 /// The profiler is one per process: one test runs at a time.
@@ -77,22 +81,58 @@ fn profiling_is_bit_inert_across_all_paper_policies() {
     }
 }
 
+/// The options of the span-reading tests: short, so the runs are cheap.
+fn short() -> ExperimentOptions {
+    ExperimentOptions {
+        instructions: 40_000,
+        warmup: 4_000,
+        profile_instructions: 4_000,
+        ..ExperimentOptions::default()
+    }
+}
+
+/// `mix`'s `policy` spans, sorted by name.
+fn policy_spans<'a>(profile: &'a melreq_prof::Profile, mix: &Mix) -> Vec<&'a melreq_prof::Span> {
+    let mut spans: Vec<_> = profile
+        .tracks
+        .iter()
+        .flat_map(|t| &t.spans)
+        .filter(|s| s.cat == "policy" && s.name.ends_with(mix.name))
+        .collect();
+    spans.sort_by(|a, b| a.name.cmp(&b.name));
+    spans
+}
+
 /// Ops each window of `mix` fetched (its `policy` span, by name) and ops
 /// the group's shared tapes generated for them (its `tape` span, absent
 /// when the runs generate their own).
 fn window_ops(profile: &melreq_prof::Profile, mix: &Mix) -> (Vec<(String, u64)>, Option<u64>) {
-    let spans = || profile.tracks.iter().flat_map(|t| &t.spans);
-    let mut fetched: Vec<(String, u64)> = spans()
-        .filter(|s| s.cat == "policy" && s.name.ends_with(mix.name))
+    let fetched = policy_spans(profile, mix)
+        .into_iter()
         .map(|s| {
             (s.name.clone(), s.arg("ops_fetched").expect("a kernel span carries every counter"))
         })
         .collect();
-    fetched.sort();
-    let mut tapes = spans().filter(|s| s.cat == "tape" && s.name == mix.name);
+    let mut tapes = profile
+        .tracks
+        .iter()
+        .flat_map(|t| &t.spans)
+        .filter(|s| s.cat == "tape" && s.name == mix.name);
     let generated = tapes.next().map(|s| s.arg("ops_generated").expect("a tape span says so"));
     assert!(tapes.next().is_none(), "one tape span per group");
     (fetched, generated)
+}
+
+/// The profile of a `threads`-worker group of `policies` on `mix`.
+fn profiled_group(
+    mix: &Mix,
+    policies: &[PolicyKind],
+    threads: usize,
+    cancel: Option<CancelToken>,
+) -> (Vec<MixResult>, melreq_prof::Profile) {
+    let cache = ProfileCache::new();
+    let ctl = RunControl { threads: Some(threads), cancel, ..RunControl::default() };
+    profiled(|| run_mix_group(mix, policies, &short(), &cache, None, &ctl))
 }
 
 /// A count that repeats exactly: the five windows forked from one
@@ -101,34 +141,72 @@ fn window_ops(profile: &melreq_prof::Profile, mix: &Mix) -> (Vec<(String, u64)>,
 /// longest-running policy reads, rounded up to a chunk per core) — at any
 /// thread count. A run on its own has no tape: what it fetches, its own
 /// streams generate, and it fetches what the same run fetches off a tape.
+/// The mix is one whose cores contend, so every policy simulates its own
+/// window (an ILP mix's five windows are one, see below).
 #[test]
 fn a_group_generates_its_window_once_whatever_the_thread_count() {
     let _alone = PROFILER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let opts = ExperimentOptions {
-        instructions: 40_000,
-        warmup: 4_000,
-        profile_instructions: 4_000,
-        ..ExperimentOptions::default()
+    let mix = mix_by_name("8MEM-1");
+    let count = |policies: &[PolicyKind], threads: usize| {
+        window_ops(&profiled_group(&mix, policies, threads, None).1, &mix)
     };
-    let ilp4 = Mix { name: "4ILP-B", codes: "armo", kind: MixKind::Mixed };
-    for (mix, most) in [(ilp4, 0.30), (mix_by_name("8MEM-1"), 0.45)] {
-        let count = |policies: &[PolicyKind], threads: usize| {
-            let cache = ProfileCache::new();
-            let ctl = RunControl { threads: Some(threads), ..RunControl::default() };
-            let (_, profile) =
-                profiled(|| run_mix_group(&mix, policies, &opts, &cache, None, &ctl));
-            window_ops(&profile, &mix)
-        };
-        let five = PolicyKind::figure2_set();
-        let (fetched, generated) = count(&five, 1);
-        assert_eq!(fetched.len(), 5, "{}: one window per policy", mix.name);
-        assert_eq!(count(&five, 2), (fetched.clone(), generated), "{}: counts repeat", mix.name);
-        let generated = generated.expect("a five-policy group shares tapes") as f64;
-        let share = generated / fetched.iter().map(|(_, n)| n).sum::<u64>() as f64;
-        assert!(share > 0.20 && share <= most, "{}: generated {share:.3} of fetched", mix.name);
+    let five = PolicyKind::figure2_set();
+    let (fetched, generated) = count(&five, 1);
+    assert_eq!(fetched.len(), 5, "one window per policy");
+    assert_eq!(count(&five, 2), (fetched.clone(), generated), "counts repeat");
+    let generated = generated.expect("a five-policy group shares tapes") as f64;
+    let share = generated / fetched.iter().map(|(_, n)| n).sum::<u64>() as f64;
+    assert!(share > 0.20 && share <= 0.45, "generated {share:.3} of fetched");
 
-        let (alone, tape) = count(&five[3..4], 1);
-        assert_eq!(tape, None, "{}: a single run reads no tape", mix.name);
-        assert!(alone.len() == 1 && fetched.contains(&alone[0]), "{alone:?} not in {fetched:?}");
+    let (alone, tape) = count(&five[3..4], 1);
+    assert_eq!(tape, None, "a single run reads no tape");
+    assert!(alone.len() == 1 && fetched.contains(&alone[0]), "{alone:?} not in {fetched:?}");
+}
+
+/// Where no read decision is contested the five paper policies are one
+/// window: on one worker the first run simulates it and certifies it, and
+/// the other four score it — `policy` spans with `shared: 1` and no
+/// counters. FCFS and FCFS-RF are rule classes of their own and simulate
+/// theirs. Where cores contend, every run simulates its own.
+#[test]
+fn an_uncontested_window_is_simulated_once_per_rule_class() {
+    let _alone = PROFILER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let five = PolicyKind::figure2_set();
+    let mix = mix_by_name("2MIX-1");
+    let seven = [&five[..], &[PolicyKind::Fcfs, PolicyKind::FcfsRf]].concat();
+    let (_, profile) = profiled_group(&mix, &seven, 1, None);
+    let spans = policy_spans(&profile, &mix);
+    let (counted, shared): (Vec<&melreq_prof::Span>, Vec<_>) =
+        spans.iter().partition(|s| s.arg("shared").is_none());
+    let names = |spans: &[&melreq_prof::Span]| -> Vec<String> {
+        spans.iter().map(|s| s.name.replace(" 2MIX-1", "")).collect()
+    };
+    assert_eq!(names(&counted), ["FCFS", "FCFS-RF", "HF-RF"], "{spans:?}");
+    assert!(counted.iter().all(|s| s.arg("contested_decisions") == Some(0)), "{counted:?}");
+    assert_eq!(names(&shared), ["LREQ", "ME", "ME-LREQ", "RR"], "{spans:?}");
+    assert!(shared.iter().all(|s| s.args() == [("shared", 1)]), "{shared:?}");
+
+    let mem = mix_by_name("2MEM-1");
+    let (_, profile) = profiled_group(&mem, &five, 1, None);
+    let spans = policy_spans(&profile, &mem);
+    assert_eq!(spans.len(), 5, "{spans:?}");
+    for s in spans {
+        assert!(s.arg("shared").is_none() && s.arg("contested_decisions") > Some(0), "{s:?}");
     }
+}
+
+/// A cancelled window certifies nothing, though none of its (zero)
+/// decisions was contested: every run of a group under an expired token
+/// simulates, and stops, on its own.
+#[test]
+fn a_group_whose_first_run_is_cancelled_certifies_nothing() {
+    let _alone = PROFILER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mix = mix_by_name("2MIX-1");
+    let expired = CancelToken::new();
+    expired.cancel();
+    let (results, profile) = profiled_group(&mix, &PolicyKind::figure2_set(), 1, Some(expired));
+    assert!(results.iter().all(|r| r.cancelled), "{results:?}");
+    let spans = policy_spans(&profile, &mix);
+    assert_eq!(spans.len(), 5);
+    assert!(spans.iter().all(|s| s.arg("shared").is_none()), "{spans:?}");
 }

@@ -254,6 +254,7 @@ struct Completion {
 /// Per-channel wake-up state of the grant scan (DESIGN.md, "Simulation
 /// kernel"): derived from the queue and the DRAM bank timers, rebuilt
 /// conservatively by [`MemoryController::load_state`], never serialized.
+/// It also holds the scan's host-side counters.
 #[derive(Debug)]
 struct ScanGate {
     /// Per channel, a lower bound on the first cycle one of its queued
@@ -266,6 +267,8 @@ struct ScanGate {
     /// Candidate scans run / skipped on a non-empty channel.
     scans: u64,
     skipped: u64,
+    /// Read decisions whose candidates came from two or more cores.
+    contested: u64,
 }
 
 /// The memory controller of Figure 1.
@@ -334,7 +337,13 @@ impl MemoryController {
             cand_pos: Vec::with_capacity(cfg.buffer_entries),
             cand_ids: Vec::with_capacity(cfg.buffer_entries),
             audit: AuditHandle::disabled(),
-            gate: ScanGate { wake: vec![Cycle::MAX; channels], exact: false, scans: 0, skipped: 0 },
+            gate: ScanGate {
+                wake: vec![Cycle::MAX; channels],
+                exact: false,
+                scans: 0,
+                skipped: 0,
+                contested: 0,
+            },
         };
         // Debug builds run with an always-on protocol watchdog: any
         // timing or scheduling violation panics at the offending grant.
@@ -577,6 +586,14 @@ impl MemoryController {
         (self.gate.scans, self.gate.skipped)
     }
 
+    /// Read decisions since construction whose candidates came from two
+    /// or more cores (a host-side counter, not state). Every policy ranks
+    /// cores, so only these can go differently under two policies that
+    /// agree on `read_first` and [`SchedulerPolicy::hit_first`].
+    pub fn contested_decisions(&self) -> u64 {
+        self.gate.contested
+    }
+
     /// One scheduler cycle: update drain state, then grant at most one
     /// transaction per logical channel.
     pub fn tick(&mut self, now: Cycle) {
@@ -705,6 +722,10 @@ impl MemoryController {
             !use_writes
         });
         self.build_candidates(want_reads);
+        if want_reads == Some(true) {
+            let first = self.cand_buf[0].core;
+            self.gate.contested += u64::from(self.cand_buf.iter().any(|c| c.core != first));
+        }
         let pending = self.queue.pending_reads_all();
         let idx = match want_reads {
             None => Fcfs.select(&self.cand_buf, pending),
@@ -1003,6 +1024,7 @@ mod tests {
         // a first (oldest); then b (row hit beats older x); then x.
         assert_eq!(order, vec![a, b, x]);
         assert!(c.stats().grant_row_hits.get() >= 1);
+        assert_eq!(c.contested_decisions(), 0, "one core never contests");
     }
 
     #[test]
@@ -1097,6 +1119,7 @@ mod tests {
         });
         // Core 1 has one read pending to core 0's two.
         assert_eq!(first, Some((b.0, 3, (Rule::LreqCount, Some(a.0)))));
+        assert_eq!(c.contested_decisions(), 1, "two cores competed once");
     }
 
     #[test]

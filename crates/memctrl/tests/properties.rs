@@ -3,10 +3,10 @@
 
 use melreq_dram::{DramGeometry, DramSystem};
 use melreq_memctrl::controller::ControllerConfig;
-use melreq_memctrl::policy::{Candidate, PolicyKind};
+use melreq_memctrl::policy::{Candidate, Fcfs, HitFirst, PolicyKind, SchedulerPolicy};
 use melreq_memctrl::request::{MemRequest, ReqId};
 use melreq_memctrl::table::PriorityTable;
-use melreq_memctrl::{MemoryController, RequestQueue};
+use melreq_memctrl::{registry, MemoryController, RequestQueue};
 use melreq_stats::types::{AccessKind, CoreId};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -134,6 +134,48 @@ proptest! {
             pendings[cands[idx].core.index()], min,
             "ME-LREQ with flat ME must pick a least-request core"
         );
+    }
+
+    /// The rule an uncontested window's sharing rests on (DESIGN.md,
+    /// "Checkpointing & the sweep driver"): whatever state a history of
+    /// two-core decisions left a registered policy in, it orders one
+    /// core's requests as its rule class alone says — hit-first then
+    /// oldest, or oldest. A policy overriding `select` must pass this too.
+    #[test]
+    fn one_cores_requests_are_ordered_by_the_rule_class_alone(
+        seed in any::<u64>(),
+        history in proptest::collection::vec((0u16..4, any::<bool>()), 0..64),
+        lone in proptest::collection::vec((any::<u8>(), any::<bool>()), 1..16),
+        core in 0u16..4,
+        pending in proptest::collection::vec(1u32..20, 4),
+    ) {
+        let me = [1.0, 2.0, 4.0, 8.0];
+        let cands: Vec<Candidate> = lone
+            .iter()
+            .enumerate()
+            .map(|(i, (id, hit))| Candidate {
+                id: ReqId(u64::from(*id) << 8 | i as u64),
+                core: CoreId(core),
+                row_hit: *hit,
+            })
+            .collect();
+        for desc in registry() {
+            let mut p = desc.default_kind().build(&me, 4, seed);
+            for (i, (c, hit)) in (0u64..).zip(&history) {
+                let two = [
+                    Candidate { id: ReqId(2 * i), core: CoreId(*c), row_hit: *hit },
+                    Candidate { id: ReqId(2 * i + 1), core: CoreId((c + 1) % 4), row_hit: !hit },
+                ];
+                let won = p.select(&two, &pending);
+                p.note_grant(&two[won]);
+            }
+            let class = if p.hit_first() {
+                HitFirst.select(&cands, &pending)
+            } else {
+                Fcfs.select(&cands, &pending)
+            };
+            prop_assert_eq!(p.select(&cands, &pending), class, "{}", desc.id);
+        }
     }
 
     /// Controller conservation: every submitted read completes exactly
