@@ -291,44 +291,16 @@ pub trait AuditSink: Send + std::fmt::Debug {
     fn record(&mut self, ev: &AuditEvent);
 }
 
-/// A sink that stores the raw stream (for tests and offline replay).
-///
-/// By default the stream grows without bound; [`Recorder::bounded`]
-/// caps it, dropping the oldest events once full so long runs keep the
-/// most recent window and a count of what fell off the front.
+/// A sink that stores the raw stream, unbounded (for tests and offline
+/// replay; the bounded capture for long runs is melreq-obs's ring).
 #[derive(Debug, Default)]
 pub struct Recorder {
     /// The recorded stream, in emission order.
     pub events: Vec<AuditEvent>,
-    /// `Some(cap)` keeps at most `cap` events (oldest dropped first).
-    capacity: Option<usize>,
-    dropped: u64,
-}
-
-impl Recorder {
-    /// A recorder that keeps at most `capacity` events, evicting the
-    /// oldest first. A capacity of 0 is clamped to 1.
-    pub fn bounded(capacity: usize) -> Self {
-        Recorder { events: Vec::new(), capacity: Some(capacity.max(1)), dropped: 0 }
-    }
-
-    /// Events evicted so far because the recorder was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 impl AuditSink for Recorder {
     fn record(&mut self, ev: &AuditEvent) {
-        if let Some(cap) = self.capacity {
-            if self.events.len() == cap {
-                // Shifting a Vec is O(n), but bounded recorders are a
-                // test/replay aid, not a hot path; the ring buffer for
-                // hot-path capture lives in melreq-obs.
-                self.events.remove(0);
-                self.dropped += 1;
-            }
-        }
         self.events.push(ev.clone());
     }
 }
@@ -406,20 +378,6 @@ mod tests {
         h.emit(|| AuditEvent::Refresh { channel: 0, at: 10 });
         h.emit(|| AuditEvent::Refresh { channel: 1, at: 20 });
         assert!(h.is_enabled() && h.wants_decisions());
-    }
-
-    #[test]
-    fn bounded_recorder_drops_oldest_and_counts() {
-        let mut r = Recorder::bounded(2);
-        for at in 0..5u64 {
-            r.record(&AuditEvent::Refresh { channel: 0, at });
-        }
-        assert_eq!(r.events.len(), 2);
-        assert_eq!(r.dropped(), 3);
-        assert!(matches!(r.events[0], AuditEvent::Refresh { at: 3, .. }));
-        assert!(matches!(r.events[1], AuditEvent::Refresh { at: 4, .. }));
-        let unbounded = Recorder::default();
-        assert_eq!(unbounded.dropped(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `SimRequest → Session::run → SimReport` path the HTTP service and the
 //! bench harness use — so `melreq run --json` is byte-identical to the
 //! service's `/run` report body. Only the observability paths
-//! (`--trace`/`--series`/`--provenance` and `melreq trace`) call the
+//! (`--trace`/`--series`/`--provenance`) call the
 //! harness's `run_tapped` themselves: they need the collector tap, which
 //! is deliberately not part of the service API. Either way a run is
 //! rendered from its [`PolicyReport`].
@@ -25,7 +25,7 @@ use melreq_core::report::{format_table, pct_over};
 use melreq_core::{CheckpointStore, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_obs::{
-    export_chrome_json, finish_host_profile, series, Collector, ObsConfig, RuleTotals,
+    export_chrome_json, finish_host_profile, series, Collector, RuleTotals, DEFAULT_TRACE_CAPACITY,
 };
 use melreq_serve::{http, ServeConfig};
 use melreq_snap::json_esc;
@@ -77,15 +77,15 @@ pub(crate) fn cmd_profile(args: &Args) -> Result<String, MelreqError> {
     Ok(format_table(&["app", "class", "IPC_1", "BW (GB/s)", "ME"], &rows))
 }
 
-/// Translate CLI observability flags into core `ObserveOptions`.
-/// `force_sampling` (the `trace` command) turns the epoch sampler on
-/// even when neither `--sample-epoch` nor `--series` was given.
-fn observe_options(obs: &ObsArgs, force_sampling: bool) -> ObserveOptions {
-    let sample_epoch =
-        obs.sample_epoch.or_else(|| (force_sampling || obs.series_out.is_some()).then_some(10_000));
+/// Translate CLI observability flags into core `ObserveOptions`. A
+/// trace or a series turns the epoch sampler on at 10 000 cycles unless
+/// `--sample-epoch` names another epoch (the trace carries the sampled
+/// counters as tracks).
+fn observe_options(obs: &ObsArgs) -> ObserveOptions {
+    let sampled = obs.trace_out.is_some() || obs.series_out.is_some();
     ObserveOptions {
-        ring_capacity: obs.trace_cap.unwrap_or(ObsConfig::default().ring_capacity),
-        sample_epoch,
+        ring_capacity: obs.trace_cap.unwrap_or(DEFAULT_TRACE_CAPACITY),
+        sample_epoch: obs.sample_epoch.or_else(|| sampled.then_some(10_000)),
     }
 }
 
@@ -270,15 +270,15 @@ pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
     if args.json && obs.any() {
         return Err(usage(
             "--json emits the versioned machine-readable report; drop the \
-             --trace/--series/--sample-epoch/--provenance flags (use `melreq trace` \
-             for observability artifacts)",
+             --trace/--series/--sample-epoch/--provenance flags, or drop --json to write \
+             observability artifacts",
         ));
     }
     if obs.any() {
         // The collector tap is not part of the facade. Every registered
         // policy runs through the instrumented controller, so they all
         // trace.
-        let taps = Taps { audit: args.audit, observe: Some(observe_options(obs, false)) };
+        let taps = Taps { audit: args.audit, observe: Some(observe_options(obs)) };
         let (cache, ctl) = (ProfileCache::new(), RunControl::default());
         let (r, heard) = run_tapped(&mix, Measured::Kind(&spec), opts, &cache, None, &ctl, taps);
         let audit = heard.audit.as_ref().map(AuditSummary::of);
@@ -302,32 +302,6 @@ pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
         return Ok(report.to_json());
     }
     Ok(render_run_human(&mix, &report.policies[0], opts))
-}
-
-/// `melreq trace`: run one mix under any registered policy with the
-/// full observability stack on, write the Chrome/Perfetto trace (plus
-/// the optional epoch series), and summarize what was captured.
-pub(crate) fn cmd_trace(args: &Args) -> Result<String, MelreqError> {
-    let mix = resolve_mix(&args.mix)?;
-    let cache = ProfileCache::new();
-    let observe = observe_options(&args.obs, true);
-    let (r, collector) = run_mix_observed(&mix, &args.policy(), &args.opts, &observe, &cache);
-    let c = collector.lock().expect("obs collector poisoned");
-    let mut effective = args.obs.clone();
-    effective.trace_out = Some(args.out.clone().unwrap_or_else(|| "trace.json".to_string()));
-    let mut out = format!(
-        "{} under {}: {} sim cycles observed, {} scheduler decisions\n",
-        mix.name,
-        r.policy,
-        r.sim_cycles,
-        c.decisions_seen()
-    );
-    out.push_str(&obs_outputs(&c, &effective)?);
-    if r.timed_out {
-        out.push_str("\nWARNING: run hit the cycle safety net before completing\n");
-    }
-    out.push_str(&render_provenance(c.rule_totals()));
-    Ok(out)
 }
 
 pub(crate) fn cmd_audit(args: &Args) -> Result<String, MelreqError> {
@@ -1397,18 +1371,19 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
     }
 
     #[test]
-    fn trace_writes_valid_chrome_json_and_series() {
-        let dir = temp_dir("trace");
-        let trace = dir.join("trace.json");
-        let series = dir.join("series.csv");
+    fn run_with_obs_flags_writes_trace_and_reports_provenance() {
+        let dir = temp_dir("runobs");
+        let (trace, series) = (dir.join("trace.json"), dir.join("series.csv"));
         let s = quick(&format!(
-            "trace 2MEM-1 --out {} --series {} --sample-epoch 2000",
+            "run 2MEM-1 --policy hf-rf --audit --trace {} --series {} --sample-epoch 2000 \
+             --provenance",
             trace.display(),
             series.display()
         ))
         .unwrap();
+        assert!(s.contains("0 violations"), "audit and tracing must coexist:\n{s}");
         assert!(s.contains("ui.perfetto.dev"), "summary must point at the viewer:\n{s}");
-        assert!(s.contains("decision provenance"), "provenance table missing:\n{s}");
+        assert!(s.contains("decision provenance"), "provenance missing:\n{s}");
         let json = std::fs::read_to_string(&trace).unwrap();
         assert!(json.contains("\"traceEvents\""), "Chrome trace_event envelope missing");
         assert!(json.contains("\"ph\": \"X\""), "no duration slices emitted");
@@ -1421,29 +1396,36 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         );
         assert!(lines.next().unwrap().starts_with("cycle,"), "series CSV header:\n{csv}");
         assert!(lines.next().is_some(), "series CSV must have data rows:\n{csv}");
+
+        // Every registered policy traces, parameterized ones included.
+        let s = quick("run 2MEM-1 --policy fq --trace /dev/null --provenance").unwrap();
+        assert!(s.contains("fq-start-tag"), "FQ must attribute to its own rule:\n{s}");
+        let s = quick("run 2MEM-1 --policy bliss(threshold=2) --trace /dev/null").unwrap();
+        assert!(
+            s.contains("BLISS") && s.contains("trace: "),
+            "parameterized policy must trace:\n{s}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `run --trace` writes, byte for byte, the files the retired `melreq
+    /// trace MIX --out T` verb wrote: FNV-1a of each, captured from that
+    /// verb under the quick options.
     #[test]
-    fn trace_covers_zoo_policies() {
-        let s = quick("trace 2MEM-1 --policy fq --out /dev/null").unwrap();
-        assert!(s.contains("scheduler decisions"), "trace summary missing:\n{s}");
-        assert!(s.contains("fq-start-tag"), "FQ must attribute to its own rule:\n{s}");
-        let s = quick("trace 2MEM-1 --policy bliss(threshold=2) --out /dev/null").unwrap();
-        assert!(s.contains("BLISS"), "parameterized policy must trace:\n{s}");
-    }
-
-    #[test]
-    fn run_with_obs_flags_writes_trace_and_reports_provenance() {
-        let dir = temp_dir("runobs");
-        let trace = dir.join("run-trace.json");
-        let obs = format!("--trace {} --provenance", trace.display());
-        let s = quick(&format!("run 2MEM-1 --policy hf-rf --audit {obs}")).unwrap();
-        assert!(s.contains("0 violations"), "audit and tracing must coexist:\n{s}");
-        assert!(s.contains("decision provenance"), "provenance missing:\n{s}");
-        assert!(trace.exists());
-        let s = quick(&format!("run 2MEM-1 --policy fq {obs}")).unwrap();
-        assert!(s.contains("decision provenance"), "FQ provenance must render:\n{s}");
+    fn run_trace_files_are_pinned() {
+        let dir = temp_dir("tracepin");
+        let (trace, series) = (dir.join("t.json"), dir.join("s.csv"));
+        let hash = |p: &Path| format!("{:016x}", melreq_snap::fnv1a(&std::fs::read(p).unwrap()));
+        let (t, s) = (trace.display(), series.display());
+        quick(&format!("run 2MEM-1 --policy me-lreq --trace {t} --series {s} --sample-epoch 2000"))
+            .unwrap();
+        assert_eq!(
+            (hash(&trace), hash(&series)),
+            ("f95925a43f97b2fb".into(), "2f6dfa98ae29fc99".into())
+        );
+        // The default epoch: a trace alone samples every 10 000 cycles.
+        quick(&format!("run 2MEM-1 --policy fq --trace {t}")).unwrap();
+        assert_eq!(hash(&trace), "2da87d33ec73ed1a");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

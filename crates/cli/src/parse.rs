@@ -10,7 +10,7 @@
 
 use crate::commands::{
     cmd_analyze, cmd_audit, cmd_client, cmd_compare, cmd_config, cmd_loadbench, cmd_profile,
-    cmd_reproduce, cmd_run, cmd_serve, cmd_sweep, cmd_trace, with_host_profile,
+    cmd_reproduce, cmd_run, cmd_serve, cmd_sweep, with_host_profile,
 };
 use melreq_core::api::MelreqError;
 use melreq_core::experiment::ExperimentOptions;
@@ -28,10 +28,10 @@ use std::str::FromStr;
 pub use melreq_memctrl::PolicyKind as PolicySpec;
 
 /// Observability flags (`--trace`, `--series`, `--sample-epoch`,
-/// `--trace-cap`, `--provenance`) accepted by `run` and `trace`.
+/// `--trace-cap`, `--provenance`) accepted by `run`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObsArgs {
-    /// Perfetto trace output path (`--trace PATH`; `trace` uses `--out`).
+    /// Perfetto trace output path (`--trace PATH`).
     pub trace_out: Option<String>,
     /// Epoch time-series output path: CSV, or JSON when the path ends
     /// in `.json`.
@@ -142,7 +142,7 @@ impl Default for Args {
 }
 
 impl Args {
-    /// The one policy of `run`, `trace` and `audit`: ME-LREQ unless
+    /// The one policy of `run` and `audit`: ME-LREQ unless
     /// `--policy` named another.
     pub fn policy(&self) -> PolicySpec {
         self.policies.first().cloned().unwrap_or(PolicySpec::MeLreq)
@@ -303,8 +303,8 @@ const OBS: Group = Group { title: "TRACE OPTIONS", flags: &[
     flag("--series", "PATH", "write the epoch time-series (CSV, or JSON when the path ends in \
          .json); implies sampling",
         |a, v| put(&mut a.obs.series_out, Ok(Some(v.into())))),
-    flag("--sample-epoch", "N", "sampling epoch in cycles (default 10000 when a series is \
-         requested or under `trace`)",
+    flag("--sample-epoch", "N", "sampling epoch in cycles (default 10000 when a series or a \
+         trace is requested)",
         |a, v| put(&mut a.obs.sample_epoch, positive(v).map(Some))),
     flag("--trace-cap", "N", "trace-ring capacity in events (default 1048576, oldest events \
          drop beyond it)",
@@ -346,18 +346,12 @@ pub static VERBS: &[Verb] = &[
         flag("--json", "", "print the versioned single-line report (byte-identical to the \
              server's /run body)",
             |a, _| put(&mut a.json, Ok(true))),
-        flag("--trace", "PATH", "write a Chrome/Perfetto trace_event JSON of the run (`trace` \
-             writes one always; its path is --out)",
+        flag("--trace", "PATH", "write a Chrome/Perfetto trace_event JSON of the run; implies \
+             sampling",
             |a, v| put(&mut a.obs.trace_out, Ok(Some(v.into())))),
         flag("--provenance", "", "print which scheduler rule won each grant, aggregated per \
-             policy (`trace` always does)",
+             policy",
             |a, _| put(&mut a.obs.provenance, Ok(true))),
-    ]},
-    Verb { name: "trace", positional: Positional::Mix, groups: &[&SCALE, &OBS],
-        host_profile: false, run: cmd_trace, flags: &[
-        POLICY,
-        flag("--out", "PATH", "the Perfetto trace (default trace.json)",
-            |a, v| put(&mut a.out, Ok(Some(v.into())))),
     ]},
     Verb { name: "audit", positional: Positional::MixOr("4MEM-1"), groups: &[&SCALE],
         host_profile: false, run: cmd_audit, flags: &[POLICY] },
@@ -741,12 +735,13 @@ HOST PROFILING:
   or off.
 
 TRACING:
-  `melreq trace` runs a mix with the deterministic trace collector on
-  the audit tap: request arrivals, reconstructed ACT/RD/WR/PRE commands,
-  grants (with the winning rule and beaten runner-up), refreshes and
-  per-core memory-stall spans, exported as Chrome trace_event JSON —
-  open it at https://ui.perfetto.dev. Timestamps are sim-cycles (shown
-  as µs). Tracing is inert: results are bit-identical with it on or off.
+  `melreq run MIX --trace PATH` runs a mix with the deterministic trace
+  collector on the audit tap: request arrivals, reconstructed
+  ACT/RD/WR/PRE commands, grants (with the winning rule and beaten
+  runner-up), refreshes and per-core memory-stall spans, exported as
+  Chrome trace_event JSON — open it at https://ui.perfetto.dev.
+  Timestamps are sim-cycles (shown as µs). Tracing is inert: results are
+  bit-identical with it on or off.
 
 REPRODUCING:
   `melreq reproduce` runs the whole paper — Table 2 profiles, the
@@ -965,7 +960,7 @@ mod tests {
             // A missing value, on verbs that read the flag and one that
             // does not.
             ("run 4MEM-1 --policy", "--policy"),
-            ("trace 4MEM-1 --sample-epoch", "--sample-epoch"),
+            ("run 4MEM-1 --series", "--series"),
             ("serve --timeout-ms", "--timeout-ms"),
             ("analyze --root", "--root"),
             ("config --profile", "--profile"),
@@ -975,9 +970,11 @@ mod tests {
             assert!(e.contains(flag), "{line}: the error must name the flag: {e}");
         }
         assert!(parse("sweep --kind mem").is_ok());
-        for line in ["run", "trace", "bogus"] {
+        for line in ["run", "bogus"] {
             err(line);
         }
+        let e = err("trace 2MEM-1");
+        assert!(e.contains("unknown command 'trace'"), "`run --trace` replaced the verb: {e}");
     }
 
     #[test]
@@ -1023,24 +1020,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_obs_flags_parse() {
+    fn obs_flags_parse() {
         let a = args(
-            "trace 4MEM-1 --policy hf-rf --out t.json --series s.csv --sample-epoch 5000 \
-             --trace-cap 1024",
+            "run 4MEM-1 --policy hf-rf --trace t.json --series s.csv --sample-epoch 5000 \
+             --trace-cap 1024 --provenance",
         );
         assert_eq!((a.mix.as_str(), a.policy().name()), ("4MEM-1", "HF-RF"));
-        assert_eq!(a.out.as_deref(), Some("t.json"));
+        assert_eq!(a.obs.trace_out.as_deref(), Some("t.json"));
         assert_eq!(a.obs.series_out.as_deref(), Some("s.csv"));
         assert_eq!(a.obs.sample_epoch, Some(5000));
         assert_eq!(a.obs.trace_cap, Some(1024));
-        // Defaults: out path (left to the command), policy.
-        let a = args("trace 2MEM-1");
-        assert!(a.out.is_none() && !a.obs.provenance);
-        assert_eq!(a.policy().name(), "ME-LREQ");
-        // run accepts the same flags plus its own two.
-        let a = args("run 2MEM-1 --trace x.json --provenance");
-        assert_eq!(a.obs.trace_out.as_deref(), Some("x.json"));
         assert!(a.obs.provenance && a.obs.any());
+        assert!(!args("run 2MEM-1").obs.any());
         assert!(args("compare 2MEM-1 --provenance").obs.provenance);
     }
 
@@ -1093,14 +1084,13 @@ mod tests {
             );
             assert!(verb.own().next().is_none() || text.contains(&own), "{own:?} missing");
         }
-        assert_eq!(rows, 92, "a (verb, flag) row came or went");
-        for section in
-            ["COMMON OPTIONS (profile,", "THREAD OPTIONS (run,", "TRACE OPTIONS (run, trace):"]
+        assert_eq!(rows, 83, "a (verb, flag) row came or went");
+        for section in ["COMMON OPTIONS (profile,", "THREAD OPTIONS (run,", "TRACE OPTIONS (run):"]
         {
             assert!(text.contains(section), "{section} missing");
         }
         assert!(
-            text.contains("trace     --policy NAME") && text.contains("audit     --policy NAME")
+            text.contains("run       --policy NAME") && text.contains("audit     --policy NAME")
         );
     }
 
@@ -1117,9 +1107,9 @@ mod tests {
             ("run X Y", "at most 1 positional"),
             ("sweep mem", "at most 0 positional"),
             ("serve --profile 123", "--profile N"),
-            ("trace X --profile p.json", "--profile PATH"),
-            ("trace X --trace t.json", "--trace"),
-            ("trace X --provenance", "--provenance"),
+            ("audit X --profile p.json", "--profile PATH"),
+            ("compare X --trace t.json", "--trace"),
+            ("audit X --provenance", "--provenance"),
             ("config --rps 5", "--rps"),
             ("audit --threads 2", "--threads"),
             ("help --json", "--json"),

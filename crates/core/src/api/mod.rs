@@ -142,7 +142,7 @@ pub struct SimRequest {
     /// Optional wall-clock deadline in milliseconds; an expired run is
     /// cancelled at an epoch boundary and fails with
     /// [`MelreqError::Timeout`]. Not part of the request's identity
-    /// ([`SimRequest::canonical_string`]) — it cannot change the
+    /// ([`SimRequest::canonical_bytes`]) — it cannot change the
     /// deterministic result, only whether it is produced in time.
     pub timeout_ms: Option<u64>,
     /// Optional worker-thread count for the run's job pool (`--threads`).
@@ -351,18 +351,20 @@ impl SimRequest {
         s
     }
 
-    /// The request's deterministic identity: every field that can change
-    /// the simulated result, in a fixed order. `timeout_ms` and `threads`
-    /// are excluded — one only bounds wall-clock time, the other only
-    /// picks worker-thread count.
-    pub fn canonical_string(&self) -> String {
+    /// The request's deterministic identity, schema-versioned: every
+    /// field that can change the simulated result, in a fixed order —
+    /// the service's response-cache and request-coalescing key. Two
+    /// requests share an entry iff these bytes are identical.
+    /// `timeout_ms` and `threads` are excluded — one only bounds
+    /// wall-clock time, the other only picks worker-thread count.
+    pub fn canonical_bytes(&self) -> String {
         let policies: Vec<String> = self.policies.iter().map(canonical_kind).collect();
         let o = &self.opts;
         // The roster's spelling, so `2mem-1` and `2MEM-1` share one cache
         // and coalescing entry; a name the run will reject stays as sent.
         let mix = resolve_mix(&self.mix).map_or(self.mix.as_str(), |m| m.name);
         format!(
-            "mix={mix};policies=[{}];audit={};instr={};warmup={};profile={};slice={};factor={};budget={:?}",
+            "v{SCHEMA_VERSION};mix={mix};policies=[{}];audit={};instr={};warmup={};profile={};slice={};factor={};budget={:?}",
             policies.join(","),
             self.audit,
             o.instructions,
@@ -372,22 +374,6 @@ impl SimRequest {
             o.max_cycles_factor,
             self.max_cycles,
         )
-    }
-
-    /// A stable 64-bit key over [`SimRequest::canonical_string`]
-    /// (schema-versioned via `melreq_snap::keyed`) — a compact request
-    /// fingerprint for logs and quick lookups.
-    pub fn request_key(&self) -> u64 {
-        melreq_snap::keyed("request", &self.canonical_string())
-    }
-
-    /// The full schema-versioned canonical identity bytes — the
-    /// service's response-cache and request-coalescing key. Unlike
-    /// [`SimRequest::request_key`] this is collision-free by
-    /// construction: two requests map to the same entry iff their
-    /// canonical strings are byte-identical under the same schema.
-    pub fn canonical_bytes(&self) -> String {
-        format!("v{SCHEMA_VERSION};{}", self.canonical_string())
     }
 }
 
@@ -725,27 +711,20 @@ mod tests {
     }
 
     #[test]
-    fn canonical_string_excludes_timeout_but_keys_on_budget() {
+    fn canonical_bytes_are_schema_versioned_exclude_timeout_and_key_on_budget() {
         let a = quick_request("me-lreq");
-        let b = a.clone().timeout_ms(5);
-        assert_eq!(a.canonical_string(), b.canonical_string());
-        assert_eq!(a.request_key(), b.request_key());
-        let c = a.clone().max_cycles(1 << 30);
-        assert_ne!(a.request_key(), c.request_key());
+        assert_eq!(
+            a.canonical_bytes(),
+            "v4;mix=2MEM-1;policies=[MeLreq];audit=false;instr=20000;warmup=10000;\
+             profile=10000;slice=0;factor=4000;budget=None"
+        );
+        // Wall-clock budget and thread count are not identity; cycle budget is.
+        assert_eq!(a.canonical_bytes(), a.clone().timeout_ms(5).threads(3).canonical_bytes());
+        assert_ne!(a.canonical_bytes(), a.clone().max_cycles(1 << 30).canonical_bytes());
         // Fixed-priority orders are part of the identity.
         let f0 = SimRequest::new("4MEM-1").policy(PolicyKind::parse("fix-0123").unwrap());
         let f3 = SimRequest::new("4MEM-1").policy(PolicyKind::parse("fix-3210").unwrap());
-        assert_ne!(f0.request_key(), f3.request_key());
-    }
-
-    #[test]
-    fn canonical_bytes_are_schema_versioned_and_track_identity() {
-        let a = quick_request("me-lreq");
-        assert!(a.canonical_bytes().starts_with(&format!("v{SCHEMA_VERSION};")));
-        assert!(a.canonical_bytes().ends_with(&a.canonical_string()));
-        // Wall-clock budget is not identity; cycle budget is.
-        assert_eq!(a.canonical_bytes(), a.clone().timeout_ms(5).canonical_bytes());
-        assert_ne!(a.canonical_bytes(), a.clone().max_cycles(1 << 30).canonical_bytes());
+        assert_ne!(f0.canonical_bytes(), f3.canonical_bytes());
     }
 
     #[test]
@@ -831,7 +810,6 @@ mod tests {
         let upper = quick_request("me-lreq");
         let lower = SimRequest { mix: "2mem-1".to_string(), ..upper.clone() };
         assert_eq!(lower.canonical_bytes(), upper.canonical_bytes());
-        assert_eq!(lower.request_key(), upper.request_key());
         let report = Session::new().run(&lower, &RunControl::default()).unwrap();
         assert_eq!(report.mix(), "2MEM-1", "the report carries the roster's spelling");
     }

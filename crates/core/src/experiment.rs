@@ -62,7 +62,7 @@ use crate::SystemConfig;
 use melreq_audit::{AuditHandle, AuditReport, AuditSink, Auditor, AuditorConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_memctrl::SchedulerPolicy;
-use melreq_obs::{Collector, Fanout, ObsConfig};
+use melreq_obs::{Collector, Fanout, DEFAULT_TRACE_CAPACITY};
 use melreq_snap::Sealed;
 use melreq_stats::fairness::FairnessReport;
 use melreq_stats::types::Cycle;
@@ -687,7 +687,7 @@ pub struct ObserveOptions {
 
 impl Default for ObserveOptions {
     fn default() -> Self {
-        ObserveOptions { ring_capacity: ObsConfig::default().ring_capacity, sample_epoch: None }
+        ObserveOptions { ring_capacity: DEFAULT_TRACE_CAPACITY, sample_epoch: None }
     }
 }
 
@@ -742,9 +742,7 @@ pub fn run_tapped(
 ) -> (MixResult, Tapped) {
     let inputs = Inputs::of(mix, opts, cache);
     let auditor = taps.audit.then(|| Arc::new(Mutex::new(Auditor::new(AuditorConfig::default()))));
-    let collector = taps.observe.map(|o| {
-        Arc::new(Mutex::new(Collector::new(ObsConfig { ring_capacity: o.ring_capacity })))
-    });
+    let collector = taps.observe.map(|o| Arc::new(Mutex::new(Collector::new(o.ring_capacity))));
     // One emission on the audit tap, fanned out when both sinks listen,
     // plus the epoch sampler.
     let attach = |sys: &mut System| {

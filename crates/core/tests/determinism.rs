@@ -28,7 +28,7 @@ use melreq_core::experiment::CANONICAL_WARMUP_POLICY;
 use melreq_core::{ExperimentOptions, KernelCounters, System, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_memctrl::registry::registry;
-use melreq_obs::{Collector, ObsConfig};
+use melreq_obs::{Collector, DEFAULT_TRACE_CAPACITY};
 use melreq_trace::InstrStream;
 use melreq_workloads::{mix_by_name, Mix, MixKind};
 use proptest::prelude::*;
@@ -137,7 +137,7 @@ fn both_epoch_clamps_leave_the_kernels_indistinguishable() {
     let kind = PolicyKind::MeLreqOnline { epoch_cycles: 1_700 };
     let run = |tick_exact: bool| {
         let mut sys = build(mix_by_name("8MEM-1").codes, &kind, tick_exact);
-        let (handle, collector) = Collector::shared(ObsConfig::default());
+        let (handle, collector) = Collector::shared(DEFAULT_TRACE_CAPACITY);
         sys.attach_audit(handle);
         sys.attach_sampler(collector.clone(), 1_300);
         assert!(!sys.run_window(MAX_CYCLES).timed_out);

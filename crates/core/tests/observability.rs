@@ -14,7 +14,7 @@ use melreq_core::{run_mix_audited, run_mix_observed, run_tapped, Measured, Taps}
 use melreq_core::{ExperimentOptions, RunControl, System, SystemConfig};
 use melreq_memctrl::policy::{PolicyKind, SchedulerPolicy};
 use melreq_memctrl::registry;
-use melreq_obs::{Collector, ObsConfig, Rule, RuleTotals};
+use melreq_obs::{Collector, Rule, RuleTotals, DEFAULT_TRACE_CAPACITY};
 use melreq_stats::types::CoreId;
 use melreq_workloads::mix_by_name;
 use proptest::prelude::*;
@@ -154,7 +154,7 @@ fn build(mix_name: &str, kind: &PolicyKind) -> System {
 /// Attach a fresh collector to `sys`, tick it `ticks` cycles, run it to
 /// the end of its window if `finish`, and return the totals collected.
 fn observe(sys: &mut System, ticks: u64, finish: bool) -> RuleTotals {
-    let (handle, collector) = Collector::shared(ObsConfig::default());
+    let (handle, collector) = Collector::shared(DEFAULT_TRACE_CAPACITY);
     sys.attach_audit(handle);
     (0..ticks).for_each(|_| sys.tick());
     assert!(!finish || !sys.run_window(1 << 26).timed_out, "window must finish");
@@ -245,7 +245,7 @@ proptest! {
         let run = |tick_exact: bool| {
             let mut sys = build("2MEM-1", &PolicyKind::HfRf);
             sys.set_tick_exact(tick_exact);
-            let (handle, collector) = Collector::shared(ObsConfig::default());
+            let (handle, collector) = Collector::shared(DEFAULT_TRACE_CAPACITY);
             sys.attach_audit(handle);
             sys.attach_sampler(collector.clone(), epoch);
             sys.prepare_window(opts.warmup, opts.instructions);

@@ -79,11 +79,6 @@ impl DramGeometry {
         self.dimms_per_channel * self.banks_per_dimm
     }
 
-    /// Total banks in the system.
-    pub fn total_banks(&self) -> usize {
-        self.channels * self.banks_per_channel()
-    }
-
     /// Cache lines per row buffer.
     pub fn lines_per_row(&self) -> u64 {
         self.row_bytes / (1 << CACHE_LINE_SHIFT)
@@ -172,7 +167,6 @@ mod tests {
     fn paper_geometry_counts() {
         let g = DramGeometry::paper();
         assert_eq!(g.banks_per_channel(), 8);
-        assert_eq!(g.total_banks(), 16);
         assert_eq!(g.lines_per_row(), 64);
     }
 

@@ -311,20 +311,10 @@ impl DramSystem {
         Ok(())
     }
 
-    /// Cumulative data-bus busy cycles of `channel` (the numerator of
-    /// [`DramSystem::bus_utilization`]; the epoch sampler differences
-    /// this between samples).
+    /// Cumulative data-bus busy cycles of `channel` (the epoch sampler
+    /// differences this between samples into bus utilization).
     pub fn bus_busy_cycles(&self, channel: usize) -> Cycle {
         self.channels[channel].bus_busy_cycles()
-    }
-
-    /// Data-bus utilization of `channel` over `elapsed` cycles.
-    pub fn bus_utilization(&self, channel: usize, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.channels[channel].bus_busy_cycles() as f64 / elapsed as f64
-        }
     }
 }
 
@@ -336,7 +326,6 @@ mod tests {
     fn paper_system_shape() {
         let d = DramSystem::paper();
         assert_eq!(d.geometry().channels, 2);
-        assert_eq!(d.geometry().total_banks(), 16);
     }
 
     #[test]
@@ -383,14 +372,5 @@ mod tests {
         assert!(d.is_row_hit(&a));
         d.precharge(&a, 200);
         assert!(!d.is_row_hit(&a));
-    }
-
-    #[test]
-    fn utilization_accumulates() {
-        let mut d = DramSystem::paper();
-        let a = d.decode(0);
-        d.issue(&a, AccessKind::Read, 0, false);
-        assert!(d.bus_utilization(0, 160) > 0.09);
-        assert_eq!(d.bus_utilization(0, 0), 0.0);
     }
 }

@@ -70,11 +70,6 @@ impl RequestQueue {
         self.entries.len() < self.capacity
     }
 
-    /// Number of queued read requests across all cores.
-    pub fn total_reads(&self) -> u32 {
-        self.pending_reads.iter().sum()
-    }
-
     /// Number of queued write requests across all cores.
     pub fn total_writes(&self) -> u32 {
         self.pending_writes.iter().sum()
@@ -269,7 +264,6 @@ mod tests {
         assert_eq!(q.pending_reads(CoreId(0)), 2);
         assert_eq!(q.pending_reads(CoreId(1)), 0);
         assert_eq!(q.pending_writes(CoreId(1)), 1);
-        assert_eq!(q.total_reads(), 2);
         assert_eq!(q.total_writes(), 1);
         check_index(&q);
     }

@@ -11,29 +11,20 @@
 //! (see `provenance`) — which is what makes tracing provably inert.
 
 use melreq_audit::{AuditEvent, AuditHandle, AuditSink, GrantOutcome, TimingParams};
+use melreq_prof::Ring;
 use melreq_stats::types::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{CmdKind, TraceEvent, TraceRing};
+use crate::event::{CmdKind, TraceEvent};
 use crate::provenance::{Rule, RuleTotals, RunnerUp};
 use crate::series::EpochRow;
 
-/// Collector configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Structured-trace ring capacity (drop-oldest beyond this).
-    pub ring_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        // ~1M events ≈ a few hundred thousand grants: plenty for any
-        // plot while bounding memory to tens of MB.
-        ObsConfig { ring_capacity: 1 << 20 }
-    }
-}
+/// Default structured-trace ring capacity in events (drop-oldest beyond
+/// it): ~1M events ≈ a few hundred thousand grants, plenty for any plot
+/// while bounding memory to tens of MB.
+pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Per-core sample handed in by the system at an epoch boundary.
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +65,7 @@ struct ChanAccum {
 /// The deterministic trace/telemetry collector (see crate docs).
 #[derive(Debug)]
 pub struct Collector {
-    ring: TraceRing,
+    ring: Ring<TraceEvent>,
     // --- configuration knowledge replicated from the tap stream ---
     timing: TimingParams,
     channels: usize,
@@ -96,10 +87,10 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// A collector with the given configuration.
-    pub fn new(cfg: ObsConfig) -> Self {
+    /// A collector whose trace ring holds at most `capacity` events.
+    pub fn new(capacity: usize) -> Self {
         Collector {
-            ring: TraceRing::new(cfg.ring_capacity),
+            ring: Ring::new(capacity),
             timing: TimingParams::default(),
             channels: 0,
             cores: 0,
@@ -117,11 +108,11 @@ impl Collector {
         }
     }
 
-    /// A collector with default configuration, wrapped for sharing with
-    /// an [`AuditHandle`]. Returns the handle to attach and the shared
-    /// collector to read results back from after the run.
-    pub fn shared(cfg: ObsConfig) -> (AuditHandle, Arc<Mutex<Collector>>) {
-        let collector = Arc::new(Mutex::new(Collector::new(cfg)));
+    /// A collector wrapped for sharing with an [`AuditHandle`]. Returns
+    /// the handle to attach and the shared collector to read results
+    /// back from after the run.
+    pub fn shared(capacity: usize) -> (AuditHandle, Arc<Mutex<Collector>>) {
+        let collector = Arc::new(Mutex::new(Collector::new(capacity)));
         let sink: Arc<Mutex<dyn AuditSink>> = collector.clone();
         (AuditHandle::from_shared(sink, true), collector)
     }
@@ -129,7 +120,7 @@ impl Collector {
     // ---- results ----
 
     /// The structured event trace (most recent window, oldest first).
-    pub fn ring(&self) -> &TraceRing {
+    pub fn ring(&self) -> &Ring<TraceEvent> {
         &self.ring
     }
 
@@ -544,7 +535,7 @@ mod tests {
 
     #[test]
     fn decision_then_grant_attributes_rule() {
-        let mut c = Collector::new(ObsConfig { ring_capacity: 64 });
+        let mut c = Collector::new(64);
         base_config(&mut c, "HF-RF");
         c.record(&AuditEvent::Decision {
             channel: 0,
@@ -589,7 +580,7 @@ mod tests {
 
     #[test]
     fn policy_swap_opens_a_new_totals_bucket() {
-        let mut c = Collector::new(ObsConfig::default());
+        let mut c = Collector::new(DEFAULT_TRACE_CAPACITY);
         base_config(&mut c, "HF-RF");
         let one_decision = |c: &mut Collector| {
             c.record(&AuditEvent::Decision {
@@ -628,7 +619,7 @@ mod tests {
 
     #[test]
     fn grant_synthesizes_commands_by_outcome() {
-        let mut c = Collector::new(ObsConfig::default());
+        let mut c = Collector::new(DEFAULT_TRACE_CAPACITY);
         base_config(&mut c, "HF-RF");
         c.record(&grant(0, 0, false, 100, GrantOutcome::Conflict));
         let kinds: Vec<CmdKind> = c
@@ -644,7 +635,7 @@ mod tests {
 
     #[test]
     fn epoch_sample_computes_rates_and_resets_accumulators() {
-        let mut c = Collector::new(ObsConfig::default());
+        let mut c = Collector::new(DEFAULT_TRACE_CAPACITY);
         base_config(&mut c, "HF-RF");
         c.record(&grant(0, 0, false, 50, GrantOutcome::Hit));
         c.record(&grant(1, 1, true, 60, GrantOutcome::ClosedMiss));
@@ -683,7 +674,7 @@ mod tests {
 
     #[test]
     fn core_wait_spans_open_and_close() {
-        let mut c = Collector::new(ObsConfig::default());
+        let mut c = Collector::new(DEFAULT_TRACE_CAPACITY);
         base_config(&mut c, "HF-RF");
         c.record(&AuditEvent::Submit {
             id: 0,
@@ -706,7 +697,7 @@ mod tests {
     #[test]
     fn fanout_feeds_all_sinks() {
         let a: Arc<Mutex<dyn AuditSink>> = Arc::new(Mutex::new(melreq_audit::Recorder::default()));
-        let collector = Arc::new(Mutex::new(Collector::new(ObsConfig::default())));
+        let collector = Arc::new(Mutex::new(Collector::new(DEFAULT_TRACE_CAPACITY)));
         let c_dyn: Arc<Mutex<dyn AuditSink>> = collector.clone();
         let h = Fanout::handle(vec![a.clone(), c_dyn], true);
         h.emit(|| AuditEvent::Refresh { channel: 0, at: 7 });

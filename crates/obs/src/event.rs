@@ -1,4 +1,5 @@
-//! The structured trace event model and its bounded ring buffer.
+//! The structured trace event model; the collector keeps events in a
+//! drop-oldest `melreq_prof::Ring`.
 //!
 //! Trace events are *derived observations*: the collector reconstructs
 //! them from the same audit tap stream the protocol checker consumes
@@ -7,7 +8,6 @@
 
 use melreq_audit::GrantOutcome;
 use melreq_stats::types::Cycle;
-use std::collections::VecDeque;
 
 use crate::provenance::{Rule, RunnerUp};
 
@@ -132,89 +132,5 @@ impl TraceEvent {
             | TraceEvent::Grant { at, .. } => at,
             TraceEvent::CoreWait { from, .. } => from,
         }
-    }
-}
-
-/// A bounded drop-oldest ring buffer of trace events.
-///
-/// When the buffer is full the oldest event is discarded and counted;
-/// the trace therefore always holds the *most recent* window of the
-/// run, which is what one wants when opening it in Perfetto.
-#[derive(Debug)]
-pub struct TraceRing {
-    buf: VecDeque<TraceEvent>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl TraceRing {
-    /// An empty ring holding at most `cap` events (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        TraceRing { buf: VecDeque::new(), cap: cap.max(1), dropped: 0 }
-    }
-
-    /// Append one event, discarding the oldest when full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-
-    /// Events currently held, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events discarded because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn refresh(at: Cycle) -> TraceEvent {
-        TraceEvent::Refresh { channel: 0, at, dur: 10 }
-    }
-
-    #[test]
-    fn ring_drops_oldest_and_counts() {
-        let mut r = TraceRing::new(3);
-        for t in 0..5 {
-            r.push(refresh(t));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        let ats: Vec<Cycle> = r.iter().map(TraceEvent::at).collect();
-        assert_eq!(ats, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_capacity_clamps_to_one() {
-        let mut r = TraceRing::new(0);
-        r.push(refresh(1));
-        r.push(refresh(2));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.capacity(), 1);
-        assert_eq!(r.dropped(), 1);
     }
 }

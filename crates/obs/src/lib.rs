@@ -5,9 +5,10 @@
 //! no new hooks, and the disabled path stays a single `Option` check
 //! (allocation-free). Three pillars:
 //!
-//! 1. **Structured event trace** ([`TraceRing`]): request arrivals,
+//! 1. **Structured event trace** ([`TraceEvent`]): request arrivals,
 //!    reconstructed DRAM commands (ACT/RD/WR/PRE), grants, refreshes
-//!    and per-core memory-bound spans in a bounded drop-oldest ring,
+//!    and per-core memory-bound spans in a bounded drop-oldest ring
+//!    (`melreq_prof::Ring`),
 //!    exported as Chrome/Perfetto `trace_event` JSON
 //!    ([`export_chrome_json`]) with sim-cycles as timestamps.
 //! 2. **Epoch time-series** ([`EpochRow`]): per-core IPC, pending
@@ -35,8 +36,8 @@ pub mod perfetto;
 pub mod provenance;
 pub mod series;
 
-pub use collector::{ChannelSample, Collector, CoreSample, Fanout, ObsConfig};
-pub use event::{CmdKind, TraceEvent, TraceRing};
+pub use collector::{ChannelSample, Collector, CoreSample, Fanout, DEFAULT_TRACE_CAPACITY};
+pub use event::{CmdKind, TraceEvent};
 pub use hostprof::{export_host_profile, finish_host_profile};
 pub use metrics::{Counter, Gauge, Histogram, MetricKind, Registry};
 pub use perfetto::export_chrome_json;

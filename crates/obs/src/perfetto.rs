@@ -222,11 +222,11 @@ pub fn export_chrome_json(collector: &Collector) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::{ChannelSample, CoreSample, ObsConfig};
+    use crate::collector::{ChannelSample, CoreSample, DEFAULT_TRACE_CAPACITY};
     use melreq_audit::{AuditEvent, AuditSink, TimingParams};
 
     fn collector_with_activity() -> Collector {
-        let mut c = Collector::new(ObsConfig::default());
+        let mut c = Collector::new(DEFAULT_TRACE_CAPACITY);
         c.record(&AuditEvent::DramConfig {
             channels: 2,
             banks_per_channel: 4,

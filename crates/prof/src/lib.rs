@@ -73,49 +73,53 @@ impl Span {
     }
 }
 
-/// Bounded drop-oldest span buffer with an accurate dropped counter.
+/// Bounded drop-oldest buffer with an accurate dropped counter: once
+/// full, each push discards the oldest item and counts it, so the ring
+/// always holds the most recent window. It holds this crate's spans and
+/// melreq-obs's simulated-time trace events.
 #[derive(Debug)]
-pub struct Ring {
+pub struct Ring<T> {
     cap: usize,
-    spans: VecDeque<Span>,
+    items: VecDeque<T>,
     dropped: u64,
 }
 
-impl Ring {
+impl<T> Ring<T> {
+    /// An empty ring holding at most `cap` items (0 is clamped to 1).
     pub fn new(cap: usize) -> Self {
-        Ring { cap: cap.max(1), spans: VecDeque::new(), dropped: 0 }
+        Ring { cap: cap.max(1), items: VecDeque::new(), dropped: 0 }
     }
 
-    /// Record one span, evicting the oldest when at capacity.
-    pub fn push(&mut self, span: Span) {
-        if self.spans.len() >= self.cap {
-            self.spans.pop_front();
+    /// Append one item, evicting the oldest when at capacity.
+    pub fn push(&mut self, item: T) {
+        if self.items.len() >= self.cap {
+            self.items.pop_front();
             self.dropped += 1;
         }
-        self.spans.push_back(span);
+        self.items.push_back(item);
     }
 
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.items.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.items.is_empty()
     }
 
-    /// Spans dropped to the capacity bound since creation.
+    /// Items dropped to the capacity bound since creation.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Remove and return all buffered spans (dropped counter persists).
-    pub fn take(&mut self) -> Vec<Span> {
-        self.spans.drain(..).collect()
+    /// Remove and return all buffered items (dropped counter persists).
+    pub fn take(&mut self) -> Vec<T> {
+        self.items.drain(..).collect()
     }
 
-    /// Oldest-to-newest view of the buffered spans.
-    pub fn iter(&self) -> impl Iterator<Item = &Span> {
-        self.spans.iter()
+    /// Oldest-to-newest view of the buffered items.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.items.iter()
     }
 }
 
@@ -165,7 +169,7 @@ static COLLECTOR: Mutex<Vec<TrackData>> = Mutex::new(Vec::new());
 
 struct Recorder {
     label: Option<String>,
-    ring: Ring,
+    ring: Ring<Span>,
 }
 
 impl Recorder {
@@ -668,27 +672,23 @@ mod tests {
     }
 
     #[test]
-    fn ring_drops_oldest_and_counts() {
+    fn ring_drops_oldest_counts_and_clamps_zero_capacity() {
         let mut ring = Ring::new(3);
         for i in 0..5u64 {
-            ring.push(mk("t", &format!("s{i}"), i, 1));
+            ring.push(i);
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.dropped(), 2, "two oldest spans evicted");
-        let names: Vec<&str> = ring.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["s2", "s3", "s4"], "drop-oldest keeps the newest spans");
-    }
+        assert_eq!(ring.dropped(), 2, "two oldest items evicted");
+        assert_eq!(ring.iter().copied().collect::<Vec<_>>(), [2, 3, 4], "newest kept");
+        assert_eq!(ring.take(), [2, 3, 4]);
+        assert!(ring.is_empty());
+        assert_eq!(ring.dropped(), 2, "take() reports, not resets, the loss");
 
-    #[test]
-    fn ring_take_preserves_dropped_counter() {
-        let mut ring = Ring::new(1);
-        ring.push(mk("t", "a", 0, 1));
-        ring.push(mk("t", "b", 1, 1));
-        assert_eq!(ring.dropped(), 1);
-        let spans = ring.take();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "b");
-        assert_eq!(ring.dropped(), 1, "take() reports, not resets, the loss");
+        let mut ring = Ring::new(0);
+        ring.push("a");
+        ring.push("b");
+        assert_eq!((ring.len(), ring.dropped()), (1, 1), "capacity 0 is clamped to 1");
+        assert_eq!(ring.take(), ["b"]);
     }
 
     #[test]

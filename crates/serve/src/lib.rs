@@ -12,7 +12,7 @@
 //! the response envelope around it.
 //!
 //! Connection handling is a single nonblocking event loop
-//! ([`poll::Poller`]: epoll on Linux, `poll(2)` elsewhere on Unix) with
+//! ([`poll::Poller`], over epoll: the service builds on Linux only) with
 //! HTTP/1.1 keep-alive, pipelined request parsing on a reusable
 //! per-connection buffer, and idle-connection timeouts; only the
 //! simulations themselves run on the bounded worker pool, which hands
@@ -41,6 +41,9 @@
 //!   depth and in-flight gauges, connection and cache/coalescing
 //!   counters, simulated cycles, checkpoint-store statistics).
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("melreq-serve is Linux-only: its event loop is built on epoll");
+
 pub mod http;
 pub mod poll;
 
@@ -55,6 +58,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -134,15 +138,6 @@ const ENDPOINTS: [(&str, &str, &str); 7] = [
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
-
-#[cfg(unix)]
-fn raw_fd(s: &impl std::os::fd::AsRawFd) -> i32 {
-    s.as_raw_fd()
-}
-#[cfg(not(unix))]
-fn raw_fd<T>(_: &T) -> i32 {
-    -1
-}
 
 /// Server configuration. The `melreq serve` flag rows write straight into
 /// it, so [`ServeConfig::default`] is the only statement of the defaults.
@@ -513,7 +508,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
     let (waker, wake_handle) =
         poll::wake_pair().map_err(|e| MelreqError::Io(format!("wake pipe: {e}")))?;
     poller
-        .add(raw_fd(&listener), LISTENER_TOKEN, Interest::Read)
+        .add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::Read)
         .map_err(|e| MelreqError::Io(format!("register listener: {e}")))?;
     poller
         .add(waker.fd(), WAKER_TOKEN, Interest::Read)
@@ -594,16 +589,15 @@ pub fn serve_forever(cfg: ServeConfig) -> Result<String, MelreqError> {
 }
 
 /// Render the `/buildinfo` body: crate version, request schema version,
-/// compiled poller backend, and the effective worker/queue/feature
+/// poller (always epoll), and the effective worker/queue/feature
 /// configuration. The same block is embedded in `--profile` artifacts
 /// so a trace records which build and configuration produced it.
 pub fn buildinfo_json(cfg: &ServeConfig) -> String {
     format!(
         "{{\"name\":\"melreq-serve\",\"version\":\"{}\",\"schema_version\":{SCHEMA_VERSION},\
-         \"poller\":\"{}\",\"workers\":{},\"queue_cap\":{},\"response_cache\":{},\"store\":{},\
+         \"poller\":\"epoll\",\"workers\":{},\"queue_cap\":{},\"response_cache\":{},\"store\":{},\
          \"profiling\":{},\"access_log\":{}}}",
         env!("CARGO_PKG_VERSION"),
-        poll::backend_name(),
         cfg.workers.max(1),
         cfg.queue_cap,
         cfg.response_cache,
@@ -753,7 +747,7 @@ impl EventLoop {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.cond.notify_all();
         if let Some(listener) = self.listener.take() {
-            let _ = self.poller.remove(raw_fd(&listener));
+            let _ = self.poller.remove(listener.as_raw_fd());
         }
         let idle: Vec<u64> = self
             .conns
@@ -784,7 +778,7 @@ impl EventLoop {
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    if self.poller.add(raw_fd(&stream), token, Interest::Read).is_err() {
+                    if self.poller.add(stream.as_raw_fd(), token, Interest::Read).is_err() {
                         continue;
                     }
                     self.shared.metrics.connections_total.inc();
@@ -1208,12 +1202,12 @@ impl EventLoop {
         }
         conn.want_write = on;
         let interest = if on { Interest::ReadWrite } else { Interest::Read };
-        let _ = self.poller.modify(raw_fd(&conn.stream), token, interest);
+        let _ = self.poller.modify(conn.stream.as_raw_fd(), token, interest);
     }
 
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.remove(raw_fd(&conn.stream));
+            let _ = self.poller.remove(conn.stream.as_raw_fd());
             self.shared.metrics.open_connections.dec();
         }
     }
@@ -1402,7 +1396,6 @@ fn error_body(status: u16, kind: &str, message: &str) -> String {
     )
 }
 
-#[cfg(unix)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -1425,23 +1418,15 @@ mod sig {
 }
 
 /// Install a SIGTERM handler that begins a graceful drain of every
-/// server in this process (the event loop polls the flag). No-op off
-/// Unix. The handler is process-global — the embedding tests use
+/// server in this process (the event loop polls the flag). The handler
+/// is process-global — the embedding tests use
 /// [`ServerHandle::shutdown`] / `POST /shutdown` instead.
 pub fn install_sigterm() {
-    #[cfg(unix)]
     sig::install();
 }
 
 fn sigterm_received() -> bool {
-    #[cfg(unix)]
-    {
-        sig::TERM.load(Ordering::SeqCst)
-    }
-    #[cfg(not(unix))]
-    {
-        false
-    }
+    sig::TERM.load(Ordering::SeqCst)
 }
 
 /// Split a server response body into `(envelope_prefix, report_bytes)`:

@@ -1,11 +1,9 @@
 //! A dependency-free readiness poller for the serve event loop.
 //!
-//! On Linux this wraps `epoll` through raw `extern "C"` declarations
+//! It wraps Linux `epoll` through raw `extern "C"` declarations
 //! (level-triggered — the event loop reads/writes until `WouldBlock`,
-//! so level semantics are the simple, correct choice). Other Unixes
-//! fall back to `poll(2)` over the registered set; non-Unix targets get
-//! a stub that fails at construction (the threaded service paths the
-//! tests exercise are all Unix).
+//! so level semantics are the simple, correct choice). The service is
+//! Linux-only; the crate root refuses to compile anywhere else.
 //!
 //! The poller itself is single-threaded — it lives on the event-loop
 //! thread. Cross-thread wake-up goes through an anonymous pipe
@@ -15,23 +13,8 @@
 
 use std::io;
 use std::io::{PipeReader, PipeWriter, Read, Write};
-use std::sync::Arc;
-
-#[cfg(unix)]
 use std::os::fd::{AsRawFd, RawFd};
-#[cfg(not(unix))]
-pub type RawFd = i32;
-
-/// Name of the compiled poller backend (surfaced by `/buildinfo`).
-pub fn backend_name() -> &'static str {
-    if cfg!(target_os = "linux") {
-        "epoll"
-    } else if cfg!(unix) {
-        "poll"
-    } else {
-        "unsupported"
-    }
-}
+use std::sync::Arc;
 
 /// What the event loop wants to hear about for a registered fd. Read
 /// interest is implicit — every registration listens for readability;
@@ -83,15 +66,8 @@ pub struct Waker {
 
 impl Waker {
     /// The fd to register in the poller.
-    #[cfg(unix)]
     pub fn fd(&self) -> RawFd {
         self.rx.as_raw_fd()
-    }
-
-    /// Non-Unix placeholder (the stub poller never gets this far).
-    #[cfg(not(unix))]
-    pub fn fd(&self) -> RawFd {
-        -1
     }
 
     /// Consume pending wake bytes. A single bounded read suffices: a
@@ -111,271 +87,123 @@ pub fn wake_pair() -> io::Result<(Waker, WakeHandle)> {
     Ok((Waker { rx }, WakeHandle(Arc::new(tx))))
 }
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
+const EPOLL_CLOEXEC: i32 = 0o2000000;
+const EPOLL_CTL_ADD: i32 = 1;
+const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLLRDHUP: u32 = 0x2000;
 
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
+// The kernel ABI struct; packed on x86-64 only (no padding between the
+// 32-bit event mask and the 64-bit payload there; naturally aligned on
+// every other architecture).
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    data: u64,
+}
 
-    // The kernel ABI struct; packed on x86-64 (no padding between the
-    // 32-bit event mask and the 64-bit payload).
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
+extern "C" {
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn close(fd: i32) -> i32;
+}
+
+fn mask(interest: Interest) -> u32 {
+    match interest {
+        Interest::Read => EPOLLIN | EPOLLRDHUP,
+        Interest::ReadWrite => EPOLLIN | EPOLLRDHUP | EPOLLOUT,
+    }
+}
+
+/// The epoll readiness poller.
+pub struct Poller {
+    epfd: RawFd,
+}
+
+impl Poller {
+    pub fn new() -> io::Result<Self> {
+        // SAFETY: epoll_create1 takes a flag word and touches no memory of ours.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Poller { epfd })
     }
 
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = EpollEvent { events: mask(interest), data: token };
+        // SAFETY: `ev` is a live, properly laid out `epoll_event` for the
+        // whole call; the kernel only reads it.
+        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &raw mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
-    fn mask(interest: Interest) -> u32 {
-        match interest {
-            Interest::Read => EPOLLIN | EPOLLRDHUP,
-            Interest::ReadWrite => EPOLLIN | EPOLLRDHUP | EPOLLOUT,
-        }
+    pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
-    /// epoll-backed poller (Linux).
-    pub struct Poller {
-        epfd: RawFd,
+    pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller { epfd })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent { events: mask(interest), data: token };
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &raw mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &raw mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            out.clear();
-            let mut raw = [EpollEvent { events: 0, data: 0 }; 128];
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    raw.as_mut_ptr(),
-                    i32::try_from(raw.len()).expect("event buffer fits i32"),
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for ev in raw.iter().take(n.unsigned_abs() as usize) {
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    readable: bits & EPOLLIN != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    hangup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(())
-        }
+    pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
+        // The kernel ignores the event of a delete (but wants a pointer).
+        self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::Read)
     }
 
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.epfd);
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+        out.clear();
+        let mut raw = [EpollEvent { events: 0, data: 0 }; 128];
+        // SAFETY: `raw` is a writable array of `raw.len()` events that
+        // outlives the call, and the kernel writes at most that many.
+        let n = unsafe {
+            epoll_wait(
+                self.epfd,
+                raw.as_mut_ptr(),
+                i32::try_from(raw.len()).expect("event buffer fits i32"),
+                timeout_ms,
+            )
+        };
+        if n < 0 {
+            let err = io::Error::last_os_error();
+            if err.kind() == io::ErrorKind::Interrupted {
+                return Ok(());
             }
+            return Err(err);
+        }
+        for ev in raw.iter().take(n.unsigned_abs() as usize) {
+            let bits = ev.events;
+            out.push(Event {
+                token: ev.data,
+                readable: bits & EPOLLIN != 0,
+                writable: bits & EPOLLOUT != 0,
+                hangup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Poller {
+    fn drop(&mut self) {
+        // SAFETY: `epfd` is this poller's own descriptor, closed only here.
+        unsafe {
+            close(self.epfd);
         }
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        // nfds_t is `unsigned int` on the BSD family this fallback
-        // targets (macOS, the BSDs); Linux uses the epoll backend.
-        fn poll(fds: *mut PollFd, nfds: u32, timeout: i32) -> i32;
-    }
-
-    /// poll(2)-backed fallback for non-Linux Unix.
-    pub struct Poller {
-        registered: Vec<(RawFd, u64, Interest)>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Poller { registered: Vec::new() })
-        }
-
-        pub fn add(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if self.registered.iter().any(|(f, _, _)| *f == fd) {
-                return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd registered"));
-            }
-            self.registered.push((fd, token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            match self.registered.iter_mut().find(|(f, _, _)| *f == fd) {
-                Some(slot) => {
-                    *slot = (fd, token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            let before = self.registered.len();
-            self.registered.retain(|(f, _, _)| *f != fd);
-            if self.registered.len() == before {
-                return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-            }
-            Ok(())
-        }
-
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-            out.clear();
-            let mut fds: Vec<PollFd> = self
-                .registered
-                .iter()
-                .map(|(fd, _, interest)| PollFd {
-                    fd: *fd,
-                    events: match interest {
-                        Interest::Read => POLLIN,
-                        Interest::ReadWrite => POLLIN | POLLOUT,
-                    },
-                    revents: 0,
-                })
-                .collect();
-            let n = unsafe {
-                poll(
-                    fds.as_mut_ptr(),
-                    u32::try_from(fds.len()).expect("fd set fits u32"),
-                    timeout_ms,
-                )
-            };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for (slot, (_, token, _)) in fds.iter().zip(&self.registered) {
-                let bits = slot.revents;
-                if bits == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token: *token,
-                    readable: bits & POLLIN != 0,
-                    writable: bits & POLLOUT != 0,
-                    hangup: bits & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod sys {
-    use super::{Event, Interest};
-    use std::io;
-
-    pub type RawFd = i32;
-
-    /// Stub: the event-loop service requires a Unix readiness API.
-    pub struct Poller;
-
-    impl Poller {
-        pub fn new() -> io::Result<Self> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "melreq-serve requires epoll/poll (Unix)",
-            ))
-        }
-
-        pub fn add(&mut self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        pub fn modify(&mut self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        pub fn remove(&mut self, _fd: RawFd) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        pub fn wait(&mut self, _out: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-    }
-}
-
-pub use sys::Poller;
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;

@@ -62,27 +62,6 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Approximate quantile: returns the upper bound of the bucket in which
-    /// the `q`-quantile sample falls (`0.0 <= q <= 1.0`). `None` if empty.
-    ///
-    /// Precision is a factor of two, which is sufficient for sanity checks
-    /// and tail reporting; exact statistics use [`crate::LatencyTracker`].
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(if i >= 63 { u64::MAX } else { (1u64 << i).saturating_sub(1).max(1) });
-            }
-        }
-        Some(u64::MAX)
-    }
-
     /// Merge another histogram (must have the same bucket count).
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.buckets.len(), other.buckets.len(), "bucket count mismatch");
@@ -139,7 +118,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), None);
-        assert_eq!(h.quantile_upper_bound(0.5), None);
     }
 
     #[test]
@@ -166,19 +144,6 @@ mod tests {
             h.record(s);
         }
         assert!((h.mean().unwrap() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_monotone() {
-        let mut h = Histogram::new();
-        for s in 0..1000u64 {
-            h.record(s);
-        }
-        let q10 = h.quantile_upper_bound(0.1).unwrap();
-        let q50 = h.quantile_upper_bound(0.5).unwrap();
-        let q99 = h.quantile_upper_bound(0.99).unwrap();
-        assert!(q10 <= q50 && q50 <= q99);
-        assert!(q99 >= 512);
     }
 
     #[test]
