@@ -48,9 +48,9 @@ impl CacheStats {
 /// All addresses may be un-aligned; the array masks to lines internally.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
-    cfg: CacheConfig, // melreq-allow(S01): construction-time config, identical across snapshot peers
+    cfg: CacheConfig,
     sets: Vec<Way>,
-    set_mask: u64, // melreq-allow(S01): derived from cfg at construction, never mutated
+    set_mask: u64,
     stamp: u64,
     stats: CacheStats,
 }
@@ -174,17 +174,20 @@ impl CacheArray {
 
     /// Serialize every way, the LRU stamp and the statistics.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.sets.len());
-        for way in &self.sets {
+        // `cfg`: construction-time config, identical across snapshot peers.
+        // `set_mask`: derived from cfg at construction, never mutated.
+        let Self { cfg: _, sets, set_mask: _, stamp, stats } = self;
+        enc.usize(sets.len());
+        for way in sets {
             enc.u64(way.tag);
             enc.bool(way.valid);
             enc.bool(way.dirty);
             enc.u64(way.lru);
         }
-        enc.u64(self.stamp);
-        self.stats.hits.save_state(enc);
-        self.stats.misses.save_state(enc);
-        self.stats.writebacks.save_state(enc);
+        enc.u64(*stamp);
+        stats.hits.save_state(enc);
+        stats.misses.save_state(enc);
+        stats.writebacks.save_state(enc);
     }
 
     /// Restore state written by [`CacheArray::save_state`] into an array
@@ -193,20 +196,21 @@ impl CacheArray {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
+        let Self { cfg: _, sets, set_mask: _, stamp, stats } = self;
         let n = dec.usize()?;
-        if n != self.sets.len() {
+        if n != sets.len() {
             return Err(melreq_snap::SnapError::Invalid("cache geometry mismatch"));
         }
-        for way in &mut self.sets {
+        for way in sets {
             way.tag = dec.u64()?;
             way.valid = dec.bool()?;
             way.dirty = dec.bool()?;
             way.lru = dec.u64()?;
         }
-        self.stamp = dec.u64()?;
-        self.stats.hits.load_state(dec)?;
-        self.stats.misses.load_state(dec)?;
-        self.stats.writebacks.load_state(dec)
+        *stamp = dec.u64()?;
+        stats.hits.load_state(dec)?;
+        stats.misses.load_state(dec)?;
+        stats.writebacks.load_state(dec)
     }
 }
 

@@ -58,7 +58,7 @@ struct Entry<W> {
 #[derive(Debug, Clone)]
 pub struct MshrFile<W> {
     entries: Vec<Entry<W>>,
-    capacity: usize, // melreq-allow(S01): construction-time bound; load_state validates against it
+    capacity: usize,
     /// Merges observed (secondary misses).
     pub merges: Counter,
 }
@@ -113,15 +113,17 @@ impl<W> MshrFile<W> {
         enc: &mut melreq_snap::Enc,
         mut save_w: impl FnMut(&W, &mut melreq_snap::Enc),
     ) {
-        enc.usize(self.entries.len());
-        for e in &self.entries {
+        // `capacity`: construction-time bound; load_state validates against it.
+        let Self { entries, capacity: _, merges } = self;
+        enc.usize(entries.len());
+        for e in entries {
             enc.u64(e.line);
             enc.usize(1 + e.waiters.rest.len());
             for w in e.waiters.iter() {
                 save_w(w, enc);
             }
         }
-        self.merges.save_state(enc);
+        merges.save_state(enc);
     }
 
     /// Restore state written by [`MshrFile::save_state`] into a file with
@@ -131,11 +133,12 @@ impl<W> MshrFile<W> {
         dec: &mut melreq_snap::Dec<'_>,
         mut load_w: impl FnMut(&mut melreq_snap::Dec<'_>) -> Result<W, melreq_snap::SnapError>,
     ) -> Result<(), melreq_snap::SnapError> {
+        let Self { entries, capacity, merges } = self;
         let n = dec.usize()?;
-        if n > self.capacity {
+        if n > *capacity {
             return Err(melreq_snap::SnapError::Invalid("MSHR entries exceed capacity"));
         }
-        self.entries.clear();
+        entries.clear();
         for _ in 0..n {
             let line = dec.u64()?;
             let wn = dec.usize()?;
@@ -144,9 +147,9 @@ impl<W> MshrFile<W> {
             }
             let first = load_w(dec)?;
             let rest = (1..wn).map(|_| load_w(dec)).collect::<Result<_, _>>()?;
-            self.entries.push(Entry { line, waiters: Waiters { first, rest } });
+            entries.push(Entry { line, waiters: Waiters { first, rest } });
         }
-        self.merges.load_state(dec)
+        merges.load_state(dec)
     }
 
     /// Complete the miss for `addr`'s line, returning its waiters.

@@ -2,7 +2,7 @@
 
 use melreq_cache::{AllocOutcome, CacheArray, CacheConfig, MshrFile};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn tiny_cfg() -> CacheConfig {
     CacheConfig { size_bytes: 1024, ways: 2, line_bytes: 64, hit_latency: 1, mshrs: 4 }
@@ -33,7 +33,7 @@ proptest! {
         let cfg = tiny_cfg(); // 8 sets x 2 ways
         let mut c = CacheArray::new(cfg);
         // Reference: per set, a recency-ordered list of lines.
-        let mut sets: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut sets: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for (line_idx, is_fill) in ops {
             let addr = line_idx * 64;
             let set = line_idx % 8;
@@ -101,7 +101,7 @@ proptest! {
         lines in proptest::collection::vec(0u64..16, 1..64)
     ) {
         let mut m: MshrFile<usize> = MshrFile::new(16);
-        let mut expected: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut expected: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for (i, l) in lines.iter().enumerate() {
             match m.allocate(l * 64, i) {
                 AllocOutcome::Primary | AllocOutcome::Merged => {

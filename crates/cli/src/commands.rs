@@ -518,7 +518,7 @@ struct Stage {
 /// group twice — snapshot-forked and per-policy fresh — and hard-fails
 /// if the two result sets are not bit-identical, in smoke and full mode
 /// alike.
-#[allow(clippy::too_many_lines)]
+#[allow(clippy::too_many_lines, reason = "the sweep's stages read in order, top to bottom")]
 pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
     let Args { smoke, threads, guard_ratio, .. } = *args;
     let out_path = args.out.as_deref().unwrap_or("BENCH_sweep.json");
@@ -1037,48 +1037,6 @@ pub(crate) fn cmd_loadbench(args: &Args) -> Result<String, MelreqError> {
 /// Execute a parsed command line, returning its rendered output.
 pub fn run_command(inv: &Invocation) -> Result<String, MelreqError> {
     (inv.verb.run)(&inv.args)
-}
-
-/// The workspace root the analyzer should scan: an explicit `--root`,
-/// else the nearest ancestor of the current directory that contains
-/// `crates/snap` (so `melreq analyze` works from anywhere inside the
-/// repo).
-fn analyze_root(explicit: Option<&str>) -> Result<PathBuf, MelreqError> {
-    if let Some(r) = explicit {
-        return Ok(PathBuf::from(r));
-    }
-    let start = std::env::current_dir().map_err(|e| io_err(format!("current dir: {e}")))?;
-    let mut dir = start.as_path();
-    loop {
-        if dir.join("crates/snap/src/lib.rs").is_file() {
-            return Ok(dir.to_path_buf());
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => {
-                return Err(usage(format!(
-                    "no melreq workspace found above {} — pass --root DIR",
-                    start.display()
-                )))
-            }
-        }
-    }
-}
-
-pub(crate) fn cmd_analyze(args: &Args) -> Result<String, MelreqError> {
-    let root = analyze_root(args.root.as_deref())?;
-    let report = melreq_analyze::analyze(&root, args.fix_fingerprint).map_err(io_err)?;
-    let rendered = if args.json { report.render_json() } else { report.render_text() };
-    if let Some(path) = &args.out {
-        // The artifact is written before the gate decision so CI keeps
-        // the findings report even when the command exits nonzero.
-        std::fs::write(path, &rendered).map_err(|e| io_err(format!("{path}: {e}")))?;
-    }
-    if report.clean() {
-        Ok(rendered)
-    } else {
-        Err(MelreqError::Analysis(rendered))
-    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! crates plus rand/proptest.)
 
 use crate::commands::{
-    cmd_analyze, cmd_audit, cmd_client, cmd_compare, cmd_config, cmd_loadbench, cmd_profile,
-    cmd_reproduce, cmd_run, cmd_serve, cmd_sweep, with_host_profile,
+    cmd_audit, cmd_client, cmd_compare, cmd_config, cmd_loadbench, cmd_profile, cmd_reproduce,
+    cmd_run, cmd_serve, cmd_sweep, with_host_profile,
 };
 use melreq_core::api::MelreqError;
 use melreq_core::experiment::ExperimentOptions;
@@ -91,14 +91,10 @@ pub struct Args {
     pub smoke: bool,
     /// `serve --no-store`: every request warms up from scratch.
     pub no_store: bool,
-    /// `analyze --fix-fingerprint`.
-    pub fix_fingerprint: bool,
     /// `--store DIR` (default `.melreq-store`).
     pub store: Option<String>,
     /// `--out PATH`; each verb that writes an artifact names its default.
     pub out: Option<String>,
-    /// `analyze --root DIR`.
-    pub root: Option<String>,
     /// `--guard PATH`: baseline artifact to guard against.
     pub guard: Option<String>,
     /// `--guard-ratio R`, in (0, 1].
@@ -128,10 +124,8 @@ impl Default for Args {
             json: false,
             smoke: false,
             no_store: false,
-            fix_fingerprint: false,
             store: None,
             out: None,
-            root: None,
             guard: None,
             guard_ratio: 0.25,
             prof_out: None,
@@ -436,18 +430,6 @@ pub static VERBS: &[Verb] = &[
             |a, v| put(&mut a.guard, Ok(Some(v.into())))),
         flag("--guard-ratio", "R", "load-guard ratio in (0,1] (default 0.25)",
             |a, v| put(&mut a.guard_ratio, ratio(v))),
-    ]},
-    Verb { name: "analyze", positional: Positional::None, groups: &[], host_profile: false,
-        run: cmd_analyze, flags: &[
-        flag("--json", "", "versioned findings report instead of text",
-            |a, _| put(&mut a.json, Ok(true))),
-        flag("--fix-fingerprint", "", "regenerate snap.fingerprint from the tree",
-            |a, _| put(&mut a.fix_fingerprint, Ok(true))),
-        flag("--root", "DIR", "workspace root (default: nearest ancestor directory containing \
-             crates/snap)",
-            |a, v| put(&mut a.root, Ok(Some(v.into())))),
-        flag("--out", "PATH", "also write the report to a file",
-            |a, v| put(&mut a.out, Ok(Some(v.into())))),
     ]},
     Verb { name: "config", positional: Positional::None, groups: &[], host_profile: false,
         run: cmd_config, flags: &[
@@ -764,21 +746,9 @@ AUDITING:
   (default 4MEM-1 under ME-LREQ), requires both reports clean, and checks
   the two event-stream hashes are identical; any violation exits nonzero.
 
-STATIC ANALYSIS:
-  `melreq analyze` lexes the workspace's own sources and enforces the
-  determinism invariants the snapshot/reproduce machinery depends on:
-  D01 no HashMap/HashSet in simulation crates; D02 no wall clocks or
-  environment reads outside serve/cli; S01 every field of a
-  snapshot'd struct referenced in both save_state and load_state; S02
-  snapshot layouts match the committed snap.fingerprint unless
-  SCHEMA_VERSION was bumped (refresh with --fix-fingerprint); A01 no
-  narrowing casts or unchecked cycle arithmetic in dram/memctrl timing
-  modules. Suppress a finding in place with a written reason:
-  `// melreq-allow(RULE): reason`. Unsuppressed findings exit 7.
-
 EXIT CODES:
   0 success · 2 usage · 3 I/O · 4 divergence (audit/fork gate)
-  5 overload · 6 timeout/cancelled · 7 static-analysis findings
+  5 overload · 6 timeout/cancelled
 ";
 
 #[cfg(test)]
@@ -962,7 +932,6 @@ mod tests {
             ("run 4MEM-1 --policy", "--policy"),
             ("run 4MEM-1 --series", "--series"),
             ("serve --timeout-ms", "--timeout-ms"),
-            ("analyze --root", "--root"),
             ("config --profile", "--profile"),
             ("run 4MEM-1 --frobnicate", "--frobnicate"),
         ] {
@@ -1084,7 +1053,7 @@ mod tests {
             );
             assert!(verb.own().next().is_none() || text.contains(&own), "{own:?} missing");
         }
-        assert_eq!(rows, 83, "a (verb, flag) row came or went");
+        assert_eq!(rows, 79, "a (verb, flag) row came or went");
         for section in ["COMMON OPTIONS (profile,", "THREAD OPTIONS (run,", "TRACE OPTIONS (run):"]
         {
             assert!(text.contains(section), "{section} missing");
@@ -1131,16 +1100,6 @@ mod tests {
         assert_eq!(a.prof_out.as_deref(), Some("prof.json"));
         assert_eq!(args("compare 2MEM-1 --profile p.json").prof_out.as_deref(), Some("p.json"));
         assert_eq!(args("reproduce --smoke --profile p.json").prof_out.as_deref(), Some("p.json"));
-    }
-
-    #[test]
-    fn analyze_parses_flags_and_defaults() {
-        let a = args("analyze");
-        assert!(!a.json && !a.fix_fingerprint && a.root.is_none() && a.out.is_none());
-        let a = args("analyze --json --fix-fingerprint --root /tmp/ws --out analyze.json");
-        assert!(a.json && a.fix_fingerprint);
-        assert_eq!(a.root.as_deref(), Some("/tmp/ws"));
-        assert_eq!(a.out.as_deref(), Some("analyze.json"));
     }
 
     #[test]

@@ -57,7 +57,11 @@ impl Json {
     /// exactly (no fraction, no overflow).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the guard admits only integers in [0, 2^53]"
+            )]
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
             _ => None,
         }

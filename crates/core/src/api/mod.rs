@@ -57,10 +57,6 @@ pub enum MelreqError {
     /// The run exceeded its wall-clock deadline and was cancelled at an
     /// epoch boundary. Exit 6 / HTTP 504.
     Timeout(String),
-    /// The static-analysis gate found unsuppressed findings
-    /// (`melreq analyze`). Exit 7 / HTTP 500. The payload is the full
-    /// rendered report so the CLI shows the findings, not just a count.
-    Analysis(String),
 }
 
 impl MelreqError {
@@ -73,7 +69,6 @@ impl MelreqError {
             MelreqError::Divergence(_) => ("divergence", 4, 500),
             MelreqError::Overload { .. } => ("overload", 5, 429),
             MelreqError::Timeout(_) => ("timeout", 6, 504),
-            MelreqError::Analysis(_) => ("analysis", 7, 500),
         }
     }
 
@@ -96,10 +91,7 @@ impl MelreqError {
 impl std::fmt::Display for MelreqError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MelreqError::Usage(m)
-            | MelreqError::Io(m)
-            | MelreqError::Timeout(m)
-            | MelreqError::Analysis(m) => f.write_str(m),
+            MelreqError::Usage(m) | MelreqError::Io(m) | MelreqError::Timeout(m) => f.write_str(m),
             MelreqError::Divergence(m) => write!(f, "divergence: {m}"),
             MelreqError::Overload { retry_after_s } => {
                 write!(f, "overloaded; retry after {retry_after_s}s")
@@ -637,9 +629,12 @@ impl Session {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a request timeout is a wall-clock deadline by definition; it never alters simulated state"
+        )]
         let cancel = ctl.cancel.clone().or_else(|| {
             req.timeout_ms.map(|ms| {
-                // melreq-allow(D02): a request timeout is a wall-clock deadline by definition; it never alters simulated state
                 CancelToken::with_deadline(std::time::Instant::now() + Duration::from_millis(ms))
             })
         });
@@ -859,7 +854,6 @@ mod tests {
             (MelreqError::Divergence(String::new()), "divergence", 4, 500),
             (MelreqError::Overload { retry_after_s: 1 }, "overload", 5, 429),
             (MelreqError::Timeout(String::new()), "timeout", 6, 504),
-            (MelreqError::Analysis(String::new()), "analysis", 7, 500),
         ];
         for (err, kind, exit, status) in cases {
             assert_eq!((err.kind(), err.exit_code(), err.http_status()), (kind, exit, status));

@@ -333,8 +333,11 @@ fn restored_system(
 }
 
 /// The host clock, for the `wall` / `warm_wall` a [`MixResult`] reports.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock elapsed time for the report only; no simulated state derives from it"
+)]
 fn host_clock() -> Instant {
-    // melreq-allow(D02): wall-clock elapsed time for the report only; no simulated state derives from it
     Instant::now()
 }
 

@@ -200,6 +200,20 @@ impl Hierarchy {
     /// (with their parked waiters), in-flight cache events, stalled
     /// memory submissions, statistics, and the controller beneath.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+        let Self {
+            l1i,
+            l1i_mshr,
+            l1d,
+            l1d_mshr,
+            l2,
+            l2_mshr,
+            ctrl,
+            events,
+            event_seq,
+            pending_mem,
+            pending_wb,
+            stats,
+        } = self;
         let save_l1_waiter = |w: &L1Waiter, enc: &mut melreq_snap::Enc| match *w {
             L1Waiter::Token(CoreToken::Load(seq)) => {
                 enc.u8(0);
@@ -208,15 +222,15 @@ impl Hierarchy {
             L1Waiter::Token(CoreToken::Fetch) => enc.u8(1),
             L1Waiter::Store => enc.u8(2),
         };
-        enc.usize(self.l1i.len());
-        for c in 0..self.l1i.len() {
-            self.l1i[c].save_state(enc);
-            self.l1i_mshr[c].save_state(enc, save_l1_waiter);
-            self.l1d[c].save_state(enc);
-            self.l1d_mshr[c].save_state(enc, save_l1_waiter);
+        enc.usize(l1i.len());
+        for c in 0..l1i.len() {
+            l1i[c].save_state(enc);
+            l1i_mshr[c].save_state(enc, save_l1_waiter);
+            l1d[c].save_state(enc);
+            l1d_mshr[c].save_state(enc, save_l1_waiter);
         }
-        self.l2.save_state(enc);
-        self.l2_mshr.save_state(enc, |w, enc| {
+        l2.save_state(enc);
+        l2_mshr.save_state(enc, |w, enc| {
             enc.u16(w.core.0);
             enc.u8(match w.origin {
                 Origin::Inst => 0,
@@ -225,10 +239,10 @@ impl Hierarchy {
         });
         // BinaryHeap iteration order is unspecified; sort so identical
         // states serialize to identical bytes.
-        let mut events: Vec<Event> = self.events.iter().map(|Reverse(e)| *e).collect();
-        events.sort();
-        enc.usize(events.len());
-        for e in &events {
+        let mut sorted: Vec<Event> = events.iter().map(|Reverse(e)| *e).collect();
+        sorted.sort();
+        enc.usize(sorted.len());
+        for e in &sorted {
             enc.u64(e.at);
             enc.u64(e.seq);
             match e.kind {
@@ -246,23 +260,18 @@ impl Hierarchy {
                 }
             }
         }
-        enc.u64(self.event_seq);
-        for q in [&self.pending_mem, &self.pending_wb] {
+        enc.u64(*event_seq);
+        for q in [pending_mem, pending_wb] {
             enc.usize(q.len());
             for &(core, addr) in q {
                 enc.u16(core.0);
                 enc.u64(addr);
             }
         }
-        for c in [
-            &self.stats.l1d_load_hits,
-            &self.stats.mem_reads,
-            &self.stats.mem_writes,
-            &self.stats.store_stalls,
-        ] {
+        for c in [&stats.l1d_load_hits, &stats.mem_reads, &stats.mem_writes, &stats.store_stalls] {
             c.save_state(enc);
         }
-        self.ctrl.save_state(enc);
+        ctrl.save_state(enc);
     }
 
     /// Restore state written by [`Hierarchy::save_state`] into a
@@ -271,6 +280,20 @@ impl Hierarchy {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
+        let Self {
+            l1i,
+            l1i_mshr,
+            l1d,
+            l1d_mshr,
+            l2,
+            l2_mshr,
+            ctrl,
+            events,
+            event_seq,
+            pending_mem,
+            pending_wb,
+            stats,
+        } = self;
         let load_l1_waiter =
             |dec: &mut melreq_snap::Dec<'_>| -> Result<L1Waiter, melreq_snap::SnapError> {
                 Ok(match dec.u8()? {
@@ -288,22 +311,22 @@ impl Hierarchy {
             })
         };
         let n = dec.usize()?;
-        if n != self.l1i.len() {
+        if n != l1i.len() {
             return Err(melreq_snap::SnapError::Invalid("hierarchy core count mismatch"));
         }
         for c in 0..n {
-            self.l1i[c].load_state(dec)?;
-            self.l1i_mshr[c].load_state(dec, load_l1_waiter)?;
-            self.l1d[c].load_state(dec)?;
-            self.l1d_mshr[c].load_state(dec, load_l1_waiter)?;
+            l1i[c].load_state(dec)?;
+            l1i_mshr[c].load_state(dec, load_l1_waiter)?;
+            l1d[c].load_state(dec)?;
+            l1d_mshr[c].load_state(dec, load_l1_waiter)?;
         }
-        self.l2.load_state(dec)?;
-        self.l2_mshr.load_state(dec, |dec| {
+        l2.load_state(dec)?;
+        l2_mshr.load_state(dec, |dec| {
             let core = CoreId(dec.u16()?);
             Ok(L2Waiter { core, origin: origin(dec.u8()?)? })
         })?;
         let n_events = dec.usize()?;
-        self.events.clear();
+        events.clear();
         for _ in 0..n_events {
             let at = dec.u64()?;
             let seq = dec.u64()?;
@@ -320,10 +343,10 @@ impl Hierarchy {
                 }
                 t => return Err(melreq_snap::SnapError::BadTag(t)),
             };
-            self.events.push(Reverse(Event { at, seq, kind }));
+            events.push(Reverse(Event { at, seq, kind }));
         }
-        self.event_seq = dec.u64()?;
-        for q in [&mut self.pending_mem, &mut self.pending_wb] {
+        *event_seq = dec.u64()?;
+        for q in [pending_mem, pending_wb] {
             let len = dec.usize()?;
             q.clear();
             for _ in 0..len {
@@ -333,14 +356,14 @@ impl Hierarchy {
             }
         }
         for c in [
-            &mut self.stats.l1d_load_hits,
-            &mut self.stats.mem_reads,
-            &mut self.stats.mem_writes,
-            &mut self.stats.store_stalls,
+            &mut stats.l1d_load_hits,
+            &mut stats.mem_reads,
+            &mut stats.mem_writes,
+            &mut stats.store_stalls,
         ] {
             c.load_state(dec)?;
         }
-        self.ctrl.load_state(dec)
+        ctrl.load_state(dec)
     }
 
     /// L1D array of one core (hit rates in reports/tests).

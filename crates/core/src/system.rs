@@ -47,8 +47,11 @@ impl CancelToken {
     }
 
     /// Whether the token has been cancelled or its deadline has passed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline polling is the cancellation feature itself; expiry aborts, never feeds simulated state"
+    )]
     pub fn expired(&self) -> bool {
-        // melreq-allow(D02): deadline polling is the cancellation feature itself; expiry aborts, never feeds simulated state
         self.flag.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
@@ -93,8 +96,8 @@ pub struct System {
     /// a tick that made no progress (`Cycle::MAX` when only a memory
     /// completion can wake the core), cleared to 0 when the hierarchy
     /// delivers the core a completion and by [`System::wake_all`].
-    core_wake: Vec<Cycle>, // melreq-allow(S01): derived from core state, cleared on restore
-    counters: KernelCounters, // melreq-allow(S01): host-side work counters, not simulation state
+    core_wake: Vec<Cycle>, // derived from core state, cleared on restore: not snapshotted
+    counters: KernelCounters, // host-side work counters, not simulation state
 }
 
 /// How much work the kernel did and avoided, since construction

@@ -22,6 +22,10 @@
 //! snapshot taken while cores are asleep. `tick_exact` bypasses all of it
 //! (no core sleeps, every channel is scanned every cycle), which is what
 //! makes it an independent oracle.
+//!
+//! The snapshot layout is pinned here too: `SNAPSHOT_PINS` holds the
+//! length and FNV-1a of the bytes `save_state` writes at fixed points, and
+//! every pinned payload, cut short, must fail to restore.
 
 use melreq_audit::{Auditor, AuditorConfig};
 use melreq_core::experiment::CANONICAL_WARMUP_POLICY;
@@ -29,8 +33,8 @@ use melreq_core::{ExperimentOptions, KernelCounters, System, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_memctrl::registry::registry;
 use melreq_obs::{Collector, DEFAULT_TRACE_CAPACITY};
-use melreq_trace::InstrStream;
-use melreq_workloads::{mix_by_name, Mix, MixKind};
+use melreq_trace::{InstrStream, OpTape, PhasedStream, TapedStream};
+use melreq_workloads::{app_by_code, mix_by_name, Mix, MixKind, SliceKind};
 use proptest::prelude::*;
 
 const WARMUP: u64 = 1_500;
@@ -214,26 +218,159 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
     }
 }
 
-/// The 4MEM-1 warm-up boundary under the smoke options, byte for byte:
-/// size and FNV-1a of `System::snapshot()`, captured before PR 17 rebuilt
-/// the core's ROB and issue bookkeeping. Stored checkpoints are these
-/// bytes, so a kernel or generator rewrite that keeps `SCHEMA_VERSION`
-/// must keep this hash — it is what lets `snap.fingerprint` follow a
-/// change of declared field types without a version bump.
-#[test]
-fn warmup_boundary_snapshot_bytes_are_pinned() {
+/// Snapshot pins for `SCHEMA_VERSION` 4: `(name, len, fnv1a)` of the
+/// bytes `save_state` writes. Stored checkpoints are these bytes, so they
+/// are the snapshot layout: a change that moves any of them bumps
+/// `SCHEMA_VERSION` and re-captures the table, and a change that keeps
+/// them keeps the version. The rows, in `pinned_bytes` order:
+/// - `boundary`: the 4MEM-1 warm-up boundary under quick options,
+///   warmed under the canonical policy;
+/// - one per registered policy id: that boundary forked into the policy
+///   (profile `PIN_ME`) and paused at cycle `PIN_PAUSE`, mid-window;
+/// - `phased`, `taped`: a two-phase `PhasedStream` and a `TapedStream`
+///   reading an `OpTape`, each after `STREAM_OPS` ops.
+///
+/// DESIGN.md "Determinism rules" maps every snapshotted struct to a row.
+const SNAPSHOT_PINS: &[(&str, usize, u64)] = &[
+    ("boundary", 1_349_242, 0xa5c0_1fcf_0074_445c),
+    ("hf-rf", 1_352_592, 0xbd32_4d8b_1a74_7e31),
+    ("me", 1_350_740, 0x0f68_b1b7_dd8c_6e91),
+    ("rr", 1_352_371, 0x11e7_cfd5_f4c5_7f72),
+    ("lreq", 1_351_128, 0x14cb_07ad_7f77_8c07),
+    ("me-lreq", 1_350_879, 0x102a_000b_9d6c_d83e),
+    ("fcfs", 1_351_252, 0x7d04_91a1_b97a_4ec4),
+    ("fcfs-rf", 1_352_591, 0xc21e_f40b_8361_d16e),
+    ("me-lreq-on", 1_351_182, 0x4d1f_0960_03ef_3061),
+    ("fix-0123", 1_351_393, 0x9a25_76cf_ff63_6ebc),
+    ("fix-3210", 1_348_376, 0x3794_1dbf_6f0d_1590),
+    ("fq", 1_353_025, 0x6359_b9ed_a56b_f047),
+    ("stf", 1_353_315, 0x5a7a_e47c_382f_b7b7),
+    ("bliss", 1_354_260, 0x3cb1_74ca_93b1_95a3),
+    ("tcm", 1_350_454, 0x1ae2_297b_9897_47c5),
+    ("phased", 180, 0x13bc_4ee1_d161_56a5),
+    ("taped", 82, 0xfcd6_76f3_74f6_4266),
+];
+
+/// The cycle every per-policy pin pauses at: past the quick-options
+/// 4MEM-1 boundary (cycle 29 562) and past me-lreq-on's first 50 000-cycle
+/// epoch, before any policy's window ends.
+const PIN_PAUSE: u64 = 80_000;
+
+/// Four distinct memory efficiencies, so every ME-ranked policy orders
+/// the cores.
+const PIN_ME: [f64; 4] = [0.4, 0.1, 0.3, 0.2];
+
+/// Ops each pinned stream generates: for the phased one, a full cycle of
+/// its two 8 000-op phases and a quarter of the first again; for the
+/// taped one, into its fifth tape chunk.
+const STREAM_OPS: usize = 20_000;
+
+/// What restores a pinned row: a 4MEM-1 system (forked into the policy,
+/// if any), or a fresh stream.
+enum Receiver {
+    System(Option<PolicyKind>),
+    Stream(fn() -> Box<dyn InstrStream + Send>),
+}
+
+/// A 4MEM-1 system under the canonical warm-up policy, armed for the
+/// quick-options window; with `kind`, already forked into that policy.
+fn pin_system(kind: Option<&PolicyKind>) -> System {
     let opts = ExperimentOptions::quick();
     let mix = mix_by_name("4MEM-1");
     let cfg = SystemConfig::paper(mix.cores(), CANONICAL_WARMUP_POLICY);
-    let mut sys = System::new(cfg, streams(mix.codes), &vec![1.0; mix.cores()]);
+    let mut sys = System::new(cfg, streams(mix.codes), &[1.0; 4]);
     sys.prepare_window(opts.warmup, opts.instructions);
-    assert!(sys.run_to_boundary(MAX_CYCLES), "warm-up must reach the boundary");
-    let snap = sys.snapshot();
-    assert_eq!(
-        (snap.len(), melreq_snap::fnv1a(&snap)),
-        (1_349_242, 0xa5c0_1fcf_0074_445c),
-        "4MEM-1 boundary snapshot moved (len, fnv1a = {}, {:#018x})",
-        snap.len(),
-        melreq_snap::fnv1a(&snap)
+    if let Some(kind) = kind {
+        sys.swap_policy(kind, &PIN_ME);
+    }
+    sys
+}
+
+fn app_stream(code: char, slice: u32) -> Box<dyn InstrStream + Send> {
+    Box::new(app_by_code(code).build_stream(0, SliceKind::Evaluation(slice)))
+}
+
+fn phased_stream() -> Box<dyn InstrStream + Send> {
+    let phase = |code, slice| app_by_code(code).build_stream(0, SliceKind::Evaluation(slice));
+    Box::new(PhasedStream::new("pin", vec![(phase('t', 1), 8_000), (phase('c', 2), 8_000)]))
+}
+
+fn taped_stream() -> Box<dyn InstrStream + Send> {
+    Box::new(TapedStream::new(OpTape::new(app_stream('t', 1)), app_stream('t', 1)))
+}
+
+/// The bytes behind every row of `SNAPSHOT_PINS`, by name, with what
+/// restores them.
+fn pinned_bytes() -> Vec<(&'static str, Receiver, Vec<u8>)> {
+    let mut boundary = pin_system(None);
+    assert!(boundary.run_to_boundary(MAX_CYCLES), "warm-up must reach the boundary");
+    assert!(boundary.now() < PIN_PAUSE, "the pause must fall after the boundary");
+    let boundary = boundary.snapshot();
+    let mut out = vec![("boundary", Receiver::System(None), boundary.clone())];
+    for desc in registry() {
+        let kind = desc.default_kind();
+        let mut sys = pin_system(None);
+        sys.load_snapshot(&boundary).expect("the boundary restores");
+        sys.swap_policy(&kind, &PIN_ME);
+        let _ = sys.run_window(PIN_PAUSE);
+        assert_eq!(sys.now(), PIN_PAUSE, "[{}] must still be mid-window", desc.id);
+        out.push((desc.id, Receiver::System(Some(kind)), sys.snapshot()));
+    }
+    let rows: [(&str, fn() -> _); 2] = [("phased", phased_stream), ("taped", taped_stream)];
+    for (name, make) in rows {
+        let mut stream = make();
+        for _ in 0..STREAM_OPS {
+            stream.next_op();
+        }
+        let mut enc = melreq_snap::Enc::new();
+        stream.save_state(&mut enc);
+        out.push((name, Receiver::Stream(make), enc.into_bytes()));
+    }
+    out
+}
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    assert_eq!(melreq_snap::SCHEMA_VERSION, 4, "a version bump re-captures every pin");
+    let got: Vec<(&str, usize, u64)> = pinned_bytes()
+        .iter()
+        .map(|(name, _, bytes)| (*name, bytes.len(), melreq_snap::fnv1a(bytes)))
+        .collect();
+    let moved: Vec<String> = got
+        .iter()
+        .filter(|row| !SNAPSHOT_PINS.contains(row))
+        .map(|(name, len, hash)| format!("(\"{name}\", {len}, {hash:#018x})"))
+        .collect();
+    assert!(
+        moved.is_empty() && got.len() == SNAPSHOT_PINS.len(),
+        "snapshot pins moved (bump SCHEMA_VERSION and re-capture):\n{}",
+        moved.join("\n")
     );
+}
+
+/// A snapshot cut short anywhere is an error, never a panic: each pinned
+/// payload is cut at 64 evenly spaced lengths, a system's cut resealed so
+/// the checksum passes, and every cut must fail to restore.
+#[test]
+fn truncated_snapshots_are_rejected() {
+    for (name, receiver, bytes) in pinned_bytes() {
+        match receiver {
+            Receiver::System(kind) => {
+                let payload = melreq_snap::open(&bytes).expect("a pinned container opens");
+                let mut sys = pin_system(kind.as_ref());
+                for i in 0..64 {
+                    let cut = payload.len() * i / 64;
+                    let resealed = melreq_snap::seal(&payload[..cut]);
+                    assert!(sys.load_snapshot(&resealed).is_err(), "[{name}] cut at {cut}");
+                }
+            }
+            Receiver::Stream(make) => {
+                for i in 0..64 {
+                    let cut = bytes.len() * i / 64;
+                    let mut dec = melreq_snap::Dec::new(&bytes[..cut]);
+                    assert!(make().load_state(&mut dec).is_err(), "[{name}] cut at {cut}");
+                }
+            }
+        }
+    }
 }

@@ -10,7 +10,7 @@ use melreq_memctrl::policy::PolicyKind;
 use melreq_memctrl::MemoryController;
 use melreq_stats::types::CoreId;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 fn hierarchy(cores: usize, policy: PolicyKind) -> Hierarchy {
     let me: Vec<f64> = (0..cores).map(|i| 1.0 + i as f64).collect();
@@ -42,7 +42,7 @@ proptest! {
     ) {
         let policy = PolicyKind::figure2_set()[policy_pick].clone();
         let mut h = hierarchy(4, policy);
-        let mut outstanding: HashSet<(u16, u64)> = HashSet::new();
+        let mut outstanding: BTreeSet<(u16, u64)> = BTreeSet::new();
         let mut now = 0u64;
         let mut done = Vec::new();
         for (token, (core, line, is_store)) in accesses.into_iter().enumerate() {
@@ -98,7 +98,7 @@ proptest! {
         lines in proptest::collection::vec(0u64..64, 1..100)
     ) {
         let mut h = hierarchy(1, PolicyKind::HfRf);
-        let distinct: HashSet<u64> = lines.iter().copied().collect();
+        let distinct: BTreeSet<u64> = lines.iter().copied().collect();
         let mut now = 0u64;
         let mut pending = 0u64;
         let mut done = Vec::new();

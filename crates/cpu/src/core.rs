@@ -95,8 +95,8 @@ pub struct IssueWork {
 
 /// One out-of-order core executing a synthetic instruction stream.
 pub struct Core {
-    id: CoreId, // melreq-allow(S01): construction-time identity, identical across snapshot peers
-    cfg: CoreConfig, // melreq-allow(S01): construction-time config, identical across snapshot peers
+    id: CoreId,
+    cfg: CoreConfig,
     stream: Box<dyn InstrStream + Send>,
     /// The reorder buffer: a ring of `cfg.rob` rounded up to a power of
     /// two, holding ops `head_seq..next_seq`, op `seq` in slot
@@ -121,8 +121,7 @@ pub struct Core {
     /// The issue stage's worklist: `(seq, ready_at)` of every waiting op
     /// whose operand time is known, in program order. The only thing
     /// [`Core::issue`] walks and [`Core::next_event_at`] folds over.
-    // melreq-allow(S02): derived; save_state collects the worklist it writes from the ROB
-    issuable: Vec<(u64, Cycle)>, // melreq-allow(S01): derived, rebuilt from the ROB by load_state
+    issuable: Vec<(u64, Cycle)>,
     // Measurement window: commit counts at which the measured slice
     // starts and ends, and the cycles at which those commits happened.
     window_skip: u64,
@@ -130,10 +129,9 @@ pub struct Core {
     window_start: Option<Cycle>,
     window_end: Option<Cycle>,
     stats: CoreStats,
-    // melreq-allow(S02): host-side work counters, no part of the persisted layout
-    issue_work: IssueWork, // melreq-allow(S01): host-side work counters, not simulation state
-    // melreq-allow(S02): host-side work counter, no part of the persisted layout
-    fetched: u64, // melreq-allow(S01): host-side work counter, not simulation state
+    // Host-side work counters, not simulation state.
+    issue_work: IssueWork,
+    fetched: u64,
 }
 
 impl std::fmt::Debug for Core {
@@ -304,11 +302,37 @@ impl Core {
     /// written — the worklist on disk is every `Waiting` op in program
     /// order, collected here.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        self.stream.save_state(enc);
+        // `issue_work`, `fetched`: host-side work counters, not simulation
+        // state.
+        let Self {
+            id: _,
+            cfg: _,
+            stream,
+            rob,
+            head_seq,
+            next_seq,
+            fetch_line,
+            fetch_pending,
+            staged,
+            fetch_stall_until,
+            halted_by_branch,
+            loads_in_rob,
+            stores_in_rob,
+            iq_used,
+            issuable: _,
+            window_skip,
+            window_measure,
+            window_start,
+            window_end,
+            stats,
+            issue_work: _,
+            fetched: _,
+        } = self;
+        stream.save_state(enc);
         enc.usize(self.rob_len());
-        let mut waiting = Vec::with_capacity(self.iq_used);
-        for seq in self.head_seq..self.next_seq {
-            let e = &self.rob[self.slot_of(seq)];
+        let mut waiting = Vec::with_capacity(*iq_used);
+        for seq in *head_seq..*next_seq {
+            let e = &rob[self.slot_of(seq)];
             e.kind.save_state(enc);
             enc.opt_u64((e.dep_seq != NO_DEP).then_some(e.dep_seq));
             match e.state {
@@ -328,33 +352,33 @@ impl Core {
             }
             enc.u64(seq);
         }
-        enc.u64(self.head_seq);
-        enc.u64(self.next_seq);
-        enc.opt_u64(self.fetch_line);
-        enc.bool(self.fetch_pending);
-        match &self.staged {
+        enc.u64(*head_seq);
+        enc.u64(*next_seq);
+        enc.opt_u64(*fetch_line);
+        enc.bool(*fetch_pending);
+        match staged {
             Some(op) => {
                 enc.bool(true);
                 op.save_state(enc);
             }
             None => enc.bool(false),
         }
-        enc.u64(self.fetch_stall_until);
-        enc.opt_u64(self.halted_by_branch);
-        enc.usize(self.loads_in_rob);
-        enc.usize(self.stores_in_rob);
+        enc.u64(*fetch_stall_until);
+        enc.opt_u64(*halted_by_branch);
+        enc.usize(*loads_in_rob);
+        enc.usize(*stores_in_rob);
         enc.u64s(&waiting);
-        enc.u64(self.window_skip);
-        enc.opt_u64(self.window_measure);
-        enc.opt_u64(self.window_start);
-        enc.opt_u64(self.window_end);
+        enc.u64(*window_skip);
+        enc.opt_u64(*window_measure);
+        enc.opt_u64(*window_start);
+        enc.opt_u64(*window_end);
         for c in [
-            &self.stats.committed,
-            &self.stats.cycles,
-            &self.stats.loads,
-            &self.stats.stores,
-            &self.stats.mispredicts,
-            &self.stats.commit_stall_cycles,
+            &stats.committed,
+            &stats.cycles,
+            &stats.loads,
+            &stats.stores,
+            &stats.mispredicts,
+            &stats.commit_stall_cycles,
         ] {
             c.save_state(enc);
         }
@@ -366,9 +390,36 @@ impl Core {
     /// snapshot that breaks one is an error at load, not a panic many
     /// cycles later.
     pub fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), SnapError> {
-        self.stream.load_state(dec)?;
+        let Self {
+            id: _,
+            cfg,
+            stream,
+            rob,
+            head_seq,
+            next_seq,
+            fetch_line,
+            fetch_pending,
+            staged,
+            fetch_stall_until,
+            halted_by_branch,
+            loads_in_rob,
+            stores_in_rob,
+            iq_used,
+            issuable: _, // rebuilt from the ROB by `rebuild_wakeup` below
+            window_skip,
+            window_measure,
+            window_start,
+            window_end,
+            stats,
+            issue_work: _,
+            fetched: _,
+        } = self;
+        // `Core::slot_of`, with the fields borrowed apart.
+        let ring_mask = rob.len() - 1;
+        let slot_of = |seq: u64| seq as usize & ring_mask;
+        stream.load_state(dec)?;
         let n = dec.usize()?;
-        if n > self.cfg.rob {
+        if n > cfg.rob {
             return Err(SnapError::Invalid("ROB occupancy beyond capacity"));
         }
         let mut first_seq = None;
@@ -399,8 +450,7 @@ impl Core {
             if state == OpState::Waiting {
                 waiting.push(seq);
             }
-            let slot = self.slot_of(seq);
-            self.rob[slot] = RobSlot {
+            rob[slot_of(seq)] = RobSlot {
                 kind,
                 dep_seq: dep_seq.unwrap_or(NO_DEP),
                 state,
@@ -408,56 +458,56 @@ impl Core {
                 next_consumer: NIL,
             };
         }
-        self.head_seq = dec.u64()?;
-        self.next_seq = dec.u64()?;
-        if first_seq.is_some_and(|s| s != self.head_seq)
-            || self.head_seq.checked_add(n as u64) != Some(self.next_seq)
+        *head_seq = dec.u64()?;
+        *next_seq = dec.u64()?;
+        if first_seq.is_some_and(|s| s != *head_seq)
+            || head_seq.checked_add(n as u64) != Some(*next_seq)
         {
             return Err(SnapError::Invalid("ROB does not span head_seq..next_seq"));
         }
-        self.fetch_line = dec.opt_u64()?;
-        self.fetch_pending = dec.bool()?;
-        self.staged = if dec.bool()? { Some(MicroOp::load_state(dec)?) } else { None };
-        self.fetch_stall_until = dec.u64()?;
-        self.halted_by_branch = dec.opt_u64()?;
-        if let Some(seq) = self.halted_by_branch {
+        *fetch_line = dec.opt_u64()?;
+        *fetch_pending = dec.bool()?;
+        *staged = if dec.bool()? { Some(MicroOp::load_state(dec)?) } else { None };
+        *fetch_stall_until = dec.u64()?;
+        *halted_by_branch = dec.opt_u64()?;
+        if let Some(seq) = *halted_by_branch {
             // The halt lifts when that branch issues: anything else in
             // its place would hold the front end forever.
-            let halts = (self.head_seq..self.next_seq).contains(&seq) && {
-                let e = &self.rob[self.slot_of(seq)];
+            let halts = (*head_seq..*next_seq).contains(&seq) && {
+                let e = &rob[slot_of(seq)];
                 e.kind == OpKind::Branch { mispredict: true } && e.state == OpState::Waiting
             };
             if !halts {
                 return Err(SnapError::Invalid("fetch halted by no waiting mispredicted branch"));
             }
         }
-        self.loads_in_rob = dec.usize()?;
-        self.stores_in_rob = dec.usize()?;
-        if (self.loads_in_rob, self.stores_in_rob) != (loads, stores) {
+        *loads_in_rob = dec.usize()?;
+        *stores_in_rob = dec.usize()?;
+        if (*loads_in_rob, *stores_in_rob) != (loads, stores) {
             return Err(SnapError::Invalid("load/store queue occupancy disagrees with the ROB"));
         }
         if dec.u64s()? != waiting {
             return Err(SnapError::Invalid("issue worklist is not the ROB's waiting ops"));
         }
-        if waiting.len() > self.cfg.iq {
+        if waiting.len() > cfg.iq {
             return Err(SnapError::Invalid("issue worklist beyond IQ capacity"));
         }
-        self.iq_used = waiting.len();
-        self.rebuild_wakeup();
-        self.window_skip = dec.u64()?;
-        self.window_measure = dec.opt_u64()?;
-        self.window_start = dec.opt_u64()?;
-        self.window_end = dec.opt_u64()?;
+        *iq_used = waiting.len();
+        *window_skip = dec.u64()?;
+        *window_measure = dec.opt_u64()?;
+        *window_start = dec.opt_u64()?;
+        *window_end = dec.opt_u64()?;
         for c in [
-            &mut self.stats.committed,
-            &mut self.stats.cycles,
-            &mut self.stats.loads,
-            &mut self.stats.stores,
-            &mut self.stats.mispredicts,
-            &mut self.stats.commit_stall_cycles,
+            &mut stats.committed,
+            &mut stats.cycles,
+            &mut stats.loads,
+            &mut stats.stores,
+            &mut stats.mispredicts,
+            &mut stats.commit_stall_cycles,
         ] {
             c.load_state(dec)?;
         }
+        self.rebuild_wakeup();
         Ok(())
     }
 
@@ -1008,14 +1058,16 @@ mod tests {
         }
 
         fn save_state(&self, enc: &mut melreq_snap::Enc) {
-            enc.usize(self.i);
+            let Self { ops: _, i } = self; // `ops`: the script, fixed at construction
+            enc.usize(*i);
         }
 
         fn load_state(
             &mut self,
             dec: &mut melreq_snap::Dec<'_>,
         ) -> Result<(), melreq_snap::SnapError> {
-            self.i = dec.usize()?;
+            let Self { ops: _, i } = self;
+            *i = dec.usize()?;
             Ok(())
         }
     }

@@ -101,14 +101,20 @@ impl DramGeometry {
                 let rest = line >> ch_bits;
                 let bank = (rest & (self.banks_per_channel() as u64 - 1)) as usize;
                 let rest = rest >> bank_bits;
-                // melreq-allow(A01): masked to col_bits (< 32) before the cast
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "masked to col_bits (< 32) before the cast"
+                )]
                 let column = (rest & (self.lines_per_row() - 1)) as u32;
                 let row = rest >> col_bits;
                 Location { channel, bank, row, column }
             }
             Interleave::Page => {
                 // [offset | column | channel | bank | row]
-                // melreq-allow(A01): masked to col_bits (< 32) before the cast
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "masked to col_bits (< 32) before the cast"
+                )]
                 let column = (line & (self.lines_per_row() - 1)) as u32;
                 let rest = line >> col_bits;
                 let channel = (rest & (self.channels as u64 - 1)) as usize;
@@ -233,10 +239,10 @@ mod tests {
     fn page_interleave_keeps_consecutive_lines_in_one_row() {
         let g = DramGeometry::paper_page_interleaved();
         let a = g.decode(0);
-        for i in 1..64u64 {
-            let b = g.decode(i * CACHE_LINE_BYTES);
+        for i in 1..64u32 {
+            let b = g.decode(u64::from(i) * CACHE_LINE_BYTES);
             assert!(a.same_row(&b), "line {i} left the row");
-            assert_eq!(b.column, i as u32);
+            assert_eq!(b.column, i);
         }
         // Line 64 crosses the 4 KiB page: next channel.
         let c = g.decode(64 * CACHE_LINE_BYTES);

@@ -8,6 +8,11 @@
 //! Both views delegate every transition to the `scalar_*` functions below,
 //! so they cannot diverge.
 
+// A01 (DESIGN.md "Determinism rules"): cycle horizons are computed
+// here, where a silent wrap corrupts timing instead of crashing; use the
+// checked helpers (`cyc_add`, `cyc_mul`).
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::timing::DramTiming;
 use melreq_stats::types::{cyc_add, AccessKind, Cycle};
 
@@ -132,8 +137,7 @@ pub(crate) fn scalar_precharge(
 }
 
 /// Serialize one bank's scalar pair (tagged open-row latch, then the ready
-/// horizon) — the wire format both [`Bank::save_state`] and the channel's
-/// struct-of-arrays writer emit.
+/// horizon): the per-bank wire format of [`crate::channel::Channel::save_state`].
 pub(crate) fn scalar_save_state(open_row: u64, ready_at: Cycle, enc: &mut melreq_snap::Enc) {
     if open_row == NO_OPEN_ROW {
         enc.u8(0);
@@ -208,22 +212,6 @@ impl Bank {
         t: &DramTiming,
     ) -> (Cycle, RowOutcome) {
         scalar_service(&mut self.open_row, &mut self.ready_at, row, kind, now, keep_open, t)
-    }
-
-    /// Serialize the row-buffer latch and ready horizon.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        scalar_save_state(self.open_row, self.ready_at, enc);
-    }
-
-    /// Restore state written by [`Bank::save_state`].
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let (open_row, ready_at) = scalar_load_state(dec)?;
-        self.open_row = open_row;
-        self.ready_at = ready_at;
-        Ok(())
     }
 
     /// Apply an all-bank refresh that started at `at`: the row closes and

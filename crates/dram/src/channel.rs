@@ -1,5 +1,10 @@
 //! A logical DRAM channel: independent banks sharing one data bus.
 
+// A01 (DESIGN.md "Determinism rules"): cycle horizons are computed
+// here, where a silent wrap corrupts timing instead of crashing; use the
+// checked helpers (`cyc_add`, `cyc_mul`).
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::bank::{
     scalar_is_row_hit, scalar_load_state, scalar_precharge, scalar_refresh, scalar_save_state,
     scalar_service, RowOutcome, NO_OPEN_ROW,
@@ -71,6 +76,10 @@ impl Channel {
 
     /// Catch up any refreshes that have come due by `now` (no-op when
     /// `t.t_refi == 0`). Call before issuing or probing availability.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`refreshes` is an event counter, not a deadline"
+    )]
     pub fn sync_refresh(&mut self, now: Cycle, t: &DramTiming) {
         if t.t_refi == 0 {
             return;
@@ -82,7 +91,7 @@ impl Channel {
             for (row, ready) in self.open_row.iter_mut().zip(self.bank_ready.iter_mut()) {
                 scalar_refresh(row, ready, self.next_refresh, t.t_rfc);
             }
-            self.refreshes += 1; // melreq-allow(A01): event counter, not a deadline
+            self.refreshes += 1;
             self.next_refresh = cyc_add(self.next_refresh, t.t_refi);
         }
     }
@@ -108,7 +117,7 @@ impl Channel {
     fn act_allowed_at(&self, t: &DramTiming) -> Cycle {
         let mut at = 0;
         if t.t_rrd > 0 && self.acts_seen >= 1 {
-            // melreq-allow(A01): ring index, bounded by the modulo
+            #[expect(clippy::arithmetic_side_effects, reason = "ring index, bounded by the modulo")]
             let last = self.recent_acts[(self.act_head + 3) % 4];
             at = at.max(cyc_add(last, t.t_rrd));
         }
@@ -121,10 +130,14 @@ impl Channel {
         at
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "`act_head` is a ring index, bounded by the modulo; `acts_seen` is an event counter, not a deadline"
+    )]
     fn note_act(&mut self, at: Cycle) {
         self.recent_acts[self.act_head] = at;
-        self.act_head = (self.act_head + 1) % 4; // melreq-allow(A01): ring index, bounded by the modulo
-        self.acts_seen += 1; // melreq-allow(A01): event counter, not a deadline
+        self.act_head = (self.act_head + 1) % 4;
+        self.acts_seen += 1;
     }
 
     /// Whether a request for (`bank`, `row`) would be a row-buffer hit
@@ -200,19 +213,30 @@ impl Channel {
     /// tracking. Per-bank bytes are identical to the former array-of-
     /// [`crate::bank::Bank`] layout (tagged open row, then ready horizon).
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.open_row.len());
-        for (&row, &ready) in self.open_row.iter().zip(self.bank_ready.iter()) {
+        let Self {
+            open_row,
+            bank_ready,
+            bus_free,
+            bus_busy_cycles,
+            next_refresh,
+            refreshes,
+            recent_acts,
+            act_head,
+            acts_seen,
+        } = self;
+        enc.usize(open_row.len());
+        for (&row, &ready) in open_row.iter().zip(bank_ready) {
             scalar_save_state(row, ready, enc);
         }
-        enc.u64(self.bus_free);
-        enc.u64(self.bus_busy_cycles);
-        enc.u64(self.next_refresh);
-        enc.u64(self.refreshes);
-        for a in self.recent_acts {
+        enc.u64(*bus_free);
+        enc.u64(*bus_busy_cycles);
+        enc.u64(*next_refresh);
+        enc.u64(*refreshes);
+        for &a in recent_acts {
             enc.u64(a);
         }
-        enc.usize(self.act_head);
-        enc.u64(self.acts_seen);
+        enc.usize(*act_head);
+        enc.u64(*acts_seen);
     }
 
     /// Restore state written by [`Channel::save_state`] into a channel
@@ -221,28 +245,37 @@ impl Channel {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
+        let Self {
+            open_row,
+            bank_ready,
+            bus_free,
+            bus_busy_cycles,
+            next_refresh,
+            refreshes,
+            recent_acts,
+            act_head,
+            acts_seen,
+        } = self;
         let n = dec.usize()?;
-        if n != self.open_row.len() {
+        if n != open_row.len() {
             return Err(melreq_snap::SnapError::Invalid("bank count mismatch"));
         }
-        for (row, ready) in self.open_row.iter_mut().zip(self.bank_ready.iter_mut()) {
-            let (r, at) = scalar_load_state(dec)?;
-            *row = r;
-            *ready = at;
+        for (row, ready) in open_row.iter_mut().zip(bank_ready) {
+            (*row, *ready) = scalar_load_state(dec)?;
         }
-        self.bus_free = dec.u64()?;
-        self.bus_busy_cycles = dec.u64()?;
-        self.next_refresh = dec.u64()?;
-        self.refreshes = dec.u64()?;
-        for a in &mut self.recent_acts {
+        *bus_free = dec.u64()?;
+        *bus_busy_cycles = dec.u64()?;
+        *next_refresh = dec.u64()?;
+        *refreshes = dec.u64()?;
+        for a in recent_acts {
             *a = dec.u64()?;
         }
         let head = dec.usize()?;
         if head >= 4 {
             return Err(melreq_snap::SnapError::Invalid("ACT ring head out of range"));
         }
-        self.act_head = head;
-        self.acts_seen = dec.u64()?;
+        *act_head = head;
+        *acts_seen = dec.u64()?;
         Ok(())
     }
 

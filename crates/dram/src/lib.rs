@@ -28,6 +28,10 @@
 //! and the controller (in `melreq-memctrl`) decides *which* request to
 //! grant.
 
+// A01 (DESIGN.md "Determinism rules"): a narrowing cast silently
+// truncates a cycle, a count or an address field.
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod address;
 pub mod bank;
 pub mod channel;

@@ -67,12 +67,12 @@ pub struct ServiceTime {
 /// so there is no per-cycle tick cost.
 #[derive(Debug, Clone)]
 pub struct DramSystem {
-    geometry: DramGeometry, // melreq-allow(S01): construction-time config, identical across snapshot peers
-    timing: DramTiming, // melreq-allow(S01): construction-time config, identical across snapshot peers
+    geometry: DramGeometry,
+    timing: DramTiming,
     channels: Vec<Channel>,
     stats: DramStats,
     /// Audit instrumentation (no-op unless a sink is attached).
-    audit: AuditHandle, // melreq-allow(S01): instrumentation handle re-attached by the host
+    audit: AuditHandle,
     /// Refreshes already reported to the audit stream, per channel.
     refreshes_emitted: Vec<u64>,
 }
@@ -263,21 +263,24 @@ impl DramSystem {
     /// refresh-emission cursors. The audit handle itself is NOT state: a
     /// restored system keeps whatever sink it already has attached.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.channels.len());
-        for ch in &self.channels {
+        // `geometry`, `timing`: construction-time config, identical across
+        // snapshot peers. `audit`: instrumentation handle re-attached by the host.
+        let Self { geometry: _, timing: _, channels, stats, audit: _, refreshes_emitted } = self;
+        enc.usize(channels.len());
+        for ch in channels {
             ch.save_state(enc);
         }
         for c in [
-            &self.stats.row_hits,
-            &self.stats.row_closed_misses,
-            &self.stats.row_conflicts,
-            &self.stats.reads,
-            &self.stats.writes,
-            &self.stats.bytes,
+            &stats.row_hits,
+            &stats.row_closed_misses,
+            &stats.row_conflicts,
+            &stats.reads,
+            &stats.writes,
+            &stats.bytes,
         ] {
             c.save_state(enc);
         }
-        enc.u64s(&self.refreshes_emitted);
+        enc.u64s(refreshes_emitted);
     }
 
     /// Restore state written by [`DramSystem::save_state`] into a system
@@ -286,28 +289,29 @@ impl DramSystem {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
+        let Self { geometry: _, timing: _, channels, stats, audit: _, refreshes_emitted } = self;
         let n = dec.usize()?;
-        if n != self.channels.len() {
+        if n != channels.len() {
             return Err(melreq_snap::SnapError::Invalid("channel count mismatch"));
         }
-        for ch in &mut self.channels {
+        for ch in channels {
             ch.load_state(dec)?;
         }
         for c in [
-            &mut self.stats.row_hits,
-            &mut self.stats.row_closed_misses,
-            &mut self.stats.row_conflicts,
-            &mut self.stats.reads,
-            &mut self.stats.writes,
-            &mut self.stats.bytes,
+            &mut stats.row_hits,
+            &mut stats.row_closed_misses,
+            &mut stats.row_conflicts,
+            &mut stats.reads,
+            &mut stats.writes,
+            &mut stats.bytes,
         ] {
             c.load_state(dec)?;
         }
         let emitted = dec.u64s()?;
-        if emitted.len() != self.refreshes_emitted.len() {
+        if emitted.len() != refreshes_emitted.len() {
             return Err(melreq_snap::SnapError::Invalid("refresh cursor count mismatch"));
         }
-        self.refreshes_emitted = emitted;
+        *refreshes_emitted = emitted;
         Ok(())
     }
 

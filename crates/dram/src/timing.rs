@@ -6,6 +6,11 @@
 //! All parameters here are pre-converted to CPU cycles so the simulator
 //! runs in a single clock domain.
 
+// A01 (DESIGN.md "Determinism rules"): cycle horizons are computed
+// here, where a silent wrap corrupts timing instead of crashing; use the
+// checked helpers (`cyc_add`, `cyc_mul`).
+#![deny(clippy::arithmetic_side_effects)]
+
 use melreq_stats::types::{cyc_add, Cycle, CACHE_LINE_BYTES};
 
 /// Timing parameters for one DRAM technology/configuration.
@@ -111,6 +116,7 @@ impl DramTiming {
     /// parameter — a scale that large is a caller bug, not a timing.
     pub fn scaled(&self, num: Cycle, den: Cycle) -> Self {
         assert!(den > 0, "scale denominator must be positive");
+        #[expect(clippy::arithmetic_side_effects, reason = "`den` is asserted positive above")]
         let s = |v: Cycle| {
             (v.checked_mul(num).expect("timing scale overflows u64 cycles") / den).max(1)
         };

@@ -290,7 +290,12 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
     // Nearest-rank: the smallest value with at least q of the mass at
     // or below it.
-    #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a sample count is far below 2^52 and the rank is at least 1"
+    )]
     let rank = ((sorted.len() as f64) * q).ceil().max(1.0) as usize;
     sorted[rank.min(sorted.len()) - 1]
 }
@@ -322,11 +327,11 @@ pub fn run_phase(cfg: &LoadConfig, spec: PhaseSpec) -> Result<PhaseStats, String
 
     // The pacer: dispatch each arrival at its scheduled offset. Wall
     // clock is the whole point of a load generator.
-    // melreq-allow(D02): load generation is real-time measurement
+    #[expect(clippy::disallowed_methods, reason = "load generation is real-time measurement")]
     let start = Instant::now();
     for a in arrivals {
         let target = start + a.offset;
-        // melreq-allow(D02): pacing sleeps until the scheduled arrival
+        #[expect(clippy::disallowed_methods, reason = "pacing sleeps until the scheduled arrival")]
         let now = Instant::now();
         if target > now {
             std::thread::sleep(target - now);
@@ -360,7 +365,7 @@ pub fn run_phase(cfg: &LoadConfig, spec: PhaseSpec) -> Result<PhaseStats, String
     let mut lat = tally.latencies_ms.clone();
     lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let mean_ms = if lat.is_empty() { 0.0 } else { lat.iter().sum::<f64>() / lat.len() as f64 };
-    #[allow(clippy::cast_precision_loss)]
+    #[allow(clippy::cast_precision_loss, reason = "a request count is far below 2^52")]
     let throughput_rps = if elapsed_s > 0.0 { tally.completed_200 as f64 / elapsed_s } else { 0.0 };
 
     Ok(PhaseStats {

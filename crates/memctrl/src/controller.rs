@@ -137,22 +137,31 @@ impl ControllerStats {
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.read_latency.len());
-        for t in &self.read_latency {
+        let Self {
+            read_latency,
+            reads_served,
+            writes_served,
+            drain_entries,
+            grant_row_hits,
+            bytes_by_core,
+            queue_occupancy,
+            grant_candidates,
+            per_channel,
+        } = self;
+        enc.usize(read_latency.len());
+        for t in read_latency {
             t.save_state(enc);
         }
-        for c in
-            [&self.reads_served, &self.writes_served, &self.drain_entries, &self.grant_row_hits]
-        {
+        for c in [reads_served, writes_served, drain_entries, grant_row_hits] {
             c.save_state(enc);
         }
-        for c in &self.bytes_by_core {
+        for c in bytes_by_core {
             c.save_state(enc);
         }
-        self.queue_occupancy.save_state(enc);
-        self.grant_candidates.save_state(enc);
-        enc.usize(self.per_channel.len());
-        for t in &self.per_channel {
+        queue_occupancy.save_state(enc);
+        grant_candidates.save_state(enc);
+        enc.usize(per_channel.len());
+        for t in per_channel {
             enc.u64(t.reads);
             enc.u64(t.writes);
             enc.u64(t.row_hits);
@@ -160,31 +169,37 @@ impl ControllerStats {
     }
 
     fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
+        let Self {
+            read_latency,
+            reads_served,
+            writes_served,
+            drain_entries,
+            grant_row_hits,
+            bytes_by_core,
+            queue_occupancy,
+            grant_candidates,
+            per_channel,
+        } = self;
         let n = dec.usize()?;
-        if n != self.read_latency.len() {
+        if n != read_latency.len() {
             return Err(melreq_snap::SnapError::Invalid("controller core count mismatch"));
         }
-        for t in &mut self.read_latency {
+        for t in read_latency {
             t.load_state(dec)?;
         }
-        for c in [
-            &mut self.reads_served,
-            &mut self.writes_served,
-            &mut self.drain_entries,
-            &mut self.grant_row_hits,
-        ] {
+        for c in [reads_served, writes_served, drain_entries, grant_row_hits] {
             c.load_state(dec)?;
         }
-        for c in &mut self.bytes_by_core {
+        for c in bytes_by_core {
             c.load_state(dec)?;
         }
-        self.queue_occupancy.load_state(dec)?;
-        self.grant_candidates.load_state(dec)?;
+        queue_occupancy.load_state(dec)?;
+        grant_candidates.load_state(dec)?;
         let n = dec.usize()?;
-        if n != self.per_channel.len() {
+        if n != per_channel.len() {
             return Err(melreq_snap::SnapError::Invalid("controller channel count mismatch"));
         }
-        for t in &mut self.per_channel {
+        for t in per_channel {
             t.reads = dec.u64()?;
             t.writes = dec.u64()?;
             t.row_hits = dec.u64()?;
@@ -283,7 +298,7 @@ struct ScanGate {
 ///    [`MemoryController::pop_completed`]. Writes complete silently.
 #[derive(Debug)]
 pub struct MemoryController {
-    cfg: ControllerConfig, // melreq-allow(S01): construction-time config, identical across snapshot peers
+    cfg: ControllerConfig,
     queue: RequestQueue,
     dram: DramSystem,
     policy: Box<dyn SchedulerPolicy>,
@@ -297,17 +312,17 @@ pub struct MemoryController {
     /// `cand_ids` carries (buffer position, id, kind) of this channel's
     /// issuable requests; `cand_pos` mirrors `cand_buf` with positions so
     /// a policy's selection maps back to the buffer in O(1).
-    cand_buf: Vec<Candidate>, // melreq-allow(S01): scratch, rebuilt from scratch every tick
-    cand_pos: Vec<usize>, // melreq-allow(S01): scratch, rebuilt from scratch every tick
-    cand_ids: Vec<(usize, ReqId, AccessKind)>, // melreq-allow(S01): scratch, rebuilt from scratch every tick
+    cand_buf: Vec<Candidate>,
+    cand_pos: Vec<usize>,
+    cand_ids: Vec<(usize, ReqId, AccessKind)>,
     /// Per-bank ready-cycle snapshot for the channel being scheduled
     /// (one DRAM probe per bank instead of one per queued request).
-    bank_ready: Vec<Cycle>, // melreq-allow(S01): scratch, rebuilt from scratch every tick
+    bank_ready: Vec<Cycle>,
     /// Audit instrumentation (no-op unless a sink is attached; debug
     /// builds attach a panicking watchdog automatically).
-    audit: AuditHandle, // melreq-allow(S01): instrumentation handle re-attached by the host
-    // melreq-allow(S02): derived wake-up bounds and host counters, no part of the persisted layout
-    gate: ScanGate, // melreq-allow(S01): derived, reset to "rescan" by load_state
+    audit: AuditHandle,
+    /// Derived wake-up bounds and host counters: not snapshot state.
+    gate: ScanGate,
 }
 
 impl MemoryController {
@@ -426,14 +441,35 @@ impl MemoryController {
     /// buffers (rebuilt from scratch every tick) and the audit handle (an
     /// observer the host re-attaches) are deliberately not state.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        self.queue.save_state(enc);
-        self.dram.save_state(enc);
-        enc.bool(self.read_first);
-        enc.bool(self.draining);
-        enc.u64(self.next_id);
+        // `cfg`: construction-time config, identical across snapshot peers.
+        // The `cand_*` and `bank_ready` scratch: rebuilt from scratch every
+        // tick. `audit`: instrumentation handle re-attached by the host.
+        // `gate`: derived, reset to "rescan" by load_state.
+        let Self {
+            cfg: _,
+            queue,
+            dram,
+            policy,
+            read_first,
+            draining,
+            next_id,
+            completions,
+            stats,
+            cand_buf: _,
+            cand_pos: _,
+            cand_ids: _,
+            bank_ready: _,
+            audit: _,
+            gate: _,
+        } = self;
+        queue.save_state(enc);
+        dram.save_state(enc);
+        enc.bool(*read_first);
+        enc.bool(*draining);
+        enc.u64(*next_id);
         // BinaryHeap iteration order is unspecified; sort so identical
         // controller states serialize to identical bytes.
-        let mut comps: Vec<Completion> = self.completions.iter().map(|Reverse(c)| *c).collect();
+        let mut comps: Vec<Completion> = completions.iter().map(|Reverse(c)| *c).collect();
         comps.sort();
         enc.usize(comps.len());
         for c in &comps {
@@ -442,9 +478,9 @@ impl MemoryController {
             enc.u16(c.core.0);
             enc.u64(c.addr);
         }
-        self.stats.save_state(enc);
-        enc.str(self.policy.name());
-        self.policy.save_state(enc);
+        stats.save_state(enc);
+        enc.str(policy.name());
+        policy.save_state(enc);
     }
 
     /// Restore state written by [`MemoryController::save_state`] into a
@@ -454,35 +490,52 @@ impl MemoryController {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
-        self.queue.load_state(dec)?;
-        self.dram.load_state(dec)?;
-        self.read_first = dec.bool()?;
-        self.draining = dec.bool()?;
-        self.next_id = dec.u64()?;
+        let Self {
+            cfg: _,
+            queue,
+            dram,
+            policy,
+            read_first,
+            draining,
+            next_id,
+            completions,
+            stats,
+            cand_buf: _,
+            cand_pos: _,
+            cand_ids: _,
+            bank_ready: _,
+            audit,
+            gate,
+        } = self;
+        queue.load_state(dec)?;
+        dram.load_state(dec)?;
+        *read_first = dec.bool()?;
+        *draining = dec.bool()?;
+        *next_id = dec.u64()?;
         let n = dec.usize()?;
-        self.completions.clear();
+        completions.clear();
         for _ in 0..n {
             let at = dec.u64()?;
             let id = ReqId(dec.u64()?);
             let core = CoreId(dec.u16()?);
             let addr = dec.u64()?;
-            self.completions.push(Reverse(Completion { at, id, core, addr }));
+            completions.push(Reverse(Completion { at, id, core, addr }));
         }
-        self.stats.load_state(dec)?;
+        stats.load_state(dec)?;
         let name = dec.str()?;
-        if name != self.policy.name() {
+        if name != policy.name() {
             return Err(melreq_snap::SnapError::Invalid("scheduler policy mismatch"));
         }
-        self.policy.load_state(dec)?;
+        policy.load_state(dec)?;
         // An attached audit (including the debug-build watchdog) models
         // the machine from reset; the restored state contains in-flight
         // requests and device timings it never observed being built, so
         // any audit is detached rather than left to report phantom
         // violations. Audited runs always simulate fresh.
-        self.audit = AuditHandle::disabled();
-        self.dram.set_audit(AuditHandle::disabled());
-        for (ch, wake) in self.gate.wake.iter_mut().enumerate() {
-            *wake = if self.queue.channel_positions(ch).is_empty() { Cycle::MAX } else { 0 };
+        *audit = AuditHandle::disabled();
+        dram.set_audit(AuditHandle::disabled());
+        for (ch, wake) in gate.wake.iter_mut().enumerate() {
+            *wake = if queue.channel_positions(ch).is_empty() { Cycle::MAX } else { 0 };
         }
         Ok(())
     }

@@ -24,6 +24,10 @@
 //!   management, one grant per channel per cycle, per-core latency and
 //!   bandwidth accounting.
 
+// A01 (DESIGN.md "Determinism rules"): a narrowing cast silently
+// truncates a cycle, a count or an address field.
+#![deny(clippy::cast_possible_truncation)]
+
 pub mod controller;
 pub mod policy;
 pub mod queue;

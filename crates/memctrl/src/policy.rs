@@ -213,7 +213,7 @@ impl SchedulerPolicy for HitFirst {
 /// rotation that has an issuable request.
 #[derive(Debug, Clone)]
 pub struct RoundRobin {
-    cores: usize, // melreq-allow(S01): construction topology, identical across snapshot peers
+    cores: usize,
     next: usize,
 }
 
@@ -244,15 +244,18 @@ impl SchedulerPolicy for RoundRobin {
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.next);
+        // `cores`: construction topology, identical across snapshot peers.
+        let Self { cores: _, next } = self;
+        enc.usize(*next);
     }
 
     fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let next = dec.usize()?;
-        if next >= self.cores {
+        let Self { cores, next } = self;
+        let loaded = dec.usize()?;
+        if loaded >= *cores {
             return Err(melreq_snap::SnapError::Invalid("round-robin pointer out of range"));
         }
-        self.next = next;
+        *next = loaded;
         Ok(())
     }
 }
@@ -343,8 +346,7 @@ pub struct MeLreq {
     table: PriorityTable,
     rng: SmallRng,
     /// The core this decision's tie-break favours.
-    // melreq-allow(S02): settled by `prepare` within each decision, dead between decisions
-    pick: Option<CoreId>, // melreq-allow(S01): settled by `prepare` within each decision, dead between decisions
+    pick: Option<CoreId>,
 }
 
 impl MeLreq {
@@ -436,22 +438,26 @@ impl SchedulerPolicy for MeLreq {
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {
+        // `pick`: settled by `prepare` within each decision, dead between
+        // decisions.
+        let Self { table, rng, pick: _ } = self;
         // The table is saved entry-by-entry (not as the ME vector it was
         // built from) so online-updated and ablation (linear-quantized)
         // tables restore exactly.
-        self.table.save_state(enc);
-        for w in self.rng.state() {
+        table.save_state(enc);
+        for w in rng.state() {
             enc.u64(w);
         }
     }
 
     fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        self.table.load_state(dec)?;
+        let Self { table, rng, pick: _ } = self;
+        table.load_state(dec)?;
         let mut s = [0u64; 4];
         for w in &mut s {
             *w = dec.u64()?;
         }
-        self.rng = SmallRng::from_state(s);
+        *rng = SmallRng::from_state(s);
         Ok(())
     }
 }
@@ -474,7 +480,7 @@ pub struct FairQueueing {
     /// Global virtual clock: start tag of the most recent grant.
     global_vt: u64,
     /// Per-core service shares (relative weights; equal by default).
-    share: Vec<u32>, // melreq-allow(S01): construction weights, identical across snapshot peers
+    share: Vec<u32>,
 }
 
 impl FairQueueing {
@@ -527,17 +533,20 @@ impl SchedulerPolicy for FairQueueing {
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.u64s(&self.virtual_time);
-        enc.u64(self.global_vt);
+        // `share`: construction weights, identical across snapshot peers.
+        let Self { virtual_time, global_vt, share: _ } = self;
+        enc.u64s(virtual_time);
+        enc.u64(*global_vt);
     }
 
     fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
+        let Self { virtual_time, global_vt, share: _ } = self;
         let vt = dec.u64s()?;
-        if vt.len() != self.virtual_time.len() {
+        if vt.len() != virtual_time.len() {
             return Err(melreq_snap::SnapError::Invalid("fair-queueing core count mismatch"));
         }
-        self.virtual_time = vt;
-        self.global_vt = dec.u64()?;
+        *virtual_time = vt;
+        *global_vt = dec.u64()?;
         Ok(())
     }
 }
@@ -605,17 +614,19 @@ impl SchedulerPolicy for StallTimeFair {
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.f64s(&self.debt);
-        enc.u64(self.last_now);
+        let Self { debt, last_now } = self;
+        enc.f64s(debt);
+        enc.u64(*last_now);
     }
 
     fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let debt = dec.f64s()?;
-        if debt.len() != self.debt.len() {
+        let Self { debt, last_now } = self;
+        let loaded = dec.f64s()?;
+        if loaded.len() != debt.len() {
             return Err(melreq_snap::SnapError::Invalid("stall-time-fair core count mismatch"));
         }
-        self.debt = debt;
-        self.last_now = dec.u64()?;
+        *debt = loaded;
+        *last_now = dec.u64()?;
         Ok(())
     }
 }
@@ -638,8 +649,8 @@ pub struct Bliss {
     streak: u32,
     /// Grants since the blacklist was last cleared.
     grants_since_clear: u64,
-    threshold: u32, // melreq-allow(S01): construction parameter, identical across snapshot peers
-    clear_interval: u64, // melreq-allow(S01): construction parameter, identical across snapshot peers
+    threshold: u32,
+    clear_interval: u64,
 }
 
 impl Bliss {
@@ -709,36 +720,54 @@ impl SchedulerPolicy for Bliss {
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.blacklisted.len());
-        for &b in &self.blacklisted {
+        // `threshold`, `clear_interval`: construction parameters, identical
+        // across snapshot peers.
+        let Self {
+            blacklisted,
+            last_core,
+            streak,
+            grants_since_clear,
+            threshold: _,
+            clear_interval: _,
+        } = self;
+        enc.usize(blacklisted.len());
+        for &b in blacklisted {
             enc.bool(b);
         }
-        enc.opt_u64(self.last_core.map(|c| u64::from(c.0)));
-        enc.u32(self.streak);
-        enc.u64(self.grants_since_clear);
+        enc.opt_u64(last_core.map(|c| u64::from(c.0)));
+        enc.u32(*streak);
+        enc.u64(*grants_since_clear);
     }
 
     fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
+        let Self {
+            blacklisted,
+            last_core,
+            streak,
+            grants_since_clear,
+            threshold: _,
+            clear_interval: _,
+        } = self;
         let n = dec.usize()?;
-        if n != self.blacklisted.len() {
+        if n != blacklisted.len() {
             return Err(melreq_snap::SnapError::Invalid("bliss core count mismatch"));
         }
-        for b in &mut self.blacklisted {
+        for b in blacklisted.iter_mut() {
             *b = dec.bool()?;
         }
-        self.last_core = match dec.opt_u64()? {
+        *last_core = match dec.opt_u64()? {
             Some(raw) => {
                 let core = u16::try_from(raw)
                     .map_err(|_| melreq_snap::SnapError::Invalid("bliss last core out of range"))?;
-                if usize::from(core) >= self.blacklisted.len() {
+                if usize::from(core) >= blacklisted.len() {
                     return Err(melreq_snap::SnapError::Invalid("bliss last core out of range"));
                 }
                 Some(CoreId(core))
             }
             None => None,
         };
-        self.streak = dec.u32()?;
-        self.grants_since_clear = dec.u64()?;
+        *streak = dec.u32()?;
+        *grants_since_clear = dec.u64()?;
         Ok(())
     }
 }
@@ -762,7 +791,7 @@ pub struct TcmCluster {
     rank: Vec<u32>,
     /// Monotone shuffle counter rotating the bandwidth cluster's order.
     shuffle: u64,
-    quantum: u64, // melreq-allow(S01): construction parameter, identical across snapshot peers
+    quantum: u64,
 }
 
 impl TcmCluster {
@@ -848,36 +877,39 @@ impl SchedulerPolicy for TcmCluster {
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.u64s(&self.interval_reads);
-        enc.u64(self.grants_in_quantum);
-        enc.usize(self.rank.len());
-        for &r in &self.rank {
+        // `quantum`: construction parameter, identical across snapshot peers.
+        let Self { interval_reads, grants_in_quantum, rank, shuffle, quantum: _ } = self;
+        enc.u64s(interval_reads);
+        enc.u64(*grants_in_quantum);
+        enc.usize(rank.len());
+        for &r in rank {
             enc.u32(r);
         }
-        enc.u64(self.shuffle);
+        enc.u64(*shuffle);
     }
 
     fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
+        let Self { interval_reads, grants_in_quantum, rank, shuffle, quantum: _ } = self;
         let reads = dec.u64s()?;
-        if reads.len() != self.interval_reads.len() {
+        if reads.len() != interval_reads.len() {
             return Err(melreq_snap::SnapError::Invalid("tcm core count mismatch"));
         }
-        self.interval_reads = reads;
-        self.grants_in_quantum = dec.u64()?;
+        *interval_reads = reads;
+        *grants_in_quantum = dec.u64()?;
         let n = dec.usize()?;
-        if n != self.rank.len() {
+        if n != rank.len() {
             return Err(melreq_snap::SnapError::Invalid("tcm rank count mismatch"));
         }
-        let cores = u32::try_from(self.rank.len())
+        let cores = u32::try_from(rank.len())
             .map_err(|_| melreq_snap::SnapError::Invalid("tcm core count out of range"))?;
-        for r in &mut self.rank {
+        for r in rank {
             let v = dec.u32()?;
             if v >= cores {
                 return Err(melreq_snap::SnapError::Invalid("tcm rank out of range"));
             }
             *r = v;
         }
-        self.shuffle = dec.u64()?;
+        *shuffle = dec.u64()?;
         Ok(())
     }
 }
@@ -1157,7 +1189,7 @@ mod tests {
             let me = vec![1.0; cores];
             let pending = vec![1; cores];
             let cands: Vec<Candidate> =
-                (0..cores).map(|c| cand(c as u64, c as u16, false)).collect();
+                (0u16..).take(cores).map(|c| cand(u64::from(c), c, false)).collect();
             let mut up = PolicyKind::Fixed { descending: false }.build(&me, cores, 1);
             let mut down = PolicyKind::Fixed { descending: true }.build(&me, cores, 1);
             assert_eq!((up.name(), down.name()), ("FIX-0123", "FIX-3210"));

@@ -26,12 +26,12 @@ use melreq_stats::types::CoreId;
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     entries: Vec<MemRequest>,
-    capacity: usize, // melreq-allow(S01): construction-time bound; load_state validates against it
-    pending_reads: Vec<u32>, // melreq-allow(S01): recomputed by load_state's push replay
-    pending_writes: Vec<u32>, // melreq-allow(S01): recomputed by load_state's push replay
+    capacity: usize,
+    pending_reads: Vec<u32>,
+    pending_writes: Vec<u32>,
     /// Positions into `entries` per channel, sorted ascending (see module
     /// docs: sortedness preserves the flat iteration order per channel).
-    by_channel: Vec<Vec<usize>>, // melreq-allow(S01): recomputed by load_state's push replay
+    by_channel: Vec<Vec<usize>>,
 }
 
 impl RequestQueue {
@@ -165,8 +165,13 @@ impl RequestQueue {
     /// Serialize the queued requests. Per-core counters and per-channel
     /// position lists are derived data and are rebuilt on load.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.entries.len());
-        for r in &self.entries {
+        // `capacity`: construction-time bound; load_state validates against
+        // it. The counters and position lists: recomputed by load_state's
+        // push replay.
+        let Self { entries, capacity: _, pending_reads: _, pending_writes: _, by_channel: _ } =
+            self;
+        enc.usize(entries.len());
+        for r in entries {
             enc.u64(r.id.0);
             enc.u16(r.core.0);
             enc.u64(r.addr);
@@ -186,14 +191,16 @@ impl RequestQueue {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
+        let Self { entries, capacity, pending_reads, pending_writes, by_channel } = self;
         let n = dec.usize()?;
-        if n > self.capacity {
+        if n > *capacity {
             return Err(melreq_snap::SnapError::Invalid("queue entries exceed capacity"));
         }
-        self.entries.clear();
-        self.pending_reads.iter_mut().for_each(|c| *c = 0);
-        self.pending_writes.iter_mut().for_each(|c| *c = 0);
-        self.by_channel.iter_mut().for_each(Vec::clear);
+        entries.clear();
+        pending_reads.iter_mut().for_each(|c| *c = 0);
+        pending_writes.iter_mut().for_each(|c| *c = 0);
+        by_channel.iter_mut().for_each(Vec::clear);
+        let (cores, channels) = (pending_reads.len(), by_channel.len());
         for _ in 0..n {
             let id = ReqId(dec.u64()?);
             let core = CoreId(dec.u16()?);
@@ -210,7 +217,7 @@ impl RequestQueue {
                 melreq_stats::types::AccessKind::Write
             };
             let arrival = dec.u64()?;
-            if core.index() >= self.pending_reads.len() || loc.channel >= self.by_channel.len() {
+            if core.index() >= cores || loc.channel >= channels {
                 return Err(melreq_snap::SnapError::Invalid("request indices out of range"));
             }
             self.push(MemRequest { id, core, addr, loc, kind, arrival });

@@ -29,8 +29,7 @@ pub struct PriorityTable {
     scale: f64,
     /// The ME vector the tables were programmed from: what
     /// `MeLreq::core_rule` splits a win by. No decision reads it.
-    // melreq-allow(S02): provenance input, never serialized
-    me: Vec<f64>, // melreq-allow(S01): provenance input; a restored table keeps its receiver's construction profile
+    me: Vec<f64>,
 }
 
 impl PriorityTable {
@@ -71,8 +70,12 @@ impl PriorityTable {
                 return PriorityFixed::ZERO;
             }
             let raw = ((v.log2() - lmin) * scale).round().clamp(0.0, PRIORITY_MAX as f64);
-            // melreq-allow(A01): clamped to [0, PRIORITY_MAX] above; float casts saturate
-            PriorityFixed::from_raw(raw as u16)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "clamped to [0, PRIORITY_MAX] above; float casts saturate"
+            )]
+            let raw = raw as u16;
+            PriorityFixed::from_raw(raw)
         };
         let tables = me
             .iter()
@@ -155,13 +158,16 @@ impl PriorityTable {
     /// stored raw so both quantization modes (log-domain and linear)
     /// round-trip identically.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.tables.len());
-        for t in &self.tables {
+        // `me`: provenance input, never serialized; a restored table keeps
+        // its receiver's construction profile.
+        let Self { tables, scale, me: _ } = self;
+        enc.usize(tables.len());
+        for t in tables {
             for e in t {
                 enc.u16(e.raw());
             }
         }
-        enc.f64(self.scale);
+        enc.f64(*scale);
     }
 
     /// Restore state written by [`PriorityTable::save_state`] into a
@@ -170,16 +176,17 @@ impl PriorityTable {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
+        let Self { tables, scale, me: _ } = self;
         let n = dec.usize()?;
-        if n != self.tables.len() {
+        if n != tables.len() {
             return Err(melreq_snap::SnapError::Invalid("priority table core count mismatch"));
         }
-        for t in &mut self.tables {
+        for t in tables {
             for e in t.iter_mut() {
                 *e = PriorityFixed::from_raw(dec.u16()?);
             }
         }
-        self.scale = dec.f64()?;
+        *scale = dec.f64()?;
         Ok(())
     }
 }

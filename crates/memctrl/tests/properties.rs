@@ -9,7 +9,7 @@ use melreq_memctrl::table::PriorityTable;
 use melreq_memctrl::{registry, MemoryController, RequestQueue};
 use melreq_stats::types::{AccessKind, CoreId};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 proptest! {
     /// Queue counters always equal a recount of the queue contents.
@@ -194,7 +194,7 @@ proptest! {
             kind.read_first(),
             4,
         );
-        let mut expected_reads = HashSet::new();
+        let mut expected_reads = BTreeSet::new();
         let mut now = 0u64;
         for (core, line, is_read) in reqs {
             while !ctrl.can_accept() {
@@ -208,7 +208,7 @@ proptest! {
                 expected_reads.insert(id);
             }
         }
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for _ in 0..500_000u64 {
             ctrl.tick(now);
             while let Some((id, _, _)) = ctrl.pop_completed(now) {

@@ -316,7 +316,7 @@ fn render_histogram(out: &mut String, sample: &str, h: &Histogram) {
 
 /// Integral values print without a fractional part (Prometheus accepts
 /// both; the integral form keeps scrapes byte-stable for tests).
-#[allow(clippy::cast_possible_truncation)]
+#[allow(clippy::cast_possible_truncation, reason = "only integral values below 9e15 are cast")]
 fn format_value(v: f64) -> String {
     if v.is_finite() && v.fract() == 0.0 && v.abs() < 9e15 {
         format!("{}", v as i64)

@@ -26,8 +26,8 @@
 //! state, RNG streams, or audit streams, so a profiled run is
 //! bit-identical to an unprofiled one (pinned by the profiler-inertness
 //! integration test). This crate is the *only* non-exempt home of
-//! wall-clock reads; each carries its `melreq-allow(D02)` justification
-//! for `melreq analyze`.
+//! wall-clock reads; each carries an `#[expect(clippy::disallowed_methods)]`
+//! with its justification.
 
 use melreq_snap::json_esc;
 use std::cell::RefCell;
@@ -208,7 +208,10 @@ thread_local! {
 /// Turn span recording on. The first call fixes the profiler epoch; all
 /// spans across enable/disable cycles share one monotonic clock.
 pub fn enable() {
-    // melreq-allow(D02): the profiler epoch is the reference point all host-time spans are measured from; no simulated state ever derives from it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the profiler epoch is the reference point all host-time spans are measured from; no simulated state ever derives from it"
+    )]
     EPOCH.get_or_init(Instant::now);
     ENABLED.store(true, Ordering::Release);
 }
@@ -227,12 +230,15 @@ pub fn enabled() -> bool {
 
 /// Nanoseconds since the profiler epoch; `0` when profiling is off.
 #[inline]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "host-time span stamp for the self-profile; simulation state never observes it"
+)]
 pub fn now_ns() -> u64 {
     if !enabled() {
         return 0;
     }
     let Some(epoch) = EPOCH.get() else { return 0 };
-    // melreq-allow(D02): host-time span stamp for the self-profile; simulation state never observes it
     ns_since(*epoch, Instant::now())
 }
 

@@ -494,7 +494,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
         ];
         for (name, kind, probe) in probes {
             let store = store.clone();
-            #[allow(clippy::cast_precision_loss)]
+            #[allow(clippy::cast_precision_loss, reason = "store counters stay far below 2^52")]
             metrics.registry.func(
                 name,
                 "Checkpoint-store activity since server start.",

@@ -49,7 +49,7 @@ pub struct WakeHandle(Arc<PipeWriter>);
 impl WakeHandle {
     /// Wake the poller. Best-effort: a full pipe already guarantees a
     /// pending wake, and a closed pipe means the loop is gone.
-    #[allow(clippy::unused_io_amount)]
+    #[allow(clippy::unused_io_amount, reason = "one byte or a full pipe both mean a wake is due")]
     pub fn wake(&self) {
         // Deliberately `write`, not `write_all`: a full pipe must not
         // block a worker — pending bytes already mean a wake is due.
@@ -73,7 +73,7 @@ impl Waker {
     /// Consume pending wake bytes. A single bounded read suffices: a
     /// pipe with data never blocks to fill the buffer, and any bytes
     /// left behind simply keep the fd readable for the next `wait`.
-    #[allow(clippy::unused_io_amount)]
+    #[allow(clippy::unused_io_amount, reason = "bytes left behind keep the fd readable")]
     pub fn drain(&mut self) {
         let mut buf = [0u8; 256];
         let _ = self.rx.read(&mut buf);

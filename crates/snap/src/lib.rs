@@ -14,6 +14,30 @@
 //! file on disk is rejected up front instead of mis-decoding. A
 //! [`Sealed`] is a container that has passed (or was built by) them, so
 //! in-process hand-offs do not pay the checksum again.
+//!
+//! Every `save_state` and `load_state` over a named-field struct opens
+//! by destructuring `self` exhaustively, so the compiler checks snapshot
+//! coverage: a field the pattern does not name is error E0027, and a
+//! field it binds but never uses is an `unused_variables` error under the
+//! workspace's `warnings = deny`. A field deliberately left out is bound
+//! as `field: _`, with a comment saying why.
+//!
+//! ```compile_fail,E0027
+//! struct Bank {
+//!     open_row: u64,
+//!     ready_at: u64, // added, but not snapshotted
+//! }
+//! impl Bank {
+//!     fn save_state(&self, enc: &mut melreq_snap::Enc) {
+//!         let Self { open_row } = self;
+//!         enc.u64(*open_row);
+//!     }
+//! }
+//! ```
+//!
+//! What the encoders write is pinned byte for byte by the snapshot pins
+//! in `crates/core/tests/determinism.rs`: bytes that move there bump
+//! `SCHEMA_VERSION` and re-capture the pins.
 
 /// Bump on ANY change to any crate's `save_state` encoding. Persisted
 /// checkpoints and profiles from other versions are ignored, never

@@ -42,7 +42,8 @@ impl Counter {
 
     /// Serialize into a checkpoint.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.u64(self.value);
+        let Self { value } = self;
+        enc.u64(*value);
     }
 
     /// Restore from a checkpoint.
@@ -50,7 +51,8 @@ impl Counter {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
-        self.value = dec.u64()?;
+        let Self { value } = self;
+        *value = dec.u64()?;
         Ok(())
     }
 

@@ -74,9 +74,10 @@ impl Histogram {
 
     /// Serialize into a checkpoint.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.u64s(&self.buckets);
-        enc.u64(self.count);
-        enc.u128(self.sum);
+        let Self { buckets, count, sum } = self;
+        enc.u64s(buckets);
+        enc.u64(*count);
+        enc.u128(*sum);
     }
 
     /// Restore from a checkpoint. The bucket count must match this
@@ -85,13 +86,14 @@ impl Histogram {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
-        let buckets = dec.u64s()?;
-        if buckets.len() != self.buckets.len() {
+        let Self { buckets, count, sum } = self;
+        let loaded = dec.u64s()?;
+        if loaded.len() != buckets.len() {
             return Err(melreq_snap::SnapError::Invalid("histogram bucket count mismatch"));
         }
-        self.buckets = buckets;
-        self.count = dec.u64()?;
-        self.sum = dec.u128()?;
+        *buckets = loaded;
+        *count = dec.u64()?;
+        *sum = dec.u128()?;
         Ok(())
     }
 

@@ -70,9 +70,10 @@ impl LatencyTracker {
 
     /// Serialize into a checkpoint.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        self.mean.save_state(enc);
-        self.minmax.save_state(enc);
-        self.histogram.save_state(enc);
+        let Self { mean, minmax, histogram } = self;
+        mean.save_state(enc);
+        minmax.save_state(enc);
+        histogram.save_state(enc);
     }
 
     /// Restore from a checkpoint.
@@ -80,9 +81,10 @@ impl LatencyTracker {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
-        self.mean.load_state(dec)?;
-        self.minmax.load_state(dec)?;
-        self.histogram.load_state(dec)
+        let Self { mean, minmax, histogram } = self;
+        mean.load_state(dec)?;
+        minmax.load_state(dec)?;
+        histogram.load_state(dec)
     }
 
     /// Merge another tracker into this one.

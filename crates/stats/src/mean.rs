@@ -58,8 +58,9 @@ impl StreamingMean {
 
     /// Serialize into a checkpoint.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.u64(self.count);
-        enc.f64(self.sum);
+        let Self { count, sum } = self;
+        enc.u64(*count);
+        enc.f64(*sum);
     }
 
     /// Restore from a checkpoint.
@@ -67,8 +68,9 @@ impl StreamingMean {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
-        self.count = dec.u64()?;
-        self.sum = dec.f64()?;
+        let Self { count, sum } = self;
+        *count = dec.u64()?;
+        *sum = dec.f64()?;
         Ok(())
     }
 }
@@ -104,8 +106,9 @@ impl StreamingMinMax {
 
     /// Serialize into a checkpoint.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.opt_f64(self.min);
-        enc.opt_f64(self.max);
+        let Self { min, max } = self;
+        enc.opt_f64(*min);
+        enc.opt_f64(*max);
     }
 
     /// Restore from a checkpoint.
@@ -113,8 +116,9 @@ impl StreamingMinMax {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
-        self.min = dec.opt_f64()?;
-        self.max = dec.opt_f64()?;
+        let Self { min, max } = self;
+        *min = dec.opt_f64()?;
+        *max = dec.opt_f64()?;
         Ok(())
     }
 }

@@ -77,12 +77,10 @@ impl AddressPattern {
 /// lines (the paper runs one independent program per core).
 #[derive(Debug, Clone)]
 pub struct AddressStream {
-    pattern: AddressPattern, // melreq-allow(S01): construction-time config, identical across snapshot peers
-    base: Addr, // melreq-allow(S01): construction-time config, identical across snapshot peers
-    // melreq-allow(S02): derived from `pattern`, no part of the persisted layout
-    seq_below: u64, // melreq-allow(S01): threshold(pattern.seq_prob), fixed at construction
-    // melreq-allow(S02): derived from `pattern`, no part of the persisted layout
-    chase_below: u64, // melreq-allow(S01): threshold(pattern.chase_prob), fixed at construction
+    pattern: AddressPattern,
+    base: Addr,
+    seq_below: u64,
+    chase_below: u64,
     cursor: Addr,
     rng: SmallRng,
 }
@@ -119,8 +117,12 @@ impl AddressStream {
 
     /// Serialize the sampler's mutable state (cursor + RNG).
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.u64(self.cursor);
-        for w in self.rng.state() {
+        // `pattern`, `base`: construction-time config, identical across
+        // snapshot peers. `seq_below`, `chase_below`:
+        // threshold(pattern.seq_prob / chase_prob), fixed at construction.
+        let Self { pattern: _, base: _, seq_below: _, chase_below: _, cursor, rng } = self;
+        enc.u64(*cursor);
+        for w in rng.state() {
             enc.u64(w);
         }
     }
@@ -130,12 +132,13 @@ impl AddressStream {
         &mut self,
         dec: &mut melreq_snap::Dec<'_>,
     ) -> Result<(), melreq_snap::SnapError> {
-        self.cursor = dec.u64()?;
+        let Self { pattern: _, base: _, seq_below: _, chase_below: _, cursor, rng } = self;
+        *cursor = dec.u64()?;
         let mut s = [0u64; 4];
         for w in &mut s {
             *w = dec.u64()?;
         }
-        self.rng = rand::rngs::SmallRng::from_state(s);
+        *rng = rand::rngs::SmallRng::from_state(s);
         Ok(())
     }
 

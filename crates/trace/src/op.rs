@@ -117,9 +117,10 @@ impl MicroOp {
     /// Serialize this op (for checkpointing pipeline latches that hold a
     /// staged op).
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.u64(self.pc);
-        self.kind.save_state(enc);
-        enc.u16(self.dep_dist);
+        let Self { pc, kind, dep_dist } = self;
+        enc.u64(*pc);
+        kind.save_state(enc);
+        enc.u16(*dep_dist);
     }
 
     /// Decode an op written by [`MicroOp::save_state`].

@@ -15,7 +15,7 @@ use crate::synthetic::SyntheticStream;
 /// A program that cycles through phases of different behaviour.
 #[derive(Debug, Clone)]
 pub struct PhasedStream {
-    label: String, // melreq-allow(S01): construction-time config, identical across snapshot peers
+    label: String,
     phases: Vec<(SyntheticStream, u64)>,
     current: usize,
     remaining: u64,
@@ -60,21 +60,24 @@ impl InstrStream for PhasedStream {
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.current);
-        enc.u64(self.remaining);
-        for (s, _) in &self.phases {
+        // `label`: construction-time config, identical across snapshot peers.
+        let Self { label: _, phases, current, remaining } = self;
+        enc.usize(*current);
+        enc.u64(*remaining);
+        for (s, _) in phases {
             s.save_state(enc);
         }
     }
 
     fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let current = dec.usize()?;
-        if current >= self.phases.len() {
+        let Self { label: _, phases, current, remaining } = self;
+        let loaded = dec.usize()?;
+        if loaded >= phases.len() {
             return Err(melreq_snap::SnapError::Invalid("phase index out of range"));
         }
-        self.current = current;
-        self.remaining = dec.u64()?;
-        for (s, _) in &mut self.phases {
+        *current = loaded;
+        *remaining = dec.u64()?;
+        for (s, _) in phases {
             s.load_state(dec)?;
         }
         Ok(())

@@ -129,15 +129,14 @@ impl Draws {
 /// The generator implementing [`InstrStream`].
 #[derive(Debug, Clone)]
 pub struct SyntheticStream {
-    label: String, // melreq-allow(S01): construction-time config, identical across snapshot peers
-    params: StreamParams, // melreq-allow(S01): construction-time config, identical across snapshot peers
-    // melreq-allow(S02): derived from `params`, no part of the persisted layout
-    draws: Draws, // melreq-allow(S01): derived from `params` at construction
+    label: String,
+    params: StreamParams,
+    draws: Draws,
     addrs: AddressStream,
     rng: SmallRng,
     pc: Addr,
-    data_base: Addr, // melreq-allow(S01): construction-time config, identical across snapshot peers
-    code_base: Addr, // melreq-allow(S01): construction-time config, identical across snapshot peers
+    data_base: Addr,
+    code_base: Addr,
     /// Distance (in ops) back to the most recent load, for chase deps.
     ops_since_load: u16,
 }
@@ -266,23 +265,48 @@ impl InstrStream for SyntheticStream {
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        self.addrs.save_state(enc);
-        for w in self.rng.state() {
+        // `label`, `params`, `data_base`, `code_base`: construction-time
+        // config, identical across snapshot peers. `draws`: derived from
+        // `params` at construction.
+        let Self {
+            label: _,
+            params: _,
+            draws: _,
+            addrs,
+            rng,
+            pc,
+            data_base: _,
+            code_base: _,
+            ops_since_load,
+        } = self;
+        addrs.save_state(enc);
+        for w in rng.state() {
             enc.u64(w);
         }
-        enc.u64(self.pc);
-        enc.u16(self.ops_since_load);
+        enc.u64(*pc);
+        enc.u16(*ops_since_load);
     }
 
     fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        self.addrs.load_state(dec)?;
+        let Self {
+            label: _,
+            params: _,
+            draws: _,
+            addrs,
+            rng,
+            pc,
+            data_base: _,
+            code_base: _,
+            ops_since_load,
+        } = self;
+        addrs.load_state(dec)?;
         let mut s = [0u64; 4];
         for w in &mut s {
             *w = dec.u64()?;
         }
-        self.rng = SmallRng::from_state(s);
-        self.pc = dec.u64()?;
-        self.ops_since_load = dec.u16()?;
+        *rng = SmallRng::from_state(s);
+        *pc = dec.u64()?;
+        *ops_since_load = dec.u16()?;
         Ok(())
     }
 }

@@ -273,8 +273,8 @@ pub struct TapedStream {
     chunk: Arc<Chunk>,
     /// How far into `chunk` the reader is.
     cursor: Cursor,
-    // melreq-allow(S02): read position, gone with the tape on restore; no part of the persisted layout
-    next_chunk: usize, // melreq-allow(S01): read position on the tape; save_state writes the generator state it stands for
+    /// Index of the next chunk to fetch from the tape.
+    next_chunk: usize,
 }
 
 impl std::fmt::Debug for TapedStream {
@@ -385,17 +385,22 @@ impl InstrStream for TapedStream {
     }
 
     fn save_state(&self, enc: &mut Enc) {
-        match &self.tape {
-            Some(tape) => tape.save_state_at(&self.chunk.origin, self.cursor.ops, enc),
-            None => self.generator.save_state(enc),
+        // `next_chunk`: read position on the tape; save_state writes the
+        // generator state it stands for.
+        let Self { generator, tape, chunk, cursor, next_chunk: _ } = self;
+        match tape {
+            Some(tape) => tape.save_state_at(&chunk.origin, cursor.ops, enc),
+            None => generator.save_state(enc),
         }
     }
 
     fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-        self.generator.load_state(dec)?;
-        self.tape = None;
-        self.chunk = Arc::default();
-        self.cursor = Cursor::default();
+        // `next_chunk`: a read position, gone with the tape on restore.
+        let Self { generator, tape, chunk, cursor, next_chunk: _ } = self;
+        generator.load_state(dec)?;
+        *tape = None;
+        *chunk = Arc::default();
+        *cursor = Cursor::default();
         Ok(())
     }
 }
@@ -446,10 +451,12 @@ mod tests {
             "script"
         }
         fn save_state(&self, enc: &mut Enc) {
-            enc.usize(self.at);
+            let Self { ops: _, at } = self; // `ops`: the script, fixed at construction
+            enc.usize(*at);
         }
         fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-            self.at = dec.usize()?;
+            let Self { ops: _, at } = self;
+            *at = dec.usize()?;
             Ok(())
         }
     }
