@@ -727,17 +727,22 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
         opts.instructions, opts.warmup, opts.profile_instructions, opts.eval_slice
     );
     let st = store.stats();
+    let held: Vec<String> =
+        store.bytes_by_kind().iter().map(|(kind, bytes)| format!("\"{kind}\": {bytes}")).collect();
     let _ = writeln!(
         json,
         "  \"store\": {{\"dir\": \"{}\", \"warmup_hits\": {}, \
          \"warmup_misses\": {}, \"profile_hits\": {}, \"profile_misses\": {}, \
-         \"hit_rate\": {:.4}}},",
+         \"hit_rate\": {:.4}, \"tape_hits\": {}, \"tape_misses\": {}, \"bytes\": {{{}}}}},",
         json_esc(&store.dir().display().to_string()),
         st.warmup_hits,
         st.warmup_misses,
         st.profile_hits,
         st.profile_misses,
-        st.hit_rate()
+        st.hit_rate(),
+        st.tape_hits,
+        st.tape_misses,
+        held.join(", ")
     );
     json.push_str("  \"stages\": [\n");
     for (i, s) in stages.iter().enumerate() {
@@ -1162,11 +1167,23 @@ mod tests {
         assert!(json.contains("\"bit_exact\": true"));
         assert!(json.contains("\"fork_speedup\""));
         assert!(json.contains("\"store\": {"));
+        // What the store block says of the tapes: three groups looked for
+        // theirs, and the warm re-run finds all three.
+        let tapes = |json: &str| {
+            let parsed = Json::parse(json).expect("artifact parses as JSON");
+            let store = parsed.get("store").expect("a store block");
+            let count = |key| store.get(key).and_then(Json::as_u64);
+            let held = store.get("bytes").and_then(|b| b.get("tapes")).and_then(Json::as_u64);
+            (count("tape_hits"), count("tape_misses"), held.is_some_and(|b| b > 0))
+        };
+        assert_eq!(tapes(&json), (Some(0), Some(3), true), "cold:\n{json}");
 
         // Guard against its own artifact: a warm re-run is far inside
         // any sane ceiling, so this must pass and say so.
         let s2 = smoke_reproduce(&dir, STORE, TINY, &[("--guard", &out)]).unwrap();
         assert!(s2.contains("wall guard OK"), "guard line missing:\n{s2}");
+        let json = std::fs::read_to_string(&out).unwrap();
+        assert_eq!(tapes(&json), (Some(3), Some(0), true), "warm:\n{json}");
         // An impossibly fast baseline must trip the guard with exit 6.
         let fake = dir.join("fake-baseline.json");
         std::fs::write(&fake, "{\"total_wall_s\": 0.000001}\n").unwrap();

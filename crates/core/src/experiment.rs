@@ -46,6 +46,10 @@
 //! ([`CheckpointStore::open_resident`], a server's) and this process has
 //! used the boundary before: then the group is every run of the process
 //! on that boundary, the second of which records what the rest replay.
+//! With a store attached the tapes also outlive the process: a group
+//! writes them beside the boundary when its last run ends, if they grew,
+//! and every run whose store holds them, a run on its own included,
+//! replays them, so a warm pass generates no op an earlier one did.
 //!
 //! And the runs of a group share whole windows where the policies cannot
 //! differ: every policy ranks cores, so a window whose read decisions
@@ -69,6 +73,7 @@ use melreq_stats::types::Cycle;
 use melreq_trace::{InstrStream, OpTape, TapedStream};
 use melreq_workloads::{AppSpec, Mix, SliceKind};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -367,7 +372,7 @@ fn kernel_span<T>(
 
 /// A canonical system for `mix` at the measurement boundary, ready to
 /// receive the measured policy.
-struct Boundary {
+struct Boundary<'s> {
     sys: System,
     /// Whether the state came from a checkpoint rather than being
     /// simulated here.
@@ -379,6 +384,8 @@ struct Boundary {
     /// Whether `share` was resident in the store: this process has used
     /// this boundary before.
     reused: bool,
+    /// The store that holds the boundary, and its key there.
+    keyed: Option<(&'s CheckpointStore, u64)>,
 }
 
 /// Reach the measurement boundary of `mix`: restore it from `store` or
@@ -387,13 +394,13 @@ struct Boundary {
 /// persisted unless the warm-up hit the cycle safety net (the subsequent
 /// [`System::run_window`] then reports `timed_out` immediately) or
 /// `warmup == 0` (nothing worth caching).
-fn boundary_system(
+fn boundary_system<'s>(
     mix: &Mix,
     opts: &ExperimentOptions,
-    store: Option<&CheckpointStore>,
+    store: Option<&'s CheckpointStore>,
     ctl: &RunControl,
     attach: impl FnOnce(&mut System),
-) -> Boundary {
+) -> Boundary<'s> {
     let keyed_store = store.filter(|_| opts.warmup > 0).map(|st| {
         let key = CheckpointStore::warmup_key(
             &canonical_config(mix.cores()),
@@ -411,7 +418,8 @@ fn boundary_system(
         // incompatible (should be unreachable given the versioned keys):
         // re-simulate, and replace it.
         if let Ok(sys) = restored_system(&share, ctl, "warmup", reused) {
-            return Boundary { sys, from_checkpoint: true, share: Some(share), reused };
+            let share = Some(share);
+            return Boundary { sys, from_checkpoint: true, share, reused, keyed: keyed_store };
         }
     }
     let mut sys = canonical_system(mix, opts);
@@ -425,7 +433,8 @@ fn boundary_system(
         |sys| sys.run_to_boundary(ctl.limit(opts)),
         false,
     );
-    let share = keyed_store.filter(|_| reached).map(|(st, key)| {
+    let keyed = keyed_store.filter(|_| reached);
+    let share = keyed.map(|(st, key)| {
         let _sp = melreq_prof::span("snapshot.encode", || format!("warmup {}", mix.name));
         let snapshot = sys.snapshot_sealed();
         st.store_warmup(key, snapshot.as_bytes());
@@ -433,29 +442,35 @@ fn boundary_system(
         st.retain(key, &share);
         share
     });
-    Boundary { sys, from_checkpoint: false, share, reused: false }
+    Boundary { sys, from_checkpoint: false, share, reused: false, keyed }
 }
 
-impl Boundary {
+impl Boundary<'_> {
     /// Point `sys` at the op tapes of its boundary's share, if `runs` runs
-    /// from it are to read tapes: a group of more than one always, and
-    /// any run from the second use of a boundary a store keeps resident —
-    /// which records what the third and later replay, while a boundary
-    /// used once never pays for a recording.
+    /// from it are to read tapes: any run whose store holds tapes for the
+    /// boundary, a group of more than one always, and any run from the
+    /// second use of a boundary a store keeps resident — which records
+    /// what the third and later replay, while a boundary used once never
+    /// pays for a recording.
     fn taped(
         &mut self,
         mix: &Mix,
         opts: &ExperimentOptions,
         runs: usize,
     ) -> Option<Arc<GroupShare>> {
-        if runs < 2 && !self.reused {
+        let made = self.share.as_ref().is_some_and(|share| share.tapes.get().is_some());
+        let stored = self
+            .keyed
+            .filter(|_| !made)
+            .and_then(|(st, key)| st.load_tapes(key, mix.eval_streams(opts.eval_slice)));
+        if runs < 2 && !self.reused && stored.is_none() {
             return None;
         }
         let share = self.share.take().unwrap_or_else(|| {
             let _sp = melreq_prof::span("snapshot.encode", || format!("fork {}", mix.name));
             Arc::new(GroupShare::over(*mix, opts, self.sys.snapshot_sealed()))
         });
-        share.tape(&mut self.sys);
+        share.tape(&mut self.sys, stored);
         Some(share)
     }
 }
@@ -479,8 +494,20 @@ pub(crate) struct GroupShare {
 #[derive(Debug)]
 struct Tapes {
     per_core: Vec<Arc<OpTape>>,
+    /// Ops they held when they came from the store; 0 if recorded here.
+    loaded: u64,
+    /// Ops the store's record holds, as far as this process knows: what
+    /// was loaded, or last written.
+    persisted: AtomicU64,
     /// Profiler clock when they were made, for the `tape` span.
     since_ns: u64,
+}
+
+impl Tapes {
+    /// Ops held, over every core.
+    fn ops(&self) -> u64 {
+        self.per_core.iter().map(|tape| tape.size().0).sum()
+    }
 }
 
 impl GroupShare {
@@ -490,14 +517,24 @@ impl GroupShare {
     }
 
     /// Make `sys`, which stands at the boundary, a reader of the share's
-    /// tapes. The first caller's warmed streams become the tapes'
-    /// generators; every later caller's are dropped unread.
-    fn tape(&self, sys: &mut System) {
+    /// tapes. The first caller makes them: from `stored`, the store's
+    /// tapes, if each starts where `sys`'s warmed stream stands, else by
+    /// making the warmed streams the generators of new ones. Every later
+    /// caller's streams are dropped unread.
+    fn tape(&self, sys: &mut System, stored: Option<Vec<Arc<OpTape>>>) {
         let streams = || self.mix.eval_streams(self.eval_slice);
         let tapes = self.tapes.get_or_init(|| {
             debug_assert!(self.snapshot.as_bytes() == sys.snapshot(), "stale boundary container");
-            let per_core = sys.replace_streams(streams()).into_iter().map(OpTape::new).collect();
-            Tapes { per_core, since_ns: melreq_prof::now_ns() }
+            let warmed = sys.replace_streams(streams());
+            let stored = stored.filter(|tapes| {
+                tapes.iter().zip(&warmed).all(|(tape, own)| tape.starts_at(own.as_ref()))
+            });
+            let per_core: Vec<_> =
+                stored.unwrap_or_else(|| warmed.into_iter().map(OpTape::new).collect());
+            // A new tape holds nothing yet: what they hold came from the store.
+            let loaded = per_core.iter().map(|tape| tape.size().0).sum();
+            let (persisted, since_ns) = (AtomicU64::new(loaded), melreq_prof::now_ns());
+            Tapes { per_core, loaded, persisted, since_ns }
         });
         let readers = tapes
             .per_core
@@ -521,23 +558,36 @@ impl GroupShare {
     pub(crate) fn poisoned(&self) -> bool {
         self.tapes.get().is_some_and(|t| t.per_core.iter().any(|t| t.is_poisoned()))
     }
+
+    /// Write the tapes to `store` under `key` if they hold more ops than
+    /// its record does, as far as this share knows.
+    fn persist(&self, store: &CheckpointStore, key: u64) {
+        let Some(tapes) = self.tapes.get() else { return };
+        let ops = tapes.ops();
+        if tapes.persisted.fetch_max(ops, Ordering::Relaxed) < ops {
+            let _sp = melreq_prof::span("snapshot.encode", || format!("tapes {}", self.mix.name));
+            store.store_tapes(key, &tapes.per_core);
+        }
+    }
 }
 
 impl Drop for GroupShare {
     /// The last run that could read the tapes is over (the group's last, or
     /// the store evicted the entry): say what the windows made the
-    /// generators produce (against the `ops_fetched` of the `policy` spans)
-    /// and what keeping it cost.
+    /// generators produce (against the `ops_fetched` of the `policy` spans),
+    /// what came from the store instead, and what keeping it cost.
     fn drop(&mut self) {
         let Some(tapes) = self.tapes.get() else { return };
         let sizes: Vec<(u64, usize)> = tapes.per_core.iter().map(|t| t.size()).collect();
+        let ops: u64 = sizes.iter().map(|s| s.0).sum();
         melreq_prof::record(
             "tape",
             || self.mix.name.to_string(),
             tapes.since_ns,
             melreq_prof::now_ns(),
             &[
-                ("ops_generated", sizes.iter().map(|s| s.0).sum()),
+                ("ops_generated", ops.saturating_sub(tapes.loaded)),
+                ("ops_loaded", tapes.loaded),
                 ("bytes", sizes.iter().map(|s| s.1 as u64).sum()),
                 ("longest_bytes", sizes.iter().map(|s| s.1 as u64).max().unwrap_or(0)),
             ],
@@ -969,10 +1019,11 @@ fn warm_up_and_fork<'env>(
     let mut boundary = boundary_system(&mix, opts, store, ctl, |_| {});
     let total_runs: usize = consumers.iter().map(|c| c.policies.len()).sum();
     let share = boundary.taped(&mix, opts, total_runs);
-    let Boundary { sys: base, from_checkpoint, .. } = boundary;
+    let Boundary { sys: base, from_checkpoint, keyed, .. } = boundary;
     let taped = share.is_some();
     let warm_wall = warm_started.elapsed();
-    let group = Arc::new(GroupRuns { mix, inputs, opts, ctl, certified: Default::default() });
+    let certified = Default::default();
+    let group = Arc::new(GroupRuns { mix, inputs, opts, ctl, certified, share, keyed });
 
     // Fork every run but the first, then run the first on the warmed
     // system while the forks are stolen by idle workers.
@@ -983,13 +1034,13 @@ fn warm_up_and_fork<'env>(
                 first = Some((slot, kind));
                 continue;
             }
-            let share = Arc::clone(share.as_ref().expect("a group of >1 runs shares"));
             let group = Arc::clone(&group);
             ctx.fork(move |_ctx| {
+                let share = group.share.as_ref().expect("a group of >1 runs shares");
                 let fork = || {
-                    let mut sys = restored_system(&share, ctl, "fork", true)
+                    let mut sys = restored_system(share, ctl, "fork", true)
                         .expect("boundary snapshot must restore into an identical fresh system");
-                    share.tape(&mut sys);
+                    share.tape(&mut sys, None);
                     sys
                 };
                 let result = group.run(kind, fork, true, Duration::ZERO, true);
@@ -1017,6 +1068,9 @@ fn warm_up_and_fork<'env>(
 /// first run to finish one, uncancelled, publishes it in its class's
 /// cell. A run that finds its cell filled scores that window instead of
 /// restoring and simulating its own. The cells die with the group.
+///
+/// When the group's last run ends, its tapes go to the store, if they
+/// hold more than the store's record of them.
 struct GroupRuns<'env> {
     mix: Mix,
     inputs: Inputs,
@@ -1024,6 +1078,18 @@ struct GroupRuns<'env> {
     ctl: &'env RunControl,
     /// One cell per rule class, indexed `read_first << 1 | hit_first`.
     certified: [OnceLock<Window>; 4],
+    /// What the runs read their ops from, if they read tapes.
+    share: Option<Arc<GroupShare>>,
+    /// The store that holds the boundary, and its key there.
+    keyed: Option<(&'env CheckpointStore, u64)>,
+}
+
+impl Drop for GroupRuns<'_> {
+    fn drop(&mut self) {
+        if let (Some(share), Some((store, key))) = (&self.share, self.keyed) {
+            share.persist(store, key);
+        }
+    }
 }
 
 impl GroupRuns<'_> {
@@ -1141,15 +1207,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let budget = Some(crate::store::RESIDENT_BYTE_BUDGET);
         let store = Arc::new(CheckpointStore::with_budget(dir, budget).expect("store"));
+        (store, boundary_key(mix, opts))
+    }
+
+    /// The store key of `mix`'s boundary.
+    fn boundary_key(mix: &Mix, opts: &ExperimentOptions) -> u64 {
         let cfg = canonical_config(mix.cores());
-        let key = CheckpointStore::warmup_key(
+        CheckpointStore::warmup_key(
             &cfg,
             mix.codes,
             opts.eval_slice,
             opts.warmup,
             opts.instructions,
-        );
-        (store, key)
+        )
     }
 
     /// The share resident under `key`, which must be there.
@@ -1248,8 +1318,12 @@ mod tests {
             reader.next_op()
         });
         assert!(died.join().is_err() && per_core[1].is_poisoned());
-        share.tapes.set(Tapes { per_core, since_ns: 0 }).expect("no tapes yet");
+        let tapes = Tapes { per_core, loaded: 0, persisted: AtomicU64::new(0), since_ns: 0 };
+        share.tapes.set(tapes).expect("no tapes yet");
         assert!(share.poisoned());
+        // Poisoned tapes are never stored: their generator may stand mid-chunk.
+        store.store_tapes(key, &share.tapes.get().expect("set above").per_core);
+        assert!(!store.dir().join(format!("tapes-{key:016x}.bin")).exists());
         store.retain(key, &Arc::new(share));
 
         let hits = store.stats();
@@ -1395,24 +1469,38 @@ mod tests {
         let (cache, store) = open();
         let cold = run_mix_group(&mix, &policies, &opts, &cache, Some(&store), &ctl);
         assert!(!cold[0].warmup_from_checkpoint && store.stats().warmup_hits == 0);
+        let tapes = dir.join(format!("tapes-{:016x}.bin", boundary_key(&mix, &opts)));
+        let record = std::fs::read(&tapes).expect("the cold group stored its tapes");
 
         // What a store-hit group hands its forks is the stored container
         // itself, and that is the restored machine's own snapshot — with
-        // plain streams and again once it reads the group's tapes.
+        // plain streams and again once it reads the group's tapes. Over a
+        // store without tapes, as one written before they were kept, a run
+        // on its own records none, and a group records its own.
+        std::fs::remove_file(&tapes).expect("the tapes record");
         let mut boundary = boundary_system(&mix, &opts, Some(&store), &ctl, |_| {});
         assert!(boundary.from_checkpoint && !boundary.reused, "a plain store keeps nothing");
         let stored = boundary.share.clone().expect("a store hit hands its container back");
         assert!(stored.snapshot.as_bytes() == boundary.sys.snapshot());
-        assert!(boundary.taped(&mix, &opts, 1).is_none(), "a run on its own reads no tape");
+        assert!(boundary.taped(&mix, &opts, 1).is_none(), "a run on its own records no tape");
         let share = boundary.taped(&mix, &opts, 2).expect("a group shares");
-        assert!(Arc::ptr_eq(&share, &stored) && stored.tapes.get().is_some());
+        assert!(Arc::ptr_eq(&share, &stored) && stored.tapes.get().is_some_and(|t| t.loaded == 0));
         assert!(stored.snapshot.as_bytes() == boundary.sys.snapshot());
         drop((share, stored));
+        // Over a store with them, a run on its own reads them too.
+        std::fs::write(&tapes, &record).expect("the tapes record");
+        let mut boundary = boundary_system(&mix, &opts, Some(&store), &ctl, |_| {});
+        let share = boundary.taped(&mix, &opts, 1).expect("stored tapes are read");
+        assert!(share.tapes.get().is_some_and(|t| t.loaded > 0 && t.ops() == t.loaded));
+        assert!(share.snapshot.as_bytes() == boundary.sys.snapshot());
+        drop(share);
 
         let (cache, store) = open();
         let warm = run_mix_group(&mix, &policies, &opts, &cache, Some(&store), &ctl);
         let st = store.stats();
         assert_eq!((st.warmup_hits, st.warmup_misses, st.profile_misses), (1, 0, 0));
+        assert_eq!((st.tape_hits, st.tape_misses), (1, 0));
+        assert!(std::fs::read(&tapes).is_ok_and(|now| now == record));
         for ((p, warm), cold) in policies.iter().zip(&warm).zip(&cold) {
             assert!(warm.warmup_from_checkpoint, "{}", p.name());
             let fresh = run_mix(&mix, p, &opts, &cache);

@@ -1,9 +1,11 @@
 //! The persistent checkpoint/profile store.
 //!
 //! A content-addressed directory of warmed-up system snapshots
-//! ([`crate::system::System::snapshot`] at the measurement boundary) and
-//! single-core [`AppProfile`]s, so repeated sweep invocations skip the
-//! warm-up and profiling simulation entirely.
+//! ([`crate::system::System::snapshot`] at the measurement boundary), the
+//! op tapes the windows from each boundary read, and single-core
+//! [`AppProfile`]s, so repeated sweep invocations skip the warm-up, the
+//! profiling simulation and the generation of every op a previous
+//! invocation already generated.
 //!
 //! # Addressing
 //!
@@ -19,6 +21,9 @@
 //!   evaluation-slice index (these seed the synthetic streams);
 //! * the window: warm-up and target instruction counts (both are armed
 //!   before the boundary and serialized inside the snapshot).
+//!
+//! A boundary's op tapes (`tapes-{key}`) share its warm-up key: a core
+//! count, then one [`OpTape::encode`] record per core, in core order.
 //!
 //! Warm-up always runs under the canonical policy
 //! ([`crate::experiment::CANONICAL_WARMUP_POLICY`], which ignores the
@@ -51,8 +56,10 @@ use crate::config::SystemConfig;
 use crate::experiment::GroupShare;
 use crate::profile::AppProfile;
 use melreq_memctrl::policy::PolicyKind;
-use melreq_snap::Sealed;
+use melreq_snap::{Dec, Enc, Sealed, SnapError};
+use melreq_trace::{InstrStream, OpTape};
 use melreq_workloads::{spec2000, SliceKind};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -75,6 +82,13 @@ pub struct StoreStats {
     pub profile_hits: u64,
     /// Application profiles that had to be simulated.
     pub profile_misses: u64,
+    /// Boundaries whose op tapes were read from disk. Tapes save
+    /// generation, not simulation, so neither tape count is in
+    /// [`StoreStats::hit_rate`].
+    pub tape_hits: u64,
+    /// Boundaries whose tapes were looked for and not found (or found
+    /// unreadable) before being recorded.
+    pub tape_misses: u64,
     /// Warm-up hits answered from memory (counted in `warmup_hits` too);
     /// always 0 for a store without a resident tier.
     pub resident_hits: u64,
@@ -85,8 +99,8 @@ pub struct StoreStats {
 }
 
 impl StoreStats {
-    /// Overall hit rate across both record kinds (0 when nothing was
-    /// looked up).
+    /// Hit rate of the warm-up and profile records together (0 when
+    /// nothing was looked up).
     pub fn hit_rate(&self) -> f64 {
         let hits = self.warmup_hits + self.profile_hits;
         let total = hits + self.warmup_misses + self.profile_misses;
@@ -98,8 +112,9 @@ impl StoreStats {
     }
 }
 
-/// A content-addressed on-disk store of warm-up checkpoints and
-/// application profiles (see the module docs for the key schema).
+/// A content-addressed on-disk store of warm-up checkpoints, their op
+/// tapes and application profiles (see the module docs for the key
+/// schema).
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -107,6 +122,8 @@ pub struct CheckpointStore {
     warmup_misses: AtomicU64,
     profile_hits: AtomicU64,
     profile_misses: AtomicU64,
+    tape_hits: AtomicU64,
+    tape_misses: AtomicU64,
     /// The memory tier of a store opened resident (module docs).
     resident: Option<Mutex<Resident>>,
     resident_hits: AtomicU64,
@@ -150,6 +167,8 @@ impl CheckpointStore {
             warmup_misses: AtomicU64::new(0),
             profile_hits: AtomicU64::new(0),
             profile_misses: AtomicU64::new(0),
+            tape_hits: AtomicU64::new(0),
+            tape_misses: AtomicU64::new(0),
             resident: budget.map(|budget| Mutex::new(Resident { budget, entries: Vec::new() })),
             resident_hits: AtomicU64::new(0),
             resident_evictions: AtomicU64::new(0),
@@ -201,14 +220,15 @@ impl CheckpointStore {
         sealed.ok()
     }
 
-    /// Atomically publish one record: a temp file no other write shares,
-    /// then `rename`.
-    fn write_atomic(&self, kind: &str, key: u64, bytes: &[u8]) {
+    /// Atomically publish one record, `parts` in order: a temp file no
+    /// other write shares, then `rename`.
+    fn write_atomic(&self, kind: &str, key: u64, parts: &[&[u8]]) {
         let (pid, nth) = (std::process::id(), WRITES.fetch_add(1, Ordering::Relaxed));
         let tmp = self.dir.join(format!(".tmp-{pid}-{nth}-{kind}-{key:016x}"));
-        if std::fs::write(&tmp, bytes).is_ok()
-            && std::fs::rename(&tmp, self.path(kind, key)).is_err()
-        {
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut file| parts.iter().try_for_each(|part| file.write_all(part)))
+            .and_then(|()| std::fs::rename(&tmp, self.path(kind, key)));
+        if written.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
     }
@@ -235,7 +255,54 @@ impl CheckpointStore {
 
     /// Persist a warm-up checkpoint.
     pub fn store_warmup(&self, key: u64, snapshot: &[u8]) {
-        self.write_atomic("warmup", key, snapshot);
+        self.write_atomic("warmup", key, &[snapshot]);
+    }
+
+    /// The op tapes stored for the boundary under `key`, one per stream of
+    /// `generators` (built like the boundary's streams; each tape extends
+    /// itself on one). A record that does not decode into them is deleted
+    /// and a miss, as a corrupt one is.
+    pub(crate) fn load_tapes(
+        &self,
+        key: u64,
+        generators: Vec<Box<dyn InstrStream + Send>>,
+    ) -> Option<Vec<Arc<OpTape>>> {
+        let tapes = self.read_valid("tapes", key).and_then(|sealed| {
+            let tapes = decode_tapes(sealed.payload(), generators);
+            if tapes.is_err() {
+                let _ = std::fs::remove_file(self.path("tapes", key));
+            }
+            tapes.ok()
+        });
+        let ctr = if tapes.is_some() { &self.tape_hits } else { &self.tape_misses };
+        ctr.fetch_add(1, Ordering::Relaxed);
+        tapes
+    }
+
+    /// Persist the op tapes of the boundary under `key`, in core order,
+    /// unless a reader panicked while extending one. The payload is
+    /// written beside its header, not copied into a container: a group's
+    /// tapes run to tens of megabytes.
+    pub(crate) fn store_tapes(&self, key: u64, tapes: &[Arc<OpTape>]) {
+        let mut enc = Enc::new();
+        enc.usize(tapes.len());
+        if tapes.iter().all(|tape| tape.encode(&mut enc)) {
+            let payload = enc.into_bytes();
+            self.write_atomic("tapes", key, &[&melreq_snap::header(&payload), &payload]);
+        }
+    }
+
+    /// Bytes of each record kind the store's directory holds.
+    pub fn bytes_by_kind(&self) -> [(&'static str, u64); 3] {
+        let mut held = ["warmup", "tapes", "profile"].map(|kind| (kind, 0));
+        for entry in std::fs::read_dir(&self.dir).into_iter().flatten().flatten() {
+            let name = entry.file_name();
+            let kind = name.to_str().and_then(|n| n.split_once('-')).map(|(kind, _)| kind);
+            if let Some((_, bytes)) = held.iter_mut().find(|(k, _)| Some(*k) == kind) {
+                *bytes += entry.metadata().map_or(0, |m| m.len());
+            }
+        }
+        held
     }
 
     /// The boundary stored under `key`, as what its runs share, and
@@ -348,7 +415,7 @@ impl CheckpointStore {
         enc.f64(p.ipc);
         enc.f64(p.bw_gbs);
         enc.f64(p.me);
-        self.write_atomic("profile", key, &melreq_snap::seal(&enc.into_bytes()));
+        self.write_atomic("profile", key, &[&melreq_snap::seal(&enc.into_bytes())]);
     }
 
     /// Snapshot the hit/miss counters.
@@ -358,11 +425,33 @@ impl CheckpointStore {
             warmup_misses: self.warmup_misses.load(Ordering::Relaxed),
             profile_hits: self.profile_hits.load(Ordering::Relaxed),
             profile_misses: self.profile_misses.load(Ordering::Relaxed),
+            tape_hits: self.tape_hits.load(Ordering::Relaxed),
+            tape_misses: self.tape_misses.load(Ordering::Relaxed),
             resident_hits: self.resident_hits.load(Ordering::Relaxed),
             resident_evictions: self.resident_evictions.load(Ordering::Relaxed),
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
         }
     }
+}
+
+/// The tapes a `tapes-` record holds, each extending itself on one of
+/// `generators`.
+fn decode_tapes(
+    payload: &[u8],
+    generators: Vec<Box<dyn InstrStream + Send>>,
+) -> Result<Vec<Arc<OpTape>>, SnapError> {
+    let mut dec = Dec::new(payload);
+    if dec.usize()? != generators.len() {
+        return Err(SnapError::Invalid("a tapes record of another core count"));
+    }
+    let tapes = generators
+        .into_iter()
+        .map(|generator| OpTape::decode(&mut dec, generator))
+        .collect::<Result<Vec<_>, _>>()?;
+    if !dec.is_exhausted() {
+        return Err(SnapError::Invalid("bytes after the tapes"));
+    }
+    Ok(tapes)
 }
 
 #[cfg(test)]
@@ -563,6 +652,97 @@ mod tests {
         let left: Vec<_> = std::fs::read_dir(s.dir()).unwrap().flatten().collect();
         assert_eq!(left.len(), 1, "only the record stays: {left:?}");
         let _ = std::fs::remove_dir_all(s.dir());
+    }
+
+    /// Op tapes of 2MEM-1's evaluation streams, a chunk and an op read from
+    /// each, and what makes the streams to decode them into.
+    fn recorded_tapes() -> (Vec<Arc<OpTape>>, impl Fn() -> Vec<Box<dyn InstrStream + Send>>) {
+        let mix = melreq_workloads::mix_by_name("2MEM-1");
+        let streams = move || mix.eval_streams(0);
+        let tapes: Vec<_> = streams().into_iter().map(OpTape::new).collect();
+        for (tape, own) in tapes.iter().zip(streams()) {
+            let mut reader = melreq_trace::TapedStream::new(Arc::clone(tape), own);
+            for _ in 0..=melreq_trace::tape::CHUNK_OPS {
+                reader.next_op();
+            }
+        }
+        (tapes, streams)
+    }
+
+    fn records(tapes: &[Arc<OpTape>]) -> Vec<Vec<u8>> {
+        let record = |tape: &Arc<OpTape>| {
+            let mut enc = Enc::new();
+            assert!(tape.encode(&mut enc), "a healthy tape");
+            enc.into_bytes()
+        };
+        tapes.iter().map(record).collect()
+    }
+
+    #[test]
+    fn tapes_round_trip_and_a_damaged_record_is_a_miss_that_deletes_it() {
+        let s = tmp_store("tapes");
+        let (tapes, streams) = recorded_tapes();
+        let key = 0x7a9e;
+        assert!(s.load_tapes(key, streams()).is_none(), "nothing stored yet");
+        s.store_tapes(key, &tapes);
+        let loaded = s.load_tapes(key, streams()).expect("stored tapes load");
+        assert_eq!(records(&loaded), records(&tapes));
+        let path = s.path("tapes", key);
+        let good = std::fs::read(&path).expect("the record");
+        assert_eq!(
+            s.bytes_by_kind(),
+            [("warmup", 0), ("tapes", good.len() as u64), ("profile", 0)]
+        );
+        // Cut short anywhere, resealed around a payload cut short or run
+        // long, or read into streams of another core count: a miss, and
+        // deleted.
+        let payload = melreq_snap::open(&good).expect("a sealed record");
+        let mut damaged: Vec<Vec<u8>> =
+            (0..64).map(|i| good[..good.len() * i / 64].to_vec()).collect();
+        damaged.push(melreq_snap::seal(&payload[..payload.len() / 2]));
+        damaged.push(melreq_snap::seal(&[payload, &[0]].concat()));
+        for bytes in &damaged {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(s.load_tapes(key, streams()).is_none(), "{} damaged bytes", bytes.len());
+            assert!(!path.exists(), "a damaged record is deleted");
+        }
+        std::fs::write(&path, &good).unwrap();
+        assert!(s.load_tapes(key, streams().into_iter().take(1).collect()).is_none());
+        assert!(!path.exists(), "a record of another core count is deleted");
+        let st = s.stats();
+        assert_eq!((st.tape_hits, st.tape_misses), (1, damaged.len() as u64 + 2));
+        assert_eq!(st.hit_rate(), 0.0, "tapes are not in the hit rate");
+        let _ = std::fs::remove_dir_all(s.dir());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Any mutation of a stored tapes record is a miss that deletes it.
+        #[test]
+        fn a_mutated_tapes_record_is_a_miss_that_deletes_it(
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>(), 0u8..3),
+                1..6,
+            )
+        ) {
+            let s = tmp_store("tapes-mutated");
+            let (tapes, streams) = recorded_tapes();
+            s.store_tapes(1, &tapes);
+            let path = s.path("tapes", 1);
+            let mut bytes = std::fs::read(&path).expect("the record");
+            for (at, byte, how) in edits {
+                let at = at % bytes.len();
+                match how {
+                    0 => bytes[at] ^= byte | 1,
+                    1 => bytes.insert(at, byte),
+                    _ => _ = bytes.remove(at),
+                }
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            proptest::prop_assert!(s.load_tapes(1, streams()).is_none());
+            proptest::prop_assert!(!path.exists());
+        }
     }
 
     #[test]

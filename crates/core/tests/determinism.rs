@@ -24,8 +24,9 @@
 //! makes it an independent oracle.
 //!
 //! The snapshot layout is pinned here too: `SNAPSHOT_PINS` holds the
-//! length and FNV-1a of the bytes `save_state` writes at fixed points, and
-//! every pinned payload, cut short, must fail to restore.
+//! length and FNV-1a of the bytes `save_state` writes at fixed points,
+//! `TAPE_RECORD_PIN` those of an op tape's stored record, and every pinned
+//! payload, cut short, must fail to restore.
 
 use melreq_audit::{Auditor, AuditorConfig};
 use melreq_core::experiment::CANONICAL_WARMUP_POLICY;
@@ -372,5 +373,41 @@ fn truncated_snapshots_are_rejected() {
                 }
             }
         }
+    }
+}
+
+/// `(len, fnv1a)` of an op tape's record (`OpTape::encode`, what a store's
+/// `tapes-` record holds per core): the `taped` row's tape once its reader
+/// has read `STREAM_OPS` ops, five chunks. A packing or record-layout
+/// change moves it; stored tapes are these bytes, so that bumps
+/// `SCHEMA_VERSION` like a moved snapshot pin.
+const TAPE_RECORD_PIN: (usize, u64) = (63_514, 0xb23b_557d_3f07_474c);
+
+/// The record of the `taped` row's tape.
+fn tape_record() -> Vec<u8> {
+    let tape = OpTape::new(app_stream('t', 1));
+    let mut reader = TapedStream::new(std::sync::Arc::clone(&tape), app_stream('t', 1));
+    for _ in 0..STREAM_OPS {
+        reader.next_op();
+    }
+    let mut enc = melreq_snap::Enc::new();
+    assert!(tape.encode(&mut enc), "a healthy tape");
+    enc.into_bytes()
+}
+
+/// The record is pinned, decodes to a tape that encodes it again, and cut
+/// short anywhere is an error, never a panic.
+#[test]
+fn the_tape_record_is_pinned_and_rejected_cut_short() {
+    let record = tape_record();
+    let got = (record.len(), melreq_snap::fnv1a(&record));
+    assert_eq!(got, TAPE_RECORD_PIN, "tape record moved: ({}, {:#018x})", got.0, got.1);
+    let decode = |bytes| OpTape::decode(&mut melreq_snap::Dec::new(bytes), app_stream('t', 1));
+    let copy = decode(&record).expect("the record decodes");
+    let mut again = melreq_snap::Enc::new();
+    assert!(copy.encode(&mut again) && again.into_bytes() == record);
+    for i in 0..64 {
+        let cut = record.len() * i / 64;
+        assert!(decode(&record[..cut]).is_err(), "cut at {cut}");
     }
 }

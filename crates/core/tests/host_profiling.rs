@@ -7,17 +7,17 @@
 //!
 //! The spans are also where the kernel's work counts surface, so the
 //! other tests read them: what the windows of a group fetch against what
-//! the group's shared op tapes generate, and which windows a group
-//! simulated at all.
+//! the group's shared op tapes generate or load from a store, and which
+//! windows a group simulated at all.
 
 use melreq_core::api::{Session, SimRequest};
 use melreq_core::experiment::{
     run_mix_group, ExperimentOptions, MixResult, ProfileCache, RunControl,
 };
-use melreq_core::CancelToken;
+use melreq_core::{CancelToken, CheckpointStore};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_workloads::{mix_by_name, Mix};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The profiler is one per process: one test runs at a time.
 static PROFILER: Mutex<()> = Mutex::new(());
@@ -161,6 +161,60 @@ fn a_group_generates_its_window_once_whatever_the_thread_count() {
     let (alone, tape) = count(&five[3..4], 1);
     assert_eq!(tape, None, "a single run reads no tape");
     assert!(alone.len() == 1 && fetched.contains(&alone[0]), "{alone:?} not in {fetched:?}");
+}
+
+/// `ops_generated` and `ops_loaded` of the one `tape` span of `mix`, and
+/// how many tapes records the profiled call wrote (its `snapshot.encode`
+/// spans named for them).
+fn tape_ops(profile: &melreq_prof::Profile, mix: &Mix) -> ((u64, u64), usize) {
+    let spans = || profile.tracks.iter().flat_map(|t| &t.spans);
+    let tape: Vec<_> = spans().filter(|s| s.cat == "tape" && s.name == mix.name).collect();
+    assert_eq!(tape.len(), 1, "one tape span per group");
+    let arg = |key| tape[0].arg(key).expect("a tape span says so");
+    let written = format!("tapes {}", mix.name);
+    let writes = spans().filter(|s| s.cat == "snapshot.encode" && s.name == written).count();
+    ((arg("ops_generated"), arg("ops_loaded")), writes)
+}
+
+/// A store keeps the tapes its groups read: a cold group generates its
+/// window and writes the record, a warm one loads every op it reads,
+/// generates none and writes nothing, and results do not move. A store
+/// without the record — one written before tapes were kept — is cold
+/// again for the tapes alone.
+#[test]
+fn a_warm_group_generates_nothing_and_writes_nothing() {
+    let _alone = PROFILER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mix = mix_by_name("4MEM-1");
+    let dir = std::env::temp_dir().join(format!("melreq-warm-tapes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let group = || {
+        let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
+        let cache = ProfileCache::with_store(store.clone());
+        let ctl = RunControl { threads: Some(2), ..RunControl::default() };
+        let five = PolicyKind::figure2_set();
+        let (results, profile) =
+            profiled(|| run_mix_group(&mix, &five, &short(), &cache, Some(&store), &ctl));
+        let st = store.stats();
+        (results, tape_ops(&profile, &mix), (st.tape_hits, st.tape_misses))
+    };
+    let (cold, ((generated, loaded), writes), looked) = group();
+    assert!(generated > 0 && loaded == 0 && writes == 1 && looked == (0, 1));
+    let (warm, tapes, looked) = group();
+    assert_eq!((tapes, looked), (((0, generated), 0), (1, 0)), "a warm group");
+    let tapes_record = |entry: std::fs::DirEntry| {
+        entry.file_name().to_str().is_some_and(|n| n.starts_with("tapes-")).then(|| entry.path())
+    };
+    let records: Vec<_> =
+        std::fs::read_dir(&dir).expect("store").flatten().filter_map(tapes_record).collect();
+    assert_eq!(records.len(), 1);
+    std::fs::remove_file(&records[0]).expect("the tapes record");
+    let (again, tapes, looked) = group();
+    assert_eq!((tapes, looked), (((generated, 0), 1), (0, 1)), "tapes alone cold");
+    for results in [&warm, &again] {
+        let simulated = |r: &MixResult| (r.ipc_multi.clone(), r.read_latency.clone(), r.sim_cycles);
+        assert!(results.iter().zip(&cold).all(|(a, b)| simulated(a) == simulated(b)));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Where no read decision is contested the five paper policies are one

@@ -88,11 +88,10 @@ struct Shared<'env> {
     injector: Mutex<BinaryHeap<Ranked<'env>>>,
     seq: AtomicU64,
     locals: Vec<Mutex<VecDeque<Forked<'env>>>>,
-    /// Jobs submitted or forked but not yet finished.
+    /// Jobs submitted or forked but not yet finished, plus one for the
+    /// seeding closure until it returns: whoever takes the count to 0 is
+    /// the last, and only one can.
     active: AtomicUsize,
-    /// Set once the seeding closure has returned: only then does
-    /// `active == 0` mean "drained" rather than "not started yet".
-    seeded: AtomicBool,
     /// Terminal state: drained, or poisoned by a panic.
     done: AtomicBool,
     idle: Mutex<()>,
@@ -106,8 +105,7 @@ impl<'env> Shared<'env> {
             injector: Mutex::new(BinaryHeap::new()),
             seq: AtomicU64::new(0),
             locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            active: AtomicUsize::new(0),
-            seeded: AtomicBool::new(false),
+            active: AtomicUsize::new(1),
             done: AtomicBool::new(false),
             idle: Mutex::new(()),
             wake: Condvar::new(),
@@ -125,8 +123,9 @@ impl<'env> Shared<'env> {
         self.wake.notify_all();
     }
 
+    /// A job, or the seeder, is done with its token.
     fn job_finished(&self) {
-        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 && self.seeded.load(Ordering::Acquire) {
+        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.done.store(true, Ordering::Release);
             self.wake.notify_all();
         }
@@ -285,16 +284,10 @@ pub fn run_scope<'env>(workers: usize, seed: impl FnOnce(&Scope<'_, 'env>)) {
             s.spawn(move || worker_loop(shared, i));
         }
         let seeded = catch_unwind(AssertUnwindSafe(|| seed(&Scope { shared: &shared })));
-        shared.seeded.store(true, Ordering::Release);
-        match seeded {
-            Err(payload) => shared.poison(payload),
-            Ok(()) => {
-                if shared.active.load(Ordering::Acquire) == 0 {
-                    shared.done.store(true, Ordering::Release);
-                }
-                shared.wake.notify_all();
-            }
+        if let Err(payload) = seeded {
+            shared.poison(payload);
         }
+        shared.job_finished();
     });
     let payload = shared.panic.lock().expect("panic slot poisoned").take();
     if let Some(payload) = payload {
@@ -387,6 +380,35 @@ mod tests {
     #[test]
     fn empty_seed_returns() {
         run_scope(4, |_scope| {});
+    }
+
+    /// Regression: the seeder stored "seeded" then loaded `active` while
+    /// a worker decremented `active` then loaded "seeded"; both loads could
+    /// miss the other's store, and then nobody ended the scope. Every
+    /// scope here seeds a job the workers may finish before the seeder
+    /// returns, and a watchdog fails the test if any scope never ends.
+    #[test]
+    fn scopes_whose_last_job_races_the_seeder_always_end() {
+        const SCOPES: usize = 20_000;
+        let (ended, watched) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            for i in 0..SCOPES {
+                let ran = AtomicUsize::new(0);
+                run_scope(2, |scope| {
+                    scope.submit(0, |_ctx| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                });
+                assert_eq!(ran.load(Ordering::Relaxed), 1, "scope {i}");
+            }
+            let _ = ended.send(());
+        });
+        let timed_out = std::sync::mpsc::RecvTimeoutError::Timeout;
+        assert!(
+            watched.recv_timeout(Duration::from_secs(120)) != Err(timed_out),
+            "a scope failed to end within the watchdog's two minutes"
+        );
+        stress.join().expect("every scope ran its job once");
     }
 
     #[test]

@@ -166,8 +166,31 @@ impl Enc {
 
     /// Write a length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
+    }
+
+    /// Write a length-prefixed byte string.
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.usize(b.len());
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Write a length-prefixed `u16` slice.
+    pub fn u16s(&mut self, vs: &[u16]) {
+        self.usize(vs.len());
+        self.buf.reserve(std::mem::size_of_val(vs));
+        for v in vs {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Write a length-prefixed `i32` slice.
+    pub fn i32s(&mut self, vs: &[i32]) {
+        self.usize(vs.len());
+        self.buf.reserve(std::mem::size_of_val(vs));
+        for v in vs {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
 
     /// Write a length-prefixed `u64` slice.
@@ -273,9 +296,32 @@ impl<'a> Dec<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, SnapError> {
-        let n = self.usize()?;
-        let bytes = self.take(n)?;
+        let bytes = self.bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::Invalid("non-UTF-8 string"))
+    }
+
+    /// Read a length-prefixed byte string, in place.
+    pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
+        let n = self.usize()?;
+        self.take(n)
+    }
+
+    /// `n` elements of `W` little-endian bytes each, taken before anything
+    /// is allocated for them.
+    fn words<const W: usize>(&mut self) -> Result<impl Iterator<Item = [u8; W]> + 'a, SnapError> {
+        let n = self.usize()?;
+        let raw = self.take(n.checked_mul(W).ok_or(SnapError::Truncated)?)?;
+        Ok(raw.chunks_exact(W).map(|w| w.try_into().expect("chunks of W bytes")))
+    }
+
+    /// Read a length-prefixed `u16` vector.
+    pub fn u16s(&mut self) -> Result<Vec<u16>, SnapError> {
+        Ok(self.words()?.map(u16::from_le_bytes).collect())
+    }
+
+    /// Read a length-prefixed `i32` vector.
+    pub fn i32s(&mut self) -> Result<Vec<i32>, SnapError> {
+        Ok(self.words()?.map(i32::from_le_bytes).collect())
     }
 
     /// Read a length-prefixed `u64` vector.
@@ -343,12 +389,17 @@ const HEADER: usize = 28;
 /// Wrap `payload` in a self-checking container:
 /// `MAGIC · SCHEMA_VERSION · payload-len · FNV-1a(payload) · payload`.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + HEADER);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    [&header(payload)[..], payload].concat()
+}
+
+/// What [`seal`] puts before `payload`, for a writer that sends the two
+/// out without joining them.
+pub fn header(payload: &[u8]) -> [u8; HEADER] {
+    let mut out = [0; HEADER];
+    out[..8].copy_from_slice(&MAGIC);
+    out[8..12].copy_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    out[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    out[20..].copy_from_slice(&fnv1a(payload).to_le_bytes());
     out
 }
 
@@ -436,6 +487,9 @@ mod tests {
         e.str("hello ✓");
         e.u64s(&[1, 2, 3]);
         e.f64s(&[0.5, -1.0]);
+        e.bytes(b"raw");
+        e.u16s(&[0, 1, u16::MAX]);
+        e.i32s(&[i32::MIN, -1, 0, i32::MAX]);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8().unwrap(), 7);
@@ -454,7 +508,23 @@ mod tests {
         assert_eq!(d.str().unwrap(), "hello ✓");
         assert_eq!(d.u64s().unwrap(), vec![1, 2, 3]);
         assert_eq!(d.f64s().unwrap(), vec![0.5, -1.0]);
+        assert_eq!(d.bytes().unwrap(), b"raw");
+        assert_eq!(d.u16s().unwrap(), vec![0, 1, u16::MAX]);
+        assert_eq!(d.i32s().unwrap(), vec![i32::MIN, -1, 0, i32::MAX]);
         assert!(d.is_exhausted());
+    }
+
+    #[test]
+    fn a_count_past_the_bytes_fails_before_allocating() {
+        for count in [3, u64::MAX / 2, u64::MAX] {
+            let mut e = Enc::new();
+            e.u64(count);
+            e.u16(1);
+            let bytes = e.into_bytes();
+            assert_eq!(Dec::new(&bytes).u16s(), Err(SnapError::Truncated));
+            assert_eq!(Dec::new(&bytes).i32s(), Err(SnapError::Truncated));
+            assert_eq!(Dec::new(&bytes).bytes(), Err(SnapError::Truncated));
+        }
     }
 
     #[test]

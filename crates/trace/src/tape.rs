@@ -13,6 +13,8 @@
 //! chunk is stored losslessly but packed (see [`Chunk`]), and a tape
 //! stops growing at [`TAPE_BYTE_CAP`]: a reader that runs off its end
 //! continues on a private generator restored from the tape's end state.
+//! A tape's record ([`OpTape::encode`], [`OpTape::decode`]) outlives the
+//! process, so a later one replays what this one generated.
 
 use crate::op::{InstrStream, MicroOp, OpKind, WarmHints};
 use melreq_snap::{Dec, Enc, SnapError};
@@ -60,7 +62,7 @@ const PLAIN_KINDS: [OpKind; 16] = {
 /// whole [`MicroOp`]s for what does not fit — a `dep_dist` beyond the
 /// word's 11 bits, a step beyond an `i32`. Steps wrap, and a chunk counts
 /// from pc 0 and address 0, so its first memory op is stored whole.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Chunk {
     /// `save_state` bytes of the generator before the chunk's first op.
     origin: Vec<u8>,
@@ -157,12 +159,74 @@ impl Chunk {
             + std::mem::size_of_val(self.pcs.as_slice())
             + std::mem::size_of_val(self.escapes.as_slice())
     }
+
+    /// The chunk as its record holds it: the origin, then every column.
+    fn encode(&self, enc: &mut Enc) {
+        let Self { origin, words, addrs, pcs, escapes } = self;
+        enc.bytes(origin);
+        enc.u16s(words);
+        enc.i32s(addrs);
+        enc.i32s(pcs);
+        enc.usize(escapes.len());
+        for op in escapes {
+            op.save_state(enc);
+        }
+    }
+
+    /// A chunk [`Chunk::encode`] wrote, whose origin `generator` (built
+    /// like the tape's) restores. Its columns must be exactly as long as
+    /// its words say, since a reader indexes them unchecked by the words.
+    fn decode(dec: &mut Dec<'_>, generator: &mut dyn InstrStream) -> Result<Self, SnapError> {
+        let origin = restorable(dec.bytes()?, generator)?;
+        let words = dec.u16s()?;
+        if words.len() != CHUNK_OPS {
+            return Err(SnapError::Invalid("a tape chunk holds CHUNK_OPS ops"));
+        }
+        let (addrs, pcs) = (dec.i32s()?, dec.i32s()?);
+        // One pass per count, each in lanes: the words are as random as the
+        // program, so one pass that branches on them is slower than five
+        // that do not. A chunk's counts fit a `u16`.
+        const _: () = assert!(CHUNK_OPS <= u16::MAX as usize);
+        let count = |holds: fn(u16) -> bool| {
+            usize::from(words.iter().map(|&word| u16::from(holds(word))).sum::<u16>())
+        };
+        if count(|word| word & TAG_MASK == ESCAPE && word != ESCAPE) > 0 {
+            return Err(SnapError::Invalid("a tape escape word carries flags"));
+        }
+        if count(|word| word & FLAG_BIT != 0 && !matches!(word & TAG_MASK, 4 | ESCAPE)) > 0 {
+            return Err(SnapError::Invalid("a tape word flags a non-branch"));
+        }
+        if addrs.len() != count(|word| matches!(word & TAG_MASK, 5 | 6)) {
+            return Err(SnapError::Invalid("tape address steps disagree with its memory ops"));
+        }
+        if pcs.len() != count(|word| word & PC_BIT != 0) {
+            return Err(SnapError::Invalid("tape pc steps disagree with its words"));
+        }
+        let escaped = count(|word| word == ESCAPE);
+        if dec.usize()? != escaped {
+            return Err(SnapError::Invalid("tape escapes disagree with its words"));
+        }
+        let escapes = (0..escaped).map(|_| MicroOp::load_state(dec)).collect::<Result<_, _>>()?;
+        Ok(Chunk { origin, words, addrs, pcs, escapes })
+    }
 }
 
 fn state_of(stream: &dyn InstrStream) -> Vec<u8> {
     let mut enc = Enc::new();
     stream.save_state(&mut enc);
     enc.into_bytes()
+}
+
+/// `state`, owned, if `generator` restores it and saves it back unchanged
+/// — a state the tape can later return its generator to. Leaves
+/// `generator` there.
+fn restorable(state: &[u8], generator: &mut dyn InstrStream) -> Result<Vec<u8>, SnapError> {
+    let mut dec = Dec::new(state);
+    generator.load_state(&mut dec)?;
+    if !dec.is_exhausted() || state_of(generator) != state {
+        return Err(SnapError::Invalid("a tape holds a state its generator does not restore"));
+    }
+    Ok(state.to_vec())
 }
 
 /// The shared record of one generator's output from a fixed origin.
@@ -219,6 +283,51 @@ impl OpTape {
     /// read of it panics too, so whoever keeps tapes drops this one.
     pub fn is_poisoned(&self) -> bool {
         self.state.is_poisoned()
+    }
+
+    /// Write the tape's record, lossless: the state it starts from, every
+    /// chunk (origin, packed columns and escapes), and the generator state
+    /// at its end. Writes nothing, and says so, once a reader has panicked
+    /// while extending the tape: its generator may stand mid-chunk.
+    #[must_use]
+    pub fn encode(&self, enc: &mut Enc) -> bool {
+        let Ok(st) = self.state.lock() else { return false };
+        enc.bytes(&self.start.origin);
+        enc.usize(st.chunks.len());
+        for chunk in &st.chunks {
+            chunk.encode(enc);
+        }
+        enc.bytes(&state_of(st.generator.as_ref()));
+        true
+    }
+
+    /// The tape whose record [`OpTape::encode`] wrote at `dec`, extending
+    /// itself from its end state as the recorded one would: `generator`,
+    /// built like the recorded tape's, is restored to that state. A record
+    /// whose columns disagree with its words, or that holds a state
+    /// `generator` does not restore, is an error.
+    pub fn decode(
+        dec: &mut Dec<'_>,
+        mut generator: Box<dyn InstrStream + Send>,
+    ) -> Result<Arc<Self>, SnapError> {
+        let start = Chunk::at(restorable(dec.bytes()?, generator.as_mut())?);
+        let count = dec.usize()?;
+        let mut chunks = Vec::new();
+        let mut bytes = 0;
+        for _ in 0..count {
+            let chunk = Chunk::decode(dec, generator.as_mut())?;
+            bytes += chunk.bytes();
+            chunks.push(Arc::new(chunk));
+        }
+        restorable(dec.bytes()?, generator.as_mut())?;
+        let state = Mutex::new(TapeState { generator, chunks, bytes });
+        Ok(Arc::new(OpTape { cap: TAPE_BYTE_CAP, start: Arc::new(start), state }))
+    }
+
+    /// Whether the tape's first op is `stream`'s next: the stream stands
+    /// where the tape's generator stood when it began.
+    pub fn starts_at(&self, stream: &dyn InstrStream) -> bool {
+        self.start.origin == state_of(stream)
     }
 
     /// Chunk `n`, generated now if no reader needed it before.
@@ -495,8 +604,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn codec_round_trips_what_the_packed_word_cannot_hold() {
+    /// The pcs of [`awkward_ops`]: equal to, below, just off and far from
+    /// `prev + 4`, through the wrap at `u64::MAX` and onto pc 0, which is
+    /// what the first op of a chunk falls through to.
+    const AWKWARD_PCS: [u64; 13] =
+        [0, 4, 8, 8, 4, 13, 1 << 40, u64::MAX - 7, u64::MAX - 3, 0, u64::MAX, 3, 1 << 31];
+
+    /// Ops that take every column and every escape of the packed form.
+    fn awkward_ops() -> Vec<MicroOp> {
         let kinds = [
             OpKind::IntAlu,
             OpKind::IntMult,
@@ -517,10 +632,7 @@ mod tests {
             OpKind::Store { addr: 0xdead_beee_fff8 + i32::MAX as u64 - (1 << 31) - 1 },
         ];
         let deps = [0, 1, 64, 127, 128, MAX_DEP - 1, MAX_DEP, MAX_DEP + 1, u16::MAX];
-        // Equal to, below, just off and far from `prev + 4`, through the
-        // wrap at `u64::MAX` and onto pc 0, which is what the first op of
-        // a chunk falls through to.
-        let pcs = [0, 4, 8, 8, 4, 13, 1 << 40, u64::MAX - 7, u64::MAX - 3, 0, u64::MAX, 3, 1 << 31];
+        let pcs = AWKWARD_PCS;
         let mut ops = Vec::new();
         for (i, &pc) in pcs.iter().cycle().take(pcs.len() * kinds.len() * deps.len()).enumerate() {
             ops.push(MicroOp {
@@ -529,12 +641,21 @@ mod tests {
                 dep_dist: deps[(i / kinds.len()) % deps.len()],
             });
         }
+        ops
+    }
+
+    /// A [`Script`] of [`awkward_ops`] standing at op `at`.
+    fn awkward(at: usize) -> Box<Script> {
+        Box::new(Script { ops: awkward_ops(), at })
+    }
+
+    #[test]
+    fn codec_round_trips_what_the_packed_word_cannot_hold() {
         // Start the script at each pc in turn, so each is the first op of
         // a chunk once.
-        let script = |at| Box::new(Script { ops: ops.clone(), at });
-        for start in 0..pcs.len() {
-            let mut taped = TapedStream::new(OpTape::new(script(start)), script(usize::MAX));
-            let mut plain = script(start);
+        for start in 0..AWKWARD_PCS.len() {
+            let mut taped = TapedStream::new(OpTape::new(awkward(start)), awkward(usize::MAX));
+            let mut plain = awkward(start);
             for i in 0..2 * CHUNK_OPS + 10 {
                 assert_eq!(taped.next_op(), plain.next_op(), "start {start}, op {i}");
             }
@@ -584,6 +705,148 @@ mod tests {
         for ops in [0, 1, CHUNK_OPS - 1, CHUNK_OPS, CHUNK_OPS + 1, 2 * CHUNK_OPS] {
             let [plain, taped] = saved_after(ops);
             assert_eq!(plain, taped, "after {ops} ops");
+        }
+    }
+
+    /// `tape`'s record.
+    fn record_of(tape: &OpTape) -> Vec<u8> {
+        let mut enc = Enc::new();
+        assert!(tape.encode(&mut enc), "a healthy tape");
+        enc.into_bytes()
+    }
+
+    /// The tape `record` holds, decoded into `generator`.
+    fn decoded(
+        record: &[u8],
+        generator: Box<dyn InstrStream + Send>,
+    ) -> Result<Arc<OpTape>, SnapError> {
+        OpTape::decode(&mut Dec::new(record), generator)
+    }
+
+    /// The record of a fresh tape of `synthetic(seed)` once a reader has
+    /// taken `ops` ops from it.
+    fn record_after(seed: u64, ops: usize) -> Vec<u8> {
+        let (tape, mut taped) = reader(seed, TAPE_BYTE_CAP);
+        for _ in 0..ops {
+            taped.next_op();
+        }
+        record_of(&tape)
+    }
+
+    #[test]
+    fn a_decoded_record_reads_and_extends_itself_as_the_recorded_tape() {
+        let (tape, mut taped) = reader(21, TAPE_BYTE_CAP);
+        for _ in 0..3 * CHUNK_OPS + 5 {
+            taped.next_op();
+        }
+        let record = record_of(&tape);
+        // Another seed: the generator brings parameters, the record state.
+        let copy = decoded(&record, Box::new(synthetic(0))).expect("a record decodes");
+        assert_eq!(copy.size(), tape.size());
+        assert_eq!(record_of(&copy), record, "the record is lossless");
+        assert!(copy.starts_at(&synthetic(21)) && !copy.starts_at(&synthetic(22)));
+        // On the recorded chunks and past them, a reader of the copy reads
+        // and saves what the plain stream does.
+        let mut reader = TapedStream::new(Arc::clone(&copy), Box::new(synthetic(1)));
+        let mut plain = synthetic(21);
+        for i in 0..6 * CHUNK_OPS {
+            if i % 1500 == 0 {
+                assert_eq!(state_of(&reader), state_of(&plain), "state before op {i}");
+            }
+            assert_eq!(reader.next_op(), plain.next_op(), "op {i}");
+        }
+        assert_eq!(copy.size().0, 6 * CHUNK_OPS as u64, "the copy extended itself");
+    }
+
+    #[test]
+    fn a_record_keeps_what_the_packed_word_cannot_hold() {
+        let tape = OpTape::new(awkward(3));
+        let mut taped = TapedStream::new(Arc::clone(&tape), awkward(0));
+        for _ in 0..2 * CHUNK_OPS {
+            taped.next_op();
+        }
+        let copy = decoded(&record_of(&tape), awkward(usize::MAX)).expect("a record decodes");
+        let (mut copied, mut plain) = (TapedStream::new(copy, awkward(0)), awkward(3));
+        for i in 0..3 * CHUNK_OPS {
+            assert_eq!(copied.next_op(), plain.next_op(), "op {i}");
+        }
+    }
+
+    /// What a test does to a chunk before recording it.
+    type Tamper = fn(&mut Chunk);
+
+    /// The record of a one-chunk tape of [`awkward_ops`], its chunk as
+    /// `tamper` leaves it.
+    fn tampered(tamper: Tamper) -> Vec<u8> {
+        let tape = OpTape::new(awkward(0));
+        TapedStream::new(Arc::clone(&tape), awkward(0)).next_op();
+        let st = tape.state.lock().expect("a healthy tape");
+        let mut chunk = Chunk::clone(&st.chunks[0]);
+        tamper(&mut chunk);
+        let mut enc = Enc::new();
+        enc.bytes(&tape.start.origin);
+        enc.usize(1);
+        chunk.encode(&mut enc);
+        enc.bytes(&state_of(st.generator.as_ref()));
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn a_record_whose_columns_disagree_with_its_words_is_an_error() {
+        let decode = |tamper| decoded(&tampered(tamper), awkward(0)).map(|_| ());
+        assert_eq!(decode(|_| {}), Ok(()));
+        fn first(words: &mut [u16], tag: u16) -> &mut u16 {
+            words.iter_mut().find(|w| **w & TAG_MASK == tag).expect("the script has one")
+        }
+        let cases: [(Tamper, &str); 7] = [
+            (|c| _ = c.addrs.pop(), "tape address steps disagree with its memory ops"),
+            (|c| c.pcs.push(8), "tape pc steps disagree with its words"),
+            (|c| _ = c.escapes.pop(), "tape escapes disagree with its words"),
+            (|c| _ = c.words.pop(), "a tape chunk holds CHUNK_OPS ops"),
+            (|c| *first(&mut c.words, ESCAPE) |= PC_BIT, "a tape escape word carries flags"),
+            (|c| *first(&mut c.words, 0) |= FLAG_BIT, "a tape word flags a non-branch"),
+            (|c| c.origin.push(0), "a tape holds a state its generator does not restore"),
+        ];
+        for (tamper, why) in cases {
+            assert_eq!(decode(tamper), Err(SnapError::Invalid(why)));
+        }
+    }
+
+    #[test]
+    fn a_record_cut_short_is_an_error() {
+        let record = record_after(31, 2 * CHUNK_OPS + 1);
+        for cut in 0..64 {
+            let len = record.len() * cut / 64;
+            let copy = decoded(&record[..len], Box::new(synthetic(0)));
+            assert!(copy.is_err(), "cut at {len} of {}", record.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A mutated record decodes or is an error, and a tape it decodes
+        /// to gives up every recorded op without a panic.
+        #[test]
+        fn a_mutated_record_decodes_or_is_an_error(
+            edits in collection::vec((any::<usize>(), any::<u8>(), 0u8..3), 1..6)
+        ) {
+            let mut record = record_after(41, CHUNK_OPS + 1);
+            for (at, byte, how) in edits {
+                let at = at % record.len();
+                match how {
+                    0 => record[at] ^= byte | 1,
+                    1 => record.insert(at, byte),
+                    _ => _ = record.remove(at),
+                }
+            }
+            if let Ok(tape) = decoded(&record, Box::new(synthetic(0))) {
+                let recorded = tape.size().0;
+                let mut reader = TapedStream::new(tape, Box::new(synthetic(0)));
+                for _ in 0..recorded {
+                    reader.next_op();
+                }
+            }
         }
     }
 
