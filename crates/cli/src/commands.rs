@@ -1064,7 +1064,7 @@ mod tests {
     }
 
     /// The profiler's enable/drain state is process-global; tests that
-    /// turn it on serialize here so one drain can't steal another's spans.
+    /// turn it on serialize here so one drain can't take another's spans.
     static PROF_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// A fresh scratch directory for one test.

@@ -704,8 +704,8 @@ LOAD TESTING:
 HOST PROFILING:
   `--profile PATH` (on run, compare, reproduce and serve) attaches the
   host-side span profiler: thread-local ring buffers record wall-clock
-  spans of the process itself — executor job spans with queue-wait and
-  steal attribution, kernel stages (warm-up, snapshot encode/decode,
+  spans of the process itself — executor job spans with queue wait and
+  root priority, kernel stages (warm-up, snapshot encode/decode,
   policy runs), session phases, and under serve the request lifecycle
   (parse → queue → execute → render → flush). At exit the spans are
   drained into a Perfetto trace_event JSON at PATH (one track per

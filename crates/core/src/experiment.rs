@@ -46,10 +46,12 @@
 //! ([`CheckpointStore::open_resident`], a server's) and this process has
 //! used the boundary before: then the group is every run of the process
 //! on that boundary, the second of which records what the rest replay.
-//! With a store attached the tapes also outlive the process: a group
-//! writes them beside the boundary when its last run ends, if they grew,
-//! and every run whose store holds them, a run on its own included,
-//! replays them, so a warm pass generates no op an earlier one did.
+//! With a store attached the tapes also outlive the process: whoever
+//! records them writes them beside the boundary, if they grew — a group
+//! when its last run ends, a run on its own when its window does — and
+//! every run whose store holds them, a run on its own included, replays
+//! them, so a warm pass, or a restarted server, generates no op an
+//! earlier one did.
 //!
 //! And the runs of a group share whole windows where the policies cannot
 //! differ: every policy ranks cores, so a window whose read decisions
@@ -781,9 +783,10 @@ pub struct Tapped {
 
 /// Run one mix under one policy: the measurement every other entry point
 /// of this module is made of. The boundary is restored from `store` when
-/// it holds it and persisted there after simulation otherwise — unless
-/// `taps` names a listener ([`Taps`] says why); `ctl` arms the cancel
-/// token and the cycle budget on warm-up and window alike.
+/// it holds it and persisted there after simulation otherwise, and so are
+/// the op tapes the window read, if it grew them — unless `taps` names a
+/// listener ([`Taps`] says why); `ctl` arms the cancel token and the
+/// cycle budget on warm-up and window alike.
 pub fn run_tapped(
     mix: &Mix,
     measured: Measured<'_>,
@@ -815,11 +818,14 @@ pub fn run_tapped(
     let store = store.filter(|_| taps == Taps::default());
     let warm_started = host_clock();
     let mut boundary = boundary_system(mix, opts, store, ctl, attach);
-    let taped = boundary.taped(mix, opts, 1).is_some();
-    let Boundary { mut sys, from_checkpoint, .. } = boundary;
+    let share = boundary.taped(mix, opts, 1);
+    let Boundary { mut sys, from_checkpoint, keyed, .. } = boundary;
     let (warm_wall, started) = (warm_started.elapsed(), host_clock());
-    let (window, _) = run_window(&mut sys, mix, measured, &inputs.me, opts, ctl, taped);
+    let (window, _) = run_window(&mut sys, mix, measured, &inputs.me, opts, ctl, share.is_some());
     let wall = started.elapsed();
+    if let (Some(share), Some((store, key))) = (&share, keyed) {
+        share.persist(store, key);
+    }
     let result = score(mix, measured.name(), &inputs, window, wall, warm_wall, from_checkpoint);
     if let Some(c) = &collector {
         c.lock().expect("obs collector poisoned").finish();
@@ -930,8 +936,8 @@ struct GroupSlots<'a> {
     slots: &'a [Mutex<Option<MixResult>>],
 }
 
-/// Run several (mixes × policies) stages through **one global
-/// work-stealing pool** (no per-stage barrier), returning each stage's
+/// Run several (mixes × policies) stages through **one global job
+/// pool** (no per-stage barrier), returning each stage's
 /// results in `(mix-major, policy-minor)` order.
 ///
 /// The job DAG has one warm-up job per *distinct* mix across all stages
@@ -941,9 +947,9 @@ struct GroupSlots<'a> {
 /// the mix's applications, simulates (or restores) the canonical
 /// boundary, publishes the snapshot bytes, forks every dependent policy
 /// run, and finally runs the first policy itself on the warmed system.
-/// Warm-up jobs enter the injector with the mix's core count as the
-/// priority (longest critical path first); forked runs go to the
-/// forking worker's local deque and are stolen by idle siblings.
+/// Warm-up jobs enter the pool's queue with the mix's core count as the
+/// priority (longest critical path first); forked runs outrank every
+/// warm-up, so idle workers join a group before starting the next.
 ///
 /// Determinism: every result lands in a pre-indexed slot and every run
 /// is a pure function of the boundary snapshot, so the returned vectors
@@ -1026,7 +1032,7 @@ fn warm_up_and_fork<'env>(
     let group = Arc::new(GroupRuns { mix, inputs, opts, ctl, certified, share, keyed });
 
     // Fork every run but the first, then run the first on the warmed
-    // system while the forks are stolen by idle workers.
+    // system while idle workers take the forks.
     let mut first: Option<(&'env Mutex<Option<MixResult>>, &'env PolicyKind)> = None;
     for consumer in consumers {
         for (slot, kind) in consumer.slots.iter().zip(consumer.policies) {

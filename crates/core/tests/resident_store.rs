@@ -2,10 +2,12 @@
 //! (`CheckpointStore::open_resident`); this pins that nothing simulated
 //! can tell. One request is answered five ways — from reset, off a plain
 //! store's disk record, and by the first (disk), second (recording) and
-//! third (replaying) use of a resident store — and every way gives the
-//! same report bytes and fetches the same ops, while the spans say which
-//! way it was: `snapshot.decode` carries `resident`, a `policy` span over
-//! tapes `taped`, and the entry's `tape` span what was generated at all.
+//! third (replaying) use of a resident store, and by a restarted store's
+//! first use, which replays the tapes the second use wrote — and every way
+//! gives the same report bytes and fetches the same ops, while the spans
+//! say which way it was: `snapshot.decode` carries `resident`, a `policy`
+//! span over tapes `taped`, and the entry's `tape` span what was generated
+//! at all.
 
 use melreq_core::api::{Session, SimRequest};
 use melreq_core::experiment::{ExperimentOptions, RunControl};
@@ -113,6 +115,20 @@ fn a_resident_boundary_answers_as_the_disk_record_and_the_fresh_run_do() {
             generated > 0 && generated <= window,
             "{mix}: {generated} generated, window {window}"
         );
+
+        // The second use also wrote them to the store: a restarted server
+        // replays them from its first use on, and generates nothing.
+        let store = Arc::new(CheckpointStore::open_resident(&dir).expect("store"));
+        let session = Session::with_store(store.clone());
+        let restarted = observe(|| run(&session));
+        assert_eq!((&restarted.report, restarted.taped), (&fresh.report, true), "{mix}");
+        assert_eq!(restarted.ops_fetched, fresh.ops_fetched, "{mix}");
+        assert_eq!(store.stats().tape_hits, 1, "{mix}: the record answered");
+        let dropped = observe(|| {
+            drop((session, store));
+            None
+        });
+        assert_eq!(dropped.tape_ops, Some(0), "{mix}: a restart generates no op");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,19 +1,19 @@
-//! A scoped work-stealing job pool for the experiment sweep.
+//! A scoped job pool for the experiment sweep: one locked priority
+//! queue, drained by a fixed set of worker threads.
 //!
 //! The schedulable unit is a *job*: a boxed closure that may borrow from
 //! the caller's stack frame (the pool is built on [`std::thread::scope`],
 //! so jobs carry a `'env` lifetime instead of `'static`) and that may
-//! *fork* further jobs while running. Two queues feed the workers:
+//! *fork* further jobs while running. Every job waits in the one queue,
+//! ranked by one comparison chain:
 //!
-//! * a global **injector** ordered by `(priority desc, submission seq
-//!   asc)` — the sweep submits one warm-up job per workload group here,
-//!   with the group's core count as the priority, so the longest
-//!   critical paths (8-core warm-ups) start first and ties resolve in
-//!   deterministic submission order;
-//! * one **local deque** per worker for forked children, popped LIFO by
-//!   the owner (the freshly published snapshot is still warm in cache)
-//!   and stolen FIFO by idle siblings (the oldest fork has waited
-//!   longest and is the fairest steal).
+//! * a **fork** outranks every root, so a worker finishes the group it
+//!   is in before it starts the next warm-up;
+//! * **roots** pop by priority, highest first — the sweep submits one
+//!   warm-up job per workload group with the group's core count as the
+//!   priority, so the longest critical paths (8-core warm-ups) start
+//!   first;
+//! * ties pop in submission order.
 //!
 //! Determinism contract: the pool guarantees *completion*, not order —
 //! every submitted and forked job has run exactly once when
@@ -22,249 +22,133 @@
 //! independent of the execution interleaving; the experiment harness
 //! pins this end to end (byte-identical artifacts at any worker count).
 //!
-//! A panicking job (or seeder) drains the pool — workers stop picking
-//! up new work, in-flight jobs finish — and the first panic payload is
-//! re-thrown from [`run_scope`] on the calling thread.
+//! A panicking job (or seeder) drains the pool — workers start no queued
+//! job, in-flight jobs finish — and the first panic payload is re-thrown
+//! from [`run_scope`] on the calling thread.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// A unit of work: runs once on some worker, receiving a [`Ctx`] through
 /// which it can fork children.
 type Job<'env> = Box<dyn FnOnce(Ctx<'_, 'env>) + Send + 'env>;
 
-/// An injector entry: jobs pop highest `priority` first; equal
-/// priorities pop in submission order (`seq` ascending).
-struct Ranked<'env> {
-    priority: u64,
+/// What a panic carries, as [`catch_unwind`] returns it.
+type Payload = Box<dyn std::any::Any + Send>;
+
+/// A queued job's rank, largest first: a fork (`true`) outranks every
+/// root, then the larger priority (`None` for a fork), then the earlier
+/// submission.
+type Rank = (bool, Option<u64>, Reverse<u64>);
+
+/// Everything the seeding thread and the workers share, behind one lock.
+struct State<'env> {
+    /// Every queued job by rank, with its profiler-clock submit stamp (0
+    /// when profiling is off).
+    queue: BTreeMap<Rank, (u64, Job<'env>)>,
+    /// Jobs submitted or forked so far: the next one's sequence number.
     seq: u64,
-    /// Profiler-clock submit stamp (0 when profiling is off).
-    submitted_ns: u64,
-    job: Job<'env>,
+    /// Jobs queued or running, plus one for the seeder until it returns.
+    live: usize,
+    /// The first panic of a job or the seeder.
+    panic: Option<Payload>,
 }
 
-/// A forked child parked on a worker's local deque.
-struct Forked<'env> {
-    /// Profiler-clock fork stamp (0 when profiling is off).
-    submitted_ns: u64,
-    job: Job<'env>,
-}
-
-/// A job plus its scheduling provenance, as handed to a worker.
-struct Taken<'env> {
-    job: Job<'env>,
-    submitted_ns: u64,
-    /// `Some(priority, seq)` for injector roots, `None` for forks.
-    root: Option<(u64, u64)>,
-    /// Popped from another worker's deque rather than our own.
-    stolen: bool,
-}
-
-impl PartialEq for Ranked<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-impl Eq for Ranked<'_> {}
-impl PartialOrd for Ranked<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ranked<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap: larger priority wins, then the
-        // *smaller* submission sequence (earlier submit) wins.
-        (self.priority, std::cmp::Reverse(self.seq))
-            .cmp(&(other.priority, std::cmp::Reverse(other.seq)))
+impl State<'_> {
+    /// Every job has finished, or one panicked: no worker starts another.
+    fn over(&self) -> bool {
+        self.live == 0 || self.panic.is_some()
     }
 }
 
-/// State shared between the seeding thread and the workers.
-struct Shared<'env> {
-    injector: Mutex<BinaryHeap<Ranked<'env>>>,
-    seq: AtomicU64,
-    locals: Vec<Mutex<VecDeque<Forked<'env>>>>,
-    /// Jobs submitted or forked but not yet finished, plus one for the
-    /// seeding closure until it returns: whoever takes the count to 0 is
-    /// the last, and only one can.
-    active: AtomicUsize,
-    /// Terminal state: drained, or poisoned by a panic.
-    done: AtomicBool,
-    idle: Mutex<()>,
+struct Pool<'env> {
+    state: Mutex<State<'env>>,
     wake: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-impl<'env> Shared<'env> {
-    fn new(workers: usize) -> Self {
-        Shared {
-            injector: Mutex::new(BinaryHeap::new()),
-            seq: AtomicU64::new(0),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            active: AtomicUsize::new(1),
-            done: AtomicBool::new(false),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            panic: Mutex::new(None),
-        }
+impl<'env> Pool<'env> {
+    fn lock(&self) -> MutexGuard<'_, State<'env>> {
+        // Jobs and the seeder run outside the lock: nothing panics in it.
+        self.state.lock().expect("pool lock poisoned")
     }
 
-    fn poison(&self, payload: Box<dyn std::any::Any + Send>) {
-        let mut slot = self.panic.lock().expect("panic slot poisoned");
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-        drop(slot);
-        self.done.store(true, Ordering::Release);
-        self.wake.notify_all();
+    fn push(&self, priority: Option<u64>, job: Job<'env>) {
+        let mut state = self.lock();
+        let rank = (priority.is_none(), priority, Reverse(state.seq));
+        state.seq += 1;
+        state.live += 1;
+        state.queue.insert(rank, (melreq_prof::now_ns(), job));
+        drop(state);
+        self.wake.notify_one();
     }
 
-    /// A job, or the seeder, is done with its token.
-    fn job_finished(&self) {
-        if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.done.store(true, Ordering::Release);
+    /// A job, or the seeder, has returned `outcome`: count it out, and
+    /// wake every waiting worker if that ended the scope.
+    fn finish(&self, outcome: Result<(), Payload>) -> MutexGuard<'_, State<'env>> {
+        let mut state = self.lock();
+        if let Err(payload) = outcome {
+            state.panic.get_or_insert(payload);
+        }
+        state.live -= 1;
+        if state.over() {
             self.wake.notify_all();
         }
+        state
     }
 }
 
-/// Handle the seeding closure receives: submit root jobs into the
-/// global priority injector.
+/// Handle the seeding closure receives: submit root jobs.
 pub struct Scope<'a, 'env> {
-    shared: &'a Shared<'env>,
+    pool: &'a Pool<'env>,
 }
 
 impl<'env> Scope<'_, 'env> {
     /// Submit a root job. Higher `priority` jobs start first; equal
     /// priorities start in submission order.
     pub fn submit(&self, priority: u64, job: impl FnOnce(Ctx<'_, 'env>) + Send + 'env) {
-        self.shared.active.fetch_add(1, Ordering::AcqRel);
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        self.shared.injector.lock().expect("injector poisoned").push(Ranked {
-            priority,
-            seq,
-            submitted_ns: melreq_prof::now_ns(),
-            job: Box::new(job),
-        });
-        self.shared.wake.notify_all();
+        self.pool.push(Some(priority), Box::new(job));
     }
 }
 
-/// Handle a running job receives: fork children onto the current
-/// worker's local deque (popped LIFO locally, stolen FIFO by idle
-/// siblings).
+/// Handle a running job receives: fork children, which start before any
+/// queued root.
 pub struct Ctx<'a, 'env> {
-    shared: &'a Shared<'env>,
-    worker: usize,
+    pool: &'a Pool<'env>,
 }
 
 impl<'env> Ctx<'_, 'env> {
     /// Fork a child job from inside a running job.
     pub fn fork(&self, job: impl FnOnce(Ctx<'_, 'env>) + Send + 'env) {
-        self.shared.active.fetch_add(1, Ordering::AcqRel);
-        self.shared.locals[self.worker]
-            .lock()
-            .expect("local deque poisoned")
-            .push_back(Forked { submitted_ns: melreq_prof::now_ns(), job: Box::new(job) });
-        self.shared.wake.notify_all();
-    }
-
-    /// Index of the worker running this job (0-based; diagnostic only).
-    pub fn worker(&self) -> usize {
-        self.worker
+        self.pool.push(None, Box::new(job));
     }
 }
 
-fn take_job<'env>(shared: &Shared<'env>, idx: usize) -> Option<Taken<'env>> {
-    if let Some(forked) = shared.locals[idx].lock().expect("local deque poisoned").pop_back() {
-        return Some(Taken {
-            job: forked.job,
-            submitted_ns: forked.submitted_ns,
-            root: None,
-            stolen: false,
-        });
-    }
-    if let Some(ranked) = shared.injector.lock().expect("injector poisoned").pop() {
-        return Some(Taken {
-            job: ranked.job,
-            submitted_ns: ranked.submitted_ns,
-            root: Some((ranked.priority, ranked.seq)),
-            stolen: false,
-        });
-    }
-    let n = shared.locals.len();
-    for off in 1..n {
-        let victim = (idx + off) % n;
-        if let Some(forked) =
-            shared.locals[victim].lock().expect("local deque poisoned").pop_front()
-        {
-            return Some(Taken {
-                job: forked.job,
-                submitted_ns: forked.submitted_ns,
-                root: None,
-                stolen: true,
-            });
-        }
-    }
-    None
-}
-
-fn worker_loop(shared: &Shared<'_>, idx: usize) {
+fn worker_loop(pool: &Pool<'_>, idx: usize) {
     melreq_prof::set_thread_track(|| format!("worker {idx}"));
-    loop {
-        if shared.done.load(Ordering::Acquire) {
-            break;
-        }
-        if let Some(taken) = take_job(shared, idx) {
-            let start_ns = melreq_prof::now_ns();
-            let Taken { job, submitted_ns, root, stolen } = taken;
-            let outcome = catch_unwind(AssertUnwindSafe(|| job(Ctx { shared, worker: idx })));
-            let mut args = [("", 0u64); 3];
-            let mut nargs = 0;
-            if start_ns >= submitted_ns {
-                args[nargs] = ("queue_ns", start_ns - submitted_ns);
-                nargs += 1;
-            }
-            if stolen {
-                args[nargs] = ("steal", 1);
-                nargs += 1;
-            }
-            if let Some((priority, _)) = root {
-                args[nargs] = ("prio", priority);
-                nargs += 1;
-            }
-            melreq_prof::record(
-                "exec.job",
-                || match root {
-                    Some((_, seq)) => format!("root #{seq}"),
-                    None => "fork".to_string(),
-                },
-                start_ns,
-                melreq_prof::now_ns(),
-                &args[..nargs],
-            );
-            if let Err(payload) = outcome {
-                shared.poison(payload);
-            }
-            shared.job_finished();
-        } else {
-            let guard = shared.idle.lock().expect("idle lock poisoned");
-            if shared.done.load(Ordering::Acquire) {
-                break;
-            }
-            // The timeout bounds the race between a failed scan and a
-            // concurrent submit (a missed notify costs at most one tick,
-            // against jobs that run for milliseconds to seconds).
-            let _unused = shared
-                .wake
-                .wait_timeout(guard, Duration::from_millis(2))
-                .expect("idle lock poisoned while waiting");
-        }
+    let mut state = pool.lock();
+    while !state.over() {
+        let Some(((_, priority, Reverse(seq)), (submitted_ns, job))) = state.queue.pop_last()
+        else {
+            state = pool.wake.wait(state).expect("pool lock poisoned while waiting");
+            continue;
+        };
+        drop(state);
+        let start_ns = melreq_prof::now_ns();
+        let outcome = catch_unwind(AssertUnwindSafe(|| job(Ctx { pool })));
+        let queue_ns = start_ns.saturating_sub(submitted_ns);
+        let args = [("queue_ns", queue_ns), ("prio", priority.unwrap_or(0))];
+        melreq_prof::record(
+            "exec.job",
+            || priority.map_or_else(|| "fork".to_string(), |_| format!("root #{seq}")),
+            start_ns,
+            melreq_prof::now_ns(),
+            &args[..1 + usize::from(priority.is_some())],
+        );
+        state = pool.finish(outcome);
     }
+    drop(state);
     // Joining a scoped thread does not wait for TLS destructors, so the
     // recorder must flush here — not in Drop — or [`melreq_prof::drain`]
     // on the caller can race the flush and lose this worker's spans.
@@ -276,21 +160,18 @@ fn worker_loop(shared: &Shared<'_>, idx: usize) {
 /// submitted and forked job has finished. If a job or the seeder
 /// panicked, the pool drains and the first panic is re-thrown here.
 pub fn run_scope<'env>(workers: usize, seed: impl FnOnce(&Scope<'_, 'env>)) {
-    let workers = workers.max(1);
-    let shared = Shared::new(workers);
+    let state = State { queue: BTreeMap::new(), seq: 0, live: 1, panic: None };
+    let pool = Pool { state: Mutex::new(state), wake: Condvar::new() };
     std::thread::scope(|s| {
-        for i in 0..workers {
-            let shared = &shared;
-            s.spawn(move || worker_loop(shared, i));
+        for i in 0..workers.max(1) {
+            let pool = &pool;
+            s.spawn(move || worker_loop(pool, i));
         }
-        let seeded = catch_unwind(AssertUnwindSafe(|| seed(&Scope { shared: &shared })));
-        if let Err(payload) = seeded {
-            shared.poison(payload);
-        }
-        shared.job_finished();
+        let seeded = catch_unwind(AssertUnwindSafe(|| seed(&Scope { pool: &pool })));
+        drop(pool.finish(seeded));
     });
-    let payload = shared.panic.lock().expect("panic slot poisoned").take();
-    if let Some(payload) = payload {
+    let panic = pool.state.into_inner().expect("pool lock poisoned").panic;
+    if let Some(payload) = panic {
         resume_unwind(payload);
     }
 }
@@ -300,6 +181,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
+    use std::time::Duration;
 
     #[test]
     fn runs_every_submitted_job_once() {
@@ -357,7 +239,7 @@ mod tests {
     #[test]
     fn injector_orders_by_priority_then_submission() {
         // A gate job occupies the single worker while the remaining jobs
-        // are submitted, so the injector's pop order is observable.
+        // are submitted, so the queue's pop order is observable.
         let released = AtomicBool::new(false);
         let order = Mutex::new(Vec::new());
         run_scope(1, |scope| {
@@ -421,6 +303,22 @@ mod tests {
         let payload = result.expect_err("panic must propagate");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert_eq!(msg, "job exploded");
+    }
+
+    /// A fork outranks the queued root, so on one worker it runs first —
+    /// and its panic drains the pool before the root can start.
+    #[test]
+    fn fork_panic_drains_the_queued_roots() {
+        let started = AtomicBool::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            run_scope(1, |scope| {
+                scope.submit(2, |ctx| ctx.fork(|_ctx| panic!("fork exploded")));
+                scope.submit(1, |_ctx| started.store(true, Ordering::Relaxed));
+            });
+        }));
+        let payload = result.expect_err("the fork's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("fork exploded"));
+        assert!(!started.load(Ordering::Relaxed), "a drained pool starts no queued root");
     }
 
     #[test]

@@ -129,7 +129,7 @@ mod tests {
         let _ = melreq_prof::drain();
         melreq_prof::enable();
         melreq_prof::set_thread_track(|| "worker 0".to_string());
-        melreq_prof::record("exec.job", || "job 0".to_string(), 2_000, 9_000, &[("steal", 1)]);
+        melreq_prof::record("exec.job", || "job 0".to_string(), 2_000, 9_000, &[("prio", 8)]);
         melreq_prof::record("warmup", || "4MEM-1".to_string(), 1_000, 5_000, &[]);
         melreq_prof::disable();
         melreq_prof::drain()
@@ -147,7 +147,7 @@ mod tests {
         assert!(json.contains("\"name\": \"melreq test\""));
         assert!(json.contains("\"name\": \"worker 0\""));
         assert!(json.contains("\"cat\": \"exec.job\""));
-        assert!(json.contains("\"steal\": 1"));
+        assert!(json.contains("\"prio\": 8"));
         // The warmup span starts earlier and must be emitted first.
         let warm = json.find("\"name\": \"4MEM-1\"").expect("warmup span present");
         let job = json.find("\"name\": \"job 0\"").expect("job span present");

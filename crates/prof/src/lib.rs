@@ -3,8 +3,8 @@
 //! A light instrumentation layer (its one dependency is the `melreq-snap`
 //! leaf, for the shared JSON escaper) for attributing *host* time
 //! (as opposed to the deterministic *simulated* time melreq-obs
-//! traces): where the wall-clock goes inside the work-stealing sweep
-//! executor, the HTTP service event loop, and the experiment kernel.
+//! traces): where the wall-clock goes inside the sweep executor, the
+//! HTTP service event loop, and the experiment kernel.
 //!
 //! Design:
 //!
@@ -395,9 +395,6 @@ pub struct TrackStat {
     pub busy_ns: u64,
     /// `busy_ns` over the whole profile window, in percent.
     pub busy_pct: f64,
-    /// `exec.job` spans this track ran that were stolen from another
-    /// worker's local deque.
-    pub steals: u64,
     pub dropped: u64,
 }
 
@@ -467,9 +464,6 @@ pub fn summarize(profile: &Profile, top_n: usize) -> Summary {
         .iter()
         .map(|t| {
             let busy_ns = interval_union_ns(&t.spans);
-            let steals =
-                t.spans.iter().filter(|s| s.cat == "exec.job" && s.arg("steal") == Some(1)).count()
-                    as u64;
             TrackStat {
                 label: t.label.clone(),
                 spans: t.spans.len() as u64,
@@ -479,7 +473,6 @@ pub fn summarize(profile: &Profile, top_n: usize) -> Summary {
                 } else {
                     busy_ns as f64 / window_ns as f64 * 100.0
                 },
-                steals,
                 dropped: t.dropped,
             }
         })
@@ -565,12 +558,11 @@ impl Summary {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"track\":\"{}\",\"spans\":{},\"busy_ms\":{:.3},\"busy_pct\":{:.2},\"steals\":{},\"dropped\":{}}}",
+                "{{\"track\":\"{}\",\"spans\":{},\"busy_ms\":{:.3},\"busy_pct\":{:.2},\"dropped\":{}}}",
                 json_esc(&t.label),
                 t.spans,
                 ms(t.busy_ns),
                 t.busy_pct,
-                t.steals,
                 t.dropped
             ));
         }
@@ -615,12 +607,11 @@ impl Summary {
         out.push_str("  track utilization:\n");
         for t in &self.tracks {
             out.push_str(&format!(
-                "    {:<16} busy {:>8.1} ms ({:>5.1}%), {} spans, {} steals\n",
+                "    {:<16} busy {:>8.1} ms ({:>5.1}%), {} spans\n",
                 t.label,
                 ms(t.busy_ns),
                 t.busy_pct,
-                t.spans,
-                t.steals
+                t.spans
             ));
         }
         out.push_str("  stages (total work / critical path):\n");
@@ -726,7 +717,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let t0 = now_ns();
-        record("test.cat", || "stamped".to_string(), t0, t0 + 500, &[("steal", 1)]);
+        record("test.cat", || "stamped".to_string(), t0, t0 + 500, &[("prio", 4)]);
         disable();
         let p = drain();
         let track = p.tracks.iter().find(|t| t.label == "unit").expect("unit track present");
@@ -736,7 +727,7 @@ mod tests {
         assert_eq!(outer.arg("k"), Some(7));
         let stamped = track.spans.iter().find(|s| s.name == "stamped").expect("stamped span");
         assert_eq!(stamped.dur_ns, 500);
-        assert_eq!(stamped.arg("steal"), Some(1));
+        assert_eq!(stamped.arg("prio"), Some(4));
         assert_eq!(drain().total_spans(), 0, "drain leaves the collector empty");
     }
 
@@ -793,18 +784,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts_steals_and_ranks_top_spans() {
-        let steal = {
-            let mut s = mk("exec.job", "job 4", 0, 10);
-            s.args[0] = ("steal", 1);
-            s.nargs = 1;
-            s
-        };
+    fn summary_ranks_top_spans() {
         let profile = Profile {
             tracks: vec![TrackData {
                 label: "worker 1".to_string(),
                 spans: vec![
-                    steal,
+                    mk("exec.job", "job 4", 0, 10),
                     mk("exec.job", "job 5", 20, 5),
                     mk("policy", "RR 2MEM-1", 30, 90),
                 ],
@@ -812,7 +797,7 @@ mod tests {
             }],
         };
         let s = summarize(&profile, 2);
-        assert_eq!(s.tracks[0].steals, 1);
+        assert_eq!(s.tracks[0].spans, 3);
         assert_eq!(s.top.len(), 2);
         assert_eq!(s.top[0].name, "RR 2MEM-1", "largest total first");
         let json = s.render_json();

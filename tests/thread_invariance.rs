@@ -1,4 +1,4 @@
-//! Thread-count invariance: the work-stealing sweep pool must be a pure
+//! Thread-count invariance: the sweep's job pool must be a pure
 //! performance knob. Pooled sweep results, audit stream hashes, and the
 //! deterministic portion of the `reproduce` artifact are asserted
 //! bit-identical for worker counts 1, 2, and 8.
