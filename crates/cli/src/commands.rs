@@ -107,11 +107,7 @@ fn obs_outputs(c: &Collector, obs: &ObsArgs) -> Result<String, MelreqError> {
     if let Some(path) = &obs.series_out {
         let rows = c.series();
         let (channels, cores) = c.geometry();
-        let body = if path.ends_with(".json") {
-            series::render_json(rows)
-        } else {
-            series::render_csv(rows, cores, channels)
-        };
+        let body = series::render_csv(rows, cores, channels);
         std::fs::write(path, &body).map_err(|e| io_err(format!("cannot write {path}: {e}")))?;
         let _ = writeln!(out, "series: {} epoch rows -> {path}", rows.len());
     }

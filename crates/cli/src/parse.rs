@@ -33,8 +33,7 @@ pub use melreq_memctrl::PolicyKind as PolicySpec;
 pub struct ObsArgs {
     /// Perfetto trace output path (`--trace PATH`).
     pub trace_out: Option<String>,
-    /// Epoch time-series output path: CSV, or JSON when the path ends
-    /// in `.json`.
+    /// Epoch time-series CSV output path (`--series PATH`).
     pub series_out: Option<String>,
     /// Sampling epoch in cycles (`--sample-epoch N`).
     pub sample_epoch: Option<u64>,
@@ -294,8 +293,7 @@ const THREADS: Group = Group { title: "THREAD OPTIONS", flags: &[
 
 #[rustfmt::skip]
 const OBS: Group = Group { title: "TRACE OPTIONS", flags: &[
-    flag("--series", "PATH", "write the epoch time-series (CSV, or JSON when the path ends in \
-         .json); implies sampling",
+    flag("--series", "PATH", "write the epoch time-series as CSV; implies sampling",
         |a, v| put(&mut a.obs.series_out, Ok(Some(v.into())))),
     flag("--sample-epoch", "N", "sampling epoch in cycles (default 10000 when a series or a \
          trace is requested)",

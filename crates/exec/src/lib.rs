@@ -1,5 +1,7 @@
-//! A scoped job pool for the experiment sweep: one locked priority
-//! queue, drained by a fixed set of worker threads.
+//! A scoped job pool: one locked priority queue, drained by a fixed set
+//! of worker threads. It is the process's one job queue, with two
+//! seeders: the experiment sweep (`run_sweep_stages`), and the server's
+//! event loop, which submits each admitted request at priority 0.
 //!
 //! The schedulable unit is a *job*: a boxed closure that may borrow from
 //! the caller's stack frame (the pool is built on [`std::thread::scope`],

@@ -129,11 +129,13 @@ impl ControllerStats {
 
     /// Mean read latency across all cores (left plot of Figure 4).
     pub fn mean_read_latency(&self) -> f64 {
-        let mut all = LatencyTracker::new();
-        for t in &self.read_latency {
-            all.merge(t);
+        let count: u64 = self.read_latency.iter().map(LatencyTracker::count).sum();
+        let sum = self.read_latency.iter().fold(0.0, |sum, t| sum + t.sum());
+        if count == 0 {
+            0.0
+        } else {
+            sum / count as f64
         }
-        all.mean_or_zero()
     }
 
     fn save_state(&self, enc: &mut melreq_snap::Enc) {

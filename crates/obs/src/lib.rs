@@ -15,7 +15,7 @@
 //!    reads and live ME values; per-channel queue depth, bus
 //!    utilization and row-hit/read/write rates — sampled by
 //!    `melreq_core::System` at exact epoch boundaries and rendered as
-//!    CSV/JSON ([`series::render_csv`], [`series::render_json`]).
+//!    CSV ([`series::render_csv`]).
 //! 3. **Decision provenance** ([`Rule`], [`RuleTotals`]): each grant
 //!    is attributed to the scheduler rule that won it (row-hit-first,
 //!    read-first, ME rank, LREQ count, FCFS tiebreak, …) plus the

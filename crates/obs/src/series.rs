@@ -1,5 +1,5 @@
 //! The epoch time-series: periodic samples of system state for
-//! plotting, dumped as CSV or JSON.
+//! plotting, dumped as CSV.
 //!
 //! Sampling is driven by `melreq_core::System` at exact `sample_epoch`
 //! boundaries (the fast-forward kernel clamps its jumps to land on
@@ -76,69 +76,6 @@ pub fn render_csv(rows: &[EpochRow], cores: usize, channels: usize) -> String {
     out
 }
 
-fn json_f64_list(out: &mut String, vals: &[f64]) {
-    out.push('[');
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if v.is_finite() {
-            let _ = write!(out, "{v:.6}");
-        } else {
-            out.push_str("null");
-        }
-    }
-    out.push(']');
-}
-
-/// Render rows as a versioned JSON document:
-/// `{"schema_version": N, "rows": [...]}` with one object per epoch.
-pub fn render_json(rows: &[EpochRow]) -> String {
-    let mut out = format!("{{\"schema_version\": {}, \"rows\": [\n", melreq_snap::SCHEMA_VERSION);
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(out, "  {{\"cycle\": {}, \"ipc\": ", r.cycle);
-        json_f64_list(&mut out, &r.ipc);
-        out.push_str(", \"pending_reads\": [");
-        for (j, p) in r.pending_reads.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{p}");
-        }
-        out.push_str("], \"me\": ");
-        json_f64_list(&mut out, &r.me);
-        out.push_str(", \"queue_depth\": [");
-        for (j, q) in r.queue_depth.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{q}");
-        }
-        out.push_str("], \"bus_util\": ");
-        json_f64_list(&mut out, &r.bus_util);
-        out.push_str(", \"reads\": [");
-        for (j, n) in r.reads.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{n}");
-        }
-        out.push_str("], \"writes\": [");
-        for (j, n) in r.writes.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{n}");
-        }
-        out.push_str("], \"row_hit_rate\": ");
-        json_f64_list(&mut out, &r.row_hit_rate);
-        out.push('}');
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,17 +105,5 @@ mod tests {
         assert!(lines[2].starts_with("100,"));
         // header column count matches data column count
         assert_eq!(lines[1].split(',').count(), lines[2].split(',').count());
-    }
-
-    #[test]
-    fn json_is_a_versioned_document_of_row_objects() {
-        let json = render_json(&[row(100)]);
-        assert!(json.starts_with(&format!(
-            "{{\"schema_version\": {}, \"rows\": [",
-            melreq_snap::SCHEMA_VERSION
-        )));
-        assert!(json.contains("\"cycle\": 100"));
-        assert!(json.contains("\"row_hit_rate\""));
-        assert!(json.trim_end().ends_with("]}"));
     }
 }

@@ -126,7 +126,7 @@ impl<T> Ring<T> {
 /// One thread's worth of drained spans.
 #[derive(Debug)]
 pub struct TrackData {
-    /// Track label (`"main"`, `"worker 0"`, `"serve-worker-1"`...).
+    /// Track label (`"main"`, `"worker 0"`, `"serve netio"`...).
     pub label: String,
     /// Spans sorted by `start_ns`.
     pub spans: Vec<Span>,

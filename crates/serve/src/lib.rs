@@ -15,14 +15,15 @@
 //! ([`poll::Poller`], over epoll: the service builds on Linux only) with
 //! HTTP/1.1 keep-alive, pipelined request parsing on a reusable
 //! per-connection buffer, and idle-connection timeouts; only the
-//! simulations themselves run on the bounded worker pool, which hands
-//! finished responses back to the loop through a completion queue and a
-//! pipe-based waker.
+//! simulations themselves run on worker threads: the loop is the seeder
+//! of a [`melreq_exec`] job pool, whose jobs hand finished responses back
+//! to it through a completion queue and a pipe-based waker.
 //!
 //! Robustness model:
 //!
-//! * **Backpressure** — a bounded job queue; a full queue answers
-//!   `429 Too Many Requests` with `Retry-After` instead of wedging.
+//! * **Backpressure** — at most `queue_cap` jobs wait for a worker; one
+//!   more answers `429 Too Many Requests` with `Retry-After` instead of
+//!   wedging.
 //! * **Deadlines** — per-request wall-clock budgets (`timeout_ms`, or
 //!   the server default); expired runs are cancelled cooperatively at a
 //!   simulation epoch boundary and answer `504`.
@@ -52,6 +53,7 @@ use melreq_core::api::{MelreqError, Session, SimReport, SimRequest, SCHEMA_VERSI
 use melreq_core::experiment::RunControl;
 use melreq_core::store::CheckpointStore;
 use melreq_core::system::CancelToken;
+use melreq_exec::Scope;
 use melreq_obs::metrics::{Counter, Gauge, Histogram, MetricKind, Registry};
 use poll::{Interest, Poller, WakeHandle, Waker};
 use std::collections::{BTreeMap, VecDeque};
@@ -62,7 +64,7 @@ use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Largest accepted request body.
@@ -184,7 +186,7 @@ impl Default for ServeConfig {
     }
 }
 
-/// One admitted simulation, owned by the worker pool. The connection is
+/// One admitted simulation, owned by a pool job. The connection is
 /// referenced by token only — the event loop keeps the socket.
 struct Job {
     token: u64,
@@ -196,7 +198,7 @@ struct Job {
     key: String,
     req: SimRequest,
     deadline: Option<Instant>,
-    /// When the job entered the bounded queue (queue-wait timing).
+    /// When the job was admitted to the pool (queue-wait timing).
     queued_at: Instant,
 }
 
@@ -389,8 +391,6 @@ impl ResponseCache {
 struct Shared {
     cfg: ServeConfig,
     session: Session,
-    queue: Mutex<VecDeque<Job>>,
-    cond: Condvar,
     draining: AtomicBool,
     metrics: Metrics,
     response_cache: Mutex<ResponseCache>,
@@ -400,7 +400,7 @@ struct Shared {
     coalesce: Mutex<BTreeMap<String, Vec<u64>>>,
     /// Finished jobs awaiting delivery by the event loop.
     completions: Mutex<VecDeque<Completion>>,
-    /// Jobs admitted to the queue whose completions have not been
+    /// Jobs admitted to the pool whose completions have not been
     /// published yet (drain barrier).
     jobs_outstanding: AtomicUsize,
     /// Monotonic request-id source for `/run`//`compare` lifecycle
@@ -415,8 +415,6 @@ impl Shared {
             response_cache: Mutex::new(ResponseCache::new(cfg.response_cache)),
             cfg,
             session,
-            queue: Mutex::new(VecDeque::new()),
-            cond: Condvar::new(),
             draining: AtomicBool::new(false),
             metrics,
             coalesce: Mutex::new(BTreeMap::new()),
@@ -428,14 +426,21 @@ impl Shared {
     }
 }
 
-/// A running server: bound address plus the thread handles needed to
-/// drain it. Dropping the handle without [`ServerHandle::join`] leaves
-/// the threads running for the life of the process.
+/// The data behind the server's locks stays whole when a holder panics
+/// (each critical section is one push, pop, insert or remove on a std
+/// collection), so a poisoned lock is taken as it is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A running server: bound address plus the thread that owns its event
+/// loop and, through the loop's job pool, its workers. Dropping the
+/// handle without [`ServerHandle::join`] leaves them running for the life
+/// of the process.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     event_loop: std::thread::JoinHandle<()>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -448,7 +453,6 @@ impl ServerHandle {
     /// admitted job. Idempotent; returns immediately.
     pub fn shutdown(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.cond.notify_all();
         self.shared.waker.wake();
     }
 
@@ -456,13 +460,10 @@ impl ServerHandle {
     /// work is answered and flushed once this returns).
     pub fn join(self) {
         let _ = self.event_loop.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
     }
 }
 
-/// Bind, spawn the worker pool and the event loop, and return.
+/// Bind, spawn the event loop (which runs the worker pool), and return.
 pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
     let session = match &cfg.store_dir {
         Some(dir) => {
@@ -526,31 +527,28 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
             None => None,
         };
 
-    let workers = (0..cfg.workers.max(1))
-        .map(|i| {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("melreq-worker-{i}"))
-                .spawn(move || worker_loop(&shared, i))
-                .expect("spawn worker thread")
+    let loop_shared = shared.clone();
+    let event_loop = std::thread::Builder::new()
+        .name("melreq-netio".to_string())
+        .spawn(move || {
+            // The loop seeds the pool; once it returns drained, the scope
+            // joins the workers.
+            melreq_exec::run_scope(cfg.workers.max(1), |scope| {
+                let state = EventLoop {
+                    scope,
+                    shared: loop_shared,
+                    poller,
+                    waker,
+                    listener: Some(listener),
+                    conns: BTreeMap::new(),
+                    next_token: FIRST_CONN_TOKEN,
+                    access_log,
+                };
+                state.run();
+            });
         })
-        .collect();
-    let event_loop = {
-        let state = EventLoop {
-            shared: shared.clone(),
-            poller,
-            waker,
-            listener: Some(listener),
-            conns: BTreeMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-            access_log,
-        };
-        std::thread::Builder::new()
-            .name("melreq-netio".to_string())
-            .spawn(move || state.run())
-            .expect("spawn event-loop thread")
-    };
-    Ok(ServerHandle { addr, shared, event_loop, workers })
+        .expect("spawn event-loop thread");
+    Ok(ServerHandle { addr, shared, event_loop })
 }
 
 /// Run a server in the foreground until it drains (SIGTERM, or POST
@@ -687,7 +685,9 @@ enum FlushOutcome {
     Dead,
 }
 
-struct EventLoop {
+struct EventLoop<'s> {
+    /// The job pool this loop seeds: one root job per admitted request.
+    scope: &'s Scope<'s, 'static>,
     shared: Arc<Shared>,
     poller: Poller,
     waker: Waker,
@@ -699,7 +699,7 @@ struct EventLoop {
     access_log: Option<std::fs::File>,
 }
 
-impl EventLoop {
+impl EventLoop<'_> {
     fn run(mut self) {
         melreq_prof::set_thread_track(|| "serve netio".to_string());
         let mut events: Vec<poll::Event> = Vec::new();
@@ -733,19 +733,15 @@ impl EventLoop {
             self.drain_completions();
             self.sweep_idle();
         }
-        // Exit: make sure workers observe the drain too.
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.cond.notify_all();
         // Thread join does not wait for TLS destructors; flush the span
         // recorder explicitly so a post-join drain sees this thread.
         melreq_prof::flush_thread();
     }
 
-    /// Idempotent drain entry: stop accepting, wake workers, drop
-    /// connections with nothing pending.
+    /// Idempotent drain entry: stop accepting, drop connections with
+    /// nothing pending.
     fn begin_drain(&mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.cond.notify_all();
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.remove(listener.as_raw_fd());
         }
@@ -763,7 +759,7 @@ impl EventLoop {
     /// All admitted work answered and flushed?
     fn drained(&self) -> bool {
         self.shared.jobs_outstanding.load(Ordering::SeqCst) == 0
-            && self.shared.completions.lock().expect("completions poisoned").is_empty()
+            && lock(&self.shared.completions).is_empty()
             && self.conns.values().all(|c| c.wbuf.is_empty() && !c.busy)
     }
 
@@ -898,7 +894,7 @@ impl EventLoop {
             "healthz" => {
                 let body = format!(
                     "{{\"status\":\"ok\",\"schema_version\":{SCHEMA_VERSION},\"queue_depth\":{}}}",
-                    shared.queue.lock().expect("queue poisoned").len()
+                    shared.metrics.queue_depth.get()
                 );
                 self.send(token, 200, "application/json", &[], &body);
             }
@@ -942,13 +938,14 @@ impl EventLoop {
     }
 
     /// Admit one parsed simulation request: response cache, then
-    /// coalescing, then the bounded queue (or 429).
+    /// coalescing, then the pool's queue (or 429 once `queue_cap` jobs
+    /// wait there).
     fn admit(&mut self, token: u64, id: u64, req: SimRequest) {
         let shared = self.shared.clone();
         let key = req.canonical_bytes();
 
         if shared.cfg.response_cache > 0 {
-            let hit = shared.response_cache.lock().expect("response cache poisoned").get(&key);
+            let hit = lock(&shared.response_cache).get(&key);
             match hit {
                 Some(report) => {
                     shared.metrics.cache_hits.inc();
@@ -965,7 +962,7 @@ impl EventLoop {
         }
 
         {
-            let mut coalesce = shared.coalesce.lock().expect("coalesce poisoned");
+            let mut coalesce = lock(&shared.coalesce);
             if let Some(waiters) = coalesce.get_mut(&key) {
                 waiters.push(token);
                 drop(coalesce);
@@ -979,22 +976,26 @@ impl EventLoop {
 
         let timeout_ms = req.timeout_ms.or(shared.cfg.default_timeout_ms);
         let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        let mut queue = shared.queue.lock().expect("queue poisoned");
-        if queue.len() >= shared.cfg.queue_cap || shared.draining.load(Ordering::SeqCst) {
-            drop(queue);
+        // Only this thread raises the depth, so the bound cannot be
+        // overrun between the check and the increment.
+        let waiting = usize::try_from(shared.metrics.queue_depth.get()).unwrap_or(0);
+        if waiting >= shared.cfg.queue_cap || shared.draining.load(Ordering::SeqCst) {
             self.send_error(token, &MelreqError::Overload { retry_after_s: RETRY_AFTER_S });
             return;
         }
         // Publish the coalescing entry before the job becomes visible:
         // a worker finishing the job resolves the entry, so it must
         // exist first.
-        shared.coalesce.lock().expect("coalesce poisoned").insert(key.clone(), Vec::new());
-        queue.push_back(Job { token, id, key, req, deadline, queued_at: Instant::now() });
+        lock(&shared.coalesce).insert(key.clone(), Vec::new());
         shared.jobs_outstanding.fetch_add(1, Ordering::SeqCst);
-        shared.metrics.queue_depth.set(i64::try_from(queue.len()).unwrap_or(i64::MAX));
+        shared.metrics.queue_depth.inc();
         shared.metrics.inflight_requests.inc();
-        drop(queue);
-        shared.cond.notify_one();
+        let job = Job { token, id, key, req, deadline, queued_at: Instant::now() };
+        // One priority for every job: the pool starts them in admission
+        // order.
+        self.scope.submit(0, move |_| {
+            execute_job(job, &shared, |req, ctl| shared.session.run(req, ctl));
+        });
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.busy = true;
         }
@@ -1004,8 +1005,7 @@ impl EventLoop {
     /// connections resume parsing pipelined input.
     fn drain_completions(&mut self) {
         loop {
-            let completion =
-                self.shared.completions.lock().expect("completions poisoned").pop_front();
+            let completion = lock(&self.shared.completions).pop_front();
             let Some(c) = completion else { break };
             self.shared.metrics.inflight_requests.dec();
             if self.conns.contains_key(&c.token) {
@@ -1224,46 +1224,20 @@ fn parse_sim_request(body: &str, endpoint: &str) -> Result<SimRequest, MelreqErr
     Ok(req)
 }
 
-fn worker_loop(shared: &Arc<Shared>, idx: usize) {
-    melreq_prof::set_thread_track(|| format!("serve-worker-{idx}"));
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    shared.metrics.queue_depth.set(i64::try_from(queue.len()).unwrap_or(i64::MAX));
-                    break Some(job);
-                }
-                if shared.draining.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .cond
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("queue poisoned");
-                queue = guard;
-            }
-        };
-        let Some(job) = job else { break };
-        execute_job(job, shared, |req, ctl| shared.session.run(req, ctl));
-    }
-    // Thread join does not wait for TLS destructors; flush the span
-    // recorder explicitly so a post-join drain sees this worker.
-    melreq_prof::flush_thread();
-}
-
 /// Run one job (`run` is [`Session::run`]; the containment test passes a
 /// closure that panics), resolve its coalescing entry, and publish a
 /// completion for the leader plus every coalesced follower. A run that
 /// panics is answered like any other failed run — a 500 naming the
-/// request — so no request can take its worker, its followers or the
-/// drain barrier down with it. No lock is held across `run`.
+/// request — and a poisoned lock is taken as it is, so nothing unwinds
+/// out of here: a job that did would drain the whole pool. No lock is
+/// held across `run`.
 fn execute_job(
     job: Job,
     shared: &Shared,
     run: impl FnOnce(&SimRequest, &RunControl) -> Result<SimReport, MelreqError>,
 ) {
     let Job { token, id, key, req, deadline, queued_at } = job;
+    shared.metrics.queue_depth.dec();
     let mut stages = StageTimes::default();
     stages[QUEUE] = queued_at.elapsed();
     stage_record(QUEUE, id, queued_at, stages[QUEUE]);
@@ -1311,16 +1285,9 @@ fn execute_job(
                     Arc::new(report.to_json())
                 };
                 stages[RENDER] = render_started.elapsed();
-                if shared.cfg.response_cache > 0 {
-                    let evicted = shared
-                        .response_cache
-                        .lock()
-                        .expect("response cache poisoned")
-                        .insert(key.clone(), report_json.clone());
-                    if evicted > 0 {
-                        shared.metrics.cache_evictions.add(evicted);
-                    }
-                }
+                // A disabled cache (capacity 0) keeps nothing and evicts 0.
+                let evicted = lock(&shared.response_cache).insert(key.clone(), report_json.clone());
+                shared.metrics.cache_evictions.add(evicted);
                 (report_json, cache_status)
             })
         };
@@ -1328,8 +1295,7 @@ fn execute_job(
     // Resolve the coalescing entry before publishing: requests arriving
     // after this point either hit the response cache or start a fresh
     // run — they can no longer join this one.
-    let waiters =
-        shared.coalesce.lock().expect("coalesce poisoned").remove(&key).unwrap_or_default();
+    let waiters = lock(&shared.coalesce).remove(&key).unwrap_or_default();
 
     let (status, body, cache) = match &outcome {
         Ok((report_json, cache_status)) => {
@@ -1354,7 +1320,7 @@ fn execute_job(
         }
         batch.extend(waiters.into_iter().map(|token| Completion { token, ..follower.clone() }));
     }
-    shared.completions.lock().expect("completions poisoned").extend(batch);
+    lock(&shared.completions).extend(batch);
     shared.jobs_outstanding.fetch_sub(1, Ordering::SeqCst);
     shared.waker.wake();
 }
@@ -1448,16 +1414,18 @@ mod tests {
     use melreq_core::experiment::ExperimentOptions;
 
     /// What the event loop leaves behind when it admits request `id` as the
-    /// leader (token 10) of `followers`: the coalescing entry and the job.
+    /// leader (token 10) of `followers`: the coalescing entry, the counts
+    /// and the job.
     fn admit(shared: &Shared, req: &SimRequest, id: u64, followers: Vec<u64>) -> Job {
         let key = req.canonical_bytes();
         shared.coalesce.lock().unwrap().insert(key.clone(), followers);
         shared.jobs_outstanding.fetch_add(1, Ordering::SeqCst);
+        shared.metrics.queue_depth.inc();
         Job { token: 10, id, key, req: req.clone(), deadline: None, queued_at: Instant::now() }
     }
 
     fn published(shared: &Shared) -> Vec<Completion> {
-        shared.completions.lock().unwrap().drain(..).collect()
+        lock(&shared.completions).drain(..).collect()
     }
 
     fn quick_request() -> SimRequest {
@@ -1493,6 +1461,36 @@ mod tests {
         assert_eq!(answers[0].status, 200, "{}", answers[0].body);
         assert_eq!(shared.metrics.worker_panics.get(), 1);
         assert_eq!(shared.jobs_outstanding.load(Ordering::SeqCst), 0);
+    }
+
+    /// A thread that panics while holding a server lock poisons it. The job
+    /// path takes such a lock as it is, so the leader and its follower are
+    /// still answered and the drain barrier still falls — and no panic
+    /// leaves the job to drain the whole pool.
+    #[test]
+    fn a_poisoned_completions_lock_still_publishes_every_answer() {
+        let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
+        let shared =
+            Shared::new(ServeConfig::default(), Session::new(), Metrics::new(), wake_handle);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = shared.completions.lock();
+                panic!("a panic while holding the completions lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(shared.completions.is_poisoned());
+
+        let req = quick_request();
+        execute_job(admit(&shared, &req, 5, vec![11]), &shared, |req, ctl| {
+            shared.session.run(req, ctl)
+        });
+        let answers = published(&shared);
+        let got: Vec<_> = answers.iter().map(|c| (c.token, c.status)).collect();
+        assert_eq!(got, [(10, 200), (11, 200)], "{}", answers[0].body);
+        assert_eq!(answers[1].cache, "coalesced");
+        assert_eq!(shared.jobs_outstanding.load(Ordering::SeqCst), 0, "or a drain never ends");
+        assert_eq!(shared.metrics.queue_depth.get(), 0);
     }
 
     /// The server's store keeps a boundary and its op tapes between

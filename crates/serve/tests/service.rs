@@ -58,13 +58,19 @@ fn slow_opts() -> ExperimentOptions {
     }
 }
 
-/// Block until the server holds a `/run` request, queued or executing.
-fn await_in_flight(addr: &str) {
+/// Block until `/metrics` shows the single-sample family `name` at a
+/// value `done` accepts.
+fn await_metric(addr: &str, name: &str, done: impl Fn(f64) -> bool) {
     let deadline = Instant::now() + EXCHANGE_TIMEOUT;
-    while metric_value(addr, "melreq_inflight_requests") < 1.0 {
-        assert!(Instant::now() < deadline, "no request came in flight");
+    while !done(metric_value(addr, name)) {
+        assert!(Instant::now() < deadline, "{name} never reached the awaited value");
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// Block until the server holds a `/run` request, queued or executing.
+fn await_in_flight(addr: &str) {
+    await_metric(addr, "melreq_inflight_requests", |v| v >= 1.0);
 }
 
 fn post_run(addr: &str, body: &str) -> (u16, String) {
@@ -76,12 +82,15 @@ fn queue_overflow_sheds_429_and_the_server_recovers() {
     let handle = serve(1, 1);
     let addr = handle.addr().to_string();
 
-    // Occupy the single worker with a slow run…
+    // Occupy the single worker with a slow run: admitted, and taken off
+    // the queue (a loaded host can leave it queued for tens of ms, and
+    // then the burst below finds no free slot at all)…
     let slow = {
         let addr = addr.clone();
         std::thread::spawn(move || post_run(&addr, &run_body("2MEM-1", slow_opts())))
     };
     await_in_flight(&addr);
+    await_metric(&addr, "melreq_queue_depth", |v| v < 1.0);
 
     // …then burst past the 1-slot queue with four DISTINCT requests
     // (distinct cycle budgets — identical ones would coalesce instead
@@ -796,7 +805,7 @@ fn access_log_appends_one_structured_line_per_request() {
 fn profiled_server_records_request_lifecycle_spans() {
     // Enable the host profiler around a whole server lifetime — the same
     // sequence `serve_forever` runs for `--profile PATH` — and check the
-    // event loop and worker threads produced lifecycle spans.
+    // event loop and the job pool's workers produced lifecycle spans.
     melreq_prof::enable();
     let handle = serve(2, 8);
     let addr = handle.addr().to_string();
@@ -816,8 +825,22 @@ fn profiled_server_records_request_lifecycle_spans() {
     };
     assert!(has("serve.request", "serve netio"), "request span on the event-loop track");
     assert!(has("serve.parse", "serve netio"), "parse span on the event-loop track");
-    assert!(has("serve.execute", "serve-worker-"), "execute span on a worker track");
-    assert!(has("serve.queue", "serve-worker-"), "queue-wait span on a worker track");
+    // A worker records a request's stages inside the `exec.job` span of
+    // the pool job that ran it: the execute stage whole, and the queue
+    // wait (which began at admission) up to the moment the job started.
+    let in_a_job = |cat: &str, whole: bool| {
+        profile.tracks.iter().filter(|t| t.label.starts_with("worker ")).any(|t| {
+            let stages: Vec<_> = t.spans.iter().filter(|s| s.cat == cat).collect();
+            t.spans.iter().filter(|s| s.cat == "exec.job").any(|job| {
+                stages.iter().any(|s| {
+                    (!whole || s.start_ns >= job.start_ns)
+                        && (job.start_ns..=job.end_ns()).contains(&s.end_ns())
+                })
+            })
+        })
+    };
+    assert!(in_a_job("serve.execute", true), "execute span inside a worker's exec.job span");
+    assert!(in_a_job("serve.queue", false), "queue-wait span ends inside a worker's exec.job");
 
     // The Perfetto export of that profile is a loadable trace with the
     // summary block `serve_forever` embeds.

@@ -62,16 +62,6 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Merge another histogram (must have the same bucket count).
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.buckets.len(), other.buckets.len(), "bucket count mismatch");
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
     /// Serialize into a checkpoint.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
         let Self { buckets, count, sum } = self;
@@ -149,30 +139,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(5);
-        b.record(7);
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
     fn reset_clears() {
         let mut h = Histogram::new();
         h.record(12);
         h.reset();
         assert_eq!(h.count(), 0);
         assert!(h.buckets().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket count mismatch")]
-    fn merge_rejects_mismatched_buckets() {
-        let mut a = Histogram::with_buckets(4);
-        let b = Histogram::with_buckets(8);
-        a.merge(&b);
     }
 }

@@ -43,6 +43,11 @@ impl LatencyTracker {
         self.mean.count()
     }
 
+    /// Sum of every recorded latency, in cycles.
+    pub fn sum(&self) -> f64 {
+        self.mean.sum()
+    }
+
     /// Mean latency in cycles, or `None` if no events were recorded.
     pub fn mean(&self) -> Option<f64> {
         self.mean.mean()
@@ -86,18 +91,6 @@ impl LatencyTracker {
         minmax.load_state(dec)?;
         histogram.load_state(dec)
     }
-
-    /// Merge another tracker into this one.
-    pub fn merge(&mut self, other: &LatencyTracker) {
-        self.mean.merge(&other.mean);
-        if let Some(m) = other.minmax.min() {
-            self.minmax.push(m);
-        }
-        if let Some(m) = other.minmax.max() {
-            self.minmax.push(m);
-        }
-        self.histogram.merge(&other.histogram);
-    }
 }
 
 #[cfg(test)]
@@ -122,19 +115,6 @@ mod tests {
         assert!((t.mean().unwrap() - 100.0).abs() < 1e-12);
         assert_eq!(t.min(), Some(50.0));
         assert_eq!(t.max(), Some(150.0));
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = LatencyTracker::new();
-        let mut b = LatencyTracker::new();
-        a.record(10);
-        b.record(30);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean().unwrap() - 20.0).abs() < 1e-12);
-        assert_eq!(a.min(), Some(10.0));
-        assert_eq!(a.max(), Some(30.0));
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl StreamingMean {
         self.mean().unwrap_or(0.0)
     }
 
-    /// Merge another mean into this one (for cross-core aggregation).
-    pub fn merge(&mut self, other: &StreamingMean) {
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
     /// Serialize into a checkpoint.
     pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
         let Self { count, sum } = self;
@@ -144,18 +138,6 @@ mod tests {
         assert_eq!(m.count(), 4);
         assert!((m.mean().unwrap() - 2.5).abs() < 1e-12);
         assert!((m.sum() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_combines_counts_and_sums() {
-        let mut a = StreamingMean::new();
-        a.push(1.0);
-        a.push(3.0);
-        let mut b = StreamingMean::new();
-        b.push(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert!((a.mean().unwrap() - 3.0).abs() < 1e-12);
     }
 
     #[test]

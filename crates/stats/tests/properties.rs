@@ -34,24 +34,6 @@ proptest! {
         prop_assert!(mean <= t.max().unwrap() + 1e-9);
     }
 
-    /// Merging trackers equals tracking the concatenation.
-    #[test]
-    fn tracker_merge_equals_concat(
-        a in proptest::collection::vec(0u64..100_000, 1..100),
-        b in proptest::collection::vec(0u64..100_000, 1..100)
-    ) {
-        let mut ta = LatencyTracker::new();
-        let mut tb = LatencyTracker::new();
-        let mut tall = LatencyTracker::new();
-        for &s in &a { ta.record(s); tall.record(s); }
-        for &s in &b { tb.record(s); tall.record(s); }
-        ta.merge(&tb);
-        prop_assert_eq!(ta.count(), tall.count());
-        prop_assert!((ta.mean().unwrap() - tall.mean().unwrap()).abs() < 1e-9);
-        prop_assert_eq!(ta.min(), tall.min());
-        prop_assert_eq!(ta.max(), tall.max());
-    }
-
     /// Quantization is monotone and saturating.
     #[test]
     fn quantize_monotone(a in 0.0f64..1e6, b in 0.0f64..1e6, scale in 0.001f64..1e3) {
