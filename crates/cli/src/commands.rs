@@ -398,33 +398,31 @@ pub(crate) fn cmd_sweep(args: &Args) -> Result<String, MelreqError> {
         "mix" => vec![MixKind::Mixed],
         _ => vec![MixKind::Mem, MixKind::Mixed],
     };
-    // One session for the whole sweep: profiles are memoized across
-    // mixes, and all-paper policy lists share each mix's warm-up.
-    let session = Session::new();
+    // One pooled sweep, a stage per (class, core count): every mix's
+    // warm-up is shared by its policies, and no stage waits on another.
+    let cores = [2usize, 4, 8];
+    let stages: Vec<SweepStage> = kinds
+        .iter()
+        .flat_map(|&k| cores.map(|n| mixes_for_cores(n, Some(k))))
+        .map(|mixes| SweepStage { mixes, policies: specs.clone() })
+        .collect();
+    let ctl = RunControl { threads: args.threads, ..RunControl::default() };
+    let results = Session::new().run_sweep_stages(&stages, &args.opts, &ctl);
+    let headers: Vec<&str> =
+        std::iter::once("cores").chain(specs.iter().map(PolicySpec::name)).collect();
     let mut out = String::new();
-    for k in kinds {
-        out.push_str(&format!("-- {k:?} workloads --\n"));
+    for (k, class) in kinds.iter().zip(results.chunks(cores.len())) {
         let mut rows = Vec::new();
-        for cores in [2usize, 4, 8] {
-            let mixes = mixes_for_cores(cores, Some(k));
-            let mut row = vec![format!("{cores}-core")];
+        for (n, runs) in cores.iter().zip(class) {
+            let mut row = vec![format!("{n}-core")];
             // Per-mix ratios vs the first policy, averaged geometrically.
-            let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
-            for mix in &mixes {
-                let req = sim_request(mix, specs.clone(), args);
-                let report = session.run(&req, &RunControl::default())?;
-                let base = report.policies[0].result.smt_speedup;
-                for (series, p) in ratios.iter_mut().zip(&report.policies) {
-                    series.push(p.result.smt_speedup / base);
-                }
+            for p in 0..specs.len() {
+                let ratios = runs.chunks(specs.len()).map(|m| m[p].smt_speedup / m[0].smt_speedup);
+                row.push(pct_over(figures::geomean(ratios), 1.0));
             }
-            row.extend(ratios.into_iter().map(|series| pct_over(figures::geomean(series), 1.0)));
             rows.push(row);
         }
-        let headers: Vec<&str> =
-            std::iter::once("cores").chain(specs.iter().map(PolicySpec::name)).collect();
-        out.push_str(&format_table(&headers, &rows));
-        out.push('\n');
+        let _ = writeln!(out, "-- {k:?} workloads --\n{}", format_table(&headers, &rows));
     }
     Ok(out)
 }
@@ -1006,13 +1004,14 @@ pub(crate) fn cmd_loadbench(args: &Args) -> Result<String, MelreqError> {
         .phases
         .iter()
         .map(|p| {
+            let t = &p.tally;
             vec![
                 p.name.to_string(),
                 p.offered.to_string(),
-                p.completed_200.to_string(),
-                (p.http_429 + p.http_504).to_string(),
-                (p.http_5xx + p.transport_errors).to_string(),
-                (p.cache_responses + p.coalesced).to_string(),
+                t.completed_200.to_string(),
+                (t.http_429 + t.http_504).to_string(),
+                (t.http_5xx + t.transport_errors).to_string(),
+                (t.cache_responses + t.coalesced).to_string(),
                 format!("{:.1}", p.p50_ms),
                 format!("{:.1}", p.p99_ms),
                 format!("{:.1}", p.throughput_rps),
@@ -1274,6 +1273,19 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         let s = quick("compare 2MEM-1 --policies hf-rf,fq").unwrap();
         assert!(s.contains("FQ"));
         assert!(s.contains("+0.0%")); // baseline row
+    }
+
+    #[test]
+    fn sweep_is_one_row_per_core_count_at_any_thread_count() {
+        let sweep =
+            |threads| melreq(&format!("sweep --policies hf-rf,me-lreq {TINY} --threads {threads}"));
+        let one = sweep(1).unwrap();
+        assert_eq!(one, sweep(2).unwrap(), "the pool is a pure performance knob");
+        let rows: Vec<&str> = one.lines().filter(|l| l.contains("-core")).collect();
+        assert_eq!(rows.len(), 3, "{one}");
+        for (row, cores) in rows.iter().zip(["2-core", "4-core", "8-core"]) {
+            assert!(row.starts_with(cores) && row.contains("+0.0%"), "{row}");
+        }
     }
 
     #[test]

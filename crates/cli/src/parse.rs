@@ -415,7 +415,8 @@ pub static VERBS: &[Verb] = &[
             |a, v| put(&mut a.load.addr, Ok(v.into()))),
         flag("--rps", "R", "offered open-loop arrival rate (default 200)",
             |a, v| put(&mut a.load.rps, positive_finite(v))),
-        flag("--conns", "N", "client connections/workers (default 16)",
+        flag("--conns", "N", "job-pool workers issuing requests, so the most connections \
+             open at once (default 16)",
             |a, v| put(&mut a.load.conns, positive(v))),
         flag("--duration", "S", "arrival window per phase, seconds (default 2.0)",
             |a, v| put(&mut a.load.duration_s, positive_finite(v))),

@@ -1,7 +1,10 @@
 //! A scoped job pool: one locked priority queue, drained by a fixed set
-//! of worker threads. It is the process's one job queue, with two
-//! seeders: the experiment sweep (`run_sweep_stages`), and the server's
-//! event loop, which submits each admitted request at priority 0.
+//! of worker threads. It is the workspace's one pool implementation,
+//! with three seeders: the experiment sweep (`run_sweep_stages`, which
+//! `melreq sweep` and `melreq reproduce` call), the server's event loop,
+//! which submits each admitted request at priority 0, and the load
+//! generator's pacer, which submits each planned arrival at priority 0
+//! at its scheduled instant.
 //!
 //! The schedulable unit is a *job*: a boxed closure that may borrow from
 //! the caller's stack frame (the pool is built on [`std::thread::scope`],

@@ -23,16 +23,22 @@
 //! stream (offsets and request bodies) is precomputed and hashed into
 //! the artifact (`stream_hash`), so two runs with the same flags offer
 //! byte-identical load.
+//!
+//! The requests run on the `melreq-exec` job pool, `conns` workers wide,
+//! with the pacer as its seeder: each arrival is submitted at its
+//! scheduled instant as a root job at priority 0, so arrivals start in
+//! schedule order. When the offer window closes, a job not yet started
+//! is counted in `dropped_at_cutoff` instead of sent; running ones
+//! complete.
 
 use melreq_core::api::{resolve_mix, MelreqError, PolicyKind, SimRequest, SCHEMA_VERSION};
 use melreq_core::experiment::ExperimentOptions;
 use melreq_serve::http::ClientConn;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-request socket timeout — generous, so slow (queued) responses
@@ -56,7 +62,8 @@ pub struct LoadConfig {
     pub addr: String,
     /// Offered arrival rate, requests per second (open loop).
     pub rps: f64,
-    /// Client connections (worker threads issuing requests).
+    /// Client connections: the width of the job pool issuing requests,
+    /// and so the most connections open at once.
     pub conns: usize,
     /// Arrival-window length per phase, seconds.
     pub duration_s: f64,
@@ -84,7 +91,7 @@ impl Default for LoadConfig {
 pub struct PhaseSpec {
     /// Phase name in the artifact.
     pub name: &'static str,
-    /// Keep one connection per worker alive (vs reconnect per request).
+    /// Keep connections alive between requests (vs reconnect per request).
     pub keepalive: bool,
     /// Give every request a unique identity (vs byte-identical repeats).
     pub unique: bool,
@@ -106,18 +113,8 @@ pub struct PhaseStats {
     pub offered: u64,
     /// Requests actually issued (offered minus `dropped_at_cutoff`).
     pub sent: u64,
-    pub completed_200: u64,
-    pub http_429: u64,
-    pub http_504: u64,
-    pub http_5xx: u64,
-    pub http_other: u64,
-    pub transport_errors: u64,
-    /// Backlogged arrivals discarded when the phase window closed.
-    pub dropped_at_cutoff: u64,
-    /// 200s answered from the response cache (`"cache":"response"`).
-    pub cache_responses: u64,
-    /// 200s coalesced onto an in-flight run (`"cache":"coalesced"`).
-    pub coalesced: u64,
+    /// What the phase's requests came back as.
+    pub tally: Tally,
     /// Latency of completed (any status) requests, milliseconds, from
     /// scheduled arrival to full response.
     pub p50_ms: f64,
@@ -134,37 +131,30 @@ pub struct PhaseStats {
     pub stream_hash: u64,
 }
 
+/// The outcome counts of one phase's arrivals.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    pub completed_200: u64,
+    pub http_429: u64,
+    pub http_504: u64,
+    pub http_5xx: u64,
+    pub http_other: u64,
+    pub transport_errors: u64,
+    /// Arrivals not yet started when the phase window closed, so never sent.
+    pub dropped_at_cutoff: u64,
+    /// 200s answered from the response cache (`"cache":"response"`).
+    pub cache_responses: u64,
+    /// 200s coalesced onto an in-flight run (`"cache":"coalesced"`).
+    pub coalesced: u64,
+    /// Latency of every answered request, sorted ascending.
+    pub latencies_ms: Vec<f64>,
+}
+
 /// One precomputed arrival: scheduled offset from phase start plus the
 /// fully rendered request body.
 struct PlannedArrival {
     offset: Duration,
     body: String,
-}
-
-/// A scheduled arrival in flight between the pacer and a worker.
-struct QueuedArrival {
-    scheduled: Instant,
-    body: String,
-}
-
-#[derive(Default)]
-struct Tally {
-    completed_200: u64,
-    http_429: u64,
-    http_504: u64,
-    http_5xx: u64,
-    http_other: u64,
-    transport_errors: u64,
-    cache_responses: u64,
-    coalesced: u64,
-    latencies_ms: Vec<f64>,
-}
-
-struct PhaseShared {
-    queue: Mutex<VecDeque<QueuedArrival>>,
-    cond: Condvar,
-    cutoff: AtomicBool,
-    tally: Mutex<Tally>,
 }
 
 /// Render the request body for the repeated identical request of the
@@ -241,47 +231,38 @@ fn classify(tally: &mut Tally, status: u16, body: &str, latency_ms: f64) {
     }
 }
 
-fn worker(addr: &str, keepalive: bool, shared: &PhaseShared) {
-    let mut conn: Option<ClientConn> = None;
-    loop {
-        let arrival = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if let Some(a) = queue.pop_front() {
-                    break Some(a);
-                }
-                if shared.cutoff.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .cond
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .expect("queue poisoned");
-                queue = guard;
+/// Send one arrival's request — on an idle kept-alive connection when
+/// the phase keeps them, else on a fresh one — and classify the answer.
+/// A kept-alive connection goes back on `idle` unless the exchange
+/// failed.
+fn issue(
+    addr: &str,
+    keepalive: bool,
+    scheduled: Instant,
+    body: &str,
+    idle: &Mutex<Vec<ClientConn>>,
+    tally: &Mutex<Tally>,
+) {
+    let reused = if keepalive { lock(idle).pop() } else { None };
+    let outcome = reused.map_or_else(|| ClientConn::connect(addr, REQUEST_TIMEOUT), Ok).and_then(
+        |mut conn| {
+            let answer = conn.request("POST", "/run", Some(body), !keepalive)?;
+            if keepalive {
+                lock(idle).push(conn);
             }
-        };
-        let Some(arrival) = arrival else { break };
-
-        if conn.is_none() || !keepalive {
-            conn = ClientConn::connect(addr, REQUEST_TIMEOUT).ok();
-        }
-        let outcome = match conn.as_mut() {
-            Some(c) => c.request("POST", "/run", Some(&arrival.body), !keepalive),
-            None => Err("connect failed".to_string()),
-        };
-        let latency_ms = arrival.scheduled.elapsed().as_secs_f64() * 1e3;
-        let mut tally = shared.tally.lock().expect("tally poisoned");
-        match outcome {
-            Ok((status, body)) => classify(&mut tally, status, &body, latency_ms),
-            Err(_) => {
-                tally.transport_errors += 1;
-                conn = None;
-            }
-        }
-        if !keepalive {
-            conn = None;
-        }
+            Ok(answer)
+        },
+    );
+    let latency_ms = scheduled.elapsed().as_secs_f64() * 1e3;
+    let mut tally = lock(tally);
+    match outcome {
+        Ok((status, body)) => classify(&mut tally, status, &body, latency_ms),
+        Err(_) => tally.transport_errors += 1,
     }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -301,98 +282,69 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Run one phase against the server: pace the planned arrivals in real
-/// time, fan them out over `cfg.conns` worker threads, and aggregate.
-pub fn run_phase(cfg: &LoadConfig, spec: PhaseSpec) -> Result<PhaseStats, String> {
+/// time onto a `cfg.conns`-wide job pool, and aggregate.
+pub fn run_phase(cfg: &LoadConfig, spec: PhaseSpec) -> PhaseStats {
     let arrivals = plan_arrivals(cfg, spec);
     let hash = stream_hash(&arrivals);
     let offered = arrivals.len() as u64;
-    let shared = Arc::new(PhaseShared {
-        queue: Mutex::new(VecDeque::new()),
-        cond: Condvar::new(),
-        cutoff: AtomicBool::new(false),
-        tally: Mutex::new(Tally::default()),
-    });
+    let cutoff = AtomicBool::new(false);
+    let idle = Mutex::new(Vec::new());
+    let tally = Mutex::new(Tally::default());
 
-    let workers: Vec<_> = (0..cfg.conns.max(1))
-        .map(|i| {
-            let addr = cfg.addr.clone();
-            let shared = shared.clone();
-            let keepalive = spec.keepalive;
-            std::thread::Builder::new()
-                .name(format!("loadgen-{i}"))
-                .spawn(move || worker(&addr, keepalive, &shared))
-                .map_err(|e| format!("spawn worker: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    // The pacer: dispatch each arrival at its scheduled offset. Wall
-    // clock is the whole point of a load generator.
+    // The pacer seeds the pool, submitting each arrival at its scheduled
+    // offset. Wall clock is the whole point of a load generator.
     #[expect(clippy::disallowed_methods, reason = "load generation is real-time measurement")]
     let start = Instant::now();
-    for a in arrivals {
-        let target = start + a.offset;
-        #[expect(clippy::disallowed_methods, reason = "pacing sleeps until the scheduled arrival")]
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
+    melreq_exec::run_scope(cfg.conns.max(1), |scope| {
+        for a in arrivals {
+            let scheduled = start + a.offset;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "pacing sleeps until the scheduled arrival"
+            )]
+            let now = Instant::now();
+            if scheduled > now {
+                std::thread::sleep(scheduled - now);
+            }
+            let (cutoff, idle, tally) = (&cutoff, &idle, &tally);
+            scope.submit(0, move |_| {
+                if cutoff.load(Ordering::SeqCst) {
+                    lock(tally).dropped_at_cutoff += 1;
+                } else {
+                    issue(&cfg.addr, spec.keepalive, scheduled, &a.body, idle, tally);
+                }
+            });
         }
-        let mut queue = shared.queue.lock().expect("queue poisoned");
-        queue.push_back(QueuedArrival { scheduled: target, body: a.body });
-        drop(queue);
-        shared.cond.notify_one();
-    }
-
-    // Cutoff: the offer window is over. Unstarted arrivals are dropped
-    // (and counted); in-flight requests run to completion.
-    let dropped_at_cutoff = {
-        let mut queue = shared.queue.lock().expect("queue poisoned");
-        let n = queue.len() as u64;
-        queue.clear();
-        n
-    };
-    shared.cutoff.store(true, Ordering::SeqCst);
-    shared.cond.notify_all();
-    for w in workers {
-        w.join().map_err(|_| "worker panicked".to_string())?;
-    }
+        // The offer window is over: unstarted arrivals are dropped (and
+        // counted); in-flight requests run to completion.
+        cutoff.store(true, Ordering::SeqCst);
+    });
     let elapsed_s = start.elapsed().as_secs_f64();
 
-    let tally = Arc::try_unwrap(shared)
-        .map_err(|_| "phase state still shared".to_string())?
-        .tally
-        .into_inner()
-        .expect("tally poisoned");
-    let mut lat = tally.latencies_ms.clone();
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let mut tally = tally.into_inner().unwrap_or_else(PoisonError::into_inner);
+    tally.latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let lat = &tally.latencies_ms;
     let mean_ms = if lat.is_empty() { 0.0 } else { lat.iter().sum::<f64>() / lat.len() as f64 };
     #[allow(clippy::cast_precision_loss, reason = "a request count is far below 2^52")]
     let throughput_rps = if elapsed_s > 0.0 { tally.completed_200 as f64 / elapsed_s } else { 0.0 };
 
-    Ok(PhaseStats {
+    PhaseStats {
         name: spec.name,
         keepalive: spec.keepalive,
         unique: spec.unique,
         offered,
-        sent: offered - dropped_at_cutoff,
-        completed_200: tally.completed_200,
-        http_429: tally.http_429,
-        http_504: tally.http_504,
-        http_5xx: tally.http_5xx,
-        http_other: tally.http_other,
-        transport_errors: tally.transport_errors,
-        dropped_at_cutoff,
-        cache_responses: tally.cache_responses,
-        coalesced: tally.coalesced,
-        p50_ms: percentile(&lat, 0.50),
-        p90_ms: percentile(&lat, 0.90),
-        p95_ms: percentile(&lat, 0.95),
-        p99_ms: percentile(&lat, 0.99),
+        sent: offered - tally.dropped_at_cutoff,
+        p50_ms: percentile(lat, 0.50),
+        p90_ms: percentile(lat, 0.90),
+        p95_ms: percentile(lat, 0.95),
+        p99_ms: percentile(lat, 0.99),
         max_ms: lat.last().copied().unwrap_or(0.0),
         mean_ms,
         elapsed_s,
         throughput_rps,
         stream_hash: hash,
-    })
+        tally,
+    }
 }
 
 /// The full two-phase benchmark.
@@ -412,10 +364,7 @@ pub fn run(cfg: &LoadConfig) -> Result<BenchReport, MelreqError> {
     if cfg.rps <= 0.0 || cfg.duration_s <= 0.0 {
         return Err(MelreqError::Usage("loadbench needs --rps > 0 and --duration > 0".into()));
     }
-    let mut phases = Vec::new();
-    for spec in PHASES {
-        phases.push(run_phase(cfg, spec).map_err(MelreqError::Io)?);
-    }
+    let phases: Vec<PhaseStats> = PHASES.iter().map(|&spec| run_phase(cfg, spec)).collect();
     let baseline = phases[0].throughput_rps;
     let cached = phases[1].throughput_rps;
     Ok(BenchReport {
@@ -455,15 +404,15 @@ fn phase_json(p: &PhaseStats) -> String {
         unique = p.unique,
         offered = p.offered,
         sent = p.sent,
-        completed = p.completed_200,
-        h429 = p.http_429,
-        h504 = p.http_504,
-        h5xx = p.http_5xx,
-        hother = p.http_other,
-        terr = p.transport_errors,
-        dropped = p.dropped_at_cutoff,
-        cacher = p.cache_responses,
-        coal = p.coalesced,
+        completed = p.tally.completed_200,
+        h429 = p.tally.http_429,
+        h504 = p.tally.http_504,
+        h5xx = p.tally.http_5xx,
+        hother = p.tally.http_other,
+        terr = p.tally.transport_errors,
+        dropped = p.tally.dropped_at_cutoff,
+        cacher = p.tally.cache_responses,
+        coal = p.tally.coalesced,
         p50 = p.p50_ms,
         p90 = p.p90_ms,
         p95 = p.p95_ms,
@@ -546,6 +495,13 @@ mod tests {
         let other_seed = LoadConfig { seed: 8, ..cfg() };
         let c = plan_arrivals(&other_seed, PHASES[0]);
         assert_ne!(stream_hash(&a), stream_hash(&c), "different seed, different stream");
+
+        // The streams CI's load smoke offers (`--rps 150 --duration 2`,
+        // default seed and mix), pinned so a run's artifact can be
+        // checked against them.
+        let ci = LoadConfig { rps: 150.0, duration_s: 2.0, ..LoadConfig::default() };
+        let hashes = PHASES.map(|spec| format!("{:016x}", stream_hash(&plan_arrivals(&ci, spec))));
+        assert_eq!(hashes, ["e2801b3d5c8019cf", "c8c9852a6022d363"]);
     }
 
     #[test]
@@ -603,5 +559,56 @@ mod tests {
         assert!(ok.contains("load guard OK"), "{ok}");
         let err = guard_check(1.0, base, 0.25).unwrap_err();
         assert_eq!(err.exit_code(), 6, "guard failure is timeout-class: {err}");
+    }
+
+    /// Scrape `/metrics` on a connection of its own and return the value
+    /// of a single-sample family.
+    fn metric(addr: &str, name: &str) -> f64 {
+        let timeout = Duration::from_secs(60);
+        let (status, text) =
+            melreq_serve::http::exchange(addr, "GET", "/metrics", None, timeout).expect("metrics");
+        assert_eq!(status, 200);
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("metric {name} not found in:\n{text}"))
+    }
+
+    #[test]
+    fn both_phases_run_against_an_in_process_server() {
+        let server = melreq_serve::start(melreq_serve::ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 2,
+            queue_cap: 16,
+            response_cache: 64,
+            ..melreq_serve::ServeConfig::default()
+        })
+        .expect("start server");
+        let cfg = LoadConfig {
+            addr: server.addr().to_string(),
+            rps: 20.0,
+            conns: 4,
+            duration_s: 0.5,
+            seed: 42,
+            ..LoadConfig::default()
+        };
+        for spec in PHASES {
+            let before = metric(&cfg.addr, "melreq_connections_total");
+            let p = run_phase(&cfg, spec);
+            // Less the connection of the scrape that reads the count.
+            let opened = metric(&cfg.addr, "melreq_connections_total") - before - 1.0;
+            let t = &p.tally;
+            assert!(p.offered > 1, "{}: the seed offers several arrivals", p.name);
+            assert_eq!(p.sent + t.dropped_at_cutoff, p.offered, "{}", p.name);
+            assert_eq!((t.http_5xx, t.transport_errors), (0, 0), "{}: {t:?}", p.name);
+            assert_eq!(p.stream_hash, stream_hash(&plan_arrivals(&cfg, spec)), "{}", p.name);
+            if spec.keepalive {
+                assert!(t.cache_responses + t.coalesced > 0, "no warm answers: {t:?}");
+                #[allow(clippy::cast_precision_loss, reason = "a connection count is small")]
+                let conns = cfg.conns as f64;
+                assert!(opened <= conns, "{opened} connections opened, at most {conns} kept");
+            }
+        }
+        server.shutdown();
+        server.join();
     }
 }

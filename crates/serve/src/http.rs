@@ -15,7 +15,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 /// Longest accepted head (request line + headers), in bytes.
-const MAX_HEAD: usize = 16 * 1024;
+pub const MAX_HEAD: usize = 16 * 1024;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,8 +39,10 @@ pub struct HttpRequest {
 /// * `Err(_)` — the bytes can never become a valid request (oversized,
 ///   malformed); the connection should answer 400 and close.
 pub fn parse_request(buf: &[u8], max_body: usize) -> Result<Option<(HttpRequest, usize)>, String> {
-    let Some(head_end) = find_head_end(buf) else {
-        if buf.len() > MAX_HEAD {
+    // A head within the cap ends (terminator included) inside this window.
+    let window = &buf[..buf.len().min(MAX_HEAD + 4)];
+    let Some(head_end) = find_head_end(window) else {
+        if window.len() == MAX_HEAD + 4 {
             return Err("request head too large".into());
         }
         return Ok(None);
@@ -316,6 +318,18 @@ mod tests {
         assert!(parse_request(b"POST /run HTTP/1.1\r\nContent-Length: 99\r\n\r\n", 4)
             .unwrap_err()
             .contains("cap"));
+    }
+
+    #[test]
+    fn a_head_over_the_cap_is_rejected_even_when_complete() {
+        let pad = "x".repeat(20 * 1024);
+        let big = format!("GET /healthz HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+        assert!(parse_request(big.as_bytes(), 1024).unwrap_err().contains("too large"));
+        // A head of exactly the cap still parses.
+        let line = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+        let at_cap = format!("{line}{}\r\n\r\n", "x".repeat(MAX_HEAD - line.len()));
+        let (_, n) = parse_request(at_cap.as_bytes(), 1024).unwrap().unwrap();
+        assert_eq!(n, MAX_HEAD + 4);
     }
 
     #[test]
