@@ -113,19 +113,36 @@ pub fn response_bytes(
     body: &str,
     close: bool,
 ) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_response(&mut out, status, content_type, extra_headers, &[body], close);
+    out
+}
+
+/// Append one complete response to `out`, its body the concatenation of
+/// `body`'s pieces: a server writes straight into a connection's buffer,
+/// with no intermediate copy of head or body.
+pub fn write_response(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    extra_headers: &[(&str, String)],
+    body: &[&str],
+    close: bool,
+) {
     let connection = if close { "close" } else { "keep-alive" };
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+    let length: usize = body.iter().map(|piece| piece.len()).sum();
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {length}\r\nConnection: {connection}\r\n",
         reason(status),
-        body.len()
     );
     for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
-    let mut out = head.into_bytes();
-    out.extend_from_slice(body.as_bytes());
-    out
+    out.extend_from_slice(b"\r\n");
+    for piece in body {
+        out.extend_from_slice(piece.as_bytes());
+    }
 }
 
 /// A blocking keep-alive HTTP/1.1 client connection. Requests are

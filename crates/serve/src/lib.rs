@@ -32,7 +32,9 @@
 //!   ([`SimRequest::canonical_bytes`]) answers repeats without touching
 //!   the pool (`"cache":"response"`), and concurrent identical requests
 //!   coalesce onto one in-flight simulation, every follower receiving
-//!   the same report bytes (`"cache":"coalesced"`).
+//!   the same report bytes (`"cache":"coalesced"`). With the cache on,
+//!   the event loop memoizes each body's canonical key per endpoint, so
+//!   a repeated body finds its entry without being decoded again.
 //! * **Graceful drain** — SIGTERM (via [`install_sigterm`]), POST
 //!   `/shutdown`, or [`ServerHandle::shutdown`] stop accepting, finish
 //!   every admitted job, flush every response, and only then let the
@@ -388,6 +390,43 @@ impl ResponseCache {
     }
 }
 
+/// The event loop's memo of (simulation endpoint, raw body) → canonical
+/// key, so a repeated body probes the response cache without a JSON
+/// decode. It holds only bodies that parsed at that endpoint: one body can
+/// be a valid `/compare` and an invalid `/run`. It caches a pure function,
+/// so dropping every entry is always safe, and that is how it stays within
+/// its bounds: `cap` entries (the response cache's capacity; 0 keeps
+/// nothing) and [`MAX_BODY`] bytes of bodies and keys.
+struct KeyMemo {
+    cap: usize,
+    len: usize,
+    bytes: usize,
+    by_endpoint: BTreeMap<&'static str, BTreeMap<String, String>>,
+}
+
+impl KeyMemo {
+    fn new(cap: usize) -> Self {
+        KeyMemo { cap, len: 0, bytes: 0, by_endpoint: BTreeMap::new() }
+    }
+
+    fn get(&self, endpoint: &str, body: &str) -> Option<&str> {
+        self.by_endpoint.get(endpoint)?.get(body).map(String::as_str)
+    }
+
+    fn insert(&mut self, endpoint: &'static str, body: &str, key: &str) {
+        let size = body.len() + key.len();
+        if self.cap == 0 || size > MAX_BODY || self.get(endpoint, body).is_some() {
+            return;
+        }
+        if self.len == self.cap || self.bytes + size > MAX_BODY {
+            *self = KeyMemo::new(self.cap);
+        }
+        self.by_endpoint.entry(endpoint).or_default().insert(body.to_string(), key.to_string());
+        self.len += 1;
+        self.bytes += size;
+    }
+}
+
 struct Shared {
     cfg: ServeConfig,
     session: Session,
@@ -543,6 +582,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
                     conns: BTreeMap::new(),
                     next_token: FIRST_CONN_TOKEN,
                     access_log,
+                    memo: KeyMemo::new(cfg.response_cache),
                 };
                 state.run();
             });
@@ -657,7 +697,9 @@ impl Conn {
 struct ReqTrace {
     id: u64,
     endpoint: &'static str,
-    /// When parsing of this request began (the request's time zero).
+    /// When parsing of this request began (the request's time zero). Its
+    /// parse stage ends once the body is decoded: by a memo lookup, or by
+    /// a JSON parse and a canonical key.
     start: Instant,
     stages: StageTimes,
     /// Cache disposition ("response" for cache hits, worker-reported
@@ -669,9 +711,8 @@ struct ReqTrace {
 }
 
 impl ReqTrace {
-    fn new(id: u64, endpoint: &'static str, start: Instant, parse: Duration) -> Self {
-        let mut stages = StageTimes::default();
-        stages[PARSE] = parse;
+    fn new(id: u64, endpoint: &'static str, start: Instant) -> Self {
+        let stages = StageTimes::default();
         ReqTrace { id, endpoint, start, stages, cache: "none", status: 0, sent_at: None }
     }
 }
@@ -697,6 +738,7 @@ struct EventLoop<'s> {
     /// Open `--access-log` sink (append mode); one JSON line per
     /// finalized simulation request.
     access_log: Option<std::fs::File>,
+    memo: KeyMemo,
 }
 
 impl EventLoop<'_> {
@@ -801,8 +843,12 @@ impl EventLoop<'_> {
                     }
                     Ok(n) => {
                         conn.rbuf.extend_from_slice(&chunk[..n]);
-                        if conn.rbuf.len() > MAX_CONN_BUF {
-                            dead = true;
+                        // A short read took all there was. Epoll is
+                        // level-triggered, so bytes that arrive later, or
+                        // the FIN, are reported again on the next wait: no
+                        // read that can only answer `WouldBlock`.
+                        dead = conn.rbuf.len() > MAX_CONN_BUF;
+                        if dead || n < chunk.len() {
                             break;
                         }
                     }
@@ -850,16 +896,15 @@ impl EventLoop<'_> {
             match http::parse_request(&conn.rbuf, MAX_BODY) {
                 Ok(None) => break,
                 Ok(Some((request, consumed))) => {
-                    let parse = parse_started.elapsed();
                     conn.rbuf.drain(..consumed);
                     if request.close {
                         conn.close_requested = true;
                     }
-                    self.dispatch(token, &request, parse_started, parse);
+                    self.dispatch(token, &request, parse_started);
                 }
                 Err(e) => {
                     let body = error_body(400, "usage", &format!("bad request: {e}"));
-                    self.send_close(token, 400, "application/json", &[], &body);
+                    self.send_close(token, 400, "application/json", &[], &[&body]);
                     break;
                 }
             }
@@ -872,22 +917,16 @@ impl EventLoop<'_> {
         self.flush(token);
     }
 
-    fn dispatch(
-        &mut self,
-        token: u64,
-        request: &http::HttpRequest,
-        started: Instant,
-        parse: Duration,
-    ) {
+    fn dispatch(&mut self, token: u64, request: &http::HttpRequest, started: Instant) {
         let shared = self.shared.clone();
         let Some(at) = ENDPOINTS.iter().position(|(_, path, _)| *path == request.path) else {
             let body = error_body(404, "usage", &format!("unknown endpoint '{}'", request.path));
-            return self.send(token, 404, "application/json", &[], &body);
+            return self.send(token, 404, "application/json", &[], &[&body]);
         };
         let (method, _, endpoint) = ENDPOINTS[at];
         if request.method != method {
             let body = error_body(405, "usage", "method not allowed");
-            return self.send(token, 405, "application/json", &[], &body);
+            return self.send(token, 405, "application/json", &[], &[&body]);
         }
         shared.metrics.requests[at].inc();
         match endpoint {
@@ -896,67 +935,75 @@ impl EventLoop<'_> {
                     "{{\"status\":\"ok\",\"schema_version\":{SCHEMA_VERSION},\"queue_depth\":{}}}",
                     shared.metrics.queue_depth.get()
                 );
-                self.send(token, 200, "application/json", &[], &body);
+                self.send(token, 200, "application/json", &[], &[&body]);
             }
             "metrics" => {
                 let body = shared.metrics.registry.render();
-                self.send(token, 200, "text/plain; version=0.0.4", &[], &body);
+                self.send(token, 200, "text/plain; version=0.0.4", &[], &[&body]);
             }
             "shutdown" => {
                 shared.draining.store(true, Ordering::SeqCst);
-                self.send(token, 200, "application/json", &[], "{\"status\":\"draining\"}");
+                self.send(token, 200, "application/json", &[], &["{\"status\":\"draining\"}"]);
                 self.begin_drain();
             }
             "buildinfo" => {
                 let body = buildinfo_json(&shared.cfg);
-                self.send(token, 200, "application/json", &[], &body);
+                self.send(token, 200, "application/json", &[], &[&body]);
             }
             "policies" => {
                 let body = format!(
                     "{{\"schema_version\":{SCHEMA_VERSION},\"policies\":{}}}",
                     melreq_core::api::registry_json()
                 );
-                self.send(token, 200, "application/json", &[], &body);
+                self.send(token, 200, "application/json", &[], &[&body]);
             }
             _ => {
                 let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
                 // Replacing a not-yet-finalized trace (possible only
                 // when a pipelined response is still flushing) settles
                 // the old one now rather than losing it.
-                let prev = self.conns.get_mut(&token).and_then(|conn| {
-                    conn.trace.replace(ReqTrace::new(id, endpoint, started, parse))
-                });
+                let prev = self
+                    .conns
+                    .get_mut(&token)
+                    .and_then(|conn| conn.trace.replace(ReqTrace::new(id, endpoint, started)));
                 if let Some(t) = prev.filter(|t| t.sent_at.is_some()) {
                     self.finalize_request(t);
                 }
-                match parse_sim_request(&request.body, endpoint) {
-                    Ok(req) => self.admit(token, id, req),
-                    Err(e) => self.send_error(token, &e),
-                }
+                self.admit(token, id, endpoint, &request.body);
             }
         }
     }
 
-    /// Admit one parsed simulation request: response cache, then
+    /// Admit one simulation request body: response cache, then
     /// coalescing, then the pool's queue (or 429 once `queue_cap` jobs
-    /// wait there).
-    fn admit(&mut self, token: u64, id: u64, req: SimRequest) {
+    /// wait there). A body whose key is memoized and cached is answered
+    /// without being decoded; any other is parsed, and its key memoized.
+    fn admit(&mut self, token: u64, id: u64, endpoint: &'static str, body: &str) {
         let shared = self.shared.clone();
-        let key = req.canonical_bytes();
+        let probe = self.memo.get(endpoint, body).map(|key| {
+            let parsed = Instant::now();
+            (parsed, lock(&shared.response_cache).get(key))
+        });
+        if let Some((parsed, Some(report))) = probe {
+            self.end_parse(token, parsed);
+            return self.answer_hit(token, parsed, &report);
+        }
+        let parsed = parse_sim_request(body, endpoint).map(|req| {
+            let key = req.canonical_bytes();
+            (req, key)
+        });
+        let parse_end = Instant::now();
+        self.end_parse(token, parse_end);
+        let (req, key) = match parsed {
+            Ok(parsed) => parsed,
+            Err(e) => return self.send_error(token, &e),
+        };
 
         if shared.cfg.response_cache > 0 {
+            self.memo.insert(endpoint, body, &key);
             let hit = lock(&shared.response_cache).get(&key);
             match hit {
-                Some(report) => {
-                    shared.metrics.cache_hits.inc();
-                    if let Some(t) = self.conns.get_mut(&token).and_then(|conn| conn.trace.as_mut())
-                    {
-                        t.cache = "response";
-                    }
-                    let body = envelope(&report, "response", &shared);
-                    self.send(token, 200, "application/json", &[], &body);
-                    return;
-                }
+                Some(report) => return self.answer_hit(token, parse_end, &report),
                 None => shared.metrics.cache_misses.inc(),
             }
         }
@@ -1001,6 +1048,26 @@ impl EventLoop<'_> {
         }
     }
 
+    /// The parse stage of the request on `token` ended at `at`.
+    fn end_parse(&mut self, token: u64, at: Instant) {
+        if let Some(t) = self.conns.get_mut(&token).and_then(|conn| conn.trace.as_mut()) {
+            t.stages[PARSE] = at.duration_since(t.start);
+        }
+    }
+
+    /// Answer from the response cache. What follows the parse stage, which
+    /// ended at `parsed`, up to the queued response (the cache probe, the
+    /// envelope) is the request's render stage.
+    fn answer_hit(&mut self, token: u64, parsed: Instant, report: &str) {
+        self.shared.metrics.cache_hits.inc();
+        let open = envelope_open("response", &self.shared);
+        if let Some(t) = self.conns.get_mut(&token).and_then(|conn| conn.trace.as_mut()) {
+            t.cache = "response";
+            t.stages[RENDER] = parsed.elapsed();
+        }
+        self.send(token, 200, "application/json", &[], &[&open, report, "}"]);
+    }
+
     /// Deliver every pending worker completion, then let the affected
     /// connections resume parsing pipelined input.
     fn drain_completions(&mut self) {
@@ -1018,7 +1085,7 @@ impl EventLoop<'_> {
                         }
                     }
                 }
-                self.send(c.token, c.status, "application/json", &[], &c.body);
+                self.send(c.token, c.status, "application/json", &[], &[&c.body]);
                 self.advance(c.token);
             }
         }
@@ -1051,19 +1118,20 @@ impl EventLoop<'_> {
             }
             _ => Vec::new(),
         };
-        self.send(token, status, "application/json", &retry_after, &body);
+        self.send(token, status, "application/json", &retry_after, &[&body]);
     }
 
-    /// Queue a response on the connection and flush what the socket
-    /// accepts. The `Connection` header honors the request's
-    /// keep-alive/close choice; during a drain every response closes.
+    /// Queue a response, its body the concatenation of `body`'s pieces, on
+    /// the connection and flush what the socket accepts. The `Connection`
+    /// header honors the request's keep-alive/close choice; during a drain
+    /// every response closes.
     fn send(
         &mut self,
         token: u64,
         status: u16,
         content_type: &str,
         extra_headers: &[(&str, String)],
-        body: &str,
+        body: &[&str],
     ) {
         let draining = self.shared.draining.load(Ordering::SeqCst);
         let Some(conn) = self.conns.get_mut(&token) else { return };
@@ -1075,13 +1143,7 @@ impl EventLoop<'_> {
         }
         let close = conn.close_requested || draining;
         self.shared.metrics.count_response(status);
-        conn.wbuf.extend_from_slice(&http::response_bytes(
-            status,
-            content_type,
-            extra_headers,
-            body,
-            close,
-        ));
+        http::write_response(&mut conn.wbuf, status, content_type, extra_headers, body, close);
         if close {
             conn.close_after_write = true;
         }
@@ -1096,7 +1158,7 @@ impl EventLoop<'_> {
         status: u16,
         content_type: &str,
         extra_headers: &[(&str, String)],
-        body: &str,
+        body: &[&str],
     ) {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.close_requested = true;
@@ -1329,6 +1391,11 @@ fn execute_job(
 /// report verbatim last — `"report":` up to the final `}` is exactly
 /// [`melreq_core::api::SimReport::to_json`]'s bytes.
 fn envelope(report_json: &str, cache: &str, shared: &Shared) -> String {
+    format!("{}{report_json}}}", envelope_open(cache, shared))
+}
+
+/// The envelope up to its report: `{"cache":…,"store":…,"report":`.
+fn envelope_open(cache: &str, shared: &Shared) -> String {
     let store = match shared.session.store() {
         Some(store) => {
             let s = store.stats();
@@ -1339,7 +1406,7 @@ fn envelope(report_json: &str, cache: &str, shared: &Shared) -> String {
         }
         None => "null".to_string(),
     };
-    format!("{{\"cache\":\"{cache}\",\"store\":{store},\"report\":{report_json}}}")
+    format!("{{\"cache\":\"{cache}\",\"store\":{store},\"report\":")
 }
 
 /// The status and body that answer a failed request, and the only place

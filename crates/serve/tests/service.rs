@@ -551,6 +551,255 @@ fn response_cache_serves_repeats_and_evicts_lru_at_tiny_cap() {
     handle.join();
 }
 
+fn cached_server(response_cache: usize) -> ServerHandle {
+    start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_cap: 4,
+        store_dir: None,
+        response_cache,
+        ..ServeConfig::default()
+    })
+    .expect("start server")
+}
+
+/// The `"cache"` field of an answer's envelope ("-" for an error body).
+fn cache_of(answer: &str) -> String {
+    let parsed = Json::parse(answer).unwrap_or_else(|e| panic!("{e}: {answer}"));
+    parsed.get("cache").and_then(Json::as_str).unwrap_or("-").to_string()
+}
+
+/// The event loop memoizes each body's canonical key, and a memoized key
+/// is still the canonical one: another spelling of the mix, or the same
+/// fields in another order, is the same request and hits its entry.
+#[test]
+fn a_memoized_body_keeps_the_canonical_key_contract() {
+    let handle = cached_server(4);
+    let addr = handle.addr().to_string();
+    let lower = run_body("2mem-1", ExperimentOptions::quick());
+    let upper = run_body("2MEM-1", ExperimentOptions::quick());
+    let reordered = r#"{"profile_instructions":10000,"warmup":10000,"instructions":20000,"policy":"me-lreq","mix":"2MEM-1"}"#;
+    let key = |body: &str| SimRequest::from_json(body).expect("parses").canonical_bytes();
+    assert_eq!(key(&lower), key(&upper));
+    assert_eq!(key(&lower), key(reordered), "the three bodies are one request");
+
+    let (status, cold) = post_run(&addr, &lower);
+    assert_eq!(status, 200, "{cold}");
+    assert_eq!(cache_of(&cold), "cold");
+    let report = split_envelope(&cold).expect("an envelope").1;
+    for body in [&lower, &upper, reordered, &lower, &upper, reordered] {
+        let (status, answer) = post_run(&addr, body);
+        assert_eq!(status, 200, "{answer}");
+        assert_eq!(cache_of(&answer), "response", "{body}");
+        assert_eq!(split_envelope(&answer).expect("an envelope").1, report);
+    }
+    assert_eq!(metric_value(&addr, "melreq_simulations_total"), 1.0);
+    assert_eq!(metric_value(&addr, "melreq_serve_cache_hits_total"), 6.0);
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// A body whose key is memoized but whose report the cache has evicted is
+/// simulated again, with the same report bytes. The two bodies that evict
+/// it are padded past the memo's byte bound (the server's 1 MiB body cap,
+/// counted over bodies and keys), so they never enter the memo and leave
+/// its entry in place; they are answered, and repeated, like any other.
+#[test]
+fn a_memoized_body_whose_report_was_evicted_simulates_again() {
+    const MAX_BODY: usize = 1 << 20;
+    let handle = cached_server(2);
+    let addr = handle.addr().to_string();
+    let padded = |mix: &str| {
+        let body = run_body(mix, ExperimentOptions::quick());
+        let pad = MAX_BODY - 16 - body.len();
+        format!("{{{}{}", " ".repeat(pad), &body[1..])
+    };
+    let small = run_body("2MEM-1", ExperimentOptions::quick());
+    let (big_a, big_b) = (padded("2MEM-2"), padded("2MIX-1"));
+
+    let (status, first) = post_run(&addr, &small);
+    assert_eq!((status, cache_of(&first).as_str()), (200, "cold"), "{first}");
+    for big in [&big_a, &big_b] {
+        let (status, answer) = post_run(&addr, big);
+        assert_eq!((status, cache_of(&answer).as_str()), (200, "cold"), "{answer}");
+    }
+    assert!(metric_value(&addr, "melreq_serve_cache_evictions_total") >= 1.0);
+    let (status, again) = post_run(&addr, &small);
+    assert_eq!((status, cache_of(&again).as_str()), (200, "cold"), "evicted: {again}");
+    assert_eq!(split_envelope(&again).map(|e| e.1), split_envelope(&first).map(|e| e.1));
+
+    // A body too large to memoize still finds its report by its key.
+    let (status, repeat) = post_run(&addr, &big_b);
+    assert_eq!((status, cache_of(&repeat).as_str()), (200, "response"), "{repeat}");
+    assert_eq!(metric_value(&addr, "melreq_simulations_total"), 4.0);
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// The memo is per endpoint and holds only bodies that parsed there: a
+/// two-policy body is a valid `/compare` and an invalid `/run`, whichever
+/// the server saw first and however often.
+#[test]
+fn a_two_policy_body_is_refused_at_run_on_every_repeat_and_served_at_compare() {
+    let handle = cached_server(4);
+    let addr = handle.addr().to_string();
+    let multi = SimRequest::new("2MEM-1")
+        .policies(vec![
+            PolicyKind::parse("hf-rf").expect("policy token"),
+            PolicyKind::parse("me-lreq").expect("policy token"),
+        ])
+        .opts(ExperimentOptions::quick())
+        .to_json();
+    let compare =
+        || http::exchange(&addr, "POST", "/compare", Some(&multi), EXCHANGE_TIMEOUT).expect("POST");
+    let refused = || {
+        let (status, answer) = post_run(&addr, &multi);
+        assert_eq!(status, 400, "{answer}");
+        assert!(answer.contains("exactly one policy"), "{answer}");
+    };
+    refused();
+    refused();
+    for round in 0..3 {
+        let (status, answer) = compare();
+        assert_eq!(status, 200, "{answer}");
+        assert_eq!(cache_of(&answer) == "response", round > 0, "{answer}");
+        refused();
+    }
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// A response hit's lifecycle is parse (the body decoded by a memo lookup),
+/// render (cache probe and envelope) and flush: its stages add up to its
+/// total, as a miss's stay within theirs.
+#[test]
+fn a_response_hits_stages_add_up_to_its_total_in_the_access_log() {
+    let dir = std::env::temp_dir().join(format!("melreq-hitstages-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("test dir");
+    let log = dir.join("access.jsonl");
+    let handle = start(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_cap: 4,
+        store_dir: None,
+        response_cache: 2,
+        access_log: Some(log.clone()),
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let addr = handle.addr().to_string();
+    let body = run_body("2MEM-1", ExperimentOptions::quick());
+    for _ in 0..3 {
+        assert_eq!(post_run(&addr, &body).0, 200);
+    }
+    handle.shutdown();
+    handle.join();
+
+    let text = std::fs::read_to_string(&log).expect("access log written");
+    let lines: Vec<Json> = text.lines().map(|l| Json::parse(l).expect("a JSON line")).collect();
+    let caches: Vec<_> = lines.iter().map(|l| l.get("cache").and_then(Json::as_str)).collect();
+    assert_eq!(caches, [Some("cold"), Some("response"), Some("response")], "{text}");
+    for line in &lines {
+        let us = |key: &str| line.get(key).and_then(Json::as_u64).expect(key);
+        let stages: u64 =
+            ["parse_us", "queue_us", "execute_us", "render_us", "flush_us"].map(us).iter().sum();
+        assert!(stages <= us("total_us"), "stages are disjoint: {text}");
+        if line.get("cache").and_then(Json::as_str) == Some("response") {
+            assert_eq!((us("queue_us"), us("execute_us")), (0, 0), "{text}");
+            assert!(us("total_us") - stages <= 1000, "a hit's stages are its total: {text}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Read `n` whole `Content-Length`-framed responses from `stream`.
+fn read_responses(stream: &mut std::net::TcpStream, n: usize) -> Vec<(u16, String)> {
+    use std::io::Read;
+    let (mut buf, mut out, mut chunk) = (Vec::new(), Vec::new(), [0u8; 4096]);
+    while out.len() < n {
+        if let Some(at) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = std::str::from_utf8(&buf[..at]).expect("utf-8 head").to_string();
+            let length: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no length: {head}"));
+            if buf.len() >= at + 4 + length {
+                let status = head[9..12].parse().expect("a status");
+                let body = String::from_utf8(buf[at + 4..at + 4 + length].to_vec()).expect("utf-8");
+                out.push((status, body));
+                buf.drain(..at + 4 + length);
+                continue;
+            }
+        }
+        let got = stream.read(&mut chunk).expect("read");
+        assert!(got > 0, "closed after {} of {n} responses", out.len());
+        buf.extend_from_slice(&chunk[..got]);
+    }
+    assert!(buf.is_empty(), "bytes past the last response");
+    out
+}
+
+/// The event loop stops reading at the first short read and leaves the
+/// rest to level-triggered epoll, which reports bytes that come later, or
+/// the FIN, on its next wait. A head and its body 20 ms apart, two
+/// requests in one write, and a request followed at once by the client's
+/// FIN are all answered, and the last connection is then closed.
+#[test]
+fn requests_are_answered_however_their_bytes_arrive() {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpStream};
+    let handle = cached_server(4);
+    let addr = handle.addr().to_string();
+    let request = |mix: &str| {
+        let body = run_body(mix, ExperimentOptions::quick());
+        let head =
+            format!("POST /run HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n", body.len());
+        (head, body)
+    };
+    let connect = || {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        stream.set_read_timeout(Some(EXCHANGE_TIMEOUT)).expect("timeout");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+    };
+    let (head, body) = request("2MEM-1");
+
+    let mut split = connect();
+    split.write_all(head.as_bytes()).expect("write head");
+    std::thread::sleep(Duration::from_millis(20));
+    split.write_all(body.as_bytes()).expect("write body");
+    let answers = read_responses(&mut split, 1);
+    assert_eq!((answers[0].0, cache_of(&answers[0].1).as_str()), (200, "cold"), "{answers:?}");
+
+    let mut pipelined = connect();
+    let health = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    pipelined.write_all(format!("{head}{body}{health}").as_bytes()).expect("pipelined write");
+    let answers = read_responses(&mut pipelined, 2);
+    assert_eq!((answers[0].0, cache_of(&answers[0].1).as_str()), (200, "response"));
+    assert_eq!(answers[1].0, 200);
+    assert!(answers[1].1.contains("\"status\":\"ok\""), "in order: {answers:?}");
+
+    let (head, body) = request("2MEM-2");
+    let mut fin = connect();
+    fin.write_all(format!("{head}{body}").as_bytes()).expect("write");
+    fin.shutdown(Shutdown::Write).expect("shutdown(Write)");
+    let answers = read_responses(&mut fin, 1);
+    assert_eq!((answers[0].0, cache_of(&answers[0].1).as_str()), (200, "cold"), "{answers:?}");
+    assert_eq!(fin.read(&mut [0u8; 1]).expect("read to EOF"), 0, "answered, then closed");
+
+    drop((split, pipelined, fin));
+    // The scrape's own connection is the only one left open.
+    await_metric(&addr, "melreq_open_connections", |v| v == 1.0);
+
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn sequential_cached_hits_on_one_client_connection_do_not_wait_for_delayed_acks() {
     let handle = start(ServeConfig {
