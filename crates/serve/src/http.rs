@@ -4,11 +4,12 @@
 //! ([`ClientConn`]) used by `melreq client`, `melreq loadbench`, and
 //! the service tests.
 //!
-//! Scope: `Content-Length` bodies only (no chunked encoding), bounded
-//! header and body sizes, `Connection: close` honored in both
-//! directions. That is exactly the profile the service speaks, and
-//! keeping the codec this small is what lets the workspace stay
-//! dependency-free.
+//! Scope: `Content-Length` bodies only (a request naming any
+//! `Transfer-Encoding`, or two differing lengths, is refused rather than
+//! framed one way of two), bounded header and body sizes,
+//! `Connection: close` honored in both directions. That is exactly the
+//! profile the service speaks, and keeping the codec this small is what
+//! lets the workspace stay dependency-free.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -37,7 +38,9 @@ pub struct HttpRequest {
 /// * `Ok(Some((req, n)))` — a full request occupying the first `n`
 ///   bytes (the caller consumes them; pipelined successors may follow).
 /// * `Err(_)` — the bytes can never become a valid request (oversized,
-///   malformed); the connection should answer 400 and close.
+///   malformed, or framed ambiguously: a `Transfer-Encoding`, differing
+///   `Content-Length`s, a length that is not all digits); the connection
+///   should answer 400 and close, as its next request cannot be found.
 pub fn parse_request(buf: &[u8], max_body: usize) -> Result<Option<(HttpRequest, usize)>, String> {
     // A head within the cap ends (terminator included) inside this window.
     let window = &buf[..buf.len().min(MAX_HEAD + 4)];
@@ -55,22 +58,29 @@ pub fn parse_request(buf: &[u8], max_body: usize) -> Result<Option<(HttpRequest,
     let method = parts.next().ok_or("empty request line")?.to_string();
     let path = parts.next().ok_or("request line missing target")?.to_string();
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut close = false;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
+            let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad content-length '{}'", value.trim()))?;
-            } else if name.eq_ignore_ascii_case("connection")
-                && value.trim().eq_ignore_ascii_case("close")
+                let length = Some(value)
+                    .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .ok_or_else(|| format!("bad content-length '{value}'"))?;
+                if content_length.is_some_and(|seen| seen != length) {
+                    return Err("conflicting content-length headers".into());
+                }
+                content_length = Some(length);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(format!("unsupported transfer-encoding '{value}'"));
+            } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close")
             {
                 close = true;
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(format!("body of {content_length} bytes exceeds the {max_body}-byte cap"));
     }
@@ -335,6 +345,39 @@ mod tests {
         assert!(parse_request(b"POST /run HTTP/1.1\r\nContent-Length: 99\r\n\r\n", 4)
             .unwrap_err()
             .contains("cap"));
+    }
+
+    /// A request framed two ways would be read one way here and another by
+    /// a proxy in front, and its leftover bytes taken for the next request:
+    /// refuse it instead (RFC 9112 §6.1, §6.3).
+    #[test]
+    fn ambiguous_framing_is_refused() {
+        let parse = |headers: &str| {
+            let req =
+                format!("POST /run HTTP/1.1\r\n{headers}\r\n{{}}GET /healthz HTTP/1.1\r\n\r\n");
+            parse_request(req.as_bytes(), 1024)
+        };
+        for (headers, why) in [
+            ("Content-Length: 2\r\nContent-Length: 30\r\n", "conflicting"),
+            ("Content-Length: 30\r\ncontent-length: 2\r\n", "conflicting"),
+            ("Transfer-Encoding: chunked\r\nContent-Length: 2\r\n", "transfer-encoding"),
+            ("Content-Length: 2\r\nTransfer-Encoding: identity\r\n", "transfer-encoding"),
+            ("Content-Length: +2\r\n", "bad content-length '+2'"),
+            ("Content-Length: 2 2\r\n", "bad content-length"),
+            ("Content-Length: 0x2\r\n", "bad content-length"),
+            ("Content-Length:\r\n", "bad content-length ''"),
+            ("Content-Length: 99999999999999999999999\r\n", "bad content-length"),
+        ] {
+            let err = parse(headers).expect_err(headers);
+            assert!(err.contains(why), "{headers:?}: {err}");
+        }
+        // Identical repeats frame the body one way only, and may stay.
+        let (req, n) = parse("Content-Length: 2\r\nContent-Length: 02\r\n").unwrap().unwrap();
+        assert_eq!(req.body, "{}");
+        assert_eq!(
+            n,
+            "POST /run HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 02\r\n\r\n{}".len()
+        );
     }
 
     #[test]

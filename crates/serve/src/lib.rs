@@ -16,8 +16,10 @@
 //! HTTP/1.1 keep-alive, pipelined request parsing on a reusable
 //! per-connection buffer, and idle-connection timeouts; only the
 //! simulations themselves run on worker threads: the loop is the seeder
-//! of a [`melreq_exec`] job pool, whose jobs hand finished responses back
-//! to it through a completion queue and a pipe-based waker.
+//! of a [`melreq_exec`] job pool, and each job hands its one outcome (a
+//! rendered report or an error) back through a completion queue and a
+//! pipe-based waker. The loop owns every answer: the response cache, the
+//! in-flight registry and request ids are its own state, behind no lock.
 //!
 //! Robustness model:
 //!
@@ -30,9 +32,10 @@
 //! * **Caching + coalescing** — an opt-in LRU response cache keyed by
 //!   the canonical schema-versioned request bytes
 //!   ([`SimRequest::canonical_bytes`]) answers repeats without touching
-//!   the pool (`"cache":"response"`), and concurrent identical requests
-//!   coalesce onto one in-flight simulation, every follower receiving
-//!   the same report bytes (`"cache":"coalesced"`). With the cache on,
+//!   the pool (`"cache":"response"`), and identical requests arriving
+//!   before the loop has answered the first coalesce onto its simulation,
+//!   every follower receiving the same report bytes
+//!   (`"cache":"coalesced"`) or the same error. With the cache on,
 //!   the event loop memoizes each body's canonical key per endpoint, so
 //!   a repeated body finds its entry without being decoded again.
 //! * **Graceful drain** — SIGTERM (via [`install_sigterm`]), POST
@@ -65,7 +68,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -188,12 +191,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// One admitted simulation, owned by a pool job. The connection is
-/// referenced by token only — the event loop keeps the socket.
+/// One admitted simulation, owned by a pool job. It names no connection:
+/// the event loop keeps who waits on `key`.
 struct Job {
-    token: u64,
-    /// Request id (process-wide, monotonically assigned at dispatch) —
-    /// threads the connection's lifecycle trace through the worker.
+    /// Request id (monotonically assigned at dispatch) — threads the
+    /// leader's lifecycle trace through the worker.
     id: u64,
     /// Canonical identity bytes ([`SimRequest::canonical_bytes`]) — the
     /// coalescing and response-cache key.
@@ -204,18 +206,13 @@ struct Job {
     queued_at: Instant,
 }
 
-/// A finished job (or error), handed from a worker back to the event
-/// loop for delivery. The worker's stage durations ride along so the loop
-/// can add them to the connection's request trace; followers coalesced
-/// onto a successful run carry zeros (they did no work of their own).
-#[derive(Clone)]
+/// A finished job, handed from a worker back to the event loop: the
+/// rendered report and its cache disposition ("cold"/"warm"/"partial"),
+/// or the error. The worker's stage durations ride along for the leader's
+/// request trace; followers did no work of their own and carry none.
 struct Completion {
-    token: u64,
-    status: u16,
-    body: String,
-    /// Cache disposition for the access log ("cold"/"warm"/"partial",
-    /// "coalesced", or "none" on errors).
-    cache: &'static str,
+    key: String,
+    outcome: Result<(Arc<String>, &'static str), MelreqError>,
     stages: StageTimes,
 }
 
@@ -427,47 +424,28 @@ impl KeyMemo {
     }
 }
 
+/// What the event loop and the workers both read.
 struct Shared {
     cfg: ServeConfig,
     session: Session,
     draining: AtomicBool,
     metrics: Metrics,
-    response_cache: Mutex<ResponseCache>,
-    /// In-flight coalescing registry: canonical request bytes → tokens
-    /// of follower connections waiting on the leader's run. An entry
-    /// exists exactly while a job for that key is queued or executing.
-    coalesce: Mutex<BTreeMap<String, Vec<u64>>>,
     /// Finished jobs awaiting delivery by the event loop.
     completions: Mutex<VecDeque<Completion>>,
-    /// Jobs admitted to the pool whose completions have not been
-    /// published yet (drain barrier).
-    jobs_outstanding: AtomicUsize,
-    /// Monotonic request-id source for `/run`//`compare` lifecycle
-    /// traces (ids start at 1; 0 never appears in a log line).
-    next_request_id: AtomicU64,
     waker: WakeHandle,
 }
 
 impl Shared {
     fn new(cfg: ServeConfig, session: Session, metrics: Metrics, waker: WakeHandle) -> Self {
-        Shared {
-            response_cache: Mutex::new(ResponseCache::new(cfg.response_cache)),
-            cfg,
-            session,
-            draining: AtomicBool::new(false),
-            metrics,
-            coalesce: Mutex::new(BTreeMap::new()),
-            completions: Mutex::new(VecDeque::new()),
-            jobs_outstanding: AtomicUsize::new(0),
-            next_request_id: AtomicU64::new(0),
-            waker,
-        }
+        let draining = AtomicBool::new(false);
+        let completions = Mutex::new(VecDeque::new());
+        Shared { cfg, session, draining, metrics, completions, waker }
     }
 }
 
-/// The data behind the server's locks stays whole when a holder panics
-/// (each critical section is one push, pop, insert or remove on a std
-/// collection), so a poisoned lock is taken as it is.
+/// The completion queue stays whole when a holder of its lock panics
+/// (each critical section is one push or pop on a std collection), so a
+/// poisoned lock is taken as it is.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -581,8 +559,11 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
                     listener: Some(listener),
                     conns: BTreeMap::new(),
                     next_token: FIRST_CONN_TOKEN,
+                    next_request_id: 0,
                     access_log,
+                    cache: ResponseCache::new(cfg.response_cache),
                     memo: KeyMemo::new(cfg.response_cache),
+                    inflight: BTreeMap::new(),
                 };
                 state.run();
             });
@@ -735,10 +716,19 @@ struct EventLoop<'s> {
     listener: Option<TcpListener>,
     conns: BTreeMap<u64, Conn>,
     next_token: u64,
+    /// Last `/run`//`compare` request id handed out (ids start at 1; 0
+    /// never appears in a log line).
+    next_request_id: u64,
     /// Open `--access-log` sink (append mode); one JSON line per
     /// finalized simulation request.
     access_log: Option<std::fs::File>,
+    cache: ResponseCache,
     memo: KeyMemo,
+    /// Canonical key → tokens of the connections waiting on its job,
+    /// leader first. An entry lives from the job's admission until the
+    /// loop answers its completion, so an empty map means every
+    /// completion has been delivered.
+    inflight: BTreeMap<String, Vec<u64>>,
 }
 
 impl EventLoop<'_> {
@@ -800,9 +790,7 @@ impl EventLoop<'_> {
 
     /// All admitted work answered and flushed?
     fn drained(&self) -> bool {
-        self.shared.jobs_outstanding.load(Ordering::SeqCst) == 0
-            && lock(&self.shared.completions).is_empty()
-            && self.conns.values().all(|c| c.wbuf.is_empty() && !c.busy)
+        self.inflight.is_empty() && self.conns.values().all(|c| c.wbuf.is_empty())
     }
 
     fn accept_ready(&mut self) {
@@ -958,7 +946,8 @@ impl EventLoop<'_> {
                 self.send(token, 200, "application/json", &[], &[&body]);
             }
             _ => {
-                let id = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
+                self.next_request_id += 1;
+                let id = self.next_request_id;
                 // Replacing a not-yet-finalized trace (possible only
                 // when a pipelined response is still flushing) settles
                 // the old one now rather than losing it.
@@ -980,10 +969,7 @@ impl EventLoop<'_> {
     /// without being decoded; any other is parsed, and its key memoized.
     fn admit(&mut self, token: u64, id: u64, endpoint: &'static str, body: &str) {
         let shared = self.shared.clone();
-        let probe = self.memo.get(endpoint, body).map(|key| {
-            let parsed = Instant::now();
-            (parsed, lock(&shared.response_cache).get(key))
-        });
+        let probe = self.memo.get(endpoint, body).map(|key| (Instant::now(), self.cache.get(key)));
         if let Some((parsed, Some(report))) = probe {
             self.end_parse(token, parsed);
             return self.answer_hit(token, parsed, &report);
@@ -1001,48 +987,34 @@ impl EventLoop<'_> {
 
         if shared.cfg.response_cache > 0 {
             self.memo.insert(endpoint, body, &key);
-            let hit = lock(&shared.response_cache).get(&key);
-            match hit {
+            match self.cache.get(&key) {
                 Some(report) => return self.answer_hit(token, parse_end, &report),
                 None => shared.metrics.cache_misses.inc(),
             }
         }
 
-        {
-            let mut coalesce = lock(&shared.coalesce);
-            if let Some(waiters) = coalesce.get_mut(&key) {
-                waiters.push(token);
-                drop(coalesce);
-                shared.metrics.inflight_requests.inc();
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.busy = true;
-                }
-                return;
+        if let Some(waiting) = self.inflight.get_mut(&key) {
+            waiting.push(token);
+        } else {
+            // Only this thread raises the depth, so the bound cannot be
+            // overrun between the check and the increment.
+            let queued = usize::try_from(shared.metrics.queue_depth.get()).unwrap_or(0);
+            if queued >= shared.cfg.queue_cap || shared.draining.load(Ordering::SeqCst) {
+                return self
+                    .send_error(token, &MelreqError::Overload { retry_after_s: RETRY_AFTER_S });
             }
+            let timeout_ms = req.timeout_ms.or(shared.cfg.default_timeout_ms);
+            let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+            self.inflight.insert(key.clone(), vec![token]);
+            shared.metrics.queue_depth.inc();
+            let job = Job { id, key, req, deadline, queued_at: Instant::now() };
+            // One priority for every job: the pool starts them in
+            // admission order.
+            self.scope.submit(0, move |_| {
+                execute_job(job, &shared, |req, ctl| shared.session.run(req, ctl));
+            });
         }
-
-        let timeout_ms = req.timeout_ms.or(shared.cfg.default_timeout_ms);
-        let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-        // Only this thread raises the depth, so the bound cannot be
-        // overrun between the check and the increment.
-        let waiting = usize::try_from(shared.metrics.queue_depth.get()).unwrap_or(0);
-        if waiting >= shared.cfg.queue_cap || shared.draining.load(Ordering::SeqCst) {
-            self.send_error(token, &MelreqError::Overload { retry_after_s: RETRY_AFTER_S });
-            return;
-        }
-        // Publish the coalescing entry before the job becomes visible:
-        // a worker finishing the job resolves the entry, so it must
-        // exist first.
-        lock(&shared.coalesce).insert(key.clone(), Vec::new());
-        shared.jobs_outstanding.fetch_add(1, Ordering::SeqCst);
-        shared.metrics.queue_depth.inc();
-        shared.metrics.inflight_requests.inc();
-        let job = Job { token, id, key, req, deadline, queued_at: Instant::now() };
-        // One priority for every job: the pool starts them in admission
-        // order.
-        self.scope.submit(0, move |_| {
-            execute_job(job, &shared, |req, ctl| shared.session.run(req, ctl));
-        });
+        self.shared.metrics.inflight_requests.inc();
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.busy = true;
         }
@@ -1056,37 +1028,71 @@ impl EventLoop<'_> {
     }
 
     /// Answer from the response cache. What follows the parse stage, which
-    /// ended at `parsed`, up to the queued response (the cache probe, the
-    /// envelope) is the request's render stage.
+    /// ended at `parsed`, up to the answer (the cache probe) is the
+    /// request's render stage.
     fn answer_hit(&mut self, token: u64, parsed: Instant, report: &str) {
         self.shared.metrics.cache_hits.inc();
-        let open = envelope_open("response", &self.shared);
-        if let Some(t) = self.conns.get_mut(&token).and_then(|conn| conn.trace.as_mut()) {
-            t.cache = "response";
-            t.stages[RENDER] = parsed.elapsed();
-        }
-        self.send(token, 200, "application/json", &[], &[&open, report, "}"]);
+        let mut stages = StageTimes::default();
+        stages[RENDER] = parsed.elapsed();
+        self.answer(token, "response", stages, Ok(report));
     }
 
-    /// Deliver every pending worker completion, then let the affected
-    /// connections resume parsing pipelined input.
+    /// Answer the simulation request on `token` with a report, in an
+    /// envelope saying `cache`, or with an error's status and body; add
+    /// `stages` to its trace.
+    fn answer(
+        &mut self,
+        token: u64,
+        cache: &'static str,
+        stages: StageTimes,
+        body: Result<&str, &(u16, String)>,
+    ) {
+        if let Some(t) = self.conns.get_mut(&token).and_then(|conn| conn.trace.as_mut()) {
+            t.cache = cache;
+            for (mine, theirs) in t.stages.iter_mut().zip(stages) {
+                *mine += theirs;
+            }
+        }
+        match body {
+            Ok(report) => {
+                let open = envelope_open(cache, &self.shared);
+                self.send(token, 200, "application/json", &[], &[&open, report, "}"]);
+            }
+            Err((status, error)) => self.send(token, *status, "application/json", &[], &[error]),
+        }
+    }
+
+    /// Deliver every finished job to the connections waiting on its key,
+    /// leader first: a report enters the response cache before anyone is
+    /// answered, and an error is rendered (and counted) once. Then let
+    /// those connections resume parsing pipelined input.
     fn drain_completions(&mut self) {
         loop {
             let completion = lock(&self.shared.completions).pop_front();
-            let Some(c) = completion else { break };
-            self.shared.metrics.inflight_requests.dec();
-            if self.conns.contains_key(&c.token) {
-                if let Some(conn) = self.conns.get_mut(&c.token) {
-                    conn.busy = false;
-                    if let Some(t) = conn.trace.as_mut() {
-                        t.cache = c.cache;
-                        for (mine, workers) in t.stages.iter_mut().zip(c.stages) {
-                            *mine += workers;
-                        }
-                    }
+            let Some(Completion { key, outcome, stages }) = completion else { break };
+            let waiting = self.inflight.remove(&key).unwrap_or_default();
+            let m = &self.shared.metrics;
+            let (leader_cache, body) = match outcome {
+                Ok((report, cache)) => {
+                    m.coalesced.add(waiting.len().saturating_sub(1) as u64);
+                    // A disabled cache (capacity 0) keeps nothing and evicts 0.
+                    m.cache_evictions.add(self.cache.insert(key, report.clone()));
+                    (cache, Ok(report))
                 }
-                self.send(c.token, c.status, "application/json", &[], &[&c.body]);
-                self.advance(c.token);
+                Err(err) => ("none", Err(error_response(&err, m))),
+            };
+            for (i, token) in waiting.into_iter().enumerate() {
+                self.shared.metrics.inflight_requests.dec();
+                let (cache, stages) = match (i, &body) {
+                    (0, _) => (leader_cache, stages),
+                    (_, Ok(_)) => ("coalesced", StageTimes::default()),
+                    (_, Err(_)) => ("none", StageTimes::default()),
+                };
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.busy = false;
+                }
+                self.answer(token, cache, stages, body.as_ref().map(|report| report.as_str()));
+                self.advance(token);
             }
         }
     }
@@ -1287,111 +1293,69 @@ fn parse_sim_request(body: &str, endpoint: &str) -> Result<SimRequest, MelreqErr
 }
 
 /// Run one job (`run` is [`Session::run`]; the containment test passes a
-/// closure that panics), resolve its coalescing entry, and publish a
-/// completion for the leader plus every coalesced follower. A run that
-/// panics is answered like any other failed run — a 500 naming the
-/// request — and a poisoned lock is taken as it is, so nothing unwinds
-/// out of here: a job that did would drain the whole pool. No lock is
-/// held across `run`.
+/// closure that panics), render its report, and publish its one
+/// completion. A run that panics fails like any other run — an error
+/// naming the request, answered 500 — and a poisoned lock is taken as it
+/// is, so nothing unwinds out of here: a job that did would drain the
+/// whole pool. No lock is held across `run`.
 fn execute_job(
     job: Job,
     shared: &Shared,
     run: impl FnOnce(&SimRequest, &RunControl) -> Result<SimReport, MelreqError>,
 ) {
-    let Job { token, id, key, req, deadline, queued_at } = job;
+    let Job { id, key, req, deadline, queued_at } = job;
     shared.metrics.queue_depth.dec();
     let mut stages = StageTimes::default();
     stages[QUEUE] = queued_at.elapsed();
     stage_record(QUEUE, id, queued_at, stages[QUEUE]);
     // A deadline that expired while the job sat in the queue is still a
     // timeout — the simulation is simply never started.
-    let outcome: Result<(Arc<String>, &'static str), MelreqError> =
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            Err(MelreqError::Timeout(
-                "request deadline expired while queued; the run was not started".to_string(),
-            ))
-        } else {
-            let ctl = RunControl {
-                cancel: deadline.map(CancelToken::with_deadline),
-                max_cycles: None,
-                threads: None,
-            };
-            let exec_started = Instant::now();
-            let ran = {
-                let _sp = stage_span(EXECUTE, id);
-                catch_unwind(AssertUnwindSafe(|| run(&req, &ctl))).unwrap_or_else(|payload| {
-                    shared.metrics.worker_panics.inc();
-                    let what = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("a non-string panic payload");
-                    Err(MelreqError::Divergence(format!("request #{id} panicked: {what}")))
-                })
-            };
-            stages[EXECUTE] = exec_started.elapsed();
-            ran.map(|report| {
-                let cycles = report.policies.iter().map(|p| p.result.sim_cycles);
-                shared.metrics.sim_cycles.add(cycles.fold(0, u64::saturating_add));
-                shared.metrics.simulations.inc();
-                let cache_status = if report.all_warm() {
-                    "warm"
-                } else if report.any_warm() {
-                    "partial"
-                } else {
-                    "cold"
-                };
-                let render_started = Instant::now();
-                let report_json = {
-                    let _sp = stage_span(RENDER, id);
-                    Arc::new(report.to_json())
-                };
-                stages[RENDER] = render_started.elapsed();
-                // A disabled cache (capacity 0) keeps nothing and evicts 0.
-                let evicted = lock(&shared.response_cache).insert(key.clone(), report_json.clone());
-                shared.metrics.cache_evictions.add(evicted);
-                (report_json, cache_status)
+    let outcome = if deadline.is_some_and(|d| Instant::now() >= d) {
+        Err(MelreqError::Timeout(
+            "request deadline expired while queued; the run was not started".to_string(),
+        ))
+    } else {
+        let ctl = RunControl {
+            cancel: deadline.map(CancelToken::with_deadline),
+            max_cycles: None,
+            threads: None,
+        };
+        let exec_started = Instant::now();
+        let ran = {
+            let _sp = stage_span(EXECUTE, id);
+            catch_unwind(AssertUnwindSafe(|| run(&req, &ctl))).unwrap_or_else(|payload| {
+                shared.metrics.worker_panics.inc();
+                let what = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("a non-string panic payload");
+                Err(MelreqError::Divergence(format!("request #{id} panicked: {what}")))
             })
         };
-
-    // Resolve the coalescing entry before publishing: requests arriving
-    // after this point either hit the response cache or start a fresh
-    // run — they can no longer join this one.
-    let waiters = lock(&shared.coalesce).remove(&key).unwrap_or_default();
-
-    let (status, body, cache) = match &outcome {
-        Ok((report_json, cache_status)) => {
-            (200, envelope(report_json, cache_status, shared), *cache_status)
-        }
-        Err(err) => {
-            let (status, body) = error_response(err, &shared.metrics);
-            (status, body, "none")
-        }
+        stages[EXECUTE] = exec_started.elapsed();
+        ran.map(|report| {
+            let cycles = report.policies.iter().map(|p| p.result.sim_cycles);
+            shared.metrics.sim_cycles.add(cycles.fold(0, u64::saturating_add));
+            shared.metrics.simulations.inc();
+            let cache_status = if report.all_warm() {
+                "warm"
+            } else if report.any_warm() {
+                "partial"
+            } else {
+                "cold"
+            };
+            let render_started = Instant::now();
+            let report_json = {
+                let _sp = stage_span(RENDER, id);
+                Arc::new(report.to_json())
+            };
+            stages[RENDER] = render_started.elapsed();
+            (report_json, cache_status)
+        })
     };
-    let mut batch = vec![Completion { token, status, body, cache, stages }];
-    if !waiters.is_empty() {
-        // A follower of a failed run is told what its leader is told; a
-        // follower of a successful one gets the same report bytes, marked
-        // coalesced, with no stage time of its own.
-        let mut follower = batch[0].clone();
-        if let Ok((report_json, _)) = &outcome {
-            shared.metrics.coalesced.add(waiters.len() as u64);
-            follower.body = envelope(report_json, "coalesced", shared);
-            follower.cache = "coalesced";
-            follower.stages = StageTimes::default();
-        }
-        batch.extend(waiters.into_iter().map(|token| Completion { token, ..follower.clone() }));
-    }
-    lock(&shared.completions).extend(batch);
-    shared.jobs_outstanding.fetch_sub(1, Ordering::SeqCst);
+    lock(&shared.completions).push_back(Completion { key, outcome, stages });
     shared.waker.wake();
-}
-
-/// The response envelope: provenance fields first, the deterministic
-/// report verbatim last — `"report":` up to the final `}` is exactly
-/// [`melreq_core::api::SimReport::to_json`]'s bytes.
-fn envelope(report_json: &str, cache: &str, shared: &Shared) -> String {
-    format!("{}{report_json}}}", envelope_open(cache, shared))
 }
 
 /// The envelope up to its report: `{"cache":…,"store":…,"report":`.
@@ -1480,25 +1444,34 @@ mod tests {
     use melreq_core::api::PolicyKind;
     use melreq_core::experiment::ExperimentOptions;
 
-    /// What the event loop leaves behind when it admits request `id` as the
-    /// leader (token 10) of `followers`: the coalescing entry, the counts
-    /// and the job.
-    fn admit(shared: &Shared, req: &SimRequest, id: u64, followers: Vec<u64>) -> Job {
-        let key = req.canonical_bytes();
-        shared.coalesce.lock().unwrap().insert(key.clone(), followers);
-        shared.jobs_outstanding.fetch_add(1, Ordering::SeqCst);
+    /// What the event loop leaves behind when it admits request `id`: the
+    /// queue count and the job.
+    fn admit(shared: &Shared, req: &SimRequest, id: u64) -> Job {
         shared.metrics.queue_depth.inc();
-        Job { token: 10, id, key, req: req.clone(), deadline: None, queued_at: Instant::now() }
+        let key = req.canonical_bytes();
+        Job { id, key, req: req.clone(), deadline: None, queued_at: Instant::now() }
     }
 
-    fn published(shared: &Shared) -> Vec<Completion> {
-        lock(&shared.completions).drain(..).collect()
+    /// The one completion the last job published, as its leader is
+    /// answered: status, and the report bytes or the error's message.
+    fn published(shared: &Shared) -> (u16, String) {
+        let mut completions = lock(&shared.completions);
+        assert_eq!(completions.len(), 1, "a job publishes exactly one completion");
+        let c = completions.pop_front().expect("one completion");
+        assert_eq!(c.key, quick_request().canonical_bytes());
+        match c.outcome {
+            Ok((report, _)) => (200, report.to_string()),
+            Err(err) => (err.http_status(), err.to_string()),
+        }
     }
 
     fn quick_request() -> SimRequest {
         SimRequest::new("2MEM-1").policy(PolicyKind::MeLreq).opts(ExperimentOptions::quick())
     }
 
+    /// A panicking run publishes one failed completion, which the event
+    /// loop answers 500 to everyone waiting on its key (the fan-out is
+    /// `tests/service.rs`'s), and the worker takes the next job.
     #[test]
     fn a_panicking_run_answers_500_to_everyone_waiting_and_the_worker_serves_the_next_job() {
         let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
@@ -1506,34 +1479,25 @@ mod tests {
             Shared::new(ServeConfig::default(), Session::new(), Metrics::new(), wake_handle);
         let req = quick_request();
 
-        execute_job(admit(&shared, &req, 7, vec![11, 12]), &shared, |_, _| {
-            panic!("boom at decision 3")
-        });
-        let answers = published(&shared);
-        assert_eq!(answers.iter().map(|c| c.token).collect::<Vec<_>>(), [10, 11, 12]);
-        for c in &answers {
-            assert_eq!(c.status, 500, "{}", c.body);
-            assert!(c.body.contains("request #7 panicked: boom at decision 3"), "{}", c.body);
-        }
+        execute_job(admit(&shared, &req, 7), &shared, |_, _| panic!("boom at decision 3"));
+        let (status, message) = published(&shared);
+        assert_eq!(status, 500, "{message}");
+        assert!(message.contains("request #7 panicked: boom at decision 3"), "{message}");
         assert_eq!(shared.metrics.worker_panics.get(), 1);
-        assert!(shared.coalesce.lock().unwrap().is_empty(), "the entry must be resolved");
-        assert_eq!(shared.jobs_outstanding.load(Ordering::SeqCst), 0, "or a drain never ends");
+        assert_eq!(shared.metrics.queue_depth.get(), 0);
 
         // Same thread, same shared state, next job: a real run.
-        execute_job(admit(&shared, &req, 8, vec![]), &shared, |req, ctl| {
-            shared.session.run(req, ctl)
-        });
-        let answers = published(&shared);
-        assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0].status, 200, "{}", answers[0].body);
+        execute_job(admit(&shared, &req, 8), &shared, |req, ctl| shared.session.run(req, ctl));
+        let (status, report) = published(&shared);
+        assert_eq!(status, 200, "{report}");
+        assert_eq!(report, Session::new().run(&req, &RunControl::default()).unwrap().to_json());
         assert_eq!(shared.metrics.worker_panics.get(), 1);
-        assert_eq!(shared.jobs_outstanding.load(Ordering::SeqCst), 0);
     }
 
     /// A thread that panics while holding a server lock poisons it. The job
-    /// path takes such a lock as it is, so the leader and its follower are
-    /// still answered and the drain barrier still falls — and no panic
-    /// leaves the job to drain the whole pool.
+    /// path takes such a lock as it is, so the completion is still
+    /// published, and the event loop's drain barrier still falls — and no
+    /// panic leaves the job to drain the whole pool.
     #[test]
     fn a_poisoned_completions_lock_still_publishes_every_answer() {
         let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
@@ -1549,14 +1513,9 @@ mod tests {
         assert!(shared.completions.is_poisoned());
 
         let req = quick_request();
-        execute_job(admit(&shared, &req, 5, vec![11]), &shared, |req, ctl| {
-            shared.session.run(req, ctl)
-        });
-        let answers = published(&shared);
-        let got: Vec<_> = answers.iter().map(|c| (c.token, c.status)).collect();
-        assert_eq!(got, [(10, 200), (11, 200)], "{}", answers[0].body);
-        assert_eq!(answers[1].cache, "coalesced");
-        assert_eq!(shared.jobs_outstanding.load(Ordering::SeqCst), 0, "or a drain never ends");
+        execute_job(admit(&shared, &req, 5), &shared, |req, ctl| shared.session.run(req, ctl));
+        let (status, report) = published(&shared);
+        assert_eq!(status, 200, "{report}");
         assert_eq!(shared.metrics.queue_depth.get(), 0);
     }
 
@@ -1580,16 +1539,14 @@ mod tests {
         let req = quick_request();
         let want = Session::new().run(&req, &RunControl::default()).expect("storeless").to_json();
         let serve = |id: u64| {
-            execute_job(admit(&shared, &req, id, vec![]), &shared, |req, ctl| {
-                shared.session.run(req, ctl)
-            });
-            published(&shared).pop().expect("one answer")
+            execute_job(admit(&shared, &req, id), &shared, |req, ctl| shared.session.run(req, ctl));
+            published(&shared)
         };
         // First use simulates and keeps the boundary, the second records
         // its tapes; the third has restored it and reads them when its
         // policy blows up.
-        assert_eq!((serve(1).status, serve(2).status), (200, 200));
-        execute_job(admit(&shared, &req, 3, vec![]), &shared, |req, ctl| {
+        assert_eq!((serve(1).0, serve(2).0), (200, 200));
+        execute_job(admit(&shared, &req, 3), &shared, |req, ctl| {
             let mix = melreq_core::api::resolve_mix(&req.mix)?;
             let build = |_: &[f64], _: usize, _: u64| panic!("policy bug on {}", mix.name);
             let doomed = Measured::Custom { name: "DOOMED", build: &build };
@@ -1597,17 +1554,13 @@ mod tests {
             run_tapped(&mix, doomed, &req.opts, cache, Some(&store), ctl, taps);
             unreachable!("the policy's constructor panics")
         });
-        let answer = published(&shared).pop().expect("one answer");
-        assert_eq!(answer.status, 500, "{}", answer.body);
-        assert!(
-            answer.body.contains("request #3 panicked: policy bug on 2MEM-1"),
-            "{}",
-            answer.body
-        );
+        let (status, message) = published(&shared);
+        assert_eq!(status, 500, "{message}");
+        assert!(message.contains("request #3 panicked: policy bug on 2MEM-1"), "{message}");
 
-        let next = serve(4);
-        assert_eq!(next.status, 200, "{}", next.body);
-        assert_eq!(split_envelope(&next.body).expect("an envelope").1, want);
+        let (status, report) = serve(4);
+        assert_eq!(status, 200, "{report}");
+        assert_eq!(report, want);
         assert_eq!(shared.metrics.worker_panics.get(), 1);
         let st = store.stats();
         assert_eq!((st.warmup_misses, st.resident_hits), (1, 3), "memory answered 2, 3 and 4");

@@ -12,7 +12,7 @@ const MAX_BODY: usize = 256;
 const BODY_BYTES: &[u8] = b"ab{}:\r\n ";
 
 /// Fragments arbitrary "HTTP-ish" input is spliced from.
-const TOKENS: [&str; 12] = [
+const TOKENS: [&str; 14] = [
     "GET ",
     "POST ",
     "/run",
@@ -21,7 +21,9 @@ const TOKENS: [&str; 12] = [
     "\r\n\r\n",
     "Content-Length: ",
     "Connection: close",
+    "Transfer-Encoding: chunked",
     "12",
+    "+",
     "-1",
     ":",
     "\u{e9}",

@@ -389,7 +389,18 @@ fn post_shutdown_drains_in_flight_work_then_exits() {
     let handle = serve(1, 4);
     let addr = handle.addr().to_string();
 
-    // Two requests in flight: one running, one queued.
+    // A slow run on the only worker, and a follower coalesced onto it.
+    let slow = run_body("2MIX-1", slow_opts());
+    let post = |body: &str| {
+        let (addr, body) = (addr.clone(), body.to_string());
+        std::thread::spawn(move || post_run(&addr, &body))
+    };
+    let leader = post(&slow);
+    await_in_flight(&addr);
+    let follower = post(&slow);
+    await_metric(&addr, "melreq_inflight_requests", |v| v >= 2.0);
+
+    // Two more requests in flight behind it, queued.
     let in_flight: Vec<_> = (0..2)
         .map(|_| {
             let addr = addr.clone();
@@ -398,7 +409,7 @@ fn post_shutdown_drains_in_flight_work_then_exits() {
             })
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(300));
+    await_metric(&addr, "melreq_inflight_requests", |v| v >= 4.0);
 
     let (status, body) =
         http::exchange(&addr, "POST", "/shutdown", None, EXCHANGE_TIMEOUT).expect("shutdown");
@@ -412,11 +423,65 @@ fn post_shutdown_drains_in_flight_work_then_exits() {
     }
     handle.join();
 
+    // The follower was answered before `join` returned: the drain waits
+    // for every connection waiting on a job, not only the job's leader.
+    let (status, leader_body) = leader.join().expect("leader thread");
+    assert_eq!(status, 200, "leader: {leader_body}");
+    let (status, body) = follower.join().expect("follower thread");
+    assert_eq!(status, 200, "follower: {body}");
+    let (env, report) = split_envelope(&body).expect("follower envelope");
+    assert!(env.contains("\"cache\":\"coalesced\""), "follower envelope: {env}");
+    assert_eq!(report, split_envelope(&leader_body).expect("leader envelope").1);
+
     // Fully down: new connections are refused.
     assert!(
         http::exchange(&addr, "GET", "/healthz", None, Duration::from_secs(2)).is_err(),
         "the drained server must stop accepting"
     );
+}
+
+/// A follower coalesced onto a run that fails is told what its leader is
+/// told, and the failure is counted once: the event loop renders the
+/// error once and answers both from it.
+#[test]
+fn a_follower_of_a_failed_run_gets_its_leaders_error() {
+    let handle = serve(1, 4);
+    let addr = handle.addr().to_string();
+    let post = |body: String| {
+        let addr = addr.clone();
+        std::thread::spawn(move || post_run(&addr, &body))
+    };
+
+    // The only worker is busy with a slow, distinct body, and stays busy
+    // past the leader's 1 ms budget.
+    let slow = post(run_body("2MIX-1", slow_opts()));
+    await_in_flight(&addr);
+    await_metric(&addr, "melreq_queue_depth", |v| v == 0.0);
+
+    // The leader's deadline passes while it waits in the queue. The
+    // follower sets no budget, but `canonical_bytes` leaves the timeout
+    // out, so it coalesces onto the leader's job.
+    let req = SimRequest::new("2MEM-1")
+        .policy(PolicyKind::parse("me-lreq").expect("policy token"))
+        .opts(ExperimentOptions::quick());
+    let leader = post(req.clone().timeout_ms(1).to_json());
+    await_metric(&addr, "melreq_inflight_requests", |v| v >= 2.0);
+    let follower = post(req.to_json());
+    await_metric(&addr, "melreq_inflight_requests", |v| v >= 3.0);
+
+    let (status, leader_body) = leader.join().expect("leader thread");
+    assert_eq!(status, 504, "leader: {leader_body}");
+    assert!(leader_body.contains("expired while queued"), "leader: {leader_body}");
+    let (status, follower_body) = follower.join().expect("follower thread");
+    assert_eq!(status, 504, "follower: {follower_body}");
+    assert_eq!(follower_body, leader_body, "the follower gets its leader's error bytes");
+    assert_eq!(slow.join().expect("slow thread").0, 200);
+
+    await_metric(&addr, "melreq_inflight_requests", |v| v == 0.0);
+    assert_eq!(metric_value(&addr, "melreq_timeouts_total"), 1.0, "one run timed out");
+    assert_eq!(metric_value(&addr, "melreq_serve_coalesced_total"), 0.0, "none served a report");
+    handle.shutdown();
+    handle.join();
 }
 
 #[test]
