@@ -279,11 +279,10 @@ impl Auditor {
     }
 
     /// Build a shared auditor plus the handle the simulator should hold.
-    /// `decisions` enables the policy-level checks (`Decision` events).
-    pub fn shared(cfg: AuditorConfig, decisions: bool) -> (AuditHandle, Arc<Mutex<Auditor>>) {
+    pub fn shared(cfg: AuditorConfig) -> (AuditHandle, Arc<Mutex<Auditor>>) {
         let auditor = Arc::new(Mutex::new(Auditor::new(cfg)));
         let sink: Arc<Mutex<dyn AuditSink>> = auditor.clone();
-        (AuditHandle::from_shared(sink, decisions), auditor)
+        (AuditHandle::from_shared(vec![sink]), auditor)
     }
 
     /// Snapshot the current findings.
@@ -495,7 +494,7 @@ mod tests {
 
     #[test]
     fn shared_handle_feeds_the_auditor() {
-        let (handle, auditor) = Auditor::shared(AuditorConfig::default(), true);
+        let (handle, auditor) = Auditor::shared(AuditorConfig::default());
         for ev in legal_stream() {
             handle.emit(|| ev.clone());
         }

@@ -305,13 +305,13 @@ impl AuditSink for Recorder {
     }
 }
 
-/// A cheap, cloneable handle the instrumented crates hold. Disabled
-/// handles reduce every emission to one `Option` check; enabled handles
-/// forward to a shared [`AuditSink`].
+/// A cheap, cloneable handle the instrumented crates hold: the sinks one
+/// tap feeds (e.g. a protocol auditor *and* a trace collector), notified
+/// in order. A handle with none reduces every emission to one emptiness
+/// check.
 #[derive(Debug, Clone, Default)]
 pub struct AuditHandle {
-    inner: Option<Arc<Mutex<dyn AuditSink>>>,
-    decisions: bool,
+    sinks: Vec<Arc<Mutex<dyn AuditSink>>>,
 }
 
 impl AuditHandle {
@@ -320,33 +320,26 @@ impl AuditHandle {
         Self::default()
     }
 
-    /// Wrap a sink. `decisions` controls whether the (comparatively
-    /// expensive) `Decision` events should be emitted; timing-only
-    /// auditing can leave it off.
-    pub fn new<S: AuditSink + 'static>(sink: S, decisions: bool) -> Self {
-        AuditHandle { inner: Some(Arc::new(Mutex::new(sink))), decisions }
-    }
-
-    /// Share an existing sink (the caller keeps the other `Arc` to read
+    /// Share existing sinks (the caller keeps the other `Arc`s to read
     /// results back after the run).
-    pub fn from_shared(sink: Arc<Mutex<dyn AuditSink>>, decisions: bool) -> Self {
-        AuditHandle { inner: Some(sink), decisions }
+    pub fn from_shared(sinks: Vec<Arc<Mutex<dyn AuditSink>>>) -> Self {
+        AuditHandle { sinks }
     }
 
-    /// Whether any sink is attached.
+    /// Whether any sink is attached: what `emit` and the (comparatively
+    /// expensive) `Decision` events wait on.
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        !self.sinks.is_empty()
     }
 
-    /// Whether `Decision` events should be built and emitted.
-    pub fn wants_decisions(&self) -> bool {
-        self.inner.is_some() && self.decisions
-    }
-
-    /// Emit one event; `make` runs only when a sink is attached.
+    /// Emit one event to every sink; `make` runs only when one is
+    /// attached.
     pub fn emit(&self, make: impl FnOnce() -> AuditEvent) {
-        if let Some(sink) = &self.inner {
-            let ev = make();
+        if self.sinks.is_empty() {
+            return;
+        }
+        let ev = make();
+        for sink in &self.sinks {
             sink.lock().expect("audit sink poisoned").record(&ev);
         }
     }
@@ -360,7 +353,6 @@ mod tests {
     fn disabled_handle_never_builds_events() {
         let h = AuditHandle::disabled();
         assert!(!h.is_enabled());
-        assert!(!h.wants_decisions());
         h.emit(|| unreachable!("disabled handle must not build events"));
     }
 
@@ -374,16 +366,16 @@ mod tests {
 
     #[test]
     fn recorder_captures_in_order() {
-        let h = AuditHandle::new(Recorder::default(), true);
+        let h = AuditHandle::from_shared(vec![Arc::new(Mutex::new(Recorder::default()))]);
         h.emit(|| AuditEvent::Refresh { channel: 0, at: 10 });
         h.emit(|| AuditEvent::Refresh { channel: 1, at: 20 });
-        assert!(h.is_enabled() && h.wants_decisions());
+        assert!(h.is_enabled());
     }
 
     #[test]
     fn shared_sink_is_readable_after_emission() {
         let shared: Arc<Mutex<dyn AuditSink>> = Arc::new(Mutex::new(Recorder::default()));
-        let h = AuditHandle::from_shared(shared.clone(), false);
+        let h = AuditHandle::from_shared(vec![shared.clone()]);
         h.emit(|| AuditEvent::Precharge { channel: 0, bank: 3, at: 99 });
         let guard = shared.lock().expect("sink");
         let dbg = format!("{guard:?}");

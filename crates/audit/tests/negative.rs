@@ -48,7 +48,7 @@ fn drive_on(
     );
     let rec = Arc::new(Mutex::new(Recorder::default()));
     let sink: Arc<Mutex<dyn AuditSink>> = rec.clone();
-    ctrl.attach_audit(AuditHandle::from_shared(sink, true));
+    ctrl.attach_audit(AuditHandle::from_shared(vec![sink]));
     if matches!(policy, PolicyKind::MeLreq) {
         // Publish the profile on the stream (and reprogram the table
         // consistently) so the table-consistency check engages.

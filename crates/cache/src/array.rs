@@ -1,6 +1,7 @@
 //! The tag/state array of one set-associative cache.
 
 use crate::config::CacheConfig;
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{Addr, CACHE_LINE_SHIFT};
 use melreq_stats::Counter;
 
@@ -172,45 +173,22 @@ impl CacheArray {
         self.sets.iter().filter(|w| w.valid).count()
     }
 
-    /// Serialize every way, the LRU stamp and the statistics.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk every way, the LRU stamp and the statistics ([`Archive`]); a
+    /// load needs the same geometry.
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `cfg`: construction-time config, identical across snapshot peers.
         // `set_mask`: derived from cfg at construction, never mutated.
         let Self { cfg: _, sets, set_mask: _, stamp, stats } = self;
-        enc.usize(sets.len());
-        for way in sets {
-            enc.u64(way.tag);
-            enc.bool(way.valid);
-            enc.bool(way.dirty);
-            enc.u64(way.lru);
+        let CacheStats { hits, misses, writebacks } = stats;
+        ar.len(sets.len(), SnapError::Invalid("cache geometry mismatch"))?;
+        for Way { tag, valid, dirty, lru } in sets {
+            ar.u64(tag)?;
+            ar.bool(valid)?;
+            ar.bool(dirty)?;
+            ar.u64(lru)?;
         }
-        enc.u64(*stamp);
-        stats.hits.save_state(enc);
-        stats.misses.save_state(enc);
-        stats.writebacks.save_state(enc);
-    }
-
-    /// Restore state written by [`CacheArray::save_state`] into an array
-    /// with the same geometry.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self { cfg: _, sets, set_mask: _, stamp, stats } = self;
-        let n = dec.usize()?;
-        if n != sets.len() {
-            return Err(melreq_snap::SnapError::Invalid("cache geometry mismatch"));
-        }
-        for way in sets {
-            way.tag = dec.u64()?;
-            way.valid = dec.bool()?;
-            way.dirty = dec.bool()?;
-            way.lru = dec.u64()?;
-        }
-        *stamp = dec.u64()?;
-        stats.hits.load_state(dec)?;
-        stats.misses.load_state(dec)?;
-        stats.writebacks.load_state(dec)
+        ar.u64(stamp)?;
+        [hits, misses, writebacks].into_iter().try_for_each(|c| c.state(ar))
     }
 }
 

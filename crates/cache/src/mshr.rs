@@ -6,6 +6,7 @@
 //! memory-level parallelism — is bounded by the entry count (Table 1:
 //! 8 for L1I, 32 for L1D, 64 for L2).
 
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::Addr;
 use melreq_stats::{line_addr, Counter};
 
@@ -24,7 +25,7 @@ pub enum AllocOutcome {
 /// The accesses waiting on one outstanding line, in arrival order. The
 /// first — every entry has one, the primary miss — is held inline, so
 /// only a merged miss allocates.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Waiters<W> {
     first: W,
     rest: Vec<W>,
@@ -47,7 +48,7 @@ impl<W> IntoIterator for Waiters<W> {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Entry<W> {
     line: Addr,
     waiters: Waiters<W>,
@@ -106,50 +107,32 @@ impl<W> MshrFile<W> {
         AllocOutcome::Primary
     }
 
-    /// Serialize outstanding entries and the merge counter. Waiter
-    /// handles are opaque to this crate, so the owner supplies `save_w`.
-    pub fn save_state(
-        &self,
-        enc: &mut melreq_snap::Enc,
-        mut save_w: impl FnMut(&W, &mut melreq_snap::Enc),
-    ) {
-        // `capacity`: construction-time bound; load_state validates against it.
-        let Self { entries, capacity: _, merges } = self;
-        enc.usize(entries.len());
-        for e in entries {
-            enc.u64(e.line);
-            enc.usize(1 + e.waiters.rest.len());
-            for w in e.waiters.iter() {
-                save_w(w, enc);
-            }
-        }
-        merges.save_state(enc);
-    }
-
-    /// Restore state written by [`MshrFile::save_state`] into a file with
-    /// the same capacity, decoding waiters with `load_w`.
-    pub fn load_state(
+    /// Walk outstanding entries and the merge counter ([`Archive`]); a
+    /// load needs the same capacity. Waiter handles are opaque to this
+    /// crate, so the owner supplies `walk_w`.
+    pub fn state<A: Archive>(
         &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-        mut load_w: impl FnMut(&mut melreq_snap::Dec<'_>) -> Result<W, melreq_snap::SnapError>,
-    ) -> Result<(), melreq_snap::SnapError> {
+        ar: &mut A,
+        mut walk_w: impl FnMut(&mut W, &mut A) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError>
+    where
+        W: Clone + Default,
+    {
+        // `capacity`: construction-time bound; a load is checked against it.
         let Self { entries, capacity, merges } = self;
-        let n = dec.usize()?;
-        if n > *capacity {
-            return Err(melreq_snap::SnapError::Invalid("MSHR entries exceed capacity"));
-        }
-        entries.clear();
-        for _ in 0..n {
-            let line = dec.u64()?;
-            let wn = dec.usize()?;
-            if wn == 0 {
-                return Err(melreq_snap::SnapError::Invalid("MSHR entry without a waiter"));
+        let cap = Some((*capacity, SnapError::Invalid("MSHR entries exceed capacity")));
+        ar.seq(entries, cap, |ar, Entry { line, waiters }| {
+            ar.u64(line)?;
+            let mut all: Vec<W> = waiters.iter().cloned().collect();
+            ar.seq(&mut all, None, |ar, w| walk_w(w, ar))?;
+            if ar.loading() {
+                let mut all = all.into_iter();
+                let first = all.next().ok_or(SnapError::Invalid("MSHR entry without a waiter"))?;
+                *waiters = Waiters { first, rest: all.collect() };
             }
-            let first = load_w(dec)?;
-            let rest = (1..wn).map(|_| load_w(dec)).collect::<Result<_, _>>()?;
-            entries.push(Entry { line, waiters: Waiters { first, rest } });
-        }
-        merges.load_state(dec)
+            Ok(())
+        })?;
+        merges.state(ar)
     }
 
     /// Complete the miss for `addr`'s line, returning its waiters.
@@ -223,8 +206,8 @@ mod tests {
         assert_eq!(m.allocate(0x1000, 9), AllocOutcome::Primary);
     }
 
-    fn load_u32(dec: &mut melreq_snap::Dec<'_>) -> Result<u32, melreq_snap::SnapError> {
-        dec.u32()
+    fn walk_u32<A: Archive>(w: &mut u32, ar: &mut A) -> Result<(), SnapError> {
+        ar.u32(w)
     }
 
     #[test]
@@ -233,11 +216,9 @@ mod tests {
         for (addr, w) in [(0x1000, 7), (0x2000, 8), (0x1008, 9), (0x1010, 10)] {
             m.allocate(addr, w);
         }
-        let mut enc = melreq_snap::Enc::new();
-        m.save_state(&mut enc, |w, enc| enc.u32(*w));
-        let bytes = enc.into_bytes();
+        let bytes = melreq_snap::Enc::save(|enc| m.state(enc, walk_u32));
         let mut back: MshrFile<u32> = MshrFile::new(4);
-        back.load_state(&mut melreq_snap::Dec::new(&bytes), load_u32).unwrap();
+        back.state(&mut melreq_snap::Dec::new(&bytes), walk_u32).unwrap();
         assert_eq!(back.merges.get(), 2);
         assert_eq!(back.complete(0x1000).into_iter().collect::<Vec<_>>(), [7, 9, 10]);
         assert_eq!(back.complete(0x2000).into_iter().collect::<Vec<_>>(), [8]);
@@ -249,10 +230,10 @@ mod tests {
         enc.usize(1); // one entry...
         enc.u64(0x1000);
         enc.usize(0); // ...that nobody waits for
-        melreq_stats::Counter::new().save_state(&mut enc);
+        enc.u64(0); // the merge counter
         let bytes = enc.into_bytes();
         let mut m: MshrFile<u32> = MshrFile::new(4);
-        let err = m.load_state(&mut melreq_snap::Dec::new(&bytes), load_u32);
+        let err = m.state(&mut melreq_snap::Dec::new(&bytes), walk_u32);
         assert!(matches!(err, Err(melreq_snap::SnapError::Invalid(_))), "{err:?}");
     }
 }

@@ -68,7 +68,7 @@ use crate::SystemConfig;
 use melreq_audit::{AuditHandle, AuditReport, AuditSink, Auditor, AuditorConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_memctrl::SchedulerPolicy;
-use melreq_obs::{Collector, Fanout, DEFAULT_TRACE_CAPACITY};
+use melreq_obs::{Collector, DEFAULT_TRACE_CAPACITY};
 use melreq_snap::Sealed;
 use melreq_stats::fairness::FairnessReport;
 use melreq_stats::types::Cycle;
@@ -527,9 +527,9 @@ impl GroupShare {
         let streams = || self.mix.eval_streams(self.eval_slice);
         let tapes = self.tapes.get_or_init(|| {
             debug_assert!(self.snapshot.as_bytes() == sys.snapshot(), "stale boundary container");
-            let warmed = sys.replace_streams(streams());
+            let mut warmed = sys.replace_streams(streams());
             let stored = stored.filter(|tapes| {
-                tapes.iter().zip(&warmed).all(|(tape, own)| tape.starts_at(own.as_ref()))
+                tapes.iter().zip(&mut warmed).all(|(tape, own)| tape.starts_at(own.as_mut()))
             });
             let per_core: Vec<_> =
                 stored.unwrap_or_else(|| warmed.into_iter().map(OpTape::new).collect());
@@ -799,16 +799,14 @@ pub fn run_tapped(
     let inputs = Inputs::of(mix, opts, cache);
     let auditor = taps.audit.then(|| Arc::new(Mutex::new(Auditor::new(AuditorConfig::default()))));
     let collector = taps.observe.map(|o| Arc::new(Mutex::new(Collector::new(o.ring_capacity))));
-    // One emission on the audit tap, fanned out when both sinks listen,
-    // plus the epoch sampler.
+    // One audit tap holding every listening sink, plus the epoch sampler.
     let attach = |sys: &mut System| {
         let mut sinks: Vec<Arc<Mutex<dyn AuditSink>>> = Vec::new();
         sinks.extend(auditor.clone().map(|a| a as _));
         sinks.extend(collector.clone().map(|c| c as _));
-        match sinks.len() {
-            0 => {}
-            1 => sys.attach_audit(AuditHandle::from_shared(sinks.remove(0), true)),
-            _ => sys.attach_audit(Fanout::handle(sinks, true)),
+        let tap = AuditHandle::from_shared(sinks);
+        if tap.is_enabled() {
+            sys.attach_audit(tap);
         }
         if let (Some(c), Some(epoch)) = (&collector, taps.observe.and_then(|o| o.sample_epoch)) {
             sys.attach_sampler(c.clone(), epoch);
@@ -1293,10 +1291,9 @@ mod tests {
         fn label(&self) -> &str {
             "broken"
         }
-        fn save_state(&self, _: &mut melreq_snap::Enc) {}
-        fn load_state(
+        fn state(
             &mut self,
-            _: &mut melreq_snap::Dec<'_>,
+            _: &mut dyn melreq_snap::Archive,
         ) -> Result<(), melreq_snap::SnapError> {
             Ok(())
         }

@@ -30,32 +30,82 @@
 use melreq_cache::{AllocOutcome, CacheArray, CacheConfig, MshrFile};
 use melreq_cpu::{CoreMemory, CoreToken, MemResponse};
 use melreq_memctrl::MemoryController;
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{line_addr, AccessKind, Addr, CoreId, Cycle};
 use melreq_stats::Counter;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Which L1 a transaction originated from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum Origin {
+    #[default]
     Inst,
     Data,
 }
 
+impl Origin {
+    fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        let mut tag = match self {
+            Origin::Inst => 0,
+            Origin::Data => 1,
+        };
+        ar.u8(&mut tag)?;
+        *self = match tag {
+            0 => Origin::Inst,
+            1 => Origin::Data,
+            t => return Err(SnapError::BadTag(t)),
+        };
+        Ok(())
+    }
+}
+
 /// An L1-level waiter parked in an L1D/L1I MSHR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 enum L1Waiter {
     /// A load (or ifetch) whose core op must be resumed.
     Token(CoreToken),
     /// A write-allocate store: no token, but the line fills dirty.
+    #[default]
     Store,
 }
 
+impl L1Waiter {
+    fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        let mut tag = match self {
+            L1Waiter::Token(CoreToken::Load(_)) => 0,
+            L1Waiter::Token(CoreToken::Fetch) => 1,
+            L1Waiter::Store => 2,
+        };
+        ar.u8(&mut tag)?;
+        if ar.loading() {
+            *self = match tag {
+                0 => L1Waiter::Token(CoreToken::Load(0)),
+                1 => L1Waiter::Token(CoreToken::Fetch),
+                2 => L1Waiter::Store,
+                t => return Err(SnapError::BadTag(t)),
+            };
+        }
+        match self {
+            L1Waiter::Token(CoreToken::Load(seq)) => ar.u64(seq),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// An L2-level waiter: which core's L1 (and which one) wants the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct L2Waiter {
     core: CoreId,
     origin: Origin,
+}
+
+impl L2Waiter {
+    fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        let Self { core, origin } = self;
+        ar.u16(&mut core.0)?;
+        origin.state(ar)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +121,36 @@ struct Event {
     at: Cycle,
     seq: u64,
     kind: EventKind,
+}
+
+impl Default for Event {
+    fn default() -> Self {
+        let (core, line, origin) = (CoreId(0), 0, Origin::Inst);
+        Event { at: 0, seq: 0, kind: EventKind::L2Access { core, line, origin } }
+    }
+}
+
+impl Event {
+    fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        let Self { at, seq, kind } = self;
+        let (mut tag, (mut core, mut line, mut origin)) = match *kind {
+            EventKind::L2Access { core, line, origin } => (0, (core, line, origin)),
+            EventKind::L1Fill { core, line, origin } => (1, (core, line, origin)),
+        };
+        ar.u64(at)?;
+        ar.u64(seq)?;
+        ar.u8(&mut tag)?;
+        let variant: fn(CoreId, Addr, Origin) -> EventKind = match tag {
+            0 => |core, line, origin| EventKind::L2Access { core, line, origin },
+            1 => |core, line, origin| EventKind::L1Fill { core, line, origin },
+            t => return Err(SnapError::BadTag(t)),
+        };
+        ar.u16(&mut core.0)?;
+        ar.u64(&mut line)?;
+        origin.state(ar)?;
+        *kind = variant(core, line, origin);
+        Ok(())
+    }
 }
 
 impl Ord for Event {
@@ -196,10 +276,11 @@ impl Hierarchy {
         self.ctrl.announce_profile(me);
     }
 
-    /// Serialize all mutable hierarchy state: cache arrays, MSHR files
-    /// (with their parked waiters), in-flight cache events, stalled
-    /// memory submissions, statistics, and the controller beneath.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk all mutable hierarchy state: cache arrays, MSHR files (with
+    /// their parked waiters), in-flight cache events, stalled memory
+    /// submissions, statistics, and the controller beneath ([`Archive`]);
+    /// a load needs a hierarchy constructed with the same configuration.
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self {
             l1i,
             l1i_mshr,
@@ -214,156 +295,40 @@ impl Hierarchy {
             pending_wb,
             stats,
         } = self;
-        let save_l1_waiter = |w: &L1Waiter, enc: &mut melreq_snap::Enc| match *w {
-            L1Waiter::Token(CoreToken::Load(seq)) => {
-                enc.u8(0);
-                enc.u64(seq);
-            }
-            L1Waiter::Token(CoreToken::Fetch) => enc.u8(1),
-            L1Waiter::Store => enc.u8(2),
-        };
-        enc.usize(l1i.len());
+        ar.len(l1i.len(), SnapError::Invalid("hierarchy core count mismatch"))?;
         for c in 0..l1i.len() {
-            l1i[c].save_state(enc);
-            l1i_mshr[c].save_state(enc, save_l1_waiter);
-            l1d[c].save_state(enc);
-            l1d_mshr[c].save_state(enc, save_l1_waiter);
+            l1i[c].state(ar)?;
+            l1i_mshr[c].state(ar, L1Waiter::state)?;
+            l1d[c].state(ar)?;
+            l1d_mshr[c].state(ar, L1Waiter::state)?;
         }
-        l2.save_state(enc);
-        l2_mshr.save_state(enc, |w, enc| {
-            enc.u16(w.core.0);
-            enc.u8(match w.origin {
-                Origin::Inst => 0,
-                Origin::Data => 1,
-            });
-        });
-        // BinaryHeap iteration order is unspecified; sort so identical
-        // states serialize to identical bytes.
+        l2.state(ar)?;
+        l2_mshr.state(ar, L2Waiter::state)?;
+        // BinaryHeap iteration order is unspecified; walk it sorted so
+        // identical states serialize to identical bytes.
         let mut sorted: Vec<Event> = events.iter().map(|Reverse(e)| *e).collect();
         sorted.sort();
-        enc.usize(sorted.len());
-        for e in &sorted {
-            enc.u64(e.at);
-            enc.u64(e.seq);
-            match e.kind {
-                EventKind::L2Access { core, line, origin } => {
-                    enc.u8(0);
-                    enc.u16(core.0);
-                    enc.u64(line);
-                    enc.u8(matches!(origin, Origin::Data) as u8);
-                }
-                EventKind::L1Fill { core, line, origin } => {
-                    enc.u8(1);
-                    enc.u16(core.0);
-                    enc.u64(line);
-                    enc.u8(matches!(origin, Origin::Data) as u8);
-                }
-            }
+        ar.seq(&mut sorted, None, |ar, e| e.state(ar))?;
+        if ar.loading() {
+            events.clear();
+            events.extend(sorted.into_iter().map(Reverse));
         }
-        enc.u64(*event_seq);
+        ar.u64(event_seq)?;
         for q in [pending_mem, pending_wb] {
-            enc.usize(q.len());
-            for &(core, addr) in q {
-                enc.u16(core.0);
-                enc.u64(addr);
+            let mut stalled: Vec<(CoreId, Addr)> = q.iter().copied().collect();
+            ar.seq(&mut stalled, None, |ar, (core, addr)| {
+                ar.u16(&mut core.0)?;
+                ar.u64(addr)
+            })?;
+            if ar.loading() {
+                *q = stalled.into();
             }
         }
-        for c in [&stats.l1d_load_hits, &stats.mem_reads, &stats.mem_writes, &stats.store_stalls] {
-            c.save_state(enc);
+        let HierarchyStats { l1d_load_hits, mem_reads, mem_writes, store_stalls } = stats;
+        for c in [l1d_load_hits, mem_reads, mem_writes, store_stalls] {
+            c.state(ar)?;
         }
-        ctrl.save_state(enc);
-    }
-
-    /// Restore state written by [`Hierarchy::save_state`] into a
-    /// hierarchy constructed with the same configuration.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self {
-            l1i,
-            l1i_mshr,
-            l1d,
-            l1d_mshr,
-            l2,
-            l2_mshr,
-            ctrl,
-            events,
-            event_seq,
-            pending_mem,
-            pending_wb,
-            stats,
-        } = self;
-        let load_l1_waiter =
-            |dec: &mut melreq_snap::Dec<'_>| -> Result<L1Waiter, melreq_snap::SnapError> {
-                Ok(match dec.u8()? {
-                    0 => L1Waiter::Token(CoreToken::Load(dec.u64()?)),
-                    1 => L1Waiter::Token(CoreToken::Fetch),
-                    2 => L1Waiter::Store,
-                    t => return Err(melreq_snap::SnapError::BadTag(t)),
-                })
-            };
-        let origin = |b: u8| -> Result<Origin, melreq_snap::SnapError> {
-            Ok(match b {
-                0 => Origin::Inst,
-                1 => Origin::Data,
-                t => return Err(melreq_snap::SnapError::BadTag(t)),
-            })
-        };
-        let n = dec.usize()?;
-        if n != l1i.len() {
-            return Err(melreq_snap::SnapError::Invalid("hierarchy core count mismatch"));
-        }
-        for c in 0..n {
-            l1i[c].load_state(dec)?;
-            l1i_mshr[c].load_state(dec, load_l1_waiter)?;
-            l1d[c].load_state(dec)?;
-            l1d_mshr[c].load_state(dec, load_l1_waiter)?;
-        }
-        l2.load_state(dec)?;
-        l2_mshr.load_state(dec, |dec| {
-            let core = CoreId(dec.u16()?);
-            Ok(L2Waiter { core, origin: origin(dec.u8()?)? })
-        })?;
-        let n_events = dec.usize()?;
-        events.clear();
-        for _ in 0..n_events {
-            let at = dec.u64()?;
-            let seq = dec.u64()?;
-            let kind = match dec.u8()? {
-                0 => {
-                    let core = CoreId(dec.u16()?);
-                    let line = dec.u64()?;
-                    EventKind::L2Access { core, line, origin: origin(dec.u8()?)? }
-                }
-                1 => {
-                    let core = CoreId(dec.u16()?);
-                    let line = dec.u64()?;
-                    EventKind::L1Fill { core, line, origin: origin(dec.u8()?)? }
-                }
-                t => return Err(melreq_snap::SnapError::BadTag(t)),
-            };
-            events.push(Reverse(Event { at, seq, kind }));
-        }
-        *event_seq = dec.u64()?;
-        for q in [pending_mem, pending_wb] {
-            let len = dec.usize()?;
-            q.clear();
-            for _ in 0..len {
-                let core = CoreId(dec.u16()?);
-                let addr = dec.u64()?;
-                q.push_back((core, addr));
-            }
-        }
-        for c in [
-            &mut stats.l1d_load_hits,
-            &mut stats.mem_reads,
-            &mut stats.mem_writes,
-            &mut stats.store_stalls,
-        ] {
-            c.load_state(dec)?;
-        }
-        ctrl.load_state(dec)
+        ctrl.state(ar)
     }
 
     /// L1D array of one core (hit rates in reports/tests).

@@ -6,6 +6,7 @@ use melreq_cpu::{Core, CoreToken};
 use melreq_dram::DramSystem;
 use melreq_memctrl::{ChannelTraffic, MemoryController};
 use melreq_obs::{ChannelSample, Collector, CoreSample};
+use melreq_snap::{Archive, Dec, Enc, SnapError};
 use melreq_stats::types::{CoreId, Cycle};
 use melreq_trace::InstrStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -192,6 +193,20 @@ struct OnlineMe {
 impl OnlineMe {
     /// EWMA weight of the newest epoch sample.
     const ALPHA: f64 = 0.5;
+
+    fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        const WIDTH: SnapError = SnapError::Invalid("online estimator width mismatch");
+        let Self { epoch, next_at, prev_instr, prev_bytes, estimate } = self;
+        ar.u64(epoch)?;
+        ar.ensure(*epoch > 0, SnapError::Invalid("online epoch must be positive"))?;
+        ar.u64(next_at)?;
+        for v in [prev_instr, prev_bytes] {
+            ar.len(v.len(), WIDTH)?;
+            v.iter_mut().try_for_each(|x| ar.u64(x))?;
+        }
+        ar.len(estimate.len(), WIDTH)?;
+        estimate.iter_mut().try_for_each(|x| ar.f64(x))
+    }
 }
 
 /// Results of a measured run (the paper's methodology: each core's
@@ -811,34 +826,16 @@ impl System {
     /// clock, and the measurement bookkeeping — into a self-validating
     /// container ([`melreq_snap::seal`]). Restoring it into a freshly
     /// constructed identical system resumes the run bit-exactly; see
-    /// [`System::load_snapshot`].
-    pub fn snapshot(&self) -> Vec<u8> {
+    /// [`System::load_snapshot`]. A save walk only reads the machine; it
+    /// takes `&mut self` because one walk both saves and restores.
+    pub fn snapshot(&mut self) -> Vec<u8> {
         self.snapshot_sealed().into_bytes()
     }
 
     /// [`System::snapshot`] as the verified container it is, for
     /// [`System::restore`] to take without checking it again.
-    pub(crate) fn snapshot_sealed(&self) -> melreq_snap::Sealed {
-        let mut enc = melreq_snap::Enc::new();
-        enc.u64(self.now);
-        enc.usize(self.cores.len());
-        for c in &self.cores {
-            c.save_state(&mut enc);
-        }
-        self.hier.save_state(&mut enc);
-        match &self.online {
-            Some(st) => {
-                enc.bool(true);
-                enc.u64(st.epoch);
-                enc.u64(st.next_at);
-                enc.u64s(&st.prev_instr);
-                enc.u64s(&st.prev_bytes);
-                enc.f64s(&st.estimate);
-            }
-            None => enc.bool(false),
-        }
-        enc.opt_u64(self.stats_reset_at);
-        melreq_snap::Sealed::seal(&enc.into_bytes())
+    pub(crate) fn snapshot_sealed(&mut self) -> melreq_snap::Sealed {
+        melreq_snap::Sealed::seal(&Enc::save(|enc| self.state(enc)))
     }
 
     /// Restore a [`System::snapshot`] into this system. The receiver must
@@ -850,60 +847,72 @@ impl System {
     /// deliberately untouched — an observer of the simulation, not part
     /// of its state. Observers that would misreport across the
     /// discontinuity detach: the controller drops its audit tap (see
-    /// [`MemoryController::load_state`]) and any attached epoch sampler
+    /// [`MemoryController::state`]) and any attached epoch sampler
     /// is dropped likewise.
-    pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<(), melreq_snap::SnapError> {
+    pub fn load_snapshot(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         self.restore_payload(melreq_snap::open(bytes)?)
     }
 
     /// [`System::load_snapshot`] of a container already verified where it
     /// entered the process (or sealed in it): no second checksum pass.
-    pub(crate) fn restore(
-        &mut self,
-        snapshot: &melreq_snap::Sealed,
-    ) -> Result<(), melreq_snap::SnapError> {
+    pub(crate) fn restore(&mut self, snapshot: &melreq_snap::Sealed) -> Result<(), SnapError> {
         self.restore_payload(snapshot.payload())
     }
 
-    fn restore_payload(&mut self, payload: &[u8]) -> Result<(), melreq_snap::SnapError> {
-        let mut dec = melreq_snap::Dec::new(payload);
-        let now = dec.u64()?;
-        let n = dec.usize()?;
-        if n != self.cores.len() {
-            return Err(melreq_snap::SnapError::Invalid("system core count mismatch"));
-        }
-        for c in &mut self.cores {
-            c.load_state(&mut dec)?;
-        }
-        self.hier.load_state(&mut dec)?;
-        let has_online = dec.bool()?;
-        if has_online != self.online.is_some() {
-            return Err(melreq_snap::SnapError::Invalid("online estimator presence mismatch"));
-        }
-        if has_online {
-            let st = self.online.as_mut().expect("checked presence");
-            st.epoch = dec.u64()?;
-            if st.epoch == 0 {
-                return Err(melreq_snap::SnapError::Invalid("online epoch must be positive"));
-            }
-            st.next_at = dec.u64()?;
-            st.prev_instr = dec.u64s()?;
-            st.prev_bytes = dec.u64s()?;
-            st.estimate = dec.f64s()?;
-            if st.prev_instr.len() != n || st.prev_bytes.len() != n || st.estimate.len() != n {
-                return Err(melreq_snap::SnapError::Invalid("online estimator width mismatch"));
-            }
-        }
-        self.stats_reset_at = dec.opt_u64()?;
+    fn restore_payload(&mut self, payload: &[u8]) -> Result<(), SnapError> {
+        let mut dec = Dec::new(payload);
+        self.state(&mut dec)?;
         if !dec.is_exhausted() {
-            return Err(melreq_snap::SnapError::Invalid("trailing snapshot bytes"));
+            return Err(SnapError::Invalid("trailing snapshot bytes"));
         }
-        self.now = now;
-        // A sampler attached before the restore would emit rows whose
-        // deltas straddle the discontinuity; re-attach after restoring
-        // to observe the resumed run.
-        self.sampler = None;
-        self.wake_all();
+        Ok(())
+    }
+
+    /// The snapshot payload's one definition ([`Archive`]): the clock,
+    /// every core, the hierarchy, the online-ME estimator and the
+    /// measurement boundary.
+    fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        // `cfg`: construction-time config, identical across snapshot peers.
+        // `tick_exact`, `sampler`, `cancel`, `cancelled`, `counters`:
+        // observers and host-side bookkeeping, not simulation state (a load
+        // drops the sampler). `scratch`: per-cycle buffer. `me_profile`:
+        // what the receiver's policy was built from, told to audits it
+        // attaches. `core_wake`: derived, cleared by a load.
+        let Self {
+            cfg: _,
+            cores,
+            hier,
+            now,
+            online,
+            tick_exact: _,
+            scratch: _,
+            me_profile: _,
+            stats_reset_at,
+            sampler,
+            cancel: _,
+            cancelled: _,
+            core_wake: _,
+            counters: _,
+        } = self;
+        ar.u64(now)?;
+        ar.len(cores.len(), SnapError::Invalid("system core count mismatch"))?;
+        cores.iter_mut().try_for_each(|c| c.state(ar))?;
+        hier.state(ar)?;
+        let mut has_online = online.is_some();
+        ar.bool(&mut has_online)?;
+        let presence = SnapError::Invalid("online estimator presence mismatch");
+        ar.ensure(has_online == online.is_some(), presence)?;
+        if let Some(st) = online {
+            st.state(ar)?;
+        }
+        ar.opt_u64(stats_reset_at)?;
+        if ar.loading() {
+            // A sampler attached before the restore would emit rows whose
+            // deltas straddle the discontinuity; re-attach after restoring
+            // to observe the resumed run.
+            *sampler = None;
+            self.wake_all();
+        }
         Ok(())
     }
 }

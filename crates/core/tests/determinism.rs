@@ -24,7 +24,7 @@
 //! makes it an independent oracle.
 //!
 //! The snapshot layout is pinned here too: `SNAPSHOT_PINS` holds the
-//! length and FNV-1a of the bytes `save_state` writes at fixed points,
+//! length and FNV-1a of the bytes a save walk writes at fixed points,
 //! `TAPE_RECORD_PIN` those of an op tape's stored record, and every pinned
 //! payload, cut short, must fail to restore.
 
@@ -72,7 +72,7 @@ fn fast_forward_matches_tick_exact_for_every_policy() {
         let run = |tick_exact: bool| {
             let mut sys = build(mix.codes, &CANONICAL_WARMUP_POLICY, tick_exact);
             sys.prepare_window(opts.warmup, opts.instructions);
-            let (handle, auditor) = Auditor::shared(AuditorConfig::default(), true);
+            let (handle, auditor) = Auditor::shared(AuditorConfig::default());
             sys.attach_audit(handle);
             assert!(sys.run_to_boundary(MAX_CYCLES), "warm-up must reach the boundary");
             sys.swap_policy(policy, &[0.4, 0.1]);
@@ -111,7 +111,7 @@ fn final_machine_state_matches_tick_exact_for_every_registered_policy() {
             let kind = desc.default_kind();
             let run = |tick_exact: bool| {
                 let mut sys = build(codes, &kind, tick_exact);
-                let (handle, auditor) = Auditor::shared(AuditorConfig::default(), true);
+                let (handle, auditor) = Auditor::shared(AuditorConfig::default());
                 sys.attach_audit(handle);
                 let out = sys.run_window(MAX_CYCLES);
                 assert!(!out.timed_out, "[{mix_name} {}] must finish", desc.id);
@@ -220,7 +220,7 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
 }
 
 /// Snapshot pins for `SCHEMA_VERSION` 4: `(name, len, fnv1a)` of the
-/// bytes `save_state` writes. Stored checkpoints are these bytes, so they
+/// bytes a save walk (`state` over an `Enc`) writes. Stored checkpoints are these bytes, so they
 /// are the snapshot layout: a change that moves any of them bumps
 /// `SCHEMA_VERSION` and re-captures the table, and a change that keeps
 /// them keeps the version. The rows, in `pinned_bytes` order:
@@ -323,9 +323,8 @@ fn pinned_bytes() -> Vec<(&'static str, Receiver, Vec<u8>)> {
         for _ in 0..STREAM_OPS {
             stream.next_op();
         }
-        let mut enc = melreq_snap::Enc::new();
-        stream.save_state(&mut enc);
-        out.push((name, Receiver::Stream(make), enc.into_bytes()));
+        let bytes = melreq_snap::Enc::save(|enc| stream.state(enc));
+        out.push((name, Receiver::Stream(make), bytes));
     }
     out
 }
@@ -369,7 +368,7 @@ fn truncated_snapshots_are_rejected() {
                 for i in 0..64 {
                     let cut = bytes.len() * i / 64;
                     let mut dec = melreq_snap::Dec::new(&bytes[..cut]);
-                    assert!(make().load_state(&mut dec).is_err(), "[{name}] cut at {cut}");
+                    assert!(make().state(&mut dec).is_err(), "[{name}] cut at {cut}");
                 }
             }
         }

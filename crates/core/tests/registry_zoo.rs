@@ -11,7 +11,7 @@ use melreq_core::experiment::{
 use melreq_core::{ExperimentOptions, PolicyKind, RunControl, System, SystemConfig};
 use melreq_memctrl::policy::Candidate;
 use melreq_memctrl::{canonical_name, registry, SchedulerPolicy};
-use melreq_snap::{fnv1a, Dec, Enc, SnapError};
+use melreq_snap::{fnv1a, Archive, SnapError};
 use melreq_stats::CoreId;
 use melreq_workloads::mix_by_name;
 
@@ -168,11 +168,8 @@ impl SchedulerPolicy for Mutant {
     fn update_profile(&mut self, me: &[f64]) {
         self.inner.update_profile(me);
     }
-    fn save_state(&self, enc: &mut Enc) {
-        self.inner.save_state(enc);
-    }
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-        self.inner.load_state(dec)
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
+        self.inner.state(ar)
     }
 }
 

@@ -15,7 +15,7 @@
 //!
 //! The audit oracle is deliberately absent here: an attached audit models
 //! the machine from reset, so restoring a snapshot detaches it by design
-//! (see `MemoryController::load_state`). End-state snapshot hashes are
+//! (see `MemoryController::state`). End-state snapshot hashes are
 //! the stronger check anyway — they fingerprint every serialized
 //! component, not just the command stream.
 //!

@@ -2,7 +2,7 @@
 
 use crate::config::CoreConfig;
 use crate::port::{AsleepMemory, CoreMemory, CoreToken, MemResponse};
-use melreq_snap::SnapError;
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{line_addr, Addr, CoreId, Cycle};
 use melreq_stats::Counter;
 use melreq_trace::{InstrStream, MicroOp, OpKind};
@@ -18,6 +18,32 @@ enum OpState {
     WaitingMem,
     /// Completed at `at`.
     Done { at: Cycle },
+}
+
+impl OpState {
+    /// Walk the state tag, then the cycle `Executing` and `Done` carry.
+    fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        let mut tag = match self {
+            OpState::Waiting => 0,
+            OpState::Executing { .. } => 1,
+            OpState::WaitingMem => 2,
+            OpState::Done { .. } => 3,
+        };
+        ar.u8(&mut tag)?;
+        if ar.loading() {
+            *self = match tag {
+                0 => OpState::Waiting,
+                1 => OpState::Executing { done_at: 0 },
+                2 => OpState::WaitingMem,
+                3 => OpState::Done { at: 0 },
+                t => return Err(SnapError::BadTag(t)),
+            };
+        }
+        match self {
+            OpState::Executing { done_at: at } | OpState::Done { at } => ar.u64(at),
+            OpState::Waiting | OpState::WaitingMem => Ok(()),
+        }
+    }
 }
 
 /// [`RobSlot::dep_seq`] of an op with no register producer. No real
@@ -293,20 +319,24 @@ impl Core {
         }
     }
 
-    /// Serialize all mutable pipeline state — the instruction stream's
+    /// Walk all mutable pipeline state — the instruction stream's
     /// generation cursor, ROB contents, fetch latches, occupancy
-    /// counters, issue worklist, measurement window, and statistics — so
-    /// a checkpointed system resumes this core bit-exactly. The config
-    /// and core id are construction parameters, not state; the consumer
-    /// chains and the `issuable` list are derived from the ROB and not
-    /// written — the worklist on disk is every `Waiting` op in program
-    /// order, collected here.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// counters, issue worklist, measurement window, and statistics
+    /// ([`Archive`]) — so a checkpointed system resumes this core
+    /// bit-exactly; a load needs a core built with the same configuration
+    /// and stream parameters. The config and core id are construction
+    /// parameters, not state; the consumer chains and the `issuable` list
+    /// are derived from the ROB and not written — the worklist on disk is
+    /// every `Waiting` op in program order. The pipeline invariants the
+    /// issue stage indexes by are checked on load, so a snapshot that
+    /// breaks one is an error at load, not a panic many cycles later.
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        // `issuable`: rebuilt from the ROB by `rebuild_wakeup` below.
         // `issue_work`, `fetched`: host-side work counters, not simulation
         // state.
         let Self {
             id: _,
-            cfg: _,
+            cfg,
             stream,
             rob,
             head_seq,
@@ -328,148 +358,61 @@ impl Core {
             issue_work: _,
             fetched: _,
         } = self;
-        stream.save_state(enc);
-        enc.usize(self.rob_len());
-        let mut waiting = Vec::with_capacity(*iq_used);
-        for seq in *head_seq..*next_seq {
-            let e = &rob[self.slot_of(seq)];
-            e.kind.save_state(enc);
-            enc.opt_u64((e.dep_seq != NO_DEP).then_some(e.dep_seq));
-            match e.state {
-                OpState::Waiting => {
-                    enc.u8(0);
-                    waiting.push(seq);
-                }
-                OpState::Executing { done_at } => {
-                    enc.u8(1);
-                    enc.u64(done_at);
-                }
-                OpState::WaitingMem => enc.u8(2),
-                OpState::Done { at } => {
-                    enc.u8(3);
-                    enc.u64(at);
-                }
-            }
-            enc.u64(seq);
-        }
-        enc.u64(*head_seq);
-        enc.u64(*next_seq);
-        enc.opt_u64(*fetch_line);
-        enc.bool(*fetch_pending);
-        match staged {
-            Some(op) => {
-                enc.bool(true);
-                op.save_state(enc);
-            }
-            None => enc.bool(false),
-        }
-        enc.u64(*fetch_stall_until);
-        enc.opt_u64(*halted_by_branch);
-        enc.usize(*loads_in_rob);
-        enc.usize(*stores_in_rob);
-        enc.u64s(&waiting);
-        enc.u64(*window_skip);
-        enc.opt_u64(*window_measure);
-        enc.opt_u64(*window_start);
-        enc.opt_u64(*window_end);
-        for c in [
-            &stats.committed,
-            &stats.cycles,
-            &stats.loads,
-            &stats.stores,
-            &stats.mispredicts,
-            &stats.commit_stall_cycles,
-        ] {
-            c.save_state(enc);
-        }
-    }
-
-    /// Restore state written by [`Core::save_state`] into a core built
-    /// with the same configuration and stream parameters. The pipeline
-    /// invariants the issue stage indexes by are checked here, so a
-    /// snapshot that breaks one is an error at load, not a panic many
-    /// cycles later.
-    pub fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), SnapError> {
-        let Self {
-            id: _,
-            cfg,
-            stream,
-            rob,
-            head_seq,
-            next_seq,
-            fetch_line,
-            fetch_pending,
-            staged,
-            fetch_stall_until,
-            halted_by_branch,
-            loads_in_rob,
-            stores_in_rob,
-            iq_used,
-            issuable: _, // rebuilt from the ROB by `rebuild_wakeup` below
-            window_skip,
-            window_measure,
-            window_start,
-            window_end,
-            stats,
-            issue_work: _,
-            fetched: _,
-        } = self;
         // `Core::slot_of`, with the fields borrowed apart.
         let ring_mask = rob.len() - 1;
         let slot_of = |seq: u64| seq as usize & ring_mask;
-        stream.load_state(dec)?;
-        let n = dec.usize()?;
-        if n > cfg.rob {
-            return Err(SnapError::Invalid("ROB occupancy beyond capacity"));
-        }
+        stream.state(ar)?;
+        let mut n = (*next_seq - *head_seq) as usize;
+        ar.usize(&mut n)?;
+        ar.ensure(n <= cfg.rob, SnapError::Invalid("ROB occupancy beyond capacity"))?;
         let mut first_seq = None;
-        let (mut loads, mut stores) = (0, 0);
-        let mut waiting = Vec::new();
+        let (mut rob_loads, mut rob_stores) = (0, 0);
+        let mut waiting = Vec::with_capacity(*iq_used);
         for i in 0..n as u64 {
-            let kind = OpKind::load_state(dec)?;
-            let dep_seq = dec.opt_u64()?;
-            let state = match dec.u8()? {
-                0 => OpState::Waiting,
-                1 => OpState::Executing { done_at: dec.u64()? },
-                2 => OpState::WaitingMem,
-                3 => OpState::Done { at: dec.u64()? },
-                t => return Err(SnapError::BadTag(t)),
-            };
-            let seq = dec.u64()?;
-            if first_seq.get_or_insert(seq).checked_add(i) != Some(seq) {
-                return Err(SnapError::Invalid("ROB sequence numbers not contiguous"));
-            }
-            if dep_seq.is_some_and(|p| p >= seq) {
-                return Err(SnapError::Invalid("ROB op depends on a younger op"));
-            }
-            match kind {
-                OpKind::Load { .. } => loads += 1,
-                OpKind::Store { .. } => stores += 1,
+            // A load decodes into a copy, placed once its sequence number is.
+            let mut seq = head_seq.wrapping_add(i);
+            let mut e = rob[slot_of(seq)];
+            // `consumers`, `next_consumer`: derived, rebuilt below.
+            let RobSlot { kind, dep_seq, state, consumers: _, next_consumer: _ } = &mut e;
+            kind.state(ar)?;
+            let mut dep = (*dep_seq != NO_DEP).then_some(*dep_seq);
+            ar.opt_u64(&mut dep)?;
+            *dep_seq = dep.unwrap_or(NO_DEP);
+            state.state(ar)?;
+            ar.u64(&mut seq)?;
+            let contiguous = first_seq.get_or_insert(seq).checked_add(i) == Some(seq);
+            ar.ensure(contiguous, SnapError::Invalid("ROB sequence numbers not contiguous"))?;
+            let older = dep.is_none_or(|p| p < seq);
+            ar.ensure(older, SnapError::Invalid("ROB op depends on a younger op"))?;
+            match e.kind {
+                OpKind::Load { .. } => rob_loads += 1,
+                OpKind::Store { .. } => rob_stores += 1,
                 _ => {}
             }
-            if state == OpState::Waiting {
+            if e.state == OpState::Waiting {
                 waiting.push(seq);
             }
-            rob[slot_of(seq)] = RobSlot {
-                kind,
-                dep_seq: dep_seq.unwrap_or(NO_DEP),
-                state,
-                consumers: NIL,
-                next_consumer: NIL,
-            };
+            if ar.loading() {
+                rob[slot_of(seq)] = e;
+            }
         }
-        *head_seq = dec.u64()?;
-        *next_seq = dec.u64()?;
-        if first_seq.is_some_and(|s| s != *head_seq)
-            || head_seq.checked_add(n as u64) != Some(*next_seq)
-        {
-            return Err(SnapError::Invalid("ROB does not span head_seq..next_seq"));
+        ar.u64(head_seq)?;
+        ar.u64(next_seq)?;
+        let spans = first_seq.is_none_or(|s| s == *head_seq)
+            && head_seq.checked_add(n as u64) == Some(*next_seq);
+        ar.ensure(spans, SnapError::Invalid("ROB does not span head_seq..next_seq"))?;
+        ar.opt_u64(fetch_line)?;
+        ar.bool(fetch_pending)?;
+        let mut has_staged = staged.is_some();
+        ar.bool(&mut has_staged)?;
+        if ar.loading() {
+            *staged = has_staged.then(MicroOp::default);
         }
-        *fetch_line = dec.opt_u64()?;
-        *fetch_pending = dec.bool()?;
-        *staged = if dec.bool()? { Some(MicroOp::load_state(dec)?) } else { None };
-        *fetch_stall_until = dec.u64()?;
-        *halted_by_branch = dec.opt_u64()?;
+        if let Some(op) = staged {
+            op.state(ar)?;
+        }
+        ar.u64(fetch_stall_until)?;
+        ar.opt_u64(halted_by_branch)?;
         if let Some(seq) = *halted_by_branch {
             // The halt lifts when that branch issues: anything else in
             // its place would hold the front end forever.
@@ -477,37 +420,38 @@ impl Core {
                 let e = &rob[slot_of(seq)];
                 e.kind == OpKind::Branch { mispredict: true } && e.state == OpState::Waiting
             };
-            if !halts {
-                return Err(SnapError::Invalid("fetch halted by no waiting mispredicted branch"));
-            }
+            ar.ensure(halts, SnapError::Invalid("fetch halted by no waiting mispredicted branch"))?;
         }
-        *loads_in_rob = dec.usize()?;
-        *stores_in_rob = dec.usize()?;
-        if (*loads_in_rob, *stores_in_rob) != (loads, stores) {
-            return Err(SnapError::Invalid("load/store queue occupancy disagrees with the ROB"));
+        ar.usize(loads_in_rob)?;
+        ar.usize(stores_in_rob)?;
+        let occupancy = (*loads_in_rob, *stores_in_rob) == (rob_loads, rob_stores);
+        ar.ensure(
+            occupancy,
+            SnapError::Invalid("load/store queue occupancy disagrees with the ROB"),
+        )?;
+        let mut listed = waiting.clone();
+        ar.seq(&mut listed, None, A::u64)?;
+        ar.ensure(
+            listed == waiting,
+            SnapError::Invalid("issue worklist is not the ROB's waiting ops"),
+        )?;
+        ar.ensure(
+            waiting.len() <= cfg.iq,
+            SnapError::Invalid("issue worklist beyond IQ capacity"),
+        )?;
+        ar.u64(window_skip)?;
+        for w in [window_measure, window_start, window_end] {
+            ar.opt_u64(w)?;
         }
-        if dec.u64s()? != waiting {
-            return Err(SnapError::Invalid("issue worklist is not the ROB's waiting ops"));
+        let CoreStats { committed, cycles, loads, stores, mispredicts, commit_stall_cycles } =
+            stats;
+        for c in [committed, cycles, loads, stores, mispredicts, commit_stall_cycles] {
+            c.state(ar)?;
         }
-        if waiting.len() > cfg.iq {
-            return Err(SnapError::Invalid("issue worklist beyond IQ capacity"));
+        if ar.loading() {
+            *iq_used = waiting.len();
+            self.rebuild_wakeup();
         }
-        *iq_used = waiting.len();
-        *window_skip = dec.u64()?;
-        *window_measure = dec.opt_u64()?;
-        *window_start = dec.opt_u64()?;
-        *window_end = dec.opt_u64()?;
-        for c in [
-            &mut stats.committed,
-            &mut stats.cycles,
-            &mut stats.loads,
-            &mut stats.stores,
-            &mut stats.mispredicts,
-            &mut stats.commit_stall_cycles,
-        ] {
-            c.load_state(dec)?;
-        }
-        self.rebuild_wakeup();
         Ok(())
     }
 
@@ -1057,18 +1001,9 @@ mod tests {
             "script"
         }
 
-        fn save_state(&self, enc: &mut melreq_snap::Enc) {
+        fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
             let Self { ops: _, i } = self; // `ops`: the script, fixed at construction
-            enc.usize(*i);
-        }
-
-        fn load_state(
-            &mut self,
-            dec: &mut melreq_snap::Dec<'_>,
-        ) -> Result<(), melreq_snap::SnapError> {
-            let Self { ops: _, i } = self;
-            *i = dec.usize()?;
-            Ok(())
+            ar.usize(i)
         }
     }
 
@@ -1477,10 +1412,8 @@ mod tests {
         }
     }
 
-    fn state_bytes(core: &Core) -> Vec<u8> {
-        let mut enc = melreq_snap::Enc::new();
-        core.save_state(&mut enc);
-        enc.into_bytes()
+    fn state_bytes(core: &mut Core) -> Vec<u8> {
+        melreq_snap::Enc::save(|enc| core.state(enc))
     }
 
     /// Run the wake-up/select core and the full-scan core side by side
@@ -1523,19 +1456,19 @@ mod tests {
             prop_assert_eq!(bound, fast.next_event_at_full_scan(now + 1), "cycle {}", now);
             prop_assert_eq!(bound, slow.next_event_at_full_scan(now + 1), "cycle {}", now);
             if pauses.contains(&now) {
-                let bytes = state_bytes(&fast);
-                prop_assert!(bytes == state_bytes(&slow), "cycle {}: states differ", now);
+                let bytes = state_bytes(&mut fast);
+                prop_assert!(bytes == state_bytes(&mut slow), "cycle {}: states differ", now);
                 // Restore over a core with a past of its own: none of
                 // its chains or list entries may survive the load.
                 let mut resumed = scripted(cfg, ops.to_vec());
                 issued_per_cycle(&mut resumed, &mut PerfectMemory { latency: 9 }, 0..40);
                 resumed
-                    .load_state(&mut melreq_snap::Dec::new(&bytes))
+                    .state(&mut melreq_snap::Dec::new(&bytes))
                     .map_err(|e| format!("cycle {now}: the core refuses its own state: {e:?}"))?;
                 fast = resumed;
             }
         }
-        prop_assert!(state_bytes(&fast) == state_bytes(&slow), "final states differ");
+        prop_assert!(state_bytes(&mut fast) == state_bytes(&mut slow), "final states differ");
         prop_assert_eq!(fast.stats().committed.get(), slow.stats().committed.get());
         Ok(fast.committed())
     }

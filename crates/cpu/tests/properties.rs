@@ -23,13 +23,8 @@ impl InstrStream for Cyclic {
         "cyclic"
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        enc.usize(self.i);
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        self.i = dec.usize()?;
-        Ok(())
+    fn state(&mut self, ar: &mut dyn melreq_snap::Archive) -> Result<(), melreq_snap::SnapError> {
+        ar.usize(&mut self.i)
     }
 }
 

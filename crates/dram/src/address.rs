@@ -138,7 +138,7 @@ impl Default for DramGeometry {
 /// `bank` is the flat bank index within the logical channel (DIMM and
 /// in-DIMM bank folded together — they are timing-equivalent here because
 /// the ganged channel shares one data bus and banks are independent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Location {
     /// Logical channel index.
     pub channel: usize,

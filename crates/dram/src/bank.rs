@@ -14,6 +14,7 @@
 #![deny(clippy::arithmetic_side_effects)]
 
 use crate::timing::DramTiming;
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{cyc_add, AccessKind, Cycle};
 
 /// Sentinel value of the `open_row` scalar meaning "all rows closed".
@@ -136,29 +137,21 @@ pub(crate) fn scalar_precharge(
     }
 }
 
-/// Serialize one bank's scalar pair (tagged open-row latch, then the ready
-/// horizon): the per-bank wire format of [`crate::channel::Channel::save_state`].
-pub(crate) fn scalar_save_state(open_row: u64, ready_at: Cycle, enc: &mut melreq_snap::Enc) {
-    if open_row == NO_OPEN_ROW {
-        enc.u8(0);
-    } else {
-        enc.u8(1);
-        enc.u64(open_row);
+/// Walk one bank's scalar pair (tagged open-row latch, then the ready
+/// horizon): the per-bank wire format of [`crate::channel::Channel::state`].
+pub(crate) fn scalar_state<A: Archive>(
+    open_row: &mut u64,
+    ready_at: &mut Cycle,
+    ar: &mut A,
+) -> Result<(), SnapError> {
+    let mut open = u8::from(*open_row != NO_OPEN_ROW);
+    ar.u8(&mut open)?;
+    match open {
+        0 => *open_row = NO_OPEN_ROW,
+        1 => ar.u64(open_row)?,
+        t => return Err(SnapError::BadTag(t)),
     }
-    enc.u64(ready_at);
-}
-
-/// Restore one bank's scalar pair written by [`scalar_save_state`].
-pub(crate) fn scalar_load_state(
-    dec: &mut melreq_snap::Dec<'_>,
-) -> Result<(u64, Cycle), melreq_snap::SnapError> {
-    let open_row = match dec.u8()? {
-        0 => NO_OPEN_ROW,
-        1 => dec.u64()?,
-        t => return Err(melreq_snap::SnapError::BadTag(t)),
-    };
-    let ready_at = dec.u64()?;
-    Ok((open_row, ready_at))
+    ar.u64(ready_at)
 }
 
 impl Bank {

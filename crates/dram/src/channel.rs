@@ -6,10 +6,11 @@
 #![deny(clippy::arithmetic_side_effects)]
 
 use crate::bank::{
-    scalar_is_row_hit, scalar_load_state, scalar_precharge, scalar_refresh, scalar_save_state,
-    scalar_service, RowOutcome, NO_OPEN_ROW,
+    scalar_is_row_hit, scalar_precharge, scalar_refresh, scalar_service, scalar_state, RowOutcome,
+    NO_OPEN_ROW,
 };
 use crate::timing::DramTiming;
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{cyc_add, AccessKind, Cycle};
 
 /// One logical channel: `n` banks plus a shared 16-byte data bus.
@@ -209,10 +210,11 @@ impl Channel {
         ChannelGrant { data_ready: self.bus_free, outcome, granted_at: grant_at }
     }
 
-    /// Serialize bank latches, bus occupancy, refresh and ACT-window
-    /// tracking. Per-bank bytes are identical to the former array-of-
-    /// [`crate::bank::Bank`] layout (tagged open row, then ready horizon).
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk bank latches, bus occupancy, refresh and ACT-window tracking
+    /// ([`Archive`]); a load needs the same bank count. Per-bank bytes
+    /// are identical to the former array-of-[`crate::bank::Bank`] layout
+    /// (tagged open row, then ready horizon).
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self {
             open_row,
             bank_ready,
@@ -224,59 +226,17 @@ impl Channel {
             act_head,
             acts_seen,
         } = self;
-        enc.usize(open_row.len());
-        for (&row, &ready) in open_row.iter().zip(bank_ready) {
-            scalar_save_state(row, ready, enc);
-        }
-        enc.u64(*bus_free);
-        enc.u64(*bus_busy_cycles);
-        enc.u64(*next_refresh);
-        enc.u64(*refreshes);
-        for &a in recent_acts {
-            enc.u64(a);
-        }
-        enc.usize(*act_head);
-        enc.u64(*acts_seen);
-    }
-
-    /// Restore state written by [`Channel::save_state`] into a channel
-    /// with the same bank count.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self {
-            open_row,
-            bank_ready,
-            bus_free,
-            bus_busy_cycles,
-            next_refresh,
-            refreshes,
-            recent_acts,
-            act_head,
-            acts_seen,
-        } = self;
-        let n = dec.usize()?;
-        if n != open_row.len() {
-            return Err(melreq_snap::SnapError::Invalid("bank count mismatch"));
-        }
+        ar.len(open_row.len(), SnapError::Invalid("bank count mismatch"))?;
         for (row, ready) in open_row.iter_mut().zip(bank_ready) {
-            (*row, *ready) = scalar_load_state(dec)?;
+            scalar_state(row, ready, ar)?;
         }
-        *bus_free = dec.u64()?;
-        *bus_busy_cycles = dec.u64()?;
-        *next_refresh = dec.u64()?;
-        *refreshes = dec.u64()?;
-        for a in recent_acts {
-            *a = dec.u64()?;
+        for c in [bus_free, bus_busy_cycles, next_refresh, refreshes] {
+            ar.u64(c)?;
         }
-        let head = dec.usize()?;
-        if head >= 4 {
-            return Err(melreq_snap::SnapError::Invalid("ACT ring head out of range"));
-        }
-        *act_head = head;
-        *acts_seen = dec.u64()?;
-        Ok(())
+        recent_acts.iter_mut().try_for_each(|a| ar.u64(a))?;
+        ar.usize(act_head)?;
+        ar.ensure(*act_head < 4, SnapError::Invalid("ACT ring head out of range"))?;
+        ar.u64(acts_seen)
     }
 
     /// Explicitly precharge `bank` (controller's close-page sweep).
@@ -457,12 +417,10 @@ mod tests {
         let mut ch = Channel::new(4);
         ch.issue(0, 9, AccessKind::Read, 0, true, &t);
         ch.issue(2, 3, AccessKind::Write, 5, false, &t);
-        let mut enc = melreq_snap::Enc::new();
-        ch.save_state(&mut enc);
-        let bytes = enc.into_bytes();
+        let bytes = melreq_snap::Enc::save(|enc| ch.state(enc));
         let mut restored = Channel::new(4);
         let mut dec = melreq_snap::Dec::new(&bytes);
-        restored.load_state(&mut dec).expect("round trip");
+        restored.state(&mut dec).expect("round trip");
         assert!(dec.is_exhausted());
         assert!(restored.is_row_hit(0, 9));
         assert!(!restored.is_row_hit(2, 3));

@@ -5,6 +5,7 @@ use crate::bank::RowOutcome;
 use crate::channel::Channel;
 use crate::timing::DramTiming;
 use melreq_audit::{AuditEvent, AuditHandle, TimingParams};
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{AccessKind, Addr, Cycle, CACHE_LINE_BYTES};
 use melreq_stats::Counter;
 
@@ -259,60 +260,22 @@ impl DramSystem {
         self.audit.emit(|| AuditEvent::Precharge { channel: loc.channel, bank: loc.bank, at: now });
     }
 
-    /// Serialize every channel, the aggregate statistics and the audit
-    /// refresh-emission cursors. The audit handle itself is NOT state: a
-    /// restored system keeps whatever sink it already has attached.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk every channel, the aggregate statistics and the audit
+    /// refresh-emission cursors ([`Archive`]); a load needs the same
+    /// geometry. The audit handle itself is NOT state: a restored system
+    /// keeps whatever sink it already has attached.
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `geometry`, `timing`: construction-time config, identical across
         // snapshot peers. `audit`: instrumentation handle re-attached by the host.
         let Self { geometry: _, timing: _, channels, stats, audit: _, refreshes_emitted } = self;
-        enc.usize(channels.len());
-        for ch in channels {
-            ch.save_state(enc);
+        let DramStats { row_hits, row_closed_misses, row_conflicts, reads, writes, bytes } = stats;
+        ar.len(channels.len(), SnapError::Invalid("channel count mismatch"))?;
+        channels.iter_mut().try_for_each(|ch| ch.state(ar))?;
+        for c in [row_hits, row_closed_misses, row_conflicts, reads, writes, bytes] {
+            c.state(ar)?;
         }
-        for c in [
-            &stats.row_hits,
-            &stats.row_closed_misses,
-            &stats.row_conflicts,
-            &stats.reads,
-            &stats.writes,
-            &stats.bytes,
-        ] {
-            c.save_state(enc);
-        }
-        enc.u64s(refreshes_emitted);
-    }
-
-    /// Restore state written by [`DramSystem::save_state`] into a system
-    /// with the same geometry.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self { geometry: _, timing: _, channels, stats, audit: _, refreshes_emitted } = self;
-        let n = dec.usize()?;
-        if n != channels.len() {
-            return Err(melreq_snap::SnapError::Invalid("channel count mismatch"));
-        }
-        for ch in channels {
-            ch.load_state(dec)?;
-        }
-        for c in [
-            &mut stats.row_hits,
-            &mut stats.row_closed_misses,
-            &mut stats.row_conflicts,
-            &mut stats.reads,
-            &mut stats.writes,
-            &mut stats.bytes,
-        ] {
-            c.load_state(dec)?;
-        }
-        let emitted = dec.u64s()?;
-        if emitted.len() != refreshes_emitted.len() {
-            return Err(melreq_snap::SnapError::Invalid("refresh cursor count mismatch"));
-        }
-        *refreshes_emitted = emitted;
-        Ok(())
+        ar.len(refreshes_emitted.len(), SnapError::Invalid("refresh cursor count mismatch"))?;
+        refreshes_emitted.iter_mut().try_for_each(|e| ar.u64(e))
     }
 
     /// Cumulative data-bus busy cycles of `channel` (the epoch sampler

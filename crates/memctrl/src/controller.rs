@@ -5,6 +5,7 @@ use crate::queue::RequestQueue;
 use crate::request::{MemRequest, ReqId};
 use melreq_audit::{AuditEvent, AuditHandle, CandidateInfo, Rule};
 use melreq_dram::{DramSystem, RowPolicy};
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle};
 use melreq_stats::{Counter, LatencyTracker};
 use std::cmp::Reverse;
@@ -138,7 +139,7 @@ impl ControllerStats {
         }
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self {
             read_latency,
             reads_served,
@@ -150,61 +151,17 @@ impl ControllerStats {
             grant_candidates,
             per_channel,
         } = self;
-        enc.usize(read_latency.len());
-        for t in read_latency {
-            t.save_state(enc);
-        }
+        ar.len(read_latency.len(), SnapError::Invalid("controller core count mismatch"))?;
+        read_latency.iter_mut().try_for_each(|t| t.state(ar))?;
         for c in [reads_served, writes_served, drain_entries, grant_row_hits] {
-            c.save_state(enc);
+            c.state(ar)?;
         }
-        for c in bytes_by_core {
-            c.save_state(enc);
-        }
-        queue_occupancy.save_state(enc);
-        grant_candidates.save_state(enc);
-        enc.usize(per_channel.len());
-        for t in per_channel {
-            enc.u64(t.reads);
-            enc.u64(t.writes);
-            enc.u64(t.row_hits);
-        }
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let Self {
-            read_latency,
-            reads_served,
-            writes_served,
-            drain_entries,
-            grant_row_hits,
-            bytes_by_core,
-            queue_occupancy,
-            grant_candidates,
-            per_channel,
-        } = self;
-        let n = dec.usize()?;
-        if n != read_latency.len() {
-            return Err(melreq_snap::SnapError::Invalid("controller core count mismatch"));
-        }
-        for t in read_latency {
-            t.load_state(dec)?;
-        }
-        for c in [reads_served, writes_served, drain_entries, grant_row_hits] {
-            c.load_state(dec)?;
-        }
-        for c in bytes_by_core {
-            c.load_state(dec)?;
-        }
-        queue_occupancy.load_state(dec)?;
-        grant_candidates.load_state(dec)?;
-        let n = dec.usize()?;
-        if n != per_channel.len() {
-            return Err(melreq_snap::SnapError::Invalid("controller channel count mismatch"));
-        }
-        for t in per_channel {
-            t.reads = dec.u64()?;
-            t.writes = dec.u64()?;
-            t.row_hits = dec.u64()?;
+        bytes_by_core.iter_mut().try_for_each(|c| c.state(ar))?;
+        queue_occupancy.state(ar)?;
+        grant_candidates.state(ar)?;
+        ar.len(per_channel.len(), SnapError::Invalid("controller channel count mismatch"))?;
+        for ChannelTraffic { reads, writes, row_hits } in per_channel {
+            [reads, writes, row_hits].into_iter().try_for_each(|v| ar.u64(v))?;
         }
         Ok(())
     }
@@ -260,7 +217,7 @@ fn explain_grant(
 }
 
 /// A completed read waiting to be delivered back to the cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Completion {
     at: Cycle,
     id: ReqId,
@@ -268,9 +225,19 @@ struct Completion {
     addr: Addr,
 }
 
+impl Completion {
+    fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        let Self { at, id, core, addr } = self;
+        ar.u64(at)?;
+        ar.u64(&mut id.0)?;
+        ar.u16(&mut core.0)?;
+        ar.u64(addr)
+    }
+}
+
 /// Per-channel wake-up state of the grant scan (DESIGN.md, "Simulation
 /// kernel"): derived from the queue and the DRAM bank timers, rebuilt
-/// conservatively by [`MemoryController::load_state`], never serialized.
+/// conservatively by a load ([`MemoryController::state`]), never serialized.
 /// It also holds the scan's host-side counters.
 #[derive(Debug)]
 struct ScanGate {
@@ -372,7 +339,7 @@ impl MemoryController {
                 panic_on_violation: true,
                 max_stored: 1,
             };
-            let (handle, _auditor) = melreq_audit::Auditor::shared(audit_cfg, true);
+            let (handle, _auditor) = melreq_audit::Auditor::shared(audit_cfg);
             ctrl.attach_audit(handle);
         }
         ctrl
@@ -437,61 +404,19 @@ impl MemoryController {
         self.audit.emit(|| AuditEvent::ProfileUpdate { me: me.to_vec() });
     }
 
-    /// Serialize all mutable controller state: request queue, DRAM
-    /// device, drain machinery, id allocator, in-flight completions,
-    /// statistics, and the active policy's decision state. The scratch
-    /// buffers (rebuilt from scratch every tick) and the audit handle (an
-    /// observer the host re-attaches) are deliberately not state.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk all mutable controller state: request queue, DRAM device,
+    /// drain machinery, id allocator, in-flight completions, statistics,
+    /// and the active policy's decision state ([`Archive`]). A load needs
+    /// a controller constructed with the same configuration and an
+    /// identically built policy (same kind and construction seed). The
+    /// scratch buffers (rebuilt from scratch every tick) and the audit
+    /// handle (an observer the host re-attaches) are deliberately not
+    /// state.
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `cfg`: construction-time config, identical across snapshot peers.
         // The `cand_*` and `bank_ready` scratch: rebuilt from scratch every
-        // tick. `audit`: instrumentation handle re-attached by the host.
-        // `gate`: derived, reset to "rescan" by load_state.
-        let Self {
-            cfg: _,
-            queue,
-            dram,
-            policy,
-            read_first,
-            draining,
-            next_id,
-            completions,
-            stats,
-            cand_buf: _,
-            cand_pos: _,
-            cand_ids: _,
-            bank_ready: _,
-            audit: _,
-            gate: _,
-        } = self;
-        queue.save_state(enc);
-        dram.save_state(enc);
-        enc.bool(*read_first);
-        enc.bool(*draining);
-        enc.u64(*next_id);
-        // BinaryHeap iteration order is unspecified; sort so identical
-        // controller states serialize to identical bytes.
-        let mut comps: Vec<Completion> = completions.iter().map(|Reverse(c)| *c).collect();
-        comps.sort();
-        enc.usize(comps.len());
-        for c in &comps {
-            enc.u64(c.at);
-            enc.u64(c.id.0);
-            enc.u16(c.core.0);
-            enc.u64(c.addr);
-        }
-        stats.save_state(enc);
-        enc.str(policy.name());
-        policy.save_state(enc);
-    }
-
-    /// Restore state written by [`MemoryController::save_state`] into a
-    /// controller constructed with the same configuration and an
-    /// identically built policy (same kind and construction seed).
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
+        // tick. `audit`: instrumentation handle re-attached by the host,
+        // detached by a load. `gate`: derived, reset to "rescan" by a load.
         let Self {
             cfg: _,
             queue,
@@ -509,35 +434,34 @@ impl MemoryController {
             audit,
             gate,
         } = self;
-        queue.load_state(dec)?;
-        dram.load_state(dec)?;
-        *read_first = dec.bool()?;
-        *draining = dec.bool()?;
-        *next_id = dec.u64()?;
-        let n = dec.usize()?;
-        completions.clear();
-        for _ in 0..n {
-            let at = dec.u64()?;
-            let id = ReqId(dec.u64()?);
-            let core = CoreId(dec.u16()?);
-            let addr = dec.u64()?;
-            completions.push(Reverse(Completion { at, id, core, addr }));
-        }
-        stats.load_state(dec)?;
-        let name = dec.str()?;
-        if name != policy.name() {
-            return Err(melreq_snap::SnapError::Invalid("scheduler policy mismatch"));
-        }
-        policy.load_state(dec)?;
-        // An attached audit (including the debug-build watchdog) models
-        // the machine from reset; the restored state contains in-flight
-        // requests and device timings it never observed being built, so
-        // any audit is detached rather than left to report phantom
-        // violations. Audited runs always simulate fresh.
-        *audit = AuditHandle::disabled();
-        dram.set_audit(AuditHandle::disabled());
-        for (ch, wake) in gate.wake.iter_mut().enumerate() {
-            *wake = if queue.channel_positions(ch).is_empty() { Cycle::MAX } else { 0 };
+        queue.state(ar)?;
+        dram.state(ar)?;
+        ar.bool(read_first)?;
+        ar.bool(draining)?;
+        ar.u64(next_id)?;
+        // BinaryHeap iteration order is unspecified; walk it sorted so
+        // identical controller states serialize to identical bytes.
+        let mut sorted: Vec<Completion> = completions.iter().map(|Reverse(c)| *c).collect();
+        sorted.sort();
+        ar.seq(&mut sorted, None, |ar, c| c.state(ar))?;
+        stats.state(ar)?;
+        let mut name = policy.name().to_owned();
+        ar.string(&mut name)?;
+        ar.ensure(name == policy.name(), SnapError::Invalid("scheduler policy mismatch"))?;
+        policy.state(ar)?;
+        if ar.loading() {
+            completions.clear();
+            completions.extend(sorted.into_iter().map(Reverse));
+            // An attached audit (including the debug-build watchdog)
+            // models the machine from reset; the restored state contains
+            // in-flight requests and device timings it never observed
+            // being built, so any audit is detached rather than left to
+            // report phantom violations. Audited runs always simulate fresh.
+            *audit = AuditHandle::disabled();
+            dram.set_audit(AuditHandle::disabled());
+            for (ch, wake) in gate.wake.iter_mut().enumerate() {
+                *wake = if queue.channel_positions(ch).is_empty() { Cycle::MAX } else { 0 };
+            }
         }
         Ok(())
     }
@@ -788,7 +712,7 @@ impl MemoryController {
             Some(true) => self.policy.select(&self.cand_buf, pending),
         };
         let chosen = self.cand_buf[idx];
-        if self.audit.wants_decisions() {
+        if self.audit.is_enabled() {
             self.emit_decision(ch, now, chosen.id);
         }
         if want_reads == Some(true) {
@@ -1157,7 +1081,7 @@ mod tests {
         use std::sync::{Arc, Mutex};
         let mut c = controller(PolicyKind::Lreq, 2);
         let recorder = Arc::new(Mutex::new(melreq_audit::Recorder::default()));
-        c.attach_audit(AuditHandle::from_shared(recorder.clone(), true));
+        c.attach_audit(AuditHandle::from_shared(vec![recorder.clone()]));
         // Same channel, different banks: all three compete at cycle 48.
         let a = c.submit(CoreId(0), 0x000, AccessKind::Read, 0);
         let _ = c.submit(CoreId(0), 0x100, AccessKind::Read, 0);

@@ -35,6 +35,7 @@
 use crate::request::ReqId;
 use crate::table::PriorityTable;
 use melreq_audit::Rule;
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{CoreId, Cycle};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -158,19 +159,13 @@ pub trait SchedulerPolicy: std::fmt::Debug + Send {
     /// policies ignore it.
     fn update_profile(&mut self, _me: &[f64]) {}
 
-    /// Serialize mutable scheduling state (RNG, rotation pointers,
-    /// priority tables) into a system checkpoint. Stateless policies keep
-    /// the no-op default; any policy carrying decision state that can be
-    /// live inside a snapshotted window must override both methods, or
-    /// restored runs will diverge from continued ones.
-    fn save_state(&self, _enc: &mut melreq_snap::Enc) {}
-
-    /// Restore state written by [`SchedulerPolicy::save_state`] into an
-    /// identically constructed policy.
-    fn load_state(
-        &mut self,
-        _dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
+    /// Walk mutable scheduling state (RNG, rotation pointers, priority
+    /// tables) for a system checkpoint ([`Archive`]; a load needs an
+    /// identically constructed policy). Stateless policies keep the no-op
+    /// default; any policy carrying decision state that can be live
+    /// inside a snapshotted window must override it, or restored runs
+    /// will diverge from continued ones.
+    fn state(&mut self, _ar: &mut dyn Archive) -> Result<(), SnapError> {
         Ok(())
     }
 }
@@ -243,20 +238,12 @@ impl SchedulerPolicy for RoundRobin {
         self.next = (granted.core.index() + 1) % self.cores;
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        // `cores`: construction topology, identical across snapshot peers.
-        let Self { cores: _, next } = self;
-        enc.usize(*next);
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
+        // `cores`: construction topology, identical across snapshot peers;
+        // a load is checked against it.
         let Self { cores, next } = self;
-        let loaded = dec.usize()?;
-        if loaded >= *cores {
-            return Err(melreq_snap::SnapError::Invalid("round-robin pointer out of range"));
-        }
-        *next = loaded;
-        Ok(())
+        ar.usize(next)?;
+        ar.ensure(*next < *cores, SnapError::Invalid("round-robin pointer out of range"))
     }
 }
 
@@ -437,27 +424,19 @@ impl SchedulerPolicy for MeLreq {
         self.table = PriorityTable::new(me);
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
         // `pick`: settled by `prepare` within each decision, dead between
         // decisions.
         let Self { table, rng, pick: _ } = self;
-        // The table is saved entry-by-entry (not as the ME vector it was
+        // The table is walked entry-by-entry (not as the ME vector it was
         // built from) so online-updated and ablation (linear-quantized)
         // tables restore exactly.
-        table.save_state(enc);
-        for w in rng.state() {
-            enc.u64(w);
+        table.state(ar)?;
+        let mut words = rng.state();
+        words.iter_mut().try_for_each(|w| ar.u64(w))?;
+        if ar.loading() {
+            *rng = SmallRng::from_state(words);
         }
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let Self { table, rng, pick: _ } = self;
-        table.load_state(dec)?;
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = dec.u64()?;
-        }
-        *rng = SmallRng::from_state(s);
         Ok(())
     }
 }
@@ -532,22 +511,12 @@ impl SchedulerPolicy for FairQueueing {
         self.virtual_time[i] = start + QUANTUM / self.share[i] as u64;
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
         // `share`: construction weights, identical across snapshot peers.
         let Self { virtual_time, global_vt, share: _ } = self;
-        enc.u64s(virtual_time);
-        enc.u64(*global_vt);
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let Self { virtual_time, global_vt, share: _ } = self;
-        let vt = dec.u64s()?;
-        if vt.len() != virtual_time.len() {
-            return Err(melreq_snap::SnapError::Invalid("fair-queueing core count mismatch"));
-        }
-        *virtual_time = vt;
-        *global_vt = dec.u64()?;
-        Ok(())
+        ar.len(virtual_time.len(), SnapError::Invalid("fair-queueing core count mismatch"))?;
+        virtual_time.iter_mut().try_for_each(|vt| ar.u64(vt))?;
+        ar.u64(global_vt)
     }
 }
 
@@ -613,21 +582,11 @@ impl SchedulerPolicy for StallTimeFair {
         self.debt[i] = (self.debt[i] - QUANTUM as f64).max(0.0);
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
         let Self { debt, last_now } = self;
-        enc.f64s(debt);
-        enc.u64(*last_now);
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let Self { debt, last_now } = self;
-        let loaded = dec.f64s()?;
-        if loaded.len() != debt.len() {
-            return Err(melreq_snap::SnapError::Invalid("stall-time-fair core count mismatch"));
-        }
-        *debt = loaded;
-        *last_now = dec.u64()?;
-        Ok(())
+        ar.len(debt.len(), SnapError::Invalid("stall-time-fair core count mismatch"))?;
+        debt.iter_mut().try_for_each(|d| ar.f64(d))?;
+        ar.u64(last_now)
     }
 }
 
@@ -719,7 +678,7 @@ impl SchedulerPolicy for Bliss {
         vec![("threshold", u64::from(self.threshold)), ("clear", self.clear_interval)]
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
         // `threshold`, `clear_interval`: construction parameters, identical
         // across snapshot peers.
         let Self {
@@ -730,45 +689,16 @@ impl SchedulerPolicy for Bliss {
             threshold: _,
             clear_interval: _,
         } = self;
-        enc.usize(blacklisted.len());
-        for &b in blacklisted {
-            enc.bool(b);
-        }
-        enc.opt_u64(last_core.map(|c| u64::from(c.0)));
-        enc.u32(*streak);
-        enc.u64(*grants_since_clear);
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let Self {
-            blacklisted,
-            last_core,
-            streak,
-            grants_since_clear,
-            threshold: _,
-            clear_interval: _,
-        } = self;
-        let n = dec.usize()?;
-        if n != blacklisted.len() {
-            return Err(melreq_snap::SnapError::Invalid("bliss core count mismatch"));
-        }
-        for b in blacklisted.iter_mut() {
-            *b = dec.bool()?;
-        }
-        *last_core = match dec.opt_u64()? {
-            Some(raw) => {
-                let core = u16::try_from(raw)
-                    .map_err(|_| melreq_snap::SnapError::Invalid("bliss last core out of range"))?;
-                if usize::from(core) >= blacklisted.len() {
-                    return Err(melreq_snap::SnapError::Invalid("bliss last core out of range"));
-                }
-                Some(CoreId(core))
-            }
-            None => None,
-        };
-        *streak = dec.u32()?;
-        *grants_since_clear = dec.u64()?;
-        Ok(())
+        let cores = blacklisted.len();
+        ar.len(cores, SnapError::Invalid("bliss core count mismatch"))?;
+        blacklisted.iter_mut().try_for_each(|b| ar.bool(b))?;
+        let mut last = last_core.map(|c| u64::from(c.0));
+        ar.opt_u64(&mut last)?;
+        let in_range = |raw| u16::try_from(raw).ok().filter(|&c| usize::from(c) < cores);
+        let out_of_range = SnapError::Invalid("bliss last core out of range");
+        *last_core = last.map(|raw| in_range(raw).map(CoreId).ok_or(out_of_range)).transpose()?;
+        ar.u32(streak)?;
+        ar.u64(grants_since_clear)
     }
 }
 
@@ -876,41 +806,20 @@ impl SchedulerPolicy for TcmCluster {
         vec![("quantum", self.quantum)]
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
         // `quantum`: construction parameter, identical across snapshot peers.
         let Self { interval_reads, grants_in_quantum, rank, shuffle, quantum: _ } = self;
-        enc.u64s(interval_reads);
-        enc.u64(*grants_in_quantum);
-        enc.usize(rank.len());
-        for &r in rank {
-            enc.u32(r);
-        }
-        enc.u64(*shuffle);
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let Self { interval_reads, grants_in_quantum, rank, shuffle, quantum: _ } = self;
-        let reads = dec.u64s()?;
-        if reads.len() != interval_reads.len() {
-            return Err(melreq_snap::SnapError::Invalid("tcm core count mismatch"));
-        }
-        *interval_reads = reads;
-        *grants_in_quantum = dec.u64()?;
-        let n = dec.usize()?;
-        if n != rank.len() {
-            return Err(melreq_snap::SnapError::Invalid("tcm rank count mismatch"));
-        }
+        ar.len(interval_reads.len(), SnapError::Invalid("tcm core count mismatch"))?;
+        interval_reads.iter_mut().try_for_each(|r| ar.u64(r))?;
+        ar.u64(grants_in_quantum)?;
+        ar.len(rank.len(), SnapError::Invalid("tcm rank count mismatch"))?;
         let cores = u32::try_from(rank.len())
-            .map_err(|_| melreq_snap::SnapError::Invalid("tcm core count out of range"))?;
-        for r in rank {
-            let v = dec.u32()?;
-            if v >= cores {
-                return Err(melreq_snap::SnapError::Invalid("tcm rank out of range"));
-            }
-            *r = v;
+            .map_err(|_| SnapError::Invalid("tcm core count out of range"))?;
+        for r in rank.iter_mut() {
+            ar.u32(r)?;
+            ar.ensure(*r < cores, SnapError::Invalid("tcm rank out of range"))?;
         }
-        *shuffle = dec.u64()?;
-        Ok(())
+        ar.u64(shuffle)
     }
 }
 
@@ -1434,12 +1343,10 @@ mod tests {
         let mut p = FairQueueing::with_shares(vec![2, 1]);
         let cands = [cand(0, 0, false), cand(1, 1, false)];
         serve(&mut p, &cands, 7);
-        let mut enc = melreq_snap::Enc::new();
-        p.save_state(&mut enc);
-        let bytes = enc.into_bytes();
+        let bytes = melreq_snap::Enc::save(|enc| p.state(enc));
         let mut q = FairQueueing::with_shares(vec![2, 1]);
         let mut dec = melreq_snap::Dec::new(&bytes);
-        q.load_state(&mut dec).expect("load");
+        q.state(&mut dec).expect("load");
         assert!(dec.is_exhausted(), "trailing bytes after fq state");
         assert_eq!(p.virtual_time(CoreId(0)), q.virtual_time(CoreId(0)));
         assert_eq!(p.select(&cands, &[1, 1]), q.select(&cands, &[1, 1]));
@@ -1450,11 +1357,9 @@ mod tests {
         let mut p = StallTimeFair::new(2);
         p.accrue(&[3, 1], 250);
         p.note_grant(&cand(0, 0, false));
-        let mut enc = melreq_snap::Enc::new();
-        p.save_state(&mut enc);
-        let bytes = enc.into_bytes();
+        let bytes = melreq_snap::Enc::save(|enc| p.state(enc));
         let mut q = StallTimeFair::new(2);
-        q.load_state(&mut melreq_snap::Dec::new(&bytes)).expect("load");
+        q.state(&mut melreq_snap::Dec::new(&bytes)).expect("load");
         assert_eq!(p.debt(CoreId(0)).to_bits(), q.debt(CoreId(0)).to_bits());
         assert_eq!(p.debt(CoreId(1)).to_bits(), q.debt(CoreId(1)).to_bits());
         let cands = [cand(5, 0, false), cand(6, 1, false)];
@@ -1525,12 +1430,10 @@ mod tests {
         for i in 0..5 {
             p.note_grant(&cand(i, 0, false));
         }
-        let mut enc = melreq_snap::Enc::new();
-        p.save_state(&mut enc);
-        let bytes = enc.into_bytes();
+        let bytes = melreq_snap::Enc::save(|enc| p.state(enc));
         let mut q = Bliss::new(2, 2, 100);
         let mut dec = melreq_snap::Dec::new(&bytes);
-        q.load_state(&mut dec).expect("load");
+        q.state(&mut dec).expect("load");
         assert!(dec.is_exhausted(), "trailing bytes after bliss state");
         let cands = [cand(10, 0, true), cand(11, 1, false)];
         assert_eq!(p.select(&cands, &[1, 1]), q.select(&cands, &[1, 1]));
@@ -1539,12 +1442,10 @@ mod tests {
 
     #[test]
     fn bliss_load_rejects_wrong_core_count() {
-        let p = Bliss::new(4, 4, 100);
-        let mut enc = melreq_snap::Enc::new();
-        p.save_state(&mut enc);
-        let bytes = enc.into_bytes();
+        let mut p = Bliss::new(4, 4, 100);
+        let bytes = melreq_snap::Enc::save(|enc| p.state(enc));
         let mut q = Bliss::new(2, 4, 100);
-        assert!(q.load_state(&mut melreq_snap::Dec::new(&bytes)).is_err());
+        assert!(q.state(&mut melreq_snap::Dec::new(&bytes)).is_err());
     }
 
     #[test]
@@ -1590,11 +1491,9 @@ mod tests {
         for i in 0..17 {
             p.note_grant(&cand(i, u16::try_from(i % 2).expect("small"), false));
         }
-        let mut enc = melreq_snap::Enc::new();
-        p.save_state(&mut enc);
-        let bytes = enc.into_bytes();
+        let bytes = melreq_snap::Enc::save(|enc| p.state(enc));
         let mut q = TcmCluster::new(3, 7);
-        q.load_state(&mut melreq_snap::Dec::new(&bytes)).expect("load");
+        q.state(&mut melreq_snap::Dec::new(&bytes)).expect("load");
         assert_eq!(p.ranks(), q.ranks());
         let cands = [cand(30, 0, false), cand(31, 1, false), cand(32, 2, true)];
         assert_eq!(p.select(&cands, &[1, 1, 1]), q.select(&cands, &[1, 1, 1]));

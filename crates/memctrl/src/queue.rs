@@ -19,6 +19,7 @@
 
 use crate::request::{MemRequest, ReqId};
 use melreq_dram::Location;
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::CoreId;
 
 /// Shared request buffer with per-core occupancy counters and per-channel
@@ -162,65 +163,26 @@ impl RequestQueue {
         self.entries.iter()
     }
 
-    /// Serialize the queued requests. Per-core counters and per-channel
-    /// position lists are derived data and are rebuilt on load.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        // `capacity`: construction-time bound; load_state validates against
-        // it. The counters and position lists: recomputed by load_state's
-        // push replay.
-        let Self { entries, capacity: _, pending_reads: _, pending_writes: _, by_channel: _ } =
-            self;
-        enc.usize(entries.len());
-        for r in entries {
-            enc.u64(r.id.0);
-            enc.u16(r.core.0);
-            enc.u64(r.addr);
-            enc.usize(r.loc.channel);
-            enc.usize(r.loc.bank);
-            enc.u64(r.loc.row);
-            enc.u32(r.loc.column);
-            enc.bool(r.kind.is_read());
-            enc.u64(r.arrival);
-        }
-    }
-
-    /// Restore state written by [`RequestQueue::save_state`] into a queue
-    /// with the same capacity / core count / channel count, rebuilding the
-    /// occupancy counters and position indices.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
+    /// Walk the queued requests ([`Archive`]); a load needs the same
+    /// capacity, core count and channel count. The per-core counters and
+    /// per-channel position lists are derived data, rebuilt on load.
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        // `capacity`: construction-time bound; a load is checked against it.
         let Self { entries, capacity, pending_reads, pending_writes, by_channel } = self;
-        let n = dec.usize()?;
-        if n > *capacity {
-            return Err(melreq_snap::SnapError::Invalid("queue entries exceed capacity"));
+        let cap = Some((*capacity, SnapError::Invalid("queue entries exceed capacity")));
+        ar.seq(entries, cap, |ar, r| r.state(ar))?;
+        if !ar.loading() {
+            return Ok(());
         }
-        entries.clear();
-        pending_reads.iter_mut().for_each(|c| *c = 0);
-        pending_writes.iter_mut().for_each(|c| *c = 0);
+        let loaded = std::mem::replace(entries, Vec::with_capacity(*capacity));
+        pending_reads.fill(0);
+        pending_writes.fill(0);
         by_channel.iter_mut().for_each(Vec::clear);
         let (cores, channels) = (pending_reads.len(), by_channel.len());
-        for _ in 0..n {
-            let id = ReqId(dec.u64()?);
-            let core = CoreId(dec.u16()?);
-            let addr = dec.u64()?;
-            let loc = Location {
-                channel: dec.usize()?,
-                bank: dec.usize()?,
-                row: dec.u64()?,
-                column: dec.u32()?,
-            };
-            let kind = if dec.bool()? {
-                melreq_stats::types::AccessKind::Read
-            } else {
-                melreq_stats::types::AccessKind::Write
-            };
-            let arrival = dec.u64()?;
-            if core.index() >= cores || loc.channel >= channels {
-                return Err(melreq_snap::SnapError::Invalid("request indices out of range"));
-            }
-            self.push(MemRequest { id, core, addr, loc, kind, arrival });
+        for r in loaded {
+            let in_range = r.core.index() < cores && r.loc.channel < channels;
+            ar.ensure(in_range, SnapError::Invalid("request indices out of range"))?;
+            self.push(r);
         }
         Ok(())
     }

@@ -1,6 +1,7 @@
 //! Memory request records.
 
 use melreq_dram::Location;
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle};
 
 /// Unique identifier of an in-flight memory request.
@@ -9,11 +10,11 @@ use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle};
 /// (the cache hierarchy), so they double as an arrival sequence number:
 /// comparing ids of two queued requests gives their arrival order even
 /// when both arrived on the same cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub u64);
 
 /// One memory transaction (a 64-byte line read or write-back).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Unique id, monotone in arrival order.
     pub id: ReqId,
@@ -35,6 +36,23 @@ impl MemRequest {
     #[inline]
     pub fn is_read(&self) -> bool {
         self.kind.is_read()
+    }
+
+    /// Walk one queued request ([`Archive`]).
+    pub(crate) fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        let Self { id, core, addr, loc, kind, arrival } = self;
+        let Location { channel, bank, row, column } = loc;
+        ar.u64(&mut id.0)?;
+        ar.u16(&mut core.0)?;
+        ar.u64(addr)?;
+        ar.usize(channel)?;
+        ar.usize(bank)?;
+        ar.u64(row)?;
+        ar.u32(column)?;
+        let mut read = kind.is_read();
+        ar.bool(&mut read)?;
+        *kind = if read { AccessKind::Read } else { AccessKind::Write };
+        ar.u64(arrival)
     }
 }
 

@@ -13,6 +13,7 @@
 //! program loading", and [`PriorityTable::lookup`] is the parallel table
 //! read performed at each scheduling decision.
 
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::fixedpoint::{PriorityFixed, PRIORITY_MAX};
 use melreq_stats::types::CoreId;
 
@@ -154,40 +155,20 @@ impl PriorityTable {
         self.cores() * MAX_PENDING as usize * 10
     }
 
-    /// Serialize every table entry plus the scale factor. Entries are
-    /// stored raw so both quantization modes (log-domain and linear)
-    /// round-trip identically.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk every table entry plus the scale factor ([`Archive`]); a
+    /// load needs the same core count. Entries are stored raw so both
+    /// quantization modes (log-domain and linear) round-trip identically.
+    pub fn state<A: Archive + ?Sized>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `me`: provenance input, never serialized; a restored table keeps
         // its receiver's construction profile.
         let Self { tables, scale, me: _ } = self;
-        enc.usize(tables.len());
-        for t in tables {
-            for e in t {
-                enc.u16(e.raw());
-            }
+        ar.len(tables.len(), SnapError::Invalid("priority table core count mismatch"))?;
+        for e in tables.iter_mut().flatten() {
+            let mut raw = e.raw();
+            ar.u16(&mut raw)?;
+            *e = PriorityFixed::from_raw(raw);
         }
-        enc.f64(*scale);
-    }
-
-    /// Restore state written by [`PriorityTable::save_state`] into a
-    /// table built for the same core count.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self { tables, scale, me: _ } = self;
-        let n = dec.usize()?;
-        if n != tables.len() {
-            return Err(melreq_snap::SnapError::Invalid("priority table core count mismatch"));
-        }
-        for t in tables {
-            for e in t.iter_mut() {
-                *e = PriorityFixed::from_raw(dec.u16()?);
-            }
-        }
-        *scale = dec.f64()?;
-        Ok(())
+        ar.f64(scale)
     }
 }
 

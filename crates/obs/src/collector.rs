@@ -114,7 +114,7 @@ impl Collector {
     pub fn shared(capacity: usize) -> (AuditHandle, Arc<Mutex<Collector>>) {
         let collector = Arc::new(Mutex::new(Collector::new(capacity)));
         let sink: Arc<Mutex<dyn AuditSink>> = collector.clone();
-        (AuditHandle::from_shared(sink, true), collector)
+        (AuditHandle::from_shared(vec![sink]), collector)
     }
 
     // ---- results ----
@@ -144,7 +144,7 @@ impl Collector {
             .map(|(name, t)| (name.as_str(), t))
     }
 
-    /// `Decision` events observed (0 when the tap had decisions off).
+    /// `Decision` events observed.
     pub fn decisions_seen(&self) -> u64 {
         self.decisions_seen
     }
@@ -457,33 +457,6 @@ impl AuditSink for Collector {
     }
 }
 
-/// Forward each audit event to several sinks (e.g. a protocol auditor
-/// *and* a trace collector on the same tap).
-#[derive(Debug)]
-pub struct Fanout {
-    sinks: Vec<Arc<Mutex<dyn AuditSink>>>,
-}
-
-impl Fanout {
-    /// A fanout over `sinks`, notified in order.
-    pub fn new(sinks: Vec<Arc<Mutex<dyn AuditSink>>>) -> Self {
-        Fanout { sinks }
-    }
-
-    /// Wrap a fanout over `sinks` in a ready-to-attach handle.
-    pub fn handle(sinks: Vec<Arc<Mutex<dyn AuditSink>>>, decisions: bool) -> AuditHandle {
-        AuditHandle::new(Fanout::new(sinks), decisions)
-    }
-}
-
-impl AuditSink for Fanout {
-    fn record(&mut self, ev: &AuditEvent) {
-        for s in &self.sinks {
-            s.lock().expect("fanout sink poisoned").record(ev);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,7 +672,7 @@ mod tests {
         let a: Arc<Mutex<dyn AuditSink>> = Arc::new(Mutex::new(melreq_audit::Recorder::default()));
         let collector = Arc::new(Mutex::new(Collector::new(DEFAULT_TRACE_CAPACITY)));
         let c_dyn: Arc<Mutex<dyn AuditSink>> = collector.clone();
-        let h = Fanout::handle(vec![a.clone(), c_dyn], true);
+        let h = AuditHandle::from_shared(vec![a.clone(), c_dyn]);
         h.emit(|| AuditEvent::Refresh { channel: 0, at: 7 });
         assert!(format!("{:?}", a.lock().expect("recorder")).contains("Refresh"));
         assert_eq!(collector.lock().expect("collector").ring().len(), 1);

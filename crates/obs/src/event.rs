@@ -104,7 +104,7 @@ pub enum TraceEvent {
         /// Cycle of the last data beat.
         data_ready: Cycle,
         /// The scheduler rule that decided this grant (present when the
-        /// tap emitted `Decision` events, i.e. `wants_decisions`).
+        /// tap emitted `Decision` events, i.e. `is_enabled`).
         rule: Option<Rule>,
         /// The best candidate the winner beat, if any.
         runner_up: Option<RunnerUp>,

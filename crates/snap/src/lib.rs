@@ -15,31 +15,35 @@
 //! [`Sealed`] is a container that has passed (or was built by) them, so
 //! in-process hand-offs do not pay the checksum again.
 //!
-//! Every `save_state` and `load_state` over a named-field struct opens
-//! by destructuring `self` exhaustively, so the compiler checks snapshot
+//! A snapshotted struct states its field order once, in a `state` walk
+//! over an [`Archive`]: [`Enc`] writes each field it is handed, [`Dec`]
+//! overwrites it, and [`Archive::loading`] marks what runs one way only
+//! (load-time checks, rebuilding derived state). The walk opens by
+//! destructuring `self` exhaustively, so the compiler checks snapshot
 //! coverage: a field the pattern does not name is error E0027, and a
 //! field it binds but never uses is an `unused_variables` error under the
 //! workspace's `warnings = deny`. A field deliberately left out is bound
 //! as `field: _`, with a comment saying why.
 //!
 //! ```compile_fail,E0027
+//! use melreq_snap::{Archive, SnapError};
 //! struct Bank {
 //!     open_row: u64,
 //!     ready_at: u64, // added, but not snapshotted
 //! }
 //! impl Bank {
-//!     fn save_state(&self, enc: &mut melreq_snap::Enc) {
+//!     fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
 //!         let Self { open_row } = self;
-//!         enc.u64(*open_row);
+//!         ar.u64(open_row)
 //!     }
 //! }
 //! ```
 //!
-//! What the encoders write is pinned byte for byte by the snapshot pins
-//! in `crates/core/tests/determinism.rs`: bytes that move there bump
+//! What the walks write is pinned byte for byte by the snapshot pins in
+//! `crates/core/tests/determinism.rs`: bytes that move there bump
 //! `SCHEMA_VERSION` and re-capture the pins.
 
-/// Bump on ANY change to any crate's `save_state` encoding. Persisted
+/// Bump on ANY change to what any crate's `state` walk writes. Persisted
 /// checkpoints and profiles from other versions are ignored, never
 /// migrated.
 pub const SCHEMA_VERSION: u32 = 4;
@@ -85,6 +89,13 @@ impl Enc {
     /// An empty encoder.
     pub fn new() -> Self {
         Enc { buf: Vec::new() }
+    }
+
+    /// The bytes a save walk writes into a fresh encoder.
+    pub fn save(walk: impl FnOnce(&mut Enc) -> Result<(), SnapError>) -> Vec<u8> {
+        let mut enc = Enc::new();
+        walk(&mut enc).expect("a save walk does not fail");
+        enc.into_bytes()
     }
 
     /// Consume the encoder, returning the raw payload bytes.
@@ -337,6 +348,147 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// One `state` walk, run in either direction. Each field method takes
+/// the field itself: [`Enc`] writes it and [`Dec`] overwrites it with the
+/// next value of the payload, so a struct lists its fields once for both.
+pub trait Archive {
+    /// Whether this walk restores (`Dec`) rather than saves (`Enc`): what
+    /// only a load does — checks, rebuilding derived state — runs under it.
+    fn loading(&self) -> bool;
+    /// One byte.
+    fn u8(&mut self, v: &mut u8) -> Result<(), SnapError>;
+    /// A `u16`.
+    fn u16(&mut self, v: &mut u16) -> Result<(), SnapError>;
+    /// A `u32`.
+    fn u32(&mut self, v: &mut u32) -> Result<(), SnapError>;
+    /// A `u64`.
+    fn u64(&mut self, v: &mut u64) -> Result<(), SnapError>;
+    /// A `u128`.
+    fn u128(&mut self, v: &mut u128) -> Result<(), SnapError>;
+    /// A `usize`, as a `u64`.
+    fn usize(&mut self, v: &mut usize) -> Result<(), SnapError>;
+    /// An `f64`'s exact bit pattern.
+    fn f64(&mut self, v: &mut f64) -> Result<(), SnapError>;
+    /// A `bool` as one byte (a byte other than 0/1 is `BadTag`).
+    fn bool(&mut self, v: &mut bool) -> Result<(), SnapError>;
+    /// An `Option<u64>`: presence byte, then the value.
+    fn opt_u64(&mut self, v: &mut Option<u64>) -> Result<(), SnapError>;
+    /// An `Option<f64>`: presence byte, then the bits.
+    fn opt_f64(&mut self, v: &mut Option<f64>) -> Result<(), SnapError>;
+    /// A length-prefixed UTF-8 string.
+    fn string(&mut self, v: &mut String) -> Result<(), SnapError>;
+
+    /// A length the receiver already knows (a core count, a bank count):
+    /// written as a `usize`, and on load anything but `n` is `why`.
+    fn len(&mut self, n: usize, why: SnapError) -> Result<(), SnapError> {
+        let mut got = n;
+        self.usize(&mut got)?;
+        if got == n {
+            Ok(())
+        } else {
+            Err(why)
+        }
+    }
+
+    /// A load-time check: on load, `why` unless `ok`. A save walk holds
+    /// live state, which the checks describe, so it checks nothing.
+    fn ensure(&self, ok: bool, why: SnapError) -> Result<(), SnapError> {
+        if ok || !self.loading() {
+            Ok(())
+        } else {
+            Err(why)
+        }
+    }
+
+    /// A length-prefixed sequence, each element walked by `each`. On load
+    /// a count past `bound`'s limit is its error, and `v` is replaced by
+    /// elements walked from `T::default()` and pushed one at a time, so a
+    /// forged count runs out of bytes instead of sizing an allocation.
+    /// This is the one place a decoded count meets memory.
+    fn seq<T: Default>(
+        &mut self,
+        v: &mut Vec<T>,
+        bound: Option<(usize, SnapError)>,
+        mut each: impl FnMut(&mut Self, &mut T) -> Result<(), SnapError>,
+    ) -> Result<(), SnapError>
+    where
+        Self: Sized,
+    {
+        let mut n = v.len();
+        self.usize(&mut n)?;
+        if !self.loading() {
+            return v.iter_mut().try_for_each(|x| each(self, x));
+        }
+        if let Some((max, why)) = bound {
+            if n > max {
+                return Err(why);
+            }
+        }
+        v.clear();
+        for _ in 0..n {
+            let mut x = T::default();
+            each(self, &mut x)?;
+            v.push(x);
+        }
+        Ok(())
+    }
+}
+
+/// The [`Archive`] field methods of [`Enc`] and [`Dec`]: each forwards to
+/// the inherent method of the same name.
+macro_rules! archive_fields {
+    ($($name:ident: $ty:ty),*) => {
+        impl Archive for Enc {
+            #[inline]
+            fn loading(&self) -> bool {
+                false
+            }
+            $(
+                #[inline]
+                fn $name(&mut self, v: &mut $ty) -> Result<(), SnapError> {
+                    Enc::$name(self, *v);
+                    Ok(())
+                }
+            )*
+            fn string(&mut self, v: &mut String) -> Result<(), SnapError> {
+                Enc::str(self, v);
+                Ok(())
+            }
+        }
+
+        impl Archive for Dec<'_> {
+            #[inline]
+            fn loading(&self) -> bool {
+                true
+            }
+            $(
+                #[inline]
+                fn $name(&mut self, v: &mut $ty) -> Result<(), SnapError> {
+                    *v = Dec::$name(self)?;
+                    Ok(())
+                }
+            )*
+            fn string(&mut self, v: &mut String) -> Result<(), SnapError> {
+                *v = Dec::str(self)?;
+                Ok(())
+            }
+        }
+    };
+}
+
+archive_fields!(
+    u8: u8,
+    u16: u16,
+    u32: u32,
+    u64: u64,
+    u128: u128,
+    usize: usize,
+    f64: f64,
+    bool: bool,
+    opt_u64: Option<u64>,
+    opt_f64: Option<f64>
+);
+
 /// FNV-1a over `bytes` — the same construction the audit crate uses for
 /// event-stream hashes, reused here for container checksums and for
 /// content-addressed store keys.
@@ -525,6 +677,67 @@ mod tests {
             assert_eq!(Dec::new(&bytes).i32s(), Err(SnapError::Truncated));
             assert_eq!(Dec::new(&bytes).bytes(), Err(SnapError::Truncated));
         }
+    }
+
+    /// Two fields, a list the receiver bounds and one it knows the
+    /// length of, walked one way for both directions.
+    #[derive(Debug, Default, PartialEq)]
+    struct Walked {
+        id: u16,
+        name: String,
+        list: Vec<u64>,
+        known: [bool; 2],
+    }
+
+    impl Walked {
+        fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+            let Self { id, name, list, known } = self;
+            ar.u16(id)?;
+            ar.string(name)?;
+            ar.seq(list, Some((3, SnapError::Invalid("list too long"))), A::u64)?;
+            ar.len(known.len(), SnapError::Invalid("known length"))?;
+            known.iter_mut().try_for_each(|k| ar.bool(k))?;
+            ar.ensure(*id != 0, SnapError::Invalid("id zero"))
+        }
+    }
+
+    #[test]
+    fn a_walk_restores_what_it_saves_and_checks_only_on_load() {
+        let mut saved =
+            Walked { id: 7, name: "seven".into(), list: vec![1, 2], known: [true, false] };
+        let bytes = Enc::save(|enc| saved.state(enc));
+        let mut manual = Enc::new();
+        manual.u16(7);
+        manual.str("seven");
+        manual.u64s(&[1, 2]);
+        manual.usize(2);
+        manual.bool(true);
+        manual.bool(false);
+        assert_eq!(bytes, manual.into_bytes(), "a walk writes what the inherent methods write");
+        let mut loaded = Walked { list: vec![9; 5], ..Walked::default() };
+        let mut dec = Dec::new(&bytes);
+        loaded.state(&mut dec).unwrap();
+        assert!(dec.is_exhausted());
+        assert_eq!(loaded, saved);
+        // A save checks nothing; a load checks everything.
+        let mut zero = Walked { id: 0, ..Walked::default() };
+        let bytes = Enc::save(|enc| zero.state(enc));
+        assert_eq!(zero.state(&mut Dec::new(&bytes)), Err(SnapError::Invalid("id zero")));
+        let mut long = Walked { list: vec![0; 4], ..saved };
+        let bytes = Enc::save(|enc| long.state(enc));
+        assert_eq!(long.state(&mut Dec::new(&bytes)), Err(SnapError::Invalid("list too long")));
+    }
+
+    #[test]
+    fn a_forged_sequence_count_runs_out_of_bytes() {
+        let mut e = Enc::new();
+        e.u64(1 << 40);
+        e.u64(5);
+        let bytes = e.into_bytes();
+        let mut list = Vec::new();
+        let got = Dec::new(&bytes).seq(&mut list, None, |ar, x: &mut u64| Archive::u64(ar, x));
+        assert_eq!(got, Err(SnapError::Truncated));
+        assert_eq!(list, [5], "elements are pushed as they decode");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Simple event counters.
 
+use melreq_snap::{Archive, SnapError};
+
 /// A monotonically increasing event counter.
 ///
 /// Wraps a `u64` with a small API so call sites read as instrumentation
@@ -40,20 +42,10 @@ impl Counter {
         self.value = 0;
     }
 
-    /// Serialize into a checkpoint.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk the checkpoint state ([`Archive`]).
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self { value } = self;
-        enc.u64(*value);
-    }
-
-    /// Restore from a checkpoint.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self { value } = self;
-        *value = dec.u64()?;
-        Ok(())
+        ar.u64(value)
     }
 
     /// This counter as a fraction of `denom` (0.0 when `denom` is zero).

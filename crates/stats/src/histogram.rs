@@ -1,5 +1,7 @@
 //! Power-of-two bucketed histogram for latency distributions.
 
+use melreq_snap::{Archive, SnapError};
+
 /// A histogram with logarithmic (power-of-two) buckets.
 ///
 /// Bucket `i` counts samples in `[2^i, 2^(i+1))`, with bucket 0 counting
@@ -62,29 +64,15 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Serialize into a checkpoint.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk the checkpoint state ([`Archive`]). The bucket
+    /// count must match this histogram's configuration (it is
+    /// structural, not state).
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self { buckets, count, sum } = self;
-        enc.u64s(buckets);
-        enc.u64(*count);
-        enc.u128(*sum);
-    }
-
-    /// Restore from a checkpoint. The bucket count must match this
-    /// histogram's configuration (it is structural, not state).
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self { buckets, count, sum } = self;
-        let loaded = dec.u64s()?;
-        if loaded.len() != buckets.len() {
-            return Err(melreq_snap::SnapError::Invalid("histogram bucket count mismatch"));
-        }
-        *buckets = loaded;
-        *count = dec.u64()?;
-        *sum = dec.u128()?;
-        Ok(())
+        ar.len(buckets.len(), SnapError::Invalid("histogram bucket count mismatch"))?;
+        buckets.iter_mut().try_for_each(|b| ar.u64(b))?;
+        ar.u64(count)?;
+        ar.u128(sum)
     }
 
     /// Reset all buckets.

@@ -3,6 +3,7 @@
 use crate::histogram::Histogram;
 use crate::mean::{StreamingMean, StreamingMinMax};
 use crate::types::Cycle;
+use melreq_snap::{Archive, SnapError};
 
 /// Tracks the latency distribution of a class of events (e.g. memory read
 /// requests from one core, as plotted in Figure 4 of the paper).
@@ -73,23 +74,12 @@ impl LatencyTracker {
         &self.histogram
     }
 
-    /// Serialize into a checkpoint.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk the checkpoint state ([`Archive`]).
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self { mean, minmax, histogram } = self;
-        mean.save_state(enc);
-        minmax.save_state(enc);
-        histogram.save_state(enc);
-    }
-
-    /// Restore from a checkpoint.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self { mean, minmax, histogram } = self;
-        mean.load_state(dec)?;
-        minmax.load_state(dec)?;
-        histogram.load_state(dec)
+        mean.state(ar)?;
+        minmax.state(ar)?;
+        histogram.state(ar)
     }
 }
 

@@ -1,5 +1,7 @@
 //! Streaming (single-pass, O(1)-memory) mean and min/max trackers.
 
+use melreq_snap::{Archive, SnapError};
+
 /// Streaming arithmetic mean with count and sum.
 ///
 /// Used for average read latency (Figure 4) and other per-run averages.
@@ -50,22 +52,11 @@ impl StreamingMean {
         self.mean().unwrap_or(0.0)
     }
 
-    /// Serialize into a checkpoint.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk the checkpoint state ([`Archive`]).
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self { count, sum } = self;
-        enc.u64(*count);
-        enc.f64(*sum);
-    }
-
-    /// Restore from a checkpoint.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self { count, sum } = self;
-        *count = dec.u64()?;
-        *sum = dec.f64()?;
-        Ok(())
+        ar.u64(count)?;
+        ar.f64(sum)
     }
 }
 
@@ -98,22 +89,11 @@ impl StreamingMinMax {
         self.max
     }
 
-    /// Serialize into a checkpoint.
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk the checkpoint state ([`Archive`]).
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self { min, max } = self;
-        enc.opt_f64(*min);
-        enc.opt_f64(*max);
-    }
-
-    /// Restore from a checkpoint.
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self { min, max } = self;
-        *min = dec.opt_f64()?;
-        *max = dec.opt_f64()?;
-        Ok(())
+        ar.opt_f64(min)?;
+        ar.opt_f64(max)
     }
 }
 

@@ -23,7 +23,7 @@ pub const CACHE_LINE_SHIFT: u32 = 6;
 ///
 /// A newtype rather than a bare `usize` so that core indices, bank indices
 /// and queue indices cannot be accidentally interchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub u16);
 
 impl CoreId {
@@ -54,10 +54,11 @@ impl From<usize> for CoreId {
 /// Section 2 of the paper ("read requests will cause the processor to
 /// stall and write requests normally can be well handled by write
 /// buffers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A demand read (data load miss, instruction fetch miss, or a line
     /// fetch triggered by a write-allocate store miss).
+    #[default]
     Read,
     /// A write-back of a dirty line evicted from the last-level cache.
     Write,

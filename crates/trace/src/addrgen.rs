@@ -6,6 +6,7 @@
 //! aggregates. [`AddressPattern`] describes a mixture of four archetypes;
 //! [`AddressStream`] samples it reproducibly.
 
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{Addr, CACHE_LINE_BYTES};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -24,6 +25,19 @@ pub(crate) fn threshold(p: f64) -> u64 {
 #[inline]
 pub(crate) fn draw(rng: &mut SmallRng, threshold: u64) -> bool {
     (rng.next_u64() >> 11) < threshold
+}
+
+/// Walk a generator's four state words ([`Archive`]).
+pub(crate) fn rng_state<A: Archive + ?Sized>(
+    rng: &mut SmallRng,
+    ar: &mut A,
+) -> Result<(), SnapError> {
+    let mut words = rng.state();
+    words.iter_mut().try_for_each(|w| ar.u64(w))?;
+    if ar.loading() {
+        *rng = SmallRng::from_state(words);
+    }
+    Ok(())
 }
 
 /// Statistical description of a program's data-address behaviour.
@@ -115,31 +129,14 @@ impl AddressStream {
         &self.pattern
     }
 
-    /// Serialize the sampler's mutable state (cursor + RNG).
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk the sampler's mutable state, cursor then RNG ([`Archive`]).
+    pub fn state<A: Archive + ?Sized>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `pattern`, `base`: construction-time config, identical across
         // snapshot peers. `seq_below`, `chase_below`:
         // threshold(pattern.seq_prob / chase_prob), fixed at construction.
         let Self { pattern: _, base: _, seq_below: _, chase_below: _, cursor, rng } = self;
-        enc.u64(*cursor);
-        for w in rng.state() {
-            enc.u64(w);
-        }
-    }
-
-    /// Restore state written by [`AddressStream::save_state`].
-    pub fn load_state(
-        &mut self,
-        dec: &mut melreq_snap::Dec<'_>,
-    ) -> Result<(), melreq_snap::SnapError> {
-        let Self { pattern: _, base: _, seq_below: _, chase_below: _, cursor, rng } = self;
-        *cursor = dec.u64()?;
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = dec.u64()?;
-        }
-        *rng = rand::rngs::SmallRng::from_state(s);
-        Ok(())
+        ar.u64(cursor)?;
+        rng_state(rng, ar)
     }
 
     /// Sample the next data address.

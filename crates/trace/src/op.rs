@@ -1,12 +1,14 @@
 //! The micro-op record consumed by the out-of-order core model.
 
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::Addr;
 
 /// Operation classes, matching the functional units of Table 1
 /// (4 IntALU, 2 IntMult, 2 FPALU, 1 FPMult) plus memory and control ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Single-cycle integer ALU op.
+    #[default]
     IntAlu,
     /// Integer multiply/divide.
     IntMult,
@@ -61,46 +63,41 @@ impl OpKind {
         }
     }
 
-    /// Serialize the op class and operands (for checkpointing in-flight
-    /// pipeline state).
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
-        match *self {
-            OpKind::IntAlu => enc.u8(0),
-            OpKind::IntMult => enc.u8(1),
-            OpKind::FpAlu => enc.u8(2),
-            OpKind::FpMult => enc.u8(3),
-            OpKind::Branch { mispredict } => {
-                enc.u8(4);
-                enc.bool(mispredict);
-            }
-            OpKind::Load { addr } => {
-                enc.u8(5);
-                enc.u64(addr);
-            }
-            OpKind::Store { addr } => {
-                enc.u8(6);
-                enc.u64(addr);
-            }
+    /// Walk the op class, then its operands ([`Archive`]; for
+    /// checkpointing in-flight pipeline state).
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
+        let mut tag = match self {
+            OpKind::IntAlu => 0,
+            OpKind::IntMult => 1,
+            OpKind::FpAlu => 2,
+            OpKind::FpMult => 3,
+            OpKind::Branch { .. } => 4,
+            OpKind::Load { .. } => 5,
+            OpKind::Store { .. } => 6,
+        };
+        ar.u8(&mut tag)?;
+        if ar.loading() {
+            *self = match tag {
+                0 => OpKind::IntAlu,
+                1 => OpKind::IntMult,
+                2 => OpKind::FpAlu,
+                3 => OpKind::FpMult,
+                4 => OpKind::Branch { mispredict: false },
+                5 => OpKind::Load { addr: 0 },
+                6 => OpKind::Store { addr: 0 },
+                t => return Err(SnapError::BadTag(t)),
+            };
         }
-    }
-
-    /// Decode an op class written by [`OpKind::save_state`].
-    pub fn load_state(dec: &mut melreq_snap::Dec<'_>) -> Result<Self, melreq_snap::SnapError> {
-        Ok(match dec.u8()? {
-            0 => OpKind::IntAlu,
-            1 => OpKind::IntMult,
-            2 => OpKind::FpAlu,
-            3 => OpKind::FpMult,
-            4 => OpKind::Branch { mispredict: dec.bool()? },
-            5 => OpKind::Load { addr: dec.u64()? },
-            6 => OpKind::Store { addr: dec.u64()? },
-            t => return Err(melreq_snap::SnapError::BadTag(t)),
-        })
+        match self {
+            OpKind::Branch { mispredict } => ar.bool(mispredict),
+            OpKind::Load { addr } | OpKind::Store { addr } => ar.u64(addr),
+            _ => Ok(()),
+        }
     }
 }
 
 /// One micro-op of the synthetic program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MicroOp {
     /// Program counter; drives the instruction-fetch stream (4-byte ops).
     pub pc: Addr,
@@ -114,20 +111,13 @@ pub struct MicroOp {
 }
 
 impl MicroOp {
-    /// Serialize this op (for checkpointing pipeline latches that hold a
-    /// staged op).
-    pub fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    /// Walk this op ([`Archive`]; for checkpointing pipeline latches
+    /// that hold a staged op).
+    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self { pc, kind, dep_dist } = self;
-        enc.u64(*pc);
-        kind.save_state(enc);
-        enc.u16(*dep_dist);
-    }
-
-    /// Decode an op written by [`MicroOp::save_state`].
-    pub fn load_state(dec: &mut melreq_snap::Dec<'_>) -> Result<Self, melreq_snap::SnapError> {
-        let pc = dec.u64()?;
-        let kind = OpKind::load_state(dec)?;
-        Ok(MicroOp { pc, kind, dep_dist: dec.u16()? })
+        ar.u64(pc)?;
+        kind.state(ar)?;
+        ar.u16(dep_dist)
     }
 }
 
@@ -161,15 +151,11 @@ pub trait InstrStream {
         None
     }
 
-    /// Serialize the stream's mutable generation state — cursor
-    /// positions and RNG state, not construction parameters — so a
-    /// system checkpoint can resume the op sequence exactly where it
-    /// left off.
-    fn save_state(&self, enc: &mut melreq_snap::Enc);
-
-    /// Restore state written by [`InstrStream::save_state`] into a
-    /// stream constructed with identical parameters.
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError>;
+    /// Walk the stream's mutable generation state — cursor positions and
+    /// RNG state, not construction parameters — so a system checkpoint
+    /// can resume the op sequence exactly where it left off ([`Archive`];
+    /// a load needs a stream constructed with identical parameters).
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError>;
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use crate::op::{InstrStream, MicroOp, WarmHints};
 use crate::synthetic::SyntheticStream;
+use melreq_snap::{Archive, SnapError};
 
 /// A program that cycles through phases of different behaviour.
 #[derive(Debug, Clone)]
@@ -59,28 +60,13 @@ impl InstrStream for PhasedStream {
         self.phases.iter().filter_map(|(s, _)| s.warm_hints()).max_by_key(|h| h.data_len)
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
         // `label`: construction-time config, identical across snapshot peers.
         let Self { label: _, phases, current, remaining } = self;
-        enc.usize(*current);
-        enc.u64(*remaining);
-        for (s, _) in phases {
-            s.save_state(enc);
-        }
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let Self { label: _, phases, current, remaining } = self;
-        let loaded = dec.usize()?;
-        if loaded >= phases.len() {
-            return Err(melreq_snap::SnapError::Invalid("phase index out of range"));
-        }
-        *current = loaded;
-        *remaining = dec.u64()?;
-        for (s, _) in phases {
-            s.load_state(dec)?;
-        }
-        Ok(())
+        ar.usize(current)?;
+        ar.ensure(*current < phases.len(), SnapError::Invalid("phase index out of range"))?;
+        ar.u64(remaining)?;
+        phases.iter_mut().try_for_each(|(s, _)| s.state(ar))
     }
 }
 

@@ -7,8 +7,9 @@
 //! depends on — IPC under a given memory latency, bandwidth demand, and
 //! row-buffer friendliness — without the original SPEC binaries.
 
-use crate::addrgen::{draw, threshold, AddressPattern, AddressStream};
+use crate::addrgen::{draw, rng_state, threshold, AddressPattern, AddressStream};
 use crate::op::{InstrStream, MicroOp, OpKind, WarmHints};
+use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::Addr;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -264,7 +265,7 @@ impl InstrStream for SyntheticStream {
         })
     }
 
-    fn save_state(&self, enc: &mut melreq_snap::Enc) {
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
         // `label`, `params`, `data_base`, `code_base`: construction-time
         // config, identical across snapshot peers. `draws`: derived from
         // `params` at construction.
@@ -279,35 +280,10 @@ impl InstrStream for SyntheticStream {
             code_base: _,
             ops_since_load,
         } = self;
-        addrs.save_state(enc);
-        for w in rng.state() {
-            enc.u64(w);
-        }
-        enc.u64(*pc);
-        enc.u16(*ops_since_load);
-    }
-
-    fn load_state(&mut self, dec: &mut melreq_snap::Dec<'_>) -> Result<(), melreq_snap::SnapError> {
-        let Self {
-            label: _,
-            params: _,
-            draws: _,
-            addrs,
-            rng,
-            pc,
-            data_base: _,
-            code_base: _,
-            ops_since_load,
-        } = self;
-        addrs.load_state(dec)?;
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = dec.u64()?;
-        }
-        *rng = SmallRng::from_state(s);
-        *pc = dec.u64()?;
-        *ops_since_load = dec.u16()?;
-        Ok(())
+        addrs.state(ar)?;
+        rng_state(rng, ar)?;
+        ar.u64(pc)?;
+        ar.u16(ops_since_load)
     }
 }
 

@@ -17,7 +17,7 @@
 //! process, so a later one replays what this one generated.
 
 use crate::op::{InstrStream, MicroOp, OpKind, WarmHints};
-use melreq_snap::{Dec, Enc, SnapError};
+use melreq_snap::{Archive, Dec, Enc, SnapError};
 use std::sync::{Arc, Mutex};
 
 /// Ops per chunk: the unit of generation and of locking.
@@ -64,7 +64,7 @@ const PLAIN_KINDS: [OpKind; 16] = {
 /// from pc 0 and address 0, so its first memory op is stored whole.
 #[derive(Debug, Default, Clone)]
 struct Chunk {
-    /// `save_state` bytes of the generator before the chunk's first op.
+    /// Saved state of the generator before the chunk's first op.
     origin: Vec<u8>,
     words: Vec<u16>,
     addrs: Vec<i32>,
@@ -168,8 +168,8 @@ impl Chunk {
         enc.i32s(addrs);
         enc.i32s(pcs);
         enc.usize(escapes.len());
-        for op in escapes {
-            op.save_state(enc);
+        for mut op in escapes.iter().copied() {
+            op.state(enc).expect("a save walk does not fail");
         }
     }
 
@@ -206,15 +206,18 @@ impl Chunk {
         if dec.usize()? != escaped {
             return Err(SnapError::Invalid("tape escapes disagree with its words"));
         }
-        let escapes = (0..escaped).map(|_| MicroOp::load_state(dec)).collect::<Result<_, _>>()?;
+        let escapes = (0..escaped)
+            .map(|_| {
+                let mut op = MicroOp::default();
+                op.state(dec).map(|()| op)
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Chunk { origin, words, addrs, pcs, escapes })
     }
 }
 
-fn state_of(stream: &dyn InstrStream) -> Vec<u8> {
-    let mut enc = Enc::new();
-    stream.save_state(&mut enc);
-    enc.into_bytes()
+fn state_of(stream: &mut dyn InstrStream) -> Vec<u8> {
+    Enc::save(|enc| stream.state(enc))
 }
 
 /// `state`, owned, if `generator` restores it and saves it back unchanged
@@ -222,7 +225,7 @@ fn state_of(stream: &dyn InstrStream) -> Vec<u8> {
 /// `generator` there.
 fn restorable(state: &[u8], generator: &mut dyn InstrStream) -> Result<Vec<u8>, SnapError> {
     let mut dec = Dec::new(state);
-    generator.load_state(&mut dec)?;
+    generator.state(&mut dec)?;
     if !dec.is_exhausted() || state_of(generator) != state {
         return Err(SnapError::Invalid("a tape holds a state its generator does not restore"));
     }
@@ -265,10 +268,10 @@ impl OpTape {
     }
 
     /// [`OpTape::new`] with another byte cap, to reach it in a test.
-    pub(crate) fn with_cap(generator: Box<dyn InstrStream + Send>, cap: usize) -> Arc<Self> {
+    pub(crate) fn with_cap(mut generator: Box<dyn InstrStream + Send>, cap: usize) -> Arc<Self> {
         Arc::new(OpTape {
             cap,
-            start: Arc::new(Chunk::at(state_of(generator.as_ref()))),
+            start: Arc::new(Chunk::at(state_of(generator.as_mut()))),
             state: Mutex::new(TapeState { generator, chunks: Vec::new(), bytes: 0 }),
         })
     }
@@ -291,13 +294,13 @@ impl OpTape {
     /// while extending the tape: its generator may stand mid-chunk.
     #[must_use]
     pub fn encode(&self, enc: &mut Enc) -> bool {
-        let Ok(st) = self.state.lock() else { return false };
+        let Ok(mut st) = self.state.lock() else { return false };
         enc.bytes(&self.start.origin);
         enc.usize(st.chunks.len());
         for chunk in &st.chunks {
             chunk.encode(enc);
         }
-        enc.bytes(&state_of(st.generator.as_ref()));
+        enc.bytes(&state_of(st.generator.as_mut()));
         true
     }
 
@@ -326,7 +329,7 @@ impl OpTape {
 
     /// Whether the tape's first op is `stream`'s next: the stream stands
     /// where the tape's generator stood when it began.
-    pub fn starts_at(&self, stream: &dyn InstrStream) -> bool {
+    pub fn starts_at(&self, stream: &mut dyn InstrStream) -> bool {
         self.start.origin == state_of(stream)
     }
 
@@ -338,7 +341,7 @@ impl OpTape {
         }
         assert_eq!(n, st.chunks.len(), "readers advance one chunk at a time");
         if st.bytes >= self.cap {
-            return Next::End(state_of(st.generator.as_ref()));
+            return Next::End(state_of(st.generator.as_mut()));
         }
         let chunk = Arc::new(Chunk::generate(st.generator.as_mut()));
         st.bytes += chunk.bytes();
@@ -346,36 +349,38 @@ impl OpTape {
         Next::Chunk(chunk)
     }
 
-    /// Write the generator state `ops` ops past `origin` (a chunk's): the
-    /// tape's generator is taken there, then put back at the tape's end.
-    fn save_state_at(&self, origin: &[u8], ops: usize, enc: &mut Enc) {
+    /// Save the generator state `ops` ops past `origin` (a chunk's) into
+    /// `ar`: the tape's generator is taken there, then put back at the
+    /// tape's end.
+    fn state_at(&self, origin: &[u8], ops: usize, ar: &mut dyn Archive) -> Result<(), SnapError> {
         const RESTORES: &str = "a generator restores the states it saved";
         let mut st = self.state.lock().expect("a reader panicked while extending the tape");
         let generator = st.generator.as_mut();
         let end = state_of(generator);
-        generator.load_state(&mut Dec::new(origin)).expect(RESTORES);
+        generator.state(&mut Dec::new(origin)).expect(RESTORES);
         for _ in 0..ops {
             generator.next_op();
         }
-        generator.save_state(enc);
-        generator.load_state(&mut Dec::new(&end)).expect(RESTORES);
+        let saved = generator.state(ar);
+        generator.state(&mut Dec::new(&end)).expect(RESTORES);
+        saved
     }
 }
 
 /// A reader over an [`OpTape`]: the ops the tape's generator produces
 /// from the tape's origin, in order, as an [`InstrStream`].
 ///
-/// `save_state` writes exactly the bytes the plain generator would write
+/// Its `state` walk saves exactly the bytes the plain generator would
 /// after the same number of ops (the current chunk's origin state
 /// replayed forward), so a snapshot of a taped run is a snapshot of the
-/// untaped one; `load_state` restores into the reader's own generator
-/// and detaches it from the tape, since the restored position need not
-/// be on it.
+/// untaped one; a load restores into the reader's own generator and
+/// detaches it from the tape, since the restored position need not be
+/// on it.
 pub struct TapedStream {
     /// Built like the tape's generator; what the reader continues on
     /// once detached. Its state means nothing before that.
     generator: Box<dyn InstrStream + Send>,
-    /// `None` once detached: past the cap, or after `load_state`.
+    /// `None` once detached: past the cap, or after a load.
     tape: Option<Arc<OpTape>>,
     /// The chunk being read; empty before the first fetch and when
     /// detached.
@@ -431,7 +436,7 @@ impl TapedStream {
             }
             Next::End(state) => {
                 self.generator
-                    .load_state(&mut Dec::new(&state))
+                    .state(&mut Dec::new(&state))
                     .expect("a reader's generator is built like its tape's");
                 self.tape = None;
                 self.enter(Arc::default());
@@ -493,20 +498,19 @@ impl InstrStream for TapedStream {
         self.generator.warm_hints()
     }
 
-    fn save_state(&self, enc: &mut Enc) {
-        // `next_chunk`: read position on the tape; save_state writes the
-        // generator state it stands for.
+    /// The two directions differ: a save writes the generator state the
+    /// reader's tape position stands for, a load restores the reader's
+    /// own generator and leaves the tape.
+    fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
+        // `next_chunk`: a read position on the tape, gone with it on load.
         let Self { generator, tape, chunk, cursor, next_chunk: _ } = self;
-        match tape {
-            Some(tape) => tape.save_state_at(&chunk.origin, cursor.ops, enc),
-            None => generator.save_state(enc),
+        if !ar.loading() {
+            return match tape {
+                Some(tape) => tape.state_at(&chunk.origin, cursor.ops, ar),
+                None => generator.state(ar),
+            };
         }
-    }
-
-    fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-        // `next_chunk`: a read position, gone with the tape on restore.
-        let Self { generator, tape, chunk, cursor, next_chunk: _ } = self;
-        generator.load_state(dec)?;
+        generator.state(ar)?;
         *tape = None;
         *chunk = Arc::default();
         *cursor = Cursor::default();
@@ -559,14 +563,9 @@ mod tests {
         fn label(&self) -> &str {
             "script"
         }
-        fn save_state(&self, enc: &mut Enc) {
+        fn state(&mut self, ar: &mut dyn Archive) -> Result<(), SnapError> {
             let Self { ops: _, at } = self; // `ops`: the script, fixed at construction
-            enc.usize(*at);
-        }
-        fn load_state(&mut self, dec: &mut Dec<'_>) -> Result<(), SnapError> {
-            let Self { ops: _, at } = self;
-            *at = dec.usize()?;
-            Ok(())
+            ar.usize(at)
         }
     }
 
@@ -672,10 +671,10 @@ mod tests {
         for _ in 0..12_345 {
             elsewhere.next_op();
         }
-        let state = state_of(&elsewhere);
-        taped.load_state(&mut Dec::new(&state)).expect("a plain stream's state");
+        let state = state_of(&mut elsewhere);
+        taped.state(&mut Dec::new(&state)).expect("a plain stream's state");
         assert!(taped.tape.is_none());
-        assert_eq!(state_of(&taped), state);
+        assert_eq!(state_of(&mut taped), state);
         for i in 0..CHUNK_OPS {
             assert_eq!(taped.next_op(), elsewhere.next_op(), "op {i}");
         }
@@ -684,11 +683,11 @@ mod tests {
         let (_, mut taped) = reader(3, TAPE_BYTE_CAP);
         let mut plain = synthetic(3);
         assert_eq!(taped.next_op(), plain.next_op());
-        assert!(taped.load_state(&mut Dec::new(&state[..state.len() - 1])).is_err());
+        assert!(taped.state(&mut Dec::new(&state[..state.len() - 1])).is_err());
         assert_eq!(taped.next_op(), plain.next_op());
     }
 
-    /// `save_state` after `ops` ops, on a tape of one chunk: plain and
+    /// The state saved after `ops` ops, on a tape of one chunk: plain and
     /// taped bytes, and the op each returns next.
     fn saved_after(ops: usize) -> [(Vec<u8>, MicroOp); 2] {
         let (_, mut taped) = reader(5, 1);
@@ -697,7 +696,7 @@ mod tests {
             taped.next_op();
             plain.next_op();
         }
-        [(state_of(&plain), plain.next_op()), (state_of(&taped), taped.next_op())]
+        [(state_of(&mut plain), plain.next_op()), (state_of(&mut taped), taped.next_op())]
     }
 
     #[test]
@@ -744,14 +743,14 @@ mod tests {
         let copy = decoded(&record, Box::new(synthetic(0))).expect("a record decodes");
         assert_eq!(copy.size(), tape.size());
         assert_eq!(record_of(&copy), record, "the record is lossless");
-        assert!(copy.starts_at(&synthetic(21)) && !copy.starts_at(&synthetic(22)));
+        assert!(copy.starts_at(&mut synthetic(21)) && !copy.starts_at(&mut synthetic(22)));
         // On the recorded chunks and past them, a reader of the copy reads
         // and saves what the plain stream does.
         let mut reader = TapedStream::new(Arc::clone(&copy), Box::new(synthetic(1)));
         let mut plain = synthetic(21);
         for i in 0..6 * CHUNK_OPS {
             if i % 1500 == 0 {
-                assert_eq!(state_of(&reader), state_of(&plain), "state before op {i}");
+                assert_eq!(state_of(&mut reader), state_of(&mut plain), "state before op {i}");
             }
             assert_eq!(reader.next_op(), plain.next_op(), "op {i}");
         }
@@ -780,14 +779,14 @@ mod tests {
     fn tampered(tamper: Tamper) -> Vec<u8> {
         let tape = OpTape::new(awkward(0));
         TapedStream::new(Arc::clone(&tape), awkward(0)).next_op();
-        let st = tape.state.lock().expect("a healthy tape");
+        let mut st = tape.state.lock().expect("a healthy tape");
         let mut chunk = Chunk::clone(&st.chunks[0]);
         tamper(&mut chunk);
         let mut enc = Enc::new();
         enc.bytes(&tape.start.origin);
         enc.usize(1);
         chunk.encode(&mut enc);
-        enc.bytes(&state_of(st.generator.as_ref()));
+        enc.bytes(&state_of(st.generator.as_mut()));
         enc.into_bytes()
     }
 
