@@ -946,92 +946,306 @@ fn assert_histogram_conformant(text: &str, family: &str, label_filter: &str) {
     );
 }
 
-#[test]
-fn metrics_text_format_is_prometheus_conformant() {
-    let handle = serve(1, 4);
-    let addr = handle.addr().to_string();
-    let (status, resp) = post_run(&addr, &run_body("2MEM-1", ExperimentOptions::quick()));
-    assert_eq!(status, 200, "seed run: {resp}");
+/// The `le` bounds of every latency histogram on the page, `+Inf` last.
+const LE: [&str; 17] = [
+    "0.0005", "0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1", "0.25", "0.5", "1",
+    "2.5", "5", "10", "30", "60", "+Inf",
+];
 
-    let (status, text) =
-        http::exchange(&addr, "GET", "/metrics", None, EXCHANGE_TIMEOUT).expect("metrics");
-    assert_eq!(status, 200);
-
-    // Every family announces itself with HELP then TYPE before its
-    // samples, and every sample line parses as `name[{labels}] value`.
-    let mut helped: Vec<String> = Vec::new();
-    let mut typed: Vec<String> = Vec::new();
-    for line in text.lines().filter(|l| !l.is_empty()) {
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            helped.push(rest.split(' ').next().expect("family name").to_string());
-        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split(' ');
-            let family = it.next().expect("family name").to_string();
-            let kind = it.next().expect("metric kind");
-            assert!(matches!(kind, "counter" | "gauge" | "histogram"), "unknown TYPE kind: {line}");
-            assert!(helped.contains(&family), "TYPE before HELP for {family}:\n{text}");
-            typed.push(family);
+/// The `/metrics` page with its values cut off: every `# HELP` and
+/// `# TYPE` line and every sample name, labels included, in page order.
+/// A store-backed server adds the checkpoint store's seven families.
+fn page_skeleton(store: bool) -> Vec<String> {
+    let mut page = Vec::new();
+    let mut family = |name: &str, kind: &str, help: &str, samples: Vec<String>| {
+        page.push(format!("# HELP {name} {help}"));
+        page.push(format!("# TYPE {name} {kind}"));
+        page.extend(samples);
+    };
+    let labelled = |name: &str, label: &str, values: &[&str]| -> Vec<String> {
+        values.iter().map(|v| format!("{name}{{{label}=\"{v}\"}}")).collect()
+    };
+    let histogram = |name: &str, label: &str| -> Vec<String> {
+        let (lead, braced) = if label.is_empty() {
+            (String::new(), String::new())
         } else {
-            let (name, value) =
-                line.rsplit_once(' ').unwrap_or_else(|| panic!("malformed sample: {line}"));
-            assert!(value.parse::<f64>().is_ok(), "sample value must parse as a float: {line}");
-            // The family is the name up to `{`, with histogram-series
-            // suffixes stripped; it must have been declared.
-            let base = name.split('{').next().expect("sample name");
-            let family = base
-                .strip_suffix("_bucket")
-                .or_else(|| base.strip_suffix("_sum"))
-                .or_else(|| base.strip_suffix("_count"))
-                .unwrap_or(base);
-            assert!(
-                typed.contains(&family.to_string()) || typed.contains(&base.to_string()),
-                "sample without TYPE declaration: {line}"
+            (format!("{label},"), format!("{{{label}}}"))
+        };
+        let mut samples: Vec<String> =
+            LE.iter().map(|le| format!("{name}_bucket{{{lead}le=\"{le}\"}}")).collect();
+        samples.push(format!("{name}_sum{braced}"));
+        samples.push(format!("{name}_count{braced}"));
+        samples
+    };
+    let endpoints = ["run", "compare", "healthz", "metrics", "shutdown", "buildinfo", "policies"];
+    let name = "melreq_requests_total";
+    family(
+        name,
+        "counter",
+        "Requests received, by endpoint.",
+        labelled(name, "endpoint", &endpoints),
+    );
+    let codes = ["200", "400", "404", "405", "429", "500", "504"];
+    let name = "melreq_responses_total";
+    family(name, "counter", "Responses sent, by status code.", labelled(name, "code", &codes));
+    for (name, kind, help) in [
+        ("melreq_rejected_total", "counter", "Requests rejected by queue backpressure (429)."),
+        ("melreq_timeouts_total", "counter", "Requests that exceeded their wall-clock deadline."),
+        ("melreq_queue_depth", "gauge", "Jobs waiting in the bounded queue."),
+        (
+            "melreq_inflight_requests",
+            "gauge",
+            "Simulation requests admitted (queued, running, or coalesced) and not yet answered.",
+        ),
+        ("melreq_open_connections", "gauge", "Connections currently held by the event loop."),
+        ("melreq_connections_total", "counter", "Connections accepted since start."),
+        ("melreq_sim_cycles_total", "counter", "Simulated cycles executed on behalf of requests."),
+        (
+            "melreq_simulations_total",
+            "counter",
+            "Simulations actually executed by the worker pool (cached and coalesced requests excluded).",
+        ),
+        ("melreq_serve_cache_hits_total", "counter", "Requests answered from the response cache."),
+        (
+            "melreq_serve_cache_misses_total",
+            "counter",
+            "Cache-enabled requests that missed the response cache.",
+        ),
+        (
+            "melreq_serve_cache_evictions_total",
+            "counter",
+            "Entries evicted from the response cache (LRU, bounded capacity).",
+        ),
+        (
+            "melreq_serve_coalesced_total",
+            "counter",
+            "Requests coalesced onto an identical in-flight simulation.",
+        ),
+        (
+            "melreq_serve_worker_panics_total",
+            "counter",
+            "Simulations that panicked; each answered 500 and the worker carried on.",
+        ),
+    ] {
+        family(name, kind, help, vec![name.to_string()]);
+    }
+    let name = "melreq_serve_request_duration_seconds";
+    let help = "End-to-end simulation request latency: parse start to final flush.";
+    family(name, "histogram", help, histogram(name, ""));
+    let name = "melreq_serve_request_stage_duration_seconds";
+    let stages = ["parse", "queue", "execute", "render", "flush"];
+    let samples = stages.iter().flat_map(|s| histogram(name, &format!("stage=\"{s}\""))).collect();
+    family(name, "histogram", "Simulation request latency by lifecycle stage.", samples);
+    if store {
+        for (name, kind) in [
+            ("melreq_store_warmup_hits_total", "counter"),
+            ("melreq_store_warmup_misses_total", "counter"),
+            ("melreq_store_profile_hits_total", "counter"),
+            ("melreq_store_profile_misses_total", "counter"),
+            ("melreq_store_resident_hits_total", "counter"),
+            ("melreq_store_resident_evictions_total", "counter"),
+            ("melreq_store_resident_bytes", "gauge"),
+        ] {
+            family(
+                name,
+                kind,
+                "Checkpoint-store activity since server start.",
+                vec![name.to_string()],
             );
         }
     }
+    page
+}
 
-    // The families, and what each says it counts, are the scrape
-    // contract: exactly these names with exactly this help text.
-    let mut help: Vec<&str> = text.lines().filter_map(|l| l.strip_prefix("# HELP ")).collect();
-    help.sort_unstable();
-    let expected = [
-        "melreq_connections_total Connections accepted since start.",
-        "melreq_inflight_requests Simulation requests admitted (queued, running, or coalesced) and not yet answered.",
-        "melreq_open_connections Connections currently held by the event loop.",
-        "melreq_queue_depth Jobs waiting in the bounded queue.",
-        "melreq_rejected_total Requests rejected by queue backpressure (429).",
-        "melreq_requests_total Requests received, by endpoint.",
-        "melreq_responses_total Responses sent, by status code.",
-        "melreq_serve_cache_evictions_total Entries evicted from the response cache (LRU, bounded capacity).",
-        "melreq_serve_cache_hits_total Requests answered from the response cache.",
-        "melreq_serve_cache_misses_total Cache-enabled requests that missed the response cache.",
-        "melreq_serve_coalesced_total Requests coalesced onto an identical in-flight simulation.",
-        "melreq_serve_request_duration_seconds End-to-end simulation request latency: parse start to final flush.",
-        "melreq_serve_request_stage_duration_seconds Simulation request latency by lifecycle stage.",
-        "melreq_serve_worker_panics_total Simulations that panicked; each answered 500 and the worker carried on.",
-        "melreq_sim_cycles_total Simulated cycles executed on behalf of requests.",
-        "melreq_simulations_total Simulations actually executed by the worker pool (cached and coalesced requests excluded).",
-        "melreq_timeouts_total Requests that exceeded their wall-clock deadline.",
-    ];
-    assert_eq!(help, expected, "a storeless server's `# HELP` lines, sorted");
+/// The `/metrics` page is the scrape contract, pinned line by line for a
+/// storeless and a store-backed server after one scripted session: its
+/// families in order, each declared once with its samples below it, the
+/// exact values of every count the script determines, and well-formed
+/// latency histograms.
+#[test]
+fn metrics_text_format_is_prometheus_conformant() {
+    for store in [false, true] {
+        let dir = std::env::temp_dir().join(format!("melreq-service-page-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = start(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_cap: 4,
+            store_dir: store.then(|| dir.clone()),
+            response_cache: 4,
+            ..ServeConfig::default()
+        })
+        .expect("start server");
+        let addr = handle.addr().to_string();
+        let run = run_body("2MEM-1", ExperimentOptions::quick());
+        // One connection each: a simulation, its repeat at both
+        // endpoints (cache hits: one key), an undecodable body, the
+        // other endpoints, and two misroutes (counted by status only).
+        let script = [
+            ("POST", "/run", Some(run.as_str()), 200),
+            ("POST", "/run", Some(run.as_str()), 200),
+            ("POST", "/compare", Some(run.as_str()), 200),
+            ("POST", "/run", Some("{"), 400),
+            ("GET", "/healthz", None, 200),
+            ("GET", "/buildinfo", None, 200),
+            ("GET", "/policies", None, 200),
+            ("GET", "/nowhere", None, 404),
+            ("GET", "/run", None, 405),
+        ];
+        for (method, path, body, want) in script {
+            let (status, text) =
+                http::exchange(&addr, method, path, body, EXCHANGE_TIMEOUT).expect(path);
+            assert_eq!(status, want, "{method} {path}: {text}");
+        }
 
-    // The request-latency histograms exist and are well-formed: the
-    // total and one series per lifecycle stage.
-    assert!(
-        text.contains("# TYPE melreq_serve_request_duration_seconds histogram"),
-        "request-duration histogram missing:\n{text}"
-    );
-    assert_histogram_conformant(&text, "melreq_serve_request_duration_seconds", "");
-    for stage in ["parse", "queue", "execute", "render", "flush"] {
-        assert_histogram_conformant(
-            &text,
-            "melreq_serve_request_stage_duration_seconds",
-            &format!("stage=\"{stage}\""),
+        let (status, text) =
+            http::exchange(&addr, "GET", "/metrics", None, EXCHANGE_TIMEOUT).expect("metrics");
+        assert_eq!(status, 200);
+
+        // Every family announces itself with HELP then TYPE before its
+        // samples, and every sample line parses as `name[{labels}] value`.
+        let mut helped: Vec<String> = Vec::new();
+        let mut typed: Vec<String> = Vec::new();
+        for line in text.lines().filter(|l| !l.is_empty()) {
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                helped.push(rest.split(' ').next().expect("family name").to_string());
+            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let mut it = rest.split(' ');
+                let family = it.next().expect("family name").to_string();
+                let kind = it.next().expect("metric kind");
+                assert!(
+                    matches!(kind, "counter" | "gauge" | "histogram"),
+                    "unknown TYPE kind: {line}"
+                );
+                assert!(helped.contains(&family), "TYPE before HELP for {family}:\n{text}");
+                typed.push(family);
+            } else {
+                let (name, value) =
+                    line.rsplit_once(' ').unwrap_or_else(|| panic!("malformed sample: {line}"));
+                assert!(value.parse::<f64>().is_ok(), "sample value must parse as a float: {line}");
+                // The family is the name up to `{`, with histogram-series
+                // suffixes stripped; it must have been declared.
+                let base = name.split('{').next().expect("sample name");
+                let family = base
+                    .strip_suffix("_bucket")
+                    .or_else(|| base.strip_suffix("_sum"))
+                    .or_else(|| base.strip_suffix("_count"))
+                    .unwrap_or(base);
+                assert!(
+                    typed.contains(&family.to_string()) || typed.contains(&base.to_string()),
+                    "sample without TYPE declaration: {line}"
+                );
+            }
+        }
+
+        // Each family is declared once, and its samples follow its TYPE
+        // line without another family's in between.
+        let mut current = "";
+        let mut declared: Vec<&str> = Vec::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                current = rest.split(' ').next().expect("family name");
+                assert!(!declared.contains(&current), "{current} declared twice:\n{text}");
+                declared.push(current);
+            } else if !line.starts_with('#') {
+                let name = line.split(['{', ' ']).next().expect("sample name");
+                assert!(name.starts_with(current), "{line} is not under its family {current}");
+            }
+        }
+        assert_eq!(declared.len(), if store { 24 } else { 17 }, "families:\n{text}");
+
+        // The page, in order, line by line, values aside.
+        let skeleton: Vec<&str> = text
+            .lines()
+            .map(|l| if l.starts_with('#') { l } else { l.rsplit_once(' ').expect("sample").0 })
+            .collect();
+        assert_eq!(skeleton, page_skeleton(store), "the page's lines, store {store}");
+
+        // What the script determines. The scrape counts as a request (to
+        // /metrics, on its own connection) but not yet as a response.
+        let value = |sample: &str| -> &str {
+            text.lines()
+                .find_map(|l| l.strip_prefix(sample)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("{sample} missing:\n{text}"))
+        };
+        for (sample, want) in [
+            ("melreq_requests_total{endpoint=\"run\"}", "3"),
+            ("melreq_requests_total{endpoint=\"compare\"}", "1"),
+            ("melreq_requests_total{endpoint=\"healthz\"}", "1"),
+            ("melreq_requests_total{endpoint=\"metrics\"}", "1"),
+            ("melreq_requests_total{endpoint=\"shutdown\"}", "0"),
+            ("melreq_requests_total{endpoint=\"buildinfo\"}", "1"),
+            ("melreq_requests_total{endpoint=\"policies\"}", "1"),
+            ("melreq_responses_total{code=\"200\"}", "6"),
+            ("melreq_responses_total{code=\"400\"}", "1"),
+            ("melreq_responses_total{code=\"404\"}", "1"),
+            ("melreq_responses_total{code=\"405\"}", "1"),
+            ("melreq_responses_total{code=\"429\"}", "0"),
+            ("melreq_responses_total{code=\"500\"}", "0"),
+            ("melreq_responses_total{code=\"504\"}", "0"),
+            ("melreq_rejected_total", "0"),
+            ("melreq_timeouts_total", "0"),
+            ("melreq_queue_depth", "0"),
+            ("melreq_inflight_requests", "0"),
+            ("melreq_open_connections", "1"),
+            ("melreq_connections_total", &(script.len() + 1).to_string()),
+            ("melreq_simulations_total", "1"),
+            ("melreq_serve_cache_hits_total", "2"),
+            ("melreq_serve_cache_misses_total", "1"),
+            ("melreq_serve_cache_evictions_total", "0"),
+            ("melreq_serve_coalesced_total", "0"),
+            ("melreq_serve_worker_panics_total", "0"),
+        ] {
+            assert_eq!(value(sample), want, "{sample}, store {store}");
+        }
+
+        // The families, and what each says it counts, are the scrape
+        // contract: exactly these names with exactly this help text.
+        if !store {
+            let mut help: Vec<&str> =
+                text.lines().filter_map(|l| l.strip_prefix("# HELP ")).collect();
+            help.sort_unstable();
+            let expected = [
+                "melreq_connections_total Connections accepted since start.",
+                "melreq_inflight_requests Simulation requests admitted (queued, running, or coalesced) and not yet answered.",
+                "melreq_open_connections Connections currently held by the event loop.",
+                "melreq_queue_depth Jobs waiting in the bounded queue.",
+                "melreq_rejected_total Requests rejected by queue backpressure (429).",
+                "melreq_requests_total Requests received, by endpoint.",
+                "melreq_responses_total Responses sent, by status code.",
+                "melreq_serve_cache_evictions_total Entries evicted from the response cache (LRU, bounded capacity).",
+                "melreq_serve_cache_hits_total Requests answered from the response cache.",
+                "melreq_serve_cache_misses_total Cache-enabled requests that missed the response cache.",
+                "melreq_serve_coalesced_total Requests coalesced onto an identical in-flight simulation.",
+                "melreq_serve_request_duration_seconds End-to-end simulation request latency: parse start to final flush.",
+                "melreq_serve_request_stage_duration_seconds Simulation request latency by lifecycle stage.",
+                "melreq_serve_worker_panics_total Simulations that panicked; each answered 500 and the worker carried on.",
+                "melreq_sim_cycles_total Simulated cycles executed on behalf of requests.",
+                "melreq_simulations_total Simulations actually executed by the worker pool (cached and coalesced requests excluded).",
+                "melreq_timeouts_total Requests that exceeded their wall-clock deadline.",
+            ];
+            assert_eq!(help, expected, "a storeless server's `# HELP` lines, sorted");
+        }
+
+        // The request-latency histograms exist and are well-formed: the
+        // total and one series per lifecycle stage.
+        assert!(
+            text.contains("# TYPE melreq_serve_request_duration_seconds histogram"),
+            "request-duration histogram missing:\n{text}"
         );
-    }
+        assert_histogram_conformant(&text, "melreq_serve_request_duration_seconds", "");
+        for stage in ["parse", "queue", "execute", "render", "flush"] {
+            assert_histogram_conformant(
+                &text,
+                "melreq_serve_request_stage_duration_seconds",
+                &format!("stage=\"{stage}\""),
+            );
+        }
 
-    handle.shutdown();
-    handle.join();
+        handle.shutdown();
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
