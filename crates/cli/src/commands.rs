@@ -964,7 +964,7 @@ pub(crate) fn cmd_client(args: &Args) -> Result<String, MelreqError> {
                 }
             }
             400 => return Err(usage(format!("server rejected the request: {response}"))),
-            429 | 503 => return Err(MelreqError::Overload { retry_after_s: 1 }),
+            429 => return Err(MelreqError::Overload { retry_after_s: 1 }),
             504 => {
                 return Err(MelreqError::Timeout(format!("server timed out the run: {response}")))
             }

@@ -4,9 +4,10 @@
 //! This is the *wall-clock* clock domain: timestamps are microseconds
 //! since the profiler epoch — a deliberately separate domain from the
 //! sim-time traces [`crate::perfetto::export_chrome_json`] emits, where
-//! 1 "µs" is one simulated DRAM cycle. The two exports share the
-//! writer protocol (metadata records first, `X` slices sorted by start
-//! so `ts` is monotonically non-decreasing) but never share a file.
+//! 1 "µs" is one simulated DRAM cycle. The two exports share one
+//! envelope (`perfetto::chrome_trace`) and the writer protocol (metadata
+//! records first, `X` slices sorted by start so `ts` is monotonically
+//! non-decreasing) but never share a file.
 //!
 //! Layout: one synthetic process (`pid` 1, named after the profiled
 //! command) with one thread track per [`melreq_prof::TrackData`] —
@@ -14,7 +15,7 @@
 //! driving thread. The aggregated summary and the buildinfo block are
 //! embedded as extra top-level keys (Perfetto ignores unknown keys).
 
-use crate::perfetto::push_event;
+use crate::perfetto::{chrome_trace, Events};
 use melreq_prof::{Profile, Span};
 use melreq_snap::json_esc as esc;
 
@@ -32,36 +33,22 @@ pub fn export_host_profile(
     process_name: &str,
     extra_blocks: &[(&str, String)],
 ) -> String {
-    let mut out = format!(
-        "{{\n  \"schema_version\": {},\n  \"displayTimeUnit\": \"ms\",\n",
-        melreq_snap::SCHEMA_VERSION
-    );
-    for (key, value) in extra_blocks {
-        out.push_str(&format!("  \"{key}\": {value},\n"));
-    }
-    out.push_str("  \"traceEvents\": [\n");
-    let mut first = true;
+    chrome_trace(extra_blocks, |events| write_events(profile, process_name, events))
+}
 
-    push_event(
-        &mut out,
-        &mut first,
-        format_args!(
-            "{{\"ph\": \"M\", \"pid\": {HOST_PID}, \"name\": \"process_name\", \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            esc(process_name)
-        ),
-    );
+fn write_events(profile: &Profile, process_name: &str, ev: &mut Events) {
+    ev.push(format_args!(
+        "{{\"ph\": \"M\", \"pid\": {HOST_PID}, \"name\": \"process_name\", \
+         \"args\": {{\"name\": \"{}\"}}}}",
+        esc(process_name)
+    ));
     for (tid0, track) in profile.tracks.iter().enumerate() {
-        push_event(
-            &mut out,
-            &mut first,
-            format_args!(
-                "{{\"ph\": \"M\", \"pid\": {HOST_PID}, \"tid\": {tid}, \
-                 \"name\": \"thread_name\", \"args\": {{\"name\": \"{}\"}}}}",
-                esc(&track.label),
-                tid = tid0 + 1
-            ),
-        );
+        ev.push(format_args!(
+            "{{\"ph\": \"M\", \"pid\": {HOST_PID}, \"tid\": {tid}, \
+             \"name\": \"thread_name\", \"args\": {{\"name\": \"{}\"}}}}",
+            esc(&track.label),
+            tid = tid0 + 1
+        ));
     }
 
     // One global start-sorted stream across tracks: the monotonic-ts
@@ -82,23 +69,16 @@ pub fn export_host_profile(
             }
             args.push_str(&format!("\"{}\": {v}", esc(k)));
         }
-        push_event(
-            &mut out,
-            &mut first,
-            format_args!(
-                "{{\"ph\": \"X\", \"pid\": {HOST_PID}, \"tid\": {tid}, \"ts\": {ts}, \
-                 \"dur\": {dur}, \"name\": \"{name}\", \"cat\": \"{cat}\", \
-                 \"args\": {{{args}}}}}",
-                ts = span.start_ns / 1_000,
-                dur = (span.dur_ns / 1_000).max(1),
-                name = esc(&span.name),
-                cat = esc(span.cat)
-            ),
-        );
+        ev.push(format_args!(
+            "{{\"ph\": \"X\", \"pid\": {HOST_PID}, \"tid\": {tid}, \"ts\": {ts}, \
+             \"dur\": {dur}, \"name\": \"{name}\", \"cat\": \"{cat}\", \
+             \"args\": {{{args}}}}}",
+            ts = span.start_ns / 1_000,
+            dur = (span.dur_ns / 1_000).max(1),
+            name = esc(&span.name),
+            cat = esc(span.cat)
+        ));
     }
-
-    out.push_str("\n  ]\n}\n");
-    out
 }
 
 /// The end of a profiled command: stop recording, drain every thread's

@@ -21,6 +21,11 @@
 //!    read-first, ME rank, LREQ count, FCFS tiebreak, …) plus the
 //!    beaten runner-up, with per-policy totals.
 //!
+//! The host-side span profile (`melreq_prof`) is exported through the
+//! same Chrome `trace_event` envelope ([`export_host_profile`]), in its own
+//! wall-clock file. Service metrics are not kept here: `melreq-serve`
+//! renders its `/metrics` page from its event loop's own state.
+//!
 //! Tracing is *provably inert*: the collector only observes the event
 //! stream — the rule behind each grant arrives on it, named by the
 //! controller through `SchedulerPolicy::explain(&self)` — and never
@@ -31,7 +36,6 @@
 pub mod collector;
 pub mod event;
 pub mod hostprof;
-pub mod metrics;
 pub mod perfetto;
 pub mod provenance;
 pub mod series;
@@ -39,7 +43,6 @@ pub mod series;
 pub use collector::{ChannelSample, Collector, CoreSample, DEFAULT_TRACE_CAPACITY};
 pub use event::{CmdKind, TraceEvent};
 pub use hostprof::{export_host_profile, finish_host_profile};
-pub use metrics::{Counter, Gauge, Histogram, MetricKind, Registry};
 pub use perfetto::export_chrome_json;
 pub use provenance::{Rule, RuleTotals, RunnerUp};
 pub use series::EpochRow;

@@ -28,69 +28,80 @@ fn outcome_name(o: GrantOutcome) -> &'static str {
     }
 }
 
-/// Append one `trace_event` record with the `",\n"` separator protocol
-/// (shared with the host-profile exporter in [`crate::hostprof`]).
-pub(crate) fn push_event(out: &mut String, first: &mut bool, body: std::fmt::Arguments<'_>) {
-    if !*first {
-        out.push_str(",\n");
+/// The `traceEvents` array of a Chrome trace being written, one record
+/// a line.
+pub(crate) struct Events {
+    out: String,
+    first: bool,
+}
+
+impl Events {
+    /// Append one record, after a `",\n"` separator unless it is the first.
+    pub(crate) fn push(&mut self, body: std::fmt::Arguments<'_>) {
+        if !self.first {
+            self.out.push_str(",\n");
+        }
+        self.first = false;
+        self.out.push_str("    ");
+        let _ = self.out.write_fmt(body);
     }
-    *first = false;
-    out.push_str("    ");
-    let _ = out.write_fmt(body);
+}
+
+/// A whole Chrome `trace_event` JSON document, the one envelope of both
+/// exporters (this sim-time one and [`crate::hostprof`]'s): the
+/// `schema_version` and `displayTimeUnit` keys, each of `blocks` as a
+/// further top-level `(key, json_value)`, then the `traceEvents` array
+/// that `write` fills.
+pub(crate) fn chrome_trace(blocks: &[(&str, String)], write: impl FnOnce(&mut Events)) -> String {
+    let mut out = format!(
+        "{{\n  \"schema_version\": {},\n  \"displayTimeUnit\": \"ms\",\n",
+        melreq_snap::SCHEMA_VERSION
+    );
+    for (key, value) in blocks {
+        let _ = writeln!(out, "  \"{key}\": {value},");
+    }
+    out.push_str("  \"traceEvents\": [\n");
+    let mut events = Events { out, first: true };
+    write(&mut events);
+    events.out.push_str("\n  ]\n}\n");
+    events.out
 }
 
 /// Render the collector's trace (and epoch series, as counter tracks)
 /// as a Chrome `trace_event` JSON object.
 pub fn export_chrome_json(collector: &Collector) -> String {
+    chrome_trace(&[], |events| write_events(collector, events))
+}
+
+fn write_events(collector: &Collector, ev: &mut Events) {
     let (channels, cores) = collector.geometry();
-    let mut out = format!(
-        "{{\n  \"schema_version\": {},\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n",
-        melreq_snap::SCHEMA_VERSION
-    );
-    let mut first = true;
 
     // Track metadata first (ph "M" entries are exempt from the
     // monotonic-ts contract).
     for ch in 0..channels {
-        push_event(
-            &mut out,
-            &mut first,
-            format_args!(
-                "{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
-                 \"args\": {{\"name\": \"channel {ch}\"}}}}",
-                pid = ch + 1
-            ),
-        );
-        push_event(
-            &mut out,
-            &mut first,
-            format_args!(
-                "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"name\": \"thread_name\", \
-                 \"args\": {{\"name\": \"channel\"}}}}",
-                pid = ch + 1
-            ),
-        );
-    }
-    push_event(
-        &mut out,
-        &mut first,
-        format_args!(
+        ev.push(format_args!(
             "{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
-             \"args\": {{\"name\": \"cores\"}}}}",
-            pid = cores_pid(channels)
-        ),
-    );
+             \"args\": {{\"name\": \"channel {ch}\"}}}}",
+            pid = ch + 1
+        ));
+        ev.push(format_args!(
+            "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"name\": \"thread_name\", \
+             \"args\": {{\"name\": \"channel\"}}}}",
+            pid = ch + 1
+        ));
+    }
+    ev.push(format_args!(
+        "{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
+         \"args\": {{\"name\": \"cores\"}}}}",
+        pid = cores_pid(channels)
+    ));
     for core in 0..cores {
-        push_event(
-            &mut out,
-            &mut first,
-            format_args!(
-                "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"name\": \"thread_name\", \
-                 \"args\": {{\"name\": \"core {core}\"}}}}",
-                pid = cores_pid(channels),
-                tid = core + 1
-            ),
-        );
+        ev.push(format_args!(
+            "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"name\": \"thread_name\", \
+             \"args\": {{\"name\": \"core {core}\"}}}}",
+            pid = cores_pid(channels),
+            tid = core + 1
+        ));
     }
 
     // Sort by start cycle: the raw stream is in emission order, and a
@@ -101,67 +112,51 @@ pub fn export_chrome_json(collector: &Collector) -> String {
     let counters = collector.series();
     let mut counter_i = 0usize;
 
-    let mut flush_counters = |out: &mut String, first: &mut bool, up_to: Cycle| {
+    let mut flush_counters = |ev: &mut Events, up_to: Cycle| {
         while counter_i < counters.len() && counters[counter_i].cycle <= up_to {
             let row = &counters[counter_i];
             for (ch, depth) in row.queue_depth.iter().enumerate() {
-                push_event(
-                    out,
-                    first,
-                    format_args!(
-                        "{{\"ph\": \"C\", \"pid\": {pid}, \"ts\": {ts}, \
-                         \"name\": \"queue depth\", \"args\": {{\"requests\": {depth}}}}}",
-                        pid = ch + 1,
-                        ts = row.cycle
-                    ),
-                );
+                ev.push(format_args!(
+                    "{{\"ph\": \"C\", \"pid\": {pid}, \"ts\": {ts}, \
+                     \"name\": \"queue depth\", \"args\": {{\"requests\": {depth}}}}}",
+                    pid = ch + 1,
+                    ts = row.cycle
+                ));
             }
             counter_i += 1;
         }
     };
 
-    for ev in events {
-        flush_counters(&mut out, &mut first, ev.at());
-        match ev {
+    for event in events {
+        flush_counters(ev, event.at());
+        match event {
             TraceEvent::Arrival { id, core, channel, bank, row, write, at } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    format_args!(
-                        "{{\"ph\": \"i\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {at}, \
-                         \"s\": \"t\", \"name\": \"arrival\", \"cat\": \"request\", \
-                         \"args\": {{\"id\": {id}, \"channel\": {channel}, \"bank\": {bank}, \
-                         \"row\": {row}, \"write\": {write}}}}}",
-                        pid = cores_pid(channels),
-                        tid = *core as usize + 1
-                    ),
-                );
+                ev.push(format_args!(
+                    "{{\"ph\": \"i\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {at}, \
+                     \"s\": \"t\", \"name\": \"arrival\", \"cat\": \"request\", \
+                     \"args\": {{\"id\": {id}, \"channel\": {channel}, \"bank\": {bank}, \
+                     \"row\": {row}, \"write\": {write}}}}}",
+                    pid = cores_pid(channels),
+                    tid = *core as usize + 1
+                ));
             }
             TraceEvent::Command { kind, channel, bank, id, at, dur } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    format_args!(
-                        "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {at}, \
-                         \"dur\": {dur}, \"name\": \"{name}\", \"cat\": \"dram\", \
-                         \"args\": {{\"id\": {id}}}}}",
-                        pid = channel + 1,
-                        tid = bank + 1,
-                        name = kind.name()
-                    ),
-                );
+                ev.push(format_args!(
+                    "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {at}, \
+                     \"dur\": {dur}, \"name\": \"{name}\", \"cat\": \"dram\", \
+                     \"args\": {{\"id\": {id}}}}}",
+                    pid = channel + 1,
+                    tid = bank + 1,
+                    name = kind.name()
+                ));
             }
             TraceEvent::Refresh { channel, at, dur } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    format_args!(
-                        "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": 0, \"ts\": {at}, \
-                         \"dur\": {dur}, \"name\": \"REFRESH\", \"cat\": \"dram\", \
-                         \"args\": {{}}}}",
-                        pid = channel + 1
-                    ),
-                );
+                ev.push(format_args!(
+                    "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": 0, \"ts\": {at}, \
+                     \"dur\": {dur}, \"name\": \"REFRESH\", \"cat\": \"dram\", \
+                     \"args\": {{}}}}",
+                    pid = channel + 1
+                ));
             }
             TraceEvent::Grant {
                 id,
@@ -182,41 +177,30 @@ pub fn export_chrome_json(collector: &Collector) -> String {
                 if let Some(ru) = runner_up {
                     let _ = write!(extra, ", \"beat_id\": {}, \"beat_core\": {}", ru.id, ru.core);
                 }
-                push_event(
-                    &mut out,
-                    &mut first,
-                    format_args!(
-                        "{{\"ph\": \"i\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {at}, \
-                         \"s\": \"t\", \"name\": \"grant core{core}\", \"cat\": \"sched\", \
-                         \"args\": {{\"id\": {id}, \"row\": {row}, \"write\": {write}, \
-                         \"outcome\": \"{oc}\", \"rule\": \"{rule_name}\", \
-                         \"queued_for\": {queued_for}, \"data_ready\": {data_ready}{extra}}}}}",
-                        pid = channel + 1,
-                        tid = bank + 1,
-                        oc = outcome_name(*outcome)
-                    ),
-                );
+                ev.push(format_args!(
+                    "{{\"ph\": \"i\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {at}, \
+                     \"s\": \"t\", \"name\": \"grant core{core}\", \"cat\": \"sched\", \
+                     \"args\": {{\"id\": {id}, \"row\": {row}, \"write\": {write}, \
+                     \"outcome\": \"{oc}\", \"rule\": \"{rule_name}\", \
+                     \"queued_for\": {queued_for}, \"data_ready\": {data_ready}{extra}}}}}",
+                    pid = channel + 1,
+                    tid = bank + 1,
+                    oc = outcome_name(*outcome)
+                ));
             }
             TraceEvent::CoreWait { core, from, to } => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    format_args!(
-                        "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {from}, \
-                         \"dur\": {dur}, \"name\": \"mem-wait\", \"cat\": \"core\", \
-                         \"args\": {{}}}}",
-                        pid = cores_pid(channels),
-                        tid = *core as usize + 1,
-                        dur = to.saturating_sub(*from).max(1)
-                    ),
-                );
+                ev.push(format_args!(
+                    "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {from}, \
+                     \"dur\": {dur}, \"name\": \"mem-wait\", \"cat\": \"core\", \
+                     \"args\": {{}}}}",
+                    pid = cores_pid(channels),
+                    tid = *core as usize + 1,
+                    dur = to.saturating_sub(*from).max(1)
+                ));
             }
         }
     }
-    flush_counters(&mut out, &mut first, Cycle::MAX);
-
-    out.push_str("\n  ]\n}\n");
-    out
+    flush_counters(ev, Cycle::MAX);
 }
 
 #[cfg(test)]

@@ -98,19 +98,22 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Standard reason phrase for the statuses this service emits.
+/// Every status this service emits, with its standard reason phrase:
+/// [`reason`] reads it, and so does the server's `melreq_responses_total`,
+/// one sample per entry in this order.
+pub const STATUSES: [(u16, &str); 7] = [
+    (200, "OK"),
+    (400, "Bad Request"),
+    (404, "Not Found"),
+    (405, "Method Not Allowed"),
+    (429, "Too Many Requests"),
+    (500, "Internal Server Error"),
+    (504, "Gateway Timeout"),
+];
+
+/// The reason phrase of `status` ("Unknown" for one not in [`STATUSES`]).
 pub fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        504 => "Gateway Timeout",
-        _ => "Unknown",
-    }
+    STATUSES.iter().find(|(code, _)| *code == status).map_or("Unknown", |(_, phrase)| phrase)
 }
 
 /// Render one complete response. `close` controls the `Connection`
@@ -392,10 +395,22 @@ mod tests {
         assert_eq!(n, MAX_HEAD + 4);
     }
 
+    /// The server counts a response only under a status listed here, so
+    /// every status it can send, an error's included, must be.
     #[test]
     fn reasons_cover_emitted_statuses() {
-        for status in [200, 400, 404, 405, 429, 500, 503, 504] {
-            assert_ne!(reason(status), "Unknown");
+        use melreq_core::api::MelreqError;
+        let errors = [
+            MelreqError::Usage(String::new()),
+            MelreqError::Io(String::new()),
+            MelreqError::Divergence(String::new()),
+            MelreqError::Overload { retry_after_s: 1 },
+            MelreqError::Timeout(String::new()),
+        ];
+        let statuses = [200, 400, 404, 405, 429, 500, 504];
+        for status in statuses.into_iter().chain(errors.iter().map(MelreqError::http_status)) {
+            assert_ne!(reason(status), "Unknown", "{status}");
         }
+        assert_eq!(reason(503), "Unknown", "the server never sends 503");
     }
 }

@@ -45,7 +45,9 @@
 //! * **Introspection** — `GET /healthz` and Prometheus text metrics on
 //!   `GET /metrics` (request/response/rejection/timeout counters, queue
 //!   depth and in-flight gauges, connection and cache/coalescing
-//!   counters, simulated cycles, checkpoint-store statistics).
+//!   counters, simulated cycles, checkpoint-store statistics). The loop
+//!   keeps every count as a plain field, reads each gauge from the state
+//!   it describes, and renders the page itself.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("melreq-serve is Linux-only: its event loop is built on epoll");
@@ -59,7 +61,6 @@ use melreq_core::experiment::RunControl;
 use melreq_core::store::CheckpointStore;
 use melreq_core::system::CancelToken;
 use melreq_exec::Scope;
-use melreq_obs::metrics::{Counter, Gauge, Histogram, MetricKind, Registry};
 use poll::{Interest, Poller, WakeHandle, Waker};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -68,7 +69,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -209,138 +210,82 @@ struct Job {
 /// A finished job, handed from a worker back to the event loop: the
 /// rendered report and its cache disposition ("cold"/"warm"/"partial"),
 /// or the error. The worker's stage durations ride along for the leader's
-/// request trace; followers did no work of their own and carry none.
+/// request trace; followers did no work of their own and carry none. So do
+/// the worker's counts, which the loop adds before it answers anyone.
 struct Completion {
     key: String,
     outcome: Result<(Arc<String>, &'static str), MelreqError>,
     stages: StageTimes,
+    /// Cycles the run simulated (0 unless it reported).
+    sim_cycles: u64,
+    /// The run panicked (its outcome is the error that says so).
+    panicked: bool,
 }
 
-struct Metrics {
-    registry: Registry,
+/// What `/metrics` counts, kept by the event loop alone: a worker's
+/// counts arrive on its [`Completion`]. It holds no gauge: the page reads
+/// each gauge from the state it describes.
+#[derive(Default)]
+struct Counts {
     /// Indexed like [`ENDPOINTS`].
-    requests: Vec<Arc<Counter>>,
-    responses: Vec<(u16, Arc<Counter>)>,
-    rejected: Arc<Counter>,
-    timeouts: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    inflight_requests: Arc<Gauge>,
-    open_connections: Arc<Gauge>,
-    connections_total: Arc<Counter>,
-    sim_cycles: Arc<Counter>,
-    simulations: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    cache_evictions: Arc<Counter>,
-    coalesced: Arc<Counter>,
-    worker_panics: Arc<Counter>,
-    request_duration: Arc<Histogram>,
+    requests: [u64; ENDPOINTS.len()],
+    /// Indexed like [`http::STATUSES`].
+    responses: [u64; http::STATUSES.len()],
+    rejected: u64,
+    timeouts: u64,
+    connections: u64,
+    sim_cycles: u64,
+    simulations: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    cache_evictions: u64,
+    coalesced: u64,
+    worker_panics: u64,
+    request_duration: Latency,
     /// Indexed like [`STAGES`].
-    stage_durations: Vec<Arc<Histogram>>,
+    stage_durations: [Latency; STAGES.len()],
 }
 
-impl Metrics {
-    fn new() -> Self {
-        let registry = Registry::new();
-        let requests = ENDPOINTS
-            .iter()
-            .map(|(_, _, ep)| {
-                registry.counter(
-                    &format!("melreq_requests_total{{endpoint=\"{ep}\"}}"),
-                    "Requests received, by endpoint.",
-                )
-            })
-            .collect();
-        let responses = [200u16, 400, 404, 405, 429, 500, 504]
-            .into_iter()
-            .map(|code| {
-                let c = registry.counter(
-                    &format!("melreq_responses_total{{code=\"{code}\"}}"),
-                    "Responses sent, by status code.",
-                );
-                (code, c)
-            })
-            .collect();
-        let rejected = registry
-            .counter("melreq_rejected_total", "Requests rejected by queue backpressure (429).");
-        let timeouts = registry
-            .counter("melreq_timeouts_total", "Requests that exceeded their wall-clock deadline.");
-        let queue_depth =
-            registry.gauge("melreq_queue_depth", "Jobs waiting in the bounded queue.");
-        let inflight_requests = registry.gauge(
-            "melreq_inflight_requests",
-            "Simulation requests admitted (queued, running, or coalesced) and not yet answered.",
-        );
-        let open_connections = registry
-            .gauge("melreq_open_connections", "Connections currently held by the event loop.");
-        let connections_total =
-            registry.counter("melreq_connections_total", "Connections accepted since start.");
-        let sim_cycles = registry
-            .counter("melreq_sim_cycles_total", "Simulated cycles executed on behalf of requests.");
-        let simulations = registry.counter(
-            "melreq_simulations_total",
-            "Simulations actually executed by the worker pool (cached and coalesced requests excluded).",
-        );
-        let cache_hits = registry
-            .counter("melreq_serve_cache_hits_total", "Requests answered from the response cache.");
-        let cache_misses = registry.counter(
-            "melreq_serve_cache_misses_total",
-            "Cache-enabled requests that missed the response cache.",
-        );
-        let cache_evictions = registry.counter(
-            "melreq_serve_cache_evictions_total",
-            "Entries evicted from the response cache (LRU, bounded capacity).",
-        );
-        let coalesced = registry.counter(
-            "melreq_serve_coalesced_total",
-            "Requests coalesced onto an identical in-flight simulation.",
-        );
-        let worker_panics = registry.counter(
-            "melreq_serve_worker_panics_total",
-            "Simulations that panicked; each answered 500 and the worker carried on.",
-        );
-        let request_duration = registry.histogram(
-            "melreq_serve_request_duration_seconds",
-            "End-to-end simulation request latency: parse start to final flush.",
-            &LATENCY_BUCKETS,
-        );
-        let stage_durations = (0..STAGES.len())
-            .map(|i| {
-                let stage = stage_label(i);
-                registry.histogram(
-                    &format!("melreq_serve_request_stage_duration_seconds{{stage=\"{stage}\"}}"),
-                    "Simulation request latency by lifecycle stage.",
-                    &LATENCY_BUCKETS,
-                )
-            })
-            .collect();
-        Metrics {
-            registry,
-            requests,
-            responses,
-            rejected,
-            timeouts,
-            queue_depth,
-            inflight_requests,
-            open_connections,
-            connections_total,
-            sim_cycles,
-            simulations,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            coalesced,
-            worker_panics,
-            request_duration,
-            stage_durations,
+/// A latency histogram over [`LATENCY_BUCKETS`]: per-bucket counts, and
+/// the total `count` (which includes what no bound takes).
+#[derive(Default)]
+struct Latency {
+    buckets: [u64; LATENCY_BUCKETS.len()],
+    sum: f64,
+    count: u64,
+}
+
+impl Latency {
+    fn observe(&mut self, took: Duration) {
+        let secs = took.as_secs_f64();
+        if let Some(i) = LATENCY_BUCKETS.iter().position(|bound| secs <= *bound) {
+            self.buckets[i] += 1;
         }
+        self.sum += secs;
+        self.count += 1;
     }
 
-    fn count_response(&self, status: u16) {
-        if let Some((_, c)) = self.responses.iter().find(|(code, _)| *code == status) {
-            c.inc();
+    /// Append the cumulative `_bucket` samples, `le="+Inf"` (equal to
+    /// `_count`) last, then `_sum` and `_count`, each labelled `label` (such
+    /// as `stage="parse"`) if not empty. An `f64` displays an integral
+    /// value without a fraction (`1`, not `1.0`) and any other in full.
+    fn render(&self, out: &mut String, family: &str, label: &str) {
+        let sep = if label.is_empty() { "" } else { "," };
+        let braced = if label.is_empty() { String::new() } else { format!("{{{label}}}") };
+        let mut cumulative = 0;
+        for (bound, n) in LATENCY_BUCKETS.iter().zip(self.buckets) {
+            cumulative += n;
+            let _ = writeln!(out, "{family}_bucket{{{label}{sep}le=\"{bound}\"}} {cumulative}");
         }
+        let _ = writeln!(out, "{family}_bucket{{{label}{sep}le=\"+Inf\"}} {}", self.count);
+        let _ = writeln!(out, "{family}_sum{braced} {}", self.sum);
+        let _ = writeln!(out, "{family}_count{braced} {}", self.count);
     }
+}
+
+/// Append a metric family's `# HELP` and `# TYPE` lines.
+fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
 }
 
 /// Bounded LRU over `(canonical request bytes → report bytes)`. The
@@ -429,17 +374,20 @@ struct Shared {
     cfg: ServeConfig,
     session: Session,
     draining: AtomicBool,
-    metrics: Metrics,
+    /// Jobs admitted to the pool and not yet started (`melreq_queue_depth`):
+    /// admission raises it, a job's start lowers it. `Relaxed`: it
+    /// publishes no other data.
+    queued: AtomicUsize,
     /// Finished jobs awaiting delivery by the event loop.
     completions: Mutex<VecDeque<Completion>>,
     waker: WakeHandle,
 }
 
 impl Shared {
-    fn new(cfg: ServeConfig, session: Session, metrics: Metrics, waker: WakeHandle) -> Self {
-        let draining = AtomicBool::new(false);
+    fn new(cfg: ServeConfig, session: Session, waker: WakeHandle) -> Self {
+        let (draining, queued) = (AtomicBool::new(false), AtomicUsize::new(0));
         let completions = Mutex::new(VecDeque::new());
-        Shared { cfg, session, draining, metrics, completions, waker }
+        Shared { cfg, session, draining, queued, completions, waker }
     }
 }
 
@@ -497,31 +445,6 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
     let addr = listener.local_addr().map_err(|e| MelreqError::Io(format!("local_addr: {e}")))?;
     listener.set_nonblocking(true).map_err(|e| MelreqError::Io(format!("set_nonblocking: {e}")))?;
 
-    type StatProbe = fn(&melreq_core::StoreStats) -> u64;
-    let metrics = Metrics::new();
-    if let Some(store) = session.store() {
-        use MetricKind::{Counter, Gauge};
-        let probes: [(&str, MetricKind, StatProbe); 7] = [
-            ("melreq_store_warmup_hits_total", Counter, |s| s.warmup_hits),
-            ("melreq_store_warmup_misses_total", Counter, |s| s.warmup_misses),
-            ("melreq_store_profile_hits_total", Counter, |s| s.profile_hits),
-            ("melreq_store_profile_misses_total", Counter, |s| s.profile_misses),
-            ("melreq_store_resident_hits_total", Counter, |s| s.resident_hits),
-            ("melreq_store_resident_evictions_total", Counter, |s| s.resident_evictions),
-            ("melreq_store_resident_bytes", Gauge, |s| s.resident_bytes),
-        ];
-        for (name, kind, probe) in probes {
-            let store = store.clone();
-            #[allow(clippy::cast_precision_loss, reason = "store counters stay far below 2^52")]
-            metrics.registry.func(
-                name,
-                "Checkpoint-store activity since server start.",
-                kind,
-                move || probe(&store.stats()) as f64,
-            );
-        }
-    }
-
     let mut poller = Poller::new().map_err(|e| MelreqError::Io(format!("poller: {e}")))?;
     let (waker, wake_handle) =
         poll::wake_pair().map_err(|e| MelreqError::Io(format!("wake pipe: {e}")))?;
@@ -532,7 +455,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
         .add(waker.fd(), WAKER_TOKEN, Interest::Read)
         .map_err(|e| MelreqError::Io(format!("register waker: {e}")))?;
 
-    let shared = Arc::new(Shared::new(cfg.clone(), session, metrics, wake_handle));
+    let shared = Arc::new(Shared::new(cfg.clone(), session, wake_handle));
 
     let access_log =
         match &cfg.access_log {
@@ -564,6 +487,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
                     cache: ResponseCache::new(cfg.response_cache),
                     memo: KeyMemo::new(cfg.response_cache),
                     inflight: BTreeMap::new(),
+                    counts: Counts::default(),
                 };
                 state.run();
             });
@@ -729,6 +653,7 @@ struct EventLoop<'s> {
     /// loop answers its completion, so an empty map means every
     /// completion has been delivered.
     inflight: BTreeMap<String, Vec<u64>>,
+    counts: Counts,
 }
 
 impl EventLoop<'_> {
@@ -807,8 +732,7 @@ impl EventLoop<'_> {
                     if self.poller.add(stream.as_raw_fd(), token, Interest::Read).is_err() {
                         continue;
                     }
-                    self.shared.metrics.connections_total.inc();
-                    self.shared.metrics.open_connections.inc();
+                    self.counts.connections += 1;
                     self.conns.insert(token, Conn::new(stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -891,8 +815,10 @@ impl EventLoop<'_> {
                     self.dispatch(token, &request, parse_started);
                 }
                 Err(e) => {
+                    // Where the next request starts is not known: close.
+                    conn.close_requested = true;
                     let body = error_body(400, "usage", &format!("bad request: {e}"));
-                    self.send_close(token, 400, "application/json", &[], &[&body]);
+                    self.send(token, 400, "application/json", &[], &[&body]);
                     break;
                 }
             }
@@ -916,17 +842,17 @@ impl EventLoop<'_> {
             let body = error_body(405, "usage", "method not allowed");
             return self.send(token, 405, "application/json", &[], &[&body]);
         }
-        shared.metrics.requests[at].inc();
+        self.counts.requests[at] += 1;
         match endpoint {
             "healthz" => {
                 let body = format!(
                     "{{\"status\":\"ok\",\"schema_version\":{SCHEMA_VERSION},\"queue_depth\":{}}}",
-                    shared.metrics.queue_depth.get()
+                    shared.queued.load(Ordering::Relaxed)
                 );
                 self.send(token, 200, "application/json", &[], &[&body]);
             }
             "metrics" => {
-                let body = shared.metrics.registry.render();
+                let body = self.render_metrics();
                 self.send(token, 200, "text/plain; version=0.0.4", &[], &[&body]);
             }
             "shutdown" => {
@@ -989,7 +915,7 @@ impl EventLoop<'_> {
             self.memo.insert(endpoint, body, &key);
             match self.cache.get(&key) {
                 Some(report) => return self.answer_hit(token, parse_end, &report),
-                None => shared.metrics.cache_misses.inc(),
+                None => self.counts.cache_misses += 1,
             }
         }
 
@@ -998,7 +924,7 @@ impl EventLoop<'_> {
         } else {
             // Only this thread raises the depth, so the bound cannot be
             // overrun between the check and the increment.
-            let queued = usize::try_from(shared.metrics.queue_depth.get()).unwrap_or(0);
+            let queued = shared.queued.load(Ordering::Relaxed);
             if queued >= shared.cfg.queue_cap || shared.draining.load(Ordering::SeqCst) {
                 return self
                     .send_error(token, &MelreqError::Overload { retry_after_s: RETRY_AFTER_S });
@@ -1006,7 +932,7 @@ impl EventLoop<'_> {
             let timeout_ms = req.timeout_ms.or(shared.cfg.default_timeout_ms);
             let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
             self.inflight.insert(key.clone(), vec![token]);
-            shared.metrics.queue_depth.inc();
+            shared.queued.fetch_add(1, Ordering::Relaxed);
             let job = Job { id, key, req, deadline, queued_at: Instant::now() };
             // One priority for every job: the pool starts them in
             // admission order.
@@ -1014,7 +940,6 @@ impl EventLoop<'_> {
                 execute_job(job, &shared, |req, ctl| shared.session.run(req, ctl));
             });
         }
-        self.shared.metrics.inflight_requests.inc();
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.busy = true;
         }
@@ -1031,7 +956,7 @@ impl EventLoop<'_> {
     /// ended at `parsed`, up to the answer (the cache probe) is the
     /// request's render stage.
     fn answer_hit(&mut self, token: u64, parsed: Instant, report: &str) {
-        self.shared.metrics.cache_hits.inc();
+        self.counts.cache_hits += 1;
         let mut stages = StageTimes::default();
         stages[RENDER] = parsed.elapsed();
         self.answer(token, "response", stages, Ok(report));
@@ -1063,26 +988,31 @@ impl EventLoop<'_> {
     }
 
     /// Deliver every finished job to the connections waiting on its key,
-    /// leader first: a report enters the response cache before anyone is
-    /// answered, and an error is rendered (and counted) once. Then let
-    /// those connections resume parsing pipelined input.
+    /// leader first: the worker's counts are added and a report enters the
+    /// response cache before anyone is answered, and an error is rendered
+    /// (and counted) once. Then let those connections resume parsing
+    /// pipelined input.
     fn drain_completions(&mut self) {
         loop {
             let completion = lock(&self.shared.completions).pop_front();
-            let Some(Completion { key, outcome, stages }) = completion else { break };
+            let Some(Completion { key, outcome, stages, sim_cycles, panicked }) = completion else {
+                break;
+            };
             let waiting = self.inflight.remove(&key).unwrap_or_default();
-            let m = &self.shared.metrics;
+            let c = &mut self.counts;
+            c.worker_panics += u64::from(panicked);
+            c.simulations += u64::from(outcome.is_ok());
+            c.sim_cycles = c.sim_cycles.saturating_add(sim_cycles);
             let (leader_cache, body) = match outcome {
                 Ok((report, cache)) => {
-                    m.coalesced.add(waiting.len().saturating_sub(1) as u64);
+                    c.coalesced += waiting.len().saturating_sub(1) as u64;
                     // A disabled cache (capacity 0) keeps nothing and evicts 0.
-                    m.cache_evictions.add(self.cache.insert(key, report.clone()));
+                    c.cache_evictions += self.cache.insert(key, report.clone());
                     (cache, Ok(report))
                 }
-                Err(err) => ("none", Err(error_response(&err, m))),
+                Err(err) => ("none", Err(error_response(&err, c))),
             };
             for (i, token) in waiting.into_iter().enumerate() {
-                self.shared.metrics.inflight_requests.dec();
                 let (cache, stages) = match (i, &body) {
                     (0, _) => (leader_cache, stages),
                     (_, Ok(_)) => ("coalesced", StageTimes::default()),
@@ -1117,7 +1047,7 @@ impl EventLoop<'_> {
     }
 
     fn send_error(&mut self, token: u64, err: &MelreqError) {
-        let (status, body) = error_response(err, &self.shared.metrics);
+        let (status, body) = error_response(err, &mut self.counts);
         let retry_after = match err {
             MelreqError::Overload { retry_after_s } => {
                 vec![("Retry-After", retry_after_s.to_string())]
@@ -1148,28 +1078,14 @@ impl EventLoop<'_> {
             }
         }
         let close = conn.close_requested || draining;
-        self.shared.metrics.count_response(status);
+        if let Some(i) = http::STATUSES.iter().position(|(code, _)| *code == status) {
+            self.counts.responses[i] += 1;
+        }
         http::write_response(&mut conn.wbuf, status, content_type, extra_headers, body, close);
         if close {
             conn.close_after_write = true;
         }
         self.flush(token);
-    }
-
-    /// Like [`EventLoop::send`] but always closes afterwards (protocol
-    /// errors poison the parse state).
-    fn send_close(
-        &mut self,
-        token: u64,
-        status: u16,
-        content_type: &str,
-        extra_headers: &[(&str, String)],
-        body: &[&str],
-    ) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.close_requested = true;
-        }
-        self.send(token, status, content_type, extra_headers, body);
     }
 
     fn flush(&mut self, token: u64) {
@@ -1232,10 +1148,9 @@ impl EventLoop<'_> {
         let sent_at = t.sent_at.unwrap_or(now);
         t.stages[FLUSH] = now.duration_since(sent_at);
         let total = now.duration_since(t.start);
-        let m = &self.shared.metrics;
-        m.request_duration.observe(total.as_secs_f64());
-        for (histogram, took) in m.stage_durations.iter().zip(t.stages) {
-            histogram.observe(took.as_secs_f64());
+        self.counts.request_duration.observe(total);
+        for (latency, took) in self.counts.stage_durations.iter_mut().zip(t.stages) {
+            latency.observe(took);
         }
         if melreq_prof::enabled() {
             // The two stages this thread timed itself; a worker recorded
@@ -1276,8 +1191,86 @@ impl EventLoop<'_> {
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.remove(conn.stream.as_raw_fd());
-            self.shared.metrics.open_connections.dec();
         }
+    }
+
+    /// The `/metrics` page (Prometheus text format 0.0.4): each family's
+    /// `# HELP` and `# TYPE` lines once, its samples below them. Gauges
+    /// are read from the state they describe, and a store's statistics
+    /// when the page is rendered.
+    fn render_metrics(&self) -> String {
+        let (c, mut out) = (&self.counts, String::new());
+        let name = "melreq_requests_total";
+        family(&mut out, name, "counter", "Requests received, by endpoint.");
+        for ((_, _, endpoint), n) in ENDPOINTS.iter().zip(c.requests) {
+            let _ = writeln!(out, "{name}{{endpoint=\"{endpoint}\"}} {n}");
+        }
+        let name = "melreq_responses_total";
+        family(&mut out, name, "counter", "Responses sent, by status code.");
+        for ((code, _), n) in http::STATUSES.iter().zip(c.responses) {
+            let _ = writeln!(out, "{name}{{code=\"{code}\"}} {n}");
+        }
+        let queued = self.shared.queued.load(Ordering::Relaxed) as u64;
+        let inflight = self.inflight.values().map(Vec::len).sum::<usize>() as u64;
+        #[rustfmt::skip]
+        let scalars = [
+            ("melreq_rejected_total", "counter", c.rejected,
+                "Requests rejected by queue backpressure (429)."),
+            ("melreq_timeouts_total", "counter", c.timeouts,
+                "Requests that exceeded their wall-clock deadline."),
+            ("melreq_queue_depth", "gauge", queued, "Jobs waiting in the bounded queue."),
+            ("melreq_inflight_requests", "gauge", inflight,
+                "Simulation requests admitted (queued, running, or coalesced) and not yet \
+                 answered."),
+            ("melreq_open_connections", "gauge", self.conns.len() as u64,
+                "Connections currently held by the event loop."),
+            ("melreq_connections_total", "counter", c.connections,
+                "Connections accepted since start."),
+            ("melreq_sim_cycles_total", "counter", c.sim_cycles,
+                "Simulated cycles executed on behalf of requests."),
+            ("melreq_simulations_total", "counter", c.simulations,
+                "Simulations actually executed by the worker pool (cached and coalesced \
+                 requests excluded)."),
+            ("melreq_serve_cache_hits_total", "counter", c.cache_hits,
+                "Requests answered from the response cache."),
+            ("melreq_serve_cache_misses_total", "counter", c.cache_misses,
+                "Cache-enabled requests that missed the response cache."),
+            ("melreq_serve_cache_evictions_total", "counter", c.cache_evictions,
+                "Entries evicted from the response cache (LRU, bounded capacity)."),
+            ("melreq_serve_coalesced_total", "counter", c.coalesced,
+                "Requests coalesced onto an identical in-flight simulation."),
+            ("melreq_serve_worker_panics_total", "counter", c.worker_panics,
+                "Simulations that panicked; each answered 500 and the worker carried on."),
+        ];
+        for (name, kind, n, help) in scalars {
+            family(&mut out, name, kind, help);
+            let _ = writeln!(out, "{name} {n}");
+        }
+        let name = "melreq_serve_request_duration_seconds";
+        let help = "End-to-end simulation request latency: parse start to final flush.";
+        family(&mut out, name, "histogram", help);
+        c.request_duration.render(&mut out, name, "");
+        let name = "melreq_serve_request_stage_duration_seconds";
+        family(&mut out, name, "histogram", "Simulation request latency by lifecycle stage.");
+        for (stage, latency) in c.stage_durations.iter().enumerate() {
+            latency.render(&mut out, name, &format!("stage=\"{}\"", stage_label(stage)));
+        }
+        if let Some(store) = self.shared.session.store() {
+            let s = store.stats();
+            for (name, kind, n) in [
+                ("melreq_store_warmup_hits_total", "counter", s.warmup_hits),
+                ("melreq_store_warmup_misses_total", "counter", s.warmup_misses),
+                ("melreq_store_profile_hits_total", "counter", s.profile_hits),
+                ("melreq_store_profile_misses_total", "counter", s.profile_misses),
+                ("melreq_store_resident_hits_total", "counter", s.resident_hits),
+                ("melreq_store_resident_evictions_total", "counter", s.resident_evictions),
+                ("melreq_store_resident_bytes", "gauge", s.resident_bytes),
+            ] {
+                family(&mut out, name, kind, "Checkpoint-store activity since server start.");
+                let _ = writeln!(out, "{name} {n}");
+            }
+        }
+        out
     }
 }
 
@@ -1304,8 +1297,8 @@ fn execute_job(
     run: impl FnOnce(&SimRequest, &RunControl) -> Result<SimReport, MelreqError>,
 ) {
     let Job { id, key, req, deadline, queued_at } = job;
-    shared.metrics.queue_depth.dec();
-    let mut stages = StageTimes::default();
+    shared.queued.fetch_sub(1, Ordering::Relaxed);
+    let (mut stages, mut sim_cycles, mut panicked) = (StageTimes::default(), 0, false);
     stages[QUEUE] = queued_at.elapsed();
     stage_record(QUEUE, id, queued_at, stages[QUEUE]);
     // A deadline that expired while the job sat in the queue is still a
@@ -1324,7 +1317,7 @@ fn execute_job(
         let ran = {
             let _sp = stage_span(EXECUTE, id);
             catch_unwind(AssertUnwindSafe(|| run(&req, &ctl))).unwrap_or_else(|payload| {
-                shared.metrics.worker_panics.inc();
+                panicked = true;
                 let what = payload
                     .downcast_ref::<String>()
                     .map(String::as_str)
@@ -1336,8 +1329,7 @@ fn execute_job(
         stages[EXECUTE] = exec_started.elapsed();
         ran.map(|report| {
             let cycles = report.policies.iter().map(|p| p.result.sim_cycles);
-            shared.metrics.sim_cycles.add(cycles.fold(0, u64::saturating_add));
-            shared.metrics.simulations.inc();
+            sim_cycles = cycles.fold(0, u64::saturating_add);
             let cache_status = if report.all_warm() {
                 "warm"
             } else if report.any_warm() {
@@ -1354,7 +1346,8 @@ fn execute_job(
             (report_json, cache_status)
         })
     };
-    lock(&shared.completions).push_back(Completion { key, outcome, stages });
+    let completion = Completion { key, outcome, stages, sim_cycles, panicked };
+    lock(&shared.completions).push_back(completion);
     shared.waker.wake();
 }
 
@@ -1376,10 +1369,10 @@ fn envelope_open(cache: &str, shared: &Shared) -> String {
 /// The status and body that answer a failed request, and the only place
 /// such a failure is counted: `melreq_timeouts_total`,
 /// `melreq_rejected_total`.
-fn error_response(err: &MelreqError, metrics: &Metrics) -> (u16, String) {
+fn error_response(err: &MelreqError, counts: &mut Counts) -> (u16, String) {
     match err {
-        MelreqError::Timeout(_) => metrics.timeouts.inc(),
-        MelreqError::Overload { .. } => metrics.rejected.inc(),
+        MelreqError::Timeout(_) => counts.timeouts += 1,
+        MelreqError::Overload { .. } => counts.rejected += 1,
         _ => {}
     }
     let status = err.http_status();
@@ -1447,26 +1440,64 @@ mod tests {
     /// What the event loop leaves behind when it admits request `id`: the
     /// queue count and the job.
     fn admit(shared: &Shared, req: &SimRequest, id: u64) -> Job {
-        shared.metrics.queue_depth.inc();
+        shared.queued.fetch_add(1, Ordering::Relaxed);
         let key = req.canonical_bytes();
         Job { id, key, req: req.clone(), deadline: None, queued_at: Instant::now() }
     }
 
     /// The one completion the last job published, as its leader is
-    /// answered: status, and the report bytes or the error's message.
-    fn published(shared: &Shared) -> (u16, String) {
+    /// answered: status, the report bytes or the error's message, and
+    /// whether the run panicked.
+    fn published(shared: &Shared) -> (u16, String, bool) {
         let mut completions = lock(&shared.completions);
         assert_eq!(completions.len(), 1, "a job publishes exactly one completion");
         let c = completions.pop_front().expect("one completion");
         assert_eq!(c.key, quick_request().canonical_bytes());
         match c.outcome {
-            Ok((report, _)) => (200, report.to_string()),
-            Err(err) => (err.http_status(), err.to_string()),
+            Ok((report, _)) => (200, report.to_string(), c.panicked),
+            Err(err) => (err.http_status(), err.to_string(), c.panicked),
         }
     }
 
     fn quick_request() -> SimRequest {
         SimRequest::new("2MEM-1").policy(PolicyKind::MeLreq).opts(ExperimentOptions::quick())
+    }
+
+    /// A latency histogram's lines: cumulative buckets, `+Inf` equal to the
+    /// count (it takes what no bound does), the label first in every
+    /// sample's labels, and bounds and sum written integral when they are.
+    #[test]
+    fn a_latency_histogram_renders_cumulative_buckets_its_label_and_its_sum() {
+        let mut staged = Latency::default();
+        for ms in [0, 250, 500, 2_000, 64_000] {
+            staged.observe(Duration::from_millis(ms));
+        }
+        let mut out = String::new();
+        staged.render(&mut out, "t", "stage=\"parse\"");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), LATENCY_BUCKETS.len() + 3, "{out}");
+        for (at, want) in [
+            (0, "t_bucket{stage=\"parse\",le=\"0.0005\"} 1"),
+            (7, "t_bucket{stage=\"parse\",le=\"0.1\"} 1"),
+            (8, "t_bucket{stage=\"parse\",le=\"0.25\"} 2"),
+            (9, "t_bucket{stage=\"parse\",le=\"0.5\"} 3"),
+            (10, "t_bucket{stage=\"parse\",le=\"1\"} 3"),
+            (11, "t_bucket{stage=\"parse\",le=\"2.5\"} 4"),
+            (15, "t_bucket{stage=\"parse\",le=\"60\"} 4"),
+            (16, "t_bucket{stage=\"parse\",le=\"+Inf\"} 5"),
+            (17, "t_sum{stage=\"parse\"} 66.75"),
+            (18, "t_count{stage=\"parse\"} 5"),
+        ] {
+            assert_eq!(lines[at], want, "{out}");
+        }
+
+        let mut total = Latency::default();
+        total.observe(Duration::from_secs(1));
+        total.observe(Duration::from_secs(2));
+        let mut out = String::new();
+        total.render(&mut out, "r", "");
+        assert!(out.starts_with("r_bucket{le=\"0.0005\"} 0\n"), "{out}");
+        assert!(out.ends_with("r_bucket{le=\"+Inf\"} 2\nr_sum 3\nr_count 2\n"), "{out}");
     }
 
     /// A panicking run publishes one failed completion, which the event
@@ -1475,23 +1506,22 @@ mod tests {
     #[test]
     fn a_panicking_run_answers_500_to_everyone_waiting_and_the_worker_serves_the_next_job() {
         let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
-        let shared =
-            Shared::new(ServeConfig::default(), Session::new(), Metrics::new(), wake_handle);
+        let shared = Shared::new(ServeConfig::default(), Session::new(), wake_handle);
         let req = quick_request();
 
         execute_job(admit(&shared, &req, 7), &shared, |_, _| panic!("boom at decision 3"));
-        let (status, message) = published(&shared);
+        let (status, message, panicked) = published(&shared);
         assert_eq!(status, 500, "{message}");
         assert!(message.contains("request #7 panicked: boom at decision 3"), "{message}");
-        assert_eq!(shared.metrics.worker_panics.get(), 1);
-        assert_eq!(shared.metrics.queue_depth.get(), 0);
+        assert!(panicked);
+        assert_eq!(shared.queued.load(Ordering::Relaxed), 0);
 
         // Same thread, same shared state, next job: a real run.
         execute_job(admit(&shared, &req, 8), &shared, |req, ctl| shared.session.run(req, ctl));
-        let (status, report) = published(&shared);
+        let (status, report, panicked) = published(&shared);
         assert_eq!(status, 200, "{report}");
         assert_eq!(report, Session::new().run(&req, &RunControl::default()).unwrap().to_json());
-        assert_eq!(shared.metrics.worker_panics.get(), 1);
+        assert!(!panicked);
     }
 
     /// A thread that panics while holding a server lock poisons it. The job
@@ -1501,8 +1531,7 @@ mod tests {
     #[test]
     fn a_poisoned_completions_lock_still_publishes_every_answer() {
         let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
-        let shared =
-            Shared::new(ServeConfig::default(), Session::new(), Metrics::new(), wake_handle);
+        let shared = Shared::new(ServeConfig::default(), Session::new(), wake_handle);
         std::thread::scope(|s| {
             let holder = s.spawn(|| {
                 let _held = shared.completions.lock();
@@ -1514,9 +1543,9 @@ mod tests {
 
         let req = quick_request();
         execute_job(admit(&shared, &req, 5), &shared, |req, ctl| shared.session.run(req, ctl));
-        let (status, report) = published(&shared);
+        let (status, report, _) = published(&shared);
         assert_eq!(status, 200, "{report}");
-        assert_eq!(shared.metrics.queue_depth.get(), 0);
+        assert_eq!(shared.queued.load(Ordering::Relaxed), 0);
     }
 
     /// The server's store keeps a boundary and its op tapes between
@@ -1535,7 +1564,7 @@ mod tests {
         let store = Arc::new(CheckpointStore::open_resident(&dir).expect("store"));
         let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
         let session = Session::with_store(store.clone());
-        let shared = Shared::new(ServeConfig::default(), session, Metrics::new(), wake_handle);
+        let shared = Shared::new(ServeConfig::default(), session, wake_handle);
         let req = quick_request();
         let want = Session::new().run(&req, &RunControl::default()).expect("storeless").to_json();
         let serve = |id: u64| {
@@ -1554,14 +1583,15 @@ mod tests {
             run_tapped(&mix, doomed, &req.opts, cache, Some(&store), ctl, taps);
             unreachable!("the policy's constructor panics")
         });
-        let (status, message) = published(&shared);
+        let (status, message, panicked) = published(&shared);
         assert_eq!(status, 500, "{message}");
         assert!(message.contains("request #3 panicked: policy bug on 2MEM-1"), "{message}");
+        assert!(panicked);
 
-        let (status, report) = serve(4);
+        let (status, report, panicked) = serve(4);
         assert_eq!(status, 200, "{report}");
         assert_eq!(report, want);
-        assert_eq!(shared.metrics.worker_panics.get(), 1);
+        assert!(!panicked);
         let st = store.stats();
         assert_eq!((st.warmup_misses, st.resident_hits), (1, 3), "memory answered 2, 3 and 4");
         let _ = std::fs::remove_dir_all(&dir);
