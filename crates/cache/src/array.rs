@@ -32,8 +32,6 @@ pub struct CacheStats {
     pub hits: Counter,
     /// Demand misses (excluding MSHR merges, which the hierarchy counts).
     pub misses: Counter,
-    /// Dirty victims produced by fills.
-    pub writebacks: Counter,
 }
 
 impl CacheStats {
@@ -150,9 +148,6 @@ impl CacheArray {
             dirty: victim.dirty,
         };
         *victim = Way { tag, valid: true, dirty, lru: stamp };
-        if evicted.dirty {
-            self.stats.writebacks.inc();
-        }
         Some(evicted)
     }
 
@@ -179,7 +174,7 @@ impl CacheArray {
         // `cfg`: construction-time config, identical across snapshot peers.
         // `set_mask`: derived from cfg at construction, never mutated.
         let Self { cfg: _, sets, set_mask: _, stamp, stats } = self;
-        let CacheStats { hits, misses, writebacks } = stats;
+        let CacheStats { hits, misses } = stats;
         ar.len(sets.len(), SnapError::Invalid("cache geometry mismatch"))?;
         for Way { tag, valid, dirty, lru } in sets {
             ar.u64(tag)?;
@@ -188,7 +183,8 @@ impl CacheArray {
             ar.u64(lru)?;
         }
         ar.u64(stamp)?;
-        [hits, misses, writebacks].into_iter().try_for_each(|c| c.state(ar))
+        hits.state(ar)?;
+        misses.state(ar)
     }
 }
 

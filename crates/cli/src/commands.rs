@@ -1404,11 +1404,11 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
             .unwrap();
         assert_eq!(
             (hash(&trace), hash(&series)),
-            ("f95925a43f97b2fb".into(), "2f6dfa98ae29fc99".into())
+            ("f76f81d0c3fc9150".into(), "a3f12c9d05c66d18".into())
         );
         // The default epoch: a trace alone samples every 10 000 cycles.
         quick(&format!("run 2MEM-1 --policy fq --trace {t}")).unwrap();
-        assert_eq!(hash(&trace), "2da87d33ec73ed1a");
+        assert_eq!(hash(&trace), "5f50bc75275d1863");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

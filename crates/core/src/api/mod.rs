@@ -710,7 +710,7 @@ mod tests {
         let a = quick_request("me-lreq");
         assert_eq!(
             a.canonical_bytes(),
-            "v4;mix=2MEM-1;policies=[MeLreq];audit=false;instr=20000;warmup=10000;\
+            "v5;mix=2MEM-1;policies=[MeLreq];audit=false;instr=20000;warmup=10000;\
              profile=10000;slice=0;factor=4000;budget=None"
         );
         // Wall-clock budget and thread count are not identity; cycle budget is.
@@ -770,7 +770,7 @@ mod tests {
     #[test]
     fn policy_report_json_is_byte_stable() {
         const PLAIN: &str = concat!(
-            "{\"schema_version\":4,\"mix\":\"2MEM-1\",\"policies\":[{\"policy\":\"ME-LREQ\",",
+            "{\"schema_version\":5,\"mix\":\"2MEM-1\",\"policies\":[{\"policy\":\"ME-LREQ\",",
             "\"smt_speedup\":1.7268925094976528,\"weighted_speedup\":1.7268925094976528,",
             "\"harmonic_speedup\":0.8634370545879058,\"unfairness\":1.006549829668036,",
             "\"max_slowdown\":1.1619425173439049,\"mean_read_latency\":180.78533231474407,",

@@ -168,14 +168,10 @@ impl PartialOrd for Event {
 /// Hierarchy-level statistics (cache stats live in the arrays themselves).
 #[derive(Debug, Default, Clone)]
 pub struct HierarchyStats {
-    /// Loads that hit in L1D.
-    pub l1d_load_hits: Counter,
     /// Demand reads sent to memory.
     pub mem_reads: Counter,
     /// Write-backs sent to memory.
     pub mem_writes: Counter,
-    /// Stores rejected because the L1D MSHR file was full.
-    pub store_stalls: Counter,
 }
 
 /// The assembled hierarchy for `n` cores.
@@ -324,10 +320,9 @@ impl Hierarchy {
                 *q = stalled.into();
             }
         }
-        let HierarchyStats { l1d_load_hits, mem_reads, mem_writes, store_stalls } = stats;
-        for c in [l1d_load_hits, mem_reads, mem_writes, store_stalls] {
-            c.state(ar)?;
-        }
+        let HierarchyStats { mem_reads, mem_writes } = stats;
+        mem_reads.state(ar)?;
+        mem_writes.state(ar)?;
         ctrl.state(ar)
     }
 
@@ -531,9 +526,6 @@ impl Hierarchy {
         };
         let hit_latency = l1.config().hit_latency;
         if l1.access(addr, false) {
-            if origin == Origin::Data {
-                self.stats.l1d_load_hits.inc();
-            }
             return MemResponse::HitAt(now + hit_latency);
         }
         match mshr.allocate(addr, L1Waiter::Token(token)) {
@@ -571,10 +563,7 @@ impl CoreMemory for Hierarchy {
                 true
             }
             AllocOutcome::Merged => true,
-            AllocOutcome::Full => {
-                self.stats.store_stalls.inc();
-                false
-            }
+            AllocOutcome::Full => false,
         }
     }
 }

@@ -62,7 +62,7 @@ use melreq_workloads::{spec2000, SliceKind};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Bytes of containers and op tapes a resident store keeps: twice the
 /// largest share of a default-options `reproduce` (`8MIX-2`: 30.7 MB of
@@ -118,17 +118,11 @@ impl StoreStats {
 #[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
-    warmup_hits: AtomicU64,
-    warmup_misses: AtomicU64,
-    profile_hits: AtomicU64,
-    profile_misses: AtomicU64,
-    tape_hits: AtomicU64,
-    tape_misses: AtomicU64,
+    /// What [`CheckpointStore::stats`] reports. It changes once per record
+    /// lookup, so one lock is no cost.
+    stats: Mutex<StoreStats>,
     /// The memory tier of a store opened resident (module docs).
     resident: Option<Mutex<Resident>>,
-    resident_hits: AtomicU64,
-    resident_evictions: AtomicU64,
-    resident_bytes: AtomicU64,
 }
 
 /// Boundaries kept in memory, least recently used first.
@@ -163,17 +157,15 @@ impl CheckpointStore {
         std::fs::create_dir_all(&dir)?;
         Ok(CheckpointStore {
             dir,
-            warmup_hits: AtomicU64::new(0),
-            warmup_misses: AtomicU64::new(0),
-            profile_hits: AtomicU64::new(0),
-            profile_misses: AtomicU64::new(0),
-            tape_hits: AtomicU64::new(0),
-            tape_misses: AtomicU64::new(0),
+            stats: Mutex::default(),
             resident: budget.map(|budget| Mutex::new(Resident { budget, entries: Vec::new() })),
-            resident_hits: AtomicU64::new(0),
-            resident_evictions: AtomicU64::new(0),
-            resident_bytes: AtomicU64::new(0),
         })
+    }
+
+    /// Update the counters. A panic elsewhere cannot leave them half
+    /// written, so a poisoned lock is used as it stands.
+    fn count(&self, update: impl FnOnce(&mut StoreStats)) {
+        update(&mut self.stats.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
     /// The directory this store reads and writes.
@@ -248,8 +240,10 @@ impl CheckpointStore {
     /// [`System::restore`]: crate::system::System::restore
     pub(crate) fn load_warmup_sealed(&self, key: u64) -> Option<Sealed> {
         let r = self.read_valid("warmup", key);
-        let ctr = if r.is_some() { &self.warmup_hits } else { &self.warmup_misses };
-        ctr.fetch_add(1, Ordering::Relaxed);
+        self.count(|st| match r {
+            Some(_) => st.warmup_hits += 1,
+            None => st.warmup_misses += 1,
+        });
         r
     }
 
@@ -274,8 +268,10 @@ impl CheckpointStore {
             }
             tapes.ok()
         });
-        let ctr = if tapes.is_some() { &self.tape_hits } else { &self.tape_misses };
-        ctr.fetch_add(1, Ordering::Relaxed);
+        self.count(|st| match tapes {
+            Some(_) => st.tape_hits += 1,
+            None => st.tape_misses += 1,
+        });
         tapes
     }
 
@@ -315,8 +311,10 @@ impl CheckpointStore {
         share: impl FnOnce(Sealed) -> GroupShare,
     ) -> Option<(Arc<GroupShare>, bool)> {
         if let Some(kept) = self.resident_share(key) {
-            self.warmup_hits.fetch_add(1, Ordering::Relaxed);
-            self.resident_hits.fetch_add(1, Ordering::Relaxed);
+            self.count(|st| {
+                st.warmup_hits += 1;
+                st.resident_hits += 1;
+            });
             return Some((kept, true));
         }
         let read = Arc::new(share(self.load_warmup_sealed(key)?));
@@ -382,8 +380,10 @@ impl CheckpointStore {
         }
         tier.entries.drain(..lru);
         let evicted = held - tier.entries.len();
-        self.resident_evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        self.resident_bytes.store(total as u64, Ordering::Relaxed);
+        self.count(|st| {
+            st.resident_evictions += evicted as u64;
+            st.resident_bytes = total as u64;
+        });
     }
 
     /// Fetch an application profile.
@@ -403,8 +403,10 @@ impl CheckpointStore {
             let name = spec2000().into_iter().find(|a| a.code == code)?.name;
             Some(AppProfile { name, code, ipc, bw_gbs, me })
         });
-        let ctr = if r.is_some() { &self.profile_hits } else { &self.profile_misses };
-        ctr.fetch_add(1, Ordering::Relaxed);
+        self.count(|st| match r {
+            Some(_) => st.profile_hits += 1,
+            None => st.profile_misses += 1,
+        });
         r
     }
 
@@ -420,17 +422,7 @@ impl CheckpointStore {
 
     /// Snapshot the hit/miss counters.
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            warmup_hits: self.warmup_hits.load(Ordering::Relaxed),
-            warmup_misses: self.warmup_misses.load(Ordering::Relaxed),
-            profile_hits: self.profile_hits.load(Ordering::Relaxed),
-            profile_misses: self.profile_misses.load(Ordering::Relaxed),
-            tape_hits: self.tape_hits.load(Ordering::Relaxed),
-            tape_misses: self.tape_misses.load(Ordering::Relaxed),
-            resident_hits: self.resident_hits.load(Ordering::Relaxed),
-            resident_evictions: self.resident_evictions.load(Ordering::Relaxed),
-            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
-        }
+        *self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -474,6 +466,16 @@ mod tests {
         let plain = tmp_store(&format!("{tag}-plain"));
         let dir = tmp_dir(&format!("{tag}-resident"));
         [plain, CheckpointStore::with_budget(dir, Some(budget)).expect("store dir")]
+    }
+
+    /// `container` as the previous schema wrote it: an intact record whose
+    /// header names `SCHEMA_VERSION - 1` (bytes 8..12, after the magic).
+    fn stale_schema(container: &[u8]) -> Vec<u8> {
+        let mut stale = container.to_vec();
+        stale[8..12].copy_from_slice(&(melreq_snap::SCHEMA_VERSION - 1).to_le_bytes());
+        let skew = SnapError::BadContainer("schema version mismatch");
+        assert_eq!(melreq_snap::open(&stale), Err(skew), "only the version is wrong");
+        stale
     }
 
     /// What a run wraps a container it read in.
@@ -526,8 +528,10 @@ mod tests {
             *bytes.last_mut().unwrap() ^= 0xff;
             bytes
         };
-        // A flipped bit, a torn tail, less than a header, nothing at all.
-        let damaged = [&flipped[..], &good[..good.len() - 1], &good[..10], &[]];
+        // A flipped bit, a torn tail, less than a header, nothing at all,
+        // a record of the previous schema.
+        let stale = stale_schema(&good);
+        let damaged = [&flipped[..], &good[..good.len() - 1], &good[..10], &[], &stale[..]];
         for s in both_forms("corrupt", 1 << 20) {
             let resident = s.resident.is_some();
             for kind in ["warmup", "profile"] {
@@ -694,13 +698,14 @@ mod tests {
             [("warmup", 0), ("tapes", good.len() as u64), ("profile", 0)]
         );
         // Cut short anywhere, resealed around a payload cut short or run
-        // long, or read into streams of another core count: a miss, and
-        // deleted.
+        // long, written by the previous schema, or read into streams of
+        // another core count: a miss, and deleted.
         let payload = melreq_snap::open(&good).expect("a sealed record");
         let mut damaged: Vec<Vec<u8>> =
             (0..64).map(|i| good[..good.len() * i / 64].to_vec()).collect();
         damaged.push(melreq_snap::seal(&payload[..payload.len() / 2]));
         damaged.push(melreq_snap::seal(&[payload, &[0]].concat()));
+        damaged.push(stale_schema(&good));
         for bytes in &damaged {
             std::fs::write(&path, bytes).unwrap();
             assert!(s.load_tapes(key, streams()).is_none(), "{} damaged bytes", bytes.len());

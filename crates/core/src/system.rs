@@ -730,11 +730,8 @@ impl System {
         }
         let measured_cycles = self.now.saturating_sub(self.stats_reset_at.unwrap_or(0)).max(1);
         let ctrl_stats = self.hier.controller().stats();
-        let read_latency: Vec<f64> = ctrl_stats
-            .read_latency
-            .iter()
-            .map(melreq_stats::LatencyTracker::mean_or_zero)
-            .collect();
+        let read_latency: Vec<f64> =
+            ctrl_stats.read_latency.iter().map(melreq_stats::StreamingMean::mean_or_zero).collect();
         RunOutcome {
             cycles: measured_cycles,
             ipc: self.cores.iter().map(melreq_cpu::Core::measured_ipc).collect(),
@@ -1011,7 +1008,7 @@ mod tests {
         warmed.prepare_window(opts.warmup, opts.instructions);
         assert!(warmed.run_to_boundary(1 << 26), "warm-up must reach the boundary");
         let container = warmed.snapshot_sealed();
-        assert_eq!(melreq_snap::fnv1a(container.as_bytes()), 0xa5c0_1fcf_0074_445c);
+        assert_eq!(melreq_snap::fnv1a(container.as_bytes()), 0x9c21_4ca6_fe22_ff7a);
 
         let mut warm = System::new(cfg.clone(), mix.eval_streams(0), &me);
         let mut cold = System::for_restore(cfg, mix.eval_streams(0), &me);

@@ -233,21 +233,21 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
 ///
 /// DESIGN.md "Determinism rules" maps every snapshotted struct to a row.
 const SNAPSHOT_PINS: &[(&str, usize, u64)] = &[
-    ("boundary", 1_349_242, 0xa5c0_1fcf_0074_445c),
-    ("hf-rf", 1_352_592, 0xbd32_4d8b_1a74_7e31),
-    ("me", 1_350_740, 0x0f68_b1b7_dd8c_6e91),
-    ("rr", 1_352_371, 0x11e7_cfd5_f4c5_7f72),
-    ("lreq", 1_351_128, 0x14cb_07ad_7f77_8c07),
-    ("me-lreq", 1_350_879, 0x102a_000b_9d6c_d83e),
-    ("fcfs", 1_351_252, 0x7d04_91a1_b97a_4ec4),
-    ("fcfs-rf", 1_352_591, 0xc21e_f40b_8361_d16e),
-    ("me-lreq-on", 1_351_182, 0x4d1f_0960_03ef_3061),
-    ("fix-0123", 1_351_393, 0x9a25_76cf_ff63_6ebc),
-    ("fix-3210", 1_348_376, 0x3794_1dbf_6f0d_1590),
-    ("fq", 1_353_025, 0x6359_b9ed_a56b_f047),
-    ("stf", 1_353_315, 0x5a7a_e47c_382f_b7b7),
-    ("bliss", 1_354_260, 0x3cb1_74ca_93b1_95a3),
-    ("tcm", 1_350_454, 0x1ae2_297b_9897_47c5),
+    ("boundary", 1_347_914, 0x9c21_4ca6_fe22_ff7a),
+    ("hf-rf", 1_351_200, 0xc321_9b77_8034_339b),
+    ("me", 1_349_348, 0x9565_c154_62b0_084b),
+    ("rr", 1_350_979, 0x537e_3976_a039_f51d),
+    ("lreq", 1_349_736, 0x67f7_a678_f589_3676),
+    ("me-lreq", 1_349_487, 0x6a2f_9cef_9dc1_6d2f),
+    ("fcfs", 1_349_860, 0x4f3a_8296_46e2_c5a9),
+    ("fcfs-rf", 1_351_199, 0xf026_25b4_b32b_98d4),
+    ("me-lreq-on", 1_349_790, 0x713d_ac6c_ff4d_8b35),
+    ("fix-0123", 1_350_001, 0xe894_1b1c_8333_bf02),
+    ("fix-3210", 1_346_984, 0x57e0_7aa1_a8b6_b474),
+    ("fq", 1_351_633, 0xb552_a9ba_de90_40ef),
+    ("stf", 1_351_923, 0xe113_9900_d890_abd8),
+    ("bliss", 1_352_868, 0x272a_0323_badc_8d92),
+    ("tcm", 1_349_062, 0xc529_88a7_81af_fe5a),
     ("phased", 180, 0x13bc_4ee1_d161_56a5),
     ("taped", 82, 0xfcd6_76f3_74f6_4266),
 ];
@@ -331,7 +331,7 @@ fn pinned_bytes() -> Vec<(&'static str, Receiver, Vec<u8>)> {
 
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(melreq_snap::SCHEMA_VERSION, 4, "a version bump re-captures every pin");
+    assert_eq!(melreq_snap::SCHEMA_VERSION, 5, "a version bump re-captures every pin");
     let got: Vec<(&str, usize, u64)> = pinned_bytes()
         .iter()
         .map(|(name, _, bytes)| (*name, bytes.len(), melreq_snap::fnv1a(bytes)))

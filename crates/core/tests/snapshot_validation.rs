@@ -46,7 +46,7 @@ macro_rules! walk_as {
         }
     )*};
 }
-walk_as!(u8 => u8, u16 => u16, u32 => u32, u64 => u64, u128 => u128, bool => bool, String => string);
+walk_as!(u8 => u8, u16 => u16, u32 => u32, u64 => u64, bool => bool, String => string);
 
 impl Walk for OpKind {
     fn walk<A: Archive>(&mut self, ar: &mut A) -> R {
@@ -159,12 +159,12 @@ mirror! {
         stores_in_rob: u64,
         waiting: Vec<u64>,
         window: (u64, [Option<u64>; 3]),
-        stats: [u64; 6],
+        stats: [u64; 5],
     }
     // State tag: 0 waiting, 1 executing, 2 waiting on memory, 3 done;
     // tags 1 and 3 carry a cycle.
     RobEntry { kind: OpKind, dep_seq: Option<u64>, state: Tagged<0b1010>, seq: u64 }
-    Cache { ways: Vec<(u64, bool, bool, u64)>, stamp: u64, stats: [u64; 3] }
+    Cache { ways: Vec<(u64, bool, bool, u64)>, stamp: u64, stats: [u64; 2] }
     L1s { l1i: Cache, l1i_mshr: Mshr<L1Waiter>, l1d: Cache, l1d_mshr: Mshr<L1Waiter> }
     Hier {
         cores: Vec<L1s>,
@@ -173,15 +173,14 @@ mirror! {
         events: Vec<Event>,
         event_seq: u64,
         stalled: [Vec<(u16, u64)>; 2],
-        stats: [u64; 4],
+        stats: [u64; 2],
         ctrl: Ctrl,
     }
     Event { at: u64, seq: u64, tag: u8, core: u16, line: u64, origin: u8 }
     Req { id: u64, core: u16, addr: u64, channel: u64, bank: u64, row: u64, column: u32, read: bool, arrival: u64 }
     // Banks: a tagged open row, then the ready horizon.
     Chan { banks: Vec<(Tagged<0b10>, u64)>, bus: [u64; 4], acts: [u64; 4], act_head: u64, acts_seen: u64 }
-    Dram { channels: Vec<Chan>, stats: [u64; 6], refreshes_emitted: Vec<u64> }
-    Lat { mean: [u64; 2], minmax: [Option<u64>; 2], buckets: Vec<u64>, count: u64, sum: u128 }
+    Dram { channels: Vec<Chan>, stats: [u64; 3], refreshes_emitted: Vec<u64> }
     Online { epoch: u64, next_at: u64, prev_instr: Vec<u64>, prev_bytes: Vec<u64>, estimate: Vec<u64> }
     Table { rows: Vec<Row>, scale: u64, rng: [u64; 4] }
 }
@@ -209,8 +208,9 @@ struct Ctrl {
     read_first_draining: (bool, bool),
     next_id: u64,
     completions: Vec<(u64, u64, u16, u64)>,
-    latency: Vec<Lat>,
-    counters: [u64; 4],
+    /// Per core, a read count and a latency sum.
+    latency: Vec<[u64; 2]>,
+    drain_entries: u64,
     /// One counter per core, with no length of its own.
     bytes_by_core: Vec<u64>,
     means: [u64; 4],
@@ -227,7 +227,7 @@ impl Walk for Ctrl {
         self.next_id.walk(ar)?;
         self.completions.walk(ar)?;
         self.latency.walk(ar)?;
-        self.counters.walk(ar)?;
+        self.drain_entries.walk(ar)?;
         if ar.loading() {
             self.bytes_by_core = vec![0; self.latency.len()];
         }
@@ -566,11 +566,8 @@ fn corrupt_memory_side_sections_are_refused_not_trusted() {
     });
 
     // The controller's statistics and policy.
-    refused("a latency tracker too few", "controller core count mismatch", &|p| {
+    refused("a latency mean too few", "controller core count mismatch", &|p| {
         ctrl(p).latency.pop();
-    });
-    refused("a histogram bucket too few", "histogram bucket count mismatch", &|p| {
-        ctrl(p).latency[0].buckets.pop();
     });
     refused("a channel's traffic too few", "controller channel count mismatch", &|p| {
         ctrl(p).per_channel.pop();

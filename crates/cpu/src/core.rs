@@ -86,8 +86,6 @@ pub struct CoreStats {
     pub committed: Counter,
     /// Core cycles simulated.
     pub cycles: Counter,
-    /// Loads issued to the data cache.
-    pub loads: Counter,
     /// Stores retired into the hierarchy.
     pub stores: Counter,
     /// Mispredicted branches dispatched.
@@ -443,9 +441,8 @@ impl Core {
         for w in [window_measure, window_start, window_end] {
             ar.opt_u64(w)?;
         }
-        let CoreStats { committed, cycles, loads, stores, mispredicts, commit_stall_cycles } =
-            stats;
-        for c in [committed, cycles, loads, stores, mispredicts, commit_stall_cycles] {
+        let CoreStats { committed, cycles, stores, mispredicts, commit_stall_cycles } = stats;
+        for c in [committed, cycles, stores, mispredicts, commit_stall_cycles] {
             c.state(ar)?;
         }
         if ar.loading() {
@@ -811,16 +808,12 @@ impl Core {
             return false;
         }
         let done_at = match kind {
-            OpKind::Load { addr } => {
-                let hit_at = match mem.load(self.id, CoreToken::Load(seq), addr, now) {
-                    MemResponse::HitAt(at) => Some(at),
-                    MemResponse::Pending => None,
-                    // Structural stall: retry next cycle, keep IQ slot.
-                    MemResponse::Blocked => return false,
-                };
-                self.stats.loads.inc();
-                hit_at
-            }
+            OpKind::Load { addr } => match mem.load(self.id, CoreToken::Load(seq), addr, now) {
+                MemResponse::HitAt(at) => Some(at),
+                MemResponse::Pending => None,
+                // Structural stall: retry next cycle, keep IQ slot.
+                MemResponse::Blocked => return false,
+            },
             kind => {
                 let done_at = now + kind.exec_latency();
                 if let OpKind::Branch { mispredict: true } = kind {

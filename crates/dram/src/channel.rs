@@ -1,17 +1,45 @@
-//! A logical DRAM channel: independent banks sharing one data bus.
+//! A logical DRAM channel: independent banks sharing one data bus, and
+//! the per-bank row-buffer model.
 
 // A01 (DESIGN.md "Determinism rules"): cycle horizons are computed
 // here, where a silent wrap corrupts timing instead of crashing; use the
 // checked helpers (`cyc_add`, `cyc_mul`).
 #![deny(clippy::arithmetic_side_effects)]
 
-use crate::bank::{
-    scalar_is_row_hit, scalar_precharge, scalar_refresh, scalar_service, scalar_state, RowOutcome,
-    NO_OPEN_ROW,
-};
 use crate::timing::DramTiming;
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{cyc_add, AccessKind, Cycle};
+
+/// Sentinel value of a bank's open-row latch meaning "all rows closed".
+///
+/// Row indices come from the address mapping and are bounded by the
+/// geometry's rows-per-bank, so `u64::MAX` can never collide with a real
+/// row.
+pub const NO_OPEN_ROW: u64 = u64::MAX;
+
+/// How a granted transaction found the bank — determines its latency class
+/// and is the signal the Hit-First policy ranks on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RowOutcome {
+    /// The addressed row was already open: column access only.
+    Hit,
+    /// The bank was closed: activate, then column access.
+    ClosedMiss,
+    /// Another row was open: precharge, activate, then column access.
+    Conflict,
+}
+
+impl From<RowOutcome> for melreq_audit::GrantOutcome {
+    /// The audit stream carries outcomes as plain data so the checker
+    /// stays decoupled from this crate's types.
+    fn from(o: RowOutcome) -> Self {
+        match o {
+            RowOutcome::Hit => melreq_audit::GrantOutcome::Hit,
+            RowOutcome::ClosedMiss => melreq_audit::GrantOutcome::ClosedMiss,
+            RowOutcome::Conflict => melreq_audit::GrantOutcome::Conflict,
+        }
+    }
+}
 
 /// One logical channel: `n` banks plus a shared 16-byte data bus.
 ///
@@ -19,10 +47,12 @@ use melreq_stats::types::{cyc_add, AccessKind, Cycle};
 /// the bus for `timing.burst` cycles starting no earlier than the bank's
 /// data-ready cycle and no earlier than the bus becoming free.
 ///
-/// Bank state is held struct-of-arrays (`open_row` + `bank_ready` vectors
-/// over the shared scalar transition functions in [`crate::bank`]) so the
-/// controller's candidate scans and ready-horizon folds walk dense slices
-/// instead of chasing per-bank structs.
+/// Each bank is an open-row latch plus a ready horizon before which no new
+/// command sequence may start, held struct-of-arrays (`open_row` +
+/// `bank_ready`) so the controller's candidate scans and ready-horizon
+/// folds walk dense slices. Time advances only when a transaction is
+/// granted, a refresh falls due or a row is precharged: a bank needs no
+/// per-cycle tick, which keeps the model O(transactions), not O(cycles).
 #[derive(Debug, Clone)]
 pub struct Channel {
     /// Per-bank open-row latch ([`NO_OPEN_ROW`] when closed).
@@ -89,8 +119,11 @@ impl Channel {
             self.next_refresh = t.t_refi;
         }
         while self.next_refresh <= now {
-            for (row, ready) in self.open_row.iter_mut().zip(self.bank_ready.iter_mut()) {
-                scalar_refresh(row, ready, self.next_refresh, t.t_rfc);
+            // Every row closes and every bank is unavailable for tRFC,
+            // stacked on any work it was still finishing.
+            self.open_row.fill(NO_OPEN_ROW);
+            for ready in &mut self.bank_ready {
+                *ready = cyc_add((*ready).max(self.next_refresh), t.t_rfc);
             }
             self.refreshes += 1;
             self.next_refresh = cyc_add(self.next_refresh, t.t_refi);
@@ -144,7 +177,7 @@ impl Channel {
     /// Whether a request for (`bank`, `row`) would be a row-buffer hit
     /// right now.
     pub fn is_row_hit(&self, bank: usize, row: u64) -> bool {
-        scalar_is_row_hit(self.open_row[bank], row)
+        self.open_row[bank] == row && row != NO_OPEN_ROW
     }
 
     /// Earliest cycle `bank` may start a new command sequence.
@@ -169,10 +202,12 @@ impl Channel {
         self.bank_ready[bank] <= now
     }
 
-    /// Grant a transaction to (`bank`, `row`) at `now`.
+    /// Grant a transaction to (`bank`, `row`) at `now`; the bank must be
+    /// ready ([`Channel::can_issue`], asserted in debug builds).
     ///
-    /// `keep_open` is the close-page decision (see
-    /// [`crate::bank::Bank::service`]).
+    /// `keep_open` is the scheduler's close-page decision: `true` leaves
+    /// the row latched for a potential follow-up hit, `false` issues
+    /// auto-precharge so the bank closes.
     pub fn issue(
         &mut self,
         bank: usize,
@@ -183,37 +218,50 @@ impl Channel {
         t: &DramTiming,
     ) -> ChannelGrant {
         self.sync_refresh(now, t);
+        let open = self.open_row[bank];
+        let (to_data, outcome) = if open == NO_OPEN_ROW {
+            (t.idle_to_data(), RowOutcome::ClosedMiss)
+        } else if open == row {
+            (t.hit_to_data(), RowOutcome::Hit)
+        } else {
+            (t.conflict_to_data(), RowOutcome::Conflict)
+        };
         // A transaction that needs an ACT (no open-row hit) must honour
-        // the channel's activate-spacing windows.
-        let needs_act = !scalar_is_row_hit(self.open_row[bank], row);
-        let grant_at = if needs_act { now.max(self.act_allowed_at(t)) } else { now };
-        let (bank_data_start, outcome) = scalar_service(
-            &mut self.open_row[bank],
-            &mut self.bank_ready[bank],
-            row,
-            kind,
-            grant_at,
-            keep_open,
-            t,
-        );
-        if needs_act {
-            // The ACT begins after any precharge the service implied.
-            let act_at = match outcome {
-                RowOutcome::Conflict => cyc_add(grant_at, t.t_rp),
-                _ => grant_at,
-            };
-            self.note_act(act_at);
+        // the channel's activate-spacing windows; the ACT begins after any
+        // precharge a conflict implies.
+        let grant_at = match outcome {
+            RowOutcome::Hit => now,
+            _ => now.max(self.act_allowed_at(t)),
+        };
+        match outcome {
+            RowOutcome::Hit => {}
+            RowOutcome::ClosedMiss => self.note_act(grant_at),
+            RowOutcome::Conflict => self.note_act(cyc_add(grant_at, t.t_rp)),
         }
-        let bus_start = bank_data_start.max(self.bus_free);
+        let ready = &mut self.bank_ready[bank];
+        debug_assert!(*ready <= grant_at, "bank busy until {ready} at {grant_at}");
+        let data_start = cyc_add(grant_at, to_data);
+        if keep_open {
+            self.open_row[bank] = row;
+            // The next column access to the open row may pipeline right
+            // behind this one's data transfer.
+            *ready = data_start;
+        } else {
+            self.open_row[bank] = NO_OPEN_ROW;
+            // Auto-precharge: tRP after the access completes (plus write
+            // recovery for writes). The next ACT must wait it out.
+            let recovery = if kind.is_write() { t.t_wr } else { 0 };
+            *ready = cyc_add(cyc_add(data_start, t.burst), cyc_add(recovery, t.t_rp));
+        }
+        let bus_start = data_start.max(self.bus_free);
         self.bus_free = cyc_add(bus_start, t.burst);
         self.bus_busy_cycles = cyc_add(self.bus_busy_cycles, t.burst);
         ChannelGrant { data_ready: self.bus_free, outcome, granted_at: grant_at }
     }
 
     /// Walk bank latches, bus occupancy, refresh and ACT-window tracking
-    /// ([`Archive`]); a load needs the same bank count. Per-bank bytes
-    /// are identical to the former array-of-[`crate::bank::Bank`] layout
-    /// (tagged open row, then ready horizon).
+    /// ([`Archive`]); a load needs the same bank count. Each bank is a
+    /// tagged open row (0 closed, 1 then the row), then its ready horizon.
     pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self {
             open_row,
@@ -228,7 +276,14 @@ impl Channel {
         } = self;
         ar.len(open_row.len(), SnapError::Invalid("bank count mismatch"))?;
         for (row, ready) in open_row.iter_mut().zip(bank_ready) {
-            scalar_state(row, ready, ar)?;
+            let mut open = u8::from(*row != NO_OPEN_ROW);
+            ar.u8(&mut open)?;
+            match open {
+                0 => *row = NO_OPEN_ROW,
+                1 => ar.u64(row)?,
+                t => return Err(SnapError::BadTag(t)),
+            }
+            ar.u64(ready)?;
         }
         for c in [bus_free, bus_busy_cycles, next_refresh, refreshes] {
             ar.u64(c)?;
@@ -239,9 +294,13 @@ impl Channel {
         ar.u64(acts_seen)
     }
 
-    /// Explicitly precharge `bank` (controller's close-page sweep).
+    /// Explicitly close `bank`'s row, if one is open (the controller's
+    /// close-page sweep when the last queued same-row request drains).
     pub fn precharge(&mut self, bank: usize, now: Cycle, t: &DramTiming) {
-        scalar_precharge(&mut self.open_row[bank], &mut self.bank_ready[bank], now, t);
+        if self.open_row[bank] != NO_OPEN_ROW {
+            self.open_row[bank] = NO_OPEN_ROW;
+            self.bank_ready[bank] = cyc_add(self.bank_ready[bank].max(now), t.t_rp);
+        }
     }
 
     /// Cycle at which the data bus next becomes free.
@@ -323,6 +382,50 @@ mod tests {
         // bus freed at 96 so the hit's own CAS latency dominates.
         assert_eq!(g0.data_ready, 96);
         assert_eq!(g1.data_ready, 136);
+    }
+
+    #[test]
+    fn conflict_pays_precharge_activate_and_cas() {
+        let mut ch = Channel::new(1);
+        ch.issue(0, 7, AccessKind::Read, 0, true, &t());
+        let start = ch.bank_ready_at(0); // the open row's data start, 80
+        let g = ch.issue(0, 9, AccessKind::Read, start, false, &t());
+        assert_eq!(g.outcome, RowOutcome::Conflict);
+        assert_eq!(g.data_ready, start + 40 + 40 + 40 + 16); // tRP + tRCD + tCL + burst
+    }
+
+    #[test]
+    fn auto_precharge_and_write_recovery_set_the_next_activate() {
+        for (kind, recovery) in [(AccessKind::Read, 0), (AccessKind::Write, 48)] {
+            let mut ch = Channel::new(1);
+            let g = ch.issue(0, 3, kind, 0, false, &t());
+            assert!(!ch.is_row_hit(0, 3), "{kind:?}: auto-precharge closes the row");
+            // The burst ends at data_ready; the next ACT waits tWR
+            // (writes only), then tRP.
+            assert_eq!(ch.bank_ready_at(0), g.data_ready + recovery + 40, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn explicit_precharge_closes_an_open_row_and_skips_a_closed_bank() {
+        let mut ch = Channel::new(2);
+        ch.issue(0, 3, AccessKind::Read, 0, true, &t());
+        let open_at = ch.bank_ready_at(0);
+        ch.precharge(0, open_at, &t());
+        assert!(!ch.is_row_hit(0, 3));
+        assert!(!ch.can_issue(0, open_at + 39));
+        assert!(ch.can_issue(0, open_at + 40)); // + tRP
+        let g = ch.issue(0, 3, AccessKind::Read, open_at + 40, false, &t());
+        assert_eq!(g.outcome, RowOutcome::ClosedMiss);
+        ch.precharge(1, 100, &t());
+        assert!(ch.can_issue(1, 0), "a closed bank has nothing to precharge");
+    }
+
+    #[test]
+    fn the_closed_sentinel_never_hits() {
+        // Even a (physically impossible) request for the sentinel row
+        // index must not read as a hit on a closed bank.
+        assert!(!Channel::new(1).is_row_hit(0, NO_OPEN_ROW));
     }
 
     #[test]

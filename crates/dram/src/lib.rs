@@ -14,7 +14,7 @@
 //! # Granularity
 //!
 //! Requests are serviced as *transactions*: when the controller grants a
-//! request, the target [`Bank`] and the channel data bus
+//! request, the target bank of a [`Channel`] and its data bus
 //! compute the data-return time from their current state (row hit, row
 //! miss from idle, or row conflict) and advance their occupancy. Command
 //! bus contention is not modeled separately (a single 64 B transfer needs
@@ -33,13 +33,11 @@
 #![deny(clippy::cast_possible_truncation)]
 
 pub mod address;
-pub mod bank;
 pub mod channel;
 pub mod system;
 pub mod timing;
 
 pub use address::{DramGeometry, Interleave, Location};
-pub use bank::{Bank, BankState};
-pub use channel::Channel;
-pub use system::{DramStats, DramSystem, RowPolicy, ServiceTime};
+pub use channel::{Channel, ChannelGrant, RowOutcome};
+pub use system::{DramStats, DramSystem, RowPolicy};
 pub use timing::DramTiming;

@@ -1,15 +1,14 @@
 //! The assembled DRAM system: geometry + timing + channels + statistics.
 
 use crate::address::{DramGeometry, Location};
-use crate::bank::RowOutcome;
-use crate::channel::Channel;
+use crate::channel::{Channel, ChannelGrant, RowOutcome};
 use crate::timing::DramTiming;
 use melreq_audit::{AuditEvent, AuditHandle, TimingParams};
 use melreq_snap::{Archive, SnapError};
-use melreq_stats::types::{AccessKind, Addr, Cycle, CACHE_LINE_BYTES};
+use melreq_stats::types::{AccessKind, Addr, Cycle};
 use melreq_stats::Counter;
 
-/// Aggregate DRAM statistics.
+/// How DRAM transactions found their rows.
 #[derive(Debug, Default, Clone)]
 pub struct DramStats {
     /// Transactions that hit an open row.
@@ -18,12 +17,6 @@ pub struct DramStats {
     pub row_closed_misses: Counter,
     /// Transactions that had to close another row first.
     pub row_conflicts: Counter,
-    /// Total read transactions.
-    pub reads: Counter,
-    /// Total write transactions.
-    pub writes: Counter,
-    /// Total bytes moved on the data buses.
-    pub bytes: Counter,
 }
 
 impl DramStats {
@@ -48,18 +41,6 @@ pub enum RowPolicy {
     ClosePage,
     /// Leave rows open; conflicts pay precharge+activate.
     OpenPage,
-}
-
-/// Completion information for one granted transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceTime {
-    /// Cycle at which the last data beat has transferred.
-    pub data_ready: Cycle,
-    /// How the row buffer was found.
-    pub outcome: RowOutcome,
-    /// Effective cycle the command sequence started (the grant cycle,
-    /// possibly pushed back by the tRRD/tFAW activate windows).
-    pub granted_at: Cycle,
 }
 
 /// The full DRAM device model behind the memory controller.
@@ -229,7 +210,7 @@ impl DramSystem {
         kind: AccessKind,
         now: Cycle,
         keep_open: bool,
-    ) -> ServiceTime {
+    ) -> ChannelGrant {
         // Catch up (and report) refreshes before the grant so the audit
         // stream always orders a refresh ahead of the grants behind it.
         self.channels[loc.channel].sync_refresh(now, &self.timing);
@@ -241,16 +222,7 @@ impl DramSystem {
             RowOutcome::ClosedMiss => self.stats.row_closed_misses.inc(),
             RowOutcome::Conflict => self.stats.row_conflicts.inc(),
         }
-        match kind {
-            AccessKind::Read => self.stats.reads.inc(),
-            AccessKind::Write => self.stats.writes.inc(),
-        }
-        self.stats.bytes.add(CACHE_LINE_BYTES);
-        ServiceTime {
-            data_ready: grant.data_ready,
-            outcome: grant.outcome,
-            granted_at: grant.granted_at,
-        }
+        grant
     }
 
     /// Explicitly close the row at `loc` if open (controller close-page
@@ -268,10 +240,10 @@ impl DramSystem {
         // `geometry`, `timing`: construction-time config, identical across
         // snapshot peers. `audit`: instrumentation handle re-attached by the host.
         let Self { geometry: _, timing: _, channels, stats, audit: _, refreshes_emitted } = self;
-        let DramStats { row_hits, row_closed_misses, row_conflicts, reads, writes, bytes } = stats;
+        let DramStats { row_hits, row_closed_misses, row_conflicts } = stats;
         ar.len(channels.len(), SnapError::Invalid("channel count mismatch"))?;
         channels.iter_mut().try_for_each(|ch| ch.state(ar))?;
-        for c in [row_hits, row_closed_misses, row_conflicts, reads, writes, bytes] {
+        for c in [row_hits, row_closed_misses, row_conflicts] {
             c.state(ar)?;
         }
         ar.len(refreshes_emitted.len(), SnapError::Invalid("refresh cursor count mismatch"))?;
@@ -288,6 +260,7 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use melreq_stats::types::CACHE_LINE_BYTES;
 
     #[test]
     fn paper_system_shape() {
@@ -301,8 +274,6 @@ mod tests {
         let loc = d.decode(0);
         let s = d.issue(&loc, AccessKind::Read, 0, false);
         assert_eq!(s.outcome, RowOutcome::ClosedMiss);
-        assert_eq!(d.stats().reads.get(), 1);
-        assert_eq!(d.stats().bytes.get(), 64);
         assert_eq!(d.stats().row_closed_misses.get(), 1);
     }
 

@@ -7,7 +7,7 @@ use melreq_audit::{AuditEvent, AuditHandle, CandidateInfo, Rule};
 use melreq_dram::{DramSystem, RowPolicy};
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle};
-use melreq_stats::{Counter, LatencyTracker};
+use melreq_stats::{Counter, StreamingMean};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -55,8 +55,8 @@ impl Default for ControllerConfig {
     }
 }
 
-/// Per-channel grant counts (the channel-resolved view of
-/// `reads_served`/`writes_served`/`grant_row_hits`).
+/// One channel's grant counts; their sums over channels are the
+/// controller's totals ([`ControllerStats::served`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelTraffic {
     /// Reads granted on this channel.
@@ -84,15 +84,9 @@ impl ChannelTraffic {
 pub struct ControllerStats {
     /// Read latency (enqueue → last data beat) per core: the quantity of
     /// Figure 4.
-    pub read_latency: Vec<LatencyTracker>,
-    /// Reads granted.
-    pub reads_served: Counter,
-    /// Writes granted.
-    pub writes_served: Counter,
+    pub read_latency: Vec<StreamingMean>,
     /// Times the write-drain mode was entered.
     pub drain_entries: Counter,
-    /// Grants that were row-buffer hits.
-    pub grant_row_hits: Counter,
     /// Per-core bytes moved (reads + write-backs), for per-program
     /// bandwidth and the ME profile.
     pub bytes_by_core: Vec<Counter>,
@@ -105,10 +99,10 @@ pub struct ControllerStats {
     /// the cycle-exact and fast-forward kernels, which agree on grant
     /// cycles but not on how many quiescent cycles are explicitly
     /// simulated.
-    pub queue_occupancy: melreq_stats::StreamingMean,
+    pub queue_occupancy: StreamingMean,
     /// Candidate-set size at each grant (how many requests competed for
     /// the channel); sampled at the same points as `queue_occupancy`.
-    pub grant_candidates: melreq_stats::StreamingMean,
+    pub grant_candidates: StreamingMean,
     /// Per-channel grant breakdown (reads/writes/row-hits).
     pub per_channel: Vec<ChannelTraffic>,
 }
@@ -116,21 +110,27 @@ pub struct ControllerStats {
 impl ControllerStats {
     fn new(cores: usize, channels: usize) -> Self {
         ControllerStats {
-            read_latency: vec![LatencyTracker::new(); cores],
-            reads_served: Counter::new(),
-            writes_served: Counter::new(),
+            read_latency: vec![StreamingMean::new(); cores],
             drain_entries: Counter::new(),
-            grant_row_hits: Counter::new(),
             bytes_by_core: vec![Counter::new(); cores],
-            queue_occupancy: melreq_stats::StreamingMean::new(),
-            grant_candidates: melreq_stats::StreamingMean::new(),
+            queue_occupancy: StreamingMean::new(),
+            grant_candidates: StreamingMean::new(),
             per_channel: vec![ChannelTraffic::default(); channels],
         }
     }
 
+    /// Grants summed over channels: reads, writes and row hits served.
+    pub fn served(&self) -> ChannelTraffic {
+        self.per_channel.iter().fold(ChannelTraffic::default(), |sum, c| ChannelTraffic {
+            reads: sum.reads + c.reads,
+            writes: sum.writes + c.writes,
+            row_hits: sum.row_hits + c.row_hits,
+        })
+    }
+
     /// Mean read latency across all cores (left plot of Figure 4).
     pub fn mean_read_latency(&self) -> f64 {
-        let count: u64 = self.read_latency.iter().map(LatencyTracker::count).sum();
+        let count: u64 = self.read_latency.iter().map(StreamingMean::count).sum();
         let sum = self.read_latency.iter().fold(0.0, |sum, t| sum + t.sum());
         if count == 0 {
             0.0
@@ -142,10 +142,7 @@ impl ControllerStats {
     fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self {
             read_latency,
-            reads_served,
-            writes_served,
             drain_entries,
-            grant_row_hits,
             bytes_by_core,
             queue_occupancy,
             grant_candidates,
@@ -153,9 +150,7 @@ impl ControllerStats {
         } = self;
         ar.len(read_latency.len(), SnapError::Invalid("controller core count mismatch"))?;
         read_latency.iter_mut().try_for_each(|t| t.state(ar))?;
-        for c in [reads_served, writes_served, drain_entries, grant_row_hits] {
-            c.state(ar)?;
-        }
+        drain_entries.state(ar)?;
         bytes_by_core.iter_mut().try_for_each(|c| c.state(ar))?;
         queue_occupancy.state(ar)?;
         grant_candidates.state(ar)?;
@@ -808,23 +803,17 @@ impl MemoryController {
             outcome: service.outcome.into(),
             data_ready: service.data_ready,
         });
-        if hit_before {
-            self.stats.grant_row_hits.inc();
-        }
         let traffic = &mut self.stats.per_channel[req.loc.channel];
         if hit_before {
             traffic.row_hits += 1;
         }
-        match req.kind {
-            AccessKind::Read => traffic.reads += 1,
-            AccessKind::Write => traffic.writes += 1,
-        }
         self.stats.bytes_by_core[req.core.index()].add(melreq_stats::CACHE_LINE_BYTES);
         match req.kind {
             AccessKind::Read => {
-                self.stats.reads_served.inc();
+                traffic.reads += 1;
+                debug_assert!(service.data_ready >= req.arrival, "read served before it arrived");
                 self.stats.read_latency[req.core.index()]
-                    .record_span(req.arrival, service.data_ready);
+                    .push(service.data_ready.saturating_sub(req.arrival) as f64);
                 self.completions.push(Reverse(Completion {
                     at: service.data_ready,
                     id: req.id,
@@ -832,9 +821,7 @@ impl MemoryController {
                     addr: req.addr,
                 }));
             }
-            AccessKind::Write => {
-                self.stats.writes_served.inc();
-            }
+            AccessKind::Write => traffic.writes += 1,
         }
     }
 }
@@ -876,7 +863,7 @@ mod tests {
         let done = run_until_complete(&mut c, id, 1000);
         // Overhead 48 (eligibility) + tRCD 40 + tCL 40 + burst 16 = 144.
         assert_eq!(done, 144);
-        assert_eq!(c.stats().reads_served.get(), 1);
+        assert_eq!(c.stats().served().reads, 1);
         assert!((c.stats().mean_read_latency() - 144.0).abs() < 1e-9);
     }
 
@@ -888,7 +875,7 @@ mod tests {
             c.tick(now);
             assert!(c.pop_completed(now).is_none());
         }
-        assert_eq!(c.stats().writes_served.get(), 1);
+        assert_eq!(c.stats().served().writes, 1);
         assert!(c.is_idle());
     }
 
@@ -908,7 +895,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(c.stats().reads_served.get(), 1);
+        assert_eq!(c.stats().served().reads, 1);
     }
 
     #[test]
@@ -1002,7 +989,7 @@ mod tests {
         }
         // a first (oldest); then b (row hit beats older x); then x.
         assert_eq!(order, vec![a, b, x]);
-        assert!(c.stats().grant_row_hits.get() >= 1);
+        assert!(c.stats().served().row_hits >= 1);
         assert_eq!(c.contested_decisions(), 0, "one core never contests");
     }
 
@@ -1120,7 +1107,7 @@ mod tests {
         // A second access to the same row is now a hit.
         let id2 = c.submit(CoreId(0), 0x0400, AccessKind::Read, 500);
         let _ = run_until_complete(&mut c, id2, 2000);
-        assert_eq!(c.stats().grant_row_hits.get(), 1);
+        assert_eq!(c.stats().served().row_hits, 1);
     }
 
     #[test]
@@ -1148,7 +1135,7 @@ mod tests {
         assert_eq!(c.scan_counters(), (0, 44), "no scan before the bound");
         c.tick(58);
         assert_eq!(c.scan_counters(), (1, 44));
-        assert_eq!(c.stats().reads_served.get(), 1);
+        assert_eq!(c.stats().served().reads, 1);
         // A grant leaves the channel at "rescan": the next tick scans,
         // finds the second request still in the pipeline (until 62), and
         // the channel sleeps again.
@@ -1166,7 +1153,7 @@ mod tests {
             exact.tick(now);
         }
         assert_eq!(exact.scan_counters(), (49, 0));
-        assert_eq!(exact.stats().reads_served.get(), 1);
+        assert_eq!(exact.stats().served().reads, 1);
     }
 
     #[test]

@@ -46,7 +46,7 @@
 /// Bump on ANY change to what any crate's `state` walk writes. Persisted
 /// checkpoints and profiles from other versions are ignored, never
 /// migrated.
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Magic prefix of a sealed container ("MRQSNP" + 2 format bytes).
 pub const MAGIC: [u8; 8] = *b"MRQSNP\x00\x01";
@@ -133,11 +133,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Write a `u128`.
-    pub fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Write a `usize` as `u64`.
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
@@ -159,17 +154,6 @@ impl Enc {
             Some(x) => {
                 self.u8(1);
                 self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Write an `Option<f64>` (presence byte + bits).
-    pub fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
             }
             None => self.u8(0),
         }
@@ -270,11 +254,6 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a `u128`.
-    pub fn u128(&mut self) -> Result<u128, SnapError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
     /// Read a `usize` (stored as `u64`; rejects values that overflow the
     /// host `usize`).
     pub fn usize(&mut self) -> Result<usize, SnapError> {
@@ -298,11 +277,6 @@ impl<'a> Dec<'a> {
     /// Read an `Option<u64>`.
     pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
         Ok(if self.bool()? { Some(self.u64()?) } else { None })
-    }
-
-    /// Read an `Option<f64>`.
-    pub fn opt_f64(&mut self) -> Result<Option<f64>, SnapError> {
-        Ok(if self.bool()? { Some(self.f64()?) } else { None })
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -363,8 +337,6 @@ pub trait Archive {
     fn u32(&mut self, v: &mut u32) -> Result<(), SnapError>;
     /// A `u64`.
     fn u64(&mut self, v: &mut u64) -> Result<(), SnapError>;
-    /// A `u128`.
-    fn u128(&mut self, v: &mut u128) -> Result<(), SnapError>;
     /// A `usize`, as a `u64`.
     fn usize(&mut self, v: &mut usize) -> Result<(), SnapError>;
     /// An `f64`'s exact bit pattern.
@@ -373,8 +345,6 @@ pub trait Archive {
     fn bool(&mut self, v: &mut bool) -> Result<(), SnapError>;
     /// An `Option<u64>`: presence byte, then the value.
     fn opt_u64(&mut self, v: &mut Option<u64>) -> Result<(), SnapError>;
-    /// An `Option<f64>`: presence byte, then the bits.
-    fn opt_f64(&mut self, v: &mut Option<f64>) -> Result<(), SnapError>;
     /// A length-prefixed UTF-8 string.
     fn string(&mut self, v: &mut String) -> Result<(), SnapError>;
 
@@ -481,12 +451,10 @@ archive_fields!(
     u16: u16,
     u32: u32,
     u64: u64,
-    u128: u128,
     usize: usize,
     f64: f64,
     bool: bool,
-    opt_u64: Option<u64>,
-    opt_f64: Option<f64>
+    opt_u64: Option<u64>
 );
 
 /// FNV-1a over `bytes` — the same construction the audit crate uses for
@@ -627,15 +595,12 @@ mod tests {
         e.u16(300);
         e.u32(1 << 20);
         e.u64(u64::MAX - 1);
-        e.u128(u128::MAX / 3);
         e.usize(12345);
         e.f64(-0.125);
         e.bool(true);
         e.bool(false);
         e.opt_u64(Some(9));
         e.opt_u64(None);
-        e.opt_f64(Some(2.5));
-        e.opt_f64(None);
         e.str("hello ✓");
         e.u64s(&[1, 2, 3]);
         e.f64s(&[0.5, -1.0]);
@@ -648,15 +613,12 @@ mod tests {
         assert_eq!(d.u16().unwrap(), 300);
         assert_eq!(d.u32().unwrap(), 1 << 20);
         assert_eq!(d.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(d.u128().unwrap(), u128::MAX / 3);
         assert_eq!(d.usize().unwrap(), 12345);
         assert_eq!(d.f64().unwrap(), -0.125);
         assert!(d.bool().unwrap());
         assert!(!d.bool().unwrap());
         assert_eq!(d.opt_u64().unwrap(), Some(9));
         assert_eq!(d.opt_u64().unwrap(), None);
-        assert_eq!(d.opt_f64().unwrap(), Some(2.5));
-        assert_eq!(d.opt_f64().unwrap(), None);
         assert_eq!(d.str().unwrap(), "hello ✓");
         assert_eq!(d.u64s().unwrap(), vec![1, 2, 3]);
         assert_eq!(d.f64s().unwrap(), vec![0.5, -1.0]);

@@ -5,8 +5,8 @@
 //! * the primitive simulation types shared by every other crate —
 //!   [`Cycle`], [`Addr`], [`CoreId`], [`AccessKind`];
 //! * streaming statistics used to report the paper's metrics without
-//!   retaining per-event data — [`Counter`], [`StreamingMean`],
-//!   [`LatencyTracker`], [`Histogram`];
+//!   retaining per-event data — [`Counter`] and [`StreamingMean`] (a read
+//!   latency is a sum and a count; nothing reads a distribution);
 //! * the paper's evaluation metrics — [`fairness::smt_speedup`] (Snavely &
 //!   Tullsen weighted speedup, Section 4.1) and [`fairness::unfairness`]
 //!   (max-slowdown / min-slowdown ratio, Section 5.3);
@@ -21,16 +21,12 @@ pub mod bandwidth;
 pub mod counter;
 pub mod fairness;
 pub mod fixedpoint;
-pub mod histogram;
-pub mod latency;
 pub mod mean;
 pub mod types;
 
 pub use counter::Counter;
 pub use fairness::{smt_speedup, unfairness, FairnessReport};
 pub use fixedpoint::PriorityFixed;
-pub use histogram::Histogram;
-pub use latency::LatencyTracker;
 pub use mean::StreamingMean;
 pub use types::{
     line_addr, line_index, AccessKind, Addr, CoreId, Cycle, CACHE_LINE_BYTES, CACHE_LINE_SHIFT,

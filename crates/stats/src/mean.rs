@@ -1,4 +1,4 @@
-//! Streaming (single-pass, O(1)-memory) mean and min/max trackers.
+//! Streaming (single-pass, O(1)-memory) mean.
 
 use melreq_snap::{Archive, SnapError};
 
@@ -60,43 +60,6 @@ impl StreamingMean {
     }
 }
 
-/// Streaming minimum and maximum.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StreamingMinMax {
-    min: Option<f64>,
-    max: Option<f64>,
-}
-
-impl StreamingMinMax {
-    /// An empty tracker.
-    pub const fn new() -> Self {
-        StreamingMinMax { min: None, max: None }
-    }
-
-    /// Record one sample.
-    pub fn push(&mut self, sample: f64) {
-        self.min = Some(self.min.map_or(sample, |m| m.min(sample)));
-        self.max = Some(self.max.map_or(sample, |m| m.max(sample)));
-    }
-
-    /// Smallest sample seen, if any.
-    pub fn min(&self) -> Option<f64> {
-        self.min
-    }
-
-    /// Largest sample seen, if any.
-    pub fn max(&self) -> Option<f64> {
-        self.max
-    }
-
-    /// Walk the checkpoint state ([`Archive`]).
-    pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
-        let Self { min, max } = self;
-        ar.opt_f64(min)?;
-        ar.opt_f64(max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,25 +81,5 @@ mod tests {
         assert_eq!(m.count(), 4);
         assert!((m.mean().unwrap() - 2.5).abs() < 1e-12);
         assert!((m.sum() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn minmax_tracks_extremes() {
-        let mut mm = StreamingMinMax::new();
-        assert_eq!(mm.min(), None);
-        assert_eq!(mm.max(), None);
-        for x in [3.0, -1.0, 7.5, 2.0] {
-            mm.push(x);
-        }
-        assert_eq!(mm.min(), Some(-1.0));
-        assert_eq!(mm.max(), Some(7.5));
-    }
-
-    #[test]
-    fn minmax_single_sample() {
-        let mut mm = StreamingMinMax::new();
-        mm.push(4.0);
-        assert_eq!(mm.min(), Some(4.0));
-        assert_eq!(mm.max(), Some(4.0));
     }
 }

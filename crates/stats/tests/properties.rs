@@ -1,39 +1,10 @@
 //! Property-based tests of the statistics substrate.
 
 use melreq_stats::fixedpoint::{auto_scale, quantize};
-use melreq_stats::{smt_speedup, unfairness, Histogram, LatencyTracker, StreamingMean};
+use melreq_stats::{smt_speedup, unfairness, StreamingMean};
 use proptest::prelude::*;
 
 proptest! {
-    /// Histogram conserves the sample count and its mean is exact.
-    #[test]
-    fn histogram_conserves_count_and_mean(
-        samples in proptest::collection::vec(0u64..1_000_000, 1..200)
-    ) {
-        let mut h = Histogram::new();
-        for &s in &samples {
-            h.record(s);
-        }
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        prop_assert_eq!(h.buckets().iter().sum::<u64>(), samples.len() as u64);
-        let expect = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
-        prop_assert!((h.mean().unwrap() - expect).abs() < 1e-6);
-    }
-
-    /// LatencyTracker's mean always lies between its min and max.
-    #[test]
-    fn latency_mean_within_extremes(
-        samples in proptest::collection::vec(0u64..1_000_000, 1..200)
-    ) {
-        let mut t = LatencyTracker::new();
-        for &s in &samples {
-            t.record(s);
-        }
-        let mean = t.mean().unwrap();
-        prop_assert!(mean >= t.min().unwrap() - 1e-9);
-        prop_assert!(mean <= t.max().unwrap() + 1e-9);
-    }
-
     /// Quantization is monotone and saturating.
     #[test]
     fn quantize_monotone(a in 0.0f64..1e6, b in 0.0f64..1e6, scale in 0.001f64..1e3) {

@@ -53,10 +53,11 @@ fn main() {
         out.total_bandwidth_gbs(3.2e9),
         sys.hierarchy().controller().dram().stats().hit_rate() * 100.0
     );
+    let served = sys.hierarchy().controller().stats().served();
     println!(
         "controller served {} reads / {} writes under policy {}",
-        sys.hierarchy().controller().stats().reads_served,
-        sys.hierarchy().controller().stats().writes_served,
+        served.reads,
+        served.writes,
         sys.hierarchy().controller().policy_name()
     );
 }
