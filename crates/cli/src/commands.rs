@@ -13,6 +13,7 @@
 //! rendered from its [`PolicyReport`].
 
 use crate::figures;
+use crate::paper::{self, Evidence};
 use crate::parse::{Args, Invocation, ObsArgs, PolicySpec, CLIENT_VERBS};
 use melreq_core::api::json::Json;
 use melreq_core::api::{resolve_mix, AuditSummary, MelreqError, PolicyReport, Session, SimRequest};
@@ -417,8 +418,7 @@ pub(crate) fn cmd_sweep(args: &Args) -> Result<String, MelreqError> {
             let mut row = vec![format!("{n}-core")];
             // Per-mix ratios vs the first policy, averaged geometrically.
             for p in 0..specs.len() {
-                let ratios = runs.chunks(specs.len()).map(|m| m[p].smt_speedup / m[0].smt_speedup);
-                row.push(pct_over(figures::geomean(ratios), 1.0));
+                row.push(pct_over(figures::avg_gain(runs, specs.len(), p), 1.0));
             }
             rows.push(row);
         }
@@ -781,15 +781,17 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
     json.push_str("}\n");
     std::fs::write(out_path, &json).map_err(|e| io_err(format!("cannot write {out_path}: {e}")))?;
 
-    // The paper artifacts. The 4-core MEM Figure 2 stage is also the grid
-    // of Figures 4 and 5.
+    // The paper artifacts and the claims scored on them. The 4-core MEM
+    // Figure 2 stage is also the grid of Figures 4 and 5.
     let fig2_results = &stage_results[..n_fig2];
     let mut results_line = String::new();
     if !smoke {
-        let mem4 = fig2_results
-            .iter()
-            .find(|r| r[0].mix.cores() == 4 && r[0].mix.kind == MixKind::Mem)
-            .expect("the full grid has a 4-core MEM stage");
+        let ev = Evidence {
+            profiles: &table2_profiles,
+            fig2: fig2_results.iter().map(Vec::as_slice).collect(),
+            fig3: &stage_results[n_fig2],
+        };
+        let mem4 = ev.stage(4, MixKind::Mem).expect("the full grid has a 4-core MEM stage");
         let (_, _, f3) = &grid_stages[n_fig2];
         let dir = Path::new(out_path).with_file_name("results");
         std::fs::create_dir_all(&dir)
@@ -800,13 +802,16 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
             ("fig3.txt", figures::fig3(&opts, f3, &stage_results[n_fig2])),
             ("fig4.txt", figures::fig4(&opts, &f2, mem4)),
             ("fig5.txt", figures::fig5(&opts, &f2, mem4)),
+            ("fidelity.txt", paper::fidelity(&opts, &ev)),
         ] {
             let path = dir.join(file);
             std::fs::write(&path, text)
                 .map_err(|e| io_err(format!("cannot write {}: {e}", path.display())))?;
         }
-        results_line =
-            format!("paper tables -> {}/{{table2,fig2,fig3,fig4,fig5}}.txt\n", dir.display());
+        results_line = format!(
+            "paper tables -> {}/{{table2,fig2,fig3,fig4,fig5,fidelity}}.txt\n",
+            dir.display()
+        );
     }
 
     // Wall-clock guard against a baseline artifact: the artifact above

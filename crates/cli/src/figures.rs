@@ -4,8 +4,10 @@
 //!
 //! Every grid renderer takes one stage's results in the executor's
 //! `(mix-major, policy-minor)` order together with the stage's policies,
-//! and returns the complete file contents.
+//! and returns the complete file contents, ending in a pointer to the
+//! file's rows of the claims table ([`crate::paper`]).
 
+use crate::paper::{footer, table2_me};
 use melreq_core::experiment::{ExperimentOptions, MixResult};
 use melreq_core::profile::AppProfile;
 use melreq_core::report::{format_table, pct_over};
@@ -30,8 +32,30 @@ pub(crate) fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 
 /// SMT speedup of policy column `j` relative to the baseline (policy 0),
 /// one value per mix of the stage, in mix order.
-fn relative(results: &[MixResult], policies: usize, j: usize) -> impl Iterator<Item = f64> + '_ {
+pub(crate) fn relative(
+    results: &[MixResult],
+    policies: usize,
+    j: usize,
+) -> impl Iterator<Item = f64> + '_ {
     results.chunks(policies).map(move |runs| runs[j].smt_speedup / runs[0].smt_speedup)
+}
+
+/// Policy column `j`'s Figure 2 "avg vs HF-RF": the geometric mean of
+/// [`relative`] over a stage of `width` policies per mix.
+pub(crate) fn avg_gain(results: &[MixResult], width: usize, j: usize) -> f64 {
+    geomean(relative(results, width, j))
+}
+
+/// Policy column `j`'s arithmetic mean of `metric` over a stage of
+/// `width` policies per mix: the "average" row of Figures 4 and 5.
+pub(crate) fn avg(
+    results: &[MixResult],
+    width: usize,
+    j: usize,
+    metric: fn(&MixResult) -> f64,
+) -> f64 {
+    let per_mix = results.chunks(width);
+    per_mix.clone().map(|runs| metric(&runs[j])).sum::<f64>() / per_mix.len() as f64
 }
 
 /// The shape Figures 2–5 share: one row per mix, one column per policy,
@@ -70,15 +94,8 @@ fn mean_table(
     metric: fn(&MixResult) -> f64,
     fmt: fn(f64) -> String,
 ) -> String {
-    let per_mix = results.chunks(policies.len());
-    grid_table(
-        policies,
-        results,
-        |r, _| fmt(metric(r)),
-        Some(("average", &|j| {
-            fmt(per_mix.clone().map(|runs| metric(&runs[j])).sum::<f64>() / per_mix.len() as f64)
-        })),
-    )
+    let average = |j| fmt(avg(results, policies.len(), j, metric));
+    grid_table(policies, results, |r, _| fmt(metric(r)), Some(("average", &average)))
 }
 
 /// **Table 2** — class and memory efficiency of the 26 applications
@@ -98,7 +115,7 @@ pub(crate) fn table2(profiles: &[AppProfile], profile_instructions: u64) -> Stri
                 format!("{:.2}", p.ipc),
                 format!("{:.3}", p.bw_gbs),
                 format!("{:.3}", p.me),
-                format!("{:.0}", a.paper_me),
+                format!("{:.0}", table2_me(a.name)),
             ]
         })
         .collect();
@@ -116,12 +133,14 @@ pub(crate) fn table2(profiles: &[AppProfile], profile_instructions: u64) -> Stri
         "Table 2 — application class and memory efficiency (profiling slice, \
          {profile_instructions} instructions, single core)\n\n{}\n\
          Absolute ME differs from the paper (different slice lengths and synthetic \
-         substitutes); the scheduling policies only consume the relative ordering.\n\n\
+         substitutes). ME-LREQ compares quantize(ME/PendingRead) across cores, so it \
+         consumes ME ratios, not only their order. ME (paper) is rows table2.me.<app>.\n{}\n\
          Table 3 — workload mixes\n\n{}\n",
         format_table(
             &["app", "code", "class", "IPC_1", "BW (GB/s)", "ME (measured)", "ME (paper)"],
             &rows
         ),
+        footer("table2.me-ratio"),
         format_table(&["mix", "codes", "applications"], &mixes)
     )
 }
@@ -138,7 +157,7 @@ pub(crate) fn fig2_block(policies: &[PolicyKind], results: &[MixResult]) -> Stri
         policies,
         results,
         |r, _| format!("{:.3}", r.smt_speedup),
-        Some(("avg vs HF-RF", &|j| pct_over(geomean(relative(results, policies.len(), j)), 1.0))),
+        Some(("avg vs HF-RF", &|j| pct_over(avg_gain(results, policies.len(), j), 1.0))),
     );
     format!("-- {}-core {kind} workloads --\n{table}\n", mix.cores())
 }
@@ -157,10 +176,7 @@ pub(crate) fn fig2(
     for results in stages {
         out.push_str(&fig2_block(policies, results));
     }
-    out.push_str(
-        "Paper shape: ME-LREQ best, LREQ second; ME/RR near or below the HF-RF \
-         baseline; improvements grow with the number of cores.\n",
-    );
+    out.push_str(&footer("fig2."));
     out
 }
 
@@ -188,11 +204,7 @@ pub(crate) fn fig3(
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), rel| (lo.min(rel), hi.max(rel)));
         let _ = writeln!(out, "  {:9} {} .. {}", p.name(), pct_over(min, 1.0), pct_over(max, 1.0));
     }
-    out.push_str(
-        "\nPaper shape: FIX-* swings are wide and unpredictable (a workload may \
-         gain under one order and lose double-digits under the reverse); ME is \
-         comparatively consistent.\n",
-    );
+    let _ = write!(out, "\n{}", footer("fig3."));
     out
 }
 
@@ -234,10 +246,7 @@ pub(crate) fn fig4(
         let _ =
             writeln!(out, "{probe} ({}):\n{}\n", names.join(", "), format_table(&headers, &rows));
     }
-    out.push_str(
-        "Paper shape: ME-LREQ attains the lowest average latency; ME shows the \
-         widest per-core spread (fixed priority starves its lowest-priority core).\n",
-    );
+    out.push_str(&footer("fig4."));
     out
 }
 
@@ -250,11 +259,10 @@ pub(crate) fn fig5(
 ) -> String {
     format!(
         "Figure 5 — unfairness (max slowdown / min slowdown), 4-core MEM \
-         workloads ({} instructions/core); 1.0 = perfectly fair\n\n{}\n\n\
-         Paper shape: ME is the least fair (fixed priority starves low-priority \
-         cores); ME-LREQ is the fairest of the five while also performing best.\n",
+         workloads ({} instructions/core); 1.0 = perfectly fair\n\n{}\n\n{}",
         opts.instructions,
-        mean_table(policies, results, |r| r.unfairness, |v| format!("{v:.3}"))
+        mean_table(policies, results, |r| r.unfairness, |v| format!("{v:.3}")),
+        footer("fig5.")
     )
 }
 
@@ -335,8 +343,9 @@ Figure 2 — SMT speedup by scheduling scheme (7000 instructions/core, warm-up 3
       4MEM-5  1.000    1.210
 avg vs HF-RF  +0.0%   +15.4%
 
-Paper shape: ME-LREQ best, LREQ second; ME/RR near or below the HF-RF baseline; \
-improvements grow with the number of cores.
+Paper claims, scored in fidelity.txt: fig2.mem4.lreq, fig2.mem8.lreq, fig2.mem4.me-lreq, \
+fig2.mem8.me-lreq, fig2.mix4.me-lreq, fig2.mix8.me-lreq, fig2.me.avg, fig2.rr.max, \
+fig2.mix2.no-contest.
 "
         );
     }
@@ -360,8 +369,7 @@ Per-scheme swing over the baseline (min .. max):
   HF-RF     +0.0% .. +0.0%
   FIX-3210  +10.0% .. +21.0%
 
-Paper shape: FIX-* swings are wide and unpredictable (a workload may gain under one \
-order and lose double-digits under the reverse); ME is comparatively consistent.
+Paper claims, scored in fidelity.txt: fig3.4mem-1.fix-gain, fig3.4mem-1.fix-loss.
 "
         );
     }
@@ -398,8 +406,8 @@ ME-LREQ      100   200    300    400    4.00x
 ME-LREQ    150  300   450    604    4.03x
 
 
-Paper shape: ME-LREQ attains the lowest average latency; ME shows the widest per-core \
-spread (fixed priority starves its lowest-priority core).
+Paper claims, scored in fidelity.txt: fig4.starved.hf-rf, fig4.starved.me, \
+fig4.starved.me-lreq, fig4.mean.me-lreq-rank.
 "
         );
     }
@@ -420,8 +428,8 @@ workload  HF-RF  ME-LREQ
  average  1.050    1.400
 
 
-Paper shape: ME is the least fair (fixed priority starves low-priority cores); \
-ME-LREQ is the fairest of the five while also performing best.
+Paper claims, scored in fidelity.txt: fig5.me.avg-cost, fig5.me.max-cost, \
+fig5.me.least-fair, fig5.me-lreq.fairest.
 "
         );
     }
@@ -453,12 +461,14 @@ ME-LREQ is the fairest of the five while also performing best.
             ]
         );
         assert_eq!(
-            lines[29..38],
+            lines[29..39],
             [
                 "    apsi     z      I   1.25      0.500          2.500          36",
                 "",
                 "Absolute ME differs from the paper (different slice lengths and synthetic \
-                 substitutes); the scheduling policies only consume the relative ordering.",
+                 substitutes). ME-LREQ compares quantize(ME/PendingRead) across cores, so it \
+                 consumes ME ratios, not only their order. ME (paper) is rows table2.me.<app>.",
+                "Paper claims, scored in fidelity.txt: table2.me-ratio.facerec-mcf.",
                 "",
                 "Table 3 — workload mixes",
                 "",
@@ -469,7 +479,7 @@ ME-LREQ is the fairest of the five while also performing best.
         );
         // 36 mixes, then the blank line the table's `println!` left.
         assert_eq!(
-            lines[72..],
+            lines[73..],
             ["8MIX-6  stywayfk        sixtrack,eon,twolf,vortex,gzip,twolf,vpr,mcf", ""]
         );
     }

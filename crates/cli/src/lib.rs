@@ -8,6 +8,7 @@
 
 pub mod commands;
 mod figures;
+pub mod paper;
 pub mod parse;
 
 pub use commands::run_command;

@@ -37,7 +37,7 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Format a ratio as a signed percent improvement over a baseline,
-/// e.g. `pct_over(1.107, 1.0)` → `"+10.7%"`.
+/// e.g. `pct_over(1.207, 1.0)` → `"+20.7%"`.
 pub fn pct_over(value: f64, baseline: f64) -> String {
     assert!(baseline != 0.0, "baseline must be non-zero");
     let pct = (value / baseline - 1.0) * 100.0;
@@ -63,7 +63,7 @@ mod tests {
 
     #[test]
     fn pct_formats_sign() {
-        assert_eq!(pct_over(1.107, 1.0), "+10.7%");
+        assert_eq!(pct_over(1.207, 1.0), "+20.7%");
         assert_eq!(pct_over(0.9, 1.0), "-10.0%");
         assert_eq!(pct_over(2.0, 2.0), "+0.0%");
     }

@@ -53,10 +53,6 @@ pub struct AppSpec {
     pub code: char,
     /// MEM or ILP class per Table 2.
     pub class: AppClass,
-    /// The memory-efficiency value the paper measured (Table 2) — used
-    /// only for documentation and shape comparison; experiments use ME
-    /// values profiled on *this* simulator.
-    pub paper_me: f64,
     /// Stream model parameters.
     pub params: StreamParams,
 }
@@ -121,84 +117,72 @@ pub fn spec2000() -> Vec<AppSpec> {
             name: "gzip",
             code: 'a',
             class: AppClass::Ilp,
-            paper_me: 192.0,
             params: ilp_params(0.25, 256 * KB, 3.0, 0.02, int),
         },
         AppSpec {
             name: "vpr",
             code: 'f',
             class: AppClass::Mem,
-            paper_me: 27.0,
             params: mem_params(0.045, 16 * MB, 0.60, 0.10, int, 3.5),
         },
         AppSpec {
             name: "gcc",
             code: 'g',
             class: AppClass::Mem,
-            paper_me: 22.0,
             params: mem_params(0.05, 16 * MB, 0.65, 0.06, int, 3.5),
         },
         AppSpec {
             name: "mcf",
             code: 'k',
             class: AppClass::Mem,
-            paper_me: 1.0,
             params: mem_params(0.08, 48 * MB, 0.15, 0.45, int, 2.5),
         },
         AppSpec {
             name: "crafty",
             code: 'm',
             class: AppClass::Ilp,
-            paper_me: 222.0,
             params: ilp_params(0.22, 320 * KB, 3.5, 0.03, int),
         },
         AppSpec {
             name: "parser",
             code: 'r',
             class: AppClass::Ilp,
-            paper_me: 38.0,
             params: ilp_params(0.28, 512 * KB, 2.5, 0.04, int),
         },
         AppSpec {
             name: "eon",
             code: 't',
             class: AppClass::Ilp,
-            paper_me: 16276.0,
             params: ilp_params(0.20, 48 * KB, 4.0, 0.01, int),
         },
         AppSpec {
             name: "perlbmk",
             code: 'u',
             class: AppClass::Ilp,
-            paper_me: 2923.0,
             params: ilp_params(0.22, 96 * KB, 3.5, 0.015, int),
         },
         AppSpec {
             name: "gap",
             code: 'v',
             class: AppClass::Mem,
-            paper_me: 7.0,
             params: mem_params(0.08, 16 * MB, 0.65, 0.05, int, 5.0),
         },
         AppSpec {
             name: "vortex",
             code: 'w',
             class: AppClass::Ilp,
-            paper_me: 51.0,
             params: ilp_params(0.27, 448 * KB, 2.8, 0.03, int),
         },
         AppSpec {
             name: "bzip2",
             code: 'x',
             class: AppClass::Ilp,
-            paper_me: 216.0,
             params: ilp_params(0.24, 384 * KB, 3.0, 0.02, int),
         },
         AppSpec {
             name: "twolf",
             code: 'y',
             class: AppClass::Ilp,
-            paper_me: 951.0,
             params: ilp_params(0.24, 128 * KB, 3.0, 0.02, int),
         },
         // --- Floating-point suite ---
@@ -206,98 +190,84 @@ pub fn spec2000() -> Vec<AppSpec> {
             name: "wupwise",
             code: 'b',
             class: AppClass::Mem,
-            paper_me: 15.0,
             params: mem_params(0.05, 16 * MB, 0.80, 0.0, fp, 5.0),
         },
         AppSpec {
             name: "swim",
             code: 'c',
             class: AppClass::Mem,
-            paper_me: 2.0,
             params: mem_params(0.26, 64 * MB, 0.92, 0.0, fp, 9.0),
         },
         AppSpec {
             name: "mgrid",
             code: 'd',
             class: AppClass::Mem,
-            paper_me: 4.0,
             params: mem_params(0.24, 32 * MB, 0.88, 0.0, fp, 9.0),
         },
         AppSpec {
             name: "applu",
             code: 'e',
             class: AppClass::Mem,
-            paper_me: 1.0,
             params: mem_params(0.28, 96 * MB, 0.90, 0.0, fp, 9.0),
         },
         AppSpec {
             name: "mesa",
             code: 'h',
             class: AppClass::Ilp,
-            paper_me: 78.0,
             params: ilp_params(0.26, 512 * KB, 3.0, 0.02, fp),
         },
         AppSpec {
             name: "galgel",
             code: 'i',
             class: AppClass::Mem,
-            paper_me: 8.0,
             params: mem_params(0.14, 16 * MB, 0.75, 0.0, fp, 7.0),
         },
         AppSpec {
             name: "art",
             code: 'j',
             class: AppClass::Mem,
-            paper_me: 20.0,
             params: mem_params(0.05, 16 * MB, 0.70, 0.05, fp, 4.0),
         },
         AppSpec {
             name: "equake",
             code: 'l',
             class: AppClass::Mem,
-            paper_me: 2.0,
             params: mem_params(0.25, 48 * MB, 0.80, 0.10, fp, 8.0),
         },
         AppSpec {
             name: "facerec",
             code: 'n',
             class: AppClass::Mem,
-            paper_me: 40.0,
             params: mem_params(0.035, 16 * MB, 0.85, 0.0, fp, 5.0),
         },
         AppSpec {
             name: "ammp",
             code: 'o',
             class: AppClass::Ilp,
-            paper_me: 280.0,
             params: ilp_params(0.24, 256 * KB, 3.2, 0.02, fp),
         },
         AppSpec {
             name: "lucas",
             code: 'p',
             class: AppClass::Mem,
-            paper_me: 1.0,
             params: mem_params(0.26, 80 * MB, 0.85, 0.05, fp, 8.0),
         },
         AppSpec {
             name: "fma3d",
             code: 'q',
             class: AppClass::Mem,
-            paper_me: 4.0,
             params: mem_params(0.22, 24 * MB, 0.70, 0.05, fp, 8.0),
         },
         AppSpec {
             name: "sixtrack",
             code: 's',
             class: AppClass::Ilp,
-            paper_me: 80.0,
             params: ilp_params(0.25, 512 * KB, 3.0, 0.02, fp),
         },
         AppSpec {
             name: "apsi",
             code: 'z',
             class: AppClass::Ilp,
-            paper_me: 36.0,
             params: ilp_params(0.27, 640 * KB, 2.8, 0.03, fp),
         },
     ]
@@ -366,14 +336,6 @@ mod tests {
                 ),
             }
         }
-    }
-
-    #[test]
-    fn paper_me_ordering_sanity() {
-        // A few anchor relations from Table 2.
-        assert!(app_by_code('t').paper_me > app_by_code('u').paper_me); // eon > perlbmk
-        assert!(app_by_code('a').paper_me > app_by_code('b').paper_me); // gzip > wupwise
-        assert!(app_by_code('c').paper_me < app_by_code('f').paper_me); // swim < vpr
     }
 
     #[test]
