@@ -224,9 +224,12 @@ fn render_run_human(mix: &Mix, report: &PolicyReport, opts: &ExperimentOptions) 
 /// Build the typed request the facade, the service and `melreq client`
 /// all share, from what the command line said.
 fn sim_request(mix: &Mix, specs: Vec<PolicySpec>, args: &Args) -> SimRequest {
-    let mut req = SimRequest::new(mix.name).policies(specs).opts(args.opts).audit(args.audit);
-    req.threads = args.threads;
-    req
+    SimRequest::new(mix.name).policies(specs).opts(args.opts).audit(args.audit)
+}
+
+/// The run control `--threads` sizes the job pool of.
+fn threads(args: &Args) -> RunControl {
+    RunControl { threads: args.threads, ..RunControl::default() }
 }
 
 /// The CLI's buildinfo block, embedded in host-profile artifacts so a
@@ -293,8 +296,7 @@ pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
     }
     // The plain run goes through the facade — identical machinery to
     // the service and the bench harness — and `--json` prints its report.
-    let report =
-        Session::new().run(&sim_request(&mix, vec![spec], args), &RunControl::default())?;
+    let report = Session::new().run(&sim_request(&mix, vec![spec], args), &threads(args))?;
     if args.json {
         return Ok(report.to_json());
     }
@@ -356,7 +358,7 @@ pub(crate) fn cmd_compare(args: &Args) -> Result<String, MelreqError> {
         };
         specs.iter().map(observed).collect()
     } else {
-        let report = Session::new().run(&sim_request(&mix, specs, args), &RunControl::default())?;
+        let report = Session::new().run(&sim_request(&mix, specs, args), &threads(args))?;
         if args.json {
             return Ok(report.to_json());
         }
@@ -407,8 +409,7 @@ pub(crate) fn cmd_sweep(args: &Args) -> Result<String, MelreqError> {
         .flat_map(|&k| cores.map(|n| mixes_for_cores(n, Some(k))))
         .map(|mixes| SweepStage { mixes, policies: specs.clone() })
         .collect();
-    let ctl = RunControl { threads: args.threads, ..RunControl::default() };
-    let results = Session::new().run_sweep_stages(&stages, &args.opts, &ctl);
+    let results = Session::new().run_sweep_stages(&stages, &args.opts, &threads(args));
     let headers: Vec<&str> =
         std::iter::once("cores").chain(specs.iter().map(PolicySpec::name)).collect();
     let mut out = String::new();

@@ -19,15 +19,18 @@
 pub mod json;
 
 use crate::experiment::{
-    self, run_tapped, ExperimentOptions, Measured, MixResult, ProfileCache, RunControl, Taps,
+    self, run_tapped, ExperimentOptions, Group, GroupDone, Measured, MixResult, ProfileCache,
+    RunControl, Taps,
 };
 use crate::store::CheckpointStore;
 use crate::system::CancelToken;
 use json::{esc, fmt_f64, Json};
+use melreq_exec::Ctx;
 pub use melreq_memctrl::policy::PolicyKind;
 pub use melreq_memctrl::registry::registry_json;
 use melreq_workloads::{all_mixes, Mix};
 use std::fmt::Write as _;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,6 +38,10 @@ use std::time::Duration;
 /// workspace emits (reports, series files, checkpoint containers). The
 /// single source of truth is `melreq_snap::SCHEMA_VERSION`.
 pub const SCHEMA_VERSION: u32 = melreq_snap::SCHEMA_VERSION;
+
+/// Most policies one request may name: each is a window on the pool.
+/// At least the registry's size, which a full-registry compare sends.
+pub(crate) const MAX_POLICIES: usize = 32;
 
 /// A typed failure, shared by every entry point. Each variant maps to
 /// both a CLI exit code ([`MelreqError::exit_code`]) and an HTTP status
@@ -137,11 +144,6 @@ pub struct SimRequest {
     /// ([`SimRequest::canonical_bytes`]) — it cannot change the
     /// deterministic result, only whether it is produced in time.
     pub timeout_ms: Option<u64>,
-    /// Optional worker-thread count for the run's job pool (`--threads`).
-    /// Like `timeout_ms`, excluded from the request's identity — the
-    /// slot-indexed merge keeps results bit-identical at any
-    /// parallelism, so thread count can never change the answer.
-    pub threads: Option<usize>,
 }
 
 impl SimRequest {
@@ -155,7 +157,6 @@ impl SimRequest {
             audit: false,
             max_cycles: None,
             timeout_ms: None,
-            threads: None,
         }
     }
 
@@ -201,13 +202,6 @@ impl SimRequest {
         self
     }
 
-    /// Set the worker-thread count for the run's job pool.
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
-        self
-    }
-
     /// Decode a wire request. Unknown fields are rejected by name; a
     /// present-but-mismatched `schema_version` is rejected (an absent
     /// one is accepted for hand-written bodies).
@@ -242,6 +236,12 @@ impl SimRequest {
                     let arr = value
                         .as_arr()
                         .ok_or_else(|| usage("policies must be an array of strings".into()))?;
+                    if arr.len() > MAX_POLICIES {
+                        return Err(usage(format!(
+                            "policies lists {} entries; a request takes at most {MAX_POLICIES}",
+                            arr.len()
+                        )));
+                    }
                     req.policies = arr
                         .iter()
                         .map(|p| {
@@ -288,16 +288,6 @@ impl SimRequest {
                         usage("timeout_ms must be a non-negative integer".into())
                     })?);
                 }
-                "threads" => {
-                    let v = value
-                        .as_u64()
-                        .ok_or_else(|| usage("threads must be a positive integer".into()))?;
-                    let v = usize::try_from(v)
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| usage("threads must be a positive integer".into()))?;
-                    req.threads = Some(v);
-                }
                 other => {
                     return Err(usage(format!("unknown request field '{other}'")));
                 }
@@ -336,9 +326,6 @@ impl SimRequest {
         if let Some(ms) = self.timeout_ms {
             write!(s, ",\"timeout_ms\":{ms}").unwrap();
         }
-        if let Some(n) = self.threads {
-            write!(s, ",\"threads\":{n}").unwrap();
-        }
         s.push('}');
         s
     }
@@ -347,8 +334,7 @@ impl SimRequest {
     /// field that can change the simulated result, in a fixed order —
     /// the service's response-cache and request-coalescing key. Two
     /// requests share an entry iff these bytes are identical.
-    /// `timeout_ms` and `threads` are excluded — one only bounds
-    /// wall-clock time, the other only picks worker-thread count.
+    /// `timeout_ms` is excluded: it only bounds wall-clock time.
     pub fn canonical_bytes(&self) -> String {
         let policies: Vec<String> = self.policies.iter().map(canonical_kind).collect();
         let o = &self.opts;
@@ -488,13 +474,6 @@ impl SimReport {
         self.policies[0].result.mix.name
     }
 
-    /// Wall-clock time spent simulating measured windows, summed across
-    /// policies (not serialised — it would break byte-determinism; warm-up
-    /// time is each result's `warm_wall`).
-    pub fn wall(&self) -> Duration {
-        self.policies.iter().map(|p| p.result.wall).sum()
-    }
-
     /// Whether any policy's warm-up came from a checkpoint.
     pub fn any_warm(&self) -> bool {
         self.policies.iter().any(|p| p.result.warmup_from_checkpoint)
@@ -555,10 +534,82 @@ impl Session {
         &self.cache
     }
 
-    /// Execute `req` under `ctl`. The control's cancel token and cycle
-    /// budget are merged with the request's own `timeout_ms` /
-    /// `max_cycles`; see [`MelreqError`] for the failure taxonomy.
+    /// Execute `req` under `ctl` on a job pool of its own, of
+    /// `ctl.threads` workers at most ([`Session::run_on`]). A run's panic
+    /// is re-thrown here.
     pub fn run(&self, req: &SimRequest, ctl: &RunControl) -> Result<SimReport, MelreqError> {
+        // Facade phase span: the whole request, enclosing the kernel's
+        // warm-up / policy-window / snapshot spans. Records on drop, so
+        // error returns are covered too.
+        let mut phase_span = melreq_prof::span("session", || format!("run {}", req.mix));
+        phase_span.arg("policies", req.policies.len() as u64);
+        phase_span.arg("audit", u64::from(req.audit));
+        let mut outcome = None;
+        let answer = &mut outcome;
+        melreq_exec::run_scope(
+            experiment::worker_count(req.policies.len(), ctl.threads),
+            |scope| {
+                scope.submit(0, move |ctx| {
+                    self.run_on(req, ctl, &ctx, Box::new(move |out| *answer = Some(out)));
+                });
+            },
+        );
+        outcome.expect("every request is answered").unwrap_or_else(|p| resume_unwind(p))
+    }
+
+    /// Execute `req` under `ctl` as a job of `ctx`'s pool and hand the
+    /// outcome to `done`. The control's cancel token and cycle budget are
+    /// merged with the request's own `timeout_ms` / `max_cycles`, and the
+    /// token covers the mix's single-core profiles, resolved first; see
+    /// [`MelreqError`] for the failure taxonomy. A comparison (several
+    /// policies, unaudited) shares one warm-up and forks a window per
+    /// policy onto the pool (`experiment::warm_up_and_fork`): `done` is
+    /// called by whichever window ends last, with the panic of a window if
+    /// one panicked. Any other request runs here, one policy at a time,
+    /// and a panic before the windows begin unwinds out of this call.
+    pub fn run_on<'env>(
+        &'env self,
+        req: &SimRequest,
+        ctl: &RunControl,
+        ctx: &Ctx<'_, 'env>,
+        done: Done<'env>,
+    ) {
+        let (mix, ctl) = match self.prepare(req, ctl) {
+            Ok(ready) => ready,
+            Err(e) => return done(Ok(Err(e))),
+        };
+        let store = self.store.as_deref();
+        if !req.audit && req.policies.len() > 1 {
+            let (policies, opts) = (req.policies.clone(), req.opts);
+            let done: GroupDone<'env> = Box::new(move |runs| {
+                done(runs.map(|runs| report(runs.into_iter().map(|result| (result, None)))));
+            });
+            let group = Group { mix, policies, opts, ctl, store, done };
+            return experiment::warm_up_and_fork(ctx, group, &self.cache);
+        }
+        // Every registered policy is auditable: the paper's schemes and
+        // BLISS/TCM get full decision replication, the rest the generic
+        // protocol/class/starvation checks.
+        let taps = Taps { audit: req.audit, observe: None };
+        let mut runs = Vec::with_capacity(req.policies.len());
+        for kind in &req.policies {
+            let (result, heard) =
+                run_tapped(&mix, Measured::Kind(kind), &req.opts, &self.cache, store, &ctl, taps);
+            if let Some(a) = heard.audit.as_ref().filter(|a| !a.is_clean()) {
+                return done(Ok(Err(MelreqError::Divergence(a.render()))));
+            }
+            runs.push((result, heard.audit.as_ref().map(AuditSummary::of)));
+        }
+        done(Ok(report(runs)));
+    }
+
+    /// Check `req`, merge its limits into `ctl`, and resolve its mix's
+    /// profiles under the merged cancel token.
+    fn prepare(
+        &self,
+        req: &SimRequest,
+        ctl: &RunControl,
+    ) -> Result<(Mix, RunControl), MelreqError> {
         if req.policies.is_empty() {
             return Err(MelreqError::Usage("request must name at least one policy".into()));
         }
@@ -574,53 +625,11 @@ impl Session {
         }
         let mix = resolve_mix(&req.mix)?;
         let ctl = self.effective_control(req, ctl);
-        let store = self.store.as_deref();
-
-        // Facade phase span: the whole request, enclosing the kernel's
-        // warm-up / policy-window / snapshot spans. Records on drop, so
-        // error returns are covered too.
-        let mut phase_span = melreq_prof::span("session", || format!("run {}", mix.name));
-        phase_span.arg("policies", req.policies.len() as u64);
-        phase_span.arg("audit", u64::from(req.audit));
-
-        let mut policies: Vec<PolicyReport> = Vec::new();
-        if !req.audit && req.policies.len() > 1 {
-            // Comparisons share one warm-up and fork it per policy —
-            // registry factories make this uniform across the zoo.
-            let group =
-                experiment::run_mix_group(&mix, &req.policies, &req.opts, &self.cache, store, &ctl);
-            policies.extend(group.into_iter().map(|result| PolicyReport { result, audit: None }));
-        } else {
-            // One run at a time on the calling thread. Every registered
-            // policy is auditable: the paper's schemes and BLISS/TCM get
-            // full decision replication, the rest the generic
-            // protocol/class/starvation checks.
-            let taps = Taps { audit: req.audit, observe: None };
-            for kind in &req.policies {
-                let (result, heard) = run_tapped(
-                    &mix,
-                    Measured::Kind(kind),
-                    &req.opts,
-                    &self.cache,
-                    store,
-                    &ctl,
-                    taps,
-                );
-                let audit = match heard.audit {
-                    Some(a) if !a.is_clean() => return Err(MelreqError::Divergence(a.render())),
-                    a => a.as_ref().map(AuditSummary::of),
-                };
-                policies.push(PolicyReport { result, audit });
-            }
+        if !self.cache.resolve(&mix, o, ctl.cancel.as_ref()) {
+            let profiling = "run cancelled while profiling its applications (wall-clock deadline)";
+            return Err(MelreqError::Timeout(profiling.into()));
         }
-        if let Some(p) = policies.iter().find(|p| p.result.cancelled) {
-            return Err(MelreqError::Timeout(format!(
-                "run cancelled at a {}-cycle epoch boundary after {} simulated cycles (wall-clock deadline)",
-                crate::system::System::CANCEL_EPOCH,
-                p.result.sim_cycles
-            )));
-        }
-        Ok(SimReport { policies })
+        Ok((mix, ctl))
     }
 
     /// Merge the caller's control with the request's own limits.
@@ -638,7 +647,7 @@ impl Session {
                 CancelToken::with_deadline(std::time::Instant::now() + Duration::from_millis(ms))
             })
         });
-        RunControl { cancel, max_cycles, threads: req.threads.or(ctl.threads) }
+        RunControl { cancel, max_cycles, threads: ctl.threads }
     }
 
     /// Run several grid stages through **one global job pool** (no
@@ -652,6 +661,28 @@ impl Session {
     ) -> Vec<Vec<MixResult>> {
         experiment::run_sweep_stages(stages, opts, &self.cache, self.store.as_deref(), ctl)
     }
+}
+
+/// What a request's last job hands back: its outcome, or the panic of
+/// one of its runs.
+pub type Done<'env> =
+    Box<dyn FnOnce(std::thread::Result<Result<SimReport, MelreqError>>) + Send + 'env>;
+
+/// The report of a request's runs, in policy order, each with its audit
+/// summary; a [`MelreqError::Timeout`] if a deadline cancelled one.
+fn report(
+    runs: impl IntoIterator<Item = (MixResult, Option<AuditSummary>)>,
+) -> Result<SimReport, MelreqError> {
+    let policies: Vec<_> =
+        runs.into_iter().map(|(result, audit)| PolicyReport { result, audit }).collect();
+    if let Some(p) = policies.iter().find(|p| p.result.cancelled) {
+        return Err(MelreqError::Timeout(format!(
+            "run cancelled at a {}-cycle epoch boundary after {} simulated cycles (wall-clock deadline)",
+            crate::system::System::CANCEL_EPOCH,
+            p.result.sim_cycles
+        )));
+    }
+    Ok(SimReport { policies })
 }
 
 /// Look up a Table 3 mix by name (case-insensitive), as a typed error.
@@ -668,6 +699,7 @@ pub fn resolve_mix(name: &str) -> Result<Mix, MelreqError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use melreq_workloads::SliceKind;
 
     fn quick_request(policy: &str) -> SimRequest {
         SimRequest::new("2MEM-1")
@@ -697,6 +729,23 @@ mod tests {
         assert!(err.to_string().contains(&format!("unknown request field '{retired}'")), "{err}");
     }
 
+    /// The pool a request runs on is the process's: a body cannot size it,
+    /// and the windows it may fork are bounded before anything runs.
+    #[test]
+    fn from_json_refuses_a_thread_count_and_too_many_policies() {
+        let err = SimRequest::from_json(r#"{"mix":"2MEM-1","policy":"me","threads":2}"#);
+        assert_eq!(err, Err(MelreqError::Usage("unknown request field 'threads'".into())));
+        let body = |n: usize| {
+            let policies = vec!["\"hf-rf\""; n].join(",");
+            format!(r#"{{"mix":"2MEM-1","policies":[{policies}]}}"#)
+        };
+        assert_eq!(SimRequest::from_json(&body(MAX_POLICIES)).unwrap().policies.len(), 32);
+        let err = SimRequest::from_json(&body(MAX_POLICIES + 1)).unwrap_err();
+        assert_eq!(err.http_status(), 400);
+        assert!(err.to_string().contains("at most 32"), "{err}");
+        assert!(melreq_memctrl::registry::registry().len() <= MAX_POLICIES);
+    }
+
     #[test]
     fn from_json_rejects_schema_mismatch_but_allows_absence() {
         let body = format!(r#"{{"schema_version":{},"mix":"2MEM-1","policy":"me"}}"#, 999);
@@ -713,8 +762,8 @@ mod tests {
             "v5;mix=2MEM-1;policies=[MeLreq];audit=false;instr=20000;warmup=10000;\
              profile=10000;slice=0;factor=4000;budget=None"
         );
-        // Wall-clock budget and thread count are not identity; cycle budget is.
-        assert_eq!(a.canonical_bytes(), a.clone().timeout_ms(5).threads(3).canonical_bytes());
+        // The wall-clock budget is not identity; the cycle budget is.
+        assert_eq!(a.canonical_bytes(), a.clone().timeout_ms(5).canonical_bytes());
         assert_ne!(a.canonical_bytes(), a.clone().max_cycles(1 << 30).canonical_bytes());
         // Fixed-priority orders are part of the identity.
         let f0 = SimRequest::new("4MEM-1").policy(PolicyKind::parse("fix-0123").unwrap());
@@ -835,6 +884,31 @@ mod tests {
         let err = session.run(&req, &RunControl::default()).unwrap_err();
         assert_eq!(err.http_status(), 504);
         assert_eq!(err.exit_code(), 6);
+    }
+
+    /// The deadline covers the single-core profiles a run starts with: a
+    /// cancelled one answers `Timeout` and is kept nowhere, so the next
+    /// lookup of it simulates.
+    #[test]
+    fn a_cancelled_profile_times_out_and_is_not_kept() {
+        let session = Session::new();
+        let opts =
+            ExperimentOptions { profile_instructions: 100_000, ..ExperimentOptions::quick() };
+        let token = CancelToken::new();
+        token.cancel();
+        let ctl = RunControl { cancel: Some(token), ..RunControl::default() };
+        for policies in [vec![PolicyKind::HfRf], vec![PolicyKind::HfRf, PolicyKind::MeLreq]] {
+            let req = SimRequest::new("2MEM-1").policies(policies).opts(opts);
+            let err = session.run(&req, &ctl).unwrap_err();
+            assert_eq!(err.http_status(), 504, "{err}");
+            assert!(err.to_string().contains("profiling"), "{err}");
+        }
+        let cache = session.cache();
+        for app in resolve_mix("2MEM-1").unwrap().apps() {
+            let me = cache.lookup(&app, SliceKind::Profiling, opts.profile_instructions);
+            let ipc = cache.lookup(&app, SliceKind::Evaluation(0), opts.instructions);
+            assert!(me.1 && ipc.1, "app {}: a cancelled profile was kept", app.code);
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //! it without simulating; a `--profile` artifact shows them as `policy`
 //! spans with `shared: 1`.
 
-use crate::profile::{profile_app, AppProfile};
+use crate::profile::{profile_app_until, AppProfile};
 use crate::store::CheckpointStore;
 use crate::system::{CancelToken, RunOutcome, System};
 use crate::SystemConfig;
@@ -76,7 +76,7 @@ use melreq_trace::{InstrStream, OpTape, TapedStream};
 use melreq_workloads::{AppSpec, Mix, SliceKind};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// The policy every warm-up runs under, regardless of the measured
@@ -178,7 +178,7 @@ type ProfileId = (char, SliceKind, u64);
 /// profiling request of a sweep without running a single profiling cycle.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
-    profiles: Mutex<BTreeMap<ProfileId, Arc<OnceLock<AppProfile>>>>,
+    profiles: Mutex<BTreeMap<ProfileId, Arc<Mutex<Option<AppProfile>>>>>,
     store: Option<Arc<CheckpointStore>>,
 }
 
@@ -199,29 +199,71 @@ impl ProfileCache {
     /// harness uses comes through this lookup. Each profile has a cell of
     /// its own, so callers wait only for the one they asked for.
     pub fn lookup(&self, app: &AppSpec, slice: SliceKind, instructions: u64) -> (AppProfile, bool) {
+        self.lookup_until(app, slice, instructions, None).expect("no token to cancel it")
+    }
+
+    /// [`ProfileCache::lookup`], polling `cancel` while it simulates, or
+    /// waits for another caller to: `None` if the token fired first, and
+    /// then nothing is kept or stored.
+    fn lookup_until(
+        &self,
+        app: &AppSpec,
+        slice: SliceKind,
+        instructions: u64,
+        cancel: Option<&CancelToken>,
+    ) -> Option<(AppProfile, bool)> {
         let cell = {
             let mut memo = self.profiles.lock().expect("profile cache poisoned");
             Arc::clone(memo.entry((app.code, slice, instructions)).or_default())
         };
-        let mut simulated = false;
-        let profile = cell.get_or_init(|| {
-            let key = CheckpointStore::profile_key(app.code, slice, instructions);
-            if let Some(p) = self.store.as_ref().and_then(|st| st.load_profile(key)) {
-                return p;
+        // A caller with a token waits for whoever is simulating this
+        // profile only as long as the token allows. A panic while
+        // simulating leaves the cell empty: the next caller simulates again.
+        let mut cell = loop {
+            match cell.try_lock() {
+                Ok(cell) => break cell,
+                Err(TryLockError::Poisoned(poisoned)) => break poisoned.into_inner(),
+                Err(TryLockError::WouldBlock) => match cancel {
+                    None => break cell.lock().unwrap_or_else(PoisonError::into_inner),
+                    Some(token) if token.expired() => return None,
+                    Some(_) => std::thread::sleep(Duration::from_millis(1)),
+                },
             }
-            simulated = true;
-            let role = match slice {
-                SliceKind::Profiling => "ME",
-                SliceKind::Evaluation(_) => "IPC_single",
-            };
-            let _sp = melreq_prof::span("profile", || format!("app {} ({role})", app.code));
-            let p = profile_app(app, slice, instructions);
-            if let Some(st) = &self.store {
-                st.store_profile(key, &p);
-            }
-            p
-        });
-        (profile.clone(), simulated)
+        };
+        if let Some(p) = cell.as_ref() {
+            return Some((p.clone(), false));
+        }
+        let key = CheckpointStore::profile_key(app.code, slice, instructions);
+        if let Some(p) = self.store.as_ref().and_then(|st| st.load_profile(key)) {
+            return Some((cell.insert(p).clone(), false));
+        }
+        let role = match slice {
+            SliceKind::Profiling => "ME",
+            SliceKind::Evaluation(_) => "IPC_single",
+        };
+        let _sp = melreq_prof::span("profile", || format!("app {} ({role})", app.code));
+        let p = profile_app_until(app, slice, instructions, cancel)?;
+        if let Some(st) = &self.store {
+            st.store_profile(key, &p);
+        }
+        Some((cell.insert(p).clone(), true))
+    }
+
+    /// Resolve every profile a run of `mix` under `opts` reads — each
+    /// core's ME and `IPC_single` — polling `cancel` while one simulates:
+    /// false if the token fired first.
+    pub(crate) fn resolve(
+        &self,
+        mix: &Mix,
+        opts: &ExperimentOptions,
+        cancel: Option<&CancelToken>,
+    ) -> bool {
+        mix.apps().iter().all(|app| {
+            let eval = SliceKind::Evaluation(opts.eval_slice);
+            [(SliceKind::Profiling, opts.profile_instructions), (eval, opts.instructions)]
+                .into_iter()
+                .all(|(slice, n)| self.lookup_until(app, slice, n, cancel).is_some())
+        })
     }
 
     /// The profiling-slice profile of the application on `core` of `mix`.
@@ -926,25 +968,15 @@ pub struct SweepStage {
     pub policies: Vec<PolicyKind>,
 }
 
-/// One (stage, mix-position) pair that wants its stage's full policy
-/// set run from a shared warm-up boundary.
-struct GroupSlots<'a> {
-    policies: &'a [PolicyKind],
-    /// `policies.len()` result slots, policy-indexed.
-    slots: &'a [Mutex<Option<MixResult>>],
-}
-
 /// Run several (mixes × policies) stages through **one global job
 /// pool** (no per-stage barrier), returning each stage's
 /// results in `(mix-major, policy-minor)` order.
 ///
 /// The job DAG has one warm-up job per *distinct* mix across all stages
 /// — warm-ups shared by several stages (e.g. a mix that appears in both
-/// a figure stage and an ablation stage) run once — and one forked
-/// policy-run job per (stage, mix, policy). The warm-up job profiles
-/// the mix's applications, simulates (or restores) the canonical
-/// boundary, publishes the snapshot bytes, forks every dependent policy
-/// run, and finally runs the first policy itself on the warmed system.
+/// a figure stage and an ablation stage) run once — and one policy run
+/// per (stage, mix, policy): each mix is one `Group`, its policies
+/// every stage's that runs it, and `warm_up_and_fork` its warm-up job.
 /// Warm-up jobs enter the pool's queue with the mix's core count as the
 /// priority (longest critical path first); forked runs outrank every
 /// warm-up, so idle workers join a group before starting the next.
@@ -954,7 +986,9 @@ struct GroupSlots<'a> {
 /// are bit-identical at any worker count. `warmup_from_checkpoint` is
 /// DAG-structural, not timing-dependent: the first (stage, policy) run
 /// of a distinct mix inherits the warm-up's provenance flag, every
-/// other run forked from the published snapshot reports `true`.
+/// other run forked from the published snapshot reports `true`. A run
+/// that panics drains the pool once its group has ended, and
+/// [`melreq_exec::run_scope`] re-throws the panic here.
 pub fn run_sweep_stages(
     stages: &[SweepStage],
     opts: &ExperimentOptions,
@@ -966,35 +1000,35 @@ pub fn run_sweep_stages(
     let total_runs: usize = stage_runs.iter().sum();
     let slots: Vec<Mutex<Option<MixResult>>> = (0..total_runs).map(|_| Mutex::new(None)).collect();
 
-    // Group the (stage, mix-position) consumers by distinct mix, in
-    // first-appearance order: one warm-up job per entry.
-    let mut groups: Vec<(Mix, Vec<GroupSlots<'_>>)> = Vec::new();
-    let mut offset = 0;
-    for (si, stage) in stages.iter().enumerate() {
-        for (mi, mix) in stage.mixes.iter().enumerate() {
-            if stage.policies.is_empty() {
-                continue;
-            }
-            let base = offset + mi * stage.policies.len();
-            let consumer = GroupSlots {
-                policies: &stage.policies,
-                slots: &slots[base..base + stage.policies.len()],
-            };
-            match groups.iter_mut().find(|(m, _)| m.name == mix.name) {
-                Some((_, consumers)) => consumers.push(consumer),
-                None => groups.push((*mix, vec![consumer])),
-            }
+    // Each distinct mix, in first-appearance order, with the policies of
+    // every (stage, mix-position) that runs it and where their results go.
+    type Wanted<'s> = (Vec<PolicyKind>, Vec<&'s Mutex<Option<MixResult>>>);
+    let mut groups: Vec<(Mix, Wanted<'_>)> = Vec::new();
+    let mut at = slots.iter();
+    for stage in stages {
+        for mix in &stage.mixes {
+            let i = groups.iter().position(|(m, _)| m.name == mix.name).unwrap_or_else(|| {
+                groups.push((*mix, Wanted::default()));
+                groups.len() - 1
+            });
+            let (policies, targets) = &mut groups[i].1;
+            policies.extend(stage.policies.iter().cloned());
+            targets.extend(at.by_ref().take(stage.policies.len()));
         }
-        offset += stage_runs[si];
     }
 
     let workers = worker_count(total_runs, ctl.threads);
     melreq_exec::run_scope(workers, |scope| {
-        for (mix, consumers) in &groups {
-            let mix = *mix;
-            scope.submit(mix.cores() as u64, move |ctx| {
-                warm_up_and_fork(&ctx, mix, consumers, opts, cache, store, ctl);
+        for (mix, (policies, targets)) in groups.into_iter().filter(|(_, (p, _))| !p.is_empty()) {
+            let done: GroupDone<'_> = Box::new(move |runs| {
+                let runs = runs.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                for (slot, result) in targets.into_iter().zip(runs) {
+                    *slot.lock().expect("result slot poisoned") = Some(result);
+                }
             });
+            let (opts, ctl) = (*opts, ctl.clone());
+            let group = Group { mix, policies, opts, ctl, store, done };
+            scope.submit(mix.cores() as u64, move |ctx| warm_up_and_fork(&ctx, group, cache));
         }
     });
 
@@ -1006,60 +1040,82 @@ pub fn run_sweep_stages(
     out
 }
 
-/// The warm-up job of one distinct mix: profile, reach the canonical
-/// boundary, publish the snapshot, fork every dependent policy run, and
-/// run the first policy inline on the warmed system.
-fn warm_up_and_fork<'env>(
+/// What a finished [`Group`] hands back: every run's result, in policy
+/// order, or the first panic of one of its runs.
+pub(crate) type GroupDone<'env> =
+    Box<dyn FnOnce(std::thread::Result<Vec<MixResult>>) + Send + 'env>;
+
+/// The runs of one mix from one shared warm-up boundary, as a seeder
+/// hands them to [`warm_up_and_fork`]: [`run_sweep_stages`] one per
+/// distinct mix, a server one per multi-policy request.
+pub(crate) struct Group<'env> {
+    /// The mix every run simulates.
+    pub(crate) mix: Mix,
+    /// The policies to run, in result order.
+    pub(crate) policies: Vec<PolicyKind>,
+    /// The runs' options.
+    pub(crate) opts: ExperimentOptions,
+    /// Armed on the warm-up and every run.
+    pub(crate) ctl: RunControl,
+    /// Where the boundary and its op tapes are looked up and kept.
+    pub(crate) store: Option<&'env CheckpointStore>,
+    /// Called once, by whichever run ends last.
+    pub(crate) done: GroupDone<'env>,
+}
+
+/// The warm-up job of a [`Group`]: profile, reach the canonical boundary,
+/// publish the snapshot, fork every run but the first onto `ctx`'s pool,
+/// and run the first inline on the warmed system. A run that panics is
+/// caught, so every run ends and the last one calls the group's `done`;
+/// a panic before the runs begin unwinds out of here.
+pub(crate) fn warm_up_and_fork<'env>(
     ctx: &melreq_exec::Ctx<'_, 'env>,
-    mix: Mix,
-    consumers: &'env [GroupSlots<'env>],
-    opts: &'env ExperimentOptions,
-    cache: &'env ProfileCache,
-    store: Option<&'env CheckpointStore>,
-    ctl: &'env RunControl,
+    group: Group<'env>,
+    cache: &ProfileCache,
 ) {
-    let inputs = Inputs::of(&mix, opts, cache);
+    let Group { mix, policies, opts, ctl, store, done } = group;
+    let inputs = Inputs::of(&mix, &opts, cache);
     let warm_started = host_clock();
-    let mut boundary = boundary_system(&mix, opts, store, ctl, |_| {});
-    let total_runs: usize = consumers.iter().map(|c| c.policies.len()).sum();
-    let share = boundary.taped(&mix, opts, total_runs);
+    let mut boundary = boundary_system(&mix, &opts, store, &ctl, |_| {});
+    let share = boundary.taped(&mix, &opts, policies.len());
     let Boundary { sys: base, from_checkpoint, keyed, .. } = boundary;
     let taped = share.is_some();
     let warm_wall = warm_started.elapsed();
-    let certified = Default::default();
-    let group = Arc::new(GroupRuns { mix, inputs, opts, ctl, certified, share, keyed });
+    let (certified, results) = (Default::default(), policies.iter().map(|_| None).collect());
+    let runs = Arc::new(GroupRuns {
+        mix,
+        inputs,
+        opts,
+        ctl,
+        certified,
+        share,
+        keyed,
+        policies,
+        results: Mutex::new(results),
+        done: Mutex::new(Some(done)),
+    });
 
     // Fork every run but the first, then run the first on the warmed
     // system while idle workers take the forks.
-    let mut first: Option<(&'env Mutex<Option<MixResult>>, &'env PolicyKind)> = None;
-    for consumer in consumers {
-        for (slot, kind) in consumer.slots.iter().zip(consumer.policies) {
-            if first.is_none() {
-                first = Some((slot, kind));
-                continue;
-            }
-            let group = Arc::clone(&group);
-            ctx.fork(move |_ctx| {
-                let share = group.share.as_ref().expect("a group of >1 runs shares");
-                let fork = || {
-                    let mut sys = restored_system(share, ctl, "fork", true)
-                        .expect("boundary snapshot must restore into an identical fresh system");
-                    share.tape(&mut sys, None);
-                    sys
-                };
-                let result = group.run(kind, fork, true, Duration::ZERO, true);
-                *slot.lock().expect("result slot poisoned") = Some(result);
-            });
-        }
+    for i in 1..runs.policies.len() {
+        let runs = Arc::clone(&runs);
+        ctx.fork(move |_ctx| {
+            let fork = || {
+                let share = runs.share.as_ref().expect("a group of >1 runs shares");
+                let mut sys = restored_system(share, &runs.ctl, "fork", true)
+                    .expect("boundary snapshot must restore into an identical fresh system");
+                share.tape(&mut sys, None);
+                sys
+            };
+            runs.run(i, fork, true, Duration::ZERO, true);
+        });
     }
-    let (slot, kind) = first.expect("a group has at least one policy run");
-    let result = group.run(kind, || base, taped, warm_wall, from_checkpoint);
-    *slot.lock().expect("result slot poisoned") = Some(result);
+    runs.run(0, || base, taped, warm_wall, from_checkpoint);
 }
 
 /// What the policy runs of one group share besides their boundary: the
-/// mix's profiles, the run's options and controls, and the windows
-/// certified so far.
+/// mix's profiles, the run's options and controls, the windows certified
+/// so far, and the results of the runs that have ended.
 ///
 /// Every policy ranks *cores* ([`SchedulerPolicy::core_key`] is a
 /// function of the core): among one core's requests two policies pick
@@ -1074,34 +1130,60 @@ fn warm_up_and_fork<'env>(
 /// restoring and simulating its own. The cells die with the group.
 ///
 /// When the group's last run ends, its tapes go to the store, if they
-/// hold more than the store's record of them.
+/// hold more than the store's record of them, and then its results to
+/// `done`.
 struct GroupRuns<'env> {
     mix: Mix,
     inputs: Inputs,
-    opts: &'env ExperimentOptions,
-    ctl: &'env RunControl,
+    opts: ExperimentOptions,
+    ctl: RunControl,
+    policies: Vec<PolicyKind>,
     /// One cell per rule class, indexed `read_first << 1 | hit_first`.
     certified: [OnceLock<Window>; 4],
     /// What the runs read their ops from, if they read tapes.
     share: Option<Arc<GroupShare>>,
     /// The store that holds the boundary, and its key there.
     keyed: Option<(&'env CheckpointStore, u64)>,
-}
-
-impl Drop for GroupRuns<'_> {
-    fn drop(&mut self) {
-        if let (Some(share), Some((store, key))) = (&self.share, self.keyed) {
-            share.persist(store, key);
-        }
-    }
+    /// Policy-indexed: what each ended run gave. The run that fills the
+    /// last slot calls `done`.
+    results: Mutex<Vec<Option<std::thread::Result<MixResult>>>>,
+    done: Mutex<Option<GroupDone<'env>>>,
 }
 
 impl GroupRuns<'_> {
+    /// Run policy `i` ([`GroupRuns::measure`]) and keep what it gave, its
+    /// panic included; the last run to end hands every result on.
+    fn run(
+        &self,
+        i: usize,
+        boundary: impl FnOnce() -> System,
+        taped: bool,
+        warm_wall: Duration,
+        from_checkpoint: bool,
+    ) {
+        let kind = &self.policies[i];
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.measure(kind, boundary, taped, warm_wall, from_checkpoint)
+        }));
+        let runs: Option<Vec<_>> = {
+            let mut results = self.results.lock().expect("group results poisoned");
+            results[i] = Some(ran);
+            results.iter().all(Option::is_some).then(|| std::mem::take(&mut *results))
+        };
+        let Some(runs) = runs else { return };
+        if let (Some(share), Some((store, key))) = (&self.share, self.keyed) {
+            share.persist(store, key);
+        }
+        let runs = runs.into_iter().map(|r| r.expect("every run ended")).collect();
+        let done = self.done.lock().expect("group done poisoned").take();
+        done.expect("the last run ends once")(runs);
+    }
+
     /// `kind`'s result: scored from the window its rule class certified,
     /// or measured on the system `boundary` yields (`taped` if it reads
     /// the group's tapes) and certified if nothing in it was contested.
     /// `warm_wall` and `from_checkpoint` are what [`score`] reports.
-    fn run(
+    fn measure(
         &self,
         kind: &PolicyKind,
         boundary: impl FnOnce() -> System,
@@ -1121,7 +1203,7 @@ impl GroupRuns<'_> {
             let mut sys = boundary();
             let measured = Measured::Kind(kind);
             let (window, contested) =
-                run_window(&mut sys, mix, measured, me, self.opts, self.ctl, taped);
+                run_window(&mut sys, mix, measured, me, &self.opts, &self.ctl, taped);
             if contested == 0 && !window.outcome.cancelled {
                 let _ = cell.set(window.clone());
             }
@@ -1172,6 +1254,23 @@ mod tests {
         assert!(cache.lookup(app, SliceKind::Profiling, n / 2).1, "another length, another run");
         assert!(cache.lookup(app, SliceKind::Evaluation(0), n).1, "another slice, another run");
         assert!(!cache.lookup(app, SliceKind::Evaluation(0), n).1);
+    }
+
+    /// A caller whose token has fired leaves a profile that another caller
+    /// is simulating instead of waiting for it, and keeps nothing.
+    #[test]
+    fn a_cancelled_caller_does_not_wait_for_anothers_profile() {
+        let cache = ProfileCache::new();
+        let app = &mix_by_name("2MEM-1").apps()[0];
+        let (slice, n) = (SliceKind::Profiling, 5_000);
+        let memo =
+            Arc::clone(cache.profiles.lock().unwrap().entry((app.code, slice, n)).or_default());
+        let simulating = memo.lock().unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        assert!(cache.lookup_until(app, slice, n, Some(&token)).is_none());
+        drop(simulating);
+        assert!(cache.lookup(app, slice, n).1, "the cell is still empty");
     }
 
     #[test]
@@ -1339,6 +1438,49 @@ mod tests {
         // And what it read is resident again, and healthy.
         assert!(!resident_share(&store, key).poisoned());
         assert_eq!(simulated(&run()), simulated(&first));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// A window that panics is caught where it ran, so every run of its
+    /// group still ends, and the last hands the panic to `done`, once: to a
+    /// server, which answers it, or to a sweep, which re-throws it.
+    #[test]
+    fn a_window_that_panics_ends_its_group_and_reaches_done_once() {
+        let opts = ExperimentOptions::quick();
+        let mix = mix_by_name("2MEM-2");
+        let (store, key) = resident_store("group-panic", &mix, &opts);
+        let session = crate::api::Session::with_store(store.clone());
+        let policies = vec![PolicyKind::HfRf, PolicyKind::MeLreq, PolicyKind::Lreq];
+        let req = crate::api::SimRequest::new(mix.name).policies(policies.clone()).opts(opts);
+        session.run(&req, &RunControl::default()).expect("the cold group keeps its boundary");
+        // The resident entry, with tapes whose generator panics when a
+        // window asks it for an op.
+        let container = resident_share(&store, key).snapshot.clone();
+        let broken = || {
+            let share = GroupShare::over(mix, &opts, container.clone());
+            let per_core = (0..2).map(|_| OpTape::new(Box::new(Broken))).collect();
+            let tapes = Tapes { per_core, loaded: 0, persisted: AtomicU64::new(0), since_ns: 0 };
+            share.tapes.set(tapes).expect("no tapes yet");
+            store.retain(key, &Arc::new(share));
+        };
+        broken();
+        let answers = std::sync::atomic::AtomicUsize::new(0);
+        melreq_exec::run_scope(2, |scope| {
+            scope.submit(0, |ctx| {
+                let done = Box::new(|outcome: std::thread::Result<_>| {
+                    assert!(outcome.is_err(), "a window panicked");
+                    answers.fetch_add(1, Ordering::Relaxed);
+                });
+                session.run_on(&req, &RunControl::default(), &ctx, done);
+            });
+        });
+        assert_eq!(answers.load(Ordering::Relaxed), 1);
+        broken();
+        let ctl = RunControl::default();
+        let sweep = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_mix_group(&mix, &policies, &opts, session.cache(), Some(&store), &ctl)
+        }));
+        assert!(sweep.is_err(), "a sweep re-throws its window's panic");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

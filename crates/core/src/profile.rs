@@ -8,7 +8,7 @@
 //! tables for the multiprogrammed runs.
 
 use crate::config::SystemConfig;
-use crate::system::System;
+use crate::system::{CancelToken, System};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_stats::bandwidth::memory_efficiency;
 use melreq_trace::InstrStream;
@@ -33,10 +33,24 @@ pub struct AppProfile {
 /// slice alone on the paper's single-core machine (HF-RF policy — the
 /// baseline controller, so profiles are policy-independent).
 pub fn profile_app(app: &AppSpec, slice: SliceKind, instructions: u64) -> AppProfile {
+    profile_app_until(app, slice, instructions, None).expect("no token to cancel it")
+}
+
+/// [`profile_app`] polling `cancel` ([`System::set_cancel`]): `None` if
+/// the token fired first.
+pub fn profile_app_until(
+    app: &AppSpec,
+    slice: SliceKind,
+    instructions: u64,
+    cancel: Option<&CancelToken>,
+) -> Option<AppProfile> {
     let cfg = SystemConfig::paper(1, PolicyKind::HfRf);
     let freq = cfg.freq_hz;
     let stream: Box<dyn InstrStream + Send> = Box::new(app.build_stream(0, slice));
     let mut sys = System::new(cfg, vec![stream], &[1.0]);
+    if let Some(token) = cancel {
+        sys.set_cancel(token.clone());
+    }
     // Warm the caches over one slice length before measuring, so compulsory
     // misses do not pollute the short profile (the paper's 10 M-op slices
     // amortize warm-up implicitly). Safety net: a fully memory-bound app
@@ -46,6 +60,9 @@ pub fn profile_app(app: &AppSpec, slice: SliceKind, instructions: u64) -> AppPro
         instructions,
         instructions.saturating_mul(4000).max(1 << 22),
     );
+    if out.cancelled {
+        return None;
+    }
     assert!(!out.timed_out, "profiling of {} timed out", app.name);
     let ipc = out.ipc[0];
     let bw_gbs = out.total_bandwidth_gbs(freq);
@@ -54,7 +71,7 @@ pub fn profile_app(app: &AppSpec, slice: SliceKind, instructions: u64) -> AppPro
     // never touch DRAM (the paper likewise reports finite ME = 16276 for
     // eon rather than infinity).
     let me = memory_efficiency(ipc, bw_gbs.max(1e-3));
-    AppProfile { name: app.name, code: app.code, ipc, bw_gbs, me }
+    Some(AppProfile { name: app.name, code: app.code, ipc, bw_gbs, me })
 }
 
 #[cfg(test)]

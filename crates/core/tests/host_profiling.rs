@@ -39,15 +39,12 @@ fn profiling_is_bit_inert_across_all_paper_policies() {
         PolicyKind::Me,
         PolicyKind::MeLreq,
     ];
-    let req = SimRequest::new("4MEM-1")
-        .policies(policies)
-        .opts(ExperimentOptions::quick())
-        .audit(true)
-        .threads(2);
+    let req =
+        SimRequest::new("4MEM-1").policies(policies).opts(ExperimentOptions::quick()).audit(true);
+    let ctl = RunControl { threads: Some(2), ..RunControl::default() };
 
-    let unprofiled = Session::new().run(&req, &RunControl::default()).expect("unprofiled run");
-    let (profiled, profile) =
-        profiled(|| Session::new().run(&req, &RunControl::default()).expect("profiled run"));
+    let unprofiled = Session::new().run(&req, &ctl).expect("unprofiled run");
+    let (profiled, profile) = profiled(|| Session::new().run(&req, &ctl).expect("profiled run"));
 
     assert_eq!(
         unprofiled.to_json(),

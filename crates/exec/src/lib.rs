@@ -1,16 +1,21 @@
 //! A scoped job pool: one locked priority queue, drained by a fixed set
-//! of worker threads. It is the workspace's one pool implementation,
-//! with three seeders: the experiment sweep (`run_sweep_stages`, which
-//! `melreq sweep` and `melreq reproduce` call), the server's event loop,
-//! which submits each admitted request at priority 0, and the load
-//! generator's pacer, which submits each planned arrival at priority 0
-//! at its scheduled instant.
+//! of worker threads. It is the workspace's one pool implementation, and
+//! no job opens a pool of its own: its work forks onto the pool it runs
+//! on. It has three seeders: the experiment sweep (`run_sweep_stages`,
+//! which `melreq sweep` and `melreq reproduce` call, and `Session::run`,
+//! which opens a pool around one request for `melreq run` and `melreq
+//! compare`), the server's event loop, which submits each admitted
+//! request at priority 0, and the load generator's pacer, which submits
+//! each planned arrival at priority 0 at its scheduled instant.
 //!
 //! The schedulable unit is a *job*: a boxed closure that may borrow from
 //! the caller's stack frame (the pool is built on [`std::thread::scope`],
 //! so jobs carry a `'env` lifetime instead of `'static`) and that may
-//! *fork* further jobs while running. Every job waits in the one queue,
-//! ranked by one comparison chain:
+//! *fork* further jobs while running. The forks are a mix's policy
+//! windows: its warm-up job (`warm_up_and_fork`, whether a sweep or a
+//! served `/compare` submitted it) forks one per policy after the first,
+//! which it runs itself. Every job waits in the one queue, ranked by one
+//! comparison chain:
 //!
 //! * a **fork** outranks every root, so a worker finishes the group it
 //!   is in before it starts the next warm-up;

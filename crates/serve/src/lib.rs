@@ -16,10 +16,12 @@
 //! HTTP/1.1 keep-alive, pipelined request parsing on a reusable
 //! per-connection buffer, and idle-connection timeouts; only the
 //! simulations themselves run on worker threads: the loop is the seeder
-//! of a [`melreq_exec`] job pool, and each job hands its one outcome (a
-//! rendered report or an error) back through a completion queue and a
-//! pipe-based waker. The loop owns every answer: the response cache, the
-//! in-flight registry and request ids are its own state, behind no lock.
+//! of a [`melreq_exec`] job pool, a `/compare` forks its policy windows
+//! onto that same pool (so `workers` bounds every simulation thread), and
+//! each request's last job hands its one outcome (a rendered report or an
+//! error) back through a completion queue and a pipe-based waker. The
+//! loop owns every answer: the response cache, the in-flight registry and
+//! request ids are its own state, behind no lock.
 //!
 //! Robustness model:
 //!
@@ -28,7 +30,8 @@
 //!   wedging.
 //! * **Deadlines** — per-request wall-clock budgets (`timeout_ms`, or
 //!   the server default); expired runs are cancelled cooperatively at a
-//!   simulation epoch boundary and answer `504`.
+//!   simulation epoch boundary, single-core profiling included, and
+//!   answer `504`.
 //! * **Caching + coalescing** — an opt-in LRU response cache keyed by
 //!   the canonical schema-versioned request bytes
 //!   ([`SimRequest::canonical_bytes`]) answers repeats without touching
@@ -56,7 +59,7 @@ pub mod http;
 pub mod poll;
 
 use melreq_core::api::json::esc;
-use melreq_core::api::{MelreqError, Session, SimReport, SimRequest, SCHEMA_VERSION};
+use melreq_core::api::{Done, MelreqError, Session, SimReport, SimRequest, SCHEMA_VERSION};
 use melreq_core::experiment::RunControl;
 use melreq_core::store::CheckpointStore;
 use melreq_core::system::CancelToken;
@@ -112,13 +115,6 @@ type StageTimes = [Duration; STAGES.len()];
 
 fn stage_label(stage: usize) -> &'static str {
     &STAGES[stage]["serve.".len()..]
-}
-
-/// A live profiler span of `stage` for request `id`.
-fn stage_span(stage: usize, id: u64) -> melreq_prof::SpanGuard {
-    let mut sp = melreq_prof::span(STAGES[stage], || format!("{} #{id}", stage_label(stage)));
-    sp.arg("id", id);
-    sp
 }
 
 /// A finished profiler span of `stage` for request `id`, `took` long.
@@ -472,11 +468,12 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, MelreqError> {
         .name("melreq-netio".to_string())
         .spawn(move || {
             // The loop seeds the pool; once it returns drained, the scope
-            // joins the workers.
+            // joins the workers. Every job borrows `Shared` from here.
+            let shared = &*loop_shared;
             melreq_exec::run_scope(cfg.workers.max(1), |scope| {
                 let state = EventLoop {
                     scope,
-                    shared: loop_shared,
+                    shared,
                     poller,
                     waker,
                     listener: Some(listener),
@@ -631,10 +628,10 @@ enum FlushOutcome {
     Dead,
 }
 
-struct EventLoop<'s> {
+struct EventLoop<'s, 'env> {
     /// The job pool this loop seeds: one root job per admitted request.
-    scope: &'s Scope<'s, 'static>,
-    shared: Arc<Shared>,
+    scope: &'s Scope<'s, 'env>,
+    shared: &'env Shared,
     poller: Poller,
     waker: Waker,
     listener: Option<TcpListener>,
@@ -656,7 +653,7 @@ struct EventLoop<'s> {
     counts: Counts,
 }
 
-impl EventLoop<'_> {
+impl EventLoop<'_, '_> {
     fn run(mut self) {
         melreq_prof::set_thread_track(|| "serve netio".to_string());
         let mut events: Vec<poll::Event> = Vec::new();
@@ -832,7 +829,7 @@ impl EventLoop<'_> {
     }
 
     fn dispatch(&mut self, token: u64, request: &http::HttpRequest, started: Instant) {
-        let shared = self.shared.clone();
+        let shared = self.shared;
         let Some(at) = ENDPOINTS.iter().position(|(_, path, _)| *path == request.path) else {
             let body = error_body(404, "usage", &format!("unknown endpoint '{}'", request.path));
             return self.send(token, 404, "application/json", &[], &[&body]);
@@ -894,7 +891,7 @@ impl EventLoop<'_> {
     /// wait there). A body whose key is memoized and cached is answered
     /// without being decoded; any other is parsed, and its key memoized.
     fn admit(&mut self, token: u64, id: u64, endpoint: &'static str, body: &str) {
-        let shared = self.shared.clone();
+        let shared = self.shared;
         let probe = self.memo.get(endpoint, body).map(|key| (Instant::now(), self.cache.get(key)));
         if let Some((parsed, Some(report))) = probe {
             self.end_parse(token, parsed);
@@ -936,8 +933,10 @@ impl EventLoop<'_> {
             let job = Job { id, key, req, deadline, queued_at: Instant::now() };
             // One priority for every job: the pool starts them in
             // admission order.
-            self.scope.submit(0, move |_| {
-                execute_job(job, &shared, |req, ctl| shared.session.run(req, ctl));
+            self.scope.submit(0, move |ctx| {
+                execute_job(job, shared, |req, ctl, done| {
+                    shared.session.run_on(req, ctl, &ctx, done);
+                });
             });
         }
         if let Some(conn) = self.conns.get_mut(&token) {
@@ -980,7 +979,7 @@ impl EventLoop<'_> {
         }
         match body {
             Ok(report) => {
-                let open = envelope_open(cache, &self.shared);
+                let open = envelope_open(cache, self.shared);
                 self.send(token, 200, "application/json", &[], &[&open, report, "}"]);
             }
             Err((status, error)) => self.send(token, *status, "application/json", &[], &[error]),
@@ -1285,67 +1284,76 @@ fn parse_sim_request(body: &str, endpoint: &str) -> Result<SimRequest, MelreqErr
     Ok(req)
 }
 
-/// Run one job (`run` is [`Session::run`]; the containment test passes a
-/// closure that panics), render its report, and publish its one
-/// completion. A run that panics fails like any other run — an error
-/// naming the request, answered 500 — and a poisoned lock is taken as it
-/// is, so nothing unwinds out of here: a job that did would drain the
-/// whole pool. No lock is held across `run`.
-fn execute_job(
+/// Start one job (`start` is [`Session::run_on`]; the containment tests
+/// pass closures that panic) and publish its one completion, from
+/// whichever job ends the request. A run that panics fails like any other
+/// run — an error naming the request, answered 500 — whether it is caught
+/// here or, in a forked window, by the group; a poisoned lock is taken as
+/// it is, so nothing unwinds out of here: a job that did would drain the
+/// whole pool. No lock is held across `start`.
+fn execute_job<'env>(
     job: Job,
-    shared: &Shared,
-    run: impl FnOnce(&SimRequest, &RunControl) -> Result<SimReport, MelreqError>,
+    shared: &'env Shared,
+    start: impl FnOnce(&SimRequest, &RunControl, Done<'env>),
 ) {
     let Job { id, key, req, deadline, queued_at } = job;
     shared.queued.fetch_sub(1, Ordering::Relaxed);
-    let (mut stages, mut sim_cycles, mut panicked) = (StageTimes::default(), 0, false);
-    stages[QUEUE] = queued_at.elapsed();
-    stage_record(QUEUE, id, queued_at, stages[QUEUE]);
+    let started = Instant::now();
+    stage_record(QUEUE, id, queued_at, started - queued_at);
+    let answer = Arc::new(Mutex::new(Some((id, key, queued_at, started))));
     // A deadline that expired while the job sat in the queue is still a
     // timeout — the simulation is simply never started.
-    let outcome = if deadline.is_some_and(|d| Instant::now() >= d) {
-        Err(MelreqError::Timeout(
-            "request deadline expired while queued; the run was not started".to_string(),
-        ))
-    } else {
-        let ctl = RunControl {
-            cancel: deadline.map(CancelToken::with_deadline),
-            max_cycles: None,
-            threads: None,
+    if deadline.is_some_and(|d| started >= d) {
+        let expired = "request deadline expired while queued; the run was not started";
+        return publish(shared, &answer, Ok(Err(MelreqError::Timeout(expired.to_string()))));
+    }
+    let ctl = RunControl { cancel: deadline.map(CancelToken::with_deadline), ..Default::default() };
+    let mine = Arc::clone(&answer);
+    let done = Box::new(move |outcome| publish(shared, &mine, outcome));
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| start(&req, &ctl, done))) {
+        publish(shared, &answer, Err(payload));
+    }
+}
+
+/// Who a job answers — request id, key, admission and start instants —
+/// until its one completion is published.
+type Answer = Mutex<Option<(u64, String, Instant, Instant)>>;
+
+/// Render `outcome` — a report, an error, or the payload of a run's panic —
+/// and publish it as the job's completion, unless one has been published.
+fn publish(
+    shared: &Shared,
+    answer: &Answer,
+    outcome: std::thread::Result<Result<SimReport, MelreqError>>,
+) {
+    let Some((id, key, queued_at, started)) = lock(answer).take() else { return };
+    let mut stages = StageTimes::default();
+    stages[QUEUE] = started - queued_at;
+    stages[EXECUTE] = started.elapsed();
+    stage_record(EXECUTE, id, started, stages[EXECUTE]);
+    let (panicked, mut sim_cycles) = (outcome.is_err(), 0);
+    let outcome = outcome.unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("a non-string panic payload");
+        Err(MelreqError::Divergence(format!("request #{id} panicked: {what}")))
+    });
+    let outcome = outcome.map(|report| {
+        let cycles = report.policies.iter().map(|p| p.result.sim_cycles);
+        sim_cycles = cycles.fold(0, u64::saturating_add);
+        let cache_status = match (report.all_warm(), report.any_warm()) {
+            (true, _) => "warm",
+            (_, true) => "partial",
+            _ => "cold",
         };
-        let exec_started = Instant::now();
-        let ran = {
-            let _sp = stage_span(EXECUTE, id);
-            catch_unwind(AssertUnwindSafe(|| run(&req, &ctl))).unwrap_or_else(|payload| {
-                panicked = true;
-                let what = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("a non-string panic payload");
-                Err(MelreqError::Divergence(format!("request #{id} panicked: {what}")))
-            })
-        };
-        stages[EXECUTE] = exec_started.elapsed();
-        ran.map(|report| {
-            let cycles = report.policies.iter().map(|p| p.result.sim_cycles);
-            sim_cycles = cycles.fold(0, u64::saturating_add);
-            let cache_status = if report.all_warm() {
-                "warm"
-            } else if report.any_warm() {
-                "partial"
-            } else {
-                "cold"
-            };
-            let render_started = Instant::now();
-            let report_json = {
-                let _sp = stage_span(RENDER, id);
-                Arc::new(report.to_json())
-            };
-            stages[RENDER] = render_started.elapsed();
-            (report_json, cache_status)
-        })
-    };
+        let rendered = Instant::now();
+        let report_json = Arc::new(report.to_json());
+        stages[RENDER] = rendered.elapsed();
+        stage_record(RENDER, id, rendered, stages[RENDER]);
+        (report_json, cache_status)
+    });
     let completion = Completion { key, outcome, stages, sim_cycles, panicked };
     lock(&shared.completions).push_back(completion);
     shared.waker.wake();
@@ -1459,6 +1467,18 @@ mod tests {
         }
     }
 
+    /// Execute `job` as the server does: a root job of a pool (of one
+    /// worker here), started by [`Session::run_on`].
+    fn serve_job(shared: &Shared, job: Job) {
+        melreq_exec::run_scope(1, |scope| {
+            scope.submit(0, move |ctx| {
+                execute_job(job, shared, |req, ctl, done| {
+                    shared.session.run_on(req, ctl, &ctx, done);
+                });
+            });
+        });
+    }
+
     fn quick_request() -> SimRequest {
         SimRequest::new("2MEM-1").policy(PolicyKind::MeLreq).opts(ExperimentOptions::quick())
     }
@@ -1509,7 +1529,7 @@ mod tests {
         let shared = Shared::new(ServeConfig::default(), Session::new(), wake_handle);
         let req = quick_request();
 
-        execute_job(admit(&shared, &req, 7), &shared, |_, _| panic!("boom at decision 3"));
+        execute_job(admit(&shared, &req, 7), &shared, |_, _, _| panic!("boom at decision 3"));
         let (status, message, panicked) = published(&shared);
         assert_eq!(status, 500, "{message}");
         assert!(message.contains("request #7 panicked: boom at decision 3"), "{message}");
@@ -1517,7 +1537,7 @@ mod tests {
         assert_eq!(shared.queued.load(Ordering::Relaxed), 0);
 
         // Same thread, same shared state, next job: a real run.
-        execute_job(admit(&shared, &req, 8), &shared, |req, ctl| shared.session.run(req, ctl));
+        serve_job(&shared, admit(&shared, &req, 8));
         let (status, report, panicked) = published(&shared);
         assert_eq!(status, 200, "{report}");
         assert_eq!(report, Session::new().run(&req, &RunControl::default()).unwrap().to_json());
@@ -1542,7 +1562,7 @@ mod tests {
         assert!(shared.completions.is_poisoned());
 
         let req = quick_request();
-        execute_job(admit(&shared, &req, 5), &shared, |req, ctl| shared.session.run(req, ctl));
+        serve_job(&shared, admit(&shared, &req, 5));
         let (status, report, _) = published(&shared);
         assert_eq!(status, 200, "{report}");
         assert_eq!(shared.queued.load(Ordering::Relaxed), 0);
@@ -1568,15 +1588,15 @@ mod tests {
         let req = quick_request();
         let want = Session::new().run(&req, &RunControl::default()).expect("storeless").to_json();
         let serve = |id: u64| {
-            execute_job(admit(&shared, &req, id), &shared, |req, ctl| shared.session.run(req, ctl));
+            serve_job(&shared, admit(&shared, &req, id));
             published(&shared)
         };
         // First use simulates and keeps the boundary, the second records
         // its tapes; the third has restored it and reads them when its
         // policy blows up.
         assert_eq!((serve(1).0, serve(2).0), (200, 200));
-        execute_job(admit(&shared, &req, 3), &shared, |req, ctl| {
-            let mix = melreq_core::api::resolve_mix(&req.mix)?;
+        execute_job(admit(&shared, &req, 3), &shared, |req, ctl, _| {
+            let mix = melreq_core::api::resolve_mix(&req.mix).expect("a roster mix");
             let build = |_: &[f64], _: usize, _: u64| panic!("policy bug on {}", mix.name);
             let doomed = Measured::Custom { name: "DOOMED", build: &build };
             let (cache, taps) = (shared.session.cache(), Taps::default());

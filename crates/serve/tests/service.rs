@@ -262,6 +262,32 @@ fn invalid_requests_are_rejected_up_front() {
     handle.join();
 }
 
+/// No body sizes the pool: naming a thread count, or more policies than
+/// a request may fork windows for, is refused while parsing — nothing is
+/// queued, and the one worker still serves the next request.
+#[test]
+fn a_thread_count_or_too_many_policies_is_refused_before_admission() {
+    let handle = serve(1, 4);
+    let addr = handle.addr().to_string();
+    let compare = |body: &str| {
+        http::exchange(&addr, "POST", "/compare", Some(body), EXCHANGE_TIMEOUT).expect("POST")
+    };
+    let many = vec!["\"hf-rf\""; 33].join(",");
+    for (body, names) in [
+        (r#"{"mix":"2MEM-1","policies":["hf-rf","me-lreq"],"threads":2}"#.to_string(), "'threads'"),
+        (format!(r#"{{"mix":"2MEM-1","policies":[{many}]}}"#), "at most 32"),
+    ] {
+        let (status, text) = compare(&body);
+        assert_eq!(status, 400, "{text}");
+        assert!(text.contains("\"kind\":\"usage\"") && text.contains(names), "{text}");
+        assert_eq!(metric_value(&addr, "melreq_queue_depth"), 0.0);
+    }
+    let (status, text) = post_run(&addr, &run_body("2MEM-1", ExperimentOptions::quick()));
+    assert_eq!(status, 200, "{text}");
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn bodies_the_kernel_would_assert_on_answer_400_and_the_only_worker_survives() {
     let handle = serve(1, 4);
