@@ -3,7 +3,6 @@
 use crate::config::CacheConfig;
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{Addr, CACHE_LINE_SHIFT};
-use melreq_stats::Counter;
 
 /// A victim line evicted by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,22 +24,6 @@ struct Way {
 
 const INVALID: Way = Way { tag: 0, valid: false, dirty: false, lru: 0 };
 
-/// Per-cache statistics.
-#[derive(Debug, Default, Clone)]
-pub struct CacheStats {
-    /// Demand hits.
-    pub hits: Counter,
-    /// Demand misses (excluding MSHR merges, which the hierarchy counts).
-    pub misses: Counter,
-}
-
-impl CacheStats {
-    /// Hit rate over demand accesses.
-    pub fn hit_rate(&self) -> f64 {
-        self.hits.ratio_of(self.hits.get() + self.misses.get())
-    }
-}
-
 /// Tag array + true-LRU replacement + dirty bits.
 ///
 /// Purely structural: it does not know about latencies or lower levels.
@@ -51,7 +34,6 @@ pub struct CacheArray {
     sets: Vec<Way>,
     set_mask: u64,
     stamp: u64,
-    stats: CacheStats,
 }
 
 impl CacheArray {
@@ -64,18 +46,12 @@ impl CacheArray {
             sets: vec![INVALID; sets * cfg.ways],
             set_mask: sets as u64 - 1,
             stamp: 0,
-            stats: CacheStats::default(),
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
-    }
-
-    /// Statistics gathered so far.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     #[inline]
@@ -104,15 +80,13 @@ impl CacheArray {
                 if write {
                     way.dirty = true;
                 }
-                self.stats.hits.inc();
                 return true;
             }
         }
-        self.stats.misses.inc();
         false
     }
 
-    /// Tag probe without LRU/stat side effects.
+    /// Tag probe without an LRU side effect.
     pub fn probe(&self, addr: Addr) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let w = self.cfg.ways;
@@ -168,13 +142,12 @@ impl CacheArray {
         self.sets.iter().filter(|w| w.valid).count()
     }
 
-    /// Walk every way, the LRU stamp and the statistics ([`Archive`]); a
-    /// load needs the same geometry.
+    /// Walk every way and the LRU stamp ([`Archive`]); a load needs the
+    /// same geometry.
     pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `cfg`: construction-time config, identical across snapshot peers.
         // `set_mask`: derived from cfg at construction, never mutated.
-        let Self { cfg: _, sets, set_mask: _, stamp, stats } = self;
-        let CacheStats { hits, misses } = stats;
+        let Self { cfg: _, sets, set_mask: _, stamp } = self;
         ar.len(sets.len(), SnapError::Invalid("cache geometry mismatch"))?;
         for Way { tag, valid, dirty, lru } in sets {
             ar.u64(tag)?;
@@ -182,9 +155,7 @@ impl CacheArray {
             ar.bool(dirty)?;
             ar.u64(lru)?;
         }
-        ar.u64(stamp)?;
-        hits.state(ar)?;
-        misses.state(ar)
+        ar.u64(stamp)
     }
 }
 
@@ -210,8 +181,6 @@ mod tests {
         assert_eq!(c.fill(0x1000, false), None);
         assert!(c.access(0x1000, false));
         assert!(c.probe(0x1000));
-        assert_eq!(c.stats().hits.get(), 1);
-        assert_eq!(c.stats().misses.get(), 1);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! 8 for L1I, 32 for L1D, 64 for L2).
 
 use melreq_snap::{Archive, SnapError};
+use melreq_stats::line_addr;
 use melreq_stats::types::Addr;
-use melreq_stats::{line_addr, Counter};
 
 /// Outcome of an allocation attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,15 +60,13 @@ struct Entry<W> {
 pub struct MshrFile<W> {
     entries: Vec<Entry<W>>,
     capacity: usize,
-    /// Merges observed (secondary misses).
-    pub merges: Counter,
 }
 
 impl<W> MshrFile<W> {
     /// An empty file with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "need at least one MSHR");
-        MshrFile { entries: Vec::with_capacity(capacity), capacity, merges: Counter::new() }
+        MshrFile { entries: Vec::with_capacity(capacity), capacity }
     }
 
     /// Number of outstanding lines.
@@ -97,7 +95,6 @@ impl<W> MshrFile<W> {
         let line = line_addr(addr);
         if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
             e.waiters.rest.push(waiter);
-            self.merges.inc();
             return AllocOutcome::Merged;
         }
         if self.is_full() {
@@ -107,8 +104,8 @@ impl<W> MshrFile<W> {
         AllocOutcome::Primary
     }
 
-    /// Walk outstanding entries and the merge counter ([`Archive`]); a
-    /// load needs the same capacity. Waiter handles are opaque to this
+    /// Walk outstanding entries ([`Archive`]); a load needs the same
+    /// capacity. Waiter handles are opaque to this
     /// crate, so the owner supplies `walk_w`.
     pub fn state<A: Archive>(
         &mut self,
@@ -119,7 +116,7 @@ impl<W> MshrFile<W> {
         W: Clone + Default,
     {
         // `capacity`: construction-time bound; a load is checked against it.
-        let Self { entries, capacity, merges } = self;
+        let Self { entries, capacity } = self;
         let cap = Some((*capacity, SnapError::Invalid("MSHR entries exceed capacity")));
         ar.seq(entries, cap, |ar, Entry { line, waiters }| {
             ar.u64(line)?;
@@ -131,8 +128,7 @@ impl<W> MshrFile<W> {
                 *waiters = Waiters { first, rest: all.collect() };
             }
             Ok(())
-        })?;
-        merges.state(ar)
+        })
     }
 
     /// Complete the miss for `addr`'s line, returning its waiters.
@@ -161,7 +157,6 @@ mod tests {
         assert_eq!(m.allocate(0x1000, 1), AllocOutcome::Primary);
         assert_eq!(m.allocate(0x1020, 2), AllocOutcome::Merged); // same line
         assert_eq!(m.len(), 1);
-        assert_eq!(m.merges.get(), 1);
         let w = m.complete(0x1000);
         assert_eq!(w.iter().copied().collect::<Vec<_>>(), [1, 2]);
         assert_eq!(w.into_iter().collect::<Vec<_>>(), [1, 2]);
@@ -219,7 +214,6 @@ mod tests {
         let bytes = melreq_snap::Enc::save(|enc| m.state(enc, walk_u32));
         let mut back: MshrFile<u32> = MshrFile::new(4);
         back.state(&mut melreq_snap::Dec::new(&bytes), walk_u32).unwrap();
-        assert_eq!(back.merges.get(), 2);
         assert_eq!(back.complete(0x1000).into_iter().collect::<Vec<_>>(), [7, 9, 10]);
         assert_eq!(back.complete(0x2000).into_iter().collect::<Vec<_>>(), [8]);
     }
@@ -230,7 +224,6 @@ mod tests {
         enc.usize(1); // one entry...
         enc.u64(0x1000);
         enc.usize(0); // ...that nobody waits for
-        enc.u64(0); // the merge counter
         let bytes = enc.into_bytes();
         let mut m: MshrFile<u32> = MshrFile::new(4);
         let err = m.state(&mut melreq_snap::Dec::new(&bytes), walk_u32);

@@ -267,6 +267,7 @@ pub(crate) fn with_host_profile(
 pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
     let Args { opts, obs, .. } = args;
     let (mix, spec) = (resolve_mix(&args.mix)?, args.policy());
+    obs.check().map_err(usage)?;
     if args.json && obs.any() {
         return Err(usage(
             "--json emits the versioned machine-readable report; drop the \
@@ -1397,6 +1398,23 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A flag that shapes a trace or a series is a usage error without
+    /// one: the run would write nothing the flag could shape.
+    #[test]
+    fn trace_shaping_flags_need_their_output() {
+        for (line, needs) in [
+            ("run 2MEM-1 --trace-cap 10", "--trace PATH"),
+            ("run 2MEM-1 --trace-cap 10 --series s.csv --provenance", "--trace PATH"),
+            ("run 2MEM-1 --sample-epoch 500", "--trace or --series"),
+            ("run 2MEM-1 --sample-epoch 500 --provenance", "--trace or --series"),
+        ] {
+            let e = melreq(line).expect_err(line);
+            let (flag, text) = (line.split(' ').nth(2).unwrap(), e.to_string());
+            assert_eq!(e.exit_code(), 2, "{line}: {text}");
+            assert!(text.contains(flag) && text.contains(needs), "{line}: {text}");
+        }
+    }
+
     /// `run --trace` writes, byte for byte, the files the retired `melreq
     /// trace MIX --out T` verb wrote: FNV-1a of each, captured from that
     /// verb under the quick options.
@@ -1410,11 +1428,11 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
             .unwrap();
         assert_eq!(
             (hash(&trace), hash(&series)),
-            ("f76f81d0c3fc9150".into(), "a3f12c9d05c66d18".into())
+            ("3eba2f03cbf8ab25".into(), "be5ab2132c378da3".into())
         );
         // The default epoch: a trace alone samples every 10 000 cycles.
         quick(&format!("run 2MEM-1 --policy fq --trace {t}")).unwrap();
-        assert_eq!(hash(&trace), "5f50bc75275d1863");
+        assert_eq!(hash(&trace), "c5716dc242a1dde4");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

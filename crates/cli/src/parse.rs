@@ -46,10 +46,20 @@ pub struct ObsArgs {
 impl ObsArgs {
     /// Whether any observability output was requested.
     pub fn any(&self) -> bool {
-        self.trace_out.is_some()
-            || self.series_out.is_some()
-            || self.sample_epoch.is_some()
-            || self.provenance
+        self.trace_out.is_some() || self.series_out.is_some() || self.provenance
+    }
+
+    /// Refuse a flag that only shapes an output nobody asked for:
+    /// `--trace-cap` sizes the trace's event ring, and `--sample-epoch`
+    /// spaces the samples a trace or a series writes.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.trace_cap.is_some() && self.trace_out.is_none() {
+            return Err("--trace-cap needs --trace PATH: it sizes the trace's event ring".into());
+        }
+        if self.sample_epoch.is_some() && self.trace_out.is_none() && self.series_out.is_none() {
+            return Err("--sample-epoch needs --trace or --series: the samples go there".into());
+        }
+        Ok(())
     }
 }
 
@@ -295,12 +305,12 @@ const THREADS: Group = Group { title: "THREAD OPTIONS", flags: &[
 const OBS: Group = Group { title: "TRACE OPTIONS", flags: &[
     flag("--series", "PATH", "write the epoch time-series as CSV; implies sampling",
         |a, v| put(&mut a.obs.series_out, Ok(Some(v.into())))),
-    flag("--sample-epoch", "N", "sampling epoch in cycles (default 10000 when a series or a \
-         trace is requested)",
+    flag("--sample-epoch", "N", "sampling epoch in cycles of a --trace or --series (default \
+         10000)",
         |a, v| put(&mut a.obs.sample_epoch, positive(v).map(Some))),
-    flag("--trace-cap", "N", "trace-ring capacity in events (default 1048576, oldest events \
-         drop beyond it)",
-        |a, v| put(&mut a.obs.trace_cap, num(v).map(Some))),
+    flag("--trace-cap", "N", "trace-ring capacity in events of a --trace (default 1048576, \
+         oldest events drop beyond it)",
+        |a, v| put(&mut a.obs.trace_cap, positive(v).map(Some))),
 ]};
 
 /// The path form of `--profile`, on the verbs with `host_profile` set.
@@ -916,6 +926,7 @@ mod tests {
             ("run 4MEM-1 --instructions 0", "--instructions"),
             ("run 4MEM-1 --profile 0", "--profile"),
             ("run 2MEM-1 --sample-epoch 0", "--sample-epoch"),
+            ("run 2MEM-1 --trace t.json --trace-cap 0", "--trace-cap"),
             ("reproduce --guard-ratio 0", "--guard-ratio"),
             ("reproduce --guard-ratio 1.5", "--guard-ratio"),
             ("serve --workers 0", "--workers"),

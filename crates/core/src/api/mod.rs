@@ -502,14 +502,14 @@ impl SimReport {
     }
 }
 
-/// An execution context: the memoized profile cache plus (optionally) a
-/// persistent checkpoint store. One `Session` serves many requests —
-/// the CLI builds one per invocation, the service builds one per
-/// process and shares it across its worker pool (`&Session` is `Sync`).
+/// An execution context: the memoized profile cache, which holds the
+/// persistent checkpoint store if there is one. One `Session` serves
+/// many requests — the CLI builds one per invocation, the service builds
+/// one per process and shares it across its worker pool (`&Session` is
+/// `Sync`).
 #[derive(Debug, Default)]
 pub struct Session {
     cache: ProfileCache,
-    store: Option<Arc<CheckpointStore>>,
 }
 
 impl Session {
@@ -520,12 +520,12 @@ impl Session {
 
     /// A session backed by a persistent checkpoint store.
     pub fn with_store(store: Arc<CheckpointStore>) -> Self {
-        Session { cache: ProfileCache::with_store(store.clone()), store: Some(store) }
+        Session { cache: ProfileCache::with_store(store) }
     }
 
     /// The attached store, if any.
     pub fn store(&self) -> Option<&Arc<CheckpointStore>> {
-        self.store.as_ref()
+        self.cache.store()
     }
 
     /// The session's profile cache (shared with lower-level harness
@@ -578,7 +578,7 @@ impl Session {
             Ok(ready) => ready,
             Err(e) => return done(Ok(Err(e))),
         };
-        let store = self.store.as_deref();
+        let store = self.store().map(Arc::as_ref);
         if !req.audit && req.policies.len() > 1 {
             let (policies, opts) = (req.policies.clone(), req.opts);
             let done: GroupDone<'env> = Box::new(move |runs| {
@@ -659,7 +659,7 @@ impl Session {
         opts: &ExperimentOptions,
         ctl: &RunControl,
     ) -> Vec<Vec<MixResult>> {
-        experiment::run_sweep_stages(stages, opts, &self.cache, self.store.as_deref(), ctl)
+        experiment::run_sweep_stages(stages, opts, &self.cache, self.store().map(Arc::as_ref), ctl)
     }
 }
 
@@ -759,7 +759,7 @@ mod tests {
         let a = quick_request("me-lreq");
         assert_eq!(
             a.canonical_bytes(),
-            "v5;mix=2MEM-1;policies=[MeLreq];audit=false;instr=20000;warmup=10000;\
+            "v6;mix=2MEM-1;policies=[MeLreq];audit=false;instr=20000;warmup=10000;\
              profile=10000;slice=0;factor=4000;budget=None"
         );
         // The wall-clock budget is not identity; the cycle budget is.
@@ -819,7 +819,7 @@ mod tests {
     #[test]
     fn policy_report_json_is_byte_stable() {
         const PLAIN: &str = concat!(
-            "{\"schema_version\":5,\"mix\":\"2MEM-1\",\"policies\":[{\"policy\":\"ME-LREQ\",",
+            "{\"schema_version\":6,\"mix\":\"2MEM-1\",\"policies\":[{\"policy\":\"ME-LREQ\",",
             "\"smt_speedup\":1.7268925094976528,\"weighted_speedup\":1.7268925094976528,",
             "\"harmonic_speedup\":0.8634370545879058,\"unfairness\":1.006549829668036,",
             "\"max_slowdown\":1.1619425173439049,\"mean_read_latency\":180.78533231474407,",

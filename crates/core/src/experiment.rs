@@ -193,6 +193,11 @@ impl ProfileCache {
         ProfileCache { store: Some(store), ..Self::default() }
     }
 
+    /// The store behind the cache, if any.
+    pub(crate) fn store(&self) -> Option<&Arc<CheckpointStore>> {
+        self.store.as_ref()
+    }
+
     /// The profile of `app` alone over `instructions` committed ops of
     /// `slice`, and whether this call simulated it: from memory, else from
     /// the store, else simulated here and persisted. Every profile the

@@ -32,7 +32,6 @@ use melreq_cpu::{CoreMemory, CoreToken, MemResponse};
 use melreq_memctrl::MemoryController;
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{line_addr, AccessKind, Addr, CoreId, Cycle};
-use melreq_stats::Counter;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -165,15 +164,6 @@ impl PartialOrd for Event {
     }
 }
 
-/// Hierarchy-level statistics (cache stats live in the arrays themselves).
-#[derive(Debug, Default, Clone)]
-pub struct HierarchyStats {
-    /// Demand reads sent to memory.
-    pub mem_reads: Counter,
-    /// Write-backs sent to memory.
-    pub mem_writes: Counter,
-}
-
 /// The assembled hierarchy for `n` cores.
 #[derive(Debug)]
 pub struct Hierarchy {
@@ -190,7 +180,6 @@ pub struct Hierarchy {
     pending_mem: VecDeque<(CoreId, Addr)>,
     /// Dirty L2 victims waiting for controller space.
     pending_wb: VecDeque<(CoreId, Addr)>,
-    stats: HierarchyStats,
 }
 
 impl Hierarchy {
@@ -215,18 +204,13 @@ impl Hierarchy {
             event_seq: 0,
             pending_mem: VecDeque::new(),
             pending_wb: VecDeque::new(),
-            stats: HierarchyStats::default(),
         }
     }
 
-    /// The memory controller (policy stats, DRAM stats).
+    /// The memory controller, whose statistics count the hierarchy's
+    /// memory traffic.
     pub fn controller(&self) -> &MemoryController {
         &self.ctrl
-    }
-
-    /// Hierarchy statistics.
-    pub fn stats(&self) -> &HierarchyStats {
-        &self.stats
     }
 
     /// Clear measurement statistics after warm-up (controller latency and
@@ -234,7 +218,6 @@ impl Hierarchy {
     /// point of warming up).
     pub fn reset_stats(&mut self) {
         self.ctrl.reset_stats();
-        self.stats = HierarchyStats::default();
     }
 
     /// Forward fresh memory-efficiency estimates to the scheduling
@@ -289,7 +272,6 @@ impl Hierarchy {
             event_seq,
             pending_mem,
             pending_wb,
-            stats,
         } = self;
         ar.len(l1i.len(), SnapError::Invalid("hierarchy core count mismatch"))?;
         for c in 0..l1i.len() {
@@ -320,9 +302,6 @@ impl Hierarchy {
                 *q = stalled.into();
             }
         }
-        let HierarchyStats { mem_reads, mem_writes } = stats;
-        mem_reads.state(ar)?;
-        mem_writes.state(ar)?;
         ctrl.state(ar)
     }
 
@@ -408,7 +387,6 @@ impl Hierarchy {
                 break;
             }
             self.ctrl.submit(core, line, AccessKind::Write, now);
-            self.stats.mem_writes.inc();
             self.pending_wb.pop_front();
         }
         while let Some(&(core, line)) = self.pending_mem.front() {
@@ -416,7 +394,6 @@ impl Hierarchy {
                 break;
             }
             self.ctrl.submit(core, line, AccessKind::Read, now);
-            self.stats.mem_reads.inc();
             self.pending_mem.pop_front();
         }
 
@@ -466,7 +443,6 @@ impl Hierarchy {
             AllocOutcome::Primary => {
                 if self.ctrl.can_accept() {
                     self.ctrl.submit(core, line, AccessKind::Read, now);
-                    self.stats.mem_reads.inc();
                 } else {
                     self.pending_mem.push_back((core, line));
                 }
@@ -607,6 +583,25 @@ mod tests {
         panic!("token never completed within {limit} cycles");
     }
 
+    /// Advance from `now` until nothing is in flight below the cores: no
+    /// hierarchy event, no stalled submission, an empty controller. Every
+    /// read or write issued so far has then been granted, so `served()`
+    /// counts it. Returns the first quiet cycle.
+    fn drain(h: &mut Hierarchy, mut now: Cycle) -> Cycle {
+        let limit = now + 1_000_000;
+        let mut sink = Vec::new();
+        while !(h.events.is_empty()
+            && h.pending_mem.is_empty()
+            && h.pending_wb.is_empty()
+            && h.ctrl.is_idle())
+        {
+            assert!(now < limit, "hierarchy never went quiet");
+            h.advance(now, &mut sink);
+            now += 1;
+        }
+        now
+    }
+
     #[test]
     fn cold_load_misses_to_memory_and_returns() {
         let mut h = hierarchy(1);
@@ -615,7 +610,8 @@ mod tests {
         let done = run_until(&mut h, CoreId(0), tok, 2000);
         // L1 (3) + L2 lookup + controller overhead (48) + DRAM (96) + fill.
         assert!(done > 140 && done < 250, "latency {done}");
-        assert_eq!(h.stats().mem_reads.get(), 1);
+        drain(&mut h, done + 1);
+        assert_eq!(h.controller().stats().served().reads, 1);
     }
 
     #[test]
@@ -628,7 +624,8 @@ mod tests {
             MemResponse::HitAt(at) => assert_eq!(at, done + 1 + 3),
             r => panic!("expected L1 hit, got {r:?}"),
         }
-        assert_eq!(h.stats().mem_reads.get(), 1);
+        drain(&mut h, done + 1);
+        assert_eq!(h.controller().stats().served().reads, 1);
     }
 
     #[test]
@@ -637,14 +634,15 @@ mod tests {
         assert_eq!(h.load(CoreId(0), CoreToken::Load(0), 0x100000, 0), MemResponse::Pending);
         assert_eq!(h.load(CoreId(0), CoreToken::Load(1), 0x100020, 0), MemResponse::Pending);
         let mut got = Vec::new();
-        for now in 0..2000 {
+        let mut now = 0;
+        while now < 2000 && got.len() < 2 {
             h.advance(now, &mut got);
-            if got.len() == 2 {
-                break;
-            }
+            now += 1;
         }
         assert_eq!(got.len(), 2, "both merged loads must complete");
-        assert_eq!(h.stats().mem_reads.get(), 1, "one memory read for the merged pair");
+        drain(&mut h, now);
+        let reads = h.controller().stats().served().reads;
+        assert_eq!(reads, 1, "one memory read for the merged pair");
     }
 
     #[test]
@@ -703,12 +701,14 @@ mod tests {
         let t0 = CoreToken::Load(0);
         h.load(CoreId(0), t0, 0x600000, 0);
         let done = run_until(&mut h, CoreId(0), t0, 2000);
-        let reads_before = h.stats().mem_reads.get();
+        let reads_before = h.controller().stats().served().reads;
         // Core 1 misses L1 but hits the shared L2.
         let t1 = CoreToken::Load(1);
         assert_eq!(h.load(CoreId(1), t1, 0x600000, done + 1), MemResponse::Pending);
         let done1 = run_until(&mut h, CoreId(1), t1, done + 200);
-        assert_eq!(h.stats().mem_reads.get(), reads_before, "L2 hit must not touch memory");
+        drain(&mut h, done1 + 1);
+        let reads = h.controller().stats().served().reads;
+        assert_eq!(reads, reads_before, "L2 hit must not touch memory");
         // L1 tag (3) + L2 hit (15) + fill ~1.
         assert!(done1 - done < 40, "L2 hit latency too high: {}", done1 - done);
     }
@@ -732,10 +732,8 @@ mod tests {
                 now += 1;
             }
         }
-        for _ in 0..20_000 {
-            h.advance(now, &mut sink);
-            now += 1;
-        }
-        assert!(h.stats().mem_writes.get() > 0, "dirty L2 victims must become DRAM writes");
+        drain(&mut h, now);
+        let writes = h.controller().stats().served().writes;
+        assert!(writes > 0, "dirty L2 victims must become DRAM writes");
     }
 }

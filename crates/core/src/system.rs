@@ -579,14 +579,7 @@ impl System {
             return;
         }
         st.next_at = self.now + st.epoch;
-        let bytes_now: Vec<u64> = self
-            .hier
-            .controller()
-            .stats()
-            .bytes_by_core
-            .iter()
-            .map(melreq_stats::Counter::get)
-            .collect();
+        let bytes_now = self.hier.controller().stats().bytes_by_core.clone();
         let freq = self.cfg.freq_hz;
         let epoch = st.epoch as f64;
         for (i, core) in self.cores.iter().enumerate() {
@@ -737,11 +730,7 @@ impl System {
             ipc: self.cores.iter().map(melreq_cpu::Core::measured_ipc).collect(),
             read_latency,
             mean_read_latency: ctrl_stats.mean_read_latency(),
-            bytes_by_core: ctrl_stats
-                .bytes_by_core
-                .iter()
-                .map(melreq_stats::Counter::get)
-                .collect(),
+            bytes_by_core: ctrl_stats.bytes_by_core.clone(),
             queue_occupancy_mean: ctrl_stats.queue_occupancy.mean_or_zero(),
             grant_candidates_mean: ctrl_stats.grant_candidates.mean_or_zero(),
             channel_traffic: ctrl_stats.per_channel.clone(),
@@ -778,12 +767,11 @@ impl System {
             return None;
         };
         assert!(epoch_cycles > 0, "online epoch must be positive");
-        let bytes = &self.hier.controller().stats().bytes_by_core;
         Some(OnlineMe {
             epoch: epoch_cycles,
             next_at: self.now + epoch_cycles,
             prev_instr: self.cores.iter().map(melreq_cpu::Core::committed).collect(),
-            prev_bytes: bytes.iter().map(melreq_stats::Counter::get).collect(),
+            prev_bytes: self.hier.controller().stats().bytes_by_core.clone(),
             estimate: vec![1.0; self.cfg.cores],
         })
     }
@@ -1008,7 +996,7 @@ mod tests {
         warmed.prepare_window(opts.warmup, opts.instructions);
         assert!(warmed.run_to_boundary(1 << 26), "warm-up must reach the boundary");
         let container = warmed.snapshot_sealed();
-        assert_eq!(melreq_snap::fnv1a(container.as_bytes()), 0x9c21_4ca6_fe22_ff7a);
+        assert_eq!(melreq_snap::fnv1a(container.as_bytes()), 0x9777_0a64_288d_51dc);
 
         let mut warm = System::new(cfg.clone(), mix.eval_streams(0), &me);
         let mut cold = System::for_restore(cfg, mix.eval_streams(0), &me);

@@ -134,8 +134,8 @@ macro_rules! mirror {
     )*};
 }
 
-/// Entries (line, waiters), then the merge counter.
-type Mshr<W> = (Vec<(u64, Vec<W>)>, u64);
+/// Entries: line, waiters.
+type Mshr<W> = Vec<(u64, Vec<W>)>;
 /// L1 waiter: tag 0 a load and its sequence number, 1 a fetch, 2 a store.
 type L1Waiter = Tagged<0b1>;
 /// L2 waiter: core, origin.
@@ -159,12 +159,13 @@ mirror! {
         stores_in_rob: u64,
         waiting: Vec<u64>,
         window: (u64, [Option<u64>; 3]),
-        stats: [u64; 5],
+        // Committed ops, cycles.
+        stats: [u64; 2],
     }
     // State tag: 0 waiting, 1 executing, 2 waiting on memory, 3 done;
     // tags 1 and 3 carry a cycle.
     RobEntry { kind: OpKind, dep_seq: Option<u64>, state: Tagged<0b1010>, seq: u64 }
-    Cache { ways: Vec<(u64, bool, bool, u64)>, stamp: u64, stats: [u64; 2] }
+    Cache { ways: Vec<(u64, bool, bool, u64)>, stamp: u64 }
     L1s { l1i: Cache, l1i_mshr: Mshr<L1Waiter>, l1d: Cache, l1d_mshr: Mshr<L1Waiter> }
     Hier {
         cores: Vec<L1s>,
@@ -173,14 +174,13 @@ mirror! {
         events: Vec<Event>,
         event_seq: u64,
         stalled: [Vec<(u16, u64)>; 2],
-        stats: [u64; 2],
         ctrl: Ctrl,
     }
     Event { at: u64, seq: u64, tag: u8, core: u16, line: u64, origin: u8 }
     Req { id: u64, core: u16, addr: u64, channel: u64, bank: u64, row: u64, column: u32, read: bool, arrival: u64 }
     // Banks: a tagged open row, then the ready horizon.
     Chan { banks: Vec<(Tagged<0b10>, u64)>, bus: [u64; 4], acts: [u64; 4], act_head: u64, acts_seen: u64 }
-    Dram { channels: Vec<Chan>, stats: [u64; 3], refreshes_emitted: Vec<u64> }
+    Dram { channels: Vec<Chan>, refreshes_emitted: Vec<u64> }
     Online { epoch: u64, next_at: u64, prev_instr: Vec<u64>, prev_bytes: Vec<u64>, estimate: Vec<u64> }
     Table { rows: Vec<Row>, scale: u64, rng: [u64; 4] }
 }
@@ -210,7 +210,6 @@ struct Ctrl {
     completions: Vec<(u64, u64, u16, u64)>,
     /// Per core, a read count and a latency sum.
     latency: Vec<[u64; 2]>,
-    drain_entries: u64,
     /// One counter per core, with no length of its own.
     bytes_by_core: Vec<u64>,
     means: [u64; 4],
@@ -227,7 +226,6 @@ impl Walk for Ctrl {
         self.next_id.walk(ar)?;
         self.completions.walk(ar)?;
         self.latency.walk(ar)?;
-        self.drain_entries.walk(ar)?;
         if ar.loading() {
             self.bytes_by_core = vec![0; self.latency.len()];
         }
@@ -507,26 +505,26 @@ fn corrupt_memory_side_sections_are_refused_not_trusted() {
         p.hier.l2.ways.pop();
     });
     refused("more outstanding lines than MSHRs", "MSHR entries exceed capacity", &|p| {
-        let entries = &mut p.hier.cores[0].l1i_mshr.0;
+        let entries = &mut p.hier.cores[0].l1i_mshr;
         while entries.len() <= 8 {
             // One line past the L1I's 8 MSHRs (Table 1), each with a fetch waiting.
             entries.push((entries.len() as u64 * 64, vec![Tagged { tag: 1, val: 0 }]));
         }
     });
-    let busy = pinned.payload.hier.cores.iter().position(|c| !c.l1d_mshr.0.is_empty());
+    let busy = pinned.payload.hier.cores.iter().position(|c| !c.l1d_mshr.is_empty());
     let busy = busy.expect("the boundary must have an L1D miss outstanding");
     refused("an outstanding line nobody waits for", "MSHR entry without a waiter", &|p| {
-        p.hier.cores[busy].l1d_mshr.0[0].1.clear();
+        p.hier.cores[busy].l1d_mshr[0].1.clear();
     });
     pinned.refused("an L1 waiter tag past the last", SnapError::BadTag(7), |p| {
-        p.hier.cores[busy].l1d_mshr.0[0].1[0] = Tagged { tag: 7, val: 0 };
+        p.hier.cores[busy].l1d_mshr[0].1[0] = Tagged { tag: 7, val: 0 };
     });
     assert!(
-        !pinned.payload.hier.l2_mshr.0.is_empty(),
+        !pinned.payload.hier.l2_mshr.is_empty(),
         "the boundary must have an L2 miss outstanding"
     );
     pinned.refused("an L2 waiter of neither L1", SnapError::BadTag(2), |p| {
-        p.hier.l2_mshr.0[0].1[0].1 = 2;
+        p.hier.l2_mshr[0].1[0].1 = 2;
     });
     let event = Event { at: 1, seq: 1, tag: 0, core: 0, line: 0, origin: 0 };
     pinned.refused("a cache event of no kind", SnapError::BadTag(2), |p| {

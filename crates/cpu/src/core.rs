@@ -4,7 +4,6 @@ use crate::config::CoreConfig;
 use crate::port::{AsleepMemory, CoreMemory, CoreToken, MemResponse};
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{line_addr, Addr, CoreId, Cycle};
-use melreq_stats::Counter;
 use melreq_trace::{InstrStream, MicroOp, OpKind};
 
 /// Execution state of one in-flight micro-op.
@@ -83,24 +82,18 @@ impl RobSlot {
 #[derive(Debug, Default, Clone)]
 pub struct CoreStats {
     /// Committed micro-ops.
-    pub committed: Counter,
+    pub committed: u64,
     /// Core cycles simulated.
-    pub cycles: Counter,
-    /// Stores retired into the hierarchy.
-    pub stores: Counter,
-    /// Mispredicted branches dispatched.
-    pub mispredicts: Counter,
-    /// Cycles the commit stage retired nothing.
-    pub commit_stall_cycles: Counter,
+    pub cycles: u64,
 }
 
 impl CoreStats {
     /// Instructions per cycle so far.
     pub fn ipc(&self) -> f64 {
-        if self.cycles.get() == 0 {
+        if self.cycles == 0 {
             0.0
         } else {
-            self.committed.get() as f64 / self.cycles.get() as f64
+            self.committed as f64 / self.cycles as f64
         }
     }
 }
@@ -163,7 +156,7 @@ impl std::fmt::Debug for Core {
         f.debug_struct("Core")
             .field("id", &self.id)
             .field("rob_occupancy", &self.rob_len())
-            .field("committed", &self.stats.committed.get())
+            .field("committed", &self.stats.committed)
             .finish()
     }
 }
@@ -240,7 +233,7 @@ impl Core {
 
     /// Committed micro-op count.
     pub fn committed(&self) -> u64 {
-        self.stats.committed.get()
+        self.stats.committed
     }
 
     /// Ops in flight.
@@ -277,7 +270,7 @@ impl Core {
     /// 10–100 M-instruction length.
     pub fn set_window(&mut self, skip: u64, measure: u64) {
         assert!(measure > 0, "target must be positive");
-        assert!(self.stats.committed.get() == 0, "set window before running");
+        assert!(self.stats.committed == 0, "set window before running");
         self.window_skip = skip;
         self.window_measure = Some(measure);
         if skip == 0 {
@@ -298,7 +291,7 @@ impl Core {
     /// under the measured policy and share one start cycle — a core that
     /// raced ahead during warm-up gets its provisional window discarded.
     pub fn begin_measured_slice(&mut self, now: Cycle) {
-        self.window_skip = self.stats.committed.get();
+        self.window_skip = self.stats.committed;
         self.window_start = Some(now);
         self.window_end = None;
     }
@@ -441,10 +434,9 @@ impl Core {
         for w in [window_measure, window_start, window_end] {
             ar.opt_u64(w)?;
         }
-        let CoreStats { committed, cycles, stores, mispredicts, commit_stall_cycles } = stats;
-        for c in [committed, cycles, stores, mispredicts, commit_stall_cycles] {
-            c.state(ar)?;
-        }
+        let CoreStats { committed, cycles } = stats;
+        ar.u64(committed)?;
+        ar.u64(cycles)?;
         if ar.loading() {
             *iq_used = waiting.len();
             self.rebuild_wakeup();
@@ -563,7 +555,7 @@ impl Core {
     /// whether the core can sleep.
     pub fn tick(&mut self, now: Cycle, mem: &mut dyn CoreMemory) -> bool {
         let before = self.progress_marks();
-        self.stats.cycles.inc();
+        self.stats.cycles += 1;
         self.commit(now, mem);
         self.issue(now, mem);
         self.dispatch(now, mem);
@@ -582,13 +574,13 @@ impl Core {
     /// exactly [`Core::note_skip`]`(1)`.
     ///
     /// Debug builds run the tick anyway, against a memory that panics on
-    /// any call, and assert that nothing but the two cycle counters moved:
+    /// any call, and assert that nothing but the cycle counter moved:
     /// every debug run checks the sleep bound on every slept cycle.
     pub fn sleep_cycle(&mut self, now: Cycle) {
         if cfg!(debug_assertions) {
             let latches = |c: &Core| {
                 (
-                    c.stats.committed.get(),
+                    c.stats.committed,
                     c.rob_len(),
                     c.fetch_line,
                     c.fetch_pending,
@@ -616,16 +608,14 @@ impl Core {
     /// provably quiescent (see [`Core::next_event_at`]): the per-cycle
     /// counters advance exactly as `cycles` no-op [`Core::tick`] calls
     /// would have advanced them — a quiescent cycle by construction
-    /// simulates, retires, and issues nothing, so only `cycles` and
-    /// `commit_stall_cycles` move.
+    /// simulates, retires, and issues nothing, so only `cycles` moves.
     pub fn note_skip(&mut self, cycles: u64) {
-        self.stats.cycles.add(cycles);
-        self.stats.commit_stall_cycles.add(cycles);
+        self.stats.cycles += cycles;
     }
 
     /// Conservative lower bound on the next cycle at which a
     /// [`Core::tick`] could change any state (commit, issue, dispatch, or
-    /// a statistic other than the cycle counters).
+    /// a statistic other than the cycle counter).
     ///
     /// * `Some(t)` with `t == now` — the core may act this very cycle;
     ///   the caller must tick normally.
@@ -726,7 +716,6 @@ impl Core {
                     if !mem.store(self.id, addr, now) {
                         break;
                     }
-                    self.stats.stores.inc();
                     self.stores_in_rob -= 1;
                 }
                 OpKind::Load { .. } => self.loads_in_rob -= 1,
@@ -734,8 +723,8 @@ impl Core {
             }
             self.head_seq += 1;
             retired += 1;
-            self.stats.committed.inc();
-            let c = self.stats.committed.get();
+            self.stats.committed += 1;
+            let c = self.stats.committed;
             if self.window_measure.is_some() {
                 if c == self.window_skip {
                     self.window_start = Some(now);
@@ -744,9 +733,6 @@ impl Core {
                     self.window_end = Some(now.max(self.window_start.unwrap_or(0) + 1));
                 }
             }
-        }
-        if retired == 0 {
-            self.stats.commit_stall_cycles.inc();
         }
     }
 
@@ -893,10 +879,7 @@ impl Core {
             match op.kind {
                 OpKind::Load { .. } => self.loads_in_rob += 1,
                 OpKind::Store { .. } => self.stores_in_rob += 1,
-                OpKind::Branch { mispredict } if mispredict => {
-                    self.stats.mispredicts.inc();
-                    self.halted_by_branch = Some(seq);
-                }
+                OpKind::Branch { mispredict } if mispredict => self.halted_by_branch = Some(seq),
                 _ => {}
             }
             let slot = self.slot_of(seq);
@@ -932,7 +915,7 @@ impl Core {
     /// [`Core::tick`] with the full-scan select in the issue stage.
     fn tick_full_scan(&mut self, now: Cycle, mem: &mut dyn CoreMemory) -> bool {
         let before = self.progress_marks();
-        self.stats.cycles.inc();
+        self.stats.cycles += 1;
         self.commit(now, mem);
         self.issue_full_scan(now, mem);
         self.dispatch(now, mem);
@@ -1129,7 +1112,6 @@ mod tests {
             good.stats().ipc(),
             bad.stats().ipc()
         );
-        assert!(bad.stats().mispredicts.get() > 0);
     }
 
     #[test]
@@ -1144,7 +1126,7 @@ mod tests {
         let mut core = Core::new(CoreId(0), CoreConfig::paper(), Box::new(Script::cyclic(ops)));
         let mut mem = PerfectMemory { latency: 3 };
         run(&mut core, &mut mem, 500);
-        assert!(core.stats().stores.get() > 100);
+        assert!(core.committed() > 100);
     }
 
     #[test]
@@ -1462,7 +1444,7 @@ mod tests {
             }
         }
         prop_assert!(state_bytes(&mut fast) == state_bytes(&mut slow), "final states differ");
-        prop_assert_eq!(fast.stats().committed.get(), slow.stats().committed.get());
+        prop_assert_eq!(fast.committed(), slow.committed());
         Ok(fast.committed())
     }
 

@@ -39,5 +39,5 @@ pub mod timing;
 
 pub use address::{DramGeometry, Interleave, Location};
 pub use channel::{Channel, ChannelGrant, RowOutcome};
-pub use system::{DramStats, DramSystem, RowPolicy};
+pub use system::{DramSystem, RowPolicy};
 pub use timing::DramTiming;

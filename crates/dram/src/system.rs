@@ -1,31 +1,11 @@
-//! The assembled DRAM system: geometry + timing + channels + statistics.
+//! The assembled DRAM system: geometry + timing + channels.
 
 use crate::address::{DramGeometry, Location};
-use crate::channel::{Channel, ChannelGrant, RowOutcome};
+use crate::channel::{Channel, ChannelGrant};
 use crate::timing::DramTiming;
 use melreq_audit::{AuditEvent, AuditHandle, TimingParams};
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{AccessKind, Addr, Cycle};
-use melreq_stats::Counter;
-
-/// How DRAM transactions found their rows.
-#[derive(Debug, Default, Clone)]
-pub struct DramStats {
-    /// Transactions that hit an open row.
-    pub row_hits: Counter,
-    /// Transactions that found the bank closed.
-    pub row_closed_misses: Counter,
-    /// Transactions that had to close another row first.
-    pub row_conflicts: Counter,
-}
-
-impl DramStats {
-    /// Row-hit rate over all transactions (0.0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.row_hits.get() + self.row_closed_misses.get() + self.row_conflicts.get();
-        self.row_hits.ratio_of(total)
-    }
-}
 
 /// Row-buffer management discipline (Section 4.1).
 ///
@@ -52,7 +32,6 @@ pub struct DramSystem {
     geometry: DramGeometry,
     timing: DramTiming,
     channels: Vec<Channel>,
-    stats: DramStats,
     /// Audit instrumentation (no-op unless a sink is attached).
     audit: AuditHandle,
     /// Refreshes already reported to the audit stream, per channel.
@@ -66,7 +45,6 @@ impl DramSystem {
             (0..geometry.channels).map(|_| Channel::new(geometry.banks_per_channel())).collect();
         DramSystem {
             channels,
-            stats: DramStats::default(),
             audit: AuditHandle::disabled(),
             refreshes_emitted: vec![0; geometry.channels],
             geometry,
@@ -127,11 +105,6 @@ impl DramSystem {
     /// Timing in use.
     pub fn timing(&self) -> &DramTiming {
         &self.timing
-    }
-
-    /// Statistics gathered so far.
-    pub fn stats(&self) -> &DramStats {
-        &self.stats
     }
 
     /// Decode a physical address to DRAM coordinates.
@@ -215,14 +188,7 @@ impl DramSystem {
         // stream always orders a refresh ahead of the grants behind it.
         self.channels[loc.channel].sync_refresh(now, &self.timing);
         self.emit_refreshes();
-        let grant =
-            self.channels[loc.channel].issue(loc.bank, loc.row, kind, now, keep_open, &self.timing);
-        match grant.outcome {
-            RowOutcome::Hit => self.stats.row_hits.inc(),
-            RowOutcome::ClosedMiss => self.stats.row_closed_misses.inc(),
-            RowOutcome::Conflict => self.stats.row_conflicts.inc(),
-        }
-        grant
+        self.channels[loc.channel].issue(loc.bank, loc.row, kind, now, keep_open, &self.timing)
     }
 
     /// Explicitly close the row at `loc` if open (controller close-page
@@ -232,20 +198,16 @@ impl DramSystem {
         self.audit.emit(|| AuditEvent::Precharge { channel: loc.channel, bank: loc.bank, at: now });
     }
 
-    /// Walk every channel, the aggregate statistics and the audit
-    /// refresh-emission cursors ([`Archive`]); a load needs the same
-    /// geometry. The audit handle itself is NOT state: a restored system
-    /// keeps whatever sink it already has attached.
+    /// Walk every channel and the audit refresh-emission cursors
+    /// ([`Archive`]); a load needs the same geometry. The audit handle
+    /// itself is NOT state: a restored system keeps whatever sink it
+    /// already has attached.
     pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `geometry`, `timing`: construction-time config, identical across
         // snapshot peers. `audit`: instrumentation handle re-attached by the host.
-        let Self { geometry: _, timing: _, channels, stats, audit: _, refreshes_emitted } = self;
-        let DramStats { row_hits, row_closed_misses, row_conflicts } = stats;
+        let Self { geometry: _, timing: _, channels, audit: _, refreshes_emitted } = self;
         ar.len(channels.len(), SnapError::Invalid("channel count mismatch"))?;
         channels.iter_mut().try_for_each(|ch| ch.state(ar))?;
-        for c in [row_hits, row_closed_misses, row_conflicts] {
-            c.state(ar)?;
-        }
         ar.len(refreshes_emitted.len(), SnapError::Invalid("refresh cursor count mismatch"))?;
         refreshes_emitted.iter_mut().try_for_each(|e| ar.u64(e))
     }
@@ -260,6 +222,7 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::RowOutcome;
     use melreq_stats::types::CACHE_LINE_BYTES;
 
     #[test]
@@ -269,26 +232,16 @@ mod tests {
     }
 
     #[test]
-    fn issue_updates_stats() {
-        let mut d = DramSystem::paper();
-        let loc = d.decode(0);
-        let s = d.issue(&loc, AccessKind::Read, 0, false);
-        assert_eq!(s.outcome, RowOutcome::ClosedMiss);
-        assert_eq!(d.stats().row_closed_misses.get(), 1);
-    }
-
-    #[test]
     fn row_hit_detected_across_interface() {
         let mut d = DramSystem::paper();
         let a = d.decode(0);
         // Same row, next column: stride channel*banks lines.
         let b = d.decode(2 * 8 * CACHE_LINE_BYTES);
         assert!(a.same_row(&b));
-        d.issue(&a, AccessKind::Read, 0, true);
+        assert_eq!(d.issue(&a, AccessKind::Read, 0, true).outcome, RowOutcome::ClosedMiss);
         assert!(d.is_row_hit(&b));
         let s = d.issue(&b, AccessKind::Read, 100, false);
         assert_eq!(s.outcome, RowOutcome::Hit);
-        assert!((d.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use melreq_audit::{AuditEvent, AuditHandle, CandidateInfo, Rule};
 use melreq_dram::{DramSystem, RowPolicy};
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle};
-use melreq_stats::{Counter, StreamingMean};
+use melreq_stats::StreamingMean;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -85,11 +85,9 @@ pub struct ControllerStats {
     /// Read latency (enqueue → last data beat) per core: the quantity of
     /// Figure 4.
     pub read_latency: Vec<StreamingMean>,
-    /// Times the write-drain mode was entered.
-    pub drain_entries: Counter,
     /// Per-core bytes moved (reads + write-backs), for per-program
     /// bandwidth and the ME profile.
-    pub bytes_by_core: Vec<Counter>,
+    pub bytes_by_core: Vec<u64>,
     /// Queue occupancy sampled at each grant attempt that found at least
     /// one issuable candidate — i.e. once per granted transaction, since
     /// a non-empty candidate set always grants. The mean reads as "the
@@ -111,8 +109,7 @@ impl ControllerStats {
     fn new(cores: usize, channels: usize) -> Self {
         ControllerStats {
             read_latency: vec![StreamingMean::new(); cores],
-            drain_entries: Counter::new(),
-            bytes_by_core: vec![Counter::new(); cores],
+            bytes_by_core: vec![0; cores],
             queue_occupancy: StreamingMean::new(),
             grant_candidates: StreamingMean::new(),
             per_channel: vec![ChannelTraffic::default(); channels],
@@ -140,18 +137,11 @@ impl ControllerStats {
     }
 
     fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
-        let Self {
-            read_latency,
-            drain_entries,
-            bytes_by_core,
-            queue_occupancy,
-            grant_candidates,
-            per_channel,
-        } = self;
+        let Self { read_latency, bytes_by_core, queue_occupancy, grant_candidates, per_channel } =
+            self;
         ar.len(read_latency.len(), SnapError::Invalid("controller core count mismatch"))?;
         read_latency.iter_mut().try_for_each(|t| t.state(ar))?;
-        drain_entries.state(ar)?;
-        bytes_by_core.iter_mut().try_for_each(|c| c.state(ar))?;
+        bytes_by_core.iter_mut().try_for_each(|b| ar.u64(b))?;
         queue_occupancy.state(ar)?;
         grant_candidates.state(ar)?;
         ar.len(per_channel.len(), SnapError::Invalid("controller channel count mismatch"))?;
@@ -481,7 +471,7 @@ impl MemoryController {
         self.audit.emit(|| AuditEvent::ProfileUpdate { me: me.to_vec() });
     }
 
-    /// The DRAM device behind the controller (row-hit stats etc.).
+    /// The DRAM device behind the controller (geometry, timing, row state).
     pub fn dram(&self) -> &DramSystem {
         &self.dram
     }
@@ -627,7 +617,6 @@ impl MemoryController {
         let writes = self.queue.total_writes() as usize;
         if !self.draining && writes >= self.cfg.drain_start {
             self.draining = true;
-            self.stats.drain_entries.inc();
         } else if self.draining && writes <= self.cfg.drain_stop {
             self.draining = false;
         }
@@ -807,7 +796,7 @@ impl MemoryController {
         if hit_before {
             traffic.row_hits += 1;
         }
-        self.stats.bytes_by_core[req.core.index()].add(melreq_stats::CACHE_LINE_BYTES);
+        self.stats.bytes_by_core[req.core.index()] += melreq_stats::CACHE_LINE_BYTES;
         match req.kind {
             AccessKind::Read => {
                 traffic.reads += 1;
@@ -922,7 +911,6 @@ mod tests {
         assert!(!c.is_draining());
         c.tick(0); // updates drain state before granting
         assert!(c.is_draining());
-        assert_eq!(c.stats().drain_entries.get(), 1);
         // Run until writes fall to the stop threshold.
         let mut now = 1;
         while c.is_draining() {

@@ -4,9 +4,9 @@
 //!
 //! * the primitive simulation types shared by every other crate —
 //!   [`Cycle`], [`Addr`], [`CoreId`], [`AccessKind`];
-//! * streaming statistics used to report the paper's metrics without
-//!   retaining per-event data — [`Counter`] and [`StreamingMean`] (a read
-//!   latency is a sum and a count; nothing reads a distribution);
+//! * [`StreamingMean`], the one streaming statistic: a read latency is a
+//!   sum and a count, and nothing reads a distribution (event counts are
+//!   plain `u64` fields on the component that counts them);
 //! * the paper's evaluation metrics — [`fairness::smt_speedup`] (Snavely &
 //!   Tullsen weighted speedup, Section 4.1) and [`fairness::unfairness`]
 //!   (max-slowdown / min-slowdown ratio, Section 5.3);
@@ -18,13 +18,11 @@
 //! its performance characteristics.
 
 pub mod bandwidth;
-pub mod counter;
 pub mod fairness;
 pub mod fixedpoint;
 pub mod mean;
 pub mod types;
 
-pub use counter::Counter;
 pub use fairness::{smt_speedup, unfairness, FairnessReport};
 pub use fixedpoint::PriorityFixed;
 pub use mean::StreamingMean;

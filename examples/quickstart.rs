@@ -48,12 +48,12 @@ fn main() {
             app.name, out.ipc[i], out.read_latency[i]
         );
     }
+    let served = sys.hierarchy().controller().stats().served();
     println!(
         "total DRAM bandwidth: {:.2} GB/s;  DRAM row-hit rate: {:.1}%",
         out.total_bandwidth_gbs(3.2e9),
-        sys.hierarchy().controller().dram().stats().hit_rate() * 100.0
+        served.hit_rate() * 100.0
     );
-    let served = sys.hierarchy().controller().stats().served();
     println!(
         "controller served {} reads / {} writes under policy {}",
         served.reads,
