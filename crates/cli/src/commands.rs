@@ -18,8 +18,8 @@ use crate::parse::{Args, Invocation, ObsArgs, PolicySpec, CLIENT_VERBS};
 use melreq_core::api::json::Json;
 use melreq_core::api::{resolve_mix, AuditSummary, MelreqError, PolicyReport, Session, SimRequest};
 use melreq_core::experiment::{
-    run_mix, run_mix_group, run_mix_observed, run_tapped, worker_count, ExperimentOptions,
-    Measured, MixResult, ObserveOptions, ProfileCache, RunControl, SweepStage, Taps,
+    run_mix, run_mix_observed, run_tapped, worker_count, ExperimentOptions, Measured, MixResult,
+    ObserveOptions, ProfileCache, RunControl, SweepStage, Taps,
 };
 use melreq_core::profile::{profile_app, AppProfile};
 use melreq_core::report::{format_table, pct_over};
@@ -281,7 +281,7 @@ pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
         // trace.
         let taps = Taps { audit: args.audit, observe: Some(observe_options(obs)) };
         let (cache, ctl) = (ProfileCache::new(), RunControl::default());
-        let (r, heard) = run_tapped(&mix, Measured::Kind(&spec), opts, &cache, None, &ctl, taps);
+        let (r, heard) = run_tapped(&mix, Measured::Kind(&spec), opts, &cache, &ctl, taps);
         let audit = heard.audit.as_ref().map(AuditSummary::of);
         let mut out = render_run_human(&mix, &PolicyReport { result: r, audit }, opts);
         if let Some(report) = heard.audit.filter(|a| !a.is_clean()) {
@@ -297,7 +297,8 @@ pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
     }
     // The plain run goes through the facade — identical machinery to
     // the service and the bench harness — and `--json` prints its report.
-    let report = Session::new().run(&sim_request(&mix, vec![spec], args), &threads(args))?;
+    let report =
+        Session::new().run(&sim_request(&mix, vec![spec], args), &RunControl::default())?;
     if args.json {
         return Ok(report.to_json());
     }
@@ -341,6 +342,9 @@ pub(crate) fn cmd_compare(args: &Args) -> Result<String, MelreqError> {
         (resolve_mix(&args.mix)?, args.policy_set(), args.obs.provenance);
     if args.json && provenance {
         return Err(usage("--json emits the versioned machine-readable report; drop --provenance"));
+    }
+    if args.threads.is_some() && provenance {
+        return Err(usage("--provenance runs its policies one at a time; drop --threads"));
     }
     let mut totals: Vec<(String, RuleTotals)> = Vec::new();
     let results: Vec<MixResult> = if provenance {
@@ -468,7 +472,7 @@ fn simulated_cycles(r: &MixResult) -> u64 {
 
 /// FNV-1a fingerprint of the paper-metric outputs of a result set: a
 /// checkpoint-forked group and per-policy fresh runs of the same inputs
-/// must hash identically, bit for bit.
+/// must hash identically, bit for bit ([`fork_vs_fresh`]).
 fn results_hash(results: &[MixResult]) -> u64 {
     let mut bytes = Vec::new();
     for r in results {
@@ -482,12 +486,26 @@ fn results_hash(results: &[MixResult]) -> u64 {
     melreq_snap::fnv1a(&bytes)
 }
 
+/// The fork-vs-fresh gate: `forked`, the grid's runs of `mix`, must hash as
+/// `fresh`, the same policies each run from reset. Returns that hash.
+fn fork_vs_fresh(mix: &Mix, forked: &[MixResult], fresh: &[MixResult]) -> Result<u64, MelreqError> {
+    let (forked_hash, fresh_hash) = (results_hash(forked), results_hash(fresh));
+    if forked_hash != fresh_hash {
+        return Err(MelreqError::Divergence(format!(
+            "checkpoint-forked results diverge from fresh runs on {} \
+             (forked {forked_hash:016x}, fresh {fresh_hash:016x}): snapshot fidelity is broken",
+            mix.name
+        )));
+    }
+    Ok(forked_hash)
+}
+
 /// One timed stage of the reproduction sweep.
 ///
 /// Grid stages run interleaved in one global job pool, so a stage has no
 /// private elapsed window; its `wall_s` is the **aggregate
 /// worker-seconds** its runs consumed (measured window plus any warm-up
-/// the run paid itself). The table2 and benchmark stages still run
+/// the run paid itself). The table2 stage and the fork-vs-fresh gate run
 /// serially and report elapsed wall time.
 struct Stage {
     name: String,
@@ -510,10 +528,10 @@ struct Stage {
 /// alone and shows the Figure 2 table of its one grid stage in the
 /// summary instead.
 ///
-/// The warm-up-sharing benchmark stage always runs the 5-policy `4MEM-1`
-/// group twice — snapshot-forked and per-policy fresh — and hard-fails
-/// if the two result sets are not bit-identical, in smoke and full mode
-/// alike.
+/// The fork-vs-fresh gate re-runs the first mix of the first grid stage
+/// (`2MEM-1`) under each of that stage's policies from reset, and
+/// hard-fails if those results are not bit-identical with the grid's own,
+/// in smoke and full mode alike.
 #[allow(clippy::too_many_lines, reason = "the sweep's stages read in order, top to bottom")]
 pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
     let Args { smoke, threads, guard_ratio, .. } = *args;
@@ -626,72 +644,28 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
         )));
     }
 
-    // Warm-up-sharing benchmark + fork-vs-fresh divergence gate. The
-    // forked arm deliberately bypasses the persistent store (a warm store
-    // would skip the one warm-up the fork amortizes); profiles are
-    // pre-warmed so neither arm pays them. Full mode benchmarks at a
-    // warm-up as long as the measured window — the regime short CI slices
-    // stand in for (the paper's 100 M-instruction slices are mostly
-    // warm-up), where sharing visibly amortizes. This stage deliberately
-    // drops below the facade: it pits the two low-level harness paths
-    // (`run_mix_group` vs `run_mix`) against each other.
-    let cache = session.cache();
-    let bench_opts =
-        if smoke { opts } else { ExperimentOptions { warmup: opts.instructions, ..opts } };
-    let bmix = mix_by_name("4MEM-1");
-    for i in 0..bmix.cores() {
-        let _ = cache.profile(&bmix, i, &bench_opts);
-        let _ = cache.ipc_single(&bmix, i, &bench_opts);
-    }
-    // Wall time on a shared host is noisy (±20% observed between
-    // identical runs), so both arms repeat interleaved and each reports
-    // its minimum — the standard low-noise estimator for deterministic
-    // work. Every repetition re-checks fork-vs-fresh bit-exactness.
-    let reps = if smoke { 1 } else { 3 };
-    let mut forked_wall = f64::INFINITY;
-    let mut fresh_wall = f64::INFINITY;
-    let mut bench_wall = 0.0;
-    let mut bench_cycles = 0u64;
-    let mut forked_hash = 0u64;
-    let mut fresh_hash = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let forked = run_mix_group(&bmix, &f2, &bench_opts, cache, None, &RunControl::default());
-        let fw = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let fresh: Vec<MixResult> =
-            f2.iter().map(|p| run_mix(&bmix, p, &bench_opts, cache)).collect();
-        let sw = t0.elapsed().as_secs_f64();
-        forked_hash = results_hash(&forked);
-        fresh_hash = results_hash(&fresh);
-        if forked_hash != fresh_hash {
-            return Err(MelreqError::Divergence(format!(
-                "checkpoint-forked results diverge from fresh runs on {} \
-                 (forked {forked_hash:016x}, fresh {fresh_hash:016x}): snapshot \
-                 fidelity is broken",
-                bmix.name
-            )));
-        }
-        forked_wall = forked_wall.min(fw);
-        fresh_wall = fresh_wall.min(sw);
-        bench_wall += fw + sw;
-        bench_cycles += forked.iter().chain(&fresh).map(simulated_cycles).sum::<u64>();
-    }
-    let fork_speedup = fresh_wall / forked_wall.max(1e-9);
+    // Fork-vs-fresh gate: the first mix of the first grid stage as the
+    // grid ran it, against its policies each run from reset.
+    let (_, gate_mixes, gate_policies) = &grid_stages[0];
+    let gate_mix = gate_mixes[0];
+    let t0 = Instant::now();
+    let fresh: Vec<MixResult> =
+        gate_policies.iter().map(|p| run_mix(&gate_mix, p, &opts, session.cache())).collect();
+    let gate_wall = t0.elapsed().as_secs_f64();
+    let gate_hash = fork_vs_fresh(&gate_mix, &stage_results[0][..gate_policies.len()], &fresh)?;
     stages.push(Stage {
-        name: "warmup-sharing benchmark".to_string(),
-        detail: format!("4MEM-1 x {} policies, forked + fresh, best of {reps}", f2.len()),
-        wall_s: bench_wall,
-        sim_cycles: bench_cycles,
+        name: "fork-vs-fresh gate".to_string(),
+        detail: format!("{} x {} policies, fresh", gate_mix.name, gate_policies.len()),
+        wall_s: gate_wall,
+        sim_cycles: fresh.iter().map(simulated_cycles).sum(),
         results_hash: None,
     });
 
     let total_wall_s = total_start.elapsed().as_secs_f64();
     let grid_cycles: u64 = stages.iter().map(|s| s.sim_cycles).sum();
     // Aggregate throughput over *elapsed* time (the pooled grid window
-    // plus the serial benchmark stage) — this is what the perf guard
-    // floors, and it credits worker parallelism.
-    let grid_wall: f64 = grid_elapsed + bench_wall;
+    // plus the serial gate) — this credits worker parallelism.
+    let grid_wall: f64 = grid_elapsed + gate_wall;
     let cps = grid_cycles as f64 / grid_wall.max(1e-9);
     let rss = peak_rss_bytes();
 
@@ -760,19 +734,11 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
     let _ = writeln!(json, "  \"sim_cycles_per_sec\": {cps:.0},");
     let _ = writeln!(
         json,
-        "  \"warmup_sharing\": {{\"mix\": \"{}\", \"policies\": {}, \"warmup\": {}, \
-         \"instructions\": {}, \"reps\": {reps}, \"group_forked_wall_s\": {:.6}, \
-         \"per_policy_fresh_wall_s\": {:.6}, \"fork_speedup\": {:.3}, \
-         \"forked_hash\": \"{:016x}\", \"fresh_hash\": \"{:016x}\", \"bit_exact\": true}},",
-        json_esc(bmix.name),
-        f2.len(),
-        bench_opts.warmup,
-        bench_opts.instructions,
-        forked_wall,
-        fresh_wall,
-        fork_speedup,
-        forked_hash,
-        fresh_hash
+        "  \"fork_vs_fresh\": {{\"mix\": \"{}\", \"policies\": {}, \
+         \"forked_hash\": \"{gate_hash:016x}\", \"fresh_hash\": \"{gate_hash:016x}\", \
+         \"bit_exact\": true}},",
+        json_esc(gate_mix.name),
+        gate_policies.len(),
     );
     match rss {
         Some(b) => {
@@ -864,14 +830,10 @@ pub(crate) fn cmd_reproduce(args: &Args) -> Result<String, MelreqError> {
     }
     let _ = writeln!(
         out,
-        "\nwarm-up sharing on {} x {} policies: forked {:.3} s vs fresh {:.3} s \
-         (best of {reps}) -> {:.2}x, bit-exact (hash {:016x})",
-        bmix.name,
-        f2.len(),
-        forked_wall,
-        fresh_wall,
-        fork_speedup,
-        forked_hash
+        "\nfork-vs-fresh gate on {} x {} policies: the grid's runs are bit-exact with \
+         fresh ones (hash {gate_hash:016x})",
+        gate_mix.name,
+        gate_policies.len(),
     );
     let _ = writeln!(
         out,
@@ -1166,8 +1128,12 @@ mod tests {
         assert!(json.contains("\"mode\": \"smoke\""));
         assert!(json.contains("\"threads\": 2"));
         assert!(json.contains("\"results_hash\": \""), "grid stages must carry a hash:\n{json}");
-        assert!(json.contains("\"bit_exact\": true"));
-        assert!(json.contains("\"fork_speedup\""));
+        let gate = parsed.get("fork_vs_fresh").expect("a fork_vs_fresh block");
+        assert_eq!(gate.get("mix").and_then(Json::as_str), Some("2MEM-1"), "{json}");
+        assert_eq!(gate.get("policies").and_then(Json::as_u64), Some(5), "{json}");
+        let hash = |key| gate.get(key).and_then(Json::as_str);
+        assert!(hash("forked_hash").is_some() && hash("forked_hash") == hash("fresh_hash"));
+        assert_eq!(gate.get("bit_exact").and_then(Json::as_bool), Some(true), "{json}");
         assert!(json.contains("\"store\": {"));
         // What the store block says of the tapes: three groups looked for
         // theirs, and the warm re-run finds all three.
@@ -1195,10 +1161,11 @@ mod tests {
     }
 
     /// The registry collapse must not move a single bit of the paper
-    /// reproduction: the smoke grid's Figure 2 results hash and the
-    /// fork-vs-fresh gate hash are pinned to the values the pre-registry
-    /// tree produced. If either changes, a scheduling or warm-up code
-    /// path changed behavior — not just its plumbing.
+    /// reproduction: the smoke grid's Figure 2 results hash is pinned to
+    /// the value the pre-registry tree produced, and the fork-vs-fresh
+    /// gate's hash, over that grid's 2MEM-1 block, with it. If either
+    /// changes, a scheduling or warm-up code path changed behavior — not
+    /// just its plumbing.
     #[test]
     fn reproduce_smoke_hashes_are_pinned() {
         let dir = temp_dir("pinned");
@@ -1224,7 +1191,9 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
             "Figure 2 smoke-grid results moved:\n{json}"
         );
         assert!(
-            json.contains("\"forked_hash\": \"94a4a2d5a267cb70\""),
+            json.contains(
+                "\"forked_hash\": \"70086e4e7d9a25de\", \"fresh_hash\": \"70086e4e7d9a25de\""
+            ),
             "fork-vs-fresh gate results moved:\n{json}"
         );
         assert!(json.contains("\"bit_exact\": true"));
@@ -1260,12 +1229,13 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         assert_eq!(with_host_profile(&Args::default(), "melreq run", plain).unwrap(), "plain");
         let dir = temp_dir("runprof");
         let path = dir.join("prof.json");
-        let s = quick(&format!("run 2MEM-1 --threads 2 --profile {}", path.display())).unwrap();
+        let s = quick(&format!("run 2MEM-1 --profile {}", path.display())).unwrap();
         assert!(s.contains("SMT speedup"), "the run output must survive the wrapper:\n{s}");
         assert!(s.contains("host profile written to"), "summary line missing:\n{s}");
         let trace = std::fs::read_to_string(&path).unwrap();
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("\"buildinfo\":"), "buildinfo block missing");
+        assert!(trace.contains("\"threads\":null"), "a run sizes no pool");
         assert!(trace.contains("session"), "facade session span missing from trace");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1434,6 +1404,35 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         quick(&format!("run 2MEM-1 --policy fq --trace {t}")).unwrap();
         assert_eq!(hash(&trace), "c5716dc242a1dde4");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The fork-vs-fresh gate fails on one flipped bit of one result, and
+    /// names the mix it failed on.
+    #[test]
+    fn the_fork_vs_fresh_gate_fires_on_one_flipped_bit() {
+        let (mix, opts, cache) =
+            (mix_by_name("2MEM-1"), ExperimentOptions::quick(), ProfileCache::new());
+        let fresh: Vec<MixResult> = [PolicyKind::HfRf, PolicyKind::MeLreq]
+            .iter()
+            .map(|p| run_mix(&mix, p, &opts, &cache))
+            .collect();
+        let same = fork_vs_fresh(&mix, &fresh, &fresh).expect("a block agrees with itself");
+        assert_eq!(same, results_hash(&fresh));
+        let mut forked = fresh.clone();
+        let ipc = &mut forked[1].ipc_multi[0];
+        *ipc = f64::from_bits(ipc.to_bits() ^ 1);
+        let e = fork_vs_fresh(&mix, &forked, &fresh).expect_err("one bit differs");
+        assert!(matches!(e, MelreqError::Divergence(_)) && e.exit_code() == 4, "{e}");
+        assert!(e.to_string().contains("2MEM-1"), "the error names the mix: {e}");
+    }
+
+    /// `--provenance` observes a compare's policies one at a time, off the
+    /// pool, so a `--threads` beside it would size nothing.
+    #[test]
+    fn compare_provenance_refuses_threads() {
+        let e = quick("compare 2MEM-1 --policies hf-rf --provenance --threads 2").unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+        assert!(e.to_string().contains("--threads"), "the error names the flag: {e}");
     }
 
     #[test]

@@ -340,7 +340,7 @@ pub static VERBS: &[Verb] = &[
         flag("--apps", "a,b,...", "subset of SPEC2000 names (default all 26)",
             |a, v| put(&mut a.apps, Ok(list(v).map(String::from).collect()))),
     ]},
-    Verb { name: "run", positional: Positional::Mix, groups: &[&SCALE, &THREADS, &OBS],
+    Verb { name: "run", positional: Positional::Mix, groups: &[&SCALE, &OBS],
         host_profile: true, run: |a| with_host_profile(a, "melreq run", cmd_run), flags: &[
         POLICY,
         flag("--audit", "", "attach the protocol/invariant checker",
@@ -864,9 +864,9 @@ mod tests {
 
     #[test]
     fn threads_flag_parses_on_every_pooled_verb() {
-        assert_eq!(args("run 4MEM-1 --threads 8").threads, Some(8));
         assert_eq!(args("sweep --threads 2").threads, Some(2));
         assert_eq!(args("compare 2MEM-1 --threads 1").threads, Some(1));
+        assert_eq!(args("reproduce --threads 8").threads, Some(8));
     }
 
     #[test]
@@ -922,7 +922,7 @@ mod tests {
     #[test]
     fn out_of_range_and_malformed_values_are_usage_errors_naming_the_flag() {
         for (line, flag) in [
-            ("run 4MEM-1 --threads 0", "--threads"),
+            ("compare 4MEM-1 --threads 0", "--threads"),
             ("run 4MEM-1 --instructions 0", "--instructions"),
             ("run 4MEM-1 --profile 0", "--profile"),
             ("run 2MEM-1 --sample-epoch 0", "--sample-epoch"),
@@ -1063,8 +1063,9 @@ mod tests {
             );
             assert!(verb.own().next().is_none() || text.contains(&own), "{own:?} missing");
         }
-        assert_eq!(rows, 79, "a (verb, flag) row came or went");
-        for section in ["COMMON OPTIONS (profile,", "THREAD OPTIONS (run,", "TRACE OPTIONS (run):"]
+        assert_eq!(rows, 78, "a (verb, flag) row came or went");
+        for section in
+            ["COMMON OPTIONS (profile,", "THREAD OPTIONS (compare,", "TRACE OPTIONS (run):"]
         {
             assert!(text.contains(section), "{section} missing");
         }
@@ -1091,6 +1092,8 @@ mod tests {
             ("audit X --provenance", "--provenance"),
             ("config --rps 5", "--rps"),
             ("audit --threads 2", "--threads"),
+            // A one-policy run has one window: no pool for it to size.
+            ("run X --threads 2", "does not read --threads (read by: compare, sweep, reproduce)"),
             ("help --json", "--json"),
         ] {
             let e = err(line);

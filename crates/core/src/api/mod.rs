@@ -561,12 +561,12 @@ impl Session {
     /// outcome to `done`. The control's cancel token and cycle budget are
     /// merged with the request's own `timeout_ms` / `max_cycles`, and the
     /// token covers the mix's single-core profiles, resolved first; see
-    /// [`MelreqError`] for the failure taxonomy. A comparison (several
-    /// policies, unaudited) shares one warm-up and forks a window per
-    /// policy onto the pool (`experiment::warm_up_and_fork`): `done` is
-    /// called by whichever window ends last, with the panic of a window if
-    /// one panicked. Any other request runs here, one policy at a time,
-    /// and a panic before the windows begin unwinds out of this call.
+    /// [`MelreqError`] for the failure taxonomy. An unaudited request, one
+    /// policy or many, is a group: one boundary, a window per policy forked
+    /// onto the pool (`experiment::warm_up_and_fork`), and `done` called by
+    /// whichever window ends last, with a window's panic if one panicked.
+    /// An audited request runs here from reset, one policy at a time; a
+    /// panic in it, or before a group's windows begin, unwinds out of here.
     pub fn run_on<'env>(
         &'env self,
         req: &SimRequest,
@@ -578,9 +578,9 @@ impl Session {
             Ok(ready) => ready,
             Err(e) => return done(Ok(Err(e))),
         };
-        let store = self.store().map(Arc::as_ref);
-        if !req.audit && req.policies.len() > 1 {
+        if !req.audit {
             let (policies, opts) = (req.policies.clone(), req.opts);
+            let store = self.store().map(Arc::as_ref);
             let done: GroupDone<'env> = Box::new(move |runs| {
                 done(runs.map(|runs| report(runs.into_iter().map(|result| (result, None)))));
             });
@@ -590,15 +590,16 @@ impl Session {
         // Every registered policy is auditable: the paper's schemes and
         // BLISS/TCM get full decision replication, the rest the generic
         // protocol/class/starvation checks.
-        let taps = Taps { audit: req.audit, observe: None };
+        let taps = Taps { audit: true, observe: None };
         let mut runs = Vec::with_capacity(req.policies.len());
         for kind in &req.policies {
             let (result, heard) =
-                run_tapped(&mix, Measured::Kind(kind), &req.opts, &self.cache, store, &ctl, taps);
-            if let Some(a) = heard.audit.as_ref().filter(|a| !a.is_clean()) {
-                return done(Ok(Err(MelreqError::Divergence(a.render()))));
+                run_tapped(&mix, Measured::Kind(kind), &req.opts, &self.cache, &ctl, taps);
+            let audit = heard.audit.expect("an audited run reports");
+            if !audit.is_clean() {
+                return done(Ok(Err(MelreqError::Divergence(audit.render()))));
             }
-            runs.push((result, heard.audit.as_ref().map(AuditSummary::of)));
+            runs.push((result, Some(AuditSummary::of(&audit))));
         }
         done(Ok(report(runs)));
     }

@@ -1,7 +1,6 @@
 //! The multiprogrammed evaluation harness (Figures 2–5).
 //!
-//! Every number in those figures is one measurement, and [`run_tapped`]
-//! is the one place it is taken:
+//! Every number in those figures is one measurement:
 //!
 //! 1. profile each application alone (profiling slice) → `ME[i]`;
 //! 2. run each application alone on the *evaluation* slice →
@@ -9,19 +8,21 @@
 //! 3. bring the mix to its measurement *boundary*: warm the multi-core
 //!    machine up under the canonical policy, or restore that state from
 //!    a [`CheckpointStore`];
-//! 4. swap the [`Measured`] policy in and run until every core commits
-//!    its target instruction count (early finishers keep running —
-//!    "reload their applications and keep running");
+//! 4. swap the measured policy in and run until every core commits its
+//!    target instruction count (early finishers keep running — "reload
+//!    their applications and keep running");
 //! 5. report SMT speedup, unfairness and read latencies.
+//!
+//! [`run_tapped`] takes it from reset, [`Taps`] saying who listens to
+//! steps 3–4 (the auditor, the trace collector, both or nobody); [`run_mix`]
+//! and its siblings are that call. A *group* takes it for every policy of
+//! one mix from one boundary, which a store may hold: [`run_sweep_stages`]
+//! runs one per distinct mix, and an unaudited request is one. A
+//! [`RunControl`] bounds either.
 //!
 //! [`ProfileCache`] memoizes steps 1–2 per application so sweeping 36
 //! mixes × 5 policies does not re-profile the same programs; the cache is
 //! `Sync` and shared across the worker threads of [`run_sweep_stages`].
-//! [`Taps`] says who listens to steps 3–4 (the auditor, the trace
-//! collector, both or nobody) and a [`RunControl`] bounds them.
-//! [`run_mix`], [`run_mix_custom`], [`run_mix_audited`] and
-//! [`run_mix_observed`] are that call with the store, the control and the
-//! taps filled in.
 //!
 //! # Warm-up sharing
 //!
@@ -30,28 +31,26 @@
 //! with a flat ME profile) and the measured policy is swapped in at the
 //! boundary ([`System::swap_policy`]), tapped or not. The boundary state
 //! is therefore identical across all policies of a (mix, options) group,
-//! so [`run_sweep_stages`] reaches it once per group, snapshots it, and
-//! forks the bytes into one fresh system per policy, each of which takes
-//! steps 4–5 exactly as a run on its own does; [`run_mix`] on the same
-//! inputs reaches the same state by direct simulation, which is what makes
-//! the two bit-exactly comparable. With a [`CheckpointStore`] attached,
-//! boundary snapshots and single-core profiles also persist across
-//! process invocations.
+//! so a group reaches it once, snapshots it, and forks the bytes into one
+//! fresh system per policy, each of which takes steps 4–5 exactly as a
+//! run from reset does; [`run_mix`] on the same inputs reaches the same
+//! state by direct simulation, which is what makes the two bit-exactly
+//! comparable. With a [`CheckpointStore`] attached, boundary snapshots
+//! and single-core profiles also persist across process invocations.
 //!
 //! The runs of a group share one more thing: the instruction streams of
 //! their measured windows. From the boundary on, every run of a group of
 //! more than one reads its ops from one [`OpTape`] per core, so each op
-//! is generated once per group; a run on its own generates its own —
+//! is generated once per group; a group of one generates its own —
 //! unless its store keeps boundaries resident
 //! ([`CheckpointStore::open_resident`], a server's) and this process has
-//! used the boundary before: then the group is every run of the process
-//! on that boundary, the second of which records what the rest replay.
-//! With a store attached the tapes also outlive the process: whoever
-//! records them writes them beside the boundary, if they grew — a group
-//! when its last run ends, a run on its own when its window does — and
-//! every run whose store holds them, a run on its own included, replays
-//! them, so a warm pass, or a restarted server, generates no op an
-//! earlier one did.
+//! used the boundary before: then the tapes are shared by every group of
+//! the process on that boundary, the second of which records what the
+//! rest replay. With a store attached the tapes also outlive the process:
+//! a group that recorded them writes them beside the boundary when its
+//! last run ends, if they grew, and every group whose store holds them
+//! replays them, so a warm pass, or a restarted server, generates no op
+//! an earlier one did.
 //!
 //! And the runs of a group share whole windows where the policies cannot
 //! differ: every policy ranks cores, so a window whose read decisions
@@ -793,17 +792,16 @@ impl Default for ObserveOptions {
     }
 }
 
-/// Who listens to a run. Listeners are inert — the [`MixResult`] of a
-/// tapped run is bit-identical to the untapped one, which the tests here
-/// and the determinism tests pin — but they arm at attach time: the
-/// auditor's device replicas and the collector's rule totals must observe
-/// the machine from reset. **A tapped run therefore never restores a
-/// checkpoint and leaves none behind**; it simulates its own warm-up,
-/// whatever store it is offered. It still warms up under the canonical
-/// policy and swaps at the boundary — the swap is audit-visible (a repeat
-/// `CtrlConfig` plus a `ProfileUpdate`) — so a clean audited run certifies
-/// the exact command stream that checkpoint-forked runs of the same (mix,
-/// policy, options) replay.
+/// Who listens to a [`run_tapped`] run. Listeners are inert — the
+/// [`MixResult`] of a tapped run is bit-identical to the untapped one,
+/// which the tests here and the determinism tests pin — but they arm at
+/// attach time: the auditor's device replicas and the collector's rule
+/// totals must observe the machine from reset, so [`run_tapped`] takes no
+/// store and simulates its own warm-up. It still warms up under the
+/// canonical policy and swaps at the boundary — the swap is audit-visible
+/// (a repeat `CtrlConfig` plus a `ProfileUpdate`) — so a clean audited run
+/// certifies the exact command stream that checkpoint-forked runs of the
+/// same (mix, policy, options) replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Taps {
     /// Attach the independent protocol/invariant checker
@@ -828,18 +826,14 @@ pub struct Tapped {
     pub collector: Option<Arc<Mutex<Collector>>>,
 }
 
-/// Run one mix under one policy: the measurement every other entry point
-/// of this module is made of. The boundary is restored from `store` when
-/// it holds it and persisted there after simulation otherwise, and so are
-/// the op tapes the window read, if it grew them — unless `taps` names a
-/// listener ([`Taps`] says why); `ctl` arms the cancel token and the
-/// cycle budget on warm-up and window alike.
+/// Run one mix under one policy from reset, with `taps` listening
+/// ([`Taps`] says why it takes no store); `ctl` arms the cancel token and
+/// the cycle budget on warm-up and window alike.
 pub fn run_tapped(
     mix: &Mix,
     measured: Measured<'_>,
     opts: &ExperimentOptions,
     cache: &ProfileCache,
-    store: Option<&CheckpointStore>,
     ctl: &RunControl,
     taps: Taps,
 ) -> (MixResult, Tapped) {
@@ -859,19 +853,12 @@ pub fn run_tapped(
             sys.attach_sampler(c.clone(), epoch);
         }
     };
-    // Only a run nobody listens to may use a checkpoint (see `Taps`).
-    let store = store.filter(|_| taps == Taps::default());
     let warm_started = host_clock();
-    let mut boundary = boundary_system(mix, opts, store, ctl, attach);
-    let share = boundary.taped(mix, opts, 1);
-    let Boundary { mut sys, from_checkpoint, keyed, .. } = boundary;
+    let Boundary { mut sys, .. } = boundary_system(mix, opts, None, ctl, attach);
     let (warm_wall, started) = (warm_started.elapsed(), host_clock());
-    let (window, _) = run_window(&mut sys, mix, measured, &inputs.me, opts, ctl, share.is_some());
+    let (window, _) = run_window(&mut sys, mix, measured, &inputs.me, opts, ctl, false);
     let wall = started.elapsed();
-    if let (Some(share), Some((store, key))) = (&share, keyed) {
-        share.persist(store, key);
-    }
-    let result = score(mix, measured.name(), &inputs, window, wall, warm_wall, from_checkpoint);
+    let result = score(mix, measured.name(), &inputs, window, wall, warm_wall, false);
     if let Some(c) = &collector {
         c.lock().expect("obs collector poisoned").finish();
     }
@@ -887,7 +874,7 @@ pub fn run_mix(
     cache: &ProfileCache,
 ) -> MixResult {
     let ctl = RunControl::default();
-    run_tapped(mix, Measured::Kind(policy), opts, cache, None, &ctl, Taps::default()).0
+    run_tapped(mix, Measured::Kind(policy), opts, cache, &ctl, Taps::default()).0
 }
 
 /// Run one mix under a policy from outside the registry, built by `build`
@@ -900,7 +887,7 @@ pub fn run_mix_custom(
     cache: &ProfileCache,
 ) -> MixResult {
     let (measured, ctl) = (Measured::Custom { name, build: &build }, RunControl::default());
-    run_tapped(mix, measured, opts, cache, None, &ctl, Taps::default()).0
+    run_tapped(mix, measured, opts, cache, &ctl, Taps::default()).0
 }
 
 /// [`run_mix`] with the auditor listening ([`Taps::audit`]).
@@ -911,7 +898,7 @@ pub fn run_mix_audited(
     cache: &ProfileCache,
 ) -> (MixResult, AuditReport) {
     let (ctl, taps) = (RunControl::default(), Taps { audit: true, observe: None });
-    let (result, heard) = run_tapped(mix, Measured::Kind(policy), opts, cache, None, &ctl, taps);
+    let (result, heard) = run_tapped(mix, Measured::Kind(policy), opts, cache, &ctl, taps);
     (result, heard.audit.expect("an audited run reports"))
 }
 
@@ -924,7 +911,7 @@ pub fn run_mix_observed(
     cache: &ProfileCache,
 ) -> (MixResult, Arc<Mutex<Collector>>) {
     let (ctl, taps) = (RunControl::default(), Taps { audit: false, observe: Some(*observe) });
-    let (result, heard) = run_tapped(mix, Measured::Kind(policy), opts, cache, None, &ctl, taps);
+    let (result, heard) = run_tapped(mix, Measured::Kind(policy), opts, cache, &ctl, taps);
     (result, heard.collector.expect("an observed run keeps its collector"))
 }
 
@@ -1052,7 +1039,7 @@ pub(crate) type GroupDone<'env> =
 
 /// The runs of one mix from one shared warm-up boundary, as a seeder
 /// hands them to [`warm_up_and_fork`]: [`run_sweep_stages`] one per
-/// distinct mix, a server one per multi-policy request.
+/// distinct mix, `Session::run_on` one per unaudited request.
 pub(crate) struct Group<'env> {
     /// The mix every run simulates.
     pub(crate) mix: Mix,
@@ -1344,10 +1331,10 @@ mod tests {
         let (store, key) = resident_store("race", &mix, &opts);
         let cache = ProfileCache::with_store(store.clone());
         let run = |kind: &PolicyKind| {
-            let (kind, ctl) = (Measured::Kind(kind), RunControl::default());
-            run_tapped(&mix, kind, &opts, &cache, Some(&store), &ctl, Taps::default()).0
+            let (kinds, ctl) = ([kind.clone()], RunControl::default());
+            run_mix_group(&mix, &kinds, &opts, &cache, Some(&store), &ctl).pop().expect("one run")
         };
-        // First use: simulated, stored and kept — untaped.
+        // Groups of one. First use: simulated, stored and kept — untaped.
         let first = run(&PolicyKind::HfRf);
         assert!(!first.warmup_from_checkpoint);
         assert!(resident_share(&store, key).tapes.get().is_none(), "one use records nothing");
@@ -1410,8 +1397,8 @@ mod tests {
         let (store, key) = resident_store("poison", &mix, &opts);
         let cache = ProfileCache::with_store(store.clone());
         let run = || {
-            let (kind, ctl) = (Measured::Kind(&PolicyKind::MeLreq), RunControl::default());
-            run_tapped(&mix, kind, &opts, &cache, Some(&store), &ctl, Taps::default()).0
+            let (kinds, ctl) = ([PolicyKind::MeLreq], RunControl::default());
+            run_mix_group(&mix, &kinds, &opts, &cache, Some(&store), &ctl).pop().expect("one run")
         };
         let first = run();
         // The entry as a run leaves it that panicked inside a tape's
@@ -1500,7 +1487,7 @@ mod tests {
             let run = |audit: bool, observe: bool| {
                 let taps = Taps { audit, observe: observe.then(ObserveOptions::default) };
                 let (kind, ctl) = (Measured::Kind(&PolicyKind::MeLreq), RunControl::default());
-                run_tapped(&mix, kind, &opts, &cache, None, &ctl, taps)
+                run_tapped(&mix, kind, &opts, &cache, &ctl, taps)
             };
             let (plain, nothing) = run(false, false);
             assert!(nothing.audit.is_none() && nothing.collector.is_none());
@@ -1528,7 +1515,7 @@ mod tests {
         let mix = mix_by_name("2MEM-1");
         let run = |ctl: RunControl| {
             let taps = Taps { audit: false, observe: Some(ObserveOptions::default()) };
-            run_tapped(&mix, Measured::Kind(&PolicyKind::HfRf), &opts, &cache, None, &ctl, taps).0
+            run_tapped(&mix, Measured::Kind(&PolicyKind::HfRf), &opts, &cache, &ctl, taps).0
         };
         let budgeted = run(RunControl { max_cycles: Some(50_000), ..RunControl::default() });
         assert!(budgeted.timed_out && !budgeted.cancelled, "a 50 k-cycle budget must run out");
@@ -1537,32 +1524,6 @@ mod tests {
         token.cancel();
         let cancelled = run(RunControl { cancel: Some(token), ..RunControl::default() });
         assert!(cancelled.cancelled, "an expired token must stop the run");
-    }
-
-    #[test]
-    fn a_tapped_run_leaves_the_warmup_store_alone() {
-        let dir = std::env::temp_dir().join(format!("melreq-exp-taps-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
-        let cache = ProfileCache::with_store(store.clone());
-        let opts = ExperimentOptions::quick();
-        let mix = mix_by_name("2MEM-1");
-        let run = |taps: Taps| {
-            let (kind, ctl) = (Measured::Kind(&PolicyKind::Lreq), RunControl::default());
-            run_tapped(&mix, kind, &opts, &cache, Some(&store), &ctl, taps).0
-        };
-        let tapped = run(Taps { audit: true, observe: None });
-        let st = store.stats();
-        assert_eq!((st.warmup_hits, st.warmup_misses), (0, 0), "a tapped run never looks");
-        // Nor did it store: the same run untapped misses, then stores.
-        let cold = run(Taps::default());
-        let st = store.stats();
-        assert_eq!((st.warmup_hits, st.warmup_misses), (0, 1));
-        let warm = run(Taps::default());
-        assert!(warm.warmup_from_checkpoint && store.stats().warmup_hits == 1);
-        assert!(!tapped.warmup_from_checkpoint && !cold.warmup_from_checkpoint);
-        assert_eq!(simulated(&tapped), simulated(&cold));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1625,19 +1586,19 @@ mod tests {
         // What a store-hit group hands its forks is the stored container
         // itself, and that is the restored machine's own snapshot — with
         // plain streams and again once it reads the group's tapes. Over a
-        // store without tapes, as one written before they were kept, a run
-        // on its own records none, and a group records its own.
+        // store without tapes, as one written before they were kept, a
+        // group of one records none, and a larger group records its own.
         std::fs::remove_file(&tapes).expect("the tapes record");
         let mut boundary = boundary_system(&mix, &opts, Some(&store), &ctl, |_| {});
         assert!(boundary.from_checkpoint && !boundary.reused, "a plain store keeps nothing");
         let stored = boundary.share.clone().expect("a store hit hands its container back");
         assert!(stored.snapshot.as_bytes() == boundary.sys.snapshot());
-        assert!(boundary.taped(&mix, &opts, 1).is_none(), "a run on its own records no tape");
+        assert!(boundary.taped(&mix, &opts, 1).is_none(), "a group of one records no tape");
         let share = boundary.taped(&mix, &opts, 2).expect("a group shares");
         assert!(Arc::ptr_eq(&share, &stored) && stored.tapes.get().is_some_and(|t| t.loaded == 0));
         assert!(stored.snapshot.as_bytes() == boundary.sys.snapshot());
         drop((share, stored));
-        // Over a store with them, a run on its own reads them too.
+        // Over a store with them, a group of one reads them too.
         std::fs::write(&tapes, &record).expect("the tapes record");
         let mut boundary = boundary_system(&mix, &opts, Some(&store), &ctl, |_| {});
         let share = boundary.taped(&mix, &opts, 1).expect("stored tapes are read");

@@ -52,7 +52,7 @@ fn tracing_and_sampling_are_inert_for_every_policy() {
         let obs_cache = ProfileCache::new();
         let (kind, ctl) = (Measured::Kind(policy), RunControl::default());
         let taps = Taps { audit: true, observe: Some(observe) };
-        let (observed, heard) = run_tapped(&mix, kind, &opts, &obs_cache, None, &ctl, taps);
+        let (observed, heard) = run_tapped(&mix, kind, &opts, &obs_cache, &ctl, taps);
         let obs_audit = heard.audit.expect("audited");
         let collector = heard.collector.expect("observed");
 
@@ -209,7 +209,7 @@ fn out_of_tree_policies_are_explained_by_the_generic_core_rule() {
     let totals = |measured: Measured<'_>| {
         let taps = Taps { audit: false, observe: Some(ObserveOptions::default()) };
         let ctl = RunControl::default();
-        let (_, heard) = run_tapped(&mix, measured, &opts, &cache, None, &ctl, taps);
+        let (_, heard) = run_tapped(&mix, measured, &opts, &cache, &ctl, taps);
         let c = heard.collector.expect("observed");
         let c = c.lock().expect("collector");
         c.active_rule_totals().map(|(_, t)| t.clone()).expect("the measured policy granted")

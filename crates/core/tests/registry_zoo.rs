@@ -206,7 +206,7 @@ fn a_flipped_comparator_fails_the_audit_of_every_modelled_policy() {
         let measured = Measured::Custom { name: kind.name(), build: &build };
         let taps = Taps { audit: true, observe: None };
         let ctl = RunControl::default();
-        let (result, heard) = run_tapped(&mix, measured, &opts, &cache, None, &ctl, taps);
+        let (result, heard) = run_tapped(&mix, measured, &opts, &cache, &ctl, taps);
         (result, heard.audit.expect("an audited run reports"))
     };
     for d in registry() {

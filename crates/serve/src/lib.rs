@@ -1569,15 +1569,16 @@ mod tests {
     }
 
     /// The server's store keeps a boundary and its op tapes between
-    /// requests, so a run can now die with state in hand that the next
-    /// request on that mix will use: it must find it usable, and answer
-    /// with the bytes a storeless run gives. (A run that dies *inside* a
-    /// tape's generator poisons the tape; `melreq_core`'s experiment tests
-    /// cover the store dropping such an entry for the disk record. Here,
+    /// requests, so a job can die between two uses of it: the next request
+    /// on that mix must find it usable, and answer with the bytes a
+    /// storeless run gives. The doomed run here starts from reset, as a run
+    /// with a policy from outside the registry does; a window that panics
+    /// on a resident boundary is `melreq_core`'s experiment tests' (a
+    /// group's window, and a tape its generator's panic poisoned). Here,
     /// not in `tests/service.rs`: only `execute_job` can be handed a run
-    /// that panics — no request body makes one.)
+    /// that panics — no request body makes one.
     #[test]
-    fn a_run_that_panics_on_a_resident_boundary_leaves_it_usable_for_the_next_request() {
+    fn a_run_that_panics_between_resident_uses_leaves_the_boundary_usable() {
         use melreq_core::experiment::{run_tapped, Measured, Taps};
         let dir = std::env::temp_dir().join(format!("melreq-serve-panic-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1592,15 +1593,13 @@ mod tests {
             published(&shared)
         };
         // First use simulates and keeps the boundary, the second records
-        // its tapes; the third has restored it and reads them when its
-        // policy blows up.
+        // its tapes; then a run blows up in its policy's constructor.
         assert_eq!((serve(1).0, serve(2).0), (200, 200));
         execute_job(admit(&shared, &req, 3), &shared, |req, ctl, _| {
             let mix = melreq_core::api::resolve_mix(&req.mix).expect("a roster mix");
             let build = |_: &[f64], _: usize, _: u64| panic!("policy bug on {}", mix.name);
             let doomed = Measured::Custom { name: "DOOMED", build: &build };
-            let (cache, taps) = (shared.session.cache(), Taps::default());
-            run_tapped(&mix, doomed, &req.opts, cache, Some(&store), ctl, taps);
+            run_tapped(&mix, doomed, &req.opts, shared.session.cache(), ctl, Taps::default());
             unreachable!("the policy's constructor panics")
         });
         let (status, message, panicked) = published(&shared);
@@ -1613,7 +1612,7 @@ mod tests {
         assert_eq!(report, want);
         assert!(!panicked);
         let st = store.stats();
-        assert_eq!((st.warmup_misses, st.resident_hits), (1, 3), "memory answered 2, 3 and 4");
+        assert_eq!((st.warmup_misses, st.resident_hits), (1, 2), "memory answered 2 and 4");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

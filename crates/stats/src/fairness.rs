@@ -78,7 +78,7 @@ pub fn max_slowdown(ipc_multi: &[f64], ipc_single: &[f64]) -> f64 {
     slowdowns(ipc_multi, ipc_single).into_iter().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// A bundle of the fairness metrics plus the raw slowdowns, for reports.
+/// A bundle of the fairness metrics, for reports.
 #[derive(Debug, Clone)]
 pub struct FairnessReport {
     /// SMT speedup (higher is better; ideal = number of cores).
@@ -93,8 +93,6 @@ pub struct FairnessReport {
     pub unfairness: f64,
     /// Largest per-core slowdown (lower is better; ideal = 1.0).
     pub max_slowdown: f64,
-    /// Per-core slowdown factors.
-    pub slowdowns: Vec<f64>,
 }
 
 impl FairnessReport {
@@ -107,7 +105,6 @@ impl FairnessReport {
             harmonic_speedup: harmonic_speedup(ipc_multi, ipc_single),
             unfairness: unfairness(ipc_multi, ipc_single),
             max_slowdown: max_slowdown(ipc_multi, ipc_single),
-            slowdowns: slowdowns(ipc_multi, ipc_single),
         }
     }
 }
@@ -149,8 +146,9 @@ mod tests {
 
     #[test]
     fn report_bundles_metrics() {
-        let r = FairnessReport::compute(&[0.5, 1.0], &[1.0, 1.0]);
-        assert_eq!(r.slowdowns.len(), 2);
+        let (multi, single) = ([0.5, 1.0], [1.0, 1.0]);
+        let r = FairnessReport::compute(&multi, &single);
+        assert_eq!(slowdowns(&multi, &single).len(), 2);
         assert!((r.smt_speedup - 1.5).abs() < 1e-12);
         assert!((r.weighted_speedup - 1.5).abs() < 1e-12);
         assert!((r.unfairness - 2.0).abs() < 1e-12);

@@ -60,7 +60,7 @@ fn sweep_results_and_audit_hashes_are_identical_at_any_worker_count() {
         let cache = ProfileCache::new();
         let taps = Taps { audit: true, observe: Some(ObserveOptions::default()) };
         let (mix, kind) = (mix_by_name("2MEM-1"), Measured::Kind(&PolicyKind::MeLreq));
-        let (_, heard) = run_tapped(&mix, kind, &opts, &cache, None, &RunControl::default(), taps);
+        let (_, heard) = run_tapped(&mix, kind, &opts, &cache, &RunControl::default(), taps);
         let report = heard.audit.expect("audited");
         assert_eq!(report.total_violations, 0, "audited run must be clean");
         audit_hashes.push(report.stream_hash);
