@@ -109,14 +109,6 @@ impl std::fmt::Display for MelreqError {
 
 impl std::error::Error for MelreqError {}
 
-/// A canonical, collision-free description of a policy (captures
-/// `Fixed` orders and parameter values) for request hashing. The
-/// `Debug` rendering of [`PolicyKind`] is stable and keeps the
-/// pre-registry cache keys for the paper's schemes and FQ/STF.
-fn canonical_kind(kind: &PolicyKind) -> String {
-    format!("{kind:?}")
-}
-
 /// One simulation request: a mix, a policy set, and the harness knobs.
 /// Build with [`SimRequest::new`] + the chainable setters, or decode a
 /// wire body with [`SimRequest::from_json`].
@@ -330,28 +322,18 @@ impl SimRequest {
         s
     }
 
-    /// The request's deterministic identity, schema-versioned: every
-    /// field that can change the simulated result, in a fixed order —
-    /// the service's response-cache and request-coalescing key. Two
-    /// requests share an entry iff these bytes are identical.
-    /// `timeout_ms` is excluded: it only bounds wall-clock time.
+    /// The request's deterministic identity: its [`SimRequest::to_json`]
+    /// body with the roster's mix spelling and no `timeout_ms` — the
+    /// service's response-cache and request-coalescing key. Two requests
+    /// share an entry iff these bytes are identical. The body is
+    /// schema-versioned and names each policy by its registry token,
+    /// which parses back to the same policy, so the key separates every
+    /// field that can change the simulated result; `timeout_ms` only
+    /// bounds wall-clock time. A mix name the run will reject stays as
+    /// sent.
     pub fn canonical_bytes(&self) -> String {
-        let policies: Vec<String> = self.policies.iter().map(canonical_kind).collect();
-        let o = &self.opts;
-        // The roster's spelling, so `2mem-1` and `2MEM-1` share one cache
-        // and coalescing entry; a name the run will reject stays as sent.
-        let mix = resolve_mix(&self.mix).map_or(self.mix.as_str(), |m| m.name);
-        format!(
-            "v{SCHEMA_VERSION};mix={mix};policies=[{}];audit={};instr={};warmup={};profile={};slice={};factor={};budget={:?}",
-            policies.join(","),
-            self.audit,
-            o.instructions,
-            o.warmup,
-            o.profile_instructions,
-            o.eval_slice,
-            o.max_cycles_factor,
-            self.max_cycles,
-        )
+        let mix = resolve_mix(&self.mix).map_or(self.mix.as_str(), |m| m.name).to_string();
+        SimRequest { mix, timeout_ms: None, ..self.clone() }.to_json()
     }
 }
 
@@ -760,8 +742,9 @@ mod tests {
         let a = quick_request("me-lreq");
         assert_eq!(
             a.canonical_bytes(),
-            "v6;mix=2MEM-1;policies=[MeLreq];audit=false;instr=20000;warmup=10000;\
-             profile=10000;slice=0;factor=4000;budget=None"
+            "{\"schema_version\":6,\"mix\":\"2MEM-1\",\"policies\":[\"me-lreq\"],\"audit\":false,\
+             \"instructions\":20000,\"warmup\":10000,\"profile_instructions\":10000,\
+             \"eval_slice\":0,\"max_cycles_factor\":4000}"
         );
         // The wall-clock budget is not identity; the cycle budget is.
         assert_eq!(a.canonical_bytes(), a.clone().timeout_ms(5).canonical_bytes());

@@ -125,7 +125,7 @@ impl ExperimentOptions {
         }
     }
 
-    fn max_cycles(&self) -> Cycle {
+    pub(crate) fn max_cycles(&self) -> Cycle {
         self.instructions.saturating_mul(self.max_cycles_factor).max(1 << 22)
     }
 }
@@ -352,7 +352,7 @@ pub struct MixResult {
 }
 
 /// The canonical machine configuration a `cores`-wide warm-up runs under.
-fn canonical_config(cores: usize) -> SystemConfig {
+pub(crate) fn canonical_config(cores: usize) -> SystemConfig {
     SystemConfig::paper(cores, CANONICAL_WARMUP_POLICY)
 }
 
@@ -722,7 +722,7 @@ fn run_window(
         }
     }
     let policy = measured.name();
-    let contested = |sys: &System| sys.hierarchy().controller().contested_decisions();
+    let contested = |sys: &System| sys.controller().contested_decisions();
     let before = contested(sys);
     let outcome = kernel_span(
         "policy",

@@ -1,8 +1,11 @@
-//! The two-level cache hierarchy bound to the memory controller.
+//! The two-level cache hierarchy above the memory controller.
 //!
 //! Implements [`CoreMemory`] for all cores at once: per-core L1I/L1D with
-//! MSHRs, a shared L2 with its own MSHRs, write-back propagation, and the
-//! transaction plumbing down to [`MemoryController`].
+//! MSHRs, a shared L2 with its own MSHRs, write-back propagation, the
+//! cache event heap, and the L2 misses and dirty victims stalled on a
+//! full controller buffer. The [`MemoryController`] is not part of it:
+//! the system owns it and hands it to the calls that reach memory
+//! ([`Hierarchy::advance`], [`Hierarchy::next_event_at`]).
 //!
 //! # Transaction flows
 //!
@@ -173,7 +176,6 @@ pub struct Hierarchy {
     l1d_mshr: Vec<MshrFile<L1Waiter>>,
     l2: CacheArray,
     l2_mshr: MshrFile<L2Waiter>,
-    ctrl: MemoryController,
     events: BinaryHeap<Reverse<Event>>,
     event_seq: u64,
     /// Lines that missed L2 but could not enter the controller yet.
@@ -183,13 +185,12 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Build the hierarchy for `cores` cores over `ctrl`.
+    /// Build the hierarchy for `cores` cores.
     pub fn new(
         cores: usize,
         l1i_cfg: CacheConfig,
         l1d_cfg: CacheConfig,
         l2_cfg: CacheConfig,
-        ctrl: MemoryController,
     ) -> Self {
         assert!(cores >= 1, "need at least one core");
         Hierarchy {
@@ -199,7 +200,6 @@ impl Hierarchy {
             l1d_mshr: (0..cores).map(|_| MshrFile::new(l1d_cfg.mshrs)).collect(),
             l2: CacheArray::new(l2_cfg),
             l2_mshr: MshrFile::new(l2_cfg.mshrs),
-            ctrl,
             events: BinaryHeap::new(),
             event_seq: 0,
             pending_mem: VecDeque::new(),
@@ -207,58 +207,10 @@ impl Hierarchy {
         }
     }
 
-    /// The memory controller, whose statistics count the hierarchy's
-    /// memory traffic.
-    pub fn controller(&self) -> &MemoryController {
-        &self.ctrl
-    }
-
-    /// Clear measurement statistics after warm-up (controller latency and
-    /// byte counters; cache arrays keep their contents — that is the
-    /// point of warming up).
-    pub fn reset_stats(&mut self) {
-        self.ctrl.reset_stats();
-    }
-
-    /// Forward fresh memory-efficiency estimates to the scheduling
-    /// policy (the online-profiling hook).
-    pub fn update_profile(&mut self, me: &[f64]) {
-        self.ctrl.update_profile(me);
-    }
-
-    /// Forward the `tick_exact` oracle switch to the controller's grant
-    /// scan (see [`MemoryController::set_tick_exact`]).
-    pub fn set_tick_exact(&mut self, exact: bool) {
-        self.ctrl.set_tick_exact(exact);
-    }
-
-    /// Attach audit instrumentation to the controller (and the DRAM
-    /// device beneath it) — see [`melreq_audit`].
-    pub fn attach_audit(&mut self, audit: melreq_audit::AuditHandle) {
-        self.ctrl.attach_audit(audit);
-    }
-
-    /// Swap the controller's scheduling policy in place (warmup sharing:
-    /// one warmed hierarchy forks into one copy per measured policy).
-    pub fn set_policy(
-        &mut self,
-        policy: Box<dyn melreq_memctrl::policy::SchedulerPolicy>,
-        read_first: bool,
-    ) {
-        self.ctrl.set_policy(policy, read_first);
-    }
-
-    /// Announce a memory-efficiency profile on the audit stream without
-    /// reprogramming the policy (see
-    /// [`melreq_memctrl::MemoryController::announce_profile`]).
-    pub fn announce_profile(&self, me: &[f64]) {
-        self.ctrl.announce_profile(me);
-    }
-
     /// Walk all mutable hierarchy state: cache arrays, MSHR files (with
-    /// their parked waiters), in-flight cache events, stalled memory
-    /// submissions, statistics, and the controller beneath ([`Archive`]);
-    /// a load needs a hierarchy constructed with the same configuration.
+    /// their parked waiters), in-flight cache events and stalled memory
+    /// submissions ([`Archive`]); a load needs a hierarchy constructed
+    /// with the same configuration.
     pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         let Self {
             l1i,
@@ -267,7 +219,6 @@ impl Hierarchy {
             l1d_mshr,
             l2,
             l2_mshr,
-            ctrl,
             events,
             event_seq,
             pending_mem,
@@ -302,7 +253,7 @@ impl Hierarchy {
                 *q = stalled.into();
             }
         }
-        ctrl.state(ar)
+        Ok(())
     }
 
     /// L1D array of one core (hit rates in reports/tests).
@@ -361,39 +312,44 @@ impl Hierarchy {
     }
 
     /// Conservative lower bound on the next cycle at which this hierarchy
-    /// (including the controller and DRAM beneath it) can make progress:
-    /// a stalled submission can retry, a cache event comes due, a DRAM
-    /// grant or completion becomes possible, or a refresh boundary is
-    /// crossed. `None` when fully idle.
-    pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if (!self.pending_wb.is_empty() || !self.pending_mem.is_empty()) && self.ctrl.can_accept() {
+    /// or `ctrl` beneath it (with its DRAM) can make progress: a stalled
+    /// submission can retry, a cache event comes due, a DRAM grant or
+    /// completion becomes possible, or a refresh boundary is crossed.
+    /// `None` when fully idle.
+    pub fn next_event_at(&self, now: Cycle, ctrl: &MemoryController) -> Option<Cycle> {
+        if (!self.pending_wb.is_empty() || !self.pending_mem.is_empty()) && ctrl.can_accept() {
             return Some(now);
         }
         let events = self.events.peek().map(|&Reverse(ev)| ev.at);
-        match (events, self.ctrl.next_event_at(now)) {
+        match (events, ctrl.next_event_at(now)) {
             (Some(a), Some(b)) => Some(a.min(b).max(now)),
             (a, b) => a.or(b).map(|t| t.max(now)),
         }
     }
 
-    /// Advance the hierarchy to `now`, appending the core completions
-    /// that became ready to `finished` (a caller-owned scratch buffer;
-    /// not cleared here, so one buffer can be reused across cycles
-    /// without per-cycle allocation).
-    pub fn advance(&mut self, now: Cycle, finished: &mut Vec<(CoreId, CoreToken)>) {
+    /// Advance the hierarchy and `ctrl` to `now`, appending the core
+    /// completions that became ready to `finished` (a caller-owned
+    /// scratch buffer; not cleared here, so one buffer can be reused
+    /// across cycles without per-cycle allocation).
+    pub fn advance(
+        &mut self,
+        now: Cycle,
+        ctrl: &mut MemoryController,
+        finished: &mut Vec<(CoreId, CoreToken)>,
+    ) {
         // 1. Retry memory submissions stalled on a full controller buffer.
         while let Some(&(core, line)) = self.pending_wb.front() {
-            if !self.ctrl.can_accept() {
+            if !ctrl.can_accept() {
                 break;
             }
-            self.ctrl.submit(core, line, AccessKind::Write, now);
+            ctrl.submit(core, line, AccessKind::Write, now);
             self.pending_wb.pop_front();
         }
         while let Some(&(core, line)) = self.pending_mem.front() {
-            if !self.ctrl.can_accept() {
+            if !ctrl.can_accept() {
                 break;
             }
-            self.ctrl.submit(core, line, AccessKind::Read, now);
+            ctrl.submit(core, line, AccessKind::Read, now);
             self.pending_mem.pop_front();
         }
 
@@ -405,7 +361,7 @@ impl Hierarchy {
             let Reverse(ev) = self.events.pop().expect("peeked");
             match ev.kind {
                 EventKind::L2Access { core, line, origin } => {
-                    self.do_l2_access(core, line, origin, now);
+                    self.do_l2_access(core, line, origin, now, ctrl);
                 }
                 EventKind::L1Fill { core, line, origin } => {
                     self.do_l1_fill(core, line, origin, finished);
@@ -414,10 +370,10 @@ impl Hierarchy {
         }
 
         // 3. Let the controller schedule DRAM transactions.
-        self.ctrl.tick(now);
+        ctrl.tick(now);
 
         // 4. Drain DRAM read completions: fill the L2 and fan out L1 fills.
-        while let Some((_, core, addr)) = self.ctrl.pop_completed(now) {
+        while let Some((_, core, addr)) = ctrl.pop_completed(now) {
             let line = line_addr(addr);
             if let Some(victim) = self.l2.fill(line, false) {
                 if victim.dirty {
@@ -432,7 +388,14 @@ impl Hierarchy {
         }
     }
 
-    fn do_l2_access(&mut self, core: CoreId, line: Addr, origin: Origin, now: Cycle) {
+    fn do_l2_access(
+        &mut self,
+        core: CoreId,
+        line: Addr,
+        origin: Origin,
+        now: Cycle,
+        ctrl: &mut MemoryController,
+    ) {
         if self.l2.access(line, false) {
             // L2 hit: data at the L1 boundary after the L2 latency.
             let at = now + self.l2.config().hit_latency;
@@ -441,8 +404,8 @@ impl Hierarchy {
         }
         match self.l2_mshr.allocate(line, L2Waiter { core, origin }) {
             AllocOutcome::Primary => {
-                if self.ctrl.can_accept() {
-                    self.ctrl.submit(core, line, AccessKind::Read, now);
+                if ctrl.can_accept() {
+                    ctrl.submit(core, line, AccessKind::Read, now);
                 } else {
                     self.pending_mem.push_back((core, line));
                 }
@@ -551,31 +514,34 @@ mod tests {
     use melreq_memctrl::controller::ControllerConfig;
     use melreq_memctrl::policy::PolicyKind;
 
-    fn hierarchy(cores: usize) -> Hierarchy {
+    /// The paper's hierarchy for `cores` cores and, beside it, an HF-RF
+    /// controller with the buffer of `ctrl_cfg`.
+    fn hierarchy_over(cores: usize, ctrl_cfg: ControllerConfig) -> (Hierarchy, MemoryController) {
         let me = vec![1.0; cores];
-        let ctrl = MemoryController::new(
-            ControllerConfig::paper(),
-            DramSystem::paper(),
-            PolicyKind::HfRf.build(&me, cores, 1),
-            true,
-            cores,
-        );
-        Hierarchy::new(
-            cores,
-            CacheConfig::l1i_paper(),
-            CacheConfig::l1d_paper(),
-            CacheConfig::l2_paper(),
-            ctrl,
-        )
+        let policy = PolicyKind::HfRf.build(&me, cores, 1);
+        let ctrl = MemoryController::new(ctrl_cfg, DramSystem::paper(), policy, true, cores);
+        let (l1i, l1d, l2) =
+            (CacheConfig::l1i_paper(), CacheConfig::l1d_paper(), CacheConfig::l2_paper());
+        (Hierarchy::new(cores, l1i, l1d, l2), ctrl)
+    }
+
+    fn hierarchy(cores: usize) -> (Hierarchy, MemoryController) {
+        hierarchy_over(cores, ControllerConfig::paper())
     }
 
     /// Drive the hierarchy until the given token completes; returns the
     /// completion cycle.
-    fn run_until(h: &mut Hierarchy, core: CoreId, token: CoreToken, limit: Cycle) -> Cycle {
+    fn run_until(
+        h: &mut Hierarchy,
+        ctrl: &mut MemoryController,
+        core: CoreId,
+        token: CoreToken,
+        limit: Cycle,
+    ) -> Cycle {
         let mut done = Vec::new();
         for now in 0..limit {
             done.clear();
-            h.advance(now, &mut done);
+            h.advance(now, ctrl, &mut done);
             if done.iter().any(|&(c, t)| c == core && t == token) {
                 return now;
             }
@@ -587,16 +553,16 @@ mod tests {
     /// hierarchy event, no stalled submission, an empty controller. Every
     /// read or write issued so far has then been granted, so `served()`
     /// counts it. Returns the first quiet cycle.
-    fn drain(h: &mut Hierarchy, mut now: Cycle) -> Cycle {
+    fn drain(h: &mut Hierarchy, ctrl: &mut MemoryController, mut now: Cycle) -> Cycle {
         let limit = now + 1_000_000;
         let mut sink = Vec::new();
         while !(h.events.is_empty()
             && h.pending_mem.is_empty()
             && h.pending_wb.is_empty()
-            && h.ctrl.is_idle())
+            && ctrl.is_idle())
         {
             assert!(now < limit, "hierarchy never went quiet");
-            h.advance(now, &mut sink);
+            h.advance(now, ctrl, &mut sink);
             now += 1;
         }
         now
@@ -604,50 +570,50 @@ mod tests {
 
     #[test]
     fn cold_load_misses_to_memory_and_returns() {
-        let mut h = hierarchy(1);
+        let (mut h, mut ctrl) = hierarchy(1);
         let tok = CoreToken::Load(0);
         assert_eq!(h.load(CoreId(0), tok, 0x100040, 0), MemResponse::Pending);
-        let done = run_until(&mut h, CoreId(0), tok, 2000);
+        let done = run_until(&mut h, &mut ctrl, CoreId(0), tok, 2000);
         // L1 (3) + L2 lookup + controller overhead (48) + DRAM (96) + fill.
         assert!(done > 140 && done < 250, "latency {done}");
-        drain(&mut h, done + 1);
-        assert_eq!(h.controller().stats().served().reads, 1);
+        drain(&mut h, &mut ctrl, done + 1);
+        assert_eq!(ctrl.stats().served().reads, 1);
     }
 
     #[test]
     fn second_access_hits_l1() {
-        let mut h = hierarchy(1);
+        let (mut h, mut ctrl) = hierarchy(1);
         let tok = CoreToken::Load(0);
         h.load(CoreId(0), tok, 0x100040, 0);
-        let done = run_until(&mut h, CoreId(0), tok, 2000);
+        let done = run_until(&mut h, &mut ctrl, CoreId(0), tok, 2000);
         match h.load(CoreId(0), CoreToken::Load(1), 0x100040, done + 1) {
             MemResponse::HitAt(at) => assert_eq!(at, done + 1 + 3),
             r => panic!("expected L1 hit, got {r:?}"),
         }
-        drain(&mut h, done + 1);
-        assert_eq!(h.controller().stats().served().reads, 1);
+        drain(&mut h, &mut ctrl, done + 1);
+        assert_eq!(ctrl.stats().served().reads, 1);
     }
 
     #[test]
     fn same_line_loads_merge_in_mshr() {
-        let mut h = hierarchy(1);
+        let (mut h, mut ctrl) = hierarchy(1);
         assert_eq!(h.load(CoreId(0), CoreToken::Load(0), 0x100000, 0), MemResponse::Pending);
         assert_eq!(h.load(CoreId(0), CoreToken::Load(1), 0x100020, 0), MemResponse::Pending);
         let mut got = Vec::new();
         let mut now = 0;
         while now < 2000 && got.len() < 2 {
-            h.advance(now, &mut got);
+            h.advance(now, &mut ctrl, &mut got);
             now += 1;
         }
         assert_eq!(got.len(), 2, "both merged loads must complete");
-        drain(&mut h, now);
-        let reads = h.controller().stats().served().reads;
+        drain(&mut h, &mut ctrl, now);
+        let reads = ctrl.stats().served().reads;
         assert_eq!(reads, 1, "one memory read for the merged pair");
     }
 
     #[test]
     fn l1d_mshr_exhaustion_blocks() {
-        let mut h = hierarchy(1);
+        let (mut h, _) = hierarchy(1);
         for i in 0..32 {
             assert_eq!(
                 h.load(CoreId(0), CoreToken::Load(i), 0x100000 + i * 64, 0),
@@ -659,12 +625,12 @@ mod tests {
 
     #[test]
     fn store_miss_allocates_and_fills_dirty() {
-        let mut h = hierarchy(1);
+        let (mut h, mut ctrl) = hierarchy(1);
         assert!(h.store(CoreId(0), 0x300000, 0));
         // Run until the fill lands.
         let mut sink = Vec::new();
         for now in 0..2000 {
-            h.advance(now, &mut sink);
+            h.advance(now, &mut ctrl, &mut sink);
             if h.l1d(CoreId(0)).probe(0x300000) {
                 break;
             }
@@ -675,19 +641,19 @@ mod tests {
 
     #[test]
     fn store_hit_is_instant() {
-        let mut h = hierarchy(1);
+        let (mut h, mut ctrl) = hierarchy(1);
         let tok = CoreToken::Load(0);
         h.load(CoreId(0), tok, 0x400000, 0);
-        let done = run_until(&mut h, CoreId(0), tok, 2000);
+        let done = run_until(&mut h, &mut ctrl, CoreId(0), tok, 2000);
         assert!(h.store(CoreId(0), 0x400000, done + 1));
     }
 
     #[test]
     fn ifetch_uses_l1i() {
-        let mut h = hierarchy(1);
+        let (mut h, mut ctrl) = hierarchy(1);
         let tok = CoreToken::Fetch;
         assert_eq!(h.ifetch(CoreId(0), tok, 0x500000, 0), MemResponse::Pending);
-        run_until(&mut h, CoreId(0), tok, 2000);
+        run_until(&mut h, &mut ctrl, CoreId(0), tok, 2000);
         match h.ifetch(CoreId(0), CoreToken::Fetch, 0x500000, 1000) {
             MemResponse::HitAt(at) => assert_eq!(at, 1001),
             r => panic!("expected L1I hit, got {r:?}"),
@@ -696,18 +662,18 @@ mod tests {
 
     #[test]
     fn l2_hit_avoids_memory() {
-        let mut h = hierarchy(2);
+        let (mut h, mut ctrl) = hierarchy(2);
         // Core 0 brings the line into L2 (and its own L1).
         let t0 = CoreToken::Load(0);
         h.load(CoreId(0), t0, 0x600000, 0);
-        let done = run_until(&mut h, CoreId(0), t0, 2000);
-        let reads_before = h.controller().stats().served().reads;
+        let done = run_until(&mut h, &mut ctrl, CoreId(0), t0, 2000);
+        let reads_before = ctrl.stats().served().reads;
         // Core 1 misses L1 but hits the shared L2.
         let t1 = CoreToken::Load(1);
         assert_eq!(h.load(CoreId(1), t1, 0x600000, done + 1), MemResponse::Pending);
-        let done1 = run_until(&mut h, CoreId(1), t1, done + 200);
-        drain(&mut h, done1 + 1);
-        let reads = h.controller().stats().served().reads;
+        let done1 = run_until(&mut h, &mut ctrl, CoreId(1), t1, done + 200);
+        drain(&mut h, &mut ctrl, done1 + 1);
+        let reads = ctrl.stats().served().reads;
         assert_eq!(reads, reads_before, "L2 hit must not touch memory");
         // L1 tag (3) + L2 hit (15) + fill ~1.
         assert!(done1 - done < 40, "L2 hit latency too high: {}", done1 - done);
@@ -715,7 +681,7 @@ mod tests {
 
     #[test]
     fn dirty_evictions_generate_memory_writes() {
-        let mut h = hierarchy(1);
+        let (mut h, mut ctrl) = hierarchy(1);
         // Dirty many lines mapping beyond L1/L2 capacity to force dirty
         // evictions all the way out. L2 is 4 MB/4-way: walk > 4 MB span
         // with stores, then stream loads over it again.
@@ -724,16 +690,87 @@ mod tests {
         for i in 0..(6 << 20) / 64u64 {
             let addr = 0x4000_0000 + i * 64;
             while !h.store(CoreId(0), addr, now) {
-                h.advance(now, &mut sink);
+                h.advance(now, &mut ctrl, &mut sink);
                 now += 1;
             }
             if i % 8 == 0 {
-                h.advance(now, &mut sink);
+                h.advance(now, &mut ctrl, &mut sink);
                 now += 1;
             }
         }
-        drain(&mut h, now);
-        let writes = h.controller().stats().served().writes;
+        drain(&mut h, &mut ctrl, now);
+        let writes = ctrl.stats().served().writes;
         assert!(writes > 0, "dirty L2 victims must become DRAM writes");
+    }
+
+    /// A four-entry controller buffer under a flood of distinct-line loads
+    /// and stores from two cores over dirty caches: L2 misses and dirty
+    /// victims wait in the stalled queues, the kernel's bound wakes them
+    /// the cycle the controller has room (also when nothing else is due
+    /// then: an L1 fill's dirty victim can push an L2 victim out between
+    /// controller events), and nothing is lost or doubled.
+    #[test]
+    fn a_full_controller_buffer_stalls_submissions_until_it_can_accept() {
+        const OPS: u64 = 96; // per core: even ops load, odd ops store
+        let small = ControllerConfig {
+            buffer_entries: 4,
+            drain_start: 2,
+            drain_stop: 1,
+            ..ControllerConfig::paper()
+        };
+        let (mut h, mut ctrl) = hierarchy_over(2, small);
+        // Every line a miss brings into an L1 evicts a dirty victim into
+        // the L2, and every line the L2 takes in evicts a dirty victim too.
+        for i in 0..h.l2.config().size_bytes / 64 {
+            h.l2.fill(0x8000_0000 + i * 64, true);
+        }
+        for (c, l1d) in h.l1d.iter_mut().enumerate() {
+            for i in 0..l1d.config().size_bytes / 64 {
+                l1d.fill(0x9000_0000 + ((c as u64) << 24) + i * 64, true);
+            }
+        }
+        let (mut issued, mut finished) = ([0u64; 2], Vec::new());
+        let (mut stalled_reads, mut stalled_writes, mut retried) = (false, false, false);
+        for now in 0.. {
+            assert!(now < 1_000_000, "the flood never drained");
+            let stalled = !h.pending_mem.is_empty() || !h.pending_wb.is_empty();
+            stalled_reads |= !h.pending_mem.is_empty();
+            stalled_writes |= !h.pending_wb.is_empty();
+            if stalled && ctrl.can_accept() {
+                assert_eq!(h.next_event_at(now, &ctrl), Some(now), "a retry is due at {now}");
+                retried = true;
+            }
+            h.advance(now, &mut ctrl, &mut finished);
+            for (c, next) in issued.iter_mut().enumerate() {
+                if *next == OPS {
+                    continue;
+                }
+                let (core, addr) = (CoreId::from(c), 0x1000_0000 + ((c as u64) << 24) + *next * 64);
+                let accepted = if next.is_multiple_of(2) {
+                    h.load(core, CoreToken::Load(*next), addr, now) != MemResponse::Blocked
+                } else {
+                    h.store(core, addr, now)
+                };
+                *next += u64::from(accepted);
+            }
+            let quiet = h.events.is_empty() && h.pending_mem.is_empty() && h.pending_wb.is_empty();
+            if issued == [OPS; 2] && quiet && ctrl.is_idle() {
+                break;
+            }
+        }
+        assert!(stalled_reads && stalled_writes, "both stalled queues must fill");
+        assert!(retried, "the controller must free room while submissions wait");
+        let mut loads: Vec<(CoreId, u64)> = finished
+            .iter()
+            .map(|&(core, tok)| match tok {
+                CoreToken::Load(seq) => (core, seq),
+                CoreToken::Fetch => panic!("no fetch was issued"),
+            })
+            .collect();
+        loads.sort_unstable();
+        let issued_loads: Vec<(CoreId, u64)> =
+            (0..2).flat_map(|c| (0..OPS).step_by(2).map(move |i| (CoreId::from(c), i))).collect();
+        assert_eq!(loads, issued_loads, "every load completes exactly once");
+        assert_eq!(ctrl.stats().served().reads, 2 * OPS, "one read per distinct line");
     }
 }

@@ -7,9 +7,8 @@
 //! `ME = IPC / BW(GB/s)` then initializes the controller's priority
 //! tables for the multiprogrammed runs.
 
-use crate::config::SystemConfig;
+use crate::experiment::{canonical_config, ExperimentOptions};
 use crate::system::{CancelToken, System};
-use melreq_memctrl::policy::PolicyKind;
 use melreq_stats::bandwidth::memory_efficiency;
 use melreq_trace::InstrStream;
 use melreq_workloads::{AppSpec, SliceKind};
@@ -30,8 +29,9 @@ pub struct AppProfile {
 }
 
 /// Profile one application: run `instructions` committed ops of the given
-/// slice alone on the paper's single-core machine (HF-RF policy — the
-/// baseline controller, so profiles are policy-independent).
+/// slice alone on the paper's single-core machine under the canonical
+/// warm-up policy (HF-RF, the baseline controller, so profiles are
+/// policy-independent).
 pub fn profile_app(app: &AppSpec, slice: SliceKind, instructions: u64) -> AppProfile {
     profile_app_until(app, slice, instructions, None).expect("no token to cancel it")
 }
@@ -44,7 +44,9 @@ pub fn profile_app_until(
     instructions: u64,
     cancel: Option<&CancelToken>,
 ) -> Option<AppProfile> {
-    let cfg = SystemConfig::paper(1, PolicyKind::HfRf);
+    // The canonical single-core machine: the store keys profiles on this
+    // same definition (`CheckpointStore::profile_key`).
+    let cfg = canonical_config(1);
     let freq = cfg.freq_hz;
     let stream: Box<dyn InstrStream + Send> = Box::new(app.build_stream(0, slice));
     let mut sys = System::new(cfg, vec![stream], &[1.0]);
@@ -53,13 +55,11 @@ pub fn profile_app_until(
     }
     // Warm the caches over one slice length before measuring, so compulsory
     // misses do not pollute the short profile (the paper's 10 M-op slices
-    // amortize warm-up implicitly). Safety net: a fully memory-bound app
-    // commits ≥ ~1 op per 2000 cycles even under worst-case queueing.
-    let out = sys.run_measured(
-        instructions,
-        instructions,
-        instructions.saturating_mul(4000).max(1 << 22),
-    );
+    // amortize warm-up implicitly). The safety net is a run's at the default
+    // `max_cycles_factor`, whatever the requesting run's factor: one stored
+    // profile serves requests of any factor, so none of them may shape it.
+    let bound = ExperimentOptions { instructions, ..ExperimentOptions::default() }.max_cycles();
+    let out = sys.run_measured(instructions, instructions, bound);
     if out.cancelled {
         return None;
     }

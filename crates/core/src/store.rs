@@ -55,7 +55,6 @@
 use crate::config::SystemConfig;
 use crate::experiment::GroupShare;
 use crate::profile::AppProfile;
-use melreq_memctrl::policy::PolicyKind;
 use melreq_snap::{Dec, Enc, Sealed, SnapError};
 use melreq_trace::{InstrStream, OpTape};
 use melreq_workloads::{spec2000, SliceKind};
@@ -188,11 +187,12 @@ impl CheckpointStore {
         )
     }
 
-    /// Key of a single-core profiling run's [`AppProfile`]. The paper
-    /// machine's single-core configuration is folded in so profiles are
+    /// Key of a single-core profiling run's [`AppProfile`]. The machine
+    /// it ran on (`canonical_config(1)`, as in
+    /// [`crate::profile::profile_app`]) is folded in so profiles are
     /// invalidated when any machine parameter changes.
     pub fn profile_key(code: char, slice: SliceKind, instructions: u64) -> u64 {
-        let cfg = SystemConfig::paper(1, PolicyKind::HfRf);
+        let cfg = crate::experiment::canonical_config(1);
         melreq_snap::keyed("profile", &format!("{cfg:?}|{code}|{slice:?}|{instructions}"))
     }
 
@@ -449,6 +449,7 @@ fn decode_tapes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use melreq_memctrl::policy::PolicyKind;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -745,8 +746,10 @@ mod tests {
                 }
             }
             std::fs::write(&path, &bytes).unwrap();
-            proptest::prop_assert!(s.load_tapes(1, streams()).is_none());
-            proptest::prop_assert!(!path.exists());
+            let (missed, deleted) = (s.load_tapes(1, streams()).is_none(), !path.exists());
+            let _ = std::fs::remove_dir_all(s.dir());
+            proptest::prop_assert!(missed);
+            proptest::prop_assert!(deleted);
         }
     }
 

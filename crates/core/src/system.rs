@@ -1,4 +1,7 @@
-//! The assembled machine and its global cycle loop.
+//! The assembled machine and its global cycle loop: the cores, the cache
+//! hierarchy and the memory controller (with the DRAM beneath it), side by
+//! side as in the paper's Figure 1. The system owns the controller and
+//! hands it to the hierarchy on each step that reaches memory.
 
 use crate::config::SystemConfig;
 use crate::hierarchy::Hierarchy;
@@ -63,6 +66,7 @@ pub struct System {
     cfg: SystemConfig,
     cores: Vec<Core>,
     hier: Hierarchy,
+    ctrl: MemoryController,
     now: Cycle,
     online: Option<OnlineMe>,
     /// The test oracle: force the cycle-exact loop, disabling the
@@ -314,7 +318,7 @@ impl System {
         assert_eq!(streams.len(), cfg.cores, "one stream per core");
         let dram = DramSystem::new(cfg.geometry, cfg.timing);
         let ctrl = MemoryController::new(cfg.ctrl, dram, policy, read_first, cfg.cores);
-        let mut hier = Hierarchy::new(cfg.cores, cfg.l1i, cfg.l1d, cfg.l2, ctrl);
+        let mut hier = Hierarchy::new(cfg.cores, cfg.l1i, cfg.l1d, cfg.l2);
         // Functional warm-up: pre-load each program's cacheable regions so
         // short measured slices are not dominated by compulsory misses
         // (SimPoint checkpoints carry warm architectural state likewise).
@@ -335,6 +339,7 @@ impl System {
             cfg,
             cores,
             hier,
+            ctrl,
             now: 0,
             online: None,
             me_profile: None,
@@ -359,7 +364,7 @@ impl System {
     /// wake-up bounds the default kernel relies on.
     pub fn set_tick_exact(&mut self, tick_exact: bool) {
         self.tick_exact = tick_exact;
-        self.hier.set_tick_exact(tick_exact);
+        self.ctrl.set_tick_exact(tick_exact);
         self.wake_all();
     }
 
@@ -385,11 +390,10 @@ impl System {
 
     /// Work the kernel did and avoided so far (see [`KernelCounters`]).
     pub fn kernel_counters(&self) -> KernelCounters {
-        let ctrl = self.hier.controller();
-        let (channel_scans, channel_scans_skipped) = ctrl.scan_counters();
+        let (channel_scans, channel_scans_skipped) = self.ctrl.scan_counters();
         let issue = self.cores.iter().map(Core::issue_work);
         KernelCounters {
-            contested_decisions: ctrl.contested_decisions(),
+            contested_decisions: self.ctrl.contested_decisions(),
             channel_scans,
             channel_scans_skipped,
             issue_examined: issue.clone().map(|w| w.examined).sum(),
@@ -405,7 +409,7 @@ impl System {
     /// profile (when the policy was built internally from a known one) is
     /// announced so the checker can reconstruct the priority tables.
     pub fn attach_audit(&mut self, audit: melreq_audit::AuditHandle) {
-        self.hier.attach_audit(audit.clone());
+        self.ctrl.attach_audit(audit.clone());
         if let Some(me) = self.me_profile.clone() {
             audit.emit(|| melreq_audit::AuditEvent::ProfileUpdate { me });
         }
@@ -465,9 +469,15 @@ impl System {
         &self.cores
     }
 
-    /// The memory hierarchy (cache/controller/DRAM statistics).
+    /// The cache hierarchy (cache contents).
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.hier
+    }
+
+    /// The memory controller, with the DRAM beneath it (memory-side
+    /// statistics).
+    pub fn controller(&self) -> &MemoryController {
+        &self.ctrl
     }
 
     /// Advance the whole machine by one CPU cycle.
@@ -475,7 +485,7 @@ impl System {
         let now = self.now;
         // Memory side first: deliver data that becomes ready this cycle...
         self.scratch.clear();
-        self.hier.advance(now, &mut self.scratch);
+        self.hier.advance(now, &mut self.ctrl, &mut self.scratch);
         for &(core, token) in &self.scratch {
             self.cores[core.index()].finish(token, now);
             self.core_wake[core.index()] = 0;
@@ -514,7 +524,7 @@ impl System {
             return;
         }
         st.next_at = self.now + st.epoch;
-        let ctrl = self.hier.controller();
+        let ctrl = &self.ctrl;
         st.core_buf.clear();
         for (i, core) in self.cores.iter().enumerate() {
             st.core_buf.push(CoreSample {
@@ -538,7 +548,7 @@ impl System {
 
     /// Conservative lower bound on the next cycle at which any component
     /// can make progress (see DESIGN.md, "Simulation kernel"): the minimum
-    /// of the per-core wake cycles and the hierarchy's bound. `Some(now)`
+    /// of the per-core wake cycles and the memory side's bound. `Some(now)`
     /// means this cycle must be simulated; `Some(t > now)` means every
     /// cycle strictly before `t` is provably a no-op; `None` means the
     /// machine is fully quiescent with nothing in flight.
@@ -548,7 +558,7 @@ impl System {
         if cores <= now {
             return Some(now);
         }
-        let bound = self.hier.next_event_at(now).map_or(cores, |at| at.min(cores));
+        let bound = self.hier.next_event_at(now, &self.ctrl).map_or(cores, |at| at.min(cores));
         (bound != Cycle::MAX).then_some(bound)
     }
 
@@ -579,7 +589,7 @@ impl System {
             return;
         }
         st.next_at = self.now + st.epoch;
-        let bytes_now = self.hier.controller().stats().bytes_by_core.clone();
+        let bytes_now = &self.ctrl.stats().bytes_by_core;
         let freq = self.cfg.freq_hz;
         let epoch = st.epoch as f64;
         for (i, core) in self.cores.iter().enumerate() {
@@ -600,7 +610,7 @@ impl System {
             let sample = ipc / gbps.max(1e-3);
             st.estimate[i] = OnlineMe::ALPHA * sample + (1.0 - OnlineMe::ALPHA) * st.estimate[i];
         }
-        self.hier.update_profile(&st.estimate);
+        self.ctrl.update_profile(&st.estimate);
     }
 
     /// Run until every core has committed `target` instructions (the
@@ -680,7 +690,7 @@ impl System {
         if self.stats_reset_at.is_none()
             && self.cores.iter().all(|c| c.window_start_cycle().is_some())
         {
-            self.hier.reset_stats();
+            self.ctrl.reset_stats();
             // All measured slices start here, together: a core that raced
             // past its warm-up count keeps running, but only instructions
             // committed from this cycle on count toward its target. This
@@ -722,7 +732,7 @@ impl System {
             }
         }
         let measured_cycles = self.now.saturating_sub(self.stats_reset_at.unwrap_or(0)).max(1);
-        let ctrl_stats = self.hier.controller().stats();
+        let ctrl_stats = self.ctrl.stats();
         let read_latency: Vec<f64> =
             ctrl_stats.read_latency.iter().map(melreq_stats::StreamingMean::mean_or_zero).collect();
         RunOutcome {
@@ -771,7 +781,7 @@ impl System {
             epoch: epoch_cycles,
             next_at: self.now + epoch_cycles,
             prev_instr: self.cores.iter().map(melreq_cpu::Core::committed).collect(),
-            prev_bytes: self.hier.controller().stats().bytes_by_core.clone(),
+            prev_bytes: self.ctrl.stats().bytes_by_core.clone(),
             estimate: vec![1.0; self.cfg.cores],
         })
     }
@@ -799,10 +809,10 @@ impl System {
         me: &[f64],
     ) {
         self.wake_all();
-        self.hier.set_policy(policy, read_first);
+        self.ctrl.set_policy(policy, read_first);
         self.online = None;
         self.me_profile = Some(me.to_vec());
-        self.hier.announce_profile(me);
+        self.ctrl.announce_profile(me);
     }
 
     /// Serialize the entire machine — every core pipeline (including its
@@ -854,8 +864,8 @@ impl System {
     }
 
     /// The snapshot payload's one definition ([`Archive`]): the clock,
-    /// every core, the hierarchy, the online-ME estimator and the
-    /// measurement boundary.
+    /// every core, the hierarchy, the controller, the online-ME estimator
+    /// and the measurement boundary.
     fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `cfg`: construction-time config, identical across snapshot peers.
         // `tick_exact`, `sampler`, `cancel`, `cancelled`, `counters`:
@@ -867,6 +877,7 @@ impl System {
             cfg: _,
             cores,
             hier,
+            ctrl,
             now,
             online,
             tick_exact: _,
@@ -883,6 +894,7 @@ impl System {
         ar.len(cores.len(), SnapError::Invalid("system core count mismatch"))?;
         cores.iter_mut().try_for_each(|c| c.state(ar))?;
         hier.state(ar)?;
+        ctrl.state(ar)?;
         let mut has_online = online.is_some();
         ar.bool(&mut has_online)?;
         let presence = SnapError::Invalid("online estimator presence mismatch");

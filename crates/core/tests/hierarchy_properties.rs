@@ -12,7 +12,9 @@ use melreq_stats::types::CoreId;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-fn hierarchy(cores: usize, policy: PolicyKind) -> Hierarchy {
+/// The paper's hierarchy for `cores` cores and, beside it, the controller
+/// it submits to.
+fn hierarchy(cores: usize, policy: PolicyKind) -> (Hierarchy, MemoryController) {
     let me: Vec<f64> = (0..cores).map(|i| 1.0 + i as f64).collect();
     let ctrl = MemoryController::new(
         ControllerConfig::paper(),
@@ -21,13 +23,9 @@ fn hierarchy(cores: usize, policy: PolicyKind) -> Hierarchy {
         policy.read_first(),
         cores,
     );
-    Hierarchy::new(
-        cores,
-        CacheConfig::l1i_paper(),
-        CacheConfig::l1d_paper(),
-        CacheConfig::l2_paper(),
-        ctrl,
-    )
+    let (l1i, l1d, l2) =
+        (CacheConfig::l1i_paper(), CacheConfig::l1d_paper(), CacheConfig::l2_paper());
+    (Hierarchy::new(cores, l1i, l1d, l2), ctrl)
 }
 
 proptest! {
@@ -41,7 +39,7 @@ proptest! {
         policy_pick in 0usize..5
     ) {
         let policy = PolicyKind::figure2_set()[policy_pick].clone();
-        let mut h = hierarchy(4, policy);
+        let (mut h, mut ctrl) = hierarchy(4, policy);
         let mut outstanding: BTreeSet<(u16, u64)> = BTreeSet::new();
         let mut now = 0u64;
         let mut done = Vec::new();
@@ -63,7 +61,7 @@ proptest! {
             // Advance a little between accesses.
             for _ in 0..3 {
                 done.clear();
-                h.advance(now, &mut done);
+                h.advance(now, &mut ctrl, &mut done);
                 for &(c, t) in &done {
                     if let CoreToken::Load(seq) = t {
                         prop_assert!(
@@ -79,7 +77,7 @@ proptest! {
         let deadline = now + 1_000_000;
         while !outstanding.is_empty() && now < deadline {
             done.clear();
-            h.advance(now, &mut done);
+            h.advance(now, &mut ctrl, &mut done);
             for &(c, t) in &done {
                 if let CoreToken::Load(seq) = t {
                     prop_assert!(outstanding.remove(&(c.0, seq)), "duplicate completion");
@@ -97,7 +95,7 @@ proptest! {
     fn dram_reads_bounded_by_distinct_lines(
         lines in proptest::collection::vec(0u64..64, 1..100)
     ) {
-        let mut h = hierarchy(1, PolicyKind::HfRf);
+        let (mut h, mut ctrl) = hierarchy(1, PolicyKind::HfRf);
         let distinct: BTreeSet<u64> = lines.iter().copied().collect();
         let mut now = 0u64;
         let mut pending = 0u64;
@@ -110,14 +108,14 @@ proptest! {
                 MemResponse::Blocked => {}
             }
             done.clear();
-            h.advance(now, &mut done);
+            h.advance(now, &mut ctrl, &mut done);
             pending -= done.len() as u64;
             now += 1;
         }
         let deadline = now + 1_000_000;
         while pending > 0 && now < deadline {
             done.clear();
-            h.advance(now, &mut done);
+            h.advance(now, &mut ctrl, &mut done);
             pending -= done.len() as u64;
             now += 1;
         }
@@ -130,13 +128,13 @@ proptest! {
         let mut quiet = 0;
         while quiet < 1_000 && now < deadline {
             done.clear();
-            h.advance(now, &mut done);
+            h.advance(now, &mut ctrl, &mut done);
             prop_assert!(done.is_empty(), "completion after every load returned");
-            quiet = if h.controller().is_idle() { quiet + 1 } else { 0 };
+            quiet = if ctrl.is_idle() { quiet + 1 } else { 0 };
             now += 1;
         }
         prop_assert_eq!(quiet, 1_000, "controller never went quiet");
-        let reads = h.controller().stats().served().reads;
+        let reads = ctrl.stats().served().reads;
         prop_assert!(
             reads <= distinct.len() as u64,
             "{} DRAM reads for {} distinct lines",

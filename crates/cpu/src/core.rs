@@ -255,19 +255,12 @@ impl Core {
         self.head_seq + (u64::from(slot).wrapping_sub(self.head_seq) & mask)
     }
 
-    /// Arm the measurement target: the cycle at which the core commits its
-    /// `n`-th op is recorded (the paper's per-program 100 M-instruction
-    /// slice endpoint). The core keeps running afterwards, like the
-    /// paper's reload-and-continue methodology.
-    pub fn set_target(&mut self, n: u64) {
-        self.set_window(0, n);
-    }
-
     /// Arm a measurement window: the first `skip` committed ops are
     /// warm-up (cold caches, empty queues); the slice of `measure` ops
     /// after them is what [`Core::measured_ipc`] reports. This substitutes
     /// for the paper's SimPoint slices, whose warm-up is implicit in their
-    /// 10–100 M-instruction length.
+    /// 10–100 M-instruction length. The core keeps running after the
+    /// slice ends, like the paper's reload-and-continue methodology.
     pub fn set_window(&mut self, skip: u64, measure: u64) {
         assert!(measure > 0, "target must be positive");
         assert!(self.stats.committed == 0, "set window before running");
@@ -1133,7 +1126,7 @@ mod tests {
     fn target_cycle_recorded_once() {
         let ops = (0..16).map(|i| alu(0x1000 + i * 4)).collect();
         let mut core = Core::new(CoreId(0), CoreConfig::paper(), Box::new(Script::cyclic(ops)));
-        core.set_target(100);
+        core.set_window(0, 100);
         let mut mem = PerfectMemory { latency: 3 };
         run(&mut core, &mut mem, 500);
         let at = core.target_cycle().expect("target should be hit");
@@ -1148,7 +1141,7 @@ mod tests {
     fn measured_ipc_falls_back_to_running_ipc() {
         let ops = (0..16).map(|i| alu(0x1000 + i * 4)).collect();
         let mut core = Core::new(CoreId(0), CoreConfig::paper(), Box::new(Script::cyclic(ops)));
-        core.set_target(1_000_000);
+        core.set_window(0, 1_000_000);
         let mut mem = PerfectMemory { latency: 3 };
         run(&mut core, &mut mem, 100);
         assert!(core.target_cycle().is_none());
@@ -1160,7 +1153,7 @@ mod tests {
     fn zero_target_rejected() {
         let ops = vec![alu(0x1000)];
         let mut core = Core::new(CoreId(0), CoreConfig::paper(), Box::new(Script::cyclic(ops)));
-        core.set_target(0);
+        core.set_window(0, 0);
     }
 
     fn op(kind: OpKind, dep_dist: u16) -> MicroOp {

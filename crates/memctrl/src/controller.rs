@@ -481,8 +481,8 @@ impl MemoryController {
         self.queue.has_space()
     }
 
-    /// Pending read count of `core` (exposed for the CPU model's MSHR
-    /// throttling and for tests).
+    /// Pending read count of `core`, the counter the LREQ policies rank
+    /// by (read from outside only by the system's epoch sampler).
     pub fn pending_reads(&self, core: CoreId) -> u32 {
         self.queue.pending_reads(core)
     }

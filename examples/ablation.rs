@@ -144,7 +144,7 @@ fn main() {
         let mut sys = System::new(cfg, mix.eval_streams(opts.eval_slice), &me);
         let out = sys.run_measured(opts.warmup, opts.instructions, 1 << 34);
         let speedup: f64 = out.ipc.iter().zip(&ipc_single).map(|(m, s)| m / s).sum();
-        let hit_rate = sys.hierarchy().controller().stats().served().hit_rate();
+        let hit_rate = sys.controller().stats().served().hit_rate();
         println!("   {label:44} speedup = {speedup:.3}  row-hit rate = {:.1}%", hit_rate * 100.0);
     }
 

@@ -48,7 +48,7 @@ fn main() {
             app.name, out.ipc[i], out.read_latency[i]
         );
     }
-    let served = sys.hierarchy().controller().stats().served();
+    let served = sys.controller().stats().served();
     println!(
         "total DRAM bandwidth: {:.2} GB/s;  DRAM row-hit rate: {:.1}%",
         out.total_bandwidth_gbs(3.2e9),
@@ -58,6 +58,6 @@ fn main() {
         "controller served {} reads / {} writes under policy {}",
         served.reads,
         served.writes,
-        sys.hierarchy().controller().policy_name()
+        sys.controller().policy_name()
     );
 }

@@ -116,7 +116,7 @@ fn memory_traffic_is_conserved() {
     // hierarchy's reads/writes (no phantom traffic).
     let mut sys = build("2MEM-2", PolicyKind::HfRf);
     let out = sys.run_measured(5_000, 10_000, 1 << 27);
-    let served = sys.hierarchy().controller().stats().served();
+    let served = sys.controller().stats().served();
     let served = served.reads + served.writes;
     let bytes: u64 = out.bytes_by_core.iter().sum();
     assert_eq!(bytes, served * 64, "bytes must equal 64 x transactions");

@@ -131,7 +131,7 @@ fn refresh_costs_throughput() {
     let mut refreshing = build(true);
     let b = refreshing.run_measured(10_000, 30_000, 1 << 30);
     assert!(!a.timed_out && !b.timed_out);
-    assert!(refreshing.hierarchy().controller().dram().refresh_count() > 0, "refresh never fired");
+    assert!(refreshing.controller().dram().refresh_count() > 0, "refresh never fired");
     assert!(b.ipc[0] < a.ipc[0], "refresh must cost something: {} vs {}", b.ipc[0], a.ipc[0]);
     // ...but not more than a few percent (tREFI >> tRFC).
     assert!(b.ipc[0] > 0.9 * a.ipc[0], "refresh cost implausibly high");
