@@ -48,6 +48,8 @@ impl Fnv {
     }
 }
 
+/// Fold `ev` under its variant's tag byte. Every pinned stream hash
+/// depends on the tags: never renumber or reuse one.
 fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
     match ev {
         AuditEvent::DramConfig { channels, banks_per_channel, timing } => {
@@ -114,12 +116,6 @@ fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
         AuditEvent::Refresh { channel, at } => {
             h.byte(5);
             h.usize(*channel);
-            h.u64(*at);
-        }
-        AuditEvent::Precharge { channel, bank, at } => {
-            h.byte(6);
-            h.usize(*channel);
-            h.usize(*bank);
             h.u64(*at);
         }
         AuditEvent::Decision {
@@ -329,9 +325,6 @@ impl AuditSink for Auditor {
             AuditEvent::Submit { core, write, .. } => self.policy.on_submit(*core, *write),
             AuditEvent::Refresh { channel, at } => {
                 self.oracle.on_refresh(*channel, *at, &mut self.scratch);
-            }
-            AuditEvent::Precharge { channel, bank, at } => {
-                self.oracle.on_precharge(*channel, *bank, *at, &mut self.scratch);
             }
             AuditEvent::Decision {
                 channel,

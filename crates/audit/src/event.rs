@@ -231,15 +231,6 @@ pub enum AuditEvent {
         /// Cycle the refresh started.
         at: Cycle,
     },
-    /// The controller explicitly precharged a bank.
-    Precharge {
-        /// Channel.
-        channel: usize,
-        /// Bank.
-        bank: usize,
-        /// Cycle of the precharge command.
-        at: Cycle,
-    },
     /// One scheduling decision (emitted before its `Grant`).
     Decision {
         /// Channel the decision is for.
@@ -376,9 +367,9 @@ mod tests {
     fn shared_sink_is_readable_after_emission() {
         let shared: Arc<Mutex<dyn AuditSink>> = Arc::new(Mutex::new(Recorder::default()));
         let h = AuditHandle::from_shared(vec![shared.clone()]);
-        h.emit(|| AuditEvent::Precharge { channel: 0, bank: 3, at: 99 });
+        h.emit(|| AuditEvent::Refresh { channel: 1, at: 99 });
         let guard = shared.lock().expect("sink");
         let dbg = format!("{guard:?}");
-        assert!(dbg.contains("Precharge"), "{dbg}");
+        assert!(dbg.contains("Refresh"), "{dbg}");
     }
 }

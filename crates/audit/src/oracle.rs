@@ -6,7 +6,7 @@
 //! JEDEC DDR2 tRCD/tCL/tRP/tWR/tRRD/tFAW/tREFI/tRFC) — and flags every
 //! grant whose claimed timing it cannot legally re-derive. It shares no
 //! code with `melreq-dram`: everything is recomputed from the
-//! [`TimingParams`](crate::event::TimingParams) carried in the stream.
+//! [`TimingParams`] carried in the stream.
 
 use crate::event::{GrantOutcome, TimingParams};
 use melreq_stats::types::Cycle;
@@ -161,11 +161,6 @@ impl TimingOracle {
         Self::default()
     }
 
-    /// The timing parameters the stream declared.
-    pub fn timing(&self) -> &TimingParams {
-        &self.timing
-    }
-
     /// Apply the stream's `DramConfig`.
     pub fn on_config(&mut self, channels: usize, banks_per_channel: usize, timing: TimingParams) {
         self.timing = timing;
@@ -224,29 +219,6 @@ impl TimingOracle {
             b.ready_at = b.ready_at.max(at) + t.t_rfc;
         }
         ch.refreshes += 1;
-    }
-
-    /// Replay an explicit precharge command.
-    pub fn on_precharge(
-        &mut self,
-        channel: usize,
-        bank: usize,
-        at: Cycle,
-        out: &mut Vec<Violation>,
-    ) {
-        let Some(b) = self.channels.get_mut(channel).and_then(|c| c.banks.get_mut(bank)) else {
-            out.push(Violation {
-                kind: ViolationKind::StreamInvalid,
-                at,
-                channel,
-                detail: format!("precharge on unknown bank {bank}"),
-            });
-            return;
-        };
-        if b.open_row.is_some() {
-            b.open_row = None;
-            b.ready_at = b.ready_at.max(at) + self.timing.t_rp;
-        }
     }
 
     /// Replay one grant, checking every timing rule, then advance the
@@ -581,7 +553,7 @@ mod tests {
     /// Derive the data-ready cycle the oracle itself would compute, so a
     /// test can violate exactly one rule at a time.
     fn legal_ready(o: &TimingOracle, g: &GrantFacts) -> Cycle {
-        let t = *o.timing();
+        let t = o.timing;
         let bank_latency = match g.outcome {
             GrantOutcome::Hit => t.t_cl,
             GrantOutcome::ClosedMiss => t.t_rcd + t.t_cl,

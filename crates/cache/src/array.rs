@@ -125,18 +125,6 @@ impl CacheArray {
         Some(evicted)
     }
 
-    /// Drop a line if present, returning whether it was dirty.
-    pub fn invalidate(&mut self, addr: Addr) -> Option<bool> {
-        let (set, tag) = self.set_and_tag(addr);
-        for way in self.ways_of(set) {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                return Some(way.dirty);
-            }
-        }
-        None
-    }
-
     /// Number of valid lines (test/diagnostic helper).
     pub fn occupancy(&self) -> usize {
         self.sets.iter().filter(|w| w.valid).count()
@@ -253,16 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes() {
-        let mut c = tiny();
-        c.fill(0x000, false);
-        c.access(0x000, true);
-        assert_eq!(c.invalidate(0x000), Some(true));
-        assert_eq!(c.invalidate(0x000), None);
-        assert!(!c.probe(0x000));
-    }
-
-    #[test]
     fn occupancy_counts_valid_lines() {
         let mut c = tiny();
         assert_eq!(c.occupancy(), 0);
@@ -275,7 +253,9 @@ mod tests {
     fn write_hits_set_dirty() {
         let mut c = tiny();
         c.fill(0x000, false);
-        c.access(0x000, true);
-        assert_eq!(c.invalidate(0x000), Some(true));
+        assert!(c.access(0x000, true));
+        c.fill(0x100, false);
+        // The written line is the LRU of set 0: the next fill evicts it dirty.
+        assert_eq!(c.fill(0x200, false), Some(Evicted { line_addr: 0x000, dirty: true }));
     }
 }

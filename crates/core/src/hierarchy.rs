@@ -636,7 +636,12 @@ mod tests {
             }
         }
         assert!(h.l1d(CoreId(0)).probe(0x300000), "write-allocate must install the line");
-        // Dirty bit visible via invalidate (hierarchy test backdoor).
+        // Fill the set's other lines (512 sets x 64 B: a 32 KiB stride) so
+        // the stored line is evicted, carrying the dirty bit its fill set.
+        let l1d = &mut h.l1d[0];
+        assert_eq!(l1d.fill(0x308000, false), None);
+        let victim = l1d.fill(0x310000, false);
+        assert_eq!(victim, Some(melreq_cache::Evicted { line_addr: 0x300000, dirty: true }));
     }
 
     #[test]

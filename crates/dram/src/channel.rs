@@ -2,8 +2,8 @@
 //! the per-bank row-buffer model.
 
 // A01 (DESIGN.md "Determinism rules"): cycle horizons are computed
-// here, where a silent wrap corrupts timing instead of crashing; use the
-// checked helpers (`cyc_add`, `cyc_mul`).
+// here, where a silent wrap corrupts timing instead of crashing; use
+// the checked `cyc_add`.
 #![deny(clippy::arithmetic_side_effects)]
 
 use crate::timing::DramTiming;
@@ -51,8 +51,8 @@ impl From<RowOutcome> for melreq_audit::GrantOutcome {
 /// command sequence may start, held struct-of-arrays (`open_row` +
 /// `bank_ready`) so the controller's candidate scans and ready-horizon
 /// folds walk dense slices. Time advances only when a transaction is
-/// granted, a refresh falls due or a row is precharged: a bank needs no
-/// per-cycle tick, which keeps the model O(transactions), not O(cycles).
+/// granted or a refresh falls due: a bank needs no per-cycle tick, which
+/// keeps the model O(transactions), not O(cycles).
 #[derive(Debug, Clone)]
 pub struct Channel {
     /// Per-bank open-row latch ([`NO_OPEN_ROW`] when closed).
@@ -180,14 +180,9 @@ impl Channel {
         self.open_row[bank] == row && row != NO_OPEN_ROW
     }
 
-    /// Earliest cycle `bank` may start a new command sequence.
-    pub fn bank_ready_at(&self, bank: usize) -> Cycle {
-        self.bank_ready[bank]
-    }
-
-    /// The per-bank ready horizons as a dense slice (index = bank). The
-    /// controller's candidate scans fold over this directly rather than
-    /// probing banks one at a time.
+    /// The per-bank earliest cycles to start a new command sequence, as a
+    /// dense slice (index = bank). The controller's candidate scans fold
+    /// over this directly rather than probing banks one at a time.
     pub fn bank_ready_slice(&self) -> &[Cycle] {
         &self.bank_ready
     }
@@ -294,20 +289,6 @@ impl Channel {
         ar.u64(acts_seen)
     }
 
-    /// Explicitly close `bank`'s row, if one is open (the controller's
-    /// close-page sweep when the last queued same-row request drains).
-    pub fn precharge(&mut self, bank: usize, now: Cycle, t: &DramTiming) {
-        if self.open_row[bank] != NO_OPEN_ROW {
-            self.open_row[bank] = NO_OPEN_ROW;
-            self.bank_ready[bank] = cyc_add(self.bank_ready[bank].max(now), t.t_rp);
-        }
-    }
-
-    /// Cycle at which the data bus next becomes free.
-    pub fn bus_free_at(&self) -> Cycle {
-        self.bus_free
-    }
-
     /// Total data-bus busy cycles so far (numerator of bus utilization).
     pub fn bus_busy_cycles(&self) -> Cycle {
         self.bus_busy_cycles
@@ -388,7 +369,7 @@ mod tests {
     fn conflict_pays_precharge_activate_and_cas() {
         let mut ch = Channel::new(1);
         ch.issue(0, 7, AccessKind::Read, 0, true, &t());
-        let start = ch.bank_ready_at(0); // the open row's data start, 80
+        let start = ch.bank_ready_slice()[0]; // the open row's data start, 80
         let g = ch.issue(0, 9, AccessKind::Read, start, false, &t());
         assert_eq!(g.outcome, RowOutcome::Conflict);
         assert_eq!(g.data_ready, start + 40 + 40 + 40 + 16); // tRP + tRCD + tCL + burst
@@ -402,23 +383,8 @@ mod tests {
             assert!(!ch.is_row_hit(0, 3), "{kind:?}: auto-precharge closes the row");
             // The burst ends at data_ready; the next ACT waits tWR
             // (writes only), then tRP.
-            assert_eq!(ch.bank_ready_at(0), g.data_ready + recovery + 40, "{kind:?}");
+            assert_eq!(ch.bank_ready_slice()[0], g.data_ready + recovery + 40, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn explicit_precharge_closes_an_open_row_and_skips_a_closed_bank() {
-        let mut ch = Channel::new(2);
-        ch.issue(0, 3, AccessKind::Read, 0, true, &t());
-        let open_at = ch.bank_ready_at(0);
-        ch.precharge(0, open_at, &t());
-        assert!(!ch.is_row_hit(0, 3));
-        assert!(!ch.can_issue(0, open_at + 39));
-        assert!(ch.can_issue(0, open_at + 40)); // + tRP
-        let g = ch.issue(0, 3, AccessKind::Read, open_at + 40, false, &t());
-        assert_eq!(g.outcome, RowOutcome::ClosedMiss);
-        ch.precharge(1, 100, &t());
-        assert!(ch.can_issue(1, 0), "a closed bank has nothing to precharge");
     }
 
     #[test]
@@ -528,6 +494,6 @@ mod tests {
         assert!(restored.is_row_hit(0, 9));
         assert!(!restored.is_row_hit(2, 3));
         assert_eq!(restored.bank_ready_slice(), ch.bank_ready_slice());
-        assert_eq!(restored.bus_free_at(), ch.bus_free_at());
+        assert_eq!(melreq_snap::Enc::save(|enc| restored.state(enc)), bytes);
     }
 }

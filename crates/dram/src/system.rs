@@ -53,8 +53,8 @@ impl DramSystem {
     }
 
     /// Attach audit instrumentation and announce the device configuration
-    /// on the stream. All subsequent refreshes, precharges, and grants on
-    /// this device are reported through `audit`.
+    /// on the stream. All subsequent refreshes on this device are reported
+    /// through `audit`.
     pub fn set_audit(&mut self, audit: AuditHandle) {
         audit.emit(|| AuditEvent::DramConfig {
             channels: self.geometry.channels,
@@ -102,11 +102,6 @@ impl DramSystem {
         &self.geometry
     }
 
-    /// Timing in use.
-    pub fn timing(&self) -> &DramTiming {
-        &self.timing
-    }
-
     /// Decode a physical address to DRAM coordinates.
     pub fn decode(&self, addr: Addr) -> Location {
         self.geometry.decode(addr)
@@ -123,19 +118,12 @@ impl DramSystem {
         self.channels[loc.channel].can_issue(loc.bank, now)
     }
 
-    /// Earliest cycle at which a bank accepts a new command sequence —
-    /// the cached form of [`DramSystem::can_issue`]
-    /// (`can_issue(loc, now)` ⇔ `bank_ready_at(loc.channel, loc.bank) <= now`).
-    /// A pending refresh can only push this later, so the value is a
-    /// conservative lower bound for event-horizon computations.
-    pub fn bank_ready_at(&self, channel: usize, bank: usize) -> Cycle {
-        self.channels[channel].bank_ready_at(bank)
-    }
-
-    /// One channel's per-bank ready horizons as a dense slice (index =
-    /// bank) — the bulk form of [`DramSystem::bank_ready_at`] for the
-    /// controller's candidate scans. Same conservative-lower-bound caveat:
-    /// a pending refresh can only push these later.
+    /// One channel's per-bank earliest cycles to accept a new command
+    /// sequence, as a dense slice (index = bank) for the controller's
+    /// candidate scans: the cached form of [`DramSystem::can_issue`]
+    /// (`can_issue(loc, now)` ⇔ `bank_ready_slice(loc.channel)[loc.bank] <= now`).
+    /// A pending refresh can only push these later, so the values are
+    /// conservative lower bounds for event-horizon computations.
     pub fn bank_ready_slice(&self, channel: usize) -> &[Cycle] {
         self.channels[channel].bank_ready_slice()
     }
@@ -166,12 +154,6 @@ impl DramSystem {
         self.channels.iter().map(super::channel::Channel::refresh_count).sum()
     }
 
-    /// Cycle at which `loc`'s channel data bus next frees (for backlog
-    /// heuristics in the controller).
-    pub fn bus_free_at(&self, channel: usize) -> Cycle {
-        self.channels[channel].bus_free_at()
-    }
-
     /// Grant a transaction.
     ///
     /// `keep_open` implements scheduler-controlled close-page: pass `true`
@@ -189,13 +171,6 @@ impl DramSystem {
         self.channels[loc.channel].sync_refresh(now, &self.timing);
         self.emit_refreshes();
         self.channels[loc.channel].issue(loc.bank, loc.row, kind, now, keep_open, &self.timing)
-    }
-
-    /// Explicitly close the row at `loc` if open (controller close-page
-    /// sweep when the last same-row request drains).
-    pub fn precharge(&mut self, loc: &Location, now: Cycle) {
-        self.channels[loc.channel].precharge(loc.bank, now, &self.timing);
-        self.audit.emit(|| AuditEvent::Precharge { channel: loc.channel, bank: loc.bank, at: now });
     }
 
     /// Walk every channel and the audit refresh-emission cursors
@@ -253,15 +228,5 @@ mod tests {
         let sb = d.issue(&b, AccessKind::Read, 0, false);
         // No bus interference across channels.
         assert_eq!(sa.data_ready, sb.data_ready);
-    }
-
-    #[test]
-    fn precharge_clears_open_row() {
-        let mut d = DramSystem::paper();
-        let a = d.decode(0);
-        d.issue(&a, AccessKind::Read, 0, true);
-        assert!(d.is_row_hit(&a));
-        d.precharge(&a, 200);
-        assert!(!d.is_row_hit(&a));
     }
 }

@@ -7,8 +7,8 @@
 //! runs in a single clock domain.
 
 // A01 (DESIGN.md "Determinism rules"): cycle horizons are computed
-// here, where a silent wrap corrupts timing instead of crashing; use the
-// checked helpers (`cyc_add`, `cyc_mul`).
+// here, where a silent wrap corrupts timing instead of crashing; use
+// the checked `cyc_add`.
 #![deny(clippy::arithmetic_side_effects)]
 
 use melreq_stats::types::{cyc_add, Cycle, CACHE_LINE_BYTES};
@@ -26,9 +26,6 @@ pub struct DramTiming {
     pub t_wr: Cycle,
     /// Data-bus occupancy of one cache-line burst, CPU cycles.
     pub burst: Cycle,
-    /// Fixed memory-controller overhead added to every transaction
-    /// (15 ns in Table 1), CPU cycles.
-    pub ctrl_overhead: Cycle,
     /// Average refresh interval (tREFI), CPU cycles; 0 disables refresh.
     /// The paper does not state whether its model charges refresh, so the
     /// default preset leaves it off; [`DramTiming::with_refresh`] enables
@@ -50,7 +47,6 @@ impl DramTiming {
     /// * 12.5 ns at 3.2 GHz = 40 cycles for each of tRCD/tCL/tRP;
     /// * a 64 B line over a 16 B/transfer channel at 800 MT/s takes
     ///   4 transfers × 1.25 ns = 5 ns = 16 CPU cycles;
-    /// * controller overhead 15 ns = 48 CPU cycles;
     /// * tWR for DDR2-800 is 15 ns = 48 CPU cycles.
     pub fn ddr2_800_at_3_2ghz() -> Self {
         DramTiming {
@@ -59,7 +55,6 @@ impl DramTiming {
             t_rp: 40,
             t_wr: 48,
             burst: 16,
-            ctrl_overhead: 48,
             t_refi: 0,
             t_rfc: 0,
             t_rrd: 0,
@@ -102,40 +97,6 @@ impl DramTiming {
         cyc_add(self.t_rp, self.idle_to_data())
     }
 
-    /// Derive a scaled timing (all latencies multiplied by `num/den`)
-    /// for sensitivity/ablation studies.
-    ///
-    /// The division truncates toward zero, so `t.scaled(a, b).scaled(b, a)`
-    /// only round-trips exactly when every parameter is divisible by `b`
-    /// (it is for the presets and small ratios); enabled parameters are
-    /// floored at 1 cycle so extreme down-scales cannot turn a latency
-    /// into "free".
-    ///
-    /// # Panics
-    /// Panics if `den` is zero or `v * num` overflows [`Cycle`] for any
-    /// parameter — a scale that large is a caller bug, not a timing.
-    pub fn scaled(&self, num: Cycle, den: Cycle) -> Self {
-        assert!(den > 0, "scale denominator must be positive");
-        #[expect(clippy::arithmetic_side_effects, reason = "`den` is asserted positive above")]
-        let s = |v: Cycle| {
-            (v.checked_mul(num).expect("timing scale overflows u64 cycles") / den).max(1)
-        };
-        // Zero means "disabled" for the optional constraints; keep it.
-        let s0 = |v: Cycle| if v == 0 { 0 } else { s(v) };
-        DramTiming {
-            t_rcd: s(self.t_rcd),
-            t_cl: s(self.t_cl),
-            t_rp: s(self.t_rp),
-            t_wr: s(self.t_wr),
-            burst: s(self.burst),
-            ctrl_overhead: s(self.ctrl_overhead),
-            t_refi: s0(self.t_refi),
-            t_rfc: s0(self.t_rfc),
-            t_rrd: s0(self.t_rrd),
-            t_faw: s0(self.t_faw),
-        }
-    }
-
     /// Peak bandwidth of one logical channel in bytes per CPU cycle.
     pub fn peak_bytes_per_cycle(&self) -> f64 {
         CACHE_LINE_BYTES as f64 / self.burst as f64
@@ -159,7 +120,6 @@ mod tests {
         assert_eq!(t.t_cl, 40);
         assert_eq!(t.t_rp, 40);
         assert_eq!(t.burst, 16);
-        assert_eq!(t.ctrl_overhead, 48);
     }
 
     #[test]
@@ -175,44 +135,5 @@ mod tests {
         let t = DramTiming::default();
         let gbs = t.peak_bytes_per_cycle() * 3.2e9 / 1e9;
         assert!((gbs - 12.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scaled_keeps_minimum_of_one() {
-        let t = DramTiming::default().scaled(1, 1000);
-        assert!(t.t_rcd >= 1 && t.burst >= 1);
-    }
-
-    #[test]
-    fn scaled_doubles() {
-        let t = DramTiming::default().scaled(2, 1);
-        assert_eq!(t.t_rcd, 80);
-        assert_eq!(t.burst, 32);
-    }
-
-    #[test]
-    fn scaled_round_trips_when_divisible() {
-        let t = DramTiming::default().with_refresh().with_activation_windows();
-        assert_eq!(t.scaled(8, 1).scaled(1, 8), t);
-        assert_eq!(t.scaled(3, 4).scaled(4, 3), t); // every preset value is ÷4
-    }
-
-    #[test]
-    fn scaled_keeps_disabled_constraints_disabled() {
-        let t = DramTiming::default().scaled(7, 2);
-        assert_eq!(t.t_refi, 0);
-        assert_eq!(t.t_faw, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows")]
-    fn scaled_overflow_is_loud() {
-        let _ = DramTiming::default().scaled(u64::MAX / 2, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "denominator")]
-    fn scaled_zero_denominator_is_loud() {
-        let _ = DramTiming::default().scaled(1, 0);
     }
 }

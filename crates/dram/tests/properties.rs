@@ -73,7 +73,7 @@ proptest! {
         let mut now = 0;
         let mut last_ready = 0;
         for (row, keep_open, is_write) in rows {
-            now = now.max(ch.bank_ready_at(0));
+            now = now.max(ch.bank_ready_slice()[0]);
             let kind = if is_write { AccessKind::Write } else { AccessKind::Read };
             let (outcome, min_latency) = match open {
                 Some(r) if r == row => (RowOutcome::Hit, t.t_cl),
@@ -84,8 +84,8 @@ proptest! {
             let g = ch.issue(0, row, kind, now, keep_open, &t);
             prop_assert_eq!(g.outcome, outcome);
             prop_assert_eq!(g.data_ready, now + min_latency + t.burst);
-            prop_assert!(ch.bank_ready_at(0) >= last_ready, "ready_at went backwards");
-            last_ready = ch.bank_ready_at(0);
+            prop_assert!(ch.bank_ready_slice()[0] >= last_ready, "ready_at went backwards");
+            last_ready = ch.bank_ready_slice()[0];
             prop_assert_eq!(ch.is_row_hit(0, row), keep_open);
             open = keep_open.then_some(row);
         }

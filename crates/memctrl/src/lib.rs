@@ -16,8 +16,8 @@
 //!   baseline), Round-Robin, Least-Request, Memory-Efficiency (fixed
 //!   priority), the FIX-0123 / FIX-3210 straw-men of Figure 3 and
 //!   **ME-LREQ**, plus fair queueing, stall-time fairness, BLISS and TCM;
-//! * [`registry`] — the one table naming, parameterizing and flagging
-//!   each of them;
+//! * [`registry`](mod@registry) — the one table naming, parameterizing
+//!   and flagging each of them;
 //! * [`controller::MemoryController`] — the transaction engine binding a
 //!   policy to the DRAM device: read-first with write-drain hysteresis
 //!   (drain starts at ½ buffer, stops at ¼ — Section 4.1), close-page row

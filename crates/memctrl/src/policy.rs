@@ -825,7 +825,8 @@ impl SchedulerPolicy for TcmCluster {
 
 /// Configuration-level identification of a policy; builds the boxed
 /// implementation for a concrete workload. Every variant is one row of
-/// [`crate::registry`], which holds its names and flags.
+/// [`crate::registry`](mod@crate::registry), which holds its names and
+/// flags.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicyKind {
     /// First-come first-serve, no read bypass.

@@ -4,9 +4,10 @@
 //! queue and a write request queue, plus two counters for the number of
 //! outstanding read and write requests for each core", all sharing one
 //! M-entry buffer (M = 64 in Table 1). This module models that structure
-//! as a single vector with per-kind, per-core counters — the scheduling
-//! policies only ever observe the counters and the request fields, so the
-//! physical split into two queues is immaterial.
+//! as a single vector with per-core read counters and one write count —
+//! the scheduling policies only ever observe the read counters and the
+//! request fields, and write-drain only the total, so the physical split
+//! into two queues is immaterial.
 //!
 //! In addition to the flat vector, the buffer maintains one position list
 //! per DRAM channel so the controller's per-channel candidate scan walks
@@ -22,14 +23,14 @@ use melreq_dram::Location;
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::CoreId;
 
-/// Shared request buffer with per-core occupancy counters and per-channel
-/// position indices.
+/// Shared request buffer with per-core read counters, a write count and
+/// per-channel position indices.
 #[derive(Debug, Clone)]
 pub struct RequestQueue {
     entries: Vec<MemRequest>,
     capacity: usize,
     pending_reads: Vec<u32>,
-    pending_writes: Vec<u32>,
+    writes: u32,
     /// Positions into `entries` per channel, sorted ascending (see module
     /// docs: sortedness preserves the flat iteration order per channel).
     by_channel: Vec<Vec<usize>>,
@@ -46,7 +47,7 @@ impl RequestQueue {
             entries: Vec::with_capacity(capacity),
             capacity,
             pending_reads: vec![0; cores],
-            pending_writes: vec![0; cores],
+            writes: 0,
             by_channel: vec![Vec::with_capacity(capacity); channels],
         }
     }
@@ -73,17 +74,12 @@ impl RequestQueue {
 
     /// Number of queued write requests across all cores.
     pub fn total_writes(&self) -> u32 {
-        self.pending_writes.iter().sum()
+        self.writes
     }
 
     /// Pending read count of one core (the LREQ / ME-LREQ input).
     pub fn pending_reads(&self, core: CoreId) -> u32 {
         self.pending_reads[core.index()]
-    }
-
-    /// Pending write count of one core.
-    pub fn pending_writes(&self, core: CoreId) -> u32 {
-        self.pending_writes[core.index()]
     }
 
     /// Per-core pending read counts, indexed by core.
@@ -101,7 +97,7 @@ impl RequestQueue {
         assert!(self.has_space(), "request buffer overflow");
         match req.kind {
             k if k.is_read() => self.pending_reads[req.core.index()] += 1,
-            _ => self.pending_writes[req.core.index()] += 1,
+            _ => self.writes += 1,
         }
         // The new position is the largest so far: appending keeps the
         // channel list sorted.
@@ -141,7 +137,7 @@ impl RequestQueue {
         if req.is_read() {
             self.pending_reads[req.core.index()] -= 1;
         } else {
-            self.pending_writes[req.core.index()] -= 1;
+            self.writes -= 1;
         }
         req
     }
@@ -164,11 +160,11 @@ impl RequestQueue {
     }
 
     /// Walk the queued requests ([`Archive`]); a load needs the same
-    /// capacity, core count and channel count. The per-core counters and
-    /// per-channel position lists are derived data, rebuilt on load.
+    /// capacity, core count and channel count. The read and write counters
+    /// and the per-channel position lists are derived data, rebuilt on load.
     pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `capacity`: construction-time bound; a load is checked against it.
-        let Self { entries, capacity, pending_reads, pending_writes, by_channel } = self;
+        let Self { entries, capacity, pending_reads, writes, by_channel } = self;
         let cap = Some((*capacity, SnapError::Invalid("queue entries exceed capacity")));
         ar.seq(entries, cap, |ar, r| r.state(ar))?;
         if !ar.loading() {
@@ -176,7 +172,7 @@ impl RequestQueue {
         }
         let loaded = std::mem::replace(entries, Vec::with_capacity(*capacity));
         pending_reads.fill(0);
-        pending_writes.fill(0);
+        *writes = 0;
         by_channel.iter_mut().for_each(Vec::clear);
         let (cores, channels) = (pending_reads.len(), by_channel.len());
         for r in loaded {
@@ -232,7 +228,6 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.pending_reads(CoreId(0)), 2);
         assert_eq!(q.pending_reads(CoreId(1)), 0);
-        assert_eq!(q.pending_writes(CoreId(1)), 1);
         assert_eq!(q.total_writes(), 1);
         check_index(&q);
     }

@@ -75,7 +75,6 @@ pub struct Collector {
     // --- provenance ---
     pending_rule: Option<(u64, Rule, Option<RunnerUp>)>,
     totals: Vec<(String, RuleTotals)>,
-    decisions_seen: u64,
     // --- core memory-bound span reconstruction ---
     tracks: Vec<CoreTrack>,
     // --- epoch accumulators (event-derived half of the series) ---
@@ -98,7 +97,6 @@ impl Collector {
             me: Vec::new(),
             pending_rule: None,
             totals: Vec::new(),
-            decisions_seen: 0,
             tracks: Vec::new(),
             chan_accum: Vec::new(),
             prev_committed: Vec::new(),
@@ -144,19 +142,9 @@ impl Collector {
             .map(|(name, t)| (name.as_str(), t))
     }
 
-    /// `Decision` events observed.
-    pub fn decisions_seen(&self) -> u64 {
-        self.decisions_seen
-    }
-
     /// Device geometry as reported by `DramConfig` (channels, cores).
     pub fn geometry(&self) -> (usize, usize) {
         (self.channels, self.cores)
-    }
-
-    /// DRAM timing as reported by `DramConfig`.
-    pub fn timing(&self) -> TimingParams {
-        self.timing
     }
 
     /// Close still-open memory-bound spans. Call once after the run,
@@ -271,15 +259,28 @@ impl Collector {
         }
     }
 
-    /// Reconstruct the DRAM command sequence a grant implies and push
-    /// it onto the ring (an approximation for visualization: the write
-    /// recovery before a close-page precharge is folded into the
-    /// precharge slice).
-    fn push_commands(&mut self, g: &GrantCmd) {
+    /// Reconstruct the DRAM command sequence a `Grant` event implies
+    /// and push it onto the ring (an approximation for visualization:
+    /// the write recovery before a close-page precharge is folded into
+    /// the precharge slice). Any other event pushes nothing.
+    fn push_commands(&mut self, ev: &AuditEvent) {
+        let AuditEvent::Grant {
+            id,
+            channel,
+            bank,
+            write,
+            granted_at,
+            keep_open,
+            outcome,
+            data_ready,
+            ..
+        } = *ev
+        else {
+            return;
+        };
         let t = self.timing;
-        let (id, channel, bank) = (g.id, g.channel, g.bank);
-        let mut at = g.granted_at;
-        if g.outcome == GrantOutcome::Conflict {
+        let mut at = granted_at;
+        if outcome == GrantOutcome::Conflict {
             self.ring.push(TraceEvent::Command {
                 kind: CmdKind::Pre,
                 channel,
@@ -290,7 +291,7 @@ impl Collector {
             });
             at += t.t_rp;
         }
-        if g.outcome != GrantOutcome::Hit {
+        if outcome != GrantOutcome::Hit {
             self.ring.push(TraceEvent::Command {
                 kind: CmdKind::Act,
                 channel,
@@ -301,11 +302,11 @@ impl Collector {
             });
             at += t.t_rcd;
         }
-        let kind = if g.write { CmdKind::Write } else { CmdKind::Read };
-        let dur = g.data_ready.saturating_sub(at).max(1);
+        let kind = if write { CmdKind::Write } else { CmdKind::Read };
+        let dur = data_ready.saturating_sub(at).max(1);
         self.ring.push(TraceEvent::Command { kind, channel, bank, id, at, dur });
-        if !g.keep_open {
-            let pre_at = g.data_ready + if g.write { t.t_wr } else { 0 };
+        if !keep_open {
+            let pre_at = data_ready + if write { t.t_wr } else { 0 };
             self.ring.push(TraceEvent::Command {
                 kind: CmdKind::Pre,
                 channel,
@@ -316,19 +317,6 @@ impl Collector {
             });
         }
     }
-}
-
-/// The slice of a `Grant` event that drives command reconstruction.
-#[derive(Debug, Clone, Copy)]
-struct GrantCmd {
-    id: u64,
-    channel: usize,
-    bank: usize,
-    write: bool,
-    granted_at: Cycle,
-    data_ready: Cycle,
-    keep_open: bool,
-    outcome: GrantOutcome,
 }
 
 impl AuditSink for Collector {
@@ -378,18 +366,7 @@ impl AuditSink for Collector {
                     dur: self.timing.t_rfc.max(1),
                 });
             }
-            AuditEvent::Precharge { channel, bank, at } => {
-                self.ring.push(TraceEvent::Command {
-                    kind: CmdKind::Pre,
-                    channel: *channel,
-                    bank: *bank,
-                    id: 0,
-                    at: *at,
-                    dur: self.timing.t_rp.max(1),
-                });
-            }
             AuditEvent::Decision { chosen, candidates, why: (rule, beaten), .. } => {
-                self.decisions_seen += 1;
                 let runner_up =
                     beaten.and_then(|id| candidates.iter().find(|c| c.id == id)).map(RunnerUp::of);
                 self.current_totals().add(*rule);
@@ -404,7 +381,7 @@ impl AuditSink for Collector {
                 write,
                 requested_at,
                 granted_at,
-                keep_open,
+                keep_open: _,
                 outcome,
                 data_ready,
             } => {
@@ -426,16 +403,7 @@ impl AuditSink for Collector {
                     rule,
                     runner_up,
                 });
-                self.push_commands(&GrantCmd {
-                    id: *id,
-                    channel: *channel,
-                    bank: *bank,
-                    write: *write,
-                    granted_at: *granted_at,
-                    data_ready: *data_ready,
-                    keep_open: *keep_open,
-                    outcome: *outcome,
-                });
+                self.push_commands(ev);
                 if let Some(a) = self.chan_accum.get_mut(*channel) {
                     if *write {
                         a.writes += 1;

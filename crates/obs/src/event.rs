@@ -21,7 +21,7 @@ pub enum CmdKind {
     Read,
     /// Column write.
     Write,
-    /// Precharge (explicit, conflict-induced, or close-page auto).
+    /// Precharge (conflict-induced, or close-page auto).
     Pre,
 }
 
@@ -65,7 +65,7 @@ pub enum TraceEvent {
         channel: usize,
         /// Bank.
         bank: usize,
-        /// Request id the command serves (0 for explicit precharges).
+        /// Request id the command serves.
         id: u64,
         /// Start cycle.
         at: Cycle,

@@ -26,6 +26,4 @@ pub mod types;
 pub use fairness::{smt_speedup, unfairness, FairnessReport};
 pub use fixedpoint::PriorityFixed;
 pub use mean::StreamingMean;
-pub use types::{
-    line_addr, line_index, AccessKind, Addr, CoreId, Cycle, CACHE_LINE_BYTES, CACHE_LINE_SHIFT,
-};
+pub use types::{line_addr, AccessKind, Addr, CoreId, Cycle, CACHE_LINE_BYTES, CACHE_LINE_SHIFT};

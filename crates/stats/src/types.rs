@@ -91,9 +91,8 @@ impl std::fmt::Display for AccessKind {
 ///
 /// Cycle arithmetic in the DRAM timing path wraps silently in release
 /// builds if it overflows; an overflowed `ready_at` horizon would quietly
-/// reorder grants instead of crashing. This helper (and [`cyc_mul`]) make
-/// overflow loud everywhere, matching the [`u64::checked_mul`] precedent in
-/// `DramTiming::scaled`.
+/// reorder grants instead of crashing. This helper makes overflow loud
+/// everywhere, as [`u64::checked_add`] would at each call site.
 ///
 /// # Panics
 /// Panics if `a + b` overflows [`Cycle`] — a simulated time that far past
@@ -104,26 +103,10 @@ pub fn cyc_add(a: Cycle, b: Cycle) -> Cycle {
     a.checked_add(b).expect("cycle arithmetic overflows u64")
 }
 
-/// Checked multiplication on cycle/timing values; see [`cyc_add`].
-///
-/// # Panics
-/// Panics if `a * b` overflows [`Cycle`].
-#[inline]
-#[track_caller]
-pub fn cyc_mul(a: Cycle, b: Cycle) -> Cycle {
-    a.checked_mul(b).expect("cycle arithmetic overflows u64")
-}
-
 /// Round `addr` down to the containing cache-line address.
 #[inline]
 pub fn line_addr(addr: Addr) -> Addr {
     addr & !(CACHE_LINE_BYTES - 1)
-}
-
-/// The cache-line index of `addr` (address divided by the line size).
-#[inline]
-pub fn line_index(addr: Addr) -> u64 {
-    addr >> CACHE_LINE_SHIFT
 }
 
 #[cfg(test)]
@@ -141,13 +124,6 @@ mod tests {
         assert_eq!(line_addr(63), 0);
         assert_eq!(line_addr(64), 64);
         assert_eq!(line_addr(0x12345), 0x12340);
-    }
-
-    #[test]
-    fn line_index_is_shift() {
-        assert_eq!(line_index(0), 0);
-        assert_eq!(line_index(64), 1);
-        assert_eq!(line_index(130), 2);
     }
 
     #[test]
@@ -174,20 +150,13 @@ mod tests {
     }
 
     #[test]
-    fn cyc_helpers_compute() {
+    fn cyc_add_computes() {
         assert_eq!(cyc_add(40, 16), 56);
-        assert_eq!(cyc_mul(24_960, 3), 74_880);
     }
 
     #[test]
     #[should_panic(expected = "overflows")]
     fn cyc_add_overflow_is_loud() {
         let _ = cyc_add(u64::MAX, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows")]
-    fn cyc_mul_overflow_is_loud() {
-        let _ = cyc_mul(u64::MAX / 2, 3);
     }
 }

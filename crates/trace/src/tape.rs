@@ -10,7 +10,7 @@
 //! that readers take only at chunk boundaries; whichever reader first
 //! needs a chunk generates it. Content is a pure function of position,
 //! so what a reader sees does not depend on who generated it or when. A
-//! chunk is stored losslessly but packed (see [`Chunk`]), and a tape
+//! chunk is stored losslessly but packed (see `Chunk`), and a tape
 //! stops growing at [`TAPE_BYTE_CAP`]: a reader that runs off its end
 //! continues on a private generator restored from the tape's end state.
 //! A tape's record ([`OpTape::encode`], [`OpTape::decode`]) outlives the
