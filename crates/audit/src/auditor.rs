@@ -49,24 +49,15 @@ impl Fnv {
 }
 
 /// Fold `ev` under its variant's tag byte. Every pinned stream hash
-/// depends on the tags: never renumber or reuse one.
+/// depends on the tags: never renumber or reuse one (5 and 6 are
+/// retired).
 fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
     match ev {
         AuditEvent::DramConfig { channels, banks_per_channel, timing } => {
             h.byte(1);
             h.usize(*channels);
             h.usize(*banks_per_channel);
-            for v in [
-                timing.t_rcd,
-                timing.t_cl,
-                timing.t_rp,
-                timing.t_wr,
-                timing.burst,
-                timing.t_refi,
-                timing.t_rfc,
-                timing.t_rrd,
-                timing.t_faw,
-            ] {
+            for v in [timing.t_rcd, timing.t_cl, timing.t_rp, timing.t_wr, timing.burst] {
                 h.u64(v);
             }
         }
@@ -113,11 +104,6 @@ fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
             h.bool(*write);
             h.u64(*at);
         }
-        AuditEvent::Refresh { channel, at } => {
-            h.byte(5);
-            h.usize(*channel);
-            h.u64(*at);
-        }
         AuditEvent::Decision {
             channel,
             at,
@@ -154,8 +140,7 @@ fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
             bank,
             row,
             write,
-            requested_at,
-            granted_at,
+            at,
             keep_open,
             outcome,
             data_ready,
@@ -167,8 +152,7 @@ fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
             h.usize(*bank);
             h.u64(*row);
             h.bool(*write);
-            h.u64(*requested_at);
-            h.u64(*granted_at);
+            h.u64(*at);
             h.bool(*keep_open);
             h.byte(match outcome {
                 crate::event::GrantOutcome::Hit => 0,
@@ -323,9 +307,6 @@ impl AuditSink for Auditor {
             AuditEvent::PolicyParams { params } => self.policy.on_params(params),
             AuditEvent::ProfileUpdate { me } => self.policy.on_profile(me),
             AuditEvent::Submit { core, write, .. } => self.policy.on_submit(*core, *write),
-            AuditEvent::Refresh { channel, at } => {
-                self.oracle.on_refresh(*channel, *at, &mut self.scratch);
-            }
             AuditEvent::Decision {
                 channel,
                 at,
@@ -352,8 +333,7 @@ impl AuditSink for Auditor {
                 bank,
                 row,
                 write,
-                requested_at,
-                granted_at,
+                at,
                 keep_open,
                 outcome,
                 data_ready,
@@ -364,8 +344,7 @@ impl AuditSink for Auditor {
                     bank: *bank,
                     row: *row,
                     write: *write,
-                    requested_at: *requested_at,
-                    granted_at: *granted_at,
+                    at: *at,
                     keep_open: *keep_open,
                     outcome: *outcome,
                     data_ready: *data_ready,
@@ -383,7 +362,7 @@ mod tests {
     use crate::event::{GrantOutcome, TimingParams};
 
     fn ddr2() -> TimingParams {
-        TimingParams { t_rcd: 40, t_cl: 40, t_rp: 40, t_wr: 48, burst: 16, ..Default::default() }
+        TimingParams { t_rcd: 40, t_cl: 40, t_rp: 40, t_wr: 48, burst: 16 }
     }
 
     fn legal_stream() -> Vec<AuditEvent> {
@@ -423,8 +402,7 @@ mod tests {
                 bank: 0,
                 row: 5,
                 write: false,
-                requested_at: 0,
-                granted_at: 0,
+                at: 0,
                 keep_open: false,
                 outcome: GrantOutcome::ClosedMiss,
                 data_ready: 96,
@@ -476,9 +454,8 @@ mod tests {
         let cfg = AuditorConfig { panic_on_violation: true, ..Default::default() };
         let mut a = Auditor::new(cfg);
         let mut evs = legal_stream();
-        if let AuditEvent::Grant { granted_at, requested_at, .. } = &mut evs[4] {
-            *granted_at = 0;
-            *requested_at = 5; // grant before request
+        if let AuditEvent::Grant { data_ready, .. } = &mut evs[4] {
+            *data_ready = 80; // faster than tRCD + tCL allows
         }
         for ev in evs {
             a.record(&ev);
@@ -502,13 +479,24 @@ mod tests {
         let mut a = Auditor::new(cfg);
         a.record(&AuditEvent::DramConfig { channels: 1, banks_per_channel: 1, timing: ddr2() });
         for i in 0..5u64 {
-            // Five refreshes while refresh is disabled: five RefreshBad.
-            a.record(&AuditEvent::Refresh { channel: 0, at: i });
+            // Five grants to a bank the device lacks: five StreamInvalid.
+            a.record(&AuditEvent::Grant {
+                id: i,
+                core: 0,
+                channel: 0,
+                bank: 1,
+                row: 0,
+                write: false,
+                at: i,
+                keep_open: false,
+                outcome: GrantOutcome::ClosedMiss,
+                data_ready: i + 96,
+            });
         }
         let r = a.report();
         assert_eq!(r.total_violations, 5);
         assert_eq!(r.violations.len(), 2);
-        assert_eq!(r.counts, vec![(ViolationKind::RefreshBad, 5)]);
+        assert_eq!(r.counts, vec![(ViolationKind::StreamInvalid, 5)]);
         assert!(r.render().contains("3 more not stored"));
     }
 }

@@ -12,8 +12,6 @@
 //! * `ProfileUpdate` is emitted when the priority tables are
 //!   (re)programmed, carrying the exact ME vector handed to the policy;
 //! * `Submit` is emitted for every request entering the shared buffer;
-//! * `Refresh` events are emitted *before* any grant that follows the
-//!   refresh boundary on that channel;
 //! * `Decision` is emitted for every scheduling choice, *before* the
 //!   matching `Grant`, and lists the complete candidate set the
 //!   controller considered.
@@ -22,8 +20,7 @@ use melreq_stats::types::Cycle;
 use std::sync::{Arc, Mutex};
 
 /// DRAM timing parameters as the instrumented device reports them, in
-/// CPU cycles. Zero disables an optional constraint, mirroring
-/// `melreq_dram::DramTiming`.
+/// CPU cycles, mirroring `melreq_dram::DramTiming`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TimingParams {
     /// ACT → READ/WRITE (row-to-column) delay.
@@ -36,14 +33,6 @@ pub struct TimingParams {
     pub t_wr: Cycle,
     /// Data-bus occupancy of one burst.
     pub burst: Cycle,
-    /// Refresh interval (0 = refresh disabled).
-    pub t_refi: Cycle,
-    /// Refresh cycle time.
-    pub t_rfc: Cycle,
-    /// Minimum ACT-to-ACT spacing per channel (0 = unconstrained).
-    pub t_rrd: Cycle,
-    /// Four-activate window (0 = unconstrained).
-    pub t_faw: Cycle,
 }
 
 /// How the granting side claims the row buffer was found.
@@ -224,13 +213,6 @@ pub enum AuditEvent {
         /// Submission cycle.
         at: Cycle,
     },
-    /// An all-bank refresh started on `channel` at `at`.
-    Refresh {
-        /// Channel refreshed.
-        channel: usize,
-        /// Cycle the refresh started.
-        at: Cycle,
-    },
     /// One scheduling decision (emitted before its `Grant`).
     Decision {
         /// Channel the decision is for.
@@ -263,10 +245,8 @@ pub enum AuditEvent {
         row: u64,
         /// Write-back (true) or read (false).
         write: bool,
-        /// Cycle the controller asked for the grant.
-        requested_at: Cycle,
-        /// Effective grant cycle after activate-window spacing.
-        granted_at: Cycle,
+        /// Grant cycle: the command sequence starts here.
+        at: Cycle,
         /// Close-page decision: row stays latched after the access.
         keep_open: bool,
         /// Claimed row-buffer outcome.
@@ -355,21 +335,36 @@ mod tests {
         }
     }
 
+    fn submit(id: u64, at: Cycle) -> AuditEvent {
+        AuditEvent::Submit { id, core: 0, channel: 0, bank: 0, row: 0, write: false, at }
+    }
+
     #[test]
     fn recorder_captures_in_order() {
-        let h = AuditHandle::from_shared(vec![Arc::new(Mutex::new(Recorder::default()))]);
-        h.emit(|| AuditEvent::Refresh { channel: 0, at: 10 });
-        h.emit(|| AuditEvent::Refresh { channel: 1, at: 20 });
-        assert!(h.is_enabled());
+        let rec = Arc::new(Mutex::new(Recorder::default()));
+        let h = AuditHandle::from_shared(vec![rec.clone()]);
+        h.emit(|| submit(1, 10));
+        h.emit(|| submit(2, 20));
+        let ids: Vec<(u64, Cycle)> = rec
+            .lock()
+            .expect("recorder")
+            .events
+            .iter()
+            .map(|e| match e {
+                AuditEvent::Submit { id, at, .. } => (*id, *at),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, vec![(1, 10), (2, 20)]);
     }
 
     #[test]
     fn shared_sink_is_readable_after_emission() {
         let shared: Arc<Mutex<dyn AuditSink>> = Arc::new(Mutex::new(Recorder::default()));
         let h = AuditHandle::from_shared(vec![shared.clone()]);
-        h.emit(|| AuditEvent::Refresh { channel: 1, at: 99 });
+        h.emit(|| submit(7, 99));
         let guard = shared.lock().expect("sink");
         let dbg = format!("{guard:?}");
-        assert!(dbg.contains("Refresh"), "{dbg}");
+        assert!(dbg.contains("Submit"), "{dbg}");
     }
 }

@@ -3,12 +3,12 @@
 //! This crate re-derives, from an event stream alone, whether everything
 //! the `melreq` simulator did was legal. It deliberately shares no
 //! state-machine code with `melreq-dram` or `melreq-memctrl`: the DRAM
-//! timing rules (tRCD, tCL, tRP, tWR, tRRD, tFAW, tREFI/tRFC, data-bus
-//! exclusivity) and the scheduler invariants (candidate issuability,
-//! hit-first-then-oldest, read-first/write-drain class discipline, the
-//! ME-LREQ priority-table semantics of Zheng et al., ICPP 2008) are
-//! implemented a second time here, so a bug in the production model
-//! cannot mask itself in the checker.
+//! timing rules (tRCD, tCL, tRP, tWR, data-bus exclusivity) and the
+//! scheduler invariants (candidate issuability, hit-first-then-oldest,
+//! read-first/write-drain class discipline, the ME-LREQ priority-table
+//! semantics of Zheng et al., ICPP 2008) are implemented a second time
+//! here, so a bug in the production model cannot mask itself in the
+//! checker.
 //!
 //! Three checkers share one event stream:
 //!

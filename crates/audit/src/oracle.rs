@@ -3,10 +3,10 @@
 //! The oracle replays the audit event stream through its own per-bank
 //! state machines — written against the DDR2 command-timing rules the
 //! simulator claims to honour (Zheng et al., ICPP 2008, Section 2;
-//! JEDEC DDR2 tRCD/tCL/tRP/tWR/tRRD/tFAW/tREFI/tRFC) — and flags every
-//! grant whose claimed timing it cannot legally re-derive. It shares no
-//! code with `melreq-dram`: everything is recomputed from the
-//! [`TimingParams`] carried in the stream.
+//! JEDEC DDR2 tRCD/tCL/tRP/tWR) — and flags every grant whose claimed
+//! timing it cannot legally re-derive. It shares no code with
+//! `melreq-dram`: everything is recomputed from the [`TimingParams`]
+//! carried in the stream.
 
 use crate::event::{GrantOutcome, TimingParams};
 use melreq_stats::types::Cycle;
@@ -26,17 +26,8 @@ pub enum ViolationKind {
     DataMismatch,
     /// Claimed row-buffer outcome disagrees with the replayed state.
     OutcomeMismatch,
-    /// ACT issued closer than tRRD to the previous ACT.
-    ActTooSoon,
-    /// Fifth ACT inside a tFAW window.
-    FawExceeded,
-    /// A grant was requested past a refresh boundary that was never
-    /// performed.
-    RefreshMissed,
-    /// Refresh at the wrong cycle, out of order, or while disabled.
-    RefreshBad,
-    /// Grant effective before it was requested, or a grant/decision
-    /// arrived before the stream's `DramConfig`.
+    /// A grant or decision arrived before the stream's `DramConfig`, or
+    /// named a bank the device lacks.
     StreamInvalid,
     /// The granted request was not in the decision's candidate set.
     ChosenNotCandidate,
@@ -98,10 +89,6 @@ struct BankReplica {
 struct ChannelReplica {
     banks: Vec<BankReplica>,
     bus_free: Cycle,
-    recent_acts: [Cycle; 4],
-    act_head: usize,
-    acts_seen: u64,
-    refreshes: u64,
 }
 
 impl ChannelReplica {
@@ -109,17 +96,7 @@ impl ChannelReplica {
         ChannelReplica {
             banks: vec![BankReplica { open_row: None, ready_at: 0 }; banks],
             bus_free: 0,
-            recent_acts: [0; 4],
-            act_head: 0,
-            acts_seen: 0,
-            refreshes: 0,
         }
-    }
-
-    fn note_act(&mut self, at: Cycle) {
-        self.recent_acts[self.act_head] = at;
-        self.act_head = (self.act_head + 1) % 4;
-        self.acts_seen += 1;
     }
 }
 
@@ -143,10 +120,8 @@ pub struct GrantFacts {
     pub row: u64,
     /// Write access (extends auto-precharge by tWR).
     pub write: bool,
-    /// Controller's scheduling cycle.
-    pub requested_at: Cycle,
-    /// Effective grant cycle after activate-window spacing.
-    pub granted_at: Cycle,
+    /// Grant cycle.
+    pub at: Cycle,
     /// Close-page decision.
     pub keep_open: bool,
     /// Claimed row-buffer outcome.
@@ -183,44 +158,6 @@ impl TimingOracle {
         self.channels.get(channel)?.banks.get(bank)?.open_row
     }
 
-    /// Replay an all-bank refresh on `channel` claimed to start at `at`.
-    pub fn on_refresh(&mut self, channel: usize, at: Cycle, out: &mut Vec<Violation>) {
-        if !self.configured || channel >= self.channels.len() {
-            out.push(Violation {
-                kind: ViolationKind::StreamInvalid,
-                at,
-                channel,
-                detail: "refresh before DramConfig or on unknown channel".into(),
-            });
-            return;
-        }
-        let t = self.timing;
-        let ch = &mut self.channels[channel];
-        if t.t_refi == 0 {
-            out.push(Violation {
-                kind: ViolationKind::RefreshBad,
-                at,
-                channel,
-                detail: "refresh performed with refresh disabled (tREFI = 0)".into(),
-            });
-        } else {
-            let expected = (ch.refreshes + 1) * t.t_refi;
-            if at != expected {
-                out.push(Violation {
-                    kind: ViolationKind::RefreshBad,
-                    at,
-                    channel,
-                    detail: format!("refresh #{} at {at}, expected {expected}", ch.refreshes + 1),
-                });
-            }
-        }
-        for b in &mut ch.banks {
-            b.open_row = None;
-            b.ready_at = b.ready_at.max(at) + t.t_rfc;
-        }
-        ch.refreshes += 1;
-    }
-
     /// Replay one grant, checking every timing rule, then advance the
     /// replica to the state a legal device would be in.
     pub fn on_grant(&mut self, g: &GrantFacts, out: &mut Vec<Violation>) {
@@ -229,49 +166,23 @@ impl TimingOracle {
         {
             out.push(Violation {
                 kind: ViolationKind::StreamInvalid,
-                at: g.requested_at,
+                at: g.at,
                 channel: g.channel,
                 detail: format!("grant before DramConfig or on unknown bank {}", g.bank),
             });
             return;
         }
-        if g.granted_at < g.requested_at {
-            out.push(Violation {
-                kind: ViolationKind::StreamInvalid,
-                at: g.requested_at,
-                channel: g.channel,
-                detail: format!(
-                    "granted_at {} precedes requested_at {}",
-                    g.granted_at, g.requested_at
-                ),
-            });
-        }
-
-        // Refresh discipline: the device must have caught up all refresh
-        // boundaries before servicing a request at `requested_at`.
-        if t.t_refi > 0 {
-            let due = (self.channels[g.channel].refreshes + 1) * t.t_refi;
-            if due <= g.requested_at {
-                out.push(Violation {
-                    kind: ViolationKind::RefreshMissed,
-                    at: g.requested_at,
-                    channel: g.channel,
-                    detail: format!("refresh due at {due} not performed before grant"),
-                });
-            }
-        }
-
         let bank = self.channels[g.channel].banks[g.bank];
 
         // Bank availability: the previous command sequence must be done.
-        if bank.ready_at > g.granted_at {
+        if bank.ready_at > g.at {
             out.push(Violation {
                 kind: ViolationKind::BankBusy,
-                at: g.granted_at,
+                at: g.at,
                 channel: g.channel,
                 detail: format!(
                     "bank {} busy until {} but granted at {}",
-                    g.bank, bank.ready_at, g.granted_at
+                    g.bank, bank.ready_at, g.at
                 ),
             });
         }
@@ -285,54 +196,13 @@ impl TimingOracle {
         if expected_outcome != g.outcome {
             out.push(Violation {
                 kind: ViolationKind::OutcomeMismatch,
-                at: g.granted_at,
+                at: g.at,
                 channel: g.channel,
                 detail: format!(
                     "bank {} row {}: claimed {:?}, replay says {:?}",
                     g.bank, g.row, g.outcome, expected_outcome
                 ),
             });
-        }
-
-        // Activate-window discipline for transactions that need an ACT.
-        // We check against the replica's own derived outcome so a lying
-        // `outcome` field cannot also corrupt the window check.
-        let needs_act = !matches!(expected_outcome, GrantOutcome::Hit);
-        let act_at = if matches!(expected_outcome, GrantOutcome::Conflict) {
-            g.granted_at + t.t_rp
-        } else {
-            g.granted_at
-        };
-        if needs_act {
-            let ch = &self.channels[g.channel];
-            if t.t_rrd > 0 && ch.acts_seen >= 1 {
-                let last = ch.recent_acts[(ch.act_head + 3) % 4];
-                if act_at < last + t.t_rrd {
-                    out.push(Violation {
-                        kind: ViolationKind::ActTooSoon,
-                        at: g.granted_at,
-                        channel: g.channel,
-                        detail: format!(
-                            "ACT at {act_at} but previous ACT at {last} needs tRRD {}",
-                            t.t_rrd
-                        ),
-                    });
-                }
-            }
-            if t.t_faw > 0 && ch.acts_seen >= 4 {
-                let oldest = ch.recent_acts[ch.act_head];
-                if act_at < oldest + t.t_faw {
-                    out.push(Violation {
-                        kind: ViolationKind::FawExceeded,
-                        at: g.granted_at,
-                        channel: g.channel,
-                        detail: format!(
-                            "5th ACT at {act_at} inside tFAW window from {oldest} (tFAW {})",
-                            t.t_faw
-                        ),
-                    });
-                }
-            }
         }
 
         // Data timing: derive when a legal device would finish the burst
@@ -342,7 +212,7 @@ impl TimingOracle {
             GrantOutcome::ClosedMiss => t.t_rcd + t.t_cl,
             GrantOutcome::Conflict => t.t_rp + t.t_rcd + t.t_cl,
         };
-        let bank_data_start = g.granted_at + bank_latency;
+        let bank_data_start = g.at + bank_latency;
         let bus_free = self.channels[g.channel].bus_free;
         let bus_start = bank_data_start.max(bus_free);
         let expected_ready = bus_start + t.burst;
@@ -357,7 +227,7 @@ impl TimingOracle {
             };
             out.push(Violation {
                 kind,
-                at: g.granted_at,
+                at: g.at,
                 channel: g.channel,
                 detail: format!(
                     "bank {}: claimed data ready {} {what}; derived {expected_ready}",
@@ -369,9 +239,6 @@ impl TimingOracle {
         // Advance the replica along the legal schedule (the derived one,
         // so one bad claim yields one violation, not an avalanche).
         let ch = &mut self.channels[g.channel];
-        if needs_act {
-            ch.note_act(act_at);
-        }
         ch.bus_free = expected_ready;
         let b = &mut ch.banks[g.bank];
         if g.keep_open {
@@ -390,17 +257,7 @@ mod tests {
     use super::*;
 
     fn ddr2() -> TimingParams {
-        TimingParams {
-            t_rcd: 40,
-            t_cl: 40,
-            t_rp: 40,
-            t_wr: 48,
-            burst: 16,
-            t_refi: 0,
-            t_rfc: 0,
-            t_rrd: 0,
-            t_faw: 0,
-        }
+        TimingParams { t_rcd: 40, t_cl: 40, t_rp: 40, t_wr: 48, burst: 16 }
     }
 
     fn grant(bank: usize, row: u64, at: Cycle, outcome: GrantOutcome, ready: Cycle) -> GrantFacts {
@@ -409,8 +266,7 @@ mod tests {
             bank,
             row,
             write: false,
-            requested_at: at,
-            granted_at: at,
+            at,
             keep_open: false,
             outcome,
             data_ready: ready,
@@ -486,80 +342,5 @@ mod tests {
         // 80 + tCL = 120, bus free since 96, burst ends 136.
         o.on_grant(&grant(0, 1, 80, GrantOutcome::Hit, 136), &mut v);
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn refresh_discipline() {
-        let mut t = ddr2();
-        t.t_refi = 1000;
-        t.t_rfc = 300;
-        let mut o = TimingOracle::new();
-        o.on_config(1, 8, t);
-        let mut v = Vec::new();
-        // Grant past the first boundary without a refresh.
-        o.on_grant(&grant(0, 5, 1500, GrantOutcome::ClosedMiss, 1596), &mut v);
-        assert!(v.iter().any(|x| x.kind == ViolationKind::RefreshMissed), "{v:?}");
-        v.clear();
-        // Correct refresh then grant is clean (bank blocked until 1000 +
-        // 300 = 1300 < 1500... but replica already advanced; rebuild).
-        let mut o = TimingOracle::new();
-        o.on_config(1, 8, t);
-        o.on_refresh(0, 1000, &mut v);
-        o.on_grant(&grant(0, 5, 1300, GrantOutcome::ClosedMiss, 1396), &mut v);
-        assert!(v.is_empty(), "{v:?}");
-        // Wrong-cycle refresh flagged.
-        o.on_refresh(0, 2100, &mut v);
-        assert!(v.iter().any(|x| x.kind == ViolationKind::RefreshBad), "{v:?}");
-    }
-
-    #[test]
-    fn trrd_and_tfaw_detected() {
-        let mut t = ddr2();
-        t.t_rrd = 24;
-        t.t_faw = 120;
-        let mut o = TimingOracle::new();
-        o.on_config(1, 8, t);
-        let mut v = Vec::new();
-        // Legal spacing mirrors the channel model: second ACT shifted to
-        // 24, data at 24 + 80 = 104 (> bus_free 96), ready 120.
-        let mut g = grant(0, 0, 0, GrantOutcome::ClosedMiss, 96);
-        o.on_grant(&g, &mut v);
-        g = grant(1, 0, 0, GrantOutcome::ClosedMiss, 120);
-        g.granted_at = 24;
-        o.on_grant(&g, &mut v);
-        assert!(v.is_empty(), "{v:?}");
-        // A third ACT ignoring tRRD (granted at 25, last ACT at 24).
-        g = grant(2, 0, 25, GrantOutcome::ClosedMiss, 136);
-        o.on_grant(&g, &mut v);
-        assert!(v.iter().any(|x| x.kind == ViolationKind::ActTooSoon), "{v:?}");
-        v.clear();
-        // Fill the four-ACT window legally, then jam a fifth inside it.
-        let mut o = TimingOracle::new();
-        o.on_config(1, 8, t);
-        for (i, at) in [0u64, 24, 48, 72].iter().enumerate() {
-            // legal_ready derives the bus-serialized completion so this
-            // fill violates no data rule — only the 5th ACT below does.
-            let mut g = grant(i, 0, *at, GrantOutcome::ClosedMiss, 0);
-            g.data_ready = legal_ready(&o, &g);
-            o.on_grant(&g, &mut v);
-        }
-        assert!(v.is_empty(), "window fill should be legal: {v:?}");
-        let mut g = grant(4, 0, 96, GrantOutcome::ClosedMiss, 0);
-        g.data_ready = legal_ready(&o, &g);
-        o.on_grant(&g, &mut v);
-        assert!(v.iter().any(|x| x.kind == ViolationKind::FawExceeded), "{v:?}");
-    }
-
-    /// Derive the data-ready cycle the oracle itself would compute, so a
-    /// test can violate exactly one rule at a time.
-    fn legal_ready(o: &TimingOracle, g: &GrantFacts) -> Cycle {
-        let t = o.timing;
-        let bank_latency = match g.outcome {
-            GrantOutcome::Hit => t.t_cl,
-            GrantOutcome::ClosedMiss => t.t_rcd + t.t_cl,
-            GrantOutcome::Conflict => t.t_rp + t.t_rcd + t.t_cl,
-        };
-        let start = g.granted_at + bank_latency;
-        start.max(o.channels[g.channel].bus_free) + t.burst
     }
 }

@@ -628,8 +628,7 @@ mod tests {
                 bank: 1,
                 row: 7,
                 write: false,
-                requested_at: 0,
-                granted_at: 0,
+                at: 0,
                 keep_open: true,
                 outcome: crate::event::GrantOutcome::ClosedMiss,
                 data_ready: 0,

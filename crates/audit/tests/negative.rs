@@ -10,7 +10,7 @@ use melreq_audit::{
     AuditEvent, AuditHandle, AuditReport, AuditSink, Auditor, AuditorConfig, Recorder,
     ViolationKind,
 };
-use melreq_dram::{DramGeometry, DramSystem, DramTiming};
+use melreq_dram::DramSystem;
 use melreq_memctrl::controller::ControllerConfig;
 use melreq_memctrl::policy::PolicyKind;
 use melreq_memctrl::MemoryController;
@@ -21,27 +21,10 @@ use std::sync::{Arc, Mutex};
 /// Drive a real controller under `policy` for `cycles` cycles of synthetic
 /// traffic and return the recorded audit stream.
 fn drive(policy: &PolicyKind, cores: usize, cycles: u64, seed: u64) -> Vec<AuditEvent> {
-    drive_on(DramSystem::paper(), policy, cores, cycles, seed)
-}
-
-/// Like [`drive`] but with every optional DDR2 constraint enabled, so the
-/// stream carries refreshes and activate-window pressure.
-fn drive_full_timing(policy: &PolicyKind, cores: usize, cycles: u64, seed: u64) -> Vec<AuditEvent> {
-    let timing = DramTiming::ddr2_800_at_3_2ghz().with_refresh().with_activation_windows();
-    drive_on(DramSystem::new(DramGeometry::paper(), timing), policy, cores, cycles, seed)
-}
-
-fn drive_on(
-    dram: DramSystem,
-    policy: &PolicyKind,
-    cores: usize,
-    cycles: u64,
-    seed: u64,
-) -> Vec<AuditEvent> {
     let me: Vec<f64> = (0..cores).map(|i| 1.0 + 2.0 * i as f64).collect();
     let mut ctrl = MemoryController::new(
         ControllerConfig::paper(),
-        dram,
+        DramSystem::paper(),
         policy.build(&me, cores, seed),
         policy.read_first(),
         cores,
@@ -176,56 +159,6 @@ fn duplicated_grant_is_bank_busy() {
 }
 
 #[test]
-fn early_grant_during_refresh_window_is_bank_busy() {
-    // Pull a later grant back in time to a cycle where its bank was
-    // mid-refresh; the replica's ready horizon must reject it.
-    let events = drive_full_timing(&PolicyKind::HfRf, 2, 60_000, 3);
-    assert!(
-        events.iter().any(|e| matches!(e, AuditEvent::Refresh { .. })),
-        "a 60k-cycle run must cross a tREFI boundary"
-    );
-    let mut mutated = events.clone();
-    let i = mutated
-        .iter()
-        .position(|e| matches!(e, AuditEvent::Grant { requested_at, .. } if *requested_at > 25_000))
-        .expect("grants after the first refresh");
-    let AuditEvent::Grant { requested_at, granted_at, data_ready, .. } = &mut mutated[i] else {
-        unreachable!()
-    };
-    let shift = *granted_at - 24_970; // inside refresh #1 (tRFC = 336)
-    *granted_at -= shift;
-    *requested_at = (*requested_at).min(*granted_at);
-    *data_ready -= shift;
-    let report = audit(&mutated);
-    assert!(has(&report, ViolationKind::BankBusy), "got:\n{}", report.render());
-}
-
-#[test]
-fn displaced_refresh_is_refresh_bad() {
-    let mut events = drive_full_timing(&PolicyKind::HfRf, 2, 60_000, 3);
-    let i = events
-        .iter()
-        .position(|e| matches!(e, AuditEvent::Refresh { .. }))
-        .expect("stream contains refreshes");
-    let AuditEvent::Refresh { at, .. } = &mut events[i] else { unreachable!() };
-    *at += 8;
-    let report = audit(&events);
-    assert!(has(&report, ViolationKind::RefreshBad), "got:\n{}", report.render());
-}
-
-#[test]
-fn dropped_refresh_is_refresh_missed() {
-    let mut events = drive_full_timing(&PolicyKind::HfRf, 2, 60_000, 3);
-    let i = events
-        .iter()
-        .position(|e| matches!(e, AuditEvent::Refresh { .. }))
-        .expect("stream contains refreshes");
-    events.remove(i);
-    let report = audit(&events);
-    assert!(has(&report, ViolationKind::RefreshMissed), "got:\n{}", report.render());
-}
-
-#[test]
 fn foreign_chosen_id_is_chosen_not_candidate() {
     let mut events = drive(&PolicyKind::HfRf, 2, 10_000, 5);
     let i = events
@@ -305,7 +238,7 @@ proptest! {
             };
             match which {
                 0 => {
-                    *data_ready -= magnitude.min(79); // stay > requested_at
+                    *data_ready -= magnitude.min(79); // stay > the grant cycle
                     ViolationKind::DataTooEarly
                 }
                 1 => {

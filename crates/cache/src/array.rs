@@ -125,11 +125,6 @@ impl CacheArray {
         Some(evicted)
     }
 
-    /// Number of valid lines (test/diagnostic helper).
-    pub fn occupancy(&self) -> usize {
-        self.sets.iter().filter(|w| w.valid).count()
-    }
-
     /// Walk every way and the LRU stamp ([`Archive`]); a load needs the
     /// same geometry.
     pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
@@ -238,15 +233,6 @@ mod tests {
         assert!(!c.probe(0x80));
         assert!(c.probe(0x180));
         assert!(c.probe(0x280));
-    }
-
-    #[test]
-    fn occupancy_counts_valid_lines() {
-        let mut c = tiny();
-        assert_eq!(c.occupancy(), 0);
-        c.fill(0x000, false);
-        c.fill(0x040, false);
-        assert_eq!(c.occupancy(), 2);
     }
 
     #[test]

@@ -2,14 +2,15 @@
 
 use melreq_cache::{AllocOutcome, CacheArray, CacheConfig, MshrFile};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn tiny_cfg() -> CacheConfig {
     CacheConfig { size_bytes: 1024, ways: 2, line_bytes: 64, hit_latency: 1, mshrs: 4 }
 }
 
 proptest! {
-    /// A fill makes the line present; occupancy never exceeds capacity.
+    /// A fill makes the line present; of the distinct lines filled so
+    /// far, no more than the capacity are ever present at once.
     #[test]
     fn fill_installs_and_capacity_bounds(
         addrs in proptest::collection::vec(0u64..0x10000, 1..200)
@@ -17,10 +18,13 @@ proptest! {
         let cfg = tiny_cfg();
         let mut c = CacheArray::new(cfg);
         let capacity = (cfg.size_bytes / cfg.line_bytes) as usize;
+        let mut filled = BTreeSet::new();
         for a in addrs {
             c.fill(a, false);
             prop_assert!(c.probe(a), "line vanished right after fill");
-            prop_assert!(c.occupancy() <= capacity);
+            filled.insert(a / cfg.line_bytes);
+            let present = filled.iter().filter(|&&l| c.probe(l * cfg.line_bytes)).count();
+            prop_assert!(present <= capacity);
         }
     }
 

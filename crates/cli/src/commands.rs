@@ -1385,9 +1385,8 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         }
     }
 
-    /// `run --trace` writes, byte for byte, the files the retired `melreq
-    /// trace MIX --out T` verb wrote: FNV-1a of each, captured from that
-    /// verb under the quick options.
+    /// `run --trace` and `--series` files are pinned byte for byte: FNV-1a
+    /// of each under the quick options.
     #[test]
     fn run_trace_files_are_pinned() {
         let dir = temp_dir("tracepin");
@@ -1398,11 +1397,11 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
             .unwrap();
         assert_eq!(
             (hash(&trace), hash(&series)),
-            ("3eba2f03cbf8ab25".into(), "be5ab2132c378da3".into())
+            ("d7508be341dd59e4".into(), "a07e0eefd8bf2e5a".into())
         );
         // The default epoch: a trace alone samples every 10 000 cycles.
         quick(&format!("run 2MEM-1 --policy fq --trace {t}")).unwrap();
-        assert_eq!(hash(&trace), "c5716dc242a1dde4");
+        assert_eq!(hash(&trace), "ec19cfbcfc55859b");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -283,7 +283,6 @@ mod tests {
             mix: mix_by_name(mix),
             policy: policy.name(),
             smt_speedup,
-            weighted_speedup: smt_speedup,
             harmonic_speedup: 0.0,
             unfairness,
             max_slowdown: 0.0,

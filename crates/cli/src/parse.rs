@@ -729,7 +729,7 @@ TRACING:
   `melreq run MIX --trace PATH` runs a mix with the deterministic trace
   collector on the audit tap: request arrivals, reconstructed
   ACT/RD/WR/PRE commands, grants (with the winning rule and beaten
-  runner-up), refreshes and per-core memory-stall spans, exported as
+  runner-up) and per-core memory-stall spans, exported as
   Chrome trace_event JSON — open it at https://ui.perfetto.dev.
   Timestamps are sim-cycles (shown as µs). Tracing is inert: results are
   bit-identical with it on or off.

@@ -382,10 +382,9 @@ impl PolicyReport {
         };
         write!(
             s,
-            "{{\"policy\":\"{}\",\"smt_speedup\":{},\"weighted_speedup\":{},\"harmonic_speedup\":{},\"unfairness\":{},\"max_slowdown\":{},\"mean_read_latency\":{}",
+            "{{\"policy\":\"{}\",\"smt_speedup\":{},\"harmonic_speedup\":{},\"unfairness\":{},\"max_slowdown\":{},\"mean_read_latency\":{}",
             esc(r.policy),
             fmt_f64(r.smt_speedup),
-            fmt_f64(r.weighted_speedup),
             fmt_f64(r.harmonic_speedup),
             fmt_f64(r.unfairness),
             fmt_f64(r.max_slowdown),
@@ -742,7 +741,7 @@ mod tests {
         let a = quick_request("me-lreq");
         assert_eq!(
             a.canonical_bytes(),
-            "{\"schema_version\":6,\"mix\":\"2MEM-1\",\"policies\":[\"me-lreq\"],\"audit\":false,\
+            "{\"schema_version\":7,\"mix\":\"2MEM-1\",\"policies\":[\"me-lreq\"],\"audit\":false,\
              \"instructions\":20000,\"warmup\":10000,\"profile_instructions\":10000,\
              \"eval_slice\":0,\"max_cycles_factor\":4000}"
         );
@@ -803,8 +802,8 @@ mod tests {
     #[test]
     fn policy_report_json_is_byte_stable() {
         const PLAIN: &str = concat!(
-            "{\"schema_version\":6,\"mix\":\"2MEM-1\",\"policies\":[{\"policy\":\"ME-LREQ\",",
-            "\"smt_speedup\":1.7268925094976528,\"weighted_speedup\":1.7268925094976528,",
+            "{\"schema_version\":7,\"mix\":\"2MEM-1\",\"policies\":[{\"policy\":\"ME-LREQ\",",
+            "\"smt_speedup\":1.7268925094976528,",
             "\"harmonic_speedup\":0.8634370545879058,\"unfairness\":1.006549829668036,",
             "\"max_slowdown\":1.1619425173439049,\"mean_read_latency\":180.78533231474407,",
             "\"ipc_multi\":[1.1372682815876265,0.5359056806002144],",
@@ -816,7 +815,7 @@ mod tests {
             "\"measured_cycles\":37321,\"timed_out\":false,\"cancelled\":false}]}",
         );
         const AUDIT: &str =
-            "\"audit\":{\"events\":7274,\"stream_hash\":\"c4866678c327c9d0\",\"violations\":0}";
+            "\"audit\":{\"events\":7274,\"stream_hash\":\"39e82aba00bd6f9f\",\"violations\":0}";
         let run = |req| Session::new().run(&req, &RunControl::default()).unwrap().to_json();
         assert_eq!(run(quick_request("me-lreq")), PLAIN);
         let audited = format!("{},{AUDIT}}}]}}", PLAIN.strip_suffix("}]}").unwrap());

@@ -290,12 +290,9 @@ pub struct MixResult {
     pub mix: Mix,
     /// Policy shorthand name ("HF-RF", "ME-LREQ", ...).
     pub policy: &'static str,
-    /// SMT speedup (Σ IPC_multi/IPC_single — Figure 2's metric).
+    /// SMT (weighted) speedup (Σ IPC_multi/IPC_single — Figure 2's
+    /// metric).
     pub smt_speedup: f64,
-    /// Weighted speedup (Σ IPC_multi/IPC_single; identical to
-    /// [`MixResult::smt_speedup`] under the paper's definitions, kept as
-    /// a named field so consumers see the standard metric name).
-    pub weighted_speedup: f64,
     /// Harmonic mean of the per-core speedups (balance-sensitive
     /// throughput; 0.0 when any core fully starved).
     pub harmonic_speedup: f64,
@@ -755,7 +752,6 @@ fn score(
         mix: *mix,
         policy,
         smt_speedup: fairness.smt_speedup,
-        weighted_speedup: fairness.weighted_speedup,
         harmonic_speedup: fairness.harmonic_speedup,
         unfairness: fairness.unfairness,
         max_slowdown: fairness.max_slowdown,

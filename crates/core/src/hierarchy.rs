@@ -261,11 +261,6 @@ impl Hierarchy {
         &self.l1d[core.index()]
     }
 
-    /// The shared L2 array.
-    pub fn l2(&self) -> &CacheArray {
-        &self.l2
-    }
-
     /// Functionally pre-warm one core's caches from its program's address
     /// regions — the stand-in for the architectural-checkpoint warm-up of
     /// SimPoint methodology. Code fills the L1I (and L2); data fills the
@@ -313,9 +308,8 @@ impl Hierarchy {
 
     /// Conservative lower bound on the next cycle at which this hierarchy
     /// or `ctrl` beneath it (with its DRAM) can make progress: a stalled
-    /// submission can retry, a cache event comes due, a DRAM grant or
-    /// completion becomes possible, or a refresh boundary is crossed.
-    /// `None` when fully idle.
+    /// submission can retry, a cache event comes due, or a DRAM grant or
+    /// completion becomes possible. `None` when fully idle.
     pub fn next_event_at(&self, now: Cycle, ctrl: &MemoryController) -> Option<Cycle> {
         if (!self.pending_wb.is_empty() || !self.pending_mem.is_empty()) && ctrl.can_accept() {
             return Some(now);

@@ -1008,11 +1008,11 @@ mod tests {
         warmed.prepare_window(opts.warmup, opts.instructions);
         assert!(warmed.run_to_boundary(1 << 26), "warm-up must reach the boundary");
         let container = warmed.snapshot_sealed();
-        assert_eq!(melreq_snap::fnv1a(container.as_bytes()), 0x9777_0a64_288d_51dc);
+        assert_eq!(melreq_snap::fnv1a(container.as_bytes()), 0x2ff8_816e_ec81_d93c);
 
         let mut warm = System::new(cfg.clone(), mix.eval_streams(0), &me);
         let mut cold = System::for_restore(cfg, mix.eval_streams(0), &me);
-        assert!(warm.hierarchy().l2().occupancy() > 0 && cold.hierarchy().l2().occupancy() == 0);
+        assert!(warm.snapshot() != cold.snapshot(), "the pre-warm must have written something");
         for sys in [&mut warm, &mut cold] {
             sys.restore(&container).expect("the boundary restores");
             assert!(sys.snapshot() == container.as_bytes(), "restored state moved");

@@ -8,7 +8,7 @@
 //! kernels with the audit instrumentation attached, and the results must
 //! agree *bit for bit*:
 //! the FNV-1a hash over the full audit event stream (every submission,
-//! scheduling decision, grant, refresh, and precharge, in order), every
+//! scheduling decision and grant, in order), every
 //! per-core IPC, and the cycle count. A fast-forward kernel that ever
 //! skips a cycle in which some component could have acted would perturb
 //! at least one grant time and fail the hash comparison.
@@ -233,21 +233,21 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
 ///
 /// DESIGN.md "Determinism rules" maps every snapshotted struct to a row.
 const SNAPSHOT_PINS: &[(&str, usize, u64)] = &[
-    ("boundary", 1_347_554, 0x9777_0a64_288d_51dc),
-    ("hf-rf", 1_350_840, 0x553c_c9b1_b4d0_a311),
-    ("me", 1_348_988, 0x3324_b2b0_0f84_da17),
-    ("rr", 1_350_619, 0xca97_da64_cdd8_2386),
-    ("lreq", 1_349_376, 0x6782_9b72_a940_03e8),
-    ("me-lreq", 1_349_127, 0xce19_285b_889b_427d),
-    ("fcfs", 1_349_500, 0xa86b_46a6_d214_cd2a),
-    ("fcfs-rf", 1_350_839, 0x4a99_c209_7ef1_7a2e),
-    ("me-lreq-on", 1_349_430, 0x8bce_c1f5_8b23_9114),
-    ("fix-0123", 1_349_641, 0xadb5_67c4_e8d6_26d0),
-    ("fix-3210", 1_346_624, 0x8b9c_1a74_dc78_47ad),
-    ("fq", 1_351_273, 0xa86f_aac9_1933_de85),
-    ("stf", 1_351_563, 0xf108_9a9b_4d2c_1007),
-    ("bliss", 1_352_508, 0x5a34_3c34_7973_bff9),
-    ("tcm", 1_348_702, 0xf4ad_4f96_4fc4_a55b),
+    ("boundary", 1_347_402, 0x2ff8_816e_ec81_d93c),
+    ("hf-rf", 1_350_688, 0x2ab7_036e_14e0_2389),
+    ("me", 1_348_836, 0x2c91_3bab_70a2_1906),
+    ("rr", 1_350_467, 0x3f4c_4691_05f4_c644),
+    ("lreq", 1_349_224, 0x8b80_9c7f_53dd_603b),
+    ("me-lreq", 1_348_975, 0xd4da_e56d_bd66_a800),
+    ("fcfs", 1_349_348, 0xd8af_9e83_456d_f4fd),
+    ("fcfs-rf", 1_350_687, 0x96b9_6ffd_8b8f_0353),
+    ("me-lreq-on", 1_349_278, 0x9db9_c72b_4bc3_538a),
+    ("fix-0123", 1_349_489, 0xc462_13ce_dae9_8f0a),
+    ("fix-3210", 1_346_472, 0x794a_4bc3_e5ca_b75b),
+    ("fq", 1_351_121, 0xc97e_1dbe_56e5_7eb9),
+    ("stf", 1_351_411, 0x81b8_8e9f_e3a6_b37b),
+    ("bliss", 1_352_356, 0xb18a_bd83_5e8a_9a4d),
+    ("tcm", 1_348_550, 0x6fa9_4cdc_40b1_7a85),
     ("phased", 180, 0x13bc_4ee1_d161_56a5),
     ("taped", 82, 0xfcd6_76f3_74f6_4266),
 ];
@@ -331,7 +331,7 @@ fn pinned_bytes() -> Vec<(&'static str, Receiver, Vec<u8>)> {
 
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(melreq_snap::SCHEMA_VERSION, 6, "a version bump re-captures every pin");
+    assert_eq!(melreq_snap::SCHEMA_VERSION, 7, "a version bump re-captures every pin");
     let got: Vec<(&str, usize, u64)> = pinned_bytes()
         .iter()
         .map(|(name, _, bytes)| (*name, bytes.len(), melreq_snap::fnv1a(bytes)))

@@ -72,20 +72,20 @@ fn grown_set_audits_clean_with_deterministic_streams() {
 #[test]
 fn audit_stream_hashes_are_pinned_for_the_whole_registry() {
     const PINNED: [(&str, u64); 14] = [
-        ("hf-rf", 0xae69309b6d5c542a),
-        ("me", 0x12aea0bc4b1cbdec),
-        ("rr", 0x24a041109389c063),
-        ("lreq", 0xa54e6088bcb3c0d2),
-        ("me-lreq", 0x6a7cb9a2883e38ad),
-        ("fcfs", 0xdf70e36fe8182add),
-        ("fcfs-rf", 0xa8dd89c2ca57df5c),
-        ("me-lreq-on", 0xaa2b1a146fa40fef),
-        ("fix-0123", 0x39418174126772e6),
-        ("fix-3210", 0x736a4891f7259479),
-        ("fq", 0x27866c05c73cf487),
-        ("stf", 0x85a5bf6e0d9dc4c7),
-        ("bliss", 0x4a025dedd6c0c43c),
-        ("tcm", 0xdd266adecd638a3a),
+        ("hf-rf", 0x2c418515711baaab),
+        ("me", 0xd3bf6f9a6430bc08),
+        ("rr", 0xa78d22a02352bae8),
+        ("lreq", 0xb24973351a2b25a0),
+        ("me-lreq", 0x3e70bfa3471b0974),
+        ("fcfs", 0x77dcbdbbbc6020fa),
+        ("fcfs-rf", 0xff47389d6c754e9f),
+        ("me-lreq-on", 0x1e4dd930546b459f),
+        ("fix-0123", 0xbef34b3c1d91dcda),
+        ("fix-3210", 0x24b93679bcb3391e),
+        ("fq", 0x9412499a123816c8),
+        ("stf", 0x67845d77ffc6e8c2),
+        ("bliss", 0x69441f9521f3be2d),
+        ("tcm", 0x3810c5c61f6c031b),
     ];
     let cache = ProfileCache::new();
     let opts = ExperimentOptions {

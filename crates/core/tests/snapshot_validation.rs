@@ -2,7 +2,7 @@
 //!
 //! The core's issue stage indexes its ROB ring by the sequence numbers it
 //! finds in the worklist and on the consumer chains, the controller walks
-//! per-channel position lists, the DRAM model indexes its ACT ring, and
+//! per-channel position lists, the DRAM model indexes its banks, and
 //! every per-core table is indexed by core — all of which a restore
 //! rebuilds from the snapshot. A snapshot that breaks one of those
 //! invariants must therefore be refused at load, with an error, rather
@@ -179,8 +179,8 @@ mirror! {
     Event { at: u64, seq: u64, tag: u8, core: u16, line: u64, origin: u8 }
     Req { id: u64, core: u16, addr: u64, channel: u64, bank: u64, row: u64, column: u32, read: bool, arrival: u64 }
     // Banks: a tagged open row, then the ready horizon.
-    Chan { banks: Vec<(Tagged<0b10>, u64)>, bus: [u64; 4], acts: [u64; 4], act_head: u64, acts_seen: u64 }
-    Dram { channels: Vec<Chan>, refreshes_emitted: Vec<u64> }
+    Chan { banks: Vec<(Tagged<0b10>, u64)>, bus: [u64; 2] }
+    Dram { channels: Vec<Chan> }
     Online { epoch: u64, next_at: u64, prev_instr: Vec<u64>, prev_bytes: Vec<u64>, estimate: Vec<u64> }
     Table { rows: Vec<Row>, scale: u64, rng: [u64; 4] }
 }
@@ -555,12 +555,6 @@ fn corrupt_memory_side_sections_are_refused_not_trusted() {
     });
     pinned.refused("a bank latch neither open nor closed", SnapError::BadTag(2), |p| {
         ctrl(p).dram.channels[0].banks[0].0 = Tagged { tag: 2, val: 0 };
-    });
-    refused("an ACT ring head past the ring", "ACT ring head out of range", &|p| {
-        ctrl(p).dram.channels[0].act_head = 4;
-    });
-    refused("a refresh cursor too many", "refresh cursor count mismatch", &|p| {
-        ctrl(p).dram.refreshes_emitted.push(0);
     });
 
     // The controller's statistics and policy.

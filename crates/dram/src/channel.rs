@@ -51,8 +51,8 @@ impl From<RowOutcome> for melreq_audit::GrantOutcome {
 /// command sequence may start, held struct-of-arrays (`open_row` +
 /// `bank_ready`) so the controller's candidate scans and ready-horizon
 /// folds walk dense slices. Time advances only when a transaction is
-/// granted or a refresh falls due: a bank needs no per-cycle tick, which
-/// keeps the model O(transactions), not O(cycles).
+/// granted: a bank needs no per-cycle tick, which keeps the model
+/// O(transactions), not O(cycles).
 #[derive(Debug, Clone)]
 pub struct Channel {
     /// Per-bank open-row latch ([`NO_OPEN_ROW`] when closed).
@@ -63,16 +63,6 @@ pub struct Channel {
     bus_free: Cycle,
     /// Total cycles the data bus has been occupied (for utilization).
     bus_busy_cycles: Cycle,
-    /// Next scheduled all-bank refresh (when refresh is enabled).
-    next_refresh: Cycle,
-    /// Refreshes performed.
-    refreshes: u64,
-    /// Recent ACT start times (ring of 4) for the tRRD/tFAW windows.
-    recent_acts: [Cycle; 4],
-    act_head: usize,
-    /// Total ACTs recorded (the windows only bind once enough history
-    /// exists).
-    acts_seen: u64,
 }
 
 /// Completed service computation for one granted transaction.
@@ -83,9 +73,6 @@ pub struct ChannelGrant {
     pub data_ready: Cycle,
     /// How the row buffer was found.
     pub outcome: RowOutcome,
-    /// Effective cycle the command sequence started: the requested cycle,
-    /// possibly pushed back by the tRRD/tFAW activate windows.
-    pub granted_at: Cycle,
 }
 
 impl Channel {
@@ -97,81 +84,7 @@ impl Channel {
             bank_ready: vec![0; banks],
             bus_free: 0,
             bus_busy_cycles: 0,
-            next_refresh: 0,
-            refreshes: 0,
-            recent_acts: [0; 4],
-            act_head: 0,
-            acts_seen: 0,
         }
-    }
-
-    /// Catch up any refreshes that have come due by `now` (no-op when
-    /// `t.t_refi == 0`). Call before issuing or probing availability.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "`refreshes` is an event counter, not a deadline"
-    )]
-    pub fn sync_refresh(&mut self, now: Cycle, t: &DramTiming) {
-        if t.t_refi == 0 {
-            return;
-        }
-        if self.next_refresh == 0 {
-            self.next_refresh = t.t_refi;
-        }
-        while self.next_refresh <= now {
-            // Every row closes and every bank is unavailable for tRFC,
-            // stacked on any work it was still finishing.
-            self.open_row.fill(NO_OPEN_ROW);
-            for ready in &mut self.bank_ready {
-                *ready = cyc_add((*ready).max(self.next_refresh), t.t_rfc);
-            }
-            self.refreshes += 1;
-            self.next_refresh = cyc_add(self.next_refresh, t.t_refi);
-        }
-    }
-
-    /// Number of all-bank refreshes performed.
-    pub fn refresh_count(&self) -> u64 {
-        self.refreshes
-    }
-
-    /// The next all-bank refresh boundary, or `None` when refresh is
-    /// disabled. Lazy catch-up means the boundary may already be in the
-    /// past relative to the caller's clock until [`Channel::sync_refresh`]
-    /// runs; callers treating this as an event horizon must clamp to
-    /// their own `now`.
-    pub fn next_refresh_at(&self, t: &DramTiming) -> Option<Cycle> {
-        if t.t_refi == 0 {
-            return None;
-        }
-        Some(if self.next_refresh == 0 { t.t_refi } else { self.next_refresh })
-    }
-
-    /// Earliest cycle a new ACT may start, per the tRRD/tFAW windows.
-    fn act_allowed_at(&self, t: &DramTiming) -> Cycle {
-        let mut at = 0;
-        if t.t_rrd > 0 && self.acts_seen >= 1 {
-            #[expect(clippy::arithmetic_side_effects, reason = "ring index, bounded by the modulo")]
-            let last = self.recent_acts[(self.act_head + 3) % 4];
-            at = at.max(cyc_add(last, t.t_rrd));
-        }
-        if t.t_faw > 0 && self.acts_seen >= 4 {
-            // Four ACTs within t_faw: the oldest of the ring gates the
-            // fifth.
-            let oldest = self.recent_acts[self.act_head];
-            at = at.max(cyc_add(oldest, t.t_faw));
-        }
-        at
-    }
-
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "`act_head` is a ring index, bounded by the modulo; `acts_seen` is an event counter, not a deadline"
-    )]
-    fn note_act(&mut self, at: Cycle) {
-        self.recent_acts[self.act_head] = at;
-        self.act_head = (self.act_head + 1) % 4;
-        self.acts_seen += 1;
     }
 
     /// Whether a request for (`bank`, `row`) would be a row-buffer hit
@@ -212,7 +125,6 @@ impl Channel {
         keep_open: bool,
         t: &DramTiming,
     ) -> ChannelGrant {
-        self.sync_refresh(now, t);
         let open = self.open_row[bank];
         let (to_data, outcome) = if open == NO_OPEN_ROW {
             (t.idle_to_data(), RowOutcome::ClosedMiss)
@@ -221,21 +133,9 @@ impl Channel {
         } else {
             (t.conflict_to_data(), RowOutcome::Conflict)
         };
-        // A transaction that needs an ACT (no open-row hit) must honour
-        // the channel's activate-spacing windows; the ACT begins after any
-        // precharge a conflict implies.
-        let grant_at = match outcome {
-            RowOutcome::Hit => now,
-            _ => now.max(self.act_allowed_at(t)),
-        };
-        match outcome {
-            RowOutcome::Hit => {}
-            RowOutcome::ClosedMiss => self.note_act(grant_at),
-            RowOutcome::Conflict => self.note_act(cyc_add(grant_at, t.t_rp)),
-        }
         let ready = &mut self.bank_ready[bank];
-        debug_assert!(*ready <= grant_at, "bank busy until {ready} at {grant_at}");
-        let data_start = cyc_add(grant_at, to_data);
+        debug_assert!(*ready <= now, "bank busy until {ready} at {now}");
+        let data_start = cyc_add(now, to_data);
         if keep_open {
             self.open_row[bank] = row;
             // The next column access to the open row may pipeline right
@@ -251,24 +151,13 @@ impl Channel {
         let bus_start = data_start.max(self.bus_free);
         self.bus_free = cyc_add(bus_start, t.burst);
         self.bus_busy_cycles = cyc_add(self.bus_busy_cycles, t.burst);
-        ChannelGrant { data_ready: self.bus_free, outcome, granted_at: grant_at }
+        ChannelGrant { data_ready: self.bus_free, outcome }
     }
 
-    /// Walk bank latches, bus occupancy, refresh and ACT-window tracking
-    /// ([`Archive`]); a load needs the same bank count. Each bank is a
+    /// Walk bank latches and bus occupancy ([`Archive`]); a load needs the same bank count. Each bank is a
     /// tagged open row (0 closed, 1 then the row), then its ready horizon.
     pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
-        let Self {
-            open_row,
-            bank_ready,
-            bus_free,
-            bus_busy_cycles,
-            next_refresh,
-            refreshes,
-            recent_acts,
-            act_head,
-            acts_seen,
-        } = self;
+        let Self { open_row, bank_ready, bus_free, bus_busy_cycles } = self;
         ar.len(open_row.len(), SnapError::Invalid("bank count mismatch"))?;
         for (row, ready) in open_row.iter_mut().zip(bank_ready) {
             let mut open = u8::from(*row != NO_OPEN_ROW);
@@ -280,13 +169,8 @@ impl Channel {
             }
             ar.u64(ready)?;
         }
-        for c in [bus_free, bus_busy_cycles, next_refresh, refreshes] {
-            ar.u64(c)?;
-        }
-        recent_acts.iter_mut().try_for_each(|a| ar.u64(a))?;
-        ar.usize(act_head)?;
-        ar.ensure(*act_head < 4, SnapError::Invalid("ACT ring head out of range"))?;
-        ar.u64(acts_seen)
+        ar.u64(bus_free)?;
+        ar.u64(bus_busy_cycles)
     }
 
     /// Total data-bus busy cycles so far (numerator of bus utilization).
@@ -398,86 +282,6 @@ mod tests {
     #[should_panic(expected = "at least one bank")]
     fn zero_banks_rejected() {
         let _ = Channel::new(0);
-    }
-
-    #[test]
-    fn refresh_blocks_banks_and_closes_rows() {
-        let t = DramTiming::ddr2_800_at_3_2ghz().with_refresh();
-        let mut ch = Channel::new(8);
-        // Open a row before the first refresh boundary.
-        ch.issue(0, 3, AccessKind::Read, 0, true, &t);
-        assert!(ch.is_row_hit(0, 3));
-        // Jump past the refresh boundary.
-        ch.sync_refresh(t.t_refi + 1, &t);
-        assert_eq!(ch.refresh_count(), 1);
-        assert!(!ch.is_row_hit(0, 3), "refresh must close rows");
-        // Banks are blocked for tRFC after the refresh started.
-        assert!(!ch.can_issue(1, t.t_refi + 1));
-        assert!(ch.can_issue(1, t.t_refi + t.t_rfc));
-    }
-
-    #[test]
-    fn refresh_disabled_by_default() {
-        let t = DramTiming::ddr2_800_at_3_2ghz();
-        let mut ch = Channel::new(8);
-        ch.sync_refresh(1_000_000, &t);
-        assert_eq!(ch.refresh_count(), 0);
-    }
-
-    #[test]
-    fn multiple_missed_refreshes_catch_up() {
-        let t = DramTiming::ddr2_800_at_3_2ghz().with_refresh();
-        let mut ch = Channel::new(8);
-        ch.sync_refresh(3 * t.t_refi + 5, &t);
-        assert_eq!(ch.refresh_count(), 3);
-    }
-
-    #[test]
-    fn trrd_spaces_back_to_back_activates() {
-        let t = DramTiming::ddr2_800_at_3_2ghz().with_activation_windows();
-        let mut ch = Channel::new(8);
-        let g0 = ch.issue(0, 0, AccessKind::Read, 0, false, &t);
-        // Bank 1 granted the same cycle: its ACT must wait tRRD, shifting
-        // data by tRRD relative to an unconstrained issue.
-        let g1 = ch.issue(1, 0, AccessKind::Read, 0, false, &t);
-        assert_eq!(g0.data_ready, 96);
-        // Unconstrained this would be bus-serialized to 112; with
-        // tRRD = 24 the second ACT starts at 24, its data starts at
-        // 24+80 = 104 (past the bus-free point 96) and finishes at 120.
-        assert_eq!(g1.data_ready, 120);
-        // But a third and beyond keep spacing: issue to 4 more banks and
-        // confirm ACTs are at least tRRD apart via data times.
-        let g2 = ch.issue(2, 0, AccessKind::Read, 0, false, &t);
-        let g3 = ch.issue(3, 0, AccessKind::Read, 0, false, &t);
-        assert!(g3.data_ready >= g2.data_ready + t.burst);
-    }
-
-    #[test]
-    fn tfaw_limits_activation_burst() {
-        let mut t = DramTiming::ddr2_800_at_3_2ghz().with_activation_windows();
-        // Exaggerate the window so it clearly dominates the bus.
-        t.t_faw = 1000;
-        let mut ch = Channel::new(8);
-        let mut last_ready = 0;
-        for b in 0..5 {
-            let g = ch.issue(b, 0, AccessKind::Read, 0, false, &t);
-            last_ready = g.data_ready;
-        }
-        // The fifth ACT waits for the four-activate window: its data
-        // cannot be ready before t_faw + tRCD + tCL.
-        assert!(last_ready >= 1000 + 80, "fifth activate ignored tFAW: ready at {last_ready}");
-    }
-
-    #[test]
-    fn row_hits_bypass_activation_windows() {
-        let mut t = DramTiming::ddr2_800_at_3_2ghz().with_activation_windows();
-        t.t_faw = 10_000;
-        let mut ch = Channel::new(8);
-        let g0 = ch.issue(0, 7, AccessKind::Read, 0, true, &t);
-        // A row hit needs no ACT, so the huge tFAW must not delay it.
-        let g1 = ch.issue(0, 7, AccessKind::Read, g0.data_ready, false, &t);
-        assert_eq!(g1.outcome, RowOutcome::Hit);
-        assert!(g1.data_ready <= g0.data_ready + t.t_cl + 2 * t.burst);
     }
 
     #[test]

@@ -32,10 +32,6 @@ pub struct DramSystem {
     geometry: DramGeometry,
     timing: DramTiming,
     channels: Vec<Channel>,
-    /// Audit instrumentation (no-op unless a sink is attached).
-    audit: AuditHandle,
-    /// Refreshes already reported to the audit stream, per channel.
-    refreshes_emitted: Vec<u64>,
 }
 
 impl DramSystem {
@@ -43,19 +39,11 @@ impl DramSystem {
     pub fn new(geometry: DramGeometry, timing: DramTiming) -> Self {
         let channels =
             (0..geometry.channels).map(|_| Channel::new(geometry.banks_per_channel())).collect();
-        DramSystem {
-            channels,
-            audit: AuditHandle::disabled(),
-            refreshes_emitted: vec![0; geometry.channels],
-            geometry,
-            timing,
-        }
+        DramSystem { channels, geometry, timing }
     }
 
-    /// Attach audit instrumentation and announce the device configuration
-    /// on the stream. All subsequent refreshes on this device are reported
-    /// through `audit`.
-    pub fn set_audit(&mut self, audit: AuditHandle) {
+    /// Announce the device configuration on an audit stream.
+    pub fn announce(&self, audit: &AuditHandle) {
         audit.emit(|| AuditEvent::DramConfig {
             channels: self.geometry.channels,
             banks_per_channel: self.geometry.banks_per_channel(),
@@ -65,31 +53,8 @@ impl DramSystem {
                 t_rp: self.timing.t_rp,
                 t_wr: self.timing.t_wr,
                 burst: self.timing.burst,
-                t_refi: self.timing.t_refi,
-                t_rfc: self.timing.t_rfc,
-                t_rrd: self.timing.t_rrd,
-                t_faw: self.timing.t_faw,
             },
         });
-        self.audit = audit;
-    }
-
-    /// Report any refreshes the channels performed that the audit stream
-    /// has not seen yet. Refresh `k` on a channel always starts at
-    /// `k × tREFI`, so the boundary cycles are reconstructible from the
-    /// per-channel counts.
-    fn emit_refreshes(&mut self) {
-        if !self.audit.is_enabled() {
-            return;
-        }
-        for (ch, emitted) in self.refreshes_emitted.iter_mut().enumerate() {
-            let performed = self.channels[ch].refresh_count();
-            while *emitted < performed {
-                *emitted += 1;
-                let at = *emitted * self.timing.t_refi;
-                self.audit.emit(|| AuditEvent::Refresh { channel: ch, at });
-            }
-        }
     }
 
     /// The paper's Table 1 memory system.
@@ -122,36 +87,8 @@ impl DramSystem {
     /// sequence, as a dense slice (index = bank) for the controller's
     /// candidate scans: the cached form of [`DramSystem::can_issue`]
     /// (`can_issue(loc, now)` ⇔ `bank_ready_slice(loc.channel)[loc.bank] <= now`).
-    /// A pending refresh can only push these later, so the values are
-    /// conservative lower bounds for event-horizon computations.
     pub fn bank_ready_slice(&self, channel: usize) -> &[Cycle] {
         self.channels[channel].bank_ready_slice()
-    }
-
-    /// The earliest upcoming all-bank refresh boundary across channels,
-    /// or `None` when refresh is disabled. The system loop must not skip
-    /// past this cycle: refreshes apply (and are reported on the audit
-    /// stream) lazily at the next controller tick, so a tick must land on
-    /// the boundary for the event order to match a cycle-exact run.
-    pub fn next_refresh_at(&self) -> Option<Cycle> {
-        self.channels.iter().filter_map(|ch| ch.next_refresh_at(&self.timing)).min()
-    }
-
-    /// Catch up due refreshes on every channel (no-op when refresh is
-    /// disabled). The controller calls this once per scheduling cycle.
-    pub fn sync(&mut self, now: Cycle) {
-        if self.timing.t_refi == 0 {
-            return;
-        }
-        for ch in &mut self.channels {
-            ch.sync_refresh(now, &self.timing);
-        }
-        self.emit_refreshes();
-    }
-
-    /// Total all-bank refreshes performed across channels.
-    pub fn refresh_count(&self) -> u64 {
-        self.channels.iter().map(super::channel::Channel::refresh_count).sum()
     }
 
     /// Grant a transaction.
@@ -166,25 +103,16 @@ impl DramSystem {
         now: Cycle,
         keep_open: bool,
     ) -> ChannelGrant {
-        // Catch up (and report) refreshes before the grant so the audit
-        // stream always orders a refresh ahead of the grants behind it.
-        self.channels[loc.channel].sync_refresh(now, &self.timing);
-        self.emit_refreshes();
         self.channels[loc.channel].issue(loc.bank, loc.row, kind, now, keep_open, &self.timing)
     }
 
-    /// Walk every channel and the audit refresh-emission cursors
-    /// ([`Archive`]); a load needs the same geometry. The audit handle
-    /// itself is NOT state: a restored system keeps whatever sink it
-    /// already has attached.
+    /// Walk every channel ([`Archive`]); a load needs the same geometry.
     pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
         // `geometry`, `timing`: construction-time config, identical across
-        // snapshot peers. `audit`: instrumentation handle re-attached by the host.
-        let Self { geometry: _, timing: _, channels, audit: _, refreshes_emitted } = self;
+        // snapshot peers.
+        let Self { geometry: _, timing: _, channels } = self;
         ar.len(channels.len(), SnapError::Invalid("channel count mismatch"))?;
-        channels.iter_mut().try_for_each(|ch| ch.state(ar))?;
-        ar.len(refreshes_emitted.len(), SnapError::Invalid("refresh cursor count mismatch"))?;
-        refreshes_emitted.iter_mut().try_for_each(|e| ar.u64(e))
+        channels.iter_mut().try_for_each(|ch| ch.state(ar))
     }
 
     /// Cumulative data-bus busy cycles of `channel` (the epoch sampler

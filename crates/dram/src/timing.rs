@@ -26,19 +26,6 @@ pub struct DramTiming {
     pub t_wr: Cycle,
     /// Data-bus occupancy of one cache-line burst, CPU cycles.
     pub burst: Cycle,
-    /// Average refresh interval (tREFI), CPU cycles; 0 disables refresh.
-    /// The paper does not state whether its model charges refresh, so the
-    /// default preset leaves it off; [`DramTiming::with_refresh`] enables
-    /// the DDR2 values for the sensitivity study.
-    pub t_refi: Cycle,
-    /// Refresh cycle time (tRFC), CPU cycles (used when `t_refi > 0`).
-    pub t_rfc: Cycle,
-    /// Minimum ACT-to-ACT spacing on one channel (tRRD), CPU cycles;
-    /// 0 disables the constraint.
-    pub t_rrd: Cycle,
-    /// Four-activate window (tFAW), CPU cycles; 0 disables the
-    /// constraint.
-    pub t_faw: Cycle,
 }
 
 impl DramTiming {
@@ -49,34 +36,7 @@ impl DramTiming {
     ///   4 transfers × 1.25 ns = 5 ns = 16 CPU cycles;
     /// * tWR for DDR2-800 is 15 ns = 48 CPU cycles.
     pub fn ddr2_800_at_3_2ghz() -> Self {
-        DramTiming {
-            t_rcd: 40,
-            t_cl: 40,
-            t_rp: 40,
-            t_wr: 48,
-            burst: 16,
-            t_refi: 0,
-            t_rfc: 0,
-            t_rrd: 0,
-            t_faw: 0,
-        }
-    }
-
-    /// Enable DDR2 refresh: tREFI = 7.8 µs (24 960 CPU cycles at
-    /// 3.2 GHz), tRFC = 105 ns (336 cycles) — all-bank refresh per
-    /// channel.
-    pub fn with_refresh(mut self) -> Self {
-        self.t_refi = 24_960;
-        self.t_rfc = 336;
-        self
-    }
-
-    /// Enable DDR2-800 activate-spacing constraints: tRRD = 7.5 ns
-    /// (24 cycles), tFAW = 37.5 ns (120 cycles).
-    pub fn with_activation_windows(mut self) -> Self {
-        self.t_rrd = 24;
-        self.t_faw = 120;
-        self
+        DramTiming { t_rcd: 40, t_cl: 40, t_rp: 40, t_wr: 48, burst: 16 }
     }
 
     /// Latency from grant to first data for a row-buffer hit (column

@@ -501,7 +501,7 @@ mod tests {
         // checked against them.
         let ci = LoadConfig { rps: 150.0, duration_s: 2.0, ..LoadConfig::default() };
         let hashes = PHASES.map(|spec| format!("{:016x}", stream_hash(&plan_arrivals(&ci, spec))));
-        assert_eq!(hashes, ["c0ad838762d2da27", "672b368e7ce9cb05"]);
+        assert_eq!(hashes, ["f03fa5db547ac8df", "5ba724486ec7541c"]);
     }
 
     #[test]

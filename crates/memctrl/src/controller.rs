@@ -4,7 +4,7 @@ use crate::policy::{Candidate, Fcfs, HitFirst, SchedulerPolicy};
 use crate::queue::RequestQueue;
 use crate::request::{MemRequest, ReqId};
 use melreq_audit::{AuditEvent, AuditHandle, CandidateInfo, Rule};
-use melreq_dram::{DramSystem, RowPolicy};
+use melreq_dram::{DramSystem, RowOutcome, RowPolicy};
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle};
 use melreq_stats::StreamingMean;
@@ -336,7 +336,7 @@ impl MemoryController {
     /// the stream. Replaces any previously attached sink (including the
     /// debug-build watchdog).
     pub fn attach_audit(&mut self, audit: AuditHandle) {
-        self.dram.set_audit(audit.clone());
+        self.dram.announce(&audit);
         self.audit = audit;
         self.emit_ctrl_config();
     }
@@ -443,7 +443,6 @@ impl MemoryController {
             // being built, so any audit is detached rather than left to
             // report phantom violations. Audited runs always simulate fresh.
             *audit = AuditHandle::disabled();
-            dram.set_audit(AuditHandle::disabled());
             for (ch, wake) in gate.wake.iter_mut().enumerate() {
                 *wake = if queue.channel_positions(ch).is_empty() { Cycle::MAX } else { 0 };
             }
@@ -531,8 +530,7 @@ impl MemoryController {
 
     /// First cycle a request that arrived at `arrival` can be a grant
     /// candidate as the bank timers stand: pipeline overhead cleared and
-    /// its bank ready. Refresh only moves bank-ready later, so a bound
-    /// taken from this stays a lower bound.
+    /// its bank ready.
     fn eligible_at(&self, arrival: Cycle, loc: &melreq_dram::Location) -> Cycle {
         (arrival + self.cfg.overhead).max(self.dram.bank_ready_slice(loc.channel)[loc.bank])
     }
@@ -561,7 +559,6 @@ impl MemoryController {
     /// One scheduler cycle: update drain state, then grant at most one
     /// transaction per logical channel.
     pub fn tick(&mut self, now: Cycle) {
-        self.dram.sync(now);
         if self.queue.is_empty() {
             return;
         }
@@ -591,25 +588,21 @@ impl MemoryController {
     /// Conservative lower bound on the next cycle this controller can do
     /// observable work: deliver a read completion, grant a queued request
     /// (earliest cycle any request has both cleared the pipeline overhead
-    /// and found its bank ready), or cross an all-bank refresh boundary.
-    /// `None` when the controller is fully idle and refresh is disabled.
+    /// and found its bank ready). `None` when the controller is fully idle.
     ///
     /// The grant part is the minimum of the per-channel wake bounds the
     /// scan itself maintains. It never overshoots: bank ready times only
-    /// move later (refresh), never earlier, and `try_grant` always grants
-    /// when a candidate passes both filters — so no grant can occur
-    /// strictly before the returned cycle. It may undershoot (a channel
-    /// that granted last tick reads "rescan now"), which merely costs the
+    /// move when a grant moves them, and `try_grant` always grants when a
+    /// candidate passes both filters — so no grant can occur strictly
+    /// before the returned cycle. It may undershoot (a channel that
+    /// granted last tick reads "rescan now"), which merely costs the
     /// caller a probe tick.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let grant = self.gate.wake.iter().copied().min().filter(|&at| at != Cycle::MAX);
-        let mut bound = self.next_completion_at();
-        for t in [grant, self.dram.next_refresh_at()] {
-            bound = match (bound, t) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        }
+        let bound = match (self.next_completion_at(), grant) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
         bound.map(|b| b.max(now))
     }
 
@@ -777,7 +770,6 @@ impl MemoryController {
             RowPolicy::ClosePage => self.queue.has_same_row_pending(&req.loc, id),
             RowPolicy::OpenPage => true,
         };
-        let hit_before = self.dram.is_row_hit(&req.loc);
         let service = self.dram.issue(&req.loc, req.kind, now, keep_open);
         self.audit.emit(|| AuditEvent::Grant {
             id: req.id.0,
@@ -786,14 +778,13 @@ impl MemoryController {
             bank: req.loc.bank,
             row: req.loc.row,
             write: req.kind.is_write(),
-            requested_at: now,
-            granted_at: service.granted_at,
+            at: now,
             keep_open,
             outcome: service.outcome.into(),
             data_ready: service.data_ready,
         });
         let traffic = &mut self.stats.per_channel[req.loc.channel];
-        if hit_before {
+        if service.outcome == RowOutcome::Hit {
             traffic.row_hits += 1;
         }
         self.stats.bytes_by_core[req.core.index()] += melreq_stats::CACHE_LINE_BYTES;

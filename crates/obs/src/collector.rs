@@ -265,21 +265,13 @@ impl Collector {
     /// the precharge slice). Any other event pushes nothing.
     fn push_commands(&mut self, ev: &AuditEvent) {
         let AuditEvent::Grant {
-            id,
-            channel,
-            bank,
-            write,
-            granted_at,
-            keep_open,
-            outcome,
-            data_ready,
-            ..
+            id, channel, bank, write, at, keep_open, outcome, data_ready, ..
         } = *ev
         else {
             return;
         };
         let t = self.timing;
-        let mut at = granted_at;
+        let mut at = at;
         if outcome == GrantOutcome::Conflict {
             self.ring.push(TraceEvent::Command {
                 kind: CmdKind::Pre,
@@ -359,13 +351,6 @@ impl AuditSink for Collector {
                     }
                 }
             }
-            AuditEvent::Refresh { channel, at } => {
-                self.ring.push(TraceEvent::Refresh {
-                    channel: *channel,
-                    at: *at,
-                    dur: self.timing.t_rfc.max(1),
-                });
-            }
             AuditEvent::Decision { chosen, candidates, why: (rule, beaten), .. } => {
                 let runner_up =
                     beaten.and_then(|id| candidates.iter().find(|c| c.id == id)).map(RunnerUp::of);
@@ -379,8 +364,7 @@ impl AuditSink for Collector {
                 bank,
                 row,
                 write,
-                requested_at,
-                granted_at,
+                at,
                 keep_open: _,
                 outcome,
                 data_ready,
@@ -396,8 +380,7 @@ impl AuditSink for Collector {
                     bank: *bank,
                     row: *row,
                     write: *write,
-                    at: *granted_at,
-                    queued_for: granted_at.saturating_sub(*requested_at),
+                    at: *at,
                     outcome: *outcome,
                     data_ready: *data_ready,
                     rule,
@@ -434,17 +417,7 @@ mod tests {
         c.record(&AuditEvent::DramConfig {
             channels: 1,
             banks_per_channel: 4,
-            timing: TimingParams {
-                t_rcd: 10,
-                t_cl: 10,
-                t_rp: 10,
-                t_wr: 8,
-                burst: 4,
-                t_refi: 0,
-                t_rfc: 60,
-                t_rrd: 0,
-                t_faw: 0,
-            },
+            timing: TimingParams { t_rcd: 10, t_cl: 10, t_rp: 10, t_wr: 8, burst: 4 },
         });
         c.record(&AuditEvent::CtrlConfig {
             cores: 2,
@@ -466,8 +439,7 @@ mod tests {
             bank: 0,
             row: 1,
             write,
-            requested_at: at,
-            granted_at: at,
+            at,
             keep_open: true,
             outcome,
             data_ready: at + 24,
@@ -641,8 +613,16 @@ mod tests {
         let collector = Arc::new(Mutex::new(Collector::new(DEFAULT_TRACE_CAPACITY)));
         let c_dyn: Arc<Mutex<dyn AuditSink>> = collector.clone();
         let h = AuditHandle::from_shared(vec![a.clone(), c_dyn]);
-        h.emit(|| AuditEvent::Refresh { channel: 0, at: 7 });
-        assert!(format!("{:?}", a.lock().expect("recorder")).contains("Refresh"));
+        h.emit(|| AuditEvent::Submit {
+            id: 0,
+            core: 0,
+            channel: 0,
+            bank: 0,
+            row: 0,
+            write: false,
+            at: 7,
+        });
+        assert!(format!("{:?}", a.lock().expect("recorder")).contains("Submit"));
         assert_eq!(collector.lock().expect("collector").ring().len(), 1);
     }
 }

@@ -72,15 +72,6 @@ pub enum TraceEvent {
         /// Occupancy in cycles.
         dur: Cycle,
     },
-    /// An all-bank refresh held the channel for `dur` cycles.
-    Refresh {
-        /// Channel refreshed.
-        channel: usize,
-        /// Start cycle.
-        at: Cycle,
-        /// tRFC in CPU cycles.
-        dur: Cycle,
-    },
     /// A transaction was granted to the DRAM device.
     Grant {
         /// Request id.
@@ -95,10 +86,8 @@ pub enum TraceEvent {
         row: u64,
         /// Write-back (true) or read (false).
         write: bool,
-        /// Effective grant cycle.
+        /// Grant cycle.
         at: Cycle,
-        /// Cycles the request waited in the buffer before the grant.
-        queued_for: Cycle,
         /// Claimed row-buffer outcome.
         outcome: GrantOutcome,
         /// Cycle of the last data beat.
@@ -128,7 +117,6 @@ impl TraceEvent {
         match *self {
             TraceEvent::Arrival { at, .. }
             | TraceEvent::Command { at, .. }
-            | TraceEvent::Refresh { at, .. }
             | TraceEvent::Grant { at, .. } => at,
             TraceEvent::CoreWait { from, .. } => from,
         }

@@ -6,10 +6,9 @@
 //! (allocation-free). Three pillars:
 //!
 //! 1. **Structured event trace** ([`TraceEvent`]): request arrivals,
-//!    reconstructed DRAM commands (ACT/RD/WR/PRE), grants, refreshes
-//!    and per-core memory-bound spans in a bounded drop-oldest ring
-//!    (`melreq_prof::Ring`),
-//!    exported as Chrome/Perfetto `trace_event` JSON
+//!    reconstructed DRAM commands (ACT/RD/WR/PRE), grants and per-core
+//!    memory-bound spans in a bounded drop-oldest ring
+//!    (`melreq_prof::Ring`), exported as Chrome/Perfetto `trace_event` JSON
 //!    ([`export_chrome_json`]) with sim-cycles as timestamps.
 //! 2. **Epoch time-series** ([`EpochRow`]): per-core IPC, pending
 //!    reads and live ME values; per-channel queue depth, bus

@@ -1,9 +1,9 @@
 //! Chrome/Perfetto `trace_event` JSON export.
 //!
-//! One process per channel (threads = banks, thread 0 = channel-level
-//! events such as refresh) plus one process for the cores. Timestamps
-//! are simulation cycles (the viewer displays them as microseconds —
-//! read 1 µs as 1 cycle). Events are sorted by start time at export,
+//! One process per channel (threads 1.. = banks, thread 0 names the
+//! channel) plus one process for the cores. Timestamps are simulation
+//! cycles (the viewer displays them as microseconds — read 1 µs as 1
+//! cycle). Events are sorted by start time at export,
 //! so the emitted array has monotonically non-decreasing `ts` over all
 //! non-metadata entries — CI checks exactly this.
 
@@ -105,8 +105,8 @@ fn write_events(collector: &Collector, ev: &mut Events) {
     }
 
     // Sort by start cycle: the raw stream is in emission order, and a
-    // lazily synced device may emit a refresh with an earlier timestamp
-    // than the grant that triggered the sync.
+    // memory-wait span is pushed when it closes, after the events inside
+    // it.
     let mut events: Vec<&TraceEvent> = collector.ring().iter().collect();
     events.sort_by_key(|e| e.at());
     let counters = collector.series();
@@ -150,14 +150,6 @@ fn write_events(collector: &Collector, ev: &mut Events) {
                     name = kind.name()
                 ));
             }
-            TraceEvent::Refresh { channel, at, dur } => {
-                ev.push(format_args!(
-                    "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": 0, \"ts\": {at}, \
-                     \"dur\": {dur}, \"name\": \"REFRESH\", \"cat\": \"dram\", \
-                     \"args\": {{}}}}",
-                    pid = channel + 1
-                ));
-            }
             TraceEvent::Grant {
                 id,
                 core,
@@ -166,7 +158,6 @@ fn write_events(collector: &Collector, ev: &mut Events) {
                 row,
                 write,
                 at,
-                queued_for,
                 outcome,
                 data_ready,
                 rule,
@@ -182,7 +173,7 @@ fn write_events(collector: &Collector, ev: &mut Events) {
                      \"s\": \"t\", \"name\": \"grant core{core}\", \"cat\": \"sched\", \
                      \"args\": {{\"id\": {id}, \"row\": {row}, \"write\": {write}, \
                      \"outcome\": \"{oc}\", \"rule\": \"{rule_name}\", \
-                     \"queued_for\": {queued_for}, \"data_ready\": {data_ready}{extra}}}}}",
+                     \"data_ready\": {data_ready}{extra}}}}}",
                     pid = channel + 1,
                     tid = bank + 1,
                     oc = outcome_name(*outcome)
@@ -214,7 +205,7 @@ mod tests {
         c.record(&AuditEvent::DramConfig {
             channels: 2,
             banks_per_channel: 4,
-            timing: TimingParams { t_rcd: 10, t_rp: 10, t_rfc: 60, ..TimingParams::default() },
+            timing: TimingParams { t_rcd: 10, t_rp: 10, ..TimingParams::default() },
         });
         c.record(&AuditEvent::CtrlConfig {
             cores: 2,
@@ -241,14 +232,13 @@ mod tests {
             bank: 2,
             row: 9,
             write: false,
-            requested_at: 5,
-            granted_at: 12,
+            at: 12,
             keep_open: true,
             outcome: melreq_audit::GrantOutcome::ClosedMiss,
             data_ready: 40,
         });
-        // An out-of-order (late-synced) refresh: export must re-sort.
-        c.record(&AuditEvent::Refresh { channel: 1, at: 2 });
+        // Core 1's memory-wait span (5 → 40) reaches the ring after the
+        // grant inside it: export must re-sort.
         c.sample_epoch(
             50,
             &[CoreSample { committed: 10, pending_reads: 0 }; 2],
@@ -279,7 +269,6 @@ mod tests {
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"name\": \"channel 0\""));
         assert!(json.contains("\"name\": \"cores\""));
-        assert!(json.contains("REFRESH"));
         assert!(json.contains("\"name\": \"ACT\""));
         assert!(json.contains("mem-wait"));
         assert!(json.contains("queue depth"));

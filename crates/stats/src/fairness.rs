@@ -81,12 +81,9 @@ pub fn max_slowdown(ipc_multi: &[f64], ipc_single: &[f64]) -> f64 {
 /// A bundle of the fairness metrics, for reports.
 #[derive(Debug, Clone)]
 pub struct FairnessReport {
-    /// SMT speedup (higher is better; ideal = number of cores).
+    /// SMT (weighted) speedup, `Σ IPC_multi[i] / IPC_single[i]` (higher
+    /// is better; ideal = number of cores).
     pub smt_speedup: f64,
-    /// Weighted speedup: `Σ IPC_multi[i] / IPC_single[i]` — the same sum
-    /// as SMT speedup, reported under its scheduling-literature name so
-    /// cross-paper comparisons read naturally.
-    pub weighted_speedup: f64,
     /// Harmonic mean of speedups (higher is better; ideal = 1.0).
     pub harmonic_speedup: f64,
     /// Unfairness ratio (lower is better; ideal = 1.0).
@@ -98,10 +95,8 @@ pub struct FairnessReport {
 impl FairnessReport {
     /// Compute every metric from per-core multi-core and single-core IPCs.
     pub fn compute(ipc_multi: &[f64], ipc_single: &[f64]) -> Self {
-        let speedup = smt_speedup(ipc_multi, ipc_single);
         FairnessReport {
-            smt_speedup: speedup,
-            weighted_speedup: speedup,
+            smt_speedup: smt_speedup(ipc_multi, ipc_single),
             harmonic_speedup: harmonic_speedup(ipc_multi, ipc_single),
             unfairness: unfairness(ipc_multi, ipc_single),
             max_slowdown: max_slowdown(ipc_multi, ipc_single),
@@ -150,7 +145,6 @@ mod tests {
         let r = FairnessReport::compute(&multi, &single);
         assert_eq!(slowdowns(&multi, &single).len(), 2);
         assert!((r.smt_speedup - 1.5).abs() < 1e-12);
-        assert!((r.weighted_speedup - 1.5).abs() < 1e-12);
         assert!((r.unfairness - 2.0).abs() < 1e-12);
         // Slowdowns 2.0 and 1.0: harmonic speedup = 2 / 3, max slowdown 2.0.
         assert!((r.harmonic_speedup - 2.0 / 3.0).abs() < 1e-12);

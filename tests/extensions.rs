@@ -1,6 +1,6 @@
 //! Integration tests for this repo's extensions beyond the paper's
-//! evaluated set: fair schedulers, phased programs, online ME estimation,
-//! and the optional DRAM timing constraints.
+//! evaluated set: fair schedulers, phased programs and online ME
+//! estimation.
 
 use melreq::experiment::{run_mix, run_mix_custom, ExperimentOptions, ProfileCache};
 use melreq::memctrl::{FairQueueing, StallTimeFair};
@@ -110,53 +110,5 @@ fn online_me_is_competitive_with_offline_on_steady_workloads() {
     assert!(
         ratio > 0.95 && ratio < 1.05,
         "online should track offline on steady workloads, ratio {ratio}"
-    );
-}
-
-#[test]
-fn refresh_costs_throughput() {
-    // The same single-core streaming run with and without refresh: with
-    // refresh enabled, banks periodically block, so the run takes longer.
-    let build = |refresh: bool| {
-        let mut cfg = SystemConfig::paper(1, PolicyKind::HfRf);
-        if refresh {
-            cfg.timing = cfg.timing.with_refresh();
-        }
-        let s: Box<dyn InstrStream + Send> =
-            Box::new(app_by_code('c').build_stream(0, SliceKind::Evaluation(0)));
-        System::new(cfg, vec![s], &[1.0])
-    };
-    let mut plain = build(false);
-    let a = plain.run_measured(10_000, 30_000, 1 << 30);
-    let mut refreshing = build(true);
-    let b = refreshing.run_measured(10_000, 30_000, 1 << 30);
-    assert!(!a.timed_out && !b.timed_out);
-    assert!(refreshing.controller().dram().refresh_count() > 0, "refresh never fired");
-    assert!(b.ipc[0] < a.ipc[0], "refresh must cost something: {} vs {}", b.ipc[0], a.ipc[0]);
-    // ...but not more than a few percent (tREFI >> tRFC).
-    assert!(b.ipc[0] > 0.9 * a.ipc[0], "refresh cost implausibly high");
-}
-
-#[test]
-fn activation_windows_cost_bank_parallelism() {
-    let build = |strict: bool| {
-        let mut cfg = SystemConfig::paper(1, PolicyKind::HfRf);
-        if strict {
-            cfg.timing = cfg.timing.with_activation_windows();
-        }
-        let s: Box<dyn InstrStream + Send> =
-            Box::new(app_by_code('c').build_stream(0, SliceKind::Evaluation(0)));
-        System::new(cfg, vec![s], &[1.0])
-    };
-    let mut plain = build(false);
-    let a = plain.run_measured(10_000, 30_000, 1 << 30);
-    let mut strict = build(true);
-    let b = strict.run_measured(10_000, 30_000, 1 << 30);
-    assert!(!a.timed_out && !b.timed_out);
-    assert!(
-        b.ipc[0] <= a.ipc[0] * 1.001,
-        "tRRD/tFAW cannot speed anything up: {} vs {}",
-        b.ipc[0],
-        a.ipc[0]
     );
 }
