@@ -26,7 +26,6 @@ fn drive(policy: &PolicyKind, cores: usize, cycles: u64, seed: u64) -> Vec<Audit
         ControllerConfig::paper(),
         DramSystem::paper(),
         policy.build(&me, cores, seed),
-        policy.read_first(),
         cores,
     );
     let rec = Arc::new(Mutex::new(Recorder::default()));

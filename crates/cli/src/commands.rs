@@ -18,7 +18,7 @@ use crate::parse::{Args, Invocation, ObsArgs, PolicySpec, CLIENT_VERBS};
 use melreq_core::api::json::Json;
 use melreq_core::api::{resolve_mix, AuditSummary, MelreqError, PolicyReport, Session, SimRequest};
 use melreq_core::experiment::{
-    run_mix, run_mix_observed, run_tapped, worker_count, ExperimentOptions, Measured, MixResult,
+    run_mix, run_mix_observed, run_tapped, worker_count, ExperimentOptions, MixResult,
     ObserveOptions, ProfileCache, RunControl, SweepStage, Taps,
 };
 use melreq_core::profile::{profile_app, AppProfile};
@@ -281,7 +281,7 @@ pub(crate) fn cmd_run(args: &Args) -> Result<String, MelreqError> {
         // trace.
         let taps = Taps { audit: args.audit, observe: Some(observe_options(obs)) };
         let (cache, ctl) = (ProfileCache::new(), RunControl::default());
-        let (r, heard) = run_tapped(&mix, Measured::Kind(&spec), opts, &cache, &ctl, taps);
+        let (r, heard) = run_tapped(&mix, &spec, opts, &cache, &ctl, taps);
         let audit = heard.audit.as_ref().map(AuditSummary::of);
         let mut out = render_run_human(&mix, &PolicyReport { result: r, audit }, opts);
         if let Some(report) = heard.audit.filter(|a| !a.is_clean()) {
@@ -1031,12 +1031,28 @@ mod tests {
     /// turn it on serialize here so one drain can't take another's spans.
     static PROF_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    /// A fresh scratch directory for one test.
-    fn temp_dir(tag: &str) -> PathBuf {
+    /// A fresh scratch directory for one test, removed when the guard
+    /// drops: at the test's end, and on the unwind of a failed assert.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         let dir = std::env::temp_dir().join(format!("melreq-{tag}-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TempDir(dir)
     }
 
     #[test]
@@ -1157,7 +1173,6 @@ mod tests {
         std::fs::write(&fake, "{\"total_wall_s\": 0.000001}\n").unwrap();
         let e = smoke_reproduce(&dir, STORE, TINY, &[("--guard", &fake)]).unwrap_err();
         assert_eq!(e.exit_code(), 6, "wall-guard failure is a timeout-class error: {e}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The registry collapse must not move a single bit of the paper
@@ -1197,7 +1212,6 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
             "fork-vs-fresh gate results moved:\n{json}"
         );
         assert!(json.contains("\"bit_exact\": true"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1218,7 +1232,6 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         assert!(trace.contains("\"summary\":"), "summary block missing from trace");
         assert!(trace.contains("\"buildinfo\":"), "buildinfo block missing from trace");
         assert!(trace.contains("worker "), "executor worker tracks missing:\n{trace:.300}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1237,7 +1250,6 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         assert!(trace.contains("\"buildinfo\":"), "buildinfo block missing");
         assert!(trace.contains("\"threads\":null"), "a run sizes no pool");
         assert!(trace.contains("session"), "facade session span missing from trace");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1365,7 +1377,6 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
             s.contains("BLISS") && s.contains("trace: "),
             "parameterized policy must trace:\n{s}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A flag that shapes a trace or a series is a usage error without
@@ -1397,12 +1408,11 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
             .unwrap();
         assert_eq!(
             (hash(&trace), hash(&series)),
-            ("d7508be341dd59e4".into(), "a07e0eefd8bf2e5a".into())
+            ("60a0e7e429a6a69b".into(), "a07e0eefd8bf2e5a".into())
         );
         // The default epoch: a trace alone samples every 10 000 cycles.
         quick(&format!("run 2MEM-1 --policy fq --trace {t}")).unwrap();
-        assert_eq!(hash(&trace), "ec19cfbcfc55859b");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(hash(&trace), "335d6695d666bc76");
     }
 
     /// The fork-vs-fresh gate fails on one flipped bit of one result, and

@@ -19,8 +19,8 @@
 pub mod json;
 
 use crate::experiment::{
-    self, run_tapped, ExperimentOptions, Group, GroupDone, Measured, MixResult, ProfileCache,
-    RunControl, Taps,
+    self, run_tapped, ExperimentOptions, Group, GroupDone, MixResult, ProfileCache, RunControl,
+    Taps,
 };
 use crate::store::CheckpointStore;
 use crate::system::CancelToken;
@@ -574,8 +574,7 @@ impl Session {
         let taps = Taps { audit: true, observe: None };
         let mut runs = Vec::with_capacity(req.policies.len());
         for kind in &req.policies {
-            let (result, heard) =
-                run_tapped(&mix, Measured::Kind(kind), &req.opts, &self.cache, &ctl, taps);
+            let (result, heard) = run_tapped(&mix, kind, &req.opts, &self.cache, &ctl, taps);
             let audit = heard.audit.expect("an audited run reports");
             if !audit.is_clean() {
                 return done(Ok(Err(MelreqError::Divergence(audit.render()))));

@@ -66,7 +66,6 @@ use crate::system::{CancelToken, RunOutcome, System};
 use crate::SystemConfig;
 use melreq_audit::{AuditHandle, AuditReport, AuditSink, Auditor, AuditorConfig};
 use melreq_memctrl::policy::PolicyKind;
-use melreq_memctrl::SchedulerPolicy;
 use melreq_obs::{Collector, DEFAULT_TRACE_CAPACITY};
 use melreq_snap::Sealed;
 use melreq_stats::fairness::FairnessReport;
@@ -640,38 +639,6 @@ impl Drop for GroupShare {
     }
 }
 
-/// Builds a policy from outside the registry: receives the profiled ME
-/// values, the core count and the machine's seed; returns the policy and
-/// its read-first setting.
-pub type PolicyBuilder<'a> = dyn Fn(&[f64], usize, u64) -> (Box<dyn SchedulerPolicy>, bool) + 'a;
-
-/// The policy a run measures: what the boundary system is handed before
-/// its window opens.
-#[derive(Clone, Copy)]
-pub enum Measured<'a> {
-    /// A registered policy, built by [`System::swap_policy`] — which also
-    /// engages `PolicyKind::MeLreqOnline`'s system-side estimator.
-    Kind(&'a PolicyKind),
-    /// A policy from outside the registry, such as a re-weighted
-    /// [`melreq_memctrl::FairQueueing`].
-    Custom {
-        /// Its name in the [`MixResult`].
-        name: &'static str,
-        /// Its constructor, called once at the boundary.
-        build: &'a PolicyBuilder<'a>,
-    },
-}
-
-impl Measured<'_> {
-    /// The policy's shorthand name ("HF-RF", "ME-LREQ", ...).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Measured::Kind(kind) => kind.name(),
-            Measured::Custom { name, .. } => name,
-        }
-    }
-}
-
 /// What the single-core profiles say about a mix, in core order: `ME`
 /// programs the priority tables, `IPC_single` is the speedup denominator.
 #[derive(Debug, Clone)]
@@ -699,26 +666,22 @@ struct Window {
 }
 
 /// The measurement itself, from a system standing at the boundary: swap
-/// the measured policy in and run the window. Returns the window and how
-/// many of its read decisions were contested (among two or more cores'
-/// requests); `taped` says `sys` reads shared tapes.
+/// `kind` in ([`System::swap_policy`], which also engages
+/// `PolicyKind::MeLreqOnline`'s system-side estimator) and run the
+/// window. Returns the window and how many of its read decisions were
+/// contested (among two or more cores' requests); `taped` says `sys`
+/// reads shared tapes.
 fn run_window(
     sys: &mut System,
     mix: &Mix,
-    measured: Measured<'_>,
+    kind: &PolicyKind,
     me: &[f64],
     opts: &ExperimentOptions,
     ctl: &RunControl,
     taped: bool,
 ) -> (Window, u64) {
-    match measured {
-        Measured::Kind(kind) => sys.swap_policy(kind, me),
-        Measured::Custom { build, .. } => {
-            let (policy, read_first) = build(me, mix.cores(), sys.config().seed);
-            sys.swap_policy_boxed(policy, read_first, me);
-        }
-    }
-    let policy = measured.name();
+    sys.swap_policy(kind, me);
+    let policy = kind.name();
     let contested = |sys: &System| sys.controller().contested_decisions();
     let before = contested(sys);
     let outcome = kernel_span(
@@ -827,7 +790,7 @@ pub struct Tapped {
 /// the cycle budget on warm-up and window alike.
 pub fn run_tapped(
     mix: &Mix,
-    measured: Measured<'_>,
+    kind: &PolicyKind,
     opts: &ExperimentOptions,
     cache: &ProfileCache,
     ctl: &RunControl,
@@ -852,9 +815,9 @@ pub fn run_tapped(
     let warm_started = host_clock();
     let Boundary { mut sys, .. } = boundary_system(mix, opts, None, ctl, attach);
     let (warm_wall, started) = (warm_started.elapsed(), host_clock());
-    let (window, _) = run_window(&mut sys, mix, measured, &inputs.me, opts, ctl, false);
+    let (window, _) = run_window(&mut sys, mix, kind, &inputs.me, opts, ctl, false);
     let wall = started.elapsed();
-    let result = score(mix, measured.name(), &inputs, window, wall, warm_wall, false);
+    let result = score(mix, kind.name(), &inputs, window, wall, warm_wall, false);
     if let Some(c) = &collector {
         c.lock().expect("obs collector poisoned").finish();
     }
@@ -870,20 +833,7 @@ pub fn run_mix(
     cache: &ProfileCache,
 ) -> MixResult {
     let ctl = RunControl::default();
-    run_tapped(mix, Measured::Kind(policy), opts, cache, &ctl, Taps::default()).0
-}
-
-/// Run one mix under a policy from outside the registry, built by `build`
-/// ([`Measured::Custom`]).
-pub fn run_mix_custom(
-    mix: &Mix,
-    name: &'static str,
-    build: impl Fn(&[f64], usize, u64) -> (Box<dyn SchedulerPolicy>, bool),
-    opts: &ExperimentOptions,
-    cache: &ProfileCache,
-) -> MixResult {
-    let (measured, ctl) = (Measured::Custom { name, build: &build }, RunControl::default());
-    run_tapped(mix, measured, opts, cache, &ctl, Taps::default()).0
+    run_tapped(mix, policy, opts, cache, &ctl, Taps::default()).0
 }
 
 /// [`run_mix`] with the auditor listening ([`Taps::audit`]).
@@ -894,7 +844,7 @@ pub fn run_mix_audited(
     cache: &ProfileCache,
 ) -> (MixResult, AuditReport) {
     let (ctl, taps) = (RunControl::default(), Taps { audit: true, observe: None });
-    let (result, heard) = run_tapped(mix, Measured::Kind(policy), opts, cache, &ctl, taps);
+    let (result, heard) = run_tapped(mix, policy, opts, cache, &ctl, taps);
     (result, heard.audit.expect("an audited run reports"))
 }
 
@@ -907,7 +857,7 @@ pub fn run_mix_observed(
     cache: &ProfileCache,
 ) -> (MixResult, Arc<Mutex<Collector>>) {
     let (ctl, taps) = (RunControl::default(), Taps { audit: false, observe: Some(*observe) });
-    let (result, heard) = run_tapped(mix, Measured::Kind(policy), opts, cache, &ctl, taps);
+    let (result, heard) = run_tapped(mix, policy, opts, cache, &ctl, taps);
     (result, heard.collector.expect("an observed run keeps its collector"))
 }
 
@@ -1105,10 +1055,11 @@ pub(crate) fn warm_up_and_fork<'env>(
 /// mix's profiles, the run's options and controls, the windows certified
 /// so far, and the results of the runs that have ended.
 ///
-/// Every policy ranks *cores* ([`SchedulerPolicy::core_key`] is a
-/// function of the core): among one core's requests two policies pick
-/// alike when they agree on `read_first` and `hit_first`, their *rule
-/// class* — `melreq-memctrl`'s
+/// Every policy ranks *cores*
+/// ([`melreq_memctrl::SchedulerPolicy::core_key`] is a function of the
+/// core): among one core's requests two policies pick alike when they
+/// agree on `read_first` and `hit_first`, their *rule class* —
+/// `melreq-memctrl`'s
 /// `one_cores_requests_are_ordered_by_the_rule_class_alone` holds every
 /// registered policy to that. So a window that ran to its end with no
 /// contested read decision (two or more cores among the candidates) is
@@ -1181,17 +1132,17 @@ impl GroupRuns<'_> {
     ) -> MixResult {
         let started = host_clock();
         let (mix, me) = (&self.mix, &self.inputs.me);
-        let hit_first = kind.build(me, mix.cores(), 0).hit_first();
-        let cell = &self.certified[usize::from(kind.read_first()) << 1 | usize::from(hit_first)];
+        let policy = kind.build(me, mix.cores(), 0);
+        let class = usize::from(policy.read_first()) << 1 | usize::from(policy.hit_first());
+        let cell = &self.certified[class];
         let window = if let Some(window) = cell.get() {
             let mut sp = melreq_prof::span("policy", || format!("{} {}", kind.name(), mix.name));
             sp.arg("shared", 1);
             window.clone()
         } else {
             let mut sys = boundary();
-            let measured = Measured::Kind(kind);
             let (window, contested) =
-                run_window(&mut sys, mix, measured, me, &self.opts, &self.ctl, taped);
+                run_window(&mut sys, mix, kind, me, &self.opts, &self.ctl, taped);
             if contested == 0 && !window.outcome.cancelled {
                 let _ = cell.set(window.clone());
             }
@@ -1482,8 +1433,8 @@ mod tests {
         for mix in [mix_by_name("2MEM-1"), mix_by_name("2MIX-1")] {
             let run = |audit: bool, observe: bool| {
                 let taps = Taps { audit, observe: observe.then(ObserveOptions::default) };
-                let (kind, ctl) = (Measured::Kind(&PolicyKind::MeLreq), RunControl::default());
-                run_tapped(&mix, kind, &opts, &cache, &ctl, taps)
+                let ctl = RunControl::default();
+                run_tapped(&mix, &PolicyKind::MeLreq, &opts, &cache, &ctl, taps)
             };
             let (plain, nothing) = run(false, false);
             assert!(nothing.audit.is_none() && nothing.collector.is_none());
@@ -1511,7 +1462,7 @@ mod tests {
         let mix = mix_by_name("2MEM-1");
         let run = |ctl: RunControl| {
             let taps = Taps { audit: false, observe: Some(ObserveOptions::default()) };
-            run_tapped(&mix, Measured::Kind(&PolicyKind::HfRf), &opts, &cache, &ctl, taps).0
+            run_tapped(&mix, &PolicyKind::HfRf, &opts, &cache, &ctl, taps).0
         };
         let budgeted = run(RunControl { max_cycles: Some(50_000), ..RunControl::default() });
         assert!(budgeted.timed_out && !budgeted.cancelled, "a 50 k-cycle budget must run out");

@@ -513,7 +513,7 @@ mod tests {
     fn hierarchy_over(cores: usize, ctrl_cfg: ControllerConfig) -> (Hierarchy, MemoryController) {
         let me = vec![1.0; cores];
         let policy = PolicyKind::HfRf.build(&me, cores, 1);
-        let ctrl = MemoryController::new(ctrl_cfg, DramSystem::paper(), policy, true, cores);
+        let ctrl = MemoryController::new(ctrl_cfg, DramSystem::paper(), policy, cores);
         let (l1i, l1d, l2) =
             (CacheConfig::l1i_paper(), CacheConfig::l1d_paper(), CacheConfig::l2_paper());
         (Hierarchy::new(cores, l1i, l1d, l2), ctrl)

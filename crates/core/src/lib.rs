@@ -35,7 +35,7 @@ pub mod system;
 pub use api::{MelreqError, PolicyKind, Session, SimReport, SimRequest};
 pub use config::SystemConfig;
 pub use experiment::{
-    run_mix, run_mix_audited, run_mix_observed, run_tapped, ExperimentOptions, Measured, MixResult,
+    run_mix, run_mix_audited, run_mix_observed, run_tapped, ExperimentOptions, MixResult,
     ObserveOptions, RunControl, Tapped, Taps,
 };
 pub use hierarchy::Hierarchy;

@@ -285,8 +285,7 @@ impl System {
     ) -> Self {
         assert_eq!(me.len(), cfg.cores, "one ME value per core");
         let policy = cfg.policy.build(me, cfg.cores, cfg.seed);
-        let read_first = cfg.policy.read_first();
-        let mut sys = Self::assemble(cfg, streams, policy, read_first, from_reset);
+        let mut sys = Self::assemble(cfg, streams, policy, from_reset);
         sys.online = sys.online_estimator(&sys.cfg.policy);
         sys.me_profile = Some(sys.programmed_profile(me));
         sys
@@ -294,15 +293,13 @@ impl System {
 
     /// Build a system with an externally constructed scheduling policy —
     /// the extension point for policies beyond the paper's set (see
-    /// `examples/custom_scheduler.rs`). `cfg.policy` is ignored;
-    /// `read_first` chooses whether reads bypass writes.
+    /// `examples/custom_scheduler.rs`). `cfg.policy` is ignored.
     pub fn with_policy(
         cfg: SystemConfig,
         streams: Vec<Box<dyn InstrStream + Send>>,
         policy: Box<dyn melreq_memctrl::SchedulerPolicy>,
-        read_first: bool,
     ) -> Self {
-        Self::assemble(cfg, streams, policy, read_first, true)
+        Self::assemble(cfg, streams, policy, true)
     }
 
     /// Put the machine together; `from_reset` says it will run from here
@@ -311,13 +308,12 @@ impl System {
         cfg: SystemConfig,
         streams: Vec<Box<dyn InstrStream + Send>>,
         policy: Box<dyn melreq_memctrl::SchedulerPolicy>,
-        read_first: bool,
         from_reset: bool,
     ) -> Self {
         cfg.validate();
         assert_eq!(streams.len(), cfg.cores, "one stream per core");
         let dram = DramSystem::new(cfg.geometry, cfg.timing);
-        let ctrl = MemoryController::new(cfg.ctrl, dram, policy, read_first, cfg.cores);
+        let ctrl = MemoryController::new(cfg.ctrl, dram, policy, cfg.cores);
         let mut hier = Hierarchy::new(cfg.cores, cfg.l1i, cfg.l1d, cfg.l2);
         // Functional warm-up: pre-load each program's cacheable regions so
         // short measured slices are not dominated by compulsory misses
@@ -765,7 +761,7 @@ impl System {
         let policy = kind.build(me, self.cfg.cores, self.cfg.seed);
         let online = self.online_estimator(kind);
         self.cfg.policy = kind.clone();
-        self.swap_policy_boxed(policy, kind.read_first(), &self.programmed_profile(me));
+        self.swap_policy_boxed(policy, &self.programmed_profile(me));
         self.online = online;
     }
 
@@ -805,11 +801,10 @@ impl System {
     pub fn swap_policy_boxed(
         &mut self,
         policy: Box<dyn melreq_memctrl::SchedulerPolicy>,
-        read_first: bool,
         me: &[f64],
     ) {
         self.wake_all();
-        self.ctrl.set_policy(policy, read_first);
+        self.ctrl.set_policy(policy);
         self.online = None;
         self.me_profile = Some(me.to_vec());
         self.ctrl.announce_profile(me);

@@ -20,7 +20,6 @@ fn hierarchy(cores: usize, policy: PolicyKind) -> (Hierarchy, MemoryController) 
         ControllerConfig::paper(),
         DramSystem::paper(),
         policy.build(&me, cores, 11),
-        policy.read_first(),
         cores,
     );
     let (l1i, l1d, l2) =

@@ -9,8 +9,8 @@
 //! fed back into scheduling (e.g. by consuming the ME-LREQ tie-break
 //! RNG) would shift at least one grant and fail the hash comparison.
 
-use melreq_core::experiment::{ObserveOptions, ProfileCache};
-use melreq_core::{run_mix_audited, run_mix_observed, run_tapped, Measured, Taps};
+use melreq_core::experiment::{ObserveOptions, ProfileCache, CANONICAL_WARMUP_POLICY};
+use melreq_core::{run_mix_audited, run_mix_observed, run_tapped, Taps};
 use melreq_core::{ExperimentOptions, RunControl, System, SystemConfig};
 use melreq_memctrl::policy::{PolicyKind, SchedulerPolicy};
 use melreq_memctrl::registry;
@@ -50,9 +50,8 @@ fn tracing_and_sampling_are_inert_for_every_policy() {
         let plain_cache = ProfileCache::new();
         let (plain, plain_audit) = run_mix_audited(&mix, policy, &opts, &plain_cache);
         let obs_cache = ProfileCache::new();
-        let (kind, ctl) = (Measured::Kind(policy), RunControl::default());
-        let taps = Taps { audit: true, observe: Some(observe) };
-        let (observed, heard) = run_tapped(&mix, kind, &opts, &obs_cache, &ctl, taps);
+        let (ctl, taps) = (RunControl::default(), Taps { audit: true, observe: Some(observe) });
+        let (observed, heard) = run_tapped(&mix, policy, &opts, &obs_cache, &ctl, taps);
         let obs_audit = heard.audit.expect("audited");
         let collector = heard.collector.expect("observed");
 
@@ -205,23 +204,22 @@ impl SchedulerPolicy for FewestFirstDescending {
 
 #[test]
 fn out_of_tree_policies_are_explained_by_the_generic_core_rule() {
-    let (mix, opts, cache) =
-        (mix_by_name("4MEM-1"), ExperimentOptions::quick(), ProfileCache::new());
-    let totals = |measured: Measured<'_>| {
-        let taps = Taps { audit: false, observe: Some(ObserveOptions::default()) };
-        let ctl = RunControl::default();
-        let (_, heard) = run_tapped(&mix, measured, &opts, &cache, &ctl, taps);
-        let c = heard.collector.expect("observed");
-        let c = c.lock().expect("collector");
-        c.active_rule_totals().map(|(_, t)| t.clone()).expect("the measured policy granted")
+    let (mix, opts) = (mix_by_name("4MEM-1"), ExperimentOptions::quick());
+    let flat = vec![1.0; mix.cores()];
+    // The measured window of a canonical warm-up, `swap` installing the
+    // policy at the boundary.
+    let totals = |swap: &dyn Fn(&mut System)| {
+        let cfg = SystemConfig::paper(mix.cores(), CANONICAL_WARMUP_POLICY);
+        let mut sys = System::new(cfg, mix.eval_streams(opts.eval_slice), &flat);
+        sys.prepare_window(opts.warmup, opts.instructions);
+        assert!(sys.run_to_boundary(1 << 26), "the warm-up must end");
+        swap(&mut sys);
+        observe(&mut sys, 0, true)
     };
-    let build = |_: &[f64], _: usize, _: u64| -> (Box<dyn SchedulerPolicy>, bool) {
-        (Box::new(FewestFirstDescending), true)
-    };
-    let custom = totals(Measured::Custom { name: "FEWEST-DESC", build: &build });
+    let custom = totals(&|sys| sys.swap_policy_boxed(Box::new(FewestFirstDescending), &flat));
     assert!(custom.get(Rule::CoreKey) > 0, "no grant credited to core-key: {custom:?}");
     // Much the same order under its registered name is credited to that name.
-    let lreq = totals(Measured::Kind(&PolicyKind::Lreq));
+    let lreq = totals(&|sys| sys.swap_policy(&PolicyKind::Lreq, &flat));
     assert_eq!(lreq.get(Rule::CoreKey), 0, "{lreq:?}");
     assert!(lreq.get(Rule::LreqCount) > 0, "{lreq:?}");
 }

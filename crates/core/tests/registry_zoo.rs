@@ -4,9 +4,9 @@
 //! enjoy — name resolution, audited runs with deterministic event
 //! streams, shared-warm-up forking, and mid-run pause/restore.
 
-use melreq_audit::Rule;
+use melreq_audit::{Auditor, AuditorConfig, Rule};
 use melreq_core::experiment::{
-    run_mix, run_mix_audited, run_mix_group, run_tapped, Measured, ProfileCache, Taps,
+    run_mix, run_mix_audited, run_mix_group, ProfileCache, CANONICAL_WARMUP_POLICY,
 };
 use melreq_core::{ExperimentOptions, PolicyKind, RunControl, System, SystemConfig};
 use melreq_memctrl::policy::Candidate;
@@ -142,6 +142,9 @@ impl SchedulerPolicy for Mutant {
     fn hit_first(&self) -> bool {
         self.inner.hit_first()
     }
+    fn read_first(&self) -> bool {
+        self.inner.read_first()
+    }
     fn prepare(&mut self, cands: &[Candidate], pending: &[u32]) {
         self.inner.prepare(cands, pending);
     }
@@ -194,20 +197,27 @@ fn a_flipped_comparator_fails_the_audit_of_every_modelled_policy() {
         ..ExperimentOptions::default()
     };
     let mix = mix_by_name("4MEM-1");
+    let me: Vec<f64> = (0..mix.cores()).map(|i| cache.profile(&mix, i, &opts).me).collect();
+    // What an audited run does, with the mutant swapped in at the
+    // boundary: warm up from reset under the canonical policy, the
+    // auditor listening from the first cycle.
     let audit = |kind: &PolicyKind, flip: Flip| {
-        let build = |me: &[f64], cores: usize, seed: u64| -> (Box<dyn SchedulerPolicy>, bool) {
-            let mut inner = kind.build(me, cores, seed);
-            // The audit is told `me`. The online variant is built flat for
-            // the system's estimator to refresh, which a custom policy
-            // does not get: program its tables here (a no-op for the rest).
-            inner.update_profile(me);
-            (Box::new(Mutant { inner, flip }), kind.read_first())
-        };
-        let measured = Measured::Custom { name: kind.name(), build: &build };
-        let taps = Taps { audit: true, observe: None };
-        let ctl = RunControl::default();
-        let (result, heard) = run_tapped(&mix, measured, &opts, &cache, &ctl, taps);
-        (result, heard.audit.expect("an audited run reports"))
+        let cfg = SystemConfig::paper(mix.cores(), CANONICAL_WARMUP_POLICY);
+        let mut sys = System::new(cfg, mix.eval_streams(opts.eval_slice), &vec![1.0; mix.cores()]);
+        let (handle, auditor) = Auditor::shared(AuditorConfig::default());
+        sys.attach_audit(handle);
+        sys.prepare_window(opts.warmup, opts.instructions);
+        assert!(sys.run_to_boundary(1 << 30), "[{}] the warm-up must end", kind.name());
+        let mut inner = kind.build(&me, mix.cores(), sys.config().seed);
+        // The audit is told `me`. The online variant is built flat for
+        // the system's estimator to refresh, which a boxed policy does
+        // not get: program its tables here (a no-op for the rest).
+        inner.update_profile(&me);
+        sys.swap_policy_boxed(Box::new(Mutant { inner, flip }), &me);
+        let out = sys.run_window(1 << 30);
+        assert!(!out.timed_out, "[{}] the window must end", kind.name());
+        let report = auditor.lock().expect("auditor poisoned").report();
+        (out.ipc, report)
     };
     for d in registry() {
         let (id, kind) = (d.id, d.default_kind());
@@ -217,7 +227,7 @@ fn a_flipped_comparator_fails_the_audit_of_every_modelled_policy() {
             // (The online variant's estimator is the system's, engaged
             // for a registered kind only.)
             let real = run_mix(&mix, &kind, &opts, &cache);
-            assert_eq!(as_itself.ipc_multi, real.ipc_multi, "[{id}] the wrapper is not the policy");
+            assert_eq!(as_itself, real.ipc_multi, "[{id}] the wrapper is not the policy");
         }
         let flip = if CONSTANT_KEY.contains(&id) { Flip::Age } else { Flip::CoreKey };
         let (_, mutated) = audit(&kind, flip);

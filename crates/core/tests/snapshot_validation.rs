@@ -651,6 +651,21 @@ fn corrupt_policy_state_is_refused_not_trusted() {
     });
 }
 
+/// A restore cannot change the receiver's rule class. FCFS and FCFS-RF
+/// answer to one name, "FCFS", so the name check alone would let either
+/// load the other's snapshot; the controller's read-first byte is the
+/// receiving policy's, checked like its name.
+#[test]
+fn a_restore_cannot_change_the_receivers_rule_class() {
+    let mismatch = invalid("read-first class mismatch");
+    let fcfs_rf = Pinned::new(Some("fcfs-rf"));
+    assert!(fcfs_rf.payload.hier.ctrl.read_first_draining.0, "FCFS-RF reads first");
+    let bytes = melreq_snap::seal(&encode(&mut fcfs_rf.payload.clone()));
+    let into_fcfs = pin_system(Some(&PolicyKind::Fcfs)).load_snapshot(&bytes);
+    assert_eq!(into_fcfs, Err(mismatch.clone()), "FCFS-RF into FCFS");
+    fcfs_rf.refused("plain FCFS's class", mismatch, |p| ctrl(p).read_first_draining.0 = false);
+}
+
 /// A forged count is an error, never an allocation sized by it: the
 /// controller's completion list and the hierarchy's event list, the two
 /// lists of the payload with no bound the receiver knows, each claim

@@ -159,7 +159,6 @@ impl ControllerStats {
 /// class); anything else is the link the class's chain names.
 fn explain_grant(
     policy: &dyn SchedulerPolicy,
-    read_first: bool,
     draining: bool,
     cands: &[CandidateInfo],
     pending_reads: &[u32],
@@ -181,7 +180,7 @@ fn explain_grant(
         (rule, beaten.map(|i| class[i].id.0))
     };
     let wrote = cands.iter().any(|c| c.id == chosen && c.write);
-    if !read_first {
+    if !policy.read_first() {
         let (rule, beaten) = explain(&Fcfs, &class(None));
         return (if wrote { Rule::WriteFallback } else { rule }, beaten);
     }
@@ -256,8 +255,6 @@ pub struct MemoryController {
     queue: RequestQueue,
     dram: DramSystem,
     policy: Box<dyn SchedulerPolicy>,
-    /// Whether reads may bypass writes (all schemes except plain FCFS).
-    read_first: bool,
     draining: bool,
     next_id: u64,
     completions: BinaryHeap<Reverse<Completion>>,
@@ -285,7 +282,6 @@ impl MemoryController {
         cfg: ControllerConfig,
         dram: DramSystem,
         policy: Box<dyn SchedulerPolicy>,
-        read_first: bool,
         cores: usize,
     ) -> Self {
         assert!(cfg.drain_stop < cfg.drain_start, "drain hysteresis must be decreasing");
@@ -297,7 +293,6 @@ impl MemoryController {
             cfg,
             dram,
             policy,
-            read_first,
             draining: false,
             next_id: 0,
             completions: BinaryHeap::new(),
@@ -349,7 +344,7 @@ impl MemoryController {
         self.audit.emit(|| AuditEvent::CtrlConfig {
             cores: self.stats.read_latency.len(),
             policy: self.policy.name(),
-            read_first: self.read_first,
+            read_first: self.policy.read_first(),
             buffer_entries: self.cfg.buffer_entries,
             drain_start: self.cfg.drain_start,
             drain_stop: self.cfg.drain_stop,
@@ -366,7 +361,7 @@ impl MemoryController {
         self.policy.name()
     }
 
-    /// Swap the scheduling policy (and its read-bypass setting) without
+    /// Swap the scheduling policy (and with it the rule class) without
     /// disturbing any other controller state — the warmup-sharing hook:
     /// a system warmed under the canonical policy forks into one
     /// controller per measured policy at the measurement boundary.
@@ -375,9 +370,8 @@ impl MemoryController {
     /// checker switches its invariant model to the new policy mid-run
     /// (the queue and device replicas are unaffected — only the
     /// scheduling rules change).
-    pub fn set_policy(&mut self, policy: Box<dyn SchedulerPolicy>, read_first: bool) {
+    pub fn set_policy(&mut self, policy: Box<dyn SchedulerPolicy>) {
         self.policy = policy;
-        self.read_first = read_first;
         self.emit_ctrl_config();
     }
 
@@ -407,7 +401,6 @@ impl MemoryController {
             queue,
             dram,
             policy,
-            read_first,
             draining,
             next_id,
             completions,
@@ -421,7 +414,14 @@ impl MemoryController {
         } = self;
         queue.state(ar)?;
         dram.state(ar)?;
-        ar.bool(read_first)?;
+        // The policy's read-first half of its rule class, checked like its
+        // name below: a restore cannot change the receiver's class.
+        let mut read_first = policy.read_first();
+        ar.bool(&mut read_first)?;
+        ar.ensure(
+            read_first == policy.read_first(),
+            SnapError::Invalid("read-first class mismatch"),
+        )?;
         ar.bool(draining)?;
         ar.u64(next_id)?;
         // BinaryHeap iteration order is unspecified; walk it sorted so
@@ -551,7 +551,8 @@ impl MemoryController {
     /// Read decisions since construction whose candidates came from two
     /// or more cores (a host-side counter, not state). Every policy ranks
     /// cores, so only these can go differently under two policies that
-    /// agree on `read_first` and [`SchedulerPolicy::hit_first`].
+    /// agree on [`SchedulerPolicy::read_first`] and
+    /// [`SchedulerPolicy::hit_first`].
     pub fn contested_decisions(&self) -> u64 {
         self.gate.contested
     }
@@ -671,7 +672,7 @@ impl MemoryController {
         // Pick the class, then run its chain: plain FCFS keeps one mixed
         // class in strict arrival order, writes go hit-first-then-oldest
         // under every policy, reads are the policy's.
-        let want_reads = self.read_first.then(|| {
+        let want_reads = self.policy.read_first().then(|| {
             let has_read = self.cand_ids.iter().any(|(_, _, k)| k.is_read());
             let has_write = self.cand_ids.iter().any(|(_, _, k)| k.is_write());
             let use_writes = if self.draining { has_write } else { !has_read && has_write };
@@ -722,14 +723,8 @@ impl MemoryController {
             })
             .collect();
         let pending_reads = self.queue.pending_reads_all().to_vec();
-        let why = explain_grant(
-            &*self.policy,
-            self.read_first,
-            self.draining,
-            &candidates,
-            &pending_reads,
-            chosen.0,
-        );
+        let why =
+            explain_grant(&*self.policy, self.draining, &candidates, &pending_reads, chosen.0);
         self.audit.emit(|| AuditEvent::Decision {
             channel: ch,
             at: now,
@@ -809,7 +804,7 @@ impl MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
+    use crate::policy::{FcfsRf, PolicyKind};
     use melreq_dram::DramSystem;
 
     fn controller(kind: PolicyKind, cores: usize) -> MemoryController {
@@ -818,7 +813,6 @@ mod tests {
             ControllerConfig::paper(),
             DramSystem::paper(),
             kind.build(&me, cores, 1),
-            kind.read_first(),
             cores,
         )
     }
@@ -980,7 +974,6 @@ mod tests {
             ControllerConfig::paper(),
             DramSystem::paper(),
             PolicyKind::MeLreq.build(&me, 2, 1),
-            true,
             2,
         );
         // Both cores have a request on the same bank, same age.
@@ -1005,30 +998,30 @@ mod tests {
     fn class_outcomes_are_labelled_by_the_controller() {
         // A lone candidate: no arbitration happened.
         let cands = [info(3, 0, false, true)];
-        let why = explain_grant(&HitFirst, true, false, &cands, &[1, 0], 3);
+        let why = explain_grant(&HitFirst, false, &cands, &[1, 0], 3);
         assert_eq!(why, (Rule::OnlyCandidate, None));
         // The only schedulable read bypassed the pending write.
         let cands = [info(7, 0, false, false), info(2, 1, true, true)];
-        let why = explain_grant(&HitFirst, true, false, &cands, &[1, 0], 7);
+        let why = explain_grant(&HitFirst, false, &cands, &[1, 0], 7);
         assert_eq!(why, (Rule::ReadFirst, Some(2)));
         // Draining: the write went out ahead of the read.
         let cands = [info(2, 0, true, true), info(1, 1, false, true)];
-        let why = explain_grant(&HitFirst, true, true, &cands, &[0, 1], 2);
+        let why = explain_grant(&HitFirst, true, &cands, &[0, 1], 2);
         assert_eq!(why, (Rule::WriteDrain, Some(1)));
         // No read schedulable: writes go hit-first under any policy, and
         // the label is the class's, not the chain's.
         let cands = [info(2, 0, true, false), info(5, 1, true, true), info(9, 1, true, false)];
-        let why = explain_grant(&Fcfs, true, false, &cands, &[0, 0], 5);
+        let why = explain_grant(&FcfsRf, false, &cands, &[0, 0], 5);
         assert_eq!(why, (Rule::WriteFallback, Some(2)));
     }
 
     #[test]
     fn plain_fcfs_is_one_mixed_class_in_arrival_order() {
         let cands = [info(4, 0, true, false), info(6, 1, false, true)];
-        let why = explain_grant(&Fcfs, false, false, &cands, &[0, 1], 4);
+        let why = explain_grant(&Fcfs, false, &cands, &[0, 1], 4);
         assert_eq!(why, (Rule::WriteFallback, Some(6)));
         let cands = [info(4, 0, false, false), info(6, 1, true, true), info(5, 1, false, true)];
-        let why = explain_grant(&Fcfs, false, true, &cands, &[1, 1], 4);
+        let why = explain_grant(&Fcfs, true, &cands, &[1, 1], 4);
         assert_eq!(why, (Rule::FcfsTiebreak, Some(5)));
     }
 
@@ -1038,7 +1031,7 @@ mod tests {
         // Core 0's miss wins on the pending count; the schedulable write
         // plays no part.
         let cands = [info(9, 0, false, false), info(1, 1, false, true), info(0, 1, true, true)];
-        let why = explain_grant(&LeastRequest, true, false, &cands, &[1, 6], 9);
+        let why = explain_grant(&LeastRequest, false, &cands, &[1, 6], 9);
         assert_eq!(why, (Rule::LreqCount, Some(1)));
     }
 
@@ -1074,7 +1067,6 @@ mod tests {
             ControllerConfig::paper_open_page(),
             DramSystem::paper(),
             PolicyKind::HfRf.build(&me, 1, 1),
-            true,
             1,
         );
         let id = c.submit(CoreId(0), 0x0000, AccessKind::Read, 0);

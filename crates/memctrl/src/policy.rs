@@ -93,7 +93,17 @@ pub trait SchedulerPolicy: std::fmt::Debug + Send {
     fn core_key(&self, core: CoreId, pending_reads: &[u32]) -> (u64, u16);
 
     /// Whether row-buffer hits go before misses among equal cores.
+    /// With [`SchedulerPolicy::read_first`] it is the policy's *rule
+    /// class*: two policies of one class schedule a window alike when no
+    /// read decision in it had two cores' requests to choose between.
     fn hit_first(&self) -> bool {
+        true
+    }
+
+    /// Whether the controller lets reads bypass writes (the read-first /
+    /// write-drain class selector of Figure 1). Only plain FCFS turns the
+    /// bypass off; every evaluated scheme keeps it (Section 4.1).
+    fn read_first(&self) -> bool {
         true
     }
 
@@ -175,6 +185,30 @@ pub trait SchedulerPolicy: std::fmt::Debug + Send {
 pub struct Fcfs;
 
 impl SchedulerPolicy for Fcfs {
+    fn name(&self) -> &'static str {
+        "FCFS"
+    }
+
+    fn core_key(&self, _core: CoreId, _pending: &[u32]) -> (u64, u16) {
+        (0, 0)
+    }
+
+    fn hit_first(&self) -> bool {
+        false
+    }
+
+    fn read_first(&self) -> bool {
+        false
+    }
+}
+
+/// FCFS with reads bypassing writes (FCFS-RF): arrival order within the
+/// class the controller picks. It answers to FCFS's name, the audit
+/// identity both FCFS kinds share.
+#[derive(Debug, Default, Clone)]
+pub struct FcfsRf;
+
+impl SchedulerPolicy for FcfsRf {
     fn name(&self) -> &'static str {
         "FCFS"
     }
@@ -883,13 +917,6 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Whether the controller should let reads bypass writes. Only plain
-    /// FCFS disables the bypass; every evaluated scheme keeps it
-    /// (Section 4.1).
-    pub fn read_first(&self) -> bool {
-        crate::registry::descriptor_of(self).read_first
-    }
-
     /// Display name matching the paper's shorthand.
     pub fn name(&self) -> &'static str {
         crate::registry::descriptor_of(self).display
@@ -901,7 +928,8 @@ impl PolicyKind {
     pub fn build(&self, me: &[f64], cores: usize, seed: u64) -> Box<dyn SchedulerPolicy> {
         assert!(me.len() == cores, "one ME value per core required");
         match self {
-            PolicyKind::Fcfs | PolicyKind::FcfsRf => Box::new(Fcfs),
+            PolicyKind::Fcfs => Box::new(Fcfs),
+            PolicyKind::FcfsRf => Box::new(FcfsRf),
             PolicyKind::HfRf => Box::new(HitFirst),
             PolicyKind::RoundRobin => Box::new(RoundRobin::new(cores)),
             PolicyKind::Lreq => Box::new(LeastRequest),
@@ -1225,10 +1253,11 @@ mod tests {
         assert_eq!(PolicyKind::HfRf.name(), "HF-RF");
         assert_eq!(PolicyKind::MeLreq.name(), "ME-LREQ");
         assert_eq!(PolicyKind::MeLreqOnline { epoch_cycles: 100 }.name(), "ME-LREQ-ON");
-        assert!(!PolicyKind::Fcfs.read_first());
-        assert!(PolicyKind::FcfsRf.read_first());
-        assert!(PolicyKind::MeLreq.read_first());
-        assert!(PolicyKind::MeLreqOnline { epoch_cycles: 100 }.read_first());
+        let read_first = |kind: PolicyKind| kind.build(&[1.0], 1, 0).read_first();
+        assert!(!read_first(PolicyKind::Fcfs));
+        assert!(read_first(PolicyKind::FcfsRf));
+        assert!(read_first(PolicyKind::MeLreq));
+        assert!(read_first(PolicyKind::MeLreqOnline { epoch_cycles: 100 }));
     }
 
     #[test]

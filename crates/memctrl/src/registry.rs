@@ -47,8 +47,6 @@ pub struct PolicyDescriptor {
     pub doc: &'static str,
     /// Whether the policy consumes a profiled memory-efficiency vector.
     pub needs_me_profile: bool,
-    /// Whether reads bypass writes under this policy.
-    pub read_first: bool,
     /// Position in the paper-figure compare set (Figure 2 order), when
     /// the policy belongs to it.
     pub paper_figure: Option<u8>,
@@ -80,7 +78,8 @@ impl PolicyDescriptor {
         write!(s, ",\"params\":[{}]", params.join(",")).unwrap();
         write!(s, ",\"doc\":\"{}\"", self.doc).unwrap();
         write!(s, ",\"needs_me_profile\":{}", self.needs_me_profile).unwrap();
-        write!(s, ",\"read_first\":{}", self.read_first).unwrap();
+        let read_first = self.default_kind().build(&[1.0], 1, 0).read_first();
+        write!(s, ",\"read_first\":{read_first}").unwrap();
         match self.paper_figure {
             Some(i) => write!(s, ",\"paper_figure\":{i}}}").unwrap(),
             None => s.push_str(",\"paper_figure\":null}"),
@@ -99,7 +98,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "hit-first + read-first, the paper's baseline",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: Some(0),
         make: |_| PolicyKind::HfRf,
     },
@@ -110,7 +108,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "fixed core priority by profiled memory efficiency",
         needs_me_profile: true,
-        read_first: true,
         paper_figure: Some(1),
         make: |_| PolicyKind::Me,
     },
@@ -121,7 +118,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "round-robin over cores",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: Some(2),
         make: |_| PolicyKind::RoundRobin,
     },
@@ -132,7 +128,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "fewest pending reads first",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: Some(3),
         make: |_| PolicyKind::Lreq,
     },
@@ -143,7 +138,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "the paper's contribution: quantized ME/PendingRead priority",
         needs_me_profile: true,
-        read_first: true,
         paper_figure: Some(4),
         make: |_| PolicyKind::MeLreq,
     },
@@ -154,7 +148,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "strict arrival order, no read bypass",
         needs_me_profile: false,
-        read_first: false,
         paper_figure: None,
         make: |_| PolicyKind::Fcfs,
     },
@@ -165,7 +158,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "arrival order with reads bypassing writes",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: None,
         make: |_| PolicyKind::FcfsRf,
     },
@@ -181,7 +173,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         }],
         doc: "ME-LREQ with online memory-efficiency estimation",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: None,
         make: |v| PolicyKind::MeLreqOnline { epoch_cycles: v[0] },
     },
@@ -192,7 +183,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "straw-man fixed priority, lowest core id first (Figure 3)",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: None,
         make: |_| PolicyKind::Fixed { descending: false },
     },
@@ -203,7 +193,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "straw-man fixed priority, highest core id first (Figure 3)",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: None,
         make: |_| PolicyKind::Fixed { descending: true },
     },
@@ -214,7 +203,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "start-time fair queueing over memory service",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: None,
         make: |_| PolicyKind::Fq,
     },
@@ -225,7 +213,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         params: &[],
         doc: "stall-time-fairness heuristic (queueing-delay debt)",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: None,
         make: |_| PolicyKind::Stf,
     },
@@ -249,7 +236,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         ],
         doc: "BLISS blacklisting: demote cores with long grant streaks",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: None,
         make: |v| PolicyKind::Bliss {
             threshold: u32::try_from(v[0].clamp(1, u64::from(u32::MAX))).expect("clamped"),
@@ -268,7 +254,6 @@ static REGISTRY: &[PolicyDescriptor] = &[
         }],
         doc: "TCM-style two-cluster scheduling with bandwidth-cluster shuffle",
         needs_me_profile: false,
-        read_first: true,
         paper_figure: None,
         make: |v| PolicyKind::TcmCluster { quantum: v[0].max(1) },
     },
@@ -530,6 +515,18 @@ mod tests {
         assert!(json.contains("\"key\":\"threshold\""));
         assert!(json.contains("\"paper_figure\":0"));
         assert_eq!(json.matches("{\"id\":").count(), registry().len());
+    }
+
+    /// The `GET /policies` body, byte for byte: what a client reads off
+    /// the registry (the derived `read_first` keys included) moves only
+    /// when a row does.
+    #[test]
+    fn registry_json_is_pinned() {
+        let json = registry_json();
+        assert_eq!(
+            (melreq_snap::fnv1a(json.as_bytes()), json.len()),
+            (0xfabb_3272_ab14_7c50, 2869)
+        );
     }
 
     #[test]

@@ -192,7 +192,6 @@ proptest! {
             ControllerConfig::paper(),
             DramSystem::paper(),
             kind.build(&me, 4, 7),
-            kind.read_first(),
             4,
         );
         let mut expected_reads = BTreeSet::new();

@@ -1,7 +1,7 @@
 //! Chrome/Perfetto `trace_event` JSON export.
 //!
-//! One process per channel (threads 1.. = banks, thread 0 names the
-//! channel) plus one process for the cores. Timestamps are simulation
+//! One process per channel (threads 1.. = banks; its queue-depth
+//! counter carries no thread) plus one process for the cores. Timestamps are simulation
 //! cycles (the viewer displays them as microseconds — read 1 µs as 1
 //! cycle). Events are sorted by start time at export,
 //! so the emitted array has monotonically non-decreasing `ts` over all
@@ -82,11 +82,6 @@ fn write_events(collector: &Collector, ev: &mut Events) {
         ev.push(format_args!(
             "{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
              \"args\": {{\"name\": \"channel {ch}\"}}}}",
-            pid = ch + 1
-        ));
-        ev.push(format_args!(
-            "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"channel\"}}}}",
             pid = ch + 1
         ));
     }

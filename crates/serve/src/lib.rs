@@ -1571,15 +1571,14 @@ mod tests {
     /// The server's store keeps a boundary and its op tapes between
     /// requests, so a job can die between two uses of it: the next request
     /// on that mix must find it usable, and answer with the bytes a
-    /// storeless run gives. The doomed run here starts from reset, as a run
-    /// with a policy from outside the registry does; a window that panics
-    /// on a resident boundary is `melreq_core`'s experiment tests' (a
-    /// group's window, and a tape its generator's panic poisoned). Here,
-    /// not in `tests/service.rs`: only `execute_job` can be handed a run
-    /// that panics — no request body makes one.
+    /// storeless run gives. The doomed job panics before it touches the
+    /// store; a window that panics on a resident boundary is
+    /// `melreq_core`'s experiment tests' (a group's window, and a tape its
+    /// generator's panic poisoned). Here, not in `tests/service.rs`: only
+    /// `execute_job` can be handed a run that panics — no request body
+    /// makes one.
     #[test]
     fn a_run_that_panics_between_resident_uses_leaves_the_boundary_usable() {
-        use melreq_core::experiment::{run_tapped, Measured, Taps};
         let dir = std::env::temp_dir().join(format!("melreq-serve-panic-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(CheckpointStore::open_resident(&dir).expect("store"));
@@ -1593,14 +1592,11 @@ mod tests {
             published(&shared)
         };
         // First use simulates and keeps the boundary, the second records
-        // its tapes; then a run blows up in its policy's constructor.
+        // its tapes; then a run blows up as it starts.
         assert_eq!((serve(1).0, serve(2).0), (200, 200));
-        execute_job(admit(&shared, &req, 3), &shared, |req, ctl, _| {
+        execute_job(admit(&shared, &req, 3), &shared, |req, _, _| {
             let mix = melreq_core::api::resolve_mix(&req.mix).expect("a roster mix");
-            let build = |_: &[f64], _: usize, _: u64| panic!("policy bug on {}", mix.name);
-            let doomed = Measured::Custom { name: "DOOMED", build: &build };
-            run_tapped(&mix, doomed, &req.opts, shared.session.cache(), ctl, Taps::default());
-            unreachable!("the policy's constructor panics")
+            panic!("policy bug on {}", mix.name)
         });
         let (status, message, panicked) = published(&shared);
         assert_eq!(status, 500, "{message}");

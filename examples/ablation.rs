@@ -54,7 +54,7 @@ fn speedup_with_policy(
     opts: &ExperimentOptions,
 ) -> f64 {
     let cfg = SystemConfig::paper(mix.cores(), PolicyKind::HfRf);
-    let mut sys = System::with_policy(cfg, mix.eval_streams(opts.eval_slice), policy, true);
+    let mut sys = System::with_policy(cfg, mix.eval_streams(opts.eval_slice), policy);
     let out = sys.run_measured(opts.warmup, opts.instructions, 1 << 34);
     assert!(!out.timed_out, "ablation run timed out");
     out.ipc.iter().zip(ipc_single).map(|(m, s)| m / s).sum()

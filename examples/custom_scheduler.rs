@@ -39,8 +39,9 @@ impl SchedulerPolicy for BwLreq {
         "BW-LREQ"
     }
 
-    /// Highest table value first, ties to the lowest core id. The chain
-    /// the trait provides does the rest: hit-first, then oldest.
+    /// Highest table value first, ties to the lowest core id. The trait
+    /// provides the rest: reads bypass writes (`read_first`), and the
+    /// chain goes hit-first, then oldest (`hit_first`).
     fn core_key(&self, core: CoreId, pending: &[u32]) -> (u64, u16) {
         let priority = self.table.lookup(core, pending[core.index()].max(1));
         (u64::from(!priority.raw()), core.0)
@@ -80,12 +81,7 @@ fn main() {
 
     let mut cfg = SystemConfig::paper(mix.cores(), PolicyKind::HfRf);
     cfg.policy = PolicyKind::HfRf; // placeholder; we inject the policy below
-    let mut sys = System::with_policy(
-        cfg,
-        mix.eval_streams(0),
-        Box::new(BwLreq::new(&bw)),
-        /* read_first */ true,
-    );
+    let mut sys = System::with_policy(cfg, mix.eval_streams(0), Box::new(BwLreq::new(&bw)));
     let out = sys.run_measured(opts.warmup, opts.instructions, 1 << 30);
     let speedup: f64 = out.ipc.iter().zip(&ipc_single).map(|(m, s)| m / s).sum();
     println!("  {:8} speedup={:.3} (custom policy via SchedulerPolicy trait)", "BW-LREQ", speedup);

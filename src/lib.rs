@@ -26,12 +26,14 @@
 //!
 //! For the paper's full methodology (profiling, single-core references,
 //! SMT speedup, unfairness) use [`experiment::run_mix`] — one call of
-//! [`experiment::run_tapped`], which runs a mix from reset and also takes
-//! an out-of-registry policy, the auditor and the trace collector — or
-//! [`experiment::run_mix_group`], which forks every policy of a mix from
-//! one warm-up and may keep it in a checkpoint store; `melreq reproduce`
+//! [`experiment::run_tapped`], which runs a mix from reset under a
+//! registered policy and also takes the auditor and the trace collector
+//! — or [`experiment::run_mix_group`], which forks every policy of a mix
+//! from one warm-up and may keep it in a checkpoint store; `melreq reproduce`
 //! (the `melreq-cli` crate) regenerates every table and figure into
-//! `results/`, and `examples/ablation.rs` the design-choice studies.
+//! `results/`, and `examples/ablation.rs` the design-choice studies. A
+//! policy from outside the registry is a [`SchedulerPolicy`] handed to
+//! [`System::with_policy`] (`examples/custom_scheduler.rs`).
 //!
 //! ## Crate map
 //!

@@ -2,11 +2,11 @@
 //! evaluated set: fair schedulers, phased programs and online ME
 //! estimation.
 
-use melreq::experiment::{run_mix, run_mix_custom, ExperimentOptions, ProfileCache};
-use melreq::memctrl::{FairQueueing, StallTimeFair};
+use melreq::experiment::{run_mix, ExperimentOptions, ProfileCache, CANONICAL_WARMUP_POLICY};
+use melreq::memctrl::FairQueueing;
 use melreq::trace::{InstrStream, PhasedStream};
 use melreq::workloads::{app_by_code, mix_by_name, SliceKind};
-use melreq::{PolicyKind, System, SystemConfig};
+use melreq::{Mix, PolicyKind, RunOutcome, SchedulerPolicy, System, SystemConfig};
 
 fn opts() -> ExperimentOptions {
     ExperimentOptions {
@@ -21,20 +21,8 @@ fn opts() -> ExperimentOptions {
 fn fair_schedulers_run_end_to_end() {
     let cache = ProfileCache::new();
     let mix = mix_by_name("2MEM-4");
-    let fq = run_mix_custom(
-        &mix,
-        "FQ",
-        |_me, cores, _seed| (Box::new(FairQueueing::new(cores)), true),
-        &opts(),
-        &cache,
-    );
-    let stf = run_mix_custom(
-        &mix,
-        "STF",
-        |_me, cores, _seed| (Box::new(StallTimeFair::new(cores)), true),
-        &opts(),
-        &cache,
-    );
+    let fq = run_mix(&mix, &PolicyKind::Fq, &opts(), &cache);
+    let stf = run_mix(&mix, &PolicyKind::Stf, &opts(), &cache);
     for r in [&fq, &stf] {
         assert!(!r.timed_out, "{} timed out", r.policy);
         assert!(r.smt_speedup > 0.5, "{} speedup {}", r.policy, r.smt_speedup);
@@ -42,37 +30,38 @@ fn fair_schedulers_run_end_to_end() {
     }
 }
 
+/// `mix`'s measured window under `policy`, swapped in at the boundary of
+/// the canonical warm-up as the harness swaps in a registered policy.
+fn window_under(mix: &Mix, policy: Box<dyn SchedulerPolicy>) -> RunOutcome {
+    let (o, flat) = (opts(), vec![1.0; mix.cores()]);
+    let cfg = SystemConfig::paper(mix.cores(), CANONICAL_WARMUP_POLICY);
+    let mut sys = System::new(cfg, mix.eval_streams(o.eval_slice), &flat);
+    sys.prepare_window(o.warmup, o.instructions);
+    assert!(sys.run_to_boundary(1 << 30), "the warm-up must reach its boundary");
+    sys.swap_policy_boxed(policy, &flat);
+    let out = sys.run_window(1 << 30);
+    assert!(!out.timed_out, "{} timed out", mix.name);
+    out
+}
+
 #[test]
 fn weighted_fq_shifts_service_toward_the_favoured_core() {
     // Same two-hog mix, once with equal shares and once with core 0
     // favoured 8:1 — core 0's IPC must improve at core 1's expense.
     let mix = mix_by_name("2MEM-2");
-    let cache = ProfileCache::new();
-    let equal = run_mix_custom(
-        &mix,
-        "FQ",
-        |_me, cores, _seed| (Box::new(FairQueueing::new(cores)), true),
-        &opts(),
-        &cache,
-    );
-    let skewed = run_mix_custom(
-        &mix,
-        "FQ",
-        |_me, _cores, _seed| (Box::new(FairQueueing::with_shares(vec![8, 1])), true),
-        &opts(),
-        &cache,
-    );
+    let equal = window_under(&mix, Box::new(FairQueueing::new(mix.cores())));
+    let skewed = window_under(&mix, Box::new(FairQueueing::with_shares(vec![8, 1])));
     assert!(
-        skewed.ipc_multi[0] > equal.ipc_multi[0],
+        skewed.ipc[0] > equal.ipc[0],
         "favoured core must speed up: {} vs {}",
-        skewed.ipc_multi[0],
-        equal.ipc_multi[0]
+        skewed.ipc[0],
+        equal.ipc[0]
     );
     assert!(
-        skewed.ipc_multi[1] < equal.ipc_multi[1],
+        skewed.ipc[1] < equal.ipc[1],
         "unfavoured core must slow down: {} vs {}",
-        skewed.ipc_multi[1],
-        equal.ipc_multi[1]
+        skewed.ipc[1],
+        equal.ipc[1]
     );
 }
 

@@ -5,8 +5,8 @@
 
 use melreq_cli::{parse_args, run_command};
 use melreq_core::experiment::{
-    run_tapped, ExperimentOptions, Measured, MixResult, ObserveOptions, ProfileCache, RunControl,
-    SweepStage, Taps,
+    run_tapped, ExperimentOptions, MixResult, ObserveOptions, ProfileCache, RunControl, SweepStage,
+    Taps,
 };
 use melreq_core::Session;
 use melreq_memctrl::policy::PolicyKind;
@@ -59,7 +59,7 @@ fn sweep_results_and_audit_hashes_are_identical_at_any_worker_count() {
         // hash is the finest-grained determinism witness we have.
         let cache = ProfileCache::new();
         let taps = Taps { audit: true, observe: Some(ObserveOptions::default()) };
-        let (mix, kind) = (mix_by_name("2MEM-1"), Measured::Kind(&PolicyKind::MeLreq));
+        let (mix, kind) = (mix_by_name("2MEM-1"), &PolicyKind::MeLreq);
         let (_, heard) = run_tapped(&mix, kind, &opts, &cache, &RunControl::default(), taps);
         let report = heard.audit.expect("audited");
         assert_eq!(report.total_violations, 0, "audited run must be clean");
