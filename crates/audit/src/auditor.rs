@@ -1,64 +1,23 @@
 //! The combining sink: timing oracle + policy auditor + stream hash.
 
-use crate::event::{AuditEvent, AuditHandle, AuditSink};
-use crate::oracle::{GrantFacts, TimingOracle, Violation, ViolationKind};
-use crate::policy::{DecisionFacts, PolicyAuditor};
+use crate::event::{AuditEvent, AuditHandle, AuditSink, Decision, Grant, GrantOutcome, Submit};
+use crate::oracle::{TimingOracle, Violation, ViolationKind};
+use crate::policy::PolicyAuditor;
+use melreq_snap::{fnv1a, fnv1a_from, Enc};
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a 64-bit, folded over a canonical encoding of the event stream.
-/// Two runs of the simulator are byte-identical iff their hashes agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.byte(u8::from(v));
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-}
-
-/// Fold `ev` under its variant's tag byte. Every pinned stream hash
-/// depends on the tags: never renumber or reuse one (5 and 6 are
-/// retired).
-fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
+/// Write `ev`'s canonical encoding, the bytes the stream hash folds:
+/// its variant's tag byte, then its fields in declaration order. Every
+/// pinned stream hash depends on these bytes: never renumber or reuse a
+/// tag (5 and 6 are retired), and keep a decision's `why` out.
+fn encode(e: &mut Enc, ev: &AuditEvent) {
     match ev {
         AuditEvent::DramConfig { channels, banks_per_channel, timing } => {
-            h.byte(1);
-            h.usize(*channels);
-            h.usize(*banks_per_channel);
+            e.u8(1);
+            e.usize(*channels);
+            e.usize(*banks_per_channel);
             for v in [timing.t_rcd, timing.t_cl, timing.t_rp, timing.t_wr, timing.burst] {
-                h.u64(v);
+                e.u64(v);
             }
         }
         AuditEvent::CtrlConfig {
@@ -70,41 +29,38 @@ fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
             drain_stop,
             overhead,
         } => {
-            h.byte(2);
-            h.usize(*cores);
-            h.str(policy);
-            h.bool(*read_first);
-            h.usize(*buffer_entries);
-            h.usize(*drain_start);
-            h.usize(*drain_stop);
-            h.u64(*overhead);
+            e.u8(2);
+            e.usize(*cores);
+            e.str(policy);
+            e.bool(*read_first);
+            e.usize(*buffer_entries);
+            e.usize(*drain_start);
+            e.usize(*drain_stop);
+            e.u64(*overhead);
         }
         AuditEvent::ProfileUpdate { me } => {
-            h.byte(3);
-            h.usize(me.len());
-            for &v in me {
-                h.f64(v);
-            }
+            e.u8(3);
+            e.f64s(me);
         }
         AuditEvent::PolicyParams { params } => {
-            h.byte(9);
-            h.usize(params.len());
+            e.u8(9);
+            e.usize(params.len());
             for (k, v) in params {
-                h.str(k);
-                h.u64(*v);
+                e.str(k);
+                e.u64(*v);
             }
         }
-        AuditEvent::Submit { id, core, channel, bank, row, write, at } => {
-            h.byte(4);
-            h.u64(*id);
-            h.u64(u64::from(*core));
-            h.usize(*channel);
-            h.usize(*bank);
-            h.u64(*row);
-            h.bool(*write);
-            h.u64(*at);
+        AuditEvent::Submit(Submit { id, core, channel, bank, row, write, at }) => {
+            e.u8(4);
+            e.u64(*id);
+            e.u64(u64::from(*core));
+            e.usize(*channel);
+            e.usize(*bank);
+            e.u64(*row);
+            e.bool(*write);
+            e.u64(*at);
         }
-        AuditEvent::Decision {
+        AuditEvent::Decision(Decision {
             channel,
             at,
             draining,
@@ -112,28 +68,28 @@ fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
             candidates,
             pending_reads,
             why: _,
-        } => {
-            h.byte(7);
-            h.usize(*channel);
-            h.u64(*at);
-            h.bool(*draining);
-            h.u64(*chosen);
-            h.usize(candidates.len());
+        }) => {
+            e.u8(7);
+            e.usize(*channel);
+            e.u64(*at);
+            e.bool(*draining);
+            e.u64(*chosen);
+            e.usize(candidates.len());
             for c in candidates {
-                h.u64(c.id);
-                h.u64(u64::from(c.core));
-                h.usize(c.bank);
-                h.u64(c.row);
-                h.bool(c.write);
-                h.bool(c.row_hit);
-                h.u64(c.arrival);
+                e.u64(c.id);
+                e.u64(u64::from(c.core));
+                e.usize(c.bank);
+                e.u64(c.row);
+                e.bool(c.write);
+                e.bool(c.row_hit);
+                e.u64(c.arrival);
             }
-            h.usize(pending_reads.len());
+            e.usize(pending_reads.len());
             for &p in pending_reads {
-                h.u64(u64::from(p));
+                e.u64(u64::from(p));
             }
         }
-        AuditEvent::Grant {
+        AuditEvent::Grant(Grant {
             id,
             core,
             channel,
@@ -144,22 +100,22 @@ fn fold_event(h: &mut Fnv, ev: &AuditEvent) {
             keep_open,
             outcome,
             data_ready,
-        } => {
-            h.byte(8);
-            h.u64(*id);
-            h.u64(u64::from(*core));
-            h.usize(*channel);
-            h.usize(*bank);
-            h.u64(*row);
-            h.bool(*write);
-            h.u64(*at);
-            h.bool(*keep_open);
-            h.byte(match outcome {
-                crate::event::GrantOutcome::Hit => 0,
-                crate::event::GrantOutcome::ClosedMiss => 1,
-                crate::event::GrantOutcome::Conflict => 2,
+        }) => {
+            e.u8(8);
+            e.u64(*id);
+            e.u64(u64::from(*core));
+            e.usize(*channel);
+            e.usize(*bank);
+            e.u64(*row);
+            e.bool(*write);
+            e.u64(*at);
+            e.bool(*keep_open);
+            e.u8(match outcome {
+                GrantOutcome::Hit => 0,
+                GrantOutcome::ClosedMiss => 1,
+                GrantOutcome::Conflict => 2,
             });
-            h.u64(*data_ready);
+            e.u64(*data_ready);
         }
     }
 }
@@ -187,8 +143,8 @@ impl Default for AuditorConfig {
 pub struct AuditReport {
     /// Events observed.
     pub events: u64,
-    /// FNV-1a hash of the canonical event stream (determinism check:
-    /// same seed ⇒ same hash).
+    /// FNV-1a over the canonical encoding of the event stream
+    /// (determinism check: same seed ⇒ same hash).
     pub stream_hash: u64,
     /// Total violations detected.
     pub total_violations: u64,
@@ -234,7 +190,10 @@ pub struct Auditor {
     cfg: AuditorConfig,
     oracle: TimingOracle,
     policy: PolicyAuditor,
-    hash: Fnv,
+    /// `melreq_snap::fnv1a` of every event's encoding so far.
+    hash: u64,
+    /// The last event's encoding (one buffer, reused for every event).
+    enc: Enc,
     events: u64,
     stored: Vec<Violation>,
     counts: Vec<(ViolationKind, u64)>,
@@ -249,7 +208,8 @@ impl Auditor {
             cfg,
             oracle: TimingOracle::new(),
             policy: PolicyAuditor::new(cfg.starvation_cap),
-            hash: Fnv::new(),
+            hash: fnv1a(&[]),
+            enc: Enc::new(),
             events: 0,
             stored: Vec::new(),
             counts: Vec::new(),
@@ -269,7 +229,7 @@ impl Auditor {
     pub fn report(&self) -> AuditReport {
         AuditReport {
             events: self.events,
-            stream_hash: self.hash.0,
+            stream_hash: self.hash,
             total_violations: self.total,
             violations: self.stored.clone(),
             counts: self.counts.clone(),
@@ -295,7 +255,9 @@ impl Auditor {
 
 impl AuditSink for Auditor {
     fn record(&mut self, ev: &AuditEvent) {
-        fold_event(&mut self.hash, ev);
+        self.enc.clear();
+        encode(&mut self.enc, ev);
+        self.hash = fnv1a_from(self.hash, self.enc.as_bytes());
         self.events += 1;
         match ev {
             AuditEvent::DramConfig { channels, banks_per_channel, timing } => {
@@ -306,50 +268,11 @@ impl AuditSink for Auditor {
             }
             AuditEvent::PolicyParams { params } => self.policy.on_params(params),
             AuditEvent::ProfileUpdate { me } => self.policy.on_profile(me),
-            AuditEvent::Submit { core, write, .. } => self.policy.on_submit(*core, *write),
-            AuditEvent::Decision {
-                channel,
-                at,
-                draining,
-                chosen,
-                candidates,
-                pending_reads,
-                why: _,
-            } => {
-                let facts = DecisionFacts {
-                    channel: *channel,
-                    at: *at,
-                    draining: *draining,
-                    chosen: *chosen,
-                    candidates,
-                    pending_reads,
-                };
-                self.policy.on_decision(&facts, &self.oracle, &mut self.scratch);
-            }
-            AuditEvent::Grant {
-                id: _,
-                core,
-                channel,
-                bank,
-                row,
-                write,
-                at,
-                keep_open,
-                outcome,
-                data_ready,
-            } => {
-                self.policy.on_grant(*core, *write);
-                let facts = GrantFacts {
-                    channel: *channel,
-                    bank: *bank,
-                    row: *row,
-                    write: *write,
-                    at: *at,
-                    keep_open: *keep_open,
-                    outcome: *outcome,
-                    data_ready: *data_ready,
-                };
-                self.oracle.on_grant(&facts, &mut self.scratch);
+            AuditEvent::Submit(s) => self.policy.on_submit(s.core, s.write),
+            AuditEvent::Decision(d) => self.policy.on_decision(d, &self.oracle, &mut self.scratch),
+            AuditEvent::Grant(g) => {
+                self.policy.on_grant(g.core, g.write);
+                self.oracle.on_grant(g, &mut self.scratch);
             }
         }
         self.absorb_scratch();
@@ -359,7 +282,7 @@ impl AuditSink for Auditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{GrantOutcome, TimingParams};
+    use crate::event::{CandidateInfo, Rule, TimingParams};
 
     fn ddr2() -> TimingParams {
         TimingParams { t_rcd: 40, t_cl: 40, t_rp: 40, t_wr: 48, burst: 16 }
@@ -377,13 +300,21 @@ mod tests {
                 drain_stop: 16,
                 overhead: 0,
             },
-            AuditEvent::Submit { id: 0, core: 0, channel: 0, bank: 0, row: 5, write: false, at: 0 },
-            AuditEvent::Decision {
+            AuditEvent::Submit(Submit {
+                id: 0,
+                core: 0,
+                channel: 0,
+                bank: 0,
+                row: 5,
+                write: false,
+                at: 0,
+            }),
+            AuditEvent::Decision(Decision {
                 channel: 0,
                 at: 0,
                 draining: false,
                 chosen: 0,
-                candidates: vec![crate::event::CandidateInfo {
+                candidates: vec![CandidateInfo {
                     id: 0,
                     core: 0,
                     bank: 0,
@@ -393,9 +324,9 @@ mod tests {
                     arrival: 0,
                 }],
                 pending_reads: vec![1],
-                why: (crate::event::Rule::OnlyCandidate, None),
-            },
-            AuditEvent::Grant {
+                why: (Rule::OnlyCandidate, None),
+            }),
+            AuditEvent::Grant(Grant {
                 id: 0,
                 core: 0,
                 channel: 0,
@@ -406,7 +337,7 @@ mod tests {
                 keep_open: false,
                 outcome: GrantOutcome::ClosedMiss,
                 data_ready: 96,
-            },
+            }),
         ]
     }
 
@@ -435,8 +366,8 @@ mod tests {
             c.report().stream_hash
         };
         let mut evs = legal_stream();
-        if let AuditEvent::Grant { data_ready, .. } = &mut evs[4] {
-            *data_ready = 80; // faster than tRCD + tCL allows
+        if let AuditEvent::Grant(g) = &mut evs[4] {
+            g.data_ready = 80; // faster than tRCD + tCL allows
         }
         for ev in evs {
             a.record(&ev);
@@ -454,8 +385,8 @@ mod tests {
         let cfg = AuditorConfig { panic_on_violation: true, ..Default::default() };
         let mut a = Auditor::new(cfg);
         let mut evs = legal_stream();
-        if let AuditEvent::Grant { data_ready, .. } = &mut evs[4] {
-            *data_ready = 80; // faster than tRCD + tCL allows
+        if let AuditEvent::Grant(g) = &mut evs[4] {
+            g.data_ready = 80; // faster than tRCD + tCL allows
         }
         for ev in evs {
             a.record(&ev);
@@ -480,7 +411,7 @@ mod tests {
         a.record(&AuditEvent::DramConfig { channels: 1, banks_per_channel: 1, timing: ddr2() });
         for i in 0..5u64 {
             // Five grants to a bank the device lacks: five StreamInvalid.
-            a.record(&AuditEvent::Grant {
+            a.record(&AuditEvent::Grant(Grant {
                 id: i,
                 core: 0,
                 channel: 0,
@@ -491,7 +422,7 @@ mod tests {
                 keep_open: false,
                 outcome: GrantOutcome::ClosedMiss,
                 data_ready: i + 96,
-            });
+            }));
         }
         let r = a.report();
         assert_eq!(r.total_violations, 5);

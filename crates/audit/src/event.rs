@@ -2,7 +2,10 @@
 //!
 //! Events are plain data — the auditor re-derives all legality from them
 //! and deliberately shares no state-machine code with `melreq-dram` or
-//! `melreq-memctrl`. The instrumentation contract is:
+//! `melreq-memctrl`. A submit, a decision and a grant are each a named
+//! record ([`Submit`], [`Decision`], [`Grant`]) declared here once, which
+//! every reader takes whole rather than copying its fields. The
+//! instrumentation contract is:
 //!
 //! * `DramConfig` is emitted once, at attach time; `CtrlConfig` is
 //!   emitted at attach time and again whenever the controller swaps its
@@ -197,63 +200,75 @@ pub enum AuditEvent {
         me: Vec<f64>,
     },
     /// A request entered the shared buffer.
-    Submit {
-        /// Request id.
-        id: u64,
-        /// Originating core.
-        core: u16,
-        /// Decoded channel.
-        channel: usize,
-        /// Decoded bank.
-        bank: usize,
-        /// Decoded row.
-        row: u64,
-        /// Write-back (true) or read (false).
-        write: bool,
-        /// Submission cycle.
-        at: Cycle,
-    },
+    Submit(Submit),
     /// One scheduling decision (emitted before its `Grant`).
-    Decision {
-        /// Channel the decision is for.
-        channel: usize,
-        /// Scheduling cycle.
-        at: Cycle,
-        /// Whether the controller is in write-drain mode.
-        draining: bool,
-        /// Chosen request id.
-        chosen: u64,
-        /// The full candidate set the controller considered.
-        candidates: Vec<CandidateInfo>,
-        /// Per-core pending read counts the policy saw.
-        pending_reads: Vec<u32>,
-        /// Provenance, outside the stream hash: the rule that decided
-        /// and the id of the best request the winner beat.
-        why: (Rule, Option<u64>),
-    },
+    Decision(Decision),
     /// A transaction was granted to the DRAM device.
-    Grant {
-        /// Request id.
-        id: u64,
-        /// Originating core.
-        core: u16,
-        /// Channel.
-        channel: usize,
-        /// Bank.
-        bank: usize,
-        /// Row.
-        row: u64,
-        /// Write-back (true) or read (false).
-        write: bool,
-        /// Grant cycle: the command sequence starts here.
-        at: Cycle,
-        /// Close-page decision: row stays latched after the access.
-        keep_open: bool,
-        /// Claimed row-buffer outcome.
-        outcome: GrantOutcome,
-        /// Claimed cycle of the last data beat.
-        data_ready: Cycle,
-    },
+    Grant(Grant),
+}
+
+/// A request entered the shared buffer ([`AuditEvent::Submit`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Submit {
+    /// Request id (monotone in arrival order).
+    pub id: u64,
+    /// Originating core.
+    pub core: u16,
+    /// Decoded channel.
+    pub channel: usize,
+    /// Decoded bank.
+    pub bank: usize,
+    /// Decoded row.
+    pub row: u64,
+    /// Write-back (true) or read (false).
+    pub write: bool,
+    /// Submission cycle.
+    pub at: Cycle,
+}
+
+/// One scheduling decision ([`AuditEvent::Decision`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decision {
+    /// Channel the decision is for.
+    pub channel: usize,
+    /// Scheduling cycle.
+    pub at: Cycle,
+    /// Whether the controller is in write-drain mode.
+    pub draining: bool,
+    /// Chosen request id.
+    pub chosen: u64,
+    /// The full candidate set the controller considered.
+    pub candidates: Vec<CandidateInfo>,
+    /// Per-core pending read counts the policy saw.
+    pub pending_reads: Vec<u32>,
+    /// Provenance, outside the stream hash: the rule that decided and
+    /// the id of the best request the winner beat.
+    pub why: (Rule, Option<u64>),
+}
+
+/// A transaction was granted to the DRAM device ([`AuditEvent::Grant`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grant {
+    /// Request id.
+    pub id: u64,
+    /// Originating core.
+    pub core: u16,
+    /// Channel.
+    pub channel: usize,
+    /// Bank.
+    pub bank: usize,
+    /// Row.
+    pub row: u64,
+    /// Write-back (true) or read (false).
+    pub write: bool,
+    /// Grant cycle: the command sequence starts here.
+    pub at: Cycle,
+    /// Close-page decision: row stays latched after the access.
+    pub keep_open: bool,
+    /// Claimed row-buffer outcome.
+    pub outcome: GrantOutcome,
+    /// Claimed cycle of the last data beat.
+    pub data_ready: Cycle,
 }
 
 /// Receives audit events from the instrumented simulator.
@@ -336,7 +351,7 @@ mod tests {
     }
 
     fn submit(id: u64, at: Cycle) -> AuditEvent {
-        AuditEvent::Submit { id, core: 0, channel: 0, bank: 0, row: 0, write: false, at }
+        AuditEvent::Submit(Submit { id, core: 0, channel: 0, bank: 0, row: 0, write: false, at })
     }
 
     #[test]
@@ -351,7 +366,7 @@ mod tests {
             .events
             .iter()
             .map(|e| match e {
-                AuditEvent::Submit { id, at, .. } => (*id, *at),
+                AuditEvent::Submit(s) => (s.id, s.at),
                 other => panic!("unexpected {other:?}"),
             })
             .collect();

@@ -10,12 +10,16 @@
 //! here, so a bug in the production model cannot mask itself in the
 //! checker.
 //!
-//! Three checkers share one event stream:
+//! Three checkers share one event stream. Its [`Submit`], [`Decision`]
+//! and [`Grant`] records are declared once, and every reader (these
+//! checkers, `melreq-obs`'s trace) takes them whole:
 //!
-//! * [`TimingOracle`] — per-bank replay of the DDR2 protocol;
-//! * [`PolicyAuditor`] — per-decision replay of the scheduling rules;
+//! * [`TimingOracle`] — per-bank replay of the DDR2 protocol, one
+//!   [`Grant`] at a time;
+//! * [`PolicyAuditor`] — per-[`Decision`] replay of the scheduling rules;
 //! * the stream hash in [`Auditor`] — a determinism witness: two runs
-//!   with the same seed must produce identical hashes.
+//!   with the same seed must produce identical hashes. It is
+//!   `melreq_snap`'s FNV-1a, continued over each event's `Enc` bytes.
 //!
 //! The simulator emits events through an [`AuditHandle`] (a no-op unless
 //! a sink is attached; debug builds attach a panicking watchdog
@@ -29,7 +33,8 @@ pub mod policy;
 
 pub use auditor::{AuditReport, Auditor, AuditorConfig};
 pub use event::{
-    AuditEvent, AuditHandle, AuditSink, CandidateInfo, GrantOutcome, Recorder, Rule, TimingParams,
+    AuditEvent, AuditHandle, AuditSink, CandidateInfo, Decision, Grant, GrantOutcome, Recorder,
+    Rule, Submit, TimingParams,
 };
-pub use oracle::{GrantFacts, TimingOracle, Violation, ViolationKind};
-pub use policy::{DecisionFacts, PolicyAuditor};
+pub use oracle::{TimingOracle, Violation, ViolationKind};
+pub use policy::PolicyAuditor;

@@ -8,7 +8,7 @@
 //! `melreq-dram`: everything is recomputed from the [`TimingParams`]
 //! carried in the stream.
 
-use crate::event::{GrantOutcome, TimingParams};
+use crate::event::{Grant, GrantOutcome, TimingParams};
 use melreq_stats::types::Cycle;
 
 /// What rule a stream event broke.
@@ -109,27 +109,6 @@ pub struct TimingOracle {
     configured: bool,
 }
 
-/// Per-grant facts the oracle needs from a `Grant` event.
-#[derive(Debug, Clone, Copy)]
-pub struct GrantFacts {
-    /// Channel granted on.
-    pub channel: usize,
-    /// Bank granted on.
-    pub bank: usize,
-    /// Row addressed.
-    pub row: u64,
-    /// Write access (extends auto-precharge by tWR).
-    pub write: bool,
-    /// Grant cycle.
-    pub at: Cycle,
-    /// Close-page decision.
-    pub keep_open: bool,
-    /// Claimed row-buffer outcome.
-    pub outcome: GrantOutcome,
-    /// Claimed cycle of the last data beat.
-    pub data_ready: Cycle,
-}
-
 impl TimingOracle {
     /// An unconfigured oracle (configure via [`TimingOracle::on_config`]).
     pub fn new() -> Self {
@@ -160,7 +139,7 @@ impl TimingOracle {
 
     /// Replay one grant, checking every timing rule, then advance the
     /// replica to the state a legal device would be in.
-    pub fn on_grant(&mut self, g: &GrantFacts, out: &mut Vec<Violation>) {
+    pub fn on_grant(&mut self, g: &Grant, out: &mut Vec<Violation>) {
         let t = self.timing;
         if !self.configured || self.channels.get(g.channel).is_none_or(|c| g.bank >= c.banks.len())
         {
@@ -260,8 +239,10 @@ mod tests {
         TimingParams { t_rcd: 40, t_cl: 40, t_rp: 40, t_wr: 48, burst: 16 }
     }
 
-    fn grant(bank: usize, row: u64, at: Cycle, outcome: GrantOutcome, ready: Cycle) -> GrantFacts {
-        GrantFacts {
+    fn grant(bank: usize, row: u64, at: Cycle, outcome: GrantOutcome, ready: Cycle) -> Grant {
+        Grant {
+            id: 0,
+            core: 0,
             channel: 0,
             bank,
             row,

@@ -8,7 +8,7 @@
 //! from `melreq-memctrl`, so a bug in the production policy code cannot
 //! hide itself.
 
-use crate::event::CandidateInfo;
+use crate::event::{CandidateInfo, Decision};
 use crate::oracle::{TimingOracle, Violation, ViolationKind};
 use melreq_stats::types::Cycle;
 use std::collections::BTreeSet;
@@ -94,23 +94,6 @@ fn tcm_ranks(interval_reads: &[u64], shuffle: u64) -> Vec<u32> {
         rank[core] = pos as u32;
     }
     rank
-}
-
-/// Everything a `Decision` event carries, destructured.
-#[derive(Debug)]
-pub struct DecisionFacts<'a> {
-    /// Channel decided on.
-    pub channel: usize,
-    /// Scheduling cycle.
-    pub at: Cycle,
-    /// Write-drain mode flag.
-    pub draining: bool,
-    /// Chosen request id.
-    pub chosen: u64,
-    /// Candidate set the controller reported.
-    pub candidates: &'a [CandidateInfo],
-    /// Per-core pending-read counts the policy saw.
-    pub pending_reads: &'a [u32],
 }
 
 /// Replays `Decision` events against the configured policy's rules.
@@ -273,12 +256,7 @@ impl PolicyAuditor {
 
     /// Check one scheduling decision. `oracle` supplies the replayed
     /// bank state for issuability and row-hit verification.
-    pub fn on_decision(
-        &mut self,
-        d: &DecisionFacts<'_>,
-        oracle: &TimingOracle,
-        out: &mut Vec<Violation>,
-    ) {
+    pub fn on_decision(&mut self, d: &Decision, oracle: &TimingOracle, out: &mut Vec<Violation>) {
         let mut push = |kind: ViolationKind, detail: String| {
             out.push(Violation { kind, at: d.at, channel: d.channel, detail });
         };
@@ -312,7 +290,7 @@ impl PolicyAuditor {
 
         // Candidate-level checks: issuability, overhead, row-hit claims,
         // starvation.
-        for c in d.candidates {
+        for c in &d.candidates {
             if c.arrival + self.overhead > d.at {
                 push(
                     ViolationKind::NotIssuable,
@@ -608,7 +586,7 @@ impl PolicyAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TimingParams;
+    use crate::event::{Rule, TimingParams};
 
     /// Hit-claiming candidates target bank 1 / row 7, which [`oracle`]
     /// really holds open, so the row-hit cross-check stays quiet and the
@@ -623,7 +601,9 @@ mod tests {
         o.on_config(1, 8, TimingParams::default());
         let mut sink = Vec::new();
         o.on_grant(
-            &crate::oracle::GrantFacts {
+            &crate::event::Grant {
+                id: 0,
+                core: 0,
                 channel: 0,
                 bank: 1,
                 row: 7,
@@ -656,13 +636,14 @@ mod tests {
         // for the cores the test uses.
         a.reads_outstanding = pending.iter().map(|&p| i64::from(p)).collect();
         let mut v = Vec::new();
-        let d = DecisionFacts {
+        let d = Decision {
             channel: 0,
             at: 100,
             draining,
             chosen,
-            candidates: cands,
-            pending_reads: pending,
+            candidates: cands.to_vec(),
+            pending_reads: pending.to_vec(),
+            why: (Rule::OnlyCandidate, None),
         };
         a.on_decision(&d, &oracle(), &mut v);
         v
@@ -873,13 +854,14 @@ mod tests {
         let cands = [cand(0, 0, false, false)];
         let mut v = Vec::new();
         a.reads_outstanding = vec![3, 0];
-        let d = DecisionFacts {
+        let d = Decision {
             channel: 0,
             at: 100,
             draining: false,
             chosen: 0,
-            candidates: &cands,
-            pending_reads: &[2, 0],
+            candidates: cands.to_vec(),
+            pending_reads: vec![2, 0],
+            why: (Rule::OnlyCandidate, None),
         };
         a.on_decision(&d, &oracle(), &mut v);
         assert!(v.iter().any(|x| x.kind == ViolationKind::PendingMismatch), "{v:?}");

@@ -74,10 +74,7 @@ fn has(report: &AuditReport, kind: ViolationKind) -> bool {
 }
 
 fn first_grant(events: &[AuditEvent]) -> usize {
-    events
-        .iter()
-        .position(|e| matches!(e, AuditEvent::Grant { .. }))
-        .expect("stream contains grants")
+    events.iter().position(|e| matches!(e, AuditEvent::Grant(_))).expect("stream contains grants")
 }
 
 #[test]
@@ -93,7 +90,7 @@ fn legal_streams_are_clean_for_every_policy() {
     ] {
         let events = drive(&policy, 4, 20_000, 7);
         assert!(
-            events.iter().any(|e| matches!(e, AuditEvent::Grant { .. })),
+            events.iter().any(|e| matches!(e, AuditEvent::Grant(_))),
             "{policy:?}: traffic must reach DRAM"
         );
         let report = audit(&events);
@@ -117,8 +114,8 @@ fn shrunk_data_ready_is_data_too_early() {
     // DataTooEarly.
     let mut events = drive(&PolicyKind::HfRf, 2, 10_000, 1);
     let i = first_grant(&events);
-    let AuditEvent::Grant { data_ready, .. } = &mut events[i] else { unreachable!() };
-    *data_ready -= 1;
+    let AuditEvent::Grant(g) = &mut events[i] else { unreachable!() };
+    g.data_ready -= 1;
     let report = audit(&events);
     assert!(has(&report, ViolationKind::DataTooEarly), "got:\n{}", report.render());
     assert_eq!(report.total_violations, 1, "one mutation, one violation:\n{}", report.render());
@@ -128,8 +125,8 @@ fn shrunk_data_ready_is_data_too_early() {
 fn inflated_data_ready_is_data_mismatch() {
     let mut events = drive(&PolicyKind::HfRf, 2, 10_000, 1);
     let i = first_grant(&events);
-    let AuditEvent::Grant { data_ready, .. } = &mut events[i] else { unreachable!() };
-    *data_ready += 13;
+    let AuditEvent::Grant(g) = &mut events[i] else { unreachable!() };
+    g.data_ready += 13;
     let report = audit(&events);
     assert!(has(&report, ViolationKind::DataMismatch), "got:\n{}", report.render());
     assert_eq!(report.total_violations, 1, "got:\n{}", report.render());
@@ -139,9 +136,9 @@ fn inflated_data_ready_is_data_mismatch() {
 fn flipped_outcome_is_outcome_mismatch() {
     let mut events = drive(&PolicyKind::HfRf, 2, 10_000, 1);
     let i = first_grant(&events);
-    let AuditEvent::Grant { outcome, .. } = &mut events[i] else { unreachable!() };
-    assert_eq!(*outcome, melreq_audit::GrantOutcome::ClosedMiss, "cold bank");
-    *outcome = melreq_audit::GrantOutcome::Hit;
+    let AuditEvent::Grant(g) = &mut events[i] else { unreachable!() };
+    assert_eq!(g.outcome, melreq_audit::GrantOutcome::ClosedMiss, "cold bank");
+    g.outcome = melreq_audit::GrantOutcome::Hit;
     let report = audit(&events);
     assert!(has(&report, ViolationKind::OutcomeMismatch), "got:\n{}", report.render());
     assert_eq!(report.total_violations, 1, "got:\n{}", report.render());
@@ -162,10 +159,10 @@ fn foreign_chosen_id_is_chosen_not_candidate() {
     let mut events = drive(&PolicyKind::HfRf, 2, 10_000, 5);
     let i = events
         .iter()
-        .position(|e| matches!(e, AuditEvent::Decision { .. }))
+        .position(|e| matches!(e, AuditEvent::Decision(_)))
         .expect("stream contains decisions");
-    let AuditEvent::Decision { chosen, .. } = &mut events[i] else { unreachable!() };
-    *chosen = u64::MAX;
+    let AuditEvent::Decision(d) = &mut events[i] else { unreachable!() };
+    d.chosen = u64::MAX;
     let report = audit(&events);
     assert!(has(&report, ViolationKind::ChosenNotCandidate), "got:\n{}", report.render());
 }
@@ -179,25 +176,27 @@ fn hit_first_inversion_is_caught() {
     let mut events = drive(&PolicyKind::Lreq, 2, 30_000, 9);
     let mut site = None;
     for (i, ev) in events.iter().enumerate() {
-        let AuditEvent::Decision { chosen, candidates, .. } = ev else {
+        let AuditEvent::Decision(d) = ev else {
             continue;
         };
-        let Some(ch) = candidates.iter().find(|c| c.id == *chosen) else {
+        let Some(ch) = d.candidates.iter().find(|c| c.id == d.chosen) else {
             continue;
         };
         if !ch.row_hit || ch.write {
             continue;
         }
-        if let Some(alt) =
-            candidates.iter().find(|c| c.core == ch.core && !c.row_hit && !c.write && c.id != ch.id)
+        if let Some(alt) = d
+            .candidates
+            .iter()
+            .find(|c| c.core == ch.core && !c.row_hit && !c.write && c.id != ch.id)
         {
             site = Some((i, alt.id));
             break;
         }
     }
     let (i, alt_id) = site.expect("traffic with row locality must hit this pattern");
-    let AuditEvent::Decision { chosen, .. } = &mut events[i] else { unreachable!() };
-    *chosen = alt_id;
+    let AuditEvent::Decision(d) = &mut events[i] else { unreachable!() };
+    d.chosen = alt_id;
     let report = audit(&events);
     assert!(has(&report, ViolationKind::HitFirstViolated), "got:\n{}", report.render());
 }
@@ -232,20 +231,18 @@ proptest! {
         let mut events = drive(&PolicyKind::HfRf, 2, 8_000, 1);
         let i = first_grant(&events);
         let expected = {
-            let AuditEvent::Grant { data_ready, outcome, .. } = &mut events[i] else {
-                unreachable!()
-            };
+            let AuditEvent::Grant(g) = &mut events[i] else { unreachable!() };
             match which {
                 0 => {
-                    *data_ready -= magnitude.min(79); // stay > the grant cycle
+                    g.data_ready -= magnitude.min(79); // stay > the grant cycle
                     ViolationKind::DataTooEarly
                 }
                 1 => {
-                    *data_ready += magnitude;
+                    g.data_ready += magnitude;
                     ViolationKind::DataMismatch
                 }
                 _ => {
-                    *outcome = melreq_audit::GrantOutcome::Conflict;
+                    g.outcome = melreq_audit::GrantOutcome::Conflict;
                     ViolationKind::OutcomeMismatch
                 }
             }

@@ -1012,6 +1012,7 @@ pub fn run_command(inv: &Invocation) -> Result<String, MelreqError> {
 mod tests {
     use super::*;
     use crate::parse::parse_args;
+    use melreq_core::store::TempDir;
 
     /// Parse and run one command line; words are split on spaces.
     fn melreq(line: &str) -> Result<String, MelreqError> {
@@ -1030,30 +1031,6 @@ mod tests {
     /// The profiler's enable/drain state is process-global; tests that
     /// turn it on serialize here so one drain can't take another's spans.
     static PROF_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// A fresh scratch directory for one test, removed when the guard
-    /// drops: at the test's end, and on the unwind of a failed assert.
-    struct TempDir(PathBuf);
-
-    impl std::ops::Deref for TempDir {
-        type Target = Path;
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn temp_dir(tag: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("melreq-{tag}-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
 
     #[test]
     fn config_and_help_render() {
@@ -1127,7 +1104,7 @@ mod tests {
 
     #[test]
     fn reproduce_smoke_writes_artifact_and_verifies_fork() {
-        let dir = temp_dir("reproduce");
+        let dir = TempDir::new("reproduce-test");
         let out = dir.join("sweep.json");
         // A store path no shell would thank you for: the artifact must
         // still be valid JSON with every control character escaped.
@@ -1183,7 +1160,7 @@ mod tests {
     /// just its plumbing.
     #[test]
     fn reproduce_smoke_hashes_are_pinned() {
-        let dir = temp_dir("pinned");
+        let dir = TempDir::new("pinned-test");
         let out = dir.join("sweep.json");
         let summary = smoke_reproduce(&dir, "store", "", &[]).unwrap();
         assert!(
@@ -1217,7 +1194,7 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
     #[test]
     fn reproduce_with_profile_embeds_summary_and_writes_trace() {
         let _guard = PROF_LOCK.lock().unwrap();
-        let dir = temp_dir("repro-prof");
+        let dir = TempDir::new("repro-prof-test");
         let out = dir.join("sweep.json");
         let prof = dir.join("prof.json");
         let s = smoke_reproduce(&dir, "store", TINY, &[("--profile", &prof)]).unwrap();
@@ -1240,7 +1217,7 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
         // Without --profile the wrapper is a pure pass-through.
         let plain = |_: &Args| Ok("plain".to_string());
         assert_eq!(with_host_profile(&Args::default(), "melreq run", plain).unwrap(), "plain");
-        let dir = temp_dir("runprof");
+        let dir = TempDir::new("runprof-test");
         let path = dir.join("prof.json");
         let s = quick(&format!("run 2MEM-1 --profile {}", path.display())).unwrap();
         assert!(s.contains("SMT speedup"), "the run output must survive the wrapper:\n{s}");
@@ -1344,7 +1321,7 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
 
     #[test]
     fn run_with_obs_flags_writes_trace_and_reports_provenance() {
-        let dir = temp_dir("runobs");
+        let dir = TempDir::new("runobs-test");
         let (trace, series) = (dir.join("trace.json"), dir.join("series.csv"));
         let s = quick(&format!(
             "run 2MEM-1 --policy hf-rf --audit --trace {} --series {} --sample-epoch 2000 \
@@ -1400,7 +1377,7 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
     /// of each under the quick options.
     #[test]
     fn run_trace_files_are_pinned() {
-        let dir = temp_dir("tracepin");
+        let dir = TempDir::new("tracepin-test");
         let (trace, series) = (dir.join("t.json"), dir.join("s.csv"));
         let hash = |p: &Path| format!("{:016x}", melreq_snap::fnv1a(&std::fs::read(p).unwrap()));
         let (t, s) = (trace.display(), series.display());

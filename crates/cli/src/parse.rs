@@ -1135,4 +1135,41 @@ mod tests {
             assert!(PolicySpec::parse(d.id).is_ok(), "{} must resolve", d.id);
         }
     }
+
+    /// The value `verb`'s `flag` row (of value placeholder `form`) says
+    /// it defaults to: the text after "(default " up to the first space,
+    /// comma, semicolon or closing parenthesis, parsed as a `T`.
+    fn stated_default<T: FromStr<Err: Display>>(verb: &str, flag: &str, form: &str) -> T {
+        let verb = VERBS.iter().find(|v| v.name == verb).expect("verb");
+        let doc = verb.row(flag, Some(form)).expect("flag row").doc;
+        let (_, rest) = doc.split_once("(default ").expect("the row states a default");
+        let value = &rest[..rest.find([' ', ',', ';', ')']).unwrap_or(rest.len())];
+        value.parse().unwrap_or_else(|e| panic!("{flag}: '{value}': {e}"))
+    }
+
+    #[test]
+    fn help_defaults_are_the_values_they_restate() {
+        // `melreq help` prints these rows, so a default that moves in its
+        // struct but not in its help line fails here.
+        let opts = ExperimentOptions::default();
+        assert_eq!(stated_default::<u64>("run", "--instructions", "N"), opts.instructions);
+        assert_eq!(stated_default::<u64>("run", "--warmup", "N"), opts.warmup);
+        assert_eq!(stated_default::<u64>("run", "--profile", "N"), opts.profile_instructions);
+        assert_eq!(stated_default::<u32>("run", "--slice", "K"), opts.eval_slice);
+        let cap = melreq_obs::DEFAULT_TRACE_CAPACITY;
+        assert_eq!(stated_default::<usize>("run", "--trace-cap", "N"), cap);
+        let serve = ServeConfig::default();
+        assert_eq!(stated_default::<String>("serve", "--addr", "H:P"), serve.addr);
+        assert_eq!(stated_default::<usize>("serve", "--workers", "N"), serve.workers);
+        assert_eq!(stated_default::<usize>("serve", "--queue-cap", "M"), serve.queue_cap);
+        assert_eq!(stated_default::<usize>("serve", "--response-cache", "N"), serve.response_cache);
+        assert_eq!(stated_default::<u64>("serve", "--idle-timeout-ms", "N"), serve.idle_timeout_ms);
+        let load = LoadConfig::default();
+        assert_eq!(stated_default::<String>("loadbench", "--addr", "H:P"), load.addr);
+        assert_eq!(stated_default::<f64>("loadbench", "--rps", "R"), load.rps);
+        assert_eq!(stated_default::<usize>("loadbench", "--conns", "N"), load.conns);
+        assert_eq!(stated_default::<f64>("loadbench", "--duration", "S"), load.duration_s);
+        assert_eq!(stated_default::<u64>("loadbench", "--seed", "N"), load.seed);
+        assert_eq!(stated_default::<String>("client", "--addr", "H:P"), load.addr);
+    }
 }

@@ -767,9 +767,8 @@ mod tests {
 
     #[test]
     fn audited_requests_simulate_their_own_warmups_and_plain_ones_reuse_the_store() {
-        let dir = std::env::temp_dir().join(format!("melreq-api-taps-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
+        let dir = crate::store::TempDir::new("api-taps");
+        let store = Arc::new(CheckpointStore::open(&*dir).expect("store"));
         let session = Session::with_store(store.clone());
         let ctl = RunControl::default();
 
@@ -791,7 +790,6 @@ mod tests {
         assert_eq!((st.warmup_hits, st.warmup_misses), (1, 1));
         // Same bytes however the boundary was reached, audited or not.
         assert_eq!(warm.policies[0].result.ipc_multi, report.policies[1].result.ipc_multi);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The report's bytes are a contract: an unaudited and an audited run

@@ -1156,6 +1156,7 @@ impl GroupRuns<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::TempDir;
     use melreq_workloads::mix_by_name;
 
     #[test]
@@ -1238,18 +1239,17 @@ mod tests {
     }
 
     /// A store that keeps boundaries resident, as a server's does, over a
-    /// fresh directory, with the key of `mix`'s boundary in it.
+    /// fresh directory (behind its guard), with the key of `mix`'s
+    /// boundary in it.
     fn resident_store(
         tag: &str,
         mix: &Mix,
         opts: &ExperimentOptions,
-    ) -> (Arc<CheckpointStore>, u64) {
-        let dir =
-            std::env::temp_dir().join(format!("melreq-exp-{tag}-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    ) -> (TempDir, Arc<CheckpointStore>, u64) {
+        let dir = TempDir::new(&format!("exp-{tag}"));
         let budget = Some(crate::store::RESIDENT_BYTE_BUDGET);
-        let store = Arc::new(CheckpointStore::with_budget(dir, budget).expect("store"));
-        (store, boundary_key(mix, opts))
+        let store = Arc::new(CheckpointStore::with_budget(&*dir, budget).expect("store"));
+        (dir, store, boundary_key(mix, opts))
     }
 
     /// The store key of `mix`'s boundary.
@@ -1275,7 +1275,7 @@ mod tests {
     fn runs_racing_the_first_reuse_of_a_boundary_share_one_set_of_tapes() {
         let opts = ExperimentOptions::quick();
         let mix = mix_by_name("2MIX-1");
-        let (store, key) = resident_store("race", &mix, &opts);
+        let (_dir, store, key) = resident_store("race", &mix, &opts);
         let cache = ProfileCache::with_store(store.clone());
         let run = |kind: &PolicyKind| {
             let (kinds, ctl) = ([kind.clone()], RunControl::default());
@@ -1316,7 +1316,6 @@ mod tests {
         let st = store.stats();
         assert_eq!((st.warmup_hits, st.warmup_misses, st.resident_hits), (5, 1, 5));
         assert_eq!(st.resident_bytes as usize, share.bytes());
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     /// A generator that panics when asked for an op: what poisons a tape.
@@ -1341,7 +1340,7 @@ mod tests {
     fn a_boundary_whose_tape_a_panic_poisoned_is_dropped_for_the_disk_record() {
         let opts = ExperimentOptions::quick();
         let mix = mix_by_name("2MEM-2");
-        let (store, key) = resident_store("poison", &mix, &opts);
+        let (_dir, store, key) = resident_store("poison", &mix, &opts);
         let cache = ProfileCache::with_store(store.clone());
         let run = || {
             let (kinds, ctl) = ([PolicyKind::MeLreq], RunControl::default());
@@ -1377,7 +1376,6 @@ mod tests {
         // And what it read is resident again, and healthy.
         assert!(!resident_share(&store, key).poisoned());
         assert_eq!(simulated(&run()), simulated(&first));
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     /// A window that panics is caught where it ran, so every run of its
@@ -1387,7 +1385,7 @@ mod tests {
     fn a_window_that_panics_ends_its_group_and_reaches_done_once() {
         let opts = ExperimentOptions::quick();
         let mix = mix_by_name("2MEM-2");
-        let (store, key) = resident_store("group-panic", &mix, &opts);
+        let (_dir, store, key) = resident_store("group-panic", &mix, &opts);
         let session = crate::api::Session::with_store(store.clone());
         let policies = vec![PolicyKind::HfRf, PolicyKind::MeLreq, PolicyKind::Lreq];
         let req = crate::api::SimRequest::new(mix.name).policies(policies.clone()).opts(opts);
@@ -1420,7 +1418,6 @@ mod tests {
             run_mix_group(&mix, &policies, &opts, session.cache(), Some(&store), &ctl)
         }));
         assert!(sweep.is_err(), "a sweep re-throws its window's panic");
-        let _ = std::fs::remove_dir_all(store.dir());
     }
 
     /// Swap-through-warm-up audits clean, and neither listener is heard by
@@ -1477,13 +1474,11 @@ mod tests {
     fn warm_store_skips_warmup_and_profiles() {
         use crate::store::CheckpointStore;
         use std::sync::Arc;
-        let dir =
-            std::env::temp_dir().join(format!("melreq-exp-store-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("exp-store");
         let opts = ExperimentOptions::quick();
         let mix = mix_by_name("2MEM-1");
 
-        let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
+        let store = Arc::new(CheckpointStore::open(&*dir).expect("store"));
         let cache = ProfileCache::with_store(store.clone());
         let run = |cache: &ProfileCache, store: &CheckpointStore| {
             let (policies, ctl) = ([PolicyKind::MeLreq], RunControl::default());
@@ -1496,7 +1491,7 @@ mod tests {
         assert!(s.profile_hits == 0 && s.profile_misses > 0);
 
         // Second invocation: fresh in-memory state, same directory.
-        let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
+        let store = Arc::new(CheckpointStore::open(&*dir).expect("store"));
         let cache = ProfileCache::with_store(store.clone());
         let warm = run(&cache, &store);
         assert!(warm.warmup_from_checkpoint, "warm store must restore the boundary");
@@ -1508,20 +1503,17 @@ mod tests {
         assert_eq!(cold.sim_cycles, warm.sim_cycles);
         assert_eq!(cold.smt_speedup, warm.smt_speedup);
         assert_eq!(cold.me, warm.me);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn store_hit_group_forks_the_stored_container_and_matches_fresh_runs() {
-        let dir =
-            std::env::temp_dir().join(format!("melreq-exp-share-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("exp-share");
         let opts = ExperimentOptions::quick();
         let mix = mix_by_name("2MEM-1");
         let policies = [PolicyKind::HfRf, PolicyKind::MeLreq, PolicyKind::Lreq];
         let ctl = RunControl::default();
         let open = || {
-            let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
+            let store = Arc::new(CheckpointStore::open(&*dir).expect("store"));
             (ProfileCache::with_store(store.clone()), store)
         };
         let (cache, store) = open();
@@ -1569,7 +1561,6 @@ mod tests {
                 assert_eq!(warm.smt_speedup, r.smt_speedup, "{} vs {how}", p.name());
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -446,27 +446,57 @@ fn decode_tapes(
     Ok(tapes)
 }
 
+/// A scratch directory `melreq-{tag}-{pid}` under the system temp dir
+/// that is removed, with everything in it, when dropped: a test holding
+/// one leaves nothing behind whether it passes or fails. Derefs to its
+/// path.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Create the directory empty, removing a stale one of the same name.
+    ///
+    /// # Panics
+    /// Panics if it cannot be created.
+    pub fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("melreq-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("a scratch directory");
+        TempDir(dir)
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use melreq_memctrl::policy::PolicyKind;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("melreq-store-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn tmp_store(tag: &str) -> CheckpointStore {
-        CheckpointStore::open(tmp_dir(tag)).expect("store dir")
+    /// A store in a scratch directory, behind the guard that removes it.
+    fn tmp_store(tag: &str) -> (TempDir, CheckpointStore) {
+        let dir = TempDir::new(&format!("store-{tag}"));
+        let store = CheckpointStore::open(&*dir).expect("store dir");
+        (dir, store)
     }
 
     /// A plain store and one that keeps `budget` bytes resident.
-    fn both_forms(tag: &str, budget: usize) -> [CheckpointStore; 2] {
-        let plain = tmp_store(&format!("{tag}-plain"));
-        let dir = tmp_dir(&format!("{tag}-resident"));
-        [plain, CheckpointStore::with_budget(dir, Some(budget)).expect("store dir")]
+    fn both_forms(tag: &str, budget: usize) -> (TempDir, [CheckpointStore; 2]) {
+        let dir = TempDir::new(&format!("store-{tag}"));
+        let plain = CheckpointStore::open(dir.join("plain")).expect("store dir");
+        let resident = CheckpointStore::with_budget(dir.join("resident"), Some(budget));
+        (dir, [plain, resident.expect("store dir")])
     }
 
     /// `container` as the previous schema wrote it: an intact record whose
@@ -495,7 +525,7 @@ mod tests {
 
     #[test]
     fn warmup_roundtrip_and_counters() {
-        let s = tmp_store("warm");
+        let (_dir, s) = tmp_store("warm");
         let key = 0xfeed;
         assert!(s.load_warmup(key).is_none());
         let payload = melreq_snap::seal(b"machine state");
@@ -504,12 +534,11 @@ mod tests {
         let st = s.stats();
         assert_eq!((st.warmup_hits, st.warmup_misses), (1, 1));
         assert!((st.hit_rate() - 0.5).abs() < 1e-12);
-        let _ = std::fs::remove_dir_all(s.dir());
     }
 
     #[test]
     fn profile_roundtrip_restores_name() {
-        let s = tmp_store("prof");
+        let (_dir, s) = tmp_store("prof");
         let p = AppProfile { name: "swim", code: 'c', ipc: 0.5, bw_gbs: 9.25, me: 0.054 };
         let key = CheckpointStore::profile_key('c', SliceKind::Profiling, 1000);
         s.store_profile(key, &p);
@@ -517,7 +546,6 @@ mod tests {
         assert_eq!(q.name, "swim");
         assert_eq!(q.code, 'c');
         assert_eq!((q.ipc, q.bw_gbs, q.me), (p.ipc, p.bw_gbs, p.me));
-        let _ = std::fs::remove_dir_all(s.dir());
     }
 
     #[test]
@@ -533,7 +561,8 @@ mod tests {
         // a record of the previous schema.
         let stale = stale_schema(&good);
         let damaged = [&flipped[..], &good[..good.len() - 1], &good[..10], &[], &stale[..]];
-        for s in both_forms("corrupt", 1 << 20) {
+        let (_dir, stores) = both_forms("corrupt", 1 << 20);
+        for s in stores {
             let resident = s.resident.is_some();
             for kind in ["warmup", "profile"] {
                 let path = s.dir().join(format!("{kind}-{key:016x}.bin"));
@@ -571,7 +600,6 @@ mod tests {
             let hits = if resident { 2 } else { 0 };
             assert_eq!((st.warmup_hits, st.resident_hits), (1 + hits, hits));
             assert_eq!(st.resident_bytes, if resident { good.len() as u64 } else { 0 });
-            let _ = std::fs::remove_dir_all(s.dir());
         }
     }
 
@@ -580,8 +608,7 @@ mod tests {
         let record = |fill: u8, len: usize| melreq_snap::seal(&vec![fill; len]);
         let (a, b, wide) = (record(1, 600), record(2, 600), record(3, 2000));
         let budget = a.len() + b.len() + 100;
-        let [plain, s] = both_forms("budget", budget);
-        let _ = std::fs::remove_dir_all(plain.dir());
+        let (_dir, [_, s]) = both_forms("budget", budget);
         for (key, bytes) in [(1, &a), (2, &b), (3, &wide)] {
             s.store_warmup(key, bytes);
             assert_eq!(boundary(&s, key), Some((bytes.clone(), false)), "first use reads {key}");
@@ -608,13 +635,11 @@ mod tests {
         let st = s.stats();
         assert_eq!((st.resident_hits, st.resident_evictions), (2, 3));
         assert!(st.resident_bytes <= budget as u64);
-        let _ = std::fs::remove_dir_all(s.dir());
     }
 
     #[test]
     fn a_panic_under_the_tier_lock_costs_the_resident_entries_not_the_store() {
-        let [plain, s] = both_forms("poison", 1 << 20);
-        let _ = std::fs::remove_dir_all(plain.dir());
+        let (_dir, [_, s]) = both_forms("poison", 1 << 20);
         let good = melreq_snap::seal(b"boundary");
         s.store_warmup(7, &good);
         assert_eq!(boundary(&s, 7), Some((good.clone(), false)));
@@ -629,14 +654,13 @@ mod tests {
         assert!(panicked.is_err() && s.resident.as_ref().is_some_and(Mutex::is_poisoned));
         assert_eq!(boundary(&s, 7), Some((good.clone(), false)), "the disk record answers");
         assert_eq!(boundary(&s, 7), Some((good, true)), "and is resident again");
-        let _ = std::fs::remove_dir_all(s.dir());
     }
 
     /// Satellite bug: the temp file of a write was named by process, kind
     /// and key alone, so two threads storing one key wrote one temp file.
     #[test]
     fn concurrent_writers_of_one_key_publish_whole_records_only() {
-        let s = tmp_store("race");
+        let (_dir, s) = tmp_store("race");
         let key = 0xace;
         let payloads = [melreq_snap::seal(&[5u8; 3_000]), melreq_snap::seal(&[9u8; 700_000])];
         std::thread::scope(|scope| {
@@ -656,7 +680,6 @@ mod tests {
         assert!(s.load_warmup(key).is_some_and(|read| payloads.contains(&read)));
         let left: Vec<_> = std::fs::read_dir(s.dir()).unwrap().flatten().collect();
         assert_eq!(left.len(), 1, "only the record stays: {left:?}");
-        let _ = std::fs::remove_dir_all(s.dir());
     }
 
     /// Op tapes of 2MEM-1's evaluation streams, a chunk and an op read from
@@ -685,7 +708,7 @@ mod tests {
 
     #[test]
     fn tapes_round_trip_and_a_damaged_record_is_a_miss_that_deletes_it() {
-        let s = tmp_store("tapes");
+        let (_dir, s) = tmp_store("tapes");
         let (tapes, streams) = recorded_tapes();
         let key = 0x7a9e;
         assert!(s.load_tapes(key, streams()).is_none(), "nothing stored yet");
@@ -718,7 +741,6 @@ mod tests {
         let st = s.stats();
         assert_eq!((st.tape_hits, st.tape_misses), (1, damaged.len() as u64 + 2));
         assert_eq!(st.hit_rate(), 0.0, "tapes are not in the hit rate");
-        let _ = std::fs::remove_dir_all(s.dir());
     }
 
     proptest::proptest! {
@@ -732,7 +754,7 @@ mod tests {
                 1..6,
             )
         ) {
-            let s = tmp_store("tapes-mutated");
+            let (_dir, s) = tmp_store("tapes-mutated");
             let (tapes, streams) = recorded_tapes();
             s.store_tapes(1, &tapes);
             let path = s.path("tapes", 1);
@@ -747,7 +769,6 @@ mod tests {
             }
             std::fs::write(&path, &bytes).unwrap();
             let (missed, deleted) = (s.load_tapes(1, streams()).is_none(), !path.exists());
-            let _ = std::fs::remove_dir_all(s.dir());
             proptest::prop_assert!(missed);
             proptest::prop_assert!(deleted);
         }

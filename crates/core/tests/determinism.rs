@@ -219,7 +219,7 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
     }
 }
 
-/// Snapshot pins for `SCHEMA_VERSION` 6: `(name, len, fnv1a)` of the
+/// Snapshot pins for `SCHEMA_VERSION` 7: `(name, len, fnv1a)` of the
 /// bytes a save walk (`state` over an `Enc`) writes. Stored checkpoints are these bytes, so they
 /// are the snapshot layout: a change that moves any of them bumps
 /// `SCHEMA_VERSION` and re-captures the table, and a change that keeps

@@ -14,6 +14,7 @@ use melreq_core::api::{Session, SimRequest};
 use melreq_core::experiment::{
     run_mix_group, ExperimentOptions, MixResult, ProfileCache, RunControl,
 };
+use melreq_core::store::TempDir;
 use melreq_core::{CancelToken, CheckpointStore};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_workloads::{mix_by_name, Mix};
@@ -182,10 +183,9 @@ fn tape_ops(profile: &melreq_prof::Profile, mix: &Mix) -> ((u64, u64), usize) {
 fn a_warm_group_generates_nothing_and_writes_nothing() {
     let _alone = PROFILER.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let mix = mix_by_name("4MEM-1");
-    let dir = std::env::temp_dir().join(format!("melreq-warm-tapes-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("warm-tapes");
     let group = || {
-        let store = Arc::new(CheckpointStore::open(&dir).expect("store"));
+        let store = Arc::new(CheckpointStore::open(&*dir).expect("store"));
         let cache = ProfileCache::with_store(store.clone());
         let ctl = RunControl { threads: Some(2), ..RunControl::default() };
         let five = PolicyKind::figure2_set();
@@ -202,7 +202,7 @@ fn a_warm_group_generates_nothing_and_writes_nothing() {
         entry.file_name().to_str().is_some_and(|n| n.starts_with("tapes-")).then(|| entry.path())
     };
     let records: Vec<_> =
-        std::fs::read_dir(&dir).expect("store").flatten().filter_map(tapes_record).collect();
+        std::fs::read_dir(&*dir).expect("store").flatten().filter_map(tapes_record).collect();
     assert_eq!(records.len(), 1);
     std::fs::remove_file(&records[0]).expect("the tapes record");
     let (again, tapes, looked) = group();
@@ -211,7 +211,6 @@ fn a_warm_group_generates_nothing_and_writes_nothing() {
         let simulated = |r: &MixResult| (r.ipc_multi.clone(), r.read_latency.clone(), r.sim_cycles);
         assert!(results.iter().zip(&cold).all(|(a, b)| simulated(a) == simulated(b)));
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Where no read decision is contested the five paper policies are one

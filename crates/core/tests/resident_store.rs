@@ -11,6 +11,7 @@
 
 use melreq_core::api::{Session, SimRequest};
 use melreq_core::experiment::{ExperimentOptions, RunControl};
+use melreq_core::store::TempDir;
 use melreq_core::CheckpointStore;
 use melreq_memctrl::policy::PolicyKind;
 use melreq_trace::tape::CHUNK_OPS;
@@ -53,9 +54,7 @@ fn observe(run: impl FnOnce() -> Option<String>) -> Observed {
 #[test]
 fn a_resident_boundary_answers_as_the_disk_record_and_the_fresh_run_do() {
     for (mix, cores) in [("2MIX-2", 2), ("4MEM-3", 4)] {
-        let dir =
-            std::env::temp_dir().join(format!("melreq-resident-{mix}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new(&format!("resident-{mix}"));
         let req = SimRequest::new(mix).policy(PolicyKind::MeLreq).opts(ExperimentOptions::quick());
         let run = |session: &Session| {
             Some(session.run(&req, &RunControl::default()).expect("the request runs").to_json())
@@ -63,12 +62,12 @@ fn a_resident_boundary_answers_as_the_disk_record_and_the_fresh_run_do() {
 
         let fresh = observe(|| run(&Session::new()));
         assert!(fresh.resident.is_none() && !fresh.taped && fresh.ops_fetched > 0);
-        let plain = || Session::with_store(Arc::new(CheckpointStore::open(&dir).expect("store")));
+        let plain = || Session::with_store(Arc::new(CheckpointStore::open(&*dir).expect("store")));
         let cold = observe(|| run(&plain()));
         let disk = observe(|| run(&plain()));
         assert_eq!((cold.resident, disk.resident), (None, Some(0)), "{mix}: written, then read");
 
-        let store = Arc::new(CheckpointStore::open_resident(&dir).expect("store"));
+        let store = Arc::new(CheckpointStore::open_resident(&*dir).expect("store"));
         let session = Session::with_store(store.clone());
         let first = observe(|| run(&session));
         let second = observe(|| run(&session));
@@ -85,7 +84,7 @@ fn a_resident_boundary_answers_as_the_disk_record_and_the_fresh_run_do() {
         assert_eq!(taped, [false, false, false, false, true, true], "{mix}: second use on");
 
         // Past its first use the boundary no longer needs its file.
-        let records = || std::fs::read_dir(&dir).expect("store dir").flatten().map(|e| e.path());
+        let records = || std::fs::read_dir(&*dir).expect("store dir").flatten().map(|e| e.path());
         let is_warmup = |p: &std::path::PathBuf| {
             p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("warmup-"))
         };
@@ -118,7 +117,7 @@ fn a_resident_boundary_answers_as_the_disk_record_and_the_fresh_run_do() {
 
         // The second use also wrote them to the store: a restarted server
         // replays them from its first use on, and generates nothing.
-        let store = Arc::new(CheckpointStore::open_resident(&dir).expect("store"));
+        let store = Arc::new(CheckpointStore::open_resident(&*dir).expect("store"));
         let session = Session::with_store(store.clone());
         let restarted = observe(|| run(&session));
         assert_eq!((&restarted.report, restarted.taped), (&fresh.report, true), "{mix}");
@@ -129,6 +128,5 @@ fn a_resident_boundary_answers_as_the_disk_record_and_the_fresh_run_do() {
             None
         });
         assert_eq!(dropped.tape_ops, Some(0), "{mix}: a restart generates no op");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

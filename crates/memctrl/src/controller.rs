@@ -3,7 +3,7 @@
 use crate::policy::{Candidate, Fcfs, HitFirst, SchedulerPolicy};
 use crate::queue::RequestQueue;
 use crate::request::{MemRequest, ReqId};
-use melreq_audit::{AuditEvent, AuditHandle, CandidateInfo, Rule};
+use melreq_audit::{AuditEvent, AuditHandle, CandidateInfo, Decision, Grant, Rule, Submit};
 use melreq_dram::{DramSystem, RowOutcome, RowPolicy};
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle};
@@ -512,14 +512,16 @@ impl MemoryController {
         let id = ReqId(self.next_id);
         self.next_id += 1;
         let loc = self.dram.decode(addr);
-        self.audit.emit(|| AuditEvent::Submit {
-            id: id.0,
-            core: core.0,
-            channel: loc.channel,
-            bank: loc.bank,
-            row: loc.row,
-            write: kind.is_write(),
-            at: now,
+        self.audit.emit(|| {
+            AuditEvent::Submit(Submit {
+                id: id.0,
+                core: core.0,
+                channel: loc.channel,
+                bank: loc.bank,
+                row: loc.row,
+                write: kind.is_write(),
+                at: now,
+            })
         });
         self.queue.push(MemRequest { id, core, addr, loc, kind, arrival: now });
         let eligible_at = self.eligible_at(now, &loc);
@@ -725,14 +727,16 @@ impl MemoryController {
         let pending_reads = self.queue.pending_reads_all().to_vec();
         let why =
             explain_grant(&*self.policy, self.draining, &candidates, &pending_reads, chosen.0);
-        self.audit.emit(|| AuditEvent::Decision {
-            channel: ch,
-            at: now,
-            draining: self.draining,
-            chosen: chosen.0,
-            candidates,
-            pending_reads,
-            why,
+        self.audit.emit(|| {
+            AuditEvent::Decision(Decision {
+                channel: ch,
+                at: now,
+                draining: self.draining,
+                chosen: chosen.0,
+                candidates,
+                pending_reads,
+                why,
+            })
         });
     }
 
@@ -766,17 +770,19 @@ impl MemoryController {
             RowPolicy::OpenPage => true,
         };
         let service = self.dram.issue(&req.loc, req.kind, now, keep_open);
-        self.audit.emit(|| AuditEvent::Grant {
-            id: req.id.0,
-            core: req.core.0,
-            channel: req.loc.channel,
-            bank: req.loc.bank,
-            row: req.loc.row,
-            write: req.kind.is_write(),
-            at: now,
-            keep_open,
-            outcome: service.outcome.into(),
-            data_ready: service.data_ready,
+        self.audit.emit(|| {
+            AuditEvent::Grant(Grant {
+                id: req.id.0,
+                core: req.core.0,
+                channel: req.loc.channel,
+                bank: req.loc.bank,
+                row: req.loc.row,
+                write: req.kind.is_write(),
+                at: now,
+                keep_open,
+                outcome: service.outcome.into(),
+                data_ready: service.data_ready,
+            })
         });
         let traffic = &mut self.stats.per_channel[req.loc.channel];
         if service.outcome == RowOutcome::Hit {
@@ -1050,9 +1056,7 @@ mod tests {
         }
         let events = &recorder.lock().expect("recorder").events;
         let first = events.iter().find_map(|e| match e {
-            AuditEvent::Decision { chosen, candidates, why, .. } => {
-                Some((*chosen, candidates.len(), *why))
-            }
+            AuditEvent::Decision(d) => Some((d.chosen, d.candidates.len(), d.why)),
             _ => None,
         });
         // Core 1 has one read pending to core 0's two.

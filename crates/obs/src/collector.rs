@@ -10,7 +10,7 @@
 //! of any policy — each `Decision` arrives with its rule already named
 //! (see `provenance`) — which is what makes tracing provably inert.
 
-use melreq_audit::{AuditEvent, AuditHandle, AuditSink, GrantOutcome, TimingParams};
+use melreq_audit::{AuditEvent, AuditHandle, AuditSink, Grant, GrantOutcome, TimingParams};
 use melreq_prof::Ring;
 use melreq_stats::types::Cycle;
 use std::cmp::Reverse;
@@ -18,12 +18,13 @@ use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 use crate::event::{CmdKind, TraceEvent};
-use crate::provenance::{Rule, RuleTotals, RunnerUp};
+use crate::provenance::{Rule, RuleTotals};
 use crate::series::EpochRow;
 
 /// Default structured-trace ring capacity in events (drop-oldest beyond
-/// it): ~1M events ≈ a few hundred thousand grants, plenty for any plot
-/// while bounding memory to tens of MB.
+/// it): 2^20 events, a few hundred thousand grants, plenty for any plot.
+/// A [`TraceEvent`] is 88 bytes on a 64-bit host, so a full ring holds
+/// 88 MiB.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Per-core sample handed in by the system at an epoch boundary.
@@ -62,6 +63,10 @@ struct ChanAccum {
     row_hits: u64,
 }
 
+/// A decision waiting for its grant: the chosen id, the rule, and the
+/// `(id, core)` of the request the winner beat.
+type PendingRule = (u64, Rule, Option<(u64, u16)>);
+
 /// The deterministic trace/telemetry collector (see crate docs).
 #[derive(Debug)]
 pub struct Collector {
@@ -73,7 +78,7 @@ pub struct Collector {
     policy: String,
     me: Vec<f64>,
     // --- provenance ---
-    pending_rule: Option<(u64, Rule, Option<RunnerUp>)>,
+    pending_rule: Option<PendingRule>,
     totals: Vec<(String, RuleTotals)>,
     // --- core memory-bound span reconstruction ---
     tracks: Vec<CoreTrack>,
@@ -259,54 +264,28 @@ impl Collector {
         }
     }
 
-    /// Reconstruct the DRAM command sequence a `Grant` event implies
-    /// and push it onto the ring (an approximation for visualization:
-    /// the write recovery before a close-page precharge is folded into
-    /// the precharge slice). Any other event pushes nothing.
-    fn push_commands(&mut self, ev: &AuditEvent) {
-        let AuditEvent::Grant {
-            id, channel, bank, write, at, keep_open, outcome, data_ready, ..
-        } = *ev
-        else {
-            return;
+    /// Reconstruct the DRAM command sequence a grant implies and push it
+    /// onto the ring (an approximation for visualization: the write
+    /// recovery before a close-page precharge is folded into the
+    /// precharge slice).
+    fn push_commands(&mut self, g: &Grant) {
+        let (t, grant) = (self.timing, *g);
+        let mut push = |kind, at, dur: Cycle| {
+            self.ring.push(TraceEvent::Command { kind, grant, at, dur: dur.max(1) });
         };
-        let t = self.timing;
-        let mut at = at;
-        if outcome == GrantOutcome::Conflict {
-            self.ring.push(TraceEvent::Command {
-                kind: CmdKind::Pre,
-                channel,
-                bank,
-                id,
-                at,
-                dur: t.t_rp.max(1),
-            });
+        let mut at = g.at;
+        if g.outcome == GrantOutcome::Conflict {
+            push(CmdKind::Pre, at, t.t_rp);
             at += t.t_rp;
         }
-        if outcome != GrantOutcome::Hit {
-            self.ring.push(TraceEvent::Command {
-                kind: CmdKind::Act,
-                channel,
-                bank,
-                id,
-                at,
-                dur: t.t_rcd.max(1),
-            });
+        if g.outcome != GrantOutcome::Hit {
+            push(CmdKind::Act, at, t.t_rcd);
             at += t.t_rcd;
         }
-        let kind = if write { CmdKind::Write } else { CmdKind::Read };
-        let dur = data_ready.saturating_sub(at).max(1);
-        self.ring.push(TraceEvent::Command { kind, channel, bank, id, at, dur });
-        if !keep_open {
-            let pre_at = data_ready + if write { t.t_wr } else { 0 };
-            self.ring.push(TraceEvent::Command {
-                kind: CmdKind::Pre,
-                channel,
-                bank,
-                id,
-                at: pre_at,
-                dur: t.t_rp.max(1),
-            });
+        let kind = if g.write { CmdKind::Write } else { CmdKind::Read };
+        push(kind, at, g.data_ready.saturating_sub(at));
+        if !g.keep_open {
+            push(CmdKind::Pre, g.data_ready + if g.write { t.t_wr } else { 0 }, t.t_rp);
         }
     }
 }
@@ -331,77 +310,46 @@ impl AuditSink for Collector {
             }
             AuditEvent::PolicyParams { .. } => {}
             AuditEvent::ProfileUpdate { me } => self.me = me.clone(),
-            AuditEvent::Submit { id, core, channel, bank, row, write, at } => {
-                self.ring.push(TraceEvent::Arrival {
-                    id: *id,
-                    core: *core,
-                    channel: *channel,
-                    bank: *bank,
-                    row: *row,
-                    write: *write,
-                    at: *at,
-                });
-                let core = *core as usize;
-                if !*write && core < self.tracks.len() {
-                    self.advance_track(core, *at);
+            AuditEvent::Submit(sub) => {
+                self.ring.push(TraceEvent::Arrival(*sub));
+                let core = usize::from(sub.core);
+                if !sub.write && core < self.tracks.len() {
+                    self.advance_track(core, sub.at);
                     let t = &mut self.tracks[core];
                     t.inflight += 1;
                     if t.inflight == 1 {
-                        t.open_since = Some(*at);
+                        t.open_since = Some(sub.at);
                     }
                 }
             }
-            AuditEvent::Decision { chosen, candidates, why: (rule, beaten), .. } => {
-                let runner_up =
-                    beaten.and_then(|id| candidates.iter().find(|c| c.id == id)).map(RunnerUp::of);
-                self.current_totals().add(*rule);
-                self.pending_rule = Some((*chosen, *rule, runner_up));
+            AuditEvent::Decision(d) => {
+                let (rule, beaten) = d.why;
+                let beat = beaten
+                    .and_then(|id| d.candidates.iter().find(|c| c.id == id))
+                    .map(|c| (c.id, c.core));
+                self.current_totals().add(rule);
+                self.pending_rule = Some((d.chosen, rule, beat));
             }
-            AuditEvent::Grant {
-                id,
-                core,
-                channel,
-                bank,
-                row,
-                write,
-                at,
-                keep_open: _,
-                outcome,
-                data_ready,
-            } => {
-                let (rule, runner_up) = match self.pending_rule.take() {
-                    Some((decided, rule, ru)) if decided == *id => (Some(rule), ru),
+            AuditEvent::Grant(g) => {
+                let (rule, beat) = match self.pending_rule.take() {
+                    Some((decided, rule, beat)) if decided == g.id => (Some(rule), beat),
                     _ => (None, None),
                 };
-                self.ring.push(TraceEvent::Grant {
-                    id: *id,
-                    core: *core,
-                    channel: *channel,
-                    bank: *bank,
-                    row: *row,
-                    write: *write,
-                    at: *at,
-                    outcome: *outcome,
-                    data_ready: *data_ready,
-                    rule,
-                    runner_up,
-                });
-                self.push_commands(ev);
-                if let Some(a) = self.chan_accum.get_mut(*channel) {
-                    if *write {
+                self.ring.push(TraceEvent::Grant { grant: *g, rule, beat });
+                self.push_commands(g);
+                if let Some(a) = self.chan_accum.get_mut(g.channel) {
+                    if g.write {
                         a.writes += 1;
                     } else {
                         a.reads += 1;
                     }
-                    if *outcome == GrantOutcome::Hit {
+                    if g.outcome == GrantOutcome::Hit {
                         a.row_hits += 1;
                     }
                 }
-                if !*write {
-                    let core = *core as usize;
-                    if core < self.tracks.len() {
-                        self.tracks[core].completions.push(Reverse(*data_ready));
-                    }
+                let core = usize::from(g.core);
+                if !g.write && core < self.tracks.len() {
+                    self.tracks[core].completions.push(Reverse(g.data_ready));
                 }
             }
         }
@@ -411,7 +359,7 @@ impl AuditSink for Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use melreq_audit::CandidateInfo;
+    use melreq_audit::{CandidateInfo, Decision, Submit};
 
     fn base_config(c: &mut Collector, policy: &'static str) {
         c.record(&AuditEvent::DramConfig {
@@ -432,7 +380,7 @@ mod tests {
     }
 
     fn grant(id: u64, core: u16, write: bool, at: Cycle, outcome: GrantOutcome) -> AuditEvent {
-        AuditEvent::Grant {
+        AuditEvent::Grant(Grant {
             id,
             core,
             channel: 0,
@@ -443,14 +391,14 @@ mod tests {
             keep_open: true,
             outcome,
             data_ready: at + 24,
-        }
+        })
     }
 
     #[test]
     fn decision_then_grant_attributes_rule() {
         let mut c = Collector::new(64);
         base_config(&mut c, "HF-RF");
-        c.record(&AuditEvent::Decision {
+        c.record(&AuditEvent::Decision(Decision {
             channel: 0,
             at: 5,
             draining: false,
@@ -477,18 +425,16 @@ mod tests {
             ],
             pending_reads: vec![1, 1],
             why: (Rule::RowHitFirst, Some(0)),
-        });
+        }));
         c.record(&grant(1, 0, false, 5, GrantOutcome::Hit));
         let (name, totals) = c.active_rule_totals().expect("totals");
         assert_eq!(name, "HF-RF");
         assert_eq!(totals.get(Rule::RowHitFirst), 1);
         let g = c.ring().iter().find_map(|e| match e {
-            TraceEvent::Grant { rule, runner_up, .. } => Some((*rule, *runner_up)),
+            TraceEvent::Grant { rule, beat, .. } => Some((*rule, *beat)),
             _ => None,
         });
-        let (rule, ru) = g.expect("grant traced");
-        assert_eq!(rule, Some(Rule::RowHitFirst));
-        assert_eq!(ru.map(|r| r.id), Some(0));
+        assert_eq!(g, Some((Some(Rule::RowHitFirst), Some((0, 1)))));
     }
 
     #[test]
@@ -496,7 +442,7 @@ mod tests {
         let mut c = Collector::new(DEFAULT_TRACE_CAPACITY);
         base_config(&mut c, "HF-RF");
         let one_decision = |c: &mut Collector| {
-            c.record(&AuditEvent::Decision {
+            c.record(&AuditEvent::Decision(Decision {
                 channel: 0,
                 at: 5,
                 draining: false,
@@ -512,7 +458,7 @@ mod tests {
                 }],
                 pending_reads: vec![1, 0],
                 why: (Rule::OnlyCandidate, None),
-            });
+            }));
         };
         one_decision(&mut c);
         c.record(&AuditEvent::CtrlConfig {
@@ -528,6 +474,12 @@ mod tests {
         assert_eq!(c.rule_totals().len(), 2);
         assert_eq!(c.rule_totals()[0].0, "HF-RF");
         assert_eq!(c.active_rule_totals().expect("active").0, "ME-LREQ");
+    }
+
+    #[test]
+    fn a_full_default_ring_holds_what_its_doc_says() {
+        let bytes = std::mem::size_of::<TraceEvent>();
+        assert!(bytes <= 88, "DEFAULT_TRACE_CAPACITY's doc says 88 bytes an event, not {bytes}");
     }
 
     #[test]
@@ -589,7 +541,7 @@ mod tests {
     fn core_wait_spans_open_and_close() {
         let mut c = Collector::new(DEFAULT_TRACE_CAPACITY);
         base_config(&mut c, "HF-RF");
-        c.record(&AuditEvent::Submit {
+        c.record(&AuditEvent::Submit(Submit {
             id: 0,
             core: 0,
             channel: 0,
@@ -597,7 +549,7 @@ mod tests {
             row: 1,
             write: false,
             at: 10,
-        });
+        }));
         c.record(&grant(0, 0, false, 20, GrantOutcome::Hit)); // data_ready 44
         c.finish();
         let span = c.ring().iter().find_map(|e| match e {
@@ -613,14 +565,16 @@ mod tests {
         let collector = Arc::new(Mutex::new(Collector::new(DEFAULT_TRACE_CAPACITY)));
         let c_dyn: Arc<Mutex<dyn AuditSink>> = collector.clone();
         let h = AuditHandle::from_shared(vec![a.clone(), c_dyn]);
-        h.emit(|| AuditEvent::Submit {
-            id: 0,
-            core: 0,
-            channel: 0,
-            bank: 0,
-            row: 0,
-            write: false,
-            at: 7,
+        h.emit(|| {
+            AuditEvent::Submit(Submit {
+                id: 0,
+                core: 0,
+                channel: 0,
+                bank: 0,
+                row: 0,
+                write: false,
+                at: 7,
+            })
         });
         assert!(format!("{:?}", a.lock().expect("recorder")).contains("Submit"));
         assert_eq!(collector.lock().expect("collector").ring().len(), 1);

@@ -1,15 +1,17 @@
 //! The structured trace event model; the collector keeps events in a
 //! drop-oldest `melreq_prof::Ring`.
 //!
-//! Trace events are *derived observations*: the collector reconstructs
-//! them from the same audit tap stream the protocol checker consumes
+//! Trace events are *derived observations*: the collector takes them
+//! from the same audit tap stream the protocol checker consumes
 //! (`melreq_audit::AuditEvent`), so recording them cannot perturb the
-//! simulation. Timestamps are simulation cycles.
+//! simulation. An arrival or a grant is the tap's own record, held
+//! whole; commands and memory-wait spans are reconstructed from those.
+//! Timestamps are simulation cycles.
 
-use melreq_audit::GrantOutcome;
+use melreq_audit::{Grant, Submit};
 use melreq_stats::types::Cycle;
 
-use crate::provenance::{Rule, RunnerUp};
+use crate::provenance::Rule;
 
 /// A DRAM command reconstructed from a grant's claimed row-buffer
 /// outcome and the device timing parameters.
@@ -41,32 +43,14 @@ impl CmdKind {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A request entered the controller's shared buffer.
-    Arrival {
-        /// Request id (monotone in arrival order).
-        id: u64,
-        /// Originating core.
-        core: u16,
-        /// Decoded channel.
-        channel: usize,
-        /// Decoded bank.
-        bank: usize,
-        /// Decoded row.
-        row: u64,
-        /// Write-back (true) or demand read (false).
-        write: bool,
-        /// Submission cycle.
-        at: Cycle,
-    },
-    /// A reconstructed DRAM command occupying a bank for `dur` cycles.
+    Arrival(Submit),
+    /// A reconstructed DRAM command occupying the bank of the grant it
+    /// serves for `dur` cycles.
     Command {
         /// Command type.
         kind: CmdKind,
-        /// Channel.
-        channel: usize,
-        /// Bank.
-        bank: usize,
-        /// Request id the command serves.
-        id: u64,
+        /// The grant the command serves (its request, channel and bank).
+        grant: Grant,
         /// Start cycle.
         at: Cycle,
         /// Occupancy in cycles.
@@ -74,29 +58,13 @@ pub enum TraceEvent {
     },
     /// A transaction was granted to the DRAM device.
     Grant {
-        /// Request id.
-        id: u64,
-        /// Originating core.
-        core: u16,
-        /// Channel.
-        channel: usize,
-        /// Bank.
-        bank: usize,
-        /// Row.
-        row: u64,
-        /// Write-back (true) or read (false).
-        write: bool,
-        /// Grant cycle.
-        at: Cycle,
-        /// Claimed row-buffer outcome.
-        outcome: GrantOutcome,
-        /// Cycle of the last data beat.
-        data_ready: Cycle,
+        /// The tap's grant record.
+        grant: Grant,
         /// The scheduler rule that decided this grant (present when the
         /// tap emitted `Decision` events, i.e. `is_enabled`).
         rule: Option<Rule>,
-        /// The best candidate the winner beat, if any.
-        runner_up: Option<RunnerUp>,
+        /// `(id, core)` of the best candidate the winner beat, if any.
+        beat: Option<(u64, u16)>,
     },
     /// A span during which a core had at least one demand read
     /// outstanding at the memory controller (reconstructed memory-bound
@@ -115,9 +83,9 @@ impl TraceEvent {
     /// The event's primary timestamp (start cycle).
     pub fn at(&self) -> Cycle {
         match *self {
-            TraceEvent::Arrival { at, .. }
+            TraceEvent::Arrival(Submit { at, .. })
             | TraceEvent::Command { at, .. }
-            | TraceEvent::Grant { at, .. } => at,
+            | TraceEvent::Grant { grant: Grant { at, .. }, .. } => at,
             TraceEvent::CoreWait { from, .. } => from,
         }
     }

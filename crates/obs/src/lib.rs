@@ -5,9 +5,10 @@
 //! no new hooks, and the disabled path stays a single `Option` check
 //! (allocation-free). Three pillars:
 //!
-//! 1. **Structured event trace** ([`TraceEvent`]): request arrivals,
-//!    reconstructed DRAM commands (ACT/RD/WR/PRE), grants and per-core
-//!    memory-bound spans in a bounded drop-oldest ring
+//! 1. **Structured event trace** ([`TraceEvent`]): request arrivals and
+//!    grants (the tap's own `Submit` and `Grant` records), reconstructed
+//!    DRAM commands (ACT/RD/WR/PRE) and per-core memory-bound spans in a
+//!    bounded drop-oldest ring
 //!    (`melreq_prof::Ring`), exported as Chrome/Perfetto `trace_event` JSON
 //!    ([`export_chrome_json`]) with sim-cycles as timestamps.
 //! 2. **Epoch time-series** ([`EpochRow`]): per-core IPC, pending
@@ -18,7 +19,7 @@
 //! 3. **Decision provenance** ([`Rule`], [`RuleTotals`]): each grant
 //!    is attributed to the scheduler rule that won it (row-hit-first,
 //!    read-first, ME rank, LREQ count, FCFS tiebreak, …) plus the
-//!    beaten runner-up, with per-policy totals.
+//!    `(id, core)` of the request it beat, with per-policy totals.
 //!
 //! The host-side span profile (`melreq_prof`) is exported through the
 //! same Chrome `trace_event` envelope ([`export_host_profile`]), in its own
@@ -43,5 +44,5 @@ pub use collector::{ChannelSample, Collector, CoreSample, DEFAULT_TRACE_CAPACITY
 pub use event::{CmdKind, TraceEvent};
 pub use hostprof::{export_host_profile, finish_host_profile};
 pub use perfetto::export_chrome_json;
-pub use provenance::{Rule, RuleTotals, RunnerUp};
+pub use provenance::{Rule, RuleTotals};
 pub use series::EpochRow;

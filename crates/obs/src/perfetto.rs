@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use melreq_audit::GrantOutcome;
+use melreq_audit::{Grant, GrantOutcome, Submit};
 use melreq_stats::types::Cycle;
 
 use crate::collector::Collector;
@@ -125,7 +125,7 @@ fn write_events(collector: &Collector, ev: &mut Events) {
     for event in events {
         flush_counters(ev, event.at());
         match event {
-            TraceEvent::Arrival { id, core, channel, bank, row, write, at } => {
+            TraceEvent::Arrival(Submit { id, core, channel, bank, row, write, at }) => {
                 ev.push(format_args!(
                     "{{\"ph\": \"i\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {at}, \
                      \"s\": \"t\", \"name\": \"arrival\", \"cat\": \"request\", \
@@ -135,33 +135,24 @@ fn write_events(collector: &Collector, ev: &mut Events) {
                     tid = *core as usize + 1
                 ));
             }
-            TraceEvent::Command { kind, channel, bank, id, at, dur } => {
+            TraceEvent::Command { kind, grant, at, dur } => {
                 ev.push(format_args!(
                     "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {at}, \
                      \"dur\": {dur}, \"name\": \"{name}\", \"cat\": \"dram\", \
                      \"args\": {{\"id\": {id}}}}}",
-                    pid = channel + 1,
-                    tid = bank + 1,
+                    pid = grant.channel + 1,
+                    tid = grant.bank + 1,
+                    id = grant.id,
                     name = kind.name()
                 ));
             }
-            TraceEvent::Grant {
-                id,
-                core,
-                channel,
-                bank,
-                row,
-                write,
-                at,
-                outcome,
-                data_ready,
-                rule,
-                runner_up,
-            } => {
+            TraceEvent::Grant { grant, rule, beat } => {
+                let Grant { id, core, channel, bank, row, write, at, outcome, data_ready, .. } =
+                    grant;
                 let rule_name = rule.map_or("untracked", |r| r.name());
                 let mut extra = String::new();
-                if let Some(ru) = runner_up {
-                    let _ = write!(extra, ", \"beat_id\": {}, \"beat_core\": {}", ru.id, ru.core);
+                if let Some((beat_id, beat_core)) = beat {
+                    let _ = write!(extra, ", \"beat_id\": {beat_id}, \"beat_core\": {beat_core}");
                 }
                 ev.push(format_args!(
                     "{{\"ph\": \"i\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {at}, \
@@ -211,7 +202,7 @@ mod tests {
             drain_stop: 16,
             overhead: 0,
         });
-        c.record(&AuditEvent::Submit {
+        c.record(&AuditEvent::Submit(Submit {
             id: 0,
             core: 1,
             channel: 0,
@@ -219,8 +210,8 @@ mod tests {
             row: 9,
             write: false,
             at: 5,
-        });
-        c.record(&AuditEvent::Grant {
+        }));
+        c.record(&AuditEvent::Grant(Grant {
             id: 0,
             core: 1,
             channel: 0,
@@ -231,7 +222,7 @@ mod tests {
             keep_open: true,
             outcome: melreq_audit::GrantOutcome::ClosedMiss,
             data_ready: 40,
-        });
+        }));
         // Core 1's memory-wait span (5 → 40) reaches the ring after the
         // grant inside it: export must re-sort.
         c.sample_epoch(

@@ -4,30 +4,9 @@
 //! [`Rule`] that decided and the id of the best request the winner beat —
 //! read off the same comparator chain that made the choice
 //! (`SchedulerPolicy::explain`, which takes `&self` and so cannot perturb
-//! the simulation). This module only keeps the books: per-policy totals
-//! and the runner-up as the trace shows it.
+//! the simulation). This module only keeps the books: per-policy totals.
 
-use melreq_audit::CandidateInfo;
 pub use melreq_audit::Rule;
-
-/// The best candidate the winner beat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunnerUp {
-    /// Request id.
-    pub id: u64,
-    /// Originating core.
-    pub core: u16,
-    /// Write-back (true) or read (false).
-    pub write: bool,
-    /// Whether it would have hit an open row.
-    pub row_hit: bool,
-}
-
-impl RunnerUp {
-    pub(crate) fn of(c: &CandidateInfo) -> Self {
-        RunnerUp { id: c.id, core: c.core, write: c.write, row_hit: c.row_hit }
-    }
-}
 
 /// Per-rule grant counts for one policy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

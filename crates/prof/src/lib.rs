@@ -478,25 +478,27 @@ pub fn summarize(profile: &Profile, top_n: usize) -> Summary {
         })
         .collect();
 
-    let mut stages: Vec<StageStat> = Vec::new();
+    // Each stage beside its window: (min span start, max span end).
+    let mut stages: Vec<(StageStat, (u64, u64))> = Vec::new();
     let mut totals: Vec<TopSpan> = Vec::new();
     for t in &profile.tracks {
         for s in &t.spans {
-            match stages.iter_mut().find(|g| g.cat == s.cat) {
-                Some(g) => {
+            match stages.iter_mut().find(|(g, _)| g.cat == s.cat) {
+                Some((g, (start, end))) => {
                     g.count += 1;
                     g.busy_ns += s.dur_ns;
-                    // Track the stage window via (min start, max end)
-                    // packed in critical_path_ns afterwards; store raw
-                    // extremes in a parallel pass below instead.
-                    g.critical_path_ns = g.critical_path_ns.max(s.end_ns());
+                    *start = (*start).min(s.start_ns);
+                    *end = (*end).max(s.end_ns());
                 }
-                None => stages.push(StageStat {
-                    cat: s.cat.to_string(),
-                    count: 1,
-                    busy_ns: s.dur_ns,
-                    critical_path_ns: s.end_ns(),
-                }),
+                None => stages.push((
+                    StageStat {
+                        cat: s.cat.to_string(),
+                        count: 1,
+                        busy_ns: s.dur_ns,
+                        critical_path_ns: 0,
+                    },
+                    (s.start_ns, s.end_ns()),
+                )),
             }
             match totals.iter_mut().find(|g| g.cat == s.cat && g.name == s.name) {
                 Some(g) => {
@@ -512,18 +514,10 @@ pub fn summarize(profile: &Profile, top_n: usize) -> Summary {
             }
         }
     }
-    // Second pass: turn the stored max-end into (max end - min start).
-    for g in &mut stages {
-        let min_start = profile
-            .tracks
-            .iter()
-            .flat_map(|t| t.spans.iter())
-            .filter(|s| s.cat == g.cat)
-            .map(|s| s.start_ns)
-            .min()
-            .unwrap_or(0);
-        g.critical_path_ns = g.critical_path_ns.saturating_sub(min_start);
-    }
+    let mut stages: Vec<StageStat> = stages
+        .into_iter()
+        .map(|(g, (start, end))| StageStat { critical_path_ns: end - start, ..g })
+        .collect();
     stages.sort_by_key(|g| std::cmp::Reverse(g.busy_ns));
     totals.sort_by_key(|g| std::cmp::Reverse(g.total_ns));
     totals.truncate(top_n);
@@ -763,17 +757,28 @@ mod tests {
     #[test]
     fn summary_busy_uses_interval_union() {
         let profile = Profile {
-            tracks: vec![TrackData {
-                label: "worker 0".to_string(),
-                // An outer 0..100 span with a nested 10..50 span: busy
-                // must be 100, not 140.
-                spans: vec![mk("exec.job", "outer", 0, 100), mk("warmup", "inner", 10, 40)],
-                dropped: 3,
-            }],
+            tracks: vec![
+                TrackData {
+                    label: "worker 0".to_string(),
+                    // An outer 0..100 span with nested 10..50 and 5..15
+                    // spans: busy must be 100, not 150.
+                    spans: vec![
+                        mk("exec.job", "outer", 0, 100),
+                        mk("warmup", "inner", 10, 40),
+                        mk("decode", "early", 5, 10),
+                    ],
+                    dropped: 3,
+                },
+                TrackData {
+                    label: "worker 1".to_string(),
+                    spans: vec![mk("decode", "late", 60, 30)],
+                    dropped: 0,
+                },
+            ],
         };
         let s = summarize(&profile, 5);
         assert_eq!(s.window_ns, 100);
-        assert_eq!(s.tracks.len(), 1);
+        assert_eq!(s.tracks.len(), 2);
         assert_eq!(s.tracks[0].busy_ns, 100, "nested spans are not double-counted");
         assert!((s.tracks[0].busy_pct - 100.0).abs() < 1e-9);
         assert_eq!(s.tracks[0].dropped, 3);
@@ -781,6 +786,10 @@ mod tests {
         let warm = s.stages.iter().find(|g| g.cat == "warmup").expect("warmup stage");
         assert_eq!(warm.busy_ns, 40);
         assert_eq!(warm.critical_path_ns, 40, "stage window is max end - min start");
+        // One stage on two tracks: 5..15 on one, 60..90 on the other.
+        let decode = s.stages.iter().find(|g| g.cat == "decode").expect("decode stage");
+        assert_eq!((decode.count, decode.busy_ns), (2, 40));
+        assert_eq!(decode.critical_path_ns, 85, "the window spans both tracks");
     }
 
     #[test]

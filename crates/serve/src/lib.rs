@@ -1579,9 +1579,8 @@ mod tests {
     /// makes one.
     #[test]
     fn a_run_that_panics_between_resident_uses_leaves_the_boundary_usable() {
-        let dir = std::env::temp_dir().join(format!("melreq-serve-panic-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(CheckpointStore::open_resident(&dir).expect("store"));
+        let dir = melreq_core::store::TempDir::new("serve-panic");
+        let store = Arc::new(CheckpointStore::open_resident(&*dir).expect("store"));
         let (_waker, wake_handle) = poll::wake_pair().expect("wake pipe");
         let session = Session::with_store(store.clone());
         let shared = Shared::new(ServeConfig::default(), session, wake_handle);
@@ -1609,6 +1608,5 @@ mod tests {
         assert!(!panicked);
         let st = store.stats();
         assert_eq!((st.warmup_misses, st.resident_hits), (1, 2), "memory answered 2 and 4");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,6 +11,7 @@
 use melreq_core::api::json::Json;
 use melreq_core::api::{PolicyKind, SimRequest, SCHEMA_VERSION};
 use melreq_core::experiment::ExperimentOptions;
+use melreq_core::store::TempDir;
 use melreq_serve::{http, split_envelope, start, ServeConfig, ServerHandle};
 use std::time::{Duration, Instant};
 
@@ -322,13 +323,12 @@ fn bodies_the_kernel_would_assert_on_answer_400_and_the_only_worker_survives() {
 /// report, byte for byte, and the envelope's `store` still counting.
 #[test]
 fn three_requests_on_one_mix_reach_its_boundary_once_and_report_the_same_bytes() {
-    let dir = std::env::temp_dir().join(format!("melreq-service-resident-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("service-resident");
     let handle = start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
         queue_cap: 4,
-        store_dir: Some(dir.clone()),
+        store_dir: Some(dir.to_path_buf()),
         ..ServeConfig::default()
     })
     .expect("start server");
@@ -366,7 +366,6 @@ fn three_requests_on_one_mix_reach_its_boundary_once_and_report_the_same_bytes()
     assert!(resident > 500_000.0 && resident < 4_000_000.0, "one 2-core boundary: {resident}");
     handle.shutdown();
     handle.join();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -768,9 +767,7 @@ fn a_two_policy_body_is_refused_at_run_on_every_repeat_and_served_at_compare() {
 /// total, as a miss's stay within theirs.
 #[test]
 fn a_response_hits_stages_add_up_to_its_total_in_the_access_log() {
-    let dir = std::env::temp_dir().join(format!("melreq-hitstages-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("test dir");
+    let dir = TempDir::new("hitstages");
     let log = dir.join("access.jsonl");
     let handle = start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -804,7 +801,6 @@ fn a_response_hits_stages_add_up_to_its_total_in_the_access_log() {
             assert!(us("total_us") - stages <= 1000, "a hit's stages are its total: {text}");
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Read `n` whole `Content-Length`-framed responses from `stream`.
@@ -1091,13 +1087,12 @@ fn page_skeleton(store: bool) -> Vec<String> {
 #[test]
 fn metrics_text_format_is_prometheus_conformant() {
     for store in [false, true] {
-        let dir = std::env::temp_dir().join(format!("melreq-service-page-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("service-page");
         let handle = start(ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
             queue_cap: 4,
-            store_dir: store.then(|| dir.clone()),
+            store_dir: store.then(|| dir.to_path_buf()),
             response_cache: 4,
             ..ServeConfig::default()
         })
@@ -1270,7 +1265,6 @@ fn metrics_text_format_is_prometheus_conformant() {
 
         handle.shutdown();
         handle.join();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -1306,9 +1300,7 @@ fn buildinfo_endpoint_reports_configuration() {
 
 #[test]
 fn access_log_appends_one_structured_line_per_request() {
-    let dir = std::env::temp_dir().join(format!("melreq-accesslog-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("test dir");
+    let dir = TempDir::new("accesslog");
     let log = dir.join("access.jsonl");
     let handle = start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -1352,7 +1344,6 @@ fn access_log_appends_one_structured_line_per_request() {
         assert_eq!(field("cache").as_str(), Some("cold"), "{line}");
         assert!(field("execute_us").as_u64() > Some(0), "a simulation takes time: {line}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -103,6 +103,16 @@ impl Enc {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Drop what was written, keeping the buffer for the next writes.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -457,16 +467,18 @@ archive_fields!(
     opt_u64: Option<u64>
 );
 
-/// FNV-1a over `bytes` — the same construction the audit crate uses for
-/// event-stream hashes, reused here for container checksums and for
-/// content-addressed store keys.
+/// FNV-1a (64-bit) over `bytes`: the workspace's one hash, behind
+/// container checksums, content-addressed store keys and, through
+/// [`fnv1a_from`], the audit crate's event-stream hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued over `bytes` from `seed`, the hash of what came
+/// before: `fnv1a_from(fnv1a(a), b) == fnv1a(a ++ b)`, so a stream can be
+/// hashed a piece at a time starting from `fnv1a(&[])`.
+pub fn fnv1a_from(seed: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(seed, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Canonical content-addressed key: FNV-1a over
@@ -770,5 +782,6 @@ mod tests {
     fn fnv_matches_known_vector() {
         // FNV-1a("a") from the reference implementation.
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a_from(fnv1a(b"ab"), b"c"), fnv1a(b"abc"));
     }
 }

@@ -10,6 +10,7 @@
 //! hashed twice, on its own and read through a [`TapedStream`] (24 chunks
 //! of its tape): the forked runs of a sweep see their ops that way.
 
+use melreq_snap::{fnv1a, fnv1a_from};
 use melreq_trace::{InstrStream, MicroOp, OpKind, OpTape, TapedStream};
 use melreq_workloads::{spec2000, SliceKind};
 
@@ -45,14 +46,8 @@ const PINS: [(char, u64, u64); 26] = [
     ('z', 0xe9e5_3783_1b47_457f, 0xb062_c21d_76af_fc6a),
 ];
 
-fn fnv1a(hash: &mut u64, word: u64) {
-    for byte in word.to_le_bytes() {
-        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn hash_ops(stream: &mut dyn InstrStream) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325;
+    let mut hash = fnv1a(&[]);
     for _ in 0..OPS {
         let MicroOp { pc, kind, dep_dist } = stream.next_op();
         let (tag, operand) = match kind {
@@ -65,7 +60,7 @@ fn hash_ops(stream: &mut dyn InstrStream) -> u64 {
             OpKind::Store { addr } => (6, addr),
         };
         for word in [pc, tag, operand, u64::from(dep_dist)] {
-            fnv1a(&mut hash, word);
+            hash = fnv1a_from(hash, &word.to_le_bytes());
         }
     }
     hash

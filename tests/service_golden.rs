@@ -11,8 +11,8 @@
 use melreq_cli::{parse_args, run_command, PolicySpec};
 use melreq_core::api::{Session, SimRequest};
 use melreq_core::experiment::{ExperimentOptions, RunControl};
+use melreq_core::store::TempDir;
 use melreq_serve::{http, split_envelope, start, ServeConfig};
-use std::path::PathBuf;
 use std::time::Duration;
 
 const MIX: &str = "2MEM-1";
@@ -23,12 +23,6 @@ fn quick_request() -> SimRequest {
     SimRequest::new(MIX)
         .policy(PolicySpec::parse(POLICY).expect("policy token"))
         .opts(ExperimentOptions::quick())
-}
-
-fn temp_store(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("melreq-golden-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]
@@ -45,12 +39,12 @@ fn cli_facade_and_service_reports_are_byte_identical() {
     assert_eq!(cli_json, facade_json, "CLI --json must be exactly SimReport::to_json()");
 
     // 3. The HTTP service, store-backed so the repeat can go warm.
-    let store_dir = temp_store("run");
+    let store_dir = TempDir::new("golden-run");
     let handle = start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         queue_cap: 8,
-        store_dir: Some(store_dir.clone()),
+        store_dir: Some(store_dir.to_path_buf()),
         ..ServeConfig::default()
     })
     .expect("start server");
@@ -75,7 +69,6 @@ fn cli_facade_and_service_reports_are_byte_identical() {
 
     handle.shutdown();
     handle.join();
-    let _ = std::fs::remove_dir_all(&store_dir);
 }
 
 #[test]

@@ -8,10 +8,11 @@ use melreq_core::experiment::{
     run_tapped, ExperimentOptions, MixResult, ObserveOptions, ProfileCache, RunControl, SweepStage,
     Taps,
 };
+use melreq_core::store::TempDir;
 use melreq_core::Session;
 use melreq_memctrl::policy::PolicyKind;
 use melreq_workloads::mix_by_name;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -100,12 +101,6 @@ fn det_tokens(artifact: &str, summary: &str) -> Vec<String> {
         .collect()
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("melreq-thrinv-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// `melreq reproduce --smoke --threads N`, returning the human summary.
 fn smoke_reproduce(store: &Path, out: &Path, threads: usize) -> String {
     let (store, out) = (store.to_string_lossy(), out.to_string_lossy());
@@ -116,9 +111,8 @@ fn smoke_reproduce(store: &Path, out: &Path, threads: usize) -> String {
 
 #[test]
 fn reproduce_artifact_is_deterministic_across_worker_counts() {
-    let store = temp_dir("store");
-    let out_dir = temp_dir("out");
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
+    let store = TempDir::new("thrinv-store");
+    let out_dir = TempDir::new("thrinv-out");
 
     // Prime the checkpoint store once: stage-level `sim_cycles` counts
     // simulated cycles only, so a cold-store run (which simulates its
@@ -154,7 +148,4 @@ fn reproduce_artifact_is_deterministic_across_worker_counts() {
             THREAD_COUNTS[0], THREAD_COUNTS[i]
         );
     }
-
-    let _ = std::fs::remove_dir_all(&store);
-    let _ = std::fs::remove_dir_all(&out_dir);
 }
