@@ -1,9 +1,10 @@
 //! The combining sink: timing oracle + policy auditor + stream hash.
 
-use crate::event::{AuditEvent, AuditHandle, AuditSink, Decision, Grant, GrantOutcome, Submit};
+use crate::event::{AuditEvent, AuditHandle, AuditSink, Decision, Grant, Submit};
 use crate::oracle::{TimingOracle, Violation, ViolationKind};
 use crate::policy::PolicyAuditor;
 use melreq_snap::{fnv1a, fnv1a_from, Enc};
+use melreq_stats::types::RowOutcome;
 use std::sync::{Arc, Mutex};
 
 /// Write `ev`'s canonical encoding, the bytes the stream hash folds:
@@ -111,9 +112,9 @@ fn encode(e: &mut Enc, ev: &AuditEvent) {
             e.u64(*at);
             e.bool(*keep_open);
             e.u8(match outcome {
-                GrantOutcome::Hit => 0,
-                GrantOutcome::ClosedMiss => 1,
-                GrantOutcome::Conflict => 2,
+                RowOutcome::Hit => 0,
+                RowOutcome::ClosedMiss => 1,
+                RowOutcome::Conflict => 2,
             });
             e.u64(*data_ready);
         }
@@ -268,10 +269,10 @@ impl AuditSink for Auditor {
             }
             AuditEvent::PolicyParams { params } => self.policy.on_params(params),
             AuditEvent::ProfileUpdate { me } => self.policy.on_profile(me),
-            AuditEvent::Submit(s) => self.policy.on_submit(s.core, s.write),
+            AuditEvent::Submit(s) => self.policy.on_submit(s),
             AuditEvent::Decision(d) => self.policy.on_decision(d, &self.oracle, &mut self.scratch),
             AuditEvent::Grant(g) => {
-                self.policy.on_grant(g.core, g.write);
+                self.policy.on_grant(g);
                 self.oracle.on_grant(g, &mut self.scratch);
             }
         }
@@ -335,7 +336,7 @@ mod tests {
                 write: false,
                 at: 0,
                 keep_open: false,
-                outcome: GrantOutcome::ClosedMiss,
+                outcome: RowOutcome::ClosedMiss,
                 data_ready: 96,
             }),
         ]
@@ -420,7 +421,7 @@ mod tests {
                 write: false,
                 at: i,
                 keep_open: false,
-                outcome: GrantOutcome::ClosedMiss,
+                outcome: RowOutcome::ClosedMiss,
                 data_ready: i + 96,
             }));
         }

@@ -19,7 +19,7 @@
 //!   matching `Grant`, and lists the complete candidate set the
 //!   controller considered.
 
-use melreq_stats::types::Cycle;
+use melreq_stats::types::{Cycle, RowOutcome};
 use std::sync::{Arc, Mutex};
 
 /// DRAM timing parameters as the instrumented device reports them, in
@@ -36,17 +36,6 @@ pub struct TimingParams {
     pub t_wr: Cycle,
     /// Data-bus occupancy of one burst.
     pub burst: Cycle,
-}
-
-/// How the granting side claims the row buffer was found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrantOutcome {
-    /// Addressed row already open.
-    Hit,
-    /// Bank closed: ACT then column access.
-    ClosedMiss,
-    /// Another row open: PRE, ACT, column access.
-    Conflict,
 }
 
 /// One request the controller offered to the scheduling policy.
@@ -266,7 +255,7 @@ pub struct Grant {
     /// Close-page decision: row stays latched after the access.
     pub keep_open: bool,
     /// Claimed row-buffer outcome.
-    pub outcome: GrantOutcome,
+    pub outcome: RowOutcome,
     /// Claimed cycle of the last data beat.
     pub data_ready: Cycle,
 }

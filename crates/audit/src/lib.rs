@@ -16,14 +16,16 @@
 //!
 //! * [`TimingOracle`] — per-bank replay of the DDR2 protocol, one
 //!   [`Grant`] at a time;
-//! * [`PolicyAuditor`] — per-[`Decision`] replay of the scheduling rules;
+//! * [`PolicyAuditor`] — per-[`Decision`] replay of the scheduling rules,
+//!   tracking each core's reads from its [`Submit`]s and [`Grant`]s;
 //! * the stream hash in [`Auditor`] — a determinism witness: two runs
 //!   with the same seed must produce identical hashes. It is
 //!   `melreq_snap`'s FNV-1a, continued over each event's `Enc` bytes.
 //!
-//! The simulator emits events through an [`AuditHandle`] (a no-op unless
-//! a sink is attached; debug builds attach a panicking watchdog
-//! automatically). `melreq audit` and the `--audit` flag on the CLI run
+//! The simulator's memory controller is the stream's one emitter: it
+//! announces the DRAM device and itself, then reports every submit,
+//! decision and grant through an [`AuditHandle`] (a no-op unless a sink
+//! is attached; debug builds attach a panicking watchdog automatically). `melreq audit` and the `--audit` flag on the CLI run
 //! the full checker end to end.
 
 pub mod auditor;
@@ -33,8 +35,8 @@ pub mod policy;
 
 pub use auditor::{AuditReport, Auditor, AuditorConfig};
 pub use event::{
-    AuditEvent, AuditHandle, AuditSink, CandidateInfo, Decision, Grant, GrantOutcome, Recorder,
-    Rule, Submit, TimingParams,
+    AuditEvent, AuditHandle, AuditSink, CandidateInfo, Decision, Grant, Recorder, Rule, Submit,
+    TimingParams,
 };
 pub use oracle::{TimingOracle, Violation, ViolationKind};
 pub use policy::PolicyAuditor;

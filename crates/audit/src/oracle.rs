@@ -8,8 +8,8 @@
 //! `melreq-dram`: everything is recomputed from the [`TimingParams`]
 //! carried in the stream.
 
-use crate::event::{Grant, GrantOutcome, TimingParams};
-use melreq_stats::types::Cycle;
+use crate::event::{Grant, TimingParams};
+use melreq_stats::types::{Cycle, RowOutcome};
 
 /// What rule a stream event broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,9 +168,9 @@ impl TimingOracle {
 
         // Row-buffer outcome: re-derive from the replayed row latch.
         let expected_outcome = match bank.open_row {
-            Some(r) if r == g.row => GrantOutcome::Hit,
-            Some(_) => GrantOutcome::Conflict,
-            None => GrantOutcome::ClosedMiss,
+            Some(r) if r == g.row => RowOutcome::Hit,
+            Some(_) => RowOutcome::Conflict,
+            None => RowOutcome::ClosedMiss,
         };
         if expected_outcome != g.outcome {
             out.push(Violation {
@@ -187,9 +187,9 @@ impl TimingOracle {
         // Data timing: derive when a legal device would finish the burst
         // for the *replayed* outcome and compare against the claim.
         let bank_latency = match expected_outcome {
-            GrantOutcome::Hit => t.t_cl,
-            GrantOutcome::ClosedMiss => t.t_rcd + t.t_cl,
-            GrantOutcome::Conflict => t.t_rp + t.t_rcd + t.t_cl,
+            RowOutcome::Hit => t.t_cl,
+            RowOutcome::ClosedMiss => t.t_rcd + t.t_cl,
+            RowOutcome::Conflict => t.t_rp + t.t_rcd + t.t_cl,
         };
         let bank_data_start = g.at + bank_latency;
         let bus_free = self.channels[g.channel].bus_free;
@@ -239,7 +239,7 @@ mod tests {
         TimingParams { t_rcd: 40, t_cl: 40, t_rp: 40, t_wr: 48, burst: 16 }
     }
 
-    fn grant(bank: usize, row: u64, at: Cycle, outcome: GrantOutcome, ready: Cycle) -> Grant {
+    fn grant(bank: usize, row: u64, at: Cycle, outcome: RowOutcome, ready: Cycle) -> Grant {
         Grant {
             id: 0,
             core: 0,
@@ -259,7 +259,7 @@ mod tests {
         let mut o = TimingOracle::new();
         o.on_config(1, 8, ddr2());
         let mut v = Vec::new();
-        o.on_grant(&grant(0, 5, 0, GrantOutcome::ClosedMiss, 96), &mut v);
+        o.on_grant(&grant(0, 5, 0, RowOutcome::ClosedMiss, 96), &mut v);
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -268,7 +268,7 @@ mod tests {
         let mut o = TimingOracle::new();
         o.on_config(1, 8, ddr2());
         let mut v = Vec::new();
-        o.on_grant(&grant(0, 5, 0, GrantOutcome::ClosedMiss, 95), &mut v);
+        o.on_grant(&grant(0, 5, 0, RowOutcome::ClosedMiss, 95), &mut v);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].kind, ViolationKind::DataTooEarly);
     }
@@ -278,10 +278,10 @@ mod tests {
         let mut o = TimingOracle::new();
         o.on_config(1, 8, ddr2());
         let mut v = Vec::new();
-        o.on_grant(&grant(0, 5, 0, GrantOutcome::ClosedMiss, 96), &mut v);
+        o.on_grant(&grant(0, 5, 0, RowOutcome::ClosedMiss, 96), &mut v);
         // Bank 1's data could start at 81 but the bus is busy until 96;
         // claiming 81+16 = 97..112 region start (ready 100) overlaps.
-        o.on_grant(&grant(1, 5, 1, GrantOutcome::ClosedMiss, 100), &mut v);
+        o.on_grant(&grant(1, 5, 1, RowOutcome::ClosedMiss, 100), &mut v);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].kind, ViolationKind::BusOverlap);
     }
@@ -291,9 +291,9 @@ mod tests {
         let mut o = TimingOracle::new();
         o.on_config(1, 8, ddr2());
         let mut v = Vec::new();
-        o.on_grant(&grant(0, 5, 0, GrantOutcome::ClosedMiss, 96), &mut v);
+        o.on_grant(&grant(0, 5, 0, RowOutcome::ClosedMiss, 96), &mut v);
         // Auto-precharge holds the bank until 96 + 40 = 136.
-        o.on_grant(&grant(0, 6, 100, GrantOutcome::ClosedMiss, 196), &mut v);
+        o.on_grant(&grant(0, 6, 100, RowOutcome::ClosedMiss, 196), &mut v);
         assert!(v.iter().any(|x| x.kind == ViolationKind::BankBusy), "{v:?}");
     }
 
@@ -305,7 +305,7 @@ mod tests {
         // Claim a Hit on a closed bank; data timing checked against the
         // replayed ClosedMiss, so give the legal miss timing to isolate
         // the outcome check.
-        o.on_grant(&grant(0, 5, 0, GrantOutcome::Hit, 96), &mut v);
+        o.on_grant(&grant(0, 5, 0, RowOutcome::Hit, 96), &mut v);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].kind, ViolationKind::OutcomeMismatch);
     }
@@ -315,13 +315,13 @@ mod tests {
         let mut o = TimingOracle::new();
         o.on_config(1, 8, ddr2());
         let mut v = Vec::new();
-        let mut g0 = grant(0, 1, 0, GrantOutcome::ClosedMiss, 96);
+        let mut g0 = grant(0, 1, 0, RowOutcome::ClosedMiss, 96);
         g0.keep_open = true;
         o.on_grant(&g0, &mut v);
         assert_eq!(o.open_row(0, 0), Some(1));
         // Bank ready again at data_start = 80; a hit at 80 finishes at
         // 80 + tCL = 120, bus free since 96, burst ends 136.
-        o.on_grant(&grant(0, 1, 80, GrantOutcome::Hit, 136), &mut v);
+        o.on_grant(&grant(0, 1, 80, RowOutcome::Hit, 136), &mut v);
         assert!(v.is_empty(), "{v:?}");
     }
 }

@@ -8,7 +8,7 @@
 //! from `melreq-memctrl`, so a bug in the production policy code cannot
 //! hide itself.
 
-use crate::event::{CandidateInfo, Decision};
+use crate::event::{CandidateInfo, Decision, Grant, Submit};
 use crate::oracle::{TimingOracle, Violation, ViolationKind};
 use melreq_stats::types::Cycle;
 use std::collections::BTreeSet;
@@ -201,7 +201,7 @@ impl PolicyAuditor {
     }
 
     /// Observe a `Submit` (tracks per-core outstanding reads).
-    pub fn on_submit(&mut self, core: u16, write: bool) {
+    pub fn on_submit(&mut self, &Submit { core, write, .. }: &Submit) {
         if !write {
             if let Some(n) = self.reads_outstanding.get_mut(core as usize) {
                 *n += 1;
@@ -212,7 +212,7 @@ impl PolicyAuditor {
     /// Observe a `Grant` (the request leaves the queue). Read grants are
     /// exactly the policy-selected ones (writes drain outside the
     /// policy), so the BLISS/TCM grant-history replicas advance here.
-    pub fn on_grant(&mut self, core: u16, write: bool) {
+    pub fn on_grant(&mut self, &Grant { core, write, .. }: &Grant) {
         if write {
             return;
         }
@@ -587,6 +587,7 @@ impl PolicyAuditor {
 mod tests {
     use super::*;
     use crate::event::{Rule, TimingParams};
+    use melreq_stats::types::RowOutcome;
 
     /// Hit-claiming candidates target bank 1 / row 7, which [`oracle`]
     /// really holds open, so the row-hit cross-check stays quiet and the
@@ -596,25 +597,32 @@ mod tests {
         CandidateInfo { id, core, bank, row, write, row_hit: hit, arrival: 0 }
     }
 
+    /// A read from `core` of bank 1 / row 7, as it enters the queue and
+    /// as it is granted at cycle 0, leaving the row open.
+    fn read(core: u16) -> (Submit, Grant) {
+        let (id, channel, bank, row, write, at) = (0, 0, 1, 7, false, 0);
+        let submit = Submit { id, core, channel, bank, row, write, at };
+        let outcome = RowOutcome::ClosedMiss;
+        let grant = Grant {
+            id,
+            core,
+            channel,
+            bank,
+            row,
+            write,
+            at,
+            keep_open: true,
+            outcome,
+            data_ready: 0,
+        };
+        (submit, grant)
+    }
+
     fn oracle() -> TimingOracle {
         let mut o = TimingOracle::new();
         o.on_config(1, 8, TimingParams::default());
         let mut sink = Vec::new();
-        o.on_grant(
-            &crate::event::Grant {
-                id: 0,
-                core: 0,
-                channel: 0,
-                bank: 1,
-                row: 7,
-                write: false,
-                at: 0,
-                keep_open: true,
-                outcome: crate::event::GrantOutcome::ClosedMiss,
-                data_ready: 0,
-            },
-            &mut sink,
-        );
+        o.on_grant(&read(0).1, &mut sink);
         assert!(sink.is_empty(), "fixture grant must be legal: {sink:?}");
         o
     }
@@ -754,8 +762,8 @@ mod tests {
         let mut a = auditor("BLISS", true, 2);
         a.on_params(&[("threshold", 2), ("clear", 1_000)]);
         // Two consecutive read grants to core 0 blacklist it.
-        a.on_grant(0, false);
-        a.on_grant(0, false);
+        a.on_grant(&read(0).1);
+        a.on_grant(&read(0).1);
         assert!(a.bliss_blacklisted[0]);
         let cands = [cand(0, 0, false, true), cand(1, 1, false, false)];
         // Core 1's miss must beat blacklisted core 0's row hit.
@@ -775,10 +783,10 @@ mod tests {
         let mut a = auditor("BLISS", true, 2);
         // Default threshold is 4: three grants must not blacklist.
         for _ in 0..3 {
-            a.on_grant(0, false);
+            a.on_grant(&read(0).1);
         }
         assert!(!a.bliss_blacklisted[0]);
-        a.on_grant(0, false);
+        a.on_grant(&read(0).1);
         assert!(a.bliss_blacklisted[0]);
     }
 
@@ -787,10 +795,10 @@ mod tests {
         let mut a = auditor("TCM", true, 2);
         a.on_params(&[("quantum", 4)]);
         // One quantum: core 1 heavy (3 reads), core 0 light (1 read).
-        a.on_grant(1, false);
-        a.on_grant(1, false);
-        a.on_grant(1, false);
-        a.on_grant(0, false);
+        a.on_grant(&read(1).1);
+        a.on_grant(&read(1).1);
+        a.on_grant(&read(1).1);
+        a.on_grant(&read(0).1);
         // Mean 2: core 0 forms the latency cluster, core 1 the bandwidth one.
         assert_eq!(a.tcm_rank, vec![0, 1]);
         let cands = [cand(0, 0, false, false), cand(1, 1, false, true)];
@@ -829,9 +837,9 @@ mod tests {
         // profile, then swap to RR mid-run.
         let mut a = auditor("HF-RF", true, 2);
         a.on_profile(&[9.0, 1.0]);
-        a.on_submit(0, false);
-        a.on_submit(0, false);
-        a.on_submit(1, false);
+        a.on_submit(&read(0).0);
+        a.on_submit(&read(0).0);
+        a.on_submit(&read(1).0);
         a.on_config(2, "RR", true, 0);
         // History survives the swap...
         assert_eq!(a.reads_outstanding, vec![2, 1]);

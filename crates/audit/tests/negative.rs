@@ -14,7 +14,7 @@ use melreq_dram::DramSystem;
 use melreq_memctrl::controller::ControllerConfig;
 use melreq_memctrl::policy::PolicyKind;
 use melreq_memctrl::MemoryController;
-use melreq_stats::types::{AccessKind, CoreId};
+use melreq_stats::types::{AccessKind, CoreId, RowOutcome};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -137,8 +137,8 @@ fn flipped_outcome_is_outcome_mismatch() {
     let mut events = drive(&PolicyKind::HfRf, 2, 10_000, 1);
     let i = first_grant(&events);
     let AuditEvent::Grant(g) = &mut events[i] else { unreachable!() };
-    assert_eq!(g.outcome, melreq_audit::GrantOutcome::ClosedMiss, "cold bank");
-    g.outcome = melreq_audit::GrantOutcome::Hit;
+    assert_eq!(g.outcome, RowOutcome::ClosedMiss, "cold bank");
+    g.outcome = RowOutcome::Hit;
     let report = audit(&events);
     assert!(has(&report, ViolationKind::OutcomeMismatch), "got:\n{}", report.render());
     assert_eq!(report.total_violations, 1, "got:\n{}", report.render());
@@ -242,7 +242,7 @@ proptest! {
                     ViolationKind::DataMismatch
                 }
                 _ => {
-                    g.outcome = melreq_audit::GrantOutcome::Conflict;
+                    g.outcome = RowOutcome::Conflict;
                     ViolationKind::OutcomeMismatch
                 }
             }

@@ -26,7 +26,8 @@ use melreq_core::report::{format_table, pct_over};
 use melreq_core::{CheckpointStore, SystemConfig};
 use melreq_memctrl::policy::PolicyKind;
 use melreq_obs::{
-    export_chrome_json, finish_host_profile, series, Collector, RuleTotals, DEFAULT_TRACE_CAPACITY,
+    export_chrome_json, finish_host_profile, series, Collector, RuleTotals, DEFAULT_SAMPLE_EPOCH,
+    DEFAULT_TRACE_CAPACITY,
 };
 use melreq_serve::{http, ServeConfig};
 use melreq_snap::json_esc;
@@ -79,14 +80,14 @@ pub(crate) fn cmd_profile(args: &Args) -> Result<String, MelreqError> {
 }
 
 /// Translate CLI observability flags into core `ObserveOptions`. A
-/// trace or a series turns the epoch sampler on at 10 000 cycles unless
-/// `--sample-epoch` names another epoch (the trace carries the sampled
-/// counters as tracks).
+/// trace or a series turns the epoch sampler on at
+/// [`DEFAULT_SAMPLE_EPOCH`] cycles unless `--sample-epoch` names another
+/// epoch (the trace carries the sampled counters as tracks).
 fn observe_options(obs: &ObsArgs) -> ObserveOptions {
     let sampled = obs.trace_out.is_some() || obs.series_out.is_some();
     ObserveOptions {
         ring_capacity: obs.trace_cap.unwrap_or(DEFAULT_TRACE_CAPACITY),
-        sample_epoch: obs.sample_epoch.or_else(|| sampled.then_some(10_000)),
+        sample_epoch: obs.sample_epoch.or_else(|| sampled.then_some(DEFAULT_SAMPLE_EPOCH)),
     }
 }
 
@@ -1385,11 +1386,11 @@ avg vs HF-RF  +0.0%  +0.7%  -0.4%  +0.1%    +1.2%
             .unwrap();
         assert_eq!(
             (hash(&trace), hash(&series)),
-            ("60a0e7e429a6a69b".into(), "a07e0eefd8bf2e5a".into())
+            ("7ac0c40212ae3322".into(), "ec2a6337445e0e05".into())
         );
         // The default epoch: a trace alone samples every 10 000 cycles.
         quick(&format!("run 2MEM-1 --policy fq --trace {t}")).unwrap();
-        assert_eq!(hash(&trace), "335d6695d666bc76");
+        assert_eq!(hash(&trace), "6b0c202d227b2141");
     }
 
     /// The fork-vs-fresh gate fails on one flipped bit of one result, and

@@ -1129,10 +1129,16 @@ mod tests {
         ] {
             assert!(text.contains(needle), "usage must document {needle}");
         }
-        // Every registered id and alias appears in or resolves from the
-        // grammar the usage text describes.
+        // Every registered id and alias is a word of the POLICIES section.
+        let (_, section) = text.split_once("\nPOLICIES:\n").expect("a POLICIES section");
+        let section = section.split("\n\n").next().unwrap_or_default();
+        let words: Vec<&str> =
+            section.split(|c: char| !c.is_ascii_alphanumeric() && c != '-').collect();
         for d in melreq_memctrl::registry() {
             assert!(PolicySpec::parse(d.id).is_ok(), "{} must resolve", d.id);
+            for name in std::iter::once(&d.id).chain(d.aliases) {
+                assert!(words.contains(name), "POLICIES must name {name}");
+            }
         }
     }
 
@@ -1158,6 +1164,8 @@ mod tests {
         assert_eq!(stated_default::<u32>("run", "--slice", "K"), opts.eval_slice);
         let cap = melreq_obs::DEFAULT_TRACE_CAPACITY;
         assert_eq!(stated_default::<usize>("run", "--trace-cap", "N"), cap);
+        let epoch = melreq_obs::DEFAULT_SAMPLE_EPOCH;
+        assert_eq!(stated_default::<u64>("run", "--sample-epoch", "N"), epoch);
         let serve = ServeConfig::default();
         assert_eq!(stated_default::<String>("serve", "--addr", "H:P"), serve.addr);
         assert_eq!(stated_default::<usize>("serve", "--workers", "N"), serve.workers);

@@ -740,7 +740,7 @@ mod tests {
         let a = quick_request("me-lreq");
         assert_eq!(
             a.canonical_bytes(),
-            "{\"schema_version\":7,\"mix\":\"2MEM-1\",\"policies\":[\"me-lreq\"],\"audit\":false,\
+            "{\"schema_version\":8,\"mix\":\"2MEM-1\",\"policies\":[\"me-lreq\"],\"audit\":false,\
              \"instructions\":20000,\"warmup\":10000,\"profile_instructions\":10000,\
              \"eval_slice\":0,\"max_cycles_factor\":4000}"
         );
@@ -799,7 +799,7 @@ mod tests {
     #[test]
     fn policy_report_json_is_byte_stable() {
         const PLAIN: &str = concat!(
-            "{\"schema_version\":7,\"mix\":\"2MEM-1\",\"policies\":[{\"policy\":\"ME-LREQ\",",
+            "{\"schema_version\":8,\"mix\":\"2MEM-1\",\"policies\":[{\"policy\":\"ME-LREQ\",",
             "\"smt_speedup\":1.7268925094976528,",
             "\"harmonic_speedup\":0.8634370545879058,\"unfairness\":1.006549829668036,",
             "\"max_slowdown\":1.1619425173439049,\"mean_read_latency\":180.78533231474407,",

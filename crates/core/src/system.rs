@@ -400,14 +400,15 @@ impl System {
     }
 
     /// Attach audit instrumentation to the whole machine: the memory
-    /// controller and DRAM device start reporting their configuration,
-    /// decisions, and grants on `audit`, and the initial memory-efficiency
-    /// profile (when the policy was built internally from a known one) is
-    /// announced so the checker can reconstruct the priority tables.
+    /// controller announces the DRAM device and itself, then reports its
+    /// decisions and grants on `audit`, and announces the initial
+    /// memory-efficiency profile (when the policy was built internally
+    /// from a known one) so the checker can reconstruct the priority
+    /// tables.
     pub fn attach_audit(&mut self, audit: melreq_audit::AuditHandle) {
-        self.ctrl.attach_audit(audit.clone());
-        if let Some(me) = self.me_profile.clone() {
-            audit.emit(|| melreq_audit::AuditEvent::ProfileUpdate { me });
+        self.ctrl.attach_audit(audit);
+        if let Some(me) = &self.me_profile {
+            self.ctrl.announce_profile(me);
         }
     }
 
@@ -990,6 +991,34 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
     }
 
+    /// The controller is the tap's only voice: attaching one to a machine
+    /// announces the DRAM device, the controller and its policy, then the
+    /// profile the machine was built with, in that order.
+    #[test]
+    fn an_attached_tap_opens_with_the_device_the_controller_and_the_profile() {
+        use melreq_audit::{AuditEvent, AuditHandle, Recorder};
+        use std::sync::{Arc, Mutex};
+        let mix = Mix { name: "ad hoc", codes: "bc", kind: MixKind::Mixed };
+        let cfg = SystemConfig::paper(2, PolicyKind::MeLreq);
+        let mut sys = System::new(cfg, mix.eval_streams(0), &[0.4, 0.1]);
+        let recorder = Arc::new(Mutex::new(Recorder::default()));
+        sys.attach_audit(AuditHandle::from_shared(vec![recorder.clone()]));
+        let events = &recorder.lock().expect("recorder").events;
+        let [dram, ctrl, profile] = &events[..] else { panic!("the tap opened with {events:?}") };
+        let AuditEvent::DramConfig { channels: 2, banks_per_channel: 8, timing } = dram else {
+            panic!("{dram:?}")
+        };
+        assert_eq!((timing.t_rcd, timing.t_cl, timing.t_rp), (40, 40, 40), "5-5-5");
+        assert!(
+            matches!(ctrl, AuditEvent::CtrlConfig { cores: 2, policy: "ME-LREQ", .. }),
+            "{ctrl:?}"
+        );
+        assert!(
+            matches!(profile, AuditEvent::ProfileUpdate { me } if me == &[0.4, 0.1]),
+            "{profile:?}"
+        );
+    }
+
     /// A restore overwrites everything the functional pre-warm writes: the
     /// pinned 4MEM-1 boundary container (`tests/determinism.rs`) restored
     /// into a machine built without it is the machine built with it.
@@ -1003,7 +1032,7 @@ mod tests {
         warmed.prepare_window(opts.warmup, opts.instructions);
         assert!(warmed.run_to_boundary(1 << 26), "warm-up must reach the boundary");
         let container = warmed.snapshot_sealed();
-        assert_eq!(melreq_snap::fnv1a(container.as_bytes()), 0x2ff8_816e_ec81_d93c);
+        assert_eq!(melreq_snap::fnv1a(container.as_bytes()), 0xe306_5a8e_d9ec_f55d);
 
         let mut warm = System::new(cfg.clone(), mix.eval_streams(0), &me);
         let mut cold = System::for_restore(cfg, mix.eval_streams(0), &me);

@@ -219,7 +219,7 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
     }
 }
 
-/// Snapshot pins for `SCHEMA_VERSION` 7: `(name, len, fnv1a)` of the
+/// Snapshot pins for `SCHEMA_VERSION` 8: `(name, len, fnv1a)` of the
 /// bytes a save walk (`state` over an `Enc`) writes. Stored checkpoints are these bytes, so they
 /// are the snapshot layout: a change that moves any of them bumps
 /// `SCHEMA_VERSION` and re-captures the table, and a change that keeps
@@ -233,21 +233,21 @@ fn kernel_counters_repeat_and_split_by_workload_class() {
 ///
 /// DESIGN.md "Determinism rules" maps every snapshotted struct to a row.
 const SNAPSHOT_PINS: &[(&str, usize, u64)] = &[
-    ("boundary", 1_347_402, 0x2ff8_816e_ec81_d93c),
-    ("hf-rf", 1_350_688, 0x2ab7_036e_14e0_2389),
-    ("me", 1_348_836, 0x2c91_3bab_70a2_1906),
-    ("rr", 1_350_467, 0x3f4c_4691_05f4_c644),
-    ("lreq", 1_349_224, 0x8b80_9c7f_53dd_603b),
-    ("me-lreq", 1_348_975, 0xd4da_e56d_bd66_a800),
-    ("fcfs", 1_349_348, 0xd8af_9e83_456d_f4fd),
-    ("fcfs-rf", 1_350_687, 0x96b9_6ffd_8b8f_0353),
-    ("me-lreq-on", 1_349_278, 0x9db9_c72b_4bc3_538a),
-    ("fix-0123", 1_349_489, 0xc462_13ce_dae9_8f0a),
-    ("fix-3210", 1_346_472, 0x794a_4bc3_e5ca_b75b),
-    ("fq", 1_351_121, 0xc97e_1dbe_56e5_7eb9),
-    ("stf", 1_351_411, 0x81b8_8e9f_e3a6_b37b),
-    ("bliss", 1_352_356, 0xb18a_bd83_5e8a_9a4d),
-    ("tcm", 1_348_550, 0x6fa9_4cdc_40b1_7a85),
+    ("boundary", 1_341_474, 0xe306_5a8e_d9ec_f55d),
+    ("hf-rf", 1_344_016, 0x816c_c804_c56e_a13d),
+    ("me", 1_342_020, 0x6a66_68e6_236c_0b12),
+    ("rr", 1_343_043, 0x2640_f54b_f7e2_d8fe),
+    ("lreq", 1_342_696, 0x3b02_332a_811d_826e),
+    ("me-lreq", 1_342_383, 0xa58b_7d2f_9596_f76b),
+    ("fcfs", 1_342_484, 0xe6a7_ca59_d8b3_b377),
+    ("fcfs-rf", 1_344_015, 0x9a57_73ad_b464_5e90),
+    ("me-lreq-on", 1_342_982, 0x627a_d62f_1b54_49e2),
+    ("fix-0123", 1_342_993, 0x6a7b_6c9b_b956_b915),
+    ("fix-3210", 1_340_664, 0x614d_d236_5086_e667),
+    ("fq", 1_343_953, 0x35d1_ecf5_66ca_65d6),
+    ("stf", 1_344_571, 0x191c_8386_0787_0553),
+    ("bliss", 1_344_916, 0x7d67_d6f8_3bd7_d7b6),
+    ("tcm", 1_341_838, 0xe75f_a552_c939_ee33),
     ("phased", 180, 0x13bc_4ee1_d161_56a5),
     ("taped", 82, 0xfcd6_76f3_74f6_4266),
 ];
@@ -331,7 +331,7 @@ fn pinned_bytes() -> Vec<(&'static str, Receiver, Vec<u8>)> {
 
 #[test]
 fn snapshot_bytes_are_pinned() {
-    assert_eq!(melreq_snap::SCHEMA_VERSION, 7, "a version bump re-captures every pin");
+    assert_eq!(melreq_snap::SCHEMA_VERSION, 8, "a version bump re-captures every pin");
     let got: Vec<(&str, usize, u64)> = pinned_bytes()
         .iter()
         .map(|(name, _, bytes)| (*name, bytes.len(), melreq_snap::fnv1a(bytes)))

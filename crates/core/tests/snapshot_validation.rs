@@ -1,7 +1,7 @@
 //! A snapshot load validates instead of trusting.
 //!
-//! The core's issue stage indexes its ROB ring by the sequence numbers it
-//! finds in the worklist and on the consumer chains, the controller walks
+//! The core's issue stage indexes its ROB ring by the sequence numbers on
+//! its worklist and consumer chains, the controller walks
 //! per-channel position lists, the DRAM model indexes its banks, and
 //! every per-core table is indexed by core — all of which a restore
 //! rebuilds from the snapshot. A snapshot that breaks one of those
@@ -147,24 +147,21 @@ mirror! {
         // `SyntheticStream`: address cursor and generator, op generator,
         // pc; then the ops-since-load counter.
         stream: ([u64; 10], u16),
-        rob: Vec<RobEntry>,
+        // The oldest op's sequence number; op `i` is `head_seq + i`.
         head_seq: u64,
-        next_seq: u64,
+        rob: Vec<RobEntry>,
         fetch_line: Option<u64>,
         fetch_pending: bool,
         staged: Option<MicroOp>,
         fetch_stall_until: u64,
         halted_by_branch: Option<u64>,
-        loads_in_rob: u64,
-        stores_in_rob: u64,
-        waiting: Vec<u64>,
         window: (u64, [Option<u64>; 3]),
         // Committed ops, cycles.
         stats: [u64; 2],
     }
     // State tag: 0 waiting, 1 executing, 2 waiting on memory, 3 done;
     // tags 1 and 3 carry a cycle.
-    RobEntry { kind: OpKind, dep_seq: Option<u64>, state: Tagged<0b1010>, seq: u64 }
+    RobEntry { kind: OpKind, dep_seq: Option<u64>, state: Tagged<0b1010> }
     Cache { ways: Vec<(u64, bool, bool, u64)>, stamp: u64 }
     L1s { l1i: Cache, l1i_mshr: Mshr<L1Waiter>, l1d: Cache, l1d_mshr: Mshr<L1Waiter> }
     Hier {
@@ -367,11 +364,14 @@ fn invalid(why: &'static str) -> SnapError {
 }
 
 impl CoreSec {
-    /// Mark in-flight op `i` as waiting (or not), keeping the worklist the
-    /// ROB's waiting ops in program order.
+    /// The sequence number of in-flight op `i`.
+    fn seq(&self, i: usize) -> u64 {
+        self.head_seq + i as u64
+    }
+
+    /// Mark in-flight op `i` as waiting (or not).
     fn set_waiting(&mut self, i: usize, waiting: bool) {
         self.rob[i].state = Tagged { tag: if waiting { 0 } else { 3 }, val: 0 };
-        self.waiting = self.rob.iter().filter(|e| e.state.tag == 0).map(|e| e.seq).collect();
     }
 }
 
@@ -381,57 +381,33 @@ fn corrupt_core_sections_are_refused_not_trusted() {
     let head = &pinned.payload.cores[0];
     // The boundary must give the cases something to break.
     let n = head.rob.len();
-    assert!(n > 65 && (2..64).contains(&head.waiting.len()), "{n} ops in flight");
+    let waiting = head.rob.iter().filter(|e| e.state.tag == 0).count();
+    assert!(n > 65 && (2..64).contains(&waiting), "{n} ops in flight, {waiting} waiting");
     let alu = head
         .rob
         .iter()
         .position(|e| !e.kind.is_mem() && !matches!(e.kind, OpKind::Branch { .. }))
         .expect("an ALU op in flight");
-    let not_waiting = head.rob.iter().position(|e| e.state.tag != 0).unwrap();
     let refused = |what: &str, why: &'static str, breakage: &dyn Fn(&mut CoreSec)| {
         pinned.refused(what, invalid(why), |p| breakage(&mut p.cores[0]));
     };
 
-    let gap = "ROB sequence numbers not contiguous";
-    refused("a gap in the ROB's sequence numbers", gap, &|h| h.rob[n / 2].seq += 1);
-    refused("two ROB entries swapped", gap, &|h| h.rob.swap(3, 4));
-    refused("sequence numbers wrapping u64", gap, &|h| {
-        for (i, e) in h.rob.iter_mut().enumerate() {
-            e.seq = (u64::MAX - 2).wrapping_add(i as u64);
-        }
-    });
-    let span = "ROB does not span head_seq..next_seq";
-    refused("head_seq past the oldest op", span, &|h| h.head_seq += 1);
-    refused("head_seq before the oldest op", span, &|h| h.head_seq -= 1);
-    refused("next_seq past the youngest op", span, &|h| h.next_seq += 1);
     refused("more ops in flight than the ROB holds", "ROB occupancy beyond capacity", &|h| {
         while h.rob.len() <= 196 {
-            let seq = h.next_seq;
             let state = Tagged { tag: 3, val: 0 };
-            h.rob.push(RobEntry { kind: OpKind::IntAlu, dep_seq: None, state, seq });
-            h.next_seq += 1;
+            h.rob.push(RobEntry { kind: OpKind::IntAlu, dep_seq: None, state });
         }
     });
+    refused("sequence numbers wrapping u64", "ROB sequence numbers wrap u64", &|h| {
+        h.head_seq = u64::MAX - 2;
+    });
     let younger = "ROB op depends on a younger op";
-    refused("an op that depends on itself", younger, &|h| h.rob[5].dep_seq = Some(h.rob[5].seq));
+    refused("an op that depends on itself", younger, &|h| h.rob[5].dep_seq = Some(h.seq(5)));
     refused("an op that depends on a younger op", younger, &|h| {
-        h.rob[5].dep_seq = Some(h.rob[9].seq);
+        h.rob[5].dep_seq = Some(h.seq(9));
     });
     refused("an op that depends on the no-producer sentinel", younger, &|h| {
         h.rob[5].dep_seq = Some(u64::MAX);
-    });
-    let worklist = "issue worklist is not the ROB's waiting ops";
-    refused("a waiting op missing from the worklist", worklist, &|h| {
-        h.waiting.pop();
-    });
-    refused("a worklist out of program order", worklist, &|h| h.waiting.swap(0, 1));
-    refused("a worklist naming an op that is not waiting", worklist, &|h| {
-        let seq = h.rob[not_waiting].seq;
-        h.waiting.push(seq);
-        h.waiting.sort_unstable();
-    });
-    refused("a worklist naming an op outside the ROB", worklist, &|h| {
-        h.waiting.push(h.next_seq + 7);
     });
     refused(
         "more waiting ops than the issue queue holds",
@@ -443,24 +419,19 @@ fn corrupt_core_sections_are_refused_not_trusted() {
             h.halted_by_branch = None;
         },
     );
-    let queues = "load/store queue occupancy disagrees with the ROB";
-    refused("a load too many in the load queue count", queues, &|h| h.loads_in_rob += 1);
-    refused("a store too few in the store queue count", queues, &|h| {
-        h.stores_in_rob = h.stores_in_rob.wrapping_sub(1);
-    });
     let halt = "fetch halted by no waiting mispredicted branch";
     refused("fetch halted by an op that is no branch", halt, &|h| {
         h.set_waiting(alu, true);
-        h.halted_by_branch = Some(h.rob[alu].seq);
+        h.halted_by_branch = Some(h.seq(alu));
     });
     refused("fetch halted by a retired op", halt, &|h| h.halted_by_branch = Some(h.head_seq - 1));
     refused("fetch halted by an op not yet fetched", halt, &|h| {
-        h.halted_by_branch = Some(h.next_seq);
+        h.halted_by_branch = Some(h.seq(h.rob.len()));
     });
     refused("fetch halted by a branch that already issued", halt, &|h| {
         h.rob[alu].kind = OpKind::Branch { mispredict: true };
         h.set_waiting(alu, false);
-        h.halted_by_branch = Some(h.rob[alu].seq);
+        h.halted_by_branch = Some(h.seq(alu));
     });
     pinned.refused("an op state tag past the last", SnapError::BadTag(4), |p| {
         p.cores[0].rob[alu].state.tag = 4;
@@ -471,7 +442,7 @@ fn corrupt_core_sections_are_refused_not_trusted() {
     let h = &mut halted.cores[0];
     h.rob[alu].kind = OpKind::Branch { mispredict: true };
     h.set_waiting(alu, true);
-    h.halted_by_branch = Some(h.rob[alu].seq);
+    h.halted_by_branch = Some(h.seq(alu));
     pinned.restore(halted).expect("a consistent halt restores");
 
     pinned.refused("a core too few", invalid("system core count mismatch"), |p| {

@@ -304,18 +304,20 @@ impl Core {
     }
 
     /// Walk all mutable pipeline state — the instruction stream's
-    /// generation cursor, ROB contents, fetch latches, occupancy
-    /// counters, issue worklist, measurement window, and statistics
-    /// ([`Archive`]) — so a checkpointed system resumes this core
-    /// bit-exactly; a load needs a core built with the same configuration
-    /// and stream parameters. The config and core id are construction
-    /// parameters, not state; the consumer chains and the `issuable` list
-    /// are derived from the ROB and not written — the worklist on disk is
-    /// every `Waiting` op in program order. The pipeline invariants the
-    /// issue stage indexes by are checked on load, so a snapshot that
-    /// breaks one is an error at load, not a panic many cycles later.
+    /// generation cursor, ROB contents, fetch latches, measurement window,
+    /// and statistics ([`Archive`]) — so a checkpointed system resumes
+    /// this core bit-exactly; a load needs a core built with the same
+    /// configuration and stream parameters. The config and core id are
+    /// construction parameters, not state. The ROB is its oldest sequence
+    /// number and occupancy, then each op's kind, dependency and state (op
+    /// `i` is `head_seq + i`); what it implies is rebuilt on load, not
+    /// written. The pipeline invariants the issue stage indexes by are
+    /// checked on load, so a snapshot that breaks one is an error at
+    /// load, not a panic many cycles later.
     pub fn state<A: Archive>(&mut self, ar: &mut A) -> Result<(), SnapError> {
-        // `issuable`: rebuilt from the ROB by `rebuild_wakeup` below.
+        // `loads_in_rob`, `stores_in_rob`, `iq_used`, `issuable`: implied
+        // by the ROB, rebuilt on load below; `next_seq` is `head_seq` plus
+        // the occupancy.
         // `issue_work`, `fetched`: host-side work counters, not simulation
         // state.
         let Self {
@@ -330,9 +332,9 @@ impl Core {
             staged,
             fetch_stall_until,
             halted_by_branch,
-            loads_in_rob,
-            stores_in_rob,
-            iq_used,
+            loads_in_rob: _,
+            stores_in_rob: _,
+            iq_used: _,
             issuable: _,
             window_skip,
             window_measure,
@@ -347,14 +349,14 @@ impl Core {
         let slot_of = |seq: u64| seq as usize & ring_mask;
         stream.state(ar)?;
         let mut n = (*next_seq - *head_seq) as usize;
+        ar.u64(head_seq)?;
         ar.usize(&mut n)?;
         ar.ensure(n <= cfg.rob, SnapError::Invalid("ROB occupancy beyond capacity"))?;
-        let mut first_seq = None;
-        let (mut rob_loads, mut rob_stores) = (0, 0);
-        let mut waiting = Vec::with_capacity(*iq_used);
-        for i in 0..n as u64 {
-            // A load decodes into a copy, placed once its sequence number is.
-            let mut seq = head_seq.wrapping_add(i);
+        let end = head_seq.checked_add(n as u64);
+        *next_seq = end.ok_or(SnapError::Invalid("ROB sequence numbers wrap u64"))?;
+        let mut waiting = 0;
+        for seq in *head_seq..*next_seq {
+            // A load decodes into a copy, placed once it has checked out.
             let mut e = rob[slot_of(seq)];
             // `consumers`, `next_consumer`: derived, rebuilt below.
             let RobSlot { kind, dep_seq, state, consumers: _, next_consumer: _ } = &mut e;
@@ -363,28 +365,14 @@ impl Core {
             ar.opt_u64(&mut dep)?;
             *dep_seq = dep.unwrap_or(NO_DEP);
             state.state(ar)?;
-            ar.u64(&mut seq)?;
-            let contiguous = first_seq.get_or_insert(seq).checked_add(i) == Some(seq);
-            ar.ensure(contiguous, SnapError::Invalid("ROB sequence numbers not contiguous"))?;
             let older = dep.is_none_or(|p| p < seq);
             ar.ensure(older, SnapError::Invalid("ROB op depends on a younger op"))?;
-            match e.kind {
-                OpKind::Load { .. } => rob_loads += 1,
-                OpKind::Store { .. } => rob_stores += 1,
-                _ => {}
-            }
-            if e.state == OpState::Waiting {
-                waiting.push(seq);
-            }
+            waiting += usize::from(e.state == OpState::Waiting);
             if ar.loading() {
                 rob[slot_of(seq)] = e;
             }
         }
-        ar.u64(head_seq)?;
-        ar.u64(next_seq)?;
-        let spans = first_seq.is_none_or(|s| s == *head_seq)
-            && head_seq.checked_add(n as u64) == Some(*next_seq);
-        ar.ensure(spans, SnapError::Invalid("ROB does not span head_seq..next_seq"))?;
+        ar.ensure(waiting <= cfg.iq, SnapError::Invalid("issue worklist beyond IQ capacity"))?;
         ar.opt_u64(fetch_line)?;
         ar.bool(fetch_pending)?;
         let mut has_staged = staged.is_some();
@@ -406,23 +394,6 @@ impl Core {
             };
             ar.ensure(halts, SnapError::Invalid("fetch halted by no waiting mispredicted branch"))?;
         }
-        ar.usize(loads_in_rob)?;
-        ar.usize(stores_in_rob)?;
-        let occupancy = (*loads_in_rob, *stores_in_rob) == (rob_loads, rob_stores);
-        ar.ensure(
-            occupancy,
-            SnapError::Invalid("load/store queue occupancy disagrees with the ROB"),
-        )?;
-        let mut listed = waiting.clone();
-        ar.seq(&mut listed, None, A::u64)?;
-        ar.ensure(
-            listed == waiting,
-            SnapError::Invalid("issue worklist is not the ROB's waiting ops"),
-        )?;
-        ar.ensure(
-            waiting.len() <= cfg.iq,
-            SnapError::Invalid("issue worklist beyond IQ capacity"),
-        )?;
         ar.u64(window_skip)?;
         for w in [window_measure, window_start, window_end] {
             ar.opt_u64(w)?;
@@ -431,23 +402,31 @@ impl Core {
         ar.u64(committed)?;
         ar.u64(cycles)?;
         if ar.loading() {
-            *iq_used = waiting.len();
-            self.rebuild_wakeup();
+            self.rebuild_from_rob();
         }
         Ok(())
     }
 
-    /// Derive the consumer chains and the `issuable` list from the ROB's
-    /// op states alone.
-    fn rebuild_wakeup(&mut self) {
+    /// Derive from the ROB's ops alone what they imply: the load/store-
+    /// and issue-queue occupancy, the consumer chains and the `issuable`
+    /// list.
+    fn rebuild_from_rob(&mut self) {
         self.issuable.clear();
+        (self.loads_in_rob, self.stores_in_rob, self.iq_used) = (0, 0, 0);
         for seq in self.head_seq..self.next_seq {
             let slot = self.slot_of(seq);
-            self.rob[slot].consumers = NIL;
-            self.rob[slot].next_consumer = NIL;
+            let e = &mut self.rob[slot];
+            e.consumers = NIL;
+            e.next_consumer = NIL;
+            match e.kind {
+                OpKind::Load { .. } => self.loads_in_rob += 1,
+                OpKind::Store { .. } => self.stores_in_rob += 1,
+                _ => {}
+            }
         }
         for seq in self.head_seq..self.next_seq {
             if self.rob[self.slot_of(seq)].state == OpState::Waiting {
+                self.iq_used += 1;
                 self.enter_waiting(seq);
             }
         }
@@ -905,6 +884,20 @@ impl Core {
             .collect()
     }
 
+    /// The load-queue, store-queue and issue-queue counts as kept, then
+    /// as the ROB implies them (what a restore rebuilds).
+    fn queue_counts(&self) -> [(usize, usize, usize); 2] {
+        let ops: Vec<RobSlot> =
+            (self.head_seq..self.next_seq).map(|seq| self.rob[self.slot_of(seq)]).collect();
+        let count = |f: fn(&RobSlot) -> bool| ops.iter().filter(|e| f(e)).count();
+        let implied = (
+            count(|e| matches!(e.kind, OpKind::Load { .. })),
+            count(|e| matches!(e.kind, OpKind::Store { .. })),
+            count(|e| e.state == OpState::Waiting),
+        );
+        [(self.loads_in_rob, self.stores_in_rob, self.iq_used), implied]
+    }
+
     /// [`Core::tick`] with the full-scan select in the issue stage.
     fn tick_full_scan(&mut self, now: Cycle, mem: &mut dyn CoreMemory) -> bool {
         let before = self.progress_marks();
@@ -925,12 +918,12 @@ impl Core {
             let ready = self.operands_known_at(seq).is_some_and(|at| at <= now);
             if ready && self.try_issue_one(seq, &mut fu, now, mem) {
                 budget -= 1;
-                self.iq_used -= 1;
             }
         }
-        // Nothing above read the chains or the list; leave them as a
-        // restore would, for `finish` and `dispatch` to extend.
-        self.rebuild_wakeup();
+        // Nothing above read the chains, the list or the issue-queue
+        // count; leave them as a restore would, for `finish` and
+        // `dispatch` to extend.
+        self.rebuild_from_rob();
     }
 
     /// [`Core::next_event_at`] from the ROB's op states alone.
@@ -1420,6 +1413,10 @@ mod tests {
                 "cycle {}: memory was asked different things",
                 now
             );
+            // A snapshot writes none of these counts, so a restore is
+            // exact only while they are what the ROB implies.
+            let [kept, implied] = fast.queue_counts();
+            prop_assert_eq!(kept, implied, "cycle {}: queue counts drift from the ROB", now);
             let bound = fast.next_event_at(now + 1);
             prop_assert_eq!(bound, fast.next_event_at_full_scan(now + 1), "cycle {}", now);
             prop_assert_eq!(bound, slow.next_event_at_full_scan(now + 1), "cycle {}", now);

@@ -8,7 +8,7 @@
 
 use crate::timing::DramTiming;
 use melreq_snap::{Archive, SnapError};
-use melreq_stats::types::{cyc_add, AccessKind, Cycle};
+use melreq_stats::types::{cyc_add, AccessKind, Cycle, RowOutcome};
 
 /// Sentinel value of a bank's open-row latch meaning "all rows closed".
 ///
@@ -16,30 +16,6 @@ use melreq_stats::types::{cyc_add, AccessKind, Cycle};
 /// geometry's rows-per-bank, so `u64::MAX` can never collide with a real
 /// row.
 pub const NO_OPEN_ROW: u64 = u64::MAX;
-
-/// How a granted transaction found the bank — determines its latency class
-/// and is the signal the Hit-First policy ranks on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RowOutcome {
-    /// The addressed row was already open: column access only.
-    Hit,
-    /// The bank was closed: activate, then column access.
-    ClosedMiss,
-    /// Another row was open: precharge, activate, then column access.
-    Conflict,
-}
-
-impl From<RowOutcome> for melreq_audit::GrantOutcome {
-    /// The audit stream carries outcomes as plain data so the checker
-    /// stays decoupled from this crate's types.
-    fn from(o: RowOutcome) -> Self {
-        match o {
-            RowOutcome::Hit => melreq_audit::GrantOutcome::Hit,
-            RowOutcome::ClosedMiss => melreq_audit::GrantOutcome::ClosedMiss,
-            RowOutcome::Conflict => melreq_audit::GrantOutcome::Conflict,
-        }
-    }
-}
 
 /// One logical channel: `n` banks plus a shared 16-byte data bus.
 ///

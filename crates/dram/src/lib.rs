@@ -26,7 +26,10 @@
 //! The crate is independent of the memory controller: it exposes
 //! [`DramSystem::can_issue`] / [`DramSystem::issue`] and row-hit queries,
 //! and the controller (in `melreq-memctrl`) decides *which* request to
-//! grant.
+//! grant. It knows nothing of the audit stream either: a grant's row
+//! outcome is `melreq_stats`'s `RowOutcome`, and the controller announces
+//! the device on its tap from [`DramSystem::geometry`] and
+//! [`DramSystem::timing`].
 
 // A01 (DESIGN.md "Determinism rules"): a narrowing cast silently
 // truncates a cycle, a count or an address field.
@@ -38,6 +41,6 @@ pub mod system;
 pub mod timing;
 
 pub use address::{DramGeometry, Interleave, Location};
-pub use channel::{Channel, ChannelGrant, RowOutcome};
+pub use channel::{Channel, ChannelGrant};
 pub use system::{DramSystem, RowPolicy};
 pub use timing::DramTiming;

@@ -3,7 +3,6 @@
 use crate::address::{DramGeometry, Location};
 use crate::channel::{Channel, ChannelGrant};
 use crate::timing::DramTiming;
-use melreq_audit::{AuditEvent, AuditHandle, TimingParams};
 use melreq_snap::{Archive, SnapError};
 use melreq_stats::types::{AccessKind, Addr, Cycle};
 
@@ -42,21 +41,6 @@ impl DramSystem {
         DramSystem { channels, geometry, timing }
     }
 
-    /// Announce the device configuration on an audit stream.
-    pub fn announce(&self, audit: &AuditHandle) {
-        audit.emit(|| AuditEvent::DramConfig {
-            channels: self.geometry.channels,
-            banks_per_channel: self.geometry.banks_per_channel(),
-            timing: TimingParams {
-                t_rcd: self.timing.t_rcd,
-                t_cl: self.timing.t_cl,
-                t_rp: self.timing.t_rp,
-                t_wr: self.timing.t_wr,
-                burst: self.timing.burst,
-            },
-        });
-    }
-
     /// The paper's Table 1 memory system.
     pub fn paper() -> Self {
         Self::new(DramGeometry::paper(), DramTiming::ddr2_800_at_3_2ghz())
@@ -65,6 +49,11 @@ impl DramSystem {
     /// Geometry in use.
     pub fn geometry(&self) -> &DramGeometry {
         &self.geometry
+    }
+
+    /// Timing in use.
+    pub fn timing(&self) -> &DramTiming {
+        &self.timing
     }
 
     /// Decode a physical address to DRAM coordinates.
@@ -125,8 +114,7 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::RowOutcome;
-    use melreq_stats::types::CACHE_LINE_BYTES;
+    use melreq_stats::types::{RowOutcome, CACHE_LINE_BYTES};
 
     #[test]
     fn paper_system_shape() {

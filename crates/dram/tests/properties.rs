@@ -1,7 +1,7 @@
 //! Property-based tests of the DRAM model's structural invariants.
 
-use melreq_dram::{Channel, DramGeometry, DramTiming, Interleave, RowOutcome};
-use melreq_stats::types::AccessKind;
+use melreq_dram::{Channel, DramGeometry, DramTiming, Interleave};
+use melreq_stats::types::{AccessKind, RowOutcome};
 use proptest::prelude::*;
 
 fn arb_geometry() -> impl Strategy<Value = DramGeometry> {

@@ -501,7 +501,7 @@ mod tests {
         // checked against them.
         let ci = LoadConfig { rps: 150.0, duration_s: 2.0, ..LoadConfig::default() };
         let hashes = PHASES.map(|spec| format!("{:016x}", stream_hash(&plan_arrivals(&ci, spec))));
-        assert_eq!(hashes, ["f03fa5db547ac8df", "5ba724486ec7541c"]);
+        assert_eq!(hashes, ["f93ecadac423c7fb", "6d5a1b96fda69787"]);
     }
 
     #[test]

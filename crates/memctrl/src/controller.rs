@@ -3,10 +3,12 @@
 use crate::policy::{Candidate, Fcfs, HitFirst, SchedulerPolicy};
 use crate::queue::RequestQueue;
 use crate::request::{MemRequest, ReqId};
-use melreq_audit::{AuditEvent, AuditHandle, CandidateInfo, Decision, Grant, Rule, Submit};
-use melreq_dram::{DramSystem, RowOutcome, RowPolicy};
+use melreq_audit::{
+    AuditEvent, AuditHandle, CandidateInfo, Decision, Grant, Rule, Submit, TimingParams,
+};
+use melreq_dram::{DramSystem, DramTiming, RowPolicy};
 use melreq_snap::{Archive, SnapError};
-use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle};
+use melreq_stats::types::{AccessKind, Addr, CoreId, Cycle, RowOutcome};
 use melreq_stats::StreamingMean;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -325,14 +327,20 @@ impl MemoryController {
         ctrl
     }
 
-    /// Attach audit instrumentation: the DRAM device announces its
-    /// configuration, then the controller announces its own. Every
-    /// subsequent submit, scheduling decision, and grant is reported on
-    /// the stream. Replaces any previously attached sink (including the
-    /// debug-build watchdog).
+    /// Attach audit instrumentation: the controller announces the DRAM
+    /// device it drives, then its own configuration. Every subsequent
+    /// submit, scheduling decision, and grant is reported on the stream.
+    /// Replaces any previously attached sink (including the debug-build
+    /// watchdog).
     pub fn attach_audit(&mut self, audit: AuditHandle) {
-        self.dram.announce(&audit);
         self.audit = audit;
+        let geometry = self.dram.geometry();
+        let DramTiming { t_rcd, t_cl, t_rp, t_wr, burst } = *self.dram.timing();
+        self.audit.emit(|| AuditEvent::DramConfig {
+            channels: geometry.channels,
+            banks_per_channel: geometry.banks_per_channel(),
+            timing: TimingParams { t_rcd, t_cl, t_rp, t_wr, burst },
+        });
         self.emit_ctrl_config();
     }
 
@@ -376,9 +384,10 @@ impl MemoryController {
     }
 
     /// Announce a memory-efficiency profile on the audit stream without
-    /// touching the policy — used when a policy whose tables were
-    /// programmed at construction is swapped in mid-run, so the checker
-    /// learns what the new tables hold.
+    /// touching the policy — used when an audit tap is attached to a
+    /// machine whose tables were programmed at construction, or such a
+    /// policy is swapped in mid-run, so the checker learns what the
+    /// tables hold.
     pub fn announce_profile(&self, me: &[f64]) {
         self.audit.emit(|| AuditEvent::ProfileUpdate { me: me.to_vec() });
     }
@@ -780,7 +789,7 @@ impl MemoryController {
                 write: req.kind.is_write(),
                 at: now,
                 keep_open,
-                outcome: service.outcome.into(),
+                outcome: service.outcome,
                 data_ready: service.data_ready,
             })
         });

@@ -10,9 +10,9 @@
 //! of any policy — each `Decision` arrives with its rule already named
 //! (see `provenance`) — which is what makes tracing provably inert.
 
-use melreq_audit::{AuditEvent, AuditHandle, AuditSink, Grant, GrantOutcome, TimingParams};
+use melreq_audit::{AuditEvent, AuditHandle, AuditSink, Grant, TimingParams};
 use melreq_prof::Ring;
-use melreq_stats::types::Cycle;
+use melreq_stats::types::{Cycle, RowOutcome};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
@@ -26,6 +26,10 @@ use crate::series::EpochRow;
 /// A [`TraceEvent`] is 88 bytes on a 64-bit host, so a full ring holds
 /// 88 MiB.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
+
+/// Default sampling epoch in cycles of a run that writes a trace or a
+/// series without naming one.
+pub const DEFAULT_SAMPLE_EPOCH: Cycle = 10_000;
 
 /// Per-core sample handed in by the system at an epoch boundary.
 #[derive(Debug, Clone, Copy)]
@@ -274,11 +278,11 @@ impl Collector {
             self.ring.push(TraceEvent::Command { kind, grant, at, dur: dur.max(1) });
         };
         let mut at = g.at;
-        if g.outcome == GrantOutcome::Conflict {
+        if g.outcome == RowOutcome::Conflict {
             push(CmdKind::Pre, at, t.t_rp);
             at += t.t_rp;
         }
-        if g.outcome != GrantOutcome::Hit {
+        if g.outcome != RowOutcome::Hit {
             push(CmdKind::Act, at, t.t_rcd);
             at += t.t_rcd;
         }
@@ -343,7 +347,7 @@ impl AuditSink for Collector {
                     } else {
                         a.reads += 1;
                     }
-                    if g.outcome == GrantOutcome::Hit {
+                    if g.outcome == RowOutcome::Hit {
                         a.row_hits += 1;
                     }
                 }
@@ -379,7 +383,7 @@ mod tests {
         c.record(&AuditEvent::ProfileUpdate { me: vec![4.0, 2.0] });
     }
 
-    fn grant(id: u64, core: u16, write: bool, at: Cycle, outcome: GrantOutcome) -> AuditEvent {
+    fn grant(id: u64, core: u16, write: bool, at: Cycle, outcome: RowOutcome) -> AuditEvent {
         AuditEvent::Grant(Grant {
             id,
             core,
@@ -426,7 +430,7 @@ mod tests {
             pending_reads: vec![1, 1],
             why: (Rule::RowHitFirst, Some(0)),
         }));
-        c.record(&grant(1, 0, false, 5, GrantOutcome::Hit));
+        c.record(&grant(1, 0, false, 5, RowOutcome::Hit));
         let (name, totals) = c.active_rule_totals().expect("totals");
         assert_eq!(name, "HF-RF");
         assert_eq!(totals.get(Rule::RowHitFirst), 1);
@@ -486,7 +490,7 @@ mod tests {
     fn grant_synthesizes_commands_by_outcome() {
         let mut c = Collector::new(DEFAULT_TRACE_CAPACITY);
         base_config(&mut c, "HF-RF");
-        c.record(&grant(0, 0, false, 100, GrantOutcome::Conflict));
+        c.record(&grant(0, 0, false, 100, RowOutcome::Conflict));
         let kinds: Vec<CmdKind> = c
             .ring()
             .iter()
@@ -502,8 +506,8 @@ mod tests {
     fn epoch_sample_computes_rates_and_resets_accumulators() {
         let mut c = Collector::new(DEFAULT_TRACE_CAPACITY);
         base_config(&mut c, "HF-RF");
-        c.record(&grant(0, 0, false, 50, GrantOutcome::Hit));
-        c.record(&grant(1, 1, true, 60, GrantOutcome::ClosedMiss));
+        c.record(&grant(0, 0, false, 50, RowOutcome::Hit));
+        c.record(&grant(1, 1, true, 60, RowOutcome::ClosedMiss));
         c.sample_epoch(
             100,
             &[
@@ -550,7 +554,7 @@ mod tests {
             write: false,
             at: 10,
         }));
-        c.record(&grant(0, 0, false, 20, GrantOutcome::Hit)); // data_ready 44
+        c.record(&grant(0, 0, false, 20, RowOutcome::Hit)); // data_ready 44
         c.finish();
         let span = c.ring().iter().find_map(|e| match e {
             TraceEvent::CoreWait { core, from, to } => Some((*core, *from, *to)),

@@ -40,7 +40,9 @@ pub mod perfetto;
 pub mod provenance;
 pub mod series;
 
-pub use collector::{ChannelSample, Collector, CoreSample, DEFAULT_TRACE_CAPACITY};
+pub use collector::{
+    ChannelSample, Collector, CoreSample, DEFAULT_SAMPLE_EPOCH, DEFAULT_TRACE_CAPACITY,
+};
 pub use event::{CmdKind, TraceEvent};
 pub use hostprof::{export_host_profile, finish_host_profile};
 pub use perfetto::export_chrome_json;

@@ -9,8 +9,8 @@
 
 use std::fmt::Write as _;
 
-use melreq_audit::{Grant, GrantOutcome, Submit};
-use melreq_stats::types::Cycle;
+use melreq_audit::{Grant, Submit};
+use melreq_stats::types::{Cycle, RowOutcome};
 
 use crate::collector::Collector;
 use crate::event::TraceEvent;
@@ -20,11 +20,11 @@ fn cores_pid(channels: usize) -> usize {
     channels + 1
 }
 
-fn outcome_name(o: GrantOutcome) -> &'static str {
+fn outcome_name(o: RowOutcome) -> &'static str {
     match o {
-        GrantOutcome::Hit => "hit",
-        GrantOutcome::ClosedMiss => "closed-miss",
-        GrantOutcome::Conflict => "conflict",
+        RowOutcome::Hit => "hit",
+        RowOutcome::ClosedMiss => "closed-miss",
+        RowOutcome::Conflict => "conflict",
     }
 }
 
@@ -220,7 +220,7 @@ mod tests {
             write: false,
             at: 12,
             keep_open: true,
-            outcome: melreq_audit::GrantOutcome::ClosedMiss,
+            outcome: RowOutcome::ClosedMiss,
             data_ready: 40,
         }));
         // Core 1's memory-wait span (5 → 40) reaches the ring after the

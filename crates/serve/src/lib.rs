@@ -1429,8 +1429,8 @@ fn sigterm_received() -> bool {
 
 /// Split a server response body into `(envelope_prefix, report_bytes)`:
 /// everything before `"report":`, and the report JSON itself (the
-/// envelope's trailing `}` removed). Shared by the golden tests and
-/// `melreq client`.
+/// envelope's trailing `}` removed). The service tests and the repo
+/// benchmark compare answers' report bytes through it.
 pub fn split_envelope(body: &str) -> Option<(&str, &str)> {
     let marker = "\"report\":";
     let at = body.find(marker)?;

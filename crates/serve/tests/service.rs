@@ -1286,7 +1286,7 @@ fn buildinfo_endpoint_reports_configuration() {
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         body,
-        "{\"name\":\"melreq-serve\",\"version\":\"0.1.0\",\"schema_version\":7,\
+        "{\"name\":\"melreq-serve\",\"version\":\"0.1.0\",\"schema_version\":8,\
          \"poller\":\"epoll\",\"workers\":3,\"queue_cap\":5,\"response_cache\":7,\
          \"store\":false,\"profiling\":false,\"access_log\":false}"
     );

@@ -46,7 +46,7 @@
 /// Bump on ANY change to what any crate's `state` walk writes. Persisted
 /// checkpoints and profiles from other versions are ignored, never
 /// migrated.
-pub const SCHEMA_VERSION: u32 = 7;
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// Magic prefix of a sealed container ("MRQSNP" + 2 format bytes).
 pub const MAGIC: [u8; 8] = *b"MRQSNP\x00\x01";

@@ -3,7 +3,8 @@
 //! This crate is the bottom of the `melreq` dependency graph. It defines:
 //!
 //! * the primitive simulation types shared by every other crate —
-//!   [`Cycle`], [`Addr`], [`CoreId`], [`AccessKind`];
+//!   [`Cycle`], [`Addr`], [`CoreId`], [`AccessKind`], [`RowOutcome`]
+//!   (the device decides it, the audit stream's `Grant` carries it);
 //! * [`StreamingMean`], the one streaming statistic: a read latency is a
 //!   sum and a count, and nothing reads a distribution (event counts are
 //!   plain `u64` fields on the component that counts them);
@@ -26,4 +27,6 @@ pub mod types;
 pub use fairness::{smt_speedup, unfairness, FairnessReport};
 pub use fixedpoint::PriorityFixed;
 pub use mean::StreamingMean;
-pub use types::{line_addr, AccessKind, Addr, CoreId, Cycle, CACHE_LINE_BYTES, CACHE_LINE_SHIFT};
+pub use types::{
+    line_addr, AccessKind, Addr, CoreId, Cycle, RowOutcome, CACHE_LINE_BYTES, CACHE_LINE_SHIFT,
+};

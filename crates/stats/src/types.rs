@@ -87,6 +87,19 @@ impl std::fmt::Display for AccessKind {
     }
 }
 
+/// How a granted DRAM transaction found its bank: the latency class the
+/// device charges, the row hit the Hit-First link ranks on, and the claim
+/// each audit `Grant` carries for the timing oracle to re-derive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RowOutcome {
+    /// The addressed row was already open: column access only.
+    Hit,
+    /// The bank was closed: activate, then column access.
+    ClosedMiss,
+    /// Another row was open: precharge, activate, then column access.
+    Conflict,
+}
+
 /// Checked addition on cycle/timing values.
 ///
 /// Cycle arithmetic in the DRAM timing path wraps silently in release
